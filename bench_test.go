@@ -268,7 +268,7 @@ func BenchmarkEngineTransitiveClosure(b *testing.B) {
 }
 
 // closureAllocCeiling bounds allocations per sequential closure iteration.
-// The evaluator reuses its evalEnv, delta projection indexes and per-rule
+// The evaluator reuses its evalEnv, per-round rule lists and per-rule
 // frames across fixpoint rounds, so allocs/op is dominated by tuple
 // storage for the ~60k derived reachable facts (measured: ~131k allocs/op).
 // The ceiling has ~50% headroom and catches a reintroduced per-round or

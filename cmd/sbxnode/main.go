@@ -301,6 +301,7 @@ func runNode(cfg *cluster.Config, o options, stdout *os.File) (retErr error) {
 		}
 	}
 
+	node.Backlog = rt.EarlyTraffic()
 	node.Start()
 	rt.MarkRunning()
 	facts, err := workloadFacts(cfg, mem, rt.Index())

@@ -89,8 +89,12 @@ type RuleInfo struct {
 	Pos  datalog.Pos
 	// Bound is the set of variables the planned body binds.
 	Bound map[string]bool
-	// Order lists the planned steps in evaluation order (source form).
+	// Order lists the steps of the static plan — what a full evaluation
+	// runs — in evaluation order (source form).
 	Order []string
+	// DeltaOrders lists, per positive body atom, the delta-first order a
+	// semi-naïve evaluation runs when that atom's predicate changed.
+	DeltaOrders [][]string
 	// ParSafe mirrors the engine's parallel-safety classification.
 	ParSafe bool
 }
@@ -231,8 +235,9 @@ func (a *Analyzer) checkRule(r *Report, p engine.RulePlan, cat *engine.Catalog) 
 	info := RuleInfo{Rule: rule.String(), Pos: rule.Pos, Bound: b.bound, ParSafe: p.Err == nil && p.ParSafe}
 	if p.Err == nil {
 		info.Bound = p.Bound
-		for _, s := range p.Steps {
-			info.Order = append(info.Order, describePlanStep(s))
+		info.Order = describePlan(p.Steps)
+		for _, plan := range p.DeltaPlans {
+			info.DeltaOrders = append(info.DeltaOrders, describePlan(plan))
 		}
 	}
 	r.Rules = append(r.Rules, info)
@@ -468,6 +473,15 @@ func sortedVars(set map[string]bool) []string {
 		out = append(out, v)
 	}
 	sort.Strings(out)
+	return out
+}
+
+// describePlan renders a planned step list in evaluation order.
+func describePlan(steps []engine.PlanStep) []string {
+	out := make([]string, len(steps))
+	for i, s := range steps {
+		out[i] = describePlanStep(s)
+	}
 	return out
 }
 

@@ -212,6 +212,29 @@ func TestSeqFallbackNotes(t *testing.T) {
 	}
 }
 
+// The report shows the orders that actually run: the static order for full
+// evaluations, and per positive atom the delta-first order that leads with
+// it and defers the filter until its operands are bound.
+func TestRuleInfoListsDeltaOrders(t *testing.T) {
+	rep := analyzeSrc(t, `reach(X, Y) <- link(X, Z), reach(Z, Y), X != Y.`)
+	info := rep.Rules[0]
+	if got := strings.Join(info.Order, " ; "); got != "link(X, Z) ; reach(Z, Y) ; X != Y" {
+		t.Errorf("static order = %s", got)
+	}
+	want := []string{
+		"link(X, Z) ; reach(Z, Y) ; X != Y",
+		"reach(Z, Y) ; link(X, Z) ; X != Y",
+	}
+	if len(info.DeltaOrders) != len(want) {
+		t.Fatalf("delta orders = %v, want %d of them", info.DeltaOrders, len(want))
+	}
+	for i, w := range want {
+		if got := strings.Join(info.DeltaOrders[i], " ; "); got != w {
+			t.Errorf("delta order %d = %s, want %s", i, got, w)
+		}
+	}
+}
+
 func TestFindingsDeterministic(t *testing.T) {
 	src := `p(X, Y) <- q(X), !r(Z), W < X.
 dead(X) <- never(X), p(X, X).

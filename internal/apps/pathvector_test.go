@@ -1,10 +1,15 @@
 package apps
 
 import (
+	"fmt"
 	"testing"
 
 	"secureblox/internal/core"
+	"secureblox/internal/datalog"
+	"secureblox/internal/engine"
 	"secureblox/internal/graph"
+	"secureblox/internal/seccrypto"
+	"secureblox/internal/udf"
 )
 
 func TestGraphGenerator(t *testing.T) {
@@ -110,6 +115,92 @@ func TestNoFullScanFallbacksInProtocolRuleSets(t *testing.T) {
 			t.Errorf("hashjoin node %d: %d full-scan fallbacks (%s)", i, s.FullScanFallbacks, s)
 		}
 	}
+
+	// And statically, for every shipped rule set under every policy: each
+	// semi-naïve evaluation leads with its delta atom, and no later join
+	// step starts from zero bound columns unless it shares no variable with
+	// the steps before it (a genuine cross product).
+	reg, err := udf.NewRegistry(seccrypto.NewKeyStore("plans"), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, rs := range []struct {
+		name  string
+		query string
+		extra []string
+	}{
+		{"pathvector", PathVectorQuery, nil},
+		{"hashjoin", HashJoinQuery, nil},
+		{"anonjoin", AnonJoinQuery, []string{AnonPolicy}},
+	} {
+		for _, auth := range []core.AuthScheme{core.AuthNone, core.AuthHMAC, core.AuthRSA} {
+			for _, variant := range []core.PolicyConfig{{}, {Encrypt: true}, {BatchSign: true}, {Authorization: true, Delegation: core.DelegateTrustworthy}} {
+				pol := variant
+				pol.Auth = auth
+				if pol.BatchSign && auth != core.AuthRSA {
+					continue
+				}
+				res, err := core.CompileProgram(pol, rs.query, rs.extra)
+				if err != nil {
+					t.Fatalf("%s/%s: %v", rs.name, pol.Name(), err)
+				}
+				plans, err := engine.NewWorkspace(reg).PlanProgram(res.Program)
+				if err != nil {
+					t.Fatalf("%s/%s: %v", rs.name, pol.Name(), err)
+				}
+				for _, p := range plans {
+					if p.Err != nil {
+						t.Fatalf("%s/%s: %s: %v", rs.name, pol.Name(), p.Src, p.Err)
+					}
+					if err := checkDeltaPlans(p); err != nil {
+						t.Errorf("%s/%s: %s: %v", rs.name, pol.Name(), p.Src, err)
+					}
+				}
+			}
+		}
+	}
+}
+
+// checkDeltaPlans verifies the shape of one rule's delta-first plans from
+// the planner's exported view.
+func checkDeltaPlans(p engine.RulePlan) error {
+	atoms := 0
+	for _, s := range p.Steps {
+		if s.Kind == engine.StepMatch {
+			atoms++
+		}
+	}
+	if len(p.DeltaPlans) != atoms {
+		return fmt.Errorf("%d delta plans for %d positive atoms", len(p.DeltaPlans), atoms)
+	}
+	for k, plan := range p.DeltaPlans {
+		if len(plan) != len(p.Steps) || plan[0].Kind != engine.StepMatch {
+			return fmt.Errorf("delta plan %d: %d steps (static %d), leading %s", k, len(plan), len(p.Steps), plan[0].Kind)
+		}
+		seen := map[string]bool{}
+		datalog.AtomVars(plan[0].Atom, seen)
+		for i, s := range plan[1:] {
+			switch s.Kind {
+			case engine.StepMatch:
+				vars := map[string]bool{}
+				datalog.AtomVars(s.Atom, vars)
+				for v := range vars {
+					if seen[v] && len(s.BoundCols) == 0 {
+						return fmt.Errorf("delta plan %d step %d: %s shares %s with earlier steps but probes nothing", k, i+1, s.Atom, v)
+					}
+				}
+				datalog.AtomVars(s.Atom, seen)
+			case engine.StepUDF:
+				datalog.AtomVars(s.Atom, seen)
+			case engine.StepCmp:
+				if s.Op == "=" {
+					datalog.VarsOf(s.L, seen)
+					datalog.VarsOf(s.R, seen)
+				}
+			}
+		}
+	}
+	return nil
 }
 
 func TestPathVectorUnderRSA(t *testing.T) {

@@ -345,8 +345,16 @@ func (rt *Runtime) awaitGo(ctx context.Context) error {
 			if !open {
 				return rt.bootstrapErr("go", fmt.Errorf("endpoint closed"), nil)
 			}
-			if rec, ok := rt.decodeBootstrap(in.Data); ok && rec.Type == wire.CtrlGo {
+			rec, ok := rt.decodeBootstrap(in.Data)
+			if ok && rec.Type == wire.CtrlGo {
 				return nil
+			}
+			if !ok {
+				// The seed releases members one by one, so a released peer's
+				// first messages can overtake our own CtrlGo. Dropping one
+				// would leave its sender's count ahead of ours forever and
+				// the fixpoint unprovable.
+				rt.early = append(rt.early, in)
 			}
 		}
 	}

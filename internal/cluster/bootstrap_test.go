@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"strings"
@@ -10,6 +11,7 @@ import (
 
 	"secureblox/internal/seccrypto"
 	"secureblox/internal/transport"
+	"secureblox/internal/wire"
 )
 
 // bootConfig builds an RSA 3-node config with ephemeral joiner ports, the
@@ -148,6 +150,66 @@ func TestBootstrapTimeoutNamesMissing(t *testing.T) {
 	}
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("cause not surfaced: %v", err)
+	}
+}
+
+// TestReadyBarrierKeepsOvertakingTraffic: the seed releases members one by
+// one, so a released peer's first data message can reach a member before
+// that member's own CtrlGo. The endpoint has acknowledged it by then; the
+// barrier must hand it on (EarlyTraffic), not drop it — a dropped message
+// leaves the cluster's send and receive counts unequal forever.
+func TestReadyBarrierKeepsOvertakingTraffic(t *testing.T) {
+	cfg := bootConfig(t)
+	net := transport.NewMemNetwork()
+	defer net.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+	defer cancel()
+
+	rts := make([]*Runtime, len(cfg.Nodes))
+	var wg sync.WaitGroup
+	for i := range cfg.Nodes {
+		rt, err := NewRuntime(cfg, cfg.Nodes[i].Principal, net)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rts[i] = rt
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if _, err := rt.Join(ctx); err != nil {
+				t.Errorf("%s: join: %v", rt.Principal(), err)
+			}
+		}()
+	}
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+
+	// What a peer released before p1 would send it: queued on p1's endpoint
+	// ahead of the CtrlGo the seed has not sent yet.
+	data := wire.EncodeMessage(wire.Message{From: rts[2].Endpoint().Addr(), Payloads: [][]byte{[]byte("first export")}})
+	if err := rts[2].Endpoint().Send(rts[1].Endpoint().Addr(), data); err != nil {
+		t.Fatal(err)
+	}
+	for _, rt := range rts {
+		rt := rt
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if err := rt.Ready(ctx); err != nil {
+				t.Errorf("%s: ready: %v", rt.Principal(), err)
+			}
+		}()
+	}
+	wg.Wait()
+
+	early := rts[1].EarlyTraffic()
+	if len(early) != 1 || !bytes.Equal(early[0].Data, data) || early[0].From != rts[2].Endpoint().Addr() {
+		t.Fatalf("p1 kept %d early datagrams (%v), want the one data message from p2", len(early), early)
+	}
+	if n := len(rts[2].EarlyTraffic()); n != 0 {
+		t.Errorf("p2 kept %d early datagrams, want none", n)
 	}
 }
 

@@ -54,6 +54,10 @@ type Runtime struct {
 	directory []byte            // encoded CtrlDirectory message (seed only)
 	gossiped  map[string]string // principal → addr heard via CtrlMember
 	ctrlCh    chan wire.Join    // post-Start control records (departure barrier)
+	// early holds datagrams that reached this node inside the ready barrier
+	// and are not bootstrap records: traffic of peers the seed released
+	// first. The endpoint has acknowledged them, so they must reach the node.
+	early []transport.InMsg
 
 	// Evict failure-policy state. node and det are the peers BindNode and
 	// BindDetector registered; evictMu guards evicted, which records the
@@ -161,6 +165,10 @@ func (rt *Runtime) KeyStore() *seccrypto.KeyStore { return rt.ks }
 
 // Membership returns the directory Join established, or nil before Join.
 func (rt *Runtime) Membership() *Membership { return rt.mem }
+
+// EarlyTraffic returns the datagrams Ready set aside for the node: hand them
+// to dist.Node.Backlog before Start.
+func (rt *Runtime) EarlyTraffic() []transport.InMsg { return rt.early }
 
 // BindNode routes the bootstrap-record control traffic that arrives after
 // the node's transaction loop takes over the endpoint (the departure

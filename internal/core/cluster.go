@@ -204,7 +204,13 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	}
 	c.Compiled = res
 
-	ts, err := seccrypto.NewTrustSetup(c.Principals, seccrypto.NewDeterministicRand(cfg.Seed+1))
+	// RSA keypairs only for the policy that signs with them: generating them
+	// dominates cluster set-up, and no other policy reads a key.
+	newSetup := seccrypto.NewSecretSetup
+	if cfg.Policy.Auth == AuthRSA {
+		newSetup = seccrypto.NewTrustSetup
+	}
+	ts, err := newSetup(c.Principals, seccrypto.NewDeterministicRand(cfg.Seed+1))
 	if err != nil {
 		return nil, err
 	}

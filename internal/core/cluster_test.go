@@ -125,6 +125,32 @@ func TestDistributedReachableAllSchemes(t *testing.T) {
 	}
 }
 
+// TestClusterKeysFollowPolicy: RSA keypairs exist exactly when the policy
+// signs with them; pairwise secrets are drawn under every policy. (The keys
+// themselves cannot be pinned to the seed: crypto/rsa deliberately reads a
+// random number of bytes, so two setups from one seed already differ.)
+func TestClusterKeysFollowPolicy(t *testing.T) {
+	for _, p := range []PolicyConfig{{Auth: AuthNone}, {Auth: AuthHMAC}, {Auth: AuthNone, Encrypt: true}, {Auth: AuthRSA}} {
+		c, err := NewCluster(ClusterConfig{N: 3, Policy: p, Query: reachableQuery, Seed: 7})
+		if err != nil {
+			t.Fatalf("%s: %v", p.Name(), err)
+		}
+		for i, ks := range c.KeyStores {
+			peer := c.Principals[(i+1)%3]
+			if got, want := ks.PrivateKey() != nil, p.Auth == AuthRSA; got != want {
+				t.Errorf("%s: node %d holds an RSA key: %v, want %v", p.Name(), i, got, want)
+			}
+			if got, want := ks.PublicKeyDER(peer) != nil, p.Auth == AuthRSA; got != want {
+				t.Errorf("%s: node %d knows %s's public key: %v, want %v", p.Name(), i, peer, got, want)
+			}
+			if len(ks.Secret(peer)) == 0 {
+				t.Errorf("%s: node %d lacks a pairwise secret with %s", p.Name(), i, peer)
+			}
+		}
+		c.Stop()
+	}
+}
+
 // TestClusterOverUDPMatchesMemnet is the acceptance check for the
 // transport-agnostic driver: the same scenario, run over the in-process
 // network and over real UDP loopback sockets, reaches the same fixpoint —

@@ -56,6 +56,10 @@ type Node struct {
 	// transaction loop owns the receive channel. It runs on the loop
 	// goroutine and must not block.
 	OnControl func(from string, payload []byte)
+	// Backlog, if set before Start, holds datagrams taken off the endpoint
+	// before the loop owned it (cluster.Runtime.EarlyTraffic); the loop
+	// handles them first, as if they had just arrived.
+	Backlog []transport.InMsg
 
 	ep transport.Transport
 
@@ -415,6 +419,9 @@ func (n *Node) run() {
 	} else {
 		rawCh = n.ep.Receive()
 	}
+	for _, m := range n.Backlog {
+		n.receive(m)
+	}
 	for {
 		select {
 		case <-n.stopCh:
@@ -443,11 +450,7 @@ func (n *Node) run() {
 				rawCh = nil
 				continue
 			}
-			n.busy.Store(true)
-			at := time.Now()
-			msg, err := wire.DecodeMessage(m.Data)
-			n.handleMessage(envelope{in: m, msg: msg, err: err, at: at, decodeDur: time.Since(at)})
-			n.busy.Store(false)
+			n.receive(m)
 		case e, ok := <-envCh:
 			if !ok {
 				envCh = nil
@@ -459,6 +462,15 @@ func (n *Node) run() {
 			n.busy.Store(false)
 		}
 	}
+}
+
+// receive decodes and handles one datagram on the loop goroutine.
+func (n *Node) receive(m transport.InMsg) {
+	n.busy.Store(true)
+	at := time.Now()
+	msg, err := wire.DecodeMessage(m.Data)
+	n.handleMessage(envelope{in: m, msg: msg, err: err, at: at, decodeDur: time.Since(at)})
+	n.busy.Store(false)
 }
 
 // pump is the inbound pre-verification stage: it decodes and forwards

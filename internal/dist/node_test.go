@@ -136,6 +136,27 @@ func TestTwoNodeExchangeReachesFixpoint(t *testing.T) {
 	}
 }
 
+// TestBacklogIsHandledLikeLiveTraffic: datagrams taken off the endpoint
+// before the loop owned it (the cluster ready barrier's early traffic) are
+// imported and counted exactly as if they had just arrived — the sender
+// already counted them as sent.
+func TestBacklogIsHandledLikeLiveTraffic(t *testing.T) {
+	net := transport.NewMemNetwork()
+	b := newTestNode(t, net, "b", addrB, map[string]string{"a": addrA}, "")
+	payload := []byte("sent before b was released")
+	b.Backlog = []transport.InMsg{{From: addrA,
+		Data: wire.EncodeMessage(wire.Message{From: addrA, Payloads: [][]byte{payload}})}}
+	b.Start()
+	waitProcessed(t, b, 1)
+	b.Stop() // joins the loop: the backlog's transaction has committed
+	if _, recv := b.Counters(); recv != 1 {
+		t.Errorf("termination counter saw %d received messages, want 1", recv)
+	}
+	if !b.WS.Contains("got", datalog.Tuple{datalog.BytesV(payload)}) {
+		t.Error("backlogged payload was not imported")
+	}
+}
+
 func TestRederivedExportsAreNotResent(t *testing.T) {
 	net := transport.NewMemNetwork()
 	a := newTestNode(t, net, "a", addrA, map[string]string{"b": addrB}, deriveRule)

@@ -161,24 +161,6 @@ func (c *Catalog) DeclareFromConstraint(con *datalog.Constraint) (*Schema, error
 	return c.schemas[s.Name], nil
 }
 
-// DeclareIntermediate registers the schema of a compiler-generated
-// intermediate predicate (e.g. a memoized CSE subplan). The "$"-prefixed
-// names are unreachable from source programs, so a collision with a declared
-// predicate is impossible; redeclaration follows the usual rules.
-func (c *Catalog) DeclareIntermediate(name string, arity int) (*Schema, error) {
-	s := &Schema{
-		Name:     name,
-		Arity:    arity,
-		KeyArity: -1,
-		ArgTypes: make([]string, arity),
-		AutoDecl: true,
-	}
-	if err := c.Declare(s); err != nil {
-		return nil, err
-	}
-	return c.schemas[name], nil
-}
-
 // CheckKind verifies a value against a declared type-predicate name, for the
 // kinds that can be checked without relation membership. It returns false
 // only on a definite mismatch.

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"secureblox/internal/datalog"
@@ -43,9 +44,11 @@ type step struct {
 	keyCols   []int     // match on a functional predicate: [0..KeyArity)
 	useFn     bool      // match: all key columns bound → functional lookup
 	probeIdx  *colIndex // secondary index registered for boundCols
-	// cse marks a match against a memoized shared-subplan relation installed
-	// by common-subexpression elimination; evaluating it counts as a CSE hit.
-	cse bool
+	// udfArgs/udfMask are the UDF call's argument buffers, reused across
+	// calls: a step is never re-entered while its own Eval is on the stack,
+	// UDF rules never run on parallel workers, and no UDF retains its args.
+	udfArgs []datalog.Value
+	udfMask []bool
 }
 
 // headEx is a head-existential variable with its entity type.
@@ -57,14 +60,20 @@ type headEx struct {
 
 // CompiledRule is a planned derivation rule.
 type CompiledRule struct {
-	id       int
-	src      *datalog.Rule
-	heads    []*datalog.Atom // args are Var / Const / BinExpr only
-	steps    []step
-	bodyVars []string // sorted variable names bound by the body
-	exVars   []headEx
-	agg      *datalog.AggSpec
-	deltaIdx []int // indexes of stepMatch steps, for semi-naïve rotation
+	id    int
+	src   *datalog.Rule
+	heads []*datalog.Atom // args are Var / Const / BinExpr only
+	// steps is the static join order, used only by full evaluations (the
+	// initial pass of Install, aggregate recomputes, Retract's rederive).
+	steps []step
+	// deltaPlans holds one plan per positive body atom with that atom
+	// leading: a semi-naïve evaluation runs the plan of its delta atom, so
+	// it loops over the delta and probes stored relations from there on.
+	// All plans share the rule's slot numbering.
+	deltaPlans [][]step
+	bodyVars   []string // sorted variable names bound by the body
+	exVars     []headEx
+	agg        *datalog.AggSpec
 
 	nSlots      int
 	slotNames   []string
@@ -73,9 +82,8 @@ type CompiledRule struct {
 	bodySlots   []int // slots of bodyVars, in the same (name-sorted) order
 	aggOverSlot int   // slot of agg.Over, -1 when absent
 
-	// bound carries the planner's bound-variable set between planRule and
-	// finalizeRule so Install can run cross-rule passes (CSE) on planned
-	// steps; finalizeRule clears it.
+	// bound carries the planner's bound-variable set from planRule to
+	// finalizeRule, which clears it.
 	bound map[string]bool
 	// parSafe marks rules a fixpoint worker may evaluate concurrently:
 	// no head-existential entity creation, no UDF steps, no aggregation —
@@ -93,9 +101,12 @@ func (r *CompiledRule) String() string { return r.src.String() }
 // one slot space so an LHS binding seeds the RHS satisfiability query.
 type CompiledConstraint struct {
 	src      *datalog.Constraint
-	lhsSteps []step
+	lhsSteps []step // static order, for full-database verification
 	rhsSteps []step
-	lhsIdx   []int // indexes of stepMatch steps in lhsSteps
+	// lhsDeltaPlans holds one delta-first LHS plan per LHS atom (see
+	// CompiledRule.deltaPlans); every plan binds the same variables, so
+	// they all seed the one RHS plan.
+	lhsDeltaPlans [][]step
 
 	nSlots    int
 	slotNames []string
@@ -233,15 +244,15 @@ func (c *compiler) litToStep(l datalog.Literal) (step, error) {
 	}
 }
 
-// termVars lists variable names in a plain term.
-func termVars(t datalog.Term) []string {
-	set := map[string]bool{}
-	datalog.VarsOf(t, set)
-	out := make([]string, 0, len(set))
-	for v := range set {
-		out = append(out, v)
+// termBound reports whether every variable of a plain term is bound.
+func termBound(t datalog.Term, bound map[string]bool) bool {
+	switch tt := t.(type) {
+	case datalog.Var:
+		return bound[tt.Name]
+	case datalog.BinExpr:
+		return termBound(tt.L, bound) && termBound(tt.R, bound)
 	}
-	return out
+	return true
 }
 
 // planSteps orders steps greedily so that every step runs with sufficient
@@ -252,14 +263,7 @@ func planSteps(unplanned []step, bound map[string]bool) ([]step, error) {
 	var out []step
 	remaining := append([]step(nil), unplanned...)
 
-	allBound := func(t datalog.Term) bool {
-		for _, v := range termVars(t) {
-			if !bound[v] {
-				return false
-			}
-		}
-		return true
-	}
+	allBound := func(t datalog.Term) bool { return termBound(t, bound) }
 	atomBoundMask := func(a *datalog.Atom) (mask []bool, nBound int) {
 		mask = make([]bool, len(a.Args))
 		for i, t := range a.Args {
@@ -440,6 +444,28 @@ func planSteps(unplanned []step, bound map[string]bool) ([]step, error) {
 	return out, nil
 }
 
+// planDeltaPlans orders the body once per positive atom with that atom
+// leading (textbook semi-naïve): the leading step ranges over the delta
+// tuples with nothing bound before it — its constants and repeated variables
+// are checked by unification — and planSteps orders the remaining literals
+// from the variables it binds, so every later step is probed, not scanned.
+func planDeltaPlans(unplanned []step) ([][]step, error) {
+	var plans [][]step
+	for i := range unplanned {
+		if unplanned[i].kind != stepMatch {
+			continue
+		}
+		bound := map[string]bool{}
+		datalog.AtomVars(unplanned[i].atom, bound)
+		tail, err := planSteps(slices.Delete(slices.Clone(unplanned), i, i+1), bound)
+		if err != nil {
+			return nil, err
+		}
+		plans = append(plans, append([]step{unplanned[i]}, tail...))
+	}
+	return plans, nil
+}
+
 // finalizeSteps compiles each planned step's terms against the slot
 // allocator and selects its access path: functional lookup when every key
 // column is bound, otherwise a secondary hash index over the step's
@@ -491,10 +517,22 @@ func (w *Workspace) finalizeSteps(steps []step, sa *slotAlloc) {
 			s.cl, s.cr = &cl, &cr
 		case stepUDF:
 			s.args = sa.compileAtom(s.atom)
+			s.udfArgs = make([]datalog.Value, len(s.args))
+			s.udfMask = make([]bool, len(s.args))
 		case stepKindCheck:
 			cc := sa.compileTerm(s.checked)
 			s.cchecked = &cc
 		}
+	}
+}
+
+// finalizeDeltaPlans compiles delta-first plans against the slot numbering
+// their static plan already fixed. The leading step only unifies delta
+// tuples, so it gets compiled arguments and no access path or index.
+func (w *Workspace) finalizeDeltaPlans(plans [][]step, sa *slotAlloc) {
+	for _, plan := range plans {
+		plan[0].args = sa.compileAtom(plan[0].atom)
+		w.finalizeSteps(plan[1:], sa)
 	}
 }
 
@@ -509,23 +547,10 @@ func describeStep(s step) string {
 	}
 }
 
-// compileRule plans a rule for execution: normalize and order the body, then
-// fix the slot-addressed execution form. Install splits the two phases so
-// common-subexpression elimination can rewrite planned step lists in between.
-func (w *Workspace) compileRule(r *datalog.Rule) (*CompiledRule, error) {
-	cr, err := w.planRule(r)
-	if err != nil {
-		return nil, err
-	}
-	if err := w.finalizeRule(cr); err != nil {
-		return nil, err
-	}
-	return cr, nil
-}
-
-// planRule normalizes a rule and orders its body into planned steps. The
-// returned rule carries the planner's bound-variable set (cr.bound) and has
-// no slot numbering yet — finalizeRule fixes the execution form.
+// planRule normalizes a rule and orders its body into the static plan and the
+// per-delta plans. The returned rule carries the planner's bound-variable set
+// (cr.bound) and has no slot numbering yet — finalizeRule fixes the execution
+// form; PlanProgram stops here.
 func (w *Workspace) planRule(r *datalog.Rule) (*CompiledRule, error) {
 	c := &compiler{w: w}
 	body, err := c.normalizeLiterals(r.Body)
@@ -562,7 +587,12 @@ func (w *Workspace) planRule(r *datalog.Rule) (*CompiledRule, error) {
 	if err != nil {
 		return nil, fmt.Errorf("rule %s: %w", r, err)
 	}
-	return &CompiledRule{src: r, heads: heads, steps: steps, agg: r.Agg, aggOverSlot: -1, bound: bound}, nil
+	deltaPlans, err := planDeltaPlans(unplanned)
+	if err != nil {
+		return nil, fmt.Errorf("rule %s: %w", r, err)
+	}
+	return &CompiledRule{src: r, heads: heads, steps: steps, deltaPlans: deltaPlans,
+		agg: r.Agg, aggOverSlot: -1, bound: bound}, nil
 }
 
 // finalizeRule compiles a planned rule's execution form: slot allocation,
@@ -572,6 +602,7 @@ func (w *Workspace) finalizeRule(cr *CompiledRule) error {
 	r, heads, steps, bound := cr.src, cr.heads, cr.steps, cr.bound
 	sa := newSlotAlloc()
 	w.finalizeSteps(steps, sa)
+	w.finalizeDeltaPlans(cr.deltaPlans, sa)
 
 	for _, h := range heads {
 		cr.cheads = append(cr.cheads, sa.compileAtom(h))
@@ -583,11 +614,6 @@ func (w *Workspace) finalizeRule(cr *CompiledRule) error {
 	sort.Strings(cr.bodyVars)
 	for _, v := range cr.bodyVars {
 		cr.bodySlots = append(cr.bodySlots, sa.slot(v))
-	}
-	for i, s := range steps {
-		if s.kind == stepMatch {
-			cr.deltaIdx = append(cr.deltaIdx, i)
-		}
 	}
 
 	// Identify head-existential variables and their entity types.
@@ -685,6 +711,10 @@ func (w *Workspace) compileConstraint(con *datalog.Constraint) (*CompiledConstra
 	if err != nil {
 		return nil, fmt.Errorf("constraint %s: %w", con, err)
 	}
+	lhsDeltaPlans, err := planDeltaPlans(lhsUnplanned)
+	if err != nil {
+		return nil, fmt.Errorf("constraint %s: %w", con, err)
+	}
 
 	rhs, err := c.normalizeLiterals(con.Rhs)
 	if err != nil {
@@ -716,13 +746,8 @@ func (w *Workspace) compileConstraint(con *datalog.Constraint) (*CompiledConstra
 	}
 	sa := newSlotAlloc()
 	w.finalizeSteps(lhsSteps, sa)
+	w.finalizeDeltaPlans(lhsDeltaPlans, sa)
 	w.finalizeSteps(rhsSteps, sa)
-	cc := &CompiledConstraint{src: con, lhsSteps: lhsSteps, rhsSteps: rhsSteps,
-		nSlots: len(sa.names), slotNames: sa.names}
-	for i, s := range lhsSteps {
-		if s.kind == stepMatch {
-			cc.lhsIdx = append(cc.lhsIdx, i)
-		}
-	}
-	return cc, nil
+	return &CompiledConstraint{src: con, lhsSteps: lhsSteps, rhsSteps: rhsSteps, lhsDeltaPlans: lhsDeltaPlans,
+		nSlots: len(sa.names), slotNames: sa.names}, nil
 }

@@ -178,9 +178,17 @@ func TestAggIncrementalMatchesBatchQuick(t *testing.T) {
 
 // randomProgram emits a random stratified Datalog program over base
 // predicates e/2, f/3, g/2 and derived predicates d0..d2/2: bodies mix base
-// and derived atoms (recursion allowed), occasional inequality filters, and
-// negation over base predicates with bound variables or wildcards.
-func randomProgram(rng *rand.Rand) string {
+// and derived atoms (recursion allowed), self-joins, constants and repeated
+// variables in any atom — so in whichever atom leads a delta-first plan —
+// ordered and inequality filters over variables of different atoms, and
+// negation over base predicates with bound variables or wildcards. Filters
+// and negations span atoms, so in most delta plans they only become ready
+// some steps after the delta atom.
+func randomProgram(rng *rand.Rand) string { return randomRules(rng, true) }
+
+// randomRules is randomProgram with negation optional: without it the
+// program is monotone, so its incremental result has a from-scratch oracle.
+func randomRules(rng *rand.Rand, negation bool) string {
 	vars := []string{"A", "B", "C", "D"}
 	bases := []struct {
 		name  string
@@ -192,23 +200,27 @@ func randomProgram(rng *rand.Rand) string {
 		var bodyParts []string
 		bound := map[string]bool{}
 		nAtoms := 2 + rng.Intn(2)
+		name, arity := "", 0
 		for ai := 0; ai < nAtoms; ai++ {
-			var name string
-			var arity int
-			if rng.Intn(3) == 0 && ri > 0 {
+			switch {
+			case ai > 0 && rng.Intn(4) == 0:
+				// self-join: the same predicate at two delta positions
+			case rng.Intn(3) == 0 && ri > 0:
 				name, arity = fmt.Sprintf("d%d", rng.Intn(3)), 2
-			} else {
+			default:
 				b := bases[rng.Intn(len(bases))]
 				name, arity = b.name, b.arity
 			}
 			args := make([]string, arity)
 			for i := range args {
-				if rng.Intn(8) == 0 {
+				switch {
+				case rng.Intn(8) == 0:
 					args[i] = fmt.Sprintf("%d", rng.Intn(4)) // constant
-				} else {
-					v := vars[rng.Intn(len(vars))]
-					args[i] = v
-					bound[v] = true
+				case i > 0 && bound[args[i-1]] && rng.Intn(6) == 0:
+					args[i] = args[i-1] // repeated variable
+				default:
+					args[i] = vars[rng.Intn(len(vars))]
+					bound[args[i]] = true
 				}
 			}
 			bodyParts = append(bodyParts, name+"("+strings.Join(args, ",")+")")
@@ -223,9 +235,12 @@ func randomProgram(rng *rand.Rand) string {
 			continue
 		}
 		if len(boundVars) >= 2 && rng.Intn(3) == 0 {
-			bodyParts = append(bodyParts, boundVars[0]+" != "+boundVars[1])
+			i := rng.Intn(len(boundVars))
+			j := (i + 1 + rng.Intn(len(boundVars)-1)) % len(boundVars)
+			op := []string{"!=", "<", "<="}[rng.Intn(3)]
+			bodyParts = append(bodyParts, boundVars[i]+" "+op+" "+boundVars[j])
 		}
-		if rng.Intn(2) == 0 {
+		if negation && rng.Intn(2) == 0 {
 			b := bases[rng.Intn(len(bases))]
 			args := make([]string, b.arity)
 			for i := range args {
@@ -242,6 +257,21 @@ func randomProgram(rng *rand.Rand) string {
 		fmt.Fprintf(&sb, "d%d(%s,%s) <- %s.\n", rng.Intn(3), h1, h2, strings.Join(bodyParts, ", "))
 	}
 	return sb.String()
+}
+
+// randomConstraint emits an integrity constraint whose LHS joins two or
+// three base atoms, so it is checked through more than one delta-first LHS
+// plan. Base values range over 0..3, so only some joins violate it and most
+// transactions commit.
+func randomConstraint(rng *rand.Rand) string {
+	lhs := [][]string{
+		{"e(A,B)", "g(B,C)"},
+		{"g(A,B)", "f(B,C,_)"},
+		{"e(A,B)", "e(B,C)"},
+		{"f(A,B,B)", "g(A,2)", "e(C,A)"},
+	}[rng.Intn(4)]
+	rng.Shuffle(len(lhs), func(i, j int) { lhs[i], lhs[j] = lhs[j], lhs[i] })
+	return strings.Join(lhs, ", ") + " -> A + C < " + fmt.Sprint(4+rng.Intn(3)) + ".\n"
 }
 
 // randomBaseFacts draws random ground facts for the base predicates.
@@ -286,82 +316,172 @@ func sameExtents(t *testing.T, a, b *Workspace) bool {
 	return true
 }
 
+// diffRun drives two workspaces holding the same program through the same
+// transactions: asserts in random batches, one retraction per base predicate,
+// asserts again. A transaction must be accepted by both or rolled back by
+// both; check runs after each of the three phases.
+type diffRun struct {
+	t    *testing.T
+	a, b *Workspace
+	// base tracks the base facts the committed transactions left behind.
+	base map[string]Fact
+}
+
+func newDiffRun(t *testing.T, src string, a, b *Workspace) *diffRun {
+	prog, err := datalog.Parse(src)
+	if err != nil {
+		t.Fatalf("generator produced unparsable program:\n%s\n%v", src, err)
+	}
+	for _, w := range []*Workspace{a, b} {
+		if err := w.Install(prog); err != nil {
+			t.Fatalf("install:\n%s\n%v", src, err)
+		}
+	}
+	return &diffRun{t: t, a: a, b: b, base: map[string]Fact{}}
+}
+
+func (d *diffRun) assert(batch []Fact) {
+	_, errA := d.a.Assert(batch)
+	_, errB := d.b.Assert(batch)
+	if (errA == nil) != (errB == nil) {
+		d.t.Fatalf("assert %v: one workspace accepted, the other rolled back: %v / %v", batch, errA, errB)
+	}
+	if errA != nil {
+		return
+	}
+	for _, f := range batch {
+		d.base[f.String()] = f
+	}
+	// Accepted through the delta-first LHS plans: the full static-order
+	// verification must agree that nothing is violated.
+	if err := d.a.checkAllConstraints(); err != nil {
+		d.t.Fatalf("assert %v committed a violation the delta check missed: %v", batch, err)
+	}
+}
+
+func (d *diffRun) run(rng *rand.Rand, nFacts int, check func(phase string) bool) bool {
+	facts := randomBaseFacts(rng, nFacts)
+	for len(facts) > 0 {
+		n := 1 + rng.Intn(len(facts))
+		d.assert(facts[:n])
+		facts = facts[n:]
+	}
+	if !check("asserts") {
+		return false
+	}
+	for _, name := range []string{"e", "f", "g"} {
+		tuples := d.a.Tuples(name)
+		if len(tuples) == 0 {
+			continue
+		}
+		victim := Fact{Pred: name, Tuple: tuples[rng.Intn(len(tuples))]}
+		if err := d.a.Retract([]Fact{victim}); err != nil {
+			d.t.Fatalf("retract: %v", err)
+		}
+		if err := d.b.Retract([]Fact{victim}); err != nil {
+			d.t.Fatalf("retract (second workspace): %v", err)
+		}
+		delete(d.base, victim.String())
+	}
+	if !check("retraction") {
+		return false
+	}
+	for _, f := range randomBaseFacts(rng, 6) {
+		d.assert([]Fact{f})
+	}
+	return check("post-retraction asserts")
+}
+
 // TestIndexedMatchesForcedScanQuick: on randomized programs, indexed
-// evaluation (functional + secondary + delta indexes) must produce exactly
-// the same fixpoint as forced full-scan evaluation — through asserts,
-// retractions (which rebuild secondary indexes), and asserts after that.
+// evaluation (functional + secondary indexes under delta-first plans) must
+// produce exactly the same fixpoint and the same constraint verdicts as
+// forced full-scan evaluation — through asserts, retractions (which rebuild
+// secondary indexes), and asserts after that.
 func TestIndexedMatchesForcedScanQuick(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		src := randomProgram(rng)
-		prog, err := datalog.Parse(src)
-		if err != nil {
-			t.Fatalf("generator produced unparsable program:\n%s\n%v", src, err)
-		}
+		src := randomProgram(rng) + randomConstraint(rng)
 		indexed := NewWorkspace(nil)
 		scans := NewWorkspace(nil)
 		scans.DisableIndexes = true
-		if err := indexed.Install(prog); err != nil {
-			t.Fatalf("install:\n%s\n%v", src, err)
+		d := newDiffRun(t, src, indexed, scans)
+		if err := checkInstalledDeltaPlans(indexed); err != nil {
+			t.Fatalf("program:\n%s\n%v", src, err)
 		}
-		if err := scans.Install(prog); err != nil {
-			t.Fatalf("install (forced scan): %v", err)
-		}
-		facts := randomBaseFacts(rng, 12+rng.Intn(15))
-		for len(facts) > 0 {
-			n := 1 + rng.Intn(len(facts))
-			batch := facts[:n]
-			facts = facts[n:]
-			if _, err := indexed.Assert(batch); err != nil {
-				t.Fatalf("assert: %v", err)
+		ok := d.run(rng, 12+rng.Intn(15), func(phase string) bool {
+			if !sameExtents(t, indexed, scans) {
+				t.Logf("divergence after %s, program:\n%s", phase, src)
+				return false
 			}
-			if _, err := scans.Assert(batch); err != nil {
-				t.Fatalf("assert (forced scan): %v", err)
-			}
-		}
-		if !sameExtents(t, indexed, scans) {
-			t.Logf("divergence after asserts, program:\n%s", src)
-			return false
-		}
-		// Retract a random subset of base facts from both and re-compare:
-		// deletion must rebuild every secondary index correctly.
-		for _, name := range []string{"e", "f", "g"} {
-			tuples := indexed.Tuples(name)
-			if len(tuples) == 0 {
-				continue
-			}
-			victim := tuples[rng.Intn(len(tuples))]
-			if err := indexed.Retract([]Fact{{Pred: name, Tuple: victim}}); err != nil {
-				t.Fatalf("retract: %v", err)
-			}
-			if err := scans.Retract([]Fact{{Pred: name, Tuple: victim}}); err != nil {
-				t.Fatalf("retract (forced scan): %v", err)
-			}
-		}
-		if !sameExtents(t, indexed, scans) {
-			t.Logf("divergence after retraction, program:\n%s", src)
-			return false
-		}
-		// New inserts after deletes probe the rebuilt indexes.
-		more := randomBaseFacts(rng, 6)
-		if _, err := indexed.Assert(more); err != nil {
-			t.Fatalf("assert: %v", err)
-		}
-		if _, err := scans.Assert(more); err != nil {
-			t.Fatalf("assert (forced scan): %v", err)
-		}
-		if !sameExtents(t, indexed, scans) {
-			t.Logf("divergence after post-retraction asserts, program:\n%s", src)
-			return false
-		}
+			return true
+		})
 		if s := indexed.Stats(); s.FullScanFallbacks != 0 {
 			t.Logf("indexed workspace fell back to %d full scans, program:\n%s",
 				s.FullScanFallbacks, src)
 			return false
 		}
-		return true
+		return ok
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
+		t.Error(err)
+	}
+}
+
+// naiveSaturate is the from-scratch oracle: the program installed on an
+// empty workspace, the base facts inserted, and every rule fully evaluated in
+// its static order until nothing new appears. It never runs a delta plan.
+func naiveSaturate(t *testing.T, src string, base map[string]Fact) *Workspace {
+	prog, err := datalog.Parse(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := NewWorkspace(nil)
+	if err := w.Install(prog); err != nil {
+		t.Fatal(err)
+	}
+	tx := newTxn()
+	for _, f := range base {
+		if _, err := w.insertTxn(tx, f.Pred, f.Tuple, true); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for grew := true; grew; {
+		next := map[string][]datalog.Tuple{}
+		for _, r := range w.rules {
+			if err := w.evalRuleInto(tx, r, next); err != nil {
+				t.Fatal(err)
+			}
+		}
+		grew = len(next) > 0
+	}
+	return w
+}
+
+// TestDeltaPlansMatchNaiveSaturationQuick: on randomized monotone programs
+// (no negation, so the result depends only on the surviving base facts),
+// the database maintained incrementally through delta-first plans — by the
+// sequential and the parallel fixpoint, through asserts, constraint
+// rollbacks and DRed retractions — equals a from-scratch saturation that
+// only ever runs static plans. Losing any one delta position's plan loses
+// the derivations only that position finds, and this test with them.
+func TestDeltaPlansMatchNaiveSaturationQuick(t *testing.T) {
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		src := randomRules(rng, false) + randomConstraint(rng)
+		seq := NewWorkspace(nil)
+		par := NewWorkspace(nil)
+		par.Parallelism = 2
+		d := newDiffRun(t, src, seq, par)
+		return d.run(rng, 12+rng.Intn(15), func(phase string) bool {
+			oracle := naiveSaturate(t, src, d.base)
+			if !sameExtents(t, oracle, seq) || !sameExtents(t, oracle, par) {
+				t.Logf("incremental state differs from saturation after %s, program:\n%s", phase, src)
+				return false
+			}
+			return true
+		})
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)
 	}
 }

@@ -33,99 +33,43 @@ func compare(op string, l, r datalog.Value) (bool, error) {
 	}
 }
 
-// evalEnv parameterizes a body evaluation: which relation snapshot to use
-// and the semi-naïve delta restriction.
+// evalEnv is the context of a body evaluation: the workspace whose relations
+// the steps read and the counters they bump.
 type evalEnv struct {
-	w         *Workspace
-	deltaStep int // index of the step to restrict to delta (-1: none)
-	delta     map[string][]datalog.Tuple
-
+	w *Workspace
 	// stats receives this evaluation's counter increments. Sequential
 	// evaluations point it at the workspace's counters; parallel workers point
 	// it at a per-worker struct merged under the single-writer commit, so the
 	// hot path stays free of atomics and data races alike.
 	stats *metrics.EngineStats
-
-	// deltaIdx is a projection index over the delta step's tuples on its
-	// bound-column signature, built lazily on the first probe of this
-	// evaluation so inner delta joins are O(1) probes instead of scans.
-	deltaIdx map[uint64][]datalog.Tuple
-	// scratch, when non-nil, is a reusable backing map for deltaIdx owned by
-	// the caller (workspace or worker). It is cleared and repopulated instead
-	// of reallocated, so fixpoint rounds stop rebuilding the index from nil.
-	scratch map[uint64][]datalog.Tuple
 }
 
-// reset reconfigures the env for another (rule, delta-step) evaluation while
-// keeping the reusable scratch map.
-func (e *evalEnv) reset(deltaStep int, delta map[string][]datalog.Tuple) {
-	e.deltaStep = deltaStep
-	e.delta = delta
-	e.deltaIdx = nil
-}
-
-// deltaCandidates iterates the delta tuples that may match the step under
-// the current frame, probing a lazily built projection index when the step
-// has bound columns.
-func (e *evalEnv) deltaCandidates(s *step, f *frame, fn func(datalog.Tuple) bool) {
-	tuples := e.delta[s.pred]
-	if len(tuples) == 0 {
-		return
-	}
-	if len(s.boundCols) == 0 || e.w.DisableIndexes {
-		e.stats.LeadingScans++
-		for _, t := range tuples {
-			if !fn(t) {
-				return
+// runDelta evaluates a delta-first plan: its leading step ranges over the
+// given delta tuples (one outer loop, counted as a leading scan), every
+// later step over stored relations. The work is proportional to the delta
+// and what it joins with, never to the relation the delta belongs to.
+func (e *evalEnv) runDelta(plan []step, delta []datalog.Tuple, f *frame, emit func(*frame) error) error {
+	e.stats.LeadingScans++
+	e.stats.TuplesScanned += int64(len(delta))
+	args := plan[0].args
+	for _, t := range delta {
+		m := f.mark()
+		if unifyArgs(args, t, f) {
+			if err := e.runSteps(plan, 1, f, emit); err != nil {
+				f.undo(m)
+				return err
 			}
 		}
-		return
+		f.undo(m)
 	}
-	var buf [8]datalog.Value
-	vals, ok := gatherCols(s.args, s.boundCols, f, buf[:0])
-	if !ok {
-		e.stats.FullScanFallbacks++
-		for _, t := range tuples {
-			if !fn(t) {
-				return
-			}
-		}
-		return
-	}
-	if e.deltaIdx == nil {
-		idx := e.scratch
-		if idx == nil {
-			// No reusable backing: presize from the delta population.
-			idx = make(map[uint64][]datalog.Tuple, len(tuples))
-		} else {
-			clear(idx) // keep the bucket array, drop last evaluation's entries
-		}
-		for _, t := range tuples {
-			h := t.HashCols(s.boundCols)
-			idx[h] = append(idx[h], t)
-		}
-		e.deltaIdx = idx
-	}
-	e.stats.IndexProbes++
-	for _, t := range e.deltaIdx[datalog.HashValues(vals)] {
-		if matchesCols(t, s.boundCols, vals) && !fn(t) {
-			return
-		}
-	}
+	return nil
 }
 
-// candidates iterates tuples that may match the step under the current
+// candidates iterates stored tuples that may match the step under the current
 // frame. The step's compile-time bound-column signature selects the access
 // path: functional lookup, full-tuple membership, secondary index probe, or
 // — only when no column is bound — a leading relation scan.
-func (e *evalEnv) candidates(si int, s *step, f *frame, fn func(datalog.Tuple) bool) {
-	if s.cse {
-		e.stats.CSEHits++
-	}
-	if si == e.deltaStep {
-		e.deltaCandidates(s, f, fn)
-		return
-	}
+func (e *evalEnv) candidates(s *step, f *frame, fn func(datalog.Tuple) bool) {
 	rel := s.rel
 	if e.w.DisableIndexes {
 		e.stats.LeadingScans++
@@ -238,7 +182,8 @@ func (e *evalEnv) runSteps(steps []step, i int, f *frame, emit func(*frame) erro
 	switch s.kind {
 	case stepMatch:
 		var iterErr error
-		e.candidates(i, s, f, func(t datalog.Tuple) bool {
+		e.candidates(s, f, func(t datalog.Tuple) bool {
+			e.stats.TuplesScanned++
 			m := f.mark()
 			if unifyArgs(s.args, t, f) {
 				if err := e.runSteps(steps, i+1, f, emit); err != nil {
@@ -290,12 +235,9 @@ func (e *evalEnv) runSteps(steps []step, i int, f *frame, emit func(*frame) erro
 		return e.runSteps(steps, i+1, f, emit)
 
 	case stepUDF:
-		args := make([]datalog.Value, len(s.args))
-		mask := make([]bool, len(s.args))
+		args, mask := s.udfArgs, s.udfMask
 		for j := range s.args {
-			if v, ok := ctermValue(&s.args[j], f); ok {
-				args[j], mask[j] = v, true
-			}
+			args[j], mask[j] = ctermValue(&s.args[j], f)
 		}
 		outs, err := s.udf.Eval(s.param, args, mask)
 		if err != nil {

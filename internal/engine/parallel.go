@@ -2,7 +2,6 @@ package engine
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 
 	"secureblox/internal/datalog"
@@ -31,10 +30,9 @@ type derived struct {
 	tuple datalog.Tuple
 }
 
-// workerCtx is one worker's private evaluation state: an eval env with its
-// own reusable delta-index scratch, a per-rule frame pool, the output
-// buffer, and local counters merged into the workspace when the pool stops.
-// No field is ever touched by two goroutines at the same time.
+// workerCtx is one worker's private evaluation state: a per-rule frame pool,
+// the output buffer, and local counters merged into the workspace when the
+// pool stops. No field is ever touched by two goroutines at the same time.
 type workerCtx struct {
 	env    evalEnv
 	stats  metrics.EngineStats
@@ -43,12 +41,12 @@ type workerCtx struct {
 	err    error
 }
 
-// evalTask evaluates one rule with one delta step restricted to one
-// partition of the delta tuples.
+// evalTask evaluates one of a rule's delta-first plans over one partition of
+// its delta tuples — the same plans the sequential fixpoint runs.
 type evalTask struct {
-	r         *CompiledRule
-	deltaStep int
-	delta     map[string][]datalog.Tuple
+	r     *CompiledRule
+	plan  []step
+	delta []datalog.Tuple
 }
 
 // parallelRun is the worker pool serving one fixpoint call.
@@ -67,7 +65,7 @@ func newParallelRun(w *Workspace) *parallelRun {
 	p := &parallelRun{w: w, tasks: make(chan evalTask, 4*n)}
 	for i := 0; i < n; i++ {
 		ctx := &workerCtx{frames: make(map[int]*frame)}
-		ctx.env = evalEnv{w: w, stats: &ctx.stats, scratch: make(map[uint64][]datalog.Tuple)}
+		ctx.env = evalEnv{w: w, stats: &ctx.stats}
 		p.ctxs = append(p.ctxs, ctx)
 		go p.worker(ctx)
 	}
@@ -103,9 +101,7 @@ func (p *parallelRun) exec(ctx *workerCtx, task evalTask) {
 		f = newFrame(r.nSlots, r.slotNames)
 		ctx.frames[r.id] = f
 	}
-	e := &ctx.env
-	e.reset(task.deltaStep, task.delta)
-	if err := e.runSteps(r.steps, 0, f, func(f *frame) error { return ctx.emit(r, f) }); err != nil {
+	if err := ctx.env.runDelta(task.plan, task.delta, f, func(f *frame) error { return ctx.emit(r, f) }); err != nil {
 		ctx.err = err
 	}
 }
@@ -198,20 +194,6 @@ func (w *Workspace) fixpointParallel(t *txn, delta map[string][]datalog.Tuple) e
 	for len(delta) > 0 {
 		w.stats.FixpointRounds++
 		next := make(map[string][]datalog.Tuple)
-		applicable := make(map[int]bool)
-		var aggList []*CompiledRule
-		seenAgg := make(map[int]bool)
-		for pred := range delta {
-			for _, r := range w.rulesByBody[pred] {
-				applicable[r.id] = true
-			}
-			for _, r := range w.aggByBody[pred] {
-				if !seenAgg[r.id] {
-					seenAgg[r.id] = true
-					aggList = append(aggList, r)
-				}
-			}
-		}
 		for _, wave := range w.waves {
 			tasks = tasks[:0]
 			var seqRules []*CompiledRule
@@ -219,25 +201,18 @@ func (w *Workspace) fixpointParallel(t *txn, delta map[string][]datalog.Tuple) e
 				st := &w.strata[si]
 				hasWork := false
 				for _, r := range st.rules {
-					if !applicable[r.id] {
-						continue
-					}
-					hasWork = true
-					if !r.parSafe {
-						seqRules = append(seqRules, r)
-						continue
-					}
-					for _, j := range r.deltaIdx {
-						tuples := delta[r.steps[j].pred]
+					for _, plan := range r.deltaPlans {
+						tuples := delta[plan[0].pred]
 						if tuples == nil {
 							continue
 						}
+						hasWork = true
+						if !r.parSafe {
+							seqRules = append(seqRules, r)
+							break
+						}
 						for _, part := range partitionByHash(tuples, nParts) {
-							tasks = append(tasks, evalTask{
-								r:         r,
-								deltaStep: j,
-								delta:     map[string][]datalog.Tuple{r.steps[j].pred: part},
-							})
+							tasks = append(tasks, evalTask{r: r, plan: plan, delta: part})
 						}
 					}
 				}
@@ -251,18 +226,13 @@ func (w *Workspace) fixpointParallel(t *txn, delta map[string][]datalog.Tuple) e
 				}
 			}
 			for _, r := range seqRules {
-				for _, j := range r.deltaIdx {
-					if delta[r.steps[j].pred] == nil {
-						continue
-					}
-					if err := w.evalRuleInto(t, r, j, delta, next); err != nil {
-						return err
-					}
+				if err := w.evalRuleDeltas(t, r, delta, next); err != nil {
+					return err
 				}
 			}
 		}
-		sort.Slice(aggList, func(i, j int) bool { return aggList[i].id < aggList[j].id })
-		for _, r := range aggList {
+		w.roundAggs = mergeRuleLists(w.roundAggs[:0], w.aggByBody, delta)
+		for _, r := range w.roundAggs {
 			if err := w.recomputeAgg(t, r, next); err != nil {
 				return err
 			}

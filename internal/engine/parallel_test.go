@@ -179,97 +179,6 @@ func TestSingleRuleStrataParallelismOne(t *testing.T) {
 	}
 }
 
-// TestCSESharedPrefix: rules sharing a two-step join prefix must be rewritten
-// to read one memoized "$cse0" subplan, results must be unchanged, and CSE
-// hits must be counted.
-func TestCSESharedPrefix(t *testing.T) {
-	src := `
-		out1(A,C) <- e(A,B), g(B,C), f(A,C,C).
-		out2(A,C) <- e(A,B), g(B,C), f(C,C,A).
-		out3(A) <- e(A,B), g(B,A).
-	`
-	prog, err := datalog.Parse(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cse := NewWorkspace(nil)
-	if err := cse.Install(prog); err != nil {
-		t.Fatalf("install: %v", err)
-	}
-	found := false
-	for _, p := range cse.Predicates() {
-		if strings.HasPrefix(p, "$cse") {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatal("no $cse intermediate relation was created for the shared prefix")
-	}
-	rng := rand.New(rand.NewSource(11))
-	facts := randomBaseFacts(rng, 40)
-	if _, err := cse.Assert(facts); err != nil {
-		t.Fatalf("assert: %v", err)
-	}
-	if cse.Stats().CSEHits == 0 {
-		t.Fatal("expected CSE hits after evaluation over rewritten rules")
-	}
-
-	// Oracle: the same rules installed one Install batch at a time — CSE only
-	// groups within a batch, so nothing is rewritten — must agree on every
-	// out* extent.
-	plain := NewWorkspace(nil)
-	for _, ruleSrc := range []string{
-		"out1(A,C) <- e(A,B), g(B,C), f(A,C,C).",
-		"out2(A,C) <- e(A,B), g(B,C), f(C,C,A).",
-		"out3(A) <- e(A,B), g(B,A).",
-	} {
-		rp, err := datalog.Parse(ruleSrc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := plain.Install(rp); err != nil {
-			t.Fatalf("install (plain): %v", err)
-		}
-	}
-	for _, p := range plain.Predicates() {
-		if strings.HasPrefix(p, "$cse") {
-			t.Fatalf("single-rule Install batches must not trigger CSE, got %s", p)
-		}
-	}
-	if _, err := plain.Assert(facts); err != nil {
-		t.Fatalf("assert (plain): %v", err)
-	}
-	for _, p := range []string{"out1", "out2", "out3"} {
-		if cse.Count(p) != plain.Count(p) {
-			t.Fatalf("predicate %s: %d tuples with CSE vs %d without", p, cse.Count(p), plain.Count(p))
-		}
-		for _, tup := range plain.Tuples(p) {
-			if !cse.Contains(p, tup) {
-				t.Fatalf("predicate %s: %s missing from CSE workspace", p, tup)
-			}
-		}
-	}
-
-	// Retraction through the memoized relation: DRed must keep the CSE
-	// workspace in sync with the oracle.
-	victims := plain.Tuples("e")
-	if len(victims) > 0 {
-		v := victims[rng.Intn(len(victims))]
-		if err := cse.Retract([]Fact{{Pred: "e", Tuple: v}}); err != nil {
-			t.Fatalf("retract: %v", err)
-		}
-		if err := plain.Retract([]Fact{{Pred: "e", Tuple: v}}); err != nil {
-			t.Fatalf("retract (plain): %v", err)
-		}
-		for _, p := range []string{"out1", "out2", "out3"} {
-			if cse.Count(p) != plain.Count(p) {
-				t.Fatalf("after retract, predicate %s: %d tuples with CSE vs %d without",
-					p, cse.Count(p), plain.Count(p))
-			}
-		}
-	}
-}
-
 // TestStrataLevelsRespectDependencies: every rule must sit at a strictly
 // higher level than the strata it depends on, and mutually recursive rules
 // must share one stratum.

@@ -41,7 +41,13 @@ type PlanStep struct {
 type RulePlan struct {
 	Src   *datalog.Rule
 	Heads []*datalog.Atom
+	// Steps is the static order, run only by full evaluations (install,
+	// aggregate recompute, rederivation after a retraction).
 	Steps []PlanStep
+	// DeltaPlans holds one order per positive body atom, that atom first:
+	// what a semi-naïve evaluation runs when the atom's predicate has a
+	// delta. The leading step loops over the delta and has no BoundCols.
+	DeltaPlans [][]PlanStep
 	// Bound is the set of variables the body binds.
 	Bound map[string]bool
 	Agg   *datalog.AggSpec
@@ -82,15 +88,10 @@ func (w *Workspace) PlanProgram(prog *datalog.Program) ([]RulePlan, error) {
 	return plans, nil
 }
 
-// planView converts an internal planned rule to its exported view.
-func (w *Workspace) planView(cr *CompiledRule) RulePlan {
-	p := RulePlan{
-		Src:   cr.src,
-		Heads: cr.heads,
-		Bound: cr.bound,
-		Agg:   cr.agg,
-	}
-	for _, s := range cr.steps {
+// stepsView converts one planned step list to its exported view.
+func stepsView(steps []step) []PlanStep {
+	out := make([]PlanStep, 0, len(steps))
+	for _, s := range steps {
 		ps := PlanStep{Pred: s.pred, Atom: s.atom, Op: s.op, L: s.l, R: s.r, BoundCols: s.boundCols}
 		switch s.kind {
 		case stepMatch:
@@ -101,12 +102,26 @@ func (w *Workspace) planView(cr *CompiledRule) RulePlan {
 			ps.Kind = StepCmp
 		case stepUDF:
 			ps.Kind = StepUDF
-			ps.Pred = s.pred
 		case stepKindCheck:
 			ps.Kind = StepKindCheck
 			ps.Pred = s.typeName
 		}
-		p.Steps = append(p.Steps, ps)
+		out = append(out, ps)
+	}
+	return out
+}
+
+// planView converts an internal planned rule to its exported view.
+func (w *Workspace) planView(cr *CompiledRule) RulePlan {
+	p := RulePlan{
+		Src:   cr.src,
+		Heads: cr.heads,
+		Bound: cr.bound,
+		Agg:   cr.agg,
+	}
+	p.Steps = stepsView(cr.steps)
+	for _, plan := range cr.deltaPlans {
+		p.DeltaPlans = append(p.DeltaPlans, stepsView(plan))
 	}
 	// Head-existential analysis, mirroring finalizeRule: unbound head
 	// variables with a single-arg entity-typed head are minted entities.

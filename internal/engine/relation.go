@@ -275,6 +275,14 @@ func (r *Relation) IsBase(t datalog.Tuple) bool {
 	return false
 }
 
+// IsDerived reports whether the tuple is present and not an EDB fact — what
+// a retraction may over-delete — in one lookup.
+func (r *Relation) IsDerived(t datalog.Tuple) bool {
+	bucket := r.tuples[t.Hash()]
+	i := lookupBucket(bucket, t)
+	return i >= 0 && !bucket[i].base
+}
+
 // Each calls fn for every tuple; fn returning false stops iteration.
 func (r *Relation) Each(fn func(datalog.Tuple) bool) {
 	for _, bucket := range r.tuples {

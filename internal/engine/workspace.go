@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -82,12 +83,11 @@ type Workspace struct {
 	// groups strata by condensation level for the parallel fixpoint.
 	strata []stratum
 	waves  [][]int
-	// cseN numbers the "$cse<N>" intermediate predicates minted by
-	// common-subexpression elimination.
-	cseN int
-	// seqEnv is the evaluation env reused by every single-threaded
-	// evaluation path, so fixpoint rounds stop reallocating delta indexes.
-	seqEnv evalEnv
+	// env is the evaluation context of every single-threaded evaluation.
+	env evalEnv
+	// roundRules/roundAggs are fixpoint's per-round rule lists, kept across
+	// rounds and transactions so a round allocates neither.
+	roundRules, roundAggs []*CompiledRule
 
 	// Unstratified holds diagnostics for rules whose negation or
 	// aggregation is cyclic through their own head (evaluated against
@@ -149,19 +149,11 @@ func NewWorkspace(udfs *UDFRegistry) *Workspace {
 		aggByBody:   make(map[string][]*CompiledRule),
 		rulesByHead: make(map[string][]*CompiledRule),
 	}
-	w.seqEnv = evalEnv{w: w, stats: &w.stats, scratch: make(map[uint64][]datalog.Tuple)}
+	w.env = evalEnv{w: w, stats: &w.stats}
 	for name := range w.cat.schemas {
 		w.ensureRelation(name)
 	}
 	return w
-}
-
-// seqEnvFor reconfigures the workspace's pooled sequential env. Callers must
-// not nest two seqEnvFor evaluations (constraint checking, which nests LHS
-// and RHS evaluation, builds its own envs).
-func (w *Workspace) seqEnvFor(deltaStep int, delta map[string][]datalog.Tuple) *evalEnv {
-	w.seqEnv.reset(deltaStep, delta)
-	return &w.seqEnv
 }
 
 // seqFrame returns the rule's cached frame for single-threaded evaluation.
@@ -223,10 +215,6 @@ func (w *Workspace) Install(prog *datalog.Program) error {
 			w.ensureRelation(con.Lhs[0].Atom.ConcreteName())
 		}
 	}
-	// Plan and type-check every rule first, then run common-subexpression
-	// elimination over the planned batch (it may prepend synthetic subplan
-	// rules), and only then fix execution forms and assign ids — so compiled
-	// output is identical no matter how the program text interleaves rules.
 	var newRules []*CompiledRule
 	for _, r := range prog.Rules {
 		cr, err := w.planRule(r)
@@ -238,14 +226,11 @@ func (w *Workspace) Install(prog *datalog.Program) error {
 			restore()
 			return err
 		}
-		newRules = append(newRules, cr)
-	}
-	newRules = w.eliminateCommonPrefixes(newRules)
-	for _, cr := range newRules {
 		if err := w.finalizeRule(cr); err != nil {
 			restore()
 			return err
 		}
+		newRules = append(newRules, cr)
 		cr.id = w.ruleN
 		w.ruleN++
 		if cr.agg != nil {
@@ -292,7 +277,7 @@ func (w *Workspace) Install(prog *datalog.Program) error {
 		if cr.agg != nil {
 			err = w.recomputeAgg(t, cr, delta)
 		} else {
-			err = w.evalRuleInto(t, cr, -1, nil, delta)
+			err = w.evalRuleInto(t, cr, delta)
 		}
 		if err != nil {
 			restore()
@@ -327,32 +312,29 @@ func (w *Workspace) groundFact(a *datalog.Atom) (Fact, error) {
 	return Fact{Pred: name, Tuple: tup}, nil
 }
 
+// rebuildIndexes rebuilds the per-predicate rule lists. w.rules and
+// w.aggRules are in ascending id order, so every list is too — fixpoint's
+// per-round merge relies on it.
 func (w *Workspace) rebuildIndexes() {
 	w.rulesByBody = make(map[string][]*CompiledRule)
 	w.aggByBody = make(map[string][]*CompiledRule)
 	w.rulesByHead = make(map[string][]*CompiledRule)
-	for _, r := range w.rules {
-		seen := map[string]bool{}
-		for _, i := range r.deltaIdx {
-			p := r.steps[i].pred
-			if !seen[p] {
-				seen[p] = true
-				w.rulesByBody[p] = append(w.rulesByBody[p], r)
+	byBody := func(idx map[string][]*CompiledRule, r *CompiledRule) {
+		for _, plan := range r.deltaPlans {
+			p := plan[0].pred
+			if l := idx[p]; len(l) == 0 || l[len(l)-1] != r {
+				idx[p] = append(l, r)
 			}
 		}
+	}
+	for _, r := range w.rules {
+		byBody(w.rulesByBody, r)
 		for _, h := range r.heads {
 			w.rulesByHead[h.ConcreteName()] = append(w.rulesByHead[h.ConcreteName()], r)
 		}
 	}
 	for _, r := range w.aggRules {
-		seen := map[string]bool{}
-		for _, i := range r.deltaIdx {
-			p := r.steps[i].pred
-			if !seen[p] {
-				seen[p] = true
-				w.aggByBody[p] = append(w.aggByBody[p], r)
-			}
-		}
+		byBody(w.aggByBody, r)
 	}
 	w.computeStrata()
 }
@@ -491,14 +473,28 @@ func (w *Workspace) rollback(t *txn) {
 	}
 }
 
-// evalRuleInto evaluates one non-aggregate rule (deltaStep -1 = full
-// evaluation) and inserts derivations, extending next with new tuples.
-func (w *Workspace) evalRuleInto(t *txn, r *CompiledRule, deltaStep int, delta, next map[string][]datalog.Tuple) error {
-	env := w.seqEnvFor(deltaStep, delta)
-	f := r.seqFrame()
-	return env.runSteps(r.steps, 0, f, func(f *frame) error {
+// evalRuleInto fully evaluates one non-aggregate rule in its static order
+// and inserts derivations, extending next with new tuples.
+func (w *Workspace) evalRuleInto(t *txn, r *CompiledRule, next map[string][]datalog.Tuple) error {
+	return w.env.runSteps(r.steps, 0, r.seqFrame(), func(f *frame) error {
 		return w.derive(t, r, f, next)
 	})
+}
+
+// evalRuleDeltas runs the delta-first plan of every body atom of r whose
+// predicate has a delta, inserting derivations and extending next.
+func (w *Workspace) evalRuleDeltas(t *txn, r *CompiledRule, delta, next map[string][]datalog.Tuple) error {
+	emit := func(f *frame) error { return w.derive(t, r, f, next) }
+	for _, plan := range r.deltaPlans {
+		tuples := delta[plan[0].pred]
+		if tuples == nil {
+			continue
+		}
+		if err := w.env.runDelta(plan, tuples, r.seqFrame(), emit); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // skolemBase builds the per-binding Skolem key prefix from the rule id and
@@ -592,9 +588,7 @@ func (w *Workspace) recomputeAgg(t *txn, r *CompiledRule, next map[string][]data
 	}
 	groups := make(map[string]*group)
 
-	env := w.seqEnvFor(-1, nil)
-	f := r.seqFrame()
-	err := env.runSteps(r.steps, 0, f, func(f *frame) error {
+	err := w.env.runSteps(r.steps, 0, r.seqFrame(), func(f *frame) error {
 		keys := make(datalog.Tuple, keyN)
 		for i := 0; i < keyN; i++ {
 			v, err := evalCterm(&r.cheads[0][i], f)
@@ -682,36 +676,14 @@ func (w *Workspace) fixpoint(t *txn, delta map[string][]datalog.Tuple) error {
 	for len(delta) > 0 {
 		w.stats.FixpointRounds++
 		next := make(map[string][]datalog.Tuple)
-		seenRule := make(map[int]bool)
-		var ruleList []*CompiledRule
-		var aggList []*CompiledRule
-		for pred := range delta {
-			for _, r := range w.rulesByBody[pred] {
-				if !seenRule[r.id] {
-					seenRule[r.id] = true
-					ruleList = append(ruleList, r)
-				}
-			}
-			for _, r := range w.aggByBody[pred] {
-				if !seenRule[r.id] {
-					seenRule[r.id] = true
-					aggList = append(aggList, r)
-				}
+		w.roundRules = mergeRuleLists(w.roundRules[:0], w.rulesByBody, delta)
+		w.roundAggs = mergeRuleLists(w.roundAggs[:0], w.aggByBody, delta)
+		for _, r := range w.roundRules {
+			if err := w.evalRuleDeltas(t, r, delta, next); err != nil {
+				return err
 			}
 		}
-		sort.Slice(ruleList, func(i, j int) bool { return ruleList[i].id < ruleList[j].id })
-		sort.Slice(aggList, func(i, j int) bool { return aggList[i].id < aggList[j].id })
-		for _, r := range ruleList {
-			for _, j := range r.deltaIdx {
-				if delta[r.steps[j].pred] == nil {
-					continue
-				}
-				if err := w.evalRuleInto(t, r, j, delta, next); err != nil {
-					return err
-				}
-			}
-		}
-		for _, r := range aggList {
+		for _, r := range w.roundAggs {
 			if err := w.recomputeAgg(t, r, next); err != nil {
 				return err
 			}
@@ -721,15 +693,36 @@ func (w *Workspace) fixpoint(t *txn, delta map[string][]datalog.Tuple) error {
 	return nil
 }
 
+// mergeRuleLists appends to buf the rules listed under any predicate of
+// delta, each once, in ascending id order. The per-predicate lists are
+// already in id order (rebuildIndexes), so one predicate — the common case —
+// is a plain copy.
+func mergeRuleLists(buf []*CompiledRule, byBody map[string][]*CompiledRule, delta map[string][]datalog.Tuple) []*CompiledRule {
+	lists := 0
+	for pred := range delta {
+		if l := byBody[pred]; len(l) > 0 {
+			buf = append(buf, l...)
+			lists++
+		}
+	}
+	if lists > 1 {
+		slices.SortFunc(buf, func(a, b *CompiledRule) int { return a.id - b.id })
+		buf = slices.Compact(buf)
+	}
+	return buf
+}
+
 // checkTxnConstraints verifies every installed constraint against the
 // tuples inserted by the transaction (incremental LHS restriction).
 func (w *Workspace) checkTxnConstraints(t *txn) error {
 	for _, c := range w.constraints {
-		for _, j := range c.lhsIdx {
-			if t.inserted[c.lhsSteps[j].pred] == nil {
+		for _, plan := range c.lhsDeltaPlans {
+			tuples := t.inserted[plan[0].pred]
+			if tuples == nil {
 				continue
 			}
-			if err := w.checkConstraintDelta(c, j, t.inserted); err != nil {
+			f := newFrame(c.nSlots, c.slotNames)
+			if err := w.env.runDelta(plan, tuples, f, func(f *frame) error { return w.checkBinding(c, f) }); err != nil {
 				return err
 			}
 		}
@@ -739,33 +732,20 @@ func (w *Workspace) checkTxnConstraints(t *txn) error {
 
 var errSatisfied = fmt.Errorf("satisfied")
 
-func (w *Workspace) checkConstraintDelta(c *CompiledConstraint, deltaStep int, delta map[string][]datalog.Tuple) error {
-	// Constraint checking nests LHS and RHS evaluation, so it cannot share
-	// the pooled sequential env.
-	env := &evalEnv{w: w, deltaStep: deltaStep, delta: delta, stats: &w.stats}
-	f := newFrame(c.nSlots, c.slotNames)
-	return env.runSteps(c.lhsSteps, 0, f, func(f *frame) error {
-		ok, err := w.rhsSatisfiable(c, f)
-		if err != nil {
-			return err
-		}
-		if !ok {
-			return &ConstraintViolation{Constraint: c.src.String(), Detail: bindingDetail(f)}
-		}
-		return nil
-	})
-}
-
-func (w *Workspace) rhsSatisfiable(c *CompiledConstraint, f *frame) (bool, error) {
+// checkBinding reports a violation unless the RHS is satisfiable under one
+// complete LHS binding.
+func (w *Workspace) checkBinding(c *CompiledConstraint, f *frame) error {
 	if len(c.rhsSteps) == 0 {
-		return true, nil
+		return nil
 	}
-	env := &evalEnv{w: w, deltaStep: -1, stats: &w.stats}
-	err := env.runSteps(c.rhsSteps, 0, f, func(*frame) error { return errSatisfied })
+	err := w.env.runSteps(c.rhsSteps, 0, f, func(*frame) error { return errSatisfied })
 	if err == errSatisfied {
-		return true, nil
+		return nil
 	}
-	return false, err
+	if err == nil {
+		err = &ConstraintViolation{Constraint: c.src.String(), Detail: bindingDetail(f)}
+	}
+	return err
 }
 
 func bindingDetail(f *frame) string {
@@ -793,19 +773,8 @@ func bindingDetail(f *frame) string {
 // checkAllConstraints verifies every constraint over the full database.
 func (w *Workspace) checkAllConstraints() error {
 	for _, c := range w.constraints {
-		env := &evalEnv{w: w, deltaStep: -1, stats: &w.stats}
 		f := newFrame(c.nSlots, c.slotNames)
-		err := env.runSteps(c.lhsSteps, 0, f, func(f *frame) error {
-			ok, err := w.rhsSatisfiable(c, f)
-			if err != nil {
-				return err
-			}
-			if !ok {
-				return &ConstraintViolation{Constraint: c.src.String(), Detail: bindingDetail(f)}
-			}
-			return nil
-		})
-		if err != nil {
+		if err := w.env.runSteps(c.lhsSteps, 0, f, func(f *frame) error { return w.checkBinding(c, f) }); err != nil {
 			return err
 		}
 	}
@@ -875,19 +844,14 @@ func (w *Workspace) Retract(facts []Fact) error {
 	t := newTxn()
 
 	// Phase 1: overestimate deletions.
-	deleted := make(map[string]map[string]datalog.Tuple) // pred → key → tuple
+	deleted := make(map[string]*Relation) // pred → over-deleted tuples, an index-less hashed set
 	addDel := func(pred string, tup datalog.Tuple) bool {
 		m := deleted[pred]
 		if m == nil {
-			m = make(map[string]datalog.Tuple)
+			m = NewRelation(&Schema{Name: pred, Arity: -1, KeyArity: -1})
 			deleted[pred] = m
 		}
-		k := tup.Key()
-		if _, ok := m[k]; ok {
-			return false
-		}
-		m[k] = tup
-		return true
+		return m.Insert(tup, false) == InsertedNew
 	}
 	frontier := make(map[string][]datalog.Tuple)
 	for _, f := range facts {
@@ -903,13 +867,11 @@ func (w *Workspace) Retract(facts []Fact) error {
 		next := make(map[string][]datalog.Tuple)
 		for pred := range frontier {
 			for _, r := range w.rulesByBody[pred] {
-				for _, j := range r.deltaIdx {
-					if r.steps[j].pred != pred {
+				for _, plan := range r.deltaPlans {
+					if plan[0].pred != pred {
 						continue
 					}
-					env := w.seqEnvFor(j, frontier)
-					f := r.seqFrame()
-					err := env.runSteps(r.steps, 0, f, func(f *frame) error {
+					err := w.env.runDelta(plan, frontier[pred], r.seqFrame(), func(f *frame) error {
 						return w.collectHeadDeletions(r, f, addDel, next)
 					})
 					if err != nil {
@@ -923,9 +885,10 @@ func (w *Workspace) Retract(facts []Fact) error {
 
 	// Phase 2: apply deletions.
 	for pred, m := range deleted {
-		for _, tup := range m {
+		m.Each(func(tup datalog.Tuple) bool {
 			w.deleteTxn(t, pred, tup)
-		}
+			return true
+		})
 	}
 
 	// Phase 3: rederive survivors. Base facts that were explicitly
@@ -947,7 +910,7 @@ func (w *Workspace) Retract(facts []Fact) error {
 		for pred := range deleted {
 			for _, r := range w.rulesByHead[pred] {
 				next := make(map[string][]datalog.Tuple)
-				if err := w.evalRuleInto(t, r, -1, nil, next); err != nil {
+				if err := w.evalRuleInto(t, r, next); err != nil {
 					w.rollback(t)
 					return err
 				}
@@ -1009,7 +972,7 @@ func (w *Workspace) collectHeadDeletions(r *CompiledRule, f *frame,
 		}
 		pred := h.ConcreteName()
 		rel := r.headRels[hi]
-		if !rel.Contains(tuple) || rel.IsBase(tuple) {
+		if !rel.IsDerived(tuple) {
 			continue
 		}
 		if addDel(pred, tuple) {
@@ -1038,9 +1001,7 @@ func (w *Workspace) retractAggGroups(t *txn, r *CompiledRule) error {
 	// Groups without any remaining contribution: recomputeAgg never touches
 	// them, so compare against a fresh body evaluation.
 	alive := make(map[string]bool)
-	env := w.seqEnvFor(-1, nil)
-	f := r.seqFrame()
-	err := env.runSteps(r.steps, 0, f, func(f *frame) error {
+	err := w.env.runSteps(r.steps, 0, r.seqFrame(), func(f *frame) error {
 		keys := make(datalog.Tuple, head.KeyArity)
 		for i := 0; i < head.KeyArity; i++ {
 			v, err := evalCterm(&r.cheads[0][i], f)

@@ -187,16 +187,18 @@ func (m *NodeMetrics) LastActivity() time.Time {
 // EngineStats counts local-evaluator events: how join steps were answered
 // (index probe vs. relation scan) and how many semi-naïve rounds fixpoints
 // took. LeadingScans are full iterations where no column was bound — the
-// outermost loop of a join plan, inherent to evaluation. FullScanFallbacks
-// are scans forced despite bound columns (a missing or unusable index); a
-// regression in join planning shows up here as a nonzero count.
+// outermost loop of a join plan (the delta loop of a semi-naïve evaluation
+// included), inherent to evaluation. FullScanFallbacks are scans forced
+// despite bound columns (a missing or unusable index); a regression in join
+// planning shows up here as a nonzero count. TuplesScanned is the work all of
+// them did: per transaction it must track the delta, not the stored relations.
 type EngineStats struct {
-	IndexProbes       int64 // probes answered by a hash index (functional, secondary, delta, or full-tuple)
+	IndexProbes       int64 // probes answered by a hash index (functional, secondary, or full-tuple)
 	LeadingScans      int64 // full scans with no bound column (legitimate outer loops)
 	FullScanFallbacks int64 // scans despite bound columns — should stay 0
 	FixpointRounds    int64 // semi-naïve rounds across all fixpoints
 	StrataEvaluated   int64 // rule strata evaluated by the parallel fixpoint
-	CSEHits           int64 // join steps answered from a memoized shared-subplan relation
+	TuplesScanned     int64 // tuples, stored or delta, handed to unification by a match step
 }
 
 // Sub returns s - o, component-wise (for before/after deltas).
@@ -207,7 +209,7 @@ func (s EngineStats) Sub(o EngineStats) EngineStats {
 		FullScanFallbacks: s.FullScanFallbacks - o.FullScanFallbacks,
 		FixpointRounds:    s.FixpointRounds - o.FixpointRounds,
 		StrataEvaluated:   s.StrataEvaluated - o.StrataEvaluated,
-		CSEHits:           s.CSEHits - o.CSEHits,
+		TuplesScanned:     s.TuplesScanned - o.TuplesScanned,
 	}
 }
 
@@ -219,14 +221,14 @@ func (s EngineStats) Add(o EngineStats) EngineStats {
 		FullScanFallbacks: s.FullScanFallbacks + o.FullScanFallbacks,
 		FixpointRounds:    s.FixpointRounds + o.FixpointRounds,
 		StrataEvaluated:   s.StrataEvaluated + o.StrataEvaluated,
-		CSEHits:           s.CSEHits + o.CSEHits,
+		TuplesScanned:     s.TuplesScanned + o.TuplesScanned,
 	}
 }
 
 // String renders the counters compactly for benchmark logs.
 func (s EngineStats) String() string {
-	return fmt.Sprintf("probes=%d leading-scans=%d fallback-scans=%d rounds=%d strata=%d cse-hits=%d",
-		s.IndexProbes, s.LeadingScans, s.FullScanFallbacks, s.FixpointRounds, s.StrataEvaluated, s.CSEHits)
+	return fmt.Sprintf("probes=%d leading-scans=%d fallback-scans=%d rounds=%d strata=%d tuples-scanned=%d",
+		s.IndexProbes, s.LeadingScans, s.FullScanFallbacks, s.FixpointRounds, s.StrataEvaluated, s.TuplesScanned)
 }
 
 var (
@@ -258,8 +260,8 @@ func EngineAccumulate(d EngineStats) {
 	if d.StrataEvaluated != 0 {
 		r.Counter("sbx_engine_strata_total", nil).Add(d.StrataEvaluated)
 	}
-	if d.CSEHits != 0 {
-		r.Counter("sbx_engine_cse_hits_total", nil).Add(d.CSEHits)
+	if d.TuplesScanned != 0 {
+		r.Counter("sbx_engine_tuples_scanned_total", nil).Add(d.TuplesScanned)
 	}
 }
 
@@ -280,7 +282,7 @@ func init() {
 	r.Help("sbx_engine_fullscan_fallbacks_total", "Scans forced despite bound columns — should stay 0.")
 	r.Help("sbx_engine_fixpoint_rounds_total", "Semi-naïve rounds across all fixpoints.")
 	r.Help("sbx_engine_strata_total", "Rule strata evaluated by the parallel fixpoint.")
-	r.Help("sbx_engine_cse_hits_total", "Join steps answered from a memoized shared-subplan relation.")
+	r.Help("sbx_engine_tuples_scanned_total", "Tuples, stored or delta, handed to unification by a match step.")
 	r.Help("sbx_engine_workers_busy", "Fixpoint worker goroutines currently executing a task.")
 	// Register at zero so /metrics shows the engine family even before the
 	// first transaction.
@@ -289,7 +291,7 @@ func init() {
 	r.Counter("sbx_engine_fullscan_fallbacks_total", nil)
 	r.Counter("sbx_engine_fixpoint_rounds_total", nil)
 	r.Counter("sbx_engine_strata_total", nil)
-	r.Counter("sbx_engine_cse_hits_total", nil)
+	r.Counter("sbx_engine_tuples_scanned_total", nil)
 	r.GaugeFunc("sbx_engine_workers_busy", nil, func() float64 {
 		return float64(engineWorkersBusy.Load())
 	})

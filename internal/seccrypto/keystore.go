@@ -127,20 +127,34 @@ type TrustSetup struct {
 // NewTrustSetup builds keystores for the given principals using rng
 // (use NewDeterministicRand for reproducible experiments).
 func NewTrustSetup(principals []string, rng io.Reader) (*TrustSetup, error) {
+	return newTrustSetup(principals, rng, true)
+}
+
+// NewSecretSetup is NewTrustSetup without the RSA keypairs: keystores that
+// hold only the pairwise shared secrets, for policies that never sign with a
+// private key. RSA key generation is the bulk of a trust setup's cost.
+func NewSecretSetup(principals []string, rng io.Reader) (*TrustSetup, error) {
+	return newTrustSetup(principals, rng, false)
+}
+
+func newTrustSetup(principals []string, rng io.Reader, rsaKeys bool) (*TrustSetup, error) {
 	ts := &TrustSetup{Stores: make(map[string]*KeyStore, len(principals))}
 	keys := make(map[string]*rsa.PrivateKey, len(principals))
 	for _, p := range principals {
+		ts.Stores[p] = NewKeyStore(p)
+		if !rsaKeys {
+			continue
+		}
 		k, err := GenerateRSAKey(rng)
 		if err != nil {
 			return nil, fmt.Errorf("keygen for %s: %w", p, err)
 		}
 		keys[p] = k
-		ts.Stores[p] = NewKeyStore(p)
 		ts.Stores[p].SetPrivateKey(k)
 	}
 	for _, p := range principals {
-		for _, q := range principals {
-			ts.Stores[p].AddPublicKey(q, &keys[q].PublicKey)
+		for q, k := range keys {
+			ts.Stores[p].AddPublicKey(q, &k.PublicKey)
 		}
 	}
 	for i, p := range principals {

@@ -161,6 +161,23 @@ func TestTrustSetupPairwiseSecrets(t *testing.T) {
 	}
 }
 
+func TestSecretSetupHasSecretsAndNoKeys(t *testing.T) {
+	ts, err := NewSecretSetup([]string{"a", "b", "c"}, NewDeterministicRand(8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sa, sb := ts.Stores["a"], ts.Stores["b"]
+	if len(sa.Secret("b")) == 0 || !bytes.Equal(sa.Secret("b"), sb.Secret("a")) {
+		t.Error("pairwise secret missing or not shared symmetrically")
+	}
+	if bytes.Equal(sa.Secret("b"), sa.Secret("c")) {
+		t.Error("distinct pairs must have distinct secrets")
+	}
+	if sa.PrivateKey() != nil || sa.PrivateKeyDER() != nil || sa.PublicKeyDER("b") != nil {
+		t.Error("a secret-only setup must hold no RSA key material")
+	}
+}
+
 func TestKeyStoreParseCache(t *testing.T) {
 	ks := NewKeyStore("a")
 	key, _ := GenerateRSAKey(NewDeterministicRand(9))

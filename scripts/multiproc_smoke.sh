@@ -148,15 +148,13 @@ wait "$scraper" 2>/dev/null || true
 # in the config the stratified parallel evaluator must also report strata.
 # The sums come from the end-of-run dump (-metricsdump) rather than the
 # live scrape — the scraper's last read can race the process exit.
-for series in sbx_txns_total sbx_engine_index_probes_total sbx_rsa_sign_ops_total sbx_bytes_sent_total sbx_engine_strata_total; do
+for series in sbx_txns_total sbx_engine_index_probes_total sbx_engine_tuples_scanned_total sbx_rsa_sign_ops_total sbx_bytes_sent_total sbx_engine_strata_total; do
     val=$(awk -v s="$series" '$1 ~ "^"s && $1 !~ /^#/ { sum += $NF } END { print sum+0 }' "$work/final.metrics")
     [ "$val" -gt 0 ] || { echo "FAIL: metrics series $series is $val, want > 0"; cat "$work/final.metrics"; exit 1; }
 done
-# The parallel-evaluator series must at least be present (workers are idle
-# between fixpoints, and CSE only fires on shared body prefixes).
-for series in sbx_engine_workers_busy sbx_engine_cse_hits_total; do
-    grep -q "^$series" "$work/final.metrics" || { echo "FAIL: metrics lack $series"; exit 1; }
-done
+# The worker gauge must at least be present (workers are idle between
+# fixpoints).
+grep -q "^sbx_engine_workers_busy" "$work/final.metrics" || { echo "FAIL: metrics lack sbx_engine_workers_busy"; exit 1; }
 # The UDP reliability counters must at least be present (zero is fine on
 # a healthy loopback), as must the Go runtime gauges and the ring-overflow
 # counters of the log/span rings.
