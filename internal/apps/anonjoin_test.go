@@ -100,9 +100,9 @@ func TestAnonJoinRelaySeesOnlyCiphertext(t *testing.T) {
 	for _, tp := range relayExports {
 		switch tp[0].Str {
 		case res.Cluster.Addrs[2]:
-			toEndpoint = append(toEndpoint, tp[2].Bytes)
+			toEndpoint = append(toEndpoint, tp[2].Bytes())
 		case res.Cluster.Addrs[1]:
-			atRelay = append(atRelay, tp[2].Bytes)
+			atRelay = append(atRelay, tp[2].Bytes())
 		}
 	}
 	if len(toEndpoint) == 0 || len(atRelay) == 0 {

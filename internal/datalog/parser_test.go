@@ -251,12 +251,27 @@ func TestValueCompareTotalOrderQuick(t *testing.T) {
 	}
 }
 
-func TestTupleCloneIndependence(t *testing.T) {
-	orig := Tuple{BytesV([]byte{1, 2, 3}), String_("x")}
-	cl := orig.Clone()
-	cl[0].Bytes[0] = 99
-	if orig[0].Bytes[0] != 1 {
-		t.Errorf("Clone shares byte storage")
+func TestBytesValueStorage(t *testing.T) {
+	// BytesV copies: the caller keeps its buffer.
+	buf := []byte{1, 2, 3}
+	v := BytesV(buf)
+	buf[0] = 99
+	if got := v.Bytes(); len(got) != 3 || got[0] != 1 {
+		t.Errorf("BytesV shares the caller's buffer: %v", got)
+	}
+	// OwnedBytes adopts: same storage, no copy, and Bytes is a view of it.
+	own := []byte{4, 5, 6}
+	o := OwnedBytes(own)
+	if got := o.Bytes(); len(got) != 3 || &got[0] != &own[0] {
+		t.Errorf("OwnedBytes/Bytes copied the buffer")
+	}
+	if !o.Equal(BytesV([]byte{4, 5, 6})) || o.Compare(BytesV([]byte{4, 5, 7})) >= 0 {
+		t.Errorf("owned and copied bytes values must compare by content")
+	}
+	for _, e := range []Value{BytesV(nil), OwnedBytes(nil), BytesV([]byte{})} {
+		if len(e.Bytes()) != 0 || !e.Equal(BytesV(nil)) {
+			t.Errorf("empty bytes value misbehaves: %v", e)
+		}
 	}
 }
 

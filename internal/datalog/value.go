@@ -15,6 +15,7 @@ import (
 	"hash/maphash"
 	"strconv"
 	"strings"
+	"unsafe"
 )
 
 // Kind identifies the runtime type of a Value.
@@ -62,14 +63,23 @@ func (k Kind) String() string {
 
 // Value is a runtime value stored in relations. It is a tagged union: Int is
 // used by KindInt, KindBool (0/1) and KindEntity (entity id); Str by
-// KindString, KindName, KindNode, KindPrin and KindEntity (entity type);
-// Bytes by KindBytes.
+// KindString, KindName, KindNode, KindPrin, KindEntity (entity type) and
+// KindBytes. Byte strings are immutable like every other value, so they ride
+// in Str and are read through Bytes: a tuple is then 32 bytes per column with
+// one pointer word for the collector to follow.
 type Value struct {
-	Kind  Kind
-	Int   int64
-	Str   string
-	Bytes []byte
+	Kind Kind
+	Int  int64
+	Str  string
 }
+
+// unsafe.Sizeof(Value{}) == 32, asserted at compile time (one of the two
+// array lengths underflows otherwise): relations, frames and tuple blocks are
+// sized by it, so a field added here is paid for in every stored column.
+var (
+	_ [unsafe.Sizeof(Value{}) - 32]struct{}
+	_ [32 - unsafe.Sizeof(Value{})]struct{}
+)
 
 // Int64 returns an integer value.
 func Int64(v int64) Value { return Value{Kind: KindInt, Int: v} }
@@ -78,8 +88,22 @@ func Int64(v int64) Value { return Value{Kind: KindInt, Int: v} }
 // String is the Stringer method.)
 func String_(s string) Value { return Value{Kind: KindString, Str: s} }
 
-// BytesV returns a bytes value.
-func BytesV(b []byte) Value { return Value{Kind: KindBytes, Bytes: b} }
+// BytesV returns a bytes value holding a copy of b.
+func BytesV(b []byte) Value { return Value{Kind: KindBytes, Str: string(b)} }
+
+// OwnedBytes returns a bytes value that takes ownership of b without copying.
+// It is for buffers the caller just built (an encoded payload, a signature)
+// and drops: nobody may write to b afterwards.
+func OwnedBytes(b []byte) Value {
+	return Value{Kind: KindBytes, Str: unsafe.String(unsafe.SliceData(b), len(b))}
+}
+
+// Bytes returns the byte string of a KindBytes value as a read-only view of
+// the value's storage: writing through it would change a value that relations
+// hash and share. Callers that need to mutate copy first.
+func (v Value) Bytes() []byte {
+	return unsafe.Slice(unsafe.StringData(v.Str), len(v.Str))
+}
 
 // Bool returns a boolean value.
 func Bool(b bool) Value {
@@ -117,12 +141,10 @@ func (v Value) Equal(o Value) bool {
 	switch v.Kind {
 	case KindInt, KindBool:
 		return v.Int == o.Int
-	case KindString, KindName, KindNode, KindPrin:
+	case KindString, KindName, KindNode, KindPrin, KindBytes:
 		return v.Str == o.Str
 	case KindEntity:
 		return v.Str == o.Str && v.Int == o.Int
-	case KindBytes:
-		return string(v.Bytes) == string(o.Bytes)
 	default:
 		return true
 	}
@@ -146,7 +168,7 @@ func (v Value) Compare(o Value) int {
 			return 1
 		}
 		return 0
-	case KindString, KindName, KindNode, KindPrin:
+	case KindString, KindName, KindNode, KindPrin, KindBytes:
 		return strings.Compare(v.Str, o.Str)
 	case KindEntity:
 		if c := strings.Compare(v.Str, o.Str); c != 0 {
@@ -159,8 +181,6 @@ func (v Value) Compare(o Value) int {
 			return 1
 		}
 		return 0
-	case KindBytes:
-		return strings.Compare(string(v.Bytes), string(o.Bytes))
 	default:
 		return 0
 	}
@@ -172,26 +192,12 @@ func (v Value) AppendKey(buf []byte) []byte {
 	buf = append(buf, byte(v.Kind))
 	switch v.Kind {
 	case KindInt, KindBool:
-		var tmp [8]byte
-		binary.BigEndian.PutUint64(tmp[:], uint64(v.Int))
-		buf = append(buf, tmp[:]...)
-	case KindString, KindName, KindNode, KindPrin:
-		var tmp [4]byte
-		binary.BigEndian.PutUint32(tmp[:], uint32(len(v.Str)))
-		buf = append(buf, tmp[:]...)
-		buf = append(buf, v.Str...)
+		buf = binary.BigEndian.AppendUint64(buf, uint64(v.Int))
+	case KindString, KindName, KindNode, KindPrin, KindBytes:
+		buf = append(binary.BigEndian.AppendUint32(buf, uint32(len(v.Str))), v.Str...)
 	case KindEntity:
-		var tmp [8]byte
-		binary.BigEndian.PutUint32(tmp[:4], uint32(len(v.Str)))
-		buf = append(buf, tmp[:4]...)
-		buf = append(buf, v.Str...)
-		binary.BigEndian.PutUint64(tmp[:], uint64(v.Int))
-		buf = append(buf, tmp[:]...)
-	case KindBytes:
-		var tmp [4]byte
-		binary.BigEndian.PutUint32(tmp[:], uint32(len(v.Bytes)))
-		buf = append(buf, tmp[:]...)
-		buf = append(buf, v.Bytes...)
+		buf = append(binary.BigEndian.AppendUint32(buf, uint32(len(v.Str))), v.Str...)
+		buf = binary.BigEndian.AppendUint64(buf, uint64(v.Int))
 	}
 	return buf
 }
@@ -211,13 +217,11 @@ func (v Value) HashInto(h uint64) uint64 {
 	switch v.Kind {
 	case KindInt, KindBool:
 		h = (h ^ uint64(v.Int)) * hashPrime
-	case KindString, KindName, KindNode, KindPrin:
+	case KindString, KindName, KindNode, KindPrin, KindBytes:
 		h = (h ^ maphash.String(hashSeed, v.Str)) * hashPrime
 	case KindEntity:
 		h = (h ^ maphash.String(hashSeed, v.Str)) * hashPrime
 		h = (h ^ uint64(v.Int)) * hashPrime
-	case KindBytes:
-		h = (h ^ maphash.Bytes(hashSeed, v.Bytes)) * hashPrime
 	}
 	return h
 }
@@ -280,7 +284,7 @@ func (v Value) String() string {
 	case KindEntity:
 		return fmt.Sprintf("%s:%d", v.Str, v.Int)
 	case KindBytes:
-		return fmt.Sprintf("0x%x", v.Bytes)
+		return fmt.Sprintf("0x%x", v.Str)
 	default:
 		return "<invalid>"
 	}
@@ -298,16 +302,6 @@ func (t Tuple) Key() string {
 	return string(buf)
 }
 
-// KeyPrefix returns the hash key of the first n values, used for
-// functional-dependency lookups.
-func (t Tuple) KeyPrefix(n int) string {
-	buf := make([]byte, 0, 16*n)
-	for _, v := range t[:n] {
-		buf = v.AppendKey(buf)
-	}
-	return string(buf)
-}
-
 // Equal reports element-wise equality.
 func (t Tuple) Equal(o Tuple) bool {
 	if len(t) != len(o) {
@@ -319,20 +313,6 @@ func (t Tuple) Equal(o Tuple) bool {
 		}
 	}
 	return true
-}
-
-// Clone returns a deep copy (bytes included).
-func (t Tuple) Clone() Tuple {
-	out := make(Tuple, len(t))
-	for i, v := range t {
-		if v.Kind == KindBytes {
-			b := make([]byte, len(v.Bytes))
-			copy(b, v.Bytes)
-			v.Bytes = b
-		}
-		out[i] = v
-	}
-	return out
 }
 
 // String renders the tuple as "(v1, v2, ...)".

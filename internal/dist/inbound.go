@@ -72,22 +72,25 @@ func (n *Node) handleMessage(e envelope) {
 			Stage: obs.StageVerify, Peer: msg.From, Start: e.at.Add(e.decodeDur), Dur: e.verifyDur,
 		})
 	}
+	// The decoder copied every payload and the signature out of the
+	// datagram for this message alone, and from here on they are only read
+	// (by the pre-verify pool too), so the facts adopt them uncopied.
 	self := datalog.NodeV(addr)
 	from := datalog.NodeV(msg.From)
 	facts := make([]engine.Fact, 0, len(msg.Payloads))
 	for _, p := range msg.Payloads {
 		facts = append(facts, engine.Fact{
 			Pred:  "export",
-			Tuple: datalog.Tuple{self, from, datalog.BytesV(p)},
+			Tuple: datalog.Tuple{self, from, datalog.OwnedBytes(p)},
 		})
 	}
 	if msg.Kind == wire.MsgBatch {
-		digest := datalog.BytesV(wire.BatchDigest(msg.Payloads))
-		sig := datalog.BytesV(msg.Sig)
+		digest := datalog.OwnedBytes(wire.BatchDigest(msg.Payloads))
+		sig := datalog.OwnedBytes(msg.Sig)
 		for _, p := range msg.Payloads {
 			facts = append(facts, engine.Fact{
 				Pred:  "export_batch",
-				Tuple: datalog.Tuple{from, datalog.BytesV(p), digest, sig},
+				Tuple: datalog.Tuple{from, datalog.OwnedBytes(p), digest, sig},
 			})
 		}
 	}

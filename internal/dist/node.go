@@ -66,7 +66,7 @@ type Node struct {
 	mu         sync.Mutex
 	pending    []batch
 	violations []error
-	failed     []string // dedup keys of failed sends, awaiting reclamation
+	failed     []datalog.Tuple // export tuples of failed sends, awaiting reclamation
 	stopped    bool
 
 	wake   chan struct{}
@@ -99,10 +99,10 @@ type Node struct {
 	evicted map[string]bool
 
 	// Loop-goroutine-only state (no locking needed).
-	sent     map[string]bool // export tuple keys already shipped
-	selfAddr string          // cached principal_node[self] address
+	sent     *engine.Relation // export tuples already shipped: a hashed set verified by equality
+	selfAddr string           // cached principal_node[self] address
 
-	sentSize atomic.Int64 // mirror of len(sent) for external inspection
+	sentSize atomic.Int64 // mirror of sent.Len() for external inspection
 
 	// Outbound pipeline state (batch-signing mode only). outCh carries
 	// chunks from the loop to the sender stage; outPending counts chunks
@@ -150,7 +150,7 @@ func NewNode(principal string, ws *engine.Workspace, ep transport.Transport) *No
 		ep:        ep,
 		wake:      make(chan struct{}, 1),
 		stopCh:    make(chan struct{}),
-		sent:      make(map[string]bool),
+		sent:      engine.NewTupleSet(),
 		perPeer:   make(map[string]*peerCtr),
 		evicted:   make(map[string]bool),
 	}
@@ -267,14 +267,14 @@ func (n *Node) applyEvictions() {
 		return
 	}
 	// Prune dedup entries for tuples addressed to the dead peers: ship
-	// skips evicted destinations, so keeping their keys would only hold
-	// memory for sends that can never happen.
-	for _, t := range n.WS.Tuples("export") {
-		if len(t) == 3 && t[0].Kind == datalog.KindNode && n.evicted[t[0].Str] {
-			delete(n.sent, t.Key())
+	// skips evicted destinations, so keeping them would only hold memory for
+	// sends that can never happen.
+	for _, t := range n.sent.Tuples() {
+		if n.evicted[t[0].Str] {
+			n.sent.Delete(t)
 		}
 	}
-	n.sentSize.Store(int64(len(n.sent)))
+	n.sentSize.Store(int64(n.sent.Len()))
 }
 
 // Counters returns the node's termination-detection counters: cumulative
@@ -646,18 +646,13 @@ func (n *Node) retractOnce(facts []engine.Fact) bool {
 // the best route promotes the second-best), and ship's dedup sends
 // exactly those while skipping everything already on the wire.
 func (n *Node) syncExports() {
-	tuples := n.WS.Tuples("export")
-	live := make(map[string]bool, len(tuples))
-	for _, t := range tuples {
-		live[t.Key()] = true
-	}
-	for k := range n.sent {
-		if !live[k] {
-			delete(n.sent, k)
+	for _, t := range n.sent.Tuples() {
+		if !n.WS.Contains("export", t) {
+			n.sent.Delete(t)
 		}
 	}
-	n.sentSize.Store(int64(len(n.sent)))
-	n.ship(tuples)
+	n.sentSize.Store(int64(n.sent.Len()))
+	n.ship(n.WS.Tuples("export"))
 }
 
 // recordViolation registers one rejected batch or dropped message.

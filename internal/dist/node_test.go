@@ -200,38 +200,52 @@ func TestRetractionPrunesSentSetAndReships(t *testing.T) {
 	defer a.Stop()
 	defer b.Stop()
 
-	pay := engine.Fact{Pred: "pay", Tuple: datalog.Tuple{datalog.BytesV([]byte("volatile"))}}
+	// Two payloads differing in their last byte only: the dedup set tells
+	// tuples apart by value, and the one that stays derivable must neither be
+	// pruned nor re-sent by the post-retraction resync.
+	pay := engine.Fact{Pred: "pay", Tuple: datalog.Tuple{datalog.BytesV([]byte("volatile 1"))}}
 	a.Assert([]engine.Fact{
 		pay,
+		{Pred: "pay", Tuple: datalog.Tuple{datalog.BytesV([]byte("volatile 2"))}},
 		{Pred: "dest", Tuple: datalog.Tuple{datalog.NodeV(addrB)}},
 		{Pred: "trigger", Tuple: datalog.Tuple{datalog.Int64(1)}},
 	})
 	waitFixpoint(t, det)
-	if got := a.SentSetSize(); got != 1 {
-		t.Fatalf("sent set size after ship: %d, want 1", got)
+	if got := a.SentSetSize(); got != 2 {
+		t.Fatalf("sent set size after ship: %d, want 2", got)
 	}
-	first := a.Metrics.Traffic().MsgsSent
+	first := a.Metrics.Traffic()
 
 	// Retracting the base fact makes the export underivable; the dedup
 	// entry must go with it instead of lingering forever.
 	a.Retract([]engine.Fact{pay})
 	waitFixpoint(t, det)
-	if got := a.SentSetSize(); got != 0 {
-		t.Errorf("sent set not pruned after retraction: %d entries", got)
+	if got := a.SentSetSize(); got != 1 {
+		t.Errorf("sent set after retraction: %d entries, want the 1 still-derivable export", got)
 	}
-	if got := a.WS.Count("export"); got != 0 {
-		t.Errorf("export not retracted: %d tuples", got)
+	if got := a.WS.Count("export"); got != 1 {
+		t.Errorf("export after retraction: %d tuples, want 1", got)
+	}
+	if tr := a.Metrics.Traffic(); tr.MsgsSent != first.MsgsSent {
+		t.Errorf("resync re-sent an export that never left the sent set: %d -> %d messages", first.MsgsSent, tr.MsgsSent)
 	}
 
 	// Re-asserting re-derives the same tuple — and because the dedup entry
-	// was pruned, it ships again.
+	// was pruned, it ships again, alone.
 	a.Assert([]engine.Fact{pay})
 	waitFixpoint(t, det)
-	if again := a.Metrics.Traffic().MsgsSent; again != first+1 {
-		t.Errorf("re-derived export after retraction: %d -> %d messages, want one more", first, again)
+	again := a.Metrics.Traffic()
+	if again.MsgsSent != first.MsgsSent+1 {
+		t.Errorf("re-derived export after retraction: %d -> %d messages, want one more", first.MsgsSent, again.MsgsSent)
 	}
-	if got := a.SentSetSize(); got != 1 {
-		t.Errorf("sent set size after re-ship: %d, want 1", got)
+	if grew := again.BytesSent - first.BytesSent; grew >= first.BytesSent {
+		t.Errorf("re-ship carried %d bytes where the two-payload message took %d: more than the pruned tuple went out", grew, first.BytesSent)
+	}
+	if got := a.SentSetSize(); got != 2 {
+		t.Errorf("sent set size after re-ship: %d, want 2", got)
+	}
+	if got := b.WS.Count("got"); got != 2 {
+		t.Errorf("node b holds %d payloads, want 2", got)
 	}
 }
 
@@ -240,24 +254,29 @@ func TestFailedSendReleasesDedupAndReships(t *testing.T) {
 	// permanently dedup-suppressed. Once the destination becomes
 	// reachable, the next offer of the (still-derived) tuple ships it.
 	net := transport.NewMemNetwork()
-	const ghost = "10.9.9.9:1"
+	const ghost, live = "10.9.9.9:1", "10.8.8.8:1"
 	a := newTestNode(t, net, "a", addrA, nil, deriveRule)
 	det := newDetector(t, net, addrA)
+	up := net.Endpoint(live) // a destination that is there from the start
 	a.Start()
 	defer a.Stop()
 
+	// The same payload to both destinations: the two export tuples differ
+	// in their first column only, and only the ghost's mark may be released.
 	a.Assert([]engine.Fact{
 		{Pred: "pay", Tuple: datalog.Tuple{datalog.BytesV([]byte("dropped once"))}},
 		{Pred: "dest", Tuple: datalog.Tuple{datalog.NodeV(ghost)}},
+		{Pred: "dest", Tuple: datalog.Tuple{datalog.NodeV(live)}},
 		{Pred: "trigger", Tuple: datalog.Tuple{datalog.Int64(1)}},
 	})
 	waitFixpoint(t, det)
 	if v := a.Violations(); len(v) != 1 {
 		t.Fatalf("first send should fail with one violation, got %v", v)
 	}
-	if sent := a.Metrics.Traffic().MsgsSent; sent != 0 {
-		t.Fatalf("failed send recorded as traffic: %d messages", sent)
+	if sent := a.Metrics.Traffic().MsgsSent; sent != 1 {
+		t.Fatalf("traffic after one failed and one good send: %d messages, want 1", sent)
 	}
+	<-up.Receive()
 
 	// The destination comes up; a retraction that leaves the export
 	// derivable re-offers the live extent to ship. Before the fix, the
@@ -276,11 +295,21 @@ func TestFailedSendReleasesDedupAndReships(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("tuple dropped on first send was never re-shipped")
 	}
-	if got := a.SentSetSize(); got != 1 {
-		t.Errorf("sent set after successful re-ship: %d entries, want 1", got)
+	if got := a.SentSetSize(); got != 2 {
+		t.Errorf("sent set after successful re-ship: %d entries, want 2", got)
 	}
 	if v := a.Violations(); len(v) != 1 {
 		t.Errorf("re-ship should add no violations, got %v", v)
+	}
+	// The re-offer covered the whole live extent; the tuple that was
+	// delivered the first time stayed marked and did not go out again.
+	select {
+	case <-up.Receive():
+		t.Error("the delivered export was sent a second time")
+	default:
+	}
+	if sent := a.Metrics.Traffic().MsgsSent; sent != 2 {
+		t.Errorf("traffic after the re-ship: %d messages, want 2", sent)
 	}
 }
 
@@ -360,6 +389,19 @@ func TestBatchSignedPipelineDeliversEnvelopes(t *testing.T) {
 	}
 	if signed.Load() == 0 {
 		t.Error("SignBatch was never invoked")
+	}
+	// Chunking, the batch digest and the envelope encoder read the stored
+	// export tuples' payload bytes in place, and the receiver's facts adopt
+	// the decoder's buffers: both ends must still hold the bytes asserted.
+	for _, e := range a.WS.Tuples("export") {
+		if !a.WS.Contains("pay", datalog.Tuple{e[2]}) {
+			t.Errorf("sender's stored export payload changed while shipping: %s", e[2])
+		}
+	}
+	for _, p := range []string{"first", "second"} {
+		if !b.WS.Contains("got", datalog.Tuple{datalog.BytesV([]byte(p))}) {
+			t.Errorf("receiver does not hold payload %q byte for byte", p)
+		}
 	}
 	// One envelope per (transaction, route): both payloads committed
 	// together, so they share one signature.

@@ -11,11 +11,11 @@ import (
 )
 
 // outChunk is one wire message in the making: a route's payloads that fit
-// a single datagram, together with the export-dedup keys they came from so
-// a failed send can release exactly those keys for re-shipping.
+// a single datagram, together with the export tuples they came from so a
+// failed send can release exactly those tuples' dedup marks for re-shipping.
 type outChunk struct {
 	to, from  string
-	keys      []string
+	tuples    []datalog.Tuple
 	payloads  [][]byte
 	digest    []byte // batch-signing mode: BatchDigest(payloads), computed once
 	oversized bool   // single payload beyond the datagram budget, shipped alone
@@ -49,14 +49,13 @@ func (n *Node) ship(exports []datalog.Tuple) {
 	self := n.localAddr()
 	type route struct{ to, from string }
 	var order []route
-	keys := make(map[route][]string)
+	tuples := make(map[route][]datalog.Tuple)
 	payloads := make(map[route][][]byte)
 	for _, t := range exports {
 		if len(t) != 3 || t[0].Kind != datalog.KindNode || t[2].Kind != datalog.KindBytes {
 			continue // not a well-formed export(N, L, Pkt) tuple
 		}
-		key := t.Key()
-		if n.sent[key] {
+		if n.sent.Contains(t) {
 			continue
 		}
 		to := t[0].Str
@@ -66,17 +65,17 @@ func (n *Node) ship(exports []datalog.Tuple) {
 		if n.evicted[to] {
 			continue // no traffic to evicted peers, and no dedup mark either
 		}
-		n.sent[key] = true
+		n.sent.Insert(t, false)
 		r := route{to: to, from: t[1].Str}
 		if _, ok := payloads[r]; !ok {
 			order = append(order, r)
 		}
-		keys[r] = append(keys[r], key)
-		payloads[r] = append(payloads[r], t[2].Bytes)
+		tuples[r] = append(tuples[r], t)
+		payloads[r] = append(payloads[r], t[2].Bytes())
 	}
-	n.sentSize.Store(int64(len(n.sent)))
+	n.sentSize.Store(int64(n.sent.Len()))
 	for _, r := range order {
-		for _, c := range chunkRoute(r.to, r.from, keys[r], payloads[r], n.SignBatch != nil) {
+		for _, c := range chunkRoute(r.to, r.from, tuples[r], payloads[r], n.SignBatch != nil) {
 			n.dispatch(c)
 		}
 	}
@@ -87,21 +86,21 @@ func (n *Node) ship(exports []datalog.Tuple) {
 // its own flagged chunk up front, so its inevitable transport rejection
 // costs exactly one payload and one clearly-attributed violation instead
 // of silently sinking the batch it happened to share a flush with.
-func chunkRoute(to, from string, keys []string, payloads [][]byte, batchSigned bool) []outChunk {
+func chunkRoute(to, from string, tuples []datalog.Tuple, payloads [][]byte, batchSigned bool) []outChunk {
 	header := wire.MessageOverhead(from)
 	if batchSigned {
 		header = wire.MessageOverheadBatch(from)
 	}
 	var chunks []outChunk
-	var curKeys []string
+	var curTuples []datalog.Tuple
 	var curPayloads [][]byte
 	size := header
 	flush := func() {
 		if len(curPayloads) == 0 {
 			return
 		}
-		chunks = append(chunks, outChunk{to: to, from: from, keys: curKeys, payloads: curPayloads})
-		curKeys, curPayloads, size = nil, nil, header
+		chunks = append(chunks, outChunk{to: to, from: from, tuples: curTuples, payloads: curPayloads})
+		curTuples, curPayloads, size = nil, nil, header
 	}
 	for i, p := range payloads {
 		sz := wire.PayloadOverhead + len(p)
@@ -109,7 +108,7 @@ func chunkRoute(to, from string, keys []string, payloads [][]byte, batchSigned b
 			flush()
 			chunks = append(chunks, outChunk{
 				to: to, from: from,
-				keys: keys[i : i+1], payloads: payloads[i : i+1],
+				tuples: tuples[i : i+1], payloads: payloads[i : i+1],
 				oversized: true,
 			})
 			continue
@@ -117,7 +116,7 @@ func chunkRoute(to, from string, keys []string, payloads [][]byte, batchSigned b
 		if len(curPayloads) > 0 && size+sz > transport.MaxDatagram {
 			flush()
 		}
-		curKeys = append(curKeys, keys[i])
+		curTuples = append(curTuples, tuples[i])
 		curPayloads = append(curPayloads, p)
 		size += sz
 	}
@@ -170,7 +169,7 @@ func (n *Node) sender() {
 // termination counter (when the destination is a counted peer) and the
 // traffic metrics. On any failure — signing error, unknown address, closed
 // destination, oversized datagram — a violation is recorded so the loss is
-// observable and the chunk's dedup keys are released so the tuples ship
+// observable and the chunk's dedup marks are released so the tuples ship
 // again when next offered; over UDP the reliable layer below retransmits
 // accepted datagrams until delivery, over memnet delivery is immediate.
 func (n *Node) sendChunk(c outChunk) {
@@ -180,7 +179,7 @@ func (n *Node) sendChunk(c outChunk) {
 		sig, err := n.SignBatch(c.digest)
 		if err != nil {
 			n.recordViolation(fmt.Errorf("dist: batch signing of %d payloads to %s failed: %w", len(c.payloads), c.to, err))
-			n.releaseKeys(c.keys)
+			n.releaseMarks(c.tuples)
 			return
 		}
 		msg.Kind, msg.Sig = wire.MsgBatch, sig
@@ -197,7 +196,7 @@ func (n *Node) sendChunk(c outChunk) {
 		} else {
 			n.recordViolation(fmt.Errorf("dist: dropped %d-payload message to %s: %w", len(c.payloads), c.to, err))
 		}
-		n.releaseKeys(c.keys)
+		n.releaseMarks(c.tuples)
 		return
 	}
 	if n.countsPeer(c.to) {
@@ -211,13 +210,13 @@ func (n *Node) sendChunk(c outChunk) {
 	})
 }
 
-// releaseKeys queues a failed chunk's dedup keys for reclamation. It is
+// releaseMarks queues a failed chunk's tuples for reclamation. It is
 // called from the loop goroutine (inline sends) and the sender stage, so
-// it only records the keys; reclaimFailed applies them on the loop
-// goroutine, which owns the sent-set.
-func (n *Node) releaseKeys(keys []string) {
+// it only records them; reclaimFailed applies them on the loop goroutine,
+// which owns the sent-set.
+func (n *Node) releaseMarks(tuples []datalog.Tuple) {
 	n.mu.Lock()
-	n.failed = append(n.failed, keys...)
+	n.failed = append(n.failed, tuples...)
 	n.mu.Unlock()
 }
 
@@ -232,8 +231,8 @@ func (n *Node) reclaimFailed() {
 	if len(failed) == 0 {
 		return
 	}
-	for _, k := range failed {
-		delete(n.sent, k)
+	for _, t := range failed {
+		n.sent.Delete(t)
 	}
-	n.sentSize.Store(int64(len(n.sent)))
+	n.sentSize.Store(int64(n.sent.Len()))
 }

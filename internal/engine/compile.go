@@ -41,9 +41,10 @@ type step struct {
 	// or a variable bound by an earlier step — the step's probe signature,
 	// derived from the planner's binding-order analysis.
 	boundCols []int
-	keyCols   []int     // match on a functional predicate: [0..KeyArity)
-	useFn     bool      // match: all key columns bound → functional lookup
-	probeIdx  *colIndex // secondary index registered for boundCols
+	// probeIdx is the step's access path and probeCols the argument positions
+	// whose values it is probed with; nil when nothing is bound (a scan).
+	probeIdx  *hashIndex
+	probeCols []int
 	// udfArgs/udfMask are the UDF call's argument buffers, reused across
 	// calls: a step is never re-entered while its own Eval is on the stack,
 	// UDF rules never run on parallel workers, and no UDF retains its args.
@@ -75,8 +76,7 @@ type CompiledRule struct {
 	exVars     []headEx
 	agg        *datalog.AggSpec
 
-	nSlots      int
-	slotNames   []string
+	slotSpace
 	cheads      [][]cterm // slot-compiled head arguments, parallel to heads
 	headRels    []*Relation
 	bodySlots   []int // slots of bodyVars, in the same (name-sorted) order
@@ -89,9 +89,6 @@ type CompiledRule struct {
 	// no head-existential entity creation, no UDF steps, no aggregation —
 	// their evaluation only reads relations, never touches shared state.
 	parSafe bool
-	// fcache is a frame reused by the single-threaded evaluation paths.
-	// Parallel workers keep disjoint per-worker frame pools instead.
-	fcache *frame
 }
 
 // String returns the source form of the rule.
@@ -108,8 +105,7 @@ type CompiledConstraint struct {
 	// they all seed the one RHS plan.
 	lhsDeltaPlans [][]step
 
-	nSlots    int
-	slotNames []string
+	slotSpace
 }
 
 // String returns the source form of the constraint.
@@ -260,7 +256,7 @@ func termBound(t datalog.Term, bound map[string]bool) bool {
 // matches sharing bound variables (functional lookups preferred), then
 // ready UDFs, then cartesian matches as a last resort.
 func planSteps(unplanned []step, bound map[string]bool) ([]step, error) {
-	var out []step
+	out := make([]step, 0, len(unplanned))
 	remaining := append([]step(nil), unplanned...)
 
 	allBound := func(t datalog.Term) bool { return termBound(t, bound) }
@@ -461,17 +457,17 @@ func planDeltaPlans(unplanned []step) ([][]step, error) {
 		if err != nil {
 			return nil, err
 		}
-		plans = append(plans, append([]step{unplanned[i]}, tail...))
+		plans = append(plans, append(append(make([]step, 0, len(unplanned)), unplanned[i]), tail...))
 	}
 	return plans, nil
 }
 
 // finalizeSteps compiles each planned step's terms against the slot
-// allocator and selects its access path: functional lookup when every key
-// column is bound, otherwise a secondary hash index over the step's
-// bound-column signature, registered with the relation now so every later
-// probe is O(1). Fully bound and fully unbound steps need no index (they
-// are membership checks and leading scans respectively).
+// allocator and selects its access path, every one a probe of one of the
+// relation's indexes: the functional index when every key column is bound,
+// the primary when every column is, otherwise a secondary index over the
+// step's bound-column signature, registered with the relation now so every
+// later probe is O(1). A step with nothing bound is a leading scan.
 func (w *Workspace) finalizeSteps(steps []step, sa *slotAlloc) {
 	for i := range steps {
 		s := &steps[i]
@@ -480,36 +476,17 @@ func (w *Workspace) finalizeSteps(steps []step, sa *slotAlloc) {
 			s.args = sa.compileAtom(s.atom)
 			s.rel = w.ensureRelation(s.pred)
 			arity := len(s.atom.Args)
-			if s.kind == stepMatch {
-				if ka := s.rel.schema.KeyArity; ka >= 0 && ka <= arity {
-					// boundCols only ever holds Const / bound-Var positions,
-					// so membership alone decides whether a key column will
-					// carry a value at runtime.
-					allKeys := true
-					for k := 0; k < ka; k++ {
-						found := false
-						for _, c := range s.boundCols {
-							if c == k {
-								found = true
-								break
-							}
-						}
-						if !found {
-							allKeys = false
-							break
-						}
-					}
-					if allKeys {
-						s.useFn = true
-						s.keyCols = make([]int, ka)
-						for k := range s.keyCols {
-							s.keyCols[k] = k
-						}
-					}
-				}
-			}
-			if !s.useFn && len(s.boundCols) > 0 && len(s.boundCols) < arity {
-				s.probeIdx = s.rel.EnsureIndex(s.boundCols)
+			// boundCols is ascending and only ever holds Const / bound-Var
+			// positions, so its ka-th entry being ka-1 means exactly the key
+			// columns 0..ka-1 lead it and will carry values at runtime.
+			ka := s.rel.schema.KeyArity
+			switch nb := len(s.boundCols); {
+			case s.kind == stepMatch && s.rel.fn != nil && ka <= arity && nb >= ka && (ka == 0 || s.boundCols[ka-1] == ka-1):
+				s.probeIdx, s.probeCols = s.rel.fn, s.rel.fn.cols
+			case nb > 0 && nb == arity:
+				s.probeIdx, s.probeCols = &s.rel.primary, s.boundCols
+			case nb > 0:
+				s.probeIdx, s.probeCols = s.rel.EnsureIndex(s.boundCols), s.boundCols
 			}
 		case stepCmp:
 			cl := sa.compileTerm(s.l)
@@ -528,7 +505,7 @@ func (w *Workspace) finalizeSteps(steps []step, sa *slotAlloc) {
 
 // finalizeDeltaPlans compiles delta-first plans against the slot numbering
 // their static plan already fixed. The leading step only unifies delta
-// tuples, so it gets compiled arguments and no access path or index.
+// tuples, so it gets compiled arguments and no access path.
 func (w *Workspace) finalizeDeltaPlans(plans [][]step, sa *slotAlloc) {
 	for _, plan := range plans {
 		plan[0].args = sa.compileAtom(plan[0].atom)
@@ -669,7 +646,6 @@ func (w *Workspace) finalizeRule(cr *CompiledRule) error {
 			cr.aggOverSlot = sa.slot(cr.agg.Over)
 		}
 	}
-	cr.nSlots = len(sa.names)
 	cr.slotNames = sa.names
 	cr.bound = nil
 	cr.parSafe = cr.agg == nil && len(cr.exVars) == 0
@@ -749,5 +725,5 @@ func (w *Workspace) compileConstraint(con *datalog.Constraint) (*CompiledConstra
 	w.finalizeDeltaPlans(lhsDeltaPlans, sa)
 	w.finalizeSteps(rhsSteps, sa)
 	return &CompiledConstraint{src: con, lhsSteps: lhsSteps, rhsSteps: rhsSteps, lhsDeltaPlans: lhsDeltaPlans,
-		nSlots: len(sa.names), slotNames: sa.names}, nil
+		slotSpace: slotSpace{slotNames: sa.names}}, nil
 }

@@ -86,8 +86,24 @@ type frame struct {
 	names []string // slot → source name, shared with the compiled rule
 }
 
-func newFrame(nSlots int, names []string) *frame {
-	return &frame{slots: make([]datalog.Value, nSlots), names: names}
+func newFrame(names []string) *frame {
+	return &frame{slots: make([]datalog.Value, len(names)), names: names}
+}
+
+// slotSpace is the slot numbering of one compiled rule or constraint, with
+// the frame its single-threaded evaluations share: every evaluation, a failed
+// one included, undoes its bindings, so one frame serves them all. Parallel
+// workers keep disjoint per-worker frames instead.
+type slotSpace struct {
+	slotNames []string
+	fcache    *frame
+}
+
+func (s *slotSpace) seqFrame() *frame {
+	if s.fcache == nil {
+		s.fcache = newFrame(s.slotNames)
+	}
+	return s.fcache
 }
 
 func (f *frame) mark() int { return len(f.trail) }

@@ -439,7 +439,7 @@ func naiveSaturate(t *testing.T, src string, base map[string]Fact) *Workspace {
 	if err := w.Install(prog); err != nil {
 		t.Fatal(err)
 	}
-	tx := newTxn()
+	tx := w.begin()
 	for _, f := range base {
 		if _, err := w.insertTxn(tx, f.Pred, f.Tuple, true); err != nil {
 			t.Fatal(err)

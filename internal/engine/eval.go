@@ -66,86 +66,41 @@ func (e *evalEnv) runDelta(plan []step, delta []datalog.Tuple, f *frame, emit fu
 }
 
 // candidates iterates stored tuples that may match the step under the current
-// frame. The step's compile-time bound-column signature selects the access
-// path: functional lookup, full-tuple membership, secondary index probe, or
-// — only when no column is bound — a leading relation scan.
+// frame: a probe of the index its compile-time bound-column signature selected
+// (functional, primary or secondary), or — only when no column is bound — a
+// leading relation scan.
 func (e *evalEnv) candidates(s *step, f *frame, fn func(datalog.Tuple) bool) {
-	rel := s.rel
-	if e.w.DisableIndexes {
-		e.stats.LeadingScans++
-		rel.Each(fn)
-		return
-	}
-	if s.useFn {
+	if s.probeIdx != nil && !e.w.DisableIndexes {
 		var buf [8]datalog.Value
-		keys, ok := gatherCols(s.args, s.keyCols, f, buf[:0])
-		if ok {
+		if vals, ok := gatherCols(s.args, s.probeCols, f, buf[:0]); ok {
 			e.stats.IndexProbes++
-			if t, found := rel.LookupFn(keys); found {
-				fn(t)
-			}
+			s.rel.Probe(s.probeIdx, vals, fn)
 			return
 		}
-		e.stats.FullScanFallbacks++
-		rel.Each(fn)
-		return
 	}
-	switch {
-	case len(s.boundCols) == 0:
+	if e.w.DisableIndexes || len(s.boundCols) == 0 {
 		e.stats.LeadingScans++
-		rel.Each(fn)
-	case len(s.boundCols) == len(s.args):
-		var buf [8]datalog.Value
-		vals, ok := gatherCols(s.args, s.boundCols, f, buf[:0])
-		if !ok {
-			e.stats.FullScanFallbacks++
-			rel.Each(fn)
-			return
-		}
-		e.stats.IndexProbes++
-		if rel.ContainsVals(vals) {
-			fn(datalog.Tuple(vals))
-		}
-	default:
-		if s.probeIdx == nil {
-			e.stats.FullScanFallbacks++
-			rel.Each(fn)
-			return
-		}
-		var buf [8]datalog.Value
-		vals, ok := gatherCols(s.args, s.boundCols, f, buf[:0])
-		if !ok {
-			e.stats.FullScanFallbacks++
-			rel.Each(fn)
-			return
-		}
-		e.stats.IndexProbes++
-		rel.Probe(s.probeIdx, vals, fn)
+	} else {
+		e.stats.FullScanFallbacks++ // plan/runtime disagreement
 	}
+	s.rel.Each(fn)
 }
 
 // negHolds decides a negated atom. The planner only schedules negations once
-// every variable is bound, so each argument is a value or a wildcard: fully
-// ground negations are one hash lookup, partially ground ones one index
-// probe — never a relation scan (unless indexes are disabled).
+// every variable is bound, so each argument is a value or a wildcard: a
+// negation with any ground argument is one index probe — never a relation
+// scan (unless indexes are disabled).
 func (e *evalEnv) negHolds(s *step, f *frame) bool {
 	rel := s.rel
 	if !e.w.DisableIndexes {
-		if len(s.boundCols) == len(s.args) {
-			var buf [8]datalog.Value
-			if vals, ok := gatherCols(s.args, s.boundCols, f, buf[:0]); ok {
-				e.stats.IndexProbes++
-				return rel.ContainsVals(vals)
-			}
-		} else if len(s.boundCols) == 0 {
+		if len(s.boundCols) == 0 {
 			// all arguments are wildcards: any tuple at all matches
 			return rel.Len() > 0
-		} else if s.probeIdx != nil {
-			var buf [8]datalog.Value
-			if vals, ok := gatherCols(s.args, s.boundCols, f, buf[:0]); ok {
-				e.stats.IndexProbes++
-				return rel.ProbeExists(s.probeIdx, vals)
-			}
+		}
+		var buf [8]datalog.Value
+		if vals, ok := gatherCols(s.args, s.probeCols, f, buf[:0]); ok && s.probeIdx != nil {
+			e.stats.IndexProbes++
+			return rel.ProbeExists(s.probeIdx, vals)
 		}
 	}
 	// Forced-scan mode or plan/runtime disagreement: scan and unify. Only
@@ -157,18 +112,12 @@ func (e *evalEnv) negHolds(s *step, f *frame) bool {
 		e.stats.FullScanFallbacks++
 	}
 	found := false
-	m := f.mark()
 	rel.Each(func(t datalog.Tuple) bool {
-		mm := f.mark()
-		if unifyArgs(s.args, t, f) {
-			found = true
-			f.undo(mm)
-			return false
-		}
-		f.undo(mm)
-		return true
+		m := f.mark()
+		found = unifyArgs(s.args, t, f)
+		f.undo(m)
+		return !found
 	})
-	f.undo(m)
 	return found
 }
 

@@ -11,23 +11,25 @@ import (
 // Parallel fixpoint evaluation. Each semi-naïve round walks the rule strata
 // level by level (see strata.go); within a level the strata are mutually
 // independent, so every applicable (rule, delta step, delta partition)
-// becomes a task on a worker pool. Workers only read relation storage —
-// Go map reads are safe under any number of concurrent readers as long as
-// nobody writes — and buffer the tuples they derive. After the wave the
-// calling goroutine alone merges the buffers through insertTxn, so the undo
-// log, functional-dependency checks, and secondary index maintenance all
-// stay single-writer and race-free.
+// becomes a task on a worker pool. Workers only read relation storage — the
+// row store's read paths are safe under any number of concurrent readers as
+// long as nobody writes — and buffer the tuples they derive. After the wave
+// the calling goroutine alone merges the buffers through insertDerived, so the
+// undo log, tuple blocks, functional-dependency checks, and index maintenance
+// all stay single-writer and race-free.
 
 // minPartTuples is the smallest delta slice worth splitting: below twice
 // this, partitioning overhead beats the parallelism it buys.
 const minPartTuples = 16
 
 // derived is one head tuple produced by a worker, waiting for the
-// single-writer commit phase.
+// single-writer commit phase: its values start at vals[off] of the worker's
+// flat buffer, and are copied into the workspace's tuple blocks only if the
+// commit finds the tuple new.
 type derived struct {
-	rule  *CompiledRule
-	hi    int
-	tuple datalog.Tuple
+	rule *CompiledRule
+	hi   int
+	off  int
 }
 
 // workerCtx is one worker's private evaluation state: a per-rule frame pool,
@@ -38,6 +40,7 @@ type workerCtx struct {
 	stats  metrics.EngineStats
 	frames map[int]*frame
 	out    []derived
+	vals   []datalog.Value
 	err    error
 }
 
@@ -98,7 +101,7 @@ func (p *parallelRun) exec(ctx *workerCtx, task evalTask) {
 	r := task.r
 	f := ctx.frames[r.id]
 	if f == nil {
-		f = newFrame(r.nSlots, r.slotNames)
+		f = newFrame(r.slotNames)
 		ctx.frames[r.id] = f
 	}
 	if err := ctx.env.runDelta(task.plan, task.delta, f, func(f *frame) error { return ctx.emit(r, f) }); err != nil {
@@ -111,20 +114,20 @@ func (p *parallelRun) exec(ctx *workerCtx, task evalTask) {
 // rederivations early; the commit phase deduplicates the rest.
 func (ctx *workerCtx) emit(r *CompiledRule, f *frame) error {
 	for hi := range r.heads {
-		var buf [8]datalog.Value
-		vals := buf[:0]
+		off := len(ctx.vals)
 		cargs := r.cheads[hi]
 		for i := range cargs {
 			v, err := evalCterm(&cargs[i], f)
 			if err != nil {
 				return fmt.Errorf("rule %s: head %s: %w", r.src, r.heads[hi], err)
 			}
-			vals = append(vals, v)
+			ctx.vals = append(ctx.vals, v)
 		}
-		if r.headRels[hi].ContainsVals(vals) {
+		if _, ok := r.headRels[hi].Lookup(ctx.vals[off:]); ok {
+			ctx.vals = ctx.vals[:off]
 			continue
 		}
-		ctx.out = append(ctx.out, derived{rule: r, hi: hi, tuple: append(datalog.Tuple(nil), vals...)})
+		ctx.out = append(ctx.out, derived{rule: r, hi: hi, off: off})
 	}
 	return nil
 }
@@ -144,16 +147,13 @@ func (p *parallelRun) runWave(t *txn, tasks []evalTask, next map[string][]datalo
 	}
 	for _, ctx := range p.ctxs {
 		for _, d := range ctx.out {
-			pred := d.rule.heads[d.hi].ConcreteName()
-			isNew, err := p.w.insertTxn(t, pred, d.tuple, false)
-			if err != nil {
+			head := d.rule.heads[d.hi]
+			vals := ctx.vals[d.off : d.off+len(head.Args)]
+			if err := p.w.insertDerived(t, head.ConcreteName(), d.rule.headRels[d.hi], vals, next); err != nil {
 				return err
 			}
-			if isNew {
-				next[pred] = append(next[pred], d.tuple)
-			}
 		}
-		ctx.out = ctx.out[:0]
+		ctx.out, ctx.vals = ctx.out[:0], ctx.vals[:0]
 	}
 	return nil
 }
@@ -193,7 +193,7 @@ func (w *Workspace) fixpointParallel(t *txn, delta map[string][]datalog.Tuple) e
 	var tasks []evalTask
 	for len(delta) > 0 {
 		w.stats.FixpointRounds++
-		next := make(map[string][]datalog.Tuple)
+		next := w.deltaMap()
 		for _, wave := range w.waves {
 			tasks = tasks[:0]
 			var seqRules []*CompiledRule
@@ -237,7 +237,9 @@ func (w *Workspace) fixpointParallel(t *txn, delta map[string][]datalog.Tuple) e
 				return err
 			}
 		}
+		w.releaseDelta(delta)
 		delta = next
 	}
+	w.releaseDelta(delta)
 	return nil
 }

@@ -21,7 +21,7 @@ func checkDeltaPlan(static, plan []step, slotNames []string) error {
 	if lead.kind != stepMatch {
 		return fmt.Errorf("step 0 is not a match (%s)", describeStep(*lead))
 	}
-	if lead.probeIdx != nil || lead.useFn || lead.rel != nil || len(lead.boundCols) != 0 {
+	if lead.probeIdx != nil || lead.rel != nil || len(lead.boundCols) != 0 {
 		return fmt.Errorf("delta atom %s carries a stored-relation access path", lead.atom)
 	}
 	want := map[string]int{}
@@ -48,7 +48,7 @@ func checkDeltaPlan(static, plan []step, slotNames []string) error {
 				return fmt.Errorf("step %d: %s shares variables with earlier steps but probes nothing", i, s.atom)
 			}
 			partial := len(s.boundCols) > 0 && len(s.boundCols) < len(s.args)
-			if partial && !s.useFn && s.probeIdx == nil {
+			if partial && s.probeIdx == nil {
 				return fmt.Errorf("step %d: %s has bound columns %v and no index", i, s.atom, s.boundCols)
 			}
 		}

@@ -1,6 +1,10 @@
 package engine
 
 import (
+	"fmt"
+	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 
 	"secureblox/internal/datalog"
@@ -42,23 +46,25 @@ func TestRelationInsertDeleteContains(t *testing.T) {
 	}
 }
 
-func TestRelationContainsVals(t *testing.T) {
+func TestRelationLookup(t *testing.T) {
 	r := relOf(t, 3)
-	r.Insert(tup(1, 2, 3), false)
-	if !r.ContainsVals([]datalog.Value{datalog.Int64(1), datalog.Int64(2), datalog.Int64(3)}) {
-		t.Fatal("ContainsVals missed stored tuple")
+	stored := tup(1, 2, 3)
+	r.Insert(stored, false)
+	got, ok := r.Lookup([]datalog.Value{datalog.Int64(1), datalog.Int64(2), datalog.Int64(3)})
+	if !ok || &got[0] != &stored[0] {
+		t.Fatal("Lookup must hand out the stored tuple")
 	}
-	if r.ContainsVals([]datalog.Value{datalog.Int64(1), datalog.Int64(2), datalog.Int64(4)}) {
-		t.Fatal("ContainsVals false positive")
+	if _, ok := r.Lookup([]datalog.Value{datalog.Int64(1), datalog.Int64(2), datalog.Int64(4)}); ok {
+		t.Fatal("Lookup false positive")
 	}
 	// A shorter value sequence may hash differently or equal — either way it
 	// must not match a longer stored tuple.
-	if r.ContainsVals([]datalog.Value{datalog.Int64(1), datalog.Int64(2)}) {
-		t.Fatal("arity-mismatched ContainsVals")
+	if _, ok := r.Lookup([]datalog.Value{datalog.Int64(1), datalog.Int64(2)}); ok {
+		t.Fatal("arity-mismatched Lookup")
 	}
 }
 
-func probeAll(r *Relation, idx *colIndex, vals ...datalog.Value) []datalog.Tuple {
+func probeAll(r *Relation, idx *hashIndex, vals ...datalog.Value) []datalog.Tuple {
 	var out []datalog.Tuple
 	r.Probe(idx, vals, func(t datalog.Tuple) bool {
 		out = append(out, t)
@@ -134,5 +140,475 @@ func TestFunctionalIndexHashed(t *testing.T) {
 	}
 	if r.Insert(tup(1, 11), false) != InsertedNew {
 		t.Fatal("key not reusable after delete")
+	}
+}
+
+// checkStore verifies the row store's structure: every live row is linked
+// exactly once into every index, in the bucket its projection hashes to, and
+// no chain reaches a freed row — so a deleted or rejected tuple has left no
+// trace anywhere.
+func checkStore(r *Relation) error {
+	live := 0
+	for id := range r.rows {
+		if r.flags[id]&rowLive != 0 {
+			live++
+		} else if r.rows[id] != nil || r.flags[id] != 0 {
+			return fmt.Errorf("freed row %d still holds %v (flags %b)", id, r.rows[id], r.flags[id])
+		}
+	}
+	if live != r.n || live+len(r.free) != len(r.rows) {
+		return fmt.Errorf("%d live rows, Len %d, %d free of %d ids", live, r.n, len(r.free), len(r.rows))
+	}
+	for xi, x := range r.idx {
+		seen, linked := make([]bool, len(r.rows)), 0
+		for b, id := range x.heads {
+			for ; id != 0; id = x.ents[id-1].next {
+				row := id - 1
+				if r.flags[row]&rowLive == 0 {
+					return fmt.Errorf("index %d (cols %v) reaches freed row %d", xi, x.cols, row)
+				}
+				if seen[row] {
+					return fmt.Errorf("index %d (cols %v) links row %d twice", xi, x.cols, row)
+				}
+				seen[row] = true
+				linked++
+				h := r.rows[row].Hash()
+				if x.cols != nil {
+					h = r.rows[row].HashCols(x.cols)
+				}
+				if x.ents[row].hash != uint32(h) || int(uint32(h)&uint32(len(x.heads)-1)) != b {
+					return fmt.Errorf("index %d (cols %v): row %d %v sits in the wrong chain", xi, x.cols, row, r.rows[row])
+				}
+			}
+		}
+		if linked != live {
+			return fmt.Errorf("index %d (cols %v) links %d rows of %d", xi, x.cols, linked, live)
+		}
+	}
+	return nil
+}
+
+// storeModel is the naive reference: a slice of tuples with base flags.
+type storeModel struct {
+	keyArity int
+	rows     []datalog.Tuple
+	base     []bool
+}
+
+func (m *storeModel) find(t datalog.Tuple) int {
+	return slices.IndexFunc(m.rows, func(o datalog.Tuple) bool { return o.Equal(t) })
+}
+
+func (m *storeModel) insert(t datalog.Tuple, base bool) InsertResult {
+	if i := m.find(t); i >= 0 {
+		m.base[i] = m.base[i] || base
+		return InsertedDup
+	}
+	if m.keyArity >= 0 {
+		for _, o := range m.rows {
+			if datalog.Tuple(o[:m.keyArity]).Equal(t[:m.keyArity]) {
+				return InsertedFDConflict
+			}
+		}
+	}
+	m.rows, m.base = append(m.rows, t), append(m.base, base)
+	return InsertedNew
+}
+
+func (m *storeModel) delete(t datalog.Tuple) bool {
+	i := m.find(t)
+	if i < 0 {
+		return false
+	}
+	m.rows, m.base = slices.Delete(m.rows, i, i+1), slices.Delete(m.base, i, i+1)
+	return true
+}
+
+// matching returns the model's tuples whose projection onto cols is vals.
+func (m *storeModel) matching(cols []int, vals []datalog.Value) []datalog.Tuple {
+	var out []datalog.Tuple
+	for _, t := range m.rows {
+		ok := true
+		for i, c := range cols {
+			ok = ok && t[c].Equal(vals[i])
+		}
+		if ok {
+			out = append(out, t)
+		}
+	}
+	return out
+}
+
+func sameTuples(a, b []datalog.Tuple) bool {
+	key := func(ts []datalog.Tuple) []string {
+		out := make([]string, len(ts))
+		for i, t := range ts {
+			out[i] = t.Key()
+		}
+		sort.Strings(out)
+		return out
+	}
+	return slices.Equal(key(a), key(b))
+}
+
+// randValue draws from a domain small enough for duplicates, FD conflicts and
+// shared projections to be the common case, across the kinds storage treats
+// differently.
+func randValue(rng *rand.Rand) datalog.Value {
+	switch k := rng.Intn(4); rng.Intn(6) {
+	case 0:
+		return datalog.String_(fmt.Sprint("s", k))
+	case 1:
+		return datalog.BytesV([]byte{byte(k)})
+	case 2:
+		return datalog.Entity("ent", int64(k))
+	default:
+		return datalog.Int64(int64(k))
+	}
+}
+
+func randTuple(rng *rand.Rand, arity int) datalog.Tuple {
+	t := make(datalog.Tuple, arity)
+	for i := range t {
+		t[i] = randValue(rng)
+	}
+	return t
+}
+
+// TestRelationMatchesModel drives random insert / delete / base-promote /
+// probe / LookupFn / Each sequences — inserts from inside Probe and Each
+// callbacks included — against the slice model, over arities 0–5, functional
+// shapes down to the p[]=v singleton, and index-less tuple sets, checking the
+// store's structure after every mutation.
+func TestRelationMatchesModel(t *testing.T) {
+	for seed := int64(0); seed < 48; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		arity := rng.Intn(6)
+		keyArity := -1
+		if arity > 0 && rng.Intn(2) == 0 {
+			keyArity = rng.Intn(arity) // 0 is the p[]=v singleton
+		}
+		r := NewRelation(&Schema{Name: "m", Arity: arity, KeyArity: keyArity, ArgTypes: make([]string, arity)})
+		if seed%7 == 0 {
+			r, keyArity = NewTupleSet(), -1
+		}
+		m := &storeModel{keyArity: keyArity}
+		var indexes []*hashIndex
+		fail := func(format string, args ...any) {
+			t.Helper()
+			t.Fatalf("seed %d (arity %d, key arity %d): %s", seed, arity, keyArity, fmt.Sprintf(format, args...))
+		}
+		mutate := func(what string) {
+			t.Helper()
+			if err := checkStore(r); err != nil {
+				fail("after %s: %v", what, err)
+			}
+			if r.Len() != len(m.rows) {
+				fail("after %s: Len %d, model %d", what, r.Len(), len(m.rows))
+			}
+		}
+		insert := func(tp datalog.Tuple, base bool) {
+			t.Helper()
+			if got, want := r.Insert(tp, base), m.insert(tp, base); got != want {
+				fail("Insert(%v, %v) = %d, model %d", tp, base, got, want)
+			}
+			mutate(fmt.Sprintf("Insert(%v)", tp))
+		}
+		maxLive := 0
+		for op := 0; op < 400; op++ {
+			maxLive = max(maxLive, len(m.rows))
+			switch c := rng.Intn(100); {
+			case c < 40:
+				insert(randTuple(rng, arity), rng.Intn(4) == 0)
+			case c < 58:
+				tp := randTuple(rng, arity)
+				if len(m.rows) > 0 && rng.Intn(3) > 0 {
+					tp = m.rows[rng.Intn(len(m.rows))] // delete something that is there
+				}
+				if got, want := r.Delete(tp), m.delete(tp); got != want {
+					fail("Delete(%v) = %v, model %v", tp, got, want)
+				}
+				mutate(fmt.Sprintf("Delete(%v)", tp))
+			case c < 62 && arity > 1 && len(indexes) < 3:
+				// Register an index part-way through: it must backfill.
+				var cols []int
+				for col := 0; col < arity; col++ {
+					if rng.Intn(2) == 0 {
+						cols = append(cols, col)
+					}
+				}
+				if len(cols) == 0 || len(cols) == arity {
+					continue
+				}
+				x := r.EnsureIndex(cols)
+				if !slices.Contains(indexes, x) {
+					indexes = append(indexes, x)
+				}
+				mutate(fmt.Sprintf("EnsureIndex(%v)", cols))
+			case c < 75 && len(indexes) > 0:
+				x := indexes[rng.Intn(len(indexes))]
+				probe := randTuple(rng, arity)
+				if len(m.rows) > 0 && rng.Intn(2) == 0 {
+					probe = m.rows[rng.Intn(len(m.rows))]
+				}
+				var vals []datalog.Value
+				for _, col := range x.cols {
+					vals = append(vals, probe[col])
+				}
+				want := m.matching(x.cols, vals)
+				if r.ProbeExists(x, vals) != (len(want) > 0) {
+					fail("ProbeExists(%v, %v) disagrees with the model", x.cols, vals)
+				}
+				// Every other probe inserts from its callback: tuples with the
+				// probed projection (they extend the very chain being walked)
+				// and enough others to grow and split the tables under it.
+				var got, added []datalog.Tuple
+				r.Probe(x, vals, func(tp datalog.Tuple) bool {
+					got = append(got, tp)
+					if op%2 == 0 && len(added) < 24 {
+						for k := 0; k < 6; k++ {
+							nt := randTuple(rng, arity)
+							if k < 2 {
+								for i, col := range x.cols {
+									nt[col] = vals[i]
+								}
+							}
+							if r.Insert(nt, false) == InsertedNew {
+								added = append(added, nt)
+							}
+						}
+					}
+					return true
+				})
+				// Everything present when the probe began is visited exactly
+				// once; what the callback inserted may or may not be.
+				var old []datalog.Tuple
+				for _, tp := range got {
+					if !slices.ContainsFunc(added, tp.Equal) {
+						old = append(old, tp)
+					}
+				}
+				if !sameTuples(old, want) {
+					fail("Probe(%v, %v) visited %v (+%d of its own inserts), model %v", x.cols, vals, old, len(got)-len(old), want)
+				}
+				for _, nt := range added {
+					if m.insert(nt, false) != InsertedNew {
+						fail("store accepted %v from a probe callback, the model does not", nt)
+					}
+				}
+				mutate("inserts during Probe")
+			case c < 82:
+				var got, added []datalog.Tuple
+				before := slices.Clone(m.rows)
+				r.Each(func(tp datalog.Tuple) bool {
+					got = append(got, tp)
+					if op%2 == 0 && len(added) < 24 {
+						if nt := randTuple(rng, arity); r.Insert(nt, false) == InsertedNew {
+							added = append(added, nt)
+						}
+					}
+					return true
+				})
+				var old []datalog.Tuple
+				for _, tp := range got {
+					if !slices.ContainsFunc(added, tp.Equal) {
+						old = append(old, tp)
+					}
+				}
+				if !sameTuples(old, before) {
+					fail("Each visited %v, model %v", old, before)
+				}
+				for _, nt := range added {
+					if m.insert(nt, false) != InsertedNew {
+						fail("store accepted %v from an Each callback, the model does not", nt)
+					}
+				}
+				mutate("inserts during Each")
+				if !sameTuples(r.Tuples(), m.rows) {
+					fail("Tuples() = %v, model %v", r.Tuples(), m.rows)
+				}
+			case c < 90:
+				tp := randTuple(rng, arity)
+				if len(m.rows) > 0 && rng.Intn(2) == 0 {
+					tp = m.rows[rng.Intn(len(m.rows))]
+				}
+				i := m.find(tp)
+				stored, ok := r.Lookup(tp)
+				if ok != (i >= 0) || r.Contains(tp) != ok || (ok && !stored.Equal(tp)) {
+					fail("Lookup(%v) = %v %v, model index %d", tp, stored, ok, i)
+				}
+				if r.IsBase(tp) != (i >= 0 && m.base[i]) {
+					fail("IsBase(%v) = %v, model disagrees", tp, r.IsBase(tp))
+				}
+				if _, derived := r.Derived(tp); derived != (i >= 0 && !m.base[i]) {
+					fail("Derived(%v) = %v, model disagrees", tp, derived)
+				}
+			default:
+				if keyArity < 0 {
+					if _, ok := r.LookupFn(nil); ok {
+						fail("LookupFn on a relational predicate found something")
+					}
+					continue
+				}
+				keys := randTuple(rng, keyArity)
+				if len(m.rows) > 0 && rng.Intn(2) == 0 {
+					keys = slices.Clone(m.rows[rng.Intn(len(m.rows))][:keyArity])
+				}
+				want := m.matching(r.fn.cols, keys)
+				got, ok := r.LookupFn(keys)
+				if ok != (len(want) == 1) || (ok && !got.Equal(want[0])) {
+					fail("LookupFn(%v) = %v %v, model %v", keys, got, ok, want)
+				}
+			}
+		}
+		// Freed ids are reused: the slab never outgrows the largest extent.
+		// (Callback inserts can push the extent past maxLive within one op.)
+		if len(r.rows) > maxLive+24*6 {
+			fail("slab holds %d ids for at most %d live rows: freed ids are not reused", len(r.rows), maxLive)
+		}
+		r.Reset()
+		m.rows, m.base = nil, nil
+		mutate("Reset")
+		insert(randTuple(rng, arity), true)
+	}
+}
+
+// TestRowIDReuse: a deleted row's id is the next one handed out, in every
+// index, and the reused row is reachable through all of them.
+func TestRowIDReuse(t *testing.T) {
+	r := relOf(t, 2)
+	x := r.EnsureIndex([]int{1})
+	for i := int64(0); i < 20; i++ {
+		r.Insert(tup(i, i%3), false)
+	}
+	r.Delete(tup(7, 1))
+	r.Delete(tup(3, 0))
+	r.Insert(tup(100, 1), false)
+	r.Insert(tup(101, 1), false)
+	r.Insert(tup(102, 1), false)
+	if len(r.rows) != 21 || len(r.free) != 0 {
+		t.Fatalf("20 - 2 + 3 rows take %d ids with %d free, want 21 and 0", len(r.rows), len(r.free))
+	}
+	if got := probeAll(r, x, datalog.Int64(1)); len(got) != 9 {
+		t.Fatalf("col1=1 probe finds %d tuples, want 9 (7 - 1 + 3)", len(got))
+	}
+	if err := checkStore(r); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// storeSnapshot captures what a rolled-back transaction must restore: every
+// relation's extent with base flags, the entity counters, the Skolem table
+// size and the tuple-block mark.
+func storeSnapshot(t *testing.T, w *Workspace) string {
+	t.Helper()
+	var out []string
+	for _, pred := range w.Predicates() {
+		rel := w.rels[pred]
+		if err := checkStore(rel); err != nil {
+			t.Fatalf("%s: %v", pred, err)
+		}
+		for _, tp := range rel.Tuples() {
+			out = append(out, fmt.Sprintf("%s%v base=%v", pred, tp, rel.IsBase(tp)))
+		}
+	}
+	sort.Strings(out)
+	return fmt.Sprintf("%v\ncounters %v skolems %d blocks %d/%d", out, w.entCounters, len(w.skolems), len(w.blocks.cur), cap(w.blocks.cur))
+}
+
+// TestRollbackRestoresStore: a rejected transaction — one that inserted,
+// derived through several rounds, minted entities and replaced aggregate
+// values before a constraint failed — leaves extents, base flags, every
+// index, the entity counters and the tuple-block mark exactly as they were.
+func TestRollbackRestoresStore(t *testing.T) {
+	w := NewWorkspace(nil)
+	prog, err := datalog.Parse(`
+		tok(T) -> .
+		link(X, Y) -> int(X), int(Y).
+		reach(X, Y) <- link(X, Y).
+		reach(X, Z) <- link(X, Y), reach(Y, Z).
+		hops[X] = C <- agg<<C = count(Y)>> reach(X, Y).
+		far[X] = M <- agg<<M = max(Y)>> reach(X, Y).
+		tok(T), owner[T] = X <- link(X, X).
+		reach(X, Y) -> X < 50, Y < 50.
+	`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Install(prog); err != nil {
+		t.Fatal(err)
+	}
+	var facts []Fact
+	for i := int64(0); i < 12; i++ {
+		facts = append(facts, Fact{Pred: "link", Tuple: tup(i, (i+1)%12)}, Fact{Pred: "link", Tuple: tup(i, (i*5)%12)})
+	}
+	if _, err := w.Assert(facts); err != nil {
+		t.Fatal(err)
+	}
+	want := storeSnapshot(t, w)
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 50; i++ {
+		var bad []Fact
+		for j := 0; j < 1+rng.Intn(6); j++ {
+			x := int64(rng.Intn(14))
+			bad = append(bad, Fact{Pred: "link", Tuple: tup(x, int64(rng.Intn(14)))}, Fact{Pred: "link", Tuple: tup(x, x)})
+		}
+		// Reachable from the cycle, out of the constraint's range: the
+		// violation appears rounds after the transaction started deriving.
+		bad = append(bad, Fact{Pred: "link", Tuple: tup(int64(rng.Intn(12)), 60+int64(i))})
+		if _, err := w.Assert(bad); err == nil {
+			t.Fatal("transaction must be rejected")
+		}
+		if got := storeSnapshot(t, w); got != want {
+			t.Fatalf("rejected transaction %d changed the store:\n--- before ---\n%s\n--- after ---\n%s", i, want, got)
+		}
+	}
+	// And a retraction that a constraint rejects. (Install the constraint
+	// now: it holds today and fails once node 0's only inbound link goes.)
+	guard, err := datalog.Parse(`hops[X] = C -> C > 11.`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Install(guard); err != nil {
+		t.Fatal(err)
+	}
+	want = storeSnapshot(t, w)
+	if err := w.Retract([]Fact{{Pred: "link", Tuple: tup(11, 0)}}); err == nil {
+		t.Fatal("retraction must be rejected")
+	}
+	if got := storeSnapshot(t, w); got != want {
+		t.Fatalf("rejected retraction changed the store:\n--- before ---\n%s\n--- after ---\n%s", want, got)
+	}
+}
+
+// TestHashCollisionsAreVerified: two different tuples with the same stored
+// hash are two members — a collision is resolved by equality, never by
+// treating the newcomer as present (which, in dist's sent-set, would suppress
+// a send).
+func TestHashCollisionsAreVerified(t *testing.T) {
+	// Indexes keep 32 bits of the hash, so a birthday search over a few
+	// hundred thousand strings finds two tuples they cannot tell apart.
+	byHash := make(map[uint32]datalog.Tuple)
+	var a, b datalog.Tuple
+	for i := 0; a == nil; i++ {
+		tp := datalog.Tuple{datalog.String_(fmt.Sprint("k", i))}
+		h := uint32(tp.Hash())
+		if prev, dup := byHash[h]; dup {
+			a, b = prev, tp
+		}
+		byHash[h] = tp
+	}
+	set := NewTupleSet()
+	if set.Insert(a, false) != InsertedNew || set.Contains(b) {
+		t.Fatalf("%v is reported present because %v collides with it", b, a)
+	}
+	if set.Insert(b, false) != InsertedNew || set.Len() != 2 {
+		t.Fatal("colliding tuple was not stored as a second member")
+	}
+	if !set.Delete(a) || set.Contains(a) || !set.Contains(b) {
+		t.Fatal("deleting one colliding tuple must leave the other")
+	}
+	if err := checkStore(set); err != nil {
+		t.Fatal(err)
 	}
 }

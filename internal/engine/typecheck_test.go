@@ -117,7 +117,7 @@ func TestBytesLiteralRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	tp := w.Tuples("blob")[0]
-	if tp[0].Kind != datalog.KindBytes || len(tp[0].Bytes) != 4 || tp[0].Bytes[0] != 0xDE {
+	if tp[0].Kind != datalog.KindBytes || len(tp[0].Bytes()) != 4 || tp[0].Bytes()[0] != 0xDE {
 		t.Fatalf("bytes literal parsed wrong: %s", tp[0])
 	}
 	// reified form re-parses

@@ -36,15 +36,10 @@ func (v *ConstraintViolation) Error() string {
 	return "constraint violation: " + v.Constraint + " (" + v.Detail + ")"
 }
 
-type opKind uint8
-
-const (
-	opInsert opKind = iota
-	opDelete
-)
-
+// op is one undo-log entry: an insert, or the delete of a tuple that was (or
+// was not) a base fact.
 type op struct {
-	kind    opKind
+	del     bool
 	pred    string
 	tuple   datalog.Tuple
 	wasBase bool
@@ -56,10 +51,67 @@ type txn struct {
 	ops         []op
 	skolemKeys  []string
 	counterSnap map[string]int64
+	mark        tupleBlocks // where the tuple blocks stood when the transaction began
 }
 
-func newTxn() *txn {
-	return &txn{inserted: make(map[string][]datalog.Tuple), counterSnap: make(map[string]int64)}
+// begin starts a transaction. A workspace runs one at a time, so the undo log
+// and the snapshot tables are the previous transaction's, emptied; only
+// inserted is new, because a committed TxnResult hands it to the caller.
+func (w *Workspace) begin() *txn {
+	t := &w.txn
+	clear(t.ops) // drop the references to tuples the last transaction deleted
+	t.ops, t.skolemKeys = t.ops[:0], t.skolemKeys[:0]
+	clear(t.counterSnap)
+	t.inserted = make(map[string][]datalog.Tuple)
+	t.mark = w.blocks
+	return t
+}
+
+// tupleBlocks hands out the storage of derived tuples from chunked,
+// geometrically growing blocks instead of one allocation each. A block is
+// only appended to and a tuple's slice is capped at its length, so tuples
+// never alias; a block is collected once no stored tuple points into it. cur
+// is the whole state: saving it is a mark, restoring it gives back everything
+// handed out since.
+type tupleBlocks struct {
+	cur []datalog.Value // the block being filled: len is the used part, cap its size
+}
+
+// Block sizes in values: small first, for the many workspaces that stay
+// small; capped, to bound what one surviving tuple can pin.
+const minTupleBlock, maxTupleBlock = 64, 4096
+
+// copy returns a stable copy of vals.
+func (b *tupleBlocks) copy(vals []datalog.Value) datalog.Tuple {
+	if cap(b.cur)-len(b.cur) < len(vals) {
+		size := min(max(2*cap(b.cur), minTupleBlock), maxTupleBlock)
+		b.cur = make([]datalog.Value, 0, max(size, len(vals)))
+	}
+	n := len(b.cur)
+	b.cur = append(b.cur, vals...)
+	return datalog.Tuple(b.cur[n:len(b.cur):len(b.cur)])
+}
+
+// aggGroup accumulates one group of an aggregate recompute.
+type aggGroup struct{ acc, n int64 }
+
+// factSet is a set of facts: per predicate, a hashed tuple set verified by
+// equality.
+type factSet map[string]*Relation
+
+// add inserts the fact, reporting whether it was new.
+func (s factSet) add(pred string, tup datalog.Tuple) bool {
+	m := s[pred]
+	if m == nil {
+		m = NewTupleSet()
+		s[pred] = m
+	}
+	return m.Insert(tup, false) == InsertedNew
+}
+
+func (s factSet) has(pred string, tup datalog.Tuple) bool {
+	m := s[pred]
+	return m != nil && m.Contains(tup)
 }
 
 // Workspace is a LogicBlox-style database instance: predicate definitions,
@@ -88,6 +140,16 @@ type Workspace struct {
 	// roundRules/roundAggs are fixpoint's per-round rule lists, kept across
 	// rounds and transactions so a round allocates neither.
 	roundRules, roundAggs []*CompiledRule
+	// txn is the one transaction record (see begin), blocks the storage of
+	// derived tuples, freeDeltas the emptied delta maps awaiting reuse.
+	txn        txn
+	blocks     tupleBlocks
+	freeDeltas []map[string][]datalog.Tuple
+	// recomputeAgg's group table, reused by every recompute: the keys as a
+	// tuple set, the accumulators by its row ids, the keys' storage.
+	aggKeys    *Relation
+	aggCells   []aggGroup
+	aggScratch tupleBlocks
 
 	// Unstratified holds diagnostics for rules whose negation or
 	// aggregation is cyclic through their own head (evaluated against
@@ -148,7 +210,9 @@ func NewWorkspace(udfs *UDFRegistry) *Workspace {
 		rulesByBody: make(map[string][]*CompiledRule),
 		aggByBody:   make(map[string][]*CompiledRule),
 		rulesByHead: make(map[string][]*CompiledRule),
+		aggKeys:     NewTupleSet(),
 	}
+	w.txn.counterSnap = make(map[string]int64)
 	w.env = evalEnv{w: w, stats: &w.stats}
 	for name := range w.cat.schemas {
 		w.ensureRelation(name)
@@ -156,12 +220,20 @@ func NewWorkspace(udfs *UDFRegistry) *Workspace {
 	return w
 }
 
-// seqFrame returns the rule's cached frame for single-threaded evaluation.
-func (r *CompiledRule) seqFrame() *frame {
-	if r.fcache == nil {
-		r.fcache = newFrame(r.nSlots, r.slotNames)
+// deltaMap returns an empty predicate → tuples map for one fixpoint round,
+// reusing the maps earlier rounds and transactions released.
+func (w *Workspace) deltaMap() map[string][]datalog.Tuple {
+	if k := len(w.freeDeltas); k > 0 {
+		m := w.freeDeltas[k-1]
+		w.freeDeltas = w.freeDeltas[:k-1]
+		return m
 	}
-	return r.fcache
+	return make(map[string][]datalog.Tuple)
+}
+
+func (w *Workspace) releaseDelta(m map[string][]datalog.Tuple) {
+	clear(m)
+	w.freeDeltas = append(w.freeDeltas, m)
 }
 
 // Catalog exposes the workspace's predicate catalog.
@@ -187,29 +259,29 @@ func (w *Workspace) ensureRelation(name string) *Relation {
 // Install compiles a program (declarations, rules, constraints, facts) into
 // the workspace, runs initial evaluation, and checks all constraints. On any
 // error the workspace is restored to its prior state.
-func (w *Workspace) Install(prog *datalog.Program) error {
+func (w *Workspace) Install(prog *datalog.Program) (err error) {
 	if w.InstallCheck != nil {
 		if err := w.InstallCheck(prog); err != nil {
 			return err
 		}
 	}
 	defer w.publishStats()
-	t := newTxn()
+	t := w.begin()
 	nRules, nAgg, nCons := len(w.rules), len(w.aggRules), len(w.constraints)
-
-	restore := func() {
-		w.rollback(t)
-		w.rules = w.rules[:nRules]
-		w.aggRules = w.aggRules[:nAgg]
-		w.constraints = w.constraints[:nCons]
-		w.rebuildIndexes()
-	}
+	defer func() {
+		if err != nil {
+			w.rollback(t)
+			w.rules = w.rules[:nRules]
+			w.aggRules = w.aggRules[:nAgg]
+			w.constraints = w.constraints[:nCons]
+			w.rebuildIndexes()
+		}
+	}()
 
 	// Declarations first so later compilation sees schemas.
 	for _, con := range prog.Constraints {
 		if IsDeclaration(con) {
 			if _, err := w.cat.DeclareFromConstraint(con); err != nil {
-				restore()
 				return err
 			}
 			w.ensureRelation(con.Lhs[0].Atom.ConcreteName())
@@ -219,15 +291,12 @@ func (w *Workspace) Install(prog *datalog.Program) error {
 	for _, r := range prog.Rules {
 		cr, err := w.planRule(r)
 		if err != nil {
-			restore()
 			return err
 		}
 		if err := w.checkRuleTypes(cr); err != nil {
-			restore()
 			return err
 		}
 		if err := w.finalizeRule(cr); err != nil {
-			restore()
 			return err
 		}
 		newRules = append(newRules, cr)
@@ -242,28 +311,24 @@ func (w *Workspace) Install(prog *datalog.Program) error {
 	for _, con := range prog.Constraints {
 		cc, err := w.compileConstraint(con)
 		if err != nil {
-			restore()
 			return err
 		}
 		w.constraints = append(w.constraints, cc)
 	}
 	w.rebuildIndexes()
 	if err := w.checkStratification(); err != nil {
-		restore()
 		return err
 	}
 
 	// Source facts.
-	delta := make(map[string][]datalog.Tuple)
+	delta := w.deltaMap()
 	for _, f := range prog.Facts {
 		fact, err := w.groundFact(f)
 		if err != nil {
-			restore()
 			return err
 		}
 		isNew, err := w.insertTxn(t, fact.Pred, fact.Tuple, true)
 		if err != nil {
-			restore()
 			return err
 		}
 		if isNew {
@@ -280,19 +345,13 @@ func (w *Workspace) Install(prog *datalog.Program) error {
 			err = w.evalRuleInto(t, cr, delta)
 		}
 		if err != nil {
-			restore()
 			return err
 		}
 	}
 	if err := w.fixpoint(t, delta); err != nil {
-		restore()
 		return err
 	}
-	if err := w.checkAllConstraints(); err != nil {
-		restore()
-		return err
-	}
-	return nil
+	return w.checkAllConstraints()
 }
 
 func (w *Workspace) groundFact(a *datalog.Atom) (Fact, error) {
@@ -427,7 +486,7 @@ func (w *Workspace) insertTxn(t *txn, pred string, tuple datalog.Tuple, base boo
 	}
 	switch rel.Insert(tuple, base) {
 	case InsertedNew:
-		t.ops = append(t.ops, op{kind: opInsert, pred: pred, tuple: tuple})
+		t.ops = append(t.ops, op{pred: pred, tuple: tuple})
 		t.inserted[pred] = append(t.inserted[pred], tuple)
 		return true, nil
 	case InsertedDup:
@@ -448,7 +507,7 @@ func (w *Workspace) deleteTxn(t *txn, pred string, tuple datalog.Tuple) {
 	}
 	wasBase := rel.IsBase(tuple)
 	if rel.Delete(tuple) {
-		t.ops = append(t.ops, op{kind: opDelete, pred: pred, tuple: tuple, wasBase: wasBase})
+		t.ops = append(t.ops, op{del: true, pred: pred, tuple: tuple, wasBase: wasBase})
 	}
 }
 
@@ -459,10 +518,10 @@ func (w *Workspace) rollback(t *txn) {
 		if rel == nil {
 			continue
 		}
-		if o.kind == opInsert {
-			rel.Delete(o.tuple)
-		} else {
+		if o.del {
 			rel.Insert(o.tuple, o.wasBase)
+		} else {
+			rel.Delete(o.tuple)
 		}
 	}
 	for _, k := range t.skolemKeys {
@@ -471,6 +530,7 @@ func (w *Workspace) rollback(t *txn) {
 	for typ, n := range t.counterSnap {
 		w.entCounters[typ] = n
 	}
+	w.blocks = t.mark // nothing references what the transaction derived any more
 }
 
 // evalRuleInto fully evaluates one non-aggregate rule in its static order
@@ -514,9 +574,7 @@ func (w *Workspace) skolemBase(r *CompiledRule, f *frame) string {
 
 // derive materializes all head atoms of a rule for one body binding,
 // creating Skolemized entities for head-existential variables. Head tuples
-// are built in a stack buffer and checked against the relation before
-// allocating, so rederiving an existing tuple — the overwhelmingly common
-// case inside a fixpoint — is allocation-free.
+// are built in a stack buffer and handed to insertDerived.
 func (w *Workspace) derive(t *txn, r *CompiledRule, f *frame, next map[string][]datalog.Tuple) error {
 	mark := f.mark()
 	defer f.undo(mark)
@@ -539,12 +597,8 @@ func (w *Workspace) derive(t *txn, r *CompiledRule, f *frame, next map[string][]
 				t.skolemKeys = append(t.skolemKeys, key)
 			}
 			f.bind(ex.slot, ent)
-			isNew, err := w.insertTxn(t, ex.entType, datalog.Tuple{ent}, false)
-			if err != nil {
+			if err := w.insertDerived(t, ex.entType, w.ensureRelation(ex.entType), []datalog.Value{ent}, next); err != nil {
 				return err
-			}
-			if isNew && next != nil {
-				next[ex.entType] = append(next[ex.entType], datalog.Tuple{ent})
 			}
 		}
 	}
@@ -560,42 +614,52 @@ func (w *Workspace) derive(t *txn, r *CompiledRule, f *frame, next map[string][]
 			}
 			vals = append(vals, v)
 		}
-		if r.headRels[hi].ContainsVals(vals) {
-			continue // already present: nothing to insert, log, or propagate
-		}
-		tuple := append(datalog.Tuple(nil), vals...)
-		isNew, err := w.insertTxn(t, h.ConcreteName(), tuple, false)
-		if err != nil {
+		if err := w.insertDerived(t, h.ConcreteName(), r.headRels[hi], vals, next); err != nil {
 			return err
 		}
-		if isNew && next != nil {
-			next[h.ConcreteName()] = append(next[h.ConcreteName()], tuple)
-		}
+	}
+	return nil
+}
+
+// insertDerived adds one derived tuple of rel (pred's relation) and extends
+// next with it, unless rel already holds it. vals is the caller's scratch:
+// only a new tuple is copied into the tuple blocks, so rederiving an existing
+// one — the overwhelmingly common case inside a fixpoint — has nothing to
+// insert, log, propagate or allocate.
+func (w *Workspace) insertDerived(t *txn, pred string, rel *Relation, vals []datalog.Value, next map[string][]datalog.Tuple) error {
+	if _, ok := rel.Lookup(vals); ok {
+		return nil
+	}
+	tuple := w.blocks.copy(vals)
+	isNew, err := w.insertTxn(t, pred, tuple, false)
+	if err != nil {
+		return err
+	}
+	if isNew && next != nil {
+		next[pred] = append(next[pred], tuple)
 	}
 	return nil
 }
 
 // recomputeAgg fully re-evaluates an aggregation rule and replaces changed
 // group values (replacement semantics: the old tuple is removed without
-// retraction of its prior consequences — see DESIGN.md).
+// retraction of its prior consequences — see DESIGN.md). It leaves the keys of
+// every group the body still supports in w.aggKeys.
 func (w *Workspace) recomputeAgg(t *txn, r *CompiledRule, next map[string][]datalog.Tuple) error {
-	head := r.heads[0]
-	keyN := head.KeyArity
-	type group struct {
-		keys datalog.Tuple
-		acc  int64
-		n    int64
-	}
-	groups := make(map[string]*group)
+	keyN := r.heads[0].KeyArity
+	groups := w.aggKeys
+	groups.Reset()
+	w.aggCells, w.aggScratch.cur = w.aggCells[:0], w.aggScratch.cur[:0]
 
 	err := w.env.runSteps(r.steps, 0, r.seqFrame(), func(f *frame) error {
-		keys := make(datalog.Tuple, keyN)
+		var buf [8]datalog.Value
+		keys := buf[:0]
 		for i := 0; i < keyN; i++ {
 			v, err := evalCterm(&r.cheads[0][i], f)
 			if err != nil {
 				return err
 			}
-			keys[i] = v
+			keys = append(keys, v)
 		}
 		var over datalog.Value
 		if r.agg.Over != "" {
@@ -608,28 +672,21 @@ func (w *Workspace) recomputeAgg(t *txn, r *CompiledRule, next map[string][]data
 			}
 			over = v
 		}
-		gk := keys.Key()
-		g, ok := groups[gk]
-		if !ok {
-			g = &group{keys: keys}
-			groups[gk] = g
-			switch r.agg.Func {
-			case "min", "max", "sum":
-				g.acc = over.Int
-			}
-			g.n = 1
+		id := groups.rowOf(keys)
+		if id < 0 {
+			// groups only grows between resets, so the new row's id is the
+			// next index of aggCells. (over.Int is 0 for a bare count.)
+			groups.Insert(w.aggScratch.copy(keys), false)
+			w.aggCells = append(w.aggCells, aggGroup{acc: over.Int, n: 1})
 			return nil
 		}
+		g := &w.aggCells[id]
 		g.n++
 		switch r.agg.Func {
 		case "min":
-			if over.Int < g.acc {
-				g.acc = over.Int
-			}
+			g.acc = min(g.acc, over.Int)
 		case "max":
-			if over.Int > g.acc {
-				g.acc = over.Int
-			}
+			g.acc = max(g.acc, over.Int)
 		case "sum":
 			g.acc += over.Int
 		}
@@ -639,35 +696,29 @@ func (w *Workspace) recomputeAgg(t *txn, r *CompiledRule, next map[string][]data
 		return err
 	}
 
-	pred := head.ConcreteName()
-	rel := w.ensureRelation(pred)
-	for _, g := range groups {
-		var result datalog.Value
+	pred := r.heads[0].ConcreteName()
+	rel := r.headRels[0]
+	for id, keys := range groups.rows {
+		result := datalog.Int64(w.aggCells[id].acc)
 		if r.agg.Func == "count" {
-			result = datalog.Int64(g.n)
-		} else {
-			result = datalog.Int64(g.acc)
+			result = datalog.Int64(w.aggCells[id].n)
 		}
-		newTuple := append(append(datalog.Tuple{}, g.keys...), result)
-		if old, ok := rel.LookupFn(g.keys); ok {
+		if old, ok := rel.LookupFn(keys); ok {
 			if old[keyN].Equal(result) {
 				continue
 			}
 			w.deleteTxn(t, pred, old)
 		}
-		isNew, err := w.insertTxn(t, pred, newTuple, false)
-		if err != nil {
+		var buf [8]datalog.Value
+		if err := w.insertDerived(t, pred, rel, append(append(buf[:0], keys...), result), next); err != nil {
 			return err
-		}
-		if isNew && next != nil {
-			next[pred] = append(next[pred], newTuple)
 		}
 	}
 	return nil
 }
 
-// fixpoint runs semi-naïve evaluation to quiescence starting from delta.
-// With Parallelism enabled it dispatches to the stratified multi-worker
+// fixpoint runs semi-naïve evaluation to quiescence starting from delta, a
+// deltaMap it takes over and releases. With Parallelism enabled it dispatches to the stratified multi-worker
 // evaluator (parallel.go); both produce the same fixpoint.
 func (w *Workspace) fixpoint(t *txn, delta map[string][]datalog.Tuple) error {
 	if w.Parallelism >= 1 {
@@ -675,7 +726,7 @@ func (w *Workspace) fixpoint(t *txn, delta map[string][]datalog.Tuple) error {
 	}
 	for len(delta) > 0 {
 		w.stats.FixpointRounds++
-		next := make(map[string][]datalog.Tuple)
+		next := w.deltaMap()
 		w.roundRules = mergeRuleLists(w.roundRules[:0], w.rulesByBody, delta)
 		w.roundAggs = mergeRuleLists(w.roundAggs[:0], w.aggByBody, delta)
 		for _, r := range w.roundRules {
@@ -688,8 +739,10 @@ func (w *Workspace) fixpoint(t *txn, delta map[string][]datalog.Tuple) error {
 				return err
 			}
 		}
+		w.releaseDelta(delta)
 		delta = next
 	}
+	w.releaseDelta(delta)
 	return nil
 }
 
@@ -721,8 +774,7 @@ func (w *Workspace) checkTxnConstraints(t *txn) error {
 			if tuples == nil {
 				continue
 			}
-			f := newFrame(c.nSlots, c.slotNames)
-			if err := w.env.runDelta(plan, tuples, f, func(f *frame) error { return w.checkBinding(c, f) }); err != nil {
+			if err := w.env.runDelta(plan, tuples, c.seqFrame(), func(f *frame) error { return w.checkBinding(c, f) }); err != nil {
 				return err
 			}
 		}
@@ -773,8 +825,7 @@ func bindingDetail(f *frame) string {
 // checkAllConstraints verifies every constraint over the full database.
 func (w *Workspace) checkAllConstraints() error {
 	for _, c := range w.constraints {
-		f := newFrame(c.nSlots, c.slotNames)
-		if err := w.env.runSteps(c.lhsSteps, 0, f, func(f *frame) error { return w.checkBinding(c, f) }); err != nil {
+		if err := w.env.runSteps(c.lhsSteps, 0, c.seqFrame(), func(f *frame) error { return w.checkBinding(c, f) }); err != nil {
 			return err
 		}
 	}
@@ -792,8 +843,8 @@ type TxnResult struct {
 // back and the violation returned, matching the paper's §5.2 semantics.
 func (w *Workspace) Assert(facts []Fact) (*TxnResult, error) {
 	defer w.publishStats()
-	t := newTxn()
-	delta := make(map[string][]datalog.Tuple)
+	t := w.begin()
+	delta := w.deltaMap()
 	for _, f := range facts {
 		isNew, err := w.insertTxn(t, f.Pred, f.Tuple, true)
 		if err != nil {
@@ -841,25 +892,17 @@ func (w *Workspace) AssertProgramFacts(src string) (*TxnResult, error) {
 // full database afterwards; any violation rolls the retraction back.
 func (w *Workspace) Retract(facts []Fact) error {
 	defer w.publishStats()
-	t := newTxn()
+	t := w.begin()
 
 	// Phase 1: overestimate deletions.
-	deleted := make(map[string]*Relation) // pred → over-deleted tuples, an index-less hashed set
-	addDel := func(pred string, tup datalog.Tuple) bool {
-		m := deleted[pred]
-		if m == nil {
-			m = NewRelation(&Schema{Name: pred, Arity: -1, KeyArity: -1})
-			deleted[pred] = m
-		}
-		return m.Insert(tup, false) == InsertedNew
-	}
+	deleted := factSet{}
 	frontier := make(map[string][]datalog.Tuple)
 	for _, f := range facts {
 		rel := w.rels[f.Pred]
 		if rel == nil || !rel.Contains(f.Tuple) {
 			continue
 		}
-		if addDel(f.Pred, f.Tuple) {
+		if deleted.add(f.Pred, f.Tuple) {
 			frontier[f.Pred] = append(frontier[f.Pred], f.Tuple)
 		}
 	}
@@ -872,7 +915,7 @@ func (w *Workspace) Retract(facts []Fact) error {
 						continue
 					}
 					err := w.env.runDelta(plan, frontier[pred], r.seqFrame(), func(f *frame) error {
-						return w.collectHeadDeletions(r, f, addDel, next)
+						return w.collectHeadDeletions(r, f, deleted, next)
 					})
 					if err != nil {
 						return err
@@ -893,14 +936,9 @@ func (w *Workspace) Retract(facts []Fact) error {
 
 	// Phase 3: rederive survivors. Base facts that were explicitly
 	// retracted stay out; everything else that is still derivable returns.
-	seedKeys := make(map[string]map[string]bool)
+	seeds := factSet{}
 	for _, f := range facts {
-		m := seedKeys[f.Pred]
-		if m == nil {
-			m = make(map[string]bool)
-			seedKeys[f.Pred] = m
-		}
-		m[f.Tuple.Key()] = true
+		seeds.add(f.Pred, f.Tuple)
 	}
 	changed := true
 	for changed {
@@ -916,7 +954,7 @@ func (w *Workspace) Retract(facts []Fact) error {
 				}
 				for np, tups := range next {
 					for _, tup := range tups {
-						if seedKeys[np][tup.Key()] {
+						if seeds.has(np, tup) {
 							// a retracted base fact must not return
 							w.deleteTxn(t, np, tup)
 							continue
@@ -946,8 +984,7 @@ func (w *Workspace) Retract(facts []Fact) error {
 
 // collectHeadDeletions computes the head tuples a binding would have derived
 // and marks existing, non-base ones for deletion.
-func (w *Workspace) collectHeadDeletions(r *CompiledRule, f *frame,
-	addDel func(string, datalog.Tuple) bool, next map[string][]datalog.Tuple) error {
+func (w *Workspace) collectHeadDeletions(r *CompiledRule, f *frame, deleted factSet, next map[string][]datalog.Tuple) error {
 	mark := f.mark()
 	defer f.undo(mark)
 	if len(r.exVars) > 0 {
@@ -961,64 +998,35 @@ func (w *Workspace) collectHeadDeletions(r *CompiledRule, f *frame,
 		}
 	}
 	for hi, h := range r.heads {
+		var buf [8]datalog.Value
+		vals := buf[:0]
 		cargs := r.cheads[hi]
-		tuple := make(datalog.Tuple, len(cargs))
 		for i := range cargs {
 			v, err := evalCterm(&cargs[i], f)
 			if err != nil {
 				return err
 			}
-			tuple[i] = v
+			vals = append(vals, v)
 		}
 		pred := h.ConcreteName()
-		rel := r.headRels[hi]
-		if !rel.IsDerived(tuple) {
-			continue
-		}
-		if addDel(pred, tuple) {
-			next[pred] = append(next[pred], tuple)
+		if stored, ok := r.headRels[hi].Derived(vals); ok && deleted.add(pred, stored) {
+			next[pred] = append(next[pred], stored)
 		}
 	}
 	return nil
 }
 
-// retractAggGroups recomputes an aggregate from scratch, deleting groups
-// that no longer exist and replacing changed values.
+// retractAggGroups recomputes an aggregate from scratch, replacing changed
+// values and deleting the groups the body no longer contributes to — the ones
+// recomputeAgg never sees.
 func (w *Workspace) retractAggGroups(t *txn, r *CompiledRule) error {
-	head := r.heads[0]
-	pred := head.ConcreteName()
-	rel := w.ensureRelation(pred)
-	// Current group keys.
-	current := make(map[string]datalog.Tuple)
-	rel.Each(func(tup datalog.Tuple) bool {
-		current[tup.KeyPrefix(head.KeyArity)] = tup
-		return true
-	})
-	next := make(map[string][]datalog.Tuple)
-	if err := w.recomputeAgg(t, r, next); err != nil {
+	if err := w.recomputeAgg(t, r, nil); err != nil {
 		return err
 	}
-	// Groups without any remaining contribution: recomputeAgg never touches
-	// them, so compare against a fresh body evaluation.
-	alive := make(map[string]bool)
-	err := w.env.runSteps(r.steps, 0, r.seqFrame(), func(f *frame) error {
-		keys := make(datalog.Tuple, head.KeyArity)
-		for i := 0; i < head.KeyArity; i++ {
-			v, err := evalCterm(&r.cheads[0][i], f)
-			if err != nil {
-				return err
-			}
-			keys[i] = v
-		}
-		alive[keys.Key()] = true
-		return nil
-	})
-	if err != nil {
-		return err
-	}
-	for gk, tup := range current {
-		if !alive[gk] {
-			w.deleteTxn(t, pred, tup)
+	ka := r.heads[0].KeyArity
+	for _, tup := range r.headRels[0].Tuples() {
+		if w.aggKeys.rowOf(tup[:ka]) < 0 {
+			w.deleteTxn(t, r.heads[0].ConcreteName(), tup)
 		}
 	}
 	return nil

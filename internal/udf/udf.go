@@ -76,16 +76,16 @@ func RegisterWithPools(reg *engine.UDFRegistry, ks *seccrypto.KeyStore, rng io.R
 		&anonDeserializeUDF{},
 		&engine.FuncUDF{FName: "rsa_sign", InArity: -1, OutArity: 1,
 			Fn: func(param string, in []datalog.Value) ([]datalog.Value, bool, error) {
-				sig, err := sign(in[0].Bytes, sigData(param, in[1:]))
+				sig, err := sign(in[0].Bytes(), sigData(param, in[1:]))
 				if err != nil {
 					return nil, false, fmt.Errorf("rsa_sign: %w", err)
 				}
-				return []datalog.Value{datalog.BytesV(sig)}, true, nil
+				return []datalog.Value{datalog.OwnedBytes(sig)}, true, nil
 			}},
 		&engine.FuncUDF{FName: "rsa_verify", InArity: -1, OutArity: 0,
 			Fn: func(param string, in []datalog.Value) ([]datalog.Value, bool, error) {
 				n := len(in)
-				return nil, verify(in[0].Bytes, sigData(param, in[1:n-1]), in[n-1].Bytes), nil
+				return nil, verify(in[0].Bytes(), sigData(param, in[1:n-1]), in[n-1].Bytes()), nil
 			}},
 		// rsa_sign_batch(K, D, S) / rsa_verify_batch(K, D, S) operate on a
 		// precomputed batch digest (wire.BatchDigest) instead of the
@@ -95,25 +95,25 @@ func RegisterWithPools(reg *engine.UDFRegistry, ks *seccrypto.KeyStore, rng io.R
 		// operation plus cache hits.
 		&engine.FuncUDF{FName: "rsa_sign_batch", InArity: 2, OutArity: 1,
 			Fn: func(_ string, in []datalog.Value) ([]datalog.Value, bool, error) {
-				sig, err := sign(in[0].Bytes, in[1].Bytes)
+				sig, err := sign(in[0].Bytes(), in[1].Bytes())
 				if err != nil {
 					return nil, false, fmt.Errorf("rsa_sign_batch: %w", err)
 				}
-				return []datalog.Value{datalog.BytesV(sig)}, true, nil
+				return []datalog.Value{datalog.OwnedBytes(sig)}, true, nil
 			}},
 		&engine.FuncUDF{FName: "rsa_verify_batch", InArity: 3, OutArity: 0,
 			Fn: func(_ string, in []datalog.Value) ([]datalog.Value, bool, error) {
-				return nil, verify(in[0].Bytes, in[1].Bytes, in[2].Bytes), nil
+				return nil, verify(in[0].Bytes(), in[1].Bytes(), in[2].Bytes()), nil
 			}},
 		&engine.FuncUDF{FName: "hmac_sign", InArity: -1, OutArity: 1,
 			Fn: func(param string, in []datalog.Value) ([]datalog.Value, bool, error) {
-				tag := seccrypto.HMACSign(in[0].Bytes, sigData(param, in[1:]))
-				return []datalog.Value{datalog.BytesV(tag)}, true, nil
+				tag := seccrypto.HMACSign(in[0].Bytes(), sigData(param, in[1:]))
+				return []datalog.Value{datalog.OwnedBytes(tag)}, true, nil
 			}},
 		&engine.FuncUDF{FName: "hmac_verify", InArity: -1, OutArity: 0,
 			Fn: func(param string, in []datalog.Value) ([]datalog.Value, bool, error) {
 				n := len(in)
-				ok := seccrypto.HMACVerify(in[0].Bytes, sigData(param, in[1:n-1]), in[n-1].Bytes)
+				ok := seccrypto.HMACVerify(in[0].Bytes(), sigData(param, in[1:n-1]), in[n-1].Bytes())
 				return nil, ok, nil
 			}},
 		&engine.FuncUDF{FName: "noauth_sign", InArity: -1, OutArity: 1,
@@ -128,19 +128,19 @@ func RegisterWithPools(reg *engine.UDFRegistry, ks *seccrypto.KeyStore, rng io.R
 			Fn: func(_ string, in []datalog.Value) ([]datalog.Value, bool, error) {
 				// Deterministic IV keeps re-derivation idempotent (see
 				// seccrypto.AESEncryptDetIV).
-				ct, err := seccrypto.AESEncryptDetIV(in[1].Bytes, in[0].Bytes)
+				ct, err := seccrypto.AESEncryptDetIV(in[1].Bytes(), in[0].Bytes())
 				if err != nil {
 					return nil, false, err
 				}
-				return []datalog.Value{datalog.BytesV(ct)}, true, nil
+				return []datalog.Value{datalog.OwnedBytes(ct)}, true, nil
 			}},
 		&engine.FuncUDF{FName: "aesdecrypt", InArity: 2, OutArity: 1,
 			Fn: func(_ string, in []datalog.Value) ([]datalog.Value, bool, error) {
-				pt, err := seccrypto.AESDecrypt(in[1].Bytes, in[0].Bytes)
+				pt, err := seccrypto.AESDecrypt(in[1].Bytes(), in[0].Bytes())
 				if err != nil {
 					return nil, false, nil // corrupted ciphertext: no match
 				}
-				return []datalog.Value{datalog.BytesV(pt)}, true, nil
+				return []datalog.Value{datalog.OwnedBytes(pt)}, true, nil
 			}},
 		&engine.FuncUDF{FName: "anon_encrypt", InArity: 2, OutArity: 1,
 			Fn: func(_ string, in []datalog.Value) ([]datalog.Value, bool, error) {
@@ -148,11 +148,11 @@ func RegisterWithPools(reg *engine.UDFRegistry, ks *seccrypto.KeyStore, rng io.R
 				if keys == nil {
 					return nil, false, fmt.Errorf("anon_encrypt: no onion keys for circuit %s", in[0])
 				}
-				ct, err := seccrypto.OnionEncrypt(keys, in[1].Bytes, rng)
+				ct, err := seccrypto.OnionEncrypt(keys, in[1].Bytes(), rng)
 				if err != nil {
 					return nil, false, err
 				}
-				return []datalog.Value{datalog.BytesV(ct)}, true, nil
+				return []datalog.Value{datalog.OwnedBytes(ct)}, true, nil
 			}},
 		&engine.FuncUDF{FName: "anon_encrypt_back", InArity: 2, OutArity: 1,
 			// One backward layer with this node's circuit key (replies
@@ -162,11 +162,11 @@ func RegisterWithPools(reg *engine.UDFRegistry, ks *seccrypto.KeyStore, rng io.R
 				if key == nil {
 					return nil, false, nil
 				}
-				ct, err := seccrypto.AESEncryptDetIV(key, in[1].Bytes)
+				ct, err := seccrypto.AESEncryptDetIV(key, in[1].Bytes())
 				if err != nil {
 					return nil, false, err
 				}
-				return []datalog.Value{datalog.BytesV(ct)}, true, nil
+				return []datalog.Value{datalog.OwnedBytes(ct)}, true, nil
 			}},
 		&engine.FuncUDF{FName: "anon_decrypt_back", InArity: 2, OutArity: 1,
 			// The initiator peels every backward layer (first hop's key
@@ -176,7 +176,7 @@ func RegisterWithPools(reg *engine.UDFRegistry, ks *seccrypto.KeyStore, rng io.R
 				if keys == nil {
 					return nil, false, nil
 				}
-				pt := in[1].Bytes
+				pt := in[1].Bytes()
 				for _, k := range keys {
 					var err error
 					pt, err = seccrypto.AESDecrypt(k, pt)
@@ -184,7 +184,7 @@ func RegisterWithPools(reg *engine.UDFRegistry, ks *seccrypto.KeyStore, rng io.R
 						return nil, false, nil
 					}
 				}
-				return []datalog.Value{datalog.BytesV(pt)}, true, nil
+				return []datalog.Value{datalog.OwnedBytes(pt)}, true, nil
 			}},
 		&engine.FuncUDF{FName: "anon_decrypt", InArity: 2, OutArity: 1,
 			Fn: func(_ string, in []datalog.Value) ([]datalog.Value, bool, error) {
@@ -192,11 +192,11 @@ func RegisterWithPools(reg *engine.UDFRegistry, ks *seccrypto.KeyStore, rng io.R
 				if key == nil {
 					return nil, false, nil
 				}
-				pt, err := seccrypto.OnionPeel(key, in[1].Bytes)
+				pt, err := seccrypto.OnionPeel(key, in[1].Bytes())
 				if err != nil {
 					return nil, false, nil
 				}
-				return []datalog.Value{datalog.BytesV(pt)}, true, nil
+				return []datalog.Value{datalog.OwnedBytes(pt)}, true, nil
 			}},
 	}
 	for _, u := range udfs {
@@ -260,8 +260,8 @@ func (*serializeUDF) CanEval(bound []bool) bool {
 }
 
 func (*serializeUDF) Eval(param string, args []datalog.Value, bound []bool) ([][]datalog.Value, error) {
-	p := wire.Payload{Pred: param, Sig: args[0].Bytes, Vals: datalog.Tuple(args[2:])}
-	t := datalog.BytesV(wire.EncodePayload(p))
+	p := wire.Payload{Pred: param, Sig: args[0].Bytes(), Vals: datalog.Tuple(args[2:])}
+	t := datalog.OwnedBytes(wire.EncodePayload(p))
 	if bound[1] && !args[1].Equal(t) {
 		return nil, nil
 	}
@@ -280,7 +280,7 @@ func (*deserializeUDF) Name() string { return "deserialize" }
 func (*deserializeUDF) CanEval(bound []bool) bool { return len(bound) >= 2 && bound[1] }
 
 func (*deserializeUDF) Eval(param string, args []datalog.Value, bound []bool) ([][]datalog.Value, error) {
-	p, err := wire.DecodePayload(args[1].Bytes)
+	p, err := wire.DecodePayload(args[1].Bytes())
 	if err != nil {
 		return nil, nil // malformed payload: no match
 	}
@@ -288,7 +288,7 @@ func (*deserializeUDF) Eval(param string, args []datalog.Value, bound []bool) ([
 		return nil, nil
 	}
 	full := append([]datalog.Value(nil), args...)
-	full[0] = datalog.BytesV(p.Sig)
+	full[0] = datalog.OwnedBytes(p.Sig)
 	copy(full[2:], p.Vals)
 	for i, b := range bound {
 		if b && !args[i].Equal(full[i]) {
@@ -319,7 +319,7 @@ func (*anonSerializeUDF) CanEval(bound []bool) bool {
 
 func (*anonSerializeUDF) Eval(param string, args []datalog.Value, bound []bool) ([][]datalog.Value, error) {
 	p := wire.Payload{Pred: param, Vals: datalog.Tuple(args[1:])}
-	t := datalog.BytesV(wire.EncodePayload(p))
+	t := datalog.OwnedBytes(wire.EncodePayload(p))
 	if bound[0] && !args[0].Equal(t) {
 		return nil, nil
 	}
@@ -336,7 +336,7 @@ func (*anonDeserializeUDF) Name() string { return "anon_deserialize" }
 func (*anonDeserializeUDF) CanEval(bound []bool) bool { return len(bound) >= 1 && bound[0] }
 
 func (*anonDeserializeUDF) Eval(param string, args []datalog.Value, bound []bool) ([][]datalog.Value, error) {
-	p, err := wire.DecodePayload(args[0].Bytes)
+	p, err := wire.DecodePayload(args[0].Bytes())
 	if err != nil {
 		return nil, nil
 	}

@@ -80,7 +80,7 @@ func TestSignSerializeDeserializeVerifyPipeline(t *testing.T) {
 		t.Fatalf("pipeline did not complete: packed=%d unpacked=%d", w.Count("packed"), w.Count("unpacked"))
 	}
 	up := w.Tuples("unpacked")[0]
-	if up[0].Int != 1 || up[1].Int != 2 || len(up[2].Bytes) != 128 {
+	if up[0].Int != 1 || up[1].Int != 2 || len(up[2].Bytes()) != 128 {
 		t.Errorf("unpacked wrong: %s", up)
 	}
 }
@@ -116,7 +116,7 @@ func forgePayload(t *testing.T, pred string, sig []byte) []byte {
 	if _, err := w.Assert([]engine.Fact{{Pred: "seed", Tuple: datalog.Tuple{datalog.BytesV(sig)}}}); err != nil {
 		t.Fatal(err)
 	}
-	return w.Tuples("out")[0][0].Bytes
+	return w.Tuples("out")[0][0].Bytes()
 }
 
 func TestBatchSignVerifyUDFs(t *testing.T) {
@@ -140,7 +140,7 @@ func TestBatchSignVerifyUDFs(t *testing.T) {
 	if w.Count("signed") != 1 {
 		t.Fatal("batch signing pipeline did not complete")
 	}
-	sig := w.Tuples("signed")[0][1].Bytes
+	sig := w.Tuples("signed")[0][1].Bytes()
 	pub, err := ks.ParsePub(ks.PublicKeyDER("alice"))
 	if err != nil {
 		t.Fatal(err)
@@ -240,8 +240,8 @@ func TestHMACSignVerifyUDFs(t *testing.T) {
 		t.Error("hmac round trip failed")
 	}
 	tag := w.Tuples("tagged")[0][1]
-	if len(tag.Bytes) != 20 {
-		t.Errorf("HMAC-SHA1 tag should be 20 bytes, got %d", len(tag.Bytes))
+	if len(tag.Bytes()) != 20 {
+		t.Errorf("HMAC-SHA1 tag should be 20 bytes, got %d", len(tag.Bytes()))
 	}
 }
 
@@ -257,10 +257,10 @@ func TestAESEncryptDecryptUDFs(t *testing.T) {
 		t.Fatal(err)
 	}
 	rt := w.Tuples("rt")
-	if len(rt) != 1 || string(rt[0][0].Bytes) != "secret tuple" {
+	if len(rt) != 1 || string(rt[0][0].Bytes()) != "secret tuple" {
 		t.Errorf("AES UDF round trip failed: %v", rt)
 	}
-	ct := w.Tuples("ct")[0][0].Bytes
+	ct := w.Tuples("ct")[0][0].Bytes()
 	if string(ct) == "secret tuple" {
 		t.Error("ciphertext equals plaintext")
 	}
@@ -277,7 +277,7 @@ func TestNoAuthUDFs(t *testing.T) {
 	if w.Count("ok") != 1 {
 		t.Error("noauth should always verify")
 	}
-	if len(w.Tuples("s")[0][1].Bytes) != 0 {
+	if len(w.Tuples("s")[0][1].Bytes()) != 0 {
 		t.Error("noauth signature should be empty (zero bandwidth overhead)")
 	}
 }
@@ -314,7 +314,7 @@ func TestOnionUDFs(t *testing.T) {
 		t.Fatal(err)
 	}
 	mid := wr.Tuples("peeled")[0][0]
-	if string(mid.Bytes) == "q" {
+	if string(mid.Bytes()) == "q" {
 		t.Fatal("relay should not see plaintext")
 	}
 
@@ -322,8 +322,8 @@ func TestOnionUDFs(t *testing.T) {
 	if _, err := we.Assert([]engine.Fact{{Pred: "in", Tuple: datalog.Tuple{mid}}}); err != nil {
 		t.Fatal(err)
 	}
-	if got := we.Tuples("peeled")[0][0]; string(got.Bytes) != "q" {
-		t.Errorf("exit should recover plaintext, got %q", got.Bytes)
+	if got := we.Tuples("peeled")[0][0]; string(got.Bytes()) != "q" {
+		t.Errorf("exit should recover plaintext, got %q", got.Bytes())
 	}
 }
 
@@ -350,5 +350,101 @@ func TestDeserializeWrongPredicateNoMatch(t *testing.T) {
 	}
 	if w.Count("got") != 0 {
 		t.Error("deserialize must only match its own predicate")
+	}
+}
+
+// TestUDFsNeverWriteIntoTheirInputs: Value.Bytes is a zero-copy view of
+// storage that relations hash and share, so a UDF that wrote into an argument
+// would corrupt stored tuples. Every family — with and without the RSA worker
+// pools — must leave its byte arguments byte-identical, and must not hand out
+// a result that a later call overwrites.
+func TestUDFsNeverWriteIntoTheirInputs(t *testing.T) {
+	ts, err := seccrypto.NewTrustSetup([]string{"alice", "bob"}, seccrypto.NewDeterministicRand(31))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ks := ts.Stores["alice"]
+	rng := seccrypto.NewDeterministicRand(32)
+	k1, _ := seccrypto.GenerateSecret(rng)
+	k2, _ := seccrypto.GenerateSecret(rng)
+	ks.SetOnionKeys("c1", [][]byte{k1, k2})
+	ks.SetCircuitKey("c1", k1)
+
+	vpool, spool := seccrypto.NewVerifyPool(2), seccrypto.NewSignPool(2)
+	defer vpool.Close()
+	defer spool.Close()
+	plain, err := NewRegistry(ks, seccrypto.NewDeterministicRand(33))
+	if err != nil {
+		t.Fatal(err)
+	}
+	pooled, err := NewRegistryWithPools(ks, seccrypto.NewDeterministicRand(33), vpool, spool)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	own := func(b []byte) datalog.Value { return datalog.OwnedBytes(append([]byte(nil), b...)) }
+	priv, pub := own(ks.PrivateKeyDER()), own(ks.PublicKeyDER("alice"))
+	secret := own(ks.Secret("bob"))
+	msg, circ := own([]byte("sixteen byte msg and then some")), datalog.String_("c1")
+	digest := own(wire.BatchDigest([][]byte{[]byte("p1"), []byte("p2")}))
+	var none datalog.Value // an unbound output position
+
+	// call evaluates one UDF and returns its single completion.
+	call := func(reg *engine.UDFRegistry, name, param string, args ...datalog.Value) []datalog.Value {
+		t.Helper()
+		u, ok := reg.Lookup(name)
+		if !ok {
+			t.Fatalf("no UDF %s", name)
+		}
+		bound := make([]bool, len(args))
+		for i, a := range args {
+			bound[i] = !a.IsZero()
+		}
+		before := make([]string, len(args))
+		for i, a := range args {
+			before[i] = string(a.Bytes()) // a copy
+		}
+		outs, err := u.Eval(param, args, bound)
+		if err != nil || len(outs) != 1 {
+			t.Fatalf("%s: %d completions, err %v", name, len(outs), err)
+		}
+		for i, a := range args {
+			if string(a.Bytes()) != before[i] {
+				t.Errorf("%s wrote into argument %d", name, i)
+			}
+		}
+		return outs[0]
+	}
+
+	for _, reg := range []*engine.UDFRegistry{plain, pooled} {
+		one, two := datalog.Int64(1), datalog.String_("two")
+		sig := call(reg, "rsa_sign", "p", priv, one, two, none)[3]
+		sigBytes := string(sig.Bytes())
+		call(reg, "rsa_verify", "p", pub, one, two, sig)
+		bsig := call(reg, "rsa_sign_batch", "", priv, digest, none)[2]
+		call(reg, "rsa_verify_batch", "", pub, digest, bsig)
+		tag := call(reg, "hmac_sign", "p", secret, one, two, none)[3]
+		call(reg, "hmac_verify", "p", secret, one, two, tag)
+		ct := call(reg, "aesencrypt", "", msg, secret, none)[2]
+		if pt := call(reg, "aesdecrypt", "", ct, secret, none)[2]; !pt.Equal(msg) {
+			t.Errorf("aes round trip: %s", pt)
+		}
+		onion := call(reg, "anon_encrypt", "", circ, msg, none)[2]
+		peeled := call(reg, "anon_decrypt", "", circ, onion, none)[2]
+		back := call(reg, "anon_encrypt_back", "", circ, msg, none)[2]
+		call(reg, "anon_decrypt_back", "", circ, call(reg, "anon_encrypt_back", "", circ, back, none)[2], none)
+		packed := call(reg, "serialize", "p", sig, none, one, two, peeled)[1]
+		if un := call(reg, "deserialize", "p", none, packed, none, none, none); !un[0].Equal(sig) || !un[4].Equal(peeled) {
+			t.Errorf("serialize round trip: %v", un)
+		}
+		apacked := call(reg, "anon_serialize", "q", none, one, onion)[0]
+		call(reg, "anon_deserialize", "q", apacked, none, none)
+		call(reg, "sha1", "", packed, none)
+		// A second signature (a memo hit under the pools) must not have been
+		// written over the first one's storage.
+		call(reg, "rsa_sign", "p", priv, two, one, none)
+		if string(sig.Bytes()) != sigBytes {
+			t.Error("an earlier rsa_sign result changed under a later call")
+		}
 	}
 }

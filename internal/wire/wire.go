@@ -37,12 +37,9 @@ func AppendValue(buf []byte, v datalog.Value) []byte {
 	switch v.Kind {
 	case datalog.KindInt, datalog.KindBool:
 		buf = appendUvarint(buf, uint64(v.Int))
-	case datalog.KindString, datalog.KindName, datalog.KindNode, datalog.KindPrin:
+	case datalog.KindString, datalog.KindName, datalog.KindNode, datalog.KindPrin, datalog.KindBytes:
 		buf = appendUvarint(buf, uint64(len(v.Str)))
 		buf = append(buf, v.Str...)
-	case datalog.KindBytes:
-		buf = appendUvarint(buf, uint64(len(v.Bytes)))
-		buf = append(buf, v.Bytes...)
 	case datalog.KindEntity:
 		buf = appendUvarint(buf, uint64(len(v.Str)))
 		buf = append(buf, v.Str...)
@@ -68,7 +65,7 @@ func ReadValue(buf []byte) (datalog.Value, []byte, error) {
 		}
 		v.Int = int64(u)
 		return v, rest, nil
-	case datalog.KindString, datalog.KindName, datalog.KindNode, datalog.KindPrin:
+	case datalog.KindString, datalog.KindName, datalog.KindNode, datalog.KindPrin, datalog.KindBytes:
 		u, rest, err := readUvarint(buf)
 		if err != nil {
 			return v, nil, err
@@ -77,16 +74,6 @@ func ReadValue(buf []byte) (datalog.Value, []byte, error) {
 			return v, nil, ErrTruncated
 		}
 		v.Str = string(rest[:u])
-		return v, rest[u:], nil
-	case datalog.KindBytes:
-		u, rest, err := readUvarint(buf)
-		if err != nil {
-			return v, nil, err
-		}
-		if uint64(len(rest)) < u {
-			return v, nil, ErrTruncated
-		}
-		v.Bytes = append([]byte(nil), rest[:u]...)
 		return v, rest[u:], nil
 	case datalog.KindEntity:
 		u, rest, err := readUvarint(buf)
