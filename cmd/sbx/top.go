@@ -17,7 +17,9 @@ import (
 // runTop implements `sbx top`: scrape /metrics and /healthz from every
 // node of a running deployment and render one table row per node — txn
 // counts and rate, traffic, outbound queue depth, retransmit/backoff
-// activity, eviction count and fixpoint-round progress. Addresses come
+// activity, eviction count, fixpoint-round progress and inbound group commit
+// (mean datagrams per inbound transaction, merged transactions that had to be
+// replayed per datagram). Addresses come
 // from the cluster config's debug_addr entries (-config) or are listed
 // explicitly. -once prints a single table and exits (nonzero if any node
 // failed to answer), the default refreshes every -interval.
@@ -115,7 +117,7 @@ func renderTop(w *os.File, scrapes []obs.NodeScrape, prev map[string]obs.NodeScr
 	})
 	fmt.Fprintf(w, "sbx top — %s — %d node(s)\n", time.Now().Format("15:04:05"), len(rows))
 	tw := tabwriter.NewWriter(w, 2, 8, 2, ' ', 0)
-	fmt.Fprintln(tw, "PRINCIPAL\tADDR\tSTATE\tTXNS\tTXN/S\tSENT\tRECV\tQUEUE\tRETX\tBACKOFF\tEVICT\tROUNDS\tGOROUT")
+	fmt.Fprintln(tw, "PRINCIPAL\tADDR\tSTATE\tTXNS\tTXN/S\tSENT\tRECV\tQUEUE\tRETX\tBACKOFF\tEVICT\tROUNDS\tGOROUT\tRUN\tFALLBK")
 	failed := 0
 	for _, s := range rows {
 		name := s.Principal
@@ -124,7 +126,7 @@ func renderTop(w *os.File, scrapes []obs.NodeScrape, prev map[string]obs.NodeScr
 		}
 		if s.Err != nil {
 			failed++
-			fmt.Fprintf(tw, "%s\t%s\tunreachable\t-\t-\t-\t-\t-\t-\t-\t-\t-\t-\n", name, s.Addr)
+			fmt.Fprintf(tw, "%s\t%s\tunreachable\t-\t-\t-\t-\t-\t-\t-\t-\t-\t-\t-\t-\n", name, s.Addr)
 			continue
 		}
 		state := s.State
@@ -137,14 +139,19 @@ func renderTop(w *os.File, scrapes []obs.NodeScrape, prev map[string]obs.NodeScr
 				rate = fmt.Sprintf("%.1f", (s.Counter("sbx_txns_total")-p.Counter("sbx_txns_total"))/dt)
 			}
 		}
-		fmt.Fprintf(tw, "%s\t%s\t%s\t%.0f\t%s\t%.0f\t%.0f\t%.0f\t%.0f\t%.0f\t%.0f\t%.0f\t%.0f\n",
+		run := "-"
+		if runs := s.Counter("sbx_inbound_run_messages_count"); runs > 0 {
+			run = fmt.Sprintf("%.1f", s.Counter("sbx_inbound_run_messages_sum")/runs)
+		}
+		fmt.Fprintf(tw, "%s\t%s\t%s\t%.0f\t%s\t%.0f\t%.0f\t%.0f\t%.0f\t%.0f\t%.0f\t%.0f\t%.0f\t%s\t%.0f\n",
 			name, s.Addr, state,
 			s.Counter("sbx_txns_total"), rate,
 			s.Counter("sbx_msgs_sent_total"), s.Counter("sbx_msgs_recv_total"),
 			s.Counter("sbx_outbound_pending_chunks"),
 			s.Counter("sbx_transport_retransmits_total"), s.Counter("sbx_transport_backoffs_total"),
 			s.Counter("sbx_cluster_evictions_total"), s.Counter("sbx_engine_fixpoint_rounds_total"),
-			s.Counter("sbx_go_goroutines"))
+			s.Counter("sbx_go_goroutines"),
+			run, s.Counter("sbx_inbound_run_fallbacks_total"))
 	}
 	tw.Flush()
 	return failed

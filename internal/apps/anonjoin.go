@@ -8,6 +8,7 @@ import (
 	"secureblox/internal/datalog"
 	"secureblox/internal/engine"
 	"secureblox/internal/seccrypto"
+	"secureblox/internal/transport"
 )
 
 // AnonPolicy is the anonymity construct of §6.2: anon_says sends a fact
@@ -149,19 +150,17 @@ type AnonJoinResult struct {
 
 const circuitHandle = "c1"
 
-// RunAnonJoin builds the circuit, runs the anonymous join to fixpoint, and
-// reports results. The caller must Stop() the result's Cluster.
-func RunAnonJoin(cfg AnonJoinConfig) (*AnonJoinResult, error) {
+// newAnonJoin builds the cluster over net and instantiates the circuit,
+// returning it unstarted with the two inputs: the publicdata table its last
+// node (the owner) is to assert and the interests its first (the initiator).
+func newAnonJoin(cfg AnonJoinConfig, net transport.Network) (c *core.Cluster, pub, ints []engine.Fact, err error) {
 	if cfg.Relays < 1 {
-		return nil, fmt.Errorf("anonjoin: need at least one relay")
+		net.Close()
+		return nil, nil, nil, fmt.Errorf("anonjoin: need at least one relay")
 	}
 	n := cfg.Relays + 2
 	endpoint := n - 1
-	net, err := core.NewNetwork(cfg.Transport)
-	if err != nil {
-		return nil, err
-	}
-	c, err := core.NewCluster(core.ClusterConfig{
+	c, err = core.NewCluster(core.ClusterConfig{
 		N:             n,
 		Policy:        core.PolicyConfig{Auth: core.AuthNone, Delegation: core.DelegateNone},
 		Query:         AnonJoinQuery,
@@ -170,10 +169,10 @@ func RunAnonJoin(cfg AnonJoinConfig) (*AnonJoinResult, error) {
 		Net:           net,
 	})
 	if err != nil {
-		return nil, err
+		return nil, nil, nil, err
 	}
 	// On a setup failure below, release the cluster (sockets, goroutines)
-	// — the caller only Stops it on success.
+	// — the caller only gets the error.
 	ok := false
 	defer func() {
 		if !ok {
@@ -188,7 +187,7 @@ func RunAnonJoin(cfg AnonJoinConfig) (*AnonJoinResult, error) {
 	for i := 1; i < n; i++ {
 		k, err := seccrypto.GenerateSecret(rng)
 		if err != nil {
-			return nil, err
+			return nil, nil, nil, err
 		}
 		keys = append(keys, k)
 		c.KeyStores[i].SetCircuitKey(circuitHandle, k)
@@ -209,7 +208,7 @@ func RunAnonJoin(cfg AnonJoinConfig) (*AnonJoinResult, error) {
 		fact("table_owner", datalog.Prin(core.PrincipalName(endpoint))),
 	}
 	if _, err := c.Nodes[0].WS.Assert(initFacts); err != nil {
-		return nil, fmt.Errorf("anonjoin: initiator setup: %w", err)
+		return nil, nil, nil, fmt.Errorf("anonjoin: initiator setup: %w", err)
 	}
 	// Relay state.
 	for i := 1; i <= cfg.Relays; i++ {
@@ -220,7 +219,7 @@ func RunAnonJoin(cfg AnonJoinConfig) (*AnonJoinResult, error) {
 			fact("anon_path_prevhop", cv, datalog.NodeV(c.Addrs[i-1])),
 		}
 		if _, err := c.Nodes[i].WS.Assert(facts); err != nil {
-			return nil, fmt.Errorf("anonjoin: relay %d setup: %w", i, err)
+			return nil, nil, nil, fmt.Errorf("anonjoin: relay %d setup: %w", i, err)
 		}
 	}
 	// Endpoint state.
@@ -230,18 +229,14 @@ func RunAnonJoin(cfg AnonJoinConfig) (*AnonJoinResult, error) {
 		fact("anon_path_prevhop", cv, datalog.NodeV(c.Addrs[endpoint-1])),
 	}
 	if _, err := c.Nodes[endpoint].WS.Assert(endFacts); err != nil {
-		return nil, fmt.Errorf("anonjoin: endpoint setup: %w", err)
+		return nil, nil, nil, fmt.Errorf("anonjoin: endpoint setup: %w", err)
 	}
 
-	c.Start()
-	// Load publicdata at the owner; X values 0..PublicRows-1, unique.
-	var pub []engine.Fact
+	// publicdata: X values 0..PublicRows-1, unique.
 	for x := 0; x < cfg.PublicRows; x++ {
 		pub = append(pub, fact("publicdata", datalog.Int64(int64(x)), datalog.Int64(int64(10000+x))))
 	}
-	c.AssertAt(endpoint, pub)
 	// Interests: Overlap values inside the table, the rest outside.
-	var ints []engine.Fact
 	for i := 0; i < cfg.Interests; i++ {
 		x := int64(i)
 		if i >= cfg.Overlap {
@@ -249,10 +244,26 @@ func RunAnonJoin(cfg AnonJoinConfig) (*AnonJoinResult, error) {
 		}
 		ints = append(ints, fact("interests", datalog.Int64(x)))
 	}
+	ok = true
+	return c, pub, ints, nil
+}
+
+// RunAnonJoin builds the circuit, runs the anonymous join to fixpoint, and
+// reports results. The caller must Stop() the result's Cluster.
+func RunAnonJoin(cfg AnonJoinConfig) (*AnonJoinResult, error) {
+	net, err := core.NewNetwork(cfg.Transport)
+	if err != nil {
+		return nil, err
+	}
+	c, pub, ints, err := newAnonJoin(cfg, net)
+	if err != nil {
+		return nil, err
+	}
+	c.Start()
+	c.AssertAt(len(c.Nodes)-1, pub)
 	c.AssertAt(0, ints)
 
 	dur := c.WaitFixpoint()
-	ok = true
 	return &AnonJoinResult{
 		Results:  len(c.Query(0, "result")),
 		Expected: cfg.Overlap,

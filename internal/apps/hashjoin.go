@@ -10,6 +10,7 @@ import (
 	"secureblox/internal/datalog"
 	"secureblox/internal/engine"
 	"secureblox/internal/metrics"
+	"secureblox/internal/transport"
 )
 
 // HashJoinQuery is the paper's §7.2 secure parallel hash join: tables a and
@@ -157,18 +158,16 @@ func HashJoinInput(cfg HashJoinConfig, principals []string) (common []engine.Fac
 	return common, parts, expected
 }
 
-// RunHashJoin executes the join to the distributed fixpoint. The caller
-// must Stop() the result's Cluster.
-func RunHashJoin(cfg HashJoinConfig) (*HashJoinResult, error) {
+// newHashJoin builds the join's cluster over net, asserts the metadata at
+// every node and returns it unstarted, with the table partition each node is
+// to assert once it runs and the expected result size.
+func newHashJoin(cfg HashJoinConfig, net transport.Network) (c *core.Cluster, parts [][]engine.Fact, expected int, err error) {
 	if cfg.N < 1 {
-		return nil, fmt.Errorf("hashjoin: need at least one node")
+		net.Close()
+		return nil, nil, 0, fmt.Errorf("hashjoin: need at least one node")
 	}
 	cfg.Policy.Delegation = core.DelegateNone
-	net, err := core.NewChaosNetwork(cfg.Transport, cfg.ChaosPlan)
-	if err != nil {
-		return nil, err
-	}
-	c, err := core.NewCluster(core.ClusterConfig{
+	c, err = core.NewCluster(core.ClusterConfig{
 		N:           cfg.N,
 		Policy:      cfg.Policy,
 		Query:       HashJoinQuery,
@@ -177,22 +176,28 @@ func RunHashJoin(cfg HashJoinConfig) (*HashJoinResult, error) {
 		Parallelism: cfg.Parallelism,
 	})
 	if err != nil {
-		return nil, err
+		return nil, nil, 0, err
 	}
-	// On a setup failure below, release the cluster (sockets, goroutines)
-	// — the caller only Stops it on success.
-	ok := false
-	defer func() {
-		if !ok {
-			c.Stop()
-		}
-	}()
-
 	common, parts, expected := HashJoinInput(cfg, c.Principals)
 	for i := range c.Nodes {
 		if _, err := c.Nodes[i].WS.Assert(common); err != nil {
-			return nil, fmt.Errorf("hashjoin: metadata on node %d: %w", i, err)
+			c.Stop() // the caller only gets the error: release sockets and goroutines
+			return nil, nil, 0, fmt.Errorf("hashjoin: metadata on node %d: %w", i, err)
 		}
+	}
+	return c, parts, expected, nil
+}
+
+// RunHashJoin executes the join to the distributed fixpoint. The caller
+// must Stop() the result's Cluster.
+func RunHashJoin(cfg HashJoinConfig) (*HashJoinResult, error) {
+	net, err := core.NewChaosNetwork(cfg.Transport, cfg.ChaosPlan)
+	if err != nil {
+		return nil, err
+	}
+	c, parts, expected, err := newHashJoin(cfg, net)
+	if err != nil {
+		return nil, err
 	}
 
 	c.Start()
@@ -207,7 +212,6 @@ func RunHashJoin(cfg HashJoinConfig) (*HashJoinResult, error) {
 	for _, ts := range c.Nodes[0].Metrics.TxnCompletions() {
 		cdf.Add(ts.Sub(c.StartTime()))
 	}
-	ok = true
 	return &HashJoinResult{
 		Duration:      dur,
 		PerNodeKB:     c.MeanNodeTrafficKB(),

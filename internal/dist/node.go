@@ -57,8 +57,8 @@ type Node struct {
 	// goroutine and must not block.
 	OnControl func(from string, payload []byte)
 	// Backlog, if set before Start, holds datagrams taken off the endpoint
-	// before the loop owned it (cluster.Runtime.EarlyTraffic); the loop
-	// handles them first, as if they had just arrived.
+	// before the loop owned it (cluster.Runtime.EarlyTraffic); they are the
+	// head of the loop's first inbound batch, as if they had just arrived.
 	Backlog []transport.InMsg
 
 	ep transport.Transport
@@ -120,9 +120,19 @@ type Node struct {
 	curHop   uint32
 	curPeer  string
 
-	// pumpDepth counts envelopes decoded by the pre-verify pump but not
-	// yet consumed by the loop — the pump-backlog gauge.
-	pumpDepth atomic.Int64
+	// intakeDepth counts envelopes the intake stage has decoded and the loop
+	// has not yet applied — the pre-verify backlog gauge.
+	intakeDepth atomic.Int64
+
+	// The inbound run being applied (loop-goroutine only, reused across
+	// runs): the export/export_batch facts of every admitted datagram in
+	// arrival order, and per datagram where its facts end.
+	runFacts []engine.Fact
+	runMsgs  []runMsg
+	runEnds  []int
+
+	runSizes     *obs.Histogram // datagrams per inbound transaction
+	runFallbacks *obs.Counter   // merged inbound transactions rejected and replayed per datagram
 
 	// busy is set by the loop goroutine around each unit of work
 	// (drainLocal run or inbound message). Drain needs it: a batch that
@@ -161,10 +171,14 @@ func NewNode(principal string, ws *engine.Workspace, ep transport.Transport) *No
 	r := obs.Default()
 	r.Help("sbx_sent_set_size", "Live size of the export dedup set.")
 	r.Help("sbx_outbound_pending_chunks", "Chunks queued in the sign-and-send stage, not yet on the wire.")
-	r.Help("sbx_preverify_backlog", "Datagrams decoded by the pre-verify pump, not yet applied.")
+	r.Help("sbx_preverify_backlog", "Datagrams decoded by the intake stage, not yet applied.")
+	r.Help("sbx_inbound_run_messages", "Datagrams committed per inbound transaction.")
+	r.Help("sbx_inbound_run_fallbacks_total", "Merged inbound transactions rejected and replayed one datagram at a time.")
+	n.runSizes = r.Histogram("sbx_inbound_run_messages", l, runSizeBuckets)
+	n.runFallbacks = r.Counter("sbx_inbound_run_fallbacks_total", l)
 	r.GaugeFunc("sbx_sent_set_size", l, func() float64 { return float64(n.sentSize.Load()) })
 	r.GaugeFunc("sbx_outbound_pending_chunks", l, func() float64 { return float64(n.outPending.Load()) })
-	r.GaugeFunc("sbx_preverify_backlog", l, func() float64 { return float64(n.pumpDepth.Load()) })
+	r.GaugeFunc("sbx_preverify_backlog", l, func() float64 { return float64(n.intakeDepth.Load()) })
 	return n
 }
 
@@ -385,24 +399,11 @@ func (n *Node) Violations() []error {
 	return append([]error(nil), n.violations...)
 }
 
-// envelope is one inbound datagram plus its (single) wire decode and the
-// stage timings taken where the work actually happened, so the loop can
-// record decode/verify spans without re-measuring.
-type envelope struct {
-	in  transport.InMsg
-	msg wire.Message
-	err error
-
-	at        time.Time     // when decoding began
-	decodeDur time.Duration // wire decode time
-	verifyDur time.Duration // PreVerify hand-off time (pump path only)
-}
-
 // run is the per-node transaction loop of §5.2: drain local batches and
-// inbound messages, apply each as an ACID workspace transaction, and ship
-// the export delta of successful commits. Termination probes arrive on the
-// same channel as data and are answered in line, which guarantees a probe
-// reply is always a between-transactions snapshot.
+// inbound batches, apply each run of them as an ACID workspace transaction,
+// and ship the export delta of successful commits. Termination probes arrive
+// in the same stream as data and are answered in line between runs, which
+// guarantees a probe reply is always a between-transactions snapshot.
 func (n *Node) run() {
 	defer n.wg.Done()
 	// The loop is the only writer of the outbound pipeline, so its exit
@@ -410,32 +411,16 @@ func (n *Node) run() {
 	if n.outCh != nil {
 		defer close(n.outCh)
 	}
-	// With a PreVerify hook the pump stage decodes each datagram (once)
-	// and pre-warms signature checks; without it the loop decodes inline.
-	var rawCh <-chan transport.InMsg
-	var envCh <-chan envelope
-	if n.PreVerify != nil {
-		envCh = n.pump(n.ep.Receive())
-	} else {
-		rawCh = n.ep.Receive()
-	}
-	for _, m := range n.Backlog {
-		n.receive(m)
-	}
+	inbound := n.intake()
 	for {
 		select {
 		case <-n.stopCh:
-			// Closing the endpoint ends the receive stream; drain what
-			// was already queued so the transport's delivery goroutine
-			// (blocked handing us the next datagram) can exit too.
+			// Closing the endpoint ends the intake stage; take what it was
+			// still offering so it can exit too.
 			n.ep.Close()
-			if rawCh != nil {
-				for range rawCh {
-				}
-			}
-			if envCh != nil {
-				for range envCh {
-					n.pumpDepth.Add(-1)
+			if inbound != nil {
+				for envs := range inbound {
+					n.intakeDepth.Add(-int64(len(envs)))
 				}
 			}
 			return
@@ -443,72 +428,18 @@ func (n *Node) run() {
 			n.busy.Store(true)
 			n.drainLocal()
 			n.busy.Store(false)
-		case m, ok := <-rawCh:
+		case envs, ok := <-inbound:
 			if !ok {
-				// Endpoint closed underneath us; serve local work
-				// until Stop.
-				rawCh = nil
+				// Endpoint closed underneath us; serve local work until
+				// Stop.
+				inbound = nil
 				continue
 			}
-			n.receive(m)
-		case e, ok := <-envCh:
-			if !ok {
-				envCh = nil
-				continue
-			}
-			n.pumpDepth.Add(-1)
 			n.busy.Store(true)
-			n.handleMessage(e)
+			n.handleBatch(envs)
 			n.busy.Store(false)
 		}
 	}
-}
-
-// receive decodes and handles one datagram on the loop goroutine.
-func (n *Node) receive(m transport.InMsg) {
-	n.busy.Store(true)
-	at := time.Now()
-	msg, err := wire.DecodeMessage(m.Data)
-	n.handleMessage(envelope{in: m, msg: msg, err: err, at: at, decodeDur: time.Since(at)})
-	n.busy.Store(false)
-}
-
-// pump is the inbound pre-verification stage: it decodes and forwards
-// datagrams to the loop in order, handing data-message payloads to
-// PreVerify first so signature checks overlap with transactions still
-// committing.
-func (n *Node) pump(in <-chan transport.InMsg) <-chan envelope {
-	out := make(chan envelope, 16)
-	n.wg.Add(1)
-	go func() {
-		defer n.wg.Done()
-		// On an early exit (Stop mid-computation) keep draining the
-		// endpoint until it closes, so the transport's delivery
-		// goroutine is released rather than left blocked forever.
-		defer func() {
-			for range in {
-			}
-		}()
-		defer close(out)
-		for m := range in {
-			at := time.Now()
-			msg, err := wire.DecodeMessage(m.Data)
-			e := envelope{in: m, msg: msg, err: err, at: at, decodeDur: time.Since(at)}
-			if err == nil && msg.Kind != wire.MsgControl {
-				vstart := time.Now()
-				n.PreVerify(msg)
-				e.verifyDur = time.Since(vstart)
-			}
-			n.pumpDepth.Add(1)
-			select {
-			case out <- e:
-			case <-n.stopCh:
-				n.pumpDepth.Add(-1)
-				return
-			}
-		}
-	}()
-	return out
 }
 
 // drainLocal applies the queued local batches in order. Runs of same-kind
@@ -552,23 +483,45 @@ func mergeFacts(run []batch) []engine.Fact {
 	return facts
 }
 
-// commitRun commits a run of assertion batches, merged when possible.
+// commitRun commits a run of local assertion batches, merged when possible.
 func (n *Node) commitRun(run []batch) {
 	if len(run) == 1 {
 		n.commit(run[0].facts)
 		return
 	}
-	start := time.Now()
-	res, err := n.WS.Assert(mergeFacts(run))
-	if err == nil {
-		n.Metrics.RecordTxn(time.Since(start))
-		n.fixpointSpan(start)
-		n.ship(res.Inserted["export"])
-		return
+	ends := make([]int, len(run))
+	total := 0
+	for i, b := range run {
+		total += len(b.facts)
+		ends[i] = total
 	}
-	for _, b := range run {
-		n.commit(b.facts)
+	n.commitMerged(mergeFacts(run), ends, nil)
+}
+
+// commitMerged commits the parts of facts (part i ends at ends[i]) as one
+// transaction and ships once. If the merged transaction is rejected, each
+// part is committed on its own in order — enter(i), if set, runs before part
+// i — so a bad part rolls back alone, is one recorded violation, and cannot
+// veto the others. It reports whether the parts went in as one transaction.
+func (n *Node) commitMerged(facts []engine.Fact, ends []int, enter func(part int)) bool {
+	if len(ends) > 1 {
+		start := time.Now()
+		if res, err := n.WS.Assert(facts); err == nil {
+			n.Metrics.RecordTxn(time.Since(start))
+			n.fixpointSpan(start, len(ends))
+			n.ship(res.Inserted["export"])
+			return true
+		}
 	}
+	lo := 0
+	for i, hi := range ends {
+		if enter != nil {
+			enter(i)
+		}
+		n.commit(facts[lo:hi])
+		lo = hi
+	}
+	return false
 }
 
 // commit runs one transaction over the workspace. On success the export
@@ -582,14 +535,15 @@ func (n *Node) commit(facts []engine.Fact) {
 		return
 	}
 	n.Metrics.RecordTxn(time.Since(start))
-	n.fixpointSpan(start)
+	n.fixpointSpan(start, 1)
 	n.ship(res.Inserted["export"])
 }
 
 // fixpointSpan records the fixpoint stage (the workspace transaction just
-// committed, policy checks included) under the loop's current wave context.
-func (n *Node) fixpointSpan(start time.Time) {
-	obs.RecordSpan(obs.Span{
+// committed, policy checks included) under the loop's current wave context;
+// parts is how many batches or datagrams the transaction merged.
+func (n *Node) fixpointSpan(start time.Time, parts int) {
+	sp := obs.Span{
 		Trace:     n.curTrace,
 		Hop:       int(n.curHop),
 		Node:      n.localAddr(),
@@ -598,7 +552,11 @@ func (n *Node) fixpointSpan(start time.Time) {
 		Peer:      n.curPeer,
 		Start:     start,
 		Dur:       time.Since(start),
-	})
+	}
+	if parts > 1 {
+		sp.Absorbed = parts
+	}
+	obs.RecordSpan(sp)
 }
 
 // retractRun retracts a run of batches, merged when possible (with the
@@ -612,7 +570,7 @@ func (n *Node) retractRun(run []batch) {
 		start := time.Now()
 		if err := n.WS.Retract(mergeFacts(run)); err == nil {
 			n.Metrics.RecordTxn(time.Since(start))
-			n.fixpointSpan(start)
+			n.fixpointSpan(start, len(run))
 			applied = true
 		} else {
 			for _, b := range run {
@@ -633,7 +591,7 @@ func (n *Node) retractOnce(facts []engine.Fact) bool {
 		return false
 	}
 	n.Metrics.RecordTxn(time.Since(start))
-	n.fixpointSpan(start)
+	n.fixpointSpan(start, 1)
 	return true
 }
 

@@ -130,7 +130,7 @@ func chunkRoute(to, from string, tuples []datalog.Tuple, payloads [][]byte, batc
 // digest is pre-warmed on the signing pool immediately, the chunk is
 // queued for the sender stage, and the loop goes back to committing the
 // next transaction while workers compute the signature — the outbound
-// mirror of the inbound pre-verify pump (footnote 2).
+// mirror of the inbound intake stage (footnote 2).
 func (n *Node) dispatch(c outChunk) {
 	c.trace, c.hop, c.node = n.curTrace, n.curHop+1, n.localAddr()
 	if n.SignBatch != nil {

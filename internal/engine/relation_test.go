@@ -518,7 +518,7 @@ func storeSnapshot(t *testing.T, w *Workspace) string {
 
 // TestRollbackRestoresStore: a rejected transaction — one that inserted,
 // derived through several rounds, minted entities and replaced aggregate
-// values before a constraint failed — leaves extents, base flags, every
+// values (one of them twice) before a constraint failed — leaves extents, base flags, every
 // index, the entity counters and the tuple-block mark exactly as they were.
 func TestRollbackRestoresStore(t *testing.T) {
 	w := NewWorkspace(nil)
@@ -563,9 +563,48 @@ func TestRollbackRestoresStore(t *testing.T) {
 			t.Fatalf("rejected transaction %d changed the store:\n--- before ---\n%s\n--- after ---\n%s", i, want, got)
 		}
 	}
+	// Delete-then-reinsert inside one transaction: near[10] is 5 before it,
+	// becomes 4 in its second round and 3 in its third (each a replacement:
+	// the old value deleted, the new one inserted), and the violation is only
+	// found after the fixpoint. Rollback must unwind 3 and 4 — both inserted
+	// and one of them deleted again by the transaction itself — and restore
+	// the 5 it found, not any value it made.
+	near, err := datalog.Parse(`near[X] = M <- agg<<M = min(Y)>> reach(X, Y).`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Install(near); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := w.Assert([]Fact{{Pred: "link", Tuple: tup(20, 25)}}); err != nil {
+		t.Fatal(err)
+	}
+	if v, _ := w.LookupFn("near", datalog.Int64(20)); v.Int != 25 {
+		t.Fatalf("near[20] = %v before the transaction, want 25", v)
+	}
+	want = storeSnapshot(t, w)
+	chain := []Fact{
+		{Pred: "link", Tuple: tup(25, 24)}, {Pred: "link", Tuple: tup(24, 23)},
+		{Pred: "link", Tuple: tup(23, 70)}, // out of range, three hops from 20
+	}
+	if _, err := w.Assert(chain); err == nil {
+		t.Fatal("transaction must be rejected")
+	}
+	if got := storeSnapshot(t, w); got != want {
+		t.Fatalf("rollback after 25→24→23 replacement changed the store:\n--- before ---\n%s\n--- after ---\n%s", want, got)
+	}
+	// The same chain without the violation commits the replacements, so the
+	// rejected run above really went through them.
+	if _, err := w.Assert(chain[:2]); err != nil {
+		t.Fatal(err)
+	}
+	if v, _ := w.LookupFn("near", datalog.Int64(20)); v.Int != 23 {
+		t.Fatalf("near[20] = %v after the chain committed, want 23", v)
+	}
+
 	// And a retraction that a constraint rejects. (Install the constraint
 	// now: it holds today and fails once node 0's only inbound link goes.)
-	guard, err := datalog.Parse(`hops[X] = C -> C > 11.`)
+	guard, err := datalog.Parse(`hops[X] = C, X < 12 -> C > 11.`)
 	if err != nil {
 		t.Fatal(err)
 	}

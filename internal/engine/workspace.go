@@ -36,19 +36,22 @@ func (v *ConstraintViolation) Error() string {
 	return "constraint violation: " + v.Constraint + " (" + v.Detail + ")"
 }
 
-// op is one undo-log entry: an insert, or the delete of a tuple that was (or
-// was not) a base fact.
-type op struct {
-	del     bool
+// undoDel is one undo-log entry: a tuple the transaction deleted. Insertions
+// need no entry of their own — txn.inserted already lists them per predicate
+// in order — so at, the number of tuples the transaction had inserted into the
+// relation when it deleted this one, is all rollback needs to unwind one
+// relation's inserts and deletes in exact reverse order.
+type undoDel struct {
 	pred    string
 	tuple   datalog.Tuple
+	at      int
 	wasBase bool
 }
 
 // txn tracks one transaction's effects for constraint checking and rollback.
 type txn struct {
 	inserted    map[string][]datalog.Tuple
-	ops         []op
+	dels        []undoDel
 	skolemKeys  []string
 	counterSnap map[string]int64
 	mark        tupleBlocks // where the tuple blocks stood when the transaction began
@@ -59,8 +62,8 @@ type txn struct {
 // inserted is new, because a committed TxnResult hands it to the caller.
 func (w *Workspace) begin() *txn {
 	t := &w.txn
-	clear(t.ops) // drop the references to tuples the last transaction deleted
-	t.ops, t.skolemKeys = t.ops[:0], t.skolemKeys[:0]
+	clear(t.dels) // drop the references to tuples the last transaction deleted
+	t.dels, t.skolemKeys = t.dels[:0], t.skolemKeys[:0]
 	clear(t.counterSnap)
 	t.inserted = make(map[string][]datalog.Tuple)
 	t.mark = w.blocks
@@ -464,8 +467,9 @@ func (w *Workspace) checkStratification() error {
 }
 
 // insertTxn inserts one tuple, enforcing kind-level type declarations and
-// functional dependencies. It records the undo operation and returns whether
-// the tuple is new.
+// functional dependencies. It lists a new tuple in t.inserted — the
+// transaction's result and its undo record at once — and returns whether the
+// tuple is new.
 func (w *Workspace) insertTxn(t *txn, pred string, tuple datalog.Tuple, base bool) (bool, error) {
 	rel := w.ensureRelation(pred)
 	s := rel.schema
@@ -486,7 +490,6 @@ func (w *Workspace) insertTxn(t *txn, pred string, tuple datalog.Tuple, base boo
 	}
 	switch rel.Insert(tuple, base) {
 	case InsertedNew:
-		t.ops = append(t.ops, op{pred: pred, tuple: tuple})
 		t.inserted[pred] = append(t.inserted[pred], tuple)
 		return true, nil
 	case InsertedDup:
@@ -507,22 +510,30 @@ func (w *Workspace) deleteTxn(t *txn, pred string, tuple datalog.Tuple) {
 	}
 	wasBase := rel.IsBase(tuple)
 	if rel.Delete(tuple) {
-		t.ops = append(t.ops, op{del: true, pred: pred, tuple: tuple, wasBase: wasBase})
+		t.dels = append(t.dels, undoDel{pred: pred, tuple: tuple, at: len(t.inserted[pred]), wasBase: wasBase})
 	}
 }
 
+// rollback undoes the transaction. Relations are independent, so only the
+// order of operations on one relation matters: walking the deletions newest
+// first, each one's relation first loses what was inserted after it, then gets
+// the deleted tuple back (an aggregate value replaced 5→4→3 unwinds 3, 4, then
+// restores 5); whatever inserts remain precede every deletion.
 func (w *Workspace) rollback(t *txn) {
-	for i := len(t.ops) - 1; i >= 0; i-- {
-		o := t.ops[i]
-		rel := w.rels[o.pred]
-		if rel == nil {
-			continue
+	undoInserts := func(rel *Relation, ins []datalog.Tuple) {
+		for i := len(ins) - 1; i >= 0; i-- {
+			rel.Delete(ins[i])
 		}
-		if o.del {
-			rel.Insert(o.tuple, o.wasBase)
-		} else {
-			rel.Delete(o.tuple)
-		}
+	}
+	for i := len(t.dels) - 1; i >= 0; i-- {
+		d := &t.dels[i]
+		rel, ins := w.rels[d.pred], t.inserted[d.pred]
+		undoInserts(rel, ins[d.at:])
+		t.inserted[d.pred] = ins[:d.at]
+		rel.Insert(d.tuple, d.wasBase)
+	}
+	for pred, ins := range t.inserted {
+		undoInserts(w.rels[pred], ins)
 	}
 	for _, k := range t.skolemKeys {
 		delete(w.skolems, k)

@@ -273,6 +273,25 @@ func fmtDur(d time.Duration) string {
 	}
 }
 
+// mergeNote says what inbound group commit did to the wave at one node: a
+// transaction of this trace absorbed other datagrams, or this wave's datagram
+// was absorbed by a transaction of another trace and continues there — so a
+// wave that ends in a bare decode span reads as merged, not as lost.
+func mergeNote(spans []Span) string {
+	var note string
+	absorbed := 0
+	for _, s := range spans {
+		absorbed = max(absorbed, s.Absorbed)
+		if s.Into != 0 {
+			note = fmt.Sprintf(" · merged into trace %d", s.Into)
+		}
+	}
+	if absorbed > 1 {
+		note = fmt.Sprintf(" · merged %d datagrams", absorbed) + note
+	}
+	return note
+}
+
 // WriteWaveASCII renders a wave's causal tree as indented ASCII with
 // per-stage latencies — the `sbx trace` view of one derivation wave.
 func WriteWaveASCII(w io.Writer, root *WaveNode) {
@@ -296,8 +315,8 @@ func WriteWaveASCII(w io.Writer, root *WaveNode) {
 		if name == "" {
 			name = "?"
 		}
-		fmt.Fprintf(w, "%s @%s hop %d (%d spans) — %s\n",
-			line+name, n.Node, n.Hop, len(n.Spans), stageLine(n.Spans))
+		fmt.Fprintf(w, "%s @%s hop %d (%d spans) — %s%s\n",
+			line+name, n.Node, n.Hop, len(n.Spans), stageLine(n.Spans), mergeNote(n.Spans))
 		for i, c := range n.Children {
 			walk(c, childPrefix, i == len(n.Children)-1, false)
 		}

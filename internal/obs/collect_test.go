@@ -159,6 +159,25 @@ func TestWriteWaveASCII(t *testing.T) {
 		t.Errorf("latency missing from root: %q", lines[0])
 	}
 
+	// Inbound group commit: the transaction that absorbed several datagrams
+	// says how many; a datagram absorbed behind another wave says where its
+	// own wave went on.
+	merged := BuildWave(8, []Span{
+		{Trace: 8, Hop: 0, Node: "a:1", Principal: "p0", Stage: StageFixpoint, Start: now, Dur: time.Millisecond},
+		{Trace: 8, Hop: 1, Node: "b:1", Principal: "p1", Stage: StageDecode, Peer: "a:1", Start: now, Dur: time.Microsecond},
+		{Trace: 8, Hop: 1, Node: "b:1", Principal: "p1", Stage: StageFixpoint, Peer: "a:1", Start: now, Dur: time.Millisecond, Absorbed: 5},
+		{Trace: 8, Hop: 1, Node: "c:1", Principal: "p2", Stage: StageDecode, Peer: "a:1", Start: now, Dur: time.Microsecond, Into: 99},
+	})
+	sb.Reset()
+	WriteWaveASCII(&sb, merged)
+	lines = strings.Split(strings.TrimRight(sb.String(), "\n"), "\n")
+	if len(lines) != 3 || !strings.HasSuffix(lines[1], "merged 5 datagrams") || !strings.HasSuffix(lines[2], "merged into trace 99") {
+		t.Errorf("merge annotations missing:\n%s", sb.String())
+	}
+	if strings.Contains(lines[0], "merged") {
+		t.Errorf("unmerged node annotated: %q", lines[0])
+	}
+
 	var empty strings.Builder
 	WriteWaveASCII(&empty, nil)
 	if !strings.Contains(empty.String(), "no spans") {

@@ -12,10 +12,10 @@ import (
 // constraint checks (signature verification, write-access sweeps) run
 // inside the workspace transaction, so their cost is part of the
 // StageFixpoint span; StageVerify covers the speculative pre-verification
-// pump that warms those checks ahead of the transaction.
+// stage that warms those checks ahead of the transaction.
 const (
 	StageDecode   = "decode"   // wire decode of an inbound datagram
-	StageVerify   = "verify"   // pre-verify pump warming signature checks
+	StageVerify   = "verify"   // intake stage warming signature checks
 	StageFixpoint = "fixpoint" // workspace transaction incl. policy checks
 	StageSign     = "sign"     // outbound batch-envelope signing
 	StageShip     = "ship"     // datagram handed to the transport
@@ -49,6 +49,14 @@ type Span struct {
 	Start time.Time `json:"start"`
 	// Dur is how long the stage took.
 	Dur time.Duration `json:"dur_ns"`
+	// Absorbed, on a fixpoint span, is how many units of work — inbound
+	// datagrams, or locally asserted batches — the transaction merged, when
+	// more than one. The span carries the first one's trace.
+	Absorbed int `json:"absorbed,omitempty"`
+	// Into, on the decode span of a datagram a merged transaction absorbed
+	// behind another, is the trace that transaction ran (and shipped) under:
+	// where this wave continues.
+	Into uint64 `json:"into,omitempty"`
 }
 
 // traceBase randomizes the high half of trace IDs per process so the IDs

@@ -162,6 +162,9 @@ func (ep *MemEndpoint) Send(to string, data []byte) error {
 // Receive implements Transport.
 func (ep *MemEndpoint) Receive() <-chan InMsg { return ep.q.out }
 
+// ReceiveBatch implements Transport.
+func (ep *MemEndpoint) ReceiveBatch() <-chan []InMsg { return ep.q.batches() }
+
 // Close implements Transport.
 func (ep *MemEndpoint) Close() error {
 	ep.mu.Lock()

@@ -371,6 +371,9 @@ func (r *ReliableEndpoint) Forget(addr string) int {
 // Receive implements Transport.
 func (r *ReliableEndpoint) Receive() <-chan InMsg { return r.q.out }
 
+// ReceiveBatch implements Transport.
+func (r *ReliableEndpoint) ReceiveBatch() <-chan []InMsg { return r.q.batches() }
+
 // Losses returns how many frames were abandoned after MaxAttempts.
 func (r *ReliableEndpoint) Losses() int64 {
 	r.mu.Lock()
@@ -419,50 +422,59 @@ func (r *ReliableEndpoint) Close() error {
 
 func (r *ReliableEndpoint) recvLoop() {
 	defer r.wg.Done()
-	for in := range r.inner.Receive() {
-		typ, seq, payload, ok := decodeFrame(in.Data)
-		if !ok {
-			r.mu.Lock()
-			r.crcRejects++
-			r.mu.Unlock()
-			cCRCRejects.Inc()
-			continue // garbage or corrupted: drop, sender will retransmit
-		}
-		switch typ {
-		case frameAck:
-			r.mu.Lock()
-			if m := r.pending[in.From]; m != nil {
-				if u, ok := m[seq]; ok {
-					delete(m, seq)
-					if u.sentOnce {
-						r.inflight[in.From]--
-					}
-				}
-			}
-			r.mu.Unlock()
-		case frameData:
-			// Acknowledge even redeliveries: the first ack may have been
-			// the datagram that got lost.
-			_ = r.inner.Send(in.From, encodeFrame(frameAck, seq, nil))
-			r.mu.Lock()
-			st := r.seen[in.From]
-			if st == nil {
-				st = &dedupState{above: make(map[uint64]bool)}
-				r.seen[in.From] = st
-			}
-			if seq <= st.floor || st.above[seq] {
-				r.dupDrops++
-				r.mu.Unlock()
-				cDupDrops.Inc()
-				continue // duplicate
-			}
-			st.above[seq] = true
-			st.advance()
-			r.mu.Unlock()
-			r.q.push(InMsg{From: in.From, Data: payload})
+	for batch := range r.inner.ReceiveBatch() {
+		for _, in := range batch {
+			r.handleFrame(in)
 		}
 	}
 	r.q.close()
+}
+
+// handleFrame consumes one raw datagram: an ack releases its pending frame, a
+// data frame is acknowledged and, unless it is a redelivery, queued for the
+// consumer.
+func (r *ReliableEndpoint) handleFrame(in InMsg) {
+	typ, seq, payload, ok := decodeFrame(in.Data)
+	if !ok {
+		r.mu.Lock()
+		r.crcRejects++
+		r.mu.Unlock()
+		cCRCRejects.Inc()
+		return // garbage or corrupted: drop, sender will retransmit
+	}
+	switch typ {
+	case frameAck:
+		r.mu.Lock()
+		if m := r.pending[in.From]; m != nil {
+			if u, ok := m[seq]; ok {
+				delete(m, seq)
+				if u.sentOnce {
+					r.inflight[in.From]--
+				}
+			}
+		}
+		r.mu.Unlock()
+	case frameData:
+		// Acknowledge even redeliveries: the first ack may have been
+		// the datagram that got lost.
+		_ = r.inner.Send(in.From, encodeFrame(frameAck, seq, nil))
+		r.mu.Lock()
+		st := r.seen[in.From]
+		if st == nil {
+			st = &dedupState{above: make(map[uint64]bool)}
+			r.seen[in.From] = st
+		}
+		if seq <= st.floor || st.above[seq] {
+			r.dupDrops++
+			r.mu.Unlock()
+			cDupDrops.Inc()
+			return // duplicate
+		}
+		st.above[seq] = true
+		st.advance()
+		r.mu.Unlock()
+		r.q.push(InMsg{From: in.From, Data: payload})
+	}
 }
 
 // retransmitLoop wakes a few times per base interval and walks the pending

@@ -19,8 +19,50 @@ func reliablePair(t *testing.T, seed int64, drop, dup, garble float64) (a, b *Re
 	return a, b
 }
 
+// receiver reads one endpoint's datagrams one at a time through either of the
+// Transport's receive methods, so the delivery tests below hold the batch
+// hand-off to the same in-order, exactly-once contract as Receive.
+type receiver struct {
+	ep    Transport
+	batch bool
+	buf   []InMsg
+}
+
+// next returns the next datagram, or false after the timeout.
+func (r *receiver) next(timeout time.Duration) (InMsg, bool) {
+	if !r.batch {
+		select {
+		case m := <-r.ep.Receive():
+			return m, true
+		case <-time.After(timeout):
+			return InMsg{}, false
+		}
+	}
+	if len(r.buf) == 0 {
+		select {
+		case r.buf = <-r.ep.ReceiveBatch():
+		case <-time.After(timeout):
+			return InMsg{}, false
+		}
+	}
+	m := r.buf[0]
+	r.buf = r.buf[1:]
+	return m, true
+}
+
+// viaBothReceiveMethods runs a delivery test once per receive method.
+func viaBothReceiveMethods(t *testing.T, test func(t *testing.T, batch bool)) {
+	t.Run("Receive", func(t *testing.T) { test(t, false) })
+	t.Run("ReceiveBatch", func(t *testing.T) { test(t, true) })
+}
+
 func TestReliableDeliveryUnderLossDupAndCorruption(t *testing.T) {
+	viaBothReceiveMethods(t, testReliableDeliveryUnderLossDupAndCorruption)
+}
+
+func testReliableDeliveryUnderLossDupAndCorruption(t *testing.T, batch bool) {
 	a, b := reliablePair(t, 42, 0.3, 0.2, 0.1)
+	in := receiver{ep: b, batch: batch}
 	const n = 200
 	for i := 0; i < n; i++ {
 		if err := a.Send("b:1", []byte(fmt.Sprintf("msg-%03d", i))); err != nil {
@@ -28,16 +70,14 @@ func TestReliableDeliveryUnderLossDupAndCorruption(t *testing.T) {
 		}
 	}
 	got := map[string]int{}
-	deadline := time.After(30 * time.Second)
 	for len(got) < n {
-		select {
-		case m := <-b.Receive():
-			got[string(m.Data)]++
-			if m.From != "a:1" {
-				t.Fatalf("from %s, want a:1", m.From)
-			}
-		case <-deadline:
+		m, ok := in.next(30 * time.Second)
+		if !ok {
 			t.Fatalf("only %d/%d distinct messages delivered", len(got), n)
+		}
+		got[string(m.Data)]++
+		if m.From != "a:1" {
+			t.Fatalf("from %s, want a:1", m.From)
 		}
 	}
 	for msg, cnt := range got {
@@ -57,8 +97,12 @@ func TestReliableDeliveryUnderLossDupAndCorruption(t *testing.T) {
 }
 
 func TestReliableDedupStateIsPruned(t *testing.T) {
+	viaBothReceiveMethods(t, testReliableDedupStateIsPruned)
+}
+
+func testReliableDedupStateIsPruned(t *testing.T, batch bool) {
 	// In-order delivery must keep the dedup floor advancing instead of
-	// accumulating one entry per message.
+	// accumulating one entry per message, and reach the consumer in order.
 	net := NewMemNetwork()
 	a := NewReliable(net.Endpoint("a:1"), ReliableConfig{})
 	b := NewReliable(net.Endpoint("b:1"), ReliableConfig{})
@@ -70,11 +114,14 @@ func TestReliableDedupStateIsPruned(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	in := receiver{ep: b, batch: batch}
 	for i := 0; i < n; i++ {
-		select {
-		case <-b.Receive():
-		case <-time.After(5 * time.Second):
+		m, ok := in.next(5 * time.Second)
+		if !ok {
 			t.Fatalf("message %d not delivered", i)
+		}
+		if len(m.Data) != 1 || m.Data[0] != byte(i) {
+			t.Fatalf("message %d arrived as %v: out of order", i, m.Data)
 		}
 	}
 	b.mu.Lock()
@@ -355,6 +402,10 @@ func TestReliableDedupWindowSlidesPastAbandonedFrame(t *testing.T) {
 }
 
 func TestReliableOverRealUDP(t *testing.T) {
+	viaBothReceiveMethods(t, testReliableOverRealUDP)
+}
+
+func testReliableOverRealUDP(t *testing.T, batch bool) {
 	udpNet := NewUDPNetwork()
 	defer udpNet.Close()
 	a, err := udpNet.Listen("")
@@ -372,16 +423,15 @@ func TestReliableOverRealUDP(t *testing.T) {
 		}
 	}
 	seen := map[string]bool{}
-	deadline := time.After(20 * time.Second)
+	in := receiver{ep: b, batch: batch}
 	for len(seen) < n {
-		select {
-		case m := <-b.Receive():
-			seen[string(m.Data)] = true
-			if m.From != a.Addr() {
-				t.Fatalf("from %s, want %s", m.From, a.Addr())
-			}
-		case <-deadline:
+		m, ok := in.next(20 * time.Second)
+		if !ok {
 			t.Fatalf("only %d/%d messages over real UDP", len(seen), n)
+		}
+		seen[string(m.Data)] = true
+		if m.From != a.Addr() {
+			t.Fatalf("from %s, want %s", m.From, a.Addr())
 		}
 	}
 }

@@ -1,7 +1,9 @@
 package transport
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math/rand"
 	"sync"
 	"testing"
 	"time"
@@ -81,6 +83,118 @@ func TestUnboundedQueueNoSenderBlocking(t *testing.T) {
 	case <-done:
 	case <-time.After(5 * time.Second):
 		t.Fatal("sender blocked on undrained receiver")
+	}
+}
+
+// TestQueueHandOffIsOneFIFOStream: one consumer taking datagrams through
+// Receive, through ReceiveBatch and through a select over both, in a random
+// interleaving and while the producer is still pushing, sees every datagram
+// exactly once and in push order — the two channels are two views of one
+// queue, and a batch is the queue's prefix, never a copy the single channel
+// also serves.
+func TestQueueHandOffIsOneFIFOStream(t *testing.T) {
+	const n = 100000
+	q := newQueue()
+	defer q.close()
+	go func() {
+		for i := uint64(0); i < n; i++ {
+			if !q.push(InMsg{From: "p", Data: binary.LittleEndian.AppendUint64(nil, i)}) {
+				t.Error("push on an open queue failed")
+				return
+			}
+		}
+	}()
+	rng := rand.New(rand.NewSource(1))
+	next, batches, longest := uint64(0), 0, 0
+	take := func(m InMsg) {
+		if got := binary.LittleEndian.Uint64(m.Data); got != next {
+			t.Fatalf("datagram %d delivered where %d was due: lost, duplicated or reordered", got, next)
+		}
+		next++
+	}
+	takeAll := func(ms []InMsg) {
+		if len(ms) == 0 {
+			t.Fatal("empty batch handed over")
+		}
+		batches++
+		longest = max(longest, len(ms))
+		for _, m := range ms {
+			take(m)
+		}
+	}
+	timeout := time.After(60 * time.Second)
+	for next < n {
+		single, batch := q.out, q.batches()
+		switch rng.Intn(3) {
+		case 0:
+			batch = nil
+		case 1:
+			single = nil
+		}
+		select {
+		case m := <-single:
+			take(m)
+		case ms := <-batch:
+			takeAll(ms)
+		case <-timeout:
+			t.Fatalf("stalled after %d of %d datagrams", next, n)
+		}
+	}
+	if batches == 0 || longest < 2 {
+		t.Errorf("%d batches, longest %d: the batch hand-off never carried a backlog", batches, longest)
+	}
+	select {
+	case m := <-q.out:
+		t.Errorf("datagram %v delivered twice", m.Data)
+	case ms := <-q.batches():
+		t.Errorf("%d datagrams delivered twice", len(ms))
+	case <-time.After(20 * time.Millisecond):
+	}
+}
+
+// TestQueueCloseReleasesPumpWithItemsQueued: closing a queue nobody is
+// draining — with a backlog, whether or not batches were ever asked for —
+// closes both channels (the pump's last act), discards the backlog and turns
+// further pushes away.
+func TestQueueCloseReleasesPumpWithItemsQueued(t *testing.T) {
+	for _, batching := range []bool{false, true} {
+		q := newQueue()
+		for i := 0; i < 100; i++ {
+			q.push(InMsg{Data: []byte{byte(i)}})
+		}
+		if batching {
+			q.batches()
+		}
+		q.close()
+		q.close() // idempotent
+		if q.push(InMsg{}) {
+			t.Error("push succeeded on a closed queue")
+		}
+		// An offer already made may still be taken; after it the channels
+		// must report closed.
+		delivered := 0
+		timeout := time.After(5 * time.Second)
+		for out, batch := q.out, q.batch; out != nil || batch != nil; {
+			select {
+			case _, ok := <-out:
+				if !ok {
+					out = nil
+				} else {
+					delivered++
+				}
+			case ms, ok := <-batch:
+				if !ok {
+					batch = nil
+				} else {
+					delivered += len(ms)
+				}
+			case <-timeout:
+				t.Fatalf("batching=%v: pump still holds its channels open after close", batching)
+			}
+		}
+		if delivered > 100 {
+			t.Errorf("batching=%v: %d datagrams delivered from a backlog of 100", batching, delivered)
+		}
 	}
 }
 

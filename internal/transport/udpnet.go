@@ -95,6 +95,9 @@ func (ep *UDPEndpoint) Send(to string, data []byte) error {
 // Receive implements Transport.
 func (ep *UDPEndpoint) Receive() <-chan InMsg { return ep.q.out }
 
+// ReceiveBatch implements Transport.
+func (ep *UDPEndpoint) ReceiveBatch() <-chan []InMsg { return ep.q.batches() }
+
 // Stats returns this endpoint's traffic counters.
 func (ep *UDPEndpoint) Stats() Stats {
 	ep.statsMu.Lock()
