@@ -267,26 +267,19 @@ func BenchmarkEngineTransitiveClosure(b *testing.B) {
 	}
 }
 
-// closureAllocCeiling bounds allocations per sequential closure iteration.
-// The evaluator reuses its evalEnv, per-round rule lists and per-rule
-// frames across fixpoint rounds, so allocs/op is dominated by tuple
-// storage for the ~60k derived reachable facts (measured: ~131k allocs/op).
-// The ceiling has ~50% headroom and catches a reintroduced per-round or
-// per-delta-tuple allocation, which multiplies that figure.
+// closureAllocCeiling bounds allocations per closure iteration. The evaluator
+// reuses its per-round rule lists and per-rule frames across fixpoint rounds,
+// so allocs/op is dominated by tuple storage for the ~60k derived reachable
+// facts. The ceiling catches a reintroduced per-round or per-delta-tuple
+// allocation, which multiplies that figure.
 const closureAllocCeiling = 200_000
-
-// benchFixpointWorkers are the engine parallelism settings each fixpoint
-// workload is measured at: p0 is the classic sequential path, p1 the
-// parallel machinery without concurrency (its overhead), p2..p8 the scaling
-// curve. cmd/benchjson records the same sweep as BENCH_engine_parallel.json.
-var benchFixpointWorkers = []int{0, 1, 2, 4, 8}
 
 // BenchmarkEngineFixpoint measures the local evaluator's join machinery in
 // isolation — the per-transaction cost under every security policy. The
 // closure case exercises recursive semi-naïve evaluation over a dense
-// random digraph (delta probing, hash-partitioned parallel rounds); the
-// multijoin case exercises a three-way join whose middle atom binds a
-// non-first column, the shape that historically forced a full relation scan.
+// random digraph (delta probing); the multijoin case exercises a three-way
+// join whose middle atom binds a non-first column, the shape that
+// historically forced a full relation scan.
 func BenchmarkEngineFixpoint(b *testing.B) {
 	b.Run("closure", func(b *testing.B) {
 		prog, err := datalog.Parse(engine.BenchClosureSrc)
@@ -294,38 +287,31 @@ func BenchmarkEngineFixpoint(b *testing.B) {
 			b.Fatal(err)
 		}
 		facts, want := engine.BenchClosureInput(250, 1000, 7)
-		for _, workers := range benchFixpointWorkers {
-			b.Run(fmt.Sprintf("p%d", workers), func(b *testing.B) {
-				b.ReportAllocs()
-				var before, after runtime.MemStats
-				runtime.ReadMemStats(&before)
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					w := engine.NewWorkspace(nil)
-					w.Parallelism = workers
-					if err := w.Install(prog); err != nil {
-						b.Fatal(err)
-					}
-					if _, err := w.Assert(facts); err != nil {
-						b.Fatal(err)
-					}
-					if got := w.Count("reachable"); got != want {
-						b.Fatalf("closure size %d, want %d", got, want)
-					}
-					if s := w.Stats(); s.FullScanFallbacks != 0 {
-						b.Fatalf("join plan regression: %s", s)
-					}
-				}
-				b.StopTimer()
-				runtime.ReadMemStats(&after)
-				if workers == 0 {
-					perOp := float64(after.Mallocs-before.Mallocs) / float64(b.N)
-					if perOp > closureAllocCeiling {
-						b.Fatalf("allocation regression: %.0f allocs/op (ceiling %d)",
-							perOp, closureAllocCeiling)
-					}
-				}
-			})
+		b.ReportAllocs()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			w := engine.NewWorkspace(nil)
+			if err := w.Install(prog); err != nil {
+				b.Fatal(err)
+			}
+			if _, err := w.Assert(facts); err != nil {
+				b.Fatal(err)
+			}
+			if got := w.Count("reachable"); got != want {
+				b.Fatalf("closure size %d, want %d", got, want)
+			}
+			if s := w.Stats(); s.FullScanFallbacks != 0 {
+				b.Fatalf("join plan regression: %s", s)
+			}
+		}
+		b.StopTimer()
+		runtime.ReadMemStats(&after)
+		perOp := float64(after.Mallocs-before.Mallocs) / float64(b.N)
+		if perOp > closureAllocCeiling {
+			b.Fatalf("allocation regression: %.0f allocs/op (ceiling %d)",
+				perOp, closureAllocCeiling)
 		}
 	})
 	b.Run("multijoin", func(b *testing.B) {
@@ -334,27 +320,22 @@ func BenchmarkEngineFixpoint(b *testing.B) {
 			b.Fatal(err)
 		}
 		facts := engine.BenchMultijoinInput(600, 400, 7)
-		for _, workers := range benchFixpointWorkers {
-			b.Run(fmt.Sprintf("p%d", workers), func(b *testing.B) {
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					w := engine.NewWorkspace(nil)
-					w.Parallelism = workers
-					if err := w.Install(prog); err != nil {
-						b.Fatal(err)
-					}
-					if _, err := w.Assert(facts); err != nil {
-						b.Fatal(err)
-					}
-					if w.Count("q") == 0 {
-						b.Fatal("empty join result")
-					}
-					if s := w.Stats(); s.FullScanFallbacks != 0 {
-						b.Fatalf("join plan regression: %s", s)
-					}
-				}
-			})
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			w := engine.NewWorkspace(nil)
+			if err := w.Install(prog); err != nil {
+				b.Fatal(err)
+			}
+			if _, err := w.Assert(facts); err != nil {
+				b.Fatal(err)
+			}
+			if w.Count("q") == 0 {
+				b.Fatal("empty join result")
+			}
+			if s := w.Stats(); s.FullScanFallbacks != 0 {
+				b.Fatalf("join plan regression: %s", s)
+			}
 		}
 	})
 }

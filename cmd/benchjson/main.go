@@ -3,9 +3,7 @@
 // machine-readable BENCH_*.json report per figure, with every measurement
 // pulled from the unified obs registry: fixpoint seconds, RSA sign
 // operations, bytes shipped, and per-transaction latency quantiles from
-// the sbx_txn_duration_seconds histogram delta. A third report,
-// BENCH_engine_parallel.json, sweeps the single-node stratified parallel
-// evaluator across worker counts on the BenchmarkEngineFixpoint workloads.
+// the sbx_txn_duration_seconds histogram delta.
 // The JSON files are checked into the repo so the performance trajectory
 // across PRs is recorded as data instead of prose.
 //
@@ -23,8 +21,6 @@ import (
 
 	"secureblox/internal/apps"
 	"secureblox/internal/core"
-	"secureblox/internal/datalog"
-	"secureblox/internal/engine"
 	"secureblox/internal/metrics"
 	"secureblox/internal/obs"
 )
@@ -176,76 +172,5 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// Engine parallel fixpoint: the single-node stratified parallel
-	// evaluator across worker counts, on the same workloads and seeds as
-	// BenchmarkEngineFixpoint (Scheme = workload, N = worker count, 0 =
-	// the classic sequential path). Best of three runs per cell, so the
-	// checked-in numbers track the evaluator rather than scheduler noise.
-	engPar := obs.BenchReport{
-		Figure: "engine_parallel", Workload: "engine_fixpoint",
-		Transport: "local", Quick: *quick, GeneratedAt: now,
-	}
-	closureProg, err := datalog.Parse(engine.BenchClosureSrc)
-	if err != nil {
-		log.Fatal(err)
-	}
-	multijoinProg, err := datalog.Parse(engine.BenchMultijoinSrc)
-	if err != nil {
-		log.Fatal(err)
-	}
-	closureFacts, closureWant := engine.BenchClosureInput(250, 1000, 7)
-	engineWorkloads := []struct {
-		name  string
-		prog  *datalog.Program
-		facts []engine.Fact
-		check func(w *engine.Workspace) error
-	}{
-		{"closure", closureProg, closureFacts, func(w *engine.Workspace) error {
-			if got := w.Count("reachable"); got != closureWant {
-				return fmt.Errorf("closure size %d, want %d", got, closureWant)
-			}
-			return nil
-		}},
-		{"multijoin", multijoinProg, engine.BenchMultijoinInput(600, 400, 7), func(w *engine.Workspace) error {
-			if w.Count("q") == 0 {
-				return fmt.Errorf("empty join result")
-			}
-			return nil
-		}},
-	}
-	for _, wl := range engineWorkloads {
-		for _, workers := range []int{0, 1, 2, 4, 8} {
-			best := obs.BenchSchemeResult{Scheme: wl.name, N: workers}
-			for trial := 0; trial < 3; trial++ {
-				w := engine.NewWorkspace(nil)
-				w.Parallelism = workers
-				if err := w.Install(wl.prog); err != nil {
-					log.Fatalf("engine %s p=%d: %v", wl.name, workers, err)
-				}
-				start := time.Now()
-				if _, err := w.Assert(wl.facts); err != nil {
-					log.Fatalf("engine %s p=%d: %v", wl.name, workers, err)
-				}
-				sec := time.Since(start).Seconds()
-				if err := wl.check(w); err != nil {
-					log.Fatalf("engine %s p=%d: %v", wl.name, workers, err)
-				}
-				if s := w.Stats(); s.FullScanFallbacks != 0 {
-					log.Fatalf("engine %s p=%d: join plan regression: %s", wl.name, workers, s)
-				}
-				if trial == 0 || sec < best.FixpointSeconds {
-					best.FixpointSeconds = sec
-					best.FixpointRounds = w.Stats().FixpointRounds
-				}
-			}
-			engPar.Results = append(engPar.Results, best)
-			fmt.Printf("# engine %s p=%d: %.3fs %d rounds\n",
-				wl.name, workers, best.FixpointSeconds, best.FixpointRounds)
-		}
-	}
-	engParPath := filepath.Join(*outDir, "BENCH_engine_parallel.json")
-	if err := obs.WriteBenchJSON(engParPath, engPar); err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("# wrote %s, %s and %s\n", fig4Path, fig7Path, engParPath)
+	fmt.Printf("# wrote %s and %s\n", fig4Path, fig7Path)
 }

@@ -52,7 +52,6 @@ func main() {
 	transportFlag := flag.String("transport", "mem", "cluster transport: mem (in-process) or udp (real loopback sockets)")
 	batchSign := flag.Bool("batchsign", false, "add footnote 2's batch-signed RSA-AES scheme to the comparison")
 	debugAddr := flag.String("debugaddr", "", "serve /metrics and /debug/spans on this address while the sweep runs (e.g. 127.0.0.1:0)")
-	parallel := flag.Int("parallel", 0, "engine fixpoint workers per node (0 = sequential evaluation)")
 	chaosPlan := flag.String("chaos", "", "chaos fault-plan file (JSON) injected below the reliable layer; requires -transport udp")
 	flag.Parse()
 
@@ -92,7 +91,6 @@ func main() {
 		cfg := apps.DefaultHashJoinConfig(n, p, *seed+int64(trial)*1000+int64(n))
 		cfg.Transport = *transportFlag
 		cfg.ChaosPlan = *chaosPlan
-		cfg.Parallelism = *parallel
 		res, err := apps.RunHashJoin(cfg)
 		if err != nil {
 			log.Fatalf("n=%d %s: %v%s", n, p.Name(), err, udpDiag(*transportFlag))

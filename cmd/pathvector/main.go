@@ -55,7 +55,6 @@ func main() {
 	transportFlag := flag.String("transport", "mem", "cluster transport: mem (in-process) or udp (real loopback sockets)")
 	batchSign := flag.Bool("batchsign", false, "add footnote 2's batch-signed RSA scheme (one signature per export batch) to the sweep")
 	debugAddr := flag.String("debugaddr", "", "serve /metrics and /debug/spans on this address while the sweep runs (e.g. 127.0.0.1:0)")
-	parallel := flag.Int("parallel", 0, "engine fixpoint workers per node (0 = sequential evaluation)")
 	chaosPlan := flag.String("chaos", "", "chaos fault-plan file (JSON) injected below the reliable layer; requires -transport udp")
 	flag.Parse()
 
@@ -97,10 +96,9 @@ func main() {
 	run := func(n int, p core.PolicyConfig, trial int) *apps.PathVectorResult {
 		res, err := apps.RunPathVector(apps.PathVectorConfig{
 			N: n, AvgDegree: *degree, Policy: p,
-			Seed:        *seed + int64(trial)*1000 + int64(n),
-			Transport:   *transportFlag,
-			ChaosPlan:   *chaosPlan,
-			Parallelism: *parallel,
+			Seed:      *seed + int64(trial)*1000 + int64(n),
+			Transport: *transportFlag,
+			ChaosPlan: *chaosPlan,
 		})
 		if err != nil {
 			log.Fatalf("n=%d %s: %v%s", n, p.Name(), err, udpDiag(*transportFlag))

@@ -180,7 +180,6 @@ func runVet(args []string) int {
 	var policies policyList
 	fs.Var(&policies, "p", "BloxGenerics policy file (repeatable)")
 	builtin := fs.Bool("builtin", false, "vet the shipped rule sets (pathvector, hashjoin, anonjoin) instead of files")
-	quiet := fs.Bool("q", false, "suppress info-level findings")
 	fs.Parse(args)
 
 	var targets []vetTarget
@@ -223,17 +222,7 @@ func runVet(args []string) int {
 			exit = 1
 			continue
 		}
-		findings := rep.Findings
-		if *quiet {
-			kept := findings[:0:0]
-			for _, f := range findings {
-				if f.Severity != analysis.Info {
-					kept = append(kept, f)
-				}
-			}
-			findings = kept
-		}
-		if analysis.WriteFindings(os.Stdout, t.name, findings) > 0 {
+		if analysis.WriteFindings(os.Stdout, t.name, rep.Findings) > 0 {
 			exit = 1
 		}
 	}

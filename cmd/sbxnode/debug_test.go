@@ -10,56 +10,12 @@ import (
 	"secureblox/internal/obs"
 )
 
-// TestDebugEndpointServesCounters: the -debugaddr expvar server exposes
-// the engine, dist and crypto counter groups as JSON.
-func TestDebugEndpointServesCounters(t *testing.T) {
-	addr, stop, err := startDebugServer("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer stop()
-	bindDebug("debugtest", "p0", nil, nil)
-
-	resp, err := http.Get("http://" + addr + "/debug/vars")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var vars map[string]json.RawMessage
-	if err := json.Unmarshal(body, &vars); err != nil {
-		t.Fatalf("response is not JSON: %v\n%s", err, body)
-	}
-	for _, key := range []string{"sbx_engine", "sbx_dist", "sbx_crypto"} {
-		if _, ok := vars[key]; !ok {
-			t.Fatalf("missing %s in /debug/vars", key)
-		}
-	}
-	var engine map[string]int64
-	if err := json.Unmarshal(vars["sbx_engine"], &engine); err != nil {
-		t.Fatalf("sbx_engine not an int map: %v", err)
-	}
-	if _, ok := engine["index_probes"]; !ok {
-		t.Fatal("sbx_engine lacks index_probes")
-	}
-	var distVars map[string]any
-	if err := json.Unmarshal(vars["sbx_dist"], &distVars); err != nil {
-		t.Fatal(err)
-	}
-	if distVars["principal"] != "p0" {
-		t.Fatalf("sbx_dist principal = %v", distVars["principal"])
-	}
-}
-
-// TestDebugEndpointServesMetricsAndSpans: the same server mounts the obs
-// registry's Prometheus endpoint and the wave-trace span dump. The key
+// TestDebugEndpointServesMetricsAndSpans: the -debugaddr server mounts the
+// obs registry's Prometheus endpoint and the wave-trace span dump. The key
 // families are registered at package init across the subsystems, so they
 // must render (at zero) even on a node that has processed nothing.
 func TestDebugEndpointServesMetricsAndSpans(t *testing.T) {
-	addr, stop, err := startDebugServer("127.0.0.1:0")
+	addr, stop, err := obs.ServeDebug("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,5 +63,15 @@ func TestDebugEndpointServesMetricsAndSpans(t *testing.T) {
 	}
 	if !found {
 		t.Errorf("/debug/spans?trace=42 did not return the recorded span")
+	}
+
+	// /metrics is the only counter surface: nothing is mounted at /debug/vars.
+	vresp, err := http.Get("http://" + addr + "/debug/vars")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer vresp.Body.Close()
+	if vresp.StatusCode != http.StatusNotFound {
+		t.Errorf("/debug/vars status = %d, want 404", vresp.StatusCode)
 	}
 }

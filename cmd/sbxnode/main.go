@@ -85,7 +85,7 @@ func run(args []string, stdout, stderr *os.File) int {
 	fs.BoolVar(&o.allInOne, "allinone", false, "run every node of the config in this process over the simulated network (reference mode)")
 	fs.BoolVar(&o.genKeys, "genkeys", false, "generate the RSA key files the config's key_file entries name, then exit")
 	fs.BoolVar(&o.vet, "vet", false, "statically analyze the config's workload program and exit (nonzero on error findings)")
-	fs.StringVar(&o.debugAddr, "debugaddr", "", "serve expvar debug counters over HTTP on this address (e.g. 127.0.0.1:8300)")
+	fs.StringVar(&o.debugAddr, "debugaddr", "", "serve /metrics, /debug/spans|logs|pprof, /healthz and /readyz over HTTP on this address (e.g. 127.0.0.1:8300)")
 	fs.StringVar(&o.metricsDump, "metricsdump", "", "write the final metrics registry (Prometheus text format) to this file on exit — end-of-run counters a live /metrics scrape can race past")
 	fs.StringVar(&o.spanDump, "spandump", "", "write the wave-trace span ring (JSON array) to this file on exit; `sbx trace -dump` reads these for offline wave reconstruction")
 	fs.StringVar(&o.logDump, "logdump", "", "write the structured event log ring (JSON array) to this file on exit")
@@ -217,7 +217,7 @@ func runNode(cfg *cluster.Config, o options, stdout *os.File) (retErr error) {
 		}
 	}
 	if debugAddr != "" {
-		_, stop, err := startDebugServer(debugAddr)
+		_, stop, err := obs.ServeDebug(debugAddr)
 		if err != nil {
 			return err
 		}
@@ -262,7 +262,6 @@ func runNode(cfg *cluster.Config, o options, stdout *os.File) (retErr error) {
 	}
 	defer pools.close()
 	rt.BindNode(node)
-	bindDebug(cfg.Cluster, rt.Principal(), node, pools)
 
 	if o.dieAfterJoin {
 		// Fault injection: pass the barrier so every peer starts, then
@@ -427,12 +426,11 @@ func runAllInOne(cfg *cluster.Config, o options, stdout *os.File) error {
 	defer det.Close()
 
 	if o.debugAddr != "" {
-		_, stop, err := startDebugServer(o.debugAddr)
+		_, stop, err := obs.ServeDebug(o.debugAddr)
 		if err != nil {
 			return err
 		}
 		defer stop()
-		bindDebug(cfg.Cluster, "allinone", nodes[0], pools)
 	}
 
 	// No bootstrap handshake in-process, so the health machine jumps
@@ -550,16 +548,15 @@ func assembleNodeWithPools(cfg *cluster.Config, mem *cluster.Membership, idx int
 		}
 	}
 	node, err := core.NodeAssembly{
-		Policy:      pol,
-		Compiled:    res,
-		Directory:   mem,
-		Index:       idx,
-		KeyStore:    ks,
-		Endpoint:    ep,
-		VerifyPool:  pools.verify,
-		SignPool:    pools.sign,
-		Seed:        cfg.Workload.Seed,
-		Parallelism: cfg.Parallelism,
+		Policy:     pol,
+		Compiled:   res,
+		Directory:  mem,
+		Index:      idx,
+		KeyStore:   ks,
+		Endpoint:   ep,
+		VerifyPool: pools.verify,
+		SignPool:   pools.sign,
+		Seed:       cfg.Workload.Seed,
 	}.Build()
 	return node, pools, err
 }

@@ -1,8 +1,8 @@
 // Package analysis is the static program analyzer for compiled DatalogLB
 // rule plans: it builds per-program dependency, binding, and join-attribute
 // graphs, runs a diagnostic suite (safety, range restriction,
-// stratification, dead rules, unused relations, parallel-safety), and
-// infers hash co-partitioning from the join columns of the plans — the
+// stratification, dead rules, unused relations), and infers hash
+// co-partitioning from the join columns of the plans — the
 // BloxBatch-style compile-time checks the paper's toolchain performs before
 // a program ever runs. `sbx vet` and `sbxnode -vet` print its findings;
 // engine.Workspace.InstallCheck can reject error-class findings at install
@@ -22,26 +22,20 @@ import (
 // Severity classifies a finding.
 type Severity int
 
-// Severity levels: Info findings are advisory (e.g. sequential-fallback
-// notes), Warning findings are suspicious but legal (the paper's programs
-// are semantically stratified through the network), Error findings make the
-// program unsafe to install.
+// Severity levels: Warning findings are suspicious but legal (the paper's
+// programs are semantically stratified through the network), Error findings
+// make the program unsafe to install.
 const (
-	Info Severity = iota
-	Warning
+	Warning Severity = iota
 	Error
 )
 
 // String implements fmt.Stringer.
 func (s Severity) String() string {
-	switch s {
-	case Info:
-		return "info"
-	case Warning:
+	if s == Warning {
 		return "warning"
-	default:
-		return "error"
 	}
+	return "error"
 }
 
 // Finding codes emitted by the diagnostic suite.
@@ -54,7 +48,6 @@ const (
 	CodeAggregateCycle   = "aggregate-in-cycle"
 	CodeDeadRule         = "dead-rule"
 	CodeUnusedRelation   = "unused-relation"
-	CodeSeqFallback      = "sequential-fallback"
 	CodeNonCopartition   = "non-copartitionable-join"
 )
 
@@ -95,8 +88,6 @@ type RuleInfo struct {
 	// DeltaOrders lists, per positive body atom, the delta-first order a
 	// semi-naïve evaluation runs when that atom's predicate changed.
 	DeltaOrders [][]string
-	// ParSafe mirrors the engine's parallel-safety classification.
-	ParSafe bool
 }
 
 // Report is the result of analyzing one program.
@@ -226,13 +217,12 @@ func (a *Analyzer) InstallCheck() func(*datalog.Program) error {
 }
 
 // checkRule runs the per-rule diagnostics: safety and range restriction
-// from the AST binding analysis, plan-failure reporting, and the
-// parallel-safety note.
+// from the AST binding analysis, and plan-failure reporting.
 func (a *Analyzer) checkRule(r *Report, p engine.RulePlan, cat *engine.Catalog) {
 	rule := p.Src
 	b := astBinding(rule)
 
-	info := RuleInfo{Rule: rule.String(), Pos: rule.Pos, Bound: b.bound, ParSafe: p.Err == nil && p.ParSafe}
+	info := RuleInfo{Rule: rule.String(), Pos: rule.Pos, Bound: b.bound}
 	if p.Err == nil {
 		info.Bound = p.Bound
 		info.Order = describePlan(p.Steps)
@@ -299,25 +289,6 @@ func (a *Analyzer) checkRule(r *Report, p engine.RulePlan, cat *engine.Catalog) 
 	// Planning failed for a reason the AST checks did not explain.
 	if p.Err != nil && len(flagged) == 0 {
 		add(Error, CodeUnorderableBody, rule.Pos, "%v", p.Err)
-	}
-
-	// Parallel-safety note: these rules silently run on the sequential path
-	// under Workspace.Parallelism.
-	if p.Err == nil && !p.ParSafe {
-		var reasons []string
-		if p.Agg != nil {
-			reasons = append(reasons, "aggregation")
-		}
-		if len(p.HeadEx) > 0 {
-			reasons = append(reasons, fmt.Sprintf("entity creation (%s)", strings.Join(p.HeadEx, ", ")))
-		}
-		for _, s := range p.Steps {
-			if s.Kind == engine.StepUDF {
-				reasons = append(reasons, "UDF "+s.Pred)
-			}
-		}
-		add(Info, CodeSeqFallback, rule.Pos,
-			"rule falls back to sequential evaluation under Workspace.Parallelism: %s", strings.Join(reasons, ", "))
 	}
 }
 

@@ -160,9 +160,7 @@ func TestCleanProgramHasNoFindings(t *testing.T) {
 		reach(A, C) <- reach(A, B), link(B, C).
 	`)
 	for _, f := range rep.Findings {
-		if f.Severity != Info {
-			t.Errorf("unexpected finding: %s", f)
-		}
+		t.Errorf("unexpected finding: %s", f)
 	}
 	if len(rep.Joins) == 0 {
 		t.Error("expected join edges for reach/link")
@@ -183,32 +181,6 @@ func TestExistentialAndAggHeadsAreSafe(t *testing.T) {
 		if f.Code == CodeUnsafeHeadVar {
 			t.Errorf("false positive: %s", f)
 		}
-	}
-}
-
-// Sequential-fallback notes mark aggregation, entity creation, and UDF
-// rules — the constructs Workspace.Parallelism cannot parallelize.
-func TestSeqFallbackNotes(t *testing.T) {
-	rep := analyzeSrc(t, `
-		pathvar(P) -> .
-		pathvar(P), path(P, S, D) <- link(S, D).
-		h(X, H) <- in(X), sha1(X, H).
-		best[S]=C <- agg<< C = min(Cx) >> cost(S, Cx).
-	`, "sha1")
-	n := 0
-	for _, f := range rep.Findings {
-		if f.Code == CodeSeqFallback {
-			if f.Severity != Info {
-				t.Errorf("seq-fallback severity = %s, want info", f.Severity)
-			}
-			n++
-		}
-	}
-	if n != 3 {
-		for _, f := range rep.Findings {
-			t.Logf("finding: %s", f)
-		}
-		t.Errorf("seq-fallback findings = %d, want 3", n)
 	}
 }
 

@@ -82,9 +82,6 @@ type HashJoinConfig struct {
 	// below the reliable layer; requires the udp transport (see
 	// core.NewChaosNetwork).
 	ChaosPlan string
-	// Parallelism configures each node's engine fixpoint (0 sequential,
-	// >= 1 stratified parallel workers); results are identical.
-	Parallelism int
 }
 
 // DefaultHashJoinConfig returns the paper's workload parameters.
@@ -168,12 +165,11 @@ func newHashJoin(cfg HashJoinConfig, net transport.Network) (c *core.Cluster, pa
 	}
 	cfg.Policy.Delegation = core.DelegateNone
 	c, err = core.NewCluster(core.ClusterConfig{
-		N:           cfg.N,
-		Policy:      cfg.Policy,
-		Query:       HashJoinQuery,
-		Seed:        cfg.Seed,
-		Net:         net,
-		Parallelism: cfg.Parallelism,
+		N:      cfg.N,
+		Policy: cfg.Policy,
+		Query:  HashJoinQuery,
+		Seed:   cfg.Seed,
+		Net:    net,
 	})
 	if err != nil {
 		return nil, nil, 0, err

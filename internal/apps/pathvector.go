@@ -74,9 +74,6 @@ type PathVectorConfig struct {
 	// below the reliable layer; requires the udp transport (see
 	// core.NewChaosNetwork).
 	ChaosPlan string
-	// Parallelism configures each node's engine fixpoint (0 sequential,
-	// >= 1 stratified parallel workers); results are identical.
-	Parallelism int
 }
 
 // PathVectorResult carries the metrics of one run (paper §8.1).
@@ -118,12 +115,11 @@ func RunPathVector(cfg PathVectorConfig) (*PathVectorResult, error) {
 		return nil, err
 	}
 	c, err := core.NewCluster(core.ClusterConfig{
-		N:           cfg.N,
-		Policy:      cfg.Policy,
-		Query:       PathVectorQuery,
-		Seed:        cfg.Seed,
-		Net:         net,
-		Parallelism: cfg.Parallelism,
+		N:      cfg.N,
+		Policy: cfg.Policy,
+		Query:  PathVectorQuery,
+		Seed:   cfg.Seed,
+		Net:    net,
 	})
 	if err != nil {
 		return nil, err

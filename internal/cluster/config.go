@@ -146,11 +146,6 @@ type Config struct {
 	// BootstrapTimeout bounds the join handshake and ready barrier
 	// (default 60s).
 	BootstrapTimeout Duration `json:"bootstrap_timeout,omitempty"`
-	// Parallelism configures each node's engine fixpoint: 0 (default)
-	// runs the classic sequential evaluator, >= 1 the stratified parallel
-	// evaluator with that many workers. Node state is identical either
-	// way, so mixed deployments still converge to the same fixpoint.
-	Parallelism int `json:"parallelism,omitempty"`
 	// OnFailure selects what survivors do when a member stops answering
 	// termination probes for the whole unresponsiveness budget: "abort"
 	// (the default) surfaces the typed UnresponsiveError and exits, while
@@ -282,9 +277,6 @@ func (c *Config) Validate() error {
 	}
 	if c.Workload.JoinValues < 0 {
 		return fmt.Errorf("cluster: config: negative workload join_values %d", c.Workload.JoinValues)
-	}
-	if c.Parallelism < 0 {
-		return fmt.Errorf("cluster: config: negative parallelism %d", c.Parallelism)
 	}
 	switch c.OnFailure {
 	case "", "abort", "evict":

@@ -71,7 +71,6 @@ func TestConfigValidationErrors(t *testing.T) {
 		{"hostless address", func(c *Config) { c.Nodes[1].Addr = ":7102" }, "no host"},
 		{"seed with port 0", func(c *Config) { c.Nodes[0].Addr = "127.0.0.1:0" }, "seed node needs a concrete port"},
 		{"shared address", func(c *Config) { c.Nodes[1].Addr = c.Nodes[0].Addr }, `share address`},
-		{"negative parallelism", func(c *Config) { c.Parallelism = -2 }, "negative parallelism -2"},
 		{"negative degree", func(c *Config) { c.Workload.Degree = -1 }, "negative workload degree"},
 		{"negative size_a", func(c *Config) { c.Workload.SizeA = -900 }, "negative workload size_a -900"},
 		{"negative size_b", func(c *Config) { c.Workload.SizeB = -1 }, "negative workload size_b -1"},
@@ -191,6 +190,12 @@ func TestParseConfigRejectsUnknownFields(t *testing.T) {
 	withTypo := strings.Replace(string(data), `"policy"`, `"polcy"`, 1)
 	if _, err := ParseConfig([]byte(withTypo)); err == nil {
 		t.Fatal("misspelled field accepted")
+	}
+	// "parallelism" is no longer a config key: a file that still carries it
+	// is refused by name, so its operator sees which key to delete.
+	oldKnob := strings.Replace(string(data), `{`, `{"parallelism": 2, `, 1)
+	if _, err := ParseConfig([]byte(oldKnob)); err == nil || !strings.Contains(err.Error(), `unknown field "parallelism"`) {
+		t.Fatalf("config carrying the removed parallelism key: err = %v", err)
 	}
 	if _, err := ParseConfig([]byte("{ not json")); err == nil {
 		t.Fatal("non-JSON accepted")

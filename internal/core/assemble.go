@@ -100,10 +100,6 @@ type NodeAssembly struct {
 	SignPool   *seccrypto.SignPool
 	// Seed drives deterministic UDF randomness.
 	Seed int64
-	// Parallelism selects the engine's fixpoint evaluator: 0 runs the
-	// classic sequential path, >= 1 the stratified parallel fixpoint with
-	// that many workers. Results are identical; see engine.Workspace.
-	Parallelism int
 	// TrustAll and GrantWriteAccess mirror ClusterConfig's directory
 	// pre-population switches.
 	TrustAll         bool
@@ -126,7 +122,6 @@ func (a NodeAssembly) Build() (*dist.Node, error) {
 	}
 	ws := engine.NewWorkspace(reg)
 	ws.EntityBase = int64(a.Index+1) << 40 // node-disjoint entity ids
-	ws.Parallelism = a.Parallelism
 	if a.Vet {
 		ws.InstallCheck = (&analysis.Analyzer{UDFs: reg}).InstallCheck()
 	}

@@ -43,9 +43,6 @@ type ClusterConfig struct {
 	// Net is the transport the cluster runs over. Nil means a fresh
 	// in-process MemNetwork. The cluster takes ownership: Stop closes it.
 	Net transport.Network
-	// Parallelism configures each node's engine fixpoint: 0 sequential,
-	// >= 1 stratified parallel evaluation with that many workers.
-	Parallelism int
 	// Vet makes every node reject the compiled program at install time when
 	// the static analyzer reports error-class findings (NodeAssembly.Vet).
 	Vet bool
@@ -253,7 +250,6 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 			VerifyPool:       c.pool,
 			SignPool:         c.spool,
 			Seed:             cfg.Seed,
-			Parallelism:      cfg.Parallelism,
 			TrustAll:         cfg.TrustAllPrincipals,
 			GrantWriteAccess: cfg.GrantWriteAccess,
 			Vet:              cfg.Vet,

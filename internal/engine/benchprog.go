@@ -7,9 +7,8 @@ import (
 )
 
 // This file defines the deterministic single-node workloads shared by the
-// root BenchmarkEngineFixpoint targets and cmd/benchjson's engine_parallel
-// report, so the benchmark harness and the checked-in JSON measure the
-// exact same programs and inputs.
+// root BenchmarkEngineFixpoint targets and the bench/ module's engine
+// probes, so both measure the exact same programs and inputs.
 
 // BenchClosureSrc is the two-rule transitive closure program. Its
 // recursive rule is the canonical semi-naïve delta workload: every round
@@ -23,8 +22,8 @@ const BenchClosureSrc = `
 // given node and edge counts and returns the exact size of its transitive
 // closure (paths of length >= 1), computed by a BFS from every source.
 // Unlike a chain, a dense random digraph produces rounds whose deltas hold
-// thousands of tuples — the shape hash-partitioned parallel evaluation is
-// built for — while the BFS count keeps the benchmark self-validating.
+// thousands of tuples, while the BFS count keeps the benchmark
+// self-validating.
 func BenchClosureInput(nodes, edges int, seed int64) ([]Fact, int) {
 	rng := rand.New(rand.NewSource(seed))
 	adj := make([][]int, nodes)

@@ -47,7 +47,7 @@ type step struct {
 	probeCols []int
 	// udfArgs/udfMask are the UDF call's argument buffers, reused across
 	// calls: a step is never re-entered while its own Eval is on the stack,
-	// UDF rules never run on parallel workers, and no UDF retains its args.
+	// and no UDF retains its args.
 	udfArgs []datalog.Value
 	udfMask []bool
 }
@@ -85,10 +85,6 @@ type CompiledRule struct {
 	// bound carries the planner's bound-variable set from planRule to
 	// finalizeRule, which clears it.
 	bound map[string]bool
-	// parSafe marks rules a fixpoint worker may evaluate concurrently:
-	// no head-existential entity creation, no UDF steps, no aggregation —
-	// their evaluation only reads relations, never touches shared state.
-	parSafe bool
 }
 
 // String returns the source form of the rule.
@@ -648,14 +644,6 @@ func (w *Workspace) finalizeRule(cr *CompiledRule) error {
 	}
 	cr.slotNames = sa.names
 	cr.bound = nil
-	cr.parSafe = cr.agg == nil && len(cr.exVars) == 0
-	for i := range steps {
-		if steps[i].kind == stepUDF {
-			// UDFs may be stateful (crypto pools, entity minting); keep rules
-			// calling them on the single-threaded path.
-			cr.parSafe = false
-		}
-	}
 	return nil
 }
 

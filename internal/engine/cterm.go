@@ -91,9 +91,8 @@ func newFrame(names []string) *frame {
 }
 
 // slotSpace is the slot numbering of one compiled rule or constraint, with
-// the frame its single-threaded evaluations share: every evaluation, a failed
-// one included, undoes its bindings, so one frame serves them all. Parallel
-// workers keep disjoint per-worker frames instead.
+// the frame its evaluations share: every evaluation, a failed one included,
+// undoes its bindings, so one frame serves them all.
 type slotSpace struct {
 	slotNames []string
 	fcache    *frame

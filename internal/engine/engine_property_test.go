@@ -3,6 +3,7 @@ package engine
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -316,37 +317,38 @@ func sameExtents(t *testing.T, a, b *Workspace) bool {
 	return true
 }
 
-// diffRun drives two workspaces holding the same program through the same
-// transactions: asserts in random batches, one retraction per base predicate,
-// asserts again. A transaction must be accepted by both or rolled back by
-// both; check runs after each of the three phases.
+// diffRun drives one or more workspaces holding the same program through the
+// same transactions: asserts in random batches, one retraction per base
+// predicate, asserts again. A transaction must be accepted by all or rolled
+// back by all; check runs after each of the three phases.
 type diffRun struct {
-	t    *testing.T
-	a, b *Workspace
+	t  *testing.T
+	ws []*Workspace
 	// base tracks the base facts the committed transactions left behind.
 	base map[string]Fact
 }
 
-func newDiffRun(t *testing.T, src string, a, b *Workspace) *diffRun {
+func newDiffRun(t *testing.T, src string, ws ...*Workspace) *diffRun {
 	prog, err := datalog.Parse(src)
 	if err != nil {
 		t.Fatalf("generator produced unparsable program:\n%s\n%v", src, err)
 	}
-	for _, w := range []*Workspace{a, b} {
+	for _, w := range ws {
 		if err := w.Install(prog); err != nil {
 			t.Fatalf("install:\n%s\n%v", src, err)
 		}
 	}
-	return &diffRun{t: t, a: a, b: b, base: map[string]Fact{}}
+	return &diffRun{t: t, ws: ws, base: map[string]Fact{}}
 }
 
 func (d *diffRun) assert(batch []Fact) {
-	_, errA := d.a.Assert(batch)
-	_, errB := d.b.Assert(batch)
-	if (errA == nil) != (errB == nil) {
-		d.t.Fatalf("assert %v: one workspace accepted, the other rolled back: %v / %v", batch, errA, errB)
+	_, err := d.ws[0].Assert(batch)
+	for _, w := range d.ws[1:] {
+		if _, errW := w.Assert(batch); (err == nil) != (errW == nil) {
+			d.t.Fatalf("assert %v: one workspace accepted, the other rolled back: %v / %v", batch, err, errW)
+		}
 	}
-	if errA != nil {
+	if err != nil {
 		return
 	}
 	for _, f := range batch {
@@ -354,7 +356,7 @@ func (d *diffRun) assert(batch []Fact) {
 	}
 	// Accepted through the delta-first LHS plans: the full static-order
 	// verification must agree that nothing is violated.
-	if err := d.a.checkAllConstraints(); err != nil {
+	if err := d.ws[0].checkAllConstraints(); err != nil {
 		d.t.Fatalf("assert %v committed a violation the delta check missed: %v", batch, err)
 	}
 }
@@ -370,16 +372,15 @@ func (d *diffRun) run(rng *rand.Rand, nFacts int, check func(phase string) bool)
 		return false
 	}
 	for _, name := range []string{"e", "f", "g"} {
-		tuples := d.a.Tuples(name)
+		tuples := d.ws[0].Tuples(name)
 		if len(tuples) == 0 {
 			continue
 		}
 		victim := Fact{Pred: name, Tuple: tuples[rng.Intn(len(tuples))]}
-		if err := d.a.Retract([]Fact{victim}); err != nil {
-			d.t.Fatalf("retract: %v", err)
-		}
-		if err := d.b.Retract([]Fact{victim}); err != nil {
-			d.t.Fatalf("retract (second workspace): %v", err)
+		for _, w := range d.ws {
+			if err := w.Retract([]Fact{victim}); err != nil {
+				d.t.Fatalf("retract: %v", err)
+			}
 		}
 		delete(d.base, victim.String())
 	}
@@ -390,6 +391,27 @@ func (d *diffRun) run(rng *rand.Rand, nFacts int, check func(phase string) bool)
 		d.assert([]Fact{f})
 	}
 	return check("post-retraction asserts")
+}
+
+// stripIndexes removes the access path of every installed join step, so each
+// one takes the evaluator's no-usable-index path: scan the relation and
+// unify. What is left is the scan-and-unify reference evaluation.
+func stripIndexes(w *Workspace) {
+	strip := func(plans ...[]step) {
+		for _, steps := range plans {
+			for i := range steps {
+				steps[i].probeIdx = nil
+			}
+		}
+	}
+	for _, r := range slices.Concat(w.rules, w.aggRules) {
+		strip(r.steps)
+		strip(r.deltaPlans...)
+	}
+	for _, c := range w.constraints {
+		strip(c.lhsSteps, c.rhsSteps)
+		strip(c.lhsDeltaPlans...)
+	}
 }
 
 // TestIndexedMatchesForcedScanQuick: on randomized programs, indexed
@@ -403,8 +425,9 @@ func TestIndexedMatchesForcedScanQuick(t *testing.T) {
 		src := randomProgram(rng) + randomConstraint(rng)
 		indexed := NewWorkspace(nil)
 		scans := NewWorkspace(nil)
-		scans.DisableIndexes = true
 		d := newDiffRun(t, src, indexed, scans)
+		stripIndexes(scans)
+		stripped := scans.Stats()
 		if err := checkInstalledDeltaPlans(indexed); err != nil {
 			t.Fatalf("program:\n%s\n%v", src, err)
 		}
@@ -418,6 +441,12 @@ func TestIndexedMatchesForcedScanQuick(t *testing.T) {
 		if s := indexed.Stats(); s.FullScanFallbacks != 0 {
 			t.Logf("indexed workspace fell back to %d full scans, program:\n%s",
 				s.FullScanFallbacks, src)
+			return false
+		}
+		// The reference must stay a scan evaluation: not one probe, and
+		// relation scans in their place.
+		if ref := scans.Stats().Sub(stripped); ref.IndexProbes != 0 || ref.LeadingScans+ref.FullScanFallbacks == 0 {
+			t.Logf("reference workspace is not a forced-scan run (%s), program:\n%s", ref, src)
 			return false
 		}
 		return ok
@@ -459,22 +488,19 @@ func naiveSaturate(t *testing.T, src string, base map[string]Fact) *Workspace {
 
 // TestDeltaPlansMatchNaiveSaturationQuick: on randomized monotone programs
 // (no negation, so the result depends only on the surviving base facts),
-// the database maintained incrementally through delta-first plans — by the
-// sequential and the parallel fixpoint, through asserts, constraint
-// rollbacks and DRed retractions — equals a from-scratch saturation that
-// only ever runs static plans. Losing any one delta position's plan loses
-// the derivations only that position finds, and this test with them.
+// the database maintained incrementally through delta-first plans — through
+// asserts, constraint rollbacks and DRed retractions — equals a from-scratch
+// saturation that only ever runs static plans. Losing any one delta
+// position's plan loses the derivations only that position finds, and this
+// test with them.
 func TestDeltaPlansMatchNaiveSaturationQuick(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		src := randomRules(rng, false) + randomConstraint(rng)
-		seq := NewWorkspace(nil)
-		par := NewWorkspace(nil)
-		par.Parallelism = 2
-		d := newDiffRun(t, src, seq, par)
+		w := NewWorkspace(nil)
+		d := newDiffRun(t, src, w)
 		return d.run(rng, 12+rng.Intn(15), func(phase string) bool {
-			oracle := naiveSaturate(t, src, d.base)
-			if !sameExtents(t, oracle, seq) || !sameExtents(t, oracle, par) {
+			if !sameExtents(t, naiveSaturate(t, src, d.base), w) {
 				t.Logf("incremental state differs from saturation after %s, program:\n%s", phase, src)
 				return false
 			}

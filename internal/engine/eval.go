@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"secureblox/internal/datalog"
-	"secureblox/internal/metrics"
 )
 
 // compare applies a comparison operator to two values.
@@ -33,29 +32,18 @@ func compare(op string, l, r datalog.Value) (bool, error) {
 	}
 }
 
-// evalEnv is the context of a body evaluation: the workspace whose relations
-// the steps read and the counters they bump.
-type evalEnv struct {
-	w *Workspace
-	// stats receives this evaluation's counter increments. Sequential
-	// evaluations point it at the workspace's counters; parallel workers point
-	// it at a per-worker struct merged under the single-writer commit, so the
-	// hot path stays free of atomics and data races alike.
-	stats *metrics.EngineStats
-}
-
 // runDelta evaluates a delta-first plan: its leading step ranges over the
 // given delta tuples (one outer loop, counted as a leading scan), every
 // later step over stored relations. The work is proportional to the delta
 // and what it joins with, never to the relation the delta belongs to.
-func (e *evalEnv) runDelta(plan []step, delta []datalog.Tuple, f *frame, emit func(*frame) error) error {
-	e.stats.LeadingScans++
-	e.stats.TuplesScanned += int64(len(delta))
+func (w *Workspace) runDelta(plan []step, delta []datalog.Tuple, f *frame, emit func(*frame) error) error {
+	w.stats.LeadingScans++
+	w.stats.TuplesScanned += int64(len(delta))
 	args := plan[0].args
 	for _, t := range delta {
 		m := f.mark()
 		if unifyArgs(args, t, f) {
-			if err := e.runSteps(plan, 1, f, emit); err != nil {
+			if err := w.runSteps(plan, 1, f, emit); err != nil {
 				f.undo(m)
 				return err
 			}
@@ -67,50 +55,46 @@ func (e *evalEnv) runDelta(plan []step, delta []datalog.Tuple, f *frame, emit fu
 
 // candidates iterates stored tuples that may match the step under the current
 // frame: a probe of the index its compile-time bound-column signature selected
-// (functional, primary or secondary), or — only when no column is bound — a
-// leading relation scan.
-func (e *evalEnv) candidates(s *step, f *frame, fn func(datalog.Tuple) bool) {
-	if s.probeIdx != nil && !e.w.DisableIndexes {
+// (functional, primary or secondary), or — when the step has no index — a scan
+// of the relation, which the caller's unifyArgs filters. A scan is a planned
+// leading scan only when no column is bound; with bound columns it means the
+// plan and the runtime disagree, and is counted as a fallback.
+func (w *Workspace) candidates(s *step, f *frame, fn func(datalog.Tuple) bool) {
+	if s.probeIdx != nil {
 		var buf [8]datalog.Value
 		if vals, ok := gatherCols(s.args, s.probeCols, f, buf[:0]); ok {
-			e.stats.IndexProbes++
+			w.stats.IndexProbes++
 			s.rel.Probe(s.probeIdx, vals, fn)
 			return
 		}
 	}
-	if e.w.DisableIndexes || len(s.boundCols) == 0 {
-		e.stats.LeadingScans++
+	if len(s.boundCols) == 0 {
+		w.stats.LeadingScans++
 	} else {
-		e.stats.FullScanFallbacks++ // plan/runtime disagreement
+		w.stats.FullScanFallbacks++
 	}
 	s.rel.Each(fn)
 }
 
 // negHolds decides a negated atom. The planner only schedules negations once
 // every variable is bound, so each argument is a value or a wildcard: a
-// negation with any ground argument is one index probe — never a relation
-// scan (unless indexes are disabled).
-func (e *evalEnv) negHolds(s *step, f *frame) bool {
+// negation with any ground argument is one index probe, never a relation scan.
+func (w *Workspace) negHolds(s *step, f *frame) bool {
 	rel := s.rel
-	if !e.w.DisableIndexes {
-		if len(s.boundCols) == 0 {
-			// all arguments are wildcards: any tuple at all matches
-			return rel.Len() > 0
-		}
+	if len(s.boundCols) == 0 {
+		// all arguments are wildcards: any tuple at all matches
+		return rel.Len() > 0
+	}
+	if s.probeIdx != nil {
 		var buf [8]datalog.Value
-		if vals, ok := gatherCols(s.args, s.probeCols, f, buf[:0]); ok && s.probeIdx != nil {
-			e.stats.IndexProbes++
+		if vals, ok := gatherCols(s.args, s.probeCols, f, buf[:0]); ok {
+			w.stats.IndexProbes++
 			return rel.ProbeExists(s.probeIdx, vals)
 		}
 	}
-	// Forced-scan mode or plan/runtime disagreement: scan and unify. Only
-	// the oracle mode is legitimate — an unplanned scan of a negation with
-	// bound columns must register as a fallback so the ==0 guards see it.
-	if e.w.DisableIndexes {
-		e.stats.LeadingScans++
-	} else {
-		e.stats.FullScanFallbacks++
-	}
+	// Plan/runtime disagreement: scan and unify, and register the fallback so
+	// the ==0 guards see it.
+	w.stats.FullScanFallbacks++
 	found := false
 	rel.Each(func(t datalog.Tuple) bool {
 		m := f.mark()
@@ -123,7 +107,7 @@ func (e *evalEnv) negHolds(s *step, f *frame) bool {
 
 // runSteps executes steps[i:] under frame f, invoking emit for each
 // complete solution. emit returning an error aborts evaluation.
-func (e *evalEnv) runSteps(steps []step, i int, f *frame, emit func(*frame) error) error {
+func (w *Workspace) runSteps(steps []step, i int, f *frame, emit func(*frame) error) error {
 	if i == len(steps) {
 		return emit(f)
 	}
@@ -131,11 +115,11 @@ func (e *evalEnv) runSteps(steps []step, i int, f *frame, emit func(*frame) erro
 	switch s.kind {
 	case stepMatch:
 		var iterErr error
-		e.candidates(s, f, func(t datalog.Tuple) bool {
-			e.stats.TuplesScanned++
+		w.candidates(s, f, func(t datalog.Tuple) bool {
+			w.stats.TuplesScanned++
 			m := f.mark()
 			if unifyArgs(s.args, t, f) {
-				if err := e.runSteps(steps, i+1, f, emit); err != nil {
+				if err := w.runSteps(steps, i+1, f, emit); err != nil {
 					iterErr = err
 					f.undo(m)
 					return false
@@ -147,10 +131,10 @@ func (e *evalEnv) runSteps(steps []step, i int, f *frame, emit func(*frame) erro
 		return iterErr
 
 	case stepNeg:
-		if e.negHolds(s, f) {
+		if w.negHolds(s, f) {
 			return nil
 		}
-		return e.runSteps(steps, i+1, f, emit)
+		return w.runSteps(steps, i+1, f, emit)
 
 	case stepCmp:
 		lv, lok := ctermValueOrEval(s.cl, f)
@@ -159,14 +143,14 @@ func (e *evalEnv) runSteps(steps []step, i int, f *frame, emit func(*frame) erro
 			if lok && !rok && s.cr.kind == ctVar {
 				m := f.mark()
 				f.bind(s.cr.slot, lv)
-				err := e.runSteps(steps, i+1, f, emit)
+				err := w.runSteps(steps, i+1, f, emit)
 				f.undo(m)
 				return err
 			}
 			if rok && !lok && s.cl.kind == ctVar {
 				m := f.mark()
 				f.bind(s.cl.slot, rv)
-				err := e.runSteps(steps, i+1, f, emit)
+				err := w.runSteps(steps, i+1, f, emit)
 				f.undo(m)
 				return err
 			}
@@ -181,7 +165,7 @@ func (e *evalEnv) runSteps(steps []step, i int, f *frame, emit func(*frame) erro
 		if !ok {
 			return nil
 		}
-		return e.runSteps(steps, i+1, f, emit)
+		return w.runSteps(steps, i+1, f, emit)
 
 	case stepUDF:
 		args, mask := s.udfArgs, s.udfMask
@@ -217,7 +201,7 @@ func (e *evalEnv) runSteps(steps []step, i int, f *frame, emit func(*frame) erro
 				}
 			}
 			if match {
-				if err := e.runSteps(steps, i+1, f, emit); err != nil {
+				if err := w.runSteps(steps, i+1, f, emit); err != nil {
 					f.undo(m)
 					return err
 				}
@@ -231,10 +215,10 @@ func (e *evalEnv) runSteps(steps []step, i int, f *frame, emit func(*frame) erro
 		if err != nil {
 			return err
 		}
-		if !e.w.cat.CheckKind(s.typeName, v) {
+		if !w.cat.CheckKind(s.typeName, v) {
 			return nil
 		}
-		return e.runSteps(steps, i+1, f, emit)
+		return w.runSteps(steps, i+1, f, emit)
 
 	default:
 		return fmt.Errorf("unknown step kind %d", s.kind)

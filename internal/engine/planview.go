@@ -51,14 +51,7 @@ type RulePlan struct {
 	// Bound is the set of variables the body binds.
 	Bound map[string]bool
 	Agg   *datalog.AggSpec
-	// HeadEx lists head-existential variables (unbound head variables with
-	// an entity type) — entity-minting rules.
-	HeadEx []string
-	// ParSafe mirrors the evaluator's parallel-safety classification: rules
-	// with aggregation, entity creation, or UDF calls fall back to the
-	// single-threaded path under Workspace.Parallelism.
-	ParSafe bool
-	Err     error
+	Err   error
 }
 
 // PlanProgram plans every rule of a program against this workspace without
@@ -83,7 +76,7 @@ func (w *Workspace) PlanProgram(prog *datalog.Program) ([]RulePlan, error) {
 			plans = append(plans, RulePlan{Src: r, Err: err})
 			continue
 		}
-		plans = append(plans, w.planView(cr))
+		plans = append(plans, planView(cr))
 	}
 	return plans, nil
 }
@@ -112,7 +105,7 @@ func stepsView(steps []step) []PlanStep {
 }
 
 // planView converts an internal planned rule to its exported view.
-func (w *Workspace) planView(cr *CompiledRule) RulePlan {
+func planView(cr *CompiledRule) RulePlan {
 	p := RulePlan{
 		Src:   cr.src,
 		Heads: cr.heads,
@@ -123,37 +116,5 @@ func (w *Workspace) planView(cr *CompiledRule) RulePlan {
 	for _, plan := range cr.deltaPlans {
 		p.DeltaPlans = append(p.DeltaPlans, stepsView(plan))
 	}
-	// Head-existential analysis, mirroring finalizeRule: unbound head
-	// variables with a single-arg entity-typed head are minted entities.
-	headVars := map[string]bool{}
-	for _, h := range cr.heads {
-		datalog.AtomVars(h, headVars)
-	}
-	hasUDF := false
-	for _, s := range cr.steps {
-		if s.kind == stepUDF {
-			hasUDF = true
-		}
-	}
-	for v := range headVars {
-		if cr.bound[v] {
-			continue
-		}
-		if cr.agg != nil && v == cr.agg.Result {
-			continue
-		}
-		for _, h := range cr.heads {
-			if h.Functional() || len(h.Args) != 1 {
-				continue
-			}
-			if hv, ok := h.Args[0].(datalog.Var); ok && hv.Name == v {
-				if s := w.cat.Schema(h.ConcreteName()); s != nil && s.IsEntity {
-					p.HeadEx = append(p.HeadEx, v)
-					break
-				}
-			}
-		}
-	}
-	p.ParSafe = cr.agg == nil && len(p.HeadEx) == 0 && !hasUDF
 	return p
 }

@@ -125,9 +125,7 @@ const (
 //
 // Concurrency contract: the read paths (Contains, Lookup, LookupFn, Probe,
 // ProbeExists, Each, Len, Tuples) are safe for any number of concurrent
-// readers provided no goroutine writes. The parallel fixpoint relies on this
-// — workers only read during a wave, and all writes (Insert, Delete, Reset,
-// EnsureIndex) happen on the single committing goroutine between waves.
+// readers provided no goroutine writes (Insert, Delete, Reset, EnsureIndex).
 // EnsureIndex is additionally restricted to compile time.
 type Relation struct {
 	schema *Schema

@@ -134,12 +134,6 @@ type Workspace struct {
 	aggByBody   map[string][]*CompiledRule
 	rulesByHead map[string][]*CompiledRule
 
-	// strata is the rule-level SCC stratification (see strata.go); waves
-	// groups strata by condensation level for the parallel fixpoint.
-	strata []stratum
-	waves  [][]int
-	// env is the evaluation context of every single-threaded evaluation.
-	env evalEnv
 	// roundRules/roundAggs are fixpoint's per-round rule lists, kept across
 	// rounds and transactions so a round allocates neither.
 	roundRules, roundAggs []*CompiledRule
@@ -165,21 +159,11 @@ type Workspace struct {
 	// different nodes never collide when shipped over the network (set it
 	// to a distinct large value per node).
 	EntityBase int64
-	// DisableIndexes forces every join step onto the full-scan path,
-	// bypassing functional, secondary and delta indexes. Differential tests
-	// use it as the oracle evaluation mode; it must never change results.
-	DisableIndexes bool
 	// InstallCheck, when non-nil, runs over each program before Install
 	// mutates anything; a returned error rejects the batch. The static
 	// analyzer (internal/analysis) hooks in here so error-class findings
 	// block installation without the engine importing the analyzer.
 	InstallCheck func(*datalog.Program) error
-	// Parallelism selects the fixpoint evaluator: 0 (the default) is the
-	// classic sequential path; >= 1 enables the stratified parallel fixpoint
-	// with that many workers (1 exercises the parallel machinery without
-	// concurrency — useful as a differential oracle). Results are identical
-	// either way; only evaluation order inside a round changes.
-	Parallelism int
 
 	stats     metrics.EngineStats // cumulative evaluator counters
 	published metrics.EngineStats // portion already pushed to metrics globals
@@ -216,7 +200,6 @@ func NewWorkspace(udfs *UDFRegistry) *Workspace {
 		aggKeys:     NewTupleSet(),
 	}
 	w.txn.counterSnap = make(map[string]int64)
-	w.env = evalEnv{w: w, stats: &w.stats}
 	for name := range w.cat.schemas {
 		w.ensureRelation(name)
 	}
@@ -398,7 +381,6 @@ func (w *Workspace) rebuildIndexes() {
 	for _, r := range w.aggRules {
 		byBody(w.aggByBody, r)
 	}
-	w.computeStrata()
 }
 
 // checkStratification detects negation or aggregation through a recursive
@@ -547,7 +529,7 @@ func (w *Workspace) rollback(t *txn) {
 // evalRuleInto fully evaluates one non-aggregate rule in its static order
 // and inserts derivations, extending next with new tuples.
 func (w *Workspace) evalRuleInto(t *txn, r *CompiledRule, next map[string][]datalog.Tuple) error {
-	return w.env.runSteps(r.steps, 0, r.seqFrame(), func(f *frame) error {
+	return w.runSteps(r.steps, 0, r.seqFrame(), func(f *frame) error {
 		return w.derive(t, r, f, next)
 	})
 }
@@ -561,7 +543,7 @@ func (w *Workspace) evalRuleDeltas(t *txn, r *CompiledRule, delta, next map[stri
 		if tuples == nil {
 			continue
 		}
-		if err := w.env.runDelta(plan, tuples, r.seqFrame(), emit); err != nil {
+		if err := w.runDelta(plan, tuples, r.seqFrame(), emit); err != nil {
 			return err
 		}
 	}
@@ -662,7 +644,7 @@ func (w *Workspace) recomputeAgg(t *txn, r *CompiledRule, next map[string][]data
 	groups.Reset()
 	w.aggCells, w.aggScratch.cur = w.aggCells[:0], w.aggScratch.cur[:0]
 
-	err := w.env.runSteps(r.steps, 0, r.seqFrame(), func(f *frame) error {
+	err := w.runSteps(r.steps, 0, r.seqFrame(), func(f *frame) error {
 		var buf [8]datalog.Value
 		keys := buf[:0]
 		for i := 0; i < keyN; i++ {
@@ -729,12 +711,8 @@ func (w *Workspace) recomputeAgg(t *txn, r *CompiledRule, next map[string][]data
 }
 
 // fixpoint runs semi-naïve evaluation to quiescence starting from delta, a
-// deltaMap it takes over and releases. With Parallelism enabled it dispatches to the stratified multi-worker
-// evaluator (parallel.go); both produce the same fixpoint.
+// deltaMap it takes over and releases.
 func (w *Workspace) fixpoint(t *txn, delta map[string][]datalog.Tuple) error {
-	if w.Parallelism >= 1 {
-		return w.fixpointParallel(t, delta)
-	}
 	for len(delta) > 0 {
 		w.stats.FixpointRounds++
 		next := w.deltaMap()
@@ -785,7 +763,7 @@ func (w *Workspace) checkTxnConstraints(t *txn) error {
 			if tuples == nil {
 				continue
 			}
-			if err := w.env.runDelta(plan, tuples, c.seqFrame(), func(f *frame) error { return w.checkBinding(c, f) }); err != nil {
+			if err := w.runDelta(plan, tuples, c.seqFrame(), func(f *frame) error { return w.checkBinding(c, f) }); err != nil {
 				return err
 			}
 		}
@@ -801,7 +779,7 @@ func (w *Workspace) checkBinding(c *CompiledConstraint, f *frame) error {
 	if len(c.rhsSteps) == 0 {
 		return nil
 	}
-	err := w.env.runSteps(c.rhsSteps, 0, f, func(*frame) error { return errSatisfied })
+	err := w.runSteps(c.rhsSteps, 0, f, func(*frame) error { return errSatisfied })
 	if err == errSatisfied {
 		return nil
 	}
@@ -836,7 +814,7 @@ func bindingDetail(f *frame) string {
 // checkAllConstraints verifies every constraint over the full database.
 func (w *Workspace) checkAllConstraints() error {
 	for _, c := range w.constraints {
-		if err := w.env.runSteps(c.lhsSteps, 0, c.seqFrame(), func(f *frame) error { return w.checkBinding(c, f) }); err != nil {
+		if err := w.runSteps(c.lhsSteps, 0, c.seqFrame(), func(f *frame) error { return w.checkBinding(c, f) }); err != nil {
 			return err
 		}
 	}
@@ -925,7 +903,7 @@ func (w *Workspace) Retract(facts []Fact) error {
 					if plan[0].pred != pred {
 						continue
 					}
-					err := w.env.runDelta(plan, frontier[pred], r.seqFrame(), func(f *frame) error {
+					err := w.runDelta(plan, frontier[pred], r.seqFrame(), func(f *frame) error {
 						return w.collectHeadDeletions(r, f, deleted, next)
 					})
 					if err != nil {

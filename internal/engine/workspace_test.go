@@ -177,6 +177,63 @@ func TestUnstratifiedDetection(t *testing.T) {
 	}
 }
 
+// TestStrictStratificationRejectsMutualNegation: two rules mutually
+// recursive through negation have no stratified model; strict mode must
+// refuse to install them, diagnostic mode records them.
+func TestStrictStratificationRejectsMutualNegation(t *testing.T) {
+	prog, err := datalog.Parse(`
+		p(X) <- q(X), !r(X).
+		r(X) <- s(X), !p(X).
+	`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := NewWorkspace(nil)
+	w.StrictStratification = true
+	if err := w.Install(prog); err == nil {
+		t.Fatal("mutually recursive negation was accepted under StrictStratification")
+	}
+	w2 := NewWorkspace(nil)
+	if err := w2.Install(prog); err != nil {
+		t.Fatalf("diagnostic mode should accept: %v", err)
+	}
+	if len(w2.Unstratified) == 0 {
+		t.Fatal("expected unstratified diagnostics")
+	}
+}
+
+// A rule reading its own head reaches its fixpoint: both orientations, once.
+func TestSelfLoopRuleFixpoint(t *testing.T) {
+	w := installed(t, nil, `
+		p(X, Y) <- base(X, Y).
+		p(X, Y) <- p(Y, X).
+	`)
+	assertFacts(t, w, `base(1, 2).`)
+	if got := w.Count("p"); got != 2 {
+		t.Errorf("self-loop fixpoint: %d tuples of p, want 2 (both orientations)", got)
+	}
+}
+
+// An Install with no rules must leave a workspace that still installs and
+// evaluates a follow-up program.
+func TestEmptyInstall(t *testing.T) {
+	w := NewWorkspace(nil)
+	if err := w.Install(&datalog.Program{}); err != nil {
+		t.Fatalf("empty install: %v", err)
+	}
+	prog, err := datalog.Parse(`p(X) <- q(X).`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Install(prog); err != nil {
+		t.Fatalf("install after empty: %v", err)
+	}
+	assertFacts(t, w, `q(1).`)
+	if w.Count("p") != 1 {
+		t.Errorf("rule installed after an empty program derived %d tuples, want 1", w.Count("p"))
+	}
+}
+
 func TestAggregationMin(t *testing.T) {
 	w := installed(t, nil, `
 		best[X]=C <- agg<< C=min(Cx) >> path2(X, Cx).

@@ -9,7 +9,6 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"secureblox/internal/obs"
@@ -197,7 +196,6 @@ type EngineStats struct {
 	LeadingScans      int64 // full scans with no bound column (legitimate outer loops)
 	FullScanFallbacks int64 // scans despite bound columns — should stay 0
 	FixpointRounds    int64 // semi-naïve rounds across all fixpoints
-	StrataEvaluated   int64 // rule strata evaluated by the parallel fixpoint
 	TuplesScanned     int64 // tuples, stored or delta, handed to unification by a match step
 }
 
@@ -208,7 +206,6 @@ func (s EngineStats) Sub(o EngineStats) EngineStats {
 		LeadingScans:      s.LeadingScans - o.LeadingScans,
 		FullScanFallbacks: s.FullScanFallbacks - o.FullScanFallbacks,
 		FixpointRounds:    s.FixpointRounds - o.FixpointRounds,
-		StrataEvaluated:   s.StrataEvaluated - o.StrataEvaluated,
 		TuplesScanned:     s.TuplesScanned - o.TuplesScanned,
 	}
 }
@@ -220,15 +217,14 @@ func (s EngineStats) Add(o EngineStats) EngineStats {
 		LeadingScans:      s.LeadingScans + o.LeadingScans,
 		FullScanFallbacks: s.FullScanFallbacks + o.FullScanFallbacks,
 		FixpointRounds:    s.FixpointRounds + o.FixpointRounds,
-		StrataEvaluated:   s.StrataEvaluated + o.StrataEvaluated,
 		TuplesScanned:     s.TuplesScanned + o.TuplesScanned,
 	}
 }
 
 // String renders the counters compactly for benchmark logs.
 func (s EngineStats) String() string {
-	return fmt.Sprintf("probes=%d leading-scans=%d fallback-scans=%d rounds=%d strata=%d tuples-scanned=%d",
-		s.IndexProbes, s.LeadingScans, s.FullScanFallbacks, s.FixpointRounds, s.StrataEvaluated, s.TuplesScanned)
+	return fmt.Sprintf("probes=%d leading-scans=%d fallback-scans=%d rounds=%d tuples-scanned=%d",
+		s.IndexProbes, s.LeadingScans, s.FullScanFallbacks, s.FixpointRounds, s.TuplesScanned)
 }
 
 var (
@@ -257,23 +253,10 @@ func EngineAccumulate(d EngineStats) {
 	if d.FixpointRounds != 0 {
 		r.Counter("sbx_engine_fixpoint_rounds_total", nil).Add(d.FixpointRounds)
 	}
-	if d.StrataEvaluated != 0 {
-		r.Counter("sbx_engine_strata_total", nil).Add(d.StrataEvaluated)
-	}
 	if d.TuplesScanned != 0 {
 		r.Counter("sbx_engine_tuples_scanned_total", nil).Add(d.TuplesScanned)
 	}
 }
-
-// engineWorkersBusy tracks how many fixpoint worker goroutines are currently
-// executing an evaluation task, across every workspace in the process. The
-// engine updates it directly (not through EngineStats) because it is a level,
-// not a monotone count.
-var engineWorkersBusy atomic.Int64
-
-// EngineWorkersAdd moves the busy-worker gauge by delta (+1 on task start,
-// -1 on task end).
-func EngineWorkersAdd(delta int64) { engineWorkersBusy.Add(delta) }
 
 func init() {
 	r := obs.Default()
@@ -281,20 +264,14 @@ func init() {
 	r.Help("sbx_engine_leading_scans_total", "Full scans with no bound column (legitimate outer loops).")
 	r.Help("sbx_engine_fullscan_fallbacks_total", "Scans forced despite bound columns — should stay 0.")
 	r.Help("sbx_engine_fixpoint_rounds_total", "Semi-naïve rounds across all fixpoints.")
-	r.Help("sbx_engine_strata_total", "Rule strata evaluated by the parallel fixpoint.")
 	r.Help("sbx_engine_tuples_scanned_total", "Tuples, stored or delta, handed to unification by a match step.")
-	r.Help("sbx_engine_workers_busy", "Fixpoint worker goroutines currently executing a task.")
 	// Register at zero so /metrics shows the engine family even before the
 	// first transaction.
 	r.Counter("sbx_engine_index_probes_total", nil)
 	r.Counter("sbx_engine_leading_scans_total", nil)
 	r.Counter("sbx_engine_fullscan_fallbacks_total", nil)
 	r.Counter("sbx_engine_fixpoint_rounds_total", nil)
-	r.Counter("sbx_engine_strata_total", nil)
 	r.Counter("sbx_engine_tuples_scanned_total", nil)
-	r.GaugeFunc("sbx_engine_workers_busy", nil, func() float64 {
-		return float64(engineWorkersBusy.Load())
-	})
 }
 
 // EngineTotals returns the process-wide evaluator counters.

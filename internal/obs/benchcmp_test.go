@@ -90,7 +90,7 @@ func TestCompareBenchIgnoresUnsharedCells(t *testing.T) {
 // The checked-in reports must compare clean against themselves — the CI
 // gate's degenerate case.
 func TestCheckedInReportsSelfCompare(t *testing.T) {
-	for _, name := range []string{"BENCH_fig4_pathvector.json", "BENCH_fig7_hashjoin.json", "BENCH_engine_parallel.json"} {
+	for _, name := range []string{"BENCH_fig4_pathvector.json", "BENCH_fig7_hashjoin.json"} {
 		r, err := ReadBenchJSON(filepath.Join("..", "..", name))
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)

@@ -3,7 +3,6 @@ package obs
 import (
 	"context"
 	"encoding/json"
-	"expvar"
 	"fmt"
 	"net"
 	"net/http"
@@ -61,8 +60,7 @@ func SpansHandler() http.Handler {
 // Mount registers the observability endpoints on a mux: /metrics
 // (Prometheus text over the default registry), /debug/spans (span dump),
 // /debug/logs (structured event ring), /healthz and /readyz (the default
-// health state machine), /debug/pprof/* (Go profiling), and /debug/vars
-// (expvar, for continuity with the original debug server).
+// health state machine), and /debug/pprof/* (Go profiling).
 func Mount(mux *http.ServeMux) {
 	MountWith(mux, DefaultHealth())
 }
@@ -73,7 +71,6 @@ func MountWith(mux *http.ServeMux, h *Health) {
 	mux.Handle("/metrics", MetricsHandler(Default()))
 	mux.Handle("/debug/spans", SpansHandler())
 	mux.Handle("/debug/logs", LogsHandler(L()))
-	mux.Handle("/debug/vars", expvar.Handler())
 	mux.Handle("/healthz", HealthzHandler(h))
 	mux.Handle("/readyz", ReadyzHandler(h))
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
@@ -133,8 +130,8 @@ func StartDebugServer(addr string, mux *http.ServeMux) (*DebugServer, error) {
 
 // ServeDebug starts an HTTP server with the standard observability
 // endpoints on addr, returning the bound address and a stop function that
-// shuts it down gracefully (bounded at two seconds). The benchmark
-// drivers expose this behind -debugaddr so a sweep in flight can be
+// shuts it down gracefully (bounded at two seconds). sbxnode and the
+// benchmark drivers expose this behind -debugaddr, so a sweep in flight is
 // scraped like a deployment; callers that need the full lifecycle use
 // StartDebugServer.
 func ServeDebug(addr string) (string, func(), error) {
