@@ -61,14 +61,15 @@ func benchPathVector(b *testing.B, policies []core.PolicyConfig, report func(*te
 	for _, p := range policies {
 		for _, n := range pvSizes {
 			b.Run(fmt.Sprintf("%s/n=%d", p.Name(), n), func(b *testing.B) {
-				// The evaluator counters are process-wide; reset so this
-				// (scheme, size) cell reports only its own rounds and any
-				// join-plan regression is attributed to the run that caused it.
-				metrics.EngineReset()
+				// The evaluator counters are process-wide and cumulative; the
+				// before/after delta makes this (scheme, size) cell report only
+				// its own rounds and attributes any join-plan regression to the
+				// run that caused it.
+				before := metrics.EngineTotals()
 				for i := 0; i < b.N; i++ {
 					report(b, runPV(b, n, p))
 				}
-				s := metrics.EngineTotals()
+				s := metrics.EngineTotals().Sub(before)
 				if s.FullScanFallbacks != 0 {
 					b.Fatalf("join plan regression: %s", s)
 				}

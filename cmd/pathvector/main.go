@@ -12,39 +12,14 @@ import (
 	"flag"
 	"fmt"
 	"log"
-	"strconv"
-	"strings"
 	"time"
 
+	"secureblox/cmd/internal/sweep"
 	"secureblox/internal/apps"
 	"secureblox/internal/core"
 	"secureblox/internal/metrics"
-	"secureblox/internal/obs"
 	"secureblox/internal/seccrypto"
-	"secureblox/internal/transport"
 )
-
-// udpDiag renders the reliable layer's process-wide counters for failure
-// output when the sweep runs over UDP — a stall with exploding retransmits
-// is a very different bug from a silent link.
-func udpDiag(mode string) string {
-	if mode != "udp" {
-		return ""
-	}
-	return " [transport: " + transport.ReliabilityTotals().String() + "]"
-}
-
-func parseSizes(s string) ([]int, error) {
-	var out []int
-	for _, part := range strings.Split(s, ",") {
-		n, err := strconv.Atoi(strings.TrimSpace(part))
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, n)
-	}
-	return out, nil
-}
 
 func main() {
 	sizesFlag := flag.String("sizes", "6,12,18,24,30,36", "comma-separated network sizes")
@@ -55,26 +30,17 @@ func main() {
 	transportFlag := flag.String("transport", "mem", "cluster transport: mem (in-process) or udp (real loopback sockets)")
 	batchSign := flag.Bool("batchsign", false, "add footnote 2's batch-signed RSA scheme (one signature per export batch) to the sweep")
 	debugAddr := flag.String("debugaddr", "", "serve /metrics and /debug/spans on this address while the sweep runs (e.g. 127.0.0.1:0)")
-	chaosPlan := flag.String("chaos", "", "chaos fault-plan file (JSON) injected below the reliable layer; requires -transport udp")
 	flag.Parse()
 
-	sizes, err := parseSizes(*sizesFlag)
+	sizes, err := sweep.ParseSizes(*sizesFlag)
 	if err != nil {
 		log.Fatalf("bad -sizes: %v", err)
 	}
-	if *debugAddr != "" {
-		addr, stopDebug, err := obs.ServeDebug(*debugAddr)
-		if err != nil {
-			log.Fatalf("debug server: %v", err)
-		}
-		defer stopDebug()
-		// The sweep has no cluster lifecycle: it is running the moment the
-		// server is up, so /readyz answers 200 for the whole run.
-		h := obs.DefaultHealth()
-		h.SetIdentity("pathvector-sweep", "pathvector")
-		_ = h.Advance(obs.StateRunning)
-		fmt.Printf("# observability endpoints on http://%s/metrics\n", addr)
+	stopDebug, err := sweep.ServeDebug(*debugAddr, "pathvector")
+	if err != nil {
+		log.Fatalf("debug server: %v", err)
 	}
+	defer stopDebug()
 
 	// Every (scheme, size) combination is run once per trial; all figures
 	// are derived from the same runs.
@@ -98,13 +64,12 @@ func main() {
 			N: n, AvgDegree: *degree, Policy: p,
 			Seed:      *seed + int64(trial)*1000 + int64(n),
 			Transport: *transportFlag,
-			ChaosPlan: *chaosPlan,
 		})
 		if err != nil {
-			log.Fatalf("n=%d %s: %v%s", n, p.Name(), err, udpDiag(*transportFlag))
+			log.Fatalf("n=%d %s: %v%s", n, p.Name(), err, sweep.UDPDiag(*transportFlag))
 		}
 		if res.Violations != 0 {
-			log.Fatalf("n=%d %s: %d violations%s", n, p.Name(), res.Violations, udpDiag(*transportFlag))
+			log.Fatalf("n=%d %s: %d violations%s", n, p.Name(), res.Violations, sweep.UDPDiag(*transportFlag))
 		}
 		defer res.Cluster.Stop()
 		return res

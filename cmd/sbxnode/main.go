@@ -256,11 +256,35 @@ func runNode(cfg *cluster.Config, o options, stdout *os.File) (retErr error) {
 		chaos.Resolve(mem.Names())
 	}
 
-	node, pools, err := assembleNode(cfg, mem, rt.Index(), rt.KeyStore(), rt.Endpoint())
+	// The same core.NodeAssembly path core.NewCluster runs N times, run once
+	// over the Membership the join handshake established.
+	pol, query, err := workloadProgram(cfg)
 	if err != nil {
 		return err
 	}
-	defer pools.close()
+	res, err := core.CompileProgram(pol, query, nil)
+	if err != nil {
+		return err
+	}
+	assembly := core.NodeAssembly{
+		Policy:    pol,
+		Compiled:  res,
+		Directory: mem,
+		Index:     rt.Index(),
+		KeyStore:  rt.KeyStore(),
+		Endpoint:  rt.Endpoint(),
+		Seed:      cfg.Workload.Seed,
+	}
+	if pol.Auth == core.AuthRSA {
+		assembly.VerifyPool = seccrypto.NewVerifyPool(0)
+		defer assembly.VerifyPool.Close()
+		assembly.SignPool = seccrypto.NewSignPool(0)
+		defer assembly.SignPool.Close()
+	}
+	node, err := assembly.Build()
+	if err != nil {
+		return err
+	}
 	rt.BindNode(node)
 
 	if o.dieAfterJoin {
@@ -360,70 +384,35 @@ func runNode(cfg *cluster.Config, o options, stdout *os.File) (retErr error) {
 
 // runAllInOne runs every node of the config inside this process over the
 // simulated network — the in-process reference a multi-process run's
-// results are compared against. It shares the static-membership code path
-// with core.NewCluster and the per-node assembly with runNode.
+// results are compared against. The cluster is core.NewCluster's, with the
+// members' identities taken from the config.
 func runAllInOne(cfg *cluster.Config, o options, stdout *os.File) error {
 	ctx, cancel := signalContext(o.timeout)
 	defer cancel()
 
-	memnet := transport.NewMemNetwork()
-	defer memnet.Close()
-
-	// Bind everything first: the directory must carry bound addresses.
-	n := len(cfg.Nodes)
-	eps := make([]transport.Transport, n)
-	keys := make([]*seccrypto.KeyStore, n)
-	mem := &cluster.Membership{Members: make([]cluster.Member, n)}
-	for i, nc := range cfg.Nodes {
-		ep, err := memnet.Listen(nc.Addr)
-		if err != nil {
-			return fmt.Errorf("node %s: %w", nc.Principal, err)
-		}
-		eps[i] = ep
-		priv, err := cfg.LoadNodeKey(nc.Principal)
-		if err != nil {
-			return err
-		}
-		keys[i] = cfg.BuildKeyStore(nc.Principal, priv)
-		m := cluster.Member{Principal: nc.Principal, Addr: ep.Addr()}
-		if priv != nil {
-			m.PubKeyDER = seccrypto.MarshalPublicKey(&priv.PublicKey)
-		}
-		mem.Members[i] = m
-	}
-	for i := range keys {
-		for j, m := range mem.Members {
-			if i == j || m.PubKeyDER == nil {
-				continue
+	// Muted principals assert no workload facts and report no result lines:
+	// the in-process reference for a run whose evicted member died after the
+	// ready barrier but before contributing any input.
+	muted := make(map[string]bool)
+	if o.mute != "" {
+		for _, p := range strings.Split(o.mute, ",") {
+			p = strings.TrimSpace(p)
+			if cfg.NodeIndex(p) < 0 {
+				return fmt.Errorf("-mute: no principal %q in config", p)
 			}
-			pub, err := keys[i].ParsePub(m.PubKeyDER)
-			if err != nil {
-				return err
-			}
-			keys[i].AddPublicKey(m.Principal, pub)
+			muted[p] = true
 		}
 	}
 
-	nodes := make([]*dist.Node, n)
-	var pools *cryptoPools
-	for i := range cfg.Nodes {
-		var node *dist.Node
-		var err error
-		node, pools, err = assembleNodeWithPools(cfg, mem, i, keys[i], eps[i], pools)
-		if err != nil {
-			return err
-		}
-		nodes[i] = node
-	}
-	defer pools.close()
-
-	detEp, err := memnet.Listen("127.0.0.1:0")
+	pol, query, err := workloadProgram(cfg)
 	if err != nil {
 		return err
 	}
-	det := dist.NewDetector(detEp, mem.Addrs())
-	det.Names = mem.Names()
-	defer det.Close()
+	c, err := core.NewClusterFromConfig(cfg, core.ClusterConfig{Policy: pol, Query: query, Seed: cfg.Workload.Seed})
+	if err != nil {
+		return err
+	}
+	defer c.Stop()
 
 	if o.debugAddr != "" {
 		_, stop, err := obs.ServeDebug(o.debugAddr)
@@ -441,56 +430,34 @@ func runAllInOne(cfg *cluster.Config, o options, stdout *os.File) error {
 	health.SetIdentity(cfg.Cluster, "allinone")
 	_ = health.Advance(obs.StateRunning)
 
-	for _, nd := range nodes {
-		nd.Start()
-	}
-	defer func() {
-		for _, nd := range nodes {
-			nd.Stop()
-		}
-	}()
-	// Muted principals assert no workload facts and report no result lines:
-	// the in-process reference for a run whose evicted member died after the
-	// ready barrier but before contributing any input.
-	muted := make(map[string]bool)
-	if o.mute != "" {
-		for _, p := range strings.Split(o.mute, ",") {
-			p = strings.TrimSpace(p)
-			if mem.Index(p) < 0 {
-				return fmt.Errorf("-mute: no principal %q in config", p)
-			}
-			muted[p] = true
-		}
-	}
-	for i, nd := range nodes {
-		if muted[cfg.Nodes[i].Principal] {
+	c.Start()
+	for i, p := range c.Principals {
+		if muted[p] {
 			continue
 		}
-		facts, err := workloadFacts(cfg, mem, i)
+		facts, err := workloadFacts(cfg, c.Directory, i)
 		if err != nil {
 			return err
 		}
 		if len(facts) > 0 {
-			nd.Assert(facts)
+			c.AssertAt(i, facts)
 		}
 	}
-	if err := det.WaitQuiescent(ctx); err != nil {
+	if _, err := c.WaitFixpointCtx(ctx); err != nil {
 		health.Fail(err)
 		return err
 	}
 	_ = health.Advance(obs.StateDraining)
 	// Stopping joins every transaction loop, making the workspaces safe to
-	// read (the deferred Stops become no-ops).
-	for _, nd := range nodes {
-		nd.Stop()
-	}
+	// read (the deferred Stop becomes a no-op).
+	c.Stop()
 	_ = health.Advance(obs.StateDone)
 	var all []string
-	for i, nd := range nodes {
-		if muted[cfg.Nodes[i].Principal] {
+	for i, p := range c.Principals {
+		if muted[p] {
 			continue
 		}
-		lines, err := workloadResults(cfg, mem, i, nd.WS)
+		lines, err := workloadResults(cfg, c.Directory, i, c.Nodes[i].WS)
 		if err != nil {
 			return err
 		}
@@ -498,67 +465,6 @@ func runAllInOne(cfg *cluster.Config, o options, stdout *os.File) error {
 	}
 	writeLines(stdout, all)
 	return nil
-}
-
-// cryptoPools bundles the shared RSA worker pools (nil under non-RSA
-// policies).
-type cryptoPools struct {
-	verify *seccrypto.VerifyPool
-	sign   *seccrypto.SignPool
-}
-
-func (p *cryptoPools) close() {
-	if p == nil {
-		return
-	}
-	if p.verify != nil {
-		p.verify.Close()
-	}
-	if p.sign != nil {
-		p.sign.Close()
-	}
-}
-
-// assembleNode compiles the workload program and builds one dist.Node over
-// the given endpoint — the same core.NodeAssembly path the in-process
-// driver uses.
-func assembleNode(cfg *cluster.Config, mem *cluster.Membership, idx int, ks *seccrypto.KeyStore, ep transport.Transport) (*dist.Node, *cryptoPools, error) {
-	return assembleNodeWithPools(cfg, mem, idx, ks, ep, nil)
-}
-
-func assembleNodeWithPools(cfg *cluster.Config, mem *cluster.Membership, idx int, ks *seccrypto.KeyStore, ep transport.Transport, pools *cryptoPools) (*dist.Node, *cryptoPools, error) {
-	pol, err := core.PolicyFromSpec(cfg.Spec())
-	if err != nil {
-		return nil, pools, err
-	}
-	pol.Delegation = core.DelegateNone // both workloads import themselves
-	query, err := workloadQuery(cfg)
-	if err != nil {
-		return nil, pools, err
-	}
-	res, err := core.CompileProgram(pol, query, nil)
-	if err != nil {
-		return nil, pools, err
-	}
-	if pools == nil {
-		pools = &cryptoPools{}
-		if pol.Auth == core.AuthRSA {
-			pools.verify = seccrypto.NewVerifyPool(0)
-			pools.sign = seccrypto.NewSignPool(0)
-		}
-	}
-	node, err := core.NodeAssembly{
-		Policy:     pol,
-		Compiled:   res,
-		Directory:  mem,
-		Index:      idx,
-		KeyStore:   ks,
-		Endpoint:   ep,
-		VerifyPool: pools.verify,
-		SignPool:   pools.sign,
-		Seed:       cfg.Workload.Seed,
-	}.Build()
-	return node, pools, err
 }
 
 // writeLines prints the run's result partition, sorted so output order is

@@ -15,15 +15,21 @@ import (
 	"secureblox/internal/udf"
 )
 
-// workloadQuery returns the rule set named by the config.
-func workloadQuery(cfg *cluster.Config) (string, error) {
+// workloadProgram returns what every mode compiles: the policy the config
+// names and the rule set of its workload.
+func workloadProgram(cfg *cluster.Config) (core.PolicyConfig, string, error) {
+	pol, err := core.PolicyFromSpec(cfg.Spec())
+	if err != nil {
+		return pol, "", err
+	}
+	pol.Delegation = core.DelegateNone // both workloads import themselves
 	switch cfg.Workload.Name {
 	case "pathvector":
-		return apps.PathVectorQuery, nil
+		return pol, apps.PathVectorQuery, nil
 	case "hashjoin":
-		return apps.HashJoinQuery, nil
+		return pol, apps.HashJoinQuery, nil
 	default:
-		return "", fmt.Errorf("unknown workload %q", cfg.Workload.Name)
+		return pol, "", fmt.Errorf("unknown workload %q", cfg.Workload.Name)
 	}
 }
 
@@ -32,12 +38,7 @@ func workloadQuery(cfg *cluster.Config) (string, error) {
 // every finding, and fail when any error-class finding is reported — so a
 // bad program is caught before N processes are launched against it.
 func vetWorkload(cfg *cluster.Config, stdout *os.File) error {
-	pol, err := core.PolicyFromSpec(cfg.Spec())
-	if err != nil {
-		return err
-	}
-	pol.Delegation = core.DelegateNone // both workloads import themselves
-	query, err := workloadQuery(cfg)
+	pol, query, err := workloadProgram(cfg)
 	if err != nil {
 		return err
 	}
@@ -63,20 +64,17 @@ func vetWorkload(cfg *cluster.Config, stdout *os.File) error {
 }
 
 // hashJoinConfig maps the deployment config onto the experiment's
-// parameters, applying the paper's defaults (§8.2: 900/800/72).
+// parameters: the paper's defaults (§8.2) unless the config overrides them.
 func hashJoinConfig(cfg *cluster.Config, n int) apps.HashJoinConfig {
-	hc := apps.HashJoinConfig{
-		N: n, Seed: cfg.Workload.Seed,
-		SizeA: cfg.Workload.SizeA, SizeB: cfg.Workload.SizeB, JoinValues: cfg.Workload.JoinValues,
+	hc := apps.DefaultHashJoinConfig(n, core.PolicyConfig{}, cfg.Workload.Seed)
+	if cfg.Workload.SizeA > 0 {
+		hc.SizeA = cfg.Workload.SizeA
 	}
-	if hc.SizeA <= 0 {
-		hc.SizeA = 900
+	if cfg.Workload.SizeB > 0 {
+		hc.SizeB = cfg.Workload.SizeB
 	}
-	if hc.SizeB <= 0 {
-		hc.SizeB = 800
-	}
-	if hc.JoinValues <= 0 {
-		hc.JoinValues = 72
+	if cfg.Workload.JoinValues > 0 {
+		hc.JoinValues = cfg.Workload.JoinValues
 	}
 	return hc
 }

@@ -78,10 +78,6 @@ type HashJoinConfig struct {
 	// Transport selects the cluster substrate ("", "mem" or "udp"); see
 	// core.NewNetwork.
 	Transport string
-	// ChaosPlan optionally names a scripted fault-plan file (JSON) injected
-	// below the reliable layer; requires the udp transport (see
-	// core.NewChaosNetwork).
-	ChaosPlan string
 }
 
 // DefaultHashJoinConfig returns the paper's workload parameters.
@@ -187,7 +183,7 @@ func newHashJoin(cfg HashJoinConfig, net transport.Network) (c *core.Cluster, pa
 // RunHashJoin executes the join to the distributed fixpoint. The caller
 // must Stop() the result's Cluster.
 func RunHashJoin(cfg HashJoinConfig) (*HashJoinResult, error) {
-	net, err := core.NewChaosNetwork(cfg.Transport, cfg.ChaosPlan)
+	net, err := core.NewNetwork(cfg.Transport)
 	if err != nil {
 		return nil, err
 	}

@@ -70,10 +70,6 @@ type PathVectorConfig struct {
 	// in-process network, "udp" for real loopback sockets (see
 	// core.NewNetwork). The scenario and its results are identical.
 	Transport string
-	// ChaosPlan optionally names a scripted fault-plan file (JSON) injected
-	// below the reliable layer; requires the udp transport (see
-	// core.NewChaosNetwork).
-	ChaosPlan string
 }
 
 // PathVectorResult carries the metrics of one run (paper §8.1).
@@ -110,7 +106,7 @@ func PathVectorLinkFacts(g *graph.Graph, addrs []string, i int) []engine.Fact {
 func RunPathVector(cfg PathVectorConfig) (*PathVectorResult, error) {
 	g := graph.RandomConnected(cfg.N, cfg.AvgDegree, cfg.Seed)
 	cfg.Policy.Delegation = core.DelegateNone // the query imports itself
-	net, err := core.NewChaosNetwork(cfg.Transport, cfg.ChaosPlan)
+	net, err := core.NewNetwork(cfg.Transport)
 	if err != nil {
 		return nil, err
 	}

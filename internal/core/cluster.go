@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"os"
 	"time"
 
 	"secureblox/internal/cluster"
@@ -51,9 +50,9 @@ type ClusterConfig struct {
 // Cluster is a set of SecureBlox nodes over one network, plus the compiled
 // program they all run. Fixpoint detection is fully distributed: a
 // wire-level termination detector shares the nodes' transport and no
-// in-process state. NewCluster is the in-process convenience over the same
-// cluster.Membership abstraction that multi-process deployments establish
-// through the join handshake — the per-node assembly below the directory
+// in-process state. Its constructors build statically the same
+// cluster.Membership that multi-process deployments establish through the
+// join handshake — the per-node assembly below the directory
 // (NodeAssembly.Build) is one shared code path.
 type Cluster struct {
 	Cfg        ClusterConfig
@@ -111,39 +110,15 @@ func NewNetwork(name string) (transport.Network, error) {
 	}
 }
 
-// NewChaosNetwork builds a transport.Network like NewNetwork and, when
-// planPath names a chaos fault plan, arms the substrate with its scripted
-// faults (drop/dup/garble/delay/reorder links, timed partitions, crash
-// windows). Chaos requires the udp transport: the faults exercise the
-// reliable ack/retransmit layer, which memnet bypasses entirely. The plan
-// clock is started by Cluster.Start.
-func NewChaosNetwork(name, planPath string) (transport.Network, error) {
-	if planPath == "" {
-		return NewNetwork(name)
-	}
-	if name != "udp" {
-		return nil, fmt.Errorf("core: chaos injection requires the udp transport, got %q", name)
-	}
-	data, err := os.ReadFile(planPath)
-	if err != nil {
-		return nil, fmt.Errorf("core: chaos plan: %w", err)
-	}
-	plan, err := transport.ParseChaosPlan(data)
-	if err != nil {
-		return nil, fmt.Errorf("core: chaos plan %s: %w", planPath, err)
-	}
-	n := transport.NewUDPNetwork()
-	n.Chaos = transport.NewChaosEngine(plan)
-	return n, nil
-}
-
-// chaosEngine returns the scripted fault engine armed on the cluster's
-// network, or nil.
-func (c *Cluster) chaosEngine() *transport.ChaosEngine {
-	if u, ok := c.Net.(*transport.UDPNetwork); ok {
-		return u.Chaos
-	}
-	return nil
+// nodeIdentity is what the constructor must know about one member before
+// the directory can be built: who it is, where it would like to listen, and
+// its key material. Where these come from is the only thing that differs
+// between NewCluster and NewClusterFromConfig.
+type nodeIdentity struct {
+	principal string
+	listen    string // address hint for Network.Listen
+	keys      *seccrypto.KeyStore
+	pubDER    []byte // RSA public key (PKCS#1 DER); nil under policies without one
 }
 
 // NewCluster compiles the query with the policy via BloxGenerics, opens one
@@ -151,19 +126,83 @@ func (c *Cluster) chaosEngine() *transport.ChaosEngine {
 // termination detector), builds N workspaces with per-node keystore-bound
 // UDFs, installs the program, and asserts the principal directory and key
 // material. The directory carries the endpoints' real bound addresses, so
-// the same scenario runs unchanged over memnet and UDP.
+// the same scenario runs unchanged over memnet and UDP. Principals are
+// PrincipalName(i) listening at NodeAddr(i), with key material generated
+// deterministically from cfg.Seed.
 func NewCluster(cfg ClusterConfig) (*Cluster, error) {
-	if cfg.N <= 0 {
-		return nil, fmt.Errorf("cluster: N must be positive, got %d", cfg.N)
-	}
+	return newCluster(cfg, func() ([]nodeIdentity, error) {
+		if cfg.N <= 0 {
+			return nil, fmt.Errorf("cluster: N must be positive, got %d", cfg.N)
+		}
+		principals := make([]string, cfg.N)
+		for i := range principals {
+			principals[i] = PrincipalName(i)
+		}
+		// RSA keypairs only for the policy that signs with them: generating
+		// them dominates cluster set-up, and no other policy reads a key.
+		newSetup := seccrypto.NewSecretSetup
+		if cfg.Policy.Auth == AuthRSA {
+			newSetup = seccrypto.NewTrustSetup
+		}
+		ts, err := newSetup(principals, seccrypto.NewDeterministicRand(cfg.Seed+1))
+		if err != nil {
+			return nil, err
+		}
+		ids := make([]nodeIdentity, cfg.N)
+		for i, p := range principals {
+			ks := ts.Stores[p]
+			ids[i] = nodeIdentity{principal: p, listen: NodeAddr(i), keys: ks, pubDER: ks.PublicKeyDER(p)}
+		}
+		return ids, nil
+	})
+}
+
+// NewClusterFromConfig is NewCluster for a declarative deployment config:
+// principals, listen addresses and key material come from dc — key files or
+// inline PEM, pairwise secrets derived from the cluster secret, exactly what
+// each process of the multi-process deployment loads for itself in
+// cluster.NewRuntime — instead of being generated from cfg.Seed, and cfg.N
+// is ignored. From the directory down it is NewCluster. cfg.Policy must be
+// the scheme dc names (PolicyFromSpec), with the delegation and
+// authorization modes a deployment config does not express.
+func NewClusterFromConfig(dc *cluster.Config, cfg ClusterConfig) (*Cluster, error) {
+	return newCluster(cfg, func() ([]nodeIdentity, error) {
+		if got, want := cfg.Policy.Name(), dc.Spec().Name(); got != want {
+			return nil, fmt.Errorf("cluster: policy %s does not match the config's %s", got, want)
+		}
+		ids := make([]nodeIdentity, len(dc.Nodes))
+		for i, nc := range dc.Nodes {
+			priv, err := dc.LoadNodeKey(nc.Principal)
+			if err != nil {
+				return nil, err
+			}
+			ks := dc.BuildKeyStore(nc.Principal, priv)
+			ids[i] = nodeIdentity{principal: nc.Principal, listen: nc.Addr, keys: ks, pubDER: ks.PublicKeyDER(nc.Principal)}
+		}
+		// Separate processes learn their peers' public keys from the join
+		// directory; with every member in one process they are at hand.
+		for _, id := range ids {
+			for _, peer := range ids {
+				if k := peer.keys.PrivateKey(); k != nil {
+					id.keys.AddPublicKey(peer.principal, &k.PublicKey)
+				}
+			}
+		}
+		return ids, nil
+	})
+}
+
+// newCluster is the one constructor: everything but where the members'
+// identities come from.
+func newCluster(cfg ClusterConfig, identities func() ([]nodeIdentity, error)) (*Cluster, error) {
 	net := cfg.Net
 	if net == nil {
 		net = transport.NewMemNetwork()
 	}
-	c := &Cluster{Cfg: cfg, Net: net}
+	c := &Cluster{Net: net}
 	// On any construction error, release what was already acquired: the
 	// network owns every endpoint handed out (including the detector's),
-	// and the verify pool owns worker goroutines. Callers only get the
+	// and the crypto pools own worker goroutines. Callers only get the
 	// error, so nothing else could clean these up.
 	built := false
 	defer func() {
@@ -177,58 +216,40 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 			}
 		}
 	}()
+	ids, err := identities()
+	if err != nil {
+		return nil, err
+	}
+	cfg.N = len(ids)
+	c.Cfg = cfg
 	// Endpoints first: socket-backed networks only know their addresses
-	// after binding, and the principal directory must carry real ones.
-	var eps []transport.Transport
-	for i := 0; i < cfg.N; i++ {
-		ep, err := net.Listen(NodeAddr(i))
+	// after binding, and the principal directory must carry real ones. The
+	// directory is built statically here and established by the bootstrap
+	// handshake in multi-process deployments; everything below it is shared.
+	eps := make([]transport.Transport, len(ids))
+	c.Directory = &cluster.Membership{Members: make([]cluster.Member, len(ids))}
+	for i, id := range ids {
+		ep, err := net.Listen(id.listen)
 		if err != nil {
-			return nil, fmt.Errorf("cluster: listen for node %d: %w", i, err)
+			return nil, fmt.Errorf("cluster: listen for node %s: %w", id.principal, err)
 		}
-		eps = append(eps, ep)
-		c.Principals = append(c.Principals, PrincipalName(i))
+		eps[i] = ep
+		c.Principals = append(c.Principals, id.principal)
 		c.Addrs = append(c.Addrs, ep.Addr())
+		c.KeyStores = append(c.KeyStores, id.keys)
+		c.Directory.Members[i] = cluster.Member{Principal: id.principal, Addr: ep.Addr(), PubKeyDER: id.pubDER}
 	}
 	detEp, err := net.Listen(detectorAddr)
 	if err != nil {
 		return nil, fmt.Errorf("cluster: listen for detector: %w", err)
 	}
-
-	// Compile once: the program is identical on every node.
-	res, err := CompileProgram(cfg.Policy, cfg.Query, cfg.ExtraPolicies)
-	if err != nil {
-		return nil, fmt.Errorf("cluster: %w", err)
-	}
-	c.Compiled = res
-
-	// RSA keypairs only for the policy that signs with them: generating them
-	// dominates cluster set-up, and no other policy reads a key.
-	newSetup := seccrypto.NewSecretSetup
-	if cfg.Policy.Auth == AuthRSA {
-		newSetup = seccrypto.NewTrustSetup
-	}
-	ts, err := newSetup(c.Principals, seccrypto.NewDeterministicRand(cfg.Seed+1))
-	if err != nil {
-		return nil, err
-	}
-
-	// The principal directory — built statically here, established by the
-	// bootstrap handshake in multi-process deployments; everything below
-	// it is shared.
-	c.Directory = &cluster.Membership{Members: make([]cluster.Member, cfg.N)}
-	for i, p := range c.Principals {
-		m := cluster.Member{Principal: p, Addr: c.Addrs[i]}
-		if cfg.Policy.Auth == AuthRSA {
-			m.PubKeyDER = ts.Stores[p].PublicKeyDER(p)
-		}
-		c.Directory.Members[i] = m
-	}
 	c.det = dist.NewDetector(detEp, c.Addrs)
 	c.det.Names = c.Directory.Names()
-	if ce := c.chaosEngine(); ce != nil {
-		// Bind the plan's principal names to the endpoints' real bound
-		// addresses; faults stay inert until Start.
-		ce.Resolve(c.Directory.Names())
+
+	// Compile once: the program is identical on every node.
+	c.Compiled, err = CompileProgram(cfg.Policy, cfg.Query, cfg.ExtraPolicies)
+	if err != nil {
+		return nil, fmt.Errorf("cluster: %w", err)
 	}
 
 	if cfg.Policy.Auth == AuthRSA {
@@ -238,14 +259,13 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 		c.spool = seccrypto.NewSignPool(0)
 	}
 
-	for i := 0; i < cfg.N; i++ {
-		ks := ts.Stores[c.Principals[i]]
+	for i, id := range ids {
 		n, err := NodeAssembly{
 			Policy:           cfg.Policy,
-			Compiled:         res,
+			Compiled:         c.Compiled,
 			Directory:        c.Directory,
 			Index:            i,
-			KeyStore:         ks,
+			KeyStore:         id.keys,
 			Endpoint:         eps[i],
 			VerifyPool:       c.pool,
 			SignPool:         c.spool,
@@ -255,10 +275,9 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 			Vet:              cfg.Vet,
 		}.Build()
 		if err != nil {
-			return nil, fmt.Errorf("cluster: node %d: %w", i, err)
+			return nil, fmt.Errorf("cluster: node %s: %w", id.principal, err)
 		}
 		c.Nodes = append(c.Nodes, n)
-		c.KeyStores = append(c.KeyStores, ks)
 	}
 	built = true
 	return c, nil
@@ -289,9 +308,6 @@ func (c *Cluster) Start() {
 	}
 	c.started = true
 	c.startAt = time.Now()
-	if ce := c.chaosEngine(); ce != nil {
-		ce.Start() // the plan clock runs from experiment start
-	}
 	for _, n := range c.Nodes {
 		n.Start()
 	}

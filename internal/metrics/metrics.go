@@ -17,8 +17,7 @@ import (
 // NodeMetrics accumulates one node's runtime measurements. A zero value
 // works standalone; NewNodeMetrics additionally mirrors every count into
 // the process-wide obs registry under a principal label, which is how the
-// /metrics endpoint and the BENCH emitters see per-node behaviour without
-// reaching into nodes.
+// /metrics endpoint sees per-node behaviour without reaching into nodes.
 type NodeMetrics struct {
 	mu           sync.Mutex
 	txnCount     int64
@@ -210,53 +209,17 @@ func (s EngineStats) Sub(o EngineStats) EngineStats {
 	}
 }
 
-// Add returns s + o, component-wise.
-func (s EngineStats) Add(o EngineStats) EngineStats {
-	return EngineStats{
-		IndexProbes:       s.IndexProbes + o.IndexProbes,
-		LeadingScans:      s.LeadingScans + o.LeadingScans,
-		FullScanFallbacks: s.FullScanFallbacks + o.FullScanFallbacks,
-		FixpointRounds:    s.FixpointRounds + o.FixpointRounds,
-		TuplesScanned:     s.TuplesScanned + o.TuplesScanned,
-	}
-}
-
 // String renders the counters compactly for benchmark logs.
 func (s EngineStats) String() string {
 	return fmt.Sprintf("probes=%d leading-scans=%d fallback-scans=%d rounds=%d tuples-scanned=%d",
 		s.IndexProbes, s.LeadingScans, s.FullScanFallbacks, s.FixpointRounds, s.TuplesScanned)
 }
 
-var (
-	engineMu     sync.Mutex
-	engineTotals EngineStats
-)
-
-// EngineAccumulate folds one workspace's counter delta into the
-// process-wide totals. Workspaces publish after each transaction, so a
-// cluster benchmark can observe every node's evaluator behaviour without
-// reaching into the nodes.
-func EngineAccumulate(d EngineStats) {
-	engineMu.Lock()
-	engineTotals = engineTotals.Add(d)
-	engineMu.Unlock()
-	r := obs.Default()
-	if d.IndexProbes != 0 {
-		r.Counter("sbx_engine_index_probes_total", nil).Add(d.IndexProbes)
-	}
-	if d.LeadingScans != 0 {
-		r.Counter("sbx_engine_leading_scans_total", nil).Add(d.LeadingScans)
-	}
-	if d.FullScanFallbacks != 0 {
-		r.Counter("sbx_engine_fullscan_fallbacks_total", nil).Add(d.FullScanFallbacks)
-	}
-	if d.FixpointRounds != 0 {
-		r.Counter("sbx_engine_fixpoint_rounds_total", nil).Add(d.FixpointRounds)
-	}
-	if d.TuplesScanned != 0 {
-		r.Counter("sbx_engine_tuples_scanned_total", nil).Add(d.TuplesScanned)
-	}
-}
+// The process-wide evaluator counters live in the obs registry, registered
+// at init so /metrics shows the engine family (at zero) before the first
+// transaction; the package keeps the handles so publishing costs five atomic
+// adds rather than five name lookups per transaction.
+var cIndexProbes, cLeadingScans, cFullScanFallbacks, cFixpointRounds, cTuplesScanned *obs.Counter
 
 func init() {
 	r := obs.Default()
@@ -265,30 +228,37 @@ func init() {
 	r.Help("sbx_engine_fullscan_fallbacks_total", "Scans forced despite bound columns — should stay 0.")
 	r.Help("sbx_engine_fixpoint_rounds_total", "Semi-naïve rounds across all fixpoints.")
 	r.Help("sbx_engine_tuples_scanned_total", "Tuples, stored or delta, handed to unification by a match step.")
-	// Register at zero so /metrics shows the engine family even before the
-	// first transaction.
-	r.Counter("sbx_engine_index_probes_total", nil)
-	r.Counter("sbx_engine_leading_scans_total", nil)
-	r.Counter("sbx_engine_fullscan_fallbacks_total", nil)
-	r.Counter("sbx_engine_fixpoint_rounds_total", nil)
-	r.Counter("sbx_engine_tuples_scanned_total", nil)
+	cIndexProbes = r.Counter("sbx_engine_index_probes_total", nil)
+	cLeadingScans = r.Counter("sbx_engine_leading_scans_total", nil)
+	cFullScanFallbacks = r.Counter("sbx_engine_fullscan_fallbacks_total", nil)
+	cFixpointRounds = r.Counter("sbx_engine_fixpoint_rounds_total", nil)
+	cTuplesScanned = r.Counter("sbx_engine_tuples_scanned_total", nil)
 }
 
-// EngineTotals returns the process-wide evaluator counters.
+// EngineAccumulate folds one workspace's counter delta into the
+// process-wide totals. Workspaces publish after each transaction, so a
+// cluster benchmark can observe every node's evaluator behaviour without
+// reaching into the nodes.
+func EngineAccumulate(d EngineStats) {
+	cIndexProbes.Add(d.IndexProbes)
+	cLeadingScans.Add(d.LeadingScans)
+	cFullScanFallbacks.Add(d.FullScanFallbacks)
+	cFixpointRounds.Add(d.FixpointRounds)
+	cTuplesScanned.Add(d.TuplesScanned)
+}
+
+// EngineTotals returns the process-wide evaluator counters. They are
+// cumulative (Prometheus semantics): a run's share is the difference of
+// two readings (EngineStats.Sub). The five loads are not one snapshot;
+// readers take them while no transaction is running.
 func EngineTotals() EngineStats {
-	engineMu.Lock()
-	defer engineMu.Unlock()
-	return engineTotals
-}
-
-// EngineReset zeroes the process-wide evaluator counters. Benchmarks and
-// multi-run drivers call it between runs so one run's probe and round
-// counts don't bleed into the next report. The obs registry counters are
-// cumulative by design (Prometheus semantics) and are not reset.
-func EngineReset() {
-	engineMu.Lock()
-	engineTotals = EngineStats{}
-	engineMu.Unlock()
+	return EngineStats{
+		IndexProbes:       cIndexProbes.Value(),
+		LeadingScans:      cLeadingScans.Value(),
+		FullScanFallbacks: cFullScanFallbacks.Value(),
+		FixpointRounds:    cFixpointRounds.Value(),
+		TuplesScanned:     cTuplesScanned.Value(),
+	}
 }
 
 // CDF is an empirical cumulative distribution over durations.

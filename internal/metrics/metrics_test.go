@@ -5,6 +5,8 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
+
+	"secureblox/internal/obs"
 )
 
 func TestNodeMetricsAccumulation(t *testing.T) {
@@ -104,21 +106,27 @@ func TestCDFQuantileNearestRank(t *testing.T) {
 	}
 }
 
-func TestEngineReset(t *testing.T) {
-	EngineAccumulate(EngineStats{IndexProbes: 2, FixpointRounds: 1})
-	if EngineTotals() == (EngineStats{}) {
-		t.Fatal("accumulate had no effect")
+// TestEngineTotalsAreTheRegistryCounters: the totals have no store of their
+// own — a reading after EngineAccumulate(d) minus one before is d, and it is
+// the same delta the sbx_engine_*_total registry counters show.
+func TestEngineTotalsAreTheRegistryCounters(t *testing.T) {
+	registry := func() EngineStats {
+		v := func(name string) int64 { return obs.Default().CounterValue("sbx_engine_" + name + "_total") }
+		return EngineStats{
+			IndexProbes: v("index_probes"), LeadingScans: v("leading_scans"),
+			FullScanFallbacks: v("fullscan_fallbacks"), FixpointRounds: v("fixpoint_rounds"),
+			TuplesScanned: v("tuples_scanned"),
+		}
 	}
-	EngineReset()
-	if got := EngineTotals(); got != (EngineStats{}) {
-		t.Errorf("totals after reset = %+v, want zero", got)
+	d := EngineStats{IndexProbes: 2, LeadingScans: 4, FullScanFallbacks: 1, FixpointRounds: 3, TuplesScanned: 17}
+	before, regBefore := EngineTotals(), registry()
+	EngineAccumulate(d)
+	if got := EngineTotals().Sub(before); got != d {
+		t.Errorf("EngineTotals delta = %+v, want %+v", got, d)
 	}
-	// The totals must keep working after a reset.
-	EngineAccumulate(EngineStats{LeadingScans: 4})
-	if got := EngineTotals(); got != (EngineStats{LeadingScans: 4}) {
-		t.Errorf("totals after reset+accumulate = %+v", got)
+	if got := registry().Sub(regBefore); got != d {
+		t.Errorf("registry counter delta = %+v, want %+v", got, d)
 	}
-	EngineReset()
 }
 
 func TestTableFormatting(t *testing.T) {
@@ -140,9 +148,6 @@ func TestEngineStatsArithmeticAndAccumulation(t *testing.T) {
 	d := a.Sub(b)
 	if d != (EngineStats{IndexProbes: 3, FullScanFallbacks: 1, FixpointRounds: 1}) {
 		t.Errorf("Sub: %+v", d)
-	}
-	if got := b.Add(d); got != a {
-		t.Errorf("Add(Sub) not identity: %+v", got)
 	}
 
 	before := EngineTotals()

@@ -1,9 +1,8 @@
 // Package obs is the unified observability layer every subsystem reports
 // into: a process-wide metrics registry (counters, gauges, latency
 // histograms, registered by name with labels and rendered in Prometheus
-// text format), cross-node wave tracing (trace-ID-stamped spans per
-// pipeline stage with a causal-tree collector), and the BENCH_*.json
-// report schema the perf-trajectory emitter writes. The paper's entire
+// text format) and cross-node wave tracing (trace-ID-stamped spans per
+// pipeline stage with a causal-tree collector). The paper's entire
 // evaluation (Figures 4–12) is an observability exercise — per-node
 // communication overhead, transaction durations, convergence CDFs — and
 // this package is where all of those measurements now live.

@@ -1,23 +1,6 @@
 package seccrypto
 
-import (
-	"crypto/rsa"
-	"crypto/sha256"
-	"encoding/binary"
-	"runtime"
-	"sync"
-	"sync/atomic"
-)
-
-// signOps counts every RSASign invocation process-wide. The paper's
-// footnote 2 identifies signature generation as the dominant cost of RSA
-// runs, so benchmarks report this counter's delta per fixpoint to show how
-// memoization and batch signing cut the number of private-key operations.
-var signOps atomic.Int64
-
-// SignOps returns the cumulative count of RSA signature computations
-// performed by this process.
-func SignOps() int64 { return signOps.Load() }
+import "crypto/rsa"
 
 // SignPool parallelizes RSA signature generation with a memoizing cache,
 // the outbound mirror of VerifyPool. Footnote 2 observes that signing
@@ -31,164 +14,39 @@ func SignOps() int64 { return signOps.Load() }
 // PKCS#1 v1.5 signing is deterministic, so memoization is semantically
 // invisible: the pool computes exactly RSASign.
 type SignPool struct {
-	jobs chan signJob
-	stop chan struct{}
-	wg   sync.WaitGroup
-
-	mu      sync.Mutex
-	cache   map[[32]byte]*signEntry
-	maxSize int
-
-	hits, misses atomic.Int64
+	*memoPool[signArgs, signResult]
 }
 
-type signEntry struct {
-	done chan struct{}
-	sig  []byte
-	err  error
-}
-
-type signJob struct {
+type signArgs struct {
 	priv *rsa.PrivateKey
 	data []byte
-	e    *signEntry
+}
+
+type signResult struct {
+	sig []byte
+	err error
 }
 
 // NewSignPool starts workers goroutines (GOMAXPROCS if workers <= 0).
 func NewSignPool(workers int) *SignPool {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	p := &SignPool{
-		jobs:    make(chan signJob, 256),
-		stop:    make(chan struct{}),
-		cache:   make(map[[32]byte]*signEntry),
-		maxSize: 8192,
-	}
-	p.wg.Add(workers)
-	for i := 0; i < workers; i++ {
-		go p.worker()
-	}
-	return p
-}
-
-func (p *SignPool) worker() {
-	defer p.wg.Done()
-	for {
-		select {
-		case <-p.stop:
-			return
-		case j := <-p.jobs:
-			j.e.sig, j.e.err = RSASign(j.priv, j.data)
-			close(j.e.done)
-		}
-	}
-}
-
-// Close stops the workers and completes whatever was still queued, so no
-// Sign caller is left waiting on an entry that will never finish.
-func (p *SignPool) Close() {
-	close(p.stop)
-	p.wg.Wait()
-	for {
-		select {
-		case j := <-p.jobs:
-			j.e.sig, j.e.err = RSASign(j.priv, j.data)
-			close(j.e.done)
-		default:
-			return
-		}
-	}
-}
-
-// Stats returns how many Sign/Warm requests were served from the cache
-// (hits) and how many required an RSA computation (misses). One miss is
-// exactly one RSASign invocation.
-func (p *SignPool) Stats() (hits, misses int64) {
-	return p.hits.Load(), p.misses.Load()
-}
-
-// signCacheKey derives the cache key for one (private key, data) pair.
-// Length prefixes keep distinct pairs from colliding by concatenation.
-func signCacheKey(privDER, data []byte) [32]byte {
-	h := sha256.New()
-	var lenBuf [8]byte
-	for _, part := range [][]byte{privDER, data} {
-		binary.LittleEndian.PutUint64(lenBuf[:], uint64(len(part)))
-		h.Write(lenBuf[:])
-		h.Write(part)
-	}
-	var k [32]byte
-	h.Sum(k[:0])
-	return k
-}
-
-// pruneLocked evicts completed entries once the cache outgrows maxSize.
-// Callers hold p.mu.
-func (p *SignPool) pruneLocked() {
-	if len(p.cache) <= p.maxSize {
-		return
-	}
-	for k, e := range p.cache {
-		select {
-		case <-e.done:
-			delete(p.cache, k)
-		default: // in flight: a waiter may hold a reference
-		}
-		if len(p.cache) <= p.maxSize/2 {
-			return
-		}
-	}
+	return &SignPool{newMemoPool(workers, func(a signArgs) (r signResult) {
+		r.sig, r.err = RSASign(a.priv, a.data)
+		return r
+	}, cSignHits, cSignMisses)}
 }
 
 // Warm schedules an asynchronous signature over data if it is not already
 // cached or in flight. It never blocks: when the worker queue is full the
-// pair is simply left for Sign to compute inline. The cache insert and the
-// enqueue happen atomically under the lock, so a published entry always
-// has a worker bound to complete it.
+// pair is simply left for Sign to compute inline.
 func (p *SignPool) Warm(priv *rsa.PrivateKey, privDER, data []byte) {
-	if priv == nil {
-		return
-	}
-	k := signCacheKey(privDER, data)
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if _, exists := p.cache[k]; exists {
-		p.hits.Add(1)
-		cSignHits.Inc()
-		return
-	}
-	e := &signEntry{done: make(chan struct{})}
-	select {
-	case p.jobs <- signJob{priv: priv, data: data, e: e}:
-		p.misses.Add(1)
-		cSignMisses.Inc()
-		p.cache[k] = e
-		p.pruneLocked()
-	default:
-		// Queue full: leave the pair uncached for Sign to compute.
+	if priv != nil {
+		p.warm(cacheKey(privDER, data), signArgs{priv, data})
 	}
 }
 
 // Sign returns RSASign(priv, data), waiting for an in-flight warm-up when
 // one exists, computing inline (and caching) otherwise.
 func (p *SignPool) Sign(priv *rsa.PrivateKey, privDER, data []byte) ([]byte, error) {
-	k := signCacheKey(privDER, data)
-	p.mu.Lock()
-	if e, exists := p.cache[k]; exists {
-		p.hits.Add(1)
-		cSignHits.Inc()
-		p.mu.Unlock()
-		<-e.done
-		return e.sig, e.err
-	}
-	e := &signEntry{done: make(chan struct{})}
-	p.misses.Add(1)
-	cSignMisses.Inc()
-	p.cache[k] = e
-	p.pruneLocked()
-	p.mu.Unlock()
-	e.sig, e.err = RSASign(priv, data)
-	close(e.done)
-	return e.sig, e.err
+	r := p.get(cacheKey(privDER, data), signArgs{priv, data})
+	return r.sig, r.err
 }

@@ -6,6 +6,16 @@ import (
 	"secureblox/internal/obs"
 )
 
+// signOps counts every RSASign invocation process-wide. The paper's
+// footnote 2 identifies signature generation as the dominant cost of RSA
+// runs, so benchmarks report this counter's delta per fixpoint to show how
+// memoization and batch signing cut the number of private-key operations.
+var signOps atomic.Int64
+
+// SignOps returns the cumulative count of RSA signature computations
+// performed by this process.
+func SignOps() int64 { return signOps.Load() }
+
 // verifyOps counts every RSAVerify invocation process-wide, the inbound
 // counterpart of signOps.
 var verifyOps atomic.Int64

@@ -1,13 +1,6 @@
 package seccrypto
 
-import (
-	"crypto/rsa"
-	"crypto/sha256"
-	"encoding/binary"
-	"runtime"
-	"sync"
-	"sync/atomic"
-)
+import "crypto/rsa"
 
 // VerifyPool parallelizes RSA signature verification with a memoizing
 // cache. The paper's footnote 2 observes that signature costs dominate
@@ -21,164 +14,32 @@ import (
 // The pool is purely an accelerator: it computes exactly RSAVerify, and
 // the policy constraints still make every accept/reject decision.
 type VerifyPool struct {
-	jobs chan verifyJob
-	stop chan struct{}
-	wg   sync.WaitGroup
-
-	mu      sync.Mutex
-	cache   map[[32]byte]*verifyEntry
-	maxSize int
-
-	hits, misses atomic.Int64
+	*memoPool[verifyArgs, bool]
 }
 
-type verifyEntry struct {
-	done chan struct{}
-	ok   bool
-}
-
-type verifyJob struct {
+type verifyArgs struct {
 	pub       *rsa.PublicKey
 	data, sig []byte
-	e         *verifyEntry
 }
 
 // NewVerifyPool starts workers goroutines (GOMAXPROCS if workers <= 0).
 func NewVerifyPool(workers int) *VerifyPool {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	p := &VerifyPool{
-		jobs:    make(chan verifyJob, 256),
-		stop:    make(chan struct{}),
-		cache:   make(map[[32]byte]*verifyEntry),
-		maxSize: 8192,
-	}
-	p.wg.Add(workers)
-	for i := 0; i < workers; i++ {
-		go p.worker()
-	}
-	return p
-}
-
-func (p *VerifyPool) worker() {
-	defer p.wg.Done()
-	for {
-		select {
-		case <-p.stop:
-			return
-		case j := <-p.jobs:
-			j.e.ok = RSAVerify(j.pub, j.data, j.sig)
-			close(j.e.done)
-		}
-	}
-}
-
-// Close stops the workers and completes whatever was still queued, so no
-// Verify caller is left waiting on an entry that will never finish.
-func (p *VerifyPool) Close() {
-	close(p.stop)
-	p.wg.Wait()
-	for {
-		select {
-		case j := <-p.jobs:
-			j.e.ok = RSAVerify(j.pub, j.data, j.sig)
-			close(j.e.done)
-		default:
-			return
-		}
-	}
-}
-
-// Stats returns how many Verify/Warm requests were served from the cache
-// (hits) and how many required an RSA computation (misses), mirroring
-// SignPool.Stats.
-func (p *VerifyPool) Stats() (hits, misses int64) {
-	return p.hits.Load(), p.misses.Load()
-}
-
-// key derives the cache key for one verification triple. Length prefixes
-// keep distinct triples from colliding by concatenation.
-func verifyCacheKey(pubDER, data, sig []byte) [32]byte {
-	h := sha256.New()
-	var lenBuf [8]byte
-	for _, part := range [][]byte{pubDER, data, sig} {
-		binary.LittleEndian.PutUint64(lenBuf[:], uint64(len(part)))
-		h.Write(lenBuf[:])
-		h.Write(part)
-	}
-	var k [32]byte
-	h.Sum(k[:0])
-	return k
-}
-
-// pruneLocked evicts completed entries once the cache outgrows maxSize.
-// Callers hold p.mu.
-func (p *VerifyPool) pruneLocked() {
-	if len(p.cache) <= p.maxSize {
-		return
-	}
-	for k, e := range p.cache {
-		select {
-		case <-e.done:
-			delete(p.cache, k)
-		default: // in flight: a waiter may hold a reference
-		}
-		if len(p.cache) <= p.maxSize/2 {
-			return
-		}
-	}
+	return &VerifyPool{newMemoPool(workers, func(a verifyArgs) bool {
+		return RSAVerify(a.pub, a.data, a.sig)
+	}, cVerifyHits, cVerifyMisses)}
 }
 
 // Warm schedules an asynchronous verification of the triple if it is not
 // already cached or in flight. It never blocks: when the worker queue is
-// full the triple is simply left for Verify to compute inline. The cache
-// insert and the enqueue happen atomically under the lock, so a published
-// entry always has a worker bound to complete it — a concurrent Verify
-// can safely wait on whatever it finds in the cache.
+// full the triple is simply left for Verify to compute inline.
 func (p *VerifyPool) Warm(pub *rsa.PublicKey, pubDER, data, sig []byte) {
-	if pub == nil {
-		return
-	}
-	k := verifyCacheKey(pubDER, data, sig)
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if _, exists := p.cache[k]; exists {
-		p.hits.Add(1)
-		cVerifyHits.Inc()
-		return
-	}
-	e := &verifyEntry{done: make(chan struct{})}
-	select {
-	case p.jobs <- verifyJob{pub: pub, data: data, sig: sig, e: e}:
-		p.misses.Add(1)
-		cVerifyMisses.Inc()
-		p.cache[k] = e
-		p.pruneLocked()
-	default:
-		// Queue full: leave the triple uncached for Verify to compute.
+	if pub != nil {
+		p.warm(cacheKey(pubDER, data, sig), verifyArgs{pub, data, sig})
 	}
 }
 
 // Verify returns RSAVerify(pub, data, sig), waiting for an in-flight
 // warm-up when one exists, computing inline (and caching) otherwise.
 func (p *VerifyPool) Verify(pub *rsa.PublicKey, pubDER, data, sig []byte) bool {
-	k := verifyCacheKey(pubDER, data, sig)
-	p.mu.Lock()
-	if e, exists := p.cache[k]; exists {
-		p.hits.Add(1)
-		cVerifyHits.Inc()
-		p.mu.Unlock()
-		<-e.done
-		return e.ok
-	}
-	e := &verifyEntry{done: make(chan struct{})}
-	p.misses.Add(1)
-	cVerifyMisses.Inc()
-	p.cache[k] = e
-	p.pruneLocked()
-	p.mu.Unlock()
-	e.ok = RSAVerify(pub, data, sig)
-	close(e.done)
-	return e.ok
+	return p.get(cacheKey(pubDER, data, sig), verifyArgs{pub, data, sig})
 }

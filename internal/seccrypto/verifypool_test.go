@@ -97,7 +97,7 @@ func TestVerifyPoolPruneEvictsOnlyCompletedEntries(t *testing.T) {
 	// Plant an in-flight entry by hand: its done channel never closes, so
 	// eviction must skip it no matter how much churn follows (a waiter may
 	// hold a reference and would otherwise hang on a re-inserted twin).
-	inflight := &verifyEntry{done: make(chan struct{})}
+	inflight := &memoEntry[bool]{done: make(chan struct{})}
 	var inflightKey [32]byte
 	inflightKey[0] = 0xAB
 	p.cache[inflightKey] = inflight
