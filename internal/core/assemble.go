@@ -151,19 +151,19 @@ func (a NodeAssembly) Build() (*dist.Node, error) {
 }
 
 // bindBatchSigner installs the outbound batch-signing hooks on one node:
-// each shipped envelope's payload digest is signed with the node's private
-// key through the shared signing pool, whose memo turns the warm-up issued
-// at enqueue time into a cache hit by the time the sender stage needs the
-// signature (footnote 2's "sign batch aggregates").
+// the group root of each shipping transaction's envelopes is signed with the
+// node's private key through the shared signing pool, whose memo turns the
+// warm-up issued at enqueue time into a cache hit by the time the sender
+// stage needs the signature (footnote 2's "sign batch aggregates").
 func (a NodeAssembly) bindBatchSigner(n *dist.Node) {
 	priv := a.KeyStore.PrivateKey()
 	privDER := a.KeyStore.PrivateKeyDER()
 	spool := a.SignPool
-	n.SignBatch = func(digest []byte) ([]byte, error) {
-		return spool.Sign(priv, privDER, digest)
+	n.SignBatch = func(root []byte) ([]byte, error) {
+		return spool.Sign(priv, privDER, root)
 	}
-	n.WarmSignBatch = func(digest []byte) {
-		spool.Warm(priv, privDER, digest)
+	n.WarmSignBatch = func(root []byte) {
+		spool.Warm(priv, privDER, root)
 	}
 }
 
@@ -172,9 +172,10 @@ func (a NodeAssembly) bindBatchSigner(n *dist.Node) {
 // submitted to the shared worker pool against the claimed sender's public
 // key — the same key the sigRSA policy's verification constraint will look
 // up, so the cached result is exactly what the transaction consumes. A
-// batch envelope instead warms one check of its aggregate signature over
-// the digest of the received payload sequence — the exact triple the
-// sigRSABatch constraint will ask the pool for, once per envelope.
+// batch envelope instead warms one check of its group signature over
+// msg.BatchRoot() — the value admission records as export_batch's D, hence
+// the exact triple the sigRSABatch constraint will ask the pool for, once
+// per envelope.
 // Encrypted or undecodable payloads are skipped; they verify inline inside
 // the transaction as before. This is an accelerator only: acceptance is
 // still decided by the compiled policy constraints.
@@ -199,7 +200,7 @@ func (a NodeAssembly) preVerifier() func(wire.Message) {
 		}
 		if msg.Kind == wire.MsgBatch {
 			if len(msg.Sig) > 0 && len(msg.Payloads) > 0 {
-				pool.Warm(pe.pub, pe.der, wire.BatchDigest(msg.Payloads), msg.Sig)
+				pool.Warm(pe.pub, pe.der, msg.BatchRoot(), msg.Sig)
 			}
 			return
 		}

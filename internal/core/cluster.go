@@ -30,8 +30,13 @@ type ClusterConfig struct {
 	// ExtraPolicies are additional BloxGenerics sources (e.g. the
 	// anonymity policy).
 	ExtraPolicies []string
-	// Seed drives deterministic key generation; runs with equal seeds see
-	// identical key material.
+	// Seed makes reproducible what can be: runs with equal seeds see identical
+	// pairwise shared secrets (the HMAC and AES keys) and identical UDF
+	// randomness (onion-layer IVs); entity ids are partitioned by node index
+	// and do not depend on it. RSA keypairs are not reproducible —
+	// the key rsa.GenerateKey returns deliberately does not depend
+	// deterministically on the bytes it reads — so under AuthRSA every run signs with fresh keys and ships different
+	// signature bytes.
 	Seed int64
 	// TrustAllPrincipals, with DelegateTrustworthy, pre-populates
 	// trustworthy(P) for every cluster principal.
@@ -128,7 +133,7 @@ type nodeIdentity struct {
 // material. The directory carries the endpoints' real bound addresses, so
 // the same scenario runs unchanged over memnet and UDP. Principals are
 // PrincipalName(i) listening at NodeAddr(i), with key material generated
-// deterministically from cfg.Seed.
+// from cfg.Seed (see ClusterConfig.Seed for what that reproduces).
 func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	return newCluster(cfg, func() ([]nodeIdentity, error) {
 		if cfg.N <= 0 {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"sort"
 	"strings"
 	"sync"
@@ -307,6 +308,139 @@ func TestForgedTrafficRejectedUnderBatchSigning(t *testing.T) {
 	}
 	if got := len(c.Query(0, "export_batch")); got != beforeBatch {
 		t.Errorf("rejected envelopes left export_batch residue: %d -> %d rows", beforeBatch, got)
+	}
+
+	// The signed unit is a group of envelopes. signGroup is what p1 would put
+	// on the wire for one transaction shipping three envelopes — really signed
+	// with p1's key, each envelope saying one fact of its own.
+	signGroup := func(tag int) []wire.Message {
+		var msgs []wire.Message
+		var digests []byte
+		for i := 0; i < 3; i++ {
+			said := wire.EncodePayload(wire.Payload{
+				Pred: "reachable",
+				Vals: datalog.Tuple{datalog.NodeV(c.Addrs[1]), datalog.NodeV(fmt.Sprintf("9.9.%d.%d:9", tag, i))},
+			})
+			msgs = append(msgs, wire.Message{Kind: wire.MsgBatch, From: c.Addrs[1], Payloads: [][]byte{said}})
+			digests = append(digests, wire.BatchDigest(msgs[i].Payloads)...)
+		}
+		sig, err := seccrypto.RSASign(c.KeyStores[1].PrivateKey(), wire.GroupRoot(digests))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range msgs {
+			msgs[i].Sig, msgs[i].Pos, msgs[i].Siblings = sig, uint32(i), wire.Siblings(digests, i)
+		}
+		return msgs
+	}
+	// deliver sends the envelopes over ep and waits until node 0 has consumed
+	// those that arrived and the cluster is quiet again.
+	deliver := func(ep transport.Transport, msgs ...wire.Message) (arrived int) {
+		t.Helper()
+		processed := c.Nodes[0].Metrics.MsgsProcessed()
+		sentBefore := c.MemNet().Stats(evil.Addr()).MsgsSent
+		for _, m := range msgs {
+			if err := ep.Send(c.Addrs[0], wire.EncodeMessage(m)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		arrived = int(c.MemNet().Stats(evil.Addr()).MsgsSent - sentBefore)
+		waitProcessed(t, c, 0, processed+int64(arrived))
+		waitFixpoint(t, c)
+		return arrived
+	}
+	learned := func(tag, i int) bool {
+		for _, tp := range c.Query(0, "reachable") {
+			if tp[0].Str == c.Addrs[1] && tp[1].Str == fmt.Sprintf("9.9.%d.%d:9", tag, i) {
+				return true
+			}
+		}
+		return false
+	}
+
+	// Each envelope of a group verifies on its own: one delivered alone, then
+	// the other two in reverse order, then a group that loses envelopes on a
+	// lossy link — whatever arrives is accepted, nothing is a violation.
+	g := signGroup(1)
+	deliver(evil, g[1])
+	if !learned(1, 1) || learned(1, 0) || learned(1, 2) {
+		t.Error("an envelope delivered without its siblings must commit exactly what it carries")
+	}
+	deliver(evil, g[2], g[0])
+	if !learned(1, 0) || !learned(1, 2) {
+		t.Error("a group's envelopes delivered out of order must both commit")
+	}
+	g = signGroup(2)
+	arrived := deliver(transport.NewLossy(evil, 3, 0.5, 0, 0), g...)
+	if arrived == 0 || arrived == len(g) {
+		t.Fatalf("the lossy link delivered %d of %d envelopes; the seed must drop some and deliver some", arrived, len(g))
+	}
+	survivors := 0
+	for i := range g {
+		if learned(2, i) {
+			survivors++
+		}
+	}
+	if survivors != arrived {
+		t.Errorf("%d envelopes survived the lossy link, %d committed", arrived, survivors)
+	}
+	if v := c.Nodes[0].Violations(); len(v) != 3 {
+		t.Fatalf("genuine envelopes, however delivered, must not be violations: %v", v)
+	}
+
+	// What a genuine envelope says about its group is covered too: change a
+	// sibling digest or the position and the root is no longer the one p1
+	// signed (one rollback each); name a position outside the group or more
+	// siblings than a group can have and the decoder drops it unread.
+	before, beforeBatch = len(c.Query(0, "reachable")), len(c.Query(0, "export_batch"))
+	g = signGroup(3)
+	tamperedSibling, wrongPosition, beyondGroup, overMax := g[1], g[1], g[1], g[1]
+	tamperedSibling.Siblings = append([]byte(nil), g[1].Siblings...)
+	tamperedSibling.Siblings[wire.DigestSize+1] ^= 0xFF
+	wrongPosition.Pos = 0
+	beyondGroup.Pos = 3
+	overMax.Siblings = make([]byte, wire.MaxGroup*wire.DigestSize)
+	deliver(evil, tamperedSibling, wrongPosition, beyondGroup, overMax)
+	if v := c.Nodes[0].Violations(); len(v) != 5 {
+		t.Errorf("want 2 more rejections (tampered sibling, wrong position) and 2 silent drops, got %d violations: %v", len(v), v[3:])
+	}
+	if got := len(c.Query(0, "reachable")); got != before {
+		t.Errorf("tampered group fields polluted reachable: %d -> %d", before, got)
+	}
+	if got := len(c.Query(0, "export_batch")); got != beforeBatch {
+		t.Errorf("tampered group fields left export_batch residue: %d -> %d rows", beforeBatch, got)
+	}
+}
+
+// TestEqualSeedsReproduceSharedSecretsAndShippedBytes pins what
+// ClusterConfig.Seed promises: equal seeds give every node the same pairwise
+// secrets under every policy — so a run that authenticates and encrypts with
+// them ships byte-identical export tuples — and says nothing about RSA keys.
+func TestEqualSeedsReproduceSharedSecretsAndShippedBytes(t *testing.T) {
+	exports := func(p PolicyConfig) (secret []byte, shipped []string) {
+		c := buildChain(t, 3, p) // Seed 7
+		defer c.Stop()
+		waitFixpoint(t, c)
+		for i := range c.Nodes {
+			for _, tp := range c.Query(i, "export") {
+				shipped = append(shipped, tp.String())
+			}
+		}
+		sort.Strings(shipped)
+		return c.KeyStores[0].Secret(PrincipalName(1)), shipped
+	}
+	hmacAES := PolicyConfig{Auth: AuthHMAC, Encrypt: true}
+	s1, e1 := exports(hmacAES)
+	s2, e2 := exports(hmacAES)
+	if len(s1) == 0 || string(s1) != string(s2) {
+		t.Error("equal seeds gave different pairwise secrets")
+	}
+	if len(e1) == 0 || strings.Join(e1, "\n") != strings.Join(e2, "\n") {
+		t.Errorf("equal seeds shipped different bytes under %s: %d vs %d export tuples", hmacAES.Name(), len(e1), len(e2))
+	}
+	// The secrets do not depend on whether RSA keypairs are generated too.
+	if s3, _ := exports(PolicyConfig{Auth: AuthRSA, Encrypt: true}); string(s3) != string(s1) {
+		t.Error("pairwise secrets under an RSA policy differ from the same seed's under HMAC")
 	}
 }
 

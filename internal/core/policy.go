@@ -132,10 +132,21 @@ const (
 
 // sigRSABatch is footnote 2's batch-signed RSA: the sender attaches no
 // per-tuple signature (the empty noauth tag keeps the export dataflow
-// uniform) — instead the node runtime signs one SHA-1 digest per shipped
-// batch envelope and the receiver's runtime records, for each payload of
-// an envelope, an export_batch row carrying the locally recomputed digest
-// and the envelope's signature. The constraints then close the loop:
+// uniform) — instead the node runtime signs once per shipping transaction,
+// over the group root of the payload digests of every envelope the
+// transaction ships, and the receiver's runtime records, for each payload
+// of an envelope, an export_batch row carrying D — the root recomputed from
+// the payloads it received and the sibling digests the envelope claims
+// (wire.Message.BatchRoot) — and the envelope's signature S. The signature
+// therefore covers the exact payload sequence of every envelope of the
+// group: tampering with a payload, a sibling digest or the position changes
+// D and fails the check, and an envelope verifies without its siblings.
+// What the signature does not cover is the destination or a freshness
+// value — neither did the per-envelope digest this replaces, nor does sigRSA's
+// per-tuple signature over V* — so redirection and replay stand exactly where
+// they stood: a recorded envelope verifies again wherever the sender's key is
+// known, and re-asserting facts the sender did say derives nothing new at a
+// node that already holds them. The constraints close the loop:
 // every export asserted at this node (the runtime binds inbound exports to
 // the local address) must be covered by an export_batch row, and every
 // export_batch row must verify against the public key of the principal at
@@ -145,8 +156,8 @@ const (
 // self-addressed exports (no paper workload produces them: says is always
 // directed at a peer). One message is one transaction, so a failed batch
 // signature rolls the whole envelope back — exactly the per-tuple schemes'
-// rejection granularity, at one RSA operation per envelope (the verify
-// pool memoizes the identical (key, digest, signature) triple across an
+// rejection granularity, at one RSA verification per envelope (the verify
+// pool memoizes the identical (key, root, signature) triple across an
 // envelope's rows).
 const sigRSABatch = "`" + `{
 	sig[T](self[], P, V*, S) <- says[T](self[], P, V*), noauth_sign[T](V*, S).

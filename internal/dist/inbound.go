@@ -144,11 +144,13 @@ func (e *envelope) isControl() bool { return e.err == nil && e.msg.Kind == wire.
 // policy's job: under NoAuth a forged claim is accepted by design, under
 // HMAC/RSA the signature constraints reject it. A batch envelope (MsgBatch)
 // additionally asserts one export_batch fact per payload, binding the payload
-// to the digest of the whole received sequence and to the envelope's
-// signature. The digest is recomputed here from the payloads actually
-// received — never taken from the sender — so a batch-signing policy's
+// to the envelope's group root and signature. The root is recomputed here
+// (wire.Message.BatchRoot): this envelope's digest comes from the payloads
+// actually received — never from the sender — and takes its claimed position
+// among the sibling digests the envelope carries, so a batch-signing policy's
 // constraints verify the signature against what this node really saw, once
-// per envelope thanks to the memoizing verify pool.
+// per envelope thanks to the memoizing verify pool, and each envelope of a
+// group verifies whether or not its siblings ever arrive.
 //
 // The senders committed each message as one batch; merging several into one
 // transaction amortizes the fixpoint, the constraint sweep and — above all —
@@ -235,12 +237,12 @@ func (n *Node) admit(e *envelope, self datalog.Value) {
 		})
 	}
 	if msg.Kind == wire.MsgBatch {
-		digest := datalog.OwnedBytes(wire.BatchDigest(msg.Payloads))
+		root := datalog.OwnedBytes(msg.BatchRoot())
 		sig := datalog.OwnedBytes(msg.Sig)
 		for _, p := range msg.Payloads {
 			n.runFacts = append(n.runFacts, engine.Fact{
 				Pred:  "export_batch",
-				Tuple: datalog.Tuple{from, datalog.OwnedBytes(p), digest, sig},
+				Tuple: datalog.Tuple{from, datalog.OwnedBytes(p), root, sig},
 			})
 		}
 	}

@@ -19,18 +19,22 @@ import (
 	"secureblox/internal/wire"
 )
 
-// adversaryQuery makes one datagram per sender transaction and one export
-// per accepted import: the sender says every msg to its peer, the receiver
-// imports it into inbox and says an ack back to whoever the message claimed
-// to come from — so what a receiver committed shows in its database, in its
-// sent-set and in what it shipped.
+// adversaryQuery makes one datagram per peer per sender transaction and one
+// export per accepted import: the sender says every msg to each of its peers,
+// a receiver imports it into inbox and says an ack back to whoever the message
+// claimed to come from — so what a receiver committed shows in its database,
+// in its sent-set and in what it shipped. What the sender says aside goes to
+// that principal only, so two peers' datagrams need not carry the same bytes.
 const adversaryQuery = `
 	msg(X) -> int(X).
 	inbox(X) -> int(X).
 	ack(X) -> int(X).
+	peer(U) -> principal(U).
+	aside(U) -> principal(U).
 	exportable('inbox).
 	exportable('ack).
-	says['inbox](self[], U, X) <- msg(X), peer[]=U.
+	says['inbox](self[], U, X) <- msg(X), peer(U).
+	says['ack](self[], U, X) <- msg(X), aside(U).
 	inbox(X) <- says['inbox](U, self[], X).
 	says['ack](self[], U, X) <- says['inbox](U, self[], X).
 	ack(X) <- says['ack](U, self[], X).
@@ -46,7 +50,10 @@ const (
 
 // inboundRig is a three-principal deployment under one policy with a recorded
 // run of honest datagrams from p0 to p1, and everything needed to stand up a
-// fresh p1 over a scripted endpoint for each scenario.
+// fresh p1 over a scripted endpoint for each scenario. p0 says everything to
+// p2 as well, and a little more, so under RSA-batch every recorded envelope
+// is one of a signing group of two whose sibling — different bytes, hence a
+// different digest — p1 never sees.
 type inboundRig struct {
 	c      *core.Cluster
 	honest []transport.InMsg
@@ -55,8 +62,8 @@ type inboundRig struct {
 }
 
 // newInboundRig builds the deployment and records n honest datagrams: p0 runs
-// alone and commits n one-fact transactions, each shipping one datagram that
-// queues, untouched, on p1's never-started memnet endpoint.
+// alone and commits n one-fact transactions, each shipping one datagram to
+// each peer that queues, untouched, on its never-started memnet endpoint.
 func newInboundRig(t *testing.T, policy core.PolicyConfig, n int) *inboundRig {
 	t.Helper()
 	policy.Delegation = core.DelegateNone // the query imports its says itself
@@ -71,8 +78,8 @@ func newInboundRig(t *testing.T, policy core.PolicyConfig, n int) *inboundRig {
 		t.Cleanup(func() { r.vpool.Close(); r.spool.Close() })
 	}
 	sender := c.Nodes[advSender]
-	peer := engine.Fact{Pred: "peer", Tuple: datalog.Tuple{datalog.Prin(c.Principals[advReceiver])}}
-	if _, err := sender.WS.Assert([]engine.Fact{peer}); err != nil {
+	aside := engine.Fact{Pred: "aside", Tuple: datalog.Tuple{datalog.Prin(c.Principals[advBystander])}}
+	if _, err := sender.WS.Assert(append(peerFacts(c, advReceiver, advBystander), aside)); err != nil {
 		t.Fatalf("sender setup: %v", err)
 	}
 	sender.Start()
@@ -87,6 +94,15 @@ func newInboundRig(t *testing.T, policy core.PolicyConfig, n int) *inboundRig {
 		}
 	}
 	return r
+}
+
+// peerFacts names the given principals as the sender's peers.
+func peerFacts(c *core.Cluster, idx ...int) []engine.Fact {
+	var facts []engine.Fact
+	for _, i := range idx {
+		facts = append(facts, engine.Fact{Pred: "peer", Tuple: datalog.Tuple{datalog.Prin(c.Principals[i])}})
+	}
+	return facts
 }
 
 // assemble builds a fresh p1 over a scripted endpoint, not yet started.
@@ -126,7 +142,30 @@ const (
 	forgedSignature   forgery = "forged-signature"
 	truncatedEnvelope forgery = "truncated-envelope"
 	spoofedFrom       forgery = "spoofed-from"
+
+	// What only a batch envelope can suffer: damage to the fields that place
+	// it in its signing group.
+	tamperedSibling   forgery = "tampered-sibling"
+	wrongPosition     forgery = "wrong-position"
+	positionBeyond    forgery = "position-beyond-group"
+	siblingsTruncated forgery = "siblings-truncated"
+	siblingsOverMax   forgery = "siblings-over-maxgroup"
 )
+
+// forgeries lists the corruptions that apply under a policy.
+func forgeries(policy core.PolicyConfig) []forgery {
+	all := []forgery{forgedSignature, truncatedEnvelope, spoofedFrom}
+	if policy.BatchSign {
+		all = append(all, tamperedSibling, wrongPosition, positionBeyond, siblingsTruncated, siblingsOverMax)
+	}
+	return all
+}
+
+// undecodable reports whether the receiver's decoder refuses the corruption,
+// so the datagram is dropped unread instead of rolled back.
+func (f forgery) undecodable() bool {
+	return f == truncatedEnvelope || f == positionBeyond || f == siblingsOverMax
+}
 
 // forge returns a corrupted copy of an honest datagram. A forged signature is
 // whatever the scheme checks, damaged: the envelope signature under
@@ -143,9 +182,22 @@ func (r *inboundRig) forge(t *testing.T, m transport.InMsg, how forgery) transpo
 	if err != nil {
 		t.Fatalf("honest datagram does not decode: %v", err)
 	}
+	if msg.Kind == wire.MsgBatch && len(msg.Siblings) != wire.DigestSize {
+		t.Fatalf("honest envelope carries %d sibling bytes, want a group of two", len(msg.Siblings))
+	}
 	switch policy := r.c.Cfg.Policy; {
 	case how == spoofedFrom:
 		msg.From = r.c.Addrs[advBystander]
+	case how == tamperedSibling:
+		msg.Siblings[wire.DigestSize/2] ^= 0xFF
+	case how == wrongPosition:
+		msg.Pos = 1 - msg.Pos
+	case how == positionBeyond:
+		msg.Pos = 2
+	case how == siblingsTruncated:
+		msg.Pos, msg.Siblings = 0, nil // claims to be a group of one
+	case how == siblingsOverMax:
+		msg.Siblings = make([]byte, wire.MaxGroup*wire.DigestSize)
 	case policy.BatchSign:
 		msg.Sig[len(msg.Sig)/2] ^= 0xFF
 	default:
@@ -316,7 +368,7 @@ func TestMergedInboundRunIsolatesForgeries(t *testing.T) {
 	for _, policy := range inboundSchemes {
 		t.Run(policy.Name(), func(t *testing.T) {
 			rig := newInboundRig(t, policy, n)
-			for _, how := range []forgery{forgedSignature, truncatedEnvelope, spoofedFrom} {
+			for _, how := range forgeries(policy) {
 				for _, pos := range []int{0, n / 2, n - 1} {
 					t.Run(fmt.Sprintf("%s@%d", how, pos), func(t *testing.T) {
 						seq := append([]transport.InMsg(nil), rig.honest...)
@@ -354,12 +406,15 @@ func TestMergedInboundRunIsolatesForgeries(t *testing.T) {
 
 						// What the corruption must cost, whatever the merge
 						// did: a bad signature (or type) is one violation and
-						// one missing import; a truncated envelope is dropped
-						// unread; a spoofed source fails every scheme that
-						// authenticates and is believed by the one that does not.
+						// one missing import — and so is a batch envelope that
+						// misstates its group, because the root it vouches for
+						// is not the one that was signed; an envelope the
+						// decoder refuses is dropped unread; a spoofed source
+						// fails every scheme that authenticates and is believed
+						// by the one that does not.
 						wantViolations, wantInbox := 1, n-1
 						switch {
-						case how == truncatedEnvelope:
+						case how.undecodable():
 							wantViolations = 0
 						case how == spoofedFrom && policy.Auth == core.AuthNone:
 							wantViolations, wantInbox = 0, n

@@ -37,18 +37,18 @@ type Node struct {
 	PreVerify func(msg wire.Message)
 	// SignBatch, if set before Start, switches outbound shipping to batch
 	// envelopes (paper footnote 2): instead of relying on per-tuple
-	// signatures inside the payloads, each datagram's payload sequence is
-	// covered by the one signature this hook returns over the sequence's
-	// wire.BatchDigest (computed once per chunk by the runtime), and
-	// sends run in an asynchronous pipeline stage that overlaps signing
-	// with the next transaction. The cluster driver binds it to a signing
-	// worker pool over the node's private key.
-	SignBatch func(digest []byte) ([]byte, error)
+	// signatures inside the payloads, every datagram a transaction ships is
+	// covered by the one signature this hook returns over the group root of
+	// their payload digests (wire.GroupRoot; one call per group of at most
+	// wire.MaxGroup datagrams), and sends run in an asynchronous pipeline
+	// stage that overlaps signing with the next transaction. The cluster
+	// driver binds it to a signing worker pool over the node's private key.
+	SignBatch func(root []byte) ([]byte, error)
 	// WarmSignBatch, if set alongside SignBatch, is called with each
-	// chunk's digest as it is queued, so the signature is usually computed
-	// by the time the sender stage needs it. It must be cheap and must not
-	// block.
-	WarmSignBatch func(digest []byte)
+	// group's root as the group is queued, so the signature is usually
+	// computed by the time the sender stage needs it. It must be cheap and
+	// must not block.
+	WarmSignBatch func(root []byte)
 	// OnControl, if set before Start, receives the payload of every
 	// MsgControl datagram that is not a termination-detection record,
 	// with the transport-level sender address. The cluster runtime uses it
@@ -133,6 +133,7 @@ type Node struct {
 
 	runSizes     *obs.Histogram // datagrams per inbound transaction
 	runFallbacks *obs.Counter   // merged inbound transactions rejected and replayed per datagram
+	groupSizes   *obs.Histogram // envelopes covered per batch signature
 
 	// busy is set by the loop goroutine around each unit of work
 	// (drainLocal run or inbound message). Drain needs it: a batch that
@@ -174,8 +175,10 @@ func NewNode(principal string, ws *engine.Workspace, ep transport.Transport) *No
 	r.Help("sbx_preverify_backlog", "Datagrams decoded by the intake stage, not yet applied.")
 	r.Help("sbx_inbound_run_messages", "Datagrams committed per inbound transaction.")
 	r.Help("sbx_inbound_run_fallbacks_total", "Merged inbound transactions rejected and replayed one datagram at a time.")
+	r.Help("sbx_batch_group_envelopes", "Batch envelopes covered per signature.")
 	n.runSizes = r.Histogram("sbx_inbound_run_messages", l, runSizeBuckets)
 	n.runFallbacks = r.Counter("sbx_inbound_run_fallbacks_total", l)
+	n.groupSizes = r.Histogram("sbx_batch_group_envelopes", l, groupSizeBuckets)
 	r.GaugeFunc("sbx_sent_set_size", l, func() float64 { return float64(n.sentSize.Load()) })
 	r.GaugeFunc("sbx_outbound_pending_chunks", l, func() float64 { return float64(n.outPending.Load()) })
 	r.GaugeFunc("sbx_preverify_backlog", l, func() float64 { return float64(n.intakeDepth.Load()) })

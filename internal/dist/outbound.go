@@ -17,8 +17,12 @@ type outChunk struct {
 	to, from  string
 	tuples    []datalog.Tuple
 	payloads  [][]byte
-	digest    []byte // batch-signing mode: BatchDigest(payloads), computed once
-	oversized bool   // single payload beyond the datagram budget, shipped alone
+	oversized bool // single payload beyond the datagram budget, shipped alone
+
+	// Batch-signing mode: the signing group the chunk belongs to and its
+	// position in it.
+	group *batchGroup
+	pos   int
 
 	// Wave-trace context, captured on the loop goroutine at dispatch so
 	// the sender stage can stamp the envelope and record spans without
@@ -27,6 +31,23 @@ type outChunk struct {
 	hop   uint32 // receiver's hop: the local hop plus one
 	node  string // local address, for span attribution
 }
+
+// batchGroup is the signed unit of batch-signing mode: the chunks one
+// transaction ships, at most wire.MaxGroup of them, covered by one signature
+// over root (paper footnote 2: "sign batch aggregates"). Whichever stage
+// sends the group's first chunk signs; the chunks after it reuse the result,
+// so only that one goroutine touches the signing fields.
+type batchGroup struct {
+	digests []byte // the chunks' wire.BatchDigests, concatenated in group order
+	root    []byte // wire.GroupRoot(digests): what the signature covers
+
+	signed bool
+	sig    []byte
+	err    error
+}
+
+// groupSizeBuckets resolves group sizes up to wire.MaxGroup.
+var groupSizeBuckets = []float64{1, 2, 3, 4, 8, 16}
 
 // ship sends the export tuples a transaction newly derived. The Inserted
 // delta already excludes tuples that were present before the transaction,
@@ -74,9 +95,36 @@ func (n *Node) ship(exports []datalog.Tuple) {
 		payloads[r] = append(payloads[r], t[2].Bytes())
 	}
 	n.sentSize.Store(int64(n.sent.Len()))
+	var chunks []outChunk
 	for _, r := range order {
-		for _, c := range chunkRoute(r.to, r.from, tuples[r], payloads[r], n.SignBatch != nil) {
-			n.dispatch(c)
+		chunks = append(chunks, chunkRoute(r.to, r.from, tuples[r], payloads[r], n.SignBatch != nil)...)
+	}
+	if n.SignBatch != nil {
+		n.sealGroups(chunks)
+	}
+	for _, c := range chunks {
+		n.dispatch(c)
+	}
+}
+
+// sealGroups makes the transaction's whole export set the signed unit: its
+// chunks, across every route, are cut into groups of at most wire.MaxGroup,
+// and each group's root is pre-warmed on the signing pool so the signature is
+// usually computed by the time the sender stage reaches the group's first
+// chunk. A transaction advertising to three neighbours pays one private-key
+// operation, not three.
+func (n *Node) sealGroups(chunks []outChunk) {
+	for lo := 0; lo < len(chunks); lo += wire.MaxGroup {
+		group := chunks[lo:min(lo+wire.MaxGroup, len(chunks))]
+		g := &batchGroup{digests: make([]byte, 0, len(group)*wire.DigestSize)}
+		for i := range group {
+			g.digests = append(g.digests, wire.BatchDigest(group[i].payloads)...)
+			group[i].group, group[i].pos = g, i
+		}
+		g.root = wire.GroupRoot(g.digests)
+		n.groupSizes.Observe(float64(len(group)))
+		if n.WarmSignBatch != nil {
+			n.WarmSignBatch(g.root)
 		}
 	}
 }
@@ -126,29 +174,22 @@ func chunkRoute(to, from string, tuples []datalog.Tuple, payloads [][]byte, batc
 
 // dispatch hands one chunk to the wire. Without a batch signer the send
 // happens inline, exactly as the paper's serial transaction loop does.
-// With one, the chunk enters the asynchronous outbound pipeline: its batch
-// digest is pre-warmed on the signing pool immediately, the chunk is
+// With one, the chunk enters the asynchronous outbound pipeline: it is
 // queued for the sender stage, and the loop goes back to committing the
-// next transaction while workers compute the signature — the outbound
-// mirror of the inbound intake stage (footnote 2).
+// next transaction while workers compute its group's signature — the
+// outbound mirror of the inbound intake stage (footnote 2).
 func (n *Node) dispatch(c outChunk) {
 	c.trace, c.hop, c.node = n.curTrace, n.curHop+1, n.localAddr()
-	if n.SignBatch != nil {
-		c.digest = wire.BatchDigest(c.payloads)
-	}
 	if n.outCh == nil {
 		n.sendChunk(c)
 		return
-	}
-	if n.WarmSignBatch != nil {
-		n.WarmSignBatch(c.digest)
 	}
 	n.outPending.Add(1)
 	n.outCh <- c
 }
 
 // sender is the outbound pipeline stage: it drains queued chunks, waits
-// for their (usually pre-warmed) batch signatures, and puts them on the
+// for their groups' (usually pre-warmed) signatures, and puts them on the
 // wire in order. outPending keeps termination detection sound — a node
 // with chunks still in this stage reports itself active, so a probe can
 // never observe balanced counters while a send is pending.
@@ -165,28 +206,32 @@ func (n *Node) sender() {
 	}
 }
 
-// sendChunk signs (in batch mode) and sends one chunk, updating the
-// termination counter (when the destination is a counted peer) and the
-// traffic metrics. On any failure — signing error, unknown address, closed
+// sendChunk signs (in batch mode, once per group) and sends one chunk,
+// updating the termination counter (when the destination is a counted peer)
+// and the traffic metrics. On any failure — signing error, unknown address, closed
 // destination, oversized datagram — a violation is recorded so the loss is
 // observable and the chunk's dedup marks are released so the tuples ship
 // again when next offered; over UDP the reliable layer below retransmits
 // accepted datagrams until delivery, over memnet delivery is immediate.
 func (n *Node) sendChunk(c outChunk) {
 	msg := wire.Message{From: c.from, Payloads: c.payloads, Trace: c.trace, Hop: c.hop}
-	if n.SignBatch != nil {
-		signStart := time.Now()
-		sig, err := n.SignBatch(c.digest)
-		if err != nil {
-			n.recordViolation(fmt.Errorf("dist: batch signing of %d payloads to %s failed: %w", len(c.payloads), c.to, err))
+	if g := c.group; g != nil {
+		if !g.signed {
+			signStart := time.Now()
+			g.sig, g.err = n.SignBatch(g.root)
+			g.signed = true
+			obs.RecordSpan(obs.Span{
+				Trace: c.trace, Hop: int(c.hop) - 1, Node: c.node, Principal: n.Principal,
+				Stage: obs.StageSign, Peer: c.to, Start: signStart, Dur: time.Since(signStart),
+			})
+		}
+		if g.err != nil {
+			n.recordViolation(fmt.Errorf("dist: batch signing of %d payloads to %s failed: %w", len(c.payloads), c.to, g.err))
 			n.releaseMarks(c.tuples)
 			return
 		}
-		msg.Kind, msg.Sig = wire.MsgBatch, sig
-		obs.RecordSpan(obs.Span{
-			Trace: c.trace, Hop: int(c.hop) - 1, Node: c.node, Principal: n.Principal,
-			Stage: obs.StageSign, Peer: c.to, Start: signStart, Dur: time.Since(signStart),
-		})
+		msg.Kind, msg.Sig = wire.MsgBatch, g.sig
+		msg.Pos, msg.Siblings = uint32(c.pos), wire.Siblings(g.digests, c.pos)
 	}
 	data := wire.EncodeMessage(msg)
 	shipStart := time.Now()

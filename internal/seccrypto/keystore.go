@@ -124,8 +124,11 @@ type TrustSetup struct {
 	Stores map[string]*KeyStore
 }
 
-// NewTrustSetup builds keystores for the given principals using rng
-// (use NewDeterministicRand for reproducible experiments).
+// NewTrustSetup builds keystores for the given principals using rng. Over a
+// seeded reader (NewDeterministicRand) the pairwise secrets are reproducible
+// — they are drawn first — and the RSA keypairs are not: rsa.GenerateKey
+// deliberately does not depend deterministically on the bytes it reads, so
+// two setups from equal seeds hold different keys and sign different bytes.
 func NewTrustSetup(principals []string, rng io.Reader) (*TrustSetup, error) {
 	return newTrustSetup(principals, rng, true)
 }
@@ -139,12 +142,26 @@ func NewSecretSetup(principals []string, rng io.Reader) (*TrustSetup, error) {
 
 func newTrustSetup(principals []string, rng io.Reader, rsaKeys bool) (*TrustSetup, error) {
 	ts := &TrustSetup{Stores: make(map[string]*KeyStore, len(principals))}
-	keys := make(map[string]*rsa.PrivateKey, len(principals))
 	for _, p := range principals {
 		ts.Stores[p] = NewKeyStore(p)
-		if !rsaKeys {
-			continue
+	}
+	// Secrets before keys: key generation leaves a seeded reader at an
+	// unpredictable offset, so anything drawn after it is not reproducible.
+	for i, p := range principals {
+		for _, q := range principals[i+1:] {
+			s, err := GenerateSecret(rng)
+			if err != nil {
+				return nil, err
+			}
+			ts.Stores[p].SetSecret(q, s)
+			ts.Stores[q].SetSecret(p, s)
 		}
+	}
+	if !rsaKeys {
+		return ts, nil
+	}
+	keys := make(map[string]*rsa.PrivateKey, len(principals))
+	for _, p := range principals {
 		k, err := GenerateRSAKey(rng)
 		if err != nil {
 			return nil, fmt.Errorf("keygen for %s: %w", p, err)
@@ -155,16 +172,6 @@ func newTrustSetup(principals []string, rng io.Reader, rsaKeys bool) (*TrustSetu
 	for _, p := range principals {
 		for q, k := range keys {
 			ts.Stores[p].AddPublicKey(q, &k.PublicKey)
-		}
-	}
-	for i, p := range principals {
-		for _, q := range principals[i+1:] {
-			s, err := GenerateSecret(rng)
-			if err != nil {
-				return nil, err
-			}
-			ts.Stores[p].SetSecret(q, s)
-			ts.Stores[q].SetSecret(p, s)
 		}
 	}
 	return ts, nil

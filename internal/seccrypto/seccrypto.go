@@ -32,7 +32,9 @@ const SecretLen = 16
 var ErrBadCiphertext = errors.New("seccrypto: ciphertext shorter than IV")
 
 // NewDeterministicRand returns a seeded randomness source for reproducible
-// key generation in tests and benchmarks. It must not be used in production.
+// shared secrets and IVs in tests and benchmarks (RSA key generation is not
+// reproducible over any reader, see NewTrustSetup). It must not be used in
+// production.
 func NewDeterministicRand(seed int64) io.Reader {
 	return mrand.New(mrand.NewSource(seed))
 }

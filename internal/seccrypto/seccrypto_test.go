@@ -2,6 +2,7 @@ package seccrypto
 
 import (
 	"bytes"
+	"io"
 	"testing"
 	"testing/quick"
 )
@@ -158,6 +159,39 @@ func TestTrustSetupPairwiseSecrets(t *testing.T) {
 	}
 	if !RSAVerify(pub, []byte("x"), sig) {
 		t.Error("b's signature does not verify under a's directory")
+	}
+}
+
+// TestSeededSetupReproducesSecrets pins what a seed reproduces: the pairwise
+// secrets, identically with and without RSA keypairs beside them. The keypairs
+// themselves are fresh on every call (rsa.GenerateKey's documented behaviour),
+// which is why the secrets are drawn first.
+func TestSeededSetupReproducesSecrets(t *testing.T) {
+	ps := []string{"a", "b", "c"}
+	setups := make([]*TrustSetup, 3)
+	for i, mk := range []func([]string, io.Reader) (*TrustSetup, error){NewTrustSetup, NewTrustSetup, NewSecretSetup} {
+		ts, err := mk(ps, NewDeterministicRand(5))
+		if err != nil {
+			t.Fatal(err)
+		}
+		setups[i] = ts
+	}
+	for i, p := range ps {
+		for _, q := range ps[i+1:] {
+			want := setups[0].Stores[p].Secret(q)
+			for j, ts := range setups[1:] {
+				if !bytes.Equal(ts.Stores[p].Secret(q), want) {
+					t.Errorf("setup %d: secret(%s,%s) differs from the first setup's under the same seed", j+1, p, q)
+				}
+			}
+		}
+	}
+	other, err := NewSecretSetup(ps, NewDeterministicRand(6))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bytes.Equal(other.Stores["a"].Secret("b"), setups[0].Stores["a"].Secret("b")) {
+		t.Error("a different seed produced the same secret")
 	}
 }
 

@@ -42,10 +42,9 @@ func Register(reg *engine.UDFRegistry, ks *seccrypto.KeyStore, rng io.Reader) er
 // When vpool is non-nil, rsa_verify and rsa_verify_batch consult its
 // memoizing worker pool (warmed by the node runtime's inbound pre-verify
 // hook) instead of verifying inline, so signature checks overlap with
-// transaction execution. When spool is non-nil, rsa_sign and
-// rsa_sign_batch route through the signing pool, so re-derivations of
-// already-signed facts hit the memo instead of redoing the private-key
-// operation (footnote 2: signing dominates RSA runs). Semantics are
+// transaction execution. When spool is non-nil, rsa_sign routes through the
+// signing pool, so re-derivations of already-signed facts hit the memo
+// instead of redoing the private-key operation (footnote 2: signing dominates RSA runs). Semantics are
 // identical either way.
 func RegisterWithPools(reg *engine.UDFRegistry, ks *seccrypto.KeyStore, rng io.Reader, vpool *seccrypto.VerifyPool, spool *seccrypto.SignPool) error {
 	sign := func(privDER, data []byte) ([]byte, error) {
@@ -87,20 +86,14 @@ func RegisterWithPools(reg *engine.UDFRegistry, ks *seccrypto.KeyStore, rng io.R
 				n := len(in)
 				return nil, verify(in[0].Bytes(), sigData(param, in[1:n-1]), in[n-1].Bytes()), nil
 			}},
-		// rsa_sign_batch(K, D, S) / rsa_verify_batch(K, D, S) operate on a
-		// precomputed batch digest (wire.BatchDigest) instead of the
-		// serialized values of one said fact: one signature covers a whole
-		// export batch (footnote 2), and the memoizing verify pool turns
-		// the receiver's per-payload constraint checks into one RSA
-		// operation plus cache hits.
-		&engine.FuncUDF{FName: "rsa_sign_batch", InArity: 2, OutArity: 1,
-			Fn: func(_ string, in []datalog.Value) ([]datalog.Value, bool, error) {
-				sig, err := sign(in[0].Bytes(), in[1].Bytes())
-				if err != nil {
-					return nil, false, fmt.Errorf("rsa_sign_batch: %w", err)
-				}
-				return []datalog.Value{datalog.OwnedBytes(sig)}, true, nil
-			}},
+		// rsa_verify_batch(K, D, S) checks a signature over a precomputed
+		// digest — the group root of a batch envelope
+		// (wire.Message.BatchRoot) — instead of the serialized values of one
+		// said fact: one signature covers every envelope a transaction
+		// shipped (footnote 2), and the memoizing verify pool turns the
+		// receiver's per-payload constraint checks into one RSA operation
+		// plus cache hits. The signing side is the node runtime
+		// (dist.Node.SignBatch), not a UDF.
 		&engine.FuncUDF{FName: "rsa_verify_batch", InArity: 3, OutArity: 0,
 			Fn: func(_ string, in []datalog.Value) ([]datalog.Value, bool, error) {
 				return nil, verify(in[0].Bytes(), in[1].Bytes(), in[2].Bytes()), nil

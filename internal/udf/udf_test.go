@@ -120,33 +120,28 @@ func forgePayload(t *testing.T, pred string, sig []byte) []byte {
 }
 
 func TestBatchSignVerifyUDFs(t *testing.T) {
-	// rsa_sign_batch / rsa_verify_batch operate on a precomputed batch
-	// digest: one signature covers a whole export batch (footnote 2).
+	// rsa_verify_batch operates on a precomputed digest: it accepts what
+	// the node runtime's batch signer produces over an envelope's group root
+	// (footnote 2) — a plain RSASign of the root, no UDF on the signing side.
 	w, ks := newWS(t, "alice", `
-		digest(D) -> bytes(D).
-		signed(D, S) <- digest(D), private_key[]=K, rsa_sign_batch(K, D, S).
+		signed(D, S) -> bytes(D), bytes(S).
 		signed(D, S) -> public_key(P, K), rsa_verify_batch(K, D, S).
 	`)
 	if _, err := w.Assert([]engine.Fact{
-		{Pred: "private_key", Tuple: datalog.Tuple{datalog.BytesV(ks.PrivateKeyDER())}},
 		{Pred: "public_key", Tuple: datalog.Tuple{datalog.Prin("alice"), datalog.BytesV(ks.PublicKeyDER("alice"))}},
 	}); err != nil {
 		t.Fatal(err)
 	}
-	d := wire.BatchDigest([][]byte{[]byte("payload one"), []byte("payload two")})
-	if _, err := w.Assert([]engine.Fact{{Pred: "digest", Tuple: datalog.Tuple{datalog.BytesV(d)}}}); err != nil {
-		t.Fatal(err)
-	}
-	if w.Count("signed") != 1 {
-		t.Fatal("batch signing pipeline did not complete")
-	}
-	sig := w.Tuples("signed")[0][1].Bytes()
-	pub, err := ks.ParsePub(ks.PublicKeyDER("alice"))
+	root := wire.Message{Payloads: [][]byte{[]byte("payload one"), []byte("payload two")}}.BatchRoot()
+	sig, err := seccrypto.RSASign(ks.PrivateKey(), root)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !seccrypto.RSAVerify(pub, d, sig) {
-		t.Error("rsa_sign_batch signature does not verify against the raw digest")
+	if _, err := w.Assert([]engine.Fact{{Pred: "signed", Tuple: datalog.Tuple{datalog.BytesV(root), datalog.BytesV(sig)}}}); err != nil {
+		t.Fatalf("a runtime-signed group root must verify: %v", err)
+	}
+	if w.Count("signed") != 1 {
+		t.Fatal("verified batch signature was not committed")
 	}
 }
 
@@ -387,6 +382,11 @@ func TestUDFsNeverWriteIntoTheirInputs(t *testing.T) {
 	secret := own(ks.Secret("bob"))
 	msg, circ := own([]byte("sixteen byte msg and then some")), datalog.String_("c1")
 	digest := own(wire.BatchDigest([][]byte{[]byte("p1"), []byte("p2")}))
+	rawBatchSig, err := seccrypto.RSASign(ks.PrivateKey(), digest.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	bsig := own(rawBatchSig)
 	var none datalog.Value // an unbound output position
 
 	// call evaluates one UDF and returns its single completion.
@@ -421,7 +421,6 @@ func TestUDFsNeverWriteIntoTheirInputs(t *testing.T) {
 		sig := call(reg, "rsa_sign", "p", priv, one, two, none)[3]
 		sigBytes := string(sig.Bytes())
 		call(reg, "rsa_verify", "p", pub, one, two, sig)
-		bsig := call(reg, "rsa_sign_batch", "", priv, digest, none)[2]
 		call(reg, "rsa_verify_batch", "", pub, digest, bsig)
 		tag := call(reg, "hmac_sign", "p", secret, one, two, none)[3]
 		call(reg, "hmac_verify", "p", secret, one, two, tag)

@@ -198,10 +198,12 @@ const (
 	MsgData MsgKind = 0
 	// MsgControl carries one encoded Control record.
 	MsgControl MsgKind = 1
-	// MsgBatch carries export payloads covered by one batch signature: the
-	// sender signs the SHA-1 digest of the whole payload sequence instead
-	// of each tuple (paper footnote 2), and the receiver's policy verifies
-	// once per envelope instead of once per payload.
+	// MsgBatch carries export payloads covered by a batch signature instead
+	// of one signature per tuple (paper footnote 2). The signed unit is the
+	// group of envelopes one transaction shipped: the signature covers the
+	// root over every envelope's BatchDigest (Message.BatchRoot), each
+	// envelope carries its siblings' digests, and the receiver's policy
+	// verifies once per envelope.
 	MsgBatch MsgKind = 2
 )
 
@@ -212,8 +214,15 @@ const (
 type Message struct {
 	Kind     MsgKind
 	From     string   // sender node address
-	Sig      []byte   // MsgBatch only: signature over BatchDigest(Payloads)
+	Sig      []byte   // MsgBatch only: signature over BatchRoot()
 	Payloads [][]byte // opaque export payloads (possibly encrypted)
+
+	// MsgBatch only: where this envelope stands in its signing group, and
+	// the BatchDigests of the group's other envelopes in group order,
+	// DigestSize bytes each. A lone envelope is a group of one: position 0,
+	// no siblings.
+	Pos      uint32
+	Siblings []byte
 
 	// Trace and Hop carry the derivation wave's identity on data and
 	// batch envelopes (never on control records): Trace is stamped by the
@@ -247,17 +256,28 @@ func MessageOverhead(from string) int {
 // admits larger keys without a wire change).
 const MaxBatchSig = 512
 
+// DigestSize is the length of a BatchDigest and of a group root.
+const DigestSize = sha1.Size
+
+// MaxGroup is the largest number of batch envelopes one signature covers. An
+// envelope names its group with DigestSize bytes per sibling, so a group of k
+// costs k·(k−1) digests on the wire: 16 keeps the worst envelope's share at
+// 300 bytes and covers every fan-out the paper's workloads produce below the
+// 48-way hash join, which signs three times per transaction.
+const MaxGroup = 16
+
 // MessageOverheadBatch is MessageOverhead for a batch envelope: the base
-// framing plus the signature field at its budgeted maximum.
+// framing plus the signature field and the sibling list at their budgeted
+// maxima (position and sibling count are below MaxGroup: one byte each).
 func MessageOverheadBatch(from string) int {
-	return MessageOverhead(from) + binary.MaxVarintLen64 + MaxBatchSig
+	return MessageOverhead(from) + binary.MaxVarintLen64 + MaxBatchSig + 2 + (MaxGroup-1)*DigestSize
 }
 
 // BatchDigest returns the SHA-1 digest identifying a batch envelope's
 // payload sequence: each payload is length-prefixed so distinct sequences
-// cannot collide by concatenation. The sender signs this digest once per
-// envelope; the receiver recomputes it from the payloads it actually
-// received, so any tampering with any payload invalidates the signature.
+// cannot collide by concatenation. The receiver recomputes it from the
+// payloads it actually received, so any tampering with any payload changes
+// the group root and invalidates the signature.
 func BatchDigest(payloads [][]byte) []byte {
 	h := sha1.New()
 	var lenBuf [binary.MaxVarintLen64]byte
@@ -269,6 +289,40 @@ func BatchDigest(payloads [][]byte) []byte {
 	return h.Sum(nil)
 }
 
+// groupDomain separates a group root from every other SHA-1 the system
+// signs, a lone envelope's BatchDigest included.
+const groupDomain = "sbx-batch-group\x00"
+
+// GroupRoot returns what a batch group's one signature covers: the digest of
+// its envelopes' BatchDigests, concatenated in group order (given here in any
+// number of consecutive pieces).
+func GroupRoot(digests ...[]byte) []byte {
+	h := sha1.New()
+	h.Write([]byte(groupDomain))
+	for _, d := range digests {
+		h.Write(d)
+	}
+	return h.Sum(nil)
+}
+
+// Siblings returns the sibling list carried by the envelope at position pos of
+// a group with the given concatenated digests: all of them but its own.
+func Siblings(digests []byte, pos int) []byte {
+	at := pos * DigestSize
+	return append(digests[:at:at], digests[at+DigestSize:]...)
+}
+
+// BatchRoot returns the group root a batch envelope's signature must cover,
+// as this envelope vouches for it: the digest of the payloads it carries,
+// placed at its position among the sibling digests it claims. It is the D of
+// export_batch(L, Pkt, D, S) — the receiver's admission and its pre-verify
+// warm-up both take it from here, so they agree by construction. Pos must not
+// exceed the sibling count, which DecodeMessage guarantees.
+func (m Message) BatchRoot() []byte {
+	at := int(m.Pos) * DigestSize
+	return GroupRoot(m.Siblings[:at], BatchDigest(m.Payloads), m.Siblings[at:])
+}
+
 // EncodeMessage serializes a message.
 func EncodeMessage(m Message) []byte {
 	buf := []byte{byte(m.Kind)}
@@ -277,6 +331,9 @@ func EncodeMessage(m Message) []byte {
 	if m.Kind == MsgBatch {
 		buf = appendUvarint(buf, uint64(len(m.Sig)))
 		buf = append(buf, m.Sig...)
+		buf = appendUvarint(buf, uint64(m.Pos))
+		buf = appendUvarint(buf, uint64(len(m.Siblings)/DigestSize))
+		buf = append(buf, m.Siblings...)
 	}
 	if m.Kind != MsgControl {
 		buf = appendUvarint(buf, m.Trace)
@@ -320,6 +377,28 @@ func DecodeMessage(buf []byte) (Message, error) {
 		}
 		m.Sig = append([]byte(nil), buf[:sl]...)
 		buf = buf[sl:]
+		var pos, sibs uint64
+		pos, buf, err = readUvarint(buf)
+		if err != nil {
+			return m, err
+		}
+		sibs, buf, err = readUvarint(buf)
+		if err != nil {
+			return m, err
+		}
+		// Bound the sibling count by the group limit and by what the buffer
+		// holds before it sizes anything, like the payload count below.
+		if sibs >= MaxGroup || sibs > uint64(len(buf))/DigestSize {
+			return m, ErrTruncated
+		}
+		if pos > sibs {
+			return m, fmt.Errorf("wire: position %d outside a group of %d", pos, sibs+1)
+		}
+		m.Pos = uint32(pos)
+		if sibs > 0 {
+			m.Siblings = append([]byte(nil), buf[:sibs*DigestSize]...)
+			buf = buf[sibs*DigestSize:]
+		}
 	}
 	if m.Kind != MsgControl {
 		m.Trace, buf, err = readUvarint(buf)

@@ -101,32 +101,89 @@ func TestMessageRoundTrip(t *testing.T) {
 	}
 }
 
+// batchGroup builds the k envelopes of one signing group the way a sender
+// does: distinct payloads each, every digest concatenated, one root.
+func batchGroup(k int) (msgs []Message, root []byte) {
+	var digests []byte
+	for i := 0; i < k; i++ {
+		msgs = append(msgs, Message{
+			Kind: MsgBatch, From: "127.0.0.1:9000", Sig: []byte("batch signature bytes"),
+			Payloads: [][]byte{{1, 2, byte(i)}, {}, {3}}, Trace: 7, Hop: 2,
+		})
+		digests = append(digests, BatchDigest(msgs[i].Payloads)...)
+	}
+	for i := range msgs {
+		msgs[i].Pos, msgs[i].Siblings = uint32(i), Siblings(digests, i)
+	}
+	return msgs, GroupRoot(digests)
+}
+
 func TestBatchMessageRoundTrip(t *testing.T) {
-	m := Message{
-		Kind:     MsgBatch,
-		From:     "127.0.0.1:9000",
-		Sig:      []byte("batch signature bytes"),
-		Payloads: [][]byte{{1, 2}, {}, {3}},
-	}
-	got, err := DecodeMessage(EncodeMessage(m))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Kind != MsgBatch || got.From != m.From || string(got.Sig) != string(m.Sig) || len(got.Payloads) != 3 {
-		t.Errorf("batch message round trip: %+v", got)
+	for _, k := range []int{1, 2, MaxGroup} {
+		msgs, root := batchGroup(k)
+		for i, m := range msgs {
+			enc := EncodeMessage(m)
+			got, err := DecodeMessage(enc)
+			if err != nil {
+				t.Fatalf("k=%d envelope %d: %v", k, i, err)
+			}
+			if got.Pos != m.Pos || string(got.Siblings) != string(m.Siblings) || string(got.Sig) != string(m.Sig) ||
+				got.Trace != m.Trace || got.Hop != m.Hop || len(got.Payloads) != 3 ||
+				string(EncodeMessage(got)) != string(enc) {
+				t.Errorf("k=%d envelope %d does not round-trip", k, i)
+			}
+			// Every envelope of a group vouches for the one root the sender signed.
+			if string(got.BatchRoot()) != string(root) {
+				t.Errorf("k=%d envelope %d recomputes a different root than the sender signed", k, i)
+			}
+			if want := len(m.Siblings) / DigestSize; want != k-1 {
+				t.Errorf("k=%d envelope %d carries %d siblings", k, i, want)
+			}
+			if over := MessageOverheadBatch(m.From) + len(m.Payloads)*PayloadOverhead + 5; len(enc) > over {
+				t.Errorf("k=%d envelope of %d bytes exceeds its budget of %d", k, len(enc), over)
+			}
+		}
 	}
 	// An empty signature survives the trip (the field is present, empty).
-	m.Sig = nil
-	if got, err = DecodeMessage(EncodeMessage(m)); err != nil || len(got.Sig) != 0 {
+	m := Message{Kind: MsgBatch, From: "a:1", Payloads: [][]byte{{1}}}
+	if got, err := DecodeMessage(EncodeMessage(m)); err != nil || len(got.Sig) != 0 {
 		t.Errorf("empty-sig batch round trip: %+v, %v", got, err)
 	}
 	// A truncated envelope is rejected at every cut point.
-	full := EncodeMessage(Message{Kind: MsgBatch, From: "a:1", Sig: []byte{9, 9}, Payloads: [][]byte{{1}}})
+	msgs, _ := batchGroup(2)
+	full := EncodeMessage(msgs[1])
 	for i := 1; i < len(full); i++ {
 		if _, err := DecodeMessage(full[:i]); err == nil {
 			t.Errorf("truncation at %d accepted", i)
 		}
 	}
+}
+
+func TestBatchRootBindsPayloadsSiblingsAndPosition(t *testing.T) {
+	msgs, root := batchGroup(3)
+	m := msgs[1]
+	// A lone envelope's root is not its bare payload digest: the group domain
+	// separates the two.
+	lone, loneRoot := batchGroup(1)
+	if string(loneRoot) == string(BatchDigest(lone[0].Payloads)) || string(lone[0].BatchRoot()) != string(loneRoot) {
+		t.Error("a group of one must sign the domain-separated root of its one digest")
+	}
+	tamper := func(name string, f func(*Message)) {
+		c := m
+		c.Payloads = append([][]byte(nil), m.Payloads...)
+		c.Siblings = append([]byte(nil), m.Siblings...)
+		f(&c)
+		if string(c.BatchRoot()) == string(root) {
+			t.Errorf("%s: root unchanged", name)
+		}
+	}
+	tamper("payload", func(c *Message) { c.Payloads[0] = []byte{9} })
+	tamper("sibling digest", func(c *Message) { c.Siblings[DigestSize+3] ^= 1 })
+	tamper("position", func(c *Message) { c.Pos = 0 })
+	tamper("sibling dropped", func(c *Message) { c.Siblings = c.Siblings[:DigestSize] })
+	tamper("siblings swapped", func(c *Message) {
+		c.Siblings = append(append([]byte(nil), m.Siblings[DigestSize:]...), m.Siblings[:DigestSize]...)
+	})
 }
 
 func TestDecodeMessageRejectsLyingCounts(t *testing.T) {
@@ -148,6 +205,30 @@ func TestDecodeMessageRejectsLyingCounts(t *testing.T) {
 	huge = append(huge, make([]byte, MaxBatchSig+1)...)
 	if _, err := DecodeMessage(appendUvarint(huge, 0)); err == nil {
 		t.Error("oversized batch signature accepted")
+	}
+	// The group fields: a sibling count over the group limit or over what the
+	// buffer holds, and a position outside the group, are all rejected — the
+	// count before any allocation is sized from it.
+	group := func(pos, sibs uint64, carried int) []byte {
+		buf := appendUvarint(append([]byte(nil), sigHead...), 0) // empty signature
+		buf = appendUvarint(appendUvarint(buf, pos), sibs)
+		buf = append(buf, make([]byte, carried*DigestSize)...)
+		return append(buf, 0, 0, 0) // trace, hop, no payloads
+	}
+	if _, err := DecodeMessage(group(1, 2, 2)); err != nil {
+		t.Fatalf("well-formed group fields rejected: %v", err)
+	}
+	for name, buf := range map[string][]byte{
+		"position = group size":      group(3, 2, 2),
+		"position far outside":       group(1<<40, 2, 2),
+		"sibling count = MaxGroup":   group(0, MaxGroup, MaxGroup),
+		"sibling count over buffer":  group(0, 3, 1),
+		"sibling count near 2^64":    group(0, ^uint64(0), 1),
+		"sibling list cut mid-entry": group(0, 2, 2)[:len(group(0, 2, 2))-DigestSize/2-3],
+	} {
+		if _, err := DecodeMessage(buf); err == nil {
+			t.Errorf("%s accepted", name)
+		}
 	}
 }
 
