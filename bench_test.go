@@ -23,7 +23,6 @@ import (
 	"secureblox/internal/metrics"
 	"secureblox/internal/seccrypto"
 	"secureblox/internal/udf"
-	"secureblox/internal/wire"
 )
 
 func benchSizes(full []int, quick []int) []int {
@@ -338,76 +337,6 @@ func BenchmarkEngineFixpoint(b *testing.B) {
 			}
 			if s := w.Stats(); s.FullScanFallbacks != 0 {
 				b.Fatalf("join plan regression: %s", s)
-			}
-		}
-	})
-}
-
-// BenchmarkRSASignVerify measures the paper's RSA-1024/SHA-1 operations —
-// the dominant cost behind Figures 4 and 7.
-func BenchmarkRSASignVerify(b *testing.B) {
-	key, err := seccrypto.GenerateRSAKey(seccrypto.NewDeterministicRand(1))
-	if err != nil {
-		b.Fatal(err)
-	}
-	data := make([]byte, 64)
-	b.Run("sign", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := seccrypto.RSASign(key, data); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	sig, _ := seccrypto.RSASign(key, data)
-	b.Run("verify", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if !seccrypto.RSAVerify(&key.PublicKey, data, sig) {
-				b.Fatal("verify failed")
-			}
-		}
-	})
-}
-
-// BenchmarkHMACAndAES measures the cheap schemes for comparison.
-func BenchmarkHMACAndAES(b *testing.B) {
-	secret, _ := seccrypto.GenerateSecret(seccrypto.NewDeterministicRand(2))
-	data := make([]byte, 64)
-	b.Run("hmac-sign", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			seccrypto.HMACSign(secret, data)
-		}
-	})
-	b.Run("aes-encrypt", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := seccrypto.AESEncryptDetIV(secret, data); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
-// BenchmarkWireCodec measures payload encode/decode, the per-tuple
-// serialization cost of §5.1.
-func BenchmarkWireCodec(b *testing.B) {
-	p := wire.Payload{
-		Pred: "path",
-		Sig:  make([]byte, 128),
-		Vals: datalog.Tuple{
-			datalog.Entity("pathvar", 12345),
-			datalog.NodeV("10.0.0.1:7000"), datalog.NodeV("10.0.0.2:7000"),
-			datalog.Int64(3),
-		},
-	}
-	enc := wire.EncodePayload(p)
-	b.Run("encode", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			wire.EncodePayload(p)
-		}
-	})
-	b.Run("decode", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := wire.DecodePayload(enc); err != nil {
-				b.Fatal(err)
 			}
 		}
 	})

@@ -10,10 +10,8 @@ import (
 	"secureblox/internal/dist"
 	"secureblox/internal/engine"
 	"secureblox/internal/generics"
-	"secureblox/internal/metrics"
 	"secureblox/internal/seccrypto"
 	"secureblox/internal/transport"
-	"secureblox/internal/wire"
 )
 
 // ClusterConfig describes a distributed SecureBlox deployment over any
@@ -425,15 +423,6 @@ func (c *Cluster) ConvergenceTimes() []time.Duration {
 	return out
 }
 
-// ConvergenceCDF returns the cumulative distribution of node convergence.
-func (c *Cluster) ConvergenceCDF() *metrics.CDF {
-	cdf := &metrics.CDF{}
-	for _, d := range c.ConvergenceTimes() {
-		cdf.Add(d)
-	}
-	return cdf
-}
-
 // Violations collects all rejected batches across nodes.
 func (c *Cluster) Violations() []error {
 	var out []error
@@ -446,10 +435,4 @@ func (c *Cluster) Violations() []error {
 // Query returns node i's extent of a predicate.
 func (c *Cluster) Query(i int, pred string) []datalog.Tuple {
 	return c.Nodes[i].WS.Tuples(pred)
-}
-
-// AvgMessageBytes reports the mean encoded message size a scheme produces
-// for a given payload count — a helper for bandwidth sanity checks.
-func AvgMessageBytes(payloads [][]byte, from string) int {
-	return len(wire.EncodeMessage(wire.Message{From: from, Payloads: payloads}))
 }

@@ -12,6 +12,7 @@ import (
 	"secureblox/internal/engine"
 	"secureblox/internal/seccrypto"
 	"secureblox/internal/transport"
+	"secureblox/internal/transport/transporttest"
 	"secureblox/internal/wire"
 )
 
@@ -371,7 +372,7 @@ func TestForgedTrafficRejectedUnderBatchSigning(t *testing.T) {
 		t.Error("a group's envelopes delivered out of order must both commit")
 	}
 	g = signGroup(2)
-	arrived := deliver(transport.NewLossy(evil, 3, 0.5, 0, 0), g...)
+	arrived := deliver(transporttest.Lossy(evil, 3, 0.5, 0, 0), g...)
 	if arrived == 0 || arrived == len(g) {
 		t.Fatalf("the lossy link delivered %d of %d envelopes; the seed must drop some and deliver some", arrived, len(g))
 	}

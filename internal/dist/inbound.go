@@ -218,7 +218,6 @@ func (n *Node) admit(e *envelope, self datalog.Value) {
 		return
 	}
 	if n.countsPeer(in.From) {
-		n.ctrRecv.Add(1)
 		n.peerCtrFor(in.From).recv.Add(1)
 	}
 	n.Metrics.RecordMsgProcessed()
@@ -279,13 +278,13 @@ func (n *Node) inboundSpans(m runMsg, addr string, into uint64) {
 // handleProbe routes one control datagram: termination-detection probes
 // are answered with a local snapshot, and any other control payload (the
 // cluster runtime's bootstrap/departure records) is handed to the
-// OnControl hook. A probe's report holds the monotone peer-message
+// OnControl hook. A probe's report holds the monotone per-peer message
 // counters plus whether local work is queued or an outbound chunk is still
 // in the sender stage. Because probes are served by the transaction loop
 // itself, a report is always taken between transactions, never mid-commit
 // — and because outPending is read before the counters (and decremented
-// after ctrSent is bumped), a report that claims passivity always includes
-// every completed send in its counters.
+// after the send is counted), a report that claims passivity always
+// includes every completed send in its counters.
 func (n *Node) handleProbe(replyTo string, msg wire.Message) {
 	if len(msg.Payloads) != 1 {
 		return
@@ -304,12 +303,8 @@ func (n *Node) handleProbe(replyTo string, msg wire.Message) {
 	report := wire.Control{
 		Type:   wire.CtrlReport,
 		Wave:   c.Wave,
-		Sent:   n.ctrSent.Load(),
-		Recv:   n.ctrRecv.Load(),
 		Active: active,
-		// The per-peer breakdown lets the detector exclude message pairs
-		// involving evicted principals from its wave sums.
-		Peers: n.peerCounts(),
+		Peers:  n.peerCounts(),
 	}
 	data := wire.EncodeMessage(wire.Message{
 		Kind:     wire.MsgControl,

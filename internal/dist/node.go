@@ -76,19 +76,14 @@ type Node struct {
 	startOnce sync.Once
 	stopOnce  sync.Once
 
-	// Termination-detection state. The counters are monotone counts of
-	// application messages exchanged with cluster peers; ctrRecv is
-	// written only by the loop goroutine, ctrSent also by the outbound
-	// sender stage in batch-signing mode, and both are read by external
-	// inspectors — hence atomics. peers is fixed before Start.
+	// Termination-detection state: monotone counts of application messages
+	// exchanged with cluster peers, one cell per peer so a detector can
+	// restrict its wave sums to the surviving membership after an eviction.
+	// Cells are created lazily under ctrMu; recv is written only by the
+	// loop goroutine, sent also by the outbound sender stage in
+	// batch-signing mode, and both are read by external inspectors — hence
+	// atomics. peers is fixed before Start.
 	peers   map[string]bool
-	ctrSent atomic.Uint64
-	ctrRecv atomic.Uint64
-
-	// Per-peer breakdown of the same counters, reported in probe answers
-	// so a detector can restrict its wave sums to the surviving membership
-	// after an eviction. Entries are created lazily under ctrMu (both the
-	// loop and the sender stage write) and their counters are atomics.
 	ctrMu   sync.Mutex
 	perPeer map[string]*peerCtr
 
@@ -203,7 +198,7 @@ func (n *Node) countsPeer(addr string) bool {
 	return n.peers == nil || n.peers[addr]
 }
 
-// peerCtr is one peer's slice of the termination counters.
+// peerCtr is the termination counters against one peer.
 type peerCtr struct {
 	sent, recv atomic.Uint64
 }
@@ -221,8 +216,8 @@ func (n *Node) peerCtrFor(addr string) *peerCtr {
 	return c
 }
 
-// peerCounts snapshots the per-peer counter breakdown, sorted by address
-// for deterministic reports.
+// peerCounts snapshots the termination counters, sorted by address for
+// deterministic reports.
 func (n *Node) peerCounts() []wire.PeerCount {
 	n.ctrMu.Lock()
 	out := make([]wire.PeerCount, 0, len(n.perPeer))
@@ -294,10 +289,17 @@ func (n *Node) applyEvictions() {
 	n.sentSize.Store(int64(n.sent.Len()))
 }
 
-// Counters returns the node's termination-detection counters: cumulative
-// application messages shipped to and processed from cluster peers.
+// Counters returns the node's termination-detection counters summed over
+// its peers: cumulative application messages shipped to and processed from
+// cluster peers.
 func (n *Node) Counters() (sent, recv uint64) {
-	return n.ctrSent.Load(), n.ctrRecv.Load()
+	n.ctrMu.Lock()
+	defer n.ctrMu.Unlock()
+	for _, c := range n.perPeer {
+		sent += c.sent.Load()
+		recv += c.recv.Load()
+	}
+	return sent, recv
 }
 
 // SentSetSize returns the current size of the export-dedup set — the

@@ -12,6 +12,7 @@ import (
 	"secureblox/internal/dist"
 	"secureblox/internal/engine"
 	"secureblox/internal/transport"
+	"secureblox/internal/transport/transporttest"
 	"secureblox/internal/wire"
 )
 
@@ -658,7 +659,7 @@ func TestTerminationOverReliableLossyTransport(t *testing.T) {
 	rawNet := transport.NewMemNetwork()
 	cfg := transport.ReliableConfig{RetransmitInterval: 2 * time.Millisecond}
 	wrap := func(addr string, seed int64) transport.Transport {
-		return transport.NewReliable(transport.NewLossy(rawNet.Endpoint(addr), seed, 0.25, 0.25, 0), cfg)
+		return transport.NewReliable(transporttest.Lossy(rawNet.Endpoint(addr), seed, 0.25, 0.25, 0), cfg)
 	}
 	epA, epB, epD := wrap(addrA, 1), wrap(addrB, 2), wrap(addrDet, 3)
 	a := nodeOverEndpoint(t, "a", addrA, map[string]string{"b": addrB}, deriveRule, epA)

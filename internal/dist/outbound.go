@@ -245,7 +245,6 @@ func (n *Node) sendChunk(c outChunk) {
 		return
 	}
 	if n.countsPeer(c.to) {
-		n.ctrSent.Add(1)
 		n.peerCtrFor(c.to).sent.Add(1)
 	}
 	n.Metrics.RecordSent(len(data))

@@ -42,7 +42,7 @@ func (e *UnresponsiveError) Error() string {
 // Detector observes distributed termination purely through wire-level
 // control messages — Mattern's counting-wave method. It owns one transport
 // endpoint and repeatedly broadcasts probe waves to every node; each node
-// answers with a snapshot of its monotone peer-message counters (sent,
+// answers with a snapshot of its monotone per-peer message counters (sent,
 // recv) and whether it holds queued local work. Two consecutive waves in
 // which every node is passive and the summed counters are identical and
 // balanced (ΣSent == ΣRecv) prove that no message was in flight and no
@@ -298,20 +298,14 @@ func (d *Detector) collect(ctx context.Context) (sum waveSum, err error) {
 		}
 	}
 	for _, c := range reports {
-		if len(c.Peers) > 0 {
-			// Per-peer breakdown: count only message pairs within the live
-			// membership, so traffic with evicted principals — counted
-			// before they died and unanswerable forever after — cannot
-			// keep the sums unbalanced.
-			for _, p := range c.Peers {
-				if member[p.Addr] {
-					sum.sent += p.Sent
-					sum.recv += p.Recv
-				}
+		// Count only message pairs within the live membership, so traffic
+		// with evicted principals — counted before they died and
+		// unanswerable forever after — cannot keep the sums unbalanced.
+		for _, p := range c.Peers {
+			if member[p.Addr] {
+				sum.sent += p.Sent
+				sum.recv += p.Recv
 			}
-		} else {
-			sum.sent += c.Sent
-			sum.recv += c.Recv
 		}
 		sum.active = sum.active || c.Active
 	}

@@ -9,35 +9,39 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"secureblox/internal/obs"
 )
 
-// NodeMetrics accumulates one node's runtime measurements. A zero value
-// works standalone; NewNodeMetrics additionally mirrors every count into
-// the process-wide obs registry under a principal label, which is how the
-// /metrics endpoint sees per-node behaviour without reaching into nodes.
+// NodeMetrics is one node's runtime measurements. Every count is a child
+// of the node's principal-labelled series in the obs registry: one Add
+// serves the node's exact reading here and the cumulative family on
+// /metrics, which keeps what earlier nodes of the same principal added
+// (clusters are rebuilt in one process). The timestamps behind the paper's
+// exact CDFs (Figures 8–11) have no registry form and stay on the node.
 type NodeMetrics struct {
-	mu           sync.Mutex
-	txnCount     int64
-	txnTotal     time.Duration
-	completions  []time.Time
-	violations   int64
-	lastActivity time.Time
-	traffic      Traffic
-	msgsIn       int64
+	msgsSent, bytesSent *obs.Counter
+	msgsRecv, bytesRecv *obs.Counter
+	msgsProcessed       *obs.Counter
+	violations          *obs.Counter
+	txns                *obs.Counter   // the registered series: this node's count is len(completions)
+	txnSeconds          *obs.Histogram // likewise registered: this node's total is txnTotal
 
-	// obs registry mirrors (nil on a zero-value NodeMetrics).
-	cMsgsSent, cBytesSent *obs.Counter
-	cMsgsRecv, cBytesRecv *obs.Counter
-	cMsgsProcessed        *obs.Counter
-	cTxns, cViolations    *obs.Counter
-	hTxn                  *obs.Histogram
+	lastActivity atomic.Int64 // time of the last transaction or violation as an offset from epoch, 0 before the first
+
+	mu          sync.Mutex
+	txnTotal    time.Duration
+	completions []time.Time
 }
 
-// NewNodeMetrics returns metrics that also report into the default obs
-// registry, labeled with the owning node's principal.
+// epoch anchors NodeMetrics.lastActivity: an offset from it fits one atomic
+// word and converts back to a time.Time that keeps its monotonic reading.
+var epoch = time.Now()
+
+// NewNodeMetrics returns metrics that roll up into the default obs
+// registry under the owning node's principal label.
 func NewNodeMetrics(principal string) *NodeMetrics {
 	l := obs.Labels{"principal": principal}
 	r := obs.Default()
@@ -50,14 +54,14 @@ func NewNodeMetrics(principal string) *NodeMetrics {
 	r.Help("sbx_violations_total", "Rejected (rolled-back) batches.")
 	r.Help("sbx_txn_duration_seconds", "Local transaction duration (paper Figure 7).")
 	return &NodeMetrics{
-		cMsgsSent:      r.Counter("sbx_msgs_sent_total", l),
-		cBytesSent:     r.Counter("sbx_bytes_sent_total", l),
-		cMsgsRecv:      r.Counter("sbx_msgs_recv_total", l),
-		cBytesRecv:     r.Counter("sbx_bytes_recv_total", l),
-		cMsgsProcessed: r.Counter("sbx_msgs_processed_total", l),
-		cTxns:          r.Counter("sbx_txns_total", l),
-		cViolations:    r.Counter("sbx_violations_total", l),
-		hTxn:           r.Histogram("sbx_txn_duration_seconds", l, nil),
+		msgsSent:      r.Counter("sbx_msgs_sent_total", l).Child(),
+		bytesSent:     r.Counter("sbx_bytes_sent_total", l).Child(),
+		msgsRecv:      r.Counter("sbx_msgs_recv_total", l).Child(),
+		bytesRecv:     r.Counter("sbx_bytes_recv_total", l).Child(),
+		msgsProcessed: r.Counter("sbx_msgs_processed_total", l).Child(),
+		violations:    r.Counter("sbx_violations_total", l).Child(),
+		txns:          r.Counter("sbx_txns_total", l),
+		txnSeconds:    r.Histogram("sbx_txn_duration_seconds", l, nil),
 	}
 }
 
@@ -75,66 +79,45 @@ type Traffic struct {
 
 // RecordSent adds one shipped application message of the given size.
 func (m *NodeMetrics) RecordSent(bytes int) {
-	m.mu.Lock()
-	m.traffic.MsgsSent++
-	m.traffic.BytesSent += int64(bytes)
-	m.mu.Unlock()
-	if m.cMsgsSent != nil {
-		m.cMsgsSent.Inc()
-		m.cBytesSent.Add(int64(bytes))
-	}
+	m.msgsSent.Inc()
+	m.bytesSent.Add(int64(bytes))
 }
 
 // RecordRecv adds one received application message of the given size.
 func (m *NodeMetrics) RecordRecv(bytes int) {
-	m.mu.Lock()
-	m.traffic.MsgsRecv++
-	m.traffic.BytesRecv += int64(bytes)
-	m.mu.Unlock()
-	if m.cMsgsRecv != nil {
-		m.cMsgsRecv.Inc()
-		m.cBytesRecv.Add(int64(bytes))
-	}
+	m.msgsRecv.Inc()
+	m.bytesRecv.Add(int64(bytes))
 }
 
-// Traffic returns the application-level traffic counters.
+// Traffic returns the application-level traffic counters. The four loads
+// are not one snapshot; readers that compare them take them at quiescence.
 func (m *NodeMetrics) Traffic() Traffic {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.traffic
+	return Traffic{
+		MsgsSent:  m.msgsSent.Value(),
+		BytesSent: m.bytesSent.Value(),
+		MsgsRecv:  m.msgsRecv.Value(),
+		BytesRecv: m.bytesRecv.Value(),
+	}
 }
 
 // RecordMsgProcessed counts one inbound datagram fully consumed by the
 // transaction loop (including malformed ones that were dropped).
-func (m *NodeMetrics) RecordMsgProcessed() {
-	m.mu.Lock()
-	m.msgsIn++
-	m.mu.Unlock()
-	if m.cMsgsProcessed != nil {
-		m.cMsgsProcessed.Inc()
-	}
-}
+func (m *NodeMetrics) RecordMsgProcessed() { m.msgsProcessed.Inc() }
 
 // MsgsProcessed returns how many inbound datagrams the loop has consumed —
 // tests use it to wait for out-of-band injections to be handled.
-func (m *NodeMetrics) MsgsProcessed() int64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.msgsIn
-}
+func (m *NodeMetrics) MsgsProcessed() int64 { return m.msgsProcessed.Value() }
 
 // RecordTxn adds one transaction's duration.
 func (m *NodeMetrics) RecordTxn(d time.Duration) {
+	now := time.Now()
 	m.mu.Lock()
-	m.txnCount++
 	m.txnTotal += d
-	m.lastActivity = time.Now()
-	m.completions = append(m.completions, m.lastActivity)
+	m.completions = append(m.completions, now)
 	m.mu.Unlock()
-	if m.cTxns != nil {
-		m.cTxns.Inc()
-		m.hTxn.Observe(d.Seconds())
-	}
+	m.lastActivity.Store(int64(now.Sub(epoch)))
+	m.txns.Inc()
+	m.txnSeconds.Observe(d.Seconds())
 }
 
 // TxnCompletions returns the completion timestamps of every transaction,
@@ -147,39 +130,32 @@ func (m *NodeMetrics) TxnCompletions() []time.Time {
 
 // RecordViolation counts a rejected (rolled-back) batch.
 func (m *NodeMetrics) RecordViolation() {
-	m.mu.Lock()
-	m.violations++
-	m.lastActivity = time.Now()
-	m.mu.Unlock()
-	if m.cViolations != nil {
-		m.cViolations.Inc()
-	}
+	m.violations.Inc()
+	m.lastActivity.Store(int64(time.Since(epoch)))
 }
 
 // TxnStats returns the transaction count and mean duration.
 func (m *NodeMetrics) TxnStats() (count int64, mean time.Duration) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if m.txnCount == 0 {
+	if len(m.completions) == 0 {
 		return 0, 0
 	}
-	return m.txnCount, m.txnTotal / time.Duration(m.txnCount)
+	count = int64(len(m.completions))
+	return count, m.txnTotal / time.Duration(count)
 }
 
 // Violations returns the rejected-batch count.
-func (m *NodeMetrics) Violations() int64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.violations
-}
+func (m *NodeMetrics) Violations() int64 { return m.violations.Value() }
 
 // LastActivity returns the time of the node's last transaction — the
 // moment it "converged" if nothing arrives afterwards (paper §8:
-// "cumulative fraction of converged nodes").
+// "cumulative fraction of converged nodes"). Zero before the first.
 func (m *NodeMetrics) LastActivity() time.Time {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.lastActivity
+	if d := m.lastActivity.Load(); d != 0 {
+		return epoch.Add(time.Duration(d))
+	}
+	return time.Time{}
 }
 
 // EngineStats counts local-evaluator events: how join steps were answered

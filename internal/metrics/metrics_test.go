@@ -10,7 +10,7 @@ import (
 )
 
 func TestNodeMetricsAccumulation(t *testing.T) {
-	var m NodeMetrics
+	m := NewNodeMetrics("accumulation")
 	m.RecordTxn(10 * time.Millisecond)
 	m.RecordTxn(30 * time.Millisecond)
 	cnt, mean := m.TxnStats()
@@ -26,6 +26,76 @@ func TestNodeMetricsAccumulation(t *testing.T) {
 	}
 	if m.LastActivity().IsZero() {
 		t.Error("last activity not tracked")
+	}
+}
+
+// TestNodeMetricsInstanceAndFamilyViews pins the two promises the child
+// counters make. Two live nodes of one principal each read their own traffic
+// exactly while the registry family rises by the sum; and a node built after
+// an earlier one is discarded starts at zero while the family keeps growing —
+// the pattern of a benchmark that rebuilds n0…n23 every repetition and takes
+// before/after deltas of the family.
+func TestNodeMetricsInstanceAndFamilyViews(t *testing.T) {
+	family := func(name string) int64 { return obs.Default().CounterValue(name) }
+	names := []string{"sbx_msgs_sent_total", "sbx_bytes_sent_total", "sbx_msgs_recv_total",
+		"sbx_bytes_recv_total", "sbx_msgs_processed_total", "sbx_violations_total", "sbx_txns_total"}
+	before := map[string]int64{}
+	for _, n := range names {
+		before[n] = family(n)
+	}
+	txnsBefore := obs.Default().HistogramSnapshot("sbx_txn_duration_seconds")
+
+	a, b := NewNodeMetrics("twin"), NewNodeMetrics("twin")
+	a.RecordSent(100)
+	a.RecordSent(50)
+	a.RecordRecv(7)
+	a.RecordMsgProcessed()
+	a.RecordTxn(time.Millisecond)
+	b.RecordSent(1000)
+	b.RecordRecv(70)
+	b.RecordRecv(30)
+	b.RecordMsgProcessed()
+	b.RecordMsgProcessed()
+	b.RecordViolation()
+	if got, want := a.Traffic(), (Traffic{MsgsSent: 2, BytesSent: 150, MsgsRecv: 1, BytesRecv: 7}); got != want {
+		t.Errorf("a reads %+v, want its own %+v", got, want)
+	}
+	if got, want := b.Traffic(), (Traffic{MsgsSent: 1, BytesSent: 1000, MsgsRecv: 2, BytesRecv: 100}); got != want {
+		t.Errorf("b reads %+v, want its own %+v", got, want)
+	}
+	if a.MsgsProcessed() != 1 || b.MsgsProcessed() != 2 || a.Violations() != 0 || b.Violations() != 1 {
+		t.Errorf("processed %d/%d, violations %d/%d; want 1/2 and 0/1",
+			a.MsgsProcessed(), b.MsgsProcessed(), a.Violations(), b.Violations())
+	}
+	if n, _ := a.TxnStats(); n != 1 {
+		t.Errorf("a committed %d transactions, want 1", n)
+	}
+	if n, _ := b.TxnStats(); n != 0 || a.LastActivity().IsZero() || b.LastActivity().IsZero() {
+		t.Errorf("b committed %d transactions (want 0); last activity a %v b %v", n, a.LastActivity(), b.LastActivity())
+	}
+	want := map[string]int64{"sbx_msgs_sent_total": 3, "sbx_bytes_sent_total": 1150, "sbx_msgs_recv_total": 3,
+		"sbx_bytes_recv_total": 107, "sbx_msgs_processed_total": 3, "sbx_violations_total": 1, "sbx_txns_total": 1}
+	for _, n := range names {
+		if got := family(n) - before[n]; got != want[n] {
+			t.Errorf("%s rose by %d, want the sum over both nodes %d", n, got, want[n])
+		}
+	}
+	if d := obs.Default().HistogramSnapshot("sbx_txn_duration_seconds").Sub(txnsBefore); d.Count != 1 {
+		t.Errorf("sbx_txn_duration_seconds gained %d samples, want 1", d.Count)
+	}
+
+	// Rebuild: a new node of the same principal starts from zero and the
+	// family does not.
+	c := NewNodeMetrics("twin")
+	if got := c.Traffic(); got != (Traffic{}) || c.MsgsProcessed() != 0 || c.Violations() != 0 || !c.LastActivity().IsZero() {
+		t.Errorf("a rebuilt node starts at %+v, want zero", got)
+	}
+	c.RecordSent(5)
+	if got := c.Traffic().BytesSent; got != 5 {
+		t.Errorf("rebuilt node sent %d bytes, want 5", got)
+	}
+	if got := family("sbx_bytes_sent_total") - before["sbx_bytes_sent_total"]; got != 1155 {
+		t.Errorf("sbx_bytes_sent_total rose by %d across the rebuild, want 1155", got)
 	}
 }
 

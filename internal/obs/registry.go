@@ -20,7 +20,6 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // Labels attach dimensions to a metric series (principal, policy, stage).
@@ -28,16 +27,31 @@ import (
 type Labels map[string]string
 
 // Counter is a monotonically increasing series.
-type Counter struct{ v atomic.Int64 }
+type Counter struct {
+	v      atomic.Int64
+	parent *Counter // nil for a registered series
+}
 
-// Add increments the counter by n (n must be non-negative).
-func (c *Counter) Add(n int64) { c.v.Add(n) }
+// Add increments the counter — and every counter it rolls up into — by n
+// (n must be non-negative).
+func (c *Counter) Add(n int64) {
+	for ; c != nil; c = c.parent {
+		c.v.Add(n)
+	}
+}
 
 // Inc increments the counter by one.
-func (c *Counter) Inc() { c.v.Add(1) }
+func (c *Counter) Inc() { c.Add(1) }
 
-// Value returns the current count.
+// Value returns the current count: for a child, its own adds only.
 func (c *Counter) Value() int64 { return c.v.Load() }
+
+// Child returns an unregistered instance counter that rolls up into c: an
+// Add on the child is also an Add on c, so one increment serves both the
+// instance's exact reading (a node's traffic, an endpoint's retransmits) and
+// the cumulative registered series, which keeps what discarded children
+// added. The child itself is never rendered.
+func (c *Counter) Child() *Counter { return &Counter{parent: c} }
 
 // Gauge is a series that can go up and down. A gauge registered with
 // GaugeFunc instead reports whatever its function returns at scrape time.
@@ -118,9 +132,6 @@ func (h *Histogram) Observe(v float64) {
 		}
 	}
 }
-
-// ObserveDuration records one duration sample in seconds.
-func (h *Histogram) ObserveDuration(d time.Duration) { h.Observe(d.Seconds()) }
 
 // Snapshot returns a consistent-enough copy of the histogram's state for
 // rendering and quantile estimation. (Bucket counts are read individually,

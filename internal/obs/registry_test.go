@@ -87,6 +87,57 @@ func TestCounterValueSumsSeries(t *testing.T) {
 	}
 }
 
+// TestChildCounterRollsUp: a child reads only its own adds, its parent the
+// sum over every child and its direct adds — also while all of them are being
+// added to concurrently (run under -race in CI), and after a child is dropped.
+func TestChildCounterRollsUp(t *testing.T) {
+	r := NewRegistry()
+	parent := r.Counter("c", Labels{"p": "a"})
+	const adders, iters = 4, 1000
+	kids := []*Counter{parent.Child(), parent.Child(), parent.Child()}
+	var wg sync.WaitGroup
+	for i, k := range kids {
+		for a := 0; a < adders; a++ {
+			wg.Add(1)
+			go func(k *Counter, n int64) {
+				defer wg.Done()
+				for j := 0; j < iters; j++ {
+					k.Add(n)
+				}
+			}(k, int64(i+1))
+		}
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for j := 0; j < iters; j++ {
+			parent.Inc()
+			_ = r.CounterValue("c")
+		}
+	}()
+	wg.Wait()
+	var sum int64 = iters
+	for i, k := range kids {
+		want := int64(i+1) * adders * iters
+		if got := k.Value(); got != want {
+			t.Errorf("child %d reads %d, want its own %d", i, got, want)
+		}
+		sum += want
+	}
+	if got := parent.Value(); got != sum {
+		t.Errorf("parent reads %d, want the sum %d", got, sum)
+	}
+	// A fresh child starts at zero; the family keeps what the others added.
+	late := r.Counter("c", Labels{"p": "a"}).Child()
+	late.Inc()
+	if late.Value() != 1 || r.CounterValue("c") != sum+1 {
+		t.Errorf("late child %d, family %d; want 1 and %d", late.Value(), r.CounterValue("c"), sum+1)
+	}
+	if strings.Count(r.Render(), "\nc{") != 1 {
+		t.Errorf("children must not render as series:\n%s", r.Render())
+	}
+}
+
 func TestHistogramSnapshotAggregatesAndSubs(t *testing.T) {
 	r := NewRegistry()
 	bounds := []float64{1, 2, 4}

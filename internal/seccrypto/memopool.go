@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"runtime"
 	"sync"
-	"sync/atomic"
 
 	"secureblox/internal/obs"
 )
@@ -26,8 +25,7 @@ type memoPool[A, R any] struct {
 	maxSize int
 	closed  bool // jobs is closed: warm must not send
 
-	hits, misses   atomic.Int64
-	cHits, cMisses *obs.Counter // registry mirrors of hits and misses
+	hits, misses *obs.Counter // this pool's children of the registered hit/miss families
 }
 
 type memoEntry[R any] struct {
@@ -40,8 +38,9 @@ type memoJob[A, R any] struct {
 	e    *memoEntry[R]
 }
 
-// newMemoPool starts workers goroutines (GOMAXPROCS if workers <= 0).
-func newMemoPool[A, R any](workers int, compute func(A) R, cHits, cMisses *obs.Counter) *memoPool[A, R] {
+// newMemoPool starts workers goroutines (GOMAXPROCS if workers <= 0); the
+// pool's hits and misses roll up into the two registered families.
+func newMemoPool[A, R any](workers int, compute func(A) R, hits, misses *obs.Counter) *memoPool[A, R] {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
@@ -53,8 +52,8 @@ func newMemoPool[A, R any](workers int, compute func(A) R, cHits, cMisses *obs.C
 		jobs:    make(chan memoJob[A, R], 256),
 		cache:   make(map[[32]byte]*memoEntry[R]),
 		maxSize: 8192,
-		cHits:   cHits,
-		cMisses: cMisses,
+		hits:    hits.Child(),
+		misses:  misses.Child(),
 	}
 	p.wg.Add(workers)
 	for i := 0; i < workers; i++ {
@@ -90,7 +89,7 @@ func (p *memoPool[A, R]) Close() {
 // many required an RSA computation (misses): one miss is exactly one
 // computation.
 func (p *memoPool[A, R]) Stats() (hits, misses int64) {
-	return p.hits.Load(), p.misses.Load()
+	return p.hits.Value(), p.misses.Value()
 }
 
 // cacheKey derives the cache key for one request. Length prefixes keep
@@ -108,17 +107,11 @@ func cacheKey(parts ...[]byte) [32]byte {
 	return k
 }
 
-func (p *memoPool[A, R]) hit() {
-	p.hits.Add(1)
-	p.cHits.Inc()
-}
-
 // insertLocked publishes a fresh entry for k, counts the miss, and evicts
 // completed entries once the cache outgrows maxSize — never an entry in
 // flight, which a waiter may hold a reference to. Callers hold p.mu.
 func (p *memoPool[A, R]) insertLocked(k [32]byte, e *memoEntry[R]) {
-	p.misses.Add(1)
-	p.cMisses.Inc()
+	p.misses.Inc()
 	p.cache[k] = e
 	if len(p.cache) <= p.maxSize {
 		return
@@ -144,7 +137,7 @@ func (p *memoPool[A, R]) warm(k [32]byte, args A) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if _, exists := p.cache[k]; exists {
-		p.hit()
+		p.hits.Inc()
 		return
 	}
 	if p.closed {
@@ -165,7 +158,7 @@ func (p *memoPool[A, R]) get(k [32]byte, args A) R {
 	p.mu.Lock()
 	e, exists := p.cache[k]
 	if exists {
-		p.hit()
+		p.hits.Inc()
 		p.mu.Unlock()
 		<-e.done
 		return e.val

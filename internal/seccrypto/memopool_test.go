@@ -31,7 +31,7 @@ func signPoolUnderTest(t *testing.T, workers int) poolUnderTest[signArgs, signRe
 			sig, err := p.Sign(priv, der, data(i))
 			return err == nil && RSAVerify(&priv.PublicKey, data(i), sig)
 		},
-		ops: SignOps,
+		ops: cSignOps.Value,
 	}
 }
 
@@ -57,7 +57,7 @@ func verifyPoolUnderTest(t *testing.T, workers int) poolUnderTest[verifyArgs, bo
 		memo:    p.memoPool,
 		warm:    func(i int) { p.Warm(pub, der, []byte("signed"), sig(i)) },
 		correct: func(i int) bool { return p.Verify(pub, der, []byte("signed"), sig(i)) == (i == 0) },
-		ops:     VerifyOps,
+		ops:     cVerifyOps.Value,
 	}
 }
 

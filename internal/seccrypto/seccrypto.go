@@ -79,16 +79,14 @@ func SHA1(data []byte) []byte {
 // private key of the sender"). Every invocation is counted in SignOps so
 // the evaluation can report private-key operations per fixpoint.
 func RSASign(priv *rsa.PrivateKey, data []byte) ([]byte, error) {
-	signOps.Add(1)
 	cSignOps.Inc()
 	digest := sha1.Sum(data)
 	return rsa.SignPKCS1v15(nil, priv, crypto.SHA1, digest[:])
 }
 
 // RSAVerify checks an RSA signature over the SHA-1 digest of data. Every
-// invocation is counted in VerifyOps.
+// invocation is counted in sbx_rsa_verify_ops_total.
 func RSAVerify(pub *rsa.PublicKey, data, sig []byte) bool {
-	verifyOps.Add(1)
 	cVerifyOps.Inc()
 	digest := sha1.Sum(data)
 	return rsa.VerifyPKCS1v15(pub, crypto.SHA1, digest[:], sig) == nil

@@ -1,31 +1,15 @@
 package seccrypto
 
-import (
-	"sync/atomic"
+import "secureblox/internal/obs"
 
-	"secureblox/internal/obs"
-)
-
-// signOps counts every RSASign invocation process-wide. The paper's
-// footnote 2 identifies signature generation as the dominant cost of RSA
-// runs, so benchmarks report this counter's delta per fixpoint to show how
-// memoization and batch signing cut the number of private-key operations.
-var signOps atomic.Int64
-
-// SignOps returns the cumulative count of RSA signature computations
-// performed by this process.
-func SignOps() int64 { return signOps.Load() }
-
-// verifyOps counts every RSAVerify invocation process-wide, the inbound
-// counterpart of signOps.
-var verifyOps atomic.Int64
-
-// VerifyOps returns the cumulative count of RSA signature verifications
-// performed by this process.
-func VerifyOps() int64 { return verifyOps.Load() }
-
-// obs registry mirrors of the package counters. Registered at init so the
+// The package's counters live in the obs registry, registered at init so the
 // crypto families render (at zero) on /metrics before the first operation.
+// cSignOps counts every RSASign invocation process-wide: the paper's
+// footnote 2 identifies signature generation as the dominant cost of RSA
+// runs, so benchmarks report its delta per fixpoint to show how memoization
+// and batch signing cut the number of private-key operations. cVerifyOps is
+// its inbound counterpart. The hit/miss families are the sums over every
+// pool; each pool counts into its own children of them.
 var (
 	cSignOps      *obs.Counter
 	cVerifyOps    *obs.Counter
@@ -34,6 +18,10 @@ var (
 	cVerifyHits   *obs.Counter
 	cVerifyMisses *obs.Counter
 )
+
+// SignOps returns the cumulative count of RSA signature computations
+// performed by this process.
+func SignOps() int64 { return cSignOps.Value() }
 
 func init() {
 	r := obs.Default()

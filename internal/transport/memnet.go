@@ -103,17 +103,6 @@ func (n *MemNetwork) Stats(addr string) Stats {
 	return Stats{}
 }
 
-// TotalBytes returns the sum of bytes sent across all endpoints.
-func (n *MemNetwork) TotalBytes() int64 {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	var total int64
-	for _, s := range n.stats {
-		total += s.BytesSent
-	}
-	return total
-}
-
 // MemEndpoint is one node's attachment to a MemNetwork.
 type MemEndpoint struct {
 	net    *MemNetwork

@@ -12,9 +12,10 @@ import (
 	"secureblox/internal/obs"
 )
 
-// obs registry mirrors of the reliability counters, aggregated across every
-// endpoint of the process. Registered at init so the transport families
-// render (at zero) on /metrics even on loss-free runs.
+// The reliability counters, aggregated across every endpoint of the process
+// (an endpoint counts into its own children of the first four). Registered at
+// init so the transport families render (at zero) on /metrics even on
+// loss-free runs.
 var (
 	cRetransmits *obs.Counter
 	cDupDrops    *obs.Counter
@@ -154,17 +155,19 @@ type ReliableEndpoint struct {
 	cfg   ReliableConfig
 	q     *queue
 
-	mu          sync.Mutex
-	nextSeq     map[string]uint64              // per-destination last used seq
-	pending     map[string]map[uint64]*unacked // per-destination unacked frames
-	inflight    map[string]int                 // per-destination frames on the wire
-	seen        map[string]*dedupState         // per-source delivery dedup
-	rng         *rand.Rand                     // retransmit jitter (mu-guarded)
-	losses      int64                          // frames dropped after MaxAttempts
-	retransmits int64                          // data frames re-sent
-	dupDrops    int64                          // redeliveries suppressed
-	crcRejects  int64                          // garbage/corrupted frames dropped
-	closed      bool
+	mu       sync.Mutex
+	nextSeq  map[string]uint64              // per-destination last used seq
+	pending  map[string]map[uint64]*unacked // per-destination unacked frames
+	inflight map[string]int                 // per-destination frames on the wire
+	seen     map[string]*dedupState         // per-source delivery dedup
+	rng      *rand.Rand                     // retransmit jitter (mu-guarded)
+	closed   bool
+
+	// This endpoint's children of the process-wide reliability families.
+	losses      *obs.Counter // frames dropped after MaxAttempts
+	retransmits *obs.Counter // data frames re-sent
+	dupDrops    *obs.Counter // redeliveries suppressed
+	crcRejects  *obs.Counter // garbage/corrupted frames dropped
 
 	stop chan struct{}
 	wg   sync.WaitGroup
@@ -242,6 +245,11 @@ func NewReliable(inner Transport, cfg ReliableConfig) *ReliableEndpoint {
 		seen:     make(map[string]*dedupState),
 		rng:      rand.New(rand.NewSource(int64(h.Sum64()))),
 		stop:     make(chan struct{}),
+
+		losses:      cLosses.Child(),
+		retransmits: cRetransmits.Child(),
+		dupDrops:    cDupDrops.Child(),
+		crcRejects:  cCRCRejects.Child(),
 	}
 	r.wg.Add(2)
 	go r.recvLoop()
@@ -374,22 +382,13 @@ func (r *ReliableEndpoint) Receive() <-chan InMsg { return r.q.out }
 // ReceiveBatch implements Transport.
 func (r *ReliableEndpoint) ReceiveBatch() <-chan []InMsg { return r.q.batches() }
 
-// Losses returns how many frames were abandoned after MaxAttempts.
-func (r *ReliableEndpoint) Losses() int64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.losses
-}
-
 // Reliability returns this endpoint's reliability counters.
 func (r *ReliableEndpoint) Reliability() ReliabilityStats {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	return ReliabilityStats{
-		Retransmits: r.retransmits,
-		DupDrops:    r.dupDrops,
-		CRCRejects:  r.crcRejects,
-		Losses:      r.losses,
+		Retransmits: r.retransmits.Value(),
+		DupDrops:    r.dupDrops.Value(),
+		CRCRejects:  r.crcRejects.Value(),
+		Losses:      r.losses.Value(),
 	}
 }
 
@@ -436,10 +435,7 @@ func (r *ReliableEndpoint) recvLoop() {
 func (r *ReliableEndpoint) handleFrame(in InMsg) {
 	typ, seq, payload, ok := decodeFrame(in.Data)
 	if !ok {
-		r.mu.Lock()
-		r.crcRejects++
-		r.mu.Unlock()
-		cCRCRejects.Inc()
+		r.crcRejects.Inc()
 		return // garbage or corrupted: drop, sender will retransmit
 	}
 	switch typ {
@@ -465,9 +461,8 @@ func (r *ReliableEndpoint) handleFrame(in InMsg) {
 			r.seen[in.From] = st
 		}
 		if seq <= st.floor || st.above[seq] {
-			r.dupDrops++
 			r.mu.Unlock()
-			cDupDrops.Inc()
+			r.dupDrops.Inc()
 			return // duplicate
 		}
 		st.above[seq] = true
@@ -527,7 +522,6 @@ func (r *ReliableEndpoint) retransmitLoop() {
 				if r.cfg.MaxAttempts > 0 && u.attempts > r.cfg.MaxAttempts {
 					delete(m, seq)
 					r.inflight[to]--
-					r.losses++
 					lost++
 					if lostBy == nil {
 						lostBy = make(map[string]int64)
@@ -547,17 +541,16 @@ func (r *ReliableEndpoint) retransmitLoop() {
 				retrans++
 			}
 		}
-		r.retransmits += retrans
 		r.mu.Unlock()
 		if lost > 0 {
-			cLosses.Add(lost)
+			r.losses.Add(lost)
 			for peer, n := range lostBy {
 				obs.L().Warn("frames abandoned after max retransmissions",
 					"peer", peer, "frames", n, "max_attempts", r.cfg.MaxAttempts)
 			}
 		}
 		if retrans > 0 {
-			cRetransmits.Add(retrans)
+			r.retransmits.Add(retrans)
 		}
 		if backed > 0 {
 			cBackoffs.Add(backed)

@@ -8,13 +8,22 @@ import (
 	"time"
 )
 
+// lossy wraps inner with a started one-rule chaos engine: every datagram sent
+// is dropped, duplicated or corrupted with the given probabilities
+// (transporttest.Lossy for tests outside this package).
+func lossy(inner Transport, seed int64, drop, dup, garble float64) Transport {
+	e := NewChaosEngine(&ChaosPlan{Seed: seed, Links: []ChaosLink{{From: "*", To: "*", Drop: drop, Dup: dup, Garble: garble}}})
+	e.Start()
+	return e.Wrap(inner)
+}
+
 // reliablePair builds two reliable endpoints over one lossy memnet.
 func reliablePair(t *testing.T, seed int64, drop, dup, garble float64) (a, b *ReliableEndpoint) {
 	t.Helper()
 	net := NewMemNetwork()
 	cfg := ReliableConfig{RetransmitInterval: 2 * time.Millisecond}
-	a = NewReliable(NewLossy(net.Endpoint("a:1"), seed, drop, dup, garble), cfg)
-	b = NewReliable(NewLossy(net.Endpoint("b:1"), seed+1, drop, dup, garble), cfg)
+	a = NewReliable(lossy(net.Endpoint("a:1"), seed, drop, dup, garble), cfg)
+	b = NewReliable(lossy(net.Endpoint("b:1"), seed+1, drop, dup, garble), cfg)
 	t.Cleanup(func() { a.Close(); b.Close() })
 	return a, b
 }
@@ -168,20 +177,20 @@ func TestReliableMaxAttemptsGivesUp(t *testing.T) {
 	// Sending into a black hole with bounded attempts must eventually
 	// abandon the frame and count the loss instead of retrying forever.
 	net := NewMemNetwork()
-	net.Endpoint("hole:1")                                        // registered but never drained, drops via lossy
-	a := NewReliable(NewLossy(net.Endpoint("a:1"), 1, 1.0, 0, 0), // 100% drop
+	net.Endpoint("hole:1")                                     // registered but never drained, drops via lossy
+	a := NewReliable(lossy(net.Endpoint("a:1"), 1, 1.0, 0, 0), // 100% drop
 		ReliableConfig{RetransmitInterval: time.Millisecond, MaxAttempts: 3})
 	defer a.Close()
 	if err := a.Send("hole:1", []byte("doomed")); err != nil {
 		t.Fatal(err)
 	}
 	deadline := time.Now().Add(5 * time.Second)
-	for a.Losses() == 0 && time.Now().Before(deadline) {
+	for a.Reliability().Losses == 0 && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
 	}
-	if a.Losses() != 1 || a.PendingFrames() != 0 {
+	if a.Reliability().Losses != 1 || a.PendingFrames() != 0 {
 		t.Errorf("want 1 loss and no pending frames, got %d losses, %d pending",
-			a.Losses(), a.PendingFrames())
+			a.Reliability().Losses, a.PendingFrames())
 	}
 }
 
@@ -233,7 +242,7 @@ func TestReliableRetransmitBackoffGrows(t *testing.T) {
 		t.Fatal(err)
 	}
 	deadline := time.Now().Add(10 * time.Second)
-	for a.Losses() == 0 && time.Now().Before(deadline) {
+	for a.Reliability().Losses == 0 && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
 	}
 	recs := rec.recs("hole:1")
@@ -360,11 +369,11 @@ func TestReliableDedupWindowSlidesPastAbandonedFrame(t *testing.T) {
 		}
 	}
 	deadline := time.Now().Add(10 * time.Second)
-	for a.Losses() == 0 && time.Now().Before(deadline) {
+	for a.Reliability().Losses == 0 && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
 	}
-	if a.Losses() != 1 {
-		t.Fatalf("%d losses, want 1 (the blocked frame)", a.Losses())
+	if a.Reliability().Losses != 1 {
+		t.Fatalf("%d losses, want 1 (the blocked frame)", a.Reliability().Losses)
 	}
 	b.mu.Lock()
 	st := b.seen["a:1"]

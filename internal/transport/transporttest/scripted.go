@@ -1,5 +1,5 @@
-// Package transporttest provides a scripted transport endpoint for tests of
-// code that consumes datagrams in batches.
+// Package transporttest provides endpoints for tests: a scripted one for code
+// that consumes datagrams in batches, and a lossy wrapper.
 package transporttest
 
 import (
@@ -89,4 +89,18 @@ func (s *Scripted) Close() error {
 		close(s.single)
 	}
 	return nil
+}
+
+// Lossy wraps inner so that every datagram it sends is dropped, duplicated or
+// corrupted with the given probabilities, reproducibly per seed: a started
+// chaos engine with one rule for every link. It models what raw UDP can do to
+// traffic, so the reliable layer and the termination-detection protocol can
+// be exercised against loss without depending on real packet behaviour.
+func Lossy(inner transport.Transport, seed int64, drop, dup, garble float64) transport.Transport {
+	e := transport.NewChaosEngine(&transport.ChaosPlan{
+		Seed:  seed,
+		Links: []transport.ChaosLink{{From: "*", To: "*", Drop: drop, Dup: dup, Garble: garble}},
+	})
+	e.Start()
+	return e.Wrap(inner)
 }

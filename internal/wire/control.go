@@ -16,36 +16,35 @@ const (
 // Control is the wire record of the distributed termination-detection
 // protocol (Mattern's counting-wave method): the detector broadcasts probes
 // carrying a wave number, and each node answers with a report holding its
-// monotone application-message counters and whether it has queued work.
-// Two consecutive waves that observe identical, balanced counters and no
-// active node prove global quiescence without any shared state.
+// monotone per-peer application-message counters and whether it has queued
+// work. Two consecutive waves that observe identical, balanced counters and
+// no active node prove global quiescence without any shared state.
+//
+// One layout serves probes and reports: type byte, uvarint wave, active
+// byte (0/1), uvarint peer count, then per peer uvarint address length,
+// address, uvarint sent, uvarint recv. A probe is inactive with no peers.
 type Control struct {
 	Type CtrlType
 	// Wave is the probe/report wave number; reports echo the probe's wave
 	// so late answers from earlier waves can be discarded.
 	Wave uint64
-	// Sent and Recv are the node's cumulative counts of application
-	// messages shipped to and fully processed from cluster peers.
-	Sent uint64
-	Recv uint64
 	// Active reports whether the node held unprocessed local work at
 	// snapshot time.
 	Active bool
-	// Peers optionally breaks Sent/Recv down per remote address. After a
-	// peer is evicted mid-run, the wave sum must exclude message pairs
-	// involving it or the counters could never balance again (the dead
-	// peer's answers are gone forever); the breakdown lets the detector
-	// restrict each report to the surviving membership. Probes and
-	// pre-eviction reports omit it.
+	// Peers holds the node's counters, one cell per remote address it has
+	// exchanged application messages with; totals are sums over the cells.
+	// Per peer rather than per node because after a peer is evicted mid-run
+	// the wave sum must exclude message pairs involving it or the counters
+	// could never balance again (the dead peer's answers are gone forever).
 	Peers []PeerCount
 }
 
-// PeerCount is one entry of a report's per-peer counter breakdown.
+// PeerCount is one cell of a report: the node's counters against one peer.
 type PeerCount struct {
 	// Addr is the remote transport address the counts are against.
 	Addr string
-	// Sent and Recv count application messages shipped to and fully
-	// processed from that address.
+	// Sent and Recv are cumulative counts of application messages shipped
+	// to and fully processed from that address.
 	Sent uint64
 	Recv uint64
 }
@@ -58,21 +57,17 @@ const maxCtrlPeerAddr = 4096
 func EncodeControl(c Control) []byte {
 	buf := []byte{byte(c.Type)}
 	buf = appendUvarint(buf, c.Wave)
-	buf = appendUvarint(buf, c.Sent)
-	buf = appendUvarint(buf, c.Recv)
 	if c.Active {
 		buf = append(buf, 1)
 	} else {
 		buf = append(buf, 0)
 	}
-	if len(c.Peers) > 0 {
-		buf = appendUvarint(buf, uint64(len(c.Peers)))
-		for _, p := range c.Peers {
-			buf = appendUvarint(buf, uint64(len(p.Addr)))
-			buf = append(buf, p.Addr...)
-			buf = appendUvarint(buf, p.Sent)
-			buf = appendUvarint(buf, p.Recv)
-		}
+	buf = appendUvarint(buf, uint64(len(c.Peers)))
+	for _, p := range c.Peers {
+		buf = appendUvarint(buf, uint64(len(p.Addr)))
+		buf = append(buf, p.Addr...)
+		buf = appendUvarint(buf, p.Sent)
+		buf = appendUvarint(buf, p.Recv)
 	}
 	return buf
 }
@@ -92,23 +87,14 @@ func DecodeControl(buf []byte) (Control, error) {
 	if c.Wave, buf, err = readUvarint(buf); err != nil {
 		return c, err
 	}
-	if c.Sent, buf, err = readUvarint(buf); err != nil {
-		return c, err
+	if len(buf) == 0 {
+		return c, ErrTruncated
 	}
-	if c.Recv, buf, err = readUvarint(buf); err != nil {
-		return c, err
-	}
-	if len(buf) == 0 || buf[0] > 1 {
-		return c, fmt.Errorf("wire: bad control trailer")
+	if buf[0] > 1 {
+		return c, fmt.Errorf("wire: bad control active byte %d", buf[0])
 	}
 	c.Active = buf[0] == 1
-	buf = buf[1:]
-	// Records from before the per-peer breakdown end here; newer reports
-	// append the breakdown after the active byte.
-	if len(buf) == 0 {
-		return c, nil
-	}
-	cnt, buf, err := readUvarint(buf)
+	cnt, buf, err := readUvarint(buf[1:])
 	if err != nil {
 		return c, err
 	}
@@ -117,7 +103,9 @@ func DecodeControl(buf []byte) (Control, error) {
 	if cnt > uint64(len(buf)) {
 		return c, ErrTruncated
 	}
-	c.Peers = make([]PeerCount, 0, cnt)
+	if cnt > 0 {
+		c.Peers = make([]PeerCount, 0, cnt)
+	}
 	for i := uint64(0); i < cnt; i++ {
 		var p PeerCount
 		var n uint64

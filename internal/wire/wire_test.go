@@ -254,39 +254,41 @@ func TestBatchDigestIsSequenceSensitive(t *testing.T) {
 func TestControlRoundTrip(t *testing.T) {
 	cases := []Control{
 		{Type: CtrlProbe, Wave: 7},
-		{Type: CtrlReport, Wave: 1 << 40, Sent: 12, Recv: 9, Active: true},
-		{Type: CtrlReport, Wave: 0, Sent: 0, Recv: 0, Active: false},
-		{Type: CtrlReport, Wave: 5, Sent: 10, Recv: 8, Peers: []PeerCount{
+		{Type: CtrlReport, Wave: 0},
+		{Type: CtrlReport, Wave: 1 << 40, Active: true},
+		{Type: CtrlReport, Wave: 5, Peers: []PeerCount{
 			{Addr: "10.0.0.1:7000", Sent: 6, Recv: 5},
 			{Addr: "10.0.0.2:7000", Sent: 4, Recv: 3},
 		}},
 	}
 	for _, c := range cases {
-		got, err := DecodeControl(EncodeControl(c))
+		enc := EncodeControl(c)
+		got, err := DecodeControl(enc)
 		if err != nil {
 			t.Fatalf("%+v: %v", c, err)
 		}
 		if !reflect.DeepEqual(got, c) {
 			t.Errorf("control round trip: %+v -> %+v", c, got)
 		}
+		// One layout: every proper prefix is short, any suffix is trailing.
+		for cut := 0; cut < len(enc); cut++ {
+			if _, err := DecodeControl(enc[:cut]); err == nil {
+				t.Errorf("%+v cut to %d of %d bytes should be rejected", c, cut, len(enc))
+			}
+		}
+		if _, err := DecodeControl(append(enc, 0)); err == nil {
+			t.Errorf("%+v with a trailing byte should be rejected", c)
+		}
 	}
-	if _, err := DecodeControl([]byte{99, 0, 0, 0, 0}); err == nil {
+	if _, err := DecodeControl([]byte{99, 0, 0, 0}); err == nil {
 		t.Error("bad control type should be rejected")
 	}
-	if _, err := DecodeControl(EncodeControl(Control{Type: CtrlProbe})[:2]); err == nil {
-		t.Error("truncated control should be rejected")
+	if _, err := DecodeControl([]byte{byte(CtrlReport), 0, 2, 0}); err == nil {
+		t.Error("an active byte other than 0 or 1 should be rejected")
 	}
-	// A legacy record without the breakdown decodes to nil Peers, and a
-	// breakdown with trailing garbage or a lying entry count is rejected.
-	legacy := EncodeControl(Control{Type: CtrlReport, Wave: 2, Sent: 1, Recv: 1})
-	if got, err := DecodeControl(legacy); err != nil || got.Peers != nil {
-		t.Errorf("legacy record: %+v, %v", got, err)
-	}
-	withPeers := EncodeControl(Control{Type: CtrlReport, Peers: []PeerCount{{Addr: "a:1", Sent: 1}}})
-	if _, err := DecodeControl(append(withPeers, 0xff)); err == nil {
-		t.Error("trailing bytes after peer breakdown should be rejected")
-	}
-	if _, err := DecodeControl(append(legacy, 0xff, 0xff, 0xff, 0xff, 0x0f)); err == nil {
+	idle := EncodeControl(Control{Type: CtrlReport, Wave: 2})
+	lying := append(idle[:len(idle)-1], 0xff, 0xff, 0xff, 0xff, 0x0f)
+	if _, err := DecodeControl(lying); err == nil {
 		t.Error("lying peer count should be rejected")
 	}
 	// A control record rides inside a MsgControl message.
