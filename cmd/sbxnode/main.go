@@ -166,15 +166,18 @@ func generateKeys(cfg *cluster.Config, stdout *os.File) error {
 	if !cfg.Spec().UsesRSA() {
 		return fmt.Errorf("policy %s uses no RSA keys", cfg.Policy)
 	}
+	var nodes []cluster.NodeConfig
 	for _, n := range cfg.Nodes {
-		if n.KeyFile == "" {
-			continue
+		if n.KeyFile != "" {
+			nodes = append(nodes, n)
 		}
-		k, err := seccrypto.GenerateRSAKey(rand.Reader)
-		if err != nil {
-			return fmt.Errorf("keygen for %s: %w", n.Principal, err)
-		}
-		if err := seccrypto.WritePrivateKeyFile(n.KeyFile, k); err != nil {
+	}
+	keys, err := seccrypto.GenerateRSAKeys(len(nodes), rand.Reader)
+	if err != nil {
+		return fmt.Errorf("keygen: %w", err)
+	}
+	for i, n := range nodes {
+		if err := seccrypto.WritePrivateKeyFile(n.KeyFile, keys[i]); err != nil {
 			return fmt.Errorf("write key for %s: %w", n.Principal, err)
 		}
 		fmt.Fprintf(stdout, "wrote %s (%s)\n", n.KeyFile, n.Principal)

@@ -230,17 +230,31 @@ func TestVetPreflight(t *testing.T) {
 }
 
 // TestGenKeysProvisionsConfig: -genkeys writes loadable key files exactly
-// where the config points.
+// where the config points, one distinct key each, reported in config order.
 func TestGenKeysProvisionsConfig(t *testing.T) {
 	dir := t.TempDir()
+	inline, err := seccrypto.GenerateRSAKey(seccrypto.NewDeterministicRand(200))
+	if err != nil {
+		t.Fatal(err)
+	}
 	cfg := cluster.Config{
 		Cluster:  "genkeys",
 		Policy:   "RSA",
 		Workload: cluster.WorkloadConfig{Name: "pathvector", Seed: 1},
-		Nodes: []cluster.NodeConfig{
-			{Principal: "p0", Addr: "127.0.0.1:7441", KeyFile: filepath.Join(dir, "p0.pem")},
-			{Principal: "p1", Addr: "127.0.0.1:0", KeyFile: filepath.Join(dir, "p1.pem")},
-		},
+	}
+	var wantOut string
+	for i := 0; i < 5; i++ {
+		n := cluster.NodeConfig{Principal: fmt.Sprintf("p%d", i), Addr: "127.0.0.1:0"}
+		if i == 0 {
+			n.Addr = "127.0.0.1:7441" // the seed needs a concrete port
+		}
+		if i == 2 { // holds its key inline: -genkeys must skip it, not shift its neighbours
+			n.KeyPEM = string(seccrypto.EncodePrivateKeyPEM(inline))
+		} else {
+			n.KeyFile = filepath.Join(dir, n.Principal+".pem")
+			wantOut += fmt.Sprintf("wrote %s (%s)\n", n.KeyFile, n.Principal)
+		}
+		cfg.Nodes = append(cfg.Nodes, n)
 	}
 	data, _ := json.Marshal(cfg)
 	cfgPath := filepath.Join(dir, "c.json")
@@ -251,16 +265,32 @@ func TestGenKeysProvisionsConfig(t *testing.T) {
 	if code != 0 {
 		t.Fatalf("genkeys exit %d: %s", code, errOut)
 	}
-	if !strings.Contains(out, "p0.pem") || !strings.Contains(out, "p1.pem") {
-		t.Fatalf("genkeys output: %s", out)
+	if out != wantOut {
+		t.Fatalf("genkeys output not one line per key file in config order:\n%s\nwant:\n%s", out, wantOut)
 	}
 	loaded, err := cluster.LoadConfig(cfgPath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, p := range []string{"p0", "p1"} {
-		if _, err := loaded.LoadNodeKey(p); err != nil {
-			t.Fatalf("generated key for %s unusable: %v", p, err)
+	// The keys were generated concurrently: each file holds a usable key of
+	// its own, and the inline one is untouched.
+	msg := []byte("provisioned")
+	seen := map[string]string{}
+	for _, n := range loaded.Nodes {
+		k, err := loaded.LoadNodeKey(n.Principal)
+		if err != nil {
+			t.Fatalf("generated key for %s unusable: %v", n.Principal, err)
+		}
+		sig, err := seccrypto.RSASign(k, msg)
+		if err != nil || !seccrypto.RSAVerify(&k.PublicKey, msg, sig) {
+			t.Errorf("%s's key does not sign and verify: %v", n.Principal, err)
+		}
+		if q, dup := seen[k.N.String()]; dup {
+			t.Errorf("%s and %s were given the same key", n.Principal, q)
+		}
+		seen[k.N.String()] = n.Principal
+		if (n.Principal == "p2") != (k.N.Cmp(inline.N) == 0) {
+			t.Errorf("%s: inline key misplaced", n.Principal)
 		}
 	}
 }

@@ -10,6 +10,8 @@ import (
 	"secureblox/internal/dist"
 	"secureblox/internal/engine"
 	"secureblox/internal/generics"
+	"secureblox/internal/obs"
+	"secureblox/internal/par"
 	"secureblox/internal/seccrypto"
 	"secureblox/internal/transport"
 )
@@ -31,10 +33,12 @@ type ClusterConfig struct {
 	// Seed makes reproducible what can be: runs with equal seeds see identical
 	// pairwise shared secrets (the HMAC and AES keys) and identical UDF
 	// randomness (onion-layer IVs); entity ids are partitioned by node index
-	// and do not depend on it. RSA keypairs are not reproducible —
-	// the key rsa.GenerateKey returns deliberately does not depend
-	// deterministically on the bytes it reads — so under AuthRSA every run signs with fresh keys and ships different
-	// signature bytes.
+	// and do not depend on it. RSA keypairs are not reproducible — the key
+	// rsa.GenerateKey returns deliberately does not depend deterministically
+	// on the bytes it reads, and the N keypairs are generated concurrently
+	// over the one seeded reader (serialised; the secrets are drawn from it
+	// first) — so under AuthRSA every run signs with fresh keys and ships
+	// different signature bytes.
 	Seed int64
 	// TrustAllPrincipals, with DelegateTrustworthy, pre-populates
 	// trustworthy(P) for every cluster principal.
@@ -128,10 +132,12 @@ type nodeIdentity struct {
 // endpoint per node on the configured network (plus one for the
 // termination detector), builds N workspaces with per-node keystore-bound
 // UDFs, installs the program, and asserts the principal directory and key
-// material. The directory carries the endpoints' real bound addresses, so
-// the same scenario runs unchanged over memnet and UDP. Principals are
-// PrincipalName(i) listening at NodeAddr(i), with key material generated
-// from cfg.Seed (see ClusterConfig.Seed for what that reproduces).
+// material — keypairs and node assemblies GOMAXPROCS at a time (par.Do), as
+// the deployment's machines each do their own at once. The directory carries
+// the endpoints' real bound addresses, so the same scenario runs unchanged
+// over memnet and UDP. Principals are PrincipalName(i) listening at
+// NodeAddr(i), with key material generated from cfg.Seed (see
+// ClusterConfig.Seed for what that reproduces).
 func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	return newCluster(cfg, func() ([]nodeIdentity, error) {
 		if cfg.N <= 0 {
@@ -219,10 +225,12 @@ func newCluster(cfg ClusterConfig, identities func() ([]nodeIdentity, error)) (*
 			}
 		}
 	}()
+	t := time.Now()
 	ids, err := identities()
 	if err != nil {
 		return nil, err
 	}
+	keys := time.Since(t)
 	cfg.N = len(ids)
 	c.Cfg = cfg
 	// Endpoints first: socket-backed networks only know their addresses
@@ -250,10 +258,12 @@ func newCluster(cfg ClusterConfig, identities func() ([]nodeIdentity, error)) (*
 	c.det.Names = c.Directory.Names()
 
 	// Compile once: the program is identical on every node.
+	t = time.Now()
 	c.Compiled, err = CompileProgram(cfg.Policy, cfg.Query, cfg.ExtraPolicies)
 	if err != nil {
 		return nil, fmt.Errorf("cluster: %w", err)
 	}
+	compile := time.Since(t)
 
 	if cfg.Policy.Auth == AuthRSA {
 		c.pool = seccrypto.NewVerifyPool(0)
@@ -262,13 +272,17 @@ func newCluster(cfg ClusterConfig, identities func() ([]nodeIdentity, error)) (*
 		c.spool = seccrypto.NewSignPool(0)
 	}
 
-	for i, id := range ids {
+	// Every node installs its own copy of the program at the same time, as
+	// the deployment's machines do; each writes only its own slot.
+	c.Nodes = make([]*dist.Node, len(ids))
+	t = time.Now()
+	err = par.Do(len(ids), func(i int) error {
 		n, err := NodeAssembly{
 			Policy:           cfg.Policy,
 			Compiled:         c.Compiled,
 			Directory:        c.Directory,
 			Index:            i,
-			KeyStore:         id.keys,
+			KeyStore:         ids[i].keys,
 			Endpoint:         eps[i],
 			VerifyPool:       c.pool,
 			SignPool:         c.spool,
@@ -278,10 +292,17 @@ func newCluster(cfg ClusterConfig, identities func() ([]nodeIdentity, error)) (*
 			Vet:              cfg.Vet,
 		}.Build()
 		if err != nil {
-			return nil, fmt.Errorf("cluster: node %s: %w", id.principal, err)
+			return fmt.Errorf("cluster: node %s: %w", ids[i].principal, err)
 		}
-		c.Nodes = append(c.Nodes, n)
+		c.Nodes[i] = n
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
+	ms := func(d time.Duration) float64 { return float64(d.Microseconds()) / 1e3 }
+	obs.L().Info("cluster set up", "nodes", len(ids), "workers", par.Workers(len(ids)),
+		"keys_ms", ms(keys), "compile_ms", ms(compile), "assemble_ms", ms(time.Since(t)))
 	built = true
 	return c, nil
 }

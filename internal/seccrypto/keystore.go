@@ -2,6 +2,7 @@ package seccrypto
 
 import (
 	"crypto/rsa"
+	"errors"
 	"fmt"
 	"io"
 	"sync"
@@ -126,9 +127,11 @@ type TrustSetup struct {
 
 // NewTrustSetup builds keystores for the given principals using rng. Over a
 // seeded reader (NewDeterministicRand) the pairwise secrets are reproducible
-// — they are drawn first — and the RSA keypairs are not: rsa.GenerateKey
-// deliberately does not depend deterministically on the bytes it reads, so
-// two setups from equal seeds hold different keys and sign different bytes.
+// — they are drawn first, on the caller's goroutine — and the RSA keypairs
+// are not: rsa.GenerateKey deliberately does not depend deterministically on
+// the bytes it reads, and the keypairs are generated concurrently
+// (GenerateRSAKeys) over rng behind a mutex, so two setups from equal seeds
+// hold different keys and sign different bytes.
 func NewTrustSetup(principals []string, rng io.Reader) (*TrustSetup, error) {
 	return newTrustSetup(principals, rng, true)
 }
@@ -160,18 +163,18 @@ func newTrustSetup(principals []string, rng io.Reader, rsaKeys bool) (*TrustSetu
 	if !rsaKeys {
 		return ts, nil
 	}
-	keys := make(map[string]*rsa.PrivateKey, len(principals))
-	for _, p := range principals {
-		k, err := GenerateRSAKey(rng)
-		if err != nil {
-			return nil, fmt.Errorf("keygen for %s: %w", p, err)
+	keys, err := GenerateRSAKeys(len(principals), rng)
+	if err != nil {
+		var ke *KeyGenError
+		if errors.As(err, &ke) {
+			err = fmt.Errorf("keygen for %s: %w", principals[ke.Index], ke.Err)
 		}
-		keys[p] = k
-		ts.Stores[p].SetPrivateKey(k)
+		return nil, err
 	}
-	for _, p := range principals {
-		for q, k := range keys {
-			ts.Stores[p].AddPublicKey(q, &k.PublicKey)
+	for i, p := range principals {
+		ts.Stores[p].SetPrivateKey(keys[i])
+		for j, q := range principals {
+			ts.Stores[p].AddPublicKey(q, &keys[j].PublicKey)
 		}
 	}
 	return ts, nil

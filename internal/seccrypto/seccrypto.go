@@ -19,6 +19,9 @@ import (
 	"fmt"
 	"io"
 	mrand "math/rand"
+	"sync"
+
+	"secureblox/internal/par"
 )
 
 // RSABits is the paper's RSA key size.
@@ -33,8 +36,9 @@ var ErrBadCiphertext = errors.New("seccrypto: ciphertext shorter than IV")
 
 // NewDeterministicRand returns a seeded randomness source for reproducible
 // shared secrets and IVs in tests and benchmarks (RSA key generation is not
-// reproducible over any reader, see NewTrustSetup). It must not be used in
-// production.
+// reproducible over any reader, see NewTrustSetup). The reader is not safe
+// for concurrent use; GenerateRSAKeys serialises its own reads of it. It must
+// not be used in production.
 func NewDeterministicRand(seed int64) io.Reader {
 	return mrand.New(mrand.NewSource(seed))
 }
@@ -43,6 +47,46 @@ func NewDeterministicRand(seed int64) io.Reader {
 // source (crypto/rand.Reader for real deployments).
 func GenerateRSAKey(rng io.Reader) (*rsa.PrivateKey, error) {
 	return rsa.GenerateKey(rng, RSABits)
+}
+
+// KeyGenError is GenerateRSAKeys' failure: which key, and why.
+type KeyGenError struct {
+	Index int
+	Err   error
+}
+
+func (e *KeyGenError) Error() string { return fmt.Sprintf("rsa key %d: %v", e.Index, e.Err) }
+func (e *KeyGenError) Unwrap() error { return e.Err }
+
+// lockedReader lets concurrent key generators share one reader.
+type lockedReader struct {
+	mu sync.Mutex
+	r  io.Reader
+}
+
+func (l *lockedReader) Read(p []byte) (int, error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.r.Read(p)
+}
+
+// GenerateRSAKeys generates n keypairs on every core (par.Do). Every byte of
+// key material is read from rng, one Read at a time under a mutex, so the
+// keys are as strong as the caller's source; which key gets which bytes
+// depends on scheduling. A failure is a *KeyGenError for the lowest failing
+// index, returned after every generator has exited.
+func GenerateRSAKeys(n int, rng io.Reader) ([]*rsa.PrivateKey, error) {
+	keys := make([]*rsa.PrivateKey, n)
+	shared := &lockedReader{r: rng}
+	err := par.Do(n, func(i int) error {
+		k, err := GenerateRSAKey(shared)
+		if err != nil {
+			return &KeyGenError{Index: i, Err: err}
+		}
+		keys[i] = k
+		return nil
+	})
+	return keys, err
 }
 
 // GenerateSecret produces a fresh 128-bit shared secret.
