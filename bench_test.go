@@ -6,8 +6,8 @@
 // ordering, growth with N, crossovers) is what EXPERIMENTS.md records.
 //
 // Default sizes are scaled down so `go test -bench=.` completes quickly;
-// set SBX_BENCH_FULL=1 for the paper's full size sweep, or use
-// cmd/pathvector and cmd/hashjoin for standalone runs with flags.
+// set SBX_BENCH_FULL=1 for the paper's full size sweep. `sbx run
+// <workload>` does one oracle-checked run outside the test binary.
 package secureblox
 
 import (

@@ -13,9 +13,15 @@
 // a live per-node table; trace fetches /debug/spans from every node (or
 // reads -spandump files) and prints a derivation wave's causal tree.
 //
+// The run subcommand launches one shipped workload (a row of
+// apps.Workloads) in-process under one security scheme, prints the run's
+// measurements and gates on the workload's oracle: it exits non-zero on any
+// violation or wrong answer.
+//
 // Usage:
 //
 //	sbx [-p policy.blox]... [-emit] [-dump pred1,pred2] query.dlb
+//	sbx run <workload> [-scheme S] [-n N] [-seed K] [-transport mem|udp]
 //	sbx vet [-p policy.blox]... query.dlb...
 //	sbx vet -builtin
 //	sbx top [-once] [-interval 2s] [-config cluster.json | addr...]
@@ -25,7 +31,7 @@ package main
 import (
 	"flag"
 	"fmt"
-	"log"
+	"io"
 	"os"
 	"sort"
 	"strings"
@@ -46,18 +52,36 @@ func (p *policyList) String() string     { return strings.Join(*p, ",") }
 func (p *policyList) Set(v string) error { *p = append(*p, v); return nil }
 
 func main() {
-	log.SetFlags(0)
-	if len(os.Args) > 1 {
-		switch os.Args[1] {
-		case "vet":
-			os.Exit(runVet(os.Args[2:]))
-		case "top":
-			os.Exit(runTop(os.Args[2:]))
-		case "trace":
-			os.Exit(runTrace(os.Args[2:]))
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is main minus the process-global bits, so tests can drive it. Exit
+// codes: 0 success, 1 the command failed, 2 it was misused.
+func run(args []string, stdout, stderr io.Writer) int {
+	cmd := runQuery
+	if len(args) > 0 {
+		sub := map[string]func([]string, io.Writer, io.Writer) int{
+			"run": runWorkload, "vet": runVet, "top": runTop, "trace": runTrace,
+		}[args[0]]
+		if sub != nil {
+			cmd, args = sub, args[1:]
 		}
 	}
-	runQuery(os.Args[1:])
+	return cmd(args, stdout, stderr)
+}
+
+// newFlagSet returns a flag set that reports misuse on stderr and leaves
+// exiting to the caller.
+func newFlagSet(name string, stderr io.Writer) *flag.FlagSet {
+	fs := flag.NewFlagSet(name, flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	return fs
+}
+
+// fail prints a command's error and returns its exit code.
+func fail(stderr io.Writer, err error) int {
+	fmt.Fprintln(stderr, "sbx:", err)
+	return 1
 }
 
 // compileFile compiles one query file together with the given policy files.
@@ -80,45 +104,47 @@ func compileFile(policies []string, queryFile string) (*generics.Result, error) 
 }
 
 // runQuery is the classic compile-install-dump mode.
-func runQuery(args []string) {
-	fs := flag.NewFlagSet("sbx", flag.ExitOnError)
+func runQuery(args []string, stdout, stderr io.Writer) int {
+	fs := newFlagSet("sbx", stderr)
 	var policies policyList
 	fs.Var(&policies, "p", "BloxGenerics policy file (repeatable)")
 	emit := fs.Bool("emit", false, "print the compiled concrete program and exit")
 	dump := fs.String("dump", "", "comma-separated predicates to print (default: all non-empty)")
 	self := fs.String("self", "local", "local principal name")
-	fs.Parse(args)
+	if fs.Parse(args) != nil {
+		return 2
+	}
 
 	if fs.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "usage: sbx [-p policy.blox]... [-emit] [-dump preds] query.dlb")
-		os.Exit(2)
+		fmt.Fprintln(stderr, "usage: sbx [-p policy.blox]... [-emit] [-dump preds] query.dlb")
+		return 2
 	}
 	res, err := compileFile(policies, fs.Arg(0))
 	if err != nil {
-		log.Fatal(err)
+		return fail(stderr, err)
 	}
 	if *emit {
-		fmt.Print(res.Program.String())
-		return
+		fmt.Fprint(stdout, res.Program.String())
+		return 0
 	}
 
 	ks := seccrypto.NewKeyStore(*self)
 	key, err := seccrypto.GenerateRSAKey(seccrypto.NewDeterministicRand(1))
 	if err != nil {
-		log.Fatal(err)
+		return fail(stderr, err)
 	}
 	ks.SetPrivateKey(key)
 	ks.AddPublicKey(*self, &key.PublicKey)
 	reg, err := udf.NewRegistry(ks, seccrypto.NewDeterministicRand(2))
 	if err != nil {
-		log.Fatal(err)
+		return fail(stderr, err)
 	}
 	ws := engine.NewWorkspace(reg)
 	if err := ws.Install(res.Program); err != nil {
-		log.Fatal(err)
+		return fail(stderr, err)
 	}
 	for _, diag := range ws.Unstratified {
-		fmt.Fprintln(os.Stderr, "warning:", diag)
+		fmt.Fprintln(stderr, "warning:", diag)
 	}
 
 	var preds []string
@@ -136,9 +162,10 @@ func runQuery(args []string) {
 		tuples := ws.Tuples(p)
 		sort.Slice(tuples, func(i, j int) bool { return tuples[i].Key() < tuples[j].Key() })
 		for _, t := range tuples {
-			fmt.Printf("%s%s.\n", p, t)
+			fmt.Fprintf(stdout, "%s%s.\n", p, t)
 		}
 	}
+	return 0
 }
 
 // vetTarget is one program to analyze: a query file compiled with the -p
@@ -149,57 +176,36 @@ type vetTarget struct {
 	prog *datalog.Program
 }
 
-// builtinTargets compiles every shipped rule set under its deployment's
-// policy pipeline — the programs CI vets on every change.
-func builtinTargets() ([]vetTarget, error) {
-	pol := core.PolicyConfig{Delegation: core.DelegateNone}
-	var out []vetTarget
-	for _, b := range []struct {
-		name  string
-		query string
-		extra []string
-	}{
-		{"pathvector", apps.PathVectorQuery, nil},
-		{"hashjoin", apps.HashJoinQuery, nil},
-		{"anonjoin", apps.AnonJoinQuery, []string{apps.AnonPolicy}},
-	} {
-		res, err := core.CompileProgram(pol, b.query, b.extra)
-		if err != nil {
-			return nil, fmt.Errorf("%s: %v", b.name, err)
-		}
-		out = append(out, vetTarget{b.name, res.Program})
-	}
-	return out, nil
-}
-
 // runVet implements `sbx vet`: run the static analyzer over each target,
-// print findings with source positions, and exit nonzero when any target
-// has error-class findings.
-func runVet(args []string) int {
-	fs := flag.NewFlagSet("sbx vet", flag.ExitOnError)
+// print findings with source positions and one verdict line per target, and
+// exit nonzero when any target has error-class findings.
+func runVet(args []string, stdout, stderr io.Writer) int {
+	fs := newFlagSet("sbx vet", stderr)
 	var policies policyList
 	fs.Var(&policies, "p", "BloxGenerics policy file (repeatable)")
-	builtin := fs.Bool("builtin", false, "vet the shipped rule sets (pathvector, hashjoin, anonjoin) instead of files")
-	fs.Parse(args)
+	builtin := fs.Bool("builtin", false, "vet every row of the shipped workload table, compiled as its deployments compile it, instead of files")
+	if fs.Parse(args) != nil {
+		return 2
+	}
 
 	var targets []vetTarget
 	if *builtin {
-		var err error
-		targets, err = builtinTargets()
-		if err != nil {
-			log.Print(err)
-			return 1
+		for _, w := range apps.Workloads {
+			res, err := w.Compile(core.PolicyConfig{})
+			if err != nil {
+				return fail(stderr, fmt.Errorf("%s: %v", w.Name, err))
+			}
+			targets = append(targets, vetTarget{w.Name, res.Program})
 		}
 	} else {
 		if fs.NArg() == 0 {
-			fmt.Fprintln(os.Stderr, "usage: sbx vet [-p policy.blox]... query.dlb... | sbx vet -builtin")
+			fmt.Fprintln(stderr, "usage: sbx vet [-p policy.blox]... query.dlb... | sbx vet -builtin")
 			return 2
 		}
 		for _, qf := range fs.Args() {
 			res, err := compileFile(policies, qf)
 			if err != nil {
-				log.Print(err)
-				return 1
+				return fail(stderr, err)
 			}
 			targets = append(targets, vetTarget{qf, res.Program})
 		}
@@ -209,8 +215,7 @@ func runVet(args []string) int {
 	// library's names and binding shapes without any key material.
 	reg, err := udf.NewRegistry(seccrypto.NewKeyStore("vet"), nil)
 	if err != nil {
-		log.Print(err)
-		return 1
+		return fail(stderr, err)
 	}
 	a := &analysis.Analyzer{UDFs: reg}
 
@@ -218,12 +223,15 @@ func runVet(args []string) int {
 	for _, t := range targets {
 		rep, err := a.Analyze(t.prog)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "%s: %v\n", t.name, err)
+			fmt.Fprintf(stderr, "%s: %v\n", t.name, err)
 			exit = 1
 			continue
 		}
-		if analysis.WriteFindings(os.Stdout, t.name, rep.Findings) > 0 {
+		if n := analysis.WriteFindings(stdout, t.name, rep.Findings); n > 0 {
+			fmt.Fprintf(stdout, "vet: %s: %d error finding(s)\n", t.name, n)
 			exit = 1
+		} else {
+			fmt.Fprintf(stdout, "vet: %s: ok\n", t.name)
 		}
 	}
 	return exit

@@ -1,10 +1,9 @@
 package main
 
 import (
-	"flag"
 	"fmt"
+	"io"
 	"net/http"
-	"os"
 	"sort"
 	"sync"
 	"text/tabwriter"
@@ -23,21 +22,23 @@ import (
 // from the cluster config's debug_addr entries (-config) or are listed
 // explicitly. -once prints a single table and exits (nonzero if any node
 // failed to answer), the default refreshes every -interval.
-func runTop(args []string) int {
-	fs := flag.NewFlagSet("sbx top", flag.ExitOnError)
+func runTop(args []string, stdout, stderr io.Writer) int {
+	fs := newFlagSet("sbx top", stderr)
 	once := fs.Bool("once", false, "print one table and exit (nonzero when any node fails to answer)")
 	interval := fs.Duration("interval", 2*time.Second, "refresh interval")
 	configPath := fs.String("config", "", "cluster config (JSON); scrapes its nodes' debug_addr entries")
 	timeout := fs.Duration("timeout", 3*time.Second, "per-node scrape timeout")
-	fs.Parse(args)
+	if fs.Parse(args) != nil {
+		return 2
+	}
 
 	addrs, err := collectorAddrs(*configPath, "", fs.Args())
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "sbx top: %v\n", err)
+		fmt.Fprintf(stderr, "sbx top: %v\n", err)
 		return 1
 	}
 	if len(addrs) == 0 {
-		fmt.Fprintln(os.Stderr, "usage: sbx top [-once] [-interval 2s] [-config cluster.json | addr...]")
+		fmt.Fprintln(stderr, "usage: sbx top [-once] [-interval 2s] [-config cluster.json | addr...]")
 		return 2
 	}
 
@@ -45,7 +46,7 @@ func runTop(args []string) int {
 	var prev map[string]obs.NodeScrape
 	for {
 		scrapes := scrapeAll(client, addrs)
-		failed := renderTop(os.Stdout, scrapes, prev)
+		failed := renderTop(stdout, scrapes, prev)
 		if *once {
 			if failed > 0 {
 				return 1
@@ -106,7 +107,7 @@ func scrapeAll(client *http.Client, addrs []string) []obs.NodeScrape {
 // renderTop prints the per-node table, returning how many nodes failed to
 // answer. prev (the previous refresh, nil on the first) turns counter
 // deltas into rates.
-func renderTop(w *os.File, scrapes []obs.NodeScrape, prev map[string]obs.NodeScrape) int {
+func renderTop(w io.Writer, scrapes []obs.NodeScrape, prev map[string]obs.NodeScrape) int {
 	rows := append([]obs.NodeScrape(nil), scrapes...)
 	sort.SliceStable(rows, func(i, j int) bool {
 		pi, pj := rows[i].Principal, rows[j].Principal

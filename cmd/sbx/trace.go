@@ -1,10 +1,9 @@
 package main
 
 import (
-	"flag"
 	"fmt"
+	"io"
 	"net/http"
-	"os"
 	"strconv"
 	"strings"
 	"time"
@@ -17,15 +16,17 @@ import (
 // from `sbxnode -spandump` artifacts (-dump) — and render one derivation
 // wave's causal tree with per-stage latencies. With -list (or no trace ID)
 // it prints a summary of every trace seen instead, deepest waves first.
-func runTrace(args []string) int {
-	fs := flag.NewFlagSet("sbx trace", flag.ExitOnError)
+func runTrace(args []string, stdout, stderr io.Writer) int {
+	fs := newFlagSet("sbx trace", stderr)
 	configPath := fs.String("config", "", "cluster config (JSON); fetches spans from its nodes' debug_addr entries")
 	addrsFlag := fs.String("addrs", "", "comma-separated debug addresses to fetch /debug/spans from")
 	var dumps policyList
 	fs.Var(&dumps, "dump", "span dump file written by sbxnode -spandump (repeatable)")
 	list := fs.Bool("list", false, "list every trace in the merged spans instead of rendering one")
 	timeout := fs.Duration("timeout", 3*time.Second, "per-node fetch timeout")
-	fs.Parse(args)
+	if fs.Parse(args) != nil {
+		return 2
+	}
 
 	var explicit []string
 	for _, a := range strings.Split(*addrsFlag, ",") {
@@ -35,11 +36,11 @@ func runTrace(args []string) int {
 	}
 	addrs, err := collectorAddrs(*configPath, "", explicit)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "sbx trace: %v\n", err)
+		fmt.Fprintf(stderr, "sbx trace: %v\n", err)
 		return 1
 	}
 	if len(addrs) == 0 && len(dumps) == 0 {
-		fmt.Fprintln(os.Stderr, "usage: sbx trace [-config cluster.json | -addrs a,b | -dump file...] [-list | <trace-id>]")
+		fmt.Fprintln(stderr, "usage: sbx trace [-config cluster.json | -addrs a,b | -dump file...] [-list | <trace-id>]")
 		return 2
 	}
 
@@ -48,7 +49,7 @@ func runTrace(args []string) int {
 	if !*list && fs.NArg() > 0 {
 		id, err = strconv.ParseUint(fs.Arg(0), 10, 64)
 		if err != nil || id == 0 {
-			fmt.Fprintf(os.Stderr, "sbx trace: bad trace id %q\n", fs.Arg(0))
+			fmt.Fprintf(stderr, "sbx trace: bad trace id %q\n", fs.Arg(0))
 			return 2
 		}
 	}
@@ -58,7 +59,7 @@ func runTrace(args []string) int {
 	for _, addr := range addrs {
 		spans, err := obs.FetchSpans(client, addr, id)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "sbx trace: %s: %v\n", addr, err)
+			fmt.Fprintf(stderr, "sbx trace: %s: %v\n", addr, err)
 			return 1
 		}
 		all = append(all, spans...)
@@ -66,7 +67,7 @@ func runTrace(args []string) int {
 	for _, path := range dumps {
 		spans, err := obs.ReadSpanDump(path)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "sbx trace: %v\n", err)
+			fmt.Fprintf(stderr, "sbx trace: %v\n", err)
 			return 1
 		}
 		all = append(all, spans...)
@@ -75,12 +76,12 @@ func runTrace(args []string) int {
 	if *list || id == 0 {
 		sums := obs.SummarizeTraces(all)
 		if len(sums) == 0 {
-			fmt.Fprintln(os.Stderr, "sbx trace: no spans found")
+			fmt.Fprintln(stderr, "sbx trace: no spans found")
 			return 1
 		}
-		fmt.Println("TRACE\tSPANS\tNODES\tDEPTH\tSTART")
+		fmt.Fprintln(stdout, "TRACE\tSPANS\tNODES\tDEPTH\tSTART")
 		for _, s := range sums {
-			fmt.Printf("%d\t%d\t%d\t%d\t%s\n", s.Trace, s.Spans, s.Nodes, s.Depth,
+			fmt.Fprintf(stdout, "%d\t%d\t%d\t%d\t%s\n", s.Trace, s.Spans, s.Nodes, s.Depth,
 				s.Start.Format("15:04:05.000"))
 		}
 		return 0
@@ -88,11 +89,11 @@ func runTrace(args []string) int {
 
 	root := obs.BuildWave(id, all)
 	if root == nil {
-		fmt.Fprintf(os.Stderr, "sbx trace: no spans for trace %d\n", id)
+		fmt.Fprintf(stderr, "sbx trace: no spans for trace %d\n", id)
 		return 1
 	}
-	fmt.Printf("trace %d: %d spans across %d node(s), depth %d\n",
+	fmt.Fprintf(stdout, "trace %d: %d spans across %d node(s), depth %d\n",
 		id, root.SpanCount(), len(root.Participants()), root.Depth())
-	obs.WriteWaveASCII(os.Stdout, root)
+	obs.WriteWaveASCII(stdout, root)
 	return 0
 }

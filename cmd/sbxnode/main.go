@@ -44,6 +44,7 @@ import (
 	"syscall"
 	"time"
 
+	"secureblox/internal/apps"
 	"secureblox/internal/cluster"
 	"secureblox/internal/core"
 	"secureblox/internal/dist"
@@ -113,15 +114,19 @@ func run(args []string, stdout, stderr *os.File) int {
 		fmt.Fprintf(stderr, "sbxnode: %v\n", err)
 		return 1
 	}
+	// The workload is resolved before any mode runs: an unknown name is
+	// rejected before a key is written or a socket bound.
+	w, pol, err := configWorkload(cfg)
 	switch {
+	case err != nil:
 	case o.vet:
-		err = vetWorkload(cfg, stdout)
+		err = vetWorkload(w, pol, stdout)
 	case o.genKeys:
 		err = generateKeys(cfg, stdout)
 	case o.allInOne:
-		err = runAllInOne(cfg, o, stdout)
+		err = runAllInOne(cfg, w, pol, o, stdout)
 	case o.node != "":
-		err = runNode(cfg, o, stdout)
+		err = runNode(cfg, w, pol, o, stdout)
 	default:
 		err = fmt.Errorf("one of -node, -allinone, -genkeys or -vet is required")
 	}
@@ -198,7 +203,7 @@ func signalContext(timeout time.Duration) (context.Context, context.CancelFunc) 
 
 // runNode is the multi-process path: bind, join, assemble, barrier, run to
 // fixpoint, report, leave.
-func runNode(cfg *cluster.Config, o options, stdout *os.File) (retErr error) {
+func runNode(cfg *cluster.Config, w *apps.Workload, pol core.PolicyConfig, o options, stdout *os.File) (retErr error) {
 	ctx, cancel := signalContext(o.timeout)
 	defer cancel()
 
@@ -261,11 +266,7 @@ func runNode(cfg *cluster.Config, o options, stdout *os.File) (retErr error) {
 
 	// The same core.NodeAssembly path core.NewCluster runs N times, run once
 	// over the Membership the join handshake established.
-	pol, query, err := workloadProgram(cfg)
-	if err != nil {
-		return err
-	}
-	res, err := core.CompileProgram(pol, query, nil)
+	res, err := w.Compile(pol)
 	if err != nil {
 		return err
 	}
@@ -330,11 +331,7 @@ func runNode(cfg *cluster.Config, o options, stdout *os.File) (retErr error) {
 	node.Backlog = rt.EarlyTraffic()
 	node.Start()
 	rt.MarkRunning()
-	facts, err := workloadFacts(cfg, mem, rt.Index())
-	if err != nil {
-		return err
-	}
-	if len(facts) > 0 {
+	if facts := w.Facts(cfg.Workload, mem, rt.Index()); len(facts) > 0 {
 		node.Assert(facts)
 	}
 	// Under on_failure "abort" a dead peer surfaces as the typed error and
@@ -377,11 +374,7 @@ func runNode(cfg *cluster.Config, o options, stdout *os.File) (retErr error) {
 		return err
 	}
 
-	lines, err := workloadResults(cfg, mem, rt.Index(), node.WS)
-	if err != nil {
-		return err
-	}
-	writeLines(stdout, lines)
+	writeLines(stdout, w.Lines(mem, rt.Index(), node.WS))
 	return nil
 }
 
@@ -389,7 +382,7 @@ func runNode(cfg *cluster.Config, o options, stdout *os.File) (retErr error) {
 // simulated network — the in-process reference a multi-process run's
 // results are compared against. The cluster is core.NewCluster's, with the
 // members' identities taken from the config.
-func runAllInOne(cfg *cluster.Config, o options, stdout *os.File) error {
+func runAllInOne(cfg *cluster.Config, w *apps.Workload, pol core.PolicyConfig, o options, stdout *os.File) error {
 	ctx, cancel := signalContext(o.timeout)
 	defer cancel()
 
@@ -407,11 +400,7 @@ func runAllInOne(cfg *cluster.Config, o options, stdout *os.File) error {
 		}
 	}
 
-	pol, query, err := workloadProgram(cfg)
-	if err != nil {
-		return err
-	}
-	c, err := core.NewClusterFromConfig(cfg, core.ClusterConfig{Policy: pol, Query: query, Seed: cfg.Workload.Seed})
+	c, err := core.NewClusterFromConfig(cfg, w.ClusterConfig(0, pol, cfg.Workload.Seed, nil))
 	if err != nil {
 		return err
 	}
@@ -438,11 +427,7 @@ func runAllInOne(cfg *cluster.Config, o options, stdout *os.File) error {
 		if muted[p] {
 			continue
 		}
-		facts, err := workloadFacts(cfg, c.Directory, i)
-		if err != nil {
-			return err
-		}
-		if len(facts) > 0 {
+		if facts := w.Facts(cfg.Workload, c.Directory, i); len(facts) > 0 {
 			c.AssertAt(i, facts)
 		}
 	}
@@ -460,11 +445,7 @@ func runAllInOne(cfg *cluster.Config, o options, stdout *os.File) error {
 		if muted[p] {
 			continue
 		}
-		lines, err := workloadResults(cfg, c.Directory, i, c.Nodes[i].WS)
-		if err != nil {
-			return err
-		}
-		all = append(all, lines...)
+		all = append(all, w.Lines(c.Directory, i, c.Nodes[i].WS)...)
 	}
 	writeLines(stdout, all)
 	return nil

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -85,13 +86,8 @@ func sortedLines(chunks ...string) string {
 			}
 		}
 	}
-	s := append([]string(nil), all...)
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
-	return strings.Join(s, "\n")
+	sort.Strings(all)
+	return strings.Join(all, "\n")
 }
 
 // TestMultiProcessMatchesAllInOne drives three full node runtimes — each
@@ -192,6 +188,11 @@ func TestDeadPeerYieldsTypedError(t *testing.T) {
 func TestCLIErrors(t *testing.T) {
 	dir := t.TempDir()
 	cfgPath := writeTestConfig(t, dir, "NoAuth", "pathvector", 7431)
+	// Which workloads exist is apps.Workloads' to say, not the config
+	// parser's: a typo, and a row without a multi-process driver, are turned
+	// away here, in every mode, before a socket is bound.
+	typoPath := writeTestConfig(t, t.TempDir(), "NoAuth", "pathvektor", 7431)
+	anonPath := writeTestConfig(t, t.TempDir(), "NoAuth", "anonjoin", 7431)
 	cases := []struct {
 		name string
 		args []string
@@ -202,6 +203,10 @@ func TestCLIErrors(t *testing.T) {
 		{"no mode", []string{"-config", cfgPath}, "one of -node, -allinone, -genkeys or -vet"},
 		{"unknown principal", []string{"-config", cfgPath, "-node", "px"}, `no node named "px"`},
 		{"genkeys without rsa", []string{"-config", cfgPath, "-genkeys"}, "uses no RSA keys"},
+		{"workload typo", []string{"-config", typoPath, "-node", "p0"}, `unknown workload "pathvektor" (want pathvector, hashjoin, anonjoin)`},
+		{"workload typo allinone", []string{"-config", typoPath, "-allinone"}, `unknown workload "pathvektor"`},
+		{"workload typo vet", []string{"-config", typoPath, "-vet"}, `unknown workload "pathvektor"`},
+		{"workload without driver", []string{"-config", anonPath, "-node", "p0"}, "anonjoin has no multi-process driver"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -153,21 +153,21 @@ const circuitHandle = "c1"
 // newAnonJoin builds the cluster over net and instantiates the circuit,
 // returning it unstarted with the two inputs: the publicdata table its last
 // node (the owner) is to assert and the interests its first (the initiator).
-func newAnonJoin(cfg AnonJoinConfig, net transport.Network) (c *core.Cluster, pub, ints []engine.Fact, err error) {
-	if cfg.Relays < 1 {
+func newAnonJoin(cfg AnonJoinConfig, p core.PolicyConfig, net transport.Network) (c *core.Cluster, pub, ints []engine.Fact, err error) {
+	switch {
+	case cfg.Relays < 1:
+		err = fmt.Errorf("anonjoin: need at least one relay")
+	case cfg.Overlap > cfg.Interests || cfg.Overlap > cfg.PublicRows:
+		// Each overlapping interest is one row of each table.
+		err = fmt.Errorf("anonjoin: overlap %d exceeds the tables (%d interests, %d public rows)", cfg.Overlap, cfg.Interests, cfg.PublicRows)
+	}
+	if err != nil {
 		net.Close()
-		return nil, nil, nil, fmt.Errorf("anonjoin: need at least one relay")
+		return nil, nil, nil, err
 	}
 	n := cfg.Relays + 2
 	endpoint := n - 1
-	c, err = core.NewCluster(core.ClusterConfig{
-		N:             n,
-		Policy:        core.PolicyConfig{Auth: core.AuthNone, Delegation: core.DelegateNone},
-		Query:         AnonJoinQuery,
-		ExtraPolicies: []string{AnonPolicy},
-		Seed:          cfg.Seed,
-		Net:           net,
-	})
+	c, err = core.NewCluster(anonJoinProgram.ClusterConfig(n, p, cfg.Seed, net))
 	if err != nil {
 		return nil, nil, nil, err
 	}
@@ -251,11 +251,17 @@ func newAnonJoin(cfg AnonJoinConfig, net transport.Network) (c *core.Cluster, pu
 // RunAnonJoin builds the circuit, runs the anonymous join to fixpoint, and
 // reports results. The caller must Stop() the result's Cluster.
 func RunAnonJoin(cfg AnonJoinConfig) (*AnonJoinResult, error) {
+	return runAnonJoin(cfg, core.PolicyConfig{})
+}
+
+// runAnonJoin is RunAnonJoin with the scheme the rest of the program is
+// compiled under; the circuit's own traffic is unsigned under all of them.
+func runAnonJoin(cfg AnonJoinConfig, p core.PolicyConfig) (*AnonJoinResult, error) {
 	net, err := core.NewNetwork(cfg.Transport)
 	if err != nil {
 		return nil, err
 	}
-	c, pub, ints, err := newAnonJoin(cfg, net)
+	c, pub, ints, err := newAnonJoin(cfg, p, net)
 	if err != nil {
 		return nil, err
 	}

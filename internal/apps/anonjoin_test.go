@@ -34,6 +34,22 @@ func TestAnonJoinCorrectness(t *testing.T) {
 	}
 }
 
+// A config whose overlap exceeds either table asks for matches that cannot
+// exist (Expected would exceed the rows there are), and a circuit needs a
+// relay: all three are refused before a cluster is built.
+func TestAnonJoinRejectsImpossibleConfigs(t *testing.T) {
+	for _, cfg := range []AnonJoinConfig{
+		{Relays: 1, Interests: 2, PublicRows: 10, Overlap: 4},
+		{Relays: 1, Interests: 8, PublicRows: 3, Overlap: 4},
+		{Relays: 0, Interests: 8, PublicRows: 10, Overlap: 4},
+	} {
+		if res, err := RunAnonJoin(cfg); err == nil {
+			res.Cluster.Stop()
+			t.Errorf("%+v: accepted, reported %d/%d", cfg, res.Results, res.Expected)
+		}
+	}
+}
+
 func TestAnonJoinMultiRelay(t *testing.T) {
 	res, err := RunAnonJoin(AnonJoinConfig{Relays: 3, Interests: 6, PublicRows: 30, Overlap: 4, Seed: 32})
 	if err != nil {

@@ -46,7 +46,7 @@ var coalesceApps = []coalesceApp{
 		return c, parts, err
 	}},
 	{"anonjoin", func(net transport.Network) (*core.Cluster, [][]engine.Fact, error) {
-		c, pub, ints, err := newAnonJoin(AnonJoinConfig{Relays: 1, Interests: 24, PublicRows: 40, Overlap: 16, Seed: 3}, net)
+		c, pub, ints, err := newAnonJoin(AnonJoinConfig{Relays: 1, Interests: 24, PublicRows: 40, Overlap: 16, Seed: 3}, core.PolicyConfig{}, net)
 		if err != nil {
 			return nil, nil, err
 		}

@@ -104,9 +104,9 @@ type HashJoinResult struct {
 // principal names in order), the initial table partitions (tuples assigned
 // to nodes by their first attribute, the pre-rehash placement), and the
 // expected |A ⋈ B| for validation. It is shared by the in-process driver
-// and cmd/sbxnode, whose separate OS processes must agree on the global
-// input without exchanging it — any change to the scenario changes every
-// deployment mode at once.
+// and the table row sbxnode reads, whose separate OS processes must agree
+// on the global input without exchanging it — any change to the scenario
+// changes every deployment mode at once.
 func HashJoinInput(cfg HashJoinConfig, principals []string) (common []engine.Fact, parts [][]engine.Fact, expected int) {
 	// Tables: join attribute drawn uniformly from JoinValues distinct
 	// values (randomized per trial, §8.2).
@@ -155,18 +155,12 @@ func HashJoinInput(cfg HashJoinConfig, principals []string) (common []engine.Fac
 // every node and returns it unstarted, with the table partition each node is
 // to assert once it runs and the expected result size.
 func newHashJoin(cfg HashJoinConfig, net transport.Network) (c *core.Cluster, parts [][]engine.Fact, expected int, err error) {
-	if cfg.N < 1 {
+	if cfg.N < 1 || cfg.SizeA < 0 || cfg.SizeB < 0 || cfg.JoinValues < 1 {
 		net.Close()
-		return nil, nil, 0, fmt.Errorf("hashjoin: need at least one node")
+		return nil, nil, 0, fmt.Errorf("hashjoin: need at least one node and one join value and non-negative table sizes, got N=%d %d×%d over %d values",
+			cfg.N, cfg.SizeA, cfg.SizeB, cfg.JoinValues)
 	}
-	cfg.Policy.Delegation = core.DelegateNone
-	c, err = core.NewCluster(core.ClusterConfig{
-		N:      cfg.N,
-		Policy: cfg.Policy,
-		Query:  HashJoinQuery,
-		Seed:   cfg.Seed,
-		Net:    net,
-	})
+	c, err = core.NewCluster(hashJoinProgram.ClusterConfig(cfg.N, cfg.Policy, cfg.Seed, net))
 	if err != nil {
 		return nil, nil, 0, err
 	}

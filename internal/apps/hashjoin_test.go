@@ -60,6 +60,32 @@ func TestHashJoinSingleNodeDegenerate(t *testing.T) {
 	}
 }
 
+// Zero join values used to divide by zero in HashJoinInput after the
+// cluster was built, and negative sizes to panic in make: both are errors
+// now, returned before a cluster exists.
+func TestHashJoinRejectsImpossibleConfigs(t *testing.T) {
+	for _, cfg := range []HashJoinConfig{
+		{N: 3, SizeA: 10, SizeB: 10},
+		{N: 3, SizeA: -1, SizeB: 10, JoinValues: 4},
+		{N: 3, SizeA: 10, SizeB: -1, JoinValues: 4},
+		{N: 0, SizeA: 10, SizeB: 10, JoinValues: 4},
+	} {
+		if res, err := RunHashJoin(cfg); err == nil {
+			res.Cluster.Stop()
+			t.Errorf("%+v: accepted", cfg)
+		}
+	}
+	// Empty tables are a legal, empty join.
+	res, err := RunHashJoin(HashJoinConfig{N: 2, JoinValues: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer res.Cluster.Stop()
+	if res.ResultCount != 0 || res.ExpectedCount != 0 {
+		t.Errorf("empty join: %d of %d", res.ResultCount, res.ExpectedCount)
+	}
+}
+
 func TestHashJoinParallelismReducesPerNodeTraffic(t *testing.T) {
 	// Figure 12's shape: more nodes → less per-node traffic.
 	kb := map[int]float64{}

@@ -86,8 +86,8 @@ type PathVectorResult struct {
 // PathVectorLinkFacts builds node i's slice of the initial link
 // distribution: its adjacency in g, expressed over the nodes' real
 // transport addresses so the scenario is transport-agnostic. Shared by
-// the in-process driver and cmd/sbxnode, whose separate OS processes
-// derive the same graph from the workload seed.
+// the in-process driver and the table row sbxnode reads, whose separate OS
+// processes derive the same graph from the workload seed.
 func PathVectorLinkFacts(g *graph.Graph, addrs []string, i int) []engine.Fact {
 	var facts []engine.Fact
 	me := datalog.NodeV(addrs[i])
@@ -105,18 +105,11 @@ func PathVectorLinkFacts(g *graph.Graph, addrs []string, i int) []engine.Fact {
 // Cluster (kept open so tests can inspect node state).
 func RunPathVector(cfg PathVectorConfig) (*PathVectorResult, error) {
 	g := graph.RandomConnected(cfg.N, cfg.AvgDegree, cfg.Seed)
-	cfg.Policy.Delegation = core.DelegateNone // the query imports itself
 	net, err := core.NewNetwork(cfg.Transport)
 	if err != nil {
 		return nil, err
 	}
-	c, err := core.NewCluster(core.ClusterConfig{
-		N:      cfg.N,
-		Policy: cfg.Policy,
-		Query:  PathVectorQuery,
-		Seed:   cfg.Seed,
-		Net:    net,
-	})
+	c, err := core.NewCluster(pathVectorProgram.ClusterConfig(cfg.N, cfg.Policy, cfg.Seed, net))
 	if err != nil {
 		return nil, err
 	}

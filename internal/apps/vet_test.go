@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"secureblox/internal/analysis"
+	"secureblox/internal/cluster"
 	"secureblox/internal/core"
 	"secureblox/internal/seccrypto"
 	"secureblox/internal/udf"
@@ -30,51 +31,48 @@ func assertNoErrors(t *testing.T, a *analysis.Analyzer, name string, rep *analys
 	}
 }
 
+// schemes are the eight names cluster.ParsePolicyName accepts.
+var schemes = []string{"NoAuth", "HMAC", "RSA", "RSA-batch", "NoAuth-AES", "HMAC-AES", "RSA-AES", "RSA-batch-AES"}
+
 // Every shipped rule set must pass the analyzer as raw source: the lints
 // may warn (network-stratified cycles, first-writer-wins guards) but must
 // report no error-class finding.
 func TestShippedQueriesPassVet(t *testing.T) {
 	a := vetAnalyzer(t)
-	for name, src := range map[string]string{
-		"pathvector": PathVectorQuery,
-		"hashjoin":   HashJoinQuery,
-		"anonjoin":   AnonJoinQuery,
-	} {
-		rep, err := a.AnalyzeSource(src)
+	for _, w := range Workloads {
+		rep, err := a.AnalyzeSource(w.Query)
 		if err != nil {
-			t.Fatalf("%s: %v", name, err)
+			t.Fatalf("%s: %v", w.Name, err)
 		}
-		assertNoErrors(t, a, name, rep)
+		assertNoErrors(t, a, w.Name, rep)
 	}
 }
 
 // The compiled programs — query plus generated policy rules — must pass
-// too, under every policy family a deployment can select.
+// too, every row of the table under every scheme a deployment can select.
 func TestCompiledProgramsPassVet(t *testing.T) {
 	a := vetAnalyzer(t)
-	cases := []struct {
-		name  string
-		query string
-		pol   core.PolicyConfig
-		extra []string
-	}{
-		{"pathvector-noauth", PathVectorQuery, core.PolicyConfig{Delegation: core.DelegateNone}, nil},
-		{"pathvector-rsa-aes", PathVectorQuery, core.PolicyConfig{Auth: core.AuthRSA, Encrypt: true, Delegation: core.DelegateNone}, nil},
-		{"pathvector-hmac", PathVectorQuery, core.PolicyConfig{Auth: core.AuthHMAC, Delegation: core.DelegateNone}, nil},
-		{"hashjoin-noauth", HashJoinQuery, core.PolicyConfig{Delegation: core.DelegateNone}, nil},
-		{"hashjoin-rsa-batch", HashJoinQuery, core.PolicyConfig{Auth: core.AuthRSA, BatchSign: true, Delegation: core.DelegateNone}, nil},
-		{"anonjoin", AnonJoinQuery, core.PolicyConfig{Delegation: core.DelegateNone}, []string{AnonPolicy}},
-	}
-	for _, tc := range cases {
-		res, err := core.CompileProgram(tc.pol, tc.query, tc.extra)
-		if err != nil {
-			t.Fatalf("%s: compile: %v", tc.name, err)
+	for _, w := range Workloads {
+		for _, scheme := range schemes {
+			name := w.Name + "/" + scheme
+			spec, err := cluster.ParsePolicyName(scheme)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pol, err := core.PolicyFromSpec(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := w.Compile(pol)
+			if err != nil {
+				t.Fatalf("%s: compile: %v", name, err)
+			}
+			rep, err := a.Analyze(res.Program)
+			if err != nil {
+				t.Fatalf("%s: analyze: %v", name, err)
+			}
+			assertNoErrors(t, a, name, rep)
 		}
-		rep, err := a.Analyze(res.Program)
-		if err != nil {
-			t.Fatalf("%s: analyze: %v", tc.name, err)
-		}
-		assertNoErrors(t, a, tc.name, rep)
 	}
 }
 

@@ -61,7 +61,6 @@ func TestConfigValidationErrors(t *testing.T) {
 		{"policy typo", func(c *Config) { c.Policy = "RSAA" }, `unknown policy "RSAA"`},
 		{"policy case typo", func(c *Config) { c.Policy = "rsa" }, `unknown policy "rsa"`},
 		{"batch without rsa", func(c *Config) { c.Policy = "HMAC-batch" }, "-batch requires the RSA scheme"},
-		{"workload typo", func(c *Config) { c.Workload.Name = "pathvektor" }, `unknown workload "pathvektor"`},
 		{"missing workload", func(c *Config) { c.Workload.Name = "" }, "missing workload name"},
 		{"no nodes", func(c *Config) { c.Nodes = nil }, "no nodes declared"},
 		{"duplicate principals", func(c *Config) { c.Nodes[2].Principal = "p0" }, `duplicate principal "p0"`},

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -299,41 +298,4 @@ func (c *CDF) Quantile(q float64) time.Duration {
 type CDFPoint struct {
 	At       time.Duration
 	Fraction float64
-}
-
-// Series is one labelled line of a figure: x values (e.g. node counts)
-// mapped to measurements.
-type Series struct {
-	Label string
-	X     []float64
-	Y     []float64
-}
-
-// Table formats one or more series that share X values as the rows the
-// paper's figures plot, e.g.:
-//
-//	nodes  NoAuth  HMAC  RSA
-//	6      0.8     1.0   1.9
-func Table(xName string, series ...Series) string {
-	var sb strings.Builder
-	sb.WriteString(xName)
-	for _, s := range series {
-		sb.WriteString("\t" + s.Label)
-	}
-	sb.WriteByte('\n')
-	if len(series) == 0 {
-		return sb.String()
-	}
-	for i := range series[0].X {
-		fmt.Fprintf(&sb, "%g", series[0].X[i])
-		for _, s := range series {
-			if i < len(s.Y) {
-				fmt.Fprintf(&sb, "\t%.3f", s.Y[i])
-			} else {
-				sb.WriteString("\t-")
-			}
-		}
-		sb.WriteByte('\n')
-	}
-	return sb.String()
 }

@@ -199,19 +199,6 @@ func TestEngineTotalsAreTheRegistryCounters(t *testing.T) {
 	}
 }
 
-func TestTableFormatting(t *testing.T) {
-	out := Table("nodes",
-		Series{Label: "NoAuth", X: []float64{6, 12}, Y: []float64{1.5, 3.25}},
-		Series{Label: "RSA", X: []float64{6, 12}, Y: []float64{2.5, 7}},
-	)
-	if !strings.Contains(out, "nodes\tNoAuth\tRSA") {
-		t.Errorf("header wrong:\n%s", out)
-	}
-	if !strings.Contains(out, "6\t1.500\t2.500") || !strings.Contains(out, "12\t3.250\t7.000") {
-		t.Errorf("rows wrong:\n%s", out)
-	}
-}
-
 func TestEngineStatsArithmeticAndAccumulation(t *testing.T) {
 	a := EngineStats{IndexProbes: 10, LeadingScans: 4, FullScanFallbacks: 1, FixpointRounds: 3}
 	b := EngineStats{IndexProbes: 7, LeadingScans: 4, FixpointRounds: 2}

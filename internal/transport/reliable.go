@@ -47,31 +47,12 @@ func init() {
 // ReliabilityStats is one endpoint's view of the reliable layer's work:
 // how much redundancy (retransmits), redundancy's cost at the receiver
 // (dup drops), corruption (CRC rejects) and abandonment (losses) the
-// substrate exhibited. The UDP smokes print these on failure — a stall is
-// diagnosed very differently when retransmits are exploding than when the
-// link is silent.
+// substrate exhibited.
 type ReliabilityStats struct {
 	Retransmits int64 // data frames re-sent
 	DupDrops    int64 // redelivered frames suppressed
 	CRCRejects  int64 // garbage/corrupted datagrams dropped
 	Losses      int64 // frames abandoned after MaxAttempts
-}
-
-// String renders the counters compactly for failure output and logs.
-func (s ReliabilityStats) String() string {
-	return fmt.Sprintf("retransmits=%d dup-drops=%d crc-rejects=%d losses=%d",
-		s.Retransmits, s.DupDrops, s.CRCRejects, s.Losses)
-}
-
-// ReliabilityTotals returns the process-wide reliability counters summed
-// over every endpoint, current and closed.
-func ReliabilityTotals() ReliabilityStats {
-	return ReliabilityStats{
-		Retransmits: cRetransmits.Value(),
-		DupDrops:    cDupDrops.Value(),
-		CRCRejects:  cCRCRejects.Value(),
-		Losses:      cLosses.Value(),
-	}
 }
 
 // Reliable-layer frame types. Distinctive bytes keep random garbage from
