@@ -253,8 +253,8 @@ func (s stubUDF) CanEval(bound []bool) bool {
 }
 
 // Eval implements engine.UDF by failing: stubs exist for planning only.
-func (s stubUDF) Eval(string, []datalog.Value, []bool) ([][]datalog.Value, error) {
-	return nil, fmt.Errorf("analysis: stub UDF %s cannot be evaluated", s.name)
+func (s stubUDF) Eval(string, []datalog.Value, []bool) (bool, error) {
+	return false, fmt.Errorf("analysis: stub UDF %s cannot be evaluated", s.name)
 }
 
 // StubUDFs builds a registry of planning-only UDF stubs for the given

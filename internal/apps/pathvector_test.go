@@ -155,6 +155,16 @@ func TestNoFullScanFallbacksInProtocolRuleSets(t *testing.T) {
 					if err := checkDeltaPlans(p); err != nil {
 						t.Errorf("%s/%s: %s: %v", rs.name, pol.Name(), p.Src, err)
 					}
+					// However often a generated rule writes self[], it reads it once.
+					selfSteps := 0
+					for _, s := range p.Steps {
+						if s.Kind == engine.StepMatch && s.Pred == "self" {
+							selfSteps++
+						}
+					}
+					if selfSteps > 1 {
+						t.Errorf("%s/%s: %s: %d self steps, want at most 1", rs.name, pol.Name(), p.Src, selfSteps)
+					}
 				}
 			}
 		}

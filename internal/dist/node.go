@@ -514,7 +514,7 @@ func (n *Node) commitMerged(facts []engine.Fact, ends []int, enter func(part int
 		if res, err := n.WS.Assert(facts); err == nil {
 			n.Metrics.RecordTxn(time.Since(start))
 			n.fixpointSpan(start, len(ends))
-			n.ship(res.Inserted["export"])
+			n.ship(res.Inserted("export"))
 			return true
 		}
 	}
@@ -541,7 +541,7 @@ func (n *Node) commit(facts []engine.Fact) {
 	}
 	n.Metrics.RecordTxn(time.Since(start))
 	n.fixpointSpan(start, 1)
-	n.ship(res.Inserted["export"])
+	n.ship(res.Inserted("export"))
 }
 
 // fixpointSpan records the fixpoint stage (the workspace transaction just

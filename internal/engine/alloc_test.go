@@ -36,19 +36,22 @@ func TestDuplicateDerivationAllocatesNothing(t *testing.T) {
 	if w.Count("tri") == 0 {
 		t.Fatal("fixture derives nothing: the test would prove nothing")
 	}
-	r := w.rules[0]
-	delta := map[string][]datalog.Tuple{"e": w.Tuples("e")}
-	next := map[string][]datalog.Tuple{}
+	// The whole of e as this round's delta.
+	r, e := w.rules[0], w.rels["e"]
 	tx := w.begin()
+	for id := range e.rows {
+		e.ins = append(e.ins, uint32(id))
+	}
+	e.hi = len(e.ins)
 	before := w.Count("tri")
 	allocs := testing.AllocsPerRun(20, func() {
-		if err := w.evalRuleDeltas(tx, r, delta, next); err != nil {
+		if err := w.evalRuleDeltas(tx, r); err != nil {
 			t.Fatal(err)
 		}
 	})
-	if allocs != 0 || len(next) != 0 || w.Count("tri") != before {
-		t.Errorf("re-deriving %d existing tuples: %.1f allocations per evaluation, %d new predicates (want 0, 0)",
-			before, allocs, len(next))
+	if allocs != 0 || len(w.dirty) != 0 || w.Count("tri") != before {
+		t.Errorf("re-deriving %d existing tuples: %.1f allocations per evaluation, %d relations inserted into (want 0, 0)",
+			before, allocs, len(w.dirty))
 	}
 }
 
@@ -105,7 +108,7 @@ func TestRolledBackAssertsGiveTheirSpaceBack(t *testing.T) {
 			t.Fatal("the batch must violate the constraint")
 		}
 	}
-	reject(0) // warm up: undo log, delta maps and frames reach their working size
+	reject(0) // warm up: undo log, row lists and frames reach their working size
 	heap := func() uint64 {
 		runtime.GC()
 		var m runtime.MemStats
@@ -126,5 +129,122 @@ func TestRolledBackAssertsGiveTheirSpaceBack(t *testing.T) {
 	}
 	if w.Count("in") != 1 || w.Count("seen") != 1 || w.Count("echo") != 1 {
 		t.Errorf("rolled-back transactions left tuples behind: in=%d seen=%d echo=%d", w.Count("in"), w.Count("seen"), w.Count("echo"))
+	}
+}
+
+// chainWorkspace installs the shape of the generated export policy — a said
+// fact, its signature from a UDF, the export tuple joining both with a
+// singleton — behind one copying rule, and asserts warm facts in(0..warm).
+func chainWorkspace(t *testing.T, warm int64) *Workspace {
+	t.Helper()
+	reg := NewUDFRegistry()
+	if err := reg.Register(&FuncUDF{FName: "stamp", InArity: 1, OutArity: 1,
+		Fn: func(_ string, in []datalog.Value) (datalog.Value, bool, error) {
+			return datalog.Int64(in[0].Int ^ 0x5a5a), true, nil
+		}}); err != nil {
+		t.Fatal(err)
+	}
+	w := NewWorkspace(reg)
+	prog, err := datalog.Parse(`
+		says(X, Y) <- in(X, Y).
+		sig(X, Y, S) <- says(X, Y), stamp(X, S).
+		export(N, X, S) <- says(X, Y), sig(X, Y, S), here[]=N.
+		here[]=7.
+	`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Install(prog); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := w.Assert(inFacts(0, warm)); err != nil {
+		t.Fatal(err)
+	}
+	return w
+}
+
+func inFacts(from, to int64) []Fact {
+	facts := make([]Fact, 0, to-from)
+	for i := from; i < to; i++ {
+		facts = append(facts, Fact{Pred: "in", Tuple: tup(i, i%7)})
+	}
+	return facts
+}
+
+// TestReassertingKnownFactsAllocatesNothing: a transaction that changes
+// nothing — every fact a duplicate, as when a peer re-sends what it sent —
+// costs no allocation at all: no transaction record, no delta, no result.
+func TestReassertingKnownFactsAllocatesNothing(t *testing.T) {
+	w := chainWorkspace(t, 500)
+	known := inFacts(100, 300)
+	allocs := testing.AllocsPerRun(20, func() {
+		if res, err := w.Assert(known); err != nil || len(res.Inserted("export")) != 0 {
+			t.Fatalf("re-asserting known facts: %v, %v", res.Inserted("export"), err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("re-asserting %d known facts: %.1f allocations, want 0", len(known), allocs)
+	}
+}
+
+// TestNewFactsAllocateTheirTuples: k new facts through the three-rule chain
+// make 4k tuples, and what is allocated for them is their storage — tuple
+// blocks, row slabs, index tables and row lists, all grown geometrically — not
+// something per tuple: under 0.02 allocations a tuple at k = 100 and at
+// k = 1 000 alike (measured 0 and 0.002; with deltas as a map of tuple slices
+// and a UDF result slice per call the same program paid 0.9 and 0.8).
+func TestNewFactsAllocateTheirTuples(t *testing.T) {
+	const perTuple = 0.02
+	for _, k := range []int64{100, 1000} {
+		w := chainWorkspace(t, 4000)
+		next := int64(4000)
+		var batches [][]Fact // built outside the measurement: the caller's tuples are the caller's
+		for i := 0; i < 4; i++ {
+			batches = append(batches, inFacts(next, next+k))
+			next += k
+		}
+		run := 0
+		allocs := testing.AllocsPerRun(len(batches)-1, func() {
+			if _, err := w.Assert(batches[run]); err != nil {
+				t.Fatal(err)
+			}
+			run++
+		})
+		if got := w.Count("export"); got != int(next) {
+			t.Fatalf("k=%d: %d export tuples, want %d", k, got, next)
+		}
+		if per := allocs / float64(4*k); per > perTuple {
+			t.Errorf("k=%d: %.0f allocations for %d new tuples: %.3f each, want at most %.2f", k, allocs, 4*k, per, perTuple)
+		}
+	}
+}
+
+// TestFuncUDFAllocatesOnlyWhatItReturns: the adapter adds nothing to what the
+// wrapped function allocates — no argument copy, no result slice — whether the
+// output position is free or a filter.
+func TestFuncUDFAllocatesOnlyWhatItReturns(t *testing.T) {
+	u := &FuncUDF{FName: "tag", InArity: 1, OutArity: 1,
+		Fn: func(_ string, in []datalog.Value) (datalog.Value, bool, error) {
+			b := make([]byte, 24)
+			b[0] = byte(in[0].Int)
+			return datalog.OwnedBytes(b), true, nil
+		}}
+	args, bound := []datalog.Value{datalog.Int64(3), {}}, []bool{true, false}
+	if allocs := testing.AllocsPerRun(50, func() {
+		args[1] = datalog.Value{}
+		if ok, err := u.Eval("", args, bound); !ok || err != nil || len(args[1].Str) != 24 {
+			t.Fatalf("tag(3, _) = %v, %v, %v", args[1], ok, err)
+		}
+	}); allocs != 1 {
+		t.Errorf("a call returning one 24-byte value: %.1f allocations, want 1", allocs)
+	}
+	want := args[1]
+	bound[1] = true
+	if ok, _ := u.Eval("", args, bound); !ok || !args[1].Equal(want) {
+		t.Error("a bound output equal to the result must pass, and stay as it was")
+	}
+	args[1] = datalog.Int64(9)
+	if ok, _ := u.Eval("", args, bound); ok || !args[1].Equal(datalog.Int64(9)) {
+		t.Error("a bound output different from the result must fail, and stay as it was")
 	}
 }

@@ -161,21 +161,36 @@ func (c *Catalog) DeclareFromConstraint(con *datalog.Constraint) (*Schema, error
 	return c.schemas[s.Name], nil
 }
 
+// argKind is a declared argument type resolved against the catalog: the value
+// kind it demands (KindInvalid: none that can be checked without relation
+// membership) and, for an entity type, the type's name.
+type argKind struct {
+	kind datalog.Kind
+	ent  string
+}
+
+// argKind resolves a type-predicate name as the catalog stands now.
+func (c *Catalog) argKind(typeName string) argKind {
+	if k, ok := builtinKinds[typeName]; ok {
+		return argKind{kind: k}
+	}
+	if typeName == "principal" {
+		return argKind{kind: datalog.KindPrin}
+	}
+	if s := c.schemas[typeName]; s != nil && s.IsEntity {
+		return argKind{kind: datalog.KindEntity, ent: typeName}
+	}
+	return argKind{} // undeclared, or membership-checked at constraint time
+}
+
+// admits reports false only on a definite mismatch.
+func (k argKind) admits(v datalog.Value) bool {
+	return k.kind == datalog.KindInvalid || v.Kind == k.kind && (k.kind != datalog.KindEntity || v.Str == k.ent)
+}
+
 // CheckKind verifies a value against a declared type-predicate name, for the
 // kinds that can be checked without relation membership. It returns false
 // only on a definite mismatch.
 func (c *Catalog) CheckKind(typeName string, v datalog.Value) bool {
-	if typeName == "" {
-		return true
-	}
-	if k, ok := builtinKinds[typeName]; ok {
-		return v.Kind == k
-	}
-	if typeName == "principal" {
-		return v.Kind == datalog.KindPrin
-	}
-	if s := c.schemas[typeName]; s != nil && s.IsEntity {
-		return v.Kind == datalog.KindEntity && v.Str == typeName
-	}
-	return true // membership-checked at constraint time
+	return c.argKind(typeName).admits(v)
 }

@@ -56,6 +56,7 @@ type step struct {
 type headEx struct {
 	name    string
 	entType string
+	rel     *Relation // entType's relation
 	slot    int
 }
 
@@ -113,6 +114,12 @@ type compiler struct {
 	w      *Workspace
 	freshN int
 	extra  []datalog.Literal
+	// apps maps the functional applications normalized so far, by their text
+	// over normalized keys, to the variable each was given. A rule or
+	// constraint that writes self[] three times means one value — the
+	// functional dependency says so — and gets one variable, one atom, one
+	// probe per binding and one delta plan for it.
+	apps map[string]datalog.Var
 }
 
 func (c *compiler) fresh() string {
@@ -137,7 +144,17 @@ func (c *compiler) normalizeTerm(t datalog.Term, inHead bool) (datalog.Term, err
 			}
 			args = append(args, na)
 		}
+		key := datalog.FuncApp{Pred: tt.Pred, Param: tt.Param, Args: args}.String()
+		if v, ok := c.apps[key]; ok {
+			return v, nil
+		}
 		v := datalog.Var{Name: c.fresh()}
+		if !slices.Contains(args, datalog.Term(datalog.Wildcard{})) { // p[_] twice may be two values
+			if c.apps == nil {
+				c.apps = make(map[string]datalog.Var)
+			}
+			c.apps[key] = v
+		}
 		atom := &datalog.Atom{
 			Pred:     tt.Pred,
 			Param:    tt.Param,
@@ -501,10 +518,12 @@ func (w *Workspace) finalizeSteps(steps []step, sa *slotAlloc) {
 
 // finalizeDeltaPlans compiles delta-first plans against the slot numbering
 // their static plan already fixed. The leading step only unifies delta
-// tuples, so it gets compiled arguments and no access path.
+// tuples, so it gets compiled arguments, the relation whose row lists it
+// ranges over, and no access path.
 func (w *Workspace) finalizeDeltaPlans(plans [][]step, sa *slotAlloc) {
 	for _, plan := range plans {
 		plan[0].args = sa.compileAtom(plan[0].atom)
+		plan[0].rel = w.ensureRelation(plan[0].pred)
 		w.finalizeSteps(plan[1:], sa)
 	}
 }
@@ -618,7 +637,7 @@ func (w *Workspace) finalizeRule(cr *CompiledRule) error {
 		if entType == "" {
 			return fmt.Errorf("rule %s: head variable %s is unbound and has no entity type", r, v)
 		}
-		cr.exVars = append(cr.exVars, headEx{name: v, entType: entType, slot: sa.slot(v)})
+		cr.exVars = append(cr.exVars, headEx{name: v, entType: entType, rel: w.ensureRelation(entType), slot: sa.slot(v)})
 	}
 	sort.Slice(cr.exVars, func(i, j int) bool { return cr.exVars[i].name < cr.exVars[j].name })
 

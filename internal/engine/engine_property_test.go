@@ -342,7 +342,13 @@ func newDiffRun(t *testing.T, src string, ws ...*Workspace) *diffRun {
 }
 
 func (d *diffRun) assert(batch []Fact) {
-	_, err := d.ws[0].Assert(batch)
+	alloc := snapshotAllocation(d.ws[0])
+	res, err := d.ws[0].Assert(batch)
+	if err == nil {
+		if err := alloc.checkInserted(res); err != nil {
+			d.t.Fatalf("assert %v: %v", batch, err)
+		}
+	}
 	for _, w := range d.ws[1:] {
 		if _, errW := w.Assert(batch); (err == nil) != (errW == nil) {
 			d.t.Fatalf("assert %v: one workspace accepted, the other rolled back: %v / %v", batch, err, errW)
@@ -359,6 +365,47 @@ func (d *diffRun) assert(batch []Fact) {
 	if err := d.ws[0].checkAllConstraints(); err != nil {
 		d.t.Fatalf("assert %v committed a violation the delta check missed: %v", batch, err)
 	}
+}
+
+// allocation is the oracle for TxnResult.Inserted over transactions that only
+// insert: where each relation's row store stood before one — the ids it will
+// hand out next, in order. A tuple's row is allocated at the moment it is
+// inserted, so the rows a transaction took, in allocation order, are the
+// per-predicate lists the evaluator used to keep as a map of tuple slices.
+type allocation struct {
+	w    *Workspace
+	free map[string][]uint32
+	rows map[string]int
+}
+
+func snapshotAllocation(w *Workspace) allocation {
+	a := allocation{w: w, free: map[string][]uint32{}, rows: map[string]int{}}
+	for name, rel := range w.rels {
+		a.free[name], a.rows[name] = slices.Clone(rel.free), len(rel.rows)
+	}
+	return a
+}
+
+// checkInserted verifies res, the result of the one insert-only transaction
+// committed since the snapshot, predicate by predicate, order included.
+func (a allocation) checkInserted(res *TxnResult) error {
+	for _, name := range a.w.Predicates() {
+		rel, free, next := a.w.rels[name], a.free[name], a.rows[name]
+		var want []datalog.Tuple
+		for taken := len(free) - len(rel.free) + len(rel.rows) - next; taken > 0; taken-- {
+			id := uint32(next)
+			if k := len(free); k > 0 {
+				id, free = free[k-1], free[:k-1]
+			} else {
+				next++
+			}
+			want = append(want, rel.rows[id])
+		}
+		if got := res.Inserted(name); !slices.EqualFunc(got, want, datalog.Tuple.Equal) {
+			return fmt.Errorf("Inserted(%s) = %v, the rows the transaction took hold %v", name, got, want)
+		}
+	}
+	return nil
 }
 
 func (d *diffRun) run(rng *rand.Rand, nFacts int, check func(phase string) bool) bool {
@@ -470,18 +517,17 @@ func naiveSaturate(t *testing.T, src string, base map[string]Fact) *Workspace {
 	}
 	tx := w.begin()
 	for _, f := range base {
-		if _, err := w.insertTxn(tx, f.Pred, f.Tuple, true); err != nil {
+		if err := w.insertBase(tx, w.ensureRelation(f.Pred), f.Tuple); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for grew := true; grew; {
-		next := map[string][]datalog.Tuple{}
 		for _, r := range w.rules {
-			if err := w.evalRuleInto(tx, r, next); err != nil {
+			if err := w.evalRuleInto(tx, r); err != nil {
 				t.Fatal(err)
 			}
 		}
-		grew = len(next) > 0
+		grew = w.nextRound() // did the pass insert anything
 	}
 	return w
 }

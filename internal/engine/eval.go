@@ -33,16 +33,19 @@ func compare(op string, l, r datalog.Value) (bool, error) {
 }
 
 // runDelta evaluates a delta-first plan: its leading step ranges over the
-// given delta tuples (one outer loop, counted as a leading scan), every
-// later step over stored relations. The work is proportional to the delta
-// and what it joins with, never to the relation the delta belongs to.
-func (w *Workspace) runDelta(plan []step, delta []datalog.Tuple, f *frame, emit func(*frame) error) error {
+// given rows of rel — a round's delta, or a transaction's whole list — in one
+// outer loop, counted as a leading scan, every later step over stored
+// relations. The work is proportional to the delta and what it joins with,
+// never to the relation the delta belongs to. A row the transaction deleted
+// again after listing it still holds its tuple (rowNew), and is ranged over
+// like the rest.
+func (w *Workspace) runDelta(plan []step, rel *Relation, rows []uint32, f *frame, emit func(*frame) error) error {
 	w.stats.LeadingScans++
-	w.stats.TuplesScanned += int64(len(delta))
+	w.stats.TuplesScanned += int64(len(rows))
 	args := plan[0].args
-	for _, t := range delta {
+	for _, id := range rows {
 		m := f.mark()
-		if unifyArgs(args, t, f) {
+		if unifyArgs(args, rel.rows[id], f) {
 			if err := w.runSteps(plan, 1, f, emit); err != nil {
 				f.undo(m)
 				return err
@@ -172,43 +175,30 @@ func (w *Workspace) runSteps(steps []step, i int, f *frame, emit func(*frame) er
 		for j := range s.args {
 			args[j], mask[j] = ctermValue(&s.args[j], f)
 		}
-		outs, err := s.udf.Eval(s.param, args, mask)
+		ok, err := s.udf.Eval(s.param, args, mask)
 		if err != nil {
 			return fmt.Errorf("%s: %w", s.atom, err)
 		}
-		for _, full := range outs {
-			m := f.mark()
-			match := true
-			for j := range s.args {
-				a := &s.args[j]
-				switch a.kind {
-				case ctWild:
-				case ctConst:
-					if !a.val.Equal(full[j]) {
-						match = false
-					}
-				case ctVar:
-					if v, ok := f.get(a.slot); ok {
-						if !v.Equal(full[j]) {
-							match = false
-						}
-					} else {
-						f.bind(a.slot, full[j])
-					}
-				}
-				if !match {
-					break
-				}
-			}
-			if match {
-				if err := w.runSteps(steps, i+1, f, emit); err != nil {
-					f.undo(m)
-					return err
-				}
-			}
-			f.undo(m)
+		if !ok {
+			return nil
 		}
-		return nil
+		// Eval has filtered on the positions that arrived bound; the others
+		// now hold the completion, which binds their variables — or, where one
+		// variable stands at two of them, must agree with itself.
+		m := f.mark()
+		for j := range s.args {
+			if a := &s.args[j]; !mask[j] && a.kind == ctVar {
+				if v, bound := f.get(a.slot); !bound {
+					f.bind(a.slot, args[j])
+				} else if !v.Equal(args[j]) {
+					f.undo(m)
+					return nil
+				}
+			}
+		}
+		err = w.runSteps(steps, i+1, f, emit)
+		f.undo(m)
+		return err
 
 	case stepKindCheck:
 		v, err := evalCterm(s.cchecked, f)

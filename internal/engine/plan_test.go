@@ -21,7 +21,7 @@ func checkDeltaPlan(static, plan []step, slotNames []string) error {
 	if lead.kind != stepMatch {
 		return fmt.Errorf("step 0 is not a match (%s)", describeStep(*lead))
 	}
-	if lead.probeIdx != nil || lead.rel != nil || len(lead.boundCols) != 0 {
+	if lead.probeIdx != nil || len(lead.boundCols) != 0 {
 		return fmt.Errorf("delta atom %s carries a stored-relation access path", lead.atom)
 	}
 	want := map[string]int{}
@@ -142,6 +142,72 @@ func TestDeltaPlanShape(t *testing.T) {
 	}
 }
 
+// TestDeltaPlanShapeSharesFunctionalApplications: a rule or constraint that
+// writes the same functional application several times — the generated export
+// policy says self[] three times — gets one atom for it, so one step per plan
+// and one delta plan, not three of each. The rules below are that policy's
+// export, import and authentication shapes.
+func TestDeltaPlanShapeSharesFunctionalApplications(t *testing.T) {
+	w := NewWorkspace(nil)
+	prog, err := datalog.Parse(`
+		export(N, L, P) <- says(self[], U, P), sig(self[], U, P, S),
+			principal_node[U]=N, principal_node[self[]]=L.
+		says(U, self[], P), sig(U, self[], P, S) <- export(N, L, P), inbox(P, S),
+			principal_node[self[]]=N, principal_node[U]=L.
+		says(U, self[], P) -> trusted(self[], U), principal_node[self[]]=N, !banned(self[], N).
+		other(X, Y) <- pair[_]=X, pair[_]=Y.
+	`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Install(prog); err != nil {
+		t.Fatal(err)
+	}
+	if err := checkInstalledDeltaPlans(w); err != nil {
+		t.Fatal(err)
+	}
+	count := func(steps []step, pred string) (n int) {
+		for i := range steps {
+			if steps[i].kind == stepMatch && steps[i].pred == pred {
+				n++
+			}
+		}
+		return n
+	}
+	// says, sig, self, principal_node ×2 / export, inbox, self, principal_node ×2.
+	for i, r := range w.rules[:2] {
+		if len(r.deltaPlans) != 5 {
+			t.Errorf("rule %d: %d delta plans, want 5:\n%s", i, len(r.deltaPlans), r)
+		}
+		for k, plan := range append([][]step{r.steps}, r.deltaPlans...) {
+			if n, m := count(plan, "self"), count(plan, "principal_node"); n != 1 || m != 2 {
+				t.Errorf("rule %d, plan %d: %d self steps and %d principal_node steps, want 1 and 2", i, k, n, m)
+			}
+		}
+	}
+	// The constraint's right-hand side reads the variable its left-hand side
+	// bound: no second self atom there either.
+	c := w.constraints[0]
+	if n, m := count(c.lhsSteps, "self"), count(c.rhsSteps, "self"); n != 1 || m != 0 || len(c.lhsDeltaPlans) != 2 {
+		t.Errorf("constraint: %d self steps left, %d right, %d delta plans, want 1, 0 and 2", n, m, len(c.lhsDeltaPlans))
+	}
+	// A wildcard key names no one value: two pair[_] stay two atoms.
+	if r := w.rules[2]; count(r.steps, "pair") != 2 {
+		t.Errorf("pair[_] written twice compiled to %d atoms, want 2", count(r.steps, "pair"))
+	}
+
+	// Shared or not, the answers are the same.
+	assertFacts(t, w, `self[]=#me. principal_node[#me]=@"a:1". principal_node[#you]=@"b:2".
+		trusted(#me, #you). says(#me, #you, 7). sig(#me, #you, 7, 1).`)
+	if got := fmt.Sprint(w.Tuples("export")); got != "[(@b:2, @a:1, 7)]" {
+		t.Errorf("export = %s", got)
+	}
+	assertFacts(t, w, `inbox(8, 2). trusted(#me, #him). principal_node[#him]=@"c:3". export(@"a:1", @"c:3", 8).`)
+	if !w.Contains("sig", datalog.Tuple{datalog.Prin("him"), datalog.Prin("me"), datalog.Int64(8), datalog.Int64(2)}) {
+		t.Errorf("import rule derived sig = %v", w.Tuples("sig"))
+	}
+}
+
 // TestScanWorkTracksDeltaNotRelation: tuples scanned per tuple inserted by a
 // single-edge Assert must not grow with the stored relations. The closure
 // rule's static order leads with link, so an evaluator that kept that order
@@ -179,8 +245,8 @@ func TestScanWorkTracksDeltaNotRelation(t *testing.T) {
 				t.Fatalf("%d full-scan fallbacks", d.FullScanFallbacks)
 			}
 			scanned += d.TuplesScanned
-			for _, tuples := range res.Inserted {
-				inserted += int64(len(tuples))
+			for _, pred := range w.Predicates() {
+				inserted += int64(len(res.Inserted(pred)))
 			}
 		}
 		if inserted == 0 || scanned == 0 {

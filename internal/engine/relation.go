@@ -107,8 +107,13 @@ func (x *hashIndex) unlink(id uint32) {
 
 // Row flags, one byte per row id in Relation.flags.
 const (
-	rowLive uint8 = 1 << iota // the id holds a tuple (it is not on the free list)
+	rowLive uint8 = 1 << iota // the tuple is in the relation
 	rowBase                   // the tuple was asserted as an EDB fact
+	// rowNew: the workspace's current transaction inserted the row, which is
+	// therefore on ins. Deleting it does not free the id: the row keeps its
+	// tuple, dead, until the transaction's list is dropped, so that an id on
+	// ins names one tuple for as long as the list is read.
+	rowNew
 )
 
 // Relation stores the extent of one predicate as a row store: tuples live in
@@ -123,13 +128,13 @@ const (
 // callback may insert into the relation it is iterating — recursive rules do —
 // and the new row may or may not be visited; it must not delete from it.
 //
-// Concurrency contract: the read paths (Contains, Lookup, LookupFn, Probe,
+// Concurrency contract: the read paths (Contains, LookupFn, Probe,
 // ProbeExists, Each, Len, Tuples) are safe for any number of concurrent
 // readers provided no goroutine writes (Insert, Delete, Reset, EnsureIndex).
 // EnsureIndex is additionally restricted to compile time.
 type Relation struct {
 	schema *Schema
-	rows   []datalog.Tuple // row id → tuple (nil once deleted)
+	rows   []datalog.Tuple // row id → tuple (nil while the id is free)
 	flags  []uint8         // row id → rowLive | rowBase
 	free   []uint32        // deleted row ids awaiting reuse
 	n      int
@@ -138,6 +143,16 @@ type Relation struct {
 	idx     []*hashIndex
 	fn      *hashIndex
 	primary hashIndex
+
+	// What the owning workspace keeps per relation (workspace.go): ins lists the
+	// rows its current transaction inserted, in order; ins[lo:hi] is the delta
+	// of the fixpoint round being evaluated and ins[hi:] what that round has
+	// derived. kinds are the argument checks of the declared schema, rules and
+	// aggs the installed rules with a delta plan led by this relation, by id.
+	ins         []uint32
+	lo, hi      int
+	kinds       []argKind
+	rules, aggs []*CompiledRule
 }
 
 // NewRelation returns an empty relation for the given schema. Slab and hash
@@ -184,28 +199,15 @@ func (r *Relation) rowOf(vals []datalog.Value) int {
 // Contains reports whether the tuple is present (one hash, no allocation).
 func (r *Relation) Contains(t datalog.Tuple) bool { return r.rowOf(t) >= 0 }
 
-// lookup returns the tuple x holds under vals, if any.
-func (r *Relation) lookup(x *hashIndex, vals []datalog.Value) (datalog.Tuple, bool) {
-	if id := r.find(x, datalog.HashValues(vals), vals); id != 0 {
-		return r.rows[id-1], true
-	}
-	return nil, false
-}
-
-// Lookup returns the stored tuple equal to the given value sequence. Handing
-// out the stored tuple, not the probe values, keeps a caller's buffer on its
-// stack.
-func (r *Relation) Lookup(vals []datalog.Value) (datalog.Tuple, bool) {
-	return r.lookup(&r.primary, vals)
-}
-
 // LookupFn returns the tuple stored under the given functional key values,
 // if any.
 func (r *Relation) LookupFn(keys []datalog.Value) (datalog.Tuple, bool) {
-	if r.fn == nil {
-		return nil, false
+	if r.fn != nil {
+		if id := r.find(r.fn, datalog.HashValues(keys), keys); id != 0 {
+			return r.rows[id-1], true
+		}
 	}
-	return r.lookup(r.fn, keys)
+	return nil, false
 }
 
 // EnsureIndex registers (or returns) the secondary index over the given
@@ -275,17 +277,27 @@ func (r *Relation) Insert(t datalog.Tuple, isBase bool) InsertResult {
 		}
 		return InsertedDup
 	}
+	flags := rowLive
+	if isBase {
+		flags |= rowBase
+	}
+	if _, ok := r.add(t, h, flags); !ok {
+		return InsertedFDConflict
+	}
+	return InsertedNew
+}
+
+// add stores t, which hashes to h and which the caller's probe of the primary
+// index found absent, and returns its row id — or false, with nothing stored,
+// when another tuple holds t's functional key.
+func (r *Relation) add(t datalog.Tuple, h uint64, flags uint8) (uint32, bool) {
 	var kh uint64
 	if r.fn != nil {
 		ka := r.schema.KeyArity
 		kh = t.HashPrefix(ka)
 		if r.find(r.fn, kh, t[:ka]) != 0 {
-			return InsertedFDConflict
+			return 0, false
 		}
-	}
-	flags := rowLive
-	if isBase {
-		flags |= rowBase
 	}
 	var id uint32
 	if k := len(r.free); k > 0 {
@@ -305,24 +317,34 @@ func (r *Relation) Insert(t datalog.Tuple, isBase bool) InsertResult {
 	for _, x := range rest {
 		x.link(id, t.HashCols(x.cols), r.n)
 	}
-	return InsertedNew
+	return id, true
 }
 
-// Delete removes a tuple if present, returning whether it was removed. The
-// row leaves every index and its id goes on the free list.
+// Delete removes a tuple if present, returning whether it was removed.
 func (r *Relation) Delete(t datalog.Tuple) bool {
 	row := r.rowOf(t)
-	if row < 0 {
-		return false
+	if row >= 0 {
+		r.remove(uint32(row))
 	}
-	id := uint32(row)
+	return row >= 0
+}
+
+// remove takes live row id out of the relation: it leaves every index.
+func (r *Relation) remove(id uint32) {
 	for _, x := range r.idx {
 		x.unlink(id)
 	}
-	r.rows[id], r.flags[id] = nil, 0
-	r.free = append(r.free, id)
 	r.n--
-	return true
+	r.clear(id, rowLive|rowBase)
+}
+
+// clear takes flags off row id. A row left with none — out of the relation and
+// on no transaction's list (rowNew) — gives up its tuple, and its id is free.
+func (r *Relation) clear(id uint32, flags uint8) {
+	if r.flags[id] &^= flags; r.flags[id] == 0 {
+		r.rows[id] = nil
+		r.free = append(r.free, id)
+	}
 }
 
 // Reset empties the relation, keeping its indexes registered and the storage
@@ -336,19 +358,13 @@ func (r *Relation) Reset() {
 	}
 }
 
-// IsBase reports whether the tuple was asserted as an EDB fact.
-func (r *Relation) IsBase(t datalog.Tuple) bool {
-	id := r.rowOf(t)
-	return id >= 0 && r.flags[id]&rowBase != 0
-}
-
-// Derived returns the stored tuple equal to vals if it is present and not an
-// EDB fact — what a retraction may over-delete — in one lookup.
-func (r *Relation) Derived(vals []datalog.Value) (datalog.Tuple, bool) {
+// derived returns the row holding vals if it is present and not an EDB fact —
+// what a retraction may over-delete — in one lookup; -1 otherwise.
+func (r *Relation) derived(vals []datalog.Value) int {
 	if id := r.rowOf(vals); id >= 0 && r.flags[id]&rowBase == 0 {
-		return r.rows[id], true
+		return id
 	}
-	return nil, false
+	return -1
 }
 
 // Each calls fn for every tuple in row-id order; fn returning false stops.

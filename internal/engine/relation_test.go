@@ -35,7 +35,7 @@ func TestRelationInsertDeleteContains(t *testing.T) {
 	if !r.Contains(tup(1, 2)) || r.Contains(tup(2, 1)) {
 		t.Fatal("Contains wrong")
 	}
-	if !r.IsBase(tup(1, 2)) {
+	if r.derived(tup(1, 2)) >= 0 {
 		t.Fatal("base marker lost")
 	}
 	if !r.Delete(tup(1, 2)) || r.Delete(tup(1, 2)) {
@@ -50,17 +50,17 @@ func TestRelationLookup(t *testing.T) {
 	r := relOf(t, 3)
 	stored := tup(1, 2, 3)
 	r.Insert(stored, false)
-	got, ok := r.Lookup([]datalog.Value{datalog.Int64(1), datalog.Int64(2), datalog.Int64(3)})
-	if !ok || &got[0] != &stored[0] {
-		t.Fatal("Lookup must hand out the stored tuple")
+	id := r.rowOf([]datalog.Value{datalog.Int64(1), datalog.Int64(2), datalog.Int64(3)})
+	if id < 0 || &r.rows[id][0] != &stored[0] {
+		t.Fatal("the row found must hold the stored tuple")
 	}
-	if _, ok := r.Lookup([]datalog.Value{datalog.Int64(1), datalog.Int64(2), datalog.Int64(4)}); ok {
-		t.Fatal("Lookup false positive")
+	if r.rowOf([]datalog.Value{datalog.Int64(1), datalog.Int64(2), datalog.Int64(4)}) >= 0 {
+		t.Fatal("lookup false positive")
 	}
 	// A shorter value sequence may hash differently or equal — either way it
 	// must not match a longer stored tuple.
-	if _, ok := r.Lookup([]datalog.Value{datalog.Int64(1), datalog.Int64(2)}); ok {
-		t.Fatal("arity-mismatched Lookup")
+	if r.rowOf([]datalog.Value{datalog.Int64(1), datalog.Int64(2)}) >= 0 {
+		t.Fatal("arity-mismatched lookup")
 	}
 }
 
@@ -148,16 +148,21 @@ func TestFunctionalIndexHashed(t *testing.T) {
 // no chain reaches a freed row — so a deleted or rejected tuple has left no
 // trace anywhere.
 func checkStore(r *Relation) error {
-	live := 0
+	// A row is live, free, or dead on its transaction's list: deleted again by
+	// the transaction that inserted it, and holding its tuple until the list goes.
+	live, listed := 0, 0
 	for id := range r.rows {
-		if r.flags[id]&rowLive != 0 {
+		switch f := r.flags[id]; {
+		case f&rowLive != 0:
 			live++
-		} else if r.rows[id] != nil || r.flags[id] != 0 {
-			return fmt.Errorf("freed row %d still holds %v (flags %b)", id, r.rows[id], r.flags[id])
+		case f == rowNew && r.rows[id] != nil && slices.Contains(r.ins, uint32(id)):
+			listed++
+		case r.rows[id] != nil || f != 0:
+			return fmt.Errorf("freed row %d still holds %v (flags %b)", id, r.rows[id], f)
 		}
 	}
-	if live != r.n || live+len(r.free) != len(r.rows) {
-		return fmt.Errorf("%d live rows, Len %d, %d free of %d ids", live, r.n, len(r.free), len(r.rows))
+	if live != r.n || live+listed+len(r.free) != len(r.rows) {
+		return fmt.Errorf("%d live rows, Len %d, %d dead on the list, %d free of %d ids", live, r.n, listed, len(r.free), len(r.rows))
 	}
 	for xi, x := range r.idx {
 		seen, linked := make([]bool, len(r.rows)), 0
@@ -433,15 +438,15 @@ func TestRelationMatchesModel(t *testing.T) {
 					tp = m.rows[rng.Intn(len(m.rows))]
 				}
 				i := m.find(tp)
-				stored, ok := r.Lookup(tp)
-				if ok != (i >= 0) || r.Contains(tp) != ok || (ok && !stored.Equal(tp)) {
-					fail("Lookup(%v) = %v %v, model index %d", tp, stored, ok, i)
+				row := r.rowOf(tp)
+				if (row >= 0) != (i >= 0) || r.Contains(tp) != (i >= 0) || (row >= 0 && !r.rows[row].Equal(tp)) {
+					fail("rowOf(%v) = %d, model index %d", tp, row, i)
 				}
-				if r.IsBase(tp) != (i >= 0 && m.base[i]) {
-					fail("IsBase(%v) = %v, model disagrees", tp, r.IsBase(tp))
+				if base := row >= 0 && r.flags[row]&rowBase != 0; base != (i >= 0 && m.base[i]) {
+					fail("%v base = %v, model disagrees", tp, base)
 				}
-				if _, derived := r.Derived(tp); derived != (i >= 0 && !m.base[i]) {
-					fail("Derived(%v) = %v, model disagrees", tp, derived)
+				if derived := r.derived(tp) >= 0; derived != (i >= 0 && !m.base[i]) {
+					fail("derived(%v) = %v, model disagrees", tp, derived)
 				}
 			default:
 				if keyArity < 0 {
@@ -509,7 +514,7 @@ func storeSnapshot(t *testing.T, w *Workspace) string {
 			t.Fatalf("%s: %v", pred, err)
 		}
 		for _, tp := range rel.Tuples() {
-			out = append(out, fmt.Sprintf("%s%v base=%v", pred, tp, rel.IsBase(tp)))
+			out = append(out, fmt.Sprintf("%s%v base=%v", pred, tp, rel.derived(tp) < 0))
 		}
 	}
 	sort.Strings(out)
@@ -617,6 +622,88 @@ func TestRollbackRestoresStore(t *testing.T) {
 	}
 	if got := storeSnapshot(t, w); got != want {
 		t.Fatalf("rejected retraction changed the store:\n--- before ---\n%s\n--- after ---\n%s", want, got)
+	}
+
+	// A rejected transaction that asserts an already-derived tuple as an EDB
+	// fact promotes the row in place; rollback must demote it again, or the
+	// retraction of its only support leaves it standing as a base fact.
+	if _, err := w.Assert([]Fact{{Pred: "link", Tuple: tup(30, 31)}}); err != nil {
+		t.Fatal(err)
+	}
+	want = storeSnapshot(t, w)
+	if _, err := w.Assert([]Fact{{Pred: "reach", Tuple: tup(30, 31)}, {Pred: "link", Tuple: tup(60, 30)}}); err == nil {
+		t.Fatal("transaction must be rejected")
+	}
+	if got := storeSnapshot(t, w); got != want {
+		t.Fatalf("rejected base assertion of a derived tuple changed the store:\n--- before ---\n%s\n--- after ---\n%s", want, got)
+	}
+	if err := w.Retract([]Fact{{Pred: "link", Tuple: tup(30, 31)}}); err != nil {
+		t.Fatal(err)
+	}
+	if w.Contains("reach", tup(30, 31)) {
+		t.Fatal("reach(30,31) outlived link(30,31): the rolled-back promotion to a base fact stuck")
+	}
+}
+
+// TestInsertedListsWhatTheTransactionInserted: the per-predicate view of a
+// committed transaction over aggregates that move — hops[20] twice in one
+// transaction, so the 5 it passed through is listed, dead, before the 6 — and
+// straight after a transaction that failed mid-fixpoint. The lists are the ones
+// the evaluator's map of tuple slices held at the parent of the change that
+// replaced it (printed there by the same program), order included.
+func TestInsertedListsWhatTheTransactionInserted(t *testing.T) {
+	w := NewWorkspace(nil)
+	prog, err := datalog.Parse(`
+		link(X, Y) -> int(X), int(Y).
+		reach(X, Y) <- link(X, Y).
+		reach(X, Z) <- link(X, Y), reach(Y, Z).
+		near[X] = M <- agg<<M = min(Y)>> reach(X, Y).
+		hops[X] = C <- agg<<C = count(Y)>> reach(X, Y).
+		owner[X] = Y <- reach(X, Y), Y > 100.
+	`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Install(prog); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := w.Assert([]Fact{{Pred: "link", Tuple: tup(20, 25)}, {Pred: "link", Tuple: tup(20, 50)}, {Pred: "link", Tuple: tup(50, 51)}}); err != nil {
+		t.Fatal(err)
+	}
+	// owner[24] gets two values in the second round: a rollback from inside
+	// the fixpoint, with rows listed and a round half evaluated.
+	if _, err := w.Assert([]Fact{{Pred: "link", Tuple: tup(25, 24)}, {Pred: "link", Tuple: tup(24, 101)}, {Pred: "link", Tuple: tup(24, 102)}}); err == nil {
+		t.Fatal("transaction must be rejected")
+	}
+	res, err := w.Assert([]Fact{{Pred: "link", Tuple: tup(25, 24)}, {Pred: "link", Tuple: tup(24, 23)}, {Pred: "link", Tuple: tup(51, 10)}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for pred, want := range map[string]string{
+		"hops":  "[(20, 5) (50, 2) (25, 2) (24, 1) (51, 1) (20, 6)]",
+		"link":  "[(25, 24) (24, 23) (51, 10)]",
+		"near":  "[(20, 23) (50, 10) (25, 23) (24, 23) (51, 10) (20, 10)]",
+		"owner": "[]",
+		"reach": "[(25, 24) (24, 23) (51, 10) (25, 23) (20, 24) (50, 10) (20, 23) (20, 10)]",
+	} {
+		if got := fmt.Sprint(res.Inserted(pred)); got != want {
+			t.Errorf("Inserted(%s) = %s, want %s", pred, got, want)
+		}
+	}
+	if v, _ := w.LookupFn("hops", datalog.Int64(20)); v.Int != 6 {
+		t.Errorf("hops[20] = %v, want 6", v)
+	}
+	for _, pred := range w.Predicates() {
+		if err := checkStore(w.rels[pred]); err != nil {
+			t.Errorf("%s: %v", pred, err)
+		}
+	}
+	// The next transaction takes the lists over: the dead rows go.
+	if _, err := w.Assert(nil); err != nil {
+		t.Fatal(err)
+	}
+	if rel := w.rels["hops"]; len(rel.ins) != 0 || rel.Len()+len(rel.free) != len(rel.rows) {
+		t.Errorf("hops keeps %d listed rows and %d ids for %d tuples and %d free ids", len(rel.ins), len(rel.rows), rel.Len(), len(rel.free))
 	}
 }
 

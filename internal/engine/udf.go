@@ -9,18 +9,33 @@ import (
 // UDF is a user-defined function hooked into rule and constraint execution,
 // the mechanism LogicBlox exposes for operators such as rsa_sign or
 // aesencrypt (paper §3.2). A UDF atom in a rule body is evaluated once its
-// required argument positions are bound; it then produces zero or more
-// completions of the full argument vector (zero completions means the atom
-// fails, which is how verification UDFs act as filters).
+// required argument positions are bound; it then completes the argument
+// vector, or fails — which is how verification UDFs act as filters. Every
+// operator the paper uses is a function: one completion at most.
 type UDF interface {
 	// Name is the predicate name the UDF is invoked by.
 	Name() string
 	// CanEval reports whether the bound-argument mask suffices to evaluate.
 	CanEval(bound []bool) bool
-	// Eval computes completions. param is the atom's parameterization (the
-	// T in rsa_sign[T](...)), used for domain separation. args holds the
-	// current values (zero Values at unbound positions).
-	Eval(param string, args []datalog.Value, bound []bool) ([][]datalog.Value, error)
+	// Eval completes args in place and reports whether there is a completion.
+	// param is the atom's parameterization (the T in rsa_sign[T](...)), used
+	// for domain separation. args holds the current values, zero Values at the
+	// unbound positions: Eval stores its results there and nowhere else, and
+	// where a position it computes arrived bound, the two must be equal for
+	// the completion to stand (Yield does both). args is the caller's scratch:
+	// Eval must not keep the slice, and allocates nothing for the caller's
+	// sake — only the bytes of the values it returns.
+	Eval(param string, args []datalog.Value, bound []bool) (bool, error)
+}
+
+// Yield gives position i of a UDF's argument vector the computed value v: an
+// unbound position takes it, a bound one is an equality filter.
+func Yield(args []datalog.Value, bound []bool, i int, v datalog.Value) bool {
+	if bound[i] {
+		return args[i].Equal(v)
+	}
+	args[i] = v
+	return true
 }
 
 // UDFRegistry maps predicate names to UDF implementations. A nil registry
@@ -52,12 +67,14 @@ func (r *UDFRegistry) Lookup(name string) (UDF, bool) {
 
 // FuncUDF adapts a plain Go function into a UDF with a fixed input/output
 // split: the first InArity arguments are inputs (variadic UDFs set
-// InArity=-1 and require all but the last OutArity bound), the rest outputs.
+// InArity=-1 and require all but the last OutArity bound), and OutArity — 0
+// for a filter, 1 for a function — says whether the value Fn returns is the
+// last argument.
 type FuncUDF struct {
 	FName    string
 	InArity  int // -1: everything except the trailing OutArity args is input
-	OutArity int
-	Fn       func(param string, in []datalog.Value) ([]datalog.Value, bool, error)
+	OutArity int // 0 or 1
+	Fn       func(param string, in []datalog.Value) (out datalog.Value, ok bool, err error)
 }
 
 // Name implements UDF.
@@ -88,29 +105,14 @@ func (f *FuncUDF) inCount(arity int) int {
 }
 
 // Eval implements UDF.
-func (f *FuncUDF) Eval(param string, args []datalog.Value, bound []bool) ([][]datalog.Value, error) {
+func (f *FuncUDF) Eval(param string, args []datalog.Value, bound []bool) (bool, error) {
 	n := f.inCount(len(args))
-	if n < 0 {
-		return nil, fmt.Errorf("udf %s: bad arity %d", f.FName, len(args))
+	if n < 0 || f.OutArity > 1 {
+		return false, fmt.Errorf("udf %s: bad arity %d", f.FName, len(args))
 	}
 	out, ok, err := f.Fn(param, args[:n])
 	if err != nil {
-		return nil, fmt.Errorf("udf %s: %w", f.FName, err)
+		return false, fmt.Errorf("udf %s: %w", f.FName, err)
 	}
-	if !ok {
-		return nil, nil
-	}
-	if len(out) != f.OutArity {
-		return nil, fmt.Errorf("udf %s: returned %d outputs, want %d", f.FName, len(out), f.OutArity)
-	}
-	full := make([]datalog.Value, len(args))
-	copy(full, args[:n])
-	copy(full[n:], out)
-	// Output positions that arrived bound act as equality filters.
-	for i := n; i < len(args); i++ {
-		if bound[i] && !args[i].Equal(full[i]) {
-			return nil, nil
-		}
-	}
-	return [][]datalog.Value{full}, nil
+	return ok && (f.OutArity == 0 || Yield(args, bound, n, out)), nil
 }

@@ -36,38 +36,66 @@ func (v *ConstraintViolation) Error() string {
 	return "constraint violation: " + v.Constraint + " (" + v.Detail + ")"
 }
 
-// undoDel is one undo-log entry: a tuple the transaction deleted. Insertions
-// need no entry of their own — txn.inserted already lists them per predicate
-// in order — so at, the number of tuples the transaction had inserted into the
-// relation when it deleted this one, is all rollback needs to unwind one
-// relation's inserts and deletes in exact reverse order.
-type undoDel struct {
-	pred    string
-	tuple   datalog.Tuple
-	at      int
-	wasBase bool
+// undoRec is one undo-log entry, a change to a row the transaction found in
+// place: its tuple deleted (and whether it was an EDB fact), or the derived row
+// promoted to an EDB fact by a duplicate base insert. Rows the transaction
+// inserted itself need none — their relation lists them (Relation.ins), and
+// rollback removes every one of them whatever else happened to it.
+type undoRec struct {
+	rel      *Relation
+	tuple    datalog.Tuple
+	promoted bool // else deleted
+	wasBase  bool
 }
 
 // txn tracks one transaction's effects for constraint checking and rollback.
 type txn struct {
-	inserted    map[string][]datalog.Tuple
-	dels        []undoDel
+	undo        []undoRec
 	skolemKeys  []string
 	counterSnap map[string]int64
 	mark        tupleBlocks // where the tuple blocks stood when the transaction began
 }
 
-// begin starts a transaction. A workspace runs one at a time, so the undo log
-// and the snapshot tables are the previous transaction's, emptied; only
-// inserted is new, because a committed TxnResult hands it to the caller.
+// begin starts a transaction. A workspace runs one at a time, so the undo log,
+// the snapshot tables and the relations' row lists are the previous
+// transaction's, emptied — which is where a committed TxnResult stops being
+// readable.
 func (w *Workspace) begin() *txn {
 	t := &w.txn
-	clear(t.dels) // drop the references to tuples the last transaction deleted
-	t.dels, t.skolemKeys = t.dels[:0], t.skolemKeys[:0]
+	clear(t.undo) // drop the references to tuples the last transaction deleted
+	t.undo, t.skolemKeys = t.undo[:0], t.skolemKeys[:0]
 	clear(t.counterSnap)
-	t.inserted = make(map[string][]datalog.Tuple)
+	w.dropLists()
 	t.mark = w.blocks
 	return t
+}
+
+// dropLists empties the row lists of the relations the last transaction
+// inserted into: its rows stop being new, and the ids of those it deleted
+// again become reusable.
+func (w *Workspace) dropLists() {
+	for _, rel := range w.dirty {
+		for i := len(rel.ins) - 1; i >= 0; i-- { // newest first, so ids come back in the order they went
+			rel.clear(rel.ins[i], rowNew)
+		}
+		rel.ins, rel.lo, rel.hi = rel.ins[:0], 0, 0
+	}
+	w.dirty, w.cur, w.nxt = w.dirty[:0], w.cur[:0], w.nxt[:0]
+}
+
+// nextRound makes what the last round derived — everything listed since the
+// previous call — the delta of the next, and reports whether there is any.
+// Between calls every relation outside cur has lo == hi <= len(ins), and is in
+// nxt exactly when hi < len(ins).
+func (w *Workspace) nextRound() bool {
+	for _, rel := range w.cur {
+		rel.lo = rel.hi
+	}
+	w.cur, w.nxt = w.nxt, w.cur[:0]
+	for _, rel := range w.cur {
+		rel.lo, rel.hi = rel.hi, len(rel.ins)
+	}
+	return len(w.cur) > 0
 }
 
 // tupleBlocks hands out the storage of derived tuples from chunked,
@@ -130,18 +158,20 @@ type Workspace struct {
 	skolems     map[string]datalog.Value
 	ruleN       int
 
-	rulesByBody map[string][]*CompiledRule
-	aggByBody   map[string][]*CompiledRule
 	rulesByHead map[string][]*CompiledRule
 
 	// roundRules/roundAggs are fixpoint's per-round rule lists, kept across
 	// rounds and transactions so a round allocates neither.
 	roundRules, roundAggs []*CompiledRule
-	// txn is the one transaction record (see begin), blocks the storage of
-	// derived tuples, freeDeltas the emptied delta maps awaiting reuse.
-	txn        txn
-	blocks     tupleBlocks
-	freeDeltas []map[string][]datalog.Tuple
+	// txn is the one transaction record (see begin), result what a committed
+	// one hands out, blocks the storage of derived tuples.
+	txn    txn
+	result TxnResult
+	blocks tupleBlocks
+	// The relations the transaction has inserted into (dirty), those with a
+	// delta in the fixpoint round being evaluated (cur) and those the round has
+	// derived into (nxt); the rows themselves are on each relation's ins.
+	dirty, cur, nxt []*Relation
 	// recomputeAgg's group table, reused by every recompute: the keys as a
 	// tuple set, the accumulators by its row ids, the keys' storage.
 	aggKeys    *Relation
@@ -194,32 +224,15 @@ func NewWorkspace(udfs *UDFRegistry) *Workspace {
 		udfs:        udfs,
 		entCounters: make(map[string]int64),
 		skolems:     make(map[string]datalog.Value),
-		rulesByBody: make(map[string][]*CompiledRule),
-		aggByBody:   make(map[string][]*CompiledRule),
 		rulesByHead: make(map[string][]*CompiledRule),
 		aggKeys:     NewTupleSet(),
 	}
+	w.result.w = w
 	w.txn.counterSnap = make(map[string]int64)
 	for name := range w.cat.schemas {
 		w.ensureRelation(name)
 	}
 	return w
-}
-
-// deltaMap returns an empty predicate → tuples map for one fixpoint round,
-// reusing the maps earlier rounds and transactions released.
-func (w *Workspace) deltaMap() map[string][]datalog.Tuple {
-	if k := len(w.freeDeltas); k > 0 {
-		m := w.freeDeltas[k-1]
-		w.freeDeltas = w.freeDeltas[:k-1]
-		return m
-	}
-	return make(map[string][]datalog.Tuple)
-}
-
-func (w *Workspace) releaseDelta(m map[string][]datalog.Tuple) {
-	clear(m)
-	w.freeDeltas = append(w.freeDeltas, m)
 }
 
 // Catalog exposes the workspace's predicate catalog.
@@ -238,8 +251,19 @@ func (w *Workspace) ensureRelation(name string) *Relation {
 		w.cat.schemas[name] = s
 	}
 	r := NewRelation(s)
+	w.resolveKinds(r)
 	w.rels[name] = r
 	return r
+}
+
+// resolveKinds compiles rel's declared argument types into the checks an
+// insert runs. Install repeats it for every relation once its declarations are
+// in, because a type name starts to be checked when it is declared an entity.
+func (w *Workspace) resolveKinds(rel *Relation) {
+	rel.kinds = rel.kinds[:0]
+	for _, at := range rel.schema.ArgTypes {
+		rel.kinds = append(rel.kinds, w.cat.argKind(at))
+	}
 }
 
 // Install compiles a program (declarations, rules, constraints, facts) into
@@ -272,6 +296,9 @@ func (w *Workspace) Install(prog *datalog.Program) (err error) {
 			}
 			w.ensureRelation(con.Lhs[0].Atom.ConcreteName())
 		}
+	}
+	for _, rel := range w.rels {
+		w.resolveKinds(rel)
 	}
 	var newRules []*CompiledRule
 	for _, r := range prog.Rules {
@@ -307,34 +334,30 @@ func (w *Workspace) Install(prog *datalog.Program) (err error) {
 	}
 
 	// Source facts.
-	delta := w.deltaMap()
 	for _, f := range prog.Facts {
 		fact, err := w.groundFact(f)
 		if err != nil {
 			return err
 		}
-		isNew, err := w.insertTxn(t, fact.Pred, fact.Tuple, true)
-		if err != nil {
+		if err := w.insertBase(t, w.rels[fact.Pred], fact.Tuple); err != nil {
 			return err
-		}
-		if isNew {
-			delta[fact.Pred] = append(delta[fact.Pred], fact.Tuple)
 		}
 	}
 
-	// Initial full evaluation of the new rules, then fixpoint.
+	// Initial full evaluation of the new rules, then fixpoint: what the facts
+	// and these evaluations inserted is its first delta.
 	for _, cr := range newRules {
 		var err error
 		if cr.agg != nil {
-			err = w.recomputeAgg(t, cr, delta)
+			err = w.recomputeAgg(t, cr)
 		} else {
-			err = w.evalRuleInto(t, cr, delta)
+			err = w.evalRuleInto(t, cr)
 		}
 		if err != nil {
 			return err
 		}
 	}
-	if err := w.fixpoint(t, delta); err != nil {
+	if err := w.fixpoint(t); err != nil {
 		return err
 	}
 	return w.checkAllConstraints()
@@ -357,29 +380,34 @@ func (w *Workspace) groundFact(a *datalog.Atom) (Fact, error) {
 	return Fact{Pred: name, Tuple: tup}, nil
 }
 
-// rebuildIndexes rebuilds the per-predicate rule lists. w.rules and
+// rebuildIndexes rebuilds the per-relation and per-head rule lists. w.rules and
 // w.aggRules are in ascending id order, so every list is too — fixpoint's
 // per-round merge relies on it.
 func (w *Workspace) rebuildIndexes() {
-	w.rulesByBody = make(map[string][]*CompiledRule)
-	w.aggByBody = make(map[string][]*CompiledRule)
+	for _, rel := range w.rels {
+		rel.rules, rel.aggs = nil, nil
+	}
 	w.rulesByHead = make(map[string][]*CompiledRule)
-	byBody := func(idx map[string][]*CompiledRule, r *CompiledRule) {
-		for _, plan := range r.deltaPlans {
-			p := plan[0].pred
-			if l := idx[p]; len(l) == 0 || l[len(l)-1] != r {
-				idx[p] = append(l, r)
-			}
+	// A rule with two delta plans led by one relation is listed there once:
+	// rules are listed one after another, so a repeat is the list's last entry.
+	listOnce := func(list []*CompiledRule, r *CompiledRule) []*CompiledRule {
+		if len(list) > 0 && list[len(list)-1] == r {
+			return list
 		}
+		return append(list, r)
 	}
 	for _, r := range w.rules {
-		byBody(w.rulesByBody, r)
+		for _, plan := range r.deltaPlans {
+			plan[0].rel.rules = listOnce(plan[0].rel.rules, r)
+		}
 		for _, h := range r.heads {
 			w.rulesByHead[h.ConcreteName()] = append(w.rulesByHead[h.ConcreteName()], r)
 		}
 	}
 	for _, r := range w.aggRules {
-		byBody(w.aggByBody, r)
+		for _, plan := range r.deltaPlans {
+			plan[0].rel.aggs = listOnce(plan[0].rel.aggs, r)
+		}
 	}
 }
 
@@ -448,74 +476,119 @@ func (w *Workspace) checkStratification() error {
 	return nil
 }
 
-// insertTxn inserts one tuple, enforcing kind-level type declarations and
-// functional dependencies. It lists a new tuple in t.inserted — the
-// transaction's result and its undo record at once — and returns whether the
-// tuple is new.
-func (w *Workspace) insertTxn(t *txn, pred string, tuple datalog.Tuple, base bool) (bool, error) {
-	rel := w.ensureRelation(pred)
+// checkTuple enforces rel's arity and kind-level type declarations on a tuple
+// about to be stored.
+func checkTuple(rel *Relation, vals []datalog.Value) error {
 	s := rel.schema
-	if s.Arity >= 0 && len(tuple) != s.Arity {
-		return false, fmt.Errorf("predicate %s: arity mismatch: got %d, want %d", pred, len(tuple), s.Arity)
+	if s.Arity >= 0 && len(vals) != s.Arity {
+		return fmt.Errorf("predicate %s: arity mismatch: got %d, want %d", s.Name, len(vals), s.Arity)
 	}
 	if s.Arity < 0 {
-		s.Arity = len(tuple)
-		s.ArgTypes = make([]string, len(tuple))
+		s.Arity = len(vals)
+		s.ArgTypes = make([]string, len(vals))
 	}
-	for i, at := range s.ArgTypes {
-		if !w.cat.CheckKind(at, tuple[i]) {
-			return false, &ConstraintViolation{
-				Constraint: fmt.Sprintf("%s argument %d must be %s", pred, i+1, at),
-				Detail:     fmt.Sprintf("got %s", tuple[i]),
+	for i, k := range rel.kinds {
+		if !k.admits(vals[i]) {
+			return &ConstraintViolation{
+				Constraint: fmt.Sprintf("%s argument %d must be %s", s.Name, i+1, s.ArgTypes[i]),
+				Detail:     fmt.Sprintf("got %s", vals[i]),
 			}
 		}
 	}
-	switch rel.Insert(tuple, base) {
-	case InsertedNew:
-		t.inserted[pred] = append(t.inserted[pred], tuple)
-		return true, nil
-	case InsertedDup:
-		return false, nil
-	default: // FD conflict
-		old, _ := rel.LookupFn(tuple[:s.KeyArity])
-		return false, &ConstraintViolation{
-			Constraint: fmt.Sprintf("functional dependency on %s", pred),
+	return nil
+}
+
+// store adds tuple — absent from rel, hashing to h, checked — and lists its row
+// as the transaction's, for the next fixpoint round, the constraint check, the
+// result and rollback alike.
+func (w *Workspace) store(rel *Relation, tuple datalog.Tuple, h uint64, flags uint8) error {
+	id, ok := rel.add(tuple, h, flags|rowLive|rowNew)
+	if !ok {
+		old, _ := rel.LookupFn(tuple[:rel.schema.KeyArity])
+		return &ConstraintViolation{
+			Constraint: fmt.Sprintf("functional dependency on %s", rel.schema.Name),
 			Detail:     fmt.Sprintf("key maps to both %s and %s", old, tuple),
 		}
 	}
+	if len(rel.ins) == 0 {
+		w.dirty = append(w.dirty, rel)
+	}
+	if len(rel.ins) == rel.hi {
+		w.nxt = append(w.nxt, rel)
+	}
+	rel.ins = append(rel.ins, id)
+	return nil
 }
 
-func (w *Workspace) deleteTxn(t *txn, pred string, tuple datalog.Tuple) {
-	rel := w.rels[pred]
-	if rel == nil {
+// insertBase inserts one EDB fact, keeping the caller's tuple. A fact the
+// relation already holds as a derived tuple is promoted in place, and the
+// promotion logged unless the row is the transaction's own.
+func (w *Workspace) insertBase(t *txn, rel *Relation, tuple datalog.Tuple) error {
+	h := tuple.Hash()
+	if id := rel.find(&rel.primary, h, tuple); id != 0 {
+		if f := &rel.flags[id-1]; *f&rowBase == 0 {
+			*f |= rowBase
+			if *f&rowNew == 0 {
+				t.undo = append(t.undo, undoRec{rel: rel, tuple: rel.rows[id-1], promoted: true})
+			}
+		}
+		return nil
+	}
+	if err := checkTuple(rel, tuple); err != nil {
+		return err
+	}
+	return w.store(rel, tuple, h, rowBase)
+}
+
+// insertDerived adds one derived tuple of rel unless rel already holds it.
+// vals is the caller's scratch, and stays on its stack: one hash serves the
+// existence check and the insert, and only a new tuple is copied into the
+// tuple blocks, so rederiving an existing one — the overwhelmingly common case
+// inside a fixpoint — has nothing to insert, log, propagate or allocate, and a
+// new one costs its tuple, a row and a four-byte entry on the relation's list.
+func (w *Workspace) insertDerived(rel *Relation, vals []datalog.Value) error {
+	h := datalog.HashValues(vals)
+	if rel.find(&rel.primary, h, vals) != 0 {
+		return nil
+	}
+	if err := checkTuple(rel, vals); err != nil {
+		return err
+	}
+	return w.store(rel, w.blocks.copy(vals), h, 0)
+}
+
+// deleteTxn deletes one tuple, logging it unless the transaction inserted it.
+func (w *Workspace) deleteTxn(t *txn, rel *Relation, tuple datalog.Tuple) {
+	row := rel.rowOf(tuple)
+	if row < 0 {
 		return
 	}
-	wasBase := rel.IsBase(tuple)
-	if rel.Delete(tuple) {
-		t.dels = append(t.dels, undoDel{pred: pred, tuple: tuple, at: len(t.inserted[pred]), wasBase: wasBase})
+	if f := rel.flags[row]; f&rowNew == 0 {
+		t.undo = append(t.undo, undoRec{rel: rel, tuple: rel.rows[row], wasBase: f&rowBase != 0})
 	}
+	rel.remove(uint32(row))
 }
 
-// rollback undoes the transaction. Relations are independent, so only the
-// order of operations on one relation matters: walking the deletions newest
-// first, each one's relation first loses what was inserted after it, then gets
-// the deleted tuple back (an aggregate value replaced 5→4→3 unwinds 3, 4, then
-// restores 5); whatever inserts remain precede every deletion.
+// rollback undoes the transaction: every row it inserted goes, whether or not
+// it deleted the row again itself (an aggregate value replaced
+// 5→4→3 loses 3 and the dead 4); then the log is unwound, newest first, over a
+// store that holds none of the transaction's own tuples, so the 5 finds its
+// key free.
 func (w *Workspace) rollback(t *txn) {
-	undoInserts := func(rel *Relation, ins []datalog.Tuple) {
-		for i := len(ins) - 1; i >= 0; i-- {
-			rel.Delete(ins[i])
+	for _, rel := range w.dirty {
+		for _, id := range rel.ins {
+			if rel.flags[id]&rowLive != 0 {
+				rel.remove(id)
+			}
 		}
 	}
-	for i := len(t.dels) - 1; i >= 0; i-- {
-		d := &t.dels[i]
-		rel, ins := w.rels[d.pred], t.inserted[d.pred]
-		undoInserts(rel, ins[d.at:])
-		t.inserted[d.pred] = ins[:d.at]
-		rel.Insert(d.tuple, d.wasBase)
-	}
-	for pred, ins := range t.inserted {
-		undoInserts(w.rels[pred], ins)
+	w.dropLists()
+	for i := len(t.undo) - 1; i >= 0; i-- {
+		if u := &t.undo[i]; u.promoted {
+			u.rel.flags[u.rel.rowOf(u.tuple)] &^= rowBase
+		} else {
+			u.rel.Insert(u.tuple, u.wasBase)
+		}
 	}
 	for _, k := range t.skolemKeys {
 		delete(w.skolems, k)
@@ -527,23 +600,23 @@ func (w *Workspace) rollback(t *txn) {
 }
 
 // evalRuleInto fully evaluates one non-aggregate rule in its static order
-// and inserts derivations, extending next with new tuples.
-func (w *Workspace) evalRuleInto(t *txn, r *CompiledRule, next map[string][]datalog.Tuple) error {
+// and inserts derivations.
+func (w *Workspace) evalRuleInto(t *txn, r *CompiledRule) error {
 	return w.runSteps(r.steps, 0, r.seqFrame(), func(f *frame) error {
-		return w.derive(t, r, f, next)
+		return w.derive(t, r, f)
 	})
 }
 
 // evalRuleDeltas runs the delta-first plan of every body atom of r whose
-// predicate has a delta, inserting derivations and extending next.
-func (w *Workspace) evalRuleDeltas(t *txn, r *CompiledRule, delta, next map[string][]datalog.Tuple) error {
-	emit := func(f *frame) error { return w.derive(t, r, f, next) }
+// relation has a delta this round, inserting derivations.
+func (w *Workspace) evalRuleDeltas(t *txn, r *CompiledRule) error {
+	emit := func(f *frame) error { return w.derive(t, r, f) }
 	for _, plan := range r.deltaPlans {
-		tuples := delta[plan[0].pred]
-		if tuples == nil {
+		rel := plan[0].rel
+		if rel.lo == rel.hi {
 			continue
 		}
-		if err := w.runDelta(plan, tuples, r.seqFrame(), emit); err != nil {
+		if err := w.runDelta(plan, rel, rel.ins[rel.lo:rel.hi], r.seqFrame(), emit); err != nil {
 			return err
 		}
 	}
@@ -568,7 +641,7 @@ func (w *Workspace) skolemBase(r *CompiledRule, f *frame) string {
 // derive materializes all head atoms of a rule for one body binding,
 // creating Skolemized entities for head-existential variables. Head tuples
 // are built in a stack buffer and handed to insertDerived.
-func (w *Workspace) derive(t *txn, r *CompiledRule, f *frame, next map[string][]datalog.Tuple) error {
+func (w *Workspace) derive(t *txn, r *CompiledRule, f *frame) error {
 	mark := f.mark()
 	defer f.undo(mark)
 
@@ -590,7 +663,7 @@ func (w *Workspace) derive(t *txn, r *CompiledRule, f *frame, next map[string][]
 				t.skolemKeys = append(t.skolemKeys, key)
 			}
 			f.bind(ex.slot, ent)
-			if err := w.insertDerived(t, ex.entType, w.ensureRelation(ex.entType), []datalog.Value{ent}, next); err != nil {
+			if err := w.insertDerived(ex.rel, []datalog.Value{ent}); err != nil {
 				return err
 			}
 		}
@@ -607,29 +680,9 @@ func (w *Workspace) derive(t *txn, r *CompiledRule, f *frame, next map[string][]
 			}
 			vals = append(vals, v)
 		}
-		if err := w.insertDerived(t, h.ConcreteName(), r.headRels[hi], vals, next); err != nil {
+		if err := w.insertDerived(r.headRels[hi], vals); err != nil {
 			return err
 		}
-	}
-	return nil
-}
-
-// insertDerived adds one derived tuple of rel (pred's relation) and extends
-// next with it, unless rel already holds it. vals is the caller's scratch:
-// only a new tuple is copied into the tuple blocks, so rederiving an existing
-// one — the overwhelmingly common case inside a fixpoint — has nothing to
-// insert, log, propagate or allocate.
-func (w *Workspace) insertDerived(t *txn, pred string, rel *Relation, vals []datalog.Value, next map[string][]datalog.Tuple) error {
-	if _, ok := rel.Lookup(vals); ok {
-		return nil
-	}
-	tuple := w.blocks.copy(vals)
-	isNew, err := w.insertTxn(t, pred, tuple, false)
-	if err != nil {
-		return err
-	}
-	if isNew && next != nil {
-		next[pred] = append(next[pred], tuple)
 	}
 	return nil
 }
@@ -638,7 +691,7 @@ func (w *Workspace) insertDerived(t *txn, pred string, rel *Relation, vals []dat
 // group values (replacement semantics: the old tuple is removed without
 // retraction of its prior consequences — see DESIGN.md). It leaves the keys of
 // every group the body still supports in w.aggKeys.
-func (w *Workspace) recomputeAgg(t *txn, r *CompiledRule, next map[string][]datalog.Tuple) error {
+func (w *Workspace) recomputeAgg(t *txn, r *CompiledRule) error {
 	keyN := r.heads[0].KeyArity
 	groups := w.aggKeys
 	groups.Reset()
@@ -689,7 +742,6 @@ func (w *Workspace) recomputeAgg(t *txn, r *CompiledRule, next map[string][]data
 		return err
 	}
 
-	pred := r.heads[0].ConcreteName()
 	rel := r.headRels[0]
 	for id, keys := range groups.rows {
 		result := datalog.Int64(w.aggCells[id].acc)
@@ -700,70 +752,62 @@ func (w *Workspace) recomputeAgg(t *txn, r *CompiledRule, next map[string][]data
 			if old[keyN].Equal(result) {
 				continue
 			}
-			w.deleteTxn(t, pred, old)
+			w.deleteTxn(t, rel, old)
 		}
 		var buf [8]datalog.Value
-		if err := w.insertDerived(t, pred, rel, append(append(buf[:0], keys...), result), next); err != nil {
+		if err := w.insertDerived(rel, append(append(buf[:0], keys...), result)); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// fixpoint runs semi-naïve evaluation to quiescence starting from delta, a
-// deltaMap it takes over and releases.
-func (w *Workspace) fixpoint(t *txn, delta map[string][]datalog.Tuple) error {
-	for len(delta) > 0 {
+// fixpoint runs semi-naïve evaluation to quiescence, starting from what the
+// transaction has inserted since the last round.
+func (w *Workspace) fixpoint(t *txn) error {
+	for w.nextRound() {
 		w.stats.FixpointRounds++
-		next := w.deltaMap()
-		w.roundRules = mergeRuleLists(w.roundRules[:0], w.rulesByBody, delta)
-		w.roundAggs = mergeRuleLists(w.roundAggs[:0], w.aggByBody, delta)
+		// The rules with a delta plan led by any relation of this round, each
+		// once, in ascending id order. The per-relation lists are already in id
+		// order (rebuildIndexes), so one relation — the common case — is a copy.
+		w.roundRules, w.roundAggs = w.roundRules[:0], w.roundAggs[:0]
+		for _, rel := range w.cur {
+			w.roundRules = append(w.roundRules, rel.rules...)
+			w.roundAggs = append(w.roundAggs, rel.aggs...)
+		}
+		if len(w.cur) > 1 {
+			w.roundRules, w.roundAggs = byID(w.roundRules), byID(w.roundAggs)
+		}
 		for _, r := range w.roundRules {
-			if err := w.evalRuleDeltas(t, r, delta, next); err != nil {
+			if err := w.evalRuleDeltas(t, r); err != nil {
 				return err
 			}
 		}
 		for _, r := range w.roundAggs {
-			if err := w.recomputeAgg(t, r, next); err != nil {
+			if err := w.recomputeAgg(t, r); err != nil {
 				return err
 			}
 		}
-		w.releaseDelta(delta)
-		delta = next
 	}
-	w.releaseDelta(delta)
 	return nil
 }
 
-// mergeRuleLists appends to buf the rules listed under any predicate of
-// delta, each once, in ascending id order. The per-predicate lists are
-// already in id order (rebuildIndexes), so one predicate — the common case —
-// is a plain copy.
-func mergeRuleLists(buf []*CompiledRule, byBody map[string][]*CompiledRule, delta map[string][]datalog.Tuple) []*CompiledRule {
-	lists := 0
-	for pred := range delta {
-		if l := byBody[pred]; len(l) > 0 {
-			buf = append(buf, l...)
-			lists++
-		}
-	}
-	if lists > 1 {
-		slices.SortFunc(buf, func(a, b *CompiledRule) int { return a.id - b.id })
-		buf = slices.Compact(buf)
-	}
-	return buf
+// byID sorts a concatenation of rule lists by id and drops the repeats.
+func byID(rules []*CompiledRule) []*CompiledRule {
+	slices.SortFunc(rules, func(a, b *CompiledRule) int { return a.id - b.id })
+	return slices.Compact(rules)
 }
 
 // checkTxnConstraints verifies every installed constraint against the
 // tuples inserted by the transaction (incremental LHS restriction).
-func (w *Workspace) checkTxnConstraints(t *txn) error {
+func (w *Workspace) checkTxnConstraints() error {
 	for _, c := range w.constraints {
 		for _, plan := range c.lhsDeltaPlans {
-			tuples := t.inserted[plan[0].pred]
-			if tuples == nil {
+			rel := plan[0].rel
+			if len(rel.ins) == 0 {
 				continue
 			}
-			if err := w.runDelta(plan, tuples, c.seqFrame(), func(f *frame) error { return w.checkBinding(c, f) }); err != nil {
+			if err := w.runDelta(plan, rel, rel.ins, c.seqFrame(), func(f *frame) error { return w.checkBinding(c, f) }); err != nil {
 				return err
 			}
 		}
@@ -821,9 +865,24 @@ func (w *Workspace) checkAllConstraints() error {
 	return nil
 }
 
-// TxnResult reports what a committed transaction inserted, per predicate.
-type TxnResult struct {
-	Inserted map[string][]datalog.Tuple
+// TxnResult reports what a committed transaction inserted. It reads the
+// workspace's own row lists, so it is good until the workspace's next Install,
+// Assert or Retract begins.
+type TxnResult struct{ w *Workspace }
+
+// Inserted returns the tuples the transaction inserted into pred, in insertion
+// order — one it replaced again itself (an aggregate value that moved twice)
+// included.
+func (r *TxnResult) Inserted(pred string) []datalog.Tuple {
+	rel := r.w.rels[pred]
+	if rel == nil || len(rel.ins) == 0 {
+		return nil
+	}
+	out := make([]datalog.Tuple, len(rel.ins))
+	for i, id := range rel.ins {
+		out[i] = rel.rows[id]
+	}
+	return out
 }
 
 // Assert runs one ACID transaction: insert the given base facts, evaluate
@@ -833,26 +892,21 @@ type TxnResult struct {
 func (w *Workspace) Assert(facts []Fact) (*TxnResult, error) {
 	defer w.publishStats()
 	t := w.begin()
-	delta := w.deltaMap()
 	for _, f := range facts {
-		isNew, err := w.insertTxn(t, f.Pred, f.Tuple, true)
-		if err != nil {
+		if err := w.insertBase(t, w.ensureRelation(f.Pred), f.Tuple); err != nil {
 			w.rollback(t)
 			return nil, err
 		}
-		if isNew {
-			delta[f.Pred] = append(delta[f.Pred], f.Tuple)
-		}
 	}
-	if err := w.fixpoint(t, delta); err != nil {
+	if err := w.fixpoint(t); err != nil {
 		w.rollback(t)
 		return nil, err
 	}
-	if err := w.checkTxnConstraints(t); err != nil {
+	if err := w.checkTxnConstraints(); err != nil {
 		w.rollback(t)
 		return nil, err
 	}
-	return &TxnResult{Inserted: t.inserted}, nil
+	return &w.result, nil
 }
 
 // AssertProgramFacts parses source-text facts and asserts them.
@@ -883,27 +937,28 @@ func (w *Workspace) Retract(facts []Fact) error {
 	defer w.publishStats()
 	t := w.begin()
 
-	// Phase 1: overestimate deletions.
+	// Phase 1: overestimate deletions. Nothing is deleted yet, so the frontier
+	// can name stored tuples by row id, the way a fixpoint round's delta does.
 	deleted := factSet{}
-	frontier := make(map[string][]datalog.Tuple)
+	frontier := make(map[*Relation][]uint32)
 	for _, f := range facts {
 		rel := w.rels[f.Pred]
-		if rel == nil || !rel.Contains(f.Tuple) {
+		if rel == nil {
 			continue
 		}
-		if deleted.add(f.Pred, f.Tuple) {
-			frontier[f.Pred] = append(frontier[f.Pred], f.Tuple)
+		if row := rel.rowOf(f.Tuple); row >= 0 && deleted.add(f.Pred, f.Tuple) {
+			frontier[rel] = append(frontier[rel], uint32(row))
 		}
 	}
 	for len(frontier) > 0 {
-		next := make(map[string][]datalog.Tuple)
-		for pred := range frontier {
-			for _, r := range w.rulesByBody[pred] {
+		next := make(map[*Relation][]uint32)
+		for rel, rows := range frontier {
+			for _, r := range rel.rules {
 				for _, plan := range r.deltaPlans {
-					if plan[0].pred != pred {
+					if plan[0].rel != rel {
 						continue
 					}
-					err := w.runDelta(plan, frontier[pred], r.seqFrame(), func(f *frame) error {
+					err := w.runDelta(plan, rel, rows, r.seqFrame(), func(f *frame) error {
 						return w.collectHeadDeletions(r, f, deleted, next)
 					})
 					if err != nil {
@@ -917,8 +972,9 @@ func (w *Workspace) Retract(facts []Fact) error {
 
 	// Phase 2: apply deletions.
 	for pred, m := range deleted {
+		rel := w.rels[pred]
 		m.Each(func(tup datalog.Tuple) bool {
-			w.deleteTxn(t, pred, tup)
+			w.deleteTxn(t, rel, tup)
 			return true
 		})
 	}
@@ -936,16 +992,16 @@ func (w *Workspace) Retract(facts []Fact) error {
 		// derivations that were deleted (and are not retracted seeds).
 		for pred := range deleted {
 			for _, r := range w.rulesByHead[pred] {
-				next := make(map[string][]datalog.Tuple)
-				if err := w.evalRuleInto(t, r, next); err != nil {
+				if err := w.evalRuleInto(t, r); err != nil {
 					w.rollback(t)
 					return err
 				}
-				for np, tups := range next {
-					for _, tup := range tups {
-						if seeds.has(np, tup) {
+				w.nextRound() // cur: what this one evaluation inserted
+				for _, rel := range w.cur {
+					for _, id := range rel.ins[rel.lo:rel.hi] {
+						if tup := rel.rows[id]; seeds.has(rel.schema.Name, tup) {
 							// a retracted base fact must not return
-							w.deleteTxn(t, np, tup)
+							w.deleteTxn(t, rel, tup)
 							continue
 						}
 						changed = true
@@ -973,7 +1029,7 @@ func (w *Workspace) Retract(facts []Fact) error {
 
 // collectHeadDeletions computes the head tuples a binding would have derived
 // and marks existing, non-base ones for deletion.
-func (w *Workspace) collectHeadDeletions(r *CompiledRule, f *frame, deleted factSet, next map[string][]datalog.Tuple) error {
+func (w *Workspace) collectHeadDeletions(r *CompiledRule, f *frame, deleted factSet, next map[*Relation][]uint32) error {
 	mark := f.mark()
 	defer f.undo(mark)
 	if len(r.exVars) > 0 {
@@ -997,9 +1053,9 @@ func (w *Workspace) collectHeadDeletions(r *CompiledRule, f *frame, deleted fact
 			}
 			vals = append(vals, v)
 		}
-		pred := h.ConcreteName()
-		if stored, ok := r.headRels[hi].Derived(vals); ok && deleted.add(pred, stored) {
-			next[pred] = append(next[pred], stored)
+		rel := r.headRels[hi]
+		if row := rel.derived(vals); row >= 0 && deleted.add(h.ConcreteName(), rel.rows[row]) {
+			next[rel] = append(next[rel], uint32(row))
 		}
 	}
 	return nil
@@ -1009,13 +1065,13 @@ func (w *Workspace) collectHeadDeletions(r *CompiledRule, f *frame, deleted fact
 // values and deleting the groups the body no longer contributes to — the ones
 // recomputeAgg never sees.
 func (w *Workspace) retractAggGroups(t *txn, r *CompiledRule) error {
-	if err := w.recomputeAgg(t, r, nil); err != nil {
+	if err := w.recomputeAgg(t, r); err != nil {
 		return err
 	}
-	ka := r.heads[0].KeyArity
-	for _, tup := range r.headRels[0].Tuples() {
+	ka, rel := r.heads[0].KeyArity, r.headRels[0]
+	for _, tup := range rel.Tuples() {
 		if w.aggKeys.rowOf(tup[:ka]) < 0 {
-			w.deleteTxn(t, r.heads[0].ConcreteName(), tup)
+			w.deleteTxn(t, rel, tup)
 		}
 	}
 	return nil

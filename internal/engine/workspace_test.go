@@ -52,8 +52,8 @@ func TestIncrementalAssert(t *testing.T) {
 	assertFacts(t, w, `link(1,2).`)
 	res := assertFacts(t, w, `link(2,3).`)
 	// semi-naive: the second txn must add reachable(2,3) and reachable(1,3)
-	if len(res.Inserted["reachable"]) != 2 {
-		t.Fatalf("want 2 new reachable, got %v", res.Inserted["reachable"])
+	if len(res.Inserted("reachable")) != 2 {
+		t.Fatalf("want 2 new reachable, got %v", res.Inserted("reachable"))
 	}
 	if n := w.Count("reachable"); n != 3 {
 		t.Fatalf("want 3 total, got %d", n)
@@ -350,16 +350,16 @@ func TestUDFInvocation(t *testing.T) {
 	reg := NewUDFRegistry()
 	if err := reg.Register(&FuncUDF{
 		FName: "double", InArity: 1, OutArity: 1,
-		Fn: func(_ string, in []datalog.Value) ([]datalog.Value, bool, error) {
-			return []datalog.Value{datalog.Int64(in[0].Int * 2)}, true, nil
+		Fn: func(_ string, in []datalog.Value) (datalog.Value, bool, error) {
+			return datalog.Int64(in[0].Int * 2), true, nil
 		},
 	}); err != nil {
 		t.Fatal(err)
 	}
 	if err := reg.Register(&FuncUDF{
 		FName: "is_even", InArity: 1, OutArity: 0,
-		Fn: func(_ string, in []datalog.Value) ([]datalog.Value, bool, error) {
-			return nil, in[0].Int%2 == 0, nil
+		Fn: func(_ string, in []datalog.Value) (datalog.Value, bool, error) {
+			return datalog.Value{}, in[0].Int%2 == 0, nil
 		},
 	}); err != nil {
 		t.Fatal(err)
@@ -381,8 +381,8 @@ func TestUDFAsConstraintFilter(t *testing.T) {
 	reg := NewUDFRegistry()
 	_ = reg.Register(&FuncUDF{
 		FName: "verify_ok", InArity: 1, OutArity: 0,
-		Fn: func(_ string, in []datalog.Value) ([]datalog.Value, bool, error) {
-			return nil, in[0].Str == "good", nil
+		Fn: func(_ string, in []datalog.Value) (datalog.Value, bool, error) {
+			return datalog.Value{}, in[0].Str == "good", nil
 		},
 	})
 	w := installed(t, reg, `

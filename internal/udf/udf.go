@@ -16,6 +16,9 @@ import (
 	"secureblox/internal/wire"
 )
 
+// none is what a filter UDF returns for its (absent) output.
+var none datalog.Value
+
 // valueHandle converts a value used as a circuit identifier into a stable
 // string handle.
 func valueHandle(v datalog.Value) string {
@@ -74,17 +77,17 @@ func RegisterWithPools(reg *engine.UDFRegistry, ks *seccrypto.KeyStore, rng io.R
 		&anonSerializeUDF{},
 		&anonDeserializeUDF{},
 		&engine.FuncUDF{FName: "rsa_sign", InArity: -1, OutArity: 1,
-			Fn: func(param string, in []datalog.Value) ([]datalog.Value, bool, error) {
+			Fn: func(param string, in []datalog.Value) (datalog.Value, bool, error) {
 				sig, err := sign(in[0].Bytes(), sigData(param, in[1:]))
 				if err != nil {
-					return nil, false, fmt.Errorf("rsa_sign: %w", err)
+					return none, false, fmt.Errorf("rsa_sign: %w", err)
 				}
-				return []datalog.Value{datalog.OwnedBytes(sig)}, true, nil
+				return datalog.OwnedBytes(sig), true, nil
 			}},
 		&engine.FuncUDF{FName: "rsa_verify", InArity: -1, OutArity: 0,
-			Fn: func(param string, in []datalog.Value) ([]datalog.Value, bool, error) {
+			Fn: func(param string, in []datalog.Value) (datalog.Value, bool, error) {
 				n := len(in)
-				return nil, verify(in[0].Bytes(), sigData(param, in[1:n-1]), in[n-1].Bytes()), nil
+				return none, verify(in[0].Bytes(), sigData(param, in[1:n-1]), in[n-1].Bytes()), nil
 			}},
 		// rsa_verify_batch(K, D, S) checks a signature over a precomputed
 		// digest — the group root of a batch envelope
@@ -95,101 +98,101 @@ func RegisterWithPools(reg *engine.UDFRegistry, ks *seccrypto.KeyStore, rng io.R
 		// plus cache hits. The signing side is the node runtime
 		// (dist.Node.SignBatch), not a UDF.
 		&engine.FuncUDF{FName: "rsa_verify_batch", InArity: 3, OutArity: 0,
-			Fn: func(_ string, in []datalog.Value) ([]datalog.Value, bool, error) {
-				return nil, verify(in[0].Bytes(), in[1].Bytes(), in[2].Bytes()), nil
+			Fn: func(_ string, in []datalog.Value) (datalog.Value, bool, error) {
+				return none, verify(in[0].Bytes(), in[1].Bytes(), in[2].Bytes()), nil
 			}},
 		&engine.FuncUDF{FName: "hmac_sign", InArity: -1, OutArity: 1,
-			Fn: func(param string, in []datalog.Value) ([]datalog.Value, bool, error) {
+			Fn: func(param string, in []datalog.Value) (datalog.Value, bool, error) {
 				tag := seccrypto.HMACSign(in[0].Bytes(), sigData(param, in[1:]))
-				return []datalog.Value{datalog.OwnedBytes(tag)}, true, nil
+				return datalog.OwnedBytes(tag), true, nil
 			}},
 		&engine.FuncUDF{FName: "hmac_verify", InArity: -1, OutArity: 0,
-			Fn: func(param string, in []datalog.Value) ([]datalog.Value, bool, error) {
+			Fn: func(param string, in []datalog.Value) (datalog.Value, bool, error) {
 				n := len(in)
 				ok := seccrypto.HMACVerify(in[0].Bytes(), sigData(param, in[1:n-1]), in[n-1].Bytes())
-				return nil, ok, nil
+				return none, ok, nil
 			}},
 		&engine.FuncUDF{FName: "noauth_sign", InArity: -1, OutArity: 1,
-			Fn: func(string, []datalog.Value) ([]datalog.Value, bool, error) {
-				return []datalog.Value{datalog.BytesV(nil)}, true, nil
+			Fn: func(string, []datalog.Value) (datalog.Value, bool, error) {
+				return datalog.BytesV(nil), true, nil
 			}},
 		&engine.FuncUDF{FName: "noauth_verify", InArity: -1, OutArity: 0,
-			Fn: func(string, []datalog.Value) ([]datalog.Value, bool, error) {
-				return nil, true, nil
+			Fn: func(string, []datalog.Value) (datalog.Value, bool, error) {
+				return none, true, nil
 			}},
 		&engine.FuncUDF{FName: "aesencrypt", InArity: 2, OutArity: 1,
-			Fn: func(_ string, in []datalog.Value) ([]datalog.Value, bool, error) {
+			Fn: func(_ string, in []datalog.Value) (datalog.Value, bool, error) {
 				// Deterministic IV keeps re-derivation idempotent (see
 				// seccrypto.AESEncryptDetIV).
 				ct, err := seccrypto.AESEncryptDetIV(in[1].Bytes(), in[0].Bytes())
 				if err != nil {
-					return nil, false, err
+					return none, false, err
 				}
-				return []datalog.Value{datalog.OwnedBytes(ct)}, true, nil
+				return datalog.OwnedBytes(ct), true, nil
 			}},
 		&engine.FuncUDF{FName: "aesdecrypt", InArity: 2, OutArity: 1,
-			Fn: func(_ string, in []datalog.Value) ([]datalog.Value, bool, error) {
+			Fn: func(_ string, in []datalog.Value) (datalog.Value, bool, error) {
 				pt, err := seccrypto.AESDecrypt(in[1].Bytes(), in[0].Bytes())
 				if err != nil {
-					return nil, false, nil // corrupted ciphertext: no match
+					return none, false, nil // corrupted ciphertext: no match
 				}
-				return []datalog.Value{datalog.OwnedBytes(pt)}, true, nil
+				return datalog.OwnedBytes(pt), true, nil
 			}},
 		&engine.FuncUDF{FName: "anon_encrypt", InArity: 2, OutArity: 1,
-			Fn: func(_ string, in []datalog.Value) ([]datalog.Value, bool, error) {
+			Fn: func(_ string, in []datalog.Value) (datalog.Value, bool, error) {
 				keys := ks.OnionKeys(valueHandle(in[0]))
 				if keys == nil {
-					return nil, false, fmt.Errorf("anon_encrypt: no onion keys for circuit %s", in[0])
+					return none, false, fmt.Errorf("anon_encrypt: no onion keys for circuit %s", in[0])
 				}
 				ct, err := seccrypto.OnionEncrypt(keys, in[1].Bytes(), rng)
 				if err != nil {
-					return nil, false, err
+					return none, false, err
 				}
-				return []datalog.Value{datalog.OwnedBytes(ct)}, true, nil
+				return datalog.OwnedBytes(ct), true, nil
 			}},
 		&engine.FuncUDF{FName: "anon_encrypt_back", InArity: 2, OutArity: 1,
 			// One backward layer with this node's circuit key (replies
 			// accumulate a layer per hop toward the initiator).
-			Fn: func(_ string, in []datalog.Value) ([]datalog.Value, bool, error) {
+			Fn: func(_ string, in []datalog.Value) (datalog.Value, bool, error) {
 				key := ks.CircuitKey(valueHandle(in[0]))
 				if key == nil {
-					return nil, false, nil
+					return none, false, nil
 				}
 				ct, err := seccrypto.AESEncryptDetIV(key, in[1].Bytes())
 				if err != nil {
-					return nil, false, err
+					return none, false, err
 				}
-				return []datalog.Value{datalog.OwnedBytes(ct)}, true, nil
+				return datalog.OwnedBytes(ct), true, nil
 			}},
 		&engine.FuncUDF{FName: "anon_decrypt_back", InArity: 2, OutArity: 1,
 			// The initiator peels every backward layer (first hop's key
 			// first — the outermost layer).
-			Fn: func(_ string, in []datalog.Value) ([]datalog.Value, bool, error) {
+			Fn: func(_ string, in []datalog.Value) (datalog.Value, bool, error) {
 				keys := ks.OnionKeys(valueHandle(in[0]))
 				if keys == nil {
-					return nil, false, nil
+					return none, false, nil
 				}
 				pt := in[1].Bytes()
 				for _, k := range keys {
 					var err error
 					pt, err = seccrypto.AESDecrypt(k, pt)
 					if err != nil {
-						return nil, false, nil
+						return none, false, nil
 					}
 				}
-				return []datalog.Value{datalog.OwnedBytes(pt)}, true, nil
+				return datalog.OwnedBytes(pt), true, nil
 			}},
 		&engine.FuncUDF{FName: "anon_decrypt", InArity: 2, OutArity: 1,
-			Fn: func(_ string, in []datalog.Value) ([]datalog.Value, bool, error) {
+			Fn: func(_ string, in []datalog.Value) (datalog.Value, bool, error) {
 				key := ks.CircuitKey(valueHandle(in[0]))
 				if key == nil {
-					return nil, false, nil
+					return none, false, nil
 				}
 				pt, err := seccrypto.OnionPeel(key, in[1].Bytes())
 				if err != nil {
-					return nil, false, nil
+					return none, false, nil
 				}
-				return []datalog.Value{datalog.OwnedBytes(pt)}, true, nil
+				return datalog.OwnedBytes(pt), true, nil
 			}},
 	}
 	for _, u := range udfs {
@@ -224,14 +227,11 @@ func (sha1UDF) Name() string { return "sha1" }
 
 func (sha1UDF) CanEval(bound []bool) bool { return len(bound) == 2 && bound[0] }
 
-func (sha1UDF) Eval(_ string, args []datalog.Value, bound []bool) ([][]datalog.Value, error) {
-	d := seccrypto.SHA1(wire.AppendValue(nil, args[0]))
+func (sha1UDF) Eval(_ string, args []datalog.Value, bound []bool) (bool, error) {
+	var buf [64]byte
+	d := seccrypto.SHA1(wire.AppendValue(buf[:0], args[0]))
 	h := int64(binary.BigEndian.Uint64(d[:8]) &^ (1 << 63))
-	out := datalog.Int64(h)
-	if bound[1] && !args[1].Equal(out) {
-		return nil, nil
-	}
-	return [][]datalog.Value{{args[0], out}}, nil
+	return engine.Yield(args, bound, 1, datalog.Int64(h)), nil
 }
 
 // serializeUDF implements serialize[P](S, T, V*): packs signature S and
@@ -252,15 +252,36 @@ func (*serializeUDF) CanEval(bound []bool) bool {
 	return true
 }
 
-func (*serializeUDF) Eval(param string, args []datalog.Value, bound []bool) ([][]datalog.Value, error) {
+func (*serializeUDF) Eval(param string, args []datalog.Value, bound []bool) (bool, error) {
 	p := wire.Payload{Pred: param, Sig: args[0].Bytes(), Vals: datalog.Tuple(args[2:])}
-	t := datalog.OwnedBytes(wire.EncodePayload(p))
-	if bound[1] && !args[1].Equal(t) {
-		return nil, nil
+	return engine.Yield(args, bound, 1, datalog.OwnedBytes(wire.EncodePayload(p))), nil
+}
+
+// unpack is the body of the two deserialize UDFs: payload pkt, whose values go
+// to vals (bound[i] says which of them filter instead), must be of predicate
+// param and carry exactly len(vals) values. It returns the payload's signature
+// as a view of pkt. A payload of another predicate — most of what an import
+// rule is offered — is turned away before anything is decoded; a malformed one
+// is no match either.
+func unpack(param string, pkt []byte, vals []datalog.Value, bound []bool) (sig []byte, ok bool) {
+	if !wire.PayloadHasPred(pkt, param) {
+		return nil, false
 	}
-	full := append([]datalog.Value(nil), args...)
-	full[1] = t
-	return [][]datalog.Value{full}, nil
+	_, sig, enc, err := wire.OpenPayload(pkt)
+	if err != nil {
+		return nil, false
+	}
+	n, enc, err := wire.ReadCount(enc)
+	if err != nil || n != len(vals) {
+		return nil, false
+	}
+	for i := range vals {
+		var v datalog.Value
+		if v, enc, err = wire.ReadValue(enc); err != nil || !engine.Yield(vals, bound, i, v) {
+			return nil, false
+		}
+	}
+	return sig, len(enc) == 0
 }
 
 // deserializeUDF implements deserialize[P](S, T, V*): unpacks payload T
@@ -272,23 +293,9 @@ func (*deserializeUDF) Name() string { return "deserialize" }
 
 func (*deserializeUDF) CanEval(bound []bool) bool { return len(bound) >= 2 && bound[1] }
 
-func (*deserializeUDF) Eval(param string, args []datalog.Value, bound []bool) ([][]datalog.Value, error) {
-	p, err := wire.DecodePayload(args[1].Bytes())
-	if err != nil {
-		return nil, nil // malformed payload: no match
-	}
-	if p.Pred != param || len(p.Vals) != len(args)-2 {
-		return nil, nil
-	}
-	full := append([]datalog.Value(nil), args...)
-	full[0] = datalog.OwnedBytes(p.Sig)
-	copy(full[2:], p.Vals)
-	for i, b := range bound {
-		if b && !args[i].Equal(full[i]) {
-			return nil, nil
-		}
-	}
-	return [][]datalog.Value{full}, nil
+func (*deserializeUDF) Eval(param string, args []datalog.Value, bound []bool) (bool, error) {
+	sig, ok := unpack(param, args[1].Bytes(), args[2:], bound[2:])
+	return ok && engine.Yield(args, bound, 0, datalog.BytesV(sig)), nil
 }
 
 // anonSerializeUDF implements anon_serialize[P](T, V*): serialization
@@ -310,15 +317,9 @@ func (*anonSerializeUDF) CanEval(bound []bool) bool {
 	return true
 }
 
-func (*anonSerializeUDF) Eval(param string, args []datalog.Value, bound []bool) ([][]datalog.Value, error) {
+func (*anonSerializeUDF) Eval(param string, args []datalog.Value, bound []bool) (bool, error) {
 	p := wire.Payload{Pred: param, Vals: datalog.Tuple(args[1:])}
-	t := datalog.OwnedBytes(wire.EncodePayload(p))
-	if bound[0] && !args[0].Equal(t) {
-		return nil, nil
-	}
-	full := append([]datalog.Value(nil), args...)
-	full[0] = t
-	return [][]datalog.Value{full}, nil
+	return engine.Yield(args, bound, 0, datalog.OwnedBytes(wire.EncodePayload(p))), nil
 }
 
 // anonDeserializeUDF implements anon_deserialize[P](T, V*).
@@ -328,20 +329,7 @@ func (*anonDeserializeUDF) Name() string { return "anon_deserialize" }
 
 func (*anonDeserializeUDF) CanEval(bound []bool) bool { return len(bound) >= 1 && bound[0] }
 
-func (*anonDeserializeUDF) Eval(param string, args []datalog.Value, bound []bool) ([][]datalog.Value, error) {
-	p, err := wire.DecodePayload(args[0].Bytes())
-	if err != nil {
-		return nil, nil
-	}
-	if p.Pred != param || len(p.Vals) != len(args)-1 {
-		return nil, nil
-	}
-	full := append([]datalog.Value(nil), args...)
-	copy(full[1:], p.Vals)
-	for i, b := range bound {
-		if b && !args[i].Equal(full[i]) {
-			return nil, nil
-		}
-	}
-	return [][]datalog.Value{full}, nil
+func (*anonDeserializeUDF) Eval(param string, args []datalog.Value, bound []bool) (bool, error) {
+	_, ok := unpack(param, args[0].Bytes(), args[1:], bound[1:])
+	return ok, nil
 }

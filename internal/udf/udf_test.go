@@ -53,7 +53,7 @@ func TestSha1UDFDeterministicAndRanged(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Inserted["h"]) != 0 {
+	if len(res.Inserted("h")) != 0 {
 		t.Error("sha1 must be deterministic")
 	}
 }
@@ -389,7 +389,7 @@ func TestUDFsNeverWriteIntoTheirInputs(t *testing.T) {
 	bsig := own(rawBatchSig)
 	var none datalog.Value // an unbound output position
 
-	// call evaluates one UDF and returns its single completion.
+	// call evaluates one UDF and returns its completion: args, filled in.
 	call := func(reg *engine.UDFRegistry, name, param string, args ...datalog.Value) []datalog.Value {
 		t.Helper()
 		u, ok := reg.Lookup(name)
@@ -404,16 +404,16 @@ func TestUDFsNeverWriteIntoTheirInputs(t *testing.T) {
 		for i, a := range args {
 			before[i] = string(a.Bytes()) // a copy
 		}
-		outs, err := u.Eval(param, args, bound)
-		if err != nil || len(outs) != 1 {
-			t.Fatalf("%s: %d completions, err %v", name, len(outs), err)
+		ok, err := u.Eval(param, args, bound)
+		if err != nil || !ok {
+			t.Fatalf("%s: completion %v, err %v", name, ok, err)
 		}
 		for i, a := range args {
-			if string(a.Bytes()) != before[i] {
+			if bound[i] && string(a.Bytes()) != before[i] {
 				t.Errorf("%s wrote into argument %d", name, i)
 			}
 		}
-		return outs[0]
+		return args
 	}
 
 	for _, reg := range []*engine.UDFRegistry{plain, pooled} {
@@ -445,5 +445,62 @@ func TestUDFsNeverWriteIntoTheirInputs(t *testing.T) {
 		if string(sig.Bytes()) != sigBytes {
 			t.Error("an earlier rsa_sign result changed under a later call")
 		}
+	}
+}
+
+// TestPayloadUDFsAllocateOnlyWhatTheyReturn: serialize allocates its payload —
+// sized once — and nothing else; deserialize turns a payload of another
+// predicate away without allocating at all, and for its own allocates the
+// signature and string values it hands back (two here; integers ride in the
+// Value) — no copy of the argument vector, no decoded tuple, no result slice.
+func TestPayloadUDFsAllocateOnlyWhatTheyReturn(t *testing.T) {
+	reg, err := NewRegistry(seccrypto.NewKeyStore("alice"), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ser, _ := reg.Lookup("serialize")
+	de, _ := reg.Lookup("deserialize")
+	var none datalog.Value
+	sig, hop, cost := datalog.BytesV([]byte("sixteen byte sig")), datalog.NodeV("10.0.0.2:7000"), datalog.Int64(3)
+
+	args, bound := []datalog.Value{sig, none, hop, cost}, []bool{true, false, true, true}
+	if allocs := testing.AllocsPerRun(50, func() {
+		if ok, err := ser.Eval("path", args, bound); !ok || err != nil {
+			t.Fatalf("serialize: %v, %v", ok, err)
+		}
+	}); allocs != 1 {
+		t.Errorf("serialize: %.1f allocations, want 1 (the payload)", allocs)
+	}
+	pkt := args[1]
+
+	out, free := []datalog.Value{none, pkt, none, none}, []bool{false, true, false, false}
+	if allocs := testing.AllocsPerRun(50, func() {
+		if ok, err := de.Eval("path", out, free); !ok || err != nil {
+			t.Fatalf("deserialize: %v, %v", ok, err)
+		}
+	}); allocs != 2 {
+		t.Errorf("deserialize of its own predicate: %.1f allocations, want 2 (signature and node address)", allocs)
+	}
+	if !out[0].Equal(sig) || !out[2].Equal(hop) || !out[3].Equal(cost) {
+		t.Errorf("round trip: %v", out)
+	}
+	for _, other := range []string{"pat", "pathx", "bestcost"} {
+		if allocs := testing.AllocsPerRun(50, func() {
+			if ok, err := de.Eval(other, out, free); ok || err != nil {
+				t.Fatalf("deserialize[%s] of a path payload: %v, %v", other, ok, err)
+			}
+		}); allocs != 0 {
+			t.Errorf("deserialize[%s] of a path payload: %.1f allocations, want 0", other, allocs)
+		}
+	}
+	// A bound value position filters: the right hop passes, another does not.
+	filt := []bool{false, true, true, false}
+	out[2] = hop
+	if ok, _ := de.Eval("path", out, filt); !ok {
+		t.Error("deserialize with the payload's own hop bound must match")
+	}
+	out[2] = datalog.NodeV("10.0.0.3:7000")
+	if ok, _ := de.Eval("path", out, filt); ok || out[2].Str != "10.0.0.3:7000" {
+		t.Error("deserialize with another hop bound must not match, nor touch the bound position")
 	}
 }

@@ -82,3 +82,52 @@ func FuzzDecodeControl(f *testing.F) {
 		}
 	})
 }
+
+// FuzzDecodePayload feeds the payload codec what rides inside an export tuple:
+// under NoAuth anyone who can reach the socket writes it, and under AES it is
+// whatever a wrong key decrypts to. Whatever the bytes: DecodePayload and
+// PayloadHasPred return instead of panicking; decoding allocates in proportion
+// to the input, never to a count the input claims; PayloadHasPred allocates
+// nothing at all and agrees with the decoded predicate whenever the payload
+// decodes; and an accepted payload survives Encode∘Decode unchanged, in a buffer
+// EncodePayload sized exactly. The seed corpus under
+// testdata/fuzz/FuzzDecodePayload holds a path-vector payload unsigned and
+// signed, one with every value kind, one with no values, neighbouring
+// predicate names, and near misses (truncated, trailing byte, lying counts).
+func FuzzDecodePayload(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		p, err := DecodePayload(data)
+		runtime.ReadMemStats(&after)
+		// A value is 32 bytes and takes at least two input bytes, plus the
+		// copies of what it holds, with slack for the fuzzing worker.
+		if got, bound := after.TotalAlloc-before.TotalAlloc, uint64(32*len(data)+1<<16); got > bound {
+			t.Fatalf("decoding %d bytes allocated %d, bound %d", len(data), got, bound)
+		}
+		var has bool
+		if n := testing.AllocsPerRun(1, func() { has = PayloadHasPred(data, "path") }); n != 0 {
+			t.Fatalf("PayloadHasPred allocated %.0f times", n)
+		}
+		if err != nil {
+			return
+		}
+		if has != (p.Pred == "path") || !PayloadHasPred(data, p.Pred) || PayloadHasPred(data, p.Pred+"x") {
+			t.Fatalf("PayloadHasPred disagrees with the decoded predicate %q", p.Pred)
+		}
+		enc := EncodePayload(p)
+		if len(enc) != cap(enc) {
+			t.Fatalf("EncodePayload sized its buffer at %d for %d bytes", cap(enc), len(enc))
+		}
+		again, err := DecodePayload(enc)
+		if err != nil {
+			t.Fatalf("re-encoding of an accepted payload does not decode: %v", err)
+		}
+		if again.Pred != p.Pred || !bytes.Equal(again.Sig, p.Sig) || !again.Vals.Equal(p.Vals) || !bytes.Equal(EncodePayload(again), enc) {
+			t.Fatalf("Encode∘Decode changed the payload: %+v -> %+v", p, again)
+		}
+		if sd := SigData(p.Pred, p.Vals); len(sd) != cap(sd) {
+			t.Fatalf("SigData sized its buffer at %d for %d bytes", cap(sd), len(sd))
+		}
+	})
+}

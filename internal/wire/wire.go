@@ -10,6 +10,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math/bits"
 
 	"secureblox/internal/datalog"
 )
@@ -23,12 +24,29 @@ func appendUvarint(buf []byte, v uint64) []byte {
 	return append(buf, tmp[:n]...)
 }
 
+// uvarintLen is the number of bytes appendUvarint writes for v, fieldLen the
+// number a length-prefixed byte string of n bytes takes.
+func uvarintLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
+func fieldLen(n int) int      { return uvarintLen(uint64(n)) + n }
+
 func readUvarint(buf []byte) (uint64, []byte, error) {
 	v, n := binary.Uvarint(buf)
 	if n <= 0 {
 		return 0, nil, ErrTruncated
 	}
 	return v, buf[n:], nil
+}
+
+// readField reads one length-prefixed byte string as a view of buf.
+func readField(buf []byte) (field, rest []byte, err error) {
+	n, buf, err := readUvarint(buf)
+	if err != nil {
+		return nil, nil, err
+	}
+	if uint64(len(buf)) < n {
+		return nil, nil, ErrTruncated
+	}
+	return buf[:n], buf[n:], nil
 }
 
 // AppendValue encodes one value.
@@ -46,6 +64,19 @@ func AppendValue(buf []byte, v datalog.Value) []byte {
 		buf = appendUvarint(buf, uint64(v.Int))
 	}
 	return buf
+}
+
+// valueLen is the number of bytes AppendValue writes for v.
+func valueLen(v datalog.Value) int {
+	switch v.Kind {
+	case datalog.KindInt, datalog.KindBool:
+		return 1 + uvarintLen(uint64(v.Int))
+	case datalog.KindString, datalog.KindName, datalog.KindNode, datalog.KindPrin, datalog.KindBytes:
+		return 1 + fieldLen(len(v.Str))
+	case datalog.KindEntity:
+		return 1 + fieldLen(len(v.Str)) + uvarintLen(uint64(v.Int))
+	}
+	return 1
 }
 
 // ReadValue decodes one value, returning it and the remaining bytes.
@@ -66,30 +97,24 @@ func ReadValue(buf []byte) (datalog.Value, []byte, error) {
 		v.Int = int64(u)
 		return v, rest, nil
 	case datalog.KindString, datalog.KindName, datalog.KindNode, datalog.KindPrin, datalog.KindBytes:
-		u, rest, err := readUvarint(buf)
+		str, rest, err := readField(buf)
 		if err != nil {
 			return v, nil, err
 		}
-		if uint64(len(rest)) < u {
-			return v, nil, ErrTruncated
-		}
-		v.Str = string(rest[:u])
-		return v, rest[u:], nil
+		v.Str = string(str)
+		return v, rest, nil
 	case datalog.KindEntity:
-		u, rest, err := readUvarint(buf)
+		str, rest, err := readField(buf)
 		if err != nil {
 			return v, nil, err
 		}
-		if uint64(len(rest)) < u {
-			return v, nil, ErrTruncated
-		}
-		v.Str = string(rest[:u])
-		id, rest2, err := readUvarint(rest[u:])
+		v.Str = string(str)
+		id, rest, err := readUvarint(rest)
 		if err != nil {
 			return v, nil, err
 		}
 		v.Int = int64(id)
-		return v, rest2, nil
+		return v, rest, nil
 	default:
 		return v, nil, fmt.Errorf("wire: bad value kind %d", kind)
 	}
@@ -104,11 +129,21 @@ func AppendTuple(buf []byte, t datalog.Tuple) []byte {
 	return buf
 }
 
-// ReadTuple decodes a tuple.
-func ReadTuple(buf []byte) (datalog.Tuple, []byte, error) {
+// tupleLen is the number of bytes AppendTuple writes for t.
+func tupleLen(t datalog.Tuple) int {
+	n := uvarintLen(uint64(len(t)))
+	for _, v := range t {
+		n += valueLen(v)
+	}
+	return n
+}
+
+// ReadCount reads an encoded tuple's leading count, returning it and the
+// encoded values.
+func ReadCount(buf []byte) (int, []byte, error) {
 	n, buf, err := readUvarint(buf)
 	if err != nil {
-		return nil, nil, err
+		return 0, nil, err
 	}
 	// Every encoded value takes at least two bytes (kind + one payload
 	// byte), so a count beyond that is a lie — reject it before trusting
@@ -116,10 +151,19 @@ func ReadTuple(buf []byte) (datalog.Tuple, []byte, error) {
 	// speculatively on the inbound path and must stay harmless. (Divide
 	// rather than multiply: 2*n overflows for counts near 2^64.)
 	if n > uint64(len(buf))/2 {
-		return nil, nil, ErrTruncated
+		return 0, nil, ErrTruncated
+	}
+	return int(n), buf, nil
+}
+
+// ReadTuple decodes a tuple.
+func ReadTuple(buf []byte) (datalog.Tuple, []byte, error) {
+	n, buf, err := ReadCount(buf)
+	if err != nil {
+		return nil, nil, err
 	}
 	t := make(datalog.Tuple, 0, n)
-	for i := uint64(0); i < n; i++ {
+	for i := 0; i < n; i++ {
 		var v datalog.Value
 		v, buf, err = ReadValue(buf)
 		if err != nil {
@@ -139,9 +183,10 @@ type Payload struct {
 	Vals datalog.Tuple
 }
 
-// EncodePayload serializes a payload.
+// EncodePayload serializes a payload into a buffer of exactly its size.
 func EncodePayload(p Payload) []byte {
-	buf := appendUvarint(nil, uint64(len(p.Pred)))
+	buf := make([]byte, 0, fieldLen(len(p.Pred))+fieldLen(len(p.Sig))+tupleLen(p.Vals))
+	buf = appendUvarint(buf, uint64(len(p.Pred)))
 	buf = append(buf, p.Pred...)
 	buf = appendUvarint(buf, uint64(len(p.Sig)))
 	buf = append(buf, p.Sig...)
@@ -149,25 +194,36 @@ func EncodePayload(p Payload) []byte {
 	return buf
 }
 
+// PayloadHasPred reports whether buf starts as a payload of the given
+// predicate does, without decoding — or allocating — anything. An import rule
+// is offered every inbound payload and keeps the few that are its own; this is
+// the test that turns the others away.
+func PayloadHasPred(buf []byte, pred string) bool {
+	p, _, err := readField(buf)
+	return err == nil && string(p) == pred
+}
+
+// OpenPayload cuts a payload into its predicate, its signature and its encoded
+// tuple, all views of buf. A caller that knows the shape it wants walks the
+// tuple itself, with ReadCount and ReadValue, and must find it used up.
+func OpenPayload(buf []byte) (pred, sig, tuple []byte, err error) {
+	if pred, buf, err = readField(buf); err != nil {
+		return nil, nil, nil, err
+	}
+	if sig, buf, err = readField(buf); err != nil {
+		return nil, nil, nil, err
+	}
+	return pred, sig, buf, nil
+}
+
 // DecodePayload parses a payload.
 func DecodePayload(buf []byte) (Payload, error) {
 	var p Payload
-	n, buf, err := readUvarint(buf)
+	pred, sig, buf, err := OpenPayload(buf)
 	if err != nil {
 		return p, err
 	}
-	if uint64(len(buf)) < n {
-		return p, ErrTruncated
-	}
-	p.Pred, buf = string(buf[:n]), buf[n:]
-	m, buf, err := readUvarint(buf)
-	if err != nil {
-		return p, err
-	}
-	if uint64(len(buf)) < m {
-		return p, ErrTruncated
-	}
-	p.Sig, buf = append([]byte(nil), buf[:m]...), buf[m:]
+	p.Pred, p.Sig = string(pred), append([]byte(nil), sig...)
 	p.Vals, buf, err = ReadTuple(buf)
 	if err != nil {
 		return p, err
@@ -181,7 +237,7 @@ func DecodePayload(buf []byte) (Payload, error) {
 // SigData returns the canonical bytes that signatures cover: the predicate
 // name (domain separation) followed by the encoded values.
 func SigData(pred string, vals datalog.Tuple) []byte {
-	buf := appendUvarint(nil, uint64(len(pred)))
+	buf := appendUvarint(make([]byte, 0, fieldLen(len(pred))+tupleLen(vals)), uint64(len(pred)))
 	buf = append(buf, pred...)
 	return AppendTuple(buf, vals)
 }
@@ -323,9 +379,19 @@ func (m Message) BatchRoot() []byte {
 	return GroupRoot(m.Siblings[:at], BatchDigest(m.Payloads), m.Siblings[at:])
 }
 
-// EncodeMessage serializes a message.
+// EncodeMessage serializes a message into a buffer of exactly its size.
 func EncodeMessage(m Message) []byte {
-	buf := []byte{byte(m.Kind)}
+	size := 1 + fieldLen(len(m.From)) + uvarintLen(uint64(len(m.Payloads)))
+	if m.Kind == MsgBatch {
+		size += fieldLen(len(m.Sig)) + uvarintLen(uint64(m.Pos)) + uvarintLen(uint64(len(m.Siblings)/DigestSize)) + len(m.Siblings)
+	}
+	if m.Kind != MsgControl {
+		size += uvarintLen(m.Trace) + uvarintLen(uint64(m.Hop))
+	}
+	for _, p := range m.Payloads {
+		size += fieldLen(len(p))
+	}
+	buf := append(make([]byte, 0, size), byte(m.Kind))
 	buf = appendUvarint(buf, uint64(len(m.From)))
 	buf = append(buf, m.From...)
 	if m.Kind == MsgBatch {
@@ -358,25 +424,20 @@ func DecodeMessage(buf []byte) (Message, error) {
 	}
 	m.Kind = MsgKind(buf[0])
 	buf = buf[1:]
-	n, buf, err := readUvarint(buf)
+	from, buf, err := readField(buf)
 	if err != nil {
 		return m, err
 	}
-	if uint64(len(buf)) < n {
-		return m, ErrTruncated
-	}
-	m.From, buf = string(buf[:n]), buf[n:]
+	m.From = string(from)
 	if m.Kind == MsgBatch {
-		var sl uint64
-		sl, buf, err = readUvarint(buf)
-		if err != nil {
+		var sig []byte
+		if sig, buf, err = readField(buf); err != nil {
 			return m, err
 		}
-		if sl > MaxBatchSig || uint64(len(buf)) < sl {
+		if len(sig) > MaxBatchSig {
 			return m, ErrTruncated
 		}
-		m.Sig = append([]byte(nil), buf[:sl]...)
-		buf = buf[sl:]
+		m.Sig = append([]byte(nil), sig...)
 		var pos, sibs uint64
 		pos, buf, err = readUvarint(buf)
 		if err != nil {
@@ -429,16 +490,11 @@ func DecodeMessage(buf []byte) (Message, error) {
 		m.Payloads = make([][]byte, 0, cnt)
 	}
 	for i := uint64(0); i < cnt; i++ {
-		var l uint64
-		l, buf, err = readUvarint(buf)
-		if err != nil {
+		var p []byte
+		if p, buf, err = readField(buf); err != nil {
 			return m, err
 		}
-		if uint64(len(buf)) < l {
-			return m, ErrTruncated
-		}
-		m.Payloads = append(m.Payloads, append([]byte(nil), buf[:l]...))
-		buf = buf[l:]
+		m.Payloads = append(m.Payloads, append([]byte(nil), p...))
 	}
 	if len(buf) != 0 {
 		return m, fmt.Errorf("wire: %d trailing bytes after message", len(buf))
