@@ -11,7 +11,8 @@
 // The top and trace subcommands are the cluster collector: top scrapes
 // /metrics and /healthz from every node of a running deployment and renders
 // a live per-node table; trace fetches /debug/spans from every node (or
-// reads -spandump files) and prints a derivation wave's causal tree.
+// reads the span files sbxnode -dump writes) and prints a derivation wave's
+// causal tree.
 //
 // The run subcommand launches one shipped workload (a row of
 // apps.Workloads) in-process under one security scheme, prints the run's

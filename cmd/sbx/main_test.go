@@ -53,11 +53,18 @@ func TestRunSchemeByWorkloadMatrix(t *testing.T) {
 			cells = append(cells, cell{r.workload, r.n, r.oracle, s, "mem"})
 		}
 	}
-	cells = append(cells, cell{"pathvector", "3", "every bestcost of 3 nodes against BFS", "RSA-batch", "udp"})
+	cells = append(cells,
+		cell{"pathvector", "3", "every bestcost of 3 nodes against BFS", "RSA-batch", "udp"},
+		// No flag at all (n empty): NoAuth, six nodes, memnet.
+		cell{"anonjoin", "", "6 of 6 matches", "NoAuth", "mem"})
 	for _, c := range cells {
 		name := c.workload + "/" + c.scheme
-		t.Run(name+"/"+c.transport, func(t *testing.T) {
-			code, out, errOut := sbx("run", c.workload, "-scheme", c.scheme, "-n", c.n, "-transport", c.transport)
+		args, label := []string{"run", c.workload, "-scheme", c.scheme, "-n", c.n, "-transport", c.transport}, name+"/"+c.transport
+		if c.n == "" {
+			args, label = args[:2], c.workload+"/defaults"
+		}
+		t.Run(label, func(t *testing.T) {
+			code, out, errOut := sbx(args...)
 			for _, m := range []string{"fixpoint latency", "per-node traffic", "mean transaction", "transactions", "rsa sign ops", "violations", "oracle"} {
 				if !strings.Contains(out, "\n"+m+" ") {
 					t.Errorf("measurement %q not printed (they come before the verdict):\n%s", m, out)

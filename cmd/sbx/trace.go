@@ -13,15 +13,16 @@ import (
 
 // runTrace implements `sbx trace`: merge the span rings of every node of a
 // deployment — fetched live from /debug/spans (-config/-addrs) or read
-// from `sbxnode -spandump` artifacts (-dump) — and render one derivation
-// wave's causal tree with per-stage latencies. With -list (or no trace ID)
-// it prints a summary of every trace seen instead, deepest waves first.
+// from the <principal>.spans.json files `sbxnode -dump` writes (-dump) — and
+// render one derivation wave's causal tree with per-stage latencies. With
+// -list (or no trace ID) it prints a summary of every trace seen instead,
+// deepest waves first.
 func runTrace(args []string, stdout, stderr io.Writer) int {
 	fs := newFlagSet("sbx trace", stderr)
 	configPath := fs.String("config", "", "cluster config (JSON); fetches spans from its nodes' debug_addr entries")
 	addrsFlag := fs.String("addrs", "", "comma-separated debug addresses to fetch /debug/spans from")
 	var dumps policyList
-	fs.Var(&dumps, "dump", "span dump file written by sbxnode -spandump (repeatable)")
+	fs.Var(&dumps, "dump", "span dump file (<principal>.spans.json) written by sbxnode -dump (repeatable)")
 	list := fs.Bool("list", false, "list every trace in the merged spans instead of rendering one")
 	timeout := fs.Duration("timeout", 3*time.Second, "per-node fetch timeout")
 	if fs.Parse(args) != nil {

@@ -4,8 +4,8 @@
 // expected membership (principals, listen addresses, RSA key files, policy,
 // workload); each process loads the config, binds its configured address,
 // joins the cluster through the bootstrap handshake (the seed — the
-// config's first node — collects announcements, gossips newcomers, and
-// distributes the directory and key set), passes the ready barrier, runs
+// config's first node — collects announcements and distributes the
+// directory and key set), passes the ready barrier, runs
 // the selected rule set to the distributed fixpoint, prints its result
 // partition, and leaves gracefully.
 //
@@ -19,14 +19,14 @@
 // Result lines are tab-separated, principal-keyed and sorted, so the
 // concatenated (and sorted) outputs of all processes are byte-identical to
 // the -allinone run over the in-process simulated network — that equality
-// is asserted in CI.
+// is what TestDeployments asserts.
 //
 // Exit codes: 0 quiescence reached, 1 configuration or runtime error,
 // 3 a peer stopped answering termination probes (typed detector failure —
 // e.g. a process was killed mid-run; under on_failure "evict" the
 // survivors instead drop the dead member and converge on the subset),
-// 7 this process executed a chaos-plan crash scheduled for its own
-// principal (-chaos).
+// 7 the -chaos plan crashed this process's own principal: the run ended
+// where it stood, silenced at every member, and printed no result line.
 package main
 
 import (
@@ -39,8 +39,8 @@ import (
 	"net"
 	"os"
 	"os/signal"
+	"path/filepath"
 	"sort"
-	"strings"
 	"syscall"
 	"time"
 
@@ -65,16 +65,15 @@ type options struct {
 	genKeys      bool
 	vet          bool
 	debugAddr    string
-	metricsDump  string
-	spanDump     string
-	logDump      string
+	dump         string
 	logLevel     string
 	timeout      time.Duration
 	unresponsive time.Duration
-	dieAfterJoin bool
 	chaosPath    string
-	mute         string
 }
+
+// errCrashed ends a run whose own principal the chaos plan crashed.
+var errCrashed = errors.New("crashed by the chaos plan")
 
 // run is main minus the process-global bits, so tests can drive it.
 func run(args []string, stdout, stderr *os.File) int {
@@ -87,15 +86,11 @@ func run(args []string, stdout, stderr *os.File) int {
 	fs.BoolVar(&o.genKeys, "genkeys", false, "generate the RSA key files the config's key_file entries name, then exit")
 	fs.BoolVar(&o.vet, "vet", false, "statically analyze the config's workload program and exit (nonzero on error findings)")
 	fs.StringVar(&o.debugAddr, "debugaddr", "", "serve /metrics, /debug/spans|logs|pprof, /healthz and /readyz over HTTP on this address (e.g. 127.0.0.1:8300)")
-	fs.StringVar(&o.metricsDump, "metricsdump", "", "write the final metrics registry (Prometheus text format) to this file on exit — end-of-run counters a live /metrics scrape can race past")
-	fs.StringVar(&o.spanDump, "spandump", "", "write the wave-trace span ring (JSON array) to this file on exit; `sbx trace -dump` reads these for offline wave reconstruction")
-	fs.StringVar(&o.logDump, "logdump", "", "write the structured event log ring (JSON array) to this file on exit")
+	fs.StringVar(&o.dump, "dump", "", "on exit write the metrics registry (Prometheus text), the wave-trace span ring and the structured log ring (JSON arrays) to `DIR`/<principal>.{metrics,spans.json,logs.json} (-allinone: allinone.*); `sbx trace -dump` reads the spans file")
 	fs.StringVar(&o.logLevel, "loglevel", "warn", "mirror structured log events at or above this level to stderr (debug|info|warn|error|off); the in-memory ring records every level regardless")
 	fs.DurationVar(&o.timeout, "timeout", 0, "abort the run after this long (0: no limit)")
 	fs.DurationVar(&o.unresponsive, "unresponsive", 15*time.Second, "declare a peer dead after it answers no probe for this long (0: wait forever)")
-	fs.BoolVar(&o.dieAfterJoin, "dieafterjoin", false, "fault injection: exit silently right after the ready barrier (tests a peer dying mid-run)")
-	fs.StringVar(&o.chaosPath, "chaos", "", "chaos fault-plan file (JSON): scripted drop/dup/garble/delay/reorder, partitions and crash windows injected below the reliable transport (-node mode only)")
-	fs.StringVar(&o.mute, "mute", "", "comma-separated principals whose workload input facts are skipped and result lines suppressed (-allinone reference for evicted runs)")
+	fs.StringVar(&o.chaosPath, "chaos", "", "chaos fault-plan file (JSON): scripted drop/dup/garble/delay/reorder, partitions and crash windows injected below the reliable transport; a permanent crash of this node's principal ends its run with exit 7 (-node mode only)")
 	if err := fs.Parse(args); err != nil {
 		return 1
 	}
@@ -130,21 +125,18 @@ func run(args []string, stdout, stderr *os.File) int {
 	default:
 		err = fmt.Errorf("one of -node, -allinone, -genkeys or -vet is required")
 	}
-	if o.metricsDump != "" {
-		if werr := os.WriteFile(o.metricsDump, []byte(obs.Default().Render()), 0o644); werr != nil {
-			fmt.Fprintf(stderr, "sbxnode: metrics dump: %v\n", werr)
+	if o.dump != "" {
+		if werr := writeDumps(o.dump, o.node); werr != nil {
+			fmt.Fprintf(stderr, "sbxnode: -dump: %v\n", werr)
 		}
-	}
-	if o.spanDump != "" {
-		writeJSONDump(o.spanDump, obs.Spans(), "span dump", stderr)
-	}
-	if o.logDump != "" {
-		writeJSONDump(o.logDump, obs.L().Events(), "log dump", stderr)
 	}
 	if err != nil {
 		fmt.Fprintf(stderr, "sbxnode: %v\n", err)
 		var ue *dist.UnresponsiveError
-		if errors.As(err, &ue) {
+		switch {
+		case errors.Is(err, errCrashed):
+			return 7
+		case errors.As(err, &ue):
 			return 3
 		}
 		return 1
@@ -152,17 +144,27 @@ func run(args []string, stdout, stderr *os.File) int {
 	return 0
 }
 
-// writeJSONDump writes v as indented JSON — the offline counterpart of the
-// /debug/spans and /debug/logs endpoints, for processes that exit before a
-// collector can scrape them.
-func writeJSONDump(path string, v any, what string, stderr *os.File) {
-	data, err := json.MarshalIndent(v, "", "  ")
-	if err == nil {
-		err = os.WriteFile(path, append(data, '\n'), 0o644)
+// writeDumps writes the end-of-run registry, span ring and log ring to
+// dir/<principal>.{metrics,spans.json,logs.json} — the offline counterparts
+// of /metrics, /debug/spans and /debug/logs, for processes that exit before a
+// collector can scrape them (end-of-run counters a live scrape races past).
+func writeDumps(dir, principal string) error {
+	if principal == "" {
+		principal = "allinone"
 	}
+	spans, err := json.MarshalIndent(obs.Spans(), "", "  ")
 	if err != nil {
-		fmt.Fprintf(stderr, "sbxnode: %s: %v\n", what, err)
+		return err
 	}
+	logs, err := json.MarshalIndent(obs.L().Events(), "", "  ")
+	if err != nil {
+		return err
+	}
+	base := filepath.Join(dir, principal)
+	return errors.Join(
+		os.WriteFile(base+".metrics", []byte(obs.Default().Render()), 0o644),
+		os.WriteFile(base+".spans.json", append(spans, '\n'), 0o644),
+		os.WriteFile(base+".logs.json", append(logs, '\n'), 0o644))
 }
 
 // generateKeys writes one PEM key file per node that names one, so a
@@ -290,13 +292,6 @@ func runNode(cfg *cluster.Config, w *apps.Workload, pol core.PolicyConfig, o opt
 		return err
 	}
 	rt.BindNode(node)
-
-	if o.dieAfterJoin {
-		// Fault injection: pass the barrier so every peer starts, then
-		// vanish without answering a single probe — what a process crash
-		// mid-run looks like to the survivors.
-		return rt.Ready(bctx)
-	}
 	if err := rt.Ready(bctx); err != nil {
 		return err
 	}
@@ -321,15 +316,25 @@ func runNode(cfg *cluster.Config, w *apps.Workload, pol core.PolicyConfig, o opt
 		// crash windows line up across the cluster.
 		chaos.Start()
 		if at, hang, ok := chaos.CrashAt(rt.Principal()); ok && hang == 0 {
-			// A permanent crash scheduled for this principal really exits
-			// the process: survivors see a genuinely dead peer, not just a
-			// black-holed one.
-			time.AfterFunc(at, func() { os.Exit(7) })
+			// A permanent crash scheduled for this principal ends the run
+			// wherever it stands: every member's engine silences the node
+			// from then on, and this one stops answering anyone.
+			var crash context.CancelCauseFunc
+			ctx, crash = context.WithCancelCause(ctx)
+			defer crash(nil)
+			t := time.AfterFunc(at, func() { crash(errCrashed) })
+			defer t.Stop()
 		}
 	}
+	defer func() {
+		if retErr != nil && errors.Is(context.Cause(ctx), errCrashed) {
+			retErr = errCrashed
+		}
+	}()
 
 	node.Backlog = rt.EarlyTraffic()
 	node.Start()
+	defer node.Stop() // a no-op after Leave; on a failed run it joins the loops
 	rt.MarkRunning()
 	if facts := w.Facts(cfg.Workload, mem, rt.Index()); len(facts) > 0 {
 		node.Assert(facts)
@@ -373,7 +378,9 @@ func runNode(cfg *cluster.Config, w *apps.Workload, pol core.PolicyConfig, o opt
 	if err := rt.Leave(lctx, node); err != nil {
 		return err
 	}
-
+	if err := context.Cause(ctx); errors.Is(err, errCrashed) {
+		return err // a crashed node reports nothing
+	}
 	writeLines(stdout, w.Lines(mem, rt.Index(), node.WS))
 	return nil
 }
@@ -385,20 +392,6 @@ func runNode(cfg *cluster.Config, w *apps.Workload, pol core.PolicyConfig, o opt
 func runAllInOne(cfg *cluster.Config, w *apps.Workload, pol core.PolicyConfig, o options, stdout *os.File) error {
 	ctx, cancel := signalContext(o.timeout)
 	defer cancel()
-
-	// Muted principals assert no workload facts and report no result lines:
-	// the in-process reference for a run whose evicted member died after the
-	// ready barrier but before contributing any input.
-	muted := make(map[string]bool)
-	if o.mute != "" {
-		for _, p := range strings.Split(o.mute, ",") {
-			p = strings.TrimSpace(p)
-			if cfg.NodeIndex(p) < 0 {
-				return fmt.Errorf("-mute: no principal %q in config", p)
-			}
-			muted[p] = true
-		}
-	}
 
 	c, err := core.NewClusterFromConfig(cfg, w.ClusterConfig(0, pol, cfg.Workload.Seed, nil))
 	if err != nil {
@@ -423,10 +416,7 @@ func runAllInOne(cfg *cluster.Config, w *apps.Workload, pol core.PolicyConfig, o
 	_ = health.Advance(obs.StateRunning)
 
 	c.Start()
-	for i, p := range c.Principals {
-		if muted[p] {
-			continue
-		}
+	for i := range c.Principals {
 		if facts := w.Facts(cfg.Workload, c.Directory, i); len(facts) > 0 {
 			c.AssertAt(i, facts)
 		}
@@ -441,10 +431,7 @@ func runAllInOne(cfg *cluster.Config, w *apps.Workload, pol core.PolicyConfig, o
 	c.Stop()
 	_ = health.Advance(obs.StateDone)
 	var all []string
-	for i, p := range c.Principals {
-		if muted[p] {
-			continue
-		}
+	for i := range c.Principals {
 		all = append(all, w.Lines(c.Directory, i, c.Nodes[i].WS)...)
 	}
 	writeLines(stdout, all)

@@ -1,58 +1,80 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"secureblox/internal/cluster"
+	"secureblox/internal/core"
+	"secureblox/internal/obs"
 	"secureblox/internal/seccrypto"
 )
 
-// writeTestConfig builds a runnable config in dir: concrete seed port on
-// loopback, ephemeral ports for the joiners, inline keys under RSA.
-func writeTestConfig(t *testing.T, dir, policy, workload string, seedPort int) string {
+// testConfig is a runnable n-node config: the seed on a concrete loopback
+// port, ephemeral ports for the joiners, RSA keys inline, and the input the
+// bash smokes ran (path-vector seed 42, a 60×50 hash join).
+func testConfig(t *testing.T, policy, workload string, n, seedPort int) *cluster.Config {
 	t.Helper()
-	cfg := cluster.Config{
-		Cluster:  "sbxtest-" + policy + "-" + workload,
+	cfg := &cluster.Config{
+		Cluster:  fmt.Sprintf("sbxtest-%s-%s-%d", policy, workload, n),
 		Policy:   policy,
-		Workload: cluster.WorkloadConfig{Name: workload, Seed: 11, Degree: 3, SizeA: 60, SizeB: 50, JoinValues: 12},
-		Nodes: []cluster.NodeConfig{
-			{Principal: "p0", Addr: fmt.Sprintf("127.0.0.1:%d", seedPort)},
-			{Principal: "p1", Addr: "127.0.0.1:0"},
-			{Principal: "p2", Addr: "127.0.0.1:0"},
-		},
+		Workload: cluster.WorkloadConfig{Name: workload, Seed: 42, Degree: 3, SizeA: 60, SizeB: 50, JoinValues: 12},
 	}
 	spec, err := cluster.ParsePolicyName(policy)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if spec.UsesRSA() {
-		for i := range cfg.Nodes {
+	for i := 0; i < n; i++ {
+		node := cluster.NodeConfig{Principal: fmt.Sprintf("p%d", i), Addr: "127.0.0.1:0"}
+		if i == 0 {
+			node.Addr = fmt.Sprintf("127.0.0.1:%d", seedPort)
+		}
+		if spec.UsesRSA() {
 			k, err := seccrypto.GenerateRSAKey(seccrypto.NewDeterministicRand(int64(100 + i)))
 			if err != nil {
 				t.Fatal(err)
 			}
-			cfg.Nodes[i].KeyPEM = string(seccrypto.EncodePrivateKeyPEM(k))
+			node.KeyPEM = string(seccrypto.EncodePrivateKeyPEM(k))
 		}
+		cfg.Nodes = append(cfg.Nodes, node)
 	}
 	if spec.UsesSharedSecrets() {
 		cfg.ClusterSecret = strings.Repeat("5a", seccrypto.SecretLen)
 	}
-	data, err := json.MarshalIndent(cfg, "", "  ")
-	if err != nil {
-		t.Fatal(err)
+	return cfg
+}
+
+// writeFile writes data (a string, or anything else as JSON) to dir/name and
+// returns the path.
+func writeFile(t *testing.T, dir, name string, data any) string {
+	t.Helper()
+	b, ok := data.(string)
+	if !ok {
+		j, err := json.MarshalIndent(data, "", "  ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		b = string(j)
 	}
-	path := filepath.Join(dir, "cluster.json")
-	if err := os.WriteFile(path, data, 0o644); err != nil {
+	path := filepath.Join(dir, name)
+	if err := os.WriteFile(path, []byte(b), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	return path
+}
+
+// writeTestConfig writes testConfig's three-node config to dir.
+func writeTestConfig(t *testing.T, dir, policy, workload string, seedPort int) string {
+	return writeFile(t, dir, "cluster.json", testConfig(t, policy, workload, 3, seedPort))
 }
 
 // capture runs run() with stdout/stderr redirected to temp files and
@@ -76,7 +98,7 @@ func capture(t *testing.T, args []string) (code int, stdout, stderr string) {
 }
 
 // sortedLines splits, sorts and rejoins result output so per-process
-// partitions can be merged the way the CI smoke merges them.
+// partitions can be merged into one result set.
 func sortedLines(chunks ...string) string {
 	var all []string
 	for _, c := range chunks {
@@ -90,96 +112,213 @@ func sortedLines(chunks ...string) string {
 	return strings.Join(all, "\n")
 }
 
-// TestMultiProcessMatchesAllInOne drives three full node runtimes — each
-// with its own strict UDP network, keystore and detector, exactly the
-// multi-process code path — concurrently against the in-process memnet
-// reference, and requires byte-identical result sets. CI repeats this with
-// three real OS processes; this test keeps the property under `go test`.
-func TestMultiProcessMatchesAllInOne(t *testing.T) {
+// mutedReference is the result set an evict-policy run converges on when the
+// muted principals die right after the ready barrier: every member is in the
+// directory, the muted ones assert no input and report no line. It is
+// -allinone's reference minus their share.
+func mutedReference(t *testing.T, cfgPath string, muted ...string) string {
+	t.Helper()
+	cfg, err := cluster.LoadConfig(cfgPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, pol, err := configWorkload(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := core.NewClusterFromConfig(cfg, w.ClusterConfig(0, pol, cfg.Workload.Seed, nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Stop()
+	c.Start()
+	for i, p := range c.Principals {
+		if facts := w.Facts(cfg.Workload, c.Directory, i); len(facts) > 0 && !slices.Contains(muted, p) {
+			c.AssertAt(i, facts)
+		}
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	if _, err := c.WaitFixpointCtx(ctx); err != nil {
+		t.Fatal(err)
+	}
+	c.Stop()
+	var lines []string
+	for i, p := range c.Principals {
+		if !slices.Contains(muted, p) {
+			lines = append(lines, w.Lines(c.Directory, i, c.Nodes[i].WS)...)
+		}
+	}
+	return sortedLines(lines...)
+}
+
+// deployment is one scenario TestDeployments runs: every principal of an
+// n-node config as its own runNode — own strict UDP network, keystore and
+// detector, exactly the multi-process code path — concurrently in this
+// process, every one under the same chaos plan.
+type deployment struct {
+	name             string
+	policy, workload string
+	n, port          int
+	evict            bool   // on_failure "evict" instead of the default abort
+	keyFiles         bool   // RSA keys in key_file entries provisioned by -genkeys
+	plan             string // chaos plan JSON ("" runs without one)
+	crashed          string // the principal the plan crashes at 0 ms
+	// Registry families whose delta over the run must be positive, and
+	// families that must render whatever their value.
+	positive, present []string
+}
+
+var deployments = []deployment{{
+	// The plan delays every datagram 150 ms and drops nothing, so the
+	// result set is the reference's.
+	name: "rsa-keyfiles-delay", policy: "RSA", workload: "pathvector", n: 3, port: 7411, keyFiles: true,
+	plan:     `{"seed": 7, "links": [{"from": "*", "to": "*", "delay_ms": 150}]}`,
+	positive: []string{"sbx_txns_total", "sbx_engine_index_probes_total", "sbx_engine_tuples_scanned_total", "sbx_rsa_sign_ops_total", "sbx_bytes_sent_total"},
+	present: []string{"sbx_transport_retransmits_total", "sbx_transport_dup_drops_total", "sbx_transport_crc_rejects_total",
+		"sbx_go_goroutines", "sbx_spans_dropped_total", "sbx_log_dropped_total"},
+}, {
+	name: "hmac-aes", policy: "HMAC-AES", workload: "pathvector", n: 3, port: 7412,
+}, {
+	name: "noauth-hashjoin", policy: "NoAuth", workload: "hashjoin", n: 3, port: 7413,
+}, {
+	// Abort: the survivors name the silent principal and exit 3.
+	name: "abort", policy: "NoAuth", workload: "pathvector", n: 3, port: 7414,
+	plan: `{"seed": 7, "crashes": [{"node": "p2", "at_ms": 0}]}`, crashed: "p2",
+}, {
+	// Evict: the survivors drop p4 (backing off its retransmits first) and
+	// converge on the four-node result set.
+	name: "evict", policy: "NoAuth", workload: "pathvector", n: 5, port: 7415, evict: true,
+	plan: `{"seed": 7, "crashes": [{"node": "p4", "at_ms": 0}]}`, crashed: "p4",
+	positive: []string{"sbx_cluster_evictions_total", "sbx_transport_backoffs_total"},
+	present:  []string{"sbx_transport_forgotten_frames_total"},
+}, {
+	// The reliable layer grinds through loss, duplication, corruption,
+	// reordering and a one-second partition to the clean result set. The
+	// partition opens with the run: one that opens after the fixpoint cuts
+	// the departure barrier instead (ROADMAP item 2).
+	name: "lossy-partition", policy: "NoAuth", workload: "pathvector", n: 3, port: 7416,
+	plan: `{"seed": 11,
+		"links": [{"from": "*", "to": "*", "drop": 0.15, "dup": 0.1, "garble": 0.05, "reorder": 0.1, "delay_ms": 1, "jitter_ms": 2}],
+		"partitions": [{"a": ["p0"], "b": ["p1", "p2"], "at_ms": 0, "heal_ms": 1000}]}`,
+	positive: []string{"sbx_chaos_faults_total", "sbx_transport_retransmits_total"},
+}}
+
+// TestDeployments runs every deployment scenario against its in-process
+// reference: -allinone's result set, the muted reference when the plan
+// crashes a member under evict, and under abort the survivors' typed error.
+// Counters are asserted as deltas of the process-wide registry over the run.
+func TestDeployments(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spins up real UDP sockets")
 	}
-	for _, tc := range []struct{ policy, workload, port string }{
-		{"RSA", "pathvector", "7411"},
-		{"HMAC-AES", "pathvector", "7412"},
-		{"NoAuth", "hashjoin", "7413"},
-	} {
-		t.Run(tc.policy+"/"+tc.workload, func(t *testing.T) {
-			dir := t.TempDir()
-			var port int
-			fmt.Sscanf(tc.port, "%d", &port)
-			cfgPath := writeTestConfig(t, dir, tc.policy, tc.workload, port)
-
-			refCode, refOut, refErr := capture(t, []string{"-config", cfgPath, "-allinone", "-timeout", "60s"})
-			if refCode != 0 {
-				t.Fatalf("allinone exit %d: %s", refCode, refErr)
-			}
-
-			outs := make([]string, 3)
-			var wg sync.WaitGroup
-			for i, p := range []string{"p0", "p1", "p2"} {
-				i, p := i, p
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					code, out, errOut := capture(t, []string{"-config", cfgPath, "-node", p, "-timeout", "60s"})
-					if code != 0 {
-						t.Errorf("%s exit %d: %s", p, code, errOut)
-						return
-					}
-					outs[i] = out
-				}()
-			}
-			wg.Wait()
-			if t.Failed() {
-				return
-			}
-			got := sortedLines(outs...)
-			want := sortedLines(refOut)
-			if got != want {
-				t.Fatalf("multi-node results differ from allinone reference:\n--- multi:\n%s\n--- allinone:\n%s", got, want)
-			}
-			if want == "" {
-				t.Fatal("empty result set proves nothing")
-			}
-		})
+	for _, d := range deployments {
+		t.Run(d.name, d.run)
 	}
 }
 
-// TestDeadPeerYieldsTypedError: one node passes the ready barrier and
-// vanishes; the survivors must exit with code 3 (the typed unresponsive
-// detector error) naming the dead principal — not hang.
-func TestDeadPeerYieldsTypedError(t *testing.T) {
-	if testing.Short() {
-		t.Skip("spins up real UDP sockets")
-	}
+func (d deployment) run(t *testing.T) {
 	dir := t.TempDir()
-	cfgPath := writeTestConfig(t, dir, "NoAuth", "pathvector", 7421)
-	codes := make([]int, 3)
-	errs := make([]string, 3)
-	var wg sync.WaitGroup
-	for i, p := range []string{"p0", "p1", "p2"} {
-		i, p := i, p
-		args := []string{"-config", cfgPath, "-node", p, "-timeout", "30s", "-unresponsive", "2s"}
-		if p == "p2" {
-			args = append(args, "-dieafterjoin")
+	cfg := testConfig(t, d.policy, d.workload, d.n, d.port)
+	if d.evict {
+		cfg.OnFailure = "evict"
+	}
+	if d.keyFiles {
+		for i := range cfg.Nodes {
+			cfg.Nodes[i].KeyPEM, cfg.Nodes[i].KeyFile = "", filepath.Join(dir, cfg.Nodes[i].Principal+".pem")
 		}
+	}
+	cfgPath := writeFile(t, dir, "cluster.json", cfg)
+	if d.keyFiles {
+		if code, _, errOut := capture(t, []string{"-config", cfgPath, "-genkeys"}); code != 0 {
+			t.Fatalf("genkeys exit %d: %s", code, errOut)
+		}
+	}
+	abort := d.crashed != "" && !d.evict
+	var want string
+	switch {
+	case d.crashed == "":
+		code, out, errOut := capture(t, []string{"-config", cfgPath, "-allinone", "-timeout", "60s"})
+		if code != 0 {
+			t.Fatalf("allinone exit %d: %s", code, errOut)
+		}
+		want = sortedLines(out)
+	case d.evict:
+		want = mutedReference(t, cfgPath, d.crashed)
+	}
+	if want == "" && !abort {
+		t.Fatal("empty reference result set proves nothing")
+	}
+
+	args := []string{"-config", cfgPath, "-timeout", "60s"}
+	if d.plan != "" {
+		args = append(args, "-chaos", writeFile(t, dir, "plan.json", d.plan))
+	}
+	if d.crashed != "" {
+		args = append(args, "-unresponsive", "3s")
+	}
+	obs.L().ResetEvents()
+	before := obs.SumPromFamilies(obs.Default().Render())
+	codes, outs, errs := make([]int, d.n), make([]string, d.n), make([]string, d.n)
+	var wg sync.WaitGroup
+	for i, node := range cfg.Nodes {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			codes[i], _, errs[i] = capture(t, args)
+			codes[i], outs[i], errs[i] = capture(t, append([]string{"-node", node.Principal}, args...))
 		}()
 	}
 	wg.Wait()
-	if codes[2] != 0 {
-		t.Fatalf("fault-injected node exited %d: %s", codes[2], errs[2])
-	}
-	for i := 0; i < 2; i++ {
-		if codes[i] != 3 {
-			t.Fatalf("survivor p%d exited %d (want 3): %s", i, codes[i], errs[i])
+	after := obs.SumPromFamilies(obs.Default().Render())
+	defer func() {
+		if !t.Failed() {
+			return
 		}
-		if !strings.Contains(errs[i], "p2") || !strings.Contains(errs[i], "no termination report") {
-			t.Fatalf("survivor p%d error does not name the dead principal: %s", i, errs[i])
+		for _, e := range obs.L().Events() {
+			t.Logf("log %s %s %s %s %v", e.Time.Format("15:04:05.000"), e.Level, e.Principal, e.Msg, e.Fields)
+		}
+		for i, e := range errs {
+			t.Logf("%s exit %d, stderr:\n%s", cfg.Nodes[i].Principal, codes[i], e)
+		}
+	}()
+
+	var survivors []string
+	for i, node := range cfg.Nodes {
+		p := node.Principal
+		switch {
+		case p == d.crashed:
+			if codes[i] != 7 || outs[i] != "" {
+				t.Errorf("crashed %s: exit %d with %d bytes of result, want 7 and none", p, codes[i], len(outs[i]))
+			}
+		case abort:
+			if codes[i] != 3 || !strings.Contains(errs[i], "no termination report from "+d.crashed) {
+				t.Errorf("survivor %s: exit %d, want 3 naming %s", p, codes[i], d.crashed)
+			}
+		case codes[i] != 0:
+			t.Errorf("%s exit %d", p, codes[i])
+		default:
+			survivors = append(survivors, outs[i])
+		}
+	}
+	if t.Failed() || want == "" {
+		return
+	}
+	if got := sortedLines(survivors...); got != want {
+		t.Fatalf("result set differs from the reference:\n--- got:\n%s\n--- want:\n%s", got, want)
+	}
+	if d.evict && !slices.ContainsFunc(obs.L().Events(), func(e obs.Event) bool {
+		return e.Msg == "evicting unresponsive" && fmt.Sprint(e.Fields["evicted"]) == "["+d.crashed+"]"
+	}) {
+		t.Errorf("no survivor logged evicting %s", d.crashed)
+	}
+	for _, f := range d.positive {
+		if after[f] <= before[f] {
+			t.Errorf("%s moved %v -> %v over the run, want an increase", f, before[f], after[f])
+		}
+	}
+	for _, f := range d.present {
+		if _, ok := after[f]; !ok {
+			t.Errorf("/metrics lacks %s", f)
 		}
 	}
 }
@@ -261,11 +400,7 @@ func TestGenKeysProvisionsConfig(t *testing.T) {
 		}
 		cfg.Nodes = append(cfg.Nodes, n)
 	}
-	data, _ := json.Marshal(cfg)
-	cfgPath := filepath.Join(dir, "c.json")
-	if err := os.WriteFile(cfgPath, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
+	cfgPath := writeFile(t, dir, "c.json", cfg)
 	code, out, errOut := capture(t, []string{"-config", cfgPath, "-genkeys"})
 	if code != 0 {
 		t.Fatalf("genkeys exit %d: %s", code, errOut)

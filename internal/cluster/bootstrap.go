@@ -70,10 +70,9 @@ func (rt *Runtime) selfInfo() wire.MemberInfo {
 
 // Join runs the bootstrap handshake until this node holds the cluster's
 // full directory, or ctx expires. The seed (the config's first node)
-// collects announcements from every expected principal, gossips each new
-// member to the members that joined before it, and answers everyone with
-// the completed directory; every other node announces itself to the seed
-// and waits for that directory. The returned Membership carries every
+// collects announcements from every expected principal and answers everyone
+// with the completed directory; every other node announces itself to the
+// seed and waits for that directory. The returned Membership carries every
 // member's authoritative bound address and public key; Join also installs
 // the peers' public keys into this node's keystore.
 func (rt *Runtime) Join(ctx context.Context) (*Membership, error) {
@@ -117,7 +116,6 @@ func (rt *Runtime) seedJoin(ctx context.Context) (*Membership, error) {
 		expected[n.Principal] = true
 	}
 	joined := map[string]wire.MemberInfo{rt.principal: rt.selfInfo()}
-	var arrival []string // join order, for gossip fan-out
 	for len(joined) < len(rt.cfg.Nodes) {
 		select {
 		case <-ctx.Done():
@@ -146,15 +144,7 @@ func (rt *Runtime) seedJoin(ctx context.Context) (*Membership, error) {
 					continue // unusable announcement; the joiner will resend
 				}
 			}
-			// Gossip the newcomer to everyone that joined before it.
-			gossip := rt.controlMsg(wire.Join{Type: wire.CtrlMember, Cluster: rt.cfg.Cluster, Members: []wire.MemberInfo{m}})
-			for _, p := range arrival {
-				if p != m.Principal {
-					_ = rt.ep.Send(joined[p].Addr, gossip)
-				}
-			}
 			if _, dup := joined[m.Principal]; !dup {
-				arrival = append(arrival, m.Principal)
 				rt.log().Info("member joined", "member", m.Principal, "member_addr", m.Addr,
 					"joined", len(joined)+1, "expected", len(rt.cfg.Nodes))
 			}
@@ -207,23 +197,15 @@ func (rt *Runtime) announceAndAwaitDirectory(ctx context.Context) (*Membership, 
 				return nil, rt.bootstrapErr("directory", fmt.Errorf("endpoint closed"), nil)
 			}
 			rec, ok := rt.decodeBootstrap(in.Data)
-			if !ok {
+			if !ok || rec.Type != wire.CtrlDirectory {
 				continue
 			}
-			switch rec.Type {
-			case wire.CtrlMember:
-				// Pre-directory gossip: remember who else is in already.
-				if len(rec.Members) == 1 {
-					rt.gossiped[rec.Members[0].Principal] = rec.Members[0].Addr
-				}
-			case wire.CtrlDirectory:
-				mem, err := rt.checkDirectory(rec)
-				if err != nil {
-					return nil, err
-				}
-				rt.log().Info("directory received", "members", len(mem.Members))
-				return mem, nil
+			mem, err := rt.checkDirectory(rec)
+			if err != nil {
+				return nil, err
 			}
+			rt.log().Info("directory received", "members", len(mem.Members))
+			return mem, nil
 		}
 	}
 }
@@ -246,16 +228,6 @@ func (rt *Runtime) checkDirectory(rec wire.Join) (*Membership, error) {
 		mem.Members[i] = Member{Principal: m.Principal, Addr: m.Addr, PubKeyDER: m.PubKey}
 	}
 	return mem, nil
-}
-
-// Gossiped returns the members this node heard about through seed gossip
-// before the full directory arrived (principal → address).
-func (rt *Runtime) Gossiped() map[string]string {
-	out := make(map[string]string, len(rt.gossiped))
-	for p, a := range rt.gossiped {
-		out[p] = a
-	}
-	return out
 }
 
 // Ready runs the pre-transaction barrier: a node calls it once its

@@ -51,9 +51,8 @@ type Runtime struct {
 	ks        *seccrypto.KeyStore
 	seedAddr  string
 	mem       *Membership
-	directory []byte            // encoded CtrlDirectory message (seed only)
-	gossiped  map[string]string // principal → addr heard via CtrlMember
-	ctrlCh    chan wire.Join    // post-Start control records (departure barrier)
+	directory []byte         // encoded CtrlDirectory message (seed only)
+	ctrlCh    chan wire.Join // post-Start control records (departure barrier)
 	// early holds datagrams that reached this node inside the ready barrier
 	// and are not bootstrap records: traffic of peers the seed released
 	// first. The endpoint has acknowledged them, so they must reach the node.
@@ -98,7 +97,6 @@ func NewRuntime(cfg *Config, principal string, net transport.Network) (*Runtime,
 		priv:      priv,
 		ks:        cfg.BuildKeyStore(principal, priv),
 		seedAddr:  cfg.Seed().Addr,
-		gossiped:  make(map[string]string),
 	}
 	if priv != nil {
 		rt.pubDER = seccrypto.MarshalPublicKey(&priv.PublicKey)
@@ -124,18 +122,6 @@ func (rt *Runtime) hstep(to obs.HealthState) {
 // MarkRunning advances health to running — called once the node's
 // transaction loop is started and workload facts are asserted.
 func (rt *Runtime) MarkRunning() { rt.hstep(obs.StateRunning) }
-
-// MarkDone advances health through draining to done — the clean-exit
-// terminal step after Leave.
-func (rt *Runtime) MarkDone() {
-	if rt.Health == nil {
-		return
-	}
-	if rt.Health.State() != obs.StateDraining {
-		rt.hstep(obs.StateDraining)
-	}
-	rt.hstep(obs.StateDone)
-}
 
 // MarkFailed records a terminal failure on the health machine.
 func (rt *Runtime) MarkFailed(err error) {

@@ -307,16 +307,6 @@ func newCluster(cfg ClusterConfig, identities func() ([]nodeIdentity, error)) (*
 	return c, nil
 }
 
-// SignPoolStats returns the shared signing pool's cache hits and misses
-// (one miss is one RSA private-key operation); zeros when the scheme does
-// not sign.
-func (c *Cluster) SignPoolStats() (hits, misses int64) {
-	if c.spool == nil {
-		return 0, 0
-	}
-	return c.spool.Stats()
-}
-
 // MemNet returns the underlying MemNetwork when the cluster runs over the
 // simulated transport, nil otherwise. Tests use it for fault injection.
 func (c *Cluster) MemNet() *transport.MemNetwork {

@@ -150,7 +150,7 @@ func FetchSpans(client *http.Client, addr string, trace uint64) ([]Span, error) 
 	return spans, nil
 }
 
-// ReadSpanDump loads a span dump written by `sbxnode -spandump` (the same
+// ReadSpanDump loads a span dump written by `sbxnode -dump` (the same
 // JSON array /debug/spans serves) — the offline input of `sbx trace` when
 // the cluster is gone and only artifacts remain.
 func ReadSpanDump(path string) ([]Span, error) {

@@ -76,7 +76,7 @@ func TestScrapeNode(t *testing.T) {
 	}
 }
 
-// TestSpanDumpRoundTrip: ReadSpanDump reads what the -spandump flag writes
+// TestSpanDumpRoundTrip: ReadSpanDump reads what sbxnode -dump writes
 // (a JSON span array), and SummarizeTraces ranks the merged result.
 func TestSpanDumpRoundTrip(t *testing.T) {
 	now := time.Now()
@@ -86,7 +86,7 @@ func TestSpanDumpRoundTrip(t *testing.T) {
 		{Trace: 4, Hop: 0, Node: "a:1", Principal: "p0", Stage: StageFixpoint, Start: now},
 		{Trace: 0, Node: "a:1", Stage: StageDecode, Start: now}, // untraced: ignored by summaries
 	}
-	// Write the same JSON shape /debug/spans serves and -spandump writes.
+	// Write the same JSON shape /debug/spans serves and sbxnode -dump writes.
 	path := filepath.Join(t.TempDir(), "spans.json")
 	data, err := json.MarshalIndent(spans, "", "  ")
 	if err != nil {

@@ -82,7 +82,7 @@ func MountWith(mux *http.ServeMux, h *Health) {
 
 // DebugServer is a running observability HTTP server with a graceful
 // shutdown path: Close drains in-flight scrapes before the listener goes
-// away, so a -metricsdump run exits without a lingering socket and a
+// away, so a -dump run exits without a lingering socket and a
 // mid-scrape collector is not cut off.
 type DebugServer struct {
 	addr      string

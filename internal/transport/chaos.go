@@ -13,8 +13,7 @@ import (
 )
 
 // cChaosFaults counts injected faults by kind (drop/dup/garble/delay/
-// reorder/partition/crash); families render at zero so the chaos smoke can
-// assert both presence and activity.
+// reorder/partition/crash), one series per kind once it has fired.
 var chaosReg = obs.Default()
 
 func init() {
@@ -50,9 +49,9 @@ type ChaosPartition struct {
 }
 
 // ChaosCrash silences one node from AtMs on the plan clock: every datagram
-// it sends or is sent is dropped. HangMs 0 means a permanent crash (the
-// sbxnode driver additionally exits the process); a positive HangMs is a
-// hang — the node falls silent for that long and then resumes.
+// it sends or is sent is dropped. HangMs 0 means a permanent crash (sbxnode
+// also ends that principal's run, exit 7); a positive HangMs is a hang — the
+// node falls silent for that long and then resumes.
 type ChaosCrash struct {
 	Node   string `json:"node"`
 	AtMs   int    `json:"at_ms"`
@@ -205,9 +204,8 @@ func (e *ChaosEngine) Start() {
 }
 
 // CrashAt reports the principal's crash/hang schedule entry, if any, as
-// offsets on the plan clock. Drivers use it to actually terminate their own
-// process at a scheduled permanent crash (HangMs 0) instead of merely
-// falling silent.
+// offsets on the plan clock. Drivers use it to end their own run at a
+// scheduled permanent crash (HangMs 0) instead of merely falling silent.
 func (e *ChaosEngine) CrashAt(principal string) (at, hang time.Duration, ok bool) {
 	for _, cr := range e.plan.Crashes {
 		if cr.Node == principal {

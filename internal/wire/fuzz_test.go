@@ -131,3 +131,38 @@ func FuzzDecodePayload(f *testing.F) {
 		}
 	})
 }
+
+// FuzzDecodeJoin feeds DecodeJoin what the bootstrap handshake reads off a
+// socket before any key is known: every datagram is decoded speculatively, so
+// anyone who can reach a joining node writes it. Whatever the bytes: it
+// returns instead of panicking; it allocates in proportion to the input,
+// never to a member count the input claims; it never accepts the retired
+// type 4; and a record it accepts survives Encode∘Decode unchanged. The seed
+// corpus under testdata/fuzz/FuzzDecodeJoin holds one record of every type
+// and near misses (truncated, lying member count, retired type 4).
+func FuzzDecodeJoin(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		j, err := DecodeJoin(data)
+		runtime.ReadMemStats(&after)
+		// A MemberInfo is 56 bytes and takes at least three input bytes, plus
+		// the copies of what it holds, with slack for the fuzzing worker.
+		if got, bound := after.TotalAlloc-before.TotalAlloc, uint64(32*len(data)+1<<16); got > bound {
+			t.Fatalf("decoding %d bytes allocated %d, bound %d", len(data), got, bound)
+		}
+		if err != nil {
+			return
+		}
+		if j.Type == 4 {
+			t.Fatal("accepted the retired type 4")
+		}
+		again, err := DecodeJoin(EncodeJoin(j))
+		if err != nil {
+			t.Fatalf("re-encoding of an accepted record does not decode: %v", err)
+		}
+		if !reflect.DeepEqual(again, j) {
+			t.Fatalf("Encode∘Decode changed the record: %+v -> %+v", j, again)
+		}
+	})
+}

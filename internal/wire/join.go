@@ -5,16 +5,15 @@ import "fmt"
 // Bootstrap control record types, carried — like probes and reports — as
 // the single payload of a MsgControl message. They implement the cluster
 // join handshake of internal/cluster: a joining node announces itself to a
-// seed node, the seed gossips the announcement to already-joined members,
-// answers with the full directory once the expected membership is complete,
-// and runs a ready barrier before any node's first transaction.
+// seed node, the seed answers with the full directory once the expected
+// membership is complete, and runs a ready barrier before any node's first
+// transaction. Type 4 (the seed's gossip of one newcomer to earlier joiners)
+// is retired and rejected: the directory every joiner waits for already
+// carries every member.
 const (
 	// CtrlJoin announces a joining node (principal, bound address, public
 	// key) to the seed.
 	CtrlJoin CtrlType = 3
-	// CtrlMember gossips one newly joined member from the seed to the
-	// members that joined before it.
-	CtrlMember CtrlType = 4
 	// CtrlDirectory carries the full membership (every principal, its
 	// authoritative transport address, and its public key) from the seed to
 	// a joined node.
@@ -53,10 +52,9 @@ type MemberInfo struct {
 // Join is the wire record of the bootstrap handshake and the departure
 // barrier. Cluster carries the deployment's name so records from an
 // unrelated cluster sharing the network are rejected instead of corrupting
-// membership. Members holds exactly one entry for CtrlJoin, CtrlMember,
-// CtrlReady and CtrlLeave (the announcing member), the full directory for
-// CtrlDirectory, the evicted members for CtrlEvict, and is empty for
-// CtrlGo and CtrlBye.
+// membership. Members holds exactly one entry for CtrlJoin, CtrlReady and
+// CtrlLeave (the announcing member), the full directory for CtrlDirectory,
+// the evicted members for CtrlEvict, and is empty for CtrlGo and CtrlBye.
 type Join struct {
 	Type    CtrlType
 	Cluster string
@@ -110,7 +108,7 @@ func DecodeJoin(buf []byte) (Join, error) {
 		return j, ErrTruncated
 	}
 	j.Type = CtrlType(buf[0])
-	if j.Type < CtrlJoin || j.Type > CtrlEvict {
+	if j.Type < CtrlJoin || j.Type > CtrlEvict || j.Type == 4 {
 		return j, fmt.Errorf("wire: bad join record type %d", buf[0])
 	}
 	buf = buf[1:]

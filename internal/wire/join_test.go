@@ -11,9 +11,6 @@ func TestJoinRoundTrip(t *testing.T) {
 		{Type: CtrlJoin, Cluster: "pv3", Members: []MemberInfo{
 			{Principal: "p1", Addr: "127.0.0.1:7102", PubKey: []byte{1, 2, 3}},
 		}},
-		{Type: CtrlMember, Cluster: "pv3", Members: []MemberInfo{
-			{Principal: "p2", Addr: "127.0.0.1:7103"},
-		}},
 		{Type: CtrlDirectory, Cluster: "c", Members: []MemberInfo{
 			{Principal: "p0", Addr: "a:1", PubKey: bytes.Repeat([]byte{9}, 140)},
 			{Principal: "p1", Addr: "b:2", PubKey: bytes.Repeat([]byte{7}, 140)},
@@ -44,6 +41,8 @@ func TestJoinRejectsGarbage(t *testing.T) {
 		{byte(CtrlJoin)},       // truncated cluster
 		{byte(CtrlGo), 2, 'x'}, // cluster length lies
 		append(EncodeJoin(Join{Type: CtrlReady, Cluster: "c"}), 0xff), // trailing
+		// the retired seed gossip of one newcomer, otherwise well formed
+		EncodeJoin(Join{Type: 4, Cluster: "pv3", Members: []MemberInfo{{Principal: "p2", Addr: "127.0.0.1:7103"}}}),
 	}
 	for i, buf := range bad {
 		if _, err := DecodeJoin(buf); err == nil {
