@@ -18,17 +18,6 @@ func sbx(args ...string) (code int, stdout, stderr string) {
 // schemes are the eight names cluster.ParsePolicyName accepts.
 var schemes = []string{"NoAuth", "HMAC", "RSA", "RSA-batch", "NoAuth-AES", "HMAC-AES", "RSA-AES", "RSA-batch-AES"}
 
-// knownBroken are the cells of the scheme × workload matrix that ROADMAP
-// item 1(a) lists: a node's self-addressed says has no secret(P, K) for
-// P = self and no export_batch coverage, so every node's first transaction
-// rolls back and the join computes nothing. They are asserted to fail
-// loudly; the correctness PR that fixes item 1 deletes this map.
-var knownBroken = map[string]bool{
-	"hashjoin/HMAC":      true,
-	"hashjoin/HMAC-AES":  true,
-	"hashjoin/RSA-batch": true,
-}
-
 // TestRunSchemeByWorkloadMatrix: every scheme × every shipped workload
 // through `sbx run` at smoke size. A cell either exits 0 having printed its
 // measurements and a passing, non-empty oracle line, or exits 1 naming what
@@ -69,12 +58,6 @@ func TestRunSchemeByWorkloadMatrix(t *testing.T) {
 				if !strings.Contains(out, "\n"+m+" ") {
 					t.Errorf("measurement %q not printed (they come before the verdict):\n%s", m, out)
 				}
-			}
-			if knownBroken[name] {
-				if code != 1 || !strings.Contains(errOut, "violations, first: constraint violation") || strings.Contains(out, "\nok\n") {
-					t.Fatalf("ROADMAP item 1(a) cell: exit %d, want a loud 1 naming the violations (if it passes now, delete it from knownBroken)\nstdout:\n%s\nstderr:\n%s", code, out, errOut)
-				}
-				return
 			}
 			if code != 0 {
 				t.Fatalf("exit %d\nstdout:\n%s\nstderr:\n%s", code, out, errOut)

@@ -109,22 +109,30 @@ const (
 // Signature policies (§3.2): generation rule at the sender, verification
 // constraint at the receiver. NoAuth "signs" with an empty tag so the
 // export dataflow is uniform across schemes.
+//
+// A fact a node says to itself is decided here, once, for every scheme: it is
+// neither signed nor exported, and needs no signature to stand. Every import
+// rule — the policy's and an application's — reads says[T](U, self[], V*), so
+// the local says[T](self[], self[], V*) is imported where it was derived; the
+// sign/export/verify path, and the secret or export_batch row it would need
+// for P = self, is for facts that cross the network.
 const (
 	sigNoAuth = "`" + `{
-		sig[T](self[], P, V*, S) <- says[T](self[], P, V*), noauth_sign[T](V*, S).
+		sig[T](self[], P, V*, S) <- says[T](self[], P, V*), P != self[],
+			noauth_sign[T](V*, S).
 	} <-- predicate(T), exportable(T).
 `
 	sigRSA = "`" + `{
-		sig[T](self[], P, V*, S) <- says[T](self[], P, V*),
+		sig[T](self[], P, V*, S) <- says[T](self[], P, V*), P != self[],
 			private_key[]=K, rsa_sign[T](K, V*, S).
-		says[T](P, self[], V*) -> sig[T](P, self[], V*, S),
+		says[T](P, self[], V*), P != self[] -> sig[T](P, self[], V*, S),
 			public_key(P, K), rsa_verify[T](K, V*, S).
 	} <-- predicate(T), exportable(T).
 `
 	sigHMAC = "`" + `{
-		sig[T](self[], P, V*, S) <- says[T](self[], P, V*),
+		sig[T](self[], P, V*, S) <- says[T](self[], P, V*), P != self[],
 			secret(P, K), hmac_sign[T](K, V*, S).
-		says[T](P, self[], V*) -> sig[T](P, self[], V*, S),
+		says[T](P, self[], V*), P != self[] -> sig[T](P, self[], V*, S),
 			secret(P, K), hmac_verify[T](K, V*, S).
 	} <-- predicate(T), exportable(T).
 `
@@ -150,17 +158,17 @@ const (
 // every export asserted at this node (the runtime binds inbound exports to
 // the local address) must be covered by an export_batch row, and every
 // export_batch row must verify against the public key of the principal at
-// the claimed origin node. This deliberately covers messages spoofing the
-// local node's own address — the forger cannot produce this node's batch
-// signature — which means the scheme does not admit locally derived
-// self-addressed exports (no paper workload produces them: says is always
-// directed at a peer). One message is one transaction, so a failed batch
+// the claimed origin node. This covers messages spoofing the local node's own
+// address — the forger cannot produce this node's batch signature — and costs
+// nothing locally: a fact the node says to itself is never signed, so never
+// exported (see the signature policies). One message is one transaction, so a failed batch
 // signature rolls the whole envelope back — exactly the per-tuple schemes'
 // rejection granularity, at one RSA verification per envelope (the verify
 // pool memoizes the identical (key, root, signature) triple across an
 // envelope's rows).
 const sigRSABatch = "`" + `{
-	sig[T](self[], P, V*, S) <- says[T](self[], P, V*), noauth_sign[T](V*, S).
+	sig[T](self[], P, V*, S) <- says[T](self[], P, V*), P != self[],
+		noauth_sign[T](V*, S).
 } <-- predicate(T), exportable(T).
 ` + `
 	export(N, L, Pkt), principal_node[self[]]=N ->
@@ -172,9 +180,12 @@ const sigRSABatch = "`" + `{
 // Export/import dataflow (§5.1): serialize a said fact with its signature,
 // look up the destination principal's node, and ship it; the receiving side
 // deserializes and rederives the says and sig facts, which triggers the
-// verification constraints. The AES variants add encryption with the
-// pairwise shared secret, exactly the paper's "only difference is the last
-// line" customization.
+// verification constraints. An export whose origin resolves to this node's own
+// principal imports nothing: the node never exports to itself, so such a
+// datagram is a forgery, and a says[T](self[], self[], V*) may only come from
+// the node's own rules. The AES variants add encryption with the pairwise
+// shared secret, exactly the paper's "only difference is the last line"
+// customization.
 const (
 	exportPlain = "`" + `{
 		export(N, L, Pkt) <- says[T](self[], U, V*), sig[T](self[], U, V*, S),
@@ -182,7 +193,7 @@ const (
 			principal_node[U]=N, principal_node[self[]]=L.
 		says[T](U, self[], V*), sig[T](U, self[], V*, S) <-
 			export(N, L, Pkt), deserialize[T](S, Pkt, V*),
-			principal_node[self[]]=N, principal_node[U]=L.
+			principal_node[self[]]=N, principal_node[U]=L, U != self[].
 	} <-- predicate(T), exportable(T).
 `
 	exportAES = "`" + `{
@@ -191,7 +202,7 @@ const (
 			principal_node[U]=N, principal_node[self[]]=L,
 			secret(U, K2), aesencrypt(Pkt, K2, CT).
 		says[T](U, self[], V*), sig[T](U, self[], V*, S) <-
-			export(N, L, CT), principal_node[self[]]=N, principal_node[U]=L,
+			export(N, L, CT), principal_node[self[]]=N, principal_node[U]=L, U != self[],
 			secret(U, K2), aesdecrypt(CT, K2, Pkt), deserialize[T](S, Pkt, V*).
 	} <-- predicate(T), exportable(T).
 `

@@ -180,33 +180,32 @@ func (lx *Lexer) lexIdent() string {
 }
 
 func (lx *Lexer) lexString() (string, error) {
-	// opening quote already consumed
+	// opening quote already consumed; escapes are Go's, so every string
+	// strconv.Quote prints lexes back to itself
 	var sb strings.Builder
 	for {
 		if lx.pos >= len(lx.src) {
 			return "", fmt.Errorf("line %d: unterminated string literal", lx.line)
 		}
-		c := lx.advance()
-		switch c {
+		switch c := lx.peek(); c {
 		case '"':
+			lx.advance()
 			return sb.String(), nil
 		case '\\':
-			if lx.pos >= len(lx.src) {
-				return "", fmt.Errorf("line %d: unterminated escape", lx.line)
+			v, multibyte, tail, err := strconv.UnquoteChar(lx.src[lx.pos:], '"')
+			if err != nil {
+				return "", fmt.Errorf("line %d: bad escape in string literal", lx.line)
 			}
-			e := lx.advance()
-			switch e {
-			case 'n':
-				sb.WriteByte('\n')
-			case 't':
-				sb.WriteByte('\t')
-			case '\\', '"':
-				sb.WriteByte(e)
-			default:
-				return "", fmt.Errorf("line %d: bad escape \\%c", lx.line, e)
+			for n := len(lx.src) - len(tail); lx.pos < n; {
+				lx.advance()
+			}
+			if multibyte {
+				sb.WriteRune(v)
+			} else {
+				sb.WriteByte(byte(v))
 			}
 		default:
-			sb.WriteByte(c)
+			sb.WriteByte(lx.advance())
 		}
 	}
 }

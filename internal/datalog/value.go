@@ -12,7 +12,6 @@ package datalog
 import (
 	"encoding/binary"
 	"fmt"
-	"hash/maphash"
 	"strconv"
 	"strings"
 	"unsafe"
@@ -61,25 +60,19 @@ func (k Kind) String() string {
 	}
 }
 
-// Value is a runtime value stored in relations. It is a tagged union: Int is
-// used by KindInt, KindBool (0/1) and KindEntity (entity id); Str by
-// KindString, KindName, KindNode, KindPrin, KindEntity (entity type) and
-// KindBytes. Byte strings are immutable like every other value, so they ride
-// in Str and are read through Bytes: a tuple is then 32 bytes per column with
-// one pointer word for the collector to follow.
+// Value is a runtime value: the language's type for constants, facts, query
+// results, UDF arguments and wire payloads. It is a tagged union: Int is used
+// by KindInt, KindBool (0/1) and KindEntity (entity id); Str by KindString,
+// KindName, KindNode, KindPrin, KindEntity (entity type) and KindBytes. Byte
+// strings are immutable like every other value, so they ride in Str and are
+// read through Bytes. The engine does not store Values: it encodes them as
+// pointer-free cells whose text is interned per workspace, and hands out
+// Values whose Str views that text.
 type Value struct {
 	Kind Kind
 	Int  int64
 	Str  string
 }
-
-// unsafe.Sizeof(Value{}) == 32, asserted at compile time (one of the two
-// array lengths underflows otherwise): relations, frames and tuple blocks are
-// sized by it, so a field added here is paid for in every stored column.
-var (
-	_ [unsafe.Sizeof(Value{}) - 32]struct{}
-	_ [32 - unsafe.Sizeof(Value{})]struct{}
-)
 
 // Int64 returns an integer value.
 func Int64(v int64) Value { return Value{Kind: KindInt, Int: v} }
@@ -202,67 +195,6 @@ func (v Value) AppendKey(buf []byte) []byte {
 	return buf
 }
 
-// hashSeed keys all tuple hashing for this process. Hashes are only ever
-// used to address in-memory maps, so they do not need to be stable across
-// runs — but every hash in one process must use the same seed.
-var hashSeed = maphash.MakeSeed()
-
-const hashPrime = 1099511628211 // FNV-1a 64-bit prime, used to fold fields
-
-// HashInto folds v into the running 64-bit hash h without allocating. Equal
-// values always produce equal folds; unequal values may collide, so callers
-// must confirm candidates with Equal.
-func (v Value) HashInto(h uint64) uint64 {
-	h = (h ^ uint64(v.Kind)) * hashPrime
-	switch v.Kind {
-	case KindInt, KindBool:
-		h = (h ^ uint64(v.Int)) * hashPrime
-	case KindString, KindName, KindNode, KindPrin, KindBytes:
-		h = (h ^ maphash.String(hashSeed, v.Str)) * hashPrime
-	case KindEntity:
-		h = (h ^ maphash.String(hashSeed, v.Str)) * hashPrime
-		h = (h ^ uint64(v.Int)) * hashPrime
-	}
-	return h
-}
-
-// tupleHashOffset is the FNV-1a offset basis, the seed of every tuple hash.
-const tupleHashOffset = 14695981039346656037
-
-// Hash returns the 64-bit hash of the whole tuple.
-func (t Tuple) Hash() uint64 { return t.HashPrefix(len(t)) }
-
-// HashPrefix returns the 64-bit hash of the first n values, used for
-// functional-dependency lookups.
-func (t Tuple) HashPrefix(n int) uint64 {
-	h := uint64(tupleHashOffset)
-	for _, v := range t[:n] {
-		h = v.HashInto(h)
-	}
-	return h
-}
-
-// HashCols returns the 64-bit hash of the projection of t onto cols, used by
-// secondary join indexes.
-func (t Tuple) HashCols(cols []int) uint64 {
-	h := uint64(tupleHashOffset)
-	for _, c := range cols {
-		h = t[c].HashInto(h)
-	}
-	return h
-}
-
-// HashValues hashes a value sequence exactly as HashCols hashes the
-// corresponding projection, so probe keys built from bound terms address the
-// same buckets as stored tuples.
-func HashValues(vals []Value) uint64 {
-	h := uint64(tupleHashOffset)
-	for _, v := range vals {
-		h = v.HashInto(h)
-	}
-	return h
-}
-
 // String renders the value as DatalogLB source text where possible.
 func (v Value) String() string {
 	switch v.Kind {
@@ -278,9 +210,12 @@ func (v Value) String() string {
 	case KindName:
 		return "'" + v.Str
 	case KindNode:
-		return "@" + v.Str
+		return "@" + strconv.Quote(v.Str)
 	case KindPrin:
-		return "#" + v.Str
+		if isIdent(v.Str) {
+			return "#" + v.Str
+		}
+		return "#" + strconv.Quote(v.Str)
 	case KindEntity:
 		return fmt.Sprintf("%s:%d", v.Str, v.Int)
 	case KindBytes:
@@ -288,6 +223,16 @@ func (v Value) String() string {
 	default:
 		return "<invalid>"
 	}
+}
+
+// isIdent reports whether s lexes as one identifier.
+func isIdent(s string) bool {
+	for i, r := range s {
+		if i == 0 && !isIdentStart(r) || !isIdentPart(r) {
+			return false
+		}
+	}
+	return s != ""
 }
 
 // Tuple is an ordered list of values: one fact of a relation.

@@ -142,6 +142,7 @@ const (
 	forgedSignature   forgery = "forged-signature"
 	truncatedEnvelope forgery = "truncated-envelope"
 	spoofedFrom       forgery = "spoofed-from"
+	spoofedSelf       forgery = "spoofed-self" // claims the receiver's own address
 
 	// What only a batch envelope can suffer: damage to the fields that place
 	// it in its signing group.
@@ -154,7 +155,7 @@ const (
 
 // forgeries lists the corruptions that apply under a policy.
 func forgeries(policy core.PolicyConfig) []forgery {
-	all := []forgery{forgedSignature, truncatedEnvelope, spoofedFrom}
+	all := []forgery{forgedSignature, truncatedEnvelope, spoofedFrom, spoofedSelf}
 	if policy.BatchSign {
 		all = append(all, tamperedSibling, wrongPosition, positionBeyond, siblingsTruncated, siblingsOverMax)
 	}
@@ -188,6 +189,8 @@ func (r *inboundRig) forge(t *testing.T, m transport.InMsg, how forgery) transpo
 	switch policy := r.c.Cfg.Policy; {
 	case how == spoofedFrom:
 		msg.From = r.c.Addrs[advBystander]
+	case how == spoofedSelf:
+		msg.From = r.c.Addrs[advReceiver]
 	case how == tamperedSibling:
 		msg.Siblings[wire.DigestSize/2] ^= 0xFF
 	case how == wrongPosition:
@@ -418,13 +421,19 @@ func TestMergedInboundRunIsolatesForgeries(t *testing.T) {
 						// is not the one that was signed; an envelope the
 						// decoder refuses is dropped unread; a spoofed source
 						// fails every scheme that authenticates and is believed
-						// by the one that does not.
-						wantViolations, wantInbox := 1, n-1
+						// by the one that does not. A datagram claiming the
+						// receiver's own address imports nothing under any
+						// scheme — a node never exports to itself — and only
+						// RSA-batch, whose envelope check covers every
+						// datagram, also counts it as a violation.
+						wantViolations, wantInbox, decoded := 1, n-1, n
 						switch {
 						case how.undecodable():
-							wantViolations = 0
+							wantViolations, decoded = 0, n-1
 						case how == spoofedFrom && policy.Auth == core.AuthNone:
 							wantViolations, wantInbox = 0, n
+						case how == spoofedSelf && !policy.BatchSign:
+							wantViolations = 0
 						}
 						if got.violations != wantViolations {
 							t.Errorf("%d violations, want %d: %v", got.violations, wantViolations, node.Violations())
@@ -447,7 +456,7 @@ func TestMergedInboundRunIsolatesForgeries(t *testing.T) {
 							if got.runs != 1 {
 								t.Errorf("clean backlog committed as %d transactions, want 1", got.runs)
 							}
-							if fallbacks != 0 || runSizes.Count != 1 || runSizes.Sum != float64(wantInbox) {
+							if fallbacks != 0 || runSizes.Count != 1 || runSizes.Sum != float64(decoded) {
 								t.Errorf("metrics after a clean merge: %d fallbacks, %d runs of %v datagrams in all", fallbacks, runSizes.Count, runSizes.Sum)
 							}
 						}

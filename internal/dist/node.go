@@ -94,7 +94,7 @@ type Node struct {
 	evicted map[string]bool
 
 	// Loop-goroutine-only state (no locking needed).
-	sent     *engine.Relation // export tuples already shipped: a hashed set verified by equality
+	sent     *engine.Relation // export(N, L, Pkt) tuples already shipped, in the workspace's store
 	selfAddr string           // cached principal_node[self] address
 
 	sentSize atomic.Int64 // mirror of sent.Len() for external inspection
@@ -156,7 +156,7 @@ func NewNode(principal string, ws *engine.Workspace, ep transport.Transport) *No
 		ep:        ep,
 		wake:      make(chan struct{}, 1),
 		stopCh:    make(chan struct{}),
-		sent:      engine.NewTupleSet(),
+		sent:      ws.NewTupleSet(3),
 		perPeer:   make(map[string]*peerCtr),
 		evicted:   make(map[string]bool),
 	}

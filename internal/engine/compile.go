@@ -56,6 +56,7 @@ type step struct {
 type headEx struct {
 	name    string
 	entType string
+	entSym  uint32    // entType's symbol
 	rel     *Relation // entType's relation
 	slot    int
 }
@@ -82,6 +83,9 @@ type CompiledRule struct {
 	headRels    []*Relation
 	bodySlots   []int // slots of bodyVars, in the same (name-sorted) order
 	aggOverSlot int   // slot of agg.Over, -1 when absent
+	// aggKeys is the group table of an aggregate recompute: the group keys, by
+	// row id the index of their accumulators in Workspace.aggCells.
+	aggKeys *Relation
 
 	// bound carries the planner's bound-variable set from planRule to
 	// finalizeRule, which clears it.
@@ -267,29 +271,37 @@ func termBound(t datalog.Term, bound map[string]bool) bool {
 // planSteps orders steps greedily so that every step runs with sufficient
 // bindings: binding/filter comparisons and ready negations first, then
 // matches sharing bound variables (functional lookups preferred), then
-// ready UDFs, then cartesian matches as a last resort.
-func planSteps(unplanned []step, bound map[string]bool) ([]step, error) {
+// ready UDFs, then cartesian matches as a last resort. With lead ≥ 0,
+// unplanned[lead] is the plan's first step whatever its bindings — the delta
+// atom of a delta-first plan, whose variables bound already holds — and the
+// rest are ordered from there. unplanned is not modified.
+func planSteps(unplanned []step, bound map[string]bool, lead int) ([]step, error) {
 	out := make([]step, 0, len(unplanned))
-	remaining := append([]step(nil), unplanned...)
+	taken := make([]bool, len(unplanned))
+	if lead >= 0 {
+		out, taken[lead] = append(out, unplanned[lead]), true
+	}
 
 	allBound := func(t datalog.Term) bool { return termBound(t, bound) }
-	atomBoundMask := func(a *datalog.Atom) (mask []bool, nBound int) {
-		mask = make([]bool, len(a.Args))
-		for i, t := range a.Args {
+	var mask []bool // atomBoundMask's, reused
+	atomBoundMask := func(a *datalog.Atom) (nBound int) {
+		mask = mask[:0]
+		for _, t := range a.Args {
+			b := false
 			switch tt := t.(type) {
 			case datalog.Const:
-				mask[i] = true
-				nBound++
+				b = true
 			case datalog.Var:
-				if bound[tt.Name] {
-					mask[i] = true
-					nBound++
-				}
+				b = bound[tt.Name]
 			case datalog.Wildcard:
 				// unbound, but requires nothing
 			}
+			if b {
+				nBound++
+			}
+			mask = append(mask, b)
 		}
-		return mask, nBound
+		return nBound
 	}
 	bindAtomVars := func(a *datalog.Atom) {
 		for _, t := range a.Args {
@@ -316,120 +328,85 @@ func planSteps(unplanned []step, bound map[string]bool) ([]step, error) {
 		}
 		return cols
 	}
-
-	take := func(i int) step {
-		s := remaining[i]
-		remaining = append(remaining[:i], remaining[i+1:]...)
-		return s
+	// next returns the first step not yet planned after index i, of kind k.
+	next := func(i int, k stepKind) int {
+		for i++; i < len(unplanned); i++ {
+			if !taken[i] && unplanned[i].kind == k {
+				return i
+			}
+		}
+		return -1
 	}
 
-	for len(remaining) > 0 {
+	for len(out) < len(unplanned) {
 		picked := -1
 		// 1. comparisons: filters with everything bound, or "=" binders.
-		for i, s := range remaining {
-			if s.kind != stepCmp {
-				continue
-			}
-			if allBound(s.l) && allBound(s.r) {
+		for i := next(-1, stepCmp); i >= 0 && picked < 0; i = next(i, stepCmp) {
+			s := &unplanned[i]
+			switch {
+			case allBound(s.l) && allBound(s.r):
 				picked = i
-				break
-			}
-			if s.op == "=" {
+			case s.op == "=":
 				if lv, ok := s.l.(datalog.Var); ok && !bound[lv.Name] && allBound(s.r) {
 					picked = i
-					break
-				}
-				if rv, ok := s.r.(datalog.Var); ok && !bound[rv.Name] && allBound(s.l) {
+				} else if rv, ok := s.r.(datalog.Var); ok && !bound[rv.Name] && allBound(s.l) {
 					picked = i
-					break
 				}
 			}
 		}
 		// 2. ready negations.
-		if picked < 0 {
-			for i, s := range remaining {
-				if s.kind != stepNeg {
-					continue
-				}
-				ready := true
-				for _, t := range s.atom.Args {
-					if v, ok := t.(datalog.Var); ok && !bound[v.Name] {
-						ready = false
-						break
-					}
-				}
-				if ready {
-					picked = i
+		for i := next(-1, stepNeg); i >= 0 && picked < 0; i = next(i, stepNeg) {
+			ready := true
+			for _, t := range unplanned[i].atom.Args {
+				if v, ok := t.(datalog.Var); ok && !bound[v.Name] {
+					ready = false
 					break
 				}
 			}
+			if ready {
+				picked = i
+			}
 		}
 		// 3. kind checks with bound operands.
-		if picked < 0 {
-			for i, s := range remaining {
-				if s.kind == stepKindCheck && allBound(s.checked) {
-					picked = i
-					break
-				}
+		for i := next(-1, stepKindCheck); i >= 0 && picked < 0; i = next(i, stepKindCheck) {
+			if allBound(unplanned[i].checked) {
+				picked = i
 			}
 		}
 		// 4. matches: prefer functional with all keys bound, then most
 		// bound arguments.
 		if picked < 0 {
 			best, bestScore := -1, -1
-			for i, s := range remaining {
-				if s.kind != stepMatch {
-					continue
-				}
-				mask, n := atomBoundMask(s.atom)
+			for i := next(-1, stepMatch); i >= 0; i = next(i, stepMatch) {
+				a := unplanned[i].atom
+				n := atomBoundMask(a)
 				score := n * 2
-				if s.atom.Functional() {
-					keysBound := true
-					for k := 0; k < s.atom.KeyArity; k++ {
-						if !mask[k] {
-							keysBound = false
-							break
-						}
-					}
-					if keysBound {
-						score += 100
-					}
+				if a.Functional() && !slices.Contains(mask[:a.KeyArity], false) {
+					score += 100
 				}
 				if score > bestScore && n > 0 {
 					best, bestScore = i, score
 				}
 			}
-			if best >= 0 {
-				picked = best
-			}
+			picked = best
 		}
 		// 5. ready UDFs.
-		if picked < 0 {
-			for i, s := range remaining {
-				if s.kind != stepUDF {
-					continue
-				}
-				mask, _ := atomBoundMask(s.atom)
-				if s.udf.CanEval(mask) {
-					picked = i
-					break
-				}
+		for i := next(-1, stepUDF); i >= 0 && picked < 0; i = next(i, stepUDF) {
+			atomBoundMask(unplanned[i].atom)
+			if unplanned[i].udf.CanEval(mask) {
+				picked = i
 			}
 		}
 		// 6. any match at all (cartesian start).
 		if picked < 0 {
-			for i, s := range remaining {
-				if s.kind == stepMatch {
-					picked = i
-					break
-				}
-			}
+			picked = next(-1, stepMatch)
 		}
 		if picked < 0 {
 			return nil, fmt.Errorf("cannot order body: %d literal(s) never become evaluable (first: %s)",
-				len(remaining), describeStep(remaining[0]))
+				len(unplanned)-len(out), describeStep(unplanned[slices.Index(taken, false)]))
 		}
-		s := take(picked)
+		s := unplanned[picked]
+		taken[picked] = true
 		switch s.kind {
 		case stepMatch:
 			s.boundCols = boundColsOf(s.atom)
@@ -466,11 +443,11 @@ func planDeltaPlans(unplanned []step) ([][]step, error) {
 		}
 		bound := map[string]bool{}
 		datalog.AtomVars(unplanned[i].atom, bound)
-		tail, err := planSteps(slices.Delete(slices.Clone(unplanned), i, i+1), bound)
+		plan, err := planSteps(unplanned, bound, i)
 		if err != nil {
 			return nil, err
 		}
-		plans = append(plans, append(append(make([]step, 0, len(unplanned)), unplanned[i]), tail...))
+		plans = append(plans, plan)
 	}
 	return plans, nil
 }
@@ -499,7 +476,7 @@ func (w *Workspace) finalizeSteps(steps []step, sa *slotAlloc) {
 			case nb > 0 && nb == arity:
 				s.probeIdx, s.probeCols = &s.rel.primary, s.boundCols
 			case nb > 0:
-				s.probeIdx, s.probeCols = s.rel.EnsureIndex(s.boundCols), s.boundCols
+				s.probeIdx, s.probeCols = s.rel.ensureIndex(s.boundCols), s.boundCols
 			}
 		case stepCmp:
 			cl := sa.compileTerm(s.l)
@@ -575,7 +552,7 @@ func (w *Workspace) planRule(r *datalog.Rule) (*CompiledRule, error) {
 		unplanned = append(unplanned, s)
 	}
 	bound := map[string]bool{}
-	steps, err := planSteps(unplanned, bound)
+	steps, err := planSteps(unplanned, bound, -1)
 	if err != nil {
 		return nil, fmt.Errorf("rule %s: %w", r, err)
 	}
@@ -592,7 +569,7 @@ func (w *Workspace) planRule(r *datalog.Rule) (*CompiledRule, error) {
 // head-existential analysis.
 func (w *Workspace) finalizeRule(cr *CompiledRule) error {
 	r, heads, steps, bound := cr.src, cr.heads, cr.steps, cr.bound
-	sa := newSlotAlloc()
+	sa := newSlotAlloc(&w.syms)
 	w.finalizeSteps(steps, sa)
 	w.finalizeDeltaPlans(cr.deltaPlans, sa)
 
@@ -637,7 +614,8 @@ func (w *Workspace) finalizeRule(cr *CompiledRule) error {
 		if entType == "" {
 			return fmt.Errorf("rule %s: head variable %s is unbound and has no entity type", r, v)
 		}
-		cr.exVars = append(cr.exVars, headEx{name: v, entType: entType, rel: w.ensureRelation(entType), slot: sa.slot(v)})
+		cr.exVars = append(cr.exVars, headEx{name: v, entType: entType, entSym: w.syms.intern(entType),
+			rel: w.ensureRelation(entType), slot: sa.slot(v)})
 	}
 	sort.Slice(cr.exVars, func(i, j int) bool { return cr.exVars[i].name < cr.exVars[j].name })
 
@@ -660,6 +638,7 @@ func (w *Workspace) finalizeRule(cr *CompiledRule) error {
 		if cr.agg.Over != "" {
 			cr.aggOverSlot = sa.slot(cr.agg.Over)
 		}
+		cr.aggKeys = w.NewTupleSet(heads[0].KeyArity)
 	}
 	cr.slotNames = sa.names
 	cr.bound = nil
@@ -690,7 +669,7 @@ func (w *Workspace) compileConstraint(con *datalog.Constraint) (*CompiledConstra
 		lhsUnplanned = append(lhsUnplanned, s)
 	}
 	bound := map[string]bool{}
-	lhsSteps, err := planSteps(lhsUnplanned, bound)
+	lhsSteps, err := planSteps(lhsUnplanned, bound, -1)
 	if err != nil {
 		return nil, fmt.Errorf("constraint %s: %w", con, err)
 	}
@@ -723,11 +702,11 @@ func (w *Workspace) compileConstraint(con *datalog.Constraint) (*CompiledConstra
 		}
 		rhsUnplanned = append(rhsUnplanned, s)
 	}
-	rhsSteps, err := planSteps(rhsUnplanned, bound)
+	rhsSteps, err := planSteps(rhsUnplanned, bound, -1)
 	if err != nil {
 		return nil, fmt.Errorf("constraint %s: %w", con, err)
 	}
-	sa := newSlotAlloc()
+	sa := newSlotAlloc(&w.syms)
 	w.finalizeSteps(lhsSteps, sa)
 	w.finalizeDeltaPlans(lhsDeltaPlans, sa)
 	w.finalizeSteps(rhsSteps, sa)

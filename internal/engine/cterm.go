@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"unsafe"
 
 	"secureblox/internal/datalog"
 )
@@ -21,22 +22,24 @@ const (
 // join loop never touches a map.
 type cterm struct {
 	kind ctermKind
-	val  datalog.Value // ctConst
-	slot int           // ctVar
-	name string        // ctVar: source name, for diagnostics
-	op   string        // ctExpr
-	l, r *cterm        // ctExpr operands
+	val  cell   // ctConst, interned when the rule is compiled
+	slot int    // ctVar
+	name string // ctVar: source name, for diagnostics
+	op   string // ctExpr
+	l, r *cterm // ctExpr operands
 }
 
 // slotAlloc numbers the variables of one rule (or one constraint, LHS and
-// RHS sharing a space) into consecutive frame slots.
+// RHS sharing a space) into consecutive frame slots, and interns its
+// constants into the workspace's table.
 type slotAlloc struct {
 	byName map[string]int
 	names  []string
+	syms   *symtab
 }
 
-func newSlotAlloc() *slotAlloc {
-	return &slotAlloc{byName: make(map[string]int)}
+func newSlotAlloc(syms *symtab) *slotAlloc {
+	return &slotAlloc{byName: make(map[string]int), syms: syms}
 }
 
 func (sa *slotAlloc) slot(name string) int {
@@ -54,7 +57,7 @@ func (sa *slotAlloc) slot(name string) int {
 func (sa *slotAlloc) compileTerm(t datalog.Term) cterm {
 	switch tt := t.(type) {
 	case datalog.Const:
-		return cterm{kind: ctConst, val: tt.Val}
+		return cterm{kind: ctConst, val: sa.syms.cell(tt.Val)}
 	case datalog.Var:
 		return cterm{kind: ctVar, slot: sa.slot(tt.Name), name: tt.Name}
 	case datalog.Wildcard:
@@ -78,16 +81,16 @@ func (sa *slotAlloc) compileAtom(a *datalog.Atom) []cterm {
 }
 
 // frame is the flat slot array holding one evaluation's variable bindings,
-// with a trail for backtracking. A slot holding the zero Value (KindInvalid,
+// with a trail for backtracking. A slot holding the zero cell (KindInvalid,
 // which no runtime datum can be) is unbound.
 type frame struct {
-	slots []datalog.Value
+	slots []cell
 	trail []int32
 	names []string // slot → source name, shared with the compiled rule
 }
 
 func newFrame(names []string) *frame {
-	return &frame{slots: make([]datalog.Value, len(names)), names: names}
+	return &frame{slots: make([]cell, len(names)), names: names}
 }
 
 // slotSpace is the slot numbering of one compiled rule or constraint, with
@@ -109,100 +112,105 @@ func (f *frame) mark() int { return len(f.trail) }
 
 func (f *frame) undo(mark int) {
 	for i := len(f.trail) - 1; i >= mark; i-- {
-		f.slots[f.trail[i]] = datalog.Value{}
+		f.slots[f.trail[i]] = cell{}
 	}
 	f.trail = f.trail[:mark]
 }
 
-func (f *frame) bind(slot int, v datalog.Value) {
+func (f *frame) bind(slot int, v cell) {
 	f.slots[slot] = v
 	f.trail = append(f.trail, int32(slot))
 }
 
-func (f *frame) get(slot int) (datalog.Value, bool) {
+func (f *frame) get(slot int) (cell, bool) {
 	v := f.slots[slot]
-	return v, v.Kind != datalog.KindInvalid
+	return v, v.kind != datalog.KindInvalid
 }
 
-// evalCterm computes the value of a compiled term under a frame.
-func evalCterm(t *cterm, f *frame) (datalog.Value, error) {
+// eval computes the value of a compiled term under a frame. A string + interns
+// its result: inside a transaction, so a rollback drops it again.
+func (w *Workspace) eval(t *cterm, f *frame) (cell, error) {
 	switch t.kind {
 	case ctConst:
 		return t.val, nil
 	case ctVar:
 		v, ok := f.get(t.slot)
 		if !ok {
-			return datalog.Value{}, fmt.Errorf("variable %s unbound", t.name)
+			return cell{}, fmt.Errorf("variable %s unbound", t.name)
 		}
 		return v, nil
 	case ctExpr:
-		l, err := evalCterm(t.l, f)
+		l, err := w.eval(t.l, f)
 		if err != nil {
-			return datalog.Value{}, err
+			return cell{}, err
 		}
-		r, err := evalCterm(t.r, f)
+		r, err := w.eval(t.r, f)
 		if err != nil {
-			return datalog.Value{}, err
+			return cell{}, err
 		}
-		if l.Kind == datalog.KindString && r.Kind == datalog.KindString && t.op == "+" {
-			return datalog.String_(l.Str + r.Str), nil
+		if l.kind == datalog.KindString && r.kind == datalog.KindString && t.op == "+" {
+			w.concat = append(append(w.concat[:0], w.syms.text(l.sym)...), w.syms.text(r.sym)...)
+			return cell{kind: datalog.KindString, sym: w.syms.intern(unsafe.String(unsafe.SliceData(w.concat), len(w.concat)))}, nil
 		}
-		if l.Kind != datalog.KindInt || r.Kind != datalog.KindInt {
-			return datalog.Value{}, fmt.Errorf("arithmetic %s on non-integers %s, %s", t.op, l, r)
+		if l.kind != datalog.KindInt || r.kind != datalog.KindInt {
+			return cell{}, fmt.Errorf("arithmetic %s on non-integers %s, %s", t.op, w.syms.value(l), w.syms.value(r))
 		}
+		a, b := int64(l.bits), int64(r.bits)
+		var v int64
 		switch t.op {
 		case "+":
-			return datalog.Int64(l.Int + r.Int), nil
+			v = a + b
 		case "-":
-			return datalog.Int64(l.Int - r.Int), nil
+			v = a - b
 		case "*":
-			return datalog.Int64(l.Int * r.Int), nil
+			v = a * b
 		case "/":
-			if r.Int == 0 {
-				return datalog.Value{}, fmt.Errorf("division by zero")
+			if b == 0 {
+				return cell{}, fmt.Errorf("division by zero")
 			}
-			return datalog.Int64(l.Int / r.Int), nil
+			v = a / b
 		default:
-			return datalog.Value{}, fmt.Errorf("unknown operator %s", t.op)
+			return cell{}, fmt.Errorf("unknown operator %s", t.op)
 		}
+		return cell{kind: datalog.KindInt, bits: uint64(v)}, nil
 	default:
-		return datalog.Value{}, fmt.Errorf("wildcard has no value")
+		return cell{}, fmt.Errorf("wildcard has no value")
 	}
 }
 
 // ctermValue returns the value of a compiled term if it is determinable
 // without computation (Const or bound Var).
-func ctermValue(t *cterm, f *frame) (datalog.Value, bool) {
+func ctermValue(t *cterm, f *frame) (cell, bool) {
 	switch t.kind {
 	case ctConst:
 		return t.val, true
 	case ctVar:
 		return f.get(t.slot)
 	default:
-		return datalog.Value{}, false
+		return cell{}, false
 	}
 }
 
-// ctermValueOrEval resolves plain terms directly and arithmetic expressions
-// by evaluation; returns ok=false when the term has unbound variables.
-func ctermValueOrEval(t *cterm, f *frame) (datalog.Value, bool) {
+// valueOrEval resolves plain terms directly and arithmetic expressions by
+// evaluation; returns ok=false when the term has unbound variables.
+func (w *Workspace) valueOrEval(t *cterm, f *frame) (cell, bool) {
 	if v, ok := ctermValue(t, f); ok {
 		return v, true
 	}
 	if t.kind == ctExpr {
-		v, err := evalCterm(t, f)
+		v, err := w.eval(t, f)
 		if err != nil {
-			return datalog.Value{}, false
+			return cell{}, false
 		}
 		return v, true
 	}
-	return datalog.Value{}, false
+	return cell{}, false
 }
 
-// unifyArgs matches a tuple against compiled argument terms, extending the
+// unifyArgs matches a row against compiled argument terms, extending the
 // frame. It returns false (leaving any partial bindings for the caller's
 // mark/undo) on mismatch.
-func unifyArgs(args []cterm, t datalog.Tuple, f *frame) bool {
+func unifyArgs(args []cterm, t []cell, f *frame) bool {
 	if len(t) != len(args) {
 		return false
 	}
@@ -212,12 +220,12 @@ func unifyArgs(args []cterm, t datalog.Tuple, f *frame) bool {
 		case ctWild:
 			// matches anything
 		case ctConst:
-			if !a.val.Equal(t[i]) {
+			if a.val != t[i] {
 				return false
 			}
 		case ctVar:
 			if v, ok := f.get(a.slot); ok {
-				if !v.Equal(t[i]) {
+				if v != t[i] {
 					return false
 				}
 			} else {
@@ -234,7 +242,7 @@ func unifyArgs(args []cterm, t datalog.Tuple, f *frame) bool {
 // argument list to buf (which callers stack-allocate). It reports false if
 // any column is not actually bound — a plan/runtime disagreement that the
 // caller must survive by falling back to a scan.
-func gatherCols(args []cterm, cols []int, f *frame, buf []datalog.Value) ([]datalog.Value, bool) {
+func gatherCols(args []cterm, cols []int, f *frame, buf []cell) ([]cell, bool) {
 	for _, c := range cols {
 		v, ok := ctermValue(&args[c], f)
 		if !ok {

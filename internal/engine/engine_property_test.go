@@ -381,7 +381,7 @@ type allocation struct {
 func snapshotAllocation(w *Workspace) allocation {
 	a := allocation{w: w, free: map[string][]uint32{}, rows: map[string]int{}}
 	for name, rel := range w.rels {
-		a.free[name], a.rows[name] = slices.Clone(rel.free), len(rel.rows)
+		a.free[name], a.rows[name] = slices.Clone(rel.free), len(rel.flags)
 	}
 	return a
 }
@@ -392,14 +392,14 @@ func (a allocation) checkInserted(res *TxnResult) error {
 	for _, name := range a.w.Predicates() {
 		rel, free, next := a.w.rels[name], a.free[name], a.rows[name]
 		var want []datalog.Tuple
-		for taken := len(free) - len(rel.free) + len(rel.rows) - next; taken > 0; taken-- {
+		for taken := len(free) - len(rel.free) + len(rel.flags) - next; taken > 0; taken-- {
 			id := uint32(next)
 			if k := len(free); k > 0 {
 				id, free = free[k-1], free[:k-1]
 			} else {
 				next++
 			}
-			want = append(want, rel.rows[id])
+			want = append(want, rel.syms.tuple(rel.row(id)))
 		}
 		if got := res.Inserted(name); !slices.EqualFunc(got, want, datalog.Tuple.Equal) {
 			return fmt.Errorf("Inserted(%s) = %v, the rows the transaction took hold %v", name, got, want)

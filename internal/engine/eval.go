@@ -1,23 +1,26 @@
 package engine
 
 import (
+	"cmp"
 	"fmt"
-
-	"secureblox/internal/datalog"
 )
 
-// compare applies a comparison operator to two values.
-func compare(op string, l, r datalog.Value) (bool, error) {
+// compare applies a comparison operator to two values. Only an ordered
+// comparison of text reads it.
+func (w *Workspace) compare(op string, l, r cell) (bool, error) {
 	switch op {
 	case "=":
-		return l.Equal(r), nil
+		return l == r, nil
 	case "!=":
-		return !l.Equal(r), nil
+		return l != r, nil
 	}
-	if l.Kind != r.Kind {
-		return false, fmt.Errorf("ordered comparison %s between %s and %s", op, l.Kind, r.Kind)
+	if l.kind != r.kind {
+		return false, fmt.Errorf("ordered comparison %s between %s and %s", op, l.kind, r.kind)
 	}
-	c := l.Compare(r)
+	c := cmp.Compare(int64(l.bits), int64(r.bits))
+	if hasText(l.kind) {
+		c = w.syms.value(l).Compare(w.syms.value(r))
+	}
 	switch op {
 	case "<":
 		return c < 0, nil
@@ -45,7 +48,7 @@ func (w *Workspace) runDelta(plan []step, rel *Relation, rows []uint32, f *frame
 	args := plan[0].args
 	for _, id := range rows {
 		m := f.mark()
-		if unifyArgs(args, rel.rows[id], f) {
+		if unifyArgs(args, rel.row(id), f) {
 			if err := w.runSteps(plan, 1, f, emit); err != nil {
 				f.undo(m)
 				return err
@@ -62,12 +65,12 @@ func (w *Workspace) runDelta(plan []step, rel *Relation, rows []uint32, f *frame
 // of the relation, which the caller's unifyArgs filters. A scan is a planned
 // leading scan only when no column is bound; with bound columns it means the
 // plan and the runtime disagree, and is counted as a fallback.
-func (w *Workspace) candidates(s *step, f *frame, fn func(datalog.Tuple) bool) {
+func (w *Workspace) candidates(s *step, f *frame, fn func([]cell) bool) {
 	if s.probeIdx != nil {
-		var buf [8]datalog.Value
+		var buf [8]cell
 		if vals, ok := gatherCols(s.args, s.probeCols, f, buf[:0]); ok {
 			w.stats.IndexProbes++
-			s.rel.Probe(s.probeIdx, vals, fn)
+			s.rel.probe(s.probeIdx, vals, fn)
 			return
 		}
 	}
@@ -76,7 +79,7 @@ func (w *Workspace) candidates(s *step, f *frame, fn func(datalog.Tuple) bool) {
 	} else {
 		w.stats.FullScanFallbacks++
 	}
-	s.rel.Each(fn)
+	s.rel.each(fn)
 }
 
 // negHolds decides a negated atom. The planner only schedules negations once
@@ -89,17 +92,17 @@ func (w *Workspace) negHolds(s *step, f *frame) bool {
 		return rel.Len() > 0
 	}
 	if s.probeIdx != nil {
-		var buf [8]datalog.Value
+		var buf [8]cell
 		if vals, ok := gatherCols(s.args, s.probeCols, f, buf[:0]); ok {
 			w.stats.IndexProbes++
-			return rel.ProbeExists(s.probeIdx, vals)
+			return rel.probeExists(s.probeIdx, vals)
 		}
 	}
 	// Plan/runtime disagreement: scan and unify, and register the fallback so
 	// the ==0 guards see it.
 	w.stats.FullScanFallbacks++
 	found := false
-	rel.Each(func(t datalog.Tuple) bool {
+	rel.each(func(t []cell) bool {
 		m := f.mark()
 		found = unifyArgs(s.args, t, f)
 		f.undo(m)
@@ -118,7 +121,7 @@ func (w *Workspace) runSteps(steps []step, i int, f *frame, emit func(*frame) er
 	switch s.kind {
 	case stepMatch:
 		var iterErr error
-		w.candidates(s, f, func(t datalog.Tuple) bool {
+		w.candidates(s, f, func(t []cell) bool {
 			w.stats.TuplesScanned++
 			m := f.mark()
 			if unifyArgs(s.args, t, f) {
@@ -140,8 +143,8 @@ func (w *Workspace) runSteps(steps []step, i int, f *frame, emit func(*frame) er
 		return w.runSteps(steps, i+1, f, emit)
 
 	case stepCmp:
-		lv, lok := ctermValueOrEval(s.cl, f)
-		rv, rok := ctermValueOrEval(s.cr, f)
+		lv, lok := w.valueOrEval(s.cl, f)
+		rv, rok := w.valueOrEval(s.cr, f)
 		if s.op == "=" {
 			if lok && !rok && s.cr.kind == ctVar {
 				m := f.mark()
@@ -161,7 +164,7 @@ func (w *Workspace) runSteps(steps []step, i int, f *frame, emit func(*frame) er
 		if !lok || !rok {
 			return fmt.Errorf("comparison %s %s %s has unbound operand", s.l, s.op, s.r)
 		}
-		ok, err := compare(s.op, lv, rv)
+		ok, err := w.compare(s.op, lv, rv)
 		if err != nil {
 			return err
 		}
@@ -171,9 +174,13 @@ func (w *Workspace) runSteps(steps []step, i int, f *frame, emit func(*frame) er
 		return w.runSteps(steps, i+1, f, emit)
 
 	case stepUDF:
+		// The arguments go out as views of the intern table, and what Eval
+		// computes comes back interned.
 		args, mask := s.udfArgs, s.udfMask
 		for j := range s.args {
-			args[j], mask[j] = ctermValue(&s.args[j], f)
+			var c cell
+			c, mask[j] = ctermValue(&s.args[j], f)
+			args[j] = w.syms.value(c)
 		}
 		ok, err := s.udf.Eval(s.param, args, mask)
 		if err != nil {
@@ -189,8 +196,8 @@ func (w *Workspace) runSteps(steps []step, i int, f *frame, emit func(*frame) er
 		for j := range s.args {
 			if a := &s.args[j]; !mask[j] && a.kind == ctVar {
 				if v, bound := f.get(a.slot); !bound {
-					f.bind(a.slot, args[j])
-				} else if !v.Equal(args[j]) {
+					f.bind(a.slot, w.syms.cell(args[j]))
+				} else if c, ok := w.syms.lookupCell(args[j]); !ok || v != c {
 					f.undo(m)
 					return nil
 				}
@@ -201,11 +208,11 @@ func (w *Workspace) runSteps(steps []step, i int, f *frame, emit func(*frame) er
 		return err
 
 	case stepKindCheck:
-		v, err := evalCterm(s.cchecked, f)
+		v, err := w.eval(s.cchecked, f)
 		if err != nil {
 			return err
 		}
-		if !w.cat.CheckKind(s.typeName, v) {
+		if !w.cat.CheckKind(s.typeName, w.syms.value(v)) {
 			return nil
 		}
 		return w.runSteps(steps, i+1, f, emit)

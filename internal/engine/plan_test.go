@@ -199,7 +199,7 @@ func TestDeltaPlanShapeSharesFunctionalApplications(t *testing.T) {
 	// Shared or not, the answers are the same.
 	assertFacts(t, w, `self[]=#me. principal_node[#me]=@"a:1". principal_node[#you]=@"b:2".
 		trusted(#me, #you). says(#me, #you, 7). sig(#me, #you, 7, 1).`)
-	if got := fmt.Sprint(w.Tuples("export")); got != "[(@b:2, @a:1, 7)]" {
+	if got := fmt.Sprint(w.Tuples("export")); got != `[(@"b:2", @"a:1", 7)]` {
 		t.Errorf("export = %s", got)
 	}
 	assertFacts(t, w, `inbox(8, 2). trusted(#me, #him). principal_node[#him]=@"c:3". export(@"a:1", @"c:3", 8).`)

@@ -12,9 +12,12 @@ import (
 
 func relOf(t *testing.T, arity int) *Relation {
 	t.Helper()
-	return NewRelation(&Schema{Name: "t", Arity: arity, KeyArity: -1,
-		ArgTypes: make([]string, arity)})
+	return newRelation(&Schema{Name: "t", Arity: arity, KeyArity: -1,
+		ArgTypes: make([]string, arity)}, &symtab{})
 }
+
+// cellsOf encodes t in r's intern table.
+func cellsOf(r *Relation, t datalog.Tuple) []cell { return r.syms.cells(nil, t) }
 
 func tup(vals ...int64) datalog.Tuple {
 	out := make(datalog.Tuple, len(vals))
@@ -35,7 +38,7 @@ func TestRelationInsertDeleteContains(t *testing.T) {
 	if !r.Contains(tup(1, 2)) || r.Contains(tup(2, 1)) {
 		t.Fatal("Contains wrong")
 	}
-	if r.derived(tup(1, 2)) >= 0 {
+	if r.derived(cellsOf(r, tup(1, 2))) >= 0 {
 		t.Fatal("base marker lost")
 	}
 	if !r.Delete(tup(1, 2)) || r.Delete(tup(1, 2)) {
@@ -50,24 +53,24 @@ func TestRelationLookup(t *testing.T) {
 	r := relOf(t, 3)
 	stored := tup(1, 2, 3)
 	r.Insert(stored, false)
-	id := r.rowOf([]datalog.Value{datalog.Int64(1), datalog.Int64(2), datalog.Int64(3)})
-	if id < 0 || &r.rows[id][0] != &stored[0] {
+	id := r.rowOf(cellsOf(r, tup(1, 2, 3)))
+	if id < 0 || !r.syms.tuple(r.row(uint32(id))).Equal(stored) {
 		t.Fatal("the row found must hold the stored tuple")
 	}
-	if r.rowOf([]datalog.Value{datalog.Int64(1), datalog.Int64(2), datalog.Int64(4)}) >= 0 {
+	if r.rowOf(cellsOf(r, tup(1, 2, 4))) >= 0 {
 		t.Fatal("lookup false positive")
 	}
 	// A shorter value sequence may hash differently or equal — either way it
 	// must not match a longer stored tuple.
-	if r.rowOf([]datalog.Value{datalog.Int64(1), datalog.Int64(2)}) >= 0 {
+	if r.rowOf(cellsOf(r, tup(1, 2))) >= 0 || r.Contains(tup(1, 2)) {
 		t.Fatal("arity-mismatched lookup")
 	}
 }
 
 func probeAll(r *Relation, idx *hashIndex, vals ...datalog.Value) []datalog.Tuple {
 	var out []datalog.Tuple
-	r.Probe(idx, vals, func(t datalog.Tuple) bool {
-		out = append(out, t)
+	r.probe(idx, cellsOf(r, vals), func(row []cell) bool {
+		out = append(out, r.syms.tuple(row))
 		return true
 	})
 	return out
@@ -80,11 +83,11 @@ func TestSecondaryIndexBackfillAndMaintenance(t *testing.T) {
 	r.Insert(tup(3, 8, 4), false)
 
 	// Registering after inserts must backfill.
-	idx := r.EnsureIndex([]int{1})
+	idx := r.ensureIndex([]int{1})
 	if got := probeAll(r, idx, datalog.Int64(7)); len(got) != 2 {
 		t.Fatalf("backfilled probe on col1=7: got %d tuples, want 2", len(got))
 	}
-	if r.EnsureIndex([]int{1}) != idx {
+	if r.ensureIndex([]int{1}) != idx {
 		t.Fatal("EnsureIndex must be idempotent")
 	}
 
@@ -106,21 +109,21 @@ func TestSecondaryIndexBackfillAndMaintenance(t *testing.T) {
 	}
 
 	// Multi-column index over (0,2).
-	idx02 := r.EnsureIndex([]int{0, 2})
+	idx02 := r.ensureIndex([]int{0, 2})
 	if got := probeAll(r, idx02, datalog.Int64(3), datalog.Int64(4)); len(got) != 1 ||
 		!got[0].Equal(tup(3, 8, 4)) {
 		t.Fatalf("multi-column probe: got %v", got)
 	}
-	if r.ProbeExists(idx02, []datalog.Value{datalog.Int64(3), datalog.Int64(9)}) {
-		t.Fatal("ProbeExists false positive")
+	if r.probeExists(idx02, cellsOf(r, tup(3, 9))) {
+		t.Fatal("probeExists false positive")
 	}
-	if !r.ProbeExists(idx02, []datalog.Value{datalog.Int64(3), datalog.Int64(4)}) {
-		t.Fatal("ProbeExists false negative")
+	if !r.probeExists(idx02, cellsOf(r, tup(3, 4))) {
+		t.Fatal("probeExists false negative")
 	}
 }
 
 func TestFunctionalIndexHashed(t *testing.T) {
-	r := NewRelation(&Schema{Name: "fn", Arity: 2, KeyArity: 1, ArgTypes: []string{"", ""}})
+	r := newRelation(&Schema{Name: "fn", Arity: 2, KeyArity: 1, ArgTypes: []string{"", ""}}, &symtab{})
 	if r.Insert(tup(1, 10), false) != InsertedNew {
 		t.Fatal("insert failed")
 	}
@@ -130,12 +133,12 @@ func TestFunctionalIndexHashed(t *testing.T) {
 	if r.Insert(tup(1, 10), false) != InsertedDup {
 		t.Fatal("same-value reinsert must be dup, not conflict")
 	}
-	got, ok := r.LookupFn([]datalog.Value{datalog.Int64(1)})
-	if !ok || !got.Equal(tup(1, 10)) {
-		t.Fatalf("LookupFn: %v %v", got, ok)
+	id := r.lookupFn(cellsOf(r, tup(1)))
+	if id < 0 || !r.syms.tuple(r.row(uint32(id))).Equal(tup(1, 10)) {
+		t.Fatalf("lookupFn: row %d", id)
 	}
 	r.Delete(tup(1, 10))
-	if _, ok := r.LookupFn([]datalog.Value{datalog.Int64(1)}); ok {
+	if r.lookupFn(cellsOf(r, tup(1))) >= 0 {
 		t.Fatal("fn index survived delete")
 	}
 	if r.Insert(tup(1, 11), false) != InsertedNew {
@@ -144,28 +147,33 @@ func TestFunctionalIndexHashed(t *testing.T) {
 }
 
 // checkStore verifies the row store's structure: every live row is linked
-// exactly once into every index, in the bucket its projection hashes to, and
-// no chain reaches a freed row — so a deleted or rejected tuple has left no
-// trace anywhere.
+// exactly once into every index, in the bucket its projection hashes to, no
+// chain reaches a freed row — so a deleted or rejected tuple has left no
+// trace anywhere — and every symbol a live row names is in the intern table.
 func checkStore(r *Relation) error {
 	// A row is live, free, or dead on its transaction's list: deleted again by
-	// the transaction that inserted it, and holding its tuple until the list goes.
+	// the transaction that inserted it, and holding its cells until the list goes.
 	live, listed := 0, 0
-	for id := range r.rows {
-		switch f := r.flags[id]; {
+	for id, f := range r.flags {
+		switch {
 		case f&rowLive != 0:
 			live++
-		case f == rowNew && r.rows[id] != nil && slices.Contains(r.ins, uint32(id)):
+			for _, c := range r.row(uint32(id)) {
+				if hasText(c.kind) && int(c.sym) >= len(r.syms.spans) {
+					return fmt.Errorf("row %d names symbol %d of %d", id, c.sym, len(r.syms.spans))
+				}
+			}
+		case f == rowNew && slices.Contains(r.ins, uint32(id)):
 			listed++
-		case r.rows[id] != nil || f != 0:
-			return fmt.Errorf("freed row %d still holds %v (flags %b)", id, r.rows[id], f)
+		case f != 0 || !slices.Contains(r.free, uint32(id)):
+			return fmt.Errorf("row %d is neither live, listed nor free (flags %b)", id, f)
 		}
 	}
-	if live != r.n || live+listed+len(r.free) != len(r.rows) {
-		return fmt.Errorf("%d live rows, Len %d, %d dead on the list, %d free of %d ids", live, r.n, listed, len(r.free), len(r.rows))
+	if live != r.n || live+listed+len(r.free) != len(r.flags) {
+		return fmt.Errorf("%d live rows, Len %d, %d dead on the list, %d free of %d ids", live, r.n, listed, len(r.free), len(r.flags))
 	}
 	for xi, x := range r.idx {
-		seen, linked := make([]bool, len(r.rows)), 0
+		seen, linked := make([]bool, len(r.flags)), 0
 		for b, id := range x.heads {
 			for ; id != 0; id = x.ents[id-1].next {
 				row := id - 1
@@ -177,12 +185,12 @@ func checkStore(r *Relation) error {
 				}
 				seen[row] = true
 				linked++
-				h := r.rows[row].Hash()
+				h := hashCells(r.row(row))
 				if x.cols != nil {
-					h = r.rows[row].HashCols(x.cols)
+					h = hashCols(r.row(row), x.cols)
 				}
 				if x.ents[row].hash != uint32(h) || int(uint32(h)&uint32(len(x.heads)-1)) != b {
-					return fmt.Errorf("index %d (cols %v): row %d %v sits in the wrong chain", xi, x.cols, row, r.rows[row])
+					return fmt.Errorf("index %d (cols %v): row %d %v sits in the wrong chain", xi, x.cols, row, r.syms.tuple(r.row(row)))
 				}
 			}
 		}
@@ -293,9 +301,9 @@ func TestRelationMatchesModel(t *testing.T) {
 		if arity > 0 && rng.Intn(2) == 0 {
 			keyArity = rng.Intn(arity) // 0 is the p[]=v singleton
 		}
-		r := NewRelation(&Schema{Name: "m", Arity: arity, KeyArity: keyArity, ArgTypes: make([]string, arity)})
+		r := newRelation(&Schema{Name: "m", Arity: arity, KeyArity: keyArity, ArgTypes: make([]string, arity)}, &symtab{})
 		if seed%7 == 0 {
-			r, keyArity = NewTupleSet(), -1
+			r, keyArity = NewWorkspace(nil).NewTupleSet(arity), -1
 		}
 		m := &storeModel{keyArity: keyArity}
 		var indexes []*hashIndex
@@ -345,11 +353,11 @@ func TestRelationMatchesModel(t *testing.T) {
 				if len(cols) == 0 || len(cols) == arity {
 					continue
 				}
-				x := r.EnsureIndex(cols)
+				x := r.ensureIndex(cols)
 				if !slices.Contains(indexes, x) {
 					indexes = append(indexes, x)
 				}
-				mutate(fmt.Sprintf("EnsureIndex(%v)", cols))
+				mutate(fmt.Sprintf("ensureIndex(%v)", cols))
 			case c < 75 && len(indexes) > 0:
 				x := indexes[rng.Intn(len(indexes))]
 				probe := randTuple(rng, arity)
@@ -361,15 +369,15 @@ func TestRelationMatchesModel(t *testing.T) {
 					vals = append(vals, probe[col])
 				}
 				want := m.matching(x.cols, vals)
-				if r.ProbeExists(x, vals) != (len(want) > 0) {
-					fail("ProbeExists(%v, %v) disagrees with the model", x.cols, vals)
+				if r.probeExists(x, cellsOf(r, vals)) != (len(want) > 0) {
+					fail("probeExists(%v, %v) disagrees with the model", x.cols, vals)
 				}
 				// Every other probe inserts from its callback: tuples with the
 				// probed projection (they extend the very chain being walked)
 				// and enough others to grow and split the tables under it.
 				var got, added []datalog.Tuple
-				r.Probe(x, vals, func(tp datalog.Tuple) bool {
-					got = append(got, tp)
+				r.probe(x, cellsOf(r, vals), func(row []cell) bool {
+					got = append(got, r.syms.tuple(row))
 					if op%2 == 0 && len(added) < 24 {
 						for k := 0; k < 6; k++ {
 							nt := randTuple(rng, arity)
@@ -394,19 +402,19 @@ func TestRelationMatchesModel(t *testing.T) {
 					}
 				}
 				if !sameTuples(old, want) {
-					fail("Probe(%v, %v) visited %v (+%d of its own inserts), model %v", x.cols, vals, old, len(got)-len(old), want)
+					fail("probe(%v, %v) visited %v (+%d of its own inserts), model %v", x.cols, vals, old, len(got)-len(old), want)
 				}
 				for _, nt := range added {
 					if m.insert(nt, false) != InsertedNew {
 						fail("store accepted %v from a probe callback, the model does not", nt)
 					}
 				}
-				mutate("inserts during Probe")
+				mutate("inserts during probe")
 			case c < 82:
 				var got, added []datalog.Tuple
 				before := slices.Clone(m.rows)
-				r.Each(func(tp datalog.Tuple) bool {
-					got = append(got, tp)
+				r.each(func(row []cell) bool {
+					got = append(got, r.syms.tuple(row))
 					if op%2 == 0 && len(added) < 24 {
 						if nt := randTuple(rng, arity); r.Insert(nt, false) == InsertedNew {
 							added = append(added, nt)
@@ -421,14 +429,14 @@ func TestRelationMatchesModel(t *testing.T) {
 					}
 				}
 				if !sameTuples(old, before) {
-					fail("Each visited %v, model %v", old, before)
+					fail("each visited %v, model %v", old, before)
 				}
 				for _, nt := range added {
 					if m.insert(nt, false) != InsertedNew {
 						fail("store accepted %v from an Each callback, the model does not", nt)
 					}
 				}
-				mutate("inserts during Each")
+				mutate("inserts during each")
 				if !sameTuples(r.Tuples(), m.rows) {
 					fail("Tuples() = %v, model %v", r.Tuples(), m.rows)
 				}
@@ -438,20 +446,20 @@ func TestRelationMatchesModel(t *testing.T) {
 					tp = m.rows[rng.Intn(len(m.rows))]
 				}
 				i := m.find(tp)
-				row := r.rowOf(tp)
-				if (row >= 0) != (i >= 0) || r.Contains(tp) != (i >= 0) || (row >= 0 && !r.rows[row].Equal(tp)) {
+				row := r.rowOfTuple(tp)
+				if (row >= 0) != (i >= 0) || r.Contains(tp) != (i >= 0) || (row >= 0 && !r.syms.tuple(r.row(uint32(row))).Equal(tp)) {
 					fail("rowOf(%v) = %d, model index %d", tp, row, i)
 				}
 				if base := row >= 0 && r.flags[row]&rowBase != 0; base != (i >= 0 && m.base[i]) {
 					fail("%v base = %v, model disagrees", tp, base)
 				}
-				if derived := r.derived(tp) >= 0; derived != (i >= 0 && !m.base[i]) {
+				if derived := r.derived(cellsOf(r, tp)) >= 0; derived != (i >= 0 && !m.base[i]) {
 					fail("derived(%v) = %v, model disagrees", tp, derived)
 				}
 			default:
 				if keyArity < 0 {
-					if _, ok := r.LookupFn(nil); ok {
-						fail("LookupFn on a relational predicate found something")
+					if r.lookupFn(nil) >= 0 {
+						fail("lookupFn on a relational predicate found something")
 					}
 					continue
 				}
@@ -460,18 +468,18 @@ func TestRelationMatchesModel(t *testing.T) {
 					keys = slices.Clone(m.rows[rng.Intn(len(m.rows))][:keyArity])
 				}
 				want := m.matching(r.fn.cols, keys)
-				got, ok := r.LookupFn(keys)
-				if ok != (len(want) == 1) || (ok && !got.Equal(want[0])) {
-					fail("LookupFn(%v) = %v %v, model %v", keys, got, ok, want)
+				id := r.lookupFn(cellsOf(r, keys))
+				if (id >= 0) != (len(want) == 1) || (id >= 0 && !r.syms.tuple(r.row(uint32(id))).Equal(want[0])) {
+					fail("lookupFn(%v) = row %d, model %v", keys, id, want)
 				}
 			}
 		}
-		// Freed ids are reused: the slab never outgrows the largest extent.
+		// Freed ids are reused: the pages never outgrow the largest extent.
 		// (Callback inserts can push the extent past maxLive within one op.)
-		if len(r.rows) > maxLive+24*6 {
-			fail("slab holds %d ids for at most %d live rows: freed ids are not reused", len(r.rows), maxLive)
+		if len(r.flags) > maxLive+24*6 {
+			fail("pages hold %d ids for at most %d live rows: freed ids are not reused", len(r.flags), maxLive)
 		}
-		r.Reset()
+		r.reset()
 		m.rows, m.base = nil, nil
 		mutate("Reset")
 		insert(randTuple(rng, arity), true)
@@ -482,7 +490,7 @@ func TestRelationMatchesModel(t *testing.T) {
 // index, and the reused row is reachable through all of them.
 func TestRowIDReuse(t *testing.T) {
 	r := relOf(t, 2)
-	x := r.EnsureIndex([]int{1})
+	x := r.ensureIndex([]int{1})
 	for i := int64(0); i < 20; i++ {
 		r.Insert(tup(i, i%3), false)
 	}
@@ -491,8 +499,8 @@ func TestRowIDReuse(t *testing.T) {
 	r.Insert(tup(100, 1), false)
 	r.Insert(tup(101, 1), false)
 	r.Insert(tup(102, 1), false)
-	if len(r.rows) != 21 || len(r.free) != 0 {
-		t.Fatalf("20 - 2 + 3 rows take %d ids with %d free, want 21 and 0", len(r.rows), len(r.free))
+	if len(r.flags) != 21 || len(r.free) != 0 {
+		t.Fatalf("20 - 2 + 3 rows take %d ids with %d free, want 21 and 0", len(r.flags), len(r.free))
 	}
 	if got := probeAll(r, x, datalog.Int64(1)); len(got) != 9 {
 		t.Fatalf("col1=1 probe finds %d tuples, want 9 (7 - 1 + 3)", len(got))
@@ -504,7 +512,7 @@ func TestRowIDReuse(t *testing.T) {
 
 // storeSnapshot captures what a rolled-back transaction must restore: every
 // relation's extent with base flags, the entity counters, the Skolem table
-// size and the tuple-block mark.
+// size and the intern table's mark.
 func storeSnapshot(t *testing.T, w *Workspace) string {
 	t.Helper()
 	var out []string
@@ -514,17 +522,17 @@ func storeSnapshot(t *testing.T, w *Workspace) string {
 			t.Fatalf("%s: %v", pred, err)
 		}
 		for _, tp := range rel.Tuples() {
-			out = append(out, fmt.Sprintf("%s%v base=%v", pred, tp, rel.derived(tp) < 0))
+			out = append(out, fmt.Sprintf("%s%v base=%v", pred, tp, rel.derived(cellsOf(rel, tp)) < 0))
 		}
 	}
 	sort.Strings(out)
-	return fmt.Sprintf("%v\ncounters %v skolems %d blocks %d/%d", out, w.entCounters, len(w.skolems), len(w.blocks.cur), cap(w.blocks.cur))
+	return fmt.Sprintf("%v\ncounters %v skolems %d symbols %+v", out, w.entCounters, len(w.skolems), w.syms.mark())
 }
 
 // TestRollbackRestoresStore: a rejected transaction — one that inserted,
 // derived through several rounds, minted entities and replaced aggregate
 // values (one of them twice) before a constraint failed — leaves extents, base flags, every
-// index, the entity counters and the tuple-block mark exactly as they were.
+// index, the entity counters and the intern table exactly as they were.
 func TestRollbackRestoresStore(t *testing.T) {
 	w := NewWorkspace(nil)
 	prog, err := datalog.Parse(`
@@ -702,8 +710,8 @@ func TestInsertedListsWhatTheTransactionInserted(t *testing.T) {
 	if _, err := w.Assert(nil); err != nil {
 		t.Fatal(err)
 	}
-	if rel := w.rels["hops"]; len(rel.ins) != 0 || rel.Len()+len(rel.free) != len(rel.rows) {
-		t.Errorf("hops keeps %d listed rows and %d ids for %d tuples and %d free ids", len(rel.ins), len(rel.rows), rel.Len(), len(rel.free))
+	if rel := w.rels["hops"]; len(rel.ins) != 0 || rel.Len()+len(rel.free) != len(rel.flags) {
+		t.Errorf("hops keeps %d listed rows and %d ids for %d tuples and %d free ids", len(rel.ins), len(rel.flags), rel.Len(), len(rel.free))
 	}
 }
 
@@ -713,18 +721,18 @@ func TestInsertedListsWhatTheTransactionInserted(t *testing.T) {
 // a send).
 func TestHashCollisionsAreVerified(t *testing.T) {
 	// Indexes keep 32 bits of the hash, so a birthday search over a few
-	// hundred thousand strings finds two tuples they cannot tell apart.
+	// hundred thousand ints finds two tuples they cannot tell apart.
 	byHash := make(map[uint32]datalog.Tuple)
 	var a, b datalog.Tuple
-	for i := 0; a == nil; i++ {
-		tp := datalog.Tuple{datalog.String_(fmt.Sprint("k", i))}
-		h := uint32(tp.Hash())
+	for i := int64(0); a == nil; i++ {
+		tp := tup(i)
+		h := uint32(hashCells([]cell{{kind: datalog.KindInt, bits: uint64(i)}}))
 		if prev, dup := byHash[h]; dup {
 			a, b = prev, tp
 		}
 		byHash[h] = tp
 	}
-	set := NewTupleSet()
+	set := NewWorkspace(nil).NewTupleSet(1)
 	if set.Insert(a, false) != InsertedNew || set.Contains(b) {
 		t.Fatalf("%v is reported present because %v collides with it", b, a)
 	}

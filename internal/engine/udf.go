@@ -20,11 +20,14 @@ type UDF interface {
 	// Eval completes args in place and reports whether there is a completion.
 	// param is the atom's parameterization (the T in rsa_sign[T](...)), used
 	// for domain separation. args holds the current values, zero Values at the
-	// unbound positions: Eval stores its results there and nowhere else, and
-	// where a position it computes arrived bound, the two must be equal for
-	// the completion to stand (Yield does both). args is the caller's scratch:
-	// Eval must not keep the slice, and allocates nothing for the caller's
-	// sake — only the bytes of the values it returns.
+	// unbound positions; their text is a view of the workspace's intern table,
+	// valid as long as the workspace. Eval stores its results there and nowhere
+	// else, and where a position it computes arrived bound, the two must be
+	// equal for the completion to stand (Yield does both). The workspace
+	// interns each result before it runs anything else, so a result may view an
+	// argument. args is the caller's scratch: Eval must not keep the slice, and
+	// allocates nothing for the caller's sake — only the bytes of the values
+	// it returns.
 	Eval(param string, args []datalog.Value, bound []bool) (bool, error)
 }
 

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"encoding/binary"
 	"fmt"
 	"slices"
 	"sort"
@@ -37,23 +38,26 @@ func (v *ConstraintViolation) Error() string {
 }
 
 // undoRec is one undo-log entry, a change to a row the transaction found in
-// place: its tuple deleted (and whether it was an EDB fact), or the derived row
+// place: its cells deleted (and whether it was an EDB fact), or the derived row
 // promoted to an EDB fact by a duplicate base insert. Rows the transaction
 // inserted itself need none — their relation lists them (Relation.ins), and
 // rollback removes every one of them whatever else happened to it.
 type undoRec struct {
 	rel      *Relation
-	tuple    datalog.Tuple
+	at       int  // the row's cells are txn.cells[at : at+rel.arity]
 	promoted bool // else deleted
 	wasBase  bool
 }
 
 // txn tracks one transaction's effects for constraint checking and rollback.
 type txn struct {
-	undo        []undoRec
+	undo []undoRec
+	// cells holds the undo log's rows: a deleted row's id is free at once, and
+	// the transaction's next insert may overwrite it.
+	cells       []cell
 	skolemKeys  []string
 	counterSnap map[string]int64
-	mark        tupleBlocks // where the tuple blocks stood when the transaction began
+	mark        symMark // where the intern table stood when the transaction began
 }
 
 // begin starts a transaction. A workspace runs one at a time, so the undo log,
@@ -62,12 +66,17 @@ type txn struct {
 // readable.
 func (w *Workspace) begin() *txn {
 	t := &w.txn
-	clear(t.undo) // drop the references to tuples the last transaction deleted
-	t.undo, t.skolemKeys = t.undo[:0], t.skolemKeys[:0]
+	t.undo, t.cells, t.skolemKeys = t.undo[:0], t.cells[:0], t.skolemKeys[:0]
 	clear(t.counterSnap)
 	w.dropLists()
-	t.mark = w.blocks
+	t.mark = w.syms.mark()
 	return t
+}
+
+// logRow appends an undo record for row id of rel, copying its cells.
+func (t *txn) logRow(rel *Relation, id uint32, promoted, wasBase bool) {
+	t.undo = append(t.undo, undoRec{rel: rel, at: len(t.cells), promoted: promoted, wasBase: wasBase})
+	t.cells = append(t.cells, rel.row(id)...)
 }
 
 // dropLists empties the row lists of the relations the last transaction
@@ -98,51 +107,25 @@ func (w *Workspace) nextRound() bool {
 	return len(w.cur) > 0
 }
 
-// tupleBlocks hands out the storage of derived tuples from chunked,
-// geometrically growing blocks instead of one allocation each. A block is
-// only appended to and a tuple's slice is capped at its length, so tuples
-// never alias; a block is collected once no stored tuple points into it. cur
-// is the whole state: saving it is a mark, restoring it gives back everything
-// handed out since.
-type tupleBlocks struct {
-	cur []datalog.Value // the block being filled: len is the used part, cap its size
-}
-
-// Block sizes in values: small first, for the many workspaces that stay
-// small; capped, to bound what one surviving tuple can pin.
-const minTupleBlock, maxTupleBlock = 64, 4096
-
-// copy returns a stable copy of vals.
-func (b *tupleBlocks) copy(vals []datalog.Value) datalog.Tuple {
-	if cap(b.cur)-len(b.cur) < len(vals) {
-		size := min(max(2*cap(b.cur), minTupleBlock), maxTupleBlock)
-		b.cur = make([]datalog.Value, 0, max(size, len(vals)))
-	}
-	n := len(b.cur)
-	b.cur = append(b.cur, vals...)
-	return datalog.Tuple(b.cur[n:len(b.cur):len(b.cur)])
-}
-
 // aggGroup accumulates one group of an aggregate recompute.
 type aggGroup struct{ acc, n int64 }
 
-// factSet is a set of facts: per predicate, a hashed tuple set verified by
-// equality.
-type factSet map[string]*Relation
+// factSet is a set of rows: per relation, a tuple set of its arity.
+type factSet map[*Relation]*Relation
 
-// add inserts the fact, reporting whether it was new.
-func (s factSet) add(pred string, tup datalog.Tuple) bool {
-	m := s[pred]
+// add inserts row of rel, reporting whether it was new.
+func (s factSet) add(rel *Relation, row []cell) bool {
+	m := s[rel]
 	if m == nil {
-		m = NewTupleSet()
-		s[pred] = m
+		m = newRelation(&Schema{Name: rel.schema.Name, Arity: len(row), KeyArity: -1}, rel.syms)
+		s[rel] = m
 	}
-	return m.Insert(tup, false) == InsertedNew
+	return m.insert(row, false) == InsertedNew
 }
 
-func (s factSet) has(pred string, tup datalog.Tuple) bool {
-	m := s[pred]
-	return m != nil && m.Contains(tup)
+func (s factSet) has(rel *Relation, row []cell) bool {
+	m := s[rel]
+	return m != nil && m.rowOf(row) >= 0
 }
 
 // Workspace is a LogicBlox-style database instance: predicate definitions,
@@ -155,7 +138,7 @@ type Workspace struct {
 	constraints []*CompiledConstraint
 	udfs        *UDFRegistry
 	entCounters map[string]int64
-	skolems     map[string]datalog.Value
+	skolems     map[string]cell
 	ruleN       int
 
 	rulesByHead map[string][]*CompiledRule
@@ -163,20 +146,22 @@ type Workspace struct {
 	// roundRules/roundAggs are fixpoint's per-round rule lists, kept across
 	// rounds and transactions so a round allocates neither.
 	roundRules, roundAggs []*CompiledRule
+	// syms interns the text of every value the workspace stores.
+	syms symtab
 	// txn is the one transaction record (see begin), result what a committed
-	// one hands out, blocks the storage of derived tuples.
+	// one hands out.
 	txn    txn
 	result TxnResult
-	blocks tupleBlocks
 	// The relations the transaction has inserted into (dirty), those with a
 	// delta in the fixpoint round being evaluated (cur) and those the round has
 	// derived into (nxt); the rows themselves are on each relation's ins.
 	dirty, cur, nxt []*Relation
-	// recomputeAgg's group table, reused by every recompute: the keys as a
-	// tuple set, the accumulators by its row ids, the keys' storage.
-	aggKeys    *Relation
-	aggCells   []aggGroup
-	aggScratch tupleBlocks
+	// Scratch, reused by every transaction: recomputeAgg's accumulators (by
+	// row id of the rule's aggKeys), facts' cells, string +, Skolem keys.
+	aggCells []aggGroup
+	factBuf  []cell
+	concat   []byte
+	skolem   []byte
 
 	// Unstratified holds diagnostics for rules whose negation or
 	// aggregation is cyclic through their own head (evaluated against
@@ -223,9 +208,8 @@ func NewWorkspace(udfs *UDFRegistry) *Workspace {
 		rels:        make(map[string]*Relation),
 		udfs:        udfs,
 		entCounters: make(map[string]int64),
-		skolems:     make(map[string]datalog.Value),
+		skolems:     make(map[string]cell),
 		rulesByHead: make(map[string][]*CompiledRule),
-		aggKeys:     NewTupleSet(),
 	}
 	w.result.w = w
 	w.txn.counterSnap = make(map[string]int64)
@@ -250,7 +234,7 @@ func (w *Workspace) ensureRelation(name string) *Relation {
 		s = &Schema{Name: name, Arity: -1, KeyArity: -1, AutoDecl: true}
 		w.cat.schemas[name] = s
 	}
-	r := NewRelation(s)
+	r := newRelation(s, &w.syms)
 	w.resolveKinds(r)
 	w.rels[name] = r
 	return r
@@ -476,9 +460,9 @@ func (w *Workspace) checkStratification() error {
 	return nil
 }
 
-// checkTuple enforces rel's arity and kind-level type declarations on a tuple
+// checkTuple enforces rel's arity and kind-level type declarations on a row
 // about to be stored.
-func checkTuple(rel *Relation, vals []datalog.Value) error {
+func checkTuple(rel *Relation, vals []cell) error {
 	s := rel.schema
 	if s.Arity >= 0 && len(vals) != s.Arity {
 		return fmt.Errorf("predicate %s: arity mismatch: got %d, want %d", s.Name, len(vals), s.Arity)
@@ -488,26 +472,26 @@ func checkTuple(rel *Relation, vals []datalog.Value) error {
 		s.ArgTypes = make([]string, len(vals))
 	}
 	for i, k := range rel.kinds {
-		if !k.admits(vals[i]) {
+		if v := rel.syms.value(vals[i]); !k.admits(v) {
 			return &ConstraintViolation{
 				Constraint: fmt.Sprintf("%s argument %d must be %s", s.Name, i+1, s.ArgTypes[i]),
-				Detail:     fmt.Sprintf("got %s", vals[i]),
+				Detail:     fmt.Sprintf("got %s", v),
 			}
 		}
 	}
 	return nil
 }
 
-// store adds tuple — absent from rel, hashing to h, checked — and lists its row
-// as the transaction's, for the next fixpoint round, the constraint check, the
-// result and rollback alike.
-func (w *Workspace) store(rel *Relation, tuple datalog.Tuple, h uint64, flags uint8) error {
-	id, ok := rel.add(tuple, h, flags|rowLive|rowNew)
+// store copies vals — absent from rel, hashing to h, checked — into a row and
+// lists it as the transaction's, for the next fixpoint round, the constraint
+// check, the result and rollback alike.
+func (w *Workspace) store(rel *Relation, vals []cell, h uint64, flags uint8) error {
+	id, ok := rel.add(vals, h, flags|rowLive|rowNew)
 	if !ok {
-		old, _ := rel.LookupFn(tuple[:rel.schema.KeyArity])
+		old := rel.row(uint32(rel.lookupFn(vals[:rel.schema.KeyArity])))
 		return &ConstraintViolation{
 			Constraint: fmt.Sprintf("functional dependency on %s", rel.schema.Name),
-			Detail:     fmt.Sprintf("key maps to both %s and %s", old, tuple),
+			Detail:     fmt.Sprintf("key maps to both %s and %s", w.syms.tuple(old), w.syms.tuple(vals)),
 		}
 	}
 	if len(rel.ins) == 0 {
@@ -520,53 +504,51 @@ func (w *Workspace) store(rel *Relation, tuple datalog.Tuple, h uint64, flags ui
 	return nil
 }
 
-// insertBase inserts one EDB fact, keeping the caller's tuple. A fact the
-// relation already holds as a derived tuple is promoted in place, and the
-// promotion logged unless the row is the transaction's own.
+// insertBase inserts one EDB fact, interning its text. A fact the relation
+// already holds as a derived tuple is promoted in place, and the promotion
+// logged unless the row is the transaction's own.
 func (w *Workspace) insertBase(t *txn, rel *Relation, tuple datalog.Tuple) error {
-	h := tuple.Hash()
-	if id := rel.find(&rel.primary, h, tuple); id != 0 {
+	vals := w.syms.cells(w.factBuf[:0], tuple)
+	w.factBuf = vals
+	h := hashCells(vals)
+	if id := rel.find(&rel.primary, h, vals); id != 0 {
 		if f := &rel.flags[id-1]; *f&rowBase == 0 {
 			*f |= rowBase
 			if *f&rowNew == 0 {
-				t.undo = append(t.undo, undoRec{rel: rel, tuple: rel.rows[id-1], promoted: true})
+				t.logRow(rel, id-1, true, false)
 			}
 		}
 		return nil
 	}
-	if err := checkTuple(rel, tuple); err != nil {
+	if err := checkTuple(rel, vals); err != nil {
 		return err
 	}
-	return w.store(rel, tuple, h, rowBase)
+	return w.store(rel, vals, h, rowBase)
 }
 
-// insertDerived adds one derived tuple of rel unless rel already holds it.
+// insertDerived adds one derived row of rel unless rel already holds it.
 // vals is the caller's scratch, and stays on its stack: one hash serves the
-// existence check and the insert, and only a new tuple is copied into the
-// tuple blocks, so rederiving an existing one — the overwhelmingly common case
-// inside a fixpoint — has nothing to insert, log, propagate or allocate, and a
-// new one costs its tuple, a row and a four-byte entry on the relation's list.
-func (w *Workspace) insertDerived(rel *Relation, vals []datalog.Value) error {
-	h := datalog.HashValues(vals)
+// existence check and the insert, so rederiving an existing row — the
+// overwhelmingly common case inside a fixpoint — has nothing to insert, log,
+// propagate or allocate, and a new one costs its cells in the relation's page
+// and a four-byte entry on the relation's list.
+func (w *Workspace) insertDerived(rel *Relation, vals []cell) error {
+	h := hashCells(vals)
 	if rel.find(&rel.primary, h, vals) != 0 {
 		return nil
 	}
 	if err := checkTuple(rel, vals); err != nil {
 		return err
 	}
-	return w.store(rel, w.blocks.copy(vals), h, 0)
+	return w.store(rel, vals, h, 0)
 }
 
-// deleteTxn deletes one tuple, logging it unless the transaction inserted it.
-func (w *Workspace) deleteTxn(t *txn, rel *Relation, tuple datalog.Tuple) {
-	row := rel.rowOf(tuple)
-	if row < 0 {
-		return
+// deleteRow deletes row id, logging it unless the transaction inserted it.
+func (w *Workspace) deleteRow(t *txn, rel *Relation, id uint32) {
+	if f := rel.flags[id]; f&rowNew == 0 {
+		t.logRow(rel, id, false, f&rowBase != 0)
 	}
-	if f := rel.flags[row]; f&rowNew == 0 {
-		t.undo = append(t.undo, undoRec{rel: rel, tuple: rel.rows[row], wasBase: f&rowBase != 0})
-	}
-	rel.remove(uint32(row))
+	rel.remove(id)
 }
 
 // rollback undoes the transaction: every row it inserted goes, whether or not
@@ -584,10 +566,12 @@ func (w *Workspace) rollback(t *txn) {
 	}
 	w.dropLists()
 	for i := len(t.undo) - 1; i >= 0; i-- {
-		if u := &t.undo[i]; u.promoted {
-			u.rel.flags[u.rel.rowOf(u.tuple)] &^= rowBase
+		u := &t.undo[i]
+		row := t.cells[u.at : u.at+u.rel.arity]
+		if u.promoted {
+			u.rel.flags[u.rel.rowOf(row)] &^= rowBase
 		} else {
-			u.rel.Insert(u.tuple, u.wasBase)
+			u.rel.insert(row, u.wasBase)
 		}
 	}
 	for _, k := range t.skolemKeys {
@@ -596,7 +580,7 @@ func (w *Workspace) rollback(t *txn) {
 	for typ, n := range t.counterSnap {
 		w.entCounters[typ] = n
 	}
-	w.blocks = t.mark // nothing references what the transaction derived any more
+	w.syms.restore(t.mark) // no cell names what the transaction interned any more
 }
 
 // evalRuleInto fully evaluates one non-aggregate rule in its static order
@@ -623,19 +607,19 @@ func (w *Workspace) evalRuleDeltas(t *txn, r *CompiledRule) error {
 	return nil
 }
 
-// skolemBase builds the per-binding Skolem key prefix from the rule id and
-// the (name-sorted) body variable values.
-func (w *Workspace) skolemBase(r *CompiledRule, f *frame) string {
-	var sk strings.Builder
-	fmt.Fprintf(&sk, "r%d", r.id)
-	var kb []byte
+// skolemKey returns, in the workspace's scratch, the Skolem key of head
+// existential name under f's binding: the rule id, the cells of the
+// (name-sorted) body variables, the name.
+func (w *Workspace) skolemKey(r *CompiledRule, f *frame, name string) []byte {
+	k := binary.AppendUvarint(w.skolem[:0], uint64(r.id))
 	for _, slot := range r.bodySlots {
-		if val, ok := f.get(slot); ok {
-			kb = val.AppendKey(kb[:0])
-			sk.Write(kb)
+		if c, ok := f.get(slot); ok {
+			k = binary.LittleEndian.AppendUint32(append(k, byte(c.kind)), c.sym)
+			k = binary.LittleEndian.AppendUint64(k, c.bits)
 		}
 	}
-	return sk.String()
+	w.skolem = append(k, name...)
+	return w.skolem
 }
 
 // derive materializes all head atoms of a rule for one body binding,
@@ -645,36 +629,34 @@ func (w *Workspace) derive(t *txn, r *CompiledRule, f *frame) error {
 	mark := f.mark()
 	defer f.undo(mark)
 
-	if len(r.exVars) > 0 {
-		base := w.skolemBase(r, f)
-		for _, ex := range r.exVars {
-			key := base + "|" + ex.name
-			ent, ok := w.skolems[key]
-			if !ok {
-				if _, snap := t.counterSnap[ex.entType]; !snap {
-					t.counterSnap[ex.entType] = w.entCounters[ex.entType]
-				}
-				if w.entCounters[ex.entType] == 0 {
-					w.entCounters[ex.entType] = w.EntityBase
-				}
-				w.entCounters[ex.entType]++
-				ent = datalog.Entity(ex.entType, w.entCounters[ex.entType])
-				w.skolems[key] = ent
-				t.skolemKeys = append(t.skolemKeys, key)
+	for _, ex := range r.exVars {
+		key := w.skolemKey(r, f, ex.name)
+		ent, ok := w.skolems[string(key)]
+		if !ok {
+			if _, snap := t.counterSnap[ex.entType]; !snap {
+				t.counterSnap[ex.entType] = w.entCounters[ex.entType]
 			}
-			f.bind(ex.slot, ent)
-			if err := w.insertDerived(ex.rel, []datalog.Value{ent}); err != nil {
-				return err
+			if w.entCounters[ex.entType] == 0 {
+				w.entCounters[ex.entType] = w.EntityBase
 			}
+			w.entCounters[ex.entType]++
+			ent = cell{kind: datalog.KindEntity, sym: ex.entSym, bits: uint64(w.entCounters[ex.entType])}
+			k := string(key)
+			w.skolems[k] = ent
+			t.skolemKeys = append(t.skolemKeys, k)
+		}
+		f.bind(ex.slot, ent)
+		if err := w.insertDerived(ex.rel, []cell{ent}); err != nil {
+			return err
 		}
 	}
 
 	for hi, h := range r.heads {
-		var buf [8]datalog.Value
+		var buf [8]cell
 		vals := buf[:0]
 		cargs := r.cheads[hi]
 		for i := range cargs {
-			v, err := evalCterm(&cargs[i], f)
+			v, err := w.eval(&cargs[i], f)
 			if err != nil {
 				return fmt.Errorf("rule %s: head %s: %w", r.src, h, err)
 			}
@@ -690,51 +672,51 @@ func (w *Workspace) derive(t *txn, r *CompiledRule, f *frame) error {
 // recomputeAgg fully re-evaluates an aggregation rule and replaces changed
 // group values (replacement semantics: the old tuple is removed without
 // retraction of its prior consequences — see DESIGN.md). It leaves the keys of
-// every group the body still supports in w.aggKeys.
+// every group the body still supports in r.aggKeys.
 func (w *Workspace) recomputeAgg(t *txn, r *CompiledRule) error {
 	keyN := r.heads[0].KeyArity
-	groups := w.aggKeys
-	groups.Reset()
-	w.aggCells, w.aggScratch.cur = w.aggCells[:0], w.aggScratch.cur[:0]
+	groups := r.aggKeys
+	groups.reset()
+	w.aggCells = w.aggCells[:0]
 
 	err := w.runSteps(r.steps, 0, r.seqFrame(), func(f *frame) error {
-		var buf [8]datalog.Value
+		var buf [8]cell
 		keys := buf[:0]
 		for i := 0; i < keyN; i++ {
-			v, err := evalCterm(&r.cheads[0][i], f)
+			v, err := w.eval(&r.cheads[0][i], f)
 			if err != nil {
 				return err
 			}
 			keys = append(keys, v)
 		}
-		var over datalog.Value
+		var over int64 // 0 for a bare count
 		if r.agg.Over != "" {
 			v, ok := f.get(r.aggOverSlot)
 			if !ok {
 				return fmt.Errorf("aggregate variable %s unbound", r.agg.Over)
 			}
-			if r.agg.Func != "count" && v.Kind != datalog.KindInt {
-				return fmt.Errorf("aggregate %s over non-integer %s", r.agg.Func, v)
+			if r.agg.Func != "count" && v.kind != datalog.KindInt {
+				return fmt.Errorf("aggregate %s over non-integer %s", r.agg.Func, w.syms.value(v))
 			}
-			over = v
+			over = int64(v.bits)
 		}
 		id := groups.rowOf(keys)
 		if id < 0 {
 			// groups only grows between resets, so the new row's id is the
-			// next index of aggCells. (over.Int is 0 for a bare count.)
-			groups.Insert(w.aggScratch.copy(keys), false)
-			w.aggCells = append(w.aggCells, aggGroup{acc: over.Int, n: 1})
+			// next index of aggCells.
+			groups.insert(keys, false)
+			w.aggCells = append(w.aggCells, aggGroup{acc: over, n: 1})
 			return nil
 		}
 		g := &w.aggCells[id]
 		g.n++
 		switch r.agg.Func {
 		case "min":
-			g.acc = min(g.acc, over.Int)
+			g.acc = min(g.acc, over)
 		case "max":
-			g.acc = max(g.acc, over.Int)
+			g.acc = max(g.acc, over)
 		case "sum":
-			g.acc += over.Int
+			g.acc += over
 		}
 		return nil
 	})
@@ -743,18 +725,19 @@ func (w *Workspace) recomputeAgg(t *txn, r *CompiledRule) error {
 	}
 
 	rel := r.headRels[0]
-	for id, keys := range groups.rows {
-		result := datalog.Int64(w.aggCells[id].acc)
+	for id, g := range w.aggCells {
+		keys := groups.row(uint32(id))
+		result := cell{kind: datalog.KindInt, bits: uint64(g.acc)}
 		if r.agg.Func == "count" {
-			result = datalog.Int64(w.aggCells[id].n)
+			result.bits = uint64(g.n)
 		}
-		if old, ok := rel.LookupFn(keys); ok {
-			if old[keyN].Equal(result) {
+		if old := rel.lookupFn(keys); old >= 0 {
+			if rel.row(uint32(old))[keyN] == result {
 				continue
 			}
-			w.deleteTxn(t, rel, old)
+			w.deleteRow(t, rel, uint32(old))
 		}
-		var buf [8]datalog.Value
+		var buf [8]cell
 		if err := w.insertDerived(rel, append(append(buf[:0], keys...), result)); err != nil {
 			return err
 		}
@@ -828,12 +811,12 @@ func (w *Workspace) checkBinding(c *CompiledConstraint, f *frame) error {
 		return nil
 	}
 	if err == nil {
-		err = &ConstraintViolation{Constraint: c.src.String(), Detail: bindingDetail(f)}
+		err = &ConstraintViolation{Constraint: c.src.String(), Detail: w.bindingDetail(f)}
 	}
 	return err
 }
 
-func bindingDetail(f *frame) string {
+func (w *Workspace) bindingDetail(f *frame) string {
 	type nv struct {
 		name string
 		val  datalog.Value
@@ -844,7 +827,7 @@ func bindingDetail(f *frame) string {
 			continue
 		}
 		if v, ok := f.get(slot); ok {
-			bound = append(bound, nv{name, v})
+			bound = append(bound, nv{name, w.syms.value(v)})
 		}
 	}
 	sort.Slice(bound, func(i, j int) bool { return bound[i].name < bound[j].name })
@@ -878,9 +861,9 @@ func (r *TxnResult) Inserted(pred string) []datalog.Tuple {
 	if rel == nil || len(rel.ins) == 0 {
 		return nil
 	}
-	out := make([]datalog.Tuple, len(rel.ins))
+	out := newTuples(len(rel.ins), rel.arity)
 	for i, id := range rel.ins {
-		out[i] = rel.rows[id]
+		rel.view(out[i], id)
 	}
 	return out
 }
@@ -939,14 +922,21 @@ func (w *Workspace) Retract(facts []Fact) error {
 
 	// Phase 1: overestimate deletions. Nothing is deleted yet, so the frontier
 	// can name stored tuples by row id, the way a fixpoint round's delta does.
-	deleted := factSet{}
+	// The retracted facts are also the seeds phase 3 keeps out.
+	deleted, seeds := factSet{}, factSet{}
 	frontier := make(map[*Relation][]uint32)
 	for _, f := range facts {
 		rel := w.rels[f.Pred]
 		if rel == nil {
 			continue
 		}
-		if row := rel.rowOf(f.Tuple); row >= 0 && deleted.add(f.Pred, f.Tuple) {
+		vals := w.syms.cells(w.factBuf[:0], f.Tuple)
+		w.factBuf = vals
+		if len(vals) != rel.arity {
+			continue
+		}
+		seeds.add(rel, vals)
+		if row := rel.rowOf(vals); row >= 0 && deleted.add(rel, vals) {
 			frontier[rel] = append(frontier[rel], uint32(row))
 		}
 	}
@@ -971,27 +961,24 @@ func (w *Workspace) Retract(facts []Fact) error {
 	}
 
 	// Phase 2: apply deletions.
-	for pred, m := range deleted {
-		rel := w.rels[pred]
-		m.Each(func(tup datalog.Tuple) bool {
-			w.deleteTxn(t, rel, tup)
+	for rel, m := range deleted {
+		m.each(func(row []cell) bool {
+			if id := rel.rowOf(row); id >= 0 {
+				w.deleteRow(t, rel, uint32(id))
+			}
 			return true
 		})
 	}
 
 	// Phase 3: rederive survivors. Base facts that were explicitly
 	// retracted stay out; everything else that is still derivable returns.
-	seeds := factSet{}
-	for _, f := range facts {
-		seeds.add(f.Pred, f.Tuple)
-	}
 	changed := true
 	for changed {
 		changed = false
 		// Re-run every rule whose head predicate saw deletions; reinsert
 		// derivations that were deleted (and are not retracted seeds).
-		for pred := range deleted {
-			for _, r := range w.rulesByHead[pred] {
+		for del := range deleted {
+			for _, r := range w.rulesByHead[del.schema.Name] {
 				if err := w.evalRuleInto(t, r); err != nil {
 					w.rollback(t)
 					return err
@@ -999,9 +986,9 @@ func (w *Workspace) Retract(facts []Fact) error {
 				w.nextRound() // cur: what this one evaluation inserted
 				for _, rel := range w.cur {
 					for _, id := range rel.ins[rel.lo:rel.hi] {
-						if tup := rel.rows[id]; seeds.has(rel.schema.Name, tup) {
+						if seeds.has(rel, rel.row(id)) {
 							// a retracted base fact must not return
-							w.deleteTxn(t, rel, tup)
+							w.deleteRow(t, rel, id)
 							continue
 						}
 						changed = true
@@ -1032,29 +1019,26 @@ func (w *Workspace) Retract(facts []Fact) error {
 func (w *Workspace) collectHeadDeletions(r *CompiledRule, f *frame, deleted factSet, next map[*Relation][]uint32) error {
 	mark := f.mark()
 	defer f.undo(mark)
-	if len(r.exVars) > 0 {
-		base := w.skolemBase(r, f)
-		for _, ex := range r.exVars {
-			ent, ok := w.skolems[base+"|"+ex.name]
-			if !ok {
-				return nil // derivation never happened
-			}
-			f.bind(ex.slot, ent)
+	for _, ex := range r.exVars {
+		ent, ok := w.skolems[string(w.skolemKey(r, f, ex.name))]
+		if !ok {
+			return nil // derivation never happened
 		}
+		f.bind(ex.slot, ent)
 	}
-	for hi, h := range r.heads {
-		var buf [8]datalog.Value
+	for hi := range r.heads {
+		var buf [8]cell
 		vals := buf[:0]
 		cargs := r.cheads[hi]
 		for i := range cargs {
-			v, err := evalCterm(&cargs[i], f)
+			v, err := w.eval(&cargs[i], f)
 			if err != nil {
 				return err
 			}
 			vals = append(vals, v)
 		}
 		rel := r.headRels[hi]
-		if row := rel.derived(vals); row >= 0 && deleted.add(h.ConcreteName(), rel.rows[row]) {
+		if row := rel.derived(vals); row >= 0 && deleted.add(rel, vals) {
 			next[rel] = append(next[rel], uint32(row))
 		}
 	}
@@ -1069,9 +1053,9 @@ func (w *Workspace) retractAggGroups(t *txn, r *CompiledRule) error {
 		return err
 	}
 	ka, rel := r.heads[0].KeyArity, r.headRels[0]
-	for _, tup := range rel.Tuples() {
-		if w.aggKeys.rowOf(tup[:ka]) < 0 {
-			w.deleteTxn(t, rel, tup)
+	for id, f := range rel.flags {
+		if f&rowLive != 0 && r.aggKeys.rowOf(rel.row(uint32(id))[:ka]) < 0 {
+			w.deleteRow(t, rel, uint32(id))
 		}
 	}
 	return nil
@@ -1095,23 +1079,29 @@ func (w *Workspace) Count(pred string) int {
 	return rel.Len()
 }
 
-// Contains reports whether a predicate holds the given tuple.
+// Contains reports whether a predicate holds the given tuple. Like every read,
+// it interns nothing: a tuple with text the workspace has never seen is absent.
 func (w *Workspace) Contains(pred string, tuple datalog.Tuple) bool {
 	rel := w.rels[pred]
 	return rel != nil && rel.Contains(tuple)
 }
 
-// LookupFn looks up a functional predicate's value tuple by its keys.
+// LookupFn looks up a functional predicate's value by its keys.
 func (w *Workspace) LookupFn(pred string, keys ...datalog.Value) (datalog.Value, bool) {
 	rel := w.rels[pred]
-	if rel == nil || !rel.schema.Functional() {
+	if rel == nil || rel.fn == nil {
 		return datalog.Value{}, false
 	}
-	t, ok := rel.LookupFn(keys)
-	if !ok {
+	var buf [8]cell
+	vals, ok := w.syms.lookupCells(buf[:0], keys)
+	if !ok || len(vals) != rel.schema.KeyArity {
 		return datalog.Value{}, false
 	}
-	return t[rel.schema.KeyArity], true
+	id := rel.lookupFn(vals)
+	if id < 0 {
+		return datalog.Value{}, false
+	}
+	return w.syms.value(rel.row(uint32(id))[rel.schema.KeyArity]), true
 }
 
 // Predicates returns the names of all predicates with a relation, sorted.

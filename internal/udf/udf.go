@@ -293,9 +293,11 @@ func (*deserializeUDF) Name() string { return "deserialize" }
 
 func (*deserializeUDF) CanEval(bound []bool) bool { return len(bound) >= 2 && bound[1] }
 
+// The signature goes back as a view of the payload: the workspace interns it
+// before the payload's storage could change.
 func (*deserializeUDF) Eval(param string, args []datalog.Value, bound []bool) (bool, error) {
 	sig, ok := unpack(param, args[1].Bytes(), args[2:], bound[2:])
-	return ok && engine.Yield(args, bound, 0, datalog.BytesV(sig)), nil
+	return ok && engine.Yield(args, bound, 0, datalog.OwnedBytes(sig)), nil
 }
 
 // anonSerializeUDF implements anon_serialize[P](T, V*): serialization

@@ -451,8 +451,9 @@ func TestUDFsNeverWriteIntoTheirInputs(t *testing.T) {
 // TestPayloadUDFsAllocateOnlyWhatTheyReturn: serialize allocates its payload —
 // sized once — and nothing else; deserialize turns a payload of another
 // predicate away without allocating at all, and for its own allocates the
-// signature and string values it hands back (two here; integers ride in the
-// Value) — no copy of the argument vector, no decoded tuple, no result slice.
+// string values it hands back (one here; integers ride in the Value, and the
+// signature is a view of the payload) — no copy of the argument vector, no
+// decoded tuple, no result slice.
 func TestPayloadUDFsAllocateOnlyWhatTheyReturn(t *testing.T) {
 	reg, err := NewRegistry(seccrypto.NewKeyStore("alice"), nil)
 	if err != nil {
@@ -478,8 +479,8 @@ func TestPayloadUDFsAllocateOnlyWhatTheyReturn(t *testing.T) {
 		if ok, err := de.Eval("path", out, free); !ok || err != nil {
 			t.Fatalf("deserialize: %v, %v", ok, err)
 		}
-	}); allocs != 2 {
-		t.Errorf("deserialize of its own predicate: %.1f allocations, want 2 (signature and node address)", allocs)
+	}); allocs != 1 {
+		t.Errorf("deserialize of its own predicate: %.1f allocations, want 1 (the node address; the signature views the payload)", allocs)
 	}
 	if !out[0].Equal(sig) || !out[2].Equal(hop) || !out[3].Equal(cost) {
 		t.Errorf("round trip: %v", out)
