@@ -13,54 +13,37 @@ func hashSamples() []Value {
 	}
 }
 
+// TestValueHashEqualConsistent: a tuple's hash key is equal exactly when its
+// values are.
 func TestValueHashEqualConsistent(t *testing.T) {
 	vals := hashSamples()
 	for _, a := range vals {
 		for _, b := range vals {
-			ha := Tuple{a}.Hash()
-			hb := Tuple{b}.Hash()
-			if a.Equal(b) && ha != hb {
-				t.Errorf("equal values %s and %s hash differently", a, b)
+			ka := Tuple{a}.Key()
+			kb := Tuple{b}.Key()
+			if a.Equal(b) && ka != kb {
+				t.Errorf("equal values %s and %s key differently", a, b)
 			}
 			// Distinct kinds with identical payloads must not collide (the
-			// kind byte is folded first) — a collision here would let a
-			// string impersonate a principal in hashed storage.
-			if !a.Equal(b) && ha == hb {
+			// kind byte is encoded first) — a collision here would let a
+			// string impersonate a principal in a keyed map.
+			if !a.Equal(b) && ka == kb {
 				t.Errorf("distinct values %s and %s collide", a, b)
 			}
 		}
 	}
 }
 
-func TestTupleHashVariants(t *testing.T) {
-	tup := Tuple{Int64(1), String_("x"), Prin("p")}
-	if tup.Hash() != tup.HashPrefix(3) {
-		t.Error("Hash must equal full-length HashPrefix")
-	}
-	if tup.HashPrefix(2) != (Tuple{Int64(1), String_("x")}).Hash() {
-		t.Error("HashPrefix must equal hash of the prefix tuple")
-	}
-	if tup.HashCols([]int{0, 2}) != HashValues([]Value{Int64(1), Prin("p")}) {
-		t.Error("HashCols projection must equal HashValues of projected values")
-	}
-	if tup.HashCols([]int{2, 0}) != HashValues([]Value{Prin("p"), Int64(1)}) {
-		t.Error("HashCols must respect column order")
-	}
-	if HashValues(nil) != (Tuple{}).Hash() {
-		t.Error("empty hashes must agree")
-	}
-}
-
 func TestHashBoundaryCases(t *testing.T) {
 	// Concatenation ambiguity: ("ab","c") vs ("a","bc") must differ because
-	// each value is length-framed by maphash before folding.
+	// each value is length-framed in the key.
 	a := Tuple{String_("ab"), String_("c")}
 	b := Tuple{String_("a"), String_("bc")}
-	if a.Hash() == b.Hash() {
+	if a.Key() == b.Key() {
 		t.Error("string-boundary tuples collide")
 	}
 	// Entity type/id boundaries.
-	if (Entity("x", 1).HashInto(0)) == (Entity("x1", 0).HashInto(0)) {
+	if (Tuple{Entity("x", 1)}).Key() == (Tuple{Entity("x1", 0)}).Key() {
 		t.Error("entity boundary collision")
 	}
 }
