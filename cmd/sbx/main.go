@@ -144,8 +144,17 @@ func runQuery(args []string, stdout, stderr io.Writer) int {
 	if err := ws.Install(res.Program); err != nil {
 		return fail(stderr, err)
 	}
-	for _, diag := range ws.Unstratified {
-		fmt.Fprintln(stderr, "warning:", diag)
+	// The analyzer is the one stratification verdict: query mode evaluates
+	// regardless and prints what it finds about negation and aggregation
+	// cycles.
+	if rep, err := (&analysis.Analyzer{UDFs: reg}).Analyze(res.Program); err == nil {
+		var cycles []analysis.Finding
+		for _, f := range rep.Findings {
+			if f.Code == analysis.CodeUnstratifiedNeg || f.Code == analysis.CodeAggregateCycle {
+				cycles = append(cycles, f)
+			}
+		}
+		analysis.WriteFindings(stderr, fs.Arg(0), cycles)
 	}
 
 	var preds []string

@@ -14,12 +14,14 @@
 //	sbxnode -genkeys -config cluster.json          # write the key files
 //	sbxnode -vet -config cluster.json              # static pre-flight, no run
 //	sbxnode -config cluster.json -node p0          # one process per node
-//	sbxnode -config cluster.json -allinone         # in-process reference run
+//	sbxnode -config cluster.json -allinone         # every node in this process
 //
+// -allinone runs every principal of the config through that same path,
+// concurrently in one process over the in-process simulated network.
 // Result lines are tab-separated, principal-keyed and sorted, so the
 // concatenated (and sorted) outputs of all processes are byte-identical to
-// the -allinone run over the in-process simulated network — that equality
-// is what TestDeployments asserts.
+// the -allinone run's — and to core.NewCluster's, the static-directory
+// reference TestDeployments holds both to.
 //
 // Exit codes: 0 quiescence reached, 1 configuration or runtime error,
 // 3 a peer stopped answering termination probes (typed detector failure —
@@ -40,7 +42,9 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
+	"slices"
 	"sort"
+	"sync"
 	"syscall"
 	"time"
 
@@ -82,7 +86,7 @@ func run(args []string, stdout, stderr *os.File) int {
 	var o options
 	fs.StringVar(&o.configPath, "config", "", "cluster config file (JSON)")
 	fs.StringVar(&o.node, "node", "", "principal this process runs as")
-	fs.BoolVar(&o.allInOne, "allinone", false, "run every node of the config in this process over the simulated network (reference mode)")
+	fs.BoolVar(&o.allInOne, "allinone", false, "run every principal of the config in this process, each as -node runs it, over the simulated network")
 	fs.BoolVar(&o.genKeys, "genkeys", false, "generate the RSA key files the config's key_file entries name, then exit")
 	fs.BoolVar(&o.vet, "vet", false, "statically analyze the config's workload program and exit (nonzero on error findings)")
 	fs.StringVar(&o.debugAddr, "debugaddr", "", "serve /metrics, /debug/spans|logs|pprof, /healthz and /readyz over HTTP on this address (e.g. 127.0.0.1:8300)")
@@ -121,7 +125,7 @@ func run(args []string, stdout, stderr *os.File) int {
 	case o.allInOne:
 		err = runAllInOne(cfg, w, pol, o, stdout)
 	case o.node != "":
-		err = runNode(cfg, w, pol, o, stdout)
+		err = runProcess(cfg, w, pol, o, stdout)
 	default:
 		err = fmt.Errorf("one of -node, -allinone, -genkeys or -vet is required")
 	}
@@ -203,14 +207,15 @@ func signalContext(timeout time.Duration) (context.Context, context.CancelFunc) 
 	return ctx, cancel
 }
 
-// runNode is the multi-process path: bind, join, assemble, barrier, run to
-// fixpoint, report, leave.
-func runNode(cfg *cluster.Config, w *apps.Workload, pol core.PolicyConfig, o options, stdout *os.File) (retErr error) {
+// runProcess is the -node path: one deployment process, with the health
+// machine and debug server of its one principal, over strict UDP under the
+// optional chaos plan.
+func runProcess(cfg *cluster.Config, w *apps.Workload, pol core.PolicyConfig, o options, stdout *os.File) (retErr error) {
 	ctx, cancel := signalContext(o.timeout)
 	defer cancel()
 
 	// The process-wide health state machine backs /healthz and /readyz;
-	// the cluster runtime advances it through the lifecycle below.
+	// the cluster runtime advances it through the lifecycle runNode drives.
 	health := obs.DefaultHealth()
 	health.Reset()
 	health.SetIdentity(cfg.Cluster, o.node)
@@ -254,11 +259,81 @@ func runNode(cfg *cluster.Config, w *apps.Workload, pol core.PolicyConfig, o opt
 		return err
 	}
 	rt.Health = health
+	lines, err := runNode(ctx, rt, udp, chaos, w, pol, o)
+	if err != nil {
+		return err
+	}
+	writeLines(stdout, lines)
+	return nil
+}
+
+// runAllInOne is the -allinone path: every principal of the config, each
+// through the same runNode a deployment process runs, concurrently over one
+// simulated network. It prints the sorted union of their result lines. The
+// seed's lifecycle is the one /healthz and /readyz report.
+func runAllInOne(cfg *cluster.Config, w *apps.Workload, pol core.PolicyConfig, o options, stdout *os.File) error {
+	ctx, cancel := signalContext(o.timeout)
+	defer cancel()
+	// The first principal to fail ends everyone's run.
+	ctx, fail := context.WithCancelCause(ctx)
+	defer fail(nil)
+
+	if o.debugAddr != "" {
+		_, stop, err := obs.ServeDebug(o.debugAddr)
+		if err != nil {
+			return err
+		}
+		defer stop()
+	}
+
+	mem := transport.NewMemNetwork()
+	defer mem.Close()
+	// Every endpoint is bound before any principal runs, so no announcement
+	// waits out a resend for a seed that is not listening yet.
+	rts := make([]*cluster.Runtime, len(cfg.Nodes))
+	for i, n := range cfg.Nodes {
+		rt, err := cluster.NewRuntime(cfg, n.Principal, mem)
+		if err != nil {
+			return err
+		}
+		rts[i] = rt
+	}
+	health := obs.DefaultHealth()
+	health.Reset()
+	rts[0].Health = health
+
+	lines := make([][]string, len(rts))
+	var wg sync.WaitGroup
+	for i, rt := range rts {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var err error
+			if lines[i], err = runNode(ctx, rt, mem, nil, w, pol, o); err != nil {
+				fail(err)
+			}
+		}()
+	}
+	wg.Wait()
+	if err := context.Cause(ctx); err != nil {
+		health.Fail(err)
+		return err
+	}
+	writeLines(stdout, slices.Concat(lines...))
+	return nil
+}
+
+// runNode runs one principal of the config from its bound runtime to its
+// departure — Join, assemble, Ready, run to the distributed fixpoint,
+// DepartureBarrier, Leave — and returns its result lines. nw is the network
+// rt was bound on; chaos, when set, is the plan nw injects.
+func runNode(ctx context.Context, rt *cluster.Runtime, nw transport.Network, chaos *transport.ChaosEngine, w *apps.Workload, pol core.PolicyConfig, o options) (lines []string, retErr error) {
+	cfg := rt.Config()
 	bctx, bcancel := context.WithTimeout(ctx, cfg.Timeout())
 	defer bcancel()
 	mem, err := rt.Join(bctx)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	if chaos != nil {
 		// The directory maps bound addresses to principals — the names the
@@ -270,7 +345,7 @@ func runNode(cfg *cluster.Config, w *apps.Workload, pol core.PolicyConfig, o opt
 	// over the Membership the join handshake established.
 	res, err := w.Compile(pol)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	assembly := core.NodeAssembly{
 		Policy:    pol,
@@ -289,20 +364,20 @@ func runNode(cfg *cluster.Config, w *apps.Workload, pol core.PolicyConfig, o opt
 	}
 	node, err := assembly.Build()
 	if err != nil {
-		return err
+		return nil, err
+	}
+	if err := rt.Ready(bctx); err != nil {
+		return nil, err
 	}
 	rt.BindNode(node)
-	if err := rt.Ready(bctx); err != nil {
-		return err
-	}
 
-	// The detector runs per process over its own endpoint: every node
+	// The detector runs per principal over its own endpoint: every node
 	// independently proves the distributed fixpoint from wire-level probe
 	// waves alone.
 	host, _, _ := net.SplitHostPort(rt.Endpoint().Addr())
-	detEp, err := udp.Listen(net.JoinHostPort(host, "0"))
+	detEp, err := nw.Listen(net.JoinHostPort(host, "0"))
 	if err != nil {
-		return fmt.Errorf("detector endpoint: %w", err)
+		return nil, fmt.Errorf("detector endpoint: %w", err)
 	}
 	det := dist.NewDetector(detEp, mem.Addrs())
 	det.Names = mem.Names()
@@ -351,7 +426,7 @@ func runNode(cfg *cluster.Config, w *apps.Workload, pol core.PolicyConfig, o opt
 		}
 		var ue *dist.UnresponsiveError
 		if !cfg.EvictOnFailure() || !errors.As(err, &ue) {
-			return err
+			return nil, err
 		}
 		// The eviction itself is logged by the runtime ("evicting
 		// unresponsive"); the stderr mirror shows it at the default level.
@@ -376,66 +451,12 @@ func runNode(cfg *cluster.Config, w *apps.Workload, pol core.PolicyConfig, o opt
 	lctx, lcancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer lcancel()
 	if err := rt.Leave(lctx, node); err != nil {
-		return err
+		return nil, err
 	}
 	if err := context.Cause(ctx); errors.Is(err, errCrashed) {
-		return err // a crashed node reports nothing
+		return nil, err // a crashed node reports nothing
 	}
-	writeLines(stdout, w.Lines(mem, rt.Index(), node.WS))
-	return nil
-}
-
-// runAllInOne runs every node of the config inside this process over the
-// simulated network — the in-process reference a multi-process run's
-// results are compared against. The cluster is core.NewCluster's, with the
-// members' identities taken from the config.
-func runAllInOne(cfg *cluster.Config, w *apps.Workload, pol core.PolicyConfig, o options, stdout *os.File) error {
-	ctx, cancel := signalContext(o.timeout)
-	defer cancel()
-
-	c, err := core.NewClusterFromConfig(cfg, w.ClusterConfig(0, pol, cfg.Workload.Seed, nil))
-	if err != nil {
-		return err
-	}
-	defer c.Stop()
-
-	if o.debugAddr != "" {
-		_, stop, err := obs.ServeDebug(o.debugAddr)
-		if err != nil {
-			return err
-		}
-		defer stop()
-	}
-
-	// No bootstrap handshake in-process, so the health machine jumps
-	// straight to running (Init -> Running is a legal edge for exactly
-	// this mode).
-	health := obs.DefaultHealth()
-	health.Reset()
-	health.SetIdentity(cfg.Cluster, "allinone")
-	_ = health.Advance(obs.StateRunning)
-
-	c.Start()
-	for i := range c.Principals {
-		if facts := w.Facts(cfg.Workload, c.Directory, i); len(facts) > 0 {
-			c.AssertAt(i, facts)
-		}
-	}
-	if _, err := c.WaitFixpointCtx(ctx); err != nil {
-		health.Fail(err)
-		return err
-	}
-	_ = health.Advance(obs.StateDraining)
-	// Stopping joins every transaction loop, making the workspaces safe to
-	// read (the deferred Stop becomes a no-op).
-	c.Stop()
-	_ = health.Advance(obs.StateDone)
-	var all []string
-	for i := range c.Principals {
-		all = append(all, w.Lines(c.Directory, i, c.Nodes[i].WS)...)
-	}
-	writeLines(stdout, all)
-	return nil
+	return w.Lines(mem, rt.Index(), node.WS), nil
 }
 
 // writeLines prints the run's result partition, sorted so output order is

@@ -112,28 +112,27 @@ func sortedLines(chunks ...string) string {
 	return strings.Join(all, "\n")
 }
 
-// mutedReference is the result set an evict-policy run converges on when the
-// muted principals die right after the ready barrier: every member is in the
-// directory, the muted ones assert no input and report no line. It is
-// -allinone's reference minus their share.
-func mutedReference(t *testing.T, cfgPath string, muted ...string) string {
+// reference is the result set a deployment of cfg must print, computed by
+// core.NewCluster: the static-directory constructor, which runs none of the
+// handshake, barrier and eviction code every sbxnode mode runs. Its
+// principals are p0, p1, …; the lines name the config's principals in
+// their place, in config order. The muted principals are the ones an
+// evict-policy run loses right after the ready barrier: they stay in the
+// directory but assert no input and report no line.
+func reference(t *testing.T, cfg *cluster.Config, muted ...string) string {
 	t.Helper()
-	cfg, err := cluster.LoadConfig(cfgPath)
-	if err != nil {
-		t.Fatal(err)
-	}
 	w, pol, err := configWorkload(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := core.NewClusterFromConfig(cfg, w.ClusterConfig(0, pol, cfg.Workload.Seed, nil))
+	c, err := core.NewCluster(w.ClusterConfig(len(cfg.Nodes), pol, cfg.Workload.Seed, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Stop()
 	c.Start()
-	for i, p := range c.Principals {
-		if facts := w.Facts(cfg.Workload, c.Directory, i); len(facts) > 0 && !slices.Contains(muted, p) {
+	for i, n := range cfg.Nodes {
+		if facts := w.Facts(cfg.Workload, c.Directory, i); len(facts) > 0 && !slices.Contains(muted, n.Principal) {
 			c.AssertAt(i, facts)
 		}
 	}
@@ -143,23 +142,29 @@ func mutedReference(t *testing.T, cfgPath string, muted ...string) string {
 		t.Fatal(err)
 	}
 	c.Stop()
+	named := &cluster.Membership{Members: slices.Clone(c.Directory.Members)}
 	var lines []string
-	for i, p := range c.Principals {
-		if !slices.Contains(muted, p) {
-			lines = append(lines, w.Lines(c.Directory, i, c.Nodes[i].WS)...)
+	for i, n := range cfg.Nodes {
+		named.Members[i].Principal = n.Principal
+	}
+	for i, n := range cfg.Nodes {
+		if !slices.Contains(muted, n.Principal) {
+			lines = append(lines, w.Lines(named, i, c.Nodes[i].WS)...)
 		}
 	}
 	return sortedLines(lines...)
 }
 
 // deployment is one scenario TestDeployments runs: every principal of an
-// n-node config as its own runNode — own strict UDP network, keystore and
+// n-node config as its own -node run — own strict UDP network, keystore and
 // detector, exactly the multi-process code path — concurrently in this
-// process, every one under the same chaos plan.
+// process, every one under the same chaos plan; or, for allInOne, one
+// -allinone run of the config.
 type deployment struct {
 	name             string
 	policy, workload string
 	n, port          int
+	allInOne         bool
 	evict            bool   // on_failure "evict" instead of the default abort
 	keyFiles         bool   // RSA keys in key_file entries provisioned by -genkeys
 	plan             string // chaos plan JSON ("" runs without one)
@@ -202,12 +207,17 @@ var deployments = []deployment{{
 		"links": [{"from": "*", "to": "*", "drop": 0.15, "dup": 0.1, "garble": 0.05, "reorder": 0.1, "delay_ms": 1, "jitter_ms": 2}],
 		"partitions": [{"a": ["p0"], "b": ["p1", "p2"], "at_ms": 0, "heal_ms": 1000}]}`,
 	positive: []string{"sbx_chaos_faults_total", "sbx_transport_retransmits_total"},
+}, {
+	// Every principal in one process, through the same handshake,
+	// barriers and departure over memnet, held to the same reference.
+	name: "allinone", policy: "RSA-batch", workload: "pathvector", n: 5, port: 7417, allInOne: true,
+	positive: []string{"sbx_txns_total", "sbx_rsa_sign_ops_total"},
 }}
 
-// TestDeployments runs every deployment scenario against its in-process
-// reference: -allinone's result set, the muted reference when the plan
-// crashes a member under evict, and under abort the survivors' typed error.
-// Counters are asserted as deltas of the process-wide registry over the run.
+// TestDeployments runs every deployment scenario against core.NewCluster's
+// reference — muted when the plan crashes a member under evict — or, under
+// abort, against the survivors' typed error. Counters are asserted as
+// deltas of the process-wide registry over the run.
 func TestDeployments(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spins up real UDP sockets")
@@ -236,18 +246,10 @@ func (d deployment) run(t *testing.T) {
 	}
 	abort := d.crashed != "" && !d.evict
 	var want string
-	switch {
-	case d.crashed == "":
-		code, out, errOut := capture(t, []string{"-config", cfgPath, "-allinone", "-timeout", "60s"})
-		if code != 0 {
-			t.Fatalf("allinone exit %d: %s", code, errOut)
+	if !abort {
+		if want = reference(t, cfg, d.crashed); want == "" {
+			t.Fatal("empty reference result set proves nothing")
 		}
-		want = sortedLines(out)
-	case d.evict:
-		want = mutedReference(t, cfgPath, d.crashed)
-	}
-	if want == "" && !abort {
-		t.Fatal("empty reference result set proves nothing")
 	}
 
 	args := []string{"-config", cfgPath, "-timeout", "60s"}
@@ -257,15 +259,23 @@ func (d deployment) run(t *testing.T) {
 	if d.crashed != "" {
 		args = append(args, "-unresponsive", "3s")
 	}
+	runs := cfg.Principals()
+	if d.allInOne {
+		runs = []string{"allinone"}
+	}
 	obs.L().ResetEvents()
 	before := obs.SumPromFamilies(obs.Default().Render())
-	codes, outs, errs := make([]int, d.n), make([]string, d.n), make([]string, d.n)
+	codes, outs, errs := make([]int, len(runs)), make([]string, len(runs)), make([]string, len(runs))
 	var wg sync.WaitGroup
-	for i, node := range cfg.Nodes {
+	for i, p := range runs {
+		mode := []string{"-node", p}
+		if d.allInOne {
+			mode = []string{"-allinone"}
+		}
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			codes[i], outs[i], errs[i] = capture(t, append([]string{"-node", node.Principal}, args...))
+			codes[i], outs[i], errs[i] = capture(t, append(mode, args...))
 		}()
 	}
 	wg.Wait()
@@ -278,13 +288,12 @@ func (d deployment) run(t *testing.T) {
 			t.Logf("log %s %s %s %s %v", e.Time.Format("15:04:05.000"), e.Level, e.Principal, e.Msg, e.Fields)
 		}
 		for i, e := range errs {
-			t.Logf("%s exit %d, stderr:\n%s", cfg.Nodes[i].Principal, codes[i], e)
+			t.Logf("%s exit %d, stderr:\n%s", runs[i], codes[i], e)
 		}
 	}()
 
 	var survivors []string
-	for i, node := range cfg.Nodes {
-		p := node.Principal
+	for i, p := range runs {
 		switch {
 		case p == d.crashed:
 			if codes[i] != 7 || outs[i] != "" {
@@ -320,6 +329,34 @@ func (d deployment) run(t *testing.T) {
 		if _, ok := after[f]; !ok {
 			t.Errorf("/metrics lacks %s", f)
 		}
+	}
+}
+
+// TestAllInOneFromConfig: -allinone takes the principals, their order and
+// their key material from the config — RSA keys inline, pair secrets
+// derived from the cluster secret, or none — and its result lines name the
+// config's principals, as the renamed reference does.
+func TestAllInOneFromConfig(t *testing.T) {
+	for _, policy := range []string{"RSA", "HMAC-AES", "NoAuth"} {
+		t.Run(policy, func(t *testing.T) {
+			cfg := testConfig(t, policy, "pathvector", 3, 7421)
+			for i, name := range []string{"carol", "alice", "bob"} {
+				cfg.Nodes[i].Principal = name
+			}
+			// A path, not the triangle degree 3 gives: one bestcost row per
+			// direction crosses the middle node, so the answer needs traffic
+			// the keys authenticate.
+			cfg.Workload.Degree = 1
+			cfgPath := writeFile(t, t.TempDir(), "cluster.json", cfg)
+			code, out, errOut := capture(t, []string{"-config", cfgPath, "-allinone", "-timeout", "60s"})
+			if code != 0 {
+				t.Fatalf("allinone exit %d: %s", code, errOut)
+			}
+			got, want := sortedLines(out), reference(t, cfg)
+			if got != want || !strings.HasPrefix(got, "bestcost\talice\t") {
+				t.Fatalf("result set differs from the reference:\n--- got:\n%s\n--- want:\n%s", got, want)
+			}
+		})
 	}
 }
 

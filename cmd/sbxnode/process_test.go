@@ -126,9 +126,8 @@ func TestRealProcesses(t *testing.T) {
 		}
 		outs = append(outs, p.out.String())
 	}
-	code, ref, errOut := capture(t, []string{"-config", cfgPath, "-allinone", "-timeout", "60s"})
-	if got := sortedLines(outs...); code != 0 || got != sortedLines(ref) || got == "" {
-		t.Fatalf("processes' result set differs from -allinone (exit %d, %s):\n--- processes:\n%s\n--- allinone:\n%s", code, errOut, got, ref)
+	if got, want := sortedLines(outs...), reference(t, cfg); got != want || got == "" {
+		t.Fatalf("processes' result set differs from the reference:\n--- processes:\n%s\n--- reference:\n%s", got, want)
 	}
 
 	// sbx trace over the dumps: the deepest wave tops the list and spans at

@@ -57,6 +57,19 @@ r(X) <- p(X).`,
 			sev:  Error,
 		},
 		{
+			name: "mutual negation",
+			src: `p(X) <- q(X), !r(X).
+r(X) <- s(X), !p(X).`,
+			code: CodeUnstratifiedNeg,
+			sev:  Error,
+		},
+		{
+			name: "self-guarded head",
+			src:  `p(X) <- q(X), !p(X).`,
+			code: CodeUnstratifiedNeg,
+			sev:  Warning,
+		},
+		{
 			name: "unbound negation",
 			src:  `p(X) <- q(X), !r(Y).`,
 			code: CodeUnboundNegation,

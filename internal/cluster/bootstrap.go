@@ -2,12 +2,14 @@ package cluster
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sort"
 	"strings"
 	"time"
 
 	"secureblox/internal/obs"
+	"secureblox/internal/transport"
 	"secureblox/internal/wire"
 )
 
@@ -17,11 +19,11 @@ import (
 // (and memnet's hard error for not-yet-registered addresses).
 const resendInterval = 500 * time.Millisecond
 
-// BootstrapError reports a failed join handshake: which phase stalled and
-// which principals were still missing when the deadline hit.
+// BootstrapError reports a failed barrier: which one stalled and which
+// principals were still missing when the deadline hit.
 type BootstrapError struct {
 	Cluster string
-	Phase   string   // "join", "directory", "ready" or "go"
+	Phase   string   // the barrier: "join", "ready" or "leave"
 	Missing []string // principals not heard from, sorted
 	Err     error    // the underlying cause (usually ctx.Err())
 }
@@ -37,9 +39,10 @@ func (e *BootstrapError) Error() string {
 // Unwrap exposes the underlying cause to errors.Is.
 func (e *BootstrapError) Unwrap() error { return e.Err }
 
-// controlMsg wraps one encoded bootstrap record in the MsgControl envelope
-// every node runtime already routes.
+// controlMsg stamps a bootstrap record with this cluster's name and wraps
+// it in the MsgControl envelope every node runtime already routes.
 func (rt *Runtime) controlMsg(rec wire.Join) []byte {
+	rec.Cluster = rt.cfg.Cluster
 	return wire.EncodeMessage(wire.Message{
 		Kind:     wire.MsgControl,
 		From:     rt.ep.Addr(),
@@ -68,6 +71,156 @@ func (rt *Runtime) selfInfo() wire.MemberInfo {
 	return wire.MemberInfo{Principal: rt.principal, Addr: rt.ep.Addr(), PubKey: rt.pubDER}
 }
 
+// self is the one member entry a ready or leave announcement carries.
+func (rt *Runtime) self() []wire.MemberInfo {
+	return []wire.MemberInfo{{Principal: rt.principal, Addr: rt.ep.Addr()}}
+}
+
+// barrier is one of the runtime's three seed-coordinated barriers: join →
+// directory, ready → go and leave → bye. Every member announces itself to
+// the seed until the seed's release reaches it; the seed collects one
+// announcement per live member, then releases everyone. Evicted members
+// count as announced — a dead node announces nothing — and a member whose
+// seed was evicted has nobody to wait for. What differs by phase is passed
+// in.
+type barrier struct {
+	// phase names the barrier in a BootstrapError.
+	phase string
+	// announce is the record a member sends; release is the record type
+	// that ends its wait.
+	announce wire.Join
+	release  wire.CtrlType
+	// count, on the seed, returns the principal an announcement counts
+	// for, or "" when it counts for nobody.
+	count func(wire.MemberInfo) string
+	// other, on the seed, sees every record that is not an announcement;
+	// nil ignores them.
+	other func(wire.Join)
+	// seal, on the seed, builds the release once everyone is counted; nil
+	// sends a bare release record.
+	seal func() []byte
+	// accept, on a member, takes the release record; nil takes it as is.
+	accept func(wire.Join) error
+	// stray, on a member, takes datagrams that are not bootstrap records;
+	// nil drops them.
+	stray func(transport.InMsg)
+}
+
+// cross runs one barrier from this node's side of it.
+func (rt *Runtime) cross(ctx context.Context, b barrier) error {
+	if rt.IsSeed() {
+		return rt.collect(ctx, b)
+	}
+	return rt.await(ctx, b)
+}
+
+// collect is the seed's side of every barrier. The tick re-reads
+// evictions, which can land while the seed waits on the evicted member.
+func (rt *Runtime) collect(ctx context.Context, b barrier) error {
+	counted := map[string]bool{rt.principal: true}
+	tick := time.NewTicker(resendInterval)
+	defer tick.Stop()
+	for {
+		var missing []string
+		for _, n := range rt.cfg.Nodes {
+			if !counted[n.Principal] && !rt.Evicted(n.Principal) {
+				missing = append(missing, n.Principal)
+			}
+		}
+		if len(missing) == 0 {
+			break
+		}
+		rec, err := rt.nextRecord(ctx, tick.C, nil, nil)
+		switch {
+		case err != nil:
+			return rt.bootstrapErr(b.phase, err, missing)
+		case rec.Type == b.announce.Type && len(rec.Members) == 1:
+			if p := b.count(rec.Members[0]); p != "" {
+				counted[p] = true
+			}
+		case b.other != nil:
+			b.other(rec)
+		}
+	}
+	msg := rt.controlMsg(wire.Join{Type: b.release})
+	if b.seal != nil {
+		msg = b.seal()
+	}
+	for _, m := range rt.mem.Members {
+		if m.Principal != rt.principal && !rt.Evicted(m.Principal) {
+			_ = rt.ep.Send(m.Addr, msg)
+		}
+	}
+	return nil
+}
+
+// await is a member's side of every barrier: announce to the seed, and
+// again on every tick, until the release arrives.
+func (rt *Runtime) await(ctx context.Context, b barrier) error {
+	seed := rt.cfg.Seed().Principal
+	if rt.Evicted(seed) {
+		// Survivors have all proven the fixpoint against the same surviving
+		// subset, so skipping the departure barrier cannot strand a probe.
+		return nil
+	}
+	msg := rt.controlMsg(b.announce)
+	send := func() { _ = rt.ep.Send(rt.seedAddr, msg) } // errors covered by the resend tick
+	send()
+	tick := time.NewTicker(resendInterval)
+	defer tick.Stop()
+	for {
+		rec, err := rt.nextRecord(ctx, tick.C, send, b.stray)
+		if err != nil {
+			return rt.bootstrapErr(b.phase, err, []string{seed})
+		}
+		if rec.Type == b.release {
+			if b.accept == nil {
+				return nil
+			}
+			return b.accept(rec)
+		}
+	}
+}
+
+// nextRecord waits for the next bootstrap record: off the raw endpoint
+// while the runtime owns it, from the node once BindNode handed the
+// endpoint over. A tick goes to onTick and a datagram that is no bootstrap
+// record to stray (either may be nil); both return the zero record.
+func (rt *Runtime) nextRecord(ctx context.Context, tick <-chan time.Time, onTick func(), stray func(transport.InMsg)) (wire.Join, error) {
+	var raw <-chan transport.InMsg
+	if rt.ctrlCh == nil {
+		raw = rt.ep.Receive()
+	}
+	select {
+	case <-ctx.Done():
+		return wire.Join{}, ctx.Err()
+	case <-tick:
+		if onTick != nil {
+			onTick()
+		}
+	case rec := <-rt.ctrlCh:
+		return rec, nil
+	case in, open := <-raw:
+		if !open {
+			return wire.Join{}, errors.New("endpoint closed")
+		}
+		if rec, ok := rt.decodeBootstrap(in.Data); ok {
+			return rec, nil
+		}
+		if stray != nil {
+			stray(in)
+		}
+	}
+	return wire.Join{}, nil
+}
+
+// member is the count of a ready or leave announcement: the directory
+// member bound at the announced address.
+func (rt *Runtime) member(m wire.MemberInfo) string {
+	dm, _ := rt.mem.ByAddr(m.Addr)
+	return dm.Principal
+}
+
 // Join runs the bootstrap handshake until this node holds the cluster's
 // full directory, or ctx expires. The seed (the config's first node)
 // collects announcements from every expected principal and answers everyone
@@ -85,16 +238,20 @@ func (rt *Runtime) Join(ctx context.Context) (*Membership, error) {
 	rt.hstep(obs.StateJoining)
 	rt.log().Info("joining cluster", "cluster", rt.cfg.Cluster,
 		"addr", rt.ep.Addr(), "seed", rt.seedAddr, "is_seed", rt.IsSeed())
-	var err error
-	if rt.IsSeed() {
-		rt.mem, err = rt.seedJoin(ctx)
-	} else {
-		rt.mem, err = rt.announceAndAwaitDirectory(ctx)
-	}
+	joined := map[string]wire.MemberInfo{rt.principal: rt.selfInfo()}
+	err := rt.cross(ctx, barrier{
+		phase:    "join",
+		announce: wire.Join{Type: wire.CtrlJoin, Members: []wire.MemberInfo{rt.selfInfo()}},
+		release:  wire.CtrlDirectory,
+		count:    func(m wire.MemberInfo) string { return rt.admit(joined, m) },
+		seal:     func() []byte { return rt.seal(joined) },
+		accept:   rt.acceptDirectory,
+	})
 	if err != nil {
 		rt.MarkFailed(err)
 		return nil, err
 	}
+	rt.seedAddr = rt.mem.Members[0].Addr
 	// Distribute the directory's public keys into the local keystore: the
 	// pre-verify pool and the policy constraints both look peers up there.
 	if rt.spec.UsesRSA() {
@@ -109,143 +266,90 @@ func (rt *Runtime) Join(ctx context.Context) (*Membership, error) {
 	return rt.mem, nil
 }
 
-// seedJoin is the seed's half of the handshake.
-func (rt *Runtime) seedJoin(ctx context.Context) (*Membership, error) {
-	expected := make(map[string]bool, len(rt.cfg.Nodes))
-	for _, n := range rt.cfg.Nodes {
-		expected[n.Principal] = true
+// admit is the seed's count of one join announcement: another expected
+// principal with usable key material. A process that restarted on a new
+// port before bootstrap completed announces again; its latest address wins.
+func (rt *Runtime) admit(joined map[string]wire.MemberInfo, m wire.MemberInfo) string {
+	if m.Principal == rt.principal || rt.cfg.NodeIndex(m.Principal) < 0 {
+		return "" // not a member this seed waits for: ignore
 	}
-	joined := map[string]wire.MemberInfo{rt.principal: rt.selfInfo()}
-	for len(joined) < len(rt.cfg.Nodes) {
-		select {
-		case <-ctx.Done():
-			return nil, rt.bootstrapErr("join", ctx.Err(), missingOf(expected, joined))
-		case in, open := <-rt.ep.Receive():
-			if !open {
-				return nil, rt.bootstrapErr("join", fmt.Errorf("endpoint closed"), missingOf(expected, joined))
-			}
-			rec, ok := rt.decodeBootstrap(in.Data)
-			if !ok || rec.Type != wire.CtrlJoin || len(rec.Members) != 1 {
-				continue
-			}
-			m := rec.Members[0]
-			if !expected[m.Principal] {
-				continue // not part of this deployment: ignore
-			}
-			if prev, dup := joined[m.Principal]; dup {
-				if prev.Addr == m.Addr {
-					continue // announcement resend
-				}
-				// The process restarted on a new port before bootstrap
-				// completed; its latest address wins.
-			}
-			if rt.spec.UsesRSA() {
-				if _, err := rt.ks.ParsePub(m.PubKey); err != nil {
-					continue // unusable announcement; the joiner will resend
-				}
-			}
-			if _, dup := joined[m.Principal]; !dup {
-				rt.log().Info("member joined", "member", m.Principal, "member_addr", m.Addr,
-					"joined", len(joined)+1, "expected", len(rt.cfg.Nodes))
-			}
-			joined[m.Principal] = m
+	if rt.spec.UsesRSA() {
+		if _, err := rt.ks.ParsePub(m.PubKey); err != nil {
+			return "" // unusable announcement; the joiner will resend
 		}
 	}
-	mem := &Membership{Members: make([]Member, len(rt.cfg.Nodes))}
+	if _, dup := joined[m.Principal]; !dup {
+		rt.log().Info("member joined", "member", m.Principal, "member_addr", m.Addr,
+			"joined", len(joined)+1, "expected", len(rt.cfg.Nodes))
+	}
+	joined[m.Principal] = m
+	return m.Principal
+}
+
+// seal builds the directory from every member's announcement, in config
+// order, and keeps its encoding to answer late joins with.
+func (rt *Runtime) seal(joined map[string]wire.MemberInfo) []byte {
+	rt.mem = &Membership{Members: make([]Member, len(rt.cfg.Nodes))}
+	rec := wire.Join{Type: wire.CtrlDirectory}
 	for i, n := range rt.cfg.Nodes {
 		mi := joined[n.Principal]
-		mem.Members[i] = Member{Principal: mi.Principal, Addr: mi.Addr, PubKeyDER: mi.PubKey}
+		rt.mem.Members[i] = Member{Principal: mi.Principal, Addr: mi.Addr, PubKeyDER: mi.PubKey}
+		rec.Members = append(rec.Members, mi)
 	}
-	rt.directory = rt.controlMsg(directoryRecord(rt.cfg.Cluster, mem))
-	rt.sendDirectory(mem)
-	rt.log().Info("directory distributed", "members", len(mem.Members))
-	return mem, nil
+	rt.directory = rt.controlMsg(rec)
+	rt.log().Info("directory distributed", "members", len(rt.mem.Members))
+	return rt.directory
 }
 
-// directoryRecord renders a membership as the CtrlDirectory wire record.
-func directoryRecord(cluster string, mem *Membership) wire.Join {
-	rec := wire.Join{Type: wire.CtrlDirectory, Cluster: cluster}
-	for _, m := range mem.Members {
-		rec.Members = append(rec.Members, wire.MemberInfo{Principal: m.Principal, Addr: m.Addr, PubKey: m.PubKeyDER})
-	}
-	return rec
-}
-
-// sendDirectory pushes the completed directory to every peer.
-func (rt *Runtime) sendDirectory(mem *Membership) {
-	for _, m := range mem.Members {
-		if m.Principal != rt.principal {
-			_ = rt.ep.Send(m.Addr, rt.directory)
-		}
-	}
-}
-
-// announceAndAwaitDirectory is the joiner's half of the handshake.
-func (rt *Runtime) announceAndAwaitDirectory(ctx context.Context) (*Membership, error) {
-	announce := rt.controlMsg(wire.Join{Type: wire.CtrlJoin, Cluster: rt.cfg.Cluster, Members: []wire.MemberInfo{rt.selfInfo()}})
-	_ = rt.ep.Send(rt.seedAddr, announce) // errors covered by the resend tick
-	tick := time.NewTicker(resendInterval)
-	defer tick.Stop()
-	for {
-		select {
-		case <-ctx.Done():
-			return nil, rt.bootstrapErr("directory", ctx.Err(), []string{rt.cfg.Seed().Principal})
-		case <-tick.C:
-			_ = rt.ep.Send(rt.seedAddr, announce)
-		case in, open := <-rt.ep.Receive():
-			if !open {
-				return nil, rt.bootstrapErr("directory", fmt.Errorf("endpoint closed"), nil)
-			}
-			rec, ok := rt.decodeBootstrap(in.Data)
-			if !ok || rec.Type != wire.CtrlDirectory {
-				continue
-			}
-			mem, err := rt.checkDirectory(rec)
-			if err != nil {
-				return nil, err
-			}
-			rt.log().Info("directory received", "members", len(mem.Members))
-			return mem, nil
-		}
-	}
-}
-
-// checkDirectory validates a received directory against the config: every
-// expected principal exactly once, this node's own entry carrying its real
-// bound address, and usable key material under RSA policies.
-func (rt *Runtime) checkDirectory(rec wire.Join) (*Membership, error) {
+// acceptDirectory validates a received directory against the config:
+// every expected principal exactly once, this node's own entry carrying
+// its real bound address. Under RSA policies Join then checks the keys.
+func (rt *Runtime) acceptDirectory(rec wire.Join) error {
 	if len(rec.Members) != len(rt.cfg.Nodes) {
-		return nil, fmt.Errorf("cluster %s: directory has %d members, config expects %d", rt.cfg.Cluster, len(rec.Members), len(rt.cfg.Nodes))
+		return fmt.Errorf("cluster %s: directory has %d members, config expects %d", rt.cfg.Cluster, len(rec.Members), len(rt.cfg.Nodes))
 	}
 	mem := &Membership{Members: make([]Member, len(rec.Members))}
 	for i, m := range rec.Members {
 		if want := rt.cfg.Nodes[i].Principal; m.Principal != want {
-			return nil, fmt.Errorf("cluster %s: directory slot %d holds %q, config expects %q", rt.cfg.Cluster, i, m.Principal, want)
+			return fmt.Errorf("cluster %s: directory slot %d holds %q, config expects %q", rt.cfg.Cluster, i, m.Principal, want)
 		}
 		if m.Principal == rt.principal && m.Addr != rt.ep.Addr() {
-			return nil, fmt.Errorf("cluster %s: directory lists this node at %s but it is bound to %s (two processes running as %s?)", rt.cfg.Cluster, m.Addr, rt.ep.Addr(), rt.principal)
+			return fmt.Errorf("cluster %s: directory lists this node at %s but it is bound to %s (two processes running as %s?)", rt.cfg.Cluster, m.Addr, rt.ep.Addr(), rt.principal)
 		}
 		mem.Members[i] = Member{Principal: m.Principal, Addr: m.Addr, PubKeyDER: m.PubKey}
 	}
-	return mem, nil
+	rt.mem = mem
+	rt.log().Info("directory received", "members", len(mem.Members))
+	return nil
 }
 
 // Ready runs the pre-transaction barrier: a node calls it once its
-// workspace is installed and its setup facts are asserted, and it returns
-// only when every member of the cluster has done the same — so no node's
-// first transaction can race another node's setup. The seed collects one
-// CtrlReady per member and answers with CtrlGo; everyone else announces
-// readiness until released.
+// workspace is installed and its setup facts are asserted, before BindNode,
+// and it returns only when every member of the cluster has done the same —
+// so no node's first transaction can race another node's setup.
 func (rt *Runtime) Ready(ctx context.Context) error {
-	if rt.mem == nil {
-		return fmt.Errorf("cluster %s: Ready before Join", rt.cfg.Cluster)
+	if rt.mem == nil || rt.ctrlCh != nil {
+		return fmt.Errorf("cluster %s: Ready must follow Join and precede BindNode", rt.cfg.Cluster)
 	}
-	var err error
-	if rt.IsSeed() {
-		err = rt.seedReady(ctx)
-	} else {
-		err = rt.awaitGo(ctx)
-	}
+	err := rt.cross(ctx, barrier{
+		phase:    "ready",
+		announce: wire.Join{Type: wire.CtrlReady, Members: rt.self()},
+		release:  wire.CtrlGo,
+		count:    rt.member,
+		other: func(rec wire.Join) {
+			// A joiner's announcement crossed the directory broadcast:
+			// answer it directly so its resend loop can stop.
+			if rec.Type == wire.CtrlJoin && len(rec.Members) == 1 {
+				if m, found := rt.mem.ByAddr(rec.Members[0].Addr); found && m.Principal == rec.Members[0].Principal {
+					_ = rt.ep.Send(m.Addr, rt.directory)
+				}
+			}
+		},
+		// The seed releases members one by one, so a released peer's first
+		// messages can overtake our own CtrlGo. Dropping one would leave its
+		// sender's count ahead of ours forever and the fixpoint unprovable.
+		stray: func(in transport.InMsg) { rt.early = append(rt.early, in) },
+	})
 	if err != nil {
 		rt.MarkFailed(err)
 		return err
@@ -255,83 +359,6 @@ func (rt *Runtime) Ready(ctx context.Context) error {
 	return nil
 }
 
-// seedReady collects readiness from every member, then releases the
-// barrier.
-func (rt *Runtime) seedReady(ctx context.Context) error {
-	ready := map[string]bool{rt.principal: true}
-	for len(ready) < len(rt.mem.Members) {
-		select {
-		case <-ctx.Done():
-			return rt.bootstrapErr("ready", ctx.Err(), missingOfBool(rt.mem, ready))
-		case in, open := <-rt.ep.Receive():
-			if !open {
-				return rt.bootstrapErr("ready", fmt.Errorf("endpoint closed"), missingOfBool(rt.mem, ready))
-			}
-			rec, ok := rt.decodeBootstrap(in.Data)
-			if !ok {
-				continue
-			}
-			switch rec.Type {
-			case wire.CtrlJoin:
-				// A joiner's announcement crossed the directory broadcast:
-				// answer it directly so its resend loop can stop.
-				if len(rec.Members) == 1 {
-					if m, found := rt.mem.ByAddr(rec.Members[0].Addr); found && m.Principal == rec.Members[0].Principal {
-						_ = rt.ep.Send(m.Addr, rt.directory)
-					}
-				}
-			case wire.CtrlReady:
-				if len(rec.Members) != 1 {
-					continue
-				}
-				if m, found := rt.mem.ByAddr(rec.Members[0].Addr); found {
-					ready[m.Principal] = true
-				}
-			}
-		}
-	}
-	release := rt.controlMsg(wire.Join{Type: wire.CtrlGo, Cluster: rt.cfg.Cluster})
-	for _, m := range rt.mem.Members {
-		if m.Principal != rt.principal {
-			_ = rt.ep.Send(m.Addr, release)
-		}
-	}
-	return nil
-}
-
-// awaitGo announces readiness to the seed until the barrier is released.
-func (rt *Runtime) awaitGo(ctx context.Context) error {
-	readyRec := rt.controlMsg(wire.Join{Type: wire.CtrlReady, Cluster: rt.cfg.Cluster,
-		Members: []wire.MemberInfo{{Principal: rt.principal, Addr: rt.ep.Addr()}}})
-	seedAddr := rt.mem.Members[0].Addr
-	_ = rt.ep.Send(seedAddr, readyRec)
-	tick := time.NewTicker(resendInterval)
-	defer tick.Stop()
-	for {
-		select {
-		case <-ctx.Done():
-			return rt.bootstrapErr("go", ctx.Err(), []string{rt.mem.Members[0].Principal})
-		case <-tick.C:
-			_ = rt.ep.Send(seedAddr, readyRec)
-		case in, open := <-rt.ep.Receive():
-			if !open {
-				return rt.bootstrapErr("go", fmt.Errorf("endpoint closed"), nil)
-			}
-			rec, ok := rt.decodeBootstrap(in.Data)
-			if ok && rec.Type == wire.CtrlGo {
-				return nil
-			}
-			if !ok {
-				// The seed releases members one by one, so a released peer's
-				// first messages can overtake our own CtrlGo. Dropping one
-				// would leave its sender's count ahead of ours forever and
-				// the fixpoint unprovable.
-				rt.early = append(rt.early, in)
-			}
-		}
-	}
-}
-
 // DepartureBarrier blocks until every cluster member has announced that it
 // proved the distributed fixpoint and reported its results. A node that
 // exits the moment its own detector succeeds would stop answering the
@@ -339,115 +366,23 @@ func (rt *Runtime) awaitGo(ctx context.Context) error {
 // into a spurious crash report; the barrier keeps every transaction loop
 // alive until nobody needs it anymore. It requires BindNode before the
 // node started: the records travel over the node endpoints, which the
-// transaction loops own by now. The seed collects one CtrlLeave per member
-// and answers with CtrlBye; everyone else announces until released.
+// transaction loops own by now.
 func (rt *Runtime) DepartureBarrier(ctx context.Context) error {
 	if rt.ctrlCh == nil {
 		return fmt.Errorf("cluster %s: DepartureBarrier without BindNode", rt.cfg.Cluster)
 	}
 	rt.hstep(obs.StateDraining)
 	rt.log().Info("departure barrier entered")
-	if rt.IsSeed() {
-		return rt.seedDeparture(ctx)
-	}
-	if rt.Evicted(rt.mem.Members[0].Principal) {
-		// The barrier's coordinator was evicted: there is nobody to collect
-		// leaves or release anyone. Survivors have all proven the fixpoint
-		// against the same surviving subset, so skipping the barrier cannot
-		// strand a probe.
-		return nil
-	}
-	return rt.awaitBye(ctx)
-}
-
-// seedDeparture collects leave announcements, then releases everyone.
-// Evicted members count as already departed — a dead node announces
-// nothing, and waiting for it would turn every evict-policy run into a
-// barrier timeout.
-func (rt *Runtime) seedDeparture(ctx context.Context) error {
-	left := map[string]bool{rt.principal: true}
-	tick := time.NewTicker(resendInterval)
-	defer tick.Stop()
-	for {
-		// Re-merge evictions each round: a member can be evicted while the
-		// barrier is already waiting on its leave announcement.
-		for _, m := range rt.mem.Members {
-			if rt.Evicted(m.Principal) {
-				left[m.Principal] = true
-			}
-		}
-		if len(left) >= len(rt.mem.Members) {
-			break
-		}
-		select {
-		case <-ctx.Done():
-			return rt.bootstrapErr("leave", ctx.Err(), missingOfBool(rt.mem, left))
-		case <-tick.C:
-			// Just re-merge evictions above.
-		case rec := <-rt.ctrlCh:
-			if rec.Type != wire.CtrlLeave || len(rec.Members) != 1 {
-				continue
-			}
-			if m, found := rt.mem.ByAddr(rec.Members[0].Addr); found {
-				left[m.Principal] = true
-			}
-		}
-	}
-	bye := rt.controlMsg(wire.Join{Type: wire.CtrlBye, Cluster: rt.cfg.Cluster})
-	for _, m := range rt.mem.Members {
-		if m.Principal != rt.principal && !rt.Evicted(m.Principal) {
-			_ = rt.ep.Send(m.Addr, bye)
-		}
-	}
-	return nil
-}
-
-// awaitBye announces this node's departure to the seed until released.
-func (rt *Runtime) awaitBye(ctx context.Context) error {
-	leaveRec := rt.controlMsg(wire.Join{Type: wire.CtrlLeave, Cluster: rt.cfg.Cluster,
-		Members: []wire.MemberInfo{{Principal: rt.principal, Addr: rt.ep.Addr()}}})
-	seedAddr := rt.mem.Members[0].Addr
-	_ = rt.ep.Send(seedAddr, leaveRec)
-	tick := time.NewTicker(resendInterval)
-	defer tick.Stop()
-	for {
-		select {
-		case <-ctx.Done():
-			return rt.bootstrapErr("leave", ctx.Err(), []string{rt.mem.Members[0].Principal})
-		case <-tick.C:
-			_ = rt.ep.Send(seedAddr, leaveRec)
-		case rec := <-rt.ctrlCh:
-			if rec.Type == wire.CtrlBye {
-				return nil
-			}
-		}
-	}
+	return rt.cross(ctx, barrier{
+		phase:    "leave",
+		announce: wire.Join{Type: wire.CtrlLeave, Members: rt.self()},
+		release:  wire.CtrlBye,
+		count:    rt.member,
+	})
 }
 
 // bootstrapErr builds the phase-stamped typed error.
 func (rt *Runtime) bootstrapErr(phase string, err error, missing []string) *BootstrapError {
 	sort.Strings(missing)
 	return &BootstrapError{Cluster: rt.cfg.Cluster, Phase: phase, Missing: missing, Err: err}
-}
-
-// missingOf lists expected principals that have not joined.
-func missingOf(expected map[string]bool, joined map[string]wire.MemberInfo) []string {
-	var out []string
-	for p := range expected {
-		if _, ok := joined[p]; !ok {
-			out = append(out, p)
-		}
-	}
-	return out
-}
-
-// missingOfBool lists members that have not reported ready.
-func missingOfBool(mem *Membership, ready map[string]bool) []string {
-	var out []string
-	for _, m := range mem.Members {
-		if !ready[m.Principal] {
-			out = append(out, m.Principal)
-		}
-	}
-	return out
 }

@@ -88,6 +88,12 @@ func (d *Duration) UnmarshalJSON(b []byte) error {
 	return nil
 }
 
+// MarshalJSON implements json.Marshaler in the string form UnmarshalJSON
+// reads, so a config survives a JSON round trip.
+func (d Duration) MarshalJSON() ([]byte, error) {
+	return json.Marshal(time.Duration(d).String())
+}
+
 // NodeConfig declares one cluster member. Exactly one of KeyFile and
 // KeyPEM holds the node's RSA private key under RSA policies; both must be
 // absent otherwise.
@@ -358,7 +364,7 @@ func (c *Config) DebugAddrs() []string {
 func (c *Config) LoadNodeKey(principal string) (*rsa.PrivateKey, error) {
 	i := c.NodeIndex(principal)
 	if i < 0 {
-		return nil, fmt.Errorf("cluster: config: no node named %q (have %s)", principal, strings.Join(c.principalList(), ", "))
+		return nil, fmt.Errorf("cluster: config: no node named %q (have %s)", principal, strings.Join(c.Principals(), ", "))
 	}
 	if !c.Spec().UsesRSA() {
 		return nil, nil
@@ -378,7 +384,8 @@ func (c *Config) LoadNodeKey(principal string) (*rsa.PrivateKey, error) {
 	return k, nil
 }
 
-func (c *Config) principalList() []string {
+// Principals lists the config's principals in deployment order.
+func (c *Config) Principals() []string {
 	out := make([]string, len(c.Nodes))
 	for i, n := range c.Nodes {
 		out[i] = n.Principal
@@ -386,11 +393,11 @@ func (c *Config) principalList() []string {
 	return out
 }
 
-// BuildKeyStore assembles one node's keystore from config-derived material:
+// buildKeyStore assembles one node's keystore from config-derived material:
 // its own private key and, under shared-secret policies, the pairwise
 // secrets derived from the cluster secret. Peer public keys are installed
 // later, from the directory the join handshake delivers.
-func (c *Config) BuildKeyStore(principal string, priv *rsa.PrivateKey) *seccrypto.KeyStore {
+func (c *Config) buildKeyStore(principal string, priv *rsa.PrivateKey) *seccrypto.KeyStore {
 	ks := seccrypto.NewKeyStore(principal)
 	if priv != nil {
 		ks.SetPrivateKey(priv)

@@ -11,7 +11,7 @@ import (
 )
 
 // testConfig returns a valid 3-node config the failure cases then mutate.
-func testConfig(t *testing.T, policy string) *Config {
+func testConfig(t testing.TB, policy string) *Config {
 	t.Helper()
 	c := &Config{
 		Cluster:  "t",
@@ -228,8 +228,8 @@ func TestLoadConfigFile(t *testing.T) {
 
 func TestBuildKeyStoreDerivesSecrets(t *testing.T) {
 	c := testConfig(t, "HMAC")
-	ks0 := c.BuildKeyStore("p0", nil)
-	ks1 := c.BuildKeyStore("p1", nil)
+	ks0 := c.buildKeyStore("p0", nil)
+	ks1 := c.buildKeyStore("p1", nil)
 	s01 := ks0.Secret("p1")
 	if len(s01) != seccrypto.SecretLen {
 		t.Fatalf("secret length %d", len(s01))

@@ -94,8 +94,6 @@ type SetupConfig struct {
 	// SharedSecrets asserts secret(P, S) for every peer from the keystore's
 	// pairwise secrets (HMAC authentication and AES encryption).
 	SharedSecrets bool
-	// TrustAll asserts trustworthy(P) for every member.
-	TrustAll bool
 	// WriteAccessPreds grants writeAccess$T(P) for every member and every
 	// listed exportable predicate T.
 	WriteAccessPreds []string
@@ -116,9 +114,6 @@ func SetupFacts(m *Membership, self int, ks *seccrypto.KeyStore, sc SetupConfig)
 			engine.Fact{Pred: "principal", Tuple: datalog.Tuple{pv}},
 			engine.Fact{Pred: "principal_node", Tuple: datalog.Tuple{pv, datalog.NodeV(mb.Addr)}},
 		)
-		if sc.TrustAll {
-			facts = append(facts, engine.Fact{Pred: "trustworthy", Tuple: datalog.Tuple{pv}})
-		}
 		for _, t := range sc.WriteAccessPreds {
 			facts = append(facts, engine.Fact{Pred: "writeAccess$" + t, Tuple: datalog.Tuple{pv}})
 		}

@@ -29,8 +29,8 @@ func init() {
 // entry it runs as, its bound node endpoint, its keystore, and the
 // bootstrap state that turns the declarative config into a live
 // Membership. Lifecycle: NewRuntime (bind + load keys) → Join (handshake)
-// → caller assembles its workspace and node → Ready (barrier) → node
-// runs → Leave (drain + stop) → Close.
+// → caller assembles its workspace and node → Ready (barrier) → BindNode →
+// node runs → DepartureBarrier → Leave (drain + stop) → Close.
 type Runtime struct {
 	// Health, when set, is the lifecycle state machine the runtime
 	// advances through joining → ready → running → draining/evicting →
@@ -52,7 +52,7 @@ type Runtime struct {
 	seedAddr  string
 	mem       *Membership
 	directory []byte         // encoded CtrlDirectory message (seed only)
-	ctrlCh    chan wire.Join // post-Start control records (departure barrier)
+	ctrlCh    chan wire.Join // bootstrap records the node hands back once it owns the endpoint
 	// early holds datagrams that reached this node inside the ready barrier
 	// and are not bootstrap records: traffic of peers the seed released
 	// first. The endpoint has acknowledged them, so they must reach the node.
@@ -77,7 +77,7 @@ type Runtime struct {
 func NewRuntime(cfg *Config, principal string, net transport.Network) (*Runtime, error) {
 	idx := cfg.NodeIndex(principal)
 	if idx < 0 {
-		return nil, fmt.Errorf("cluster %s: no node named %q in config (have %v)", cfg.Cluster, principal, cfg.principalList())
+		return nil, fmt.Errorf("cluster %s: no node named %q in config (have %v)", cfg.Cluster, principal, cfg.Principals())
 	}
 	priv, err := cfg.LoadNodeKey(principal)
 	if err != nil {
@@ -95,7 +95,7 @@ func NewRuntime(cfg *Config, principal string, net transport.Network) (*Runtime,
 		net:       net,
 		ep:        ep,
 		priv:      priv,
-		ks:        cfg.BuildKeyStore(principal, priv),
+		ks:        cfg.buildKeyStore(principal, priv),
 		seedAddr:  cfg.Seed().Addr,
 	}
 	if priv != nil {
@@ -133,6 +133,9 @@ func (rt *Runtime) MarkFailed(err error) {
 // Principal returns the identity this runtime runs as.
 func (rt *Runtime) Principal() string { return rt.principal }
 
+// Config returns the deployment config the runtime was built from.
+func (rt *Runtime) Config() *Config { return rt.cfg }
+
 // Index returns this node's position in deployment order.
 func (rt *Runtime) Index() int { return rt.idx }
 
@@ -141,8 +144,8 @@ func (rt *Runtime) Index() int { return rt.idx }
 func (rt *Runtime) IsSeed() bool { return rt.idx == 0 }
 
 // Endpoint returns the node's bound transport endpoint. During bootstrap
-// the runtime consumes its receive channel; after Ready returns, ownership
-// passes to the dist.Node built over it.
+// the runtime consumes its receive channel; BindNode passes ownership to
+// the dist.Node built over it.
 func (rt *Runtime) Endpoint() transport.Transport { return rt.ep }
 
 // KeyStore returns this node's keystore: private key and derived secrets
@@ -156,11 +159,11 @@ func (rt *Runtime) Membership() *Membership { return rt.mem }
 // to dist.Node.Backlog before Start.
 func (rt *Runtime) EarlyTraffic() []transport.InMsg { return rt.early }
 
-// BindNode routes the bootstrap-record control traffic that arrives after
-// the node's transaction loop takes over the endpoint (the departure
-// barrier's CtrlLeave/CtrlBye) back into the runtime, and applies eviction
-// gossip (CtrlEvict) the moment it arrives. It must be called before
-// n.Start, on the node built over rt.Endpoint().
+// BindNode hands the endpoint to the node built over rt.Endpoint(): from
+// then on the node's transaction loop reads it, routes the bootstrap
+// records that arrive (the departure barrier's CtrlLeave/CtrlBye) back into
+// the runtime, and applies eviction gossip (CtrlEvict) the moment it
+// arrives. Call it after Ready and before n.Start.
 func (rt *Runtime) BindNode(n *dist.Node) {
 	rt.node = n
 	rt.ctrlCh = make(chan wire.Join, 8*len(rt.cfg.Nodes)+8)

@@ -75,9 +75,9 @@ func Exportables(res *generics.Result) []string {
 // NodeAssembly holds everything needed to stand up one SecureBlox node
 // over an open endpoint: the compiled program, the cluster directory, the
 // node's keystore and the shared crypto pools. It is the one code path
-// both deployments share — core.NewCluster assembles N of these over a
-// statically built Membership, cmd/sbxnode assembles exactly one over the
-// Membership the join handshake established.
+// both cluster paths share — core.NewCluster assembles N of these over a
+// statically built Membership, cmd/sbxnode's runNode assembles one per
+// principal over the Membership the join handshake established.
 type NodeAssembly struct {
 	// Policy is the security configuration the program was compiled with.
 	Policy PolicyConfig
@@ -100,9 +100,7 @@ type NodeAssembly struct {
 	SignPool   *seccrypto.SignPool
 	// Seed drives deterministic UDF randomness.
 	Seed int64
-	// TrustAll and GrantWriteAccess mirror ClusterConfig's directory
-	// pre-population switches.
-	TrustAll         bool
+	// GrantWriteAccess mirrors ClusterConfig's.
 	GrantWriteAccess bool
 	// Vet runs the static analyzer over the compiled program at install
 	// time and rejects it when any error-class finding is reported — the
@@ -131,7 +129,6 @@ func (a NodeAssembly) Build() (*dist.Node, error) {
 	sc := cluster.SetupConfig{
 		RSA:           a.Policy.Auth == AuthRSA,
 		SharedSecrets: a.Policy.Auth == AuthHMAC || a.Policy.Encrypt,
-		TrustAll:      a.Policy.Delegation == DelegateTrustworthy && a.TrustAll,
 	}
 	if a.Policy.Authorization && a.GrantWriteAccess {
 		sc.WriteAccessPreds = Exportables(a.Compiled)

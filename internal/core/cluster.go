@@ -40,9 +40,6 @@ type ClusterConfig struct {
 	// first) — so under AuthRSA every run signs with fresh keys and ships
 	// different signature bytes.
 	Seed int64
-	// TrustAllPrincipals, with DelegateTrustworthy, pre-populates
-	// trustworthy(P) for every cluster principal.
-	TrustAllPrincipals bool
 	// GrantWriteAccess, with Policy.Authorization, grants
 	// writeAccess[T](P) for every exportable T and cluster principal P.
 	GrantWriteAccess bool
@@ -57,10 +54,11 @@ type ClusterConfig struct {
 // Cluster is a set of SecureBlox nodes over one network, plus the compiled
 // program they all run. Fixpoint detection is fully distributed: a
 // wire-level termination detector shares the nodes' transport and no
-// in-process state. Its constructors build statically the same
+// in-process state. NewCluster builds statically the same
 // cluster.Membership that multi-process deployments establish through the
 // join handshake — the per-node assembly below the directory
-// (NodeAssembly.Build) is one shared code path.
+// (NodeAssembly.Build) is one shared code path — so it is the independent
+// reference a deployment's results are compared against.
 type Cluster struct {
 	Cfg        ClusterConfig
 	Net        transport.Network
@@ -117,17 +115,6 @@ func NewNetwork(name string) (transport.Network, error) {
 	}
 }
 
-// nodeIdentity is what the constructor must know about one member before
-// the directory can be built: who it is, where it would like to listen, and
-// its key material. Where these come from is the only thing that differs
-// between NewCluster and NewClusterFromConfig.
-type nodeIdentity struct {
-	principal string
-	listen    string // address hint for Network.Listen
-	keys      *seccrypto.KeyStore
-	pubDER    []byte // RSA public key (PKCS#1 DER); nil under policies without one
-}
-
 // NewCluster compiles the query with the policy via BloxGenerics, opens one
 // endpoint per node on the configured network (plus one for the
 // termination detector), builds N workspaces with per-node keystore-bound
@@ -139,76 +126,11 @@ type nodeIdentity struct {
 // NodeAddr(i), with key material generated from cfg.Seed (see
 // ClusterConfig.Seed for what that reproduces).
 func NewCluster(cfg ClusterConfig) (*Cluster, error) {
-	return newCluster(cfg, func() ([]nodeIdentity, error) {
-		if cfg.N <= 0 {
-			return nil, fmt.Errorf("cluster: N must be positive, got %d", cfg.N)
-		}
-		principals := make([]string, cfg.N)
-		for i := range principals {
-			principals[i] = PrincipalName(i)
-		}
-		// RSA keypairs only for the policy that signs with them: generating
-		// them dominates cluster set-up, and no other policy reads a key.
-		newSetup := seccrypto.NewSecretSetup
-		if cfg.Policy.Auth == AuthRSA {
-			newSetup = seccrypto.NewTrustSetup
-		}
-		ts, err := newSetup(principals, seccrypto.NewDeterministicRand(cfg.Seed+1))
-		if err != nil {
-			return nil, err
-		}
-		ids := make([]nodeIdentity, cfg.N)
-		for i, p := range principals {
-			ks := ts.Stores[p]
-			ids[i] = nodeIdentity{principal: p, listen: NodeAddr(i), keys: ks, pubDER: ks.PublicKeyDER(p)}
-		}
-		return ids, nil
-	})
-}
-
-// NewClusterFromConfig is NewCluster for a declarative deployment config:
-// principals, listen addresses and key material come from dc — key files or
-// inline PEM, pairwise secrets derived from the cluster secret, exactly what
-// each process of the multi-process deployment loads for itself in
-// cluster.NewRuntime — instead of being generated from cfg.Seed, and cfg.N
-// is ignored. From the directory down it is NewCluster. cfg.Policy must be
-// the scheme dc names (PolicyFromSpec), with the delegation and
-// authorization modes a deployment config does not express.
-func NewClusterFromConfig(dc *cluster.Config, cfg ClusterConfig) (*Cluster, error) {
-	return newCluster(cfg, func() ([]nodeIdentity, error) {
-		if got, want := cfg.Policy.Name(), dc.Spec().Name(); got != want {
-			return nil, fmt.Errorf("cluster: policy %s does not match the config's %s", got, want)
-		}
-		ids := make([]nodeIdentity, len(dc.Nodes))
-		for i, nc := range dc.Nodes {
-			priv, err := dc.LoadNodeKey(nc.Principal)
-			if err != nil {
-				return nil, err
-			}
-			ks := dc.BuildKeyStore(nc.Principal, priv)
-			ids[i] = nodeIdentity{principal: nc.Principal, listen: nc.Addr, keys: ks, pubDER: ks.PublicKeyDER(nc.Principal)}
-		}
-		// Separate processes learn their peers' public keys from the join
-		// directory; with every member in one process they are at hand.
-		for _, id := range ids {
-			for _, peer := range ids {
-				if k := peer.keys.PrivateKey(); k != nil {
-					id.keys.AddPublicKey(peer.principal, &k.PublicKey)
-				}
-			}
-		}
-		return ids, nil
-	})
-}
-
-// newCluster is the one constructor: everything but where the members'
-// identities come from.
-func newCluster(cfg ClusterConfig, identities func() ([]nodeIdentity, error)) (*Cluster, error) {
 	net := cfg.Net
 	if net == nil {
 		net = transport.NewMemNetwork()
 	}
-	c := &Cluster{Net: net}
+	c := &Cluster{Cfg: cfg, Net: net}
 	// On any construction error, release what was already acquired: the
 	// network owns every endpoint handed out (including the detector's),
 	// and the crypto pools own worker goroutines. Callers only get the
@@ -225,30 +147,40 @@ func newCluster(cfg ClusterConfig, identities func() ([]nodeIdentity, error)) (*
 			}
 		}
 	}()
+	if cfg.N <= 0 {
+		return nil, fmt.Errorf("cluster: N must be positive, got %d", cfg.N)
+	}
+	for i := 0; i < cfg.N; i++ {
+		c.Principals = append(c.Principals, PrincipalName(i))
+	}
+	// RSA keypairs only for the policy that signs with them: generating
+	// them dominates cluster set-up, and no other policy reads a key.
 	t := time.Now()
-	ids, err := identities()
+	newSetup := seccrypto.NewSecretSetup
+	if cfg.Policy.Auth == AuthRSA {
+		newSetup = seccrypto.NewTrustSetup
+	}
+	ts, err := newSetup(c.Principals, seccrypto.NewDeterministicRand(cfg.Seed+1))
 	if err != nil {
 		return nil, err
 	}
 	keys := time.Since(t)
-	cfg.N = len(ids)
-	c.Cfg = cfg
 	// Endpoints first: socket-backed networks only know their addresses
 	// after binding, and the principal directory must carry real ones. The
-	// directory is built statically here and established by the bootstrap
-	// handshake in multi-process deployments; everything below it is shared.
-	eps := make([]transport.Transport, len(ids))
-	c.Directory = &cluster.Membership{Members: make([]cluster.Member, len(ids))}
-	for i, id := range ids {
-		ep, err := net.Listen(id.listen)
+	// directory is built statically here, where multi-process deployments
+	// establish it through the bootstrap handshake (cluster.Runtime).
+	eps := make([]transport.Transport, cfg.N)
+	c.Directory = &cluster.Membership{Members: make([]cluster.Member, cfg.N)}
+	for i, p := range c.Principals {
+		ep, err := net.Listen(NodeAddr(i))
 		if err != nil {
-			return nil, fmt.Errorf("cluster: listen for node %s: %w", id.principal, err)
+			return nil, fmt.Errorf("cluster: listen for node %s: %w", p, err)
 		}
 		eps[i] = ep
-		c.Principals = append(c.Principals, id.principal)
+		ks := ts.Stores[p]
 		c.Addrs = append(c.Addrs, ep.Addr())
-		c.KeyStores = append(c.KeyStores, id.keys)
-		c.Directory.Members[i] = cluster.Member{Principal: id.principal, Addr: ep.Addr(), PubKeyDER: id.pubDER}
+		c.KeyStores = append(c.KeyStores, ks)
+		c.Directory.Members[i] = cluster.Member{Principal: p, Addr: ep.Addr(), PubKeyDER: ks.PublicKeyDER(p)}
 	}
 	detEp, err := net.Listen(detectorAddr)
 	if err != nil {
@@ -274,25 +206,24 @@ func newCluster(cfg ClusterConfig, identities func() ([]nodeIdentity, error)) (*
 
 	// Every node installs its own copy of the program at the same time, as
 	// the deployment's machines do; each writes only its own slot.
-	c.Nodes = make([]*dist.Node, len(ids))
+	c.Nodes = make([]*dist.Node, cfg.N)
 	t = time.Now()
-	err = par.Do(len(ids), func(i int) error {
+	err = par.Do(cfg.N, func(i int) error {
 		n, err := NodeAssembly{
 			Policy:           cfg.Policy,
 			Compiled:         c.Compiled,
 			Directory:        c.Directory,
 			Index:            i,
-			KeyStore:         ids[i].keys,
+			KeyStore:         c.KeyStores[i],
 			Endpoint:         eps[i],
 			VerifyPool:       c.pool,
 			SignPool:         c.spool,
 			Seed:             cfg.Seed,
-			TrustAll:         cfg.TrustAllPrincipals,
 			GrantWriteAccess: cfg.GrantWriteAccess,
 			Vet:              cfg.Vet,
 		}.Build()
 		if err != nil {
-			return fmt.Errorf("cluster: node %s: %w", ids[i].principal, err)
+			return fmt.Errorf("cluster: node %s: %w", c.Principals[i], err)
 		}
 		c.Nodes[i] = n
 		return nil
@@ -301,7 +232,7 @@ func newCluster(cfg ClusterConfig, identities func() ([]nodeIdentity, error)) (*
 		return nil, err
 	}
 	ms := func(d time.Duration) float64 { return float64(d.Microseconds()) / 1e3 }
-	obs.L().Info("cluster set up", "nodes", len(ids), "workers", par.Workers(len(ids)),
+	obs.L().Info("cluster set up", "nodes", cfg.N, "workers", par.Workers(cfg.N),
 		"keys_ms", ms(keys), "compile_ms", ms(compile), "assemble_ms", ms(time.Since(t)))
 	built = true
 	return c, nil

@@ -1,6 +1,7 @@
 // Package engine implements the DatalogLB evaluation runtime used by
 // SecureBlox: a workspace holding relations and installed rules, semi-naïve
-// fixpoint evaluation with stratification, head-existential entity creation,
+// fixpoint evaluation (negation and aggregation read the current state;
+// internal/analysis judges stratification), head-existential entity creation,
 // min/max/count/sum aggregation with replacement semantics, runtime
 // integrity-constraint checking inside ACID transactions with undo-log
 // rollback, DRed-style incremental deletion, and a user-defined-function

@@ -163,13 +163,6 @@ type Workspace struct {
 	concat   []byte
 	skolem   []byte
 
-	// Unstratified holds diagnostics for rules whose negation or
-	// aggregation is cyclic through their own head (evaluated against
-	// current state, as in pipelined declarative networking engines).
-	Unstratified []string
-	// StrictStratification makes Install fail instead of recording
-	// Unstratified diagnostics.
-	StrictStratification bool
 	// EntityBase offsets generated entity ids so entities created on
 	// different nodes never collide when shipped over the network (set it
 	// to a distinct large value per node).
@@ -313,9 +306,6 @@ func (w *Workspace) Install(prog *datalog.Program) (err error) {
 		w.constraints = append(w.constraints, cc)
 	}
 	w.rebuildIndexes()
-	if err := w.checkStratification(); err != nil {
-		return err
-	}
 
 	// Source facts.
 	for _, f := range prog.Facts {
@@ -393,71 +383,6 @@ func (w *Workspace) rebuildIndexes() {
 			plan[0].rel.aggs = listOnce(plan[0].rel.aggs, r)
 		}
 	}
-}
-
-// checkStratification detects negation or aggregation through a recursive
-// cycle. The distributed programs in the paper are semantically stratified
-// (the cycle is broken by the network), so by default this only records
-// diagnostics; StrictStratification turns them into errors.
-func (w *Workspace) checkStratification() error {
-	// Build positive dependency closure: head depends on body preds.
-	dep := make(map[string]map[string]bool)
-	addDep := func(h, b string) {
-		m := dep[h]
-		if m == nil {
-			m = make(map[string]bool)
-			dep[h] = m
-		}
-		m[b] = true
-	}
-	all := append(append([]*CompiledRule(nil), w.rules...), w.aggRules...)
-	for _, r := range all {
-		for _, h := range r.heads {
-			for _, s := range r.steps {
-				if s.kind == stepMatch || s.kind == stepNeg {
-					addDep(h.ConcreteName(), s.pred)
-				}
-			}
-		}
-	}
-	// Transitive closure (predicate count is small).
-	changed := true
-	for changed {
-		changed = false
-		for h, bs := range dep {
-			for b := range bs {
-				for b2 := range dep[b] {
-					if !dep[h][b2] {
-						addDep(h, b2)
-						changed = true
-					}
-				}
-			}
-		}
-	}
-	w.Unstratified = nil
-	for _, r := range all {
-		for _, s := range r.steps {
-			if s.kind != stepNeg && !(s.kind == stepMatch && r.agg != nil) {
-				continue
-			}
-			for _, h := range r.heads {
-				hn := h.ConcreteName()
-				if s.pred == hn || dep[s.pred][hn] {
-					kind := "negation"
-					if r.agg != nil {
-						kind = "aggregation"
-					}
-					diag := fmt.Sprintf("%s over %s is recursive through %s in rule: %s", kind, s.pred, hn, r.src)
-					w.Unstratified = append(w.Unstratified, diag)
-					if w.StrictStratification {
-						return fmt.Errorf("unstratified program: %s", diag)
-					}
-				}
-			}
-		}
-	}
-	return nil
 }
 
 // checkTuple enforces rel's arity and kind-level type declarations on a row

@@ -157,51 +157,6 @@ func TestNegationStratified(t *testing.T) {
 	}
 }
 
-func TestUnstratifiedDetection(t *testing.T) {
-	w := NewWorkspace(nil)
-	w.StrictStratification = true
-	prog, err := datalog.Parse(`p(X) <- q(X), !p(X).`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Install(prog); err == nil {
-		t.Fatal("strict mode should reject unstratified negation")
-	}
-	w2 := NewWorkspace(nil)
-	prog2, _ := datalog.Parse(`p(X) <- q(X), !r(X). r(X) <- p(X).`)
-	if err := w2.Install(prog2); err != nil {
-		t.Fatal(err)
-	}
-	if len(w2.Unstratified) == 0 {
-		t.Error("lenient mode should record a diagnostic")
-	}
-}
-
-// TestStrictStratificationRejectsMutualNegation: two rules mutually
-// recursive through negation have no stratified model; strict mode must
-// refuse to install them, diagnostic mode records them.
-func TestStrictStratificationRejectsMutualNegation(t *testing.T) {
-	prog, err := datalog.Parse(`
-		p(X) <- q(X), !r(X).
-		r(X) <- s(X), !p(X).
-	`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w := NewWorkspace(nil)
-	w.StrictStratification = true
-	if err := w.Install(prog); err == nil {
-		t.Fatal("mutually recursive negation was accepted under StrictStratification")
-	}
-	w2 := NewWorkspace(nil)
-	if err := w2.Install(prog); err != nil {
-		t.Fatalf("diagnostic mode should accept: %v", err)
-	}
-	if len(w2.Unstratified) == 0 {
-		t.Fatal("expected unstratified diagnostics")
-	}
-}
-
 // A rule reading its own head reaches its fixpoint: both orientations, once.
 func TestSelfLoopRuleFixpoint(t *testing.T) {
 	w := installed(t, nil, `

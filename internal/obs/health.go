@@ -16,8 +16,7 @@ type HealthState int32
 
 const (
 	// StateInit is the state before any lifecycle step ran (process up,
-	// nothing joined). The CLI sweep drivers, which have no cluster
-	// lifecycle, jump straight to StateRunning.
+	// nothing joined).
 	StateInit HealthState = iota
 	// StateJoining covers the bootstrap handshake: announcing to the seed
 	// (or collecting announcements) until the directory is held.
@@ -67,7 +66,7 @@ func (s HealthState) String() string {
 // healthEdges is the legal transition relation. Failed is reachable from
 // everywhere via Fail; it is not listed per state.
 var healthEdges = map[HealthState][]HealthState{
-	StateInit:     {StateJoining, StateRunning},
+	StateInit:     {StateJoining},
 	StateJoining:  {StateReady},
 	StateReady:    {StateRunning, StateDraining},
 	StateRunning:  {StateEvicting, StateDraining},
@@ -187,7 +186,7 @@ func (h *Health) Fail(err error) {
 
 // Reset returns the machine to StateInit with an empty history — the
 // start of a new run in a process that reuses the default instance
-// (tests, the allinone reference).
+// (tests, sbxnode -allinone).
 func (h *Health) Reset() {
 	h.mu.Lock()
 	now := time.Now()

@@ -35,6 +35,7 @@ func TestHealthTransitionTable(t *testing.T) {
 
 	illegal := [][2]HealthState{
 		{StateInit, StateReady},      // barrier skipped
+		{StateInit, StateRunning},    // handshake skipped
 		{StateInit, StateDone},       // nothing ran
 		{StateJoining, StateRunning}, // ready barrier skipped
 		{StateReady, StateEvicting},  // eviction before the run started

@@ -5,12 +5,9 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"os"
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -60,38 +57,25 @@ func ParseLevel(s string) (Level, error) {
 	return LevelInfo, fmt.Errorf("obs: unknown log level %q (debug|info|warn|error|off)", s)
 }
 
-// Event is one structured log record. The first-class fields are the
-// correlation keys of the observability plane — principal ties an event to
-// a /metrics label set, trace/hop tie it to the span ring and BuildWave,
-// stage ties it to a pipeline stage — and Fields carries everything else.
+// Event is one structured log record. Principal ties an event to a
+// /metrics label set; Fields carries everything else.
 type Event struct {
 	Time      time.Time      `json:"ts"`
 	Level     string         `json:"level"`
 	Msg       string         `json:"msg"`
 	Principal string         `json:"principal,omitempty"`
-	Trace     uint64         `json:"trace,omitempty"`
-	Hop       int            `json:"hop,omitempty"`
-	Stage     string         `json:"stage,omitempty"`
 	Fields    map[string]any `json:"fields,omitempty"`
 }
 
-// logRingCap bounds the in-memory event ring. Overridable before first use
-// with SBX_LOG_RING_CAP (the span ring has the matching SBX_SPAN_RING_CAP).
+// logRingCap bounds the in-memory event ring.
 const logRingCap = 4096
 
-// logSink is the shared event store and mirror configuration behind every
-// Logger handle of the process.
+// logSink is the shared event ring and mirror configuration behind every
+// Logger handle of the process; the ring's mutex guards the mirror too.
 type logSink struct {
-	mu    sync.Mutex
-	buf   []Event
-	next  int
-	full  bool
-	drops int64
-
+	ring[Event]
 	out    io.Writer // optional human-readable mirror (stderr in the CLIs)
 	outMin Level
-
-	ringMin atomic.Int32
 }
 
 // Logger is a handle on the process's structured event log, optionally
@@ -103,11 +87,10 @@ type Logger struct {
 }
 
 var (
-	defaultSink   = &logSink{outMin: LevelOff}
+	defaultSink   = &logSink{ring: ring[Event]{size: logRingCap}, outMin: LevelOff}
 	defaultLogger = &Logger{sink: defaultSink}
 
 	cLogEvents map[Level]*Counter
-	cLogDrops  *Counter
 )
 
 func init() {
@@ -120,7 +103,7 @@ func init() {
 		LevelWarn:  r.Counter("sbx_log_events_total", Labels{"level": "warn"}),
 		LevelError: r.Counter("sbx_log_events_total", Labels{"level": "error"}),
 	}
-	cLogDrops = r.Counter("sbx_log_dropped_total", nil)
+	defaultSink.dropped = r.Counter("sbx_log_dropped_total", nil)
 }
 
 // L returns the process-wide default logger.
@@ -139,18 +122,6 @@ func (l *Logger) SetMirror(w io.Writer, min Level) {
 	l.sink.out = w
 	l.sink.outMin = min
 	l.sink.mu.Unlock()
-}
-
-// SetRingLevel drops events below min from the ring (default: keep all).
-func (l *Logger) SetRingLevel(min Level) { l.sink.ringMin.Store(int32(min)) }
-
-func ringCapFromEnv(env string, def int) int {
-	if v := os.Getenv(env); v != "" {
-		if n, err := strconv.Atoi(v); err == nil && n > 0 {
-			return n
-		}
-	}
-	return def
 }
 
 // Log records one event. kv are alternating key, value pairs folded into
@@ -174,16 +145,6 @@ func (l *Logger) Log(level Level, msg string, kv ...any) {
 	l.emit(level, e)
 }
 
-// LogEvent records a fully populated event (correlation fields included).
-// The event's Level string is derived from level; Time is stamped here.
-func (l *Logger) LogEvent(level Level, e Event) {
-	e.Level = level.String()
-	if e.Principal == "" {
-		e.Principal = l.principal
-	}
-	l.emit(level, e)
-}
-
 func (l *Logger) emit(level Level, e Event) {
 	e.Time = time.Now()
 	if c := cLogEvents[level]; c != nil {
@@ -191,21 +152,7 @@ func (l *Logger) emit(level Level, e Event) {
 	}
 	s := l.sink
 	s.mu.Lock()
-	if level >= Level(s.ringMin.Load()) {
-		if s.buf == nil {
-			s.buf = make([]Event, ringCapFromEnv("SBX_LOG_RING_CAP", logRingCap))
-		}
-		if s.full {
-			s.drops++
-			cLogDrops.Inc()
-		}
-		s.buf[s.next] = e
-		s.next++
-		if s.next == len(s.buf) {
-			s.next = 0
-			s.full = true
-		}
-	}
+	s.pushLocked(e)
 	out, outMin := s.out, s.outMin
 	s.mu.Unlock()
 	if out != nil && level >= outMin {
@@ -225,13 +172,6 @@ func mirrorLine(e Event) string {
 	}
 	sb.WriteString(" msg=")
 	sb.WriteString(strconv.Quote(e.Msg))
-	if e.Trace != 0 {
-		fmt.Fprintf(&sb, " trace=%d hop=%d", e.Trace, e.Hop)
-	}
-	if e.Stage != "" {
-		sb.WriteString(" stage=")
-		sb.WriteString(e.Stage)
-	}
 	keys := make([]string, 0, len(e.Fields))
 	for k := range e.Fields {
 		keys = append(keys, k)
@@ -256,40 +196,17 @@ func (l *Logger) Warn(msg string, kv ...any) { l.Log(LevelWarn, msg, kv...) }
 func (l *Logger) Error(msg string, kv ...any) { l.Log(LevelError, msg, kv...) }
 
 // Events returns the ring's current contents, oldest first.
-func (l *Logger) Events() []Event {
-	s := l.sink
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.buf == nil {
-		return nil
-	}
-	if !s.full {
-		return append([]Event(nil), s.buf[:s.next]...)
-	}
-	out := make([]Event, 0, len(s.buf))
-	out = append(out, s.buf[s.next:]...)
-	return append(out, s.buf[:s.next]...)
-}
+func (l *Logger) Events() []Event { return l.sink.items() }
 
 // EventDrops reports how many events were overwritten before being read.
-func (l *Logger) EventDrops() int64 {
-	l.sink.mu.Lock()
-	defer l.sink.mu.Unlock()
-	return l.sink.drops
-}
+func (l *Logger) EventDrops() int64 { return l.sink.dropCount() }
 
 // ResetEvents clears the ring (tests and benchmark iterations).
-func (l *Logger) ResetEvents() {
-	s := l.sink
-	s.mu.Lock()
-	s.buf, s.next, s.full, s.drops = nil, 0, false, 0
-	s.mu.Unlock()
-}
+func (l *Logger) ResetEvents() { l.sink.reset(0) }
 
 // LogsHandler serves the event ring as a JSON array — the /debug/logs
 // endpoint a cluster collector scrapes alongside /metrics and /debug/spans.
-// Filters: ?level=<min level>, ?principal=<name>, ?trace=<id>,
-// ?n=<last N events>.
+// Filters: ?level=<min level>, ?principal=<name>, ?n=<last N events>.
 func LogsHandler(l *Logger) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
 		events := l.Events()
@@ -307,14 +224,6 @@ func LogsHandler(l *Logger) http.Handler {
 		}
 		if v := q.Get("principal"); v != "" {
 			events = filterEvents(events, func(e Event) bool { return e.Principal == v })
-		}
-		if v := q.Get("trace"); v != "" {
-			id, err := strconv.ParseUint(v, 10, 64)
-			if err != nil {
-				http.Error(w, "bad trace id", http.StatusBadRequest)
-				return
-			}
-			events = filterEvents(events, func(e Event) bool { return e.Trace == id })
 		}
 		if v := q.Get("n"); v != "" {
 			n, err := strconv.Atoi(v)

@@ -31,7 +31,7 @@ func TestLoggerRingRecordsAndBounds(t *testing.T) {
 	}
 
 	l.ResetEvents()
-	cap := ringCapFromEnv("SBX_LOG_RING_CAP", logRingCap)
+	cap := logRingCap
 	for i := 0; i < cap+5; i++ {
 		l.Info("fill", "i", i)
 	}

@@ -86,102 +86,48 @@ func NewTraceID() uint64 {
 
 // defaultSpanCap bounds the process-global span ring. At ~120 bytes per
 // span this caps tracing memory near 2 MB regardless of how many fixpoints
-// one process runs; older waves are overwritten by newer ones. Overridable
-// with SetSpanCap or the SBX_SPAN_RING_CAP environment variable (read when
-// the ring is first allocated).
+// one process runs; older waves are overwritten by newer ones. SetSpanCap
+// overrides it.
 const defaultSpanCap = 16384
 
-// spanRing is the process-global span store: one bounded ring all nodes of
-// the process record into. In multi-process deployments each process's
-// ring is that node's span dump; in-process clusters share one ring and
-// filter by Span.Node.
-type spanRing struct {
-	mu    sync.Mutex
-	cap   int
-	buf   []Span
-	next  int
-	full  bool
-	drops int64
-}
-
-var spans spanRing
-
-// cSpanDrops mirrors ring overwrites into the registry: nonzero means
+// spans is the process-global span store: one bounded ring all nodes of the
+// process record into. In multi-process deployments each process's ring is
+// that node's span dump; in-process clusters share one ring and filter by
+// Span.Node. Overwrites mirror into sbx_spans_dropped_total: nonzero means
 // traces were silently lost between scrapes and the ring (or the scrape
 // interval) is too small for the workload.
-var cSpanDrops *Counter
+var spans = ring[Span]{size: defaultSpanCap}
 
 func init() {
 	r := Default()
 	r.Help("sbx_spans_dropped_total", "Trace spans overwritten in the bounded ring before being read.")
-	cSpanDrops = r.Counter("sbx_spans_dropped_total", nil)
+	spans.dropped = r.Counter("sbx_spans_dropped_total", nil)
 }
 
 // SetSpanCap resizes the span ring capacity (and clears it). Values < 1
 // restore the default. Meant for process startup; racing recorders lose
 // whatever they recorded before the resize.
 func SetSpanCap(n int) {
-	spans.mu.Lock()
-	spans.cap = n
-	spans.buf, spans.next, spans.full, spans.drops = nil, 0, false, 0
-	spans.mu.Unlock()
-}
-
-// spanCapLocked resolves the ring capacity: SetSpanCap wins, then
-// SBX_SPAN_RING_CAP, then the default.
-func (r *spanRing) capLocked() int {
-	if r.cap > 0 {
-		return r.cap
+	if n < 1 {
+		n = defaultSpanCap
 	}
-	return ringCapFromEnv("SBX_SPAN_RING_CAP", defaultSpanCap)
+	spans.reset(n)
 }
 
 // RecordSpan appends one span to the process-global ring.
 func RecordSpan(s Span) {
 	spans.mu.Lock()
-	if spans.buf == nil {
-		spans.buf = make([]Span, spans.capLocked())
-	}
-	if spans.full {
-		spans.drops++
-		cSpanDrops.Inc()
-	}
-	spans.buf[spans.next] = s
-	spans.next++
-	if spans.next == len(spans.buf) {
-		spans.next = 0
-		spans.full = true
-	}
+	spans.pushLocked(s)
 	spans.mu.Unlock()
 }
 
 // Spans returns the ring's current contents in recording order (oldest
 // first).
-func Spans() []Span {
-	spans.mu.Lock()
-	defer spans.mu.Unlock()
-	if spans.buf == nil {
-		return nil
-	}
-	if !spans.full {
-		return append([]Span(nil), spans.buf[:spans.next]...)
-	}
-	out := make([]Span, 0, len(spans.buf))
-	out = append(out, spans.buf[spans.next:]...)
-	return append(out, spans.buf[:spans.next]...)
-}
+func Spans() []Span { return spans.items() }
 
 // ResetSpans clears the ring (tests and benchmark iterations).
-func ResetSpans() {
-	spans.mu.Lock()
-	spans.buf, spans.next, spans.full, spans.drops = nil, 0, false, 0
-	spans.mu.Unlock()
-}
+func ResetSpans() { spans.reset(0) }
 
 // SpanDrops reports how many spans were overwritten before being read —
 // nonzero means the ring was too small for the workload between scrapes.
-func SpanDrops() int64 {
-	spans.mu.Lock()
-	defer spans.mu.Unlock()
-	return spans.drops
-}
+func SpanDrops() int64 { return spans.dropCount() }

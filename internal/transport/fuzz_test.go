@@ -1,0 +1,56 @@
+package transport
+
+import (
+	"fmt"
+	"testing"
+)
+
+// FuzzParseChaosPlan: ParseChaosPlan never panics, and a plan it accepts is
+// inert until Start — whatever its links, partitions and crashes say, every
+// datagram between the principals it names, or addresses it cannot name,
+// goes out untouched.
+func FuzzParseChaosPlan(f *testing.F) {
+	for _, plan := range []string{
+		`{}`,
+		`{"seed": 7, "links": [{"from": "*", "to": "*", "delay_ms": 150}]}`,
+		`{"seed": 7, "crashes": [{"node": "p2", "at_ms": 0}]}`,
+		`{"seed": 11,
+			"links": [{"from": "*", "to": "*", "drop": 0.15, "dup": 0.1, "garble": 0.05, "reorder": 0.1, "delay_ms": 1, "jitter_ms": 2}],
+			"partitions": [{"a": ["p0"], "b": ["p1", "p2"], "at_ms": 0, "heal_ms": 1000}]}`,
+		`{"links": [{"from": "*", "to": "*", "drop": 1}]}`,
+		`{"seed": 99, "links": [{"from": "p0", "to": "p1", "drop": 0.5}]}`,
+		`{"crashes": [{"node": "p1", "at_ms": 0, "hang_ms": 200}, {"node": "p2", "at_ms": 50}]}`,
+		`{"partitions": [{"a": ["p0"], "b": ["p1"], "at_ms": 100, "heal_ms": 50}]}`,
+	} {
+		f.Add([]byte(plan))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		plan, err := ParseChaosPlan(data)
+		if err != nil {
+			return
+		}
+		names := []string{"unnamed"}
+		for _, l := range plan.Links {
+			names = append(names, l.From, l.To)
+		}
+		for _, pt := range plan.Partitions {
+			names = append(append(names, pt.A...), pt.B...)
+		}
+		for _, cr := range plan.Crashes {
+			names = append(names, cr.Node)
+		}
+		byAddr := make(map[string]string)
+		for i, p := range names[:min(len(names), 16)] {
+			byAddr[fmt.Sprintf("10.0.0.%d:7000", i)] = p
+		}
+		e := NewChaosEngine(plan)
+		e.Resolve(byAddr)
+		for from := range byAddr {
+			for to := range byAddr {
+				if act := e.judge(from, to); act != (chaosAction{}) {
+					t.Fatalf("before Start, %s -> %s is judged %+v", byAddr[from], byAddr[to], act)
+				}
+			}
+		}
+	})
+}
