@@ -254,12 +254,16 @@ func runProcess(cfg *cluster.Config, w *apps.Workload, pol core.PolicyConfig, o 
 		chaos = transport.NewChaosEngine(plan)
 		udp.Chaos = chaos
 	}
+	cp, err := compileWorkload(w, pol)
+	if err != nil {
+		return err
+	}
 	rt, err := cluster.NewRuntime(cfg, o.node, udp)
 	if err != nil {
 		return err
 	}
 	rt.Health = health
-	lines, err := runNode(ctx, rt, udp, chaos, w, pol, o)
+	lines, err := runNode(ctx, rt, udp, chaos, w, cp, o)
 	if err != nil {
 		return err
 	}
@@ -269,8 +273,9 @@ func runProcess(cfg *cluster.Config, w *apps.Workload, pol core.PolicyConfig, o 
 
 // runAllInOne is the -allinone path: every principal of the config, each
 // through the same runNode a deployment process runs, concurrently over one
-// simulated network. It prints the sorted union of their result lines. The
-// seed's lifecycle is the one /healthz and /readyz report.
+// simulated network and bound to the one program compiled for them all. It
+// prints the sorted union of their result lines. The seed's lifecycle is the
+// one /healthz and /readyz report.
 func runAllInOne(cfg *cluster.Config, w *apps.Workload, pol core.PolicyConfig, o options, stdout *os.File) error {
 	ctx, cancel := signalContext(o.timeout)
 	defer cancel()
@@ -286,6 +291,10 @@ func runAllInOne(cfg *cluster.Config, w *apps.Workload, pol core.PolicyConfig, o
 		defer stop()
 	}
 
+	cp, err := compileWorkload(w, pol)
+	if err != nil {
+		return err
+	}
 	mem := transport.NewMemNetwork()
 	defer mem.Close()
 	// Every endpoint is bound before any principal runs, so no announcement
@@ -309,7 +318,7 @@ func runAllInOne(cfg *cluster.Config, w *apps.Workload, pol core.PolicyConfig, o
 		go func() {
 			defer wg.Done()
 			var err error
-			if lines[i], err = runNode(ctx, rt, mem, nil, w, pol, o); err != nil {
+			if lines[i], err = runNode(ctx, rt, mem, nil, w, cp, o); err != nil {
 				fail(err)
 			}
 		}()
@@ -326,8 +335,9 @@ func runAllInOne(cfg *cluster.Config, w *apps.Workload, pol core.PolicyConfig, o
 // runNode runs one principal of the config from its bound runtime to its
 // departure — Join, assemble, Ready, run to the distributed fixpoint,
 // DepartureBarrier, Leave — and returns its result lines. nw is the network
-// rt was bound on; chaos, when set, is the plan nw injects.
-func runNode(ctx context.Context, rt *cluster.Runtime, nw transport.Network, chaos *transport.ChaosEngine, w *apps.Workload, pol core.PolicyConfig, o options) (lines []string, retErr error) {
+// rt was bound on; chaos, when set, is the plan nw injects; cp is the
+// workload's program, compiled once per process.
+func runNode(ctx context.Context, rt *cluster.Runtime, nw transport.Network, chaos *transport.ChaosEngine, w *apps.Workload, cp compiled, o options) (lines []string, retErr error) {
 	cfg := rt.Config()
 	bctx, bcancel := context.WithTimeout(ctx, cfg.Timeout())
 	defer bcancel()
@@ -343,13 +353,11 @@ func runNode(ctx context.Context, rt *cluster.Runtime, nw transport.Network, cha
 
 	// The same core.NodeAssembly path core.NewCluster runs N times, run once
 	// over the Membership the join handshake established.
-	res, err := w.Compile(pol)
-	if err != nil {
-		return nil, err
-	}
+	pol := cp.pol
 	assembly := core.NodeAssembly{
 		Policy:    pol,
-		Compiled:  res,
+		Compiled:  cp.res,
+		Program:   cp.prog,
 		Directory: mem,
 		Index:     rt.Index(),
 		KeyStore:  rt.KeyStore(),

@@ -8,6 +8,8 @@ import (
 	"secureblox/internal/apps"
 	"secureblox/internal/cluster"
 	"secureblox/internal/core"
+	"secureblox/internal/engine"
+	"secureblox/internal/generics"
 	"secureblox/internal/seccrypto"
 	"secureblox/internal/udf"
 )
@@ -25,6 +27,23 @@ func configWorkload(cfg *cluster.Config) (*apps.Workload, core.PolicyConfig, err
 		err = fmt.Errorf("workload %s has no multi-process driver (try `sbx run %s`)", w.Name, w.Name)
 	}
 	return w, pol, err
+}
+
+// compiled is what every principal of a process runs: the workload's program
+// under the config's scheme and its engine plans, compiled once.
+type compiled struct {
+	pol  core.PolicyConfig
+	res  *generics.Result
+	prog *engine.Program
+}
+
+func compileWorkload(w *apps.Workload, pol core.PolicyConfig) (compiled, error) {
+	res, err := w.Compile(pol)
+	if err != nil {
+		return compiled{}, err
+	}
+	prog, err := core.CompileEngine(res, false)
+	return compiled{pol: pol, res: res, prog: prog}, err
 }
 
 // vetWorkload is the -vet pre-flight: compile the config's workload under

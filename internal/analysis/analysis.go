@@ -162,14 +162,13 @@ type Analyzer struct {
 // is reserved for programs whose declarations cannot be registered at all;
 // everything else is reported as findings.
 func (a *Analyzer) Analyze(prog *datalog.Program) (*Report, error) {
-	ws := engine.NewWorkspace(a.UDFs)
-	plans, err := ws.PlanProgram(prog)
+	p, err := engine.PlanProgram(prog, a.UDFs)
 	if err != nil {
 		return nil, err
 	}
-	cat := ws.Catalog()
+	plans, cat := p.Plans(), p.Catalog()
 	isUDF := func(name string) bool {
-		_, ok := ws.UDFs().Lookup(name)
+		_, ok := a.UDFs.Lookup(name)
 		return ok
 	}
 

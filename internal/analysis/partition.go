@@ -70,18 +70,18 @@ func (p *Partitioning) SetupFacts(principals []string) []engine.Fact {
 // routes the tuple to U. Every routing rule must agree on the bound
 // predicates — they define one shared hash function.
 func InferPartitioning(prog *datalog.Program, udfs *engine.UDFRegistry) (*Partitioning, error) {
-	ws := engine.NewWorkspace(udfs)
-	plans, err := ws.PlanProgram(prog)
+	compiled, err := engine.PlanProgram(prog, udfs)
 	if err != nil {
 		return nil, err
 	}
+	plans := compiled.Plans()
 	for _, p := range plans {
 		if p.Err != nil {
 			return nil, fmt.Errorf("analysis: cannot infer partitioning: %w", p.Err)
 		}
 	}
 	pt := inferPartitioning(plans, func(name string) bool {
-		_, ok := ws.UDFs().Lookup(name)
+		_, ok := udfs.Lookup(name)
 		return ok
 	})
 	if pt == nil {

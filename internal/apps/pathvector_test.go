@@ -144,11 +144,11 @@ func TestNoFullScanFallbacksInProtocolRuleSets(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s/%s: %v", rs.name, pol.Name(), err)
 				}
-				plans, err := engine.NewWorkspace(reg).PlanProgram(res.Program)
+				compiled, err := engine.Compile(res.Program, reg)
 				if err != nil {
 					t.Fatalf("%s/%s: %v", rs.name, pol.Name(), err)
 				}
-				for _, p := range plans {
+				for _, p := range compiled.Plans() {
 					if p.Err != nil {
 						t.Fatalf("%s/%s: %s: %v", rs.name, pol.Name(), p.Src, p.Err)
 					}

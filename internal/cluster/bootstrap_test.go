@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -205,6 +206,80 @@ func TestReadyBarrierKeepsOvertakingTraffic(t *testing.T) {
 	}
 	if n := len(rts[2].EarlyTraffic()); n != 0 {
 		t.Errorf("p2 kept %d early datagrams, want none", n)
+	}
+}
+
+// TestDepartureBarrierWaitsForEveryLeave: the seed releases the departure
+// barrier only once it has collected a CtrlLeave from every live member.
+// Repeats of one member's leave, and a leave from an address outside the
+// directory, count for nobody; a member evicted meanwhile counts as departed.
+// Released, every live member receives its CtrlBye.
+func TestDepartureBarrierWaitsForEveryLeave(t *testing.T) {
+	cfg := bootConfig(t)
+	for _, evictLast := range []bool{false, true} {
+		cfg.Cluster = fmt.Sprintf("depart-%v", evictLast)
+		net := transport.NewMemNetwork()
+		rts := joinAll(t, cfg, net)
+		seed, mem := rts[0], rts[0].Membership()
+		// The records a bound node would hand back to its runtime.
+		seed.ctrlCh = make(chan wire.Join, 16)
+		leave := func(addr string) {
+			seed.ctrlCh <- wire.Join{Type: wire.CtrlLeave, Cluster: cfg.Cluster, Members: []wire.MemberInfo{{Addr: addr}}}
+		}
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		done := make(chan error, 1)
+		go func() { done <- seed.DepartureBarrier(ctx) }()
+
+		leave(mem.Members[1].Addr)
+		leave(mem.Members[1].Addr)
+		leave("127.0.0.1:1")
+		// Longer than the collect loop's tick, so it re-reads its missing set.
+		select {
+		case err := <-done:
+			t.Fatalf("evictLast=%v: the seed released the barrier (%v) with p2's leave missing", evictLast, err)
+		case <-time.After(3 * resendInterval / 2):
+		}
+		for _, rt := range rts[1:] {
+			if rec, ok := nextBootstrap(rt, 0); ok {
+				t.Fatalf("evictLast=%v: %s received %v before every member left", evictLast, rt.Principal(), rec.Type)
+			}
+		}
+
+		if evictLast {
+			seed.applyEviction([]wire.MemberInfo{{Principal: "p2", Addr: mem.Members[2].Addr}}, false)
+		} else {
+			leave(mem.Members[2].Addr)
+		}
+		if err := <-done; err != nil {
+			t.Fatalf("evictLast=%v: departure barrier: %v", evictLast, err)
+		}
+		live := rts[1:]
+		if evictLast {
+			live = rts[1:2]
+		}
+		for _, rt := range live {
+			if rec, ok := nextBootstrap(rt, 5*time.Second); !ok || rec.Type != wire.CtrlBye {
+				t.Errorf("evictLast=%v: %s received %v (ok=%v), want its CtrlBye", evictLast, rt.Principal(), rec.Type, ok)
+			}
+		}
+		cancel()
+		net.Close()
+	}
+}
+
+// nextBootstrap reads rt's endpoint for the next bootstrap record, waiting
+// at most wait.
+func nextBootstrap(rt *Runtime, wait time.Duration) (wire.Join, bool) {
+	timeout := time.After(wait)
+	for {
+		select {
+		case in := <-rt.Endpoint().Receive():
+			if rec, ok := rt.decodeBootstrap(in.Data); ok {
+				return rec, true
+			}
+		case <-timeout:
+			return wire.Join{}, false
+		}
 	}
 }
 

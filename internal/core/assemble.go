@@ -63,6 +63,25 @@ func CompileProgram(p PolicyConfig, query string, extra []string) (*generics.Res
 	return res, nil
 }
 
+// CompileEngine plans a compiled program once for every node of the process:
+// each node's workspace binds the result (NodeAssembly.Program) with its own
+// keystore-bound UDFs. The plans need only the library's UDF names and binding
+// shapes, so an empty keystore stands in for the nodes'. With vet, the static
+// analyzer runs over the program first and rejects it on any error-class
+// finding — the same pre-flight `sbx vet` and `sbxnode -vet` run explicitly.
+func CompileEngine(res *generics.Result, vet bool) (*engine.Program, error) {
+	reg, err := udf.NewRegistry(seccrypto.NewKeyStore(""), nil)
+	if err != nil {
+		return nil, err
+	}
+	if vet {
+		if err := (&analysis.Analyzer{UDFs: reg}).InstallCheck()(res.Program); err != nil {
+			return nil, err
+		}
+	}
+	return engine.Compile(res.Program, reg)
+}
+
 // Exportables lists the predicates a compiled program declares exportable.
 func Exportables(res *generics.Result) []string {
 	var out []string
@@ -81,8 +100,10 @@ func Exportables(res *generics.Result) []string {
 type NodeAssembly struct {
 	// Policy is the security configuration the program was compiled with.
 	Policy PolicyConfig
-	// Compiled is the program from CompileProgram.
+	// Compiled is the program from CompileProgram, and Program its engine
+	// plans from CompileEngine, shared by every node of the process.
 	Compiled *generics.Result
+	Program  *engine.Program
 	// Directory is the cluster membership with authoritative addresses.
 	Directory *cluster.Membership
 	// Index is this node's position in deployment order; it also
@@ -102,14 +123,10 @@ type NodeAssembly struct {
 	Seed int64
 	// GrantWriteAccess mirrors ClusterConfig's.
 	GrantWriteAccess bool
-	// Vet runs the static analyzer over the compiled program at install
-	// time and rejects it when any error-class finding is reported — the
-	// same pre-flight `sbx vet` and `sbxnode -vet` run explicitly.
-	Vet bool
 }
 
 // Build constructs the node: a workspace with per-node keystore-bound
-// UDFs, the installed program, the asserted principal directory and key
+// UDFs bound to the shared program, the asserted principal directory and key
 // material, and a dist.Node wired with the policy's pre-verify and
 // batch-signing hooks.
 func (a NodeAssembly) Build() (*dist.Node, error) {
@@ -120,10 +137,7 @@ func (a NodeAssembly) Build() (*dist.Node, error) {
 	}
 	ws := engine.NewWorkspace(reg)
 	ws.EntityBase = int64(a.Index+1) << 40 // node-disjoint entity ids
-	if a.Vet {
-		ws.InstallCheck = (&analysis.Analyzer{UDFs: reg}).InstallCheck()
-	}
-	if err := ws.Install(a.Compiled.Program); err != nil {
+	if err := ws.Bind(a.Program); err != nil {
 		return nil, fmt.Errorf("core: install on %s: %w", me.Principal, err)
 	}
 	sc := cluster.SetupConfig{

@@ -46,8 +46,8 @@ type ClusterConfig struct {
 	// Net is the transport the cluster runs over. Nil means a fresh
 	// in-process MemNetwork. The cluster takes ownership: Stop closes it.
 	Net transport.Network
-	// Vet makes every node reject the compiled program at install time when
-	// the static analyzer reports error-class findings (NodeAssembly.Vet).
+	// Vet rejects the compiled program, before any node binds it, when the
+	// static analyzer reports error-class findings (CompileEngine).
 	Vet bool
 }
 
@@ -68,8 +68,11 @@ type Cluster struct {
 	// Nodes). Over memnet they equal NodeAddr(i); over real sockets they
 	// are whatever the endpoints bound, so always prefer Addrs over
 	// NodeAddr when building address-valued facts.
-	Addrs    []string
+	Addrs []string
+	// Compiled is the program every node runs, Program its engine plans,
+	// compiled once and bound by every node's workspace.
 	Compiled *generics.Result
+	Program  *engine.Program
 	// Directory is the cluster's principal directory — the same
 	// abstraction a multi-process deployment receives from the bootstrap
 	// handshake, built statically here because every endpoint lives in
@@ -115,11 +118,11 @@ func NewNetwork(name string) (transport.Network, error) {
 	}
 }
 
-// NewCluster compiles the query with the policy via BloxGenerics, opens one
-// endpoint per node on the configured network (plus one for the
-// termination detector), builds N workspaces with per-node keystore-bound
-// UDFs, installs the program, and asserts the principal directory and key
-// material — keypairs and node assemblies GOMAXPROCS at a time (par.Do), as
+// NewCluster compiles the query with the policy via BloxGenerics and plans it
+// once, opens one endpoint per node on the configured network (plus one for
+// the termination detector), builds N workspaces with per-node keystore-bound
+// UDFs that each bind the one program, and asserts the principal directory
+// and key material — keypairs and node assemblies GOMAXPROCS at a time (par.Do), as
 // the deployment's machines each do their own at once. The directory carries
 // the endpoints' real bound addresses, so the same scenario runs unchanged
 // over memnet and UDP. Principals are PrincipalName(i) listening at
@@ -189,9 +192,13 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	c.det = dist.NewDetector(detEp, c.Addrs)
 	c.det.Names = c.Directory.Names()
 
-	// Compile once: the program is identical on every node.
+	// Compile and plan once: the program is identical on every node.
 	t = time.Now()
 	c.Compiled, err = CompileProgram(cfg.Policy, cfg.Query, cfg.ExtraPolicies)
+	if err != nil {
+		return nil, fmt.Errorf("cluster: %w", err)
+	}
+	c.Program, err = CompileEngine(c.Compiled, cfg.Vet)
 	if err != nil {
 		return nil, fmt.Errorf("cluster: %w", err)
 	}
@@ -204,7 +211,7 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 		c.spool = seccrypto.NewSignPool(0)
 	}
 
-	// Every node installs its own copy of the program at the same time, as
+	// Every node binds the program and runs its set-up at the same time, as
 	// the deployment's machines do; each writes only its own slot.
 	c.Nodes = make([]*dist.Node, cfg.N)
 	t = time.Now()
@@ -212,6 +219,7 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 		n, err := NodeAssembly{
 			Policy:           cfg.Policy,
 			Compiled:         c.Compiled,
+			Program:          c.Program,
 			Directory:        c.Directory,
 			Index:            i,
 			KeyStore:         c.KeyStores[i],
@@ -220,7 +228,6 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 			SignPool:         c.spool,
 			Seed:             cfg.Seed,
 			GrantWriteAccess: cfg.GrantWriteAccess,
-			Vet:              cfg.Vet,
 		}.Build()
 		if err != nil {
 			return fmt.Errorf("cluster: node %s: %w", c.Principals[i], err)

@@ -112,6 +112,7 @@ func (r *inboundRig) assemble(t *testing.T) (*dist.Node, *transporttest.Scripted
 	n, err := core.NodeAssembly{
 		Policy:     r.c.Cfg.Policy,
 		Compiled:   r.c.Compiled,
+		Program:    r.c.Program,
 		Directory:  r.c.Directory,
 		Index:      advReceiver,
 		KeyStore:   r.c.KeyStores[advReceiver],

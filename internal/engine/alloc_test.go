@@ -39,7 +39,7 @@ func TestDuplicateDerivationAllocatesNothing(t *testing.T) {
 		t.Fatal("fixture derives nothing: the test would prove nothing")
 	}
 	// The whole of e as this round's delta.
-	r, e := w.rules[0], w.rels["e"]
+	r, e := w.prog.rules[0], w.relation("e")
 	tx := w.begin()
 	for id := range e.flags {
 		e.ins = append(e.ins, uint32(id))

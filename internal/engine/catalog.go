@@ -1,5 +1,6 @@
 // Package engine implements the DatalogLB evaluation runtime used by
-// SecureBlox: a workspace holding relations and installed rules, semi-naïve
+// SecureBlox: a program compiled once (Compile) and shared by every
+// workspace that binds it, a workspace holding the relations, semi-naïve
 // fixpoint evaluation (negation and aggregation read the current state;
 // internal/analysis judges stratification), head-existential entity creation,
 // min/max/count/sum aggregation with replacement semantics, runtime
@@ -42,7 +43,7 @@ type Schema struct {
 // Functional reports whether the predicate has a functional dependency.
 func (s *Schema) Functional() bool { return s.KeyArity >= 0 }
 
-// Catalog is the set of predicate schemas known to a workspace.
+// Catalog is the set of predicate schemas known to a program.
 type Catalog struct {
 	schemas map[string]*Schema
 }
@@ -83,26 +84,38 @@ func (c *Catalog) Declare(s *Schema) error {
 // arity), which generics-generated code such as "T(V*)" relies on; the
 // functional dependency is still enforced by the relation's schema.
 func (c *Catalog) AutoDeclare(a *datalog.Atom) (*Schema, error) {
-	name := a.ConcreteName()
-	if s, ok := c.schemas[name]; ok {
-		if s.Arity != len(a.Args) {
-			return nil, fmt.Errorf("atom %s does not match declared shape of %s (arity %d, key arity %d)",
-				a, name, s.Arity, s.KeyArity)
-		}
-		if a.KeyArity >= 0 && s.KeyArity >= 0 && a.KeyArity != s.KeyArity {
-			return nil, fmt.Errorf("atom %s does not match key arity %d of %s", a, s.KeyArity, name)
+	if s, ok := c.schemas[a.ConcreteName()]; ok {
+		if err := s.admits(a); err != nil {
+			return nil, err
 		}
 		return s, nil
 	}
-	s := &Schema{
-		Name:     name,
+	s := autoSchema(a)
+	c.schemas[s.Name] = s
+	return s, nil
+}
+
+// admits reports why an atom over s's predicate does not have its shape.
+func (s *Schema) admits(a *datalog.Atom) error {
+	if s.Arity != len(a.Args) {
+		return fmt.Errorf("atom %s does not match declared shape of %s (arity %d, key arity %d)",
+			a, s.Name, s.Arity, s.KeyArity)
+	}
+	if a.KeyArity >= 0 && s.KeyArity >= 0 && a.KeyArity != s.KeyArity {
+		return fmt.Errorf("atom %s does not match key arity %d of %s", a, s.KeyArity, s.Name)
+	}
+	return nil
+}
+
+// autoSchema is the schema an atom's first use declares.
+func autoSchema(a *datalog.Atom) *Schema {
+	return &Schema{
+		Name:     a.ConcreteName(),
 		Arity:    len(a.Args),
 		KeyArity: a.KeyArity,
 		ArgTypes: make([]string, len(a.Args)),
 		AutoDecl: true,
 	}
-	c.schemas[name] = s
-	return s, nil
 }
 
 // IsDeclaration reports whether a constraint has the shape of a predicate

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"hash/maphash"
+	"slices"
 	"unsafe"
 
 	"secureblox/internal/datalog"
@@ -161,6 +162,22 @@ func (s *symtab) store(text string) span {
 	p := s.pages[last]
 	s.pages[last] = append(p, text...)
 	return span{page: uint32(last), off: uint32(len(p)), n: uint32(len(text))}
+}
+
+// clone returns a table holding s's symbols, numbered as in s, that interns on
+// its own: the spans and the index are copied, and the arena pages are shared,
+// each capped at its length, so the copy appends to pages of its own and
+// neither table ever writes what the other reads.
+func (s *symtab) clone() symtab {
+	pages := make([][]byte, len(s.pages))
+	for i, p := range s.pages {
+		pages[i] = p[:len(p):len(p)]
+	}
+	return symtab{
+		idx:   hashIndex{heads: slices.Clone(s.idx.heads), ents: slices.Clone(s.idx.ents)},
+		spans: slices.Clone(s.spans),
+		pages: pages,
+	}
 }
 
 func (s *symtab) mark() symMark {

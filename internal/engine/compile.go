@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"maps"
 	"slices"
 	"sort"
 
@@ -18,17 +19,21 @@ const (
 	stepKindCheck                 // builtin type check (constraints only)
 )
 
+// noProbe is step.probe for a step without an access path: a scan.
+const noProbe = -1
+
 // step is one planned body operation. The source form (atom, l/r, checked)
 // is kept for diagnostics and type checking; execution uses the compiled
-// slot-addressed form filled in by finalizeSteps after planning.
+// slot-addressed form filled in by finalizeSteps after planning. A step names
+// relations, indexes and UDFs by the program's numbers, never by pointer, so
+// one plan runs in every workspace bound to the program.
 type step struct {
 	kind     stepKind
-	pred     string // concrete predicate name (match/neg/udf)
+	pred     string // concrete predicate name (match/neg), UDF name (udf)
 	param    string // UDF parameterization
 	atom     *datalog.Atom
 	op       string // cmp operator
 	l, r     datalog.Term
-	udf      UDF
 	typeName string       // stepKindCheck
 	checked  datalog.Term // stepKindCheck operand
 
@@ -36,35 +41,35 @@ type step struct {
 	args     []cterm // match/neg/udf: slot-compiled arguments
 	cl, cr   *cterm  // cmp operands
 	cchecked *cterm  // kind-check operand
-	rel      *Relation
+	// rel is the relation's number (match/neg) or the UDF's (udf).
+	rel int
 	// boundCols are the argument positions (ascending) holding a constant
 	// or a variable bound by an earlier step — the step's probe signature,
 	// derived from the planner's binding-order analysis.
 	boundCols []int
-	// probeIdx is the step's access path and probeCols the argument positions
-	// whose values it is probed with; nil when nothing is bound (a scan).
-	probeIdx  *hashIndex
+	// probe is the step's access path, a position in its relation's index
+	// list (Relation.idx), and probeCols the argument positions whose values it
+	// is probed with; noProbe when nothing is bound (a scan).
+	probe     int
 	probeCols []int
-	// udfArgs/udfMask are the UDF call's argument buffers, reused across
-	// calls: a step is never re-entered while its own Eval is on the stack,
-	// and no UDF retains its args.
-	udfArgs []datalog.Value
-	udfMask []bool
 }
 
 // headEx is a head-existential variable with its entity type.
 type headEx struct {
 	name    string
 	entType string
-	entSym  uint32    // entType's symbol
-	rel     *Relation // entType's relation
+	entSym  uint32 // entType's symbol
+	rel     int    // entType's relation
 	slot    int
 }
 
 // CompiledRule is a planned derivation rule.
 type CompiledRule struct {
-	id    int
-	src   *datalog.Rule
+	id  int // position in Program.rules
+	src *datalog.Rule
+	// err is why the rule could not be planned (PlanProgram only); nothing
+	// else is set then.
+	err   error
 	heads []*datalog.Atom // args are Var / Const / BinExpr only
 	// steps is the static join order, used only by full evaluations (the
 	// initial pass of Install, aggregate recomputes, Retract's rederive).
@@ -78,18 +83,13 @@ type CompiledRule struct {
 	exVars     []headEx
 	agg        *datalog.AggSpec
 
-	slotSpace
+	slotNames   []string
 	cheads      [][]cterm // slot-compiled head arguments, parallel to heads
-	headRels    []*Relation
+	headRels    []int
 	bodySlots   []int // slots of bodyVars, in the same (name-sorted) order
 	aggOverSlot int   // slot of agg.Over, -1 when absent
-	// aggKeys is the group table of an aggregate recompute: the group keys, by
-	// row id the index of their accumulators in Workspace.aggCells.
-	aggKeys *Relation
-
-	// bound carries the planner's bound-variable set from planRule to
-	// finalizeRule, which clears it.
-	bound map[string]bool
+	// aggNo numbers an aggregate rule's group table among its workspace's.
+	aggNo int
 }
 
 // String returns the source form of the rule.
@@ -106,16 +106,200 @@ type CompiledConstraint struct {
 	// they all seed the one RHS plan.
 	lhsDeltaPlans [][]step
 
-	slotSpace
+	slotNames []string
 }
 
 // String returns the source form of the constraint.
 func (c *CompiledConstraint) String() string { return c.src.String() }
 
-// compiler carries per-compilation state: fresh variable numbering and the
-// extra literals produced by term normalization.
+// Program is a compiled program: its catalog, its relations by number with
+// the indexes its plans probe, every rule and constraint planned — static and
+// delta-first plans, slot numbering, compiled terms with their constants,
+// head existentials — and its source facts. None of it depends on a node, so
+// a process compiles a program once and every workspace it binds to
+// (Workspace.Bind) runs it: a Program is immutable once returned and safe for
+// concurrent use. What differs per node — relations, the keystore-bound UDFs,
+// the frame, UDF argument scratch, aggregate group tables — each workspace
+// keeps for itself.
+type Program struct {
+	cat   *Catalog
+	relNo map[string]int
+	rels  []relSpec
+	// syms interns the constants: a workspace bound to the program starts
+	// its own intern table as a copy, so a compiled constant is one cell in
+	// every workspace. A program Install compiled interns into the
+	// workspace's table directly.
+	syms *symtab
+	udfs []string // UDF names, by the number a step calls them by
+
+	rules       []*CompiledRule // by id: the base program's, then this one's
+	aggs        []*CompiledRule // the rules with an aggregate, by id
+	constraints []*CompiledConstraint
+	// first is where this program's own rules start in rules: the ones its
+	// installation evaluates once. facts are its own source facts.
+	first int
+	facts []progFact
+	// planned lists this program's rules in source order, those that could
+	// not be planned included (PlanProgram's view).
+	planned []*CompiledRule
+	// slots and udfArity size the frame and the UDF argument vector a
+	// workspace needs for any plan of the program.
+	slots, udfArity int
+	// err is the first compile error; only PlanProgram hands out a program
+	// that has one.
+	err error
+}
+
+// relSpec is what a program knows of one relation: its schema, the checks an
+// insert runs, the secondary indexes its plans probe (in registration order,
+// after the primary and the functional index), the rules with a delta plan
+// led by it (rules, aggs) and the rules deriving into it, all by id.
+type relSpec struct {
+	schema            *Schema
+	kinds             []argKind
+	indexes           [][]int
+	rules, aggs, into []*CompiledRule
+}
+
+// progFact is a source fact of a program, ground at compile time.
+type progFact struct {
+	rel   int
+	tuple datalog.Tuple
+}
+
+// Catalog returns the program's predicate catalog. It must not be modified.
+func (p *Program) Catalog() *Catalog { return p.cat }
+
+// builtin is the program every workspace starts with: the principal, self and
+// principal_node relations of NewCatalog, and nothing else.
+var builtin = func() *Program {
+	p := &Program{cat: NewCatalog(), relNo: map[string]int{}, syms: &symtab{}}
+	c := &compiler{p: p}
+	for _, name := range []string{"principal", "self", "principal_node"} {
+		c.relation(name)
+	}
+	c.finish()
+	return p
+}()
+
+// Compile compiles a program once for every workspace that will run it: the
+// UDF registry resolves which atoms are UDF calls and when they can be
+// evaluated — planning never calls Eval, so any registry with the same names
+// and binding shapes does — and each workspace binds its own registry's UDFs
+// by name (Workspace.Bind).
+func Compile(prog *datalog.Program, udfs *UDFRegistry) (*Program, error) {
+	return compile(builtin, &symtab{}, prog, udfs, true)
+}
+
+// PlanProgram compiles a program as far as it goes for the static analyzer:
+// a rule whose body cannot be planned is reported in its RulePlan.Err rather
+// than failing the program, so the analyzer sees every rule. It fails only on
+// a declaration that cannot be registered. The Program is a view (Plans,
+// Catalog): one that Compile would reject cannot be bound.
+func PlanProgram(prog *datalog.Program, udfs *UDFRegistry) (*Program, error) {
+	return compile(builtin, &symtab{}, prog, udfs, false)
+}
+
+// extend returns a copy of p to compile more onto: the catalog, the relation
+// numbering and the lists are the copy's own, everything they point to is
+// shared and left as it is.
+func (p *Program) extend() *Program {
+	return &Program{
+		cat:         &Catalog{schemas: maps.Clone(p.cat.schemas)},
+		relNo:       maps.Clone(p.relNo),
+		rels:        slices.Clone(p.rels),
+		syms:        p.syms,
+		udfs:        slices.Clip(p.udfs),
+		rules:       slices.Clip(p.rules),
+		aggs:        slices.Clip(p.aggs),
+		constraints: slices.Clip(p.constraints),
+		first:       len(p.rules),
+		slots:       p.slots,
+		udfArity:    p.udfArity,
+	}
+}
+
+// compile compiles prog onto base, interning its constants into syms. With
+// strict it fails at the first error; otherwise (PlanProgram) it fails only on
+// a declaration, carries on past everything else, records a rule it cannot
+// plan in the rule's err and the first error of any kind in the program's.
+func compile(base *Program, syms *symtab, prog *datalog.Program, udfs *UDFRegistry, strict bool) (*Program, error) {
+	p := base.extend()
+	p.syms = syms
+	c := &compiler{p: p, reg: udfs}
+	fail := func(err error) bool {
+		if p.err == nil {
+			p.err = err
+		}
+		return strict
+	}
+
+	// Declarations first so later compilation sees schemas.
+	for _, con := range prog.Constraints {
+		if IsDeclaration(con) {
+			if _, err := p.cat.DeclareFromConstraint(con); err != nil {
+				return nil, err
+			}
+			c.relation(con.Lhs[0].Atom.ConcreteName())
+		}
+	}
+	for _, r := range prog.Rules {
+		cr, err := c.planRule(r)
+		if err != nil {
+			if fail(err) {
+				return nil, err
+			}
+			p.planned = append(p.planned, &CompiledRule{src: r, err: err})
+			continue
+		}
+		p.planned = append(p.planned, cr)
+		if err := c.checkRuleTypes(cr); err != nil && fail(err) {
+			return nil, err
+		}
+		if err := c.finalizeRule(cr); err != nil {
+			if fail(err) {
+				return nil, err
+			}
+			continue
+		}
+		cr.id = len(p.rules)
+		p.rules = append(p.rules, cr)
+		if cr.agg != nil {
+			cr.aggNo = len(p.aggs)
+			p.aggs = append(p.aggs, cr)
+		}
+	}
+	for _, con := range prog.Constraints {
+		cc, err := c.compileConstraint(con)
+		if err != nil {
+			if fail(err) {
+				return nil, err
+			}
+			continue
+		}
+		p.constraints = append(p.constraints, cc)
+	}
+	for _, a := range prog.Facts {
+		f, err := c.groundFact(a)
+		if err != nil {
+			if fail(err) {
+				return nil, err
+			}
+			continue
+		}
+		p.facts = append(p.facts, f)
+	}
+	c.finish()
+	return p, nil
+}
+
+// compiler carries one compilation's state: the program being built, the UDF
+// registry it plans against, and per rule or constraint the fresh variable
+// numbering and the extra literals produced by term normalization.
 type compiler struct {
-	w      *Workspace
+	p   *Program
+	reg *UDFRegistry
+
 	freshN int
 	extra  []datalog.Literal
 	// apps maps the functional applications normalized so far, by their text
@@ -124,6 +308,101 @@ type compiler struct {
 	// functional dependency says so — and gets one variable, one atom, one
 	// probe per binding and one delta plan for it.
 	apps map[string]datalog.Var
+}
+
+// reset starts a rule's or a constraint's normalization.
+func (c *compiler) reset() { c.freshN, c.apps = 0, nil }
+
+// relation returns the number of the relation named name, numbering it if it
+// is new; its schema is in the catalog.
+func (c *compiler) relation(name string) int {
+	if i, ok := c.p.relNo[name]; ok {
+		return i
+	}
+	i := len(c.p.rels)
+	c.p.rels = append(c.p.rels, relSpec{schema: c.p.cat.Schema(name)})
+	c.p.relNo[name] = i
+	return i
+}
+
+// udf returns the number of the UDF called name, numbering it if it is new;
+// false if the registry has no such UDF.
+func (c *compiler) udf(name string) (int, bool) {
+	if _, ok := c.reg.Lookup(name); !ok {
+		return 0, false
+	}
+	if i := slices.Index(c.p.udfs, name); i >= 0 {
+		return i, true
+	}
+	c.p.udfs = append(c.p.udfs, name)
+	return len(c.p.udfs) - 1, true
+}
+
+// index returns the position in relation rel's index list of the secondary
+// index over cols, registering it if it is new. The primary index is at 0 and
+// a functional relation's key index at 1; secondary indexes follow in the
+// order they were registered, in every workspace alike.
+func (c *compiler) index(rel int, cols []int) int {
+	spec := &c.p.rels[rel]
+	first := 1
+	if spec.schema.Functional() {
+		first = 2
+	}
+	for k, x := range spec.indexes {
+		if slices.Equal(x, cols) {
+			return first + k
+		}
+	}
+	// The list may be the base program's: append to a copy.
+	spec.indexes = append(slices.Clip(spec.indexes), slices.Clone(cols))
+	return first + len(spec.indexes) - 1
+}
+
+// finish resolves every relation's schema, declared-argument checks and rule
+// lists against the finished catalog and rule set. A type name starts to be
+// checked when it is declared an entity, so the base program's relations are
+// resolved again too. The lists are in ascending id order — fixpoint's
+// per-round merge relies on it.
+func (c *compiler) finish() {
+	p := c.p
+	for i := range p.rels {
+		spec := &p.rels[i]
+		spec.schema = p.cat.Schema(spec.schema.Name)
+		spec.kinds = nil
+		for _, at := range spec.schema.ArgTypes {
+			spec.kinds = append(spec.kinds, p.cat.argKind(at))
+		}
+		spec.rules, spec.aggs, spec.into = nil, nil, nil
+	}
+	// A rule with two delta plans led by one relation is listed there once:
+	// rules are listed one after another, so a repeat is the list's last entry.
+	listOnce := func(list []*CompiledRule, r *CompiledRule) []*CompiledRule {
+		if len(list) > 0 && list[len(list)-1] == r {
+			return list
+		}
+		return append(list, r)
+	}
+	for _, r := range p.rules {
+		for _, plan := range r.deltaPlans {
+			spec := &p.rels[plan[0].rel]
+			if r.agg != nil {
+				spec.aggs = listOnce(spec.aggs, r)
+			} else {
+				spec.rules = listOnce(spec.rules, r)
+			}
+		}
+		if r.agg == nil {
+			for _, h := range r.headRels {
+				p.rels[h].into = append(p.rels[h].into, r)
+			}
+		}
+	}
+	for _, r := range p.rules {
+		p.slots = max(p.slots, len(r.slotNames))
+	}
+	for _, cc := range p.constraints {
+		p.slots = max(p.slots, len(cc.slotNames))
+	}
 }
 
 func (c *compiler) fresh() string {
@@ -229,31 +508,37 @@ func (c *compiler) normalizeLiterals(lits []datalog.Literal) ([]datalog.Literal,
 	return out, nil
 }
 
+// declare auto-declares the relation an atom names and returns its number.
+func (c *compiler) declare(a *datalog.Atom) (int, error) {
+	if _, err := c.p.cat.AutoDeclare(a); err != nil {
+		return 0, err
+	}
+	return c.relation(a.ConcreteName()), nil
+}
+
 // litToStep converts a normalized literal to an unplanned step.
 func (c *compiler) litToStep(l datalog.Literal) (step, error) {
 	switch l.Kind {
 	case datalog.LitAtom:
-		name := l.Atom.ConcreteName()
-		if u, ok := c.w.udfs.Lookup(l.Atom.Pred); ok {
-			return step{kind: stepUDF, pred: l.Atom.Pred, param: l.Atom.Param, atom: l.Atom, udf: u}, nil
+		if u, ok := c.udf(l.Atom.Pred); ok {
+			return step{kind: stepUDF, pred: l.Atom.Pred, param: l.Atom.Param, atom: l.Atom, rel: u, probe: noProbe}, nil
 		}
-		if _, err := c.w.cat.AutoDeclare(l.Atom); err != nil {
+		rel, err := c.declare(l.Atom)
+		if err != nil {
 			return step{}, err
 		}
-		c.w.ensureRelation(name)
-		return step{kind: stepMatch, pred: name, atom: l.Atom}, nil
+		return step{kind: stepMatch, pred: l.Atom.ConcreteName(), atom: l.Atom, rel: rel, probe: noProbe}, nil
 	case datalog.LitNeg:
-		if _, ok := c.w.udfs.Lookup(l.Atom.Pred); ok {
+		if _, ok := c.reg.Lookup(l.Atom.Pred); ok {
 			return step{}, fmt.Errorf("cannot negate UDF atom %s", l.Atom)
 		}
-		name := l.Atom.ConcreteName()
-		if _, err := c.w.cat.AutoDeclare(l.Atom); err != nil {
+		rel, err := c.declare(l.Atom)
+		if err != nil {
 			return step{}, err
 		}
-		c.w.ensureRelation(name)
-		return step{kind: stepNeg, pred: name, atom: l.Atom}, nil
+		return step{kind: stepNeg, pred: l.Atom.ConcreteName(), atom: l.Atom, rel: rel, probe: noProbe}, nil
 	default:
-		return step{kind: stepCmp, op: l.Op, l: l.L, r: l.R}, nil
+		return step{kind: stepCmp, op: l.Op, l: l.L, r: l.R, probe: noProbe}, nil
 	}
 }
 
@@ -275,7 +560,7 @@ func termBound(t datalog.Term, bound map[string]bool) bool {
 // unplanned[lead] is the plan's first step whatever its bindings — the delta
 // atom of a delta-first plan, whose variables bound already holds — and the
 // rest are ordered from there. unplanned is not modified.
-func planSteps(unplanned []step, bound map[string]bool, lead int) ([]step, error) {
+func (c *compiler) planSteps(unplanned []step, bound map[string]bool, lead int) ([]step, error) {
 	out := make([]step, 0, len(unplanned))
 	taken := make([]bool, len(unplanned))
 	if lead >= 0 {
@@ -393,7 +678,7 @@ func planSteps(unplanned []step, bound map[string]bool, lead int) ([]step, error
 		// 5. ready UDFs.
 		for i := next(-1, stepUDF); i >= 0 && picked < 0; i = next(i, stepUDF) {
 			atomBoundMask(unplanned[i].atom)
-			if unplanned[i].udf.CanEval(mask) {
+			if u, _ := c.reg.Lookup(unplanned[i].pred); u.CanEval(mask) {
 				picked = i
 			}
 		}
@@ -435,7 +720,7 @@ func planSteps(unplanned []step, bound map[string]bool, lead int) ([]step, error
 // tuples with nothing bound before it — its constants and repeated variables
 // are checked by unification — and planSteps orders the remaining literals
 // from the variables it binds, so every later step is probed, not scanned.
-func planDeltaPlans(unplanned []step) ([][]step, error) {
+func (c *compiler) planDeltaPlans(unplanned []step) ([][]step, error) {
 	var plans [][]step
 	for i := range unplanned {
 		if unplanned[i].kind != stepMatch {
@@ -443,7 +728,7 @@ func planDeltaPlans(unplanned []step) ([][]step, error) {
 		}
 		bound := map[string]bool{}
 		datalog.AtomVars(unplanned[i].atom, bound)
-		plan, err := planSteps(unplanned, bound, i)
+		plan, err := c.planSteps(unplanned, bound, i)
 		if err != nil {
 			return nil, err
 		}
@@ -458,25 +743,25 @@ func planDeltaPlans(unplanned []step) ([][]step, error) {
 // the primary when every column is, otherwise a secondary index over the
 // step's bound-column signature, registered with the relation now so every
 // later probe is O(1). A step with nothing bound is a leading scan.
-func (w *Workspace) finalizeSteps(steps []step, sa *slotAlloc) {
+func (c *compiler) finalizeSteps(steps []step, sa *slotAlloc) {
 	for i := range steps {
 		s := &steps[i]
 		switch s.kind {
 		case stepMatch, stepNeg:
 			s.args = sa.compileAtom(s.atom)
-			s.rel = w.ensureRelation(s.pred)
+			schema := c.p.rels[s.rel].schema
 			arity := len(s.atom.Args)
 			// boundCols is ascending and only ever holds Const / bound-Var
 			// positions, so its ka-th entry being ka-1 means exactly the key
 			// columns 0..ka-1 lead it and will carry values at runtime.
-			ka := s.rel.schema.KeyArity
+			ka := schema.KeyArity
 			switch nb := len(s.boundCols); {
-			case s.kind == stepMatch && s.rel.fn != nil && ka <= arity && nb >= ka && (ka == 0 || s.boundCols[ka-1] == ka-1):
-				s.probeIdx, s.probeCols = s.rel.fn, s.rel.fn.cols
+			case s.kind == stepMatch && schema.Functional() && ka <= arity && nb >= ka && (ka == 0 || s.boundCols[ka-1] == ka-1):
+				s.probe, s.probeCols = 1, s.boundCols[:ka:ka]
 			case nb > 0 && nb == arity:
-				s.probeIdx, s.probeCols = &s.rel.primary, s.boundCols
+				s.probe, s.probeCols = 0, s.boundCols
 			case nb > 0:
-				s.probeIdx, s.probeCols = s.rel.ensureIndex(s.boundCols), s.boundCols
+				s.probe, s.probeCols = c.index(s.rel, s.boundCols), s.boundCols
 			}
 		case stepCmp:
 			cl := sa.compileTerm(s.l)
@@ -484,8 +769,7 @@ func (w *Workspace) finalizeSteps(steps []step, sa *slotAlloc) {
 			s.cl, s.cr = &cl, &cr
 		case stepUDF:
 			s.args = sa.compileAtom(s.atom)
-			s.udfArgs = make([]datalog.Value, len(s.args))
-			s.udfMask = make([]bool, len(s.args))
+			c.p.udfArity = max(c.p.udfArity, len(s.args))
 		case stepKindCheck:
 			cc := sa.compileTerm(s.checked)
 			s.cchecked = &cc
@@ -495,13 +779,11 @@ func (w *Workspace) finalizeSteps(steps []step, sa *slotAlloc) {
 
 // finalizeDeltaPlans compiles delta-first plans against the slot numbering
 // their static plan already fixed. The leading step only unifies delta
-// tuples, so it gets compiled arguments, the relation whose row lists it
-// ranges over, and no access path.
-func (w *Workspace) finalizeDeltaPlans(plans [][]step, sa *slotAlloc) {
+// tuples, so it gets compiled arguments and no access path.
+func (c *compiler) finalizeDeltaPlans(plans [][]step, sa *slotAlloc) {
 	for _, plan := range plans {
 		plan[0].args = sa.compileAtom(plan[0].atom)
-		plan[0].rel = w.ensureRelation(plan[0].pred)
-		w.finalizeSteps(plan[1:], sa)
+		c.finalizeSteps(plan[1:], sa)
 	}
 }
 
@@ -517,16 +799,17 @@ func describeStep(s step) string {
 }
 
 // planRule normalizes a rule and orders its body into the static plan and the
-// per-delta plans. The returned rule carries the planner's bound-variable set
-// (cr.bound) and has no slot numbering yet — finalizeRule fixes the execution
-// form; PlanProgram stops here.
-func (w *Workspace) planRule(r *datalog.Rule) (*CompiledRule, error) {
-	c := &compiler{w: w}
+// per-delta plans, recording the variables the body binds. The returned rule
+// has no slot numbering yet — finalizeRule fixes the execution form;
+// PlanProgram's view needs no more than this.
+func (c *compiler) planRule(r *datalog.Rule) (*CompiledRule, error) {
+	c.reset()
 	body, err := c.normalizeLiterals(r.Body)
 	if err != nil {
 		return nil, fmt.Errorf("rule %s: %w", r, err)
 	}
 	var heads []*datalog.Atom
+	var headRels []int
 	for _, h := range r.Heads {
 		c.extra = c.extra[:0]
 		nh, err := c.normalizeAtom(h, true)
@@ -534,14 +817,15 @@ func (w *Workspace) planRule(r *datalog.Rule) (*CompiledRule, error) {
 			return nil, fmt.Errorf("rule %s: %w", r, err)
 		}
 		body = append(body, c.extra...)
-		if _, ok := w.udfs.Lookup(nh.Pred); ok {
+		if _, ok := c.reg.Lookup(nh.Pred); ok {
 			return nil, fmt.Errorf("rule %s: cannot derive into UDF %s", r, nh.Pred)
 		}
-		if _, err := w.cat.AutoDeclare(nh); err != nil {
+		rel, err := c.declare(nh)
+		if err != nil {
 			return nil, fmt.Errorf("rule %s: %w", r, err)
 		}
-		w.ensureRelation(nh.ConcreteName())
 		heads = append(heads, nh)
+		headRels = append(headRels, rel)
 	}
 	var unplanned []step
 	for _, l := range body {
@@ -552,35 +836,34 @@ func (w *Workspace) planRule(r *datalog.Rule) (*CompiledRule, error) {
 		unplanned = append(unplanned, s)
 	}
 	bound := map[string]bool{}
-	steps, err := planSteps(unplanned, bound, -1)
+	steps, err := c.planSteps(unplanned, bound, -1)
 	if err != nil {
 		return nil, fmt.Errorf("rule %s: %w", r, err)
 	}
-	deltaPlans, err := planDeltaPlans(unplanned)
+	deltaPlans, err := c.planDeltaPlans(unplanned)
 	if err != nil {
 		return nil, fmt.Errorf("rule %s: %w", r, err)
 	}
-	return &CompiledRule{src: r, heads: heads, steps: steps, deltaPlans: deltaPlans,
-		agg: r.Agg, aggOverSlot: -1, bound: bound}, nil
+	return &CompiledRule{src: r, heads: heads, headRels: headRels, steps: steps, deltaPlans: deltaPlans,
+		bodyVars: slices.Sorted(maps.Keys(bound)), agg: r.Agg, aggOverSlot: -1}, nil
 }
 
 // finalizeRule compiles a planned rule's execution form: slot allocation,
 // access-path selection and index registration, head compilation, and
 // head-existential analysis.
-func (w *Workspace) finalizeRule(cr *CompiledRule) error {
-	r, heads, steps, bound := cr.src, cr.heads, cr.steps, cr.bound
-	sa := newSlotAlloc(&w.syms)
-	w.finalizeSteps(steps, sa)
-	w.finalizeDeltaPlans(cr.deltaPlans, sa)
+func (c *compiler) finalizeRule(cr *CompiledRule) error {
+	r, heads := cr.src, cr.heads
+	bound := make(map[string]bool, len(cr.bodyVars))
+	for _, v := range cr.bodyVars {
+		bound[v] = true
+	}
+	sa := newSlotAlloc(c.p.syms)
+	c.finalizeSteps(cr.steps, sa)
+	c.finalizeDeltaPlans(cr.deltaPlans, sa)
 
 	for _, h := range heads {
 		cr.cheads = append(cr.cheads, sa.compileAtom(h))
-		cr.headRels = append(cr.headRels, w.ensureRelation(h.ConcreteName()))
 	}
-	for v := range bound {
-		cr.bodyVars = append(cr.bodyVars, v)
-	}
-	sort.Strings(cr.bodyVars)
 	for _, v := range cr.bodyVars {
 		cr.bodySlots = append(cr.bodySlots, sa.slot(v))
 	}
@@ -606,7 +889,7 @@ func (w *Workspace) finalizeRule(cr *CompiledRule) error {
 			if !ok || hv.Name != v {
 				continue
 			}
-			if s := w.cat.Schema(h.ConcreteName()); s != nil && s.IsEntity {
+			if s := c.p.cat.Schema(h.ConcreteName()); s != nil && s.IsEntity {
 				entType = h.ConcreteName()
 				break
 			}
@@ -614,8 +897,8 @@ func (w *Workspace) finalizeRule(cr *CompiledRule) error {
 		if entType == "" {
 			return fmt.Errorf("rule %s: head variable %s is unbound and has no entity type", r, v)
 		}
-		cr.exVars = append(cr.exVars, headEx{name: v, entType: entType, entSym: w.syms.intern(entType),
-			rel: w.ensureRelation(entType), slot: sa.slot(v)})
+		cr.exVars = append(cr.exVars, headEx{name: v, entType: entType, entSym: c.p.syms.intern(entType),
+			rel: c.relation(entType), slot: sa.slot(v)})
 	}
 	sort.Slice(cr.exVars, func(i, j int) bool { return cr.exVars[i].name < cr.exVars[j].name })
 
@@ -638,18 +921,16 @@ func (w *Workspace) finalizeRule(cr *CompiledRule) error {
 		if cr.agg.Over != "" {
 			cr.aggOverSlot = sa.slot(cr.agg.Over)
 		}
-		cr.aggKeys = w.NewTupleSet(heads[0].KeyArity)
 	}
 	cr.slotNames = sa.names
-	cr.bound = nil
 	return nil
 }
 
 // compileConstraint plans an integrity constraint. RHS atoms over builtin
 // type predicates become kind checks; everything else is evaluated as a
 // satisfiability query seeded with the LHS binding.
-func (w *Workspace) compileConstraint(con *datalog.Constraint) (*CompiledConstraint, error) {
-	c := &compiler{w: w}
+func (c *compiler) compileConstraint(con *datalog.Constraint) (*CompiledConstraint, error) {
+	c.reset()
 	lhs, err := c.normalizeLiterals(con.Lhs)
 	if err != nil {
 		return nil, fmt.Errorf("constraint %s: %w", con, err)
@@ -669,11 +950,11 @@ func (w *Workspace) compileConstraint(con *datalog.Constraint) (*CompiledConstra
 		lhsUnplanned = append(lhsUnplanned, s)
 	}
 	bound := map[string]bool{}
-	lhsSteps, err := planSteps(lhsUnplanned, bound, -1)
+	lhsSteps, err := c.planSteps(lhsUnplanned, bound, -1)
 	if err != nil {
 		return nil, fmt.Errorf("constraint %s: %w", con, err)
 	}
-	lhsDeltaPlans, err := planDeltaPlans(lhsUnplanned)
+	lhsDeltaPlans, err := c.planDeltaPlans(lhsUnplanned)
 	if err != nil {
 		return nil, fmt.Errorf("constraint %s: %w", con, err)
 	}
@@ -689,9 +970,9 @@ func (w *Workspace) compileConstraint(con *datalog.Constraint) (*CompiledConstra
 			// Entity types are also kind checks: an entity value arriving
 			// from a remote node is well-typed by construction even though
 			// it is not (yet) a member of the local entity relation.
-			if s := w.cat.Schema(l.Atom.Pred); isKind || (s != nil && s.IsEntity) {
+			if s := c.p.cat.Schema(l.Atom.Pred); isKind || (s != nil && s.IsEntity) {
 				rhsUnplanned = append(rhsUnplanned, step{
-					kind: stepKindCheck, typeName: l.Atom.Pred, checked: l.Atom.Args[0],
+					kind: stepKindCheck, typeName: l.Atom.Pred, checked: l.Atom.Args[0], probe: noProbe,
 				})
 				continue
 			}
@@ -702,14 +983,32 @@ func (w *Workspace) compileConstraint(con *datalog.Constraint) (*CompiledConstra
 		}
 		rhsUnplanned = append(rhsUnplanned, s)
 	}
-	rhsSteps, err := planSteps(rhsUnplanned, bound, -1)
+	rhsSteps, err := c.planSteps(rhsUnplanned, bound, -1)
 	if err != nil {
 		return nil, fmt.Errorf("constraint %s: %w", con, err)
 	}
-	sa := newSlotAlloc(&w.syms)
-	w.finalizeSteps(lhsSteps, sa)
-	w.finalizeDeltaPlans(lhsDeltaPlans, sa)
-	w.finalizeSteps(rhsSteps, sa)
+	sa := newSlotAlloc(c.p.syms)
+	c.finalizeSteps(lhsSteps, sa)
+	c.finalizeDeltaPlans(lhsDeltaPlans, sa)
+	c.finalizeSteps(rhsSteps, sa)
 	return &CompiledConstraint{src: con, lhsSteps: lhsSteps, rhsSteps: rhsSteps, lhsDeltaPlans: lhsDeltaPlans,
-		slotSpace: slotSpace{slotNames: sa.names}}, nil
+		slotNames: sa.names}, nil
+}
+
+// groundFact compiles a source fact: its relation, auto-declared, and its
+// values, which must be constants.
+func (c *compiler) groundFact(a *datalog.Atom) (progFact, error) {
+	rel, err := c.declare(a)
+	if err != nil {
+		return progFact{}, err
+	}
+	tup := make(datalog.Tuple, len(a.Args))
+	for i, t := range a.Args {
+		k, ok := t.(datalog.Const)
+		if !ok {
+			return progFact{}, fmt.Errorf("fact %s is not ground", a)
+		}
+		tup[i] = k.Val
+	}
+	return progFact{rel: rel, tuple: tup}, nil
 }

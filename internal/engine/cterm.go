@@ -31,7 +31,7 @@ type cterm struct {
 
 // slotAlloc numbers the variables of one rule (or one constraint, LHS and
 // RHS sharing a space) into consecutive frame slots, and interns its
-// constants into the workspace's table.
+// constants into the program's table.
 type slotAlloc struct {
 	byName map[string]int
 	names  []string
@@ -82,30 +82,12 @@ func (sa *slotAlloc) compileAtom(a *datalog.Atom) []cterm {
 
 // frame is the flat slot array holding one evaluation's variable bindings,
 // with a trail for backtracking. A slot holding the zero cell (KindInvalid,
-// which no runtime datum can be) is unbound.
+// which no runtime datum can be) is unbound. A workspace has one: evaluations
+// never nest, and every one, a failed one included, undoes its bindings, so
+// each finds every slot unbound.
 type frame struct {
 	slots []cell
 	trail []int32
-	names []string // slot → source name, shared with the compiled rule
-}
-
-func newFrame(names []string) *frame {
-	return &frame{slots: make([]cell, len(names)), names: names}
-}
-
-// slotSpace is the slot numbering of one compiled rule or constraint, with
-// the frame its evaluations share: every evaluation, a failed one included,
-// undoes its bindings, so one frame serves them all.
-type slotSpace struct {
-	slotNames []string
-	fcache    *frame
-}
-
-func (s *slotSpace) seqFrame() *frame {
-	if s.fcache == nil {
-		s.fcache = newFrame(s.slotNames)
-	}
-	return s.fcache
 }
 
 func (f *frame) mark() int { return len(f.trail) }

@@ -380,7 +380,8 @@ type allocation struct {
 
 func snapshotAllocation(w *Workspace) allocation {
 	a := allocation{w: w, free: map[string][]uint32{}, rows: map[string]int{}}
-	for name, rel := range w.rels {
+	for _, rel := range w.rels {
+		name := rel.schema.Name
 		a.free[name], a.rows[name] = slices.Clone(rel.free), len(rel.flags)
 	}
 	return a
@@ -390,7 +391,7 @@ func snapshotAllocation(w *Workspace) allocation {
 // committed since the snapshot, predicate by predicate, order included.
 func (a allocation) checkInserted(res *TxnResult) error {
 	for _, name := range a.w.Predicates() {
-		rel, free, next := a.w.rels[name], a.free[name], a.rows[name]
+		rel, free, next := a.w.relation(name), a.free[name], a.rows[name]
 		var want []datalog.Tuple
 		for taken := len(free) - len(rel.free) + len(rel.flags) - next; taken > 0; taken-- {
 			id := uint32(next)
@@ -447,15 +448,15 @@ func stripIndexes(w *Workspace) {
 	strip := func(plans ...[]step) {
 		for _, steps := range plans {
 			for i := range steps {
-				steps[i].probeIdx = nil
+				steps[i].probe = noProbe
 			}
 		}
 	}
-	for _, r := range slices.Concat(w.rules, w.aggRules) {
+	for _, r := range w.prog.rules {
 		strip(r.steps)
 		strip(r.deltaPlans...)
 	}
-	for _, c := range w.constraints {
+	for _, c := range w.prog.constraints {
 		strip(c.lhsSteps, c.rhsSteps)
 		strip(c.lhsDeltaPlans...)
 	}
@@ -522,7 +523,7 @@ func naiveSaturate(t *testing.T, src string, base map[string]Fact) *Workspace {
 		}
 	}
 	for grew := true; grew; {
-		for _, r := range w.rules {
+		for _, r := range w.prog.rules {
 			if err := w.evalRuleInto(tx, r); err != nil {
 				t.Fatal(err)
 			}

@@ -66,11 +66,12 @@ func (w *Workspace) runDelta(plan []step, rel *Relation, rows []uint32, f *frame
 // leading scan only when no column is bound; with bound columns it means the
 // plan and the runtime disagree, and is counted as a fallback.
 func (w *Workspace) candidates(s *step, f *frame, fn func([]cell) bool) {
-	if s.probeIdx != nil {
+	rel := w.rels[s.rel]
+	if s.probe != noProbe {
 		var buf [8]cell
 		if vals, ok := gatherCols(s.args, s.probeCols, f, buf[:0]); ok {
 			w.stats.IndexProbes++
-			s.rel.probe(s.probeIdx, vals, fn)
+			rel.probe(rel.idx[s.probe], vals, fn)
 			return
 		}
 	}
@@ -79,23 +80,23 @@ func (w *Workspace) candidates(s *step, f *frame, fn func([]cell) bool) {
 	} else {
 		w.stats.FullScanFallbacks++
 	}
-	s.rel.each(fn)
+	rel.each(fn)
 }
 
 // negHolds decides a negated atom. The planner only schedules negations once
 // every variable is bound, so each argument is a value or a wildcard: a
 // negation with any ground argument is one index probe, never a relation scan.
 func (w *Workspace) negHolds(s *step, f *frame) bool {
-	rel := s.rel
+	rel := w.rels[s.rel]
 	if len(s.boundCols) == 0 {
 		// all arguments are wildcards: any tuple at all matches
 		return rel.Len() > 0
 	}
-	if s.probeIdx != nil {
+	if s.probe != noProbe {
 		var buf [8]cell
 		if vals, ok := gatherCols(s.args, s.probeCols, f, buf[:0]); ok {
 			w.stats.IndexProbes++
-			return rel.probeExists(s.probeIdx, vals)
+			return rel.probeExists(rel.idx[s.probe], vals)
 		}
 	}
 	// Plan/runtime disagreement: scan and unify, and register the fallback so
@@ -175,14 +176,16 @@ func (w *Workspace) runSteps(steps []step, i int, f *frame, emit func(*frame) er
 
 	case stepUDF:
 		// The arguments go out as views of the intern table, and what Eval
-		// computes comes back interned.
-		args, mask := s.udfArgs, s.udfMask
+		// computes comes back interned. The vectors are the workspace's: a
+		// later UDF step of the plan reuses them only once this one has
+		// interned everything Eval left there.
+		args, mask := w.udfArgs[:len(s.args)], w.udfMask[:len(s.args)]
 		for j := range s.args {
 			var c cell
 			c, mask[j] = ctermValue(&s.args[j], f)
 			args[j] = w.syms.value(c)
 		}
-		ok, err := s.udf.Eval(s.param, args, mask)
+		ok, err := w.udfs[s.rel].Eval(s.param, args, mask)
 		if err != nil {
 			return fmt.Errorf("%s: %w", s.atom, err)
 		}
@@ -212,7 +215,7 @@ func (w *Workspace) runSteps(steps []step, i int, f *frame, emit func(*frame) er
 		if err != nil {
 			return err
 		}
-		if !w.cat.CheckKind(s.typeName, w.syms.value(v)) {
+		if !w.prog.cat.CheckKind(s.typeName, w.syms.value(v)) {
 			return nil
 		}
 		return w.runSteps(steps, i+1, f, emit)

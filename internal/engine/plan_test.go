@@ -21,7 +21,7 @@ func checkDeltaPlan(static, plan []step, slotNames []string) error {
 	if lead.kind != stepMatch {
 		return fmt.Errorf("step 0 is not a match (%s)", describeStep(*lead))
 	}
-	if lead.probeIdx != nil || len(lead.boundCols) != 0 {
+	if lead.probe != noProbe || len(lead.boundCols) != 0 {
 		return fmt.Errorf("delta atom %s carries a stored-relation access path", lead.atom)
 	}
 	want := map[string]int{}
@@ -48,7 +48,7 @@ func checkDeltaPlan(static, plan []step, slotNames []string) error {
 				return fmt.Errorf("step %d: %s shares variables with earlier steps but probes nothing", i, s.atom)
 			}
 			partial := len(s.boundCols) > 0 && len(s.boundCols) < len(s.args)
-			if partial && s.probeIdx == nil {
+			if partial && s.probe == noProbe {
 				return fmt.Errorf("step %d: %s has bound columns %v and no index", i, s.atom, s.boundCols)
 			}
 		}
@@ -88,12 +88,12 @@ func checkInstalledDeltaPlans(w *Workspace) error {
 		}
 		return nil
 	}
-	for _, r := range append(append([]*CompiledRule(nil), w.rules...), w.aggRules...) {
+	for _, r := range w.prog.rules {
 		if err := check("rule "+r.String(), r.steps, r.deltaPlans, r.slotNames); err != nil {
 			return err
 		}
 	}
-	for _, c := range w.constraints {
+	for _, c := range w.prog.constraints {
 		if err := check("constraint "+c.String(), c.lhsSteps, c.lhsDeltaPlans, c.slotNames); err != nil {
 			return err
 		}
@@ -123,7 +123,7 @@ func TestDeltaPlanShape(t *testing.T) {
 	if err := checkInstalledDeltaPlans(w); err != nil {
 		t.Fatal(err)
 	}
-	rec := w.rules[1]
+	rec := w.prog.rules[1]
 	if got := rec.steps[0].pred; got != "link" {
 		t.Fatalf("static order of the recursive rule starts with %s, want link", got)
 	}
@@ -136,9 +136,9 @@ func TestDeltaPlanShape(t *testing.T) {
 	if fromReachable == nil {
 		t.Fatal("recursive rule has no plan led by reachable")
 	}
-	if s := fromReachable[1]; s.pred != "link" || fmt.Sprint(s.boundCols) != "[1]" || s.probeIdx == nil {
+	if s := fromReachable[1]; s.pred != "link" || fmt.Sprint(s.boundCols) != "[1]" || s.probe == noProbe {
 		t.Fatalf("Δreachable plan continues with %s bound %v (index %v), want link probed on column 1",
-			s.pred, s.boundCols, s.probeIdx != nil)
+			s.pred, s.boundCols, s.probe != noProbe)
 	}
 }
 
@@ -175,7 +175,7 @@ func TestDeltaPlanShapeSharesFunctionalApplications(t *testing.T) {
 		return n
 	}
 	// says, sig, self, principal_node ×2 / export, inbox, self, principal_node ×2.
-	for i, r := range w.rules[:2] {
+	for i, r := range w.prog.rules[:2] {
 		if len(r.deltaPlans) != 5 {
 			t.Errorf("rule %d: %d delta plans, want 5:\n%s", i, len(r.deltaPlans), r)
 		}
@@ -187,12 +187,12 @@ func TestDeltaPlanShapeSharesFunctionalApplications(t *testing.T) {
 	}
 	// The constraint's right-hand side reads the variable its left-hand side
 	// bound: no second self atom there either.
-	c := w.constraints[0]
+	c := w.prog.constraints[0]
 	if n, m := count(c.lhsSteps, "self"), count(c.rhsSteps, "self"); n != 1 || m != 0 || len(c.lhsDeltaPlans) != 2 {
 		t.Errorf("constraint: %d self steps left, %d right, %d delta plans, want 1, 0 and 2", n, m, len(c.lhsDeltaPlans))
 	}
 	// A wildcard key names no one value: two pair[_] stay two atoms.
-	if r := w.rules[2]; count(r.steps, "pair") != 2 {
+	if r := w.prog.rules[2]; count(r.steps, "pair") != 2 {
 		t.Errorf("pair[_] written twice compiled to %d atoms, want 2", count(r.steps, "pair"))
 	}
 

@@ -54,31 +54,19 @@ type RulePlan struct {
 	Err   error
 }
 
-// PlanProgram plans every rule of a program against this workspace without
-// installing anything permanent: declarations are registered in the catalog
-// and relations are created, but no rule is finalized, no fact asserted, and
-// no evaluation run. Use a scratch workspace — the catalog mutations are not
-// rolled back. Per-rule planning failures are reported in RulePlan.Err
-// rather than aborting, so the analyzer sees every rule.
-func (w *Workspace) PlanProgram(prog *datalog.Program) ([]RulePlan, error) {
-	for _, con := range prog.Constraints {
-		if IsDeclaration(con) {
-			if _, err := w.cat.DeclareFromConstraint(con); err != nil {
-				return nil, err
-			}
-			w.ensureRelation(con.Lhs[0].Atom.ConcreteName())
-		}
-	}
-	plans := make([]RulePlan, 0, len(prog.Rules))
-	for _, r := range prog.Rules {
-		cr, err := w.planRule(r)
-		if err != nil {
-			plans = append(plans, RulePlan{Src: r, Err: err})
+// Plans returns the analyzer's view of the program's rules, in source order:
+// each one's plans as the compiler ordered them, or, for a rule it could not
+// plan (PlanProgram), the reason in Err.
+func (p *Program) Plans() []RulePlan {
+	plans := make([]RulePlan, 0, len(p.planned))
+	for _, cr := range p.planned {
+		if cr.err != nil {
+			plans = append(plans, RulePlan{Src: cr.src, Err: cr.err})
 			continue
 		}
 		plans = append(plans, planView(cr))
 	}
-	return plans, nil
+	return plans
 }
 
 // stepsView converts one planned step list to its exported view.
@@ -109,8 +97,11 @@ func planView(cr *CompiledRule) RulePlan {
 	p := RulePlan{
 		Src:   cr.src,
 		Heads: cr.heads,
-		Bound: cr.bound,
+		Bound: make(map[string]bool, len(cr.bodyVars)),
 		Agg:   cr.agg,
+	}
+	for _, v := range cr.bodyVars {
+		p.Bound[v] = true
 	}
 	p.Steps = stepsView(cr.steps)
 	for _, plan := range cr.deltaPlans {

@@ -172,12 +172,11 @@ type Relation struct {
 	// What the owning workspace keeps per relation (workspace.go): ins lists the
 	// rows its current transaction inserted, in order; ins[lo:hi] is the delta
 	// of the fixpoint round being evaluated and ins[hi:] what that round has
-	// derived. kinds are the argument checks of the declared schema, rules and
-	// aggs the installed rules with a delta plan led by this relation, by id.
-	ins         []uint32
-	lo, hi      int
-	kinds       []argKind
-	rules, aggs []*CompiledRule
+	// derived. spec is what the bound program knows of the relation: argument
+	// checks and rule lists (nil for a tuple set).
+	ins    []uint32
+	lo, hi int
+	spec   *relSpec
 }
 
 // newRelation returns an empty relation for the given schema over syms. Pages
@@ -241,6 +240,28 @@ func (r *Relation) lookupFn(keys []cell) int {
 	return int(r.find(r.fn, hashCells(keys), keys)) - 1
 }
 
+// bind gives the relation what a program knows of it: its schema, checks and
+// rule lists, and exactly the secondary indexes it lists, in its order — the
+// positions its plans probe. An index already in place is kept; from the
+// first that differs on, the list is rebuilt.
+func (r *Relation) bind(s *relSpec) {
+	r.schema, r.spec = s.schema, s
+	first := 1
+	if r.fn != nil {
+		first = 2
+	}
+	for k, cols := range s.indexes {
+		if i := first + k; i < len(r.idx) && slices.Equal(r.idx[i].cols, cols) {
+			continue
+		}
+		clear(r.idx[first+k:])
+		r.idx = r.idx[:first+k]
+		r.addIndex(cols)
+	}
+	clear(r.idx[first+len(s.indexes):])
+	r.idx = r.idx[:first+len(s.indexes)]
+}
+
 // ensureIndex registers (or returns) the secondary index over the given
 // column set, backfilling it from the current extent. cols must be sorted
 // ascending and within the relation's arity.
@@ -250,6 +271,11 @@ func (r *Relation) ensureIndex(cols []int) *hashIndex {
 			return x
 		}
 	}
+	return r.addIndex(cols)
+}
+
+// addIndex appends a secondary index over cols, backfilled from the extent.
+func (r *Relation) addIndex(cols []int) *hashIndex {
 	x := &hashIndex{cols: slices.Clone(cols), ents: make([]idxEntry, len(r.flags))}
 	r.idx = append(r.idx, x)
 	n := 0

@@ -517,7 +517,7 @@ func storeSnapshot(t *testing.T, w *Workspace) string {
 	t.Helper()
 	var out []string
 	for _, pred := range w.Predicates() {
-		rel := w.rels[pred]
+		rel := w.relation(pred)
 		if err := checkStore(rel); err != nil {
 			t.Fatalf("%s: %v", pred, err)
 		}
@@ -702,7 +702,7 @@ func TestInsertedListsWhatTheTransactionInserted(t *testing.T) {
 		t.Errorf("hops[20] = %v, want 6", v)
 	}
 	for _, pred := range w.Predicates() {
-		if err := checkStore(w.rels[pred]); err != nil {
+		if err := checkStore(w.relation(pred)); err != nil {
 			t.Errorf("%s: %v", pred, err)
 		}
 	}
@@ -710,7 +710,7 @@ func TestInsertedListsWhatTheTransactionInserted(t *testing.T) {
 	if _, err := w.Assert(nil); err != nil {
 		t.Fatal(err)
 	}
-	if rel := w.rels["hops"]; len(rel.ins) != 0 || rel.Len()+len(rel.free) != len(rel.flags) {
+	if rel := w.relation("hops"); len(rel.ins) != 0 || rel.Len()+len(rel.free) != len(rel.flags) {
 		t.Errorf("hops keeps %d listed rows and %d ids for %d tuples and %d free ids", len(rel.ins), len(rel.flags), rel.Len(), len(rel.free))
 	}
 }

@@ -199,7 +199,7 @@ func TestStoreMatchesValueModel(t *testing.T) {
 				}
 			}
 			for _, pred := range w.Predicates() {
-				if err := checkStore(w.rels[pred]); err != nil {
+				if err := checkStore(w.relation(pred)); err != nil {
 					fail(op, "%s: %v", pred, err)
 				}
 			}

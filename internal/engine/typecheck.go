@@ -15,7 +15,7 @@ import (
 // Positions with undeclared types on either side are not constrained —
 // relation-membership types (e.g. principal) remain runtime constraints,
 // exactly as in LogicBlox.
-func (w *Workspace) checkRuleTypes(r *CompiledRule) error {
+func (c *compiler) checkRuleTypes(r *CompiledRule) error {
 	varTypes := map[string]string{}
 
 	noteVar := func(name, typ string) {
@@ -23,7 +23,7 @@ func (w *Workspace) checkRuleTypes(r *CompiledRule) error {
 			return
 		}
 		if _, kindLike := builtinKinds[typ]; !kindLike {
-			if s := w.cat.Schema(typ); s == nil || !s.IsEntity {
+			if s := c.p.cat.Schema(typ); s == nil || !s.IsEntity {
 				return // membership type: runtime concern
 			}
 		}
@@ -40,7 +40,7 @@ func (w *Workspace) checkRuleTypes(r *CompiledRule) error {
 		if s.kind != stepMatch {
 			continue
 		}
-		schema := w.cat.Schema(s.pred)
+		schema := c.p.cat.Schema(s.pred)
 		if schema == nil || len(schema.ArgTypes) != len(s.atom.Args) {
 			continue
 		}
@@ -52,7 +52,7 @@ func (w *Workspace) checkRuleTypes(r *CompiledRule) error {
 	}
 
 	for _, h := range r.heads {
-		schema := w.cat.Schema(h.ConcreteName())
+		schema := c.p.cat.Schema(h.ConcreteName())
 		if schema == nil || len(schema.ArgTypes) != len(h.Args) {
 			continue
 		}
@@ -64,7 +64,7 @@ func (w *Workspace) checkRuleTypes(r *CompiledRule) error {
 			wantKind, isKind := builtinKinds[want]
 			isEntity := false
 			if !isKind {
-				s := w.cat.Schema(want)
+				s := c.p.cat.Schema(want)
 				if s == nil || !s.IsEntity {
 					continue // membership type: runtime constraint
 				}
@@ -72,7 +72,7 @@ func (w *Workspace) checkRuleTypes(r *CompiledRule) error {
 			}
 			switch tt := t.(type) {
 			case datalog.Const:
-				if !w.cat.CheckKind(want, tt.Val) {
+				if !c.p.cat.CheckKind(want, tt.Val) {
 					return fmt.Errorf("rule %s: head %s argument %d: constant %s is not of type %s",
 						r.src, h.ConcreteName(), i+1, tt.Val, want)
 				}

@@ -128,25 +128,24 @@ func (s factSet) has(rel *Relation, row []cell) bool {
 	return m != nil && m.rowOf(row) >= 0
 }
 
-// Workspace is a LogicBlox-style database instance: predicate definitions,
-// installed rules and constraints, and the data they maintain.
+// Workspace is a LogicBlox-style database instance: the program it runs —
+// predicate definitions, rules and constraints, compiled once and possibly
+// shared with other workspaces — and the data it maintains.
 type Workspace struct {
-	cat         *Catalog
-	rels        map[string]*Relation
-	rules       []*CompiledRule
-	aggRules    []*CompiledRule
-	constraints []*CompiledConstraint
-	udfs        *UDFRegistry
+	// prog is the bound program; rels holds its relations by number.
+	prog *Program
+	rels []*Relation
+	// reg resolves UDFs by name; udfs are the program's, by number.
+	reg         *UDFRegistry
+	udfs        []UDF
 	entCounters map[string]int64
 	skolems     map[string]cell
-	ruleN       int
-
-	rulesByHead map[string][]*CompiledRule
 
 	// roundRules/roundAggs are fixpoint's per-round rule lists, kept across
 	// rounds and transactions so a round allocates neither.
 	roundRules, roundAggs []*CompiledRule
-	// syms interns the text of every value the workspace stores.
+	// syms interns the text of every value the workspace stores; the program's
+	// constants come first.
 	syms symtab
 	// txn is the one transaction record (see begin), result what a committed
 	// one hands out.
@@ -156,12 +155,17 @@ type Workspace struct {
 	// delta in the fixpoint round being evaluated (cur) and those the round has
 	// derived into (nxt); the rows themselves are on each relation's ins.
 	dirty, cur, nxt []*Relation
-	// Scratch, reused by every transaction: recomputeAgg's accumulators (by
-	// row id of the rule's aggKeys), facts' cells, string +, Skolem keys.
-	aggCells []aggGroup
-	factBuf  []cell
-	concat   []byte
-	skolem   []byte
+	// What running the program takes besides relations: the one frame, the
+	// UDF argument vectors, and per aggregate rule (by aggNo) the group table
+	// of its recompute, its keys by row id the index of their accumulators in
+	// aggCells.
+	frame          frame
+	udfArgs        []datalog.Value
+	udfMask        []bool
+	aggKeys        []*Relation
+	aggCells       []aggGroup
+	factBuf        []cell // scratch: facts' cells, string +, Skolem keys
+	concat, skolem []byte
 
 	// EntityBase offsets generated entity ids so entities created on
 	// different nodes never collide when shipped over the network (set it
@@ -191,136 +195,173 @@ func (w *Workspace) publishStats() {
 }
 
 // NewWorkspace returns an empty workspace using the given UDF registry
-// (nil for none).
+// (nil for none). It holds the principal, self and principal_node relations
+// and runs no rule until a program is installed or bound.
 func NewWorkspace(udfs *UDFRegistry) *Workspace {
 	if udfs == nil {
 		udfs = NewUDFRegistry()
 	}
 	w := &Workspace{
-		cat:         NewCatalog(),
-		rels:        make(map[string]*Relation),
-		udfs:        udfs,
+		reg:         udfs,
 		entCounters: make(map[string]int64),
 		skolems:     make(map[string]cell),
-		rulesByHead: make(map[string][]*CompiledRule),
 	}
 	w.result.w = w
 	w.txn.counterSnap = make(map[string]int64)
-	for name := range w.cat.schemas {
-		w.ensureRelation(name)
-	}
+	w.bind(builtin, nil)
 	return w
 }
 
-// Catalog exposes the workspace's predicate catalog.
-func (w *Workspace) Catalog() *Catalog { return w.cat }
+// relation returns the relation named name, nil if the program has none.
+func (w *Workspace) relation(name string) *Relation {
+	if i, ok := w.prog.relNo[name]; ok {
+		return w.rels[i]
+	}
+	return nil
+}
 
-// UDFs exposes the workspace's UDF registry.
-func (w *Workspace) UDFs() *UDFRegistry { return w.udfs }
-
+// ensureRelation returns the relation named name, creating it if the program
+// does not name it (see adopt): its arity is fixed by its first row.
 func (w *Workspace) ensureRelation(name string) *Relation {
-	if r, ok := w.rels[name]; ok {
+	if r := w.relation(name); r != nil {
 		return r
 	}
-	s := w.cat.Schema(name)
-	if s == nil {
-		s = &Schema{Name: name, Arity: -1, KeyArity: -1, AutoDecl: true}
-		w.cat.schemas[name] = s
-	}
-	r := newRelation(s, &w.syms)
-	w.resolveKinds(r)
-	w.rels[name] = r
-	return r
+	return w.adopt(&Schema{Name: name, Arity: -1, KeyArity: -1, AutoDecl: true})
 }
 
-// resolveKinds compiles rel's declared argument types into the checks an
-// insert runs. Install repeats it for every relation once its declarations are
-// in, because a type name starts to be checked when it is declared an entity.
-func (w *Workspace) resolveKinds(rel *Relation) {
-	rel.kinds = rel.kinds[:0]
-	for _, at := range rel.schema.ArgTypes {
-		rel.kinds = append(rel.kinds, w.cat.argKind(at))
+// adopt gives the workspace a relation its program does not name — a fact
+// asserted for a predicate no rule mentions — by extending the program with
+// it. The extension is the workspace's own; the program it had, which other
+// workspaces may be running, is left as it is.
+func (w *Workspace) adopt(s *Schema) *Relation {
+	p := w.prog.extend()
+	p.cat.schemas[s.Name] = s
+	(&compiler{p: p}).relation(s.Name)
+	w.bind(p, w.udfs)
+	return w.rels[len(w.rels)-1]
+}
+
+// bind makes p, which extends the workspace's program or is one that program
+// extends, the program the workspace runs: the relations both name are kept
+// with their rows, the ones only p names are created and the others dropped,
+// each takes the schema, checks, rule lists and indexes p gives it, and
+// what running p takes besides is sized. udfs are p's UDFs, by number.
+func (w *Workspace) bind(p *Program, udfs []UDF) {
+	if n := len(p.rels); n < len(w.rels) {
+		clear(w.rels[n:])
+		w.rels = w.rels[:n]
+	}
+	for i := range p.rels {
+		spec := &p.rels[i]
+		if i == len(w.rels) {
+			w.rels = append(w.rels, newRelation(spec.schema, &w.syms))
+		}
+		w.rels[i].bind(spec)
+	}
+	w.prog, w.udfs = p, udfs
+	if len(w.frame.slots) < p.slots {
+		w.frame.slots = make([]cell, p.slots)
+	}
+	if len(w.udfArgs) < p.udfArity {
+		w.udfArgs, w.udfMask = make([]datalog.Value, p.udfArity), make([]bool, p.udfArity)
+	}
+	w.aggKeys = w.aggKeys[:min(len(w.aggKeys), len(p.aggs))]
+	for _, r := range p.aggs[len(w.aggKeys):] {
+		w.aggKeys = append(w.aggKeys, w.NewTupleSet(r.heads[0].KeyArity))
 	}
 }
 
-// Install compiles a program (declarations, rules, constraints, facts) into
-// the workspace, runs initial evaluation, and checks all constraints. On any
-// error the workspace is restored to its prior state.
-func (w *Workspace) Install(prog *datalog.Program) (err error) {
+// bindUDFs resolves p's UDFs in the workspace's registry.
+func (w *Workspace) bindUDFs(p *Program) ([]UDF, error) {
+	udfs := make([]UDF, len(p.udfs))
+	for i, name := range p.udfs {
+		u, ok := w.reg.Lookup(name)
+		if !ok {
+			return nil, fmt.Errorf("engine: the program calls UDF %s, which this workspace's registry lacks", name)
+		}
+		udfs[i] = u
+	}
+	return udfs, nil
+}
+
+// Bind makes a compiled program the one this new workspace runs — its
+// relations, the registry's UDFs by the names the program calls, its intern
+// table started from the program's constants — then inserts the program's
+// facts, evaluates its rules and checks its constraints, as Install does. The
+// program stays shared: bind any number of workspaces to it, concurrently.
+// The workspace must be new (nothing installed, asserted or bound), and
+// InstallCheck is not consulted: vet the program once, where it is compiled.
+// On error the workspace is new again.
+func (w *Workspace) Bind(p *Program) (err error) {
+	if p.err != nil {
+		return p.err
+	}
+	if w.prog != builtin || len(w.syms.spans) > 0 {
+		return fmt.Errorf("engine: Bind needs a new workspace")
+	}
+	udfs, err := w.bindUDFs(p)
+	if err != nil {
+		return err
+	}
+	w.syms = p.syms.clone()
+	defer func() {
+		if err != nil {
+			w.syms = symtab{}
+		}
+	}()
+	return w.run(p, udfs)
+}
+
+// Install compiles a program onto the one the workspace runs — declarations,
+// rules, constraints and facts; the rules already installed keep their plans
+// and the new ones see their relations — binds the result, inserts the facts,
+// evaluates the new rules and checks all constraints. On any error the
+// workspace is restored to its prior state; a program that does not compile
+// touches nothing. The compiled program is the workspace's alone (see Bind for
+// sharing one).
+func (w *Workspace) Install(prog *datalog.Program) error {
 	if w.InstallCheck != nil {
 		if err := w.InstallCheck(prog); err != nil {
 			return err
 		}
 	}
+	m := w.syms.mark()
+	p, err := compile(w.prog, &w.syms, prog, w.reg, true)
+	var udfs []UDF
+	if err == nil {
+		udfs, err = w.bindUDFs(p)
+	}
+	if err == nil {
+		err = w.run(p, udfs)
+	}
+	if err != nil {
+		w.syms.restore(m) // the constants the compiler interned
+	}
+	return err
+}
+
+// run binds p, which extends the workspace's program, and runs one
+// transaction of what p adds: its facts, then a full evaluation of its own
+// rules, then the fixpoint, whose first delta is what those inserted, and a
+// check of every constraint. On error the transaction is rolled back and the
+// old program bound again.
+func (w *Workspace) run(p *Program, udfs []UDF) (err error) {
 	defer w.publishStats()
+	old, oldUDFs := w.prog, w.udfs
 	t := w.begin()
-	nRules, nAgg, nCons := len(w.rules), len(w.aggRules), len(w.constraints)
 	defer func() {
 		if err != nil {
 			w.rollback(t)
-			w.rules = w.rules[:nRules]
-			w.aggRules = w.aggRules[:nAgg]
-			w.constraints = w.constraints[:nCons]
-			w.rebuildIndexes()
+			w.bind(old, oldUDFs)
 		}
 	}()
-
-	// Declarations first so later compilation sees schemas.
-	for _, con := range prog.Constraints {
-		if IsDeclaration(con) {
-			if _, err := w.cat.DeclareFromConstraint(con); err != nil {
-				return err
-			}
-			w.ensureRelation(con.Lhs[0].Atom.ConcreteName())
-		}
-	}
-	for _, rel := range w.rels {
-		w.resolveKinds(rel)
-	}
-	var newRules []*CompiledRule
-	for _, r := range prog.Rules {
-		cr, err := w.planRule(r)
-		if err != nil {
-			return err
-		}
-		if err := w.checkRuleTypes(cr); err != nil {
-			return err
-		}
-		if err := w.finalizeRule(cr); err != nil {
-			return err
-		}
-		newRules = append(newRules, cr)
-		cr.id = w.ruleN
-		w.ruleN++
-		if cr.agg != nil {
-			w.aggRules = append(w.aggRules, cr)
-		} else {
-			w.rules = append(w.rules, cr)
-		}
-	}
-	for _, con := range prog.Constraints {
-		cc, err := w.compileConstraint(con)
-		if err != nil {
-			return err
-		}
-		w.constraints = append(w.constraints, cc)
-	}
-	w.rebuildIndexes()
-
-	// Source facts.
-	for _, f := range prog.Facts {
-		fact, err := w.groundFact(f)
-		if err != nil {
-			return err
-		}
-		if err := w.insertBase(t, w.rels[fact.Pred], fact.Tuple); err != nil {
+	w.bind(p, udfs)
+	for _, f := range p.facts {
+		if err := w.insertBase(t, w.rels[f.rel], f.tuple); err != nil {
 			return err
 		}
 	}
-
-	// Initial full evaluation of the new rules, then fixpoint: what the facts
-	// and these evaluations inserted is its first delta.
-	for _, cr := range newRules {
+	for _, cr := range p.rules[p.first:] {
 		var err error
 		if cr.agg != nil {
 			err = w.recomputeAgg(t, cr)
@@ -337,12 +378,18 @@ func (w *Workspace) Install(prog *datalog.Program) (err error) {
 	return w.checkAllConstraints()
 }
 
+// groundFact resolves a source-text fact against the workspace's relations:
+// one the program names must have the atom's shape, and one it does not is
+// adopted with it.
 func (w *Workspace) groundFact(a *datalog.Atom) (Fact, error) {
-	if _, err := w.cat.AutoDeclare(a); err != nil {
-		return Fact{}, err
-	}
 	name := a.ConcreteName()
-	w.ensureRelation(name)
+	if rel := w.relation(name); rel != nil {
+		if err := rel.schema.admits(a); err != nil {
+			return Fact{}, err
+		}
+	} else {
+		w.adopt(autoSchema(a))
+	}
 	tup := make(datalog.Tuple, len(a.Args))
 	for i, t := range a.Args {
 		c, ok := t.(datalog.Const)
@@ -354,37 +401,6 @@ func (w *Workspace) groundFact(a *datalog.Atom) (Fact, error) {
 	return Fact{Pred: name, Tuple: tup}, nil
 }
 
-// rebuildIndexes rebuilds the per-relation and per-head rule lists. w.rules and
-// w.aggRules are in ascending id order, so every list is too — fixpoint's
-// per-round merge relies on it.
-func (w *Workspace) rebuildIndexes() {
-	for _, rel := range w.rels {
-		rel.rules, rel.aggs = nil, nil
-	}
-	w.rulesByHead = make(map[string][]*CompiledRule)
-	// A rule with two delta plans led by one relation is listed there once:
-	// rules are listed one after another, so a repeat is the list's last entry.
-	listOnce := func(list []*CompiledRule, r *CompiledRule) []*CompiledRule {
-		if len(list) > 0 && list[len(list)-1] == r {
-			return list
-		}
-		return append(list, r)
-	}
-	for _, r := range w.rules {
-		for _, plan := range r.deltaPlans {
-			plan[0].rel.rules = listOnce(plan[0].rel.rules, r)
-		}
-		for _, h := range r.heads {
-			w.rulesByHead[h.ConcreteName()] = append(w.rulesByHead[h.ConcreteName()], r)
-		}
-	}
-	for _, r := range w.aggRules {
-		for _, plan := range r.deltaPlans {
-			plan[0].rel.aggs = listOnce(plan[0].rel.aggs, r)
-		}
-	}
-}
-
 // checkTuple enforces rel's arity and kind-level type declarations on a row
 // about to be stored.
 func checkTuple(rel *Relation, vals []cell) error {
@@ -393,10 +409,11 @@ func checkTuple(rel *Relation, vals []cell) error {
 		return fmt.Errorf("predicate %s: arity mismatch: got %d, want %d", s.Name, len(vals), s.Arity)
 	}
 	if s.Arity < 0 {
+		// An adopted relation's schema, the workspace's own (see adopt).
 		s.Arity = len(vals)
 		s.ArgTypes = make([]string, len(vals))
 	}
-	for i, k := range rel.kinds {
+	for i, k := range rel.spec.kinds {
 		if v := rel.syms.value(vals[i]); !k.admits(v) {
 			return &ConstraintViolation{
 				Constraint: fmt.Sprintf("%s argument %d must be %s", s.Name, i+1, s.ArgTypes[i]),
@@ -511,7 +528,7 @@ func (w *Workspace) rollback(t *txn) {
 // evalRuleInto fully evaluates one non-aggregate rule in its static order
 // and inserts derivations.
 func (w *Workspace) evalRuleInto(t *txn, r *CompiledRule) error {
-	return w.runSteps(r.steps, 0, r.seqFrame(), func(f *frame) error {
+	return w.runSteps(r.steps, 0, &w.frame, func(f *frame) error {
 		return w.derive(t, r, f)
 	})
 }
@@ -521,11 +538,11 @@ func (w *Workspace) evalRuleInto(t *txn, r *CompiledRule) error {
 func (w *Workspace) evalRuleDeltas(t *txn, r *CompiledRule) error {
 	emit := func(f *frame) error { return w.derive(t, r, f) }
 	for _, plan := range r.deltaPlans {
-		rel := plan[0].rel
+		rel := w.rels[plan[0].rel]
 		if rel.lo == rel.hi {
 			continue
 		}
-		if err := w.runDelta(plan, rel, rel.ins[rel.lo:rel.hi], r.seqFrame(), emit); err != nil {
+		if err := w.runDelta(plan, rel, rel.ins[rel.lo:rel.hi], &w.frame, emit); err != nil {
 			return err
 		}
 	}
@@ -571,7 +588,7 @@ func (w *Workspace) derive(t *txn, r *CompiledRule, f *frame) error {
 			t.skolemKeys = append(t.skolemKeys, k)
 		}
 		f.bind(ex.slot, ent)
-		if err := w.insertDerived(ex.rel, []cell{ent}); err != nil {
+		if err := w.insertDerived(w.rels[ex.rel], []cell{ent}); err != nil {
 			return err
 		}
 	}
@@ -587,7 +604,7 @@ func (w *Workspace) derive(t *txn, r *CompiledRule, f *frame) error {
 			}
 			vals = append(vals, v)
 		}
-		if err := w.insertDerived(r.headRels[hi], vals); err != nil {
+		if err := w.insertDerived(w.rels[r.headRels[hi]], vals); err != nil {
 			return err
 		}
 	}
@@ -597,14 +614,14 @@ func (w *Workspace) derive(t *txn, r *CompiledRule, f *frame) error {
 // recomputeAgg fully re-evaluates an aggregation rule and replaces changed
 // group values (replacement semantics: the old tuple is removed without
 // retraction of its prior consequences — see DESIGN.md). It leaves the keys of
-// every group the body still supports in r.aggKeys.
+// every group the body still supports in the rule's group table.
 func (w *Workspace) recomputeAgg(t *txn, r *CompiledRule) error {
 	keyN := r.heads[0].KeyArity
-	groups := r.aggKeys
+	groups := w.aggKeys[r.aggNo]
 	groups.reset()
 	w.aggCells = w.aggCells[:0]
 
-	err := w.runSteps(r.steps, 0, r.seqFrame(), func(f *frame) error {
+	err := w.runSteps(r.steps, 0, &w.frame, func(f *frame) error {
 		var buf [8]cell
 		keys := buf[:0]
 		for i := 0; i < keyN; i++ {
@@ -649,7 +666,7 @@ func (w *Workspace) recomputeAgg(t *txn, r *CompiledRule) error {
 		return err
 	}
 
-	rel := r.headRels[0]
+	rel := w.rels[r.headRels[0]]
 	for id, g := range w.aggCells {
 		keys := groups.row(uint32(id))
 		result := cell{kind: datalog.KindInt, bits: uint64(g.acc)}
@@ -677,11 +694,11 @@ func (w *Workspace) fixpoint(t *txn) error {
 		w.stats.FixpointRounds++
 		// The rules with a delta plan led by any relation of this round, each
 		// once, in ascending id order. The per-relation lists are already in id
-		// order (rebuildIndexes), so one relation — the common case — is a copy.
+		// order (compiler.finish), so one relation — the common case — is a copy.
 		w.roundRules, w.roundAggs = w.roundRules[:0], w.roundAggs[:0]
 		for _, rel := range w.cur {
-			w.roundRules = append(w.roundRules, rel.rules...)
-			w.roundAggs = append(w.roundAggs, rel.aggs...)
+			w.roundRules = append(w.roundRules, rel.spec.rules...)
+			w.roundAggs = append(w.roundAggs, rel.spec.aggs...)
 		}
 		if len(w.cur) > 1 {
 			w.roundRules, w.roundAggs = byID(w.roundRules), byID(w.roundAggs)
@@ -709,13 +726,13 @@ func byID(rules []*CompiledRule) []*CompiledRule {
 // checkTxnConstraints verifies every installed constraint against the
 // tuples inserted by the transaction (incremental LHS restriction).
 func (w *Workspace) checkTxnConstraints() error {
-	for _, c := range w.constraints {
+	for _, c := range w.prog.constraints {
 		for _, plan := range c.lhsDeltaPlans {
-			rel := plan[0].rel
+			rel := w.rels[plan[0].rel]
 			if len(rel.ins) == 0 {
 				continue
 			}
-			if err := w.runDelta(plan, rel, rel.ins, c.seqFrame(), func(f *frame) error { return w.checkBinding(c, f) }); err != nil {
+			if err := w.runDelta(plan, rel, rel.ins, &w.frame, func(f *frame) error { return w.checkBinding(c, f) }); err != nil {
 				return err
 			}
 		}
@@ -736,18 +753,19 @@ func (w *Workspace) checkBinding(c *CompiledConstraint, f *frame) error {
 		return nil
 	}
 	if err == nil {
-		err = &ConstraintViolation{Constraint: c.src.String(), Detail: w.bindingDetail(f)}
+		err = &ConstraintViolation{Constraint: c.src.String(), Detail: w.bindingDetail(c.slotNames, f)}
 	}
 	return err
 }
 
-func (w *Workspace) bindingDetail(f *frame) string {
+// bindingDetail renders f's binding of the named slots, generated names left out.
+func (w *Workspace) bindingDetail(names []string, f *frame) string {
 	type nv struct {
 		name string
 		val  datalog.Value
 	}
 	var bound []nv
-	for slot, name := range f.names {
+	for slot, name := range names {
 		if strings.HasPrefix(name, "$") {
 			continue
 		}
@@ -765,8 +783,8 @@ func (w *Workspace) bindingDetail(f *frame) string {
 
 // checkAllConstraints verifies every constraint over the full database.
 func (w *Workspace) checkAllConstraints() error {
-	for _, c := range w.constraints {
-		if err := w.runSteps(c.lhsSteps, 0, c.seqFrame(), func(f *frame) error { return w.checkBinding(c, f) }); err != nil {
+	for _, c := range w.prog.constraints {
+		if err := w.runSteps(c.lhsSteps, 0, &w.frame, func(f *frame) error { return w.checkBinding(c, f) }); err != nil {
 			return err
 		}
 	}
@@ -782,7 +800,7 @@ type TxnResult struct{ w *Workspace }
 // order — one it replaced again itself (an aggregate value that moved twice)
 // included.
 func (r *TxnResult) Inserted(pred string) []datalog.Tuple {
-	rel := r.w.rels[pred]
+	rel := r.w.relation(pred)
 	if rel == nil || len(rel.ins) == 0 {
 		return nil
 	}
@@ -851,7 +869,7 @@ func (w *Workspace) Retract(facts []Fact) error {
 	deleted, seeds := factSet{}, factSet{}
 	frontier := make(map[*Relation][]uint32)
 	for _, f := range facts {
-		rel := w.rels[f.Pred]
+		rel := w.relation(f.Pred)
 		if rel == nil {
 			continue
 		}
@@ -868,12 +886,12 @@ func (w *Workspace) Retract(facts []Fact) error {
 	for len(frontier) > 0 {
 		next := make(map[*Relation][]uint32)
 		for rel, rows := range frontier {
-			for _, r := range rel.rules {
+			for _, r := range rel.spec.rules {
 				for _, plan := range r.deltaPlans {
-					if plan[0].rel != rel {
+					if w.rels[plan[0].rel] != rel {
 						continue
 					}
-					err := w.runDelta(plan, rel, rows, r.seqFrame(), func(f *frame) error {
+					err := w.runDelta(plan, rel, rows, &w.frame, func(f *frame) error {
 						return w.collectHeadDeletions(r, f, deleted, next)
 					})
 					if err != nil {
@@ -903,7 +921,7 @@ func (w *Workspace) Retract(facts []Fact) error {
 		// Re-run every rule whose head predicate saw deletions; reinsert
 		// derivations that were deleted (and are not retracted seeds).
 		for del := range deleted {
-			for _, r := range w.rulesByHead[del.schema.Name] {
+			for _, r := range del.spec.into {
 				if err := w.evalRuleInto(t, r); err != nil {
 					w.rollback(t)
 					return err
@@ -924,7 +942,7 @@ func (w *Workspace) Retract(facts []Fact) error {
 	}
 
 	// Phase 4: recompute aggregates (groups may shrink or disappear).
-	for _, r := range w.aggRules {
+	for _, r := range w.prog.aggs {
 		if err := w.retractAggGroups(t, r); err != nil {
 			w.rollback(t)
 			return err
@@ -962,7 +980,7 @@ func (w *Workspace) collectHeadDeletions(r *CompiledRule, f *frame, deleted fact
 			}
 			vals = append(vals, v)
 		}
-		rel := r.headRels[hi]
+		rel := w.rels[r.headRels[hi]]
 		if row := rel.derived(vals); row >= 0 && deleted.add(rel, vals) {
 			next[rel] = append(next[rel], uint32(row))
 		}
@@ -977,9 +995,9 @@ func (w *Workspace) retractAggGroups(t *txn, r *CompiledRule) error {
 	if err := w.recomputeAgg(t, r); err != nil {
 		return err
 	}
-	ka, rel := r.heads[0].KeyArity, r.headRels[0]
+	ka, rel, groups := r.heads[0].KeyArity, w.rels[r.headRels[0]], w.aggKeys[r.aggNo]
 	for id, f := range rel.flags {
-		if f&rowLive != 0 && r.aggKeys.rowOf(rel.row(uint32(id))[:ka]) < 0 {
+		if f&rowLive != 0 && groups.rowOf(rel.row(uint32(id))[:ka]) < 0 {
 			w.deleteRow(t, rel, uint32(id))
 		}
 	}
@@ -988,7 +1006,7 @@ func (w *Workspace) retractAggGroups(t *txn, r *CompiledRule) error {
 
 // Tuples returns a snapshot of a predicate's extent.
 func (w *Workspace) Tuples(pred string) []datalog.Tuple {
-	rel := w.rels[pred]
+	rel := w.relation(pred)
 	if rel == nil {
 		return nil
 	}
@@ -997,7 +1015,7 @@ func (w *Workspace) Tuples(pred string) []datalog.Tuple {
 
 // Count returns the number of tuples in a predicate.
 func (w *Workspace) Count(pred string) int {
-	rel := w.rels[pred]
+	rel := w.relation(pred)
 	if rel == nil {
 		return 0
 	}
@@ -1007,13 +1025,13 @@ func (w *Workspace) Count(pred string) int {
 // Contains reports whether a predicate holds the given tuple. Like every read,
 // it interns nothing: a tuple with text the workspace has never seen is absent.
 func (w *Workspace) Contains(pred string, tuple datalog.Tuple) bool {
-	rel := w.rels[pred]
+	rel := w.relation(pred)
 	return rel != nil && rel.Contains(tuple)
 }
 
 // LookupFn looks up a functional predicate's value by its keys.
 func (w *Workspace) LookupFn(pred string, keys ...datalog.Value) (datalog.Value, bool) {
-	rel := w.rels[pred]
+	rel := w.relation(pred)
 	if rel == nil || rel.fn == nil {
 		return datalog.Value{}, false
 	}
@@ -1032,8 +1050,8 @@ func (w *Workspace) LookupFn(pred string, keys ...datalog.Value) (datalog.Value,
 // Predicates returns the names of all predicates with a relation, sorted.
 func (w *Workspace) Predicates() []string {
 	out := make([]string, 0, len(w.rels))
-	for n := range w.rels {
-		out = append(out, n)
+	for _, rel := range w.rels {
+		out = append(out, rel.schema.Name)
 	}
 	sort.Strings(out)
 	return out

@@ -401,24 +401,37 @@ func TestRetractUpdatesAggregates(t *testing.T) {
 	}
 }
 
+// A rejected Install leaves nothing behind: no rule, and no relation its
+// head declared — r with arity 2 must not outlive it, or the corrected r(X)
+// no longer fits.
 func TestInstallRollbackOnBadProgram(t *testing.T) {
 	w := NewWorkspace(nil)
 	prog, _ := datalog.Parse(`p(X) <- q(X).`)
 	if err := w.Install(prog); err != nil {
 		t.Fatal(err)
 	}
-	n := len(w.rules)
+	n, preds := len(w.prog.rules), fmt.Sprint(w.Predicates())
 	bad, _ := datalog.Parse(`r(Y, Z) <- q(Y).`) // unbound Z, no entity
 	if err := w.Install(bad); err == nil {
 		t.Fatal("install should fail")
 	}
-	if len(w.rules) != n {
+	if len(w.prog.rules) != n {
 		t.Error("failed install must not leave rules behind")
+	}
+	if got := fmt.Sprint(w.Predicates()); got != preds {
+		t.Errorf("failed install changed the predicates: %s, was %s", got, preds)
 	}
 	// workspace still usable
 	assertFacts(t, w, `q(1).`)
 	if w.Count("p") != 1 {
 		t.Error("workspace broken after failed install")
+	}
+	fixed, _ := datalog.Parse(`r(X) <- q(X).`)
+	if err := w.Install(fixed); err != nil {
+		t.Fatalf("the corrected program: %v", err)
+	}
+	if w.Count("r") != 1 {
+		t.Errorf("the corrected program derived %v", w.Tuples("r"))
 	}
 }
 

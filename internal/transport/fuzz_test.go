@@ -1,9 +1,39 @@
 package transport
 
 import (
+	"bytes"
 	"fmt"
 	"testing"
 )
+
+// FuzzDecodeFrame: decodeFrame never panics on any datagram, and what it
+// accepts survives encodeFrame∘decodeFrame — the re-encoded frame decodes to
+// the same type, sequence number and payload.
+func FuzzDecodeFrame(f *testing.F) {
+	for _, fr := range [][]byte{
+		encodeFrame(frameData, 0, nil),
+		encodeFrame(frameData, 1, []byte("payload")),
+		encodeFrame(frameData, 1<<40, bytes.Repeat([]byte{0xa5}, 300)),
+		encodeFrame(frameAck, 7, nil),
+		encodeFrame(frameAck, ^uint64(0), nil),
+		{frameData, 0, 0, 0, 0, 0x80},
+		{'X', 1, 2, 3, 4, 5, 6},
+		{frameAck},
+	} {
+		f.Add(fr)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		typ, seq, payload, ok := decodeFrame(data)
+		if !ok {
+			return
+		}
+		typ2, seq2, payload2, ok := decodeFrame(encodeFrame(typ, seq, payload))
+		if !ok || typ2 != typ || seq2 != seq || !bytes.Equal(payload2, payload) {
+			t.Fatalf("frame %x decoded to (%c, %d, %x); its re-encoding to (%c, %d, %x, ok=%v)",
+				data, typ, seq, payload, typ2, seq2, payload2, ok)
+		}
+	})
+}
 
 // FuzzParseChaosPlan: ParseChaosPlan never panics, and a plan it accepts is
 // inert until Start — whatever its links, partitions and crashes say, every
