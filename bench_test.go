@@ -12,15 +12,18 @@ package secureblox
 
 import (
 	"fmt"
+	"math"
 	"os"
 	"runtime"
+	"slices"
 	"testing"
+	"time"
 
 	"secureblox/internal/apps"
 	"secureblox/internal/core"
 	"secureblox/internal/datalog"
 	"secureblox/internal/engine"
-	"secureblox/internal/metrics"
+	"secureblox/internal/obs"
 	"secureblox/internal/seccrypto"
 	"secureblox/internal/udf"
 )
@@ -64,11 +67,11 @@ func benchPathVector(b *testing.B, policies []core.PolicyConfig, report func(*te
 				// before/after delta makes this (scheme, size) cell report only
 				// its own rounds and attributes any join-plan regression to the
 				// run that caused it.
-				before := metrics.EngineTotals()
+				before := engine.Totals()
 				for i := 0; i < b.N; i++ {
 					report(b, runPV(b, n, p))
 				}
-				s := metrics.EngineTotals().Sub(before)
+				s := engine.Totals().Sub(before)
 				if s.FullScanFallbacks != 0 {
 					b.Fatalf("join plan regression: %s", s)
 				}
@@ -153,15 +156,28 @@ func benchConvergenceCDF(b *testing.B, n int) {
 		b.Run(fmt.Sprintf("%s/n=%d", p.Name(), n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				r := runPV(b, n, p)
-				cdf := &metrics.CDF{}
-				for _, d := range r.Convergence {
-					cdf.Add(d)
-				}
-				b.ReportMetric(float64(cdf.Quantile(0.5).Microseconds())/1000, "p50-ms")
-				b.ReportMetric(float64(cdf.Quantile(1.0).Microseconds())/1000, "p100-ms")
+				reportQuantiles(b, r.Convergence)
 			}
 		})
 	}
+}
+
+// reportQuantiles reports the median and the maximum of a distribution of
+// times, the two points the CDF figures are read at.
+func reportQuantiles(b *testing.B, ds []time.Duration) {
+	b.ReportMetric(float64(quantile(ds, 0.5).Microseconds())/1000, "p50-ms")
+	b.ReportMetric(float64(quantile(ds, 1.0).Microseconds())/1000, "p100-ms")
+}
+
+// quantile is the nearest-rank q-quantile of ds: the smallest value with at
+// least a q fraction of ds at or below it (0 for an empty ds).
+func quantile(ds []time.Duration, q float64) time.Duration {
+	if len(ds) == 0 {
+		return 0
+	}
+	s := slices.Sorted(slices.Values(ds))
+	i := int(math.Ceil(q*float64(len(s)))) - 1
+	return s[max(0, min(i, len(s)-1))]
 }
 
 // BenchmarkFig8ConvergenceCDF36 regenerates Figure 8: cumulative fraction
@@ -206,12 +222,29 @@ func benchHashJoinCDF(b *testing.B, n int) {
 	for _, p := range []core.PolicyConfig{{Auth: core.AuthNone}, {Auth: core.AuthRSA, Encrypt: true}} {
 		b.Run(fmt.Sprintf("%s/n=%d", p.Name(), n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
+				obs.ResetSpans()
 				r := runHJ(b, n, p)
-				b.ReportMetric(float64(r.InitiatorCDF.Quantile(0.5).Microseconds())/1000, "p50-ms")
-				b.ReportMetric(float64(r.InitiatorCDF.Quantile(1.0).Microseconds())/1000, "p100-ms")
+				reportQuantiles(b, initiatorCommits(b, r.Cluster))
 			}
 		})
 	}
+}
+
+// initiatorCommits returns when each transaction the hash join's initiator
+// (node 0) committed, relative to the cluster's start: the end of each of its
+// fixpoint spans, of which a node records exactly one per committed
+// transaction. The span ring must have been reset before the run.
+func initiatorCommits(b *testing.B, c *core.Cluster) []time.Duration {
+	if d := obs.SpanDrops(); d > 0 {
+		b.Fatalf("the span ring dropped %d spans: the initiator's commits are incomplete", d)
+	}
+	var out []time.Duration
+	for _, sp := range obs.Spans() {
+		if sp.Stage == obs.StageFixpoint && sp.Principal == c.Principals[0] {
+			out = append(out, sp.Start.Add(sp.Dur).Sub(c.StartTime()))
+		}
+	}
+	return out
 }
 
 // BenchmarkFig10HashJoinCDF6 regenerates Figure 10: transaction completion

@@ -68,8 +68,7 @@ func runWorkload(args []string, stdout, stderr io.Writer) int {
 	defer c.Stop()
 	var txns int64
 	for _, node := range c.Nodes {
-		cnt, _ := node.Metrics.TxnStats()
-		txns += cnt
+		txns += node.Txns()
 	}
 	violations := c.Violations()
 	fmt.Fprintf(stdout, "%s under %s: %d nodes, seed %d, %s\n", w.Name, pol.Name(), len(c.Nodes), *seed, *transport)

@@ -54,8 +54,7 @@ func main() {
 	for _, t := range c.Query(1, "inbox") {
 		fmt.Printf("node 1 (%s) received: %s\n", c.Addrs[1], t[0].Str)
 	}
-	tr := c.Nodes[0].Metrics.Traffic()
 	fmt.Printf("node 0 (%s) shipped %d HMAC-signed message(s), %d bytes, over real UDP\n",
-		c.Addrs[0], tr.MsgsSent, tr.BytesSent)
+		c.Addrs[0], c.Nodes[0].MsgsSent(), c.Nodes[0].BytesSent())
 	fmt.Println("fixpoint was detected by counting-wave probes on the same sockets.")
 }

@@ -26,22 +26,6 @@ type DepGraph struct {
 	adj   map[string][]string
 }
 
-// Preds returns all predicates appearing in the graph, sorted.
-func (g *DepGraph) Preds() []string {
-	seen := map[string]bool{}
-	var out []string
-	for _, e := range g.Edges {
-		for _, p := range []string{e.From, e.To} {
-			if !seen[p] {
-				seen[p] = true
-				out = append(out, p)
-			}
-		}
-	}
-	sort.Strings(out)
-	return out
-}
-
 // buildDepGraph derives the dependency graph from rule plans, falling back
 // to the AST for rules whose body could not be ordered (their dependencies
 // still matter for stratification).

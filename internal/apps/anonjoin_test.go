@@ -168,14 +168,14 @@ func TestAnonJoinGarbageCiphertextInert(t *testing.T) {
 
 	garbage := wirePayload(res.Cluster, "anonwrap", 1000, []byte("not a valid onion ciphertext"))
 	evil := res.Cluster.MemNet().Endpoint("6.6.6.6:666")
-	processed := res.Cluster.Nodes[1].Metrics.MsgsProcessed()
+	processed := res.Cluster.Nodes[1].MsgsRecv()
 	if err := evil.Send(res.Cluster.Addrs[1], garbage); err != nil {
 		t.Fatal(err)
 	}
 	// Out-of-band injections are invisible to the termination detector, so
 	// wait for the relay to consume the datagram before settling.
 	deadline := time.Now().Add(10 * time.Second)
-	for res.Cluster.Nodes[1].Metrics.MsgsProcessed() < processed+1 {
+	for res.Cluster.Nodes[1].MsgsRecv() < processed+1 {
 		if time.Now().After(deadline) {
 			t.Fatal("relay never consumed the injected datagram")
 		}

@@ -144,20 +144,20 @@ func replay(t *testing.T, app coalesceApp, r int, seq []transport.InMsg, cuts []
 	defer c.Stop()
 	node := c.Nodes[r]
 	node.Start()
-	local, _ := node.Metrics.TxnStats()
+	local := node.Txns()
 	if len(inputs[r]) > 0 {
 		node.Assert(inputs[r])
 		drain(t, node)
-		local, _ = node.Metrics.TxnStats()
+		local = node.Txns()
 	}
 	fed := 0
 	for _, k := range cuts {
 		ep.Deliver(seq[fed : fed+k]...)
 		fed += k
 		deadline := time.Now().Add(20 * time.Second)
-		for node.Metrics.MsgsProcessed() < int64(fed) {
+		for node.MsgsRecv() < int64(fed) {
 			if time.Now().After(deadline) {
-				t.Fatalf("node %d processed %d of %d datagrams fed", r, node.Metrics.MsgsProcessed(), fed)
+				t.Fatalf("node %d processed %d of %d datagrams fed", r, node.MsgsRecv(), fed)
 			}
 			time.Sleep(200 * time.Microsecond)
 		}
@@ -191,7 +191,7 @@ func replay(t *testing.T, app coalesceApp, r int, seq []transport.InMsg, cuts []
 		}
 	}
 	sort.Strings(sent)
-	total, _ := node.Metrics.TxnStats()
+	total := node.Txns()
 	return strings.Join(rows, "\n"), strings.Join(sent, "\n"), total - local
 }
 

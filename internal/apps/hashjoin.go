@@ -9,7 +9,6 @@ import (
 	"secureblox/internal/core"
 	"secureblox/internal/datalog"
 	"secureblox/internal/engine"
-	"secureblox/internal/metrics"
 	"secureblox/internal/transport"
 )
 
@@ -91,11 +90,8 @@ type HashJoinResult struct {
 	PerNodeKB     float64
 	ResultCount   int
 	ExpectedCount int
-	// InitiatorCDF is the distribution of transaction completion times at
-	// the initiator (Figures 10 and 11).
-	InitiatorCDF *metrics.CDF
-	Violations   int
-	Cluster      *core.Cluster
+	Violations    int
+	Cluster       *core.Cluster
 }
 
 // HashJoinInput generates the deterministic workload input of §8.2 from
@@ -194,16 +190,11 @@ func RunHashJoin(cfg HashJoinConfig) (*HashJoinResult, error) {
 	}
 	dur := c.WaitFixpoint()
 
-	cdf := &metrics.CDF{}
-	for _, ts := range c.Nodes[0].Metrics.TxnCompletions() {
-		cdf.Add(ts.Sub(c.StartTime()))
-	}
 	return &HashJoinResult{
 		Duration:      dur,
 		PerNodeKB:     c.MeanNodeTrafficKB(),
 		ResultCount:   len(c.Query(0, "joinresult")),
 		ExpectedCount: expected,
-		InitiatorCDF:  cdf,
 		Violations:    len(c.Violations()),
 		Cluster:       c,
 	}, nil

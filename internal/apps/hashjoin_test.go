@@ -43,8 +43,8 @@ func TestHashJoinUnderRSAAES(t *testing.T) {
 	if res.ResultCount != res.ExpectedCount {
 		t.Fatalf("secure join changed the result: %d vs %d", res.ResultCount, res.ExpectedCount)
 	}
-	if res.InitiatorCDF.Len() == 0 {
-		t.Error("initiator CDF empty")
+	if res.Cluster.Nodes[0].Txns() == 0 {
+		t.Error("the initiator committed no transaction")
 	}
 }
 

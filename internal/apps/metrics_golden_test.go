@@ -36,7 +36,6 @@ const metricsTypes = `# TYPE sbx_batch_group_envelopes histogram
 # TYPE sbx_inbound_run_messages histogram
 # TYPE sbx_log_dropped_total counter
 # TYPE sbx_log_events_total counter
-# TYPE sbx_msgs_processed_total counter
 # TYPE sbx_msgs_recv_total counter
 # TYPE sbx_msgs_sent_total counter
 # TYPE sbx_outbound_pending_chunks gauge

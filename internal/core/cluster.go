@@ -308,12 +308,21 @@ func (c *Cluster) WaitFixpoint() time.Duration {
 // WaitFixpointCtx is WaitFixpoint with cancellation and a typed failure: a
 // zero duration plus dist.ErrDetectorClosed when Stop raced the wait, a
 // *dist.UnresponsiveError naming the dead principal when a node stops
-// answering probes, or ctx's error.
+// answering probes, or ctx's error. Once it returns without error, the
+// caller's reads of the nodes' workspaces are ordered after every commit.
 func (c *Cluster) WaitFixpointCtx(ctx context.Context) (time.Duration, error) {
 	if err := c.det.WaitQuiescent(ctx); err != nil {
 		return 0, err
 	}
-	return time.Since(c.startAt), nil
+	d := time.Since(c.startAt)
+	// Over real sockets the reports that proved quiescence order nothing in
+	// the Go memory model; each node's idle state, read through Drain, does.
+	for _, n := range c.Nodes {
+		if err := n.Drain(ctx); err != nil {
+			return 0, err
+		}
+	}
+	return d, nil
 }
 
 // StartTime returns the experiment start timestamp.
@@ -326,8 +335,7 @@ func (c *Cluster) StartTime() time.Time { return c.startAt }
 func (c *Cluster) PerNodeTraffic() []int64 {
 	out := make([]int64, len(c.Nodes))
 	for i, n := range c.Nodes {
-		tr := n.Metrics.Traffic()
-		out[i] = tr.BytesSent + tr.BytesRecv
+		out[i] = n.BytesSent() + n.BytesRecv()
 	}
 	return out
 }
@@ -347,9 +355,8 @@ func (c *Cluster) MeanTxnDuration() time.Duration {
 	var total time.Duration
 	var count int64
 	for _, n := range c.Nodes {
-		cnt, mean := n.Metrics.TxnStats()
-		total += mean * time.Duration(cnt)
-		count += cnt
+		total += n.TxnTime()
+		count += n.Txns()
 	}
 	if count == 0 {
 		return 0
@@ -362,7 +369,7 @@ func (c *Cluster) MeanTxnDuration() time.Duration {
 func (c *Cluster) ConvergenceTimes() []time.Duration {
 	out := make([]time.Duration, len(c.Nodes))
 	for i, n := range c.Nodes {
-		la := n.Metrics.LastActivity()
+		la := n.LastActivity()
 		if la.IsZero() {
 			out[i] = 0
 			continue

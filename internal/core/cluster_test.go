@@ -69,15 +69,27 @@ func waitFixpoint(t *testing.T, c *Cluster) time.Duration {
 	}
 }
 
+// sendCounter counts the datagrams handed to the transport it wraps. It is
+// used from one goroutine.
+type sendCounter struct {
+	transport.Transport
+	sent int
+}
+
+func (s *sendCounter) Send(to string, data []byte) error {
+	s.sent++
+	return s.Transport.Send(to, data)
+}
+
 // waitProcessed polls until node i has consumed at least want inbound
 // datagrams — used to synchronize with out-of-band injections, which the
 // termination detector deliberately does not track.
 func waitProcessed(t *testing.T, c *Cluster, i int, want int64) {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
-	for c.Nodes[i].Metrics.MsgsProcessed() < want {
+	for c.Nodes[i].MsgsRecv() < want {
 		if time.Now().After(deadline) {
-			t.Fatalf("node %d processed %d messages, want %d", i, c.Nodes[i].Metrics.MsgsProcessed(), want)
+			t.Fatalf("node %d processed %d messages, want %d", i, c.Nodes[i].MsgsRecv(), want)
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -222,7 +234,7 @@ func TestForgedSignatureRejectedUnderRSA(t *testing.T) {
 	defer c.Stop()
 	waitFixpoint(t, c)
 	before := len(c.Query(0, "reachable"))
-	processed := c.Nodes[0].Metrics.MsgsProcessed()
+	processed := c.Nodes[0].MsgsRecv()
 
 	// An attacker forges an advertisement claiming to come from p1's node
 	// with a bogus signature and delivers it straight to node 0's endpoint.
@@ -263,7 +275,7 @@ func TestForgedTrafficRejectedUnderBatchSigning(t *testing.T) {
 	waitFixpoint(t, c)
 	before := len(c.Query(0, "reachable"))
 	beforeBatch := len(c.Query(0, "export_batch")) // honest envelopes' rows
-	processed := c.Nodes[0].Metrics.MsgsProcessed()
+	processed := c.Nodes[0].MsgsRecv()
 
 	forged := wire.EncodePayload(wire.Payload{
 		Pred: "reachable",
@@ -334,18 +346,20 @@ func TestForgedTrafficRejectedUnderBatchSigning(t *testing.T) {
 		}
 		return msgs
 	}
-	// deliver sends the envelopes over ep and waits until node 0 has consumed
-	// those that arrived and the cluster is quiet again.
+	// deliver sends the envelopes over ep, a link to the network through
+	// wired, and waits until node 0 has consumed those that arrived and the
+	// cluster is quiet again.
+	wired := &sendCounter{Transport: evil}
 	deliver := func(ep transport.Transport, msgs ...wire.Message) (arrived int) {
 		t.Helper()
-		processed := c.Nodes[0].Metrics.MsgsProcessed()
-		sentBefore := c.MemNet().Stats(evil.Addr()).MsgsSent
+		processed := c.Nodes[0].MsgsRecv()
+		sentBefore := wired.sent
 		for _, m := range msgs {
 			if err := ep.Send(c.Addrs[0], wire.EncodeMessage(m)); err != nil {
 				t.Fatal(err)
 			}
 		}
-		arrived = int(c.MemNet().Stats(evil.Addr()).MsgsSent - sentBefore)
+		arrived = wired.sent - sentBefore
 		waitProcessed(t, c, 0, processed+int64(arrived))
 		waitFixpoint(t, c)
 		return arrived
@@ -363,16 +377,16 @@ func TestForgedTrafficRejectedUnderBatchSigning(t *testing.T) {
 	// the other two in reverse order, then a group that loses envelopes on a
 	// lossy link — whatever arrives is accepted, nothing is a violation.
 	g := signGroup(1)
-	deliver(evil, g[1])
+	deliver(wired, g[1])
 	if !learned(1, 1) || learned(1, 0) || learned(1, 2) {
 		t.Error("an envelope delivered without its siblings must commit exactly what it carries")
 	}
-	deliver(evil, g[2], g[0])
+	deliver(wired, g[2], g[0])
 	if !learned(1, 0) || !learned(1, 2) {
 		t.Error("a group's envelopes delivered out of order must both commit")
 	}
 	g = signGroup(2)
-	arrived := deliver(transporttest.Lossy(evil, 3, 0.5, 0, 0), g...)
+	arrived := deliver(transporttest.Lossy(wired, 3, 0.5, 0, 0), g...)
 	if arrived == 0 || arrived == len(g) {
 		t.Fatalf("the lossy link delivered %d of %d envelopes; the seed must drop some and deliver some", arrived, len(g))
 	}
@@ -401,7 +415,7 @@ func TestForgedTrafficRejectedUnderBatchSigning(t *testing.T) {
 	wrongPosition.Pos = 0
 	beyondGroup.Pos = 3
 	overMax.Siblings = make([]byte, wire.MaxGroup*wire.DigestSize)
-	deliver(evil, tamperedSibling, wrongPosition, beyondGroup, overMax)
+	deliver(wired, tamperedSibling, wrongPosition, beyondGroup, overMax)
 	if v := c.Nodes[0].Violations(); len(v) != 5 {
 		t.Errorf("want 2 more rejections (tampered sibling, wrong position) and 2 silent drops, got %d violations: %v", len(v), v[3:])
 	}
@@ -488,7 +502,7 @@ func TestForgedAdvertisementAcceptedUnderNoAuth(t *testing.T) {
 	c := buildChain(t, 3, PolicyConfig{Auth: AuthNone})
 	defer c.Stop()
 	waitFixpoint(t, c)
-	processed := c.Nodes[0].Metrics.MsgsProcessed()
+	processed := c.Nodes[0].MsgsRecv()
 
 	forged := wire.EncodePayload(wire.Payload{
 		Pred: "reachable",
@@ -524,7 +538,7 @@ func TestMessageFromUnknownNodeIgnored(t *testing.T) {
 	defer c.Stop()
 	waitFixpoint(t, c)
 	before := len(c.Query(0, "reachable"))
-	processed := c.Nodes[0].Metrics.MsgsProcessed()
+	processed := c.Nodes[0].MsgsRecv()
 
 	forged := wire.EncodePayload(wire.Payload{
 		Pred: "reachable",

@@ -307,14 +307,3 @@ func AtomVars(a *Atom, set map[string]bool) {
 		VarsOf(t, set)
 	}
 }
-
-// LiteralVars collects the variable names appearing in a literal.
-func LiteralVars(l Literal, set map[string]bool) {
-	switch l.Kind {
-	case LitAtom, LitNeg:
-		AtomVars(l.Atom, set)
-	default:
-		VarsOf(l.L, set)
-		VarsOf(l.R, set)
-	}
-}

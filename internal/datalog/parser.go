@@ -21,18 +21,6 @@ func Parse(src string) (*Program, error) {
 	return p.parseProgram()
 }
 
-// ParseRule parses a single rule declaration (ending with '.').
-func ParseRule(src string) (*Rule, error) {
-	prog, err := Parse(src)
-	if err != nil {
-		return nil, err
-	}
-	if len(prog.Rules) != 1 || len(prog.Constraints) != 0 || len(prog.Facts) != 0 {
-		return nil, fmt.Errorf("expected exactly one rule in %q", src)
-	}
-	return prog.Rules[0], nil
-}
-
 func (p *Parser) cur() Token        { return p.toks[p.pos] }
 func (p *Parser) at(k TokKind) bool { return p.toks[p.pos].Kind == k }
 func (p *Parser) peekKind(off int) TokKind {

@@ -220,8 +220,8 @@ func (n *Node) admit(e *envelope, self datalog.Value) {
 	if n.countsPeer(in.From) {
 		n.peerCtrFor(in.From).recv.Add(1)
 	}
-	n.Metrics.RecordMsgProcessed()
-	n.Metrics.RecordRecv(len(in.Data))
+	n.msgsRecv.Inc()
+	n.bytesRecv.Add(int64(len(in.Data)))
 	if e.err != nil || len(msg.Payloads) == 0 {
 		return // malformed or empty datagram: drop it
 	}

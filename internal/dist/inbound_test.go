@@ -276,7 +276,7 @@ func settle(t *testing.T, n *dist.Node, ep *transporttest.Scripted, finalWave ui
 		report, _ = awaitReport(t, ep, finalWave+1)
 	}
 	out := inboundOutcome{violations: len(n.Violations()), sentSet: n.SentSetSize(), report: report}
-	out.runs, _ = n.Metrics.TxnStats()
+	out.runs = n.Txns()
 	var db []string
 	for _, pred := range n.WS.Predicates() {
 		for _, tp := range n.WS.Tuples(pred) {
@@ -519,7 +519,7 @@ func TestEvictionInsideABacklogDropsTheRest(t *testing.T) {
 	if c := node.WS.Count("inbox"); c != before {
 		t.Errorf("%d datagrams committed, want the %d before the eviction", c, before)
 	}
-	if got := node.Metrics.MsgsProcessed(); got != before {
+	if got := node.MsgsRecv(); got != before {
 		t.Errorf("%d datagrams in the traffic metrics, want %d: an evicted peer's stragglers are uncounted", got, before)
 	}
 }

@@ -9,7 +9,6 @@ import (
 
 	"secureblox/internal/datalog"
 	"secureblox/internal/engine"
-	"secureblox/internal/metrics"
 	"secureblox/internal/obs"
 	"secureblox/internal/transport"
 	"secureblox/internal/wire"
@@ -25,9 +24,6 @@ type Node struct {
 	// WS is the node's workspace. It must already have the compiled
 	// program installed; the loop is its only writer once Start is called.
 	WS *engine.Workspace
-	// Metrics accumulates transaction durations, violations, traffic and
-	// activity timestamps for the evaluation figures.
-	Metrics *metrics.NodeMetrics
 	// PreVerify, if set, is called for every inbound data message before
 	// the transaction loop processes it, with the decoded wire message
 	// (claimed source address, batch signature if any, opaque payloads).
@@ -130,6 +126,23 @@ type Node struct {
 	runFallbacks *obs.Counter   // merged inbound transactions rejected and replayed per datagram
 	groupSizes   *obs.Histogram // envelopes covered per batch signature
 
+	// The node's counts for the evaluation figures, each a child of its
+	// principal's series in the obs registry: one Add serves both the node's
+	// exact reading (MsgsSent and the rest) and the family on /metrics, which
+	// keeps what earlier nodes of the same principal added (clusters are
+	// rebuilt in one process). Application traffic only: termination probes
+	// and transport-level acks and retransmissions are not counted, so the
+	// numbers are the paper's per-node overhead whatever the transport.
+	msgsSent, bytesSent *obs.Counter
+	msgsRecv, bytesRecv *obs.Counter
+	txns                *obs.Counter
+	// rejected and txnSeconds are the principal's series themselves: the
+	// node's own readings are len(Violations()) and txnTime.
+	rejected     *obs.Counter
+	txnSeconds   *obs.Histogram
+	txnTime      atomic.Int64 // summed duration of the node's committed transactions, ns
+	lastActivity atomic.Int64 // last commit or violation as an offset from epoch, 0 before the first
+
 	// busy is set by the loop goroutine around each unit of work
 	// (drainLocal run or inbound message). Drain needs it: a batch that
 	// was popped from pending but is still mid-commit is otherwise
@@ -152,7 +165,6 @@ func NewNode(principal string, ws *engine.Workspace, ep transport.Transport) *No
 	n := &Node{
 		Principal: principal,
 		WS:        ws,
-		Metrics:   metrics.NewNodeMetrics(principal),
 		ep:        ep,
 		wake:      make(chan struct{}, 1),
 		stopCh:    make(chan struct{}),
@@ -171,6 +183,20 @@ func NewNode(principal string, ws *engine.Workspace, ep transport.Transport) *No
 	r.Help("sbx_inbound_run_messages", "Datagrams committed per inbound transaction.")
 	r.Help("sbx_inbound_run_fallbacks_total", "Merged inbound transactions rejected and replayed one datagram at a time.")
 	r.Help("sbx_batch_group_envelopes", "Batch envelopes covered per signature.")
+	r.Help("sbx_msgs_sent_total", "Application messages shipped to peers.")
+	r.Help("sbx_bytes_sent_total", "Application bytes shipped to peers.")
+	r.Help("sbx_msgs_recv_total", "Application messages received from peers.")
+	r.Help("sbx_bytes_recv_total", "Application bytes received from peers.")
+	r.Help("sbx_txns_total", "Committed workspace transactions.")
+	r.Help("sbx_violations_total", "Rejected (rolled-back) batches.")
+	r.Help("sbx_txn_duration_seconds", "Local transaction duration (paper Figure 7).")
+	n.msgsSent = r.Counter("sbx_msgs_sent_total", l).Child()
+	n.bytesSent = r.Counter("sbx_bytes_sent_total", l).Child()
+	n.msgsRecv = r.Counter("sbx_msgs_recv_total", l).Child()
+	n.bytesRecv = r.Counter("sbx_bytes_recv_total", l).Child()
+	n.txns = r.Counter("sbx_txns_total", l).Child()
+	n.rejected = r.Counter("sbx_violations_total", l)
+	n.txnSeconds = r.Histogram("sbx_txn_duration_seconds", l, nil)
 	n.runSizes = r.Histogram("sbx_inbound_run_messages", l, runSizeBuckets)
 	n.runFallbacks = r.Counter("sbx_inbound_run_fallbacks_total", l)
 	n.groupSizes = r.Histogram("sbx_batch_group_envelopes", l, groupSizeBuckets)
@@ -306,6 +332,43 @@ func (n *Node) Counters() (sent, recv uint64) {
 // retraction-aware pruning keeps it proportional to the live export extent
 // rather than to everything ever shipped.
 func (n *Node) SentSetSize() int { return int(n.sentSize.Load()) }
+
+// epoch anchors Node.lastActivity: an offset from it fits one atomic word and
+// converts back to a time.Time that keeps its monotonic reading.
+var epoch = time.Now()
+
+// MsgsSent returns how many application messages the node has shipped.
+func (n *Node) MsgsSent() int64 { return n.msgsSent.Value() }
+
+// BytesSent returns the encoded size of the application messages the node has
+// shipped.
+func (n *Node) BytesSent() int64 { return n.bytesSent.Value() }
+
+// MsgsRecv returns how many inbound data datagrams the transaction loop has
+// taken in, malformed ones included; tests wait on it for out-of-band
+// injections to be handled.
+func (n *Node) MsgsRecv() int64 { return n.msgsRecv.Value() }
+
+// BytesRecv returns the size of the inbound data datagrams the loop has taken
+// in.
+func (n *Node) BytesRecv() int64 { return n.bytesRecv.Value() }
+
+// Txns returns how many workspace transactions the node has committed.
+func (n *Node) Txns() int64 { return n.txns.Value() }
+
+// TxnTime returns the summed duration of the node's committed transactions
+// (paper Figure 7 is TxnTime / Txns).
+func (n *Node) TxnTime() time.Duration { return time.Duration(n.txnTime.Load()) }
+
+// LastActivity returns the time of the node's last commit or violation — the
+// moment it "converged" if nothing arrives afterwards (paper §8: "cumulative
+// fraction of converged nodes"). Zero before the first.
+func (n *Node) LastActivity() time.Time {
+	if d := n.lastActivity.Load(); d != 0 {
+		return epoch.Add(time.Duration(d))
+	}
+	return time.Time{}
+}
 
 // Start launches the transaction loop — and, in batch-signing mode, the
 // outbound sender stage. It is idempotent.
@@ -512,8 +575,7 @@ func (n *Node) commitMerged(facts []engine.Fact, ends []int, enter func(part int
 	if len(ends) > 1 {
 		start := time.Now()
 		if res, err := n.WS.Assert(facts); err == nil {
-			n.Metrics.RecordTxn(time.Since(start))
-			n.fixpointSpan(start, len(ends))
+			n.committed(start, len(ends))
 			n.ship(res.Inserted("export"))
 			return true
 		}
@@ -539,15 +601,23 @@ func (n *Node) commit(facts []engine.Fact) {
 		n.recordViolation(err)
 		return
 	}
-	n.Metrics.RecordTxn(time.Since(start))
-	n.fixpointSpan(start, 1)
+	n.committed(start, 1)
 	n.ship(res.Inserted("export"))
 }
 
-// fixpointSpan records the fixpoint stage (the workspace transaction just
-// committed, policy checks included) under the loop's current wave context;
-// parts is how many batches or datagrams the transaction merged.
-func (n *Node) fixpointSpan(start time.Time, parts int) {
+// committed records one committed transaction that began at start: the
+// node's transaction counts, and the fixpoint stage (the workspace
+// transaction, policy checks included) as a span under the loop's current
+// wave context; parts is how many batches or datagrams the transaction
+// merged. Every commit goes through here, so the span ring holds exactly one
+// fixpoint span per counted transaction.
+func (n *Node) committed(start time.Time, parts int) {
+	now := time.Now()
+	d := now.Sub(start)
+	n.txns.Inc()
+	n.txnTime.Add(int64(d))
+	n.txnSeconds.Observe(d.Seconds())
+	n.lastActivity.Store(int64(now.Sub(epoch)))
 	sp := obs.Span{
 		Trace:     n.curTrace,
 		Hop:       int(n.curHop),
@@ -556,7 +626,7 @@ func (n *Node) fixpointSpan(start time.Time, parts int) {
 		Stage:     obs.StageFixpoint,
 		Peer:      n.curPeer,
 		Start:     start,
-		Dur:       time.Since(start),
+		Dur:       d,
 	}
 	if parts > 1 {
 		sp.Absorbed = parts
@@ -574,8 +644,7 @@ func (n *Node) retractRun(run []batch) {
 	} else {
 		start := time.Now()
 		if err := n.WS.Retract(mergeFacts(run)); err == nil {
-			n.Metrics.RecordTxn(time.Since(start))
-			n.fixpointSpan(start, len(run))
+			n.committed(start, len(run))
 			applied = true
 		} else {
 			for _, b := range run {
@@ -595,8 +664,7 @@ func (n *Node) retractOnce(facts []engine.Fact) bool {
 		n.recordViolation(err)
 		return false
 	}
-	n.Metrics.RecordTxn(time.Since(start))
-	n.fixpointSpan(start, 1)
+	n.committed(start, 1)
 	return true
 }
 
@@ -620,7 +688,8 @@ func (n *Node) syncExports() {
 
 // recordViolation registers one rejected batch or dropped message.
 func (n *Node) recordViolation(err error) {
-	n.Metrics.RecordViolation()
+	n.rejected.Inc()
+	n.lastActivity.Store(int64(time.Since(epoch)))
 	obs.L().With(n.Principal).Warn("constraint violation", "err", err.Error())
 	n.mu.Lock()
 	n.violations = append(n.violations, err)

@@ -85,9 +85,9 @@ func waitFixpoint(t *testing.T, det *dist.Detector) {
 func waitProcessed(t *testing.T, n *dist.Node, want int64) {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
-	for n.Metrics.MsgsProcessed() < want {
+	for n.MsgsRecv() < want {
 		if time.Now().After(deadline) {
-			t.Fatalf("node processed %d messages, want %d", n.Metrics.MsgsProcessed(), want)
+			t.Fatalf("node processed %d messages, want %d", n.MsgsRecv(), want)
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -120,8 +120,8 @@ func TestTwoNodeExchangeReachesFixpoint(t *testing.T) {
 		t.Errorf("node a: got %d echoed payloads, want 1", got)
 	}
 	for _, n := range []*dist.Node{a, b} {
-		if tr := n.Metrics.Traffic(); tr.MsgsSent == 0 || tr.BytesSent == 0 {
-			t.Errorf("%s: no traffic recorded (%+v)", n.Principal, tr)
+		if n.MsgsSent() == 0 || n.BytesSent() == 0 {
+			t.Errorf("%s: no traffic recorded (%d messages, %d bytes)", n.Principal, n.MsgsSent(), n.BytesSent())
 		}
 	}
 	// The counters that drove detection must balance: every message A and
@@ -174,7 +174,7 @@ func TestRederivedExportsAreNotResent(t *testing.T) {
 		{Pred: "trigger", Tuple: datalog.Tuple{datalog.Int64(1)}},
 	})
 	waitFixpoint(t, det)
-	first := a.Metrics.Traffic().MsgsSent
+	first := a.MsgsSent()
 	if first == 0 {
 		t.Fatal("first trigger produced no traffic")
 	}
@@ -183,7 +183,7 @@ func TestRederivedExportsAreNotResent(t *testing.T) {
 	// transaction commits, but the delta is empty and nothing is shipped.
 	a.Assert([]engine.Fact{{Pred: "trigger", Tuple: datalog.Tuple{datalog.Int64(2)}}})
 	waitFixpoint(t, det)
-	if again := a.Metrics.Traffic().MsgsSent; again != first {
+	if again := a.MsgsSent(); again != first {
 		t.Errorf("re-derivation re-sent traffic: %d -> %d messages", first, again)
 	}
 	if got := b.WS.Count("got"); got != 1 {
@@ -215,7 +215,7 @@ func TestRetractionPrunesSentSetAndReships(t *testing.T) {
 	if got := a.SentSetSize(); got != 2 {
 		t.Fatalf("sent set size after ship: %d, want 2", got)
 	}
-	first := a.Metrics.Traffic()
+	firstMsgs, firstBytes := a.MsgsSent(), a.BytesSent()
 
 	// Retracting the base fact makes the export underivable; the dedup
 	// entry must go with it instead of lingering forever.
@@ -227,20 +227,19 @@ func TestRetractionPrunesSentSetAndReships(t *testing.T) {
 	if got := a.WS.Count("export"); got != 1 {
 		t.Errorf("export after retraction: %d tuples, want 1", got)
 	}
-	if tr := a.Metrics.Traffic(); tr.MsgsSent != first.MsgsSent {
-		t.Errorf("resync re-sent an export that never left the sent set: %d -> %d messages", first.MsgsSent, tr.MsgsSent)
+	if sent := a.MsgsSent(); sent != firstMsgs {
+		t.Errorf("resync re-sent an export that never left the sent set: %d -> %d messages", firstMsgs, sent)
 	}
 
 	// Re-asserting re-derives the same tuple — and because the dedup entry
 	// was pruned, it ships again, alone.
 	a.Assert([]engine.Fact{pay})
 	waitFixpoint(t, det)
-	again := a.Metrics.Traffic()
-	if again.MsgsSent != first.MsgsSent+1 {
-		t.Errorf("re-derived export after retraction: %d -> %d messages, want one more", first.MsgsSent, again.MsgsSent)
+	if sent := a.MsgsSent(); sent != firstMsgs+1 {
+		t.Errorf("re-derived export after retraction: %d -> %d messages, want one more", firstMsgs, sent)
 	}
-	if grew := again.BytesSent - first.BytesSent; grew >= first.BytesSent {
-		t.Errorf("re-ship carried %d bytes where the two-payload message took %d: more than the pruned tuple went out", grew, first.BytesSent)
+	if grew := a.BytesSent() - firstBytes; grew >= firstBytes {
+		t.Errorf("re-ship carried %d bytes where the two-payload message took %d: more than the pruned tuple went out", grew, firstBytes)
 	}
 	if got := a.SentSetSize(); got != 2 {
 		t.Errorf("sent set size after re-ship: %d, want 2", got)
@@ -274,7 +273,7 @@ func TestFailedSendReleasesDedupAndReships(t *testing.T) {
 	if v := a.Violations(); len(v) != 1 {
 		t.Fatalf("first send should fail with one violation, got %v", v)
 	}
-	if sent := a.Metrics.Traffic().MsgsSent; sent != 1 {
+	if sent := a.MsgsSent(); sent != 1 {
 		t.Fatalf("traffic after one failed and one good send: %d messages, want 1", sent)
 	}
 	<-up.Receive()
@@ -309,7 +308,7 @@ func TestFailedSendReleasesDedupAndReships(t *testing.T) {
 		t.Error("the delivered export was sent a second time")
 	default:
 	}
-	if sent := a.Metrics.Traffic().MsgsSent; sent != 2 {
+	if sent := a.MsgsSent(); sent != 2 {
 		t.Errorf("traffic after the re-ship: %d messages, want 2", sent)
 	}
 }
@@ -406,7 +405,7 @@ func TestBatchSignedPipelineDeliversEnvelopes(t *testing.T) {
 	}
 	// One envelope per (transaction, route): both payloads committed
 	// together, so they share one signature.
-	if sent := a.Metrics.Traffic().MsgsSent; sent != 1 {
+	if sent := a.MsgsSent(); sent != 1 {
 		t.Errorf("batch pipeline sent %d messages, want 1 envelope", sent)
 	}
 	if v := append(a.Violations(), b.Violations()...); len(v) != 0 {
@@ -506,7 +505,7 @@ func TestDetectorSurvivesFailedSendsAndGarbage(t *testing.T) {
 	// A malformed datagram from an address outside the cluster is dropped
 	// without touching the termination counters.
 	raw := net.Endpoint("6.6.6.6:666")
-	processed := a.Metrics.MsgsProcessed()
+	processed := a.MsgsRecv()
 	if err := raw.Send(addrA, []byte("not a wire message")); err != nil {
 		t.Fatal(err)
 	}
@@ -525,12 +524,6 @@ func TestDetectorSurvivesFailedSendsAndGarbage(t *testing.T) {
 	}
 	if _, recv := a.Counters(); recv != 0 {
 		t.Errorf("out-of-band traffic leaked into termination counters: recv=%d", recv)
-	}
-	// Byte and message metrics must not diverge under corruption: the
-	// malformed datagram counts in both or in neither.
-	if tr := a.Metrics.Traffic(); tr.MsgsRecv != a.Metrics.MsgsProcessed() {
-		t.Errorf("recv metrics diverged: %d messages recorded, %d processed",
-			tr.MsgsRecv, a.Metrics.MsgsProcessed())
 	}
 }
 
@@ -684,13 +677,14 @@ func TestTerminationOverReliableLossyTransport(t *testing.T) {
 	if got := a.WS.Count("got"); got != 1 {
 		t.Errorf("node a: got %d echoes over lossy transport, want 1", got)
 	}
-	// Under loss, duplication and retransmission the application-level
-	// recv metrics must stay consistent with each other: every datagram
-	// the loop consumed is counted in messages and in bytes alike.
-	for _, n := range []*dist.Node{a, b} {
-		if tr := n.Metrics.Traffic(); tr.MsgsRecv != n.Metrics.MsgsProcessed() {
-			t.Errorf("%s: recv metrics diverged: %d messages recorded, %d processed",
-				n.Principal, tr.MsgsRecv, n.Metrics.MsgsProcessed())
+	// Under loss, duplication and retransmission the reliable layer delivers
+	// each shipped datagram exactly once: what one node took in, in messages
+	// and in bytes, is what the other shipped.
+	for _, p := range [][2]*dist.Node{{a, b}, {b, a}} {
+		from, to := p[0], p[1]
+		if to.MsgsRecv() != from.MsgsSent() || to.BytesRecv() != from.BytesSent() {
+			t.Errorf("%s took in %d messages / %d bytes, %s shipped %d / %d",
+				to.Principal, to.MsgsRecv(), to.BytesRecv(), from.Principal, from.MsgsSent(), from.BytesSent())
 		}
 	}
 }

@@ -247,7 +247,8 @@ func (n *Node) sendChunk(c outChunk) {
 	if n.countsPeer(c.to) {
 		n.peerCtrFor(c.to).sent.Add(1)
 	}
-	n.Metrics.RecordSent(len(data))
+	n.msgsSent.Inc()
+	n.bytesSent.Add(int64(len(data)))
 	obs.RecordSpan(obs.Span{
 		Trace: c.trace, Hop: int(c.hop) - 1, Node: c.node, Principal: n.Principal,
 		Stage: obs.StageShip, Peer: c.to, Start: shipStart, Dur: time.Since(shipStart),

@@ -8,7 +8,6 @@ import (
 	"strings"
 
 	"secureblox/internal/datalog"
-	"secureblox/internal/metrics"
 )
 
 // Fact is one tuple of a named predicate, the unit of assertion and
@@ -177,19 +176,19 @@ type Workspace struct {
 	// block installation without the engine importing the analyzer.
 	InstallCheck func(*datalog.Program) error
 
-	stats     metrics.EngineStats // cumulative evaluator counters
-	published metrics.EngineStats // portion already pushed to metrics globals
+	stats     Stats // cumulative evaluator counters
+	published Stats // portion already pushed to the process-wide totals
 }
 
 // Stats returns the workspace's cumulative evaluator counters.
-func (w *Workspace) Stats() metrics.EngineStats { return w.stats }
+func (w *Workspace) Stats() Stats { return w.stats }
 
 // publishStats pushes the counter growth since the last publish into the
-// process-wide metrics totals (one lock per transaction, not per probe).
+// process-wide totals (five atomic adds per transaction, not one per probe).
 func (w *Workspace) publishStats() {
 	d := w.stats.Sub(w.published)
-	if d != (metrics.EngineStats{}) {
-		metrics.EngineAccumulate(d)
+	if d != (Stats{}) {
+		accumulate(d)
 		w.published = w.stats
 	}
 }

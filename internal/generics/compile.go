@@ -14,14 +14,15 @@ import (
 // representation to a fixpoint, verifies generic constraints, and emits a
 // concrete DatalogLB program.
 type Compiler struct {
-	// MaxRounds bounds meta-evaluation; exceeding it is a compile error,
-	// mirroring the paper's time-limited fixpoint check (§4.1.1).
-	MaxRounds int
-	policies  []*PolicySource
+	policies []*PolicySource
 }
 
-// NewCompiler returns a compiler with default bounds.
-func NewCompiler() *Compiler { return &Compiler{MaxRounds: 64} }
+// maxRounds bounds meta-evaluation; exceeding it is a compile error,
+// mirroring the paper's time-limited fixpoint check (§4.1.1).
+const maxRounds = 64
+
+// NewCompiler returns a compiler with no policies.
+func NewCompiler() *Compiler { return &Compiler{} }
 
 // AddPolicy parses and registers a BloxGenerics policy source.
 func (c *Compiler) AddPolicy(src string) error {
@@ -181,8 +182,8 @@ func (c *Compiler) Compile(query string) (*Result, error) {
 	var genSrc strings.Builder
 	instantiated := map[string]bool{}
 	for round := 0; ; round++ {
-		if round >= c.MaxRounds {
-			return nil, fmt.Errorf("bloxgenerics: no fixpoint within %d rounds (head-existential cascade? add an exportable guard)", c.MaxRounds)
+		if round >= maxRounds {
+			return nil, fmt.Errorf("bloxgenerics: no fixpoint within %d rounds (head-existential cascade? add an exportable guard)", maxRounds)
 		}
 		changed := false
 		for ri := range allRules {

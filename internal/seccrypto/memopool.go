@@ -25,7 +25,7 @@ type memoPool[A, R any] struct {
 	maxSize int
 	closed  bool // jobs is closed: warm must not send
 
-	hits, misses *obs.Counter // this pool's children of the registered hit/miss families
+	hits, misses *obs.Counter // the registered hit/miss families of the pool's kind
 }
 
 type memoEntry[R any] struct {
@@ -39,7 +39,7 @@ type memoJob[A, R any] struct {
 }
 
 // newMemoPool starts workers goroutines (GOMAXPROCS if workers <= 0); the
-// pool's hits and misses roll up into the two registered families.
+// pool counts its hits and misses into the two registered families.
 func newMemoPool[A, R any](workers int, compute func(A) R, hits, misses *obs.Counter) *memoPool[A, R] {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -52,8 +52,8 @@ func newMemoPool[A, R any](workers int, compute func(A) R, hits, misses *obs.Cou
 		jobs:    make(chan memoJob[A, R], 256),
 		cache:   make(map[[32]byte]*memoEntry[R]),
 		maxSize: 8192,
-		hits:    hits.Child(),
-		misses:  misses.Child(),
+		hits:    hits,
+		misses:  misses,
 	}
 	p.wg.Add(workers)
 	for i := 0; i < workers; i++ {
@@ -83,13 +83,6 @@ func (p *memoPool[A, R]) Close() {
 	close(p.jobs)
 	p.mu.Unlock()
 	p.wg.Wait()
-}
-
-// Stats returns how many requests were served from the cache (hits) and how
-// many required an RSA computation (misses): one miss is exactly one
-// computation.
-func (p *memoPool[A, R]) Stats() (hits, misses int64) {
-	return p.hits.Value(), p.misses.Value()
 }
 
 // cacheKey derives the cache key for one request. Length prefixes keep

@@ -61,6 +61,13 @@ func verifyPoolUnderTest(t *testing.T, workers int) poolUnderTest[verifyArgs, bo
 	}
 }
 
+// since returns a function reporting the hits and misses the pool's families
+// gained after the call (the families are process-wide, so tests read deltas).
+func (p *memoPool[A, R]) since() func() (hits, misses int64) {
+	h0, m0 := p.hits.Value(), p.misses.Value()
+	return func() (int64, int64) { return p.hits.Value() - h0, p.misses.Value() - m0 }
+}
+
 // TestMemoPoolContract runs the four guarantees the callers rely on over
 // both pools: a waiter on a warmed entry gets the worker's result without
 // computing again, Close completes queued jobs, a full queue falls back to
@@ -78,6 +85,7 @@ func testMemoPoolContract[A, R any](t *testing.T, newPool func(workers int) pool
 	t.Run("waiter gets the worker's result", func(t *testing.T) {
 		p := newPool(1)
 		defer p.memo.Close()
+		counts := p.memo.since()
 		before := p.ops()
 		p.warm(0)
 		p.warm(0) // coalesced
@@ -87,13 +95,14 @@ func testMemoPoolContract[A, R any](t *testing.T, newPool func(workers int) pool
 		if ops := p.ops() - before; ops != 1 {
 			t.Errorf("%d RSA operations for one warmed request, want 1", ops)
 		}
-		if hits, misses := p.memo.Stats(); hits != 2 || misses != 1 {
+		if hits, misses := counts(); hits != 2 || misses != 1 {
 			t.Errorf("hits=%d misses=%d, want 2 and 1", hits, misses)
 		}
 	})
 
 	t.Run("Close completes queued jobs", func(t *testing.T) {
 		p := newPool(1)
+		counts := p.memo.since()
 		const n = 8
 		for i := 0; i < n; i++ {
 			p.warm(i)
@@ -104,7 +113,7 @@ func testMemoPoolContract[A, R any](t *testing.T, newPool func(workers int) pool
 				t.Errorf("request %d: wrong result after Close", i)
 			}
 		}
-		if hits, misses := p.memo.Stats(); hits != n || misses != n {
+		if hits, misses := counts(); hits != n || misses != n {
 			t.Errorf("hits=%d misses=%d, want %d and %d", hits, misses, n, n)
 		}
 		p.warm(n) // dropped: no worker is left to complete it
@@ -122,11 +131,12 @@ func testMemoPoolContract[A, R any](t *testing.T, newPool func(workers int) pool
 		defer release()
 		compute := p.memo.compute
 		p.memo.compute = func(a A) R { <-gate; return compute(a) }
+		counts := p.memo.since()
 		overflow := -1
 		for i := 0; i <= cap(p.memo.jobs)+1 && overflow < 0; i++ {
-			_, before := p.memo.Stats()
+			_, before := counts()
 			p.warm(i)
-			if _, after := p.memo.Stats(); after == before {
+			if _, after := counts(); after == before {
 				overflow = i // neither queued nor counted
 			}
 		}
@@ -143,7 +153,7 @@ func testMemoPoolContract[A, R any](t *testing.T, newPool func(workers int) pool
 		if !p.correct(overflow) {
 			t.Error("wrong inline result")
 		}
-		if _, misses := p.memo.Stats(); misses != int64(overflow)+1 {
+		if _, misses := counts(); misses != int64(overflow)+1 {
 			t.Errorf("misses=%d after the inline request, want %d", misses, overflow+1)
 		}
 	})

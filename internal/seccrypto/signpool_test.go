@@ -42,13 +42,14 @@ func TestSignPoolCacheHitsAndMisses(t *testing.T) {
 	der := MarshalPrivateKey(priv)
 	p := NewSignPool(2)
 	defer p.Close()
+	counts := p.since()
 
 	a, b := []byte("batch digest A"), []byte("batch digest B")
 	sigA1, err := p.Sign(priv, der, a)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if h, m := p.Stats(); h != 0 || m != 1 {
+	if h, m := counts(); h != 0 || m != 1 {
 		t.Errorf("after first sign: hits=%d misses=%d, want 0/1", h, m)
 	}
 	// The same (key, data) pair must be served from cache: one more hit,
@@ -60,14 +61,14 @@ func TestSignPoolCacheHitsAndMisses(t *testing.T) {
 	if !bytes.Equal(sigA1, sigA2) {
 		t.Error("cached signature differs from first computation")
 	}
-	if h, m := p.Stats(); h != 1 || m != 1 {
+	if h, m := counts(); h != 1 || m != 1 {
 		t.Errorf("after cached sign: hits=%d misses=%d, want 1/1", h, m)
 	}
 	// Distinct data is a miss.
 	if _, err := p.Sign(priv, der, b); err != nil {
 		t.Fatal(err)
 	}
-	if h, m := p.Stats(); h != 1 || m != 2 {
+	if h, m := counts(); h != 1 || m != 2 {
 		t.Errorf("after distinct sign: hits=%d misses=%d, want 1/2", h, m)
 	}
 	// A different key over already-signed data must not collide.
@@ -92,6 +93,7 @@ func TestSignPoolWarmThenSign(t *testing.T) {
 	der := MarshalPrivateKey(priv)
 	p := NewSignPool(2)
 	defer p.Close()
+	counts := p.since()
 
 	const n = 16
 	for i := 0; i < n; i++ {
@@ -99,7 +101,7 @@ func TestSignPoolWarmThenSign(t *testing.T) {
 		p.Warm(priv, der, data)
 		p.Warm(priv, der, data) // duplicate warms coalesce
 	}
-	if h, m := p.Stats(); m != n || h != n {
+	if h, m := counts(); m != n || h != n {
 		t.Errorf("after double warm: hits=%d misses=%d, want %d/%d", h, m, n, n)
 	}
 	for i := 0; i < n; i++ {
@@ -113,7 +115,7 @@ func TestSignPoolWarmThenSign(t *testing.T) {
 		}
 	}
 	// Every Sign found its warmed entry: no new misses.
-	if _, m := p.Stats(); m != n {
+	if _, m := counts(); m != n {
 		t.Errorf("signs after warm recomputed: misses=%d, want %d", m, n)
 	}
 }

@@ -9,7 +9,7 @@ import "secureblox/internal/obs"
 // runs, so benchmarks report its delta per fixpoint to show how memoization
 // and batch signing cut the number of private-key operations. cVerifyOps is
 // its inbound counterpart. The hit/miss families are the sums over every
-// pool; each pool counts into its own children of them.
+// pool of their kind; one miss is exactly one RSA computation.
 var (
 	cSignOps      *obs.Counter
 	cVerifyOps    *obs.Counter

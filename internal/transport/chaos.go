@@ -152,9 +152,6 @@ func NewChaosEngine(plan *ChaosPlan) *ChaosEngine {
 	}
 }
 
-// Plan returns the engine's schedule.
-func (e *ChaosEngine) Plan() *ChaosPlan { return e.plan }
-
 // Resolve records which transport addresses belong to which principals
 // (addr -> principal), merged with previous calls. Until an address
 // resolves, only "*" link rules can match it and partitions/crashes naming

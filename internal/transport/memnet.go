@@ -7,9 +7,9 @@ import (
 )
 
 // MemNetwork is an in-process simulated network: endpoints exchange
-// datagrams through unbounded queues, and the network keeps per-endpoint
-// traffic statistics. It stands in for the paper's Gigabit cluster; see
-// DESIGN.md for why the substitution preserves the evaluation's shape.
+// datagrams through unbounded queues. It stands in for the paper's Gigabit
+// cluster; see DESIGN.md for why the substitution preserves the evaluation's
+// shape.
 // Quiescence of a computation running over it is observed the same way as
 // over real sockets — by the wire-level termination-detection protocol in
 // internal/dist — so swapping MemNetwork for UDPNetwork changes nothing
@@ -17,7 +17,6 @@ import (
 type MemNetwork struct {
 	mu        sync.Mutex
 	endpoints map[string]*MemEndpoint
-	stats     map[string]*Stats
 	nextPort  int // ephemeral-port counter for port-0 hints
 
 	// OnDeliver, if set, is invoked (outside locks) for every delivered
@@ -27,10 +26,7 @@ type MemNetwork struct {
 
 // NewMemNetwork returns an empty simulated network.
 func NewMemNetwork() *MemNetwork {
-	return &MemNetwork{
-		endpoints: make(map[string]*MemEndpoint),
-		stats:     make(map[string]*Stats),
-	}
+	return &MemNetwork{endpoints: make(map[string]*MemEndpoint)}
 }
 
 // Endpoint registers (or returns) the endpoint with the given address.
@@ -42,7 +38,6 @@ func (n *MemNetwork) Endpoint(addr string) *MemEndpoint {
 	}
 	ep := &MemEndpoint{net: n, addr: addr, q: newQueue()}
 	n.endpoints[addr] = ep
-	n.stats[addr] = &Stats{}
 	return ep
 }
 
@@ -75,7 +70,6 @@ func (n *MemNetwork) Listen(hint string) (Transport, error) {
 	}
 	ep := &MemEndpoint{net: n, addr: addr, q: newQueue()}
 	n.endpoints[addr] = ep
-	n.stats[addr] = &Stats{}
 	return ep, nil
 }
 
@@ -91,16 +85,6 @@ func (n *MemNetwork) Close() error {
 		ep.Close()
 	}
 	return nil
-}
-
-// Stats returns a copy of the traffic counters for an address.
-func (n *MemNetwork) Stats(addr string) Stats {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if s, ok := n.stats[addr]; ok {
-		return *s
-	}
-	return Stats{}
 }
 
 // MemEndpoint is one node's attachment to a MemNetwork.
@@ -130,12 +114,6 @@ func (ep *MemEndpoint) Send(to string, data []byte) error {
 		ep.net.mu.Unlock()
 		return ErrUnknownAddr
 	}
-	s := ep.net.stats[ep.addr]
-	s.BytesSent += int64(len(data))
-	s.MsgsSent++
-	rs := ep.net.stats[to]
-	rs.BytesRecv += int64(len(data))
-	rs.MsgsRecv++
 	cb := ep.net.OnDeliver
 	ep.net.mu.Unlock()
 

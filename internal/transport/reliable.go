@@ -12,10 +12,9 @@ import (
 	"secureblox/internal/obs"
 )
 
-// The reliability counters, aggregated across every endpoint of the process
-// (an endpoint counts into its own children of the first four). Registered at
-// init so the transport families render (at zero) on /metrics even on
-// loss-free runs.
+// The reliability counters, aggregated across every endpoint of the process.
+// Registered at init so the transport families render (at zero) on /metrics
+// even on loss-free runs.
 var (
 	cRetransmits *obs.Counter
 	cDupDrops    *obs.Counter
@@ -42,17 +41,6 @@ func init() {
 	cBackoffs = r.Counter("sbx_transport_backoffs_total", nil)
 	cDeferrals = r.Counter("sbx_transport_send_deferrals_total", nil)
 	cForgotten = r.Counter("sbx_transport_forgotten_frames_total", nil)
-}
-
-// ReliabilityStats is one endpoint's view of the reliable layer's work:
-// how much redundancy (retransmits), redundancy's cost at the receiver
-// (dup drops), corruption (CRC rejects) and abandonment (losses) the
-// substrate exhibited.
-type ReliabilityStats struct {
-	Retransmits int64 // data frames re-sent
-	DupDrops    int64 // redelivered frames suppressed
-	CRCRejects  int64 // garbage/corrupted datagrams dropped
-	Losses      int64 // frames abandoned after MaxAttempts
 }
 
 // Reliable-layer frame types. Distinctive bytes keep random garbage from
@@ -144,12 +132,6 @@ type ReliableEndpoint struct {
 	rng      *rand.Rand                     // retransmit jitter (mu-guarded)
 	closed   bool
 
-	// This endpoint's children of the process-wide reliability families.
-	losses      *obs.Counter // frames dropped after MaxAttempts
-	retransmits *obs.Counter // data frames re-sent
-	dupDrops    *obs.Counter // redeliveries suppressed
-	crcRejects  *obs.Counter // garbage/corrupted frames dropped
-
 	stop chan struct{}
 	wg   sync.WaitGroup
 }
@@ -226,11 +208,6 @@ func NewReliable(inner Transport, cfg ReliableConfig) *ReliableEndpoint {
 		seen:     make(map[string]*dedupState),
 		rng:      rand.New(rand.NewSource(int64(h.Sum64()))),
 		stop:     make(chan struct{}),
-
-		losses:      cLosses.Child(),
-		retransmits: cRetransmits.Child(),
-		dupDrops:    cDupDrops.Child(),
-		crcRejects:  cCRCRejects.Child(),
 	}
 	r.wg.Add(2)
 	go r.recvLoop()
@@ -363,16 +340,6 @@ func (r *ReliableEndpoint) Receive() <-chan InMsg { return r.q.out }
 // ReceiveBatch implements Transport.
 func (r *ReliableEndpoint) ReceiveBatch() <-chan []InMsg { return r.q.batches() }
 
-// Reliability returns this endpoint's reliability counters.
-func (r *ReliableEndpoint) Reliability() ReliabilityStats {
-	return ReliabilityStats{
-		Retransmits: r.retransmits.Value(),
-		DupDrops:    r.dupDrops.Value(),
-		CRCRejects:  r.crcRejects.Value(),
-		Losses:      r.losses.Value(),
-	}
-}
-
 // PendingFrames returns how many frames are awaiting acknowledgement.
 func (r *ReliableEndpoint) PendingFrames() int {
 	r.mu.Lock()
@@ -416,7 +383,7 @@ func (r *ReliableEndpoint) recvLoop() {
 func (r *ReliableEndpoint) handleFrame(in InMsg) {
 	typ, seq, payload, ok := decodeFrame(in.Data)
 	if !ok {
-		r.crcRejects.Inc()
+		cCRCRejects.Inc()
 		return // garbage or corrupted: drop, sender will retransmit
 	}
 	switch typ {
@@ -443,7 +410,7 @@ func (r *ReliableEndpoint) handleFrame(in InMsg) {
 		}
 		if seq <= st.floor || st.above[seq] {
 			r.mu.Unlock()
-			r.dupDrops.Inc()
+			cDupDrops.Inc()
 			return // duplicate
 		}
 		st.above[seq] = true
@@ -524,14 +491,14 @@ func (r *ReliableEndpoint) retransmitLoop() {
 		}
 		r.mu.Unlock()
 		if lost > 0 {
-			r.losses.Add(lost)
+			cLosses.Add(lost)
 			for peer, n := range lostBy {
 				obs.L().Warn("frames abandoned after max retransmissions",
 					"peer", peer, "frames", n, "max_attempts", r.cfg.MaxAttempts)
 			}
 		}
 		if retrans > 0 {
-			r.retransmits.Add(retrans)
+			cRetransmits.Add(retrans)
 		}
 		if backed > 0 {
 			cBackoffs.Add(backed)

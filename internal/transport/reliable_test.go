@@ -181,16 +181,16 @@ func TestReliableMaxAttemptsGivesUp(t *testing.T) {
 	a := NewReliable(lossy(net.Endpoint("a:1"), 1, 1.0, 0, 0), // 100% drop
 		ReliableConfig{RetransmitInterval: time.Millisecond, MaxAttempts: 3})
 	defer a.Close()
+	lost := cLosses.Value()
 	if err := a.Send("hole:1", []byte("doomed")); err != nil {
 		t.Fatal(err)
 	}
 	deadline := time.Now().Add(5 * time.Second)
-	for a.Reliability().Losses == 0 && time.Now().Before(deadline) {
+	for cLosses.Value() == lost && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
 	}
-	if a.Reliability().Losses != 1 || a.PendingFrames() != 0 {
-		t.Errorf("want 1 loss and no pending frames, got %d losses, %d pending",
-			a.Reliability().Losses, a.PendingFrames())
+	if got := cLosses.Value() - lost; got != 1 || a.PendingFrames() != 0 {
+		t.Errorf("want 1 loss and no pending frames, got %d losses, %d pending", got, a.PendingFrames())
 	}
 }
 
@@ -238,11 +238,12 @@ func TestReliableRetransmitBackoffGrows(t *testing.T) {
 		MaxBackoff:         time.Second,
 	})
 	defer a.Close()
+	lost := cLosses.Value()
 	if err := a.Send("hole:1", []byte("doomed")); err != nil {
 		t.Fatal(err)
 	}
 	deadline := time.Now().Add(10 * time.Second)
-	for a.Reliability().Losses == 0 && time.Now().Before(deadline) {
+	for cLosses.Value() == lost && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
 	}
 	recs := rec.recs("hole:1")
@@ -354,6 +355,7 @@ func TestReliableDedupWindowSlidesPastAbandonedFrame(t *testing.T) {
 	defer a.Close()
 	defer b.Close()
 
+	lost := cLosses.Value()
 	const n = dedupWindow + 60
 	for i := 1; i <= n; i++ {
 		if err := a.Send("b:1", []byte("m")); err != nil {
@@ -369,11 +371,11 @@ func TestReliableDedupWindowSlidesPastAbandonedFrame(t *testing.T) {
 		}
 	}
 	deadline := time.Now().Add(10 * time.Second)
-	for a.Reliability().Losses == 0 && time.Now().Before(deadline) {
+	for cLosses.Value() == lost && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
 	}
-	if a.Reliability().Losses != 1 {
-		t.Fatalf("%d losses, want 1 (the blocked frame)", a.Reliability().Losses)
+	if got := cLosses.Value() - lost; got != 1 {
+		t.Fatalf("%d losses, want 1 (the blocked frame)", got)
 	}
 	b.mu.Lock()
 	st := b.seen["a:1"]
@@ -391,16 +393,16 @@ func TestReliableDedupWindowSlidesPastAbandonedFrame(t *testing.T) {
 	// A late arrival of the abandoned frame below the slid floor is
 	// suppressed as a duplicate, not delivered.
 	inner.block = nil
-	before := b.Reliability().DupDrops
+	before := cDupDrops.Value()
 	frame := encodeFrame(frameData, 1, []byte("late"))
 	if err := net.Endpoint("a:1").Send("b:1", frame); err != nil {
 		t.Fatal(err)
 	}
 	waitUntil := time.Now().Add(5 * time.Second)
-	for b.Reliability().DupDrops == before && time.Now().Before(waitUntil) {
+	for cDupDrops.Value() == before && time.Now().Before(waitUntil) {
 		time.Sleep(time.Millisecond)
 	}
-	if b.Reliability().DupDrops == before {
+	if cDupDrops.Value() == before {
 		t.Error("late frame below the slid floor was not suppressed")
 	}
 	select {

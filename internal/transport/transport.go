@@ -1,8 +1,7 @@
 // Package transport provides the message-passing substrate for distributed
 // SecureBlox execution: a Transport interface, an in-process simulated
-// network (memnet) with per-node byte accounting used by the benchmark
-// harness, and a real UDP transport (udpnet) for multi-process deployments
-// — the paper's nodes exchange tuples over UDP (§5.1).
+// network (memnet) and a real UDP transport (udpnet) for multi-process
+// deployments — the paper's nodes exchange tuples over UDP (§5.1).
 package transport
 
 import (
@@ -61,14 +60,6 @@ type Network interface {
 	// Close shuts down every endpoint the network has handed out that is
 	// not already closed. Closing an endpoint twice is harmless.
 	Close() error
-}
-
-// Stats are cumulative traffic counters for one endpoint.
-type Stats struct {
-	BytesSent int64
-	BytesRecv int64
-	MsgsSent  int64
-	MsgsRecv  int64
 }
 
 // queue is an unbounded FIFO feeding two channels, so senders never block on

@@ -23,9 +23,6 @@ type UDPEndpoint struct {
 	q      *queue
 	closed atomic.Bool
 	wg     sync.WaitGroup
-
-	statsMu sync.Mutex
-	stats   Stats
 }
 
 // ListenUDP opens a UDP endpoint on addr ("127.0.0.1:0" picks a free port).
@@ -58,10 +55,6 @@ func (ep *UDPEndpoint) readLoop() {
 		}
 		data := make([]byte, n)
 		copy(data, buf[:n])
-		ep.statsMu.Lock()
-		ep.stats.BytesRecv += int64(n)
-		ep.stats.MsgsRecv++
-		ep.statsMu.Unlock()
 		ep.q.push(InMsg{From: from.String(), Data: data})
 	}
 }
@@ -81,15 +74,8 @@ func (ep *UDPEndpoint) Send(to string, data []byte) error {
 	if err != nil {
 		return err
 	}
-	n, err := ep.conn.WriteToUDP(data, ua)
-	if err != nil {
-		return err
-	}
-	ep.statsMu.Lock()
-	ep.stats.BytesSent += int64(n)
-	ep.stats.MsgsSent++
-	ep.statsMu.Unlock()
-	return nil
+	_, err = ep.conn.WriteToUDP(data, ua)
+	return err
 }
 
 // Receive implements Transport.
@@ -97,13 +83,6 @@ func (ep *UDPEndpoint) Receive() <-chan InMsg { return ep.q.out }
 
 // ReceiveBatch implements Transport.
 func (ep *UDPEndpoint) ReceiveBatch() <-chan []InMsg { return ep.q.batches() }
-
-// Stats returns this endpoint's traffic counters.
-func (ep *UDPEndpoint) Stats() Stats {
-	ep.statsMu.Lock()
-	defer ep.statsMu.Unlock()
-	return ep.stats
-}
 
 // Close implements Transport.
 func (ep *UDPEndpoint) Close() error {
@@ -120,19 +99,14 @@ func (ep *UDPEndpoint) Close() error {
 // driver's message-counting termination detection is correct even though
 // raw UDP drops, duplicates and reorders datagrams.
 type UDPNetwork struct {
-	// BindHost is the interface endpoints bind to in the default
-	// hint-ignoring mode. Defaults to loopback.
-	BindHost string
 	// Strict makes Listen bind the hinted address exactly or fail. Off
 	// (the in-process driver's mode), hints are ignored entirely and every
-	// endpoint binds an ephemeral port on BindHost — the driver's
+	// endpoint binds an ephemeral loopback port — the driver's
 	// simulated 10.0.0.x hints must never reach a real bind, where they
 	// could claim a routable interface on a fixed port. Multi-process
 	// deployments set Strict: a node that silently bound somewhere other
 	// than its configured address could never be found by its peers.
 	Strict bool
-	// Reliability tunes the ack/retransmit layer shared by all endpoints.
-	Reliability ReliableConfig
 	// Chaos, when set, interposes a scriptable fault engine between each
 	// raw socket and its reliable layer: injected drops/garbling become
 	// retransmission latency and injected partitions become silence,
@@ -143,13 +117,13 @@ type UDPNetwork struct {
 	eps []*ReliableEndpoint
 }
 
-// NewUDPNetwork returns a loopback UDP network with default reliability.
+// NewUDPNetwork returns a loopback UDP network.
 func NewUDPNetwork() *UDPNetwork { return &UDPNetwork{} }
 
 // Listen implements Network. In Strict mode the hint is bound exactly as
 // given (a port-0 hint binds an OS-assigned ephemeral port on the hinted
-// host); otherwise the hint is ignored and an ephemeral port on BindHost
-// is bound. Either way the returned endpoint's Addr() is the OS-assigned
+// host); otherwise the hint is ignored and an ephemeral loopback port is
+// bound. Either way the returned endpoint's Addr() is the OS-assigned
 // bound address and is what peers must send to.
 func (n *UDPNetwork) Listen(hint string) (Transport, error) {
 	var bind string
@@ -160,11 +134,7 @@ func (n *UDPNetwork) Listen(hint string) (Transport, error) {
 		}
 		bind = net.JoinHostPort(host, port)
 	} else {
-		host := n.BindHost
-		if host == "" {
-			host = "127.0.0.1"
-		}
-		bind = host + ":0"
+		bind = "127.0.0.1:0"
 	}
 	raw, err := ListenUDP(bind)
 	if err != nil {
@@ -174,7 +144,7 @@ func (n *UDPNetwork) Listen(hint string) (Transport, error) {
 	if n.Chaos != nil {
 		lower = n.Chaos.Wrap(raw)
 	}
-	ep := NewReliable(lower, n.Reliability)
+	ep := NewReliable(lower, ReliableConfig{})
 	n.mu.Lock()
 	n.eps = append(n.eps, ep)
 	n.mu.Unlock()

@@ -6,6 +6,7 @@ import (
 
 	"secureblox/internal/datalog"
 	"secureblox/internal/engine"
+	"secureblox/internal/obs"
 	"secureblox/internal/seccrypto"
 	"secureblox/internal/wire"
 )
@@ -178,6 +179,8 @@ func TestPooledSigningMemoizesRederivations(t *testing.T) {
 	ks := ts.Stores["alice"]
 	spool := seccrypto.NewSignPool(2)
 	defer spool.Close()
+	family := obs.Default().CounterValue
+	hits0, misses0 := family("sbx_signpool_hits_total"), family("sbx_signpool_misses_total")
 	reg, err := NewRegistryWithPools(ks, seccrypto.NewDeterministicRand(22), nil, spool)
 	if err != nil {
 		t.Fatal(err)
@@ -201,7 +204,7 @@ func TestPooledSigningMemoizesRederivations(t *testing.T) {
 	if _, err := w.AssertProgramFacts(`payload(7). trigger(1).`); err != nil {
 		t.Fatal(err)
 	}
-	_, missesAfterFirst := spool.Stats()
+	missesAfterFirst := family("sbx_signpool_misses_total") - misses0
 	if missesAfterFirst == 0 {
 		t.Fatal("first derivation should sign through the pool")
 	}
@@ -210,7 +213,7 @@ func TestPooledSigningMemoizesRederivations(t *testing.T) {
 	if _, err := w.AssertProgramFacts(`trigger(2).`); err != nil {
 		t.Fatal(err)
 	}
-	hits, misses := spool.Stats()
+	hits, misses := family("sbx_signpool_hits_total")-hits0, family("sbx_signpool_misses_total")-misses0
 	if misses != missesAfterFirst {
 		t.Errorf("re-derivation recomputed the signature: misses %d -> %d", missesAfterFirst, misses)
 	}

@@ -98,9 +98,9 @@ func DecodeControl(buf []byte) (Control, error) {
 	if err != nil {
 		return c, err
 	}
-	// Every entry costs at least three bytes; a count beyond the remaining
-	// buffer is a lie.
-	if cnt > uint64(len(buf)) {
+	// Every entry costs at least three bytes; a count beyond a third of the
+	// remaining buffer is a lie.
+	if cnt > uint64(len(buf))/3 {
 		return c, ErrTruncated
 	}
 	if cnt > 0 {

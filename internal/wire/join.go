@@ -121,9 +121,9 @@ func DecodeJoin(buf []byte) (Join, error) {
 	if err != nil {
 		return j, err
 	}
-	// Every member costs at least three length bytes; a count beyond the
-	// remaining buffer is a lie.
-	if cnt > uint64(len(buf)) {
+	// Every member costs at least three length bytes; a count beyond a third
+	// of the remaining buffer is a lie.
+	if cnt > uint64(len(buf))/3 {
 		return j, ErrTruncated
 	}
 	if cnt > 0 {

@@ -3,6 +3,7 @@ package wire
 import (
 	"bytes"
 	"reflect"
+	"runtime"
 	"testing"
 )
 
@@ -67,5 +68,44 @@ func TestJoinAndControlAreDisjoint(t *testing.T) {
 	c := EncodeControl(Control{Type: CtrlProbe, Wave: 3})
 	if _, err := DecodeJoin(c); err == nil {
 		t.Fatal("control record decoded as join")
+	}
+}
+
+// lyingRecord is a 60 000-byte record of the given header whose claimed entry
+// count is every byte left after it, padded with 'a' (which reads as length
+// 97, so only a few entries are really there).
+func lyingRecord(header ...byte) []byte {
+	const size = 60000
+	rest := size - len(header) - 3 // the count takes three bytes
+	rec := appendUvarint(header, uint64(rest))
+	return append(rec, bytes.Repeat([]byte("a"), rest)...)
+}
+
+// TestLyingCountsAllocateInProportionToInput: every join member and every
+// control peer entry takes at least three input bytes, so a decoder that
+// trusts a claimed count up to the whole remaining buffer reserves three
+// times the entries the input can hold before it fails. DecodeJoin must stay
+// within FuzzDecodeJoin's bound of 32 bytes per input byte (a MemberInfo is
+// 56 bytes) and DecodeControl within 16 (a PeerCount is 32 bytes).
+func TestLyingCountsAllocateInProportionToInput(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		rec    []byte
+		decode func([]byte) error
+		factor uint64
+	}{
+		{"join", lyingRecord(byte(CtrlJoin), 0), func(b []byte) error { _, err := DecodeJoin(b); return err }, 32},
+		{"control", lyingRecord(byte(CtrlReport), 1, 0), func(b []byte) error { _, err := DecodeControl(b); return err }, 16},
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		err := tc.decode(tc.rec)
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Errorf("%s: a record claiming %d entries it does not hold decoded", tc.name, len(tc.rec))
+		}
+		if got, bound := after.TotalAlloc-before.TotalAlloc, tc.factor*uint64(len(tc.rec))+1<<16; got > bound {
+			t.Errorf("%s: decoding %d bytes allocated %d, bound %d", tc.name, len(tc.rec), got, bound)
+		}
 	}
 }
