@@ -86,7 +86,8 @@ func BytesV(b []byte) Value { return Value{Kind: KindBytes, Str: string(b)} }
 
 // OwnedBytes returns a bytes value that takes ownership of b without copying.
 // It is for buffers the caller just built (an encoded payload, a signature)
-// and drops: nobody may write to b afterwards.
+// and drops, or that nothing writes to while the value is in use (a received
+// datagram, a UDF's scratch the workspace interns from at once).
 func OwnedBytes(b []byte) Value {
 	return Value{Kind: KindBytes, Str: unsafe.String(unsafe.SliceData(b), len(b))}
 }

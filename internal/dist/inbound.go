@@ -122,6 +122,20 @@ func (n *Node) handleBatch(envs []envelope) {
 
 func (e *envelope) isControl() bool { return e.err == nil && e.msg.Kind == wire.MsgControl }
 
+// runShare bounds what admit appends to the run for a data datagram: an
+// export(self, from, Pkt) fact per payload, and an export_batch(from, Pkt, D,
+// S) fact per payload of a batch envelope.
+func (e *envelope) runShare() (facts, vals int) {
+	if e.err != nil {
+		return 0, 0
+	}
+	p := len(e.msg.Payloads)
+	if e.msg.Kind == wire.MsgBatch {
+		return 2 * p, (3 + 4) * p
+	}
+	return p, 3 * p
+}
+
 // applyRun admits the run of data datagrams at the head of envs — up to the
 // first control record or the run budget — and commits their facts as one
 // workspace transaction, returning how many datagrams it consumed (≥ 1).
@@ -162,7 +176,7 @@ func (e *envelope) isControl() bool { return e.err == nil && e.msg.Kind == wire.
 func (n *Node) applyRun(envs []envelope) int {
 	addr := n.localAddr()
 	self := datalog.NodeV(addr)
-	k, size := 0, 0
+	k, size, facts, vals := 0, 0, 0, 0
 	for ; k < len(envs); k++ {
 		e := &envs[k]
 		if e.isControl() {
@@ -172,7 +186,19 @@ func (n *Node) applyRun(envs []envelope) int {
 			break
 		}
 		size += len(e.in.Data)
-		n.admit(e, self)
+		f, v := e.runShare()
+		facts, vals = facts+f, vals+v
+	}
+	// The run's facts and their values, sized for every datagram the run may
+	// admit: a buffer grown by doubling would cost more than it saves.
+	if cap(n.runFacts) < facts {
+		n.runFacts = make([]engine.Fact, 0, facts)
+	}
+	if cap(n.runVals) < vals {
+		n.runVals = make([]datalog.Value, 0, vals)
+	}
+	for i := range envs[:k] {
+		n.admit(&envs[i], self)
 	}
 	msgs := n.runMsgs
 	if len(msgs) > 0 {
@@ -204,8 +230,9 @@ func (n *Node) applyRun(envs []envelope) int {
 		}
 	}
 	clear(n.runFacts)
+	clear(n.runVals)
 	clear(n.runMsgs)
-	n.runFacts, n.runMsgs, n.runEnds = n.runFacts[:0], n.runMsgs[:0], n.runEnds[:0]
+	n.runFacts, n.runVals, n.runMsgs, n.runEnds = n.runFacts[:0], n.runVals[:0], n.runMsgs[:0], n.runEnds[:0]
 	return k
 }
 
@@ -225,24 +252,19 @@ func (n *Node) admit(e *envelope, self datalog.Value) {
 	if e.err != nil || len(msg.Payloads) == 0 {
 		return // malformed or empty datagram: drop it
 	}
-	// The decoder copied every payload and the signature out of the
-	// datagram for this message alone, and from here on they are only read
-	// (by the pre-verify pool too), so the facts adopt them uncopied.
+	// Every payload and the signature are views of the datagram, which
+	// nothing writes to (transport.InMsg), so the facts adopt them uncopied:
+	// the workspace's intern table takes the one copy of each. The tuples are
+	// windows of the run's value buffer, which applyRun sized for the run.
 	from := datalog.NodeV(msg.From)
 	for _, p := range msg.Payloads {
-		n.runFacts = append(n.runFacts, engine.Fact{
-			Pred:  "export",
-			Tuple: datalog.Tuple{self, from, datalog.OwnedBytes(p)},
-		})
+		n.runFact("export", self, from, datalog.OwnedBytes(p))
 	}
 	if msg.Kind == wire.MsgBatch {
 		root := datalog.OwnedBytes(msg.BatchRoot())
 		sig := datalog.OwnedBytes(msg.Sig)
 		for _, p := range msg.Payloads {
-			n.runFacts = append(n.runFacts, engine.Fact{
-				Pred:  "export_batch",
-				Tuple: datalog.Tuple{from, datalog.OwnedBytes(p), root, sig},
-			})
+			n.runFact("export_batch", from, datalog.OwnedBytes(p), root, sig)
 		}
 	}
 	m := runMsg{e: e, trace: msg.Trace}
@@ -251,6 +273,14 @@ func (n *Node) admit(e *envelope, self datalog.Value) {
 	}
 	n.runMsgs = append(n.runMsgs, m)
 	n.runEnds = append(n.runEnds, len(n.runFacts))
+}
+
+// runFact appends a fact of pred over vals to the run, its tuple a window of
+// the run's value buffer.
+func (n *Node) runFact(pred string, vals ...datalog.Value) {
+	lo := len(n.runVals)
+	n.runVals = append(n.runVals, vals...)
+	n.runFacts = append(n.runFacts, engine.Fact{Pred: pred, Tuple: n.runVals[lo:len(n.runVals):len(n.runVals)]})
 }
 
 // enterWave adopts the wave of the run's i-th message: the transaction

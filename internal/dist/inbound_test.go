@@ -1,6 +1,7 @@
 package dist_test
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"sort"
@@ -180,7 +181,9 @@ func (r *inboundRig) forge(t *testing.T, m transport.InMsg, how forgery) transpo
 	if how == truncatedEnvelope {
 		return transport.InMsg{From: m.From, Data: m.Data[:len(m.Data)/2]}
 	}
-	msg, err := wire.DecodeMessage(m.Data)
+	// The message views its datagram, and the honest ones are shared by every
+	// scenario: forge on a copy.
+	msg, err := wire.DecodeMessage(bytes.Clone(m.Data))
 	if err != nil {
 		t.Fatalf("honest datagram does not decode: %v", err)
 	}

@@ -2,6 +2,7 @@ package dist
 
 import (
 	"context"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -93,6 +94,12 @@ type Node struct {
 	sent     *engine.Relation // export(N, L, Pkt) tuples already shipped, in the workspace's store
 	selfAddr string           // cached principal_node[self] address
 
+	// What ship reuses from one transaction to the next: the routes, the
+	// payloads taken before grouping, and the chunks before dispatch.
+	routes []route
+	queued []queuedPayload
+	chunks []outChunk
+
 	sentSize atomic.Int64 // mirror of sent.Len() for external inspection
 
 	// Outbound pipeline state (batch-signing mode only). outCh carries
@@ -117,8 +124,10 @@ type Node struct {
 
 	// The inbound run being applied (loop-goroutine only, reused across
 	// runs): the export/export_batch facts of every admitted datagram in
-	// arrival order, and per datagram where its facts end.
+	// arrival order, the values their tuples are windows of, and per datagram
+	// where its facts end.
 	runFacts []engine.Fact
+	runVals  []datalog.Value
 	runMsgs  []runMsg
 	runEnds  []int
 
@@ -576,7 +585,7 @@ func (n *Node) commitMerged(facts []engine.Fact, ends []int, enter func(part int
 		start := time.Now()
 		if res, err := n.WS.Assert(facts); err == nil {
 			n.committed(start, len(ends))
-			n.ship(res.Inserted("export"))
+			n.ship(res.InsertedRows("export"))
 			return true
 		}
 	}
@@ -602,7 +611,7 @@ func (n *Node) commit(facts []engine.Fact) {
 		return
 	}
 	n.committed(start, 1)
-	n.ship(res.Inserted("export"))
+	n.ship(res.InsertedRows("export"))
 }
 
 // committed records one committed transaction that began at start: the
@@ -683,7 +692,7 @@ func (n *Node) syncExports() {
 		}
 	}
 	n.sentSize.Store(int64(n.sent.Len()))
-	n.ship(n.WS.Tuples("export"))
+	n.ship(slices.Values(n.WS.Tuples("export")))
 }
 
 // recordViolation registers one rejected batch or dropped message.

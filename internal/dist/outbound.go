@@ -2,6 +2,8 @@ package dist
 
 import (
 	"fmt"
+	"iter"
+	"slices"
 	"time"
 
 	"secureblox/internal/datalog"
@@ -11,13 +13,13 @@ import (
 )
 
 // outChunk is one wire message in the making: a route's payloads that fit
-// a single datagram, together with the export tuples they came from so a
-// failed send can release exactly those tuples' dedup marks for re-shipping.
+// a single datagram. The route and the payloads are the export tuples they
+// came from, export(to, from, payload), so a failed send can release exactly
+// those tuples' dedup marks for re-shipping.
 type outChunk struct {
 	to, from  string
-	tuples    []datalog.Tuple
-	payloads  [][]byte
-	oversized bool // single payload beyond the datagram budget, shipped alone
+	payloads  [][]byte // a window of the shipping transaction's one payload list
+	oversized bool     // single payload beyond the datagram budget, shipped alone
 
 	// Batch-signing mode: the signing group the chunk belongs to and its
 	// position in it.
@@ -62,18 +64,17 @@ var groupSizeBuckets = []float64{1, 2, 3, 4, 8, 16}
 // reclaimFailed, and the next offer of the tuple — a re-derivation or a
 // post-retraction export sync — ships it instead of dedup-suppressing it
 // forever.
-func (n *Node) ship(exports []datalog.Tuple) {
+//
+// exports may yield one reused view (engine.TxnResult.InsertedRows): what
+// ship keeps of a tuple is its text, which the workspace's intern table holds
+// for good. The payloads are grouped by route, in order of first appearance,
+// into one list the transaction's chunks are windows of.
+func (n *Node) ship(exports iter.Seq[datalog.Tuple]) {
 	n.reclaimFailed()
-	if len(exports) == 0 {
-		return
-	}
 	self := n.localAddr()
-	type route struct{ to, from string }
-	var order []route
-	tuples := make(map[route][]datalog.Tuple)
-	payloads := make(map[route][][]byte)
-	for _, t := range exports {
-		if len(t) != 3 || t[0].Kind != datalog.KindNode || t[2].Kind != datalog.KindBytes {
+	routes, queued := n.routes[:0], n.queued[:0]
+	for t := range exports {
+		if len(t) != 3 || t[0].Kind != datalog.KindNode || t[1].Kind != datalog.KindNode || t[2].Kind != datalog.KindBytes {
 			continue // not a well-formed export(N, L, Pkt) tuple
 		}
 		if n.sent.Contains(t) {
@@ -87,24 +88,57 @@ func (n *Node) ship(exports []datalog.Tuple) {
 			continue // no traffic to evicted peers, and no dedup mark either
 		}
 		n.sent.Insert(t, false)
-		r := route{to: to, from: t[1].Str}
-		if _, ok := payloads[r]; !ok {
-			order = append(order, r)
+		from := t[1].Str
+		i := slices.IndexFunc(routes, func(o route) bool { return o.to == to && o.from == from })
+		if i < 0 {
+			i, routes = len(routes), append(routes, route{to: to, from: from})
 		}
-		tuples[r] = append(tuples[r], t)
-		payloads[r] = append(payloads[r], t[2].Bytes())
+		routes[i].n++
+		queued = append(queued, queuedPayload{route: i, payload: t[2].Bytes()})
 	}
 	n.sentSize.Store(int64(n.sent.Len()))
-	var chunks []outChunk
-	for _, r := range order {
-		chunks = append(chunks, chunkRoute(r.to, r.from, tuples[r], payloads[r], n.SignBatch != nil)...)
+	if len(queued) > 0 {
+		// Counting sort by route into the one list: routes[i].n becomes where
+		// route i's payloads start.
+		at := 0
+		for i := range routes {
+			routes[i].n, at = at, at+routes[i].n
+		}
+		payloads := make([][]byte, len(queued))
+		for _, q := range queued {
+			payloads[routes[q.route].n] = q.payload
+			routes[q.route].n++
+		}
+		chunks, lo := n.chunks[:0], 0
+		for _, r := range routes {
+			chunks = chunkRoute(chunks, r.to, r.from, payloads[lo:r.n], n.SignBatch != nil)
+			lo = r.n
+		}
+		if n.SignBatch != nil {
+			n.sealGroups(chunks)
+		}
+		for _, c := range chunks {
+			n.dispatch(c)
+		}
+		clear(chunks)
+		n.chunks = chunks
 	}
-	if n.SignBatch != nil {
-		n.sealGroups(chunks)
-	}
-	for _, c := range chunks {
-		n.dispatch(c)
-	}
+	clear(queued)
+	n.routes, n.queued = routes, queued
+}
+
+// route is one destination of a shipping transaction and the address its
+// payloads claim to come from; n counts its payloads, then marks where they
+// end in the transaction's list.
+type route struct {
+	to, from string
+	n        int
+}
+
+// queuedPayload is one payload ship has taken, before grouping by route.
+type queuedPayload struct {
+	route   int
+	payload []byte
 }
 
 // sealGroups makes the transaction's whole export set the signed unit: its
@@ -129,46 +163,38 @@ func (n *Node) sealGroups(chunks []outChunk) {
 	}
 }
 
-// chunkRoute splits one route's payloads into datagram-sized chunks. A
-// single payload that cannot fit any datagram even alone is isolated into
-// its own flagged chunk up front, so its inevitable transport rejection
-// costs exactly one payload and one clearly-attributed violation instead
-// of silently sinking the batch it happened to share a flush with.
-func chunkRoute(to, from string, tuples []datalog.Tuple, payloads [][]byte, batchSigned bool) []outChunk {
+// chunkRoute appends one route's payloads to chunks, cut into datagram-sized
+// windows of payloads. A single payload that cannot fit any datagram even
+// alone is isolated into its own flagged chunk up front, so its inevitable
+// transport rejection costs exactly one payload and one clearly-attributed
+// violation instead of silently sinking the batch it happened to share a
+// flush with.
+func chunkRoute(chunks []outChunk, to, from string, payloads [][]byte, batchSigned bool) []outChunk {
 	header := wire.MessageOverhead(from)
 	if batchSigned {
 		header = wire.MessageOverheadBatch(from)
 	}
-	var chunks []outChunk
-	var curTuples []datalog.Tuple
-	var curPayloads [][]byte
-	size := header
-	flush := func() {
-		if len(curPayloads) == 0 {
-			return
+	lo, size := 0, header
+	flush := func(hi int) {
+		if hi > lo {
+			chunks = append(chunks, outChunk{to: to, from: from, payloads: payloads[lo:hi:hi]})
 		}
-		chunks = append(chunks, outChunk{to: to, from: from, tuples: curTuples, payloads: curPayloads})
-		curTuples, curPayloads, size = nil, nil, header
+		lo, size = hi, header
 	}
 	for i, p := range payloads {
 		sz := wire.PayloadOverhead + len(p)
 		if header+sz > transport.MaxDatagram {
-			flush()
-			chunks = append(chunks, outChunk{
-				to: to, from: from,
-				tuples: tuples[i : i+1], payloads: payloads[i : i+1],
-				oversized: true,
-			})
+			flush(i)
+			chunks = append(chunks, outChunk{to: to, from: from, payloads: payloads[i : i+1 : i+1], oversized: true})
+			lo = i + 1
 			continue
 		}
-		if len(curPayloads) > 0 && size+sz > transport.MaxDatagram {
-			flush()
+		if i > lo && size+sz > transport.MaxDatagram {
+			flush(i)
 		}
-		curTuples = append(curTuples, tuples[i])
-		curPayloads = append(curPayloads, p)
 		size += sz
 	}
-	flush()
+	flush(len(payloads))
 	return chunks
 }
 
@@ -227,7 +253,7 @@ func (n *Node) sendChunk(c outChunk) {
 		}
 		if g.err != nil {
 			n.recordViolation(fmt.Errorf("dist: batch signing of %d payloads to %s failed: %w", len(c.payloads), c.to, g.err))
-			n.releaseMarks(c.tuples)
+			n.releaseMarks(c)
 			return
 		}
 		msg.Kind, msg.Sig = wire.MsgBatch, g.sig
@@ -241,7 +267,7 @@ func (n *Node) sendChunk(c outChunk) {
 		} else {
 			n.recordViolation(fmt.Errorf("dist: dropped %d-payload message to %s: %w", len(c.payloads), c.to, err))
 		}
-		n.releaseMarks(c.tuples)
+		n.releaseMarks(c)
 		return
 	}
 	if n.countsPeer(c.to) {
@@ -255,13 +281,16 @@ func (n *Node) sendChunk(c outChunk) {
 	})
 }
 
-// releaseMarks queues a failed chunk's tuples for reclamation. It is
-// called from the loop goroutine (inline sends) and the sender stage, so
-// it only records them; reclaimFailed applies them on the loop goroutine,
-// which owns the sent-set.
-func (n *Node) releaseMarks(tuples []datalog.Tuple) {
+// releaseMarks queues a failed chunk's export tuples, rebuilt from its route
+// and payloads, for reclamation. It is called from the loop goroutine (inline
+// sends) and the sender stage, so it only records them; reclaimFailed applies
+// them on the loop goroutine, which owns the sent-set.
+func (n *Node) releaseMarks(c outChunk) {
+	to, from := datalog.NodeV(c.to), datalog.NodeV(c.from)
 	n.mu.Lock()
-	n.failed = append(n.failed, tuples...)
+	for _, p := range c.payloads {
+		n.failed = append(n.failed, datalog.Tuple{to, from, datalog.OwnedBytes(p)})
+	}
 	n.mu.Unlock()
 }
 

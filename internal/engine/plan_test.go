@@ -3,6 +3,7 @@ package engine
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"secureblox/internal/datalog"
@@ -259,5 +260,61 @@ func TestScanWorkTracksDeltaNotRelation(t *testing.T) {
 	if large > 2*small || small > 2*large {
 		t.Errorf("tuples scanned per tuple inserted: %.2f at 1000 edges, %.2f at 4000 — work follows the relation, not the delta",
 			small, large)
+	}
+}
+
+// TestIndexOnlyASetupLedPlanProbesIsNeverBuilt: an index is built by its first
+// probe of a non-empty relation, not when a plan registers it. The rule here is
+// led by gate, a setup relation asserted with the program the way self[] and
+// principal_node are: its gate-led delta plan registers an index on edge's
+// first column, and it is the only plan that probes it. A run of transactions
+// that never changes gate never builds that index, and no probe falls back to
+// a scan for want of it; the first change to gate builds it with every row.
+func TestIndexOnlyASetupLedPlanProbesIsNeverBuilt(t *testing.T) {
+	w := NewWorkspace(nil)
+	prog, err := datalog.Parse(`
+		hop(X, Y) <- gate(X), edge(X, Y).
+		gate(1). gate(2).
+	`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Install(prog); err != nil {
+		t.Fatal(err)
+	}
+	edge := w.relation("edge")
+	var x *hashIndex
+	for _, idx := range edge.idx[1:] {
+		if slices.Equal(idx.cols, []int{0}) {
+			x = idx
+		}
+	}
+	if x == nil {
+		t.Fatalf("the gate-led plan registered no index on edge's first column: %d indexes", len(edge.idx))
+	}
+	before := w.Stats()
+	for i := int64(0); i < 50; i++ {
+		if _, err := w.Assert([]Fact{{Pred: "edge", Tuple: tup(i%5, i)}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	d := w.Stats().Sub(before)
+	if d.FullScanFallbacks != 0 || d.IndexProbes == 0 {
+		t.Errorf("50 edge transactions: %d full-scan fallbacks, %d probes (want 0 and some)", d.FullScanFallbacks, d.IndexProbes)
+	}
+	if !x.unbuilt || x.heads != nil || x.ents != nil {
+		t.Errorf("an index only the gate-led plan probes was built by transactions that never changed gate")
+	}
+	if got := w.Count("hop"); got != 20 {
+		t.Fatalf("%d hops, want 20", got)
+	}
+	if _, err := w.Assert([]Fact{{Pred: "gate", Tuple: tup(3)}}); err != nil {
+		t.Fatal(err)
+	}
+	if got := w.Count("hop"); x.unbuilt || got != 30 {
+		t.Errorf("after gate(3): index unbuilt %v, %d hops, want built and 30", x.unbuilt, got)
+	}
+	if err := checkStore(edge); err != nil {
+		t.Error(err)
 	}
 }

@@ -19,6 +19,10 @@ type hashIndex struct {
 	cols  []int      // projected columns, ascending; nil projects every column
 	heads []uint32   // bucket → first id + 1 (0: empty); power-of-two length, nil until the first id
 	ents  []idxEntry // id → chain link
+	// unbuilt marks a secondary index no probe of a non-empty relation has
+	// reached yet: it links nothing, and the first such probe builds it from
+	// the live rows (Relation.ready). From then on it links every live row.
+	unbuilt bool
 }
 
 // idxEntry links one id into its bucket's chain. hash keeps the low half of
@@ -142,7 +146,9 @@ func page(id uint32) (p int, start uint32) {
 // addressed by id that are never reallocated, so growing a relation copies
 // nothing; flags mark live and EDB rows; and every access path — whole row,
 // functional key, a join plan's bound columns — is a hashIndex from a
-// projection hash to row ids, verified by cell equality. Text is a symbol of
+// projection hash to row ids, verified by cell equality. A join plan's index is
+// built by its first probe of a non-empty relation, not when it is registered,
+// so an index no executed plan probes costs nothing. Text is a symbol of
 // the owning workspace's intern table; Insert, Contains, Delete and Tuples
 // translate datalog values at the boundary.
 //
@@ -180,8 +186,8 @@ type Relation struct {
 }
 
 // newRelation returns an empty relation for the given schema over syms. Pages
-// and hash tables are allocated by the first insert, so an unused relation
-// costs its header only.
+// and hash tables are allocated by the first insert — a secondary index's by
+// its first probe — so an unused relation costs its header only.
 func newRelation(s *Schema, syms *symtab) *Relation {
 	r := &Relation{schema: s, syms: syms, arity: s.Arity}
 	r.idx = append(make([]*hashIndex, 0, 2), &r.primary)
@@ -243,7 +249,7 @@ func (r *Relation) lookupFn(keys []cell) int {
 // bind gives the relation what a program knows of it: its schema, checks and
 // rule lists, and exactly the secondary indexes it lists, in its order — the
 // positions its plans probe. An index already in place is kept; from the
-// first that differs on, the list is rebuilt.
+// first that differs on, the list is registered anew, unbuilt.
 func (r *Relation) bind(s *relSpec) {
 	r.schema, r.spec = s.schema, s
 	first := 1
@@ -263,8 +269,7 @@ func (r *Relation) bind(s *relSpec) {
 }
 
 // ensureIndex registers (or returns) the secondary index over the given
-// column set, backfilling it from the current extent. cols must be sorted
-// ascending and within the relation's arity.
+// column set. cols must be sorted ascending and within the relation's arity.
 func (r *Relation) ensureIndex(cols []int) *hashIndex {
 	for _, x := range r.idx[1:] {
 		if x != r.fn && slices.Equal(x.cols, cols) {
@@ -274,23 +279,45 @@ func (r *Relation) ensureIndex(cols []int) *hashIndex {
 	return r.addIndex(cols)
 }
 
-// addIndex appends a secondary index over cols, backfilled from the extent.
+// addIndex appends an unbuilt secondary index over cols.
 func (r *Relation) addIndex(cols []int) *hashIndex {
-	x := &hashIndex{cols: slices.Clone(cols), ents: make([]idxEntry, len(r.flags))}
+	x := &hashIndex{cols: slices.Clone(cols), unbuilt: true}
 	r.idx = append(r.idx, x)
+	return x
+}
+
+// ready reports whether x may hold a match, building it first if this is the
+// first probe of a non-empty relation to reach it: a backfill of the live rows
+// into a table sized for them. An index of an empty relation has nothing to
+// find, and stays unbuilt.
+func (r *Relation) ready(x *hashIndex) bool {
+	if !x.unbuilt {
+		return true
+	}
+	if r.n == 0 {
+		return false
+	}
+	buckets := 8
+	for buckets < r.n {
+		buckets *= 2
+	}
+	x.heads, x.ents, x.unbuilt = make([]uint32, buckets), make([]idxEntry, len(r.flags)), false
 	n := 0
 	for id, f := range r.flags {
 		if f&rowLive != 0 {
 			n++
-			x.link(uint32(id), hashCols(r.row(uint32(id)), cols), n)
+			x.link(uint32(id), hashCols(r.row(uint32(id)), x.cols), n)
 		}
 	}
-	return x
+	return true
 }
 
 // probe iterates the rows whose projection onto x.cols equals vals (vals[i]
 // corresponds to column x.cols[i]). fn returning false stops.
 func (r *Relation) probe(x *hashIndex, vals []cell, fn func([]cell) bool) {
+	if !r.ready(x) {
+		return
+	}
 	h := hashCells(vals)
 	// The link is read after fn returns: fn may insert, which can split the
 	// chain, and only a row with the probed hash — in the probed bucket at
@@ -308,7 +335,7 @@ func (r *Relation) probe(x *hashIndex, vals []cell, fn func([]cell) bool) {
 // probeExists reports whether any row matches the projection — the
 // partially bound negation check.
 func (r *Relation) probeExists(x *hashIndex, vals []cell) bool {
-	return r.find(x, hashCells(vals), vals) != 0
+	return r.ready(x) && r.find(x, hashCells(vals), vals) != 0
 }
 
 // InsertResult describes the outcome of an insert.
@@ -393,7 +420,9 @@ func (r *Relation) add(vals []cell, h uint64, flags uint8) (uint32, bool) {
 		rest = rest[1:]
 	}
 	for _, x := range rest {
-		x.link(id, hashCols(vals, x.cols), r.n)
+		if !x.unbuilt {
+			x.link(id, hashCols(vals, x.cols), r.n)
+		}
 	}
 	return id, true
 }
@@ -422,10 +451,12 @@ func (r *Relation) rowOfTuple(t datalog.Tuple) int {
 	return r.rowOf(vals)
 }
 
-// remove takes live row id out of the relation: it leaves every index.
+// remove takes live row id out of the relation: it leaves every built index.
 func (r *Relation) remove(id uint32) {
 	for _, x := range r.idx {
-		x.unlink(id)
+		if !x.unbuilt {
+			x.unlink(id)
+		}
 	}
 	r.n--
 	r.clear(id, rowLive|rowBase)

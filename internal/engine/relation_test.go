@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"slices"
 	"sort"
+	"strings"
 	"testing"
 
 	"secureblox/internal/datalog"
@@ -82,8 +83,11 @@ func TestSecondaryIndexBackfillAndMaintenance(t *testing.T) {
 	r.Insert(tup(2, 7, 4), false)
 	r.Insert(tup(3, 8, 4), false)
 
-	// Registering after inserts must backfill.
+	// Registering after inserts builds nothing; the first probe backfills.
 	idx := r.ensureIndex([]int{1})
+	if !idx.unbuilt || idx.ents != nil {
+		t.Fatal("registering an index must not build it")
+	}
 	if got := probeAll(r, idx, datalog.Int64(7)); len(got) != 2 {
 		t.Fatalf("backfilled probe on col1=7: got %d tuples, want 2", len(got))
 	}
@@ -147,9 +151,10 @@ func TestFunctionalIndexHashed(t *testing.T) {
 }
 
 // checkStore verifies the row store's structure: every live row is linked
-// exactly once into every index, in the bucket its projection hashes to, no
-// chain reaches a freed row — so a deleted or rejected tuple has left no
-// trace anywhere — and every symbol a live row names is in the intern table.
+// exactly once into every built index, in the bucket its projection hashes to,
+// an unbuilt one links nothing, no chain reaches a freed row — so a deleted or
+// rejected tuple has left no trace anywhere — and every symbol a live row names
+// is in the intern table.
 func checkStore(r *Relation) error {
 	// A row is live, free, or dead on its transaction's list: deleted again by
 	// the transaction that inserted it, and holding its cells until the list goes.
@@ -194,8 +199,12 @@ func checkStore(r *Relation) error {
 				}
 			}
 		}
-		if linked != live {
-			return fmt.Errorf("index %d (cols %v) links %d rows of %d", xi, x.cols, linked, live)
+		want := live
+		if x.unbuilt {
+			want = 0
+		}
+		if linked != want {
+			return fmt.Errorf("index %d (cols %v, unbuilt %v) links %d rows, want %d", xi, x.cols, x.unbuilt, linked, want)
 		}
 	}
 	return nil
@@ -292,7 +301,9 @@ func randTuple(rng *rand.Rand, arity int) datalog.Tuple {
 // probe / LookupFn / Each sequences — inserts from inside Probe and Each
 // callbacks included — against the slice model, over arities 0–5, functional
 // shapes down to the p[]=v singleton, and index-less tuple sets, checking the
-// store's structure after every mutation.
+// store's structure after every mutation. A secondary index links nothing from
+// its registration until the first probe of a non-empty relation, and exactly
+// the live rows from then on, through deletes and id reuse.
 func TestRelationMatchesModel(t *testing.T) {
 	for seed := int64(0); seed < 48; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -307,6 +318,7 @@ func TestRelationMatchesModel(t *testing.T) {
 		}
 		m := &storeModel{keyArity: keyArity}
 		var indexes []*hashIndex
+		built := map[*hashIndex]bool{} // probed while the relation held a row
 		fail := func(format string, args ...any) {
 			t.Helper()
 			t.Fatalf("seed %d (arity %d, key arity %d): %s", seed, arity, keyArity, fmt.Sprintf(format, args...))
@@ -318,6 +330,11 @@ func TestRelationMatchesModel(t *testing.T) {
 			}
 			if r.Len() != len(m.rows) {
 				fail("after %s: Len %d, model %d", what, r.Len(), len(m.rows))
+			}
+			for _, x := range indexes {
+				if x.unbuilt == built[x] {
+					fail("after %s: index %v unbuilt %v, probed while non-empty %v", what, x.cols, x.unbuilt, built[x])
+				}
 			}
 		}
 		insert := func(tp datalog.Tuple, base bool) {
@@ -343,7 +360,8 @@ func TestRelationMatchesModel(t *testing.T) {
 				}
 				mutate(fmt.Sprintf("Delete(%v)", tp))
 			case c < 62 && arity > 1 && len(indexes) < 3:
-				// Register an index part-way through: it must backfill.
+				// Register an index part-way through: the first probe of a
+				// non-empty relation must backfill it.
 				var cols []int
 				for col := 0; col < arity; col++ {
 					if rng.Intn(2) == 0 {
@@ -369,6 +387,7 @@ func TestRelationMatchesModel(t *testing.T) {
 					vals = append(vals, probe[col])
 				}
 				want := m.matching(x.cols, vals)
+				built[x] = built[x] || len(m.rows) > 0
 				if r.probeExists(x, cellsOf(r, vals)) != (len(want) > 0) {
 					fail("probeExists(%v, %v) disagrees with the model", x.cols, vals)
 				}
@@ -494,6 +513,9 @@ func TestRowIDReuse(t *testing.T) {
 	for i := int64(0); i < 20; i++ {
 		r.Insert(tup(i, i%3), false)
 	}
+	if got := probeAll(r, x, datalog.Int64(1)); len(got) != 7 { // builds x before the deletes
+		t.Fatalf("col1=1 probe finds %d tuples, want 7", len(got))
+	}
 	r.Delete(tup(7, 1))
 	r.Delete(tup(3, 0))
 	r.Insert(tup(100, 1), false)
@@ -543,6 +565,7 @@ func TestRollbackRestoresStore(t *testing.T) {
 		hops[X] = C <- agg<<C = count(Y)>> reach(X, Y).
 		far[X] = M <- agg<<M = max(Y)>> reach(X, Y).
 		tok(T), owner[T] = X <- link(X, X).
+		pair(X, Z) <- mark(X), link(X, Z).
 		reach(X, Y) -> X < 50, Y < 50.
 	`)
 	if err != nil {
@@ -569,12 +592,20 @@ func TestRollbackRestoresStore(t *testing.T) {
 		// Reachable from the cycle, out of the constraint's range: the
 		// violation appears rounds after the transaction started deriving.
 		bad = append(bad, Fact{Pred: "link", Tuple: tup(int64(rng.Intn(12)), 60+int64(i))})
+		if i == 0 {
+			// The first probe of link on its first column — the mark-led plan's —
+			// builds that index inside a transaction that is rolled back.
+			bad = append(bad, Fact{Pred: "mark", Tuple: tup(3)})
+		}
 		if _, err := w.Assert(bad); err == nil {
 			t.Fatal("transaction must be rejected")
 		}
 		if got := storeSnapshot(t, w); got != want {
 			t.Fatalf("rejected transaction %d changed the store:\n--- before ---\n%s\n--- after ---\n%s", i, want, got)
 		}
+	}
+	if x := w.relation("link").ensureIndex([]int{0}); x.unbuilt {
+		t.Fatal("the rolled-back transaction never built link's first-column index: the test proves nothing about it")
 	}
 	// Delete-then-reinsert inside one transaction: near[10] is 5 before it,
 	// becomes 4 in its second round and 3 in its third (each a replacement:
@@ -696,6 +727,13 @@ func TestInsertedListsWhatTheTransactionInserted(t *testing.T) {
 	} {
 		if got := fmt.Sprint(res.Inserted(pred)); got != want {
 			t.Errorf("Inserted(%s) = %s, want %s", pred, got, want)
+		}
+		var rows []string // InsertedRows yields the same list, one reused view at a time
+		for tp := range res.InsertedRows(pred) {
+			rows = append(rows, tp.String())
+		}
+		if got := "[" + strings.Join(rows, " ") + "]"; got != want {
+			t.Errorf("InsertedRows(%s) = %s, want %s", pred, got, want)
 		}
 	}
 	if v, _ := w.LookupFn("hops", datalog.Int64(20)); v.Int != 6 {

@@ -24,8 +24,11 @@ type UDF interface {
 	// valid as long as the workspace. Eval stores its results there and nowhere
 	// else, and where a position it computes arrived bound, the two must be
 	// equal for the completion to stand (Yield does both). The workspace
-	// interns each result before it runs anything else, so a result may view an
-	// argument. args is the caller's scratch: Eval must not keep the slice, and
+	// interns each result before it runs anything else — the next Eval of the
+	// same UDF included — so a result may view an argument, or storage that
+	// Eval reuses on its next call (serialize encodes into one buffer). A UDF
+	// that keeps such storage serves one workspace: each workspace has its own
+	// registry. args is the caller's scratch: Eval must not keep the slice, and
 	// allocates nothing for the caller's sake — only the bytes of the values
 	// it returns.
 	Eval(param string, args []datalog.Value, bound []bool) (bool, error)

@@ -3,6 +3,7 @@ package engine
 import (
 	"encoding/binary"
 	"fmt"
+	"iter"
 	"slices"
 	"sort"
 	"strings"
@@ -793,7 +794,10 @@ func (w *Workspace) checkAllConstraints() error {
 // TxnResult reports what a committed transaction inserted. It reads the
 // workspace's own row lists, so it is good until the workspace's next Install,
 // Assert or Retract begins.
-type TxnResult struct{ w *Workspace }
+type TxnResult struct {
+	w   *Workspace
+	row datalog.Tuple // InsertedRows' one view
+}
 
 // Inserted returns the tuples the transaction inserted into pred, in insertion
 // order — one it replaced again itself (an aggregate value that moved twice)
@@ -808,6 +812,29 @@ func (r *TxnResult) Inserted(pred string) []datalog.Tuple {
 		rel.view(out[i], id)
 	}
 	return out
+}
+
+// InsertedRows yields the tuples Inserted lists, in its order, without
+// building the list: each is one reused view, overwritten by the next, whose
+// values' text stays valid for the life of the workspace. A caller that keeps
+// a tuple copies it.
+func (r *TxnResult) InsertedRows(pred string) iter.Seq[datalog.Tuple] {
+	return func(yield func(datalog.Tuple) bool) {
+		rel := r.w.relation(pred)
+		if rel == nil {
+			return
+		}
+		if cap(r.row) < rel.arity {
+			r.row = make(datalog.Tuple, rel.arity)
+		}
+		row := r.row[:rel.arity]
+		for _, id := range rel.ins {
+			rel.view(row, id)
+			if !yield(row) {
+				return
+			}
+		}
+	}
 }
 
 // Assert runs one ACID transaction: insert the given base facts, evaluate

@@ -21,7 +21,11 @@ var ErrUnknownAddr = errors.New("transport: unknown address")
 // cross-wiring their endpoints.
 var ErrAddrInUse = errors.New("transport: address already in use")
 
-// InMsg is a received datagram.
+// InMsg is a received datagram. Its Data is handed over owned: no transport
+// writes to it or reuses it once delivered, so the consumer may keep views of
+// it (wire.DecodeMessage returns them). The consumer must not write to it
+// either — one buffer may arrive twice (a duplicated datagram) or at several
+// endpoints (one probe sent to many).
 type InMsg struct {
 	From string
 	Data []byte
@@ -31,7 +35,9 @@ type InMsg struct {
 type Transport interface {
 	// Addr is this endpoint's address ("host:port").
 	Addr() string
-	// Send transmits data to another endpoint.
+	// Send transmits data to another endpoint. It hands data over: the
+	// caller must not write to it afterwards, since an in-process transport
+	// delivers that very buffer.
 	Send(to string, data []byte) error
 	// Receive returns the channel of incoming datagrams. It is closed when
 	// the transport closes.

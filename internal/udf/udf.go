@@ -235,8 +235,9 @@ func (sha1UDF) Eval(_ string, args []datalog.Value, bound []bool) (bool, error) 
 }
 
 // serializeUDF implements serialize[P](S, T, V*): packs signature S and
-// values V* into payload T (paper §5.1).
-type serializeUDF struct{}
+// values V* into payload T (paper §5.1). It encodes into its own buffer, which
+// the next call reuses: the workspace interns the payload before then.
+type serializeUDF struct{ buf []byte }
 
 func (*serializeUDF) Name() string { return "serialize" }
 
@@ -252,9 +253,9 @@ func (*serializeUDF) CanEval(bound []bool) bool {
 	return true
 }
 
-func (*serializeUDF) Eval(param string, args []datalog.Value, bound []bool) (bool, error) {
-	p := wire.Payload{Pred: param, Sig: args[0].Bytes(), Vals: datalog.Tuple(args[2:])}
-	return engine.Yield(args, bound, 1, datalog.OwnedBytes(wire.EncodePayload(p))), nil
+func (u *serializeUDF) Eval(param string, args []datalog.Value, bound []bool) (bool, error) {
+	u.buf = wire.AppendPayload(u.buf[:0], wire.Payload{Pred: param, Sig: args[0].Bytes(), Vals: datalog.Tuple(args[2:])})
+	return engine.Yield(args, bound, 1, datalog.OwnedBytes(u.buf)), nil
 }
 
 // unpack is the body of the two deserialize UDFs: payload pkt, whose values go

@@ -5,16 +5,19 @@ import (
 	"reflect"
 	"runtime"
 	"testing"
+	"unsafe"
 )
 
 // FuzzDecodeMessage feeds DecodeMessage what the paper's adversary can put on
 // a socket. Whatever the bytes: it returns instead of panicking; it allocates
 // in proportion to the input, never to a count the input merely claims (a
-// payload costs at least one input byte and a slice header, everything else is
-// copied out of the input); and a message it accepts survives Encode∘Decode
-// unchanged, with a group root that can be computed. The seed corpus under
-// testdata/fuzz/FuzzDecodeMessage covers data, batch (k=1, k>1), control and
-// a few near-miss envelopes.
+// payload costs at least one input byte and a slice header); a message it
+// accepts copies nothing out of the input but the sender address — every
+// payload, the signature and the siblings alias it, capped at their length, and
+// decoding takes at most two allocations however many payload bytes there are;
+// and it survives Encode∘Decode unchanged, with a group root that can be
+// computed. The seed corpus under testdata/fuzz/FuzzDecodeMessage covers data,
+// batch (k=1, k>1), control and a few near-miss envelopes.
 func FuzzDecodeMessage(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var before, after runtime.MemStats
@@ -28,6 +31,16 @@ func FuzzDecodeMessage(f *testing.F) {
 		}
 		if err != nil {
 			return
+		}
+		for i, p := range append([][]byte{m.Sig, m.Siblings}, m.Payloads...) {
+			if len(p) > 0 && (!aliases(data, p) || cap(p) != len(p)) {
+				t.Fatalf("part %d of the message (%d bytes, cap %d) is not a capped view of the input", i, len(p), cap(p))
+			}
+		}
+		// The sender address and the payload list; a copy per payload, or of
+		// the signature or siblings, would be a third.
+		if n := testing.AllocsPerRun(1, func() { _, _ = DecodeMessage(data) }); n > 2 {
+			t.Fatalf("decoding a %d-payload message allocated %.0f times, want at most 2", len(m.Payloads), n)
 		}
 		if m.Kind == MsgBatch {
 			if len(m.Siblings)%DigestSize != 0 || len(m.Siblings) >= MaxGroup*DigestSize || int(m.Pos) > len(m.Siblings)/DigestSize {
@@ -46,6 +59,12 @@ func FuzzDecodeMessage(f *testing.F) {
 			t.Fatal("Encode∘Decode is not the identity on an encoded message")
 		}
 	})
+}
+
+// aliases reports whether part lies inside buf's storage.
+func aliases(buf, part []byte) bool {
+	lo, at := uintptr(unsafe.Pointer(unsafe.SliceData(buf))), uintptr(unsafe.Pointer(unsafe.SliceData(part)))
+	return at >= lo && at+uintptr(len(part)) <= lo+uintptr(len(buf))
 }
 
 // FuzzDecodeControl feeds DecodeControl the single payload of a MsgControl

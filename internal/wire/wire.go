@@ -37,7 +37,8 @@ func readUvarint(buf []byte) (uint64, []byte, error) {
 	return v, buf[n:], nil
 }
 
-// readField reads one length-prefixed byte string as a view of buf.
+// readField reads one length-prefixed byte string as a view of buf, capped at
+// its length so that appending to it cannot write into buf.
 func readField(buf []byte) (field, rest []byte, err error) {
 	n, buf, err := readUvarint(buf)
 	if err != nil {
@@ -46,7 +47,7 @@ func readField(buf []byte) (field, rest []byte, err error) {
 	if uint64(len(buf)) < n {
 		return nil, nil, ErrTruncated
 	}
-	return buf[:n], buf[n:], nil
+	return buf[:n:n], buf[n:], nil
 }
 
 // AppendValue encodes one value.
@@ -185,7 +186,11 @@ type Payload struct {
 
 // EncodePayload serializes a payload into a buffer of exactly its size.
 func EncodePayload(p Payload) []byte {
-	buf := make([]byte, 0, fieldLen(len(p.Pred))+fieldLen(len(p.Sig))+tupleLen(p.Vals))
+	return AppendPayload(make([]byte, 0, fieldLen(len(p.Pred))+fieldLen(len(p.Sig))+tupleLen(p.Vals)), p)
+}
+
+// AppendPayload appends the encoding of a payload to buf.
+func AppendPayload(buf []byte, p Payload) []byte {
 	buf = appendUvarint(buf, uint64(len(p.Pred)))
 	buf = append(buf, p.Pred...)
 	buf = appendUvarint(buf, uint64(len(p.Sig)))
@@ -413,7 +418,10 @@ func EncodeMessage(m Message) []byte {
 	return buf
 }
 
-// DecodeMessage parses a message.
+// DecodeMessage parses a message. The signature, the siblings and every
+// payload are views of buf, capped at their length, so buf must not change
+// while the message is in use: the transports hand a datagram over owned, and
+// nothing on the inbound path writes into one.
 func DecodeMessage(buf []byte) (Message, error) {
 	var m Message
 	if len(buf) == 0 {
@@ -437,7 +445,7 @@ func DecodeMessage(buf []byte) (Message, error) {
 		if len(sig) > MaxBatchSig {
 			return m, ErrTruncated
 		}
-		m.Sig = append([]byte(nil), sig...)
+		m.Sig = sig
 		var pos, sibs uint64
 		pos, buf, err = readUvarint(buf)
 		if err != nil {
@@ -457,8 +465,7 @@ func DecodeMessage(buf []byte) (Message, error) {
 		}
 		m.Pos = uint32(pos)
 		if sibs > 0 {
-			m.Siblings = append([]byte(nil), buf[:sibs*DigestSize]...)
-			buf = buf[sibs*DigestSize:]
+			m.Siblings, buf = buf[:sibs*DigestSize:sibs*DigestSize], buf[sibs*DigestSize:]
 		}
 	}
 	if m.Kind != MsgControl {
@@ -494,7 +501,7 @@ func DecodeMessage(buf []byte) (Message, error) {
 		if p, buf, err = readField(buf); err != nil {
 			return m, err
 		}
-		m.Payloads = append(m.Payloads, append([]byte(nil), p...))
+		m.Payloads = append(m.Payloads, p)
 	}
 	if len(buf) != 0 {
 		return m, fmt.Errorf("wire: %d trailing bytes after message", len(buf))
