@@ -183,6 +183,27 @@ func TestCleanProgramHasNoFindings(t *testing.T) {
 	}
 }
 
+// A relation named only as a generic parameter is used: anonjoin declares
+// req_publicdata and reads it through anon_says['req_publicdata].
+func TestGenericParameterIsAUse(t *testing.T) {
+	rep := analyzeSrc(t, `
+		req(X) -> int(X).
+		reply(X) -> int(X).
+		ghost(X) -> int(X).
+		out['req](X) <- in(X).
+		back(X) <- total['reply][X]=3.
+	`)
+	var unused []string
+	for _, f := range rep.Findings {
+		if f.Code == CodeUnusedRelation {
+			unused = append(unused, f.Msg)
+		}
+	}
+	if len(unused) != 1 || !strings.Contains(unused[0], "ghost") {
+		t.Errorf("unused-relation findings = %q, want ghost's alone", unused)
+	}
+}
+
 // Entity-typed head existentials and aggregation results are not unsafe.
 func TestExistentialAndAggHeadsAreSafe(t *testing.T) {
 	rep := analyzeSrc(t, `
@@ -200,22 +221,42 @@ func TestExistentialAndAggHeadsAreSafe(t *testing.T) {
 // The report shows the orders that actually run: the static order for full
 // evaluations, and per positive atom the delta-first order that leads with
 // it and defers the filter until its operands are bound.
+//
+// A delta plan led by anything but the node's location opens with its
+// location lookups, self[] and principal_node[self[]], resolved once before
+// the leading scan; the list still holds every body literal.
 func TestRuleInfoListsDeltaOrders(t *testing.T) {
-	rep := analyzeSrc(t, `reach(X, Y) <- link(X, Z), reach(Z, Y), X != Y.`)
-	info := rep.Rules[0]
-	if got := strings.Join(info.Order, " ; "); got != "link(X, Z) ; reach(Z, Y) ; X != Y" {
-		t.Errorf("static order = %s", got)
-	}
-	want := []string{
+	rep := analyzeSrc(t, `reach(X, Y) <- link(X, Z), reach(Z, Y), X != Y.
+out(Y) <- reach(X, Y), at(principal_node[self[]], X).`)
+	for i, tc := range []struct {
+		static string
+		delta  []string
+	}{{
 		"link(X, Z) ; reach(Z, Y) ; X != Y",
-		"reach(Z, Y) ; link(X, Z) ; X != Y",
-	}
-	if len(info.DeltaOrders) != len(want) {
-		t.Fatalf("delta orders = %v, want %d of them", info.DeltaOrders, len(want))
-	}
-	for i, w := range want {
-		if got := strings.Join(info.DeltaOrders[i], " ; "); got != w {
-			t.Errorf("delta order %d = %s, want %s", i, got, w)
+		[]string{
+			"link(X, Z) ; reach(Z, Y) ; X != Y",
+			"reach(Z, Y) ; link(X, Z) ; X != Y",
+		},
+	}, {
+		"reach(X, Y) ; at($t2, X) ; principal_node[$t1]=$t2 ; self[]=$t1",
+		[]string{
+			"self[]=$t1 ; principal_node[$t1]=$t2 ; reach(X, Y) ; at($t2, X)",
+			"self[]=$t1 ; principal_node[$t1]=$t2 ; at($t2, X) ; reach(X, Y)",
+			"self[]=$t1 ; principal_node[$t1]=$t2 ; at($t2, X) ; reach(X, Y)",
+			"self[]=$t1 ; principal_node[$t1]=$t2 ; at($t2, X) ; reach(X, Y)",
+		},
+	}} {
+		info := rep.Rules[i]
+		if got := strings.Join(info.Order, " ; "); got != tc.static {
+			t.Errorf("rule %d: static order = %s, want %s", i, got, tc.static)
+		}
+		if len(info.DeltaOrders) != len(tc.delta) {
+			t.Fatalf("rule %d: delta orders = %v, want %d of them", i, info.DeltaOrders, len(tc.delta))
+		}
+		for k, w := range tc.delta {
+			if got := strings.Join(info.DeltaOrders[k], " ; "); got != w {
+				t.Errorf("rule %d: delta order %d = %s, want %s", i, k, got, w)
+			}
 		}
 	}
 }

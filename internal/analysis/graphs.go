@@ -363,7 +363,7 @@ func checkDeadRules(r *Report, plans []engine.RulePlan, prog *datalog.Program, i
 }
 
 // checkUnusedRelations reports declared predicates that no rule, fact, or
-// non-declaration constraint ever mentions.
+// non-declaration constraint ever mentions, by name or as a generic parameter.
 func checkUnusedRelations(r *Report, prog *datalog.Program, cat *engine.Catalog) {
 	used := map[string]bool{}
 	var useTerm func(t datalog.Term)
@@ -373,6 +373,7 @@ func checkUnusedRelations(r *Report, prog *datalog.Program, cat *engine.Catalog)
 			name := tt.Pred
 			if tt.Param != "" {
 				name = tt.Pred + "$" + tt.Param
+				used[tt.Param] = true
 			}
 			used[name] = true
 			for _, a := range tt.Args {
@@ -383,8 +384,13 @@ func checkUnusedRelations(r *Report, prog *datalog.Program, cat *engine.Catalog)
 			useTerm(tt.R)
 		}
 	}
+	// A generic parameter (anon_says['req](…)) names its relation: the
+	// instantiated rules read or derive it, so it counts as a use.
 	useAtom := func(a *datalog.Atom) {
 		used[a.ConcreteName()] = true
+		if a.Param != "" {
+			used[a.Param] = true
+		}
 		for _, t := range a.Args {
 			useTerm(t)
 		}

@@ -172,7 +172,10 @@ func TestNoFullScanFallbacksInProtocolRuleSets(t *testing.T) {
 }
 
 // checkDeltaPlans verifies the shape of one rule's delta-first plans from
-// the planner's exported view.
+// the planner's exported view: a plan lists every literal of the static plan,
+// its location lookups (self[], principal_node[self[]]) first, then the delta
+// atom, and every later match that shares a variable with what ran before it
+// probes on it.
 func checkDeltaPlans(p engine.RulePlan) error {
 	atoms := 0
 	for _, s := range p.Steps {
@@ -184,19 +187,26 @@ func checkDeltaPlans(p engine.RulePlan) error {
 		return fmt.Errorf("%d delta plans for %d positive atoms", len(p.DeltaPlans), atoms)
 	}
 	for k, plan := range p.DeltaPlans {
-		if len(plan) != len(p.Steps) || plan[0].Kind != engine.StepMatch {
-			return fmt.Errorf("delta plan %d: %d steps (static %d), leading %s", k, len(plan), len(p.Steps), plan[0].Kind)
-		}
 		seen := map[string]bool{}
-		datalog.AtomVars(plan[0].Atom, seen)
-		for i, s := range plan[1:] {
+		pre := 0
+		for ; pre < len(plan) && plan[pre].Kind == engine.StepPrebound; pre++ {
+			if s := plan[pre]; s.Pred != "self" && s.Pred != "principal_node" {
+				return fmt.Errorf("delta plan %d: location lookup over %s", k, s.Pred)
+			}
+			datalog.AtomVars(plan[pre].Atom, seen)
+		}
+		if len(plan) != len(p.Steps) || pre == len(plan) || plan[pre].Kind != engine.StepMatch {
+			return fmt.Errorf("delta plan %d: %d steps (static %d), %d lookups, then no delta atom", k, len(plan), len(p.Steps), pre)
+		}
+		datalog.AtomVars(plan[pre].Atom, seen)
+		for i, s := range plan[pre+1:] {
 			switch s.Kind {
 			case engine.StepMatch:
 				vars := map[string]bool{}
 				datalog.AtomVars(s.Atom, vars)
 				for v := range vars {
 					if seen[v] && len(s.BoundCols) == 0 {
-						return fmt.Errorf("delta plan %d step %d: %s shares %s with earlier steps but probes nothing", k, i+1, s.Atom, v)
+						return fmt.Errorf("delta plan %d step %d: %s shares %s with earlier steps but probes nothing", k, pre+i+1, s.Atom, v)
 					}
 				}
 				datalog.AtomVars(s.Atom, seen)

@@ -54,6 +54,16 @@ type step struct {
 	probeCols []int
 }
 
+// deltaPlan is a delta-first plan: steps[0] is the delta atom, ranged over the
+// delta's rows, and the rest is ordered from what it binds. pre are the
+// plan's location lookups — self[] and principal_node[self[]] — which no rule
+// derives into, so within a fixpoint each has one value: they are resolved
+// once, before the leading scan, and the delta atom's unification already
+// sees what they bind.
+type deltaPlan struct {
+	pre, steps []step
+}
+
 // headEx is a head-existential variable with its entity type.
 type headEx struct {
 	name    string
@@ -78,7 +88,7 @@ type CompiledRule struct {
 	// leading: a semi-naïve evaluation runs the plan of its delta atom, so
 	// it loops over the delta and probes stored relations from there on.
 	// All plans share the rule's slot numbering.
-	deltaPlans [][]step
+	deltaPlans []deltaPlan
 	bodyVars   []string // sorted variable names bound by the body
 	exVars     []headEx
 	agg        *datalog.AggSpec
@@ -104,7 +114,11 @@ type CompiledConstraint struct {
 	// lhsDeltaPlans holds one delta-first LHS plan per LHS atom (see
 	// CompiledRule.deltaPlans); every plan binds the same variables, so
 	// they all seed the one RHS plan.
-	lhsDeltaPlans [][]step
+	lhsDeltaPlans []deltaPlan
+	// storeChecked marks a constraint that only restates the declared
+	// argument kinds checkTuple enforces on every insert: a transaction's
+	// check skips it, a full verification (Install, Retract) still runs it.
+	storeChecked bool
 
 	slotNames []string
 }
@@ -306,7 +320,7 @@ type compiler struct {
 	// over normalized keys, to the variable each was given. A rule or
 	// constraint that writes self[] three times means one value — the
 	// functional dependency says so — and gets one variable, one atom, one
-	// probe per binding and one delta plan for it.
+	// lookup and one delta plan for it.
 	apps map[string]datalog.Var
 }
 
@@ -384,7 +398,7 @@ func (c *compiler) finish() {
 	}
 	for _, r := range p.rules {
 		for _, plan := range r.deltaPlans {
-			spec := &p.rels[plan[0].rel]
+			spec := &p.rels[plan.steps[0].rel]
 			if r.agg != nil {
 				spec.aggs = listOnce(spec.aggs, r)
 			} else {
@@ -553,16 +567,43 @@ func termBound(t datalog.Term, bound map[string]bool) bool {
 	return true
 }
 
+// boundColsOf is a step's probe signature: the argument positions that hold a
+// constant or a variable in bound at this point of the plan. At runtime
+// exactly these positions carry values, so an index over them can be
+// registered now and probed then.
+func boundColsOf(a *datalog.Atom, bound map[string]bool) []int {
+	var cols []int
+	for i, t := range a.Args {
+		switch tt := t.(type) {
+		case datalog.Const:
+			cols = append(cols, i)
+		case datalog.Var:
+			if bound[tt.Name] {
+				cols = append(cols, i)
+			}
+		}
+	}
+	return cols
+}
+
 // planSteps orders steps greedily so that every step runs with sufficient
 // bindings: binding/filter comparisons and ready negations first, then
 // matches sharing bound variables (functional lookups preferred), then
 // ready UDFs, then cartesian matches as a last resort. With lead ≥ 0,
 // unplanned[lead] is the plan's first step whatever its bindings — the delta
 // atom of a delta-first plan, whose variables bound already holds — and the
-// rest are ordered from there. unplanned is not modified.
-func (c *compiler) planSteps(unplanned []step, bound map[string]bool, lead int) ([]step, error) {
-	out := make([]step, 0, len(unplanned))
+// rest are ordered from there. The steps skip marks (a delta plan's location
+// lookups) are left out. unplanned is not modified.
+func (c *compiler) planSteps(unplanned []step, bound map[string]bool, lead int, skip []bool) ([]step, error) {
 	taken := make([]bool, len(unplanned))
+	n := len(unplanned)
+	for i, s := range skip {
+		taken[i] = s
+		if s {
+			n--
+		}
+	}
+	out := make([]step, 0, n)
 	if lead >= 0 {
 		out, taken[lead] = append(out, unplanned[lead]), true
 	}
@@ -595,24 +636,6 @@ func (c *compiler) planSteps(unplanned []step, bound map[string]bool, lead int) 
 			}
 		}
 	}
-	// boundColsOf records the step's probe signature: the argument positions
-	// that hold a constant or an already-bound variable at this point of the
-	// plan. At runtime exactly these positions carry values, so an index
-	// over them can be registered now and probed then.
-	boundColsOf := func(a *datalog.Atom) []int {
-		var cols []int
-		for i, t := range a.Args {
-			switch tt := t.(type) {
-			case datalog.Const:
-				cols = append(cols, i)
-			case datalog.Var:
-				if bound[tt.Name] {
-					cols = append(cols, i)
-				}
-			}
-		}
-		return cols
-	}
 	// next returns the first step not yet planned after index i, of kind k.
 	next := func(i int, k stepKind) int {
 		for i++; i < len(unplanned); i++ {
@@ -623,7 +646,7 @@ func (c *compiler) planSteps(unplanned []step, bound map[string]bool, lead int) 
 		return -1
 	}
 
-	for len(out) < len(unplanned) {
+	for len(out) < n {
 		picked := -1
 		// 1. comparisons: filters with everything bound, or "=" binders.
 		for i := next(-1, stepCmp); i >= 0 && picked < 0; i = next(i, stepCmp) {
@@ -688,16 +711,16 @@ func (c *compiler) planSteps(unplanned []step, bound map[string]bool, lead int) 
 		}
 		if picked < 0 {
 			return nil, fmt.Errorf("cannot order body: %d literal(s) never become evaluable (first: %s)",
-				len(unplanned)-len(out), describeStep(unplanned[slices.Index(taken, false)]))
+				n-len(out), describeStep(unplanned[slices.Index(taken, false)]))
 		}
 		s := unplanned[picked]
 		taken[picked] = true
 		switch s.kind {
 		case stepMatch:
-			s.boundCols = boundColsOf(s.atom)
+			s.boundCols = boundColsOf(s.atom, bound)
 			bindAtomVars(s.atom)
 		case stepNeg:
-			s.boundCols = boundColsOf(s.atom)
+			s.boundCols = boundColsOf(s.atom, bound)
 		case stepUDF:
 			bindAtomVars(s.atom)
 		case stepCmp:
@@ -717,24 +740,58 @@ func (c *compiler) planSteps(unplanned []step, bound map[string]bool, lead int) 
 
 // planDeltaPlans orders the body once per positive atom with that atom
 // leading (textbook semi-naïve): the leading step ranges over the delta
-// tuples with nothing bound before it — its constants and repeated variables
-// are checked by unification — and planSteps orders the remaining literals
-// from the variables it binds, so every later step is probed, not scanned.
-func (c *compiler) planDeltaPlans(unplanned []step) ([][]step, error) {
-	var plans [][]step
+// tuples with nothing bound before it but the plan's location lookups — its
+// constants, repeated variables and looked-up locations are checked by
+// unification — and planSteps orders the remaining literals from the
+// variables it binds, so every later step is probed, not scanned.
+func (c *compiler) planDeltaPlans(unplanned []step) ([]deltaPlan, error) {
+	var plans []deltaPlan
 	for i := range unplanned {
 		if unplanned[i].kind != stepMatch {
 			continue
 		}
 		bound := map[string]bool{}
+		pre, picked := locationLookups(unplanned, i, bound)
 		datalog.AtomVars(unplanned[i].atom, bound)
-		plan, err := c.planSteps(unplanned, bound, i)
+		steps, err := c.planSteps(unplanned, bound, i, picked)
 		if err != nil {
 			return nil, err
 		}
-		plans = append(plans, plan)
+		plans = append(plans, deltaPlan{pre: pre, steps: steps})
 	}
 	return plans, nil
+}
+
+// isLocation reports whether a relation holds the node's location: no rule
+// may derive into one (planRule), so none changes inside a fixpoint.
+func isLocation(pred string) bool { return pred == "self" || pred == "principal_node" }
+
+// locationLookups returns the steps the delta plan led by unplanned[lead]
+// resolves before its leading scan, each one functional probe: every other
+// self atom, and every other principal_node atom whose key is a constant or
+// a variable such a lookup binds — in practice principal_node[self[]]. They
+// come in the order they bind each other, with their probe signatures; what
+// they bind is added to bound, and picked marks their positions in
+// unplanned. The plan led by a location atom itself keeps it as its delta
+// atom, which is how the setup transaction that asserts the location fires
+// the rules.
+func locationLookups(unplanned []step, lead int, bound map[string]bool) (pre []step, picked []bool) {
+	picked = make([]bool, len(unplanned))
+	for grew := true; grew; {
+		grew = false
+		for j := range unplanned {
+			s := unplanned[j]
+			if j == lead || picked[j] || s.kind != stepMatch || !isLocation(s.pred) {
+				continue
+			}
+			if s.boundCols = boundColsOf(s.atom, bound); s.pred == "principal_node" && !slices.Contains(s.boundCols, 0) {
+				continue
+			}
+			pre, picked[j], grew = append(pre, s), true, true
+			datalog.AtomVars(s.atom, bound)
+		}
+	}
+	return pre, picked
 }
 
 // finalizeSteps compiles each planned step's terms against the slot
@@ -779,11 +836,13 @@ func (c *compiler) finalizeSteps(steps []step, sa *slotAlloc) {
 
 // finalizeDeltaPlans compiles delta-first plans against the slot numbering
 // their static plan already fixed. The leading step only unifies delta
-// tuples, so it gets compiled arguments and no access path.
-func (c *compiler) finalizeDeltaPlans(plans [][]step, sa *slotAlloc) {
+// tuples, so it gets compiled arguments and no access path; a location
+// lookup gets the functional index.
+func (c *compiler) finalizeDeltaPlans(plans []deltaPlan, sa *slotAlloc) {
 	for _, plan := range plans {
-		plan[0].args = sa.compileAtom(plan[0].atom)
-		c.finalizeSteps(plan[1:], sa)
+		c.finalizeSteps(plan.pre, sa)
+		plan.steps[0].args = sa.compileAtom(plan.steps[0].atom)
+		c.finalizeSteps(plan.steps[1:], sa)
 	}
 }
 
@@ -820,6 +879,9 @@ func (c *compiler) planRule(r *datalog.Rule) (*CompiledRule, error) {
 		if _, ok := c.reg.Lookup(nh.Pred); ok {
 			return nil, fmt.Errorf("rule %s: cannot derive into UDF %s", r, nh.Pred)
 		}
+		if isLocation(nh.ConcreteName()) {
+			return nil, fmt.Errorf("rule %s: cannot derive into %s: it holds the node's location, which only facts assert", r, nh.Pred)
+		}
 		rel, err := c.declare(nh)
 		if err != nil {
 			return nil, fmt.Errorf("rule %s: %w", r, err)
@@ -836,7 +898,7 @@ func (c *compiler) planRule(r *datalog.Rule) (*CompiledRule, error) {
 		unplanned = append(unplanned, s)
 	}
 	bound := map[string]bool{}
-	steps, err := c.planSteps(unplanned, bound, -1)
+	steps, err := c.planSteps(unplanned, bound, -1, nil)
 	if err != nil {
 		return nil, fmt.Errorf("rule %s: %w", r, err)
 	}
@@ -950,7 +1012,7 @@ func (c *compiler) compileConstraint(con *datalog.Constraint) (*CompiledConstrai
 		lhsUnplanned = append(lhsUnplanned, s)
 	}
 	bound := map[string]bool{}
-	lhsSteps, err := c.planSteps(lhsUnplanned, bound, -1)
+	lhsSteps, err := c.planSteps(lhsUnplanned, bound, -1, nil)
 	if err != nil {
 		return nil, fmt.Errorf("constraint %s: %w", con, err)
 	}
@@ -983,7 +1045,7 @@ func (c *compiler) compileConstraint(con *datalog.Constraint) (*CompiledConstrai
 		}
 		rhsUnplanned = append(rhsUnplanned, s)
 	}
-	rhsSteps, err := c.planSteps(rhsUnplanned, bound, -1)
+	rhsSteps, err := c.planSteps(rhsUnplanned, bound, -1, nil)
 	if err != nil {
 		return nil, fmt.Errorf("constraint %s: %w", con, err)
 	}
@@ -992,7 +1054,25 @@ func (c *compiler) compileConstraint(con *datalog.Constraint) (*CompiledConstrai
 	c.finalizeDeltaPlans(lhsDeltaPlans, sa)
 	c.finalizeSteps(rhsSteps, sa)
 	return &CompiledConstraint{src: con, lhsSteps: lhsSteps, rhsSteps: rhsSteps, lhsDeltaPlans: lhsDeltaPlans,
-		slotNames: sa.names}, nil
+		storeChecked: c.storeChecked(con, rhsSteps), slotNames: sa.names}, nil
+}
+
+// storeChecked reports whether a constraint only restates what checkTuple
+// enforces on every insert: a declaration (IsDeclaration) whose right-hand
+// side compiled to kind checks alone, each of a variable against the type the
+// relation's schema declares for its column.
+func (c *compiler) storeChecked(con *datalog.Constraint, rhs []step) bool {
+	if !IsDeclaration(con) {
+		return false
+	}
+	a := con.Lhs[0].Atom
+	types := c.p.cat.Schema(a.ConcreteName()).ArgTypes
+	for _, s := range rhs {
+		if i := slices.Index(a.Args, s.checked); s.kind != stepKindCheck || types[i] != s.typeName {
+			return false
+		}
+	}
+	return true
 }
 
 // groundFact compiles a source fact: its relation, auto-declared, and its

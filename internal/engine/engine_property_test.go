@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"maps"
 	"math/rand"
 	"slices"
 	"strings"
@@ -80,61 +81,68 @@ func TestClosureMatchesOracleQuick(t *testing.T) {
 	}
 }
 
-// TestRetractMatchesRebuildQuick: retracting a random base fact leaves the
-// database identical to rebuilding from scratch without it.
+// TestRetractMatchesRebuildQuick: retracting a random base fact — an edge,
+// a home, or the node's own location — leaves the database identical to
+// rebuilding from scratch without it. local reads the location through the
+// lookups its delta plans resolve before their leading scan.
 func TestRetractMatchesRebuildQuick(t *testing.T) {
 	f := func(seed int64, nEdges uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
 		k := int(nEdges%12) + 2
-		edges := make(map[[2]int64]bool)
-		for i := 0; i < k; i++ {
-			edges[[2]int64{int64(rng.Intn(6)), int64(rng.Intn(6))}] = true
+		edge := func(a, b int64) Fact {
+			return Fact{Pred: "link", Tuple: datalog.Tuple{datalog.Int64(a), datalog.Int64(b)}}
 		}
-		build := func(skip *[2]int64) *Workspace {
+		home := func(n string, x int64) Fact {
+			return Fact{Pred: "home", Tuple: datalog.Tuple{datalog.NodeV(n), datalog.Int64(x)}}
+		}
+		facts := map[string]Fact{}
+		for _, f := range []Fact{
+			{Pred: "self", Tuple: datalog.Tuple{datalog.Prin("me")}},
+			{Pred: "principal_node", Tuple: datalog.Tuple{datalog.Prin("me"), datalog.NodeV("a:1")}},
+			home("a:1", rng.Int63n(6)), home("b:1", rng.Int63n(6)),
+		} {
+			facts[f.String()] = f
+		}
+		for i := 0; i < k; i++ {
+			f := edge(rng.Int63n(6), rng.Int63n(6))
+			facts[f.String()] = f
+		}
+		build := func(skip string) *Workspace {
 			w := NewWorkspace(nil)
 			prog, _ := datalog.Parse(`
 				reachable(X,Y) <- link(X,Y).
 				reachable(X,Y) <- link(X,Z), reachable(Z,Y).
+				local(Y) <- reachable(X,Y), home(principal_node[self[]], X).
 			`)
 			if err := w.Install(prog); err != nil {
 				t.Fatal(err)
 			}
-			var facts []Fact
-			for e := range edges {
-				if skip != nil && e == *skip {
-					continue
+			var batch []Fact
+			for key, f := range facts {
+				if key != skip {
+					batch = append(batch, f)
 				}
-				facts = append(facts, Fact{Pred: "link",
-					Tuple: datalog.Tuple{datalog.Int64(e[0]), datalog.Int64(e[1])}})
 			}
-			if _, err := w.Assert(facts); err != nil {
+			if _, err := w.Assert(batch); err != nil {
 				t.Fatal(err)
 			}
 			return w
 		}
-		// pick a random edge to retract
-		var victim [2]int64
-		idx := rng.Intn(len(edges))
-		i := 0
-		for e := range edges {
-			if i == idx {
-				victim = e
-				break
-			}
-			i++
-		}
-		full := build(nil)
-		if err := full.Retract([]Fact{{Pred: "link",
-			Tuple: datalog.Tuple{datalog.Int64(victim[0]), datalog.Int64(victim[1])}}}); err != nil {
+		keys := slices.Sorted(maps.Keys(facts))
+		victim := keys[rng.Intn(len(keys))]
+		full := build("")
+		if err := full.Retract([]Fact{facts[victim]}); err != nil {
 			return false
 		}
-		fresh := build(&victim)
-		if full.Count("reachable") != fresh.Count("reachable") {
-			return false
-		}
-		for _, tp := range fresh.Tuples("reachable") {
-			if !full.Contains("reachable", tp) {
+		fresh := build(victim)
+		for _, pred := range []string{"reachable", "local"} {
+			if full.Count(pred) != fresh.Count(pred) {
 				return false
+			}
+			for _, tp := range fresh.Tuples(pred) {
+				if !full.Contains(pred, tp) {
+					return false
+				}
 			}
 		}
 		return true
@@ -184,7 +192,11 @@ func TestAggIncrementalMatchesBatchQuick(t *testing.T) {
 // ordered and inequality filters over variables of different atoms, and
 // negation over base predicates with bound variables or wildcards. Filters
 // and negations span atoms, so in most delta plans they only become ready
-// some steps after the delta atom.
+// some steps after the delta atom. Some bodies read the node's location the
+// way the generated policy does — h(self[], V) over principals,
+// m(principal_node[self[]], V) over nodes, or self[] bound on its own — so
+// their delta plans resolve it before the leading scan while the static
+// plans join it.
 func randomProgram(rng *rand.Rand) string { return randomRules(rng, true) }
 
 // randomRules is randomProgram with negation optional: without it the
@@ -225,6 +237,15 @@ func randomRules(rng *rand.Rand, negation bool) string {
 				}
 			}
 			bodyParts = append(bodyParts, name+"("+strings.Join(args, ",")+")")
+		}
+		if rng.Intn(2) == 0 {
+			v := vars[rng.Intn(len(vars))]
+			bound[v] = true
+			bodyParts = append(bodyParts, []string{
+				"h(self[]," + v + ")",
+				"m(principal_node[self[]]," + v + ")",
+				"h(P," + v + "), self[]=P",
+			}[rng.Intn(3)])
 		}
 		var boundVars []string
 		for _, v := range vars {
@@ -270,15 +291,17 @@ func randomConstraint(rng *rand.Rand) string {
 		{"g(A,B)", "f(B,C,_)"},
 		{"e(A,B)", "e(B,C)"},
 		{"f(A,B,B)", "g(A,2)", "e(C,A)"},
-	}[rng.Intn(4)]
+		{"h(self[],A)", "e(A,C)"},
+	}[rng.Intn(5)]
 	rng.Shuffle(len(lhs), func(i, j int) { lhs[i], lhs[j] = lhs[j], lhs[i] })
 	return strings.Join(lhs, ", ") + " -> A + C < " + fmt.Sprint(4+rng.Intn(3)) + ".\n"
 }
 
-// randomBaseFacts draws random ground facts for the base predicates.
+// randomBaseFacts draws random ground facts for the base predicates; h's
+// first column holds one of two principals, m's one of their nodes.
 func randomBaseFacts(rng *rand.Rand, n int) []Fact {
-	arities := map[string]int{"e": 2, "f": 3, "g": 2}
-	names := []string{"e", "f", "g"}
+	arities := map[string]int{"e": 2, "f": 3, "g": 2, "h": 2, "m": 2}
+	names := []string{"e", "f", "g", "h", "m"}
 	facts := make([]Fact, 0, n)
 	for i := 0; i < n; i++ {
 		name := names[rng.Intn(len(names))]
@@ -286,7 +309,36 @@ func randomBaseFacts(rng *rand.Rand, n int) []Fact {
 		for j := range tup {
 			tup[j] = datalog.Int64(int64(rng.Intn(4)))
 		}
+		switch name {
+		case "h":
+			tup[0] = randomPrincipal(rng)
+		case "m":
+			tup[0] = datalog.NodeV(fmt.Sprintf("n%d:1", rng.Intn(2)))
+		}
 		facts = append(facts, Fact{Pred: name, Tuple: tup})
+	}
+	return facts
+}
+
+func randomPrincipal(rng *rand.Rand) datalog.Value {
+	return datalog.Prin(fmt.Sprintf("p%d", rng.Intn(2)))
+}
+
+// locationFacts are a node's self[] — now and then a second, conflicting one,
+// whose transaction the functional dependency rolls back — and the nodes of
+// both principals, each at a random position of facts, so they land in random
+// transactions, before or after the facts that join them.
+func locationFacts(rng *rand.Rand, facts []Fact) []Fact {
+	loc := []Fact{
+		{Pred: "self", Tuple: datalog.Tuple{randomPrincipal(rng)}},
+		{Pred: "principal_node", Tuple: datalog.Tuple{datalog.Prin("p0"), datalog.NodeV("n0:1")}},
+		{Pred: "principal_node", Tuple: datalog.Tuple{datalog.Prin("p1"), datalog.NodeV("n1:1")}},
+	}
+	if rng.Intn(4) == 0 {
+		loc = append(loc, Fact{Pred: "self", Tuple: datalog.Tuple{randomPrincipal(rng)}})
+	}
+	for _, f := range loc {
+		facts = slices.Insert(facts, rng.Intn(len(facts)+1), f)
 	}
 	return facts
 }
@@ -410,7 +462,7 @@ func (a allocation) checkInserted(res *TxnResult) error {
 }
 
 func (d *diffRun) run(rng *rand.Rand, nFacts int, check func(phase string) bool) bool {
-	facts := randomBaseFacts(rng, nFacts)
+	facts := locationFacts(rng, randomBaseFacts(rng, nFacts))
 	for len(facts) > 0 {
 		n := 1 + rng.Intn(len(facts))
 		d.assert(facts[:n])
@@ -419,7 +471,7 @@ func (d *diffRun) run(rng *rand.Rand, nFacts int, check func(phase string) bool)
 	if !check("asserts") {
 		return false
 	}
-	for _, name := range []string{"e", "f", "g"} {
+	for _, name := range []string{"e", "f", "g", "h", "m", "principal_node", "self"} {
 		tuples := d.ws[0].Tuples(name)
 		if len(tuples) == 0 {
 			continue
@@ -452,13 +504,18 @@ func stripIndexes(w *Workspace) {
 			}
 		}
 	}
+	stripDelta := func(plans []deltaPlan) {
+		for _, plan := range plans {
+			strip(plan.pre, plan.steps)
+		}
+	}
 	for _, r := range w.prog.rules {
 		strip(r.steps)
-		strip(r.deltaPlans...)
+		stripDelta(r.deltaPlans)
 	}
 	for _, c := range w.prog.constraints {
 		strip(c.lhsSteps, c.rhsSteps)
-		strip(c.lhsDeltaPlans...)
+		stripDelta(c.lhsDeltaPlans)
 	}
 }
 

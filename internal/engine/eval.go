@@ -35,28 +35,51 @@ func (w *Workspace) compare(op string, l, r cell) (bool, error) {
 	}
 }
 
-// runDelta evaluates a delta-first plan: its leading step ranges over the
-// given rows of rel — a round's delta, or a transaction's whole list — in one
-// outer loop, counted as a leading scan, every later step over stored
-// relations. The work is proportional to the delta and what it joins with,
-// never to the relation the delta belongs to. A row the transaction deleted
-// again after listing it still holds its tuple (rowNew), and is ranged over
-// like the rest.
-func (w *Workspace) runDelta(plan []step, rel *Relation, rows []uint32, f *frame, emit func(*frame) error) error {
+// runDelta evaluates a delta-first plan: its location lookups once, then its
+// leading step over the given rows of rel — a round's delta, or a
+// transaction's whole list — in one outer loop, counted as a leading scan,
+// every later step over stored relations. The work is proportional to the
+// delta and what it joins with, never to the relation the delta belongs to,
+// and a delta row addressed to another location fails its unification. A
+// missing location derives nothing. A row the transaction deleted again after
+// listing it still holds its tuple (rowNew), and is ranged over like the rest.
+func (w *Workspace) runDelta(plan *deltaPlan, rel *Relation, rows []uint32, f *frame, emit func(*frame) error) error {
+	m := f.mark()
+	defer f.undo(m)
+	for i := range plan.pre {
+		if !w.lookupOnce(&plan.pre[i], f) {
+			return nil
+		}
+	}
 	w.stats.LeadingScans++
 	w.stats.TuplesScanned += int64(len(rows))
-	args := plan[0].args
+	args := plan.steps[0].args
 	for _, id := range rows {
 		m := f.mark()
 		if unifyArgs(args, rel.row(id), f) {
-			if err := w.runSteps(plan, 1, f, emit); err != nil {
-				f.undo(m)
+			if err := w.runSteps(plan.steps, 1, f, emit); err != nil {
 				return err
 			}
 		}
 		f.undo(m)
 	}
 	return nil
+}
+
+// lookupOnce binds a location lookup's variables from its one matching row,
+// and reports whether there is one. The relation is functional and the key
+// bound, so the first row that unifies is the only one.
+func (w *Workspace) lookupOnce(s *step, f *frame) bool {
+	found := false
+	w.candidates(s, f, func(t []cell) bool {
+		w.stats.TuplesScanned++
+		m := f.mark()
+		if found = unifyArgs(s.args, t, f); !found {
+			f.undo(m)
+		}
+		return !found
+	})
+	return found
 }
 
 // candidates iterates stored tuples that may match the step under the current

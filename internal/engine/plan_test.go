@@ -9,16 +9,18 @@ import (
 	"secureblox/internal/datalog"
 )
 
-// checkDeltaPlan verifies the shape every delta-first plan must have: the
-// delta atom leads with no access path of its own, every later step that
+// checkDeltaPlan verifies the shape every delta-first plan must have: its
+// location lookups are each one functional probe of self or principal_node,
+// the delta atom leads with no access path of its own, every later step that
 // needs one has it, no later match starts from zero bound columns unless it
-// shares no variable with what ran before it, and the plan runs exactly the
-// literals of the static plan against the same slot numbering.
-func checkDeltaPlan(static, plan []step, slotNames []string) error {
-	if len(plan) != len(static) {
-		return fmt.Errorf("plan has %d steps, static plan %d", len(plan), len(static))
+// shares no variable with what ran before it, and the lookups and the steps
+// together run exactly the literals of the static plan against the same slot
+// numbering.
+func checkDeltaPlan(static []step, plan deltaPlan, slotNames []string) error {
+	if len(plan.pre)+len(plan.steps) != len(static) {
+		return fmt.Errorf("plan has %d lookups and %d steps, static plan %d", len(plan.pre), len(plan.steps), len(static))
 	}
-	lead := &plan[0]
+	lead := &plan.steps[0]
 	if lead.kind != stepMatch {
 		return fmt.Errorf("step 0 is not a match (%s)", describeStep(*lead))
 	}
@@ -30,8 +32,16 @@ func checkDeltaPlan(static, plan []step, slotNames []string) error {
 		want[describeStep(static[i])]++
 	}
 	seenVars := map[string]bool{}
-	for i := range plan {
-		s := &plan[i]
+	for i := range plan.pre {
+		s := &plan.pre[i]
+		if s.kind != stepMatch || !isLocation(s.pred) || s.probe != 1 {
+			return fmt.Errorf("lookup %d: %s is not a functional probe of a location relation", i, describeStep(*s))
+		}
+		want[describeStep(*s)]--
+		datalog.AtomVars(s.atom, seenVars)
+	}
+	for i := range plan.steps {
+		s := &plan.steps[i]
 		want[describeStep(*s)]--
 		for j := range s.args {
 			if a := &s.args[j]; a.kind == ctVar && slotNames[a.slot] != a.name {
@@ -72,7 +82,7 @@ func checkDeltaPlan(static, plan []step, slotNames []string) error {
 // checkInstalledDeltaPlans applies checkDeltaPlan to every rule and
 // constraint of a workspace and requires one plan per positive atom.
 func checkInstalledDeltaPlans(w *Workspace) error {
-	check := func(what string, static []step, plans [][]step, slotNames []string) error {
+	check := func(what string, static []step, plans []deltaPlan, slotNames []string) error {
 		matches := 0
 		for i := range static {
 			if static[i].kind == stepMatch {
@@ -130,8 +140,8 @@ func TestDeltaPlanShape(t *testing.T) {
 	}
 	var fromReachable []step
 	for _, plan := range rec.deltaPlans {
-		if plan[0].pred == "reachable" {
-			fromReachable = plan
+		if plan.steps[0].pred == "reachable" {
+			fromReachable = plan.steps
 		}
 	}
 	if fromReachable == nil {
@@ -176,13 +186,36 @@ func TestDeltaPlanShapeSharesFunctionalApplications(t *testing.T) {
 		return n
 	}
 	// says, sig, self, principal_node ×2 / export, inbox, self, principal_node ×2.
+	// Every plan runs each of them once, a delta plan's location lookups
+	// included. Those are self[] and principal_node[self[]] wherever another
+	// atom leads; principal_node[U] stays a step, its key unknown before the
+	// delta binds U.
 	for i, r := range w.prog.rules[:2] {
+		if n, m := count(r.steps, "self"), count(r.steps, "principal_node"); n != 1 || m != 2 {
+			t.Errorf("rule %d, static plan: %d self steps and %d principal_node steps, want 1 and 2", i, n, m)
+		}
 		if len(r.deltaPlans) != 5 {
 			t.Errorf("rule %d: %d delta plans, want 5:\n%s", i, len(r.deltaPlans), r)
 		}
-		for k, plan := range append([][]step{r.steps}, r.deltaPlans...) {
-			if n, m := count(plan, "self"), count(plan, "principal_node"); n != 1 || m != 2 {
+		for k, plan := range r.deltaPlans {
+			all := append(slices.Clone(plan.pre), plan.steps...)
+			if n, m := count(all, "self"), count(all, "principal_node"); n != 1 || m != 2 {
 				t.Errorf("rule %d, plan %d: %d self steps and %d principal_node steps, want 1 and 2", i, k, n, m)
+			}
+			pre := make([]string, len(plan.pre))
+			for j := range plan.pre {
+				pre[j] = plan.pre[j].atom.String()
+			}
+			here := fmt.Sprintf("principal_node[$t1]=%s", []string{"L", "N"}[i])
+			want := "[self[]=$t1 " + here + "]"
+			switch lead := plan.steps[0].atom.String(); {
+			case lead == "self[]=$t1":
+				want = "[]"
+			case lead == here:
+				want = "[self[]=$t1]"
+			}
+			if got := fmt.Sprint(pre); got != want {
+				t.Errorf("rule %d, plan led by %s: location lookups %s, want %s", i, plan.steps[0].atom, got, want)
 			}
 		}
 	}

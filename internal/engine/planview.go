@@ -15,6 +15,9 @@ const (
 	StepCmp       StepKind = "cmp"
 	StepUDF       StepKind = "udf"
 	StepKindCheck StepKind = "kindcheck"
+	// StepPrebound is a delta plan's location lookup (self[],
+	// principal_node[self[]]): one functional probe before the leading scan.
+	StepPrebound StepKind = "prebound"
 )
 
 // PlanStep is the analyzer-facing view of one planned body step, in the
@@ -44,9 +47,11 @@ type RulePlan struct {
 	// Steps is the static order, run only by full evaluations (install,
 	// aggregate recompute, rederivation after a retraction).
 	Steps []PlanStep
-	// DeltaPlans holds one order per positive body atom, that atom first:
-	// what a semi-naïve evaluation runs when the atom's predicate has a
-	// delta. The leading step loops over the delta and has no BoundCols.
+	// DeltaPlans holds one order per positive body atom: what a semi-naïve
+	// evaluation runs when the atom's predicate has a delta. It opens with
+	// the plan's location lookups (StepPrebound), resolved once; then the
+	// delta atom, whose step loops over the delta and has no BoundCols; then
+	// the rest. Every body literal is in every plan.
 	DeltaPlans [][]PlanStep
 	// Bound is the set of variables the body binds.
 	Bound map[string]bool
@@ -69,9 +74,8 @@ func (p *Program) Plans() []RulePlan {
 	return plans
 }
 
-// stepsView converts one planned step list to its exported view.
-func stepsView(steps []step) []PlanStep {
-	out := make([]PlanStep, 0, len(steps))
+// stepsView appends the exported view of one planned step list to out.
+func stepsView(out []PlanStep, steps []step) []PlanStep {
 	for _, s := range steps {
 		ps := PlanStep{Pred: s.pred, Atom: s.atom, Op: s.op, L: s.l, R: s.r, BoundCols: s.boundCols}
 		switch s.kind {
@@ -103,9 +107,13 @@ func planView(cr *CompiledRule) RulePlan {
 	for _, v := range cr.bodyVars {
 		p.Bound[v] = true
 	}
-	p.Steps = stepsView(cr.steps)
+	p.Steps = stepsView(make([]PlanStep, 0, len(cr.steps)), cr.steps)
 	for _, plan := range cr.deltaPlans {
-		p.DeltaPlans = append(p.DeltaPlans, stepsView(plan))
+		view := stepsView(make([]PlanStep, 0, len(plan.pre)+len(plan.steps)), plan.pre)
+		for i := range view {
+			view[i].Kind = StepPrebound
+		}
+		p.DeltaPlans = append(p.DeltaPlans, stepsView(view, plan.steps))
 	}
 	return p
 }

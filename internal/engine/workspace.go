@@ -537,8 +537,9 @@ func (w *Workspace) evalRuleInto(t *txn, r *CompiledRule) error {
 // relation has a delta this round, inserting derivations.
 func (w *Workspace) evalRuleDeltas(t *txn, r *CompiledRule) error {
 	emit := func(f *frame) error { return w.derive(t, r, f) }
-	for _, plan := range r.deltaPlans {
-		rel := w.rels[plan[0].rel]
+	for i := range r.deltaPlans {
+		plan := &r.deltaPlans[i]
+		rel := w.rels[plan.steps[0].rel]
 		if rel.lo == rel.hi {
 			continue
 		}
@@ -724,11 +725,16 @@ func byID(rules []*CompiledRule) []*CompiledRule {
 }
 
 // checkTxnConstraints verifies every installed constraint against the
-// tuples inserted by the transaction (incremental LHS restriction).
+// tuples inserted by the transaction (incremental LHS restriction), but for
+// those the store already enforced on insert.
 func (w *Workspace) checkTxnConstraints() error {
 	for _, c := range w.prog.constraints {
-		for _, plan := range c.lhsDeltaPlans {
-			rel := w.rels[plan[0].rel]
+		if c.storeChecked {
+			continue
+		}
+		for i := range c.lhsDeltaPlans {
+			plan := &c.lhsDeltaPlans[i]
+			rel := w.rels[plan.steps[0].rel]
 			if len(rel.ins) == 0 {
 				continue
 			}
@@ -913,8 +919,9 @@ func (w *Workspace) Retract(facts []Fact) error {
 		next := make(map[*Relation][]uint32)
 		for rel, rows := range frontier {
 			for _, r := range rel.spec.rules {
-				for _, plan := range r.deltaPlans {
-					if w.rels[plan[0].rel] != rel {
+				for i := range r.deltaPlans {
+					plan := &r.deltaPlans[i]
+					if w.rels[plan.steps[0].rel] != rel {
 						continue
 					}
 					err := w.runDelta(plan, rel, rows, &w.frame, func(f *frame) error {
