@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"os"
 	"strings"
 	"testing"
 
@@ -120,5 +121,25 @@ func TestVetBuiltinOneVerdictPerRow(t *testing.T) {
 	}
 	if strings.Join(verdicts, "\n") != strings.Join(want, "\n") {
 		t.Fatalf("verdicts:\n%s\nwant:\n%s", strings.Join(verdicts, "\n"), strings.Join(want, "\n"))
+	}
+}
+
+// `sbx vet -builtin` prints exactly the findings in testdata/vet_builtin.golden:
+// severity, code, relation, column set, count and source position. A change to
+// the analyzer or to a shipped rule set that moves one shows up as a reviewed
+// diff of that file; regenerate it with
+//
+//	go run ./cmd/sbx vet -builtin > cmd/sbx/testdata/vet_builtin.golden
+func TestVetBuiltinGolden(t *testing.T) {
+	want, err := os.ReadFile("testdata/vet_builtin.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	code, out, errOut := sbx("vet", "-builtin")
+	if code != 0 {
+		t.Fatalf("exit %d: %s", code, errOut)
+	}
+	if out != string(want) {
+		t.Errorf("sbx vet -builtin:\n%s\nwant (testdata/vet_builtin.golden):\n%s", out, want)
 	}
 }

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"slices"
@@ -349,5 +350,36 @@ func TestIndexOnlyASetupLedPlanProbesIsNeverBuilt(t *testing.T) {
 	}
 	if err := checkStore(edge); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestBodyWithNoPositiveAtom: a body with no positive atom has one plan,
+// ordered from nothing, which only a full evaluation runs — no relation
+// change leads it. A rule of that shape derives at Install; a constraint whose
+// left-hand side has no atom is checked at Install and by a retraction's full
+// verification, never by a transaction's check.
+func TestBodyWithNoPositiveAtom(t *testing.T) {
+	w := installed(t, nil, `q(1) <- 1 < 2.`)
+	if !w.Contains("q", tup(1)) {
+		t.Errorf("q(1) <- 1 < 2. derived %v at Install", w.Tuples("q"))
+	}
+
+	prog, err := datalog.Parse(`1 < 2 -> !bad(1).`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := NewWorkspace(nil).Install(prog); err != nil {
+		t.Fatalf("Install over a database without bad(1): %v", err)
+	}
+	w = NewWorkspace(nil)
+	assertFacts(t, w, `bad(1).`)
+	var v *ConstraintViolation
+	if err := w.Install(prog); !errors.As(err, &v) {
+		t.Fatalf("Install over bad(1): %v, want the constraint violated", err)
+	}
+	w = installed(t, nil, `1 < 2 -> !bad(1).`)
+	assertFacts(t, w, `bad(1). other(2).`)
+	if err := w.Retract([]Fact{{Pred: "other", Tuple: tup(2)}}); !errors.As(err, &v) {
+		t.Fatalf("Retract's full verification over bad(1): %v, want the constraint violated", err)
 	}
 }
