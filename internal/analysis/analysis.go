@@ -75,21 +75,6 @@ func (f Finding) String() string {
 	return sb.String()
 }
 
-// RuleInfo is the per-rule binding view: which variables the body binds and
-// in which order the planner evaluates the body.
-type RuleInfo struct {
-	Rule string
-	Pos  datalog.Pos
-	// Bound is the set of variables the planned body binds.
-	Bound map[string]bool
-	// Order lists the steps of the static plan — what a full evaluation
-	// runs — in evaluation order (source form).
-	Order []string
-	// DeltaOrders lists, per positive body atom, the delta-first order a
-	// semi-naïve evaluation runs when that atom's predicate changed.
-	DeltaOrders [][]string
-}
-
 // Report is the result of analyzing one program.
 type Report struct {
 	Findings []Finding
@@ -98,8 +83,6 @@ type Report struct {
 	// Joins is the join-attribute graph: equi-join edges between relation
 	// columns observed across all rule bodies.
 	Joins []JoinEdge
-	// Rules carries per-rule binding information.
-	Rules []RuleInfo
 	// Partitioning is the inferred hash co-partitioning, nil when the
 	// program has no recognizable hash-range routing pattern.
 	Partitioning *Partitioning
@@ -220,16 +203,6 @@ func (a *Analyzer) InstallCheck() func(*datalog.Program) error {
 func (a *Analyzer) checkRule(r *Report, p engine.RulePlan, cat *engine.Catalog) {
 	rule := p.Src
 	b := astBinding(rule)
-
-	info := RuleInfo{Rule: rule.String(), Pos: rule.Pos, Bound: b.bound}
-	if p.Err == nil {
-		info.Bound = p.Bound
-		info.Order = describePlan(p.Steps)
-		for _, plan := range p.DeltaPlans {
-			info.DeltaOrders = append(info.DeltaOrders, describePlan(plan))
-		}
-	}
-	r.Rules = append(r.Rules, info)
 
 	flagged := map[string]bool{}
 	add := func(sev Severity, code string, pos datalog.Pos, format string, args ...any) {
@@ -444,26 +417,4 @@ func sortedVars(set map[string]bool) []string {
 	}
 	sort.Strings(out)
 	return out
-}
-
-// describePlan renders a planned step list in evaluation order.
-func describePlan(steps []engine.PlanStep) []string {
-	out := make([]string, len(steps))
-	for i, s := range steps {
-		out[i] = describePlanStep(s)
-	}
-	return out
-}
-
-func describePlanStep(s engine.PlanStep) string {
-	switch s.Kind {
-	case engine.StepCmp:
-		return fmt.Sprintf("%s %s %s", s.L, s.Op, s.R)
-	case engine.StepNeg:
-		return "!" + s.Atom.String()
-	case engine.StepKindCheck:
-		return s.Pred + "(...)"
-	default:
-		return s.Atom.String()
-	}
 }

@@ -218,49 +218,6 @@ func TestExistentialAndAggHeadsAreSafe(t *testing.T) {
 	}
 }
 
-// The report shows the orders that actually run: the static order for full
-// evaluations, and per positive atom the delta-first order that leads with
-// it and defers the filter until its operands are bound.
-//
-// A delta plan led by anything but the node's location opens with its
-// location lookups, self[] and principal_node[self[]], resolved once before
-// the leading scan; the list still holds every body literal.
-func TestRuleInfoListsDeltaOrders(t *testing.T) {
-	rep := analyzeSrc(t, `reach(X, Y) <- link(X, Z), reach(Z, Y), X != Y.
-out(Y) <- reach(X, Y), at(principal_node[self[]], X).`)
-	for i, tc := range []struct {
-		static string
-		delta  []string
-	}{{
-		"link(X, Z) ; reach(Z, Y) ; X != Y",
-		[]string{
-			"link(X, Z) ; reach(Z, Y) ; X != Y",
-			"reach(Z, Y) ; link(X, Z) ; X != Y",
-		},
-	}, {
-		"reach(X, Y) ; at($t2, X) ; principal_node[$t1]=$t2 ; self[]=$t1",
-		[]string{
-			"self[]=$t1 ; principal_node[$t1]=$t2 ; reach(X, Y) ; at($t2, X)",
-			"self[]=$t1 ; principal_node[$t1]=$t2 ; at($t2, X) ; reach(X, Y)",
-			"self[]=$t1 ; principal_node[$t1]=$t2 ; at($t2, X) ; reach(X, Y)",
-			"self[]=$t1 ; principal_node[$t1]=$t2 ; at($t2, X) ; reach(X, Y)",
-		},
-	}} {
-		info := rep.Rules[i]
-		if got := strings.Join(info.Order, " ; "); got != tc.static {
-			t.Errorf("rule %d: static order = %s, want %s", i, got, tc.static)
-		}
-		if len(info.DeltaOrders) != len(tc.delta) {
-			t.Fatalf("rule %d: delta orders = %v, want %d of them", i, info.DeltaOrders, len(tc.delta))
-		}
-		for k, w := range tc.delta {
-			if got := strings.Join(info.DeltaOrders[k], " ; "); got != w {
-				t.Errorf("rule %d: delta order %d = %s, want %s", i, k, got, w)
-			}
-		}
-	}
-}
-
 func TestFindingsDeterministic(t *testing.T) {
 	src := `p(X, Y) <- q(X), !r(Z), W < X.
 dead(X) <- never(X), p(X, X).

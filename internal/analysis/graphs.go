@@ -2,6 +2,7 @@ package analysis
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -54,9 +55,10 @@ func buildDepGraph(plans []engine.RulePlan, isUDF func(string) bool) *DepGraph {
 			}
 			continue
 		}
+		steps := firstPlan(p)
 		for _, h := range p.Heads {
 			hn := h.ConcreteName()
-			for _, s := range p.Steps {
+			for _, s := range steps {
 				if s.Kind != engine.StepMatch && s.Kind != engine.StepNeg {
 					continue
 				}
@@ -67,6 +69,27 @@ func buildDepGraph(plans []engine.RulePlan, isUDF func(string) bool) *DepGraph {
 		}
 	}
 	return g
+}
+
+// firstPlan returns a planned rule's first plan — the order a full evaluation
+// runs — with its location lookups read as the matches they are.
+func firstPlan(p engine.RulePlan) []engine.PlanStep {
+	steps := slices.Clone(p.DeltaPlans[0])
+	for i := range steps {
+		if steps[i].Kind == engine.StepPrebound {
+			steps[i].Kind = engine.StepMatch
+		}
+	}
+	return steps
+}
+
+// before reports whether source position a comes before b; an unknown
+// position comes after every known one.
+func before(a, b datalog.Pos) bool {
+	if a.Known() != b.Known() {
+		return a.Known()
+	}
+	return a.Line < b.Line || a.Line == b.Line && a.Col < b.Col
 }
 
 // sccIDs assigns each predicate its strongly-connected-component id via an
@@ -295,7 +318,7 @@ func checkDeadRules(r *Report, plans []engine.RulePlan, prog *datalog.Program, i
 			}
 			return preds
 		}
-		for _, s := range p.Steps {
+		for _, s := range firstPlan(p) {
 			if s.Kind == engine.StepMatch {
 				preds = append(preds, s.Pred)
 			}
@@ -454,7 +477,9 @@ type JoinEdge struct {
 
 // buildJoinGraph extracts the join-attribute graph from the plans: for
 // every rule, every variable shared between two positive relation atoms
-// contributes an equi-join edge between the corresponding columns.
+// contributes an equi-join edge between the corresponding columns. A
+// variable's edges start from its occurrence earliest in source, at that
+// position, so the graph does not depend on the order a plan runs the atoms.
 func buildJoinGraph(plans []engine.RulePlan) []JoinEdge {
 	var edges []JoinEdge
 	for _, p := range plans {
@@ -468,7 +493,7 @@ func buildJoinGraph(plans []engine.RulePlan) []JoinEdge {
 		}
 		byVar := map[string][]occ{}
 		var varOrder []string
-		for _, s := range p.Steps {
+		for _, s := range firstPlan(p) {
 			if s.Kind != engine.StepMatch {
 				continue
 			}
@@ -485,6 +510,7 @@ func buildJoinGraph(plans []engine.RulePlan) []JoinEdge {
 		}
 		for _, v := range varOrder {
 			occs := byVar[v]
+			sort.SliceStable(occs, func(i, j int) bool { return before(occs[i].pos, occs[j].pos) })
 			for i := 1; i < len(occs); i++ {
 				if occs[0].pred == occs[i].pred && occs[0].col == occs[i].col {
 					continue
@@ -502,7 +528,8 @@ func buildJoinGraph(plans []engine.RulePlan) []JoinEdge {
 
 // checkCopartitioning reports relations whose joins demand partitioning on
 // two different columns — no single hash function keeps all their joins
-// node-local, so distributing them forces data movement.
+// node-local, so distributing them forces data movement — each at the
+// earliest source position among the relation's joins.
 func checkCopartitioning(r *Report, joins []JoinEdge) {
 	cols := map[string]map[int]bool{}
 	firstPos := map[string]datalog.Pos{}
@@ -513,7 +540,7 @@ func checkCopartitioning(r *Report, joins []JoinEdge) {
 			cols[pred] = m
 		}
 		m[col] = true
-		if _, ok := firstPos[pred]; !ok {
+		if first, ok := firstPos[pred]; !ok || before(pos, first) {
 			firstPos[pred] = pos
 		}
 	}

@@ -157,8 +157,8 @@ func TestNoFullScanFallbacksInProtocolRuleSets(t *testing.T) {
 					}
 					// However often a generated rule writes self[], it reads it once.
 					selfSteps := 0
-					for _, s := range p.Steps {
-						if s.Kind == engine.StepMatch && s.Pred == "self" {
+					for _, s := range p.DeltaPlans[0] {
+						if s.Kind != engine.StepCmp && s.Pred == "self" {
 							selfSteps++
 						}
 					}
@@ -172,14 +172,14 @@ func TestNoFullScanFallbacksInProtocolRuleSets(t *testing.T) {
 }
 
 // checkDeltaPlans verifies the shape of one rule's delta-first plans from
-// the planner's exported view: a plan lists every literal of the static plan,
-// its location lookups (self[], principal_node[self[]]) first, then the delta
-// atom, and every later match that shares a variable with what ran before it
-// probes on it.
+// the planner's exported view: a plan lists every literal of the first plan —
+// what a full evaluation runs — its location lookups (self[],
+// principal_node[self[]]) first, then the delta atom, and every later match
+// that shares a variable with what ran before it probes on it.
 func checkDeltaPlans(p engine.RulePlan) error {
-	atoms := 0
-	for _, s := range p.Steps {
-		if s.Kind == engine.StepMatch {
+	first, atoms := p.DeltaPlans[0], 0
+	for _, s := range first {
+		if s.Kind == engine.StepMatch || s.Kind == engine.StepPrebound {
 			atoms++
 		}
 	}
@@ -195,8 +195,8 @@ func checkDeltaPlans(p engine.RulePlan) error {
 			}
 			datalog.AtomVars(plan[pre].Atom, seen)
 		}
-		if len(plan) != len(p.Steps) || pre == len(plan) || plan[pre].Kind != engine.StepMatch {
-			return fmt.Errorf("delta plan %d: %d steps (static %d), %d lookups, then no delta atom", k, len(plan), len(p.Steps), pre)
+		if len(plan) != len(first) || pre == len(plan) || plan[pre].Kind != engine.StepMatch {
+			return fmt.Errorf("delta plan %d: %d steps (the first plan %d), %d lookups, then no delta atom", k, len(plan), len(first), pre)
 		}
 		datalog.AtomVars(plan[pre].Atom, seen)
 		for i, s := range plan[pre+1:] {

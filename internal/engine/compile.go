@@ -55,14 +55,19 @@ type step struct {
 }
 
 // deltaPlan is a delta-first plan: steps[0] is the delta atom, ranged over the
-// delta's rows, and the rest is ordered from what it binds. pre are the
-// plan's location lookups — self[] and principal_node[self[]] — which no rule
-// derives into, so within a fixpoint each has one value: they are resolved
-// once, before the leading scan, and the delta atom's unification already
-// sees what they bind.
+// delta's rows — or, in a full evaluation, over its whole relation — and the
+// rest is ordered from what it binds. pre are the plan's location lookups —
+// self[] and principal_node[self[]] — which no rule derives into, so within a
+// fixpoint each has one value: they are resolved once, before the leading
+// scan, and the delta atom's unification already sees what they bind. A body
+// with no positive atom has one plan that no atom leads, ordered from
+// nothing, which only a full evaluation runs.
 type deltaPlan struct {
 	pre, steps []step
 }
+
+// led reports whether a positive atom leads the plan.
+func (p *deltaPlan) led() bool { return len(p.steps) > 0 && p.steps[0].kind == stepMatch }
 
 // headEx is a head-existential variable with its entity type.
 type headEx struct {
@@ -81,13 +86,12 @@ type CompiledRule struct {
 	// else is set then.
 	err   error
 	heads []*datalog.Atom // args are Var / Const / BinExpr only
-	// steps is the static join order, used only by full evaluations (the
-	// initial pass of Install, aggregate recomputes, Retract's rederive).
-	steps []step
 	// deltaPlans holds one plan per positive body atom with that atom
 	// leading: a semi-naïve evaluation runs the plan of its delta atom, so
-	// it loops over the delta and probes stored relations from there on.
-	// All plans share the rule's slot numbering.
+	// it loops over the delta and probes stored relations from there on. A
+	// full evaluation (the initial pass of Install, aggregate recomputes,
+	// Retract's rederive) runs deltaPlans[0] over the whole relation. All
+	// plans share the rule's slot numbering.
 	deltaPlans []deltaPlan
 	bodyVars   []string // sorted variable names bound by the body
 	exVars     []headEx
@@ -109,11 +113,10 @@ func (r *CompiledRule) String() string { return r.src.String() }
 // one slot space so an LHS binding seeds the RHS satisfiability query.
 type CompiledConstraint struct {
 	src      *datalog.Constraint
-	lhsSteps []step // static order, for full-database verification
 	rhsSteps []step
 	// lhsDeltaPlans holds one delta-first LHS plan per LHS atom (see
-	// CompiledRule.deltaPlans); every plan binds the same variables, so
-	// they all seed the one RHS plan.
+	// CompiledRule.deltaPlans), the first of which a full verification runs;
+	// every plan binds the same variables, so they all seed the one RHS plan.
 	lhsDeltaPlans []deltaPlan
 	// storeChecked marks a constraint that only restates the declared
 	// argument kinds checkTuple enforces on every insert: a transaction's
@@ -127,9 +130,9 @@ type CompiledConstraint struct {
 func (c *CompiledConstraint) String() string { return c.src.String() }
 
 // Program is a compiled program: its catalog, its relations by number with
-// the indexes its plans probe, every rule and constraint planned — static and
-// delta-first plans, slot numbering, compiled terms with their constants,
-// head existentials — and its source facts. None of it depends on a node, so
+// the indexes its plans probe, every rule and constraint planned — delta-first
+// plans, slot numbering, compiled terms with their constants, head
+// existentials — and its source facts. None of it depends on a node, so
 // a process compiles a program once and every workspace it binds to
 // (Workspace.Bind) runs it: a Program is immutable once returned and safe for
 // concurrent use. What differs per node — relations, the keystore-bound UDFs,
@@ -398,6 +401,9 @@ func (c *compiler) finish() {
 	}
 	for _, r := range p.rules {
 		for _, plan := range r.deltaPlans {
+			if !plan.led() {
+				continue
+			}
 			spec := &p.rels[plan.steps[0].rel]
 			if r.agg != nil {
 				spec.aggs = listOnce(spec.aggs, r)
@@ -743,23 +749,34 @@ func (c *compiler) planSteps(unplanned []step, bound map[string]bool, lead int, 
 // tuples with nothing bound before it but the plan's location lookups — its
 // constants, repeated variables and looked-up locations are checked by
 // unification — and planSteps orders the remaining literals from the
-// variables it binds, so every later step is probed, not scanned.
-func (c *compiler) planDeltaPlans(unplanned []step) ([]deltaPlan, error) {
+// variables it binds, so every later step is probed, not scanned. A body with
+// no positive atom gets one plan ordered from nothing. It also returns the
+// variables the body binds, which every plan binds alike.
+func (c *compiler) planDeltaPlans(unplanned []step) ([]deltaPlan, map[string]bool, error) {
 	var plans []deltaPlan
+	var bound map[string]bool
 	for i := range unplanned {
 		if unplanned[i].kind != stepMatch {
 			continue
 		}
-		bound := map[string]bool{}
+		bound = map[string]bool{}
 		pre, picked := locationLookups(unplanned, i, bound)
 		datalog.AtomVars(unplanned[i].atom, bound)
 		steps, err := c.planSteps(unplanned, bound, i, picked)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		plans = append(plans, deltaPlan{pre: pre, steps: steps})
 	}
-	return plans, nil
+	if plans == nil {
+		bound = map[string]bool{}
+		steps, err := c.planSteps(unplanned, bound, -1, nil)
+		if err != nil {
+			return nil, nil, err
+		}
+		plans = append(plans, deltaPlan{steps: steps})
+	}
+	return plans, bound, nil
 }
 
 // isLocation reports whether a relation holds the node's location: no rule
@@ -834,15 +851,18 @@ func (c *compiler) finalizeSteps(steps []step, sa *slotAlloc) {
 	}
 }
 
-// finalizeDeltaPlans compiles delta-first plans against the slot numbering
-// their static plan already fixed. The leading step only unifies delta
-// tuples, so it gets compiled arguments and no access path; a location
-// lookup gets the functional index.
+// finalizeDeltaPlans compiles a body's plans against one slot numbering. A
+// leading step only unifies the rows it ranges over, so it gets compiled
+// arguments and no access path; a location lookup gets the functional index.
 func (c *compiler) finalizeDeltaPlans(plans []deltaPlan, sa *slotAlloc) {
 	for _, plan := range plans {
 		c.finalizeSteps(plan.pre, sa)
-		plan.steps[0].args = sa.compileAtom(plan.steps[0].atom)
-		c.finalizeSteps(plan.steps[1:], sa)
+		rest := plan.steps
+		if plan.led() {
+			rest[0].args = sa.compileAtom(rest[0].atom)
+			rest = rest[1:]
+		}
+		c.finalizeSteps(rest, sa)
 	}
 }
 
@@ -857,10 +877,10 @@ func describeStep(s step) string {
 	}
 }
 
-// planRule normalizes a rule and orders its body into the static plan and the
-// per-delta plans, recording the variables the body binds. The returned rule
-// has no slot numbering yet — finalizeRule fixes the execution form;
-// PlanProgram's view needs no more than this.
+// planRule normalizes a rule and orders its body into its delta-first plans,
+// recording the variables the body binds. The returned rule has no slot
+// numbering yet — finalizeRule fixes the execution form; PlanProgram's view
+// needs no more than this.
 func (c *compiler) planRule(r *datalog.Rule) (*CompiledRule, error) {
 	c.reset()
 	body, err := c.normalizeLiterals(r.Body)
@@ -897,16 +917,11 @@ func (c *compiler) planRule(r *datalog.Rule) (*CompiledRule, error) {
 		}
 		unplanned = append(unplanned, s)
 	}
-	bound := map[string]bool{}
-	steps, err := c.planSteps(unplanned, bound, -1, nil)
+	deltaPlans, bound, err := c.planDeltaPlans(unplanned)
 	if err != nil {
 		return nil, fmt.Errorf("rule %s: %w", r, err)
 	}
-	deltaPlans, err := c.planDeltaPlans(unplanned)
-	if err != nil {
-		return nil, fmt.Errorf("rule %s: %w", r, err)
-	}
-	return &CompiledRule{src: r, heads: heads, headRels: headRels, steps: steps, deltaPlans: deltaPlans,
+	return &CompiledRule{src: r, heads: heads, headRels: headRels, deltaPlans: deltaPlans,
 		bodyVars: slices.Sorted(maps.Keys(bound)), agg: r.Agg, aggOverSlot: -1}, nil
 }
 
@@ -920,7 +935,6 @@ func (c *compiler) finalizeRule(cr *CompiledRule) error {
 		bound[v] = true
 	}
 	sa := newSlotAlloc(c.p.syms)
-	c.finalizeSteps(cr.steps, sa)
 	c.finalizeDeltaPlans(cr.deltaPlans, sa)
 
 	for _, h := range heads {
@@ -1011,12 +1025,7 @@ func (c *compiler) compileConstraint(con *datalog.Constraint) (*CompiledConstrai
 		}
 		lhsUnplanned = append(lhsUnplanned, s)
 	}
-	bound := map[string]bool{}
-	lhsSteps, err := c.planSteps(lhsUnplanned, bound, -1, nil)
-	if err != nil {
-		return nil, fmt.Errorf("constraint %s: %w", con, err)
-	}
-	lhsDeltaPlans, err := c.planDeltaPlans(lhsUnplanned)
+	lhsDeltaPlans, bound, err := c.planDeltaPlans(lhsUnplanned)
 	if err != nil {
 		return nil, fmt.Errorf("constraint %s: %w", con, err)
 	}
@@ -1050,10 +1059,9 @@ func (c *compiler) compileConstraint(con *datalog.Constraint) (*CompiledConstrai
 		return nil, fmt.Errorf("constraint %s: %w", con, err)
 	}
 	sa := newSlotAlloc(c.p.syms)
-	c.finalizeSteps(lhsSteps, sa)
 	c.finalizeDeltaPlans(lhsDeltaPlans, sa)
 	c.finalizeSteps(rhsSteps, sa)
-	return &CompiledConstraint{src: con, lhsSteps: lhsSteps, rhsSteps: rhsSteps, lhsDeltaPlans: lhsDeltaPlans,
+	return &CompiledConstraint{src: con, rhsSteps: rhsSteps, lhsDeltaPlans: lhsDeltaPlans,
 		storeChecked: c.storeChecked(con, rhsSteps), slotNames: sa.names}, nil
 }
 

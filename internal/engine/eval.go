@@ -35,15 +35,17 @@ func (w *Workspace) compare(op string, l, r cell) (bool, error) {
 	}
 }
 
-// runDelta evaluates a delta-first plan: its location lookups once, then its
-// leading step over the given rows of rel — a round's delta, or a
-// transaction's whole list — in one outer loop, counted as a leading scan,
-// every later step over stored relations. The work is proportional to the
-// delta and what it joins with, never to the relation the delta belongs to,
-// and a delta row addressed to another location fails its unification. A
-// missing location derives nothing. A row the transaction deleted again after
-// listing it still holds its tuple (rowNew), and is ranged over like the rest.
-func (w *Workspace) runDelta(plan *deltaPlan, rel *Relation, rows []uint32, f *frame, emit func(*frame) error) error {
+// runDelta evaluates a plan: its location lookups once, then its leading step
+// over the given rows of its relation — a round's delta, or a transaction's
+// whole list — or, with rows nil, over the whole relation (a full
+// evaluation), in one outer loop, counted as a leading scan, every later step
+// over stored relations. Over a delta the work is proportional to the delta
+// and what it joins with, never to the relation the delta belongs to, and a
+// row addressed to another location fails its unification. A missing
+// location derives nothing. A row the transaction deleted again after listing
+// it still holds its tuple (rowNew), and is ranged over like the rest. A plan
+// no atom leads runs its steps once.
+func (w *Workspace) runDelta(plan *deltaPlan, rows []uint32, f *frame, emit func(*frame) error) error {
 	m := f.mark()
 	defer f.undo(m)
 	for i := range plan.pre {
@@ -51,19 +53,30 @@ func (w *Workspace) runDelta(plan *deltaPlan, rel *Relation, rows []uint32, f *f
 			return nil
 		}
 	}
+	if !plan.led() {
+		return w.runSteps(plan.steps, 0, f, emit)
+	}
 	w.stats.LeadingScans++
-	w.stats.TuplesScanned += int64(len(rows))
-	args := plan.steps[0].args
-	for _, id := range rows {
+	rel, args := w.rels[plan.steps[0].rel], plan.steps[0].args
+	var err error
+	visit := func(row []cell) bool {
+		w.stats.TuplesScanned++
 		m := f.mark()
-		if unifyArgs(args, rel.row(id), f) {
-			if err := w.runSteps(plan.steps, 1, f, emit); err != nil {
-				return err
-			}
+		if unifyArgs(args, row, f) {
+			err = w.runSteps(plan.steps, 1, f, emit)
 		}
 		f.undo(m)
+		return err == nil
 	}
-	return nil
+	if rows == nil {
+		rel.each(visit)
+	}
+	for _, id := range rows {
+		if !visit(rel.row(id)) {
+			break
+		}
+	}
+	return err
 }
 
 // lookupOnce binds a location lookup's variables from its one matching row,

@@ -123,14 +123,15 @@ func TestStoreCheckedConstraintsMatchCheckTuple(t *testing.T) {
 			continue
 		}
 		n++
-		pred := c.lhsSteps[0].pred
+		lhs := &c.lhsDeltaPlans[0].steps[0]
+		pred := lhs.pred
 		types := marked.prog.cat.Schema(pred).ArgTypes
 		row := make(datalog.Tuple, len(types))
 		for i, typ := range types {
 			row[i] = good[typ]
 		}
 		for _, s := range c.rhsSteps {
-			i := argIndex(c.lhsSteps[0].atom, s.checked)
+			i := argIndex(lhs.atom, s.checked)
 			wrong := append(datalog.Tuple(nil), row...)
 			wrong[i] = bad[s.typeName]
 			_, errM := marked.Assert([]Fact{{Pred: pred, Tuple: wrong}})
@@ -232,6 +233,45 @@ func TestRuleDerivingIntoLocationIsRejected(t *testing.T) {
 		}
 		if _, err := Compile(prog, NewUDFRegistry()); err == nil || !strings.Contains(err.Error(), "location") {
 			t.Errorf("%s compiled: %v", src, err)
+		}
+	}
+}
+
+// TestAggregateRecomputeResolvesLocationOnce: path-vector's bestcost rule is
+// recomputed in full whenever path changes. The recompute runs the rule's
+// first plan, led by path, so self[] and principal_node[self[]] are one probe
+// each before the scan of path: a one-row assert costs exactly 2 probes and
+// N+3 tuples scanned over N stored path rows (the N+1 path rows and the two
+// location rows), whatever N is — not two probes per path row.
+func TestAggregateRecomputeResolvesLocationOnce(t *testing.T) {
+	for _, n := range []int{1000, 4000} {
+		w := installed(t, nil, `
+			bestcost[Me, N]=C <- agg<< C=min(Cx) >> path(P, Me, N, Cx),
+				principal_node[self[]]=Me.
+		`)
+		assertFacts(t, w, `self[]=#me. principal_node[#me]=@"a:1".`)
+		me := datalog.NodeV("a:1")
+		row := func(i int) Fact {
+			return Fact{Pred: "path", Tuple: datalog.Tuple{datalog.Int64(int64(i)), me, datalog.Int64(int64(i % 50)), datalog.Int64(int64(1 + i%7))}}
+		}
+		facts := make([]Fact, n)
+		for i := range facts {
+			facts[i] = row(i)
+		}
+		if _, err := w.Assert(facts); err != nil {
+			t.Fatal(err)
+		}
+		before := w.Stats()
+		if _, err := w.Assert([]Fact{row(n)}); err != nil {
+			t.Fatal(err)
+		}
+		d := w.Stats().Sub(before)
+		if d.IndexProbes != 2 || d.TuplesScanned != int64(n+3) || d.FullScanFallbacks != 0 {
+			t.Errorf("%d path rows, one more asserted: %d probes, %d tuples scanned, %d fallbacks; want 2, %d and 0",
+				n, d.IndexProbes, d.TuplesScanned, d.FullScanFallbacks, n+3)
+		}
+		if got := w.Count("bestcost"); got != 50 {
+			t.Errorf("%d path rows: %d bestcost rows, want 50", n, got)
 		}
 	}
 }

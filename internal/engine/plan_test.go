@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
+	"strings"
 	"testing"
 
 	"secureblox/internal/datalog"
@@ -15,11 +16,11 @@ import (
 // the delta atom leads with no access path of its own, every later step that
 // needs one has it, no later match starts from zero bound columns unless it
 // shares no variable with what ran before it, and the lookups and the steps
-// together run exactly the literals of the static plan against the same slot
-// numbering.
-func checkDeltaPlan(static []step, plan deltaPlan, slotNames []string) error {
-	if len(plan.pre)+len(plan.steps) != len(static) {
-		return fmt.Errorf("plan has %d lookups and %d steps, static plan %d", len(plan.pre), len(plan.steps), len(static))
+// together run exactly the literals of the body's first plan — what a full
+// evaluation runs — against the same slot numbering.
+func checkDeltaPlan(first []step, plan deltaPlan, slotNames []string) error {
+	if len(plan.pre)+len(plan.steps) != len(first) {
+		return fmt.Errorf("plan has %d lookups and %d steps, the first plan %d", len(plan.pre), len(plan.steps), len(first))
 	}
 	lead := &plan.steps[0]
 	if lead.kind != stepMatch {
@@ -29,8 +30,8 @@ func checkDeltaPlan(static []step, plan deltaPlan, slotNames []string) error {
 		return fmt.Errorf("delta atom %s carries a stored-relation access path", lead.atom)
 	}
 	want := map[string]int{}
-	for i := range static {
-		want[describeStep(static[i])]++
+	for i := range first {
+		want[describeStep(first[i])]++
 	}
 	seenVars := map[string]bool{}
 	for i := range plan.pre {
@@ -74,19 +75,24 @@ func checkDeltaPlan(static []step, plan deltaPlan, slotNames []string) error {
 	}
 	for lit, n := range want {
 		if n != 0 {
-			return fmt.Errorf("literal %s: static and delta plan disagree by %d", lit, n)
+			return fmt.Errorf("literal %s: the first plan and this one disagree by %d", lit, n)
 		}
 	}
 	return nil
 }
 
+// firstSteps is a body's first plan, location lookups included.
+func firstSteps(plans []deltaPlan) []step {
+	return append(slices.Clone(plans[0].pre), plans[0].steps...)
+}
+
 // checkInstalledDeltaPlans applies checkDeltaPlan to every rule and
 // constraint of a workspace and requires one plan per positive atom.
 func checkInstalledDeltaPlans(w *Workspace) error {
-	check := func(what string, static []step, plans []deltaPlan, slotNames []string) error {
-		matches := 0
-		for i := range static {
-			if static[i].kind == stepMatch {
+	check := func(what string, plans []deltaPlan, slotNames []string) error {
+		first, matches := firstSteps(plans), 0
+		for i := range first {
+			if first[i].kind == stepMatch {
 				matches++
 			}
 		}
@@ -94,19 +100,19 @@ func checkInstalledDeltaPlans(w *Workspace) error {
 			return fmt.Errorf("%s: %d delta plans for %d positive atoms", what, len(plans), matches)
 		}
 		for k, plan := range plans {
-			if err := checkDeltaPlan(static, plan, slotNames); err != nil {
+			if err := checkDeltaPlan(first, plan, slotNames); err != nil {
 				return fmt.Errorf("%s: delta plan %d: %w", what, k, err)
 			}
 		}
 		return nil
 	}
 	for _, r := range w.prog.rules {
-		if err := check("rule "+r.String(), r.steps, r.deltaPlans, r.slotNames); err != nil {
+		if err := check("rule "+r.String(), r.deltaPlans, r.slotNames); err != nil {
 			return err
 		}
 	}
 	for _, c := range w.prog.constraints {
-		if err := check("constraint "+c.String(), c.lhsSteps, c.lhsDeltaPlans, c.slotNames); err != nil {
+		if err := check("constraint "+c.String(), c.lhsDeltaPlans, c.slotNames); err != nil {
 			return err
 		}
 	}
@@ -114,9 +120,8 @@ func checkInstalledDeltaPlans(w *Workspace) error {
 }
 
 // TestDeltaPlanShape: every rule and constraint LHS compiles one delta-first
-// plan per positive atom, and the recursive closure rule — whose static order
-// puts link first — probes link from the reachable delta instead of scanning
-// it.
+// plan per positive atom, and the recursive closure rule probes link from the
+// reachable delta instead of scanning it.
 func TestDeltaPlanShape(t *testing.T) {
 	w := NewWorkspace(nil)
 	prog, err := datalog.Parse(BenchClosureSrc + BenchMultijoinSrc + `
@@ -136,9 +141,6 @@ func TestDeltaPlanShape(t *testing.T) {
 		t.Fatal(err)
 	}
 	rec := w.prog.rules[1]
-	if got := rec.steps[0].pred; got != "link" {
-		t.Fatalf("static order of the recursive rule starts with %s, want link", got)
-	}
 	var fromReachable []step
 	for _, plan := range rec.deltaPlans {
 		if plan.steps[0].pred == "reachable" {
@@ -192,9 +194,6 @@ func TestDeltaPlanShapeSharesFunctionalApplications(t *testing.T) {
 	// atom leads; principal_node[U] stays a step, its key unknown before the
 	// delta binds U.
 	for i, r := range w.prog.rules[:2] {
-		if n, m := count(r.steps, "self"), count(r.steps, "principal_node"); n != 1 || m != 2 {
-			t.Errorf("rule %d, static plan: %d self steps and %d principal_node steps, want 1 and 2", i, n, m)
-		}
 		if len(r.deltaPlans) != 5 {
 			t.Errorf("rule %d: %d delta plans, want 5:\n%s", i, len(r.deltaPlans), r)
 		}
@@ -223,12 +222,12 @@ func TestDeltaPlanShapeSharesFunctionalApplications(t *testing.T) {
 	// The constraint's right-hand side reads the variable its left-hand side
 	// bound: no second self atom there either.
 	c := w.prog.constraints[0]
-	if n, m := count(c.lhsSteps, "self"), count(c.rhsSteps, "self"); n != 1 || m != 0 || len(c.lhsDeltaPlans) != 2 {
+	if n, m := count(firstSteps(c.lhsDeltaPlans), "self"), count(c.rhsSteps, "self"); n != 1 || m != 0 || len(c.lhsDeltaPlans) != 2 {
 		t.Errorf("constraint: %d self steps left, %d right, %d delta plans, want 1, 0 and 2", n, m, len(c.lhsDeltaPlans))
 	}
 	// A wildcard key names no one value: two pair[_] stay two atoms.
-	if r := w.prog.rules[2]; count(r.steps, "pair") != 2 {
-		t.Errorf("pair[_] written twice compiled to %d atoms, want 2", count(r.steps, "pair"))
+	if r := w.prog.rules[2]; count(firstSteps(r.deltaPlans), "pair") != 2 {
+		t.Errorf("pair[_] written twice compiled to %d atoms, want 2", count(firstSteps(r.deltaPlans), "pair"))
 	}
 
 	// Shared or not, the answers are the same.
@@ -245,9 +244,9 @@ func TestDeltaPlanShapeSharesFunctionalApplications(t *testing.T) {
 
 // TestScanWorkTracksDeltaNotRelation: tuples scanned per tuple inserted by a
 // single-edge Assert must not grow with the stored relations. The closure
-// rule's static order leads with link, so an evaluator that kept that order
-// for the reachable delta would scan every link per round — four times the
-// work on the four times larger graph.
+// rule's first plan leads with link, so an evaluator that ran that plan for
+// the reachable delta would scan every link per round — four times the work
+// on the four times larger graph.
 func TestScanWorkTracksDeltaNotRelation(t *testing.T) {
 	perInsert := func(edges int) float64 {
 		nodes := edges * 5 / 4 // sparse: closures stay small at both sizes
@@ -381,5 +380,54 @@ func TestBodyWithNoPositiveAtom(t *testing.T) {
 	assertFacts(t, w, `bad(1). other(2).`)
 	if err := w.Retract([]Fact{{Pred: "other", Tuple: tup(2)}}); !errors.As(err, &v) {
 		t.Fatalf("Retract's full verification over bad(1): %v, want the constraint violated", err)
+	}
+}
+
+// TestPlansListDeltaOrders: Program.Plans shows the orders that actually
+// run, per positive atom the delta-first order that leads with it and defers
+// the filter until its operands are bound; a full evaluation runs the first.
+//
+// A delta plan led by anything but the node's location opens with its
+// location lookups, self[] and principal_node[self[]], resolved once before
+// the leading scan; the list still holds every body literal.
+func TestPlansListDeltaOrders(t *testing.T) {
+	prog, err := datalog.Parse(`reach(X, Y) <- link(X, Z), reach(Z, Y), X != Y.
+out(Y) <- reach(X, Y), at(principal_node[self[]], X).`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := Compile(prog, NewUDFRegistry())
+	if err != nil {
+		t.Fatal(err)
+	}
+	describe := func(plan []PlanStep) string {
+		out := make([]string, len(plan))
+		for i, s := range plan {
+			out[i] = fmt.Sprint(s.Atom)
+			if s.Kind == StepCmp {
+				out[i] = fmt.Sprintf("%s %s %s", s.L, s.Op, s.R)
+			}
+		}
+		return strings.Join(out, " ; ")
+	}
+	plans := p.Plans()
+	for i, want := range [][]string{{
+		"link(X, Z) ; reach(Z, Y) ; X != Y",
+		"reach(Z, Y) ; link(X, Z) ; X != Y",
+	}, {
+		"self[]=$t1 ; principal_node[$t1]=$t2 ; reach(X, Y) ; at($t2, X)",
+		"self[]=$t1 ; principal_node[$t1]=$t2 ; at($t2, X) ; reach(X, Y)",
+		"self[]=$t1 ; principal_node[$t1]=$t2 ; at($t2, X) ; reach(X, Y)",
+		"self[]=$t1 ; principal_node[$t1]=$t2 ; at($t2, X) ; reach(X, Y)",
+	}} {
+		got := plans[i].DeltaPlans
+		if len(got) != len(want) {
+			t.Fatalf("rule %d: %d delta orders, want %d", i, len(got), len(want))
+		}
+		for k, w := range want {
+			if d := describe(got[k]); d != w {
+				t.Errorf("rule %d: delta order %d = %s, want %s", i, k, d, w)
+			}
+		}
 	}
 }

@@ -44,19 +44,17 @@ type PlanStep struct {
 type RulePlan struct {
 	Src   *datalog.Rule
 	Heads []*datalog.Atom
-	// Steps is the static order, run only by full evaluations (install,
-	// aggregate recompute, rederivation after a retraction).
-	Steps []PlanStep
 	// DeltaPlans holds one order per positive body atom: what a semi-naïve
 	// evaluation runs when the atom's predicate has a delta. It opens with
 	// the plan's location lookups (StepPrebound), resolved once; then the
 	// delta atom, whose step loops over the delta and has no BoundCols; then
-	// the rest. Every body literal is in every plan.
+	// the rest. Every body literal is in every plan. A full evaluation
+	// (install, aggregate recompute, rederivation after a retraction) runs
+	// the first plan over the whole relation. A body with no positive atom
+	// has one plan, ordered from nothing.
 	DeltaPlans [][]PlanStep
-	// Bound is the set of variables the body binds.
-	Bound map[string]bool
-	Agg   *datalog.AggSpec
-	Err   error
+	Agg        *datalog.AggSpec
+	Err        error
 }
 
 // Plans returns the analyzer's view of the program's rules, in source order:
@@ -98,16 +96,7 @@ func stepsView(out []PlanStep, steps []step) []PlanStep {
 
 // planView converts an internal planned rule to its exported view.
 func planView(cr *CompiledRule) RulePlan {
-	p := RulePlan{
-		Src:   cr.src,
-		Heads: cr.heads,
-		Bound: make(map[string]bool, len(cr.bodyVars)),
-		Agg:   cr.agg,
-	}
-	for _, v := range cr.bodyVars {
-		p.Bound[v] = true
-	}
-	p.Steps = stepsView(make([]PlanStep, 0, len(cr.steps)), cr.steps)
+	p := RulePlan{Src: cr.src, Heads: cr.heads, Agg: cr.agg}
 	for _, plan := range cr.deltaPlans {
 		view := stepsView(make([]PlanStep, 0, len(plan.pre)+len(plan.steps)), plan.pre)
 		for i := range view {

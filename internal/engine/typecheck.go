@@ -36,17 +36,20 @@ func (c *compiler) checkRuleTypes(r *CompiledRule) error {
 		varTypes[name] = typ
 	}
 
-	for _, s := range r.steps {
-		if s.kind != stepMatch {
-			continue
-		}
-		schema := c.p.cat.Schema(s.pred)
-		if schema == nil || len(schema.ArgTypes) != len(s.atom.Args) {
-			continue
-		}
-		for i, t := range s.atom.Args {
-			if v, ok := t.(datalog.Var); ok {
-				noteVar(v.Name, schema.ArgTypes[i])
+	plan := &r.deltaPlans[0]
+	for _, steps := range [][]step{plan.pre, plan.steps} {
+		for _, s := range steps {
+			if s.kind != stepMatch {
+				continue
+			}
+			schema := c.p.cat.Schema(s.pred)
+			if schema == nil || len(schema.ArgTypes) != len(s.atom.Args) {
+				continue
+			}
+			for i, t := range s.atom.Args {
+				if v, ok := t.(datalog.Var); ok {
+					noteVar(v.Name, schema.ArgTypes[i])
+				}
 			}
 		}
 	}
@@ -62,13 +65,11 @@ func (c *compiler) checkRuleTypes(r *CompiledRule) error {
 				continue
 			}
 			wantKind, isKind := builtinKinds[want]
-			isEntity := false
 			if !isKind {
 				s := c.p.cat.Schema(want)
 				if s == nil || !s.IsEntity {
 					continue // membership type: runtime constraint
 				}
-				isEntity = true
 			}
 			switch tt := t.(type) {
 			case datalog.Const:
@@ -92,7 +93,6 @@ func (c *compiler) checkRuleTypes(r *CompiledRule) error {
 					return fmt.Errorf("rule %s: head %s argument %d: arithmetic expression cannot produce type %s",
 						r.src, h.ConcreteName(), i+1, want)
 				}
-				_ = isEntity
 			}
 		}
 	}

@@ -525,10 +525,10 @@ func (w *Workspace) rollback(t *txn) {
 	w.syms.restore(t.mark) // no cell names what the transaction interned any more
 }
 
-// evalRuleInto fully evaluates one non-aggregate rule in its static order
-// and inserts derivations.
+// evalRuleInto fully evaluates one non-aggregate rule — its first plan over
+// the whole database — and inserts derivations.
 func (w *Workspace) evalRuleInto(t *txn, r *CompiledRule) error {
-	return w.runSteps(r.steps, 0, &w.frame, func(f *frame) error {
+	return w.runDelta(&r.deltaPlans[0], nil, &w.frame, func(f *frame) error {
 		return w.derive(t, r, f)
 	})
 }
@@ -543,7 +543,7 @@ func (w *Workspace) evalRuleDeltas(t *txn, r *CompiledRule) error {
 		if rel.lo == rel.hi {
 			continue
 		}
-		if err := w.runDelta(plan, rel, rel.ins[rel.lo:rel.hi], &w.frame, emit); err != nil {
+		if err := w.runDelta(plan, rel.ins[rel.lo:rel.hi], &w.frame, emit); err != nil {
 			return err
 		}
 	}
@@ -612,7 +612,8 @@ func (w *Workspace) derive(t *txn, r *CompiledRule, f *frame) error {
 	return nil
 }
 
-// recomputeAgg fully re-evaluates an aggregation rule and replaces changed
+// recomputeAgg fully re-evaluates an aggregation rule — its first plan over
+// the whole database — and replaces changed
 // group values (replacement semantics: the old tuple is removed without
 // retraction of its prior consequences — see DESIGN.md). It leaves the keys of
 // every group the body still supports in the rule's group table.
@@ -622,7 +623,7 @@ func (w *Workspace) recomputeAgg(t *txn, r *CompiledRule) error {
 	groups.reset()
 	w.aggCells = w.aggCells[:0]
 
-	err := w.runSteps(r.steps, 0, &w.frame, func(f *frame) error {
+	err := w.runDelta(&r.deltaPlans[0], nil, &w.frame, func(f *frame) error {
 		var buf [8]cell
 		keys := buf[:0]
 		for i := 0; i < keyN; i++ {
@@ -726,7 +727,8 @@ func byID(rules []*CompiledRule) []*CompiledRule {
 
 // checkTxnConstraints verifies every installed constraint against the
 // tuples inserted by the transaction (incremental LHS restriction), but for
-// those the store already enforced on insert.
+// those the store already enforced on insert. A left-hand side with no atom
+// has no plan a transaction's rows lead, and is checked only in full.
 func (w *Workspace) checkTxnConstraints() error {
 	for _, c := range w.prog.constraints {
 		if c.storeChecked {
@@ -734,11 +736,14 @@ func (w *Workspace) checkTxnConstraints() error {
 		}
 		for i := range c.lhsDeltaPlans {
 			plan := &c.lhsDeltaPlans[i]
+			if !plan.led() {
+				continue
+			}
 			rel := w.rels[plan.steps[0].rel]
 			if len(rel.ins) == 0 {
 				continue
 			}
-			if err := w.runDelta(plan, rel, rel.ins, &w.frame, func(f *frame) error { return w.checkBinding(c, f) }); err != nil {
+			if err := w.runDelta(plan, rel.ins, &w.frame, func(f *frame) error { return w.checkBinding(c, f) }); err != nil {
 				return err
 			}
 		}
@@ -787,10 +792,11 @@ func (w *Workspace) bindingDetail(names []string, f *frame) string {
 	return strings.Join(parts, ", ")
 }
 
-// checkAllConstraints verifies every constraint over the full database.
+// checkAllConstraints verifies every constraint over the full database, each
+// by its first left-hand-side plan.
 func (w *Workspace) checkAllConstraints() error {
 	for _, c := range w.prog.constraints {
-		if err := w.runSteps(c.lhsSteps, 0, &w.frame, func(f *frame) error { return w.checkBinding(c, f) }); err != nil {
+		if err := w.runDelta(&c.lhsDeltaPlans[0], nil, &w.frame, func(f *frame) error { return w.checkBinding(c, f) }); err != nil {
 			return err
 		}
 	}
@@ -924,7 +930,7 @@ func (w *Workspace) Retract(facts []Fact) error {
 					if w.rels[plan.steps[0].rel] != rel {
 						continue
 					}
-					err := w.runDelta(plan, rel, rows, &w.frame, func(f *frame) error {
+					err := w.runDelta(plan, rows, &w.frame, func(f *frame) error {
 						return w.collectHeadDeletions(r, f, deleted, next)
 					})
 					if err != nil {
