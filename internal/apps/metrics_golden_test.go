@@ -22,6 +22,7 @@ const metricsTypes = `# TYPE sbx_batch_group_envelopes histogram
 # TYPE sbx_bytes_recv_total counter
 # TYPE sbx_bytes_sent_total counter
 # TYPE sbx_cluster_evictions_total counter
+# TYPE sbx_engine_derivations_total counter
 # TYPE sbx_engine_fixpoint_rounds_total counter
 # TYPE sbx_engine_fullscan_fallbacks_total counter
 # TYPE sbx_engine_index_probes_total counter

@@ -52,6 +52,10 @@ type step struct {
 	// is probed with; noProbe when nothing is bound (a scan).
 	probe     int
 	probeCols []int
+	// earlier marks a delta plan's match step whose atom precedes the plan's
+	// delta atom in the body: within a fixpoint round it does not see the
+	// round's delta, which the plan led by its own atom ranges over.
+	earlier bool
 }
 
 // deltaPlan is a delta-first plan: steps[0] is the delta atom, ranged over the
@@ -598,8 +602,9 @@ func boundColsOf(a *datalog.Atom, bound map[string]bool) []int {
 // ready UDFs, then cartesian matches as a last resort. With lead ≥ 0,
 // unplanned[lead] is the plan's first step whatever its bindings — the delta
 // atom of a delta-first plan, whose variables bound already holds — and the
-// rest are ordered from there. The steps skip marks (a delta plan's location
-// lookups) are left out. unplanned is not modified.
+// rest are ordered from there, each match before it in unplanned marked
+// earlier. The steps skip marks (a delta plan's location lookups) are left
+// out. unplanned is not modified.
 func (c *compiler) planSteps(unplanned []step, bound map[string]bool, lead int, skip []bool) ([]step, error) {
 	taken := make([]bool, len(unplanned))
 	n := len(unplanned)
@@ -723,7 +728,7 @@ func (c *compiler) planSteps(unplanned []step, bound map[string]bool, lead int, 
 		taken[picked] = true
 		switch s.kind {
 		case stepMatch:
-			s.boundCols = boundColsOf(s.atom, bound)
+			s.boundCols, s.earlier = boundColsOf(s.atom, bound), picked < lead
 			bindAtomVars(s.atom)
 		case stepNeg:
 			s.boundCols = boundColsOf(s.atom, bound)
@@ -749,7 +754,11 @@ func (c *compiler) planSteps(unplanned []step, bound map[string]bool, lead int, 
 // tuples with nothing bound before it but the plan's location lookups — its
 // constants, repeated variables and looked-up locations are checked by
 // unification — and planSteps orders the remaining literals from the
-// variables it binds, so every later step is probed, not scanned. A body with
+// variables it binds, so every later step is probed, not scanned. A match
+// before the delta atom in the body is marked earlier: within a round it
+// reads the relations without the round's delta, one after it with it, so of
+// the plans a round runs only the one led by a binding's first delta atom
+// finds that binding. A body with
 // no positive atom gets one plan ordered from nothing. It also returns the
 // variables the body binds, which every plan binds alike.
 func (c *compiler) planDeltaPlans(unplanned []step) ([]deltaPlan, map[string]bool, error) {

@@ -277,6 +277,13 @@ func randomRules(rng *rand.Rand, negation bool) string {
 		h2 := boundVars[rng.Intn(len(boundVars))]
 		fmt.Fprintf(&sb, "d%d(%s,%s) <- %s.\n", rng.Intn(3), h1, h2, strings.Join(bodyParts, ", "))
 	}
+	// s0 and s1 are derived from base rows in the same round whenever one
+	// transaction asserts both bases, and s2 joins them, so its delta plans
+	// meet rows their own round stored; s3 joins s2 with itself.
+	b0, b1 := []string{"e", "g"}[rng.Intn(2)], []string{"e", "g"}[rng.Intn(2)]
+	j := [][2]string{{"A,B", "B,C"}, {"A,B", "C,B"}, {"B,A", "B,C"}}[rng.Intn(3)]
+	fmt.Fprintf(&sb, "s0(A,B) <- %s(A,B).\ns1(B,A) <- %s(A,B).\n", b0, b1)
+	fmt.Fprintf(&sb, "s2(A,C) <- s0(%s), s1(%s).\ns3(A,C) <- s2(A,B), s2(B,C).\n", j[0], j[1])
 	return sb.String()
 }
 
@@ -517,11 +524,50 @@ func stripIndexes(w *Workspace) {
 	}
 }
 
+// underivedHead returns a head that a body binding over w's database supports
+// and w does not hold, or "" when w is closed under its rules: a full
+// evaluation of each rule, by its first plan, that derives nothing.
+func underivedHead(t *testing.T, w *Workspace) string {
+	t.Helper()
+	missing := ""
+	errMissing := fmt.Errorf("missing head")
+	for _, r := range w.prog.rules {
+		err := w.runDelta(&r.deltaPlans[0], nil, &w.frame, func(f *frame) error {
+			for hi := range r.heads {
+				var buf [8]cell
+				vals := buf[:0]
+				for i := range r.cheads[hi] {
+					v, err := w.eval(&r.cheads[hi][i], f)
+					if err != nil {
+						return err
+					}
+					vals = append(vals, v)
+				}
+				if w.rels[r.headRels[hi]].rowOf(vals) < 0 {
+					missing = r.heads[hi].Pred + w.syms.tuple(vals).String()
+					return errMissing
+				}
+			}
+			return nil
+		})
+		if err != nil && err != errMissing {
+			t.Fatal(err)
+		}
+		if missing != "" {
+			return missing
+		}
+	}
+	return ""
+}
+
 // TestIndexedMatchesForcedScanQuick: on randomized programs, indexed
 // evaluation (functional + secondary indexes under delta-first plans) must
 // produce exactly the same fixpoint and the same constraint verdicts as
 // forced full-scan evaluation — through asserts, retractions (which rebuild
-// secondary indexes), and asserts after that.
+// secondary indexes), and asserts after that. Both run the same delta plans,
+// so after the asserts, which only add base facts and so leave every
+// negation's answer as it was when the rows it filters arrived, each must
+// also be closed under its rules: no binding the plans missed.
 func TestIndexedMatchesForcedScanQuick(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -538,6 +584,12 @@ func TestIndexedMatchesForcedScanQuick(t *testing.T) {
 			if !sameExtents(t, indexed, scans) {
 				t.Logf("divergence after %s, program:\n%s", phase, src)
 				return false
+			}
+			if phase == "asserts" {
+				if h := underivedHead(t, indexed); h != "" {
+					t.Logf("the database supports %s, which the delta plans never derived, program:\n%s", h, src)
+					return false
+				}
 			}
 			return true
 		})
@@ -621,6 +673,77 @@ func TestDeltaPlansMatchNaiveSaturationQuick(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)
 	}
+}
+
+// TestEachBindingDerivedOnce: on monotone programs — no negation, no
+// aggregate — the derivations of a run of committed transactions number
+// exactly the rule bodies' bindings over the final database, each counted by
+// a full evaluation: the delta plans find every binding once, in the round
+// its last row arrives, however the rows are split into transactions and
+// rounds. The random programs are the saturation oracle's; three fixed shapes
+// follow — a rule joining a relation with what another rule derives from it
+// in the same round (the export rules' says and sig), two bases asserted in
+// one transaction, and a recursive self-join. The location facts go first, in
+// a transaction of their own, as a node asserts them at set-up: a plan's
+// location lookups read the whole relation, so a binding whose location row
+// arrives in the same round as its other rows may be found twice.
+func TestEachBindingDerivedOnce(t *testing.T) {
+	check := func(t *testing.T, src string, batches [][]Fact) {
+		t.Helper()
+		prog, err := datalog.Parse(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w := NewWorkspace(nil)
+		if err := w.Install(prog); err != nil {
+			t.Fatal(err)
+		}
+		var derived int64
+		for _, batch := range batches {
+			before := w.Stats().Derivations
+			if _, err := w.Assert(batch); err == nil {
+				derived += w.Stats().Derivations - before
+			}
+		}
+		var bindings int64
+		for _, r := range w.prog.rules {
+			if err := w.runDelta(&r.deltaPlans[0], nil, &w.frame, func(*frame) error { bindings++; return nil }); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if derived != bindings {
+			t.Errorf("%d derivations for %d body bindings, program:\n%s", derived, bindings, src)
+		}
+	}
+	for seed := int64(1); seed <= 60; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		src := randomRules(rng, false)
+		loc := locationFacts(rng, nil)
+		facts := randomBaseFacts(rng, 12+rng.Intn(15))
+		batches := [][]Fact{loc}
+		for len(facts) > 0 {
+			n := 1 + rng.Intn(len(facts))
+			batches, facts = append(batches, facts[:n]), facts[n:]
+		}
+		check(t, src, batches)
+	}
+	ints := func(pred string, rows ...[]int64) []Fact {
+		var out []Fact
+		for _, r := range rows {
+			tp := make(datalog.Tuple, len(r))
+			for i, v := range r {
+				tp[i] = datalog.Int64(v)
+			}
+			out = append(out, Fact{Pred: pred, Tuple: tp})
+		}
+		return out
+	}
+	check(t, "t(X) <- s(X).\ne(X) <- s(X), t(X).\n",
+		[][]Fact{ints("s", []int64{1}, []int64{2}), ints("s", []int64{3})})
+	check(t, "j(X,Y,Z) <- a(X,Y), b(Z,Y).\n",
+		[][]Fact{append(ints("a", []int64{1, 2}, []int64{3, 2}), ints("b", []int64{4, 2}, []int64{5, 2})...)})
+	check(t, "tc(X,Y) <- q(X,Y).\ntc(X,Z) <- tc(X,Y), tc(Y,Z).\n",
+		[][]Fact{ints("q", []int64{1, 2}, []int64{2, 3}, []int64{3, 1}), ints("q", []int64{3, 4})})
 }
 
 // TestGroundNegationIsConstantTime: a fully bound negated atom must be

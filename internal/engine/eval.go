@@ -39,12 +39,16 @@ func (w *Workspace) compare(op string, l, r cell) (bool, error) {
 // over the given rows of its relation — a round's delta, or a transaction's
 // whole list — or, with rows nil, over the whole relation (a full
 // evaluation), in one outer loop, counted as a leading scan, every later step
-// over stored relations. Over a delta the work is proportional to the delta
-// and what it joins with, never to the relation the delta belongs to, and a
-// row addressed to another location fails its unification. A missing
-// location derives nothing. A row the transaction deleted again after listing
-// it still holds its tuple (rowNew), and is ranged over like the rest. A plan
-// no atom leads runs its steps once.
+// over stored relations. Within a fixpoint round (Workspace.hide) a later
+// match step skips the rows the round has stored, and one whose atom precedes
+// the delta atom in the body the round's delta too: exact semi-naïve, so the
+// round's plans find each binding once, and a binding that needs a row stored
+// this round is the next round's to find. Over a delta the work is
+// proportional to the delta and what it joins with, never to the relation the
+// delta belongs to, and a row addressed to another location fails its
+// unification. A missing location derives nothing. A row the transaction
+// deleted again after listing it still holds its tuple (rowNew), and is ranged
+// over like the rest. A plan no atom leads runs its steps once.
 func (w *Workspace) runDelta(plan *deltaPlan, rows []uint32, f *frame, emit func(*frame) error) error {
 	m := f.mark()
 	defer f.undo(m)
@@ -69,7 +73,7 @@ func (w *Workspace) runDelta(plan *deltaPlan, rows []uint32, f *frame, emit func
 		return err == nil
 	}
 	if rows == nil {
-		rel.each(visit)
+		rel.each(0, visit)
 	}
 	for _, id := range rows {
 		if !visit(rel.row(id)) {
@@ -81,10 +85,11 @@ func (w *Workspace) runDelta(plan *deltaPlan, rows []uint32, f *frame, emit func
 
 // lookupOnce binds a location lookup's variables from its one matching row,
 // and reports whether there is one. The relation is functional and the key
-// bound, so the first row that unifies is the only one.
+// bound, so the first row that unifies is the only one. No rule derives into
+// it, so it reads the whole relation.
 func (w *Workspace) lookupOnce(s *step, f *frame) bool {
 	found := false
-	w.candidates(s, f, func(t []cell) bool {
+	w.candidates(s, 0, f, func(t []cell) bool {
 		w.stats.TuplesScanned++
 		m := f.mark()
 		if found = unifyArgs(s.args, t, f); !found {
@@ -96,18 +101,19 @@ func (w *Workspace) lookupOnce(s *step, f *frame) bool {
 }
 
 // candidates iterates stored tuples that may match the step under the current
-// frame: a probe of the index its compile-time bound-column signature selected
-// (functional, primary or secondary), or — when the step has no index — a scan
-// of the relation, which the caller's unifyArgs filters. A scan is a planned
-// leading scan only when no column is bound; with bound columns it means the
-// plan and the runtime disagree, and is counted as a fallback.
-func (w *Workspace) candidates(s *step, f *frame, fn func([]cell) bool) {
+// frame, but for those whose flags meet hide: a probe of the index its
+// compile-time bound-column signature selected (functional, primary or
+// secondary), or — when the step has no index — a scan of the relation, which
+// the caller's unifyArgs filters. A scan is a planned leading scan only when
+// no column is bound; with bound columns it means the plan and the runtime
+// disagree, and is counted as a fallback.
+func (w *Workspace) candidates(s *step, hide uint8, f *frame, fn func([]cell) bool) {
 	rel := w.rels[s.rel]
 	if s.probe != noProbe {
 		var buf [8]cell
 		if vals, ok := gatherCols(s.args, s.probeCols, f, buf[:0]); ok {
 			w.stats.IndexProbes++
-			rel.probe(rel.idx[s.probe], vals, fn)
+			rel.probe(rel.idx[s.probe], vals, hide, fn)
 			return
 		}
 	}
@@ -116,7 +122,7 @@ func (w *Workspace) candidates(s *step, f *frame, fn func([]cell) bool) {
 	} else {
 		w.stats.FullScanFallbacks++
 	}
-	rel.each(fn)
+	rel.each(hide, fn)
 }
 
 // negHolds decides a negated atom. The planner only schedules negations once
@@ -139,7 +145,7 @@ func (w *Workspace) negHolds(s *step, f *frame) bool {
 	// the ==0 guards see it.
 	w.stats.FullScanFallbacks++
 	found := false
-	rel.each(func(t []cell) bool {
+	rel.each(0, func(t []cell) bool {
 		m := f.mark()
 		found = unifyArgs(s.args, t, f)
 		f.undo(m)
@@ -157,8 +163,12 @@ func (w *Workspace) runSteps(steps []step, i int, f *frame, emit func(*frame) er
 	s := &steps[i]
 	switch s.kind {
 	case stepMatch:
+		hide := w.hide
+		if s.earlier && hide != 0 {
+			hide |= rowDelta
+		}
 		var iterErr error
-		w.candidates(s, f, func(t []cell) bool {
+		w.candidates(s, hide, f, func(t []cell) bool {
 			w.stats.TuplesScanned++
 			m := f.mark()
 			if unifyArgs(s.args, t, f) {

@@ -121,6 +121,12 @@ const (
 	// cells, dead, until the transaction's list is dropped, so that an id on
 	// ins names one tuple for as long as the list is read.
 	rowNew
+	// rowBorn: the fixpoint round being evaluated stored the row, which is
+	// therefore the next round's delta; rowDelta: the row is on the delta of
+	// the round being evaluated (Workspace.nextRound turns the one into the
+	// other). Both ride on rowNew and go with it.
+	rowBorn
+	rowDelta
 )
 
 // Pages hold 1<<pageShift rows (128), except a relation's first few, which
@@ -154,9 +160,10 @@ func page(id uint32) (p int, start uint32) {
 //
 // Iteration and mutation: each visits rows in id order (insertion order until
 // a deleted row's id is reused), probe a chain newest first; the orders are a
-// function of the operation sequence and no more of a contract than that. A
-// callback may insert into the relation it is iterating — recursive rules do —
-// and the new row may or may not be visited; it must not delete from it.
+// function of the operation sequence and no more of a contract than that. Both
+// skip the rows whose flags meet their hide mask. A callback may insert into
+// the relation it is iterating — recursive rules do — and a delta plan never
+// visits a row stored in its own round; it must not delete from it.
 //
 // Concurrency contract: the read paths (Contains, Len, Tuples and their
 // internal forms) are safe for any number of concurrent readers provided no
@@ -166,7 +173,7 @@ type Relation struct {
 	syms   *symtab  // the owning workspace's intern table
 	arity  int      // cells per row; -1 until the first row fixes it
 	pages  [][]cell // row id → its arity cells, see row
-	flags  []uint8  // row id → rowLive | rowBase | rowNew; its length is the ids handed out
+	flags  []uint8  // row id → rowLive | rowBase | rowNew | rowBorn | rowDelta; its length is the ids handed out
 	free   []uint32 // deleted row ids awaiting reuse
 	n      int
 	// idx holds every index: the primary first, then the functional one (fn,
@@ -313,8 +320,9 @@ func (r *Relation) ready(x *hashIndex) bool {
 }
 
 // probe iterates the rows whose projection onto x.cols equals vals (vals[i]
-// corresponds to column x.cols[i]). fn returning false stops.
-func (r *Relation) probe(x *hashIndex, vals []cell, fn func([]cell) bool) {
+// corresponds to column x.cols[i]), but for those whose flags meet hide. fn
+// returning false stops.
+func (r *Relation) probe(x *hashIndex, vals []cell, hide uint8, fn func([]cell) bool) {
 	if !r.ready(x) {
 		return
 	}
@@ -323,7 +331,7 @@ func (r *Relation) probe(x *hashIndex, vals []cell, fn func([]cell) bool) {
 	// chain, and only a row with the probed hash — in the probed bucket at
 	// every table size — is a safe place to carry on from.
 	for id := x.first(h); id != 0; id = x.ents[id-1].next {
-		if x.ents[id-1].hash != uint32(h) {
+		if x.ents[id-1].hash != uint32(h) || r.flags[id-1]&hide != 0 {
 			continue
 		}
 		if row := r.row(id - 1); x.matches(row, vals) && !fn(row) {
@@ -490,11 +498,11 @@ func (r *Relation) derived(vals []cell) int {
 	return -1
 }
 
-// each calls fn for every row in id order; fn returning false stops. Rows
-// appended while it runs are not visited.
-func (r *Relation) each(fn func([]cell) bool) {
+// each calls fn for every row in id order but those whose flags meet hide; fn
+// returning false stops. Rows appended while it runs are not visited.
+func (r *Relation) each(hide uint8, fn func([]cell) bool) {
 	for id, end := 0, len(r.flags); id < end; id++ {
-		if r.flags[id]&rowLive != 0 && !fn(r.row(uint32(id))) {
+		if r.flags[id]&(rowLive|hide) == rowLive && !fn(r.row(uint32(id))) {
 			return
 		}
 	}

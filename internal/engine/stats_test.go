@@ -16,10 +16,10 @@ func TestEngineTotalsAreTheRegistryCounters(t *testing.T) {
 		return Stats{
 			IndexProbes: v("index_probes"), LeadingScans: v("leading_scans"),
 			FullScanFallbacks: v("fullscan_fallbacks"), FixpointRounds: v("fixpoint_rounds"),
-			TuplesScanned: v("tuples_scanned"),
+			TuplesScanned: v("tuples_scanned"), Derivations: v("derivations"),
 		}
 	}
-	d := Stats{IndexProbes: 2, LeadingScans: 4, FullScanFallbacks: 1, FixpointRounds: 3, TuplesScanned: 17}
+	d := Stats{IndexProbes: 2, LeadingScans: 4, FullScanFallbacks: 1, FixpointRounds: 3, TuplesScanned: 17, Derivations: 5}
 	before, regBefore := Totals(), registry()
 	accumulate(d)
 	if got := Totals().Sub(before); got != d {

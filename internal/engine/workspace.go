@@ -85,7 +85,7 @@ func (t *txn) logRow(rel *Relation, id uint32, promoted, wasBase bool) {
 func (w *Workspace) dropLists() {
 	for _, rel := range w.dirty {
 		for i := len(rel.ins) - 1; i >= 0; i-- { // newest first, so ids come back in the order they went
-			rel.clear(rel.ins[i], rowNew)
+			rel.clear(rel.ins[i], rowNew|rowBorn|rowDelta)
 		}
 		rel.ins, rel.lo, rel.hi = rel.ins[:0], 0, 0
 	}
@@ -95,14 +95,22 @@ func (w *Workspace) dropLists() {
 // nextRound makes what the last round derived — everything listed since the
 // previous call — the delta of the next, and reports whether there is any.
 // Between calls every relation outside cur has lo == hi <= len(ins), and is in
-// nxt exactly when hi < len(ins).
+// nxt exactly when hi < len(ins). The rows keep the state in their flags, for
+// the delta plans to hide: the old delta's rows lose rowDelta, and the new
+// delta's trade rowBorn for it, over the ids the round walks anyway.
 func (w *Workspace) nextRound() bool {
 	for _, rel := range w.cur {
+		for _, id := range rel.ins[rel.lo:rel.hi] {
+			rel.flags[id] &^= rowDelta
+		}
 		rel.lo = rel.hi
 	}
 	w.cur, w.nxt = w.nxt, w.cur[:0]
 	for _, rel := range w.cur {
 		rel.lo, rel.hi = rel.hi, len(rel.ins)
+		for _, id := range rel.ins[rel.lo:rel.hi] {
+			rel.flags[id] = rel.flags[id]&^rowBorn | rowDelta
+		}
 	}
 	return len(w.cur) > 0
 }
@@ -144,6 +152,9 @@ type Workspace struct {
 	// roundRules/roundAggs are fixpoint's per-round rule lists, kept across
 	// rounds and transactions so a round allocates neither.
 	roundRules, roundAggs []*CompiledRule
+	// hide is the row flags a match step skips: rowBorn while evalRuleDeltas
+	// runs a round's delta plans, and 0 for every other evaluation.
+	hide uint8
 	// syms interns the text of every value the workspace stores; the program's
 	// constants come first.
 	syms symtab
@@ -185,7 +196,7 @@ type Workspace struct {
 func (w *Workspace) Stats() Stats { return w.stats }
 
 // publishStats pushes the counter growth since the last publish into the
-// process-wide totals (five atomic adds per transaction, not one per probe).
+// process-wide totals (six atomic adds per transaction, not one per probe).
 func (w *Workspace) publishStats() {
 	d := w.stats.Sub(w.published)
 	if d != (Stats{}) {
@@ -426,9 +437,10 @@ func checkTuple(rel *Relation, vals []cell) error {
 
 // store copies vals — absent from rel, hashing to h, checked — into a row and
 // lists it as the transaction's, for the next fixpoint round, the constraint
-// check, the result and rollback alike.
+// check, the result and rollback alike. Until that round the row is born, and
+// the delta plans of this one do not see it.
 func (w *Workspace) store(rel *Relation, vals []cell, h uint64, flags uint8) error {
-	id, ok := rel.add(vals, h, flags|rowLive|rowNew)
+	id, ok := rel.add(vals, h, flags|rowLive|rowNew|rowBorn)
 	if !ok {
 		old := rel.row(uint32(rel.lookupFn(vals[:rel.schema.KeyArity])))
 		return &ConstraintViolation{
@@ -534,20 +546,23 @@ func (w *Workspace) evalRuleInto(t *txn, r *CompiledRule) error {
 }
 
 // evalRuleDeltas runs the delta-first plan of every body atom of r whose
-// relation has a delta this round, inserting derivations.
-func (w *Workspace) evalRuleDeltas(t *txn, r *CompiledRule) error {
+// relation has a delta this round, inserting derivations. Its match steps hide
+// the rows this round has stored (w.hide), so each binding is found once.
+func (w *Workspace) evalRuleDeltas(t *txn, r *CompiledRule) (err error) {
 	emit := func(f *frame) error { return w.derive(t, r, f) }
+	w.hide = rowBorn
 	for i := range r.deltaPlans {
 		plan := &r.deltaPlans[i]
 		rel := w.rels[plan.steps[0].rel]
 		if rel.lo == rel.hi {
 			continue
 		}
-		if err := w.runDelta(plan, rel.ins[rel.lo:rel.hi], &w.frame, emit); err != nil {
-			return err
+		if err = w.runDelta(plan, rel.ins[rel.lo:rel.hi], &w.frame, emit); err != nil {
+			break
 		}
 	}
-	return nil
+	w.hide = 0
+	return err
 }
 
 // skolemKey returns, in the workspace's scratch, the Skolem key of head
@@ -569,6 +584,7 @@ func (w *Workspace) skolemKey(r *CompiledRule, f *frame, name string) []byte {
 // creating Skolemized entities for head-existential variables. Head tuples
 // are built in a stack buffer and handed to insertDerived.
 func (w *Workspace) derive(t *txn, r *CompiledRule, f *frame) error {
+	w.stats.Derivations++
 	mark := f.mark()
 	defer f.undo(mark)
 
@@ -690,7 +706,10 @@ func (w *Workspace) recomputeAgg(t *txn, r *CompiledRule) error {
 }
 
 // fixpoint runs semi-naïve evaluation to quiescence, starting from what the
-// transaction has inserted since the last round.
+// transaction has inserted since the last round. The semi-naïve is exact: a
+// round's delta plans read no row the round stores, which waits for the next
+// round, so every binding of a rule is derived once however its rows arrive.
+// Aggregate recomputes are full evaluations, and read the live store.
 func (w *Workspace) fixpoint(t *txn) error {
 	for w.nextRound() {
 		w.stats.FixpointRounds++
@@ -903,7 +922,10 @@ func (w *Workspace) Retract(facts []Fact) error {
 
 	// Phase 1: overestimate deletions. Nothing is deleted yet, so the frontier
 	// can name stored tuples by row id, the way a fixpoint round's delta does.
-	// The retracted facts are also the seeds phase 3 keeps out.
+	// The retracted facts are also the seeds phase 3 keeps out. Every phase
+	// walks the relations in the program's numbering, not in a map's order, so
+	// the rows a retraction frees and rederives, and with them the store's row
+	// order, are the same in every workspace that runs it.
 	deleted, seeds := factSet{}, factSet{}
 	frontier := make(map[*Relation][]uint32)
 	for _, f := range facts {
@@ -923,7 +945,11 @@ func (w *Workspace) Retract(facts []Fact) error {
 	}
 	for len(frontier) > 0 {
 		next := make(map[*Relation][]uint32)
-		for rel, rows := range frontier {
+		for _, rel := range w.rels {
+			rows := frontier[rel]
+			if rows == nil {
+				continue
+			}
 			for _, r := range rel.spec.rules {
 				for i := range r.deltaPlans {
 					plan := &r.deltaPlans[i]
@@ -943,8 +969,12 @@ func (w *Workspace) Retract(facts []Fact) error {
 	}
 
 	// Phase 2: apply deletions.
-	for rel, m := range deleted {
-		m.each(func(row []cell) bool {
+	for _, rel := range w.rels {
+		m := deleted[rel]
+		if m == nil {
+			continue
+		}
+		m.each(0, func(row []cell) bool {
 			if id := rel.rowOf(row); id >= 0 {
 				w.deleteRow(t, rel, uint32(id))
 			}
@@ -959,7 +989,10 @@ func (w *Workspace) Retract(facts []Fact) error {
 		changed = false
 		// Re-run every rule whose head predicate saw deletions; reinsert
 		// derivations that were deleted (and are not retracted seeds).
-		for del := range deleted {
+		for _, del := range w.rels {
+			if deleted[del] == nil {
+				continue
+			}
 			for _, r := range del.spec.into {
 				if err := w.evalRuleInto(t, r); err != nil {
 					w.rollback(t)
