@@ -756,11 +756,11 @@ func (c *compiler) planSteps(unplanned []step, bound map[string]bool, lead int, 
 // unification — and planSteps orders the remaining literals from the
 // variables it binds, so every later step is probed, not scanned. A match
 // before the delta atom in the body is marked earlier: within a round it
-// reads the relations without the round's delta, one after it with it, so of
+// reads its relation without the round's delta, one after it with it, so of
 // the plans a round runs only the one led by a binding's first delta atom
-// finds that binding. A body with
-// no positive atom gets one plan ordered from nothing. It also returns the
-// variables the body binds, which every plan binds alike.
+// finds that binding. A body with no positive atom gets one plan ordered from
+// nothing. It also returns the variables the body binds, which every plan
+// binds alike.
 func (c *compiler) planDeltaPlans(unplanned []step) ([]deltaPlan, map[string]bool, error) {
 	var plans []deltaPlan
 	var bound map[string]bool

@@ -727,23 +727,13 @@ func TestEachBindingDerivedOnce(t *testing.T) {
 		}
 		check(t, src, batches)
 	}
-	ints := func(pred string, rows ...[]int64) []Fact {
-		var out []Fact
-		for _, r := range rows {
-			tp := make(datalog.Tuple, len(r))
-			for i, v := range r {
-				tp[i] = datalog.Int64(v)
-			}
-			out = append(out, Fact{Pred: pred, Tuple: tp})
-		}
-		return out
-	}
+	fact := func(pred string, vals ...int64) Fact { return Fact{Pred: pred, Tuple: tup(vals...)} }
 	check(t, "t(X) <- s(X).\ne(X) <- s(X), t(X).\n",
-		[][]Fact{ints("s", []int64{1}, []int64{2}), ints("s", []int64{3})})
+		[][]Fact{{fact("s", 1), fact("s", 2)}, {fact("s", 3)}})
 	check(t, "j(X,Y,Z) <- a(X,Y), b(Z,Y).\n",
-		[][]Fact{append(ints("a", []int64{1, 2}, []int64{3, 2}), ints("b", []int64{4, 2}, []int64{5, 2})...)})
+		[][]Fact{{fact("a", 1, 2), fact("a", 3, 2), fact("b", 4, 2), fact("b", 5, 2)}})
 	check(t, "tc(X,Y) <- q(X,Y).\ntc(X,Z) <- tc(X,Y), tc(Y,Z).\n",
-		[][]Fact{ints("q", []int64{1, 2}, []int64{2, 3}, []int64{3, 1}), ints("q", []int64{3, 4})})
+		[][]Fact{{fact("q", 1, 2), fact("q", 2, 3), fact("q", 3, 1)}, {fact("q", 3, 4)}})
 }
 
 // TestGroundNegationIsConstantTime: a fully bound negated atom must be

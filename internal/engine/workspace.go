@@ -708,8 +708,10 @@ func (w *Workspace) recomputeAgg(t *txn, r *CompiledRule) error {
 // fixpoint runs semi-naïve evaluation to quiescence, starting from what the
 // transaction has inserted since the last round. The semi-naïve is exact: a
 // round's delta plans read no row the round stores, which waits for the next
-// round, so every binding of a rule is derived once however its rows arrive.
-// Aggregate recomputes are full evaluations, and read the live store.
+// round, so a binding is derived once, in the round its last row arrives —
+// unless its location row arrives in that round too, which the location
+// lookups, reading the whole relation, may find a second time. Aggregate
+// recomputes are full evaluations, and read the live store.
 func (w *Workspace) fixpoint(t *txn) error {
 	for w.nextRound() {
 		w.stats.FixpointRounds++
