@@ -5,8 +5,8 @@
 // internal/analysis judges stratification), head-existential entity creation,
 // min/max/count/sum aggregation with replacement semantics, runtime
 // integrity-constraint checking inside ACID transactions with undo-log
-// rollback, DRed-style incremental deletion, and a user-defined-function
-// (UDF) hook for cryptographic operators.
+// rollback, retraction by recomputing from the base facts, and a
+// user-defined-function (UDF) hook for cryptographic operators.
 package engine
 
 import (

@@ -93,8 +93,8 @@ type CompiledRule struct {
 	// deltaPlans holds one plan per positive body atom with that atom
 	// leading: a semi-naïve evaluation runs the plan of its delta atom, so
 	// it loops over the delta and probes stored relations from there on. A
-	// full evaluation (the initial pass of Install, aggregate recomputes,
-	// Retract's rederive) runs deltaPlans[0] over the whole relation. All
+	// full evaluation (the first pass of Install and of Retract's recompute,
+	// aggregate recomputes) runs deltaPlans[0] over the whole relation. All
 	// plans share the rule's slot numbering.
 	deltaPlans []deltaPlan
 	bodyVars   []string // sorted variable names bound by the body
@@ -124,7 +124,8 @@ type CompiledConstraint struct {
 	lhsDeltaPlans []deltaPlan
 	// storeChecked marks a constraint that only restates the declared
 	// argument kinds checkTuple enforces on every insert: a transaction's
-	// check skips it, a full verification (Install, Retract) still runs it.
+	// check skips it, the full verification that ends Install and Retract's
+	// recompute still runs it.
 	storeChecked bool
 
 	slotNames []string
@@ -173,13 +174,13 @@ type Program struct {
 
 // relSpec is what a program knows of one relation: its schema, the checks an
 // insert runs, the secondary indexes its plans probe (in registration order,
-// after the primary and the functional index), the rules with a delta plan
-// led by it (rules, aggs) and the rules deriving into it, all by id.
+// after the primary and the functional index) and the rules with a delta plan
+// led by it (rules, aggs), by id.
 type relSpec struct {
-	schema            *Schema
-	kinds             []argKind
-	indexes           [][]int
-	rules, aggs, into []*CompiledRule
+	schema      *Schema
+	kinds       []argKind
+	indexes     [][]int
+	rules, aggs []*CompiledRule
 }
 
 // progFact is a source fact of a program, ground at compile time.
@@ -393,7 +394,7 @@ func (c *compiler) finish() {
 		for _, at := range spec.schema.ArgTypes {
 			spec.kinds = append(spec.kinds, p.cat.argKind(at))
 		}
-		spec.rules, spec.aggs, spec.into = nil, nil, nil
+		spec.rules, spec.aggs = nil, nil
 	}
 	// A rule with two delta plans led by one relation is listed there once:
 	// rules are listed one after another, so a repeat is the list's last entry.
@@ -413,11 +414,6 @@ func (c *compiler) finish() {
 				spec.aggs = listOnce(spec.aggs, r)
 			} else {
 				spec.rules = listOnce(spec.rules, r)
-			}
-		}
-		if r.agg == nil {
-			for _, h := range r.headRels {
-				p.rels[h].into = append(p.rels[h].into, r)
 			}
 		}
 	}

@@ -134,18 +134,7 @@ func TestRetractMatchesRebuildQuick(t *testing.T) {
 		if err := full.Retract([]Fact{facts[victim]}); err != nil {
 			return false
 		}
-		fresh := build(victim)
-		for _, pred := range []string{"reachable", "local"} {
-			if full.Count(pred) != fresh.Count(pred) {
-				return false
-			}
-			for _, tp := range fresh.Tuples(pred) {
-				if !full.Contains(pred, tp) {
-					return false
-				}
-			}
-		}
-		return true
+		return sameExtents(t, full, build(victim))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Error(err)
@@ -367,7 +356,7 @@ func sameExtents(t *testing.T, a, b *Workspace) bool {
 		}
 		for _, tp := range a.Tuples(p) {
 			if !b.Contains(p, tp) {
-				t.Logf("predicate %s: %s missing from forced-scan workspace", p, tp)
+				t.Logf("predicate %s: %s missing from the second workspace", p, tp)
 				return false
 			}
 		}
@@ -645,7 +634,7 @@ func naiveSaturate(t *testing.T, src string, base map[string]Fact, k int) *Works
 // TestDeltaPlansMatchNaiveSaturationQuick: on randomized monotone programs
 // (no negation, so the result depends only on the surviving base facts),
 // the database maintained incrementally through delta-first plans — through
-// asserts, constraint rollbacks and DRed retractions — equals a from-scratch
+// asserts, constraint rollbacks and retractions — equals a from-scratch
 // saturation by every plan position: plan k of each rule over the whole
 // database, for every k. So the result does not hang on the plan a full
 // evaluation picks, and losing any one delta position's plan loses the

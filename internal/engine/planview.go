@@ -49,7 +49,7 @@ type RulePlan struct {
 	// the plan's location lookups (StepPrebound), resolved once; then the
 	// delta atom, whose step loops over the delta and has no BoundCols; then
 	// the rest. Every body literal is in every plan. A full evaluation
-	// (install, aggregate recompute, rederivation after a retraction) runs
+	// (install, aggregate recompute, the recompute after a retraction) runs
 	// the first plan over the whole relation. A body with no positive atom
 	// has one plan, ordered from nothing.
 	DeltaPlans [][]PlanStep

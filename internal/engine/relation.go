@@ -489,15 +489,6 @@ func (r *Relation) reset() {
 	}
 }
 
-// derived returns the row holding vals if it is present and not an EDB fact —
-// what a retraction may over-delete — in one lookup; -1 otherwise.
-func (r *Relation) derived(vals []cell) int {
-	if id := r.rowOf(vals); id >= 0 && r.flags[id]&rowBase == 0 {
-		return id
-	}
-	return -1
-}
-
 // each calls fn for every row in id order but those whose flags meet hide; fn
 // returning false stops. Rows appended while it runs are not visited.
 func (r *Relation) each(hide uint8, fn func([]cell) bool) {

@@ -118,24 +118,6 @@ func (w *Workspace) nextRound() bool {
 // aggGroup accumulates one group of an aggregate recompute.
 type aggGroup struct{ acc, n int64 }
 
-// factSet is a set of rows: per relation, a tuple set of its arity.
-type factSet map[*Relation]*Relation
-
-// add inserts row of rel, reporting whether it was new.
-func (s factSet) add(rel *Relation, row []cell) bool {
-	m := s[rel]
-	if m == nil {
-		m = newRelation(&Schema{Name: rel.schema.Name, Arity: len(row), KeyArity: -1}, rel.syms)
-		s[rel] = m
-	}
-	return m.insert(row, false) == InsertedNew
-}
-
-func (s factSet) has(rel *Relation, row []cell) bool {
-	m := s[rel]
-	return m != nil && m.rowOf(row) >= 0
-}
-
 // Workspace is a LogicBlox-style database instance: the program it runs —
 // predicate definitions, rules and constraints, compiled once and possibly
 // shared with other workspaces — and the data it maintains.
@@ -372,7 +354,15 @@ func (w *Workspace) run(p *Program, udfs []UDF) (err error) {
 			return err
 		}
 	}
-	for _, cr := range p.rules[p.first:] {
+	return w.evaluate(t, p.rules[p.first:])
+}
+
+// evaluate evaluates rules in full — an aggregate rule by recomputing it, any
+// other by its first plan over the whole database — then runs the fixpoint,
+// whose first delta is everything the transaction has inserted, and checks
+// every constraint.
+func (w *Workspace) evaluate(t *txn, rules []*CompiledRule) error {
+	for _, cr := range rules {
 		var err error
 		if cr.agg != nil {
 			err = w.recomputeAgg(t, cr)
@@ -914,168 +904,34 @@ func (w *Workspace) AssertProgramFacts(src string) (*TxnResult, error) {
 	return w.Assert(facts)
 }
 
-// Retract removes base facts and incrementally maintains derived data with
-// a DRed-style delete-and-rederive pass (paper §2: installed rules are
-// incrementally maintained using DRed). Constraints are re-verified over the
-// full database afterwards; any violation rolls the retraction back.
-func (w *Workspace) Retract(facts []Fact) error {
+// Retract removes base facts in one transaction that recomputes the derived
+// data from the base facts left: it deletes the named rows and every row no
+// fact asserted, then evaluates every rule as Install does and checks every
+// constraint. A named fact the rules still derive stays, as a derived row, and
+// one the store lacks is ignored. Any error rolls the retraction back.
+func (w *Workspace) Retract(facts []Fact) (err error) {
 	defer w.publishStats()
 	t := w.begin()
-
-	// Phase 1: overestimate deletions. Nothing is deleted yet, so the frontier
-	// can name stored tuples by row id, the way a fixpoint round's delta does.
-	// The retracted facts are also the seeds phase 3 keeps out. Every phase
-	// walks the relations in the program's numbering, not in a map's order, so
-	// the rows a retraction frees and rederives, and with them the store's row
-	// order, are the same in every workspace that runs it.
-	deleted, seeds := factSet{}, factSet{}
-	frontier := make(map[*Relation][]uint32)
+	defer func() {
+		if err != nil {
+			w.rollback(t)
+		}
+	}()
 	for _, f := range facts {
-		rel := w.relation(f.Pred)
-		if rel == nil {
-			continue
-		}
-		vals := w.syms.cells(w.factBuf[:0], f.Tuple)
-		w.factBuf = vals
-		if len(vals) != rel.arity {
-			continue
-		}
-		seeds.add(rel, vals)
-		if row := rel.rowOf(vals); row >= 0 && deleted.add(rel, vals) {
-			frontier[rel] = append(frontier[rel], uint32(row))
-		}
-	}
-	for len(frontier) > 0 {
-		next := make(map[*Relation][]uint32)
-		for _, rel := range w.rels {
-			rows := frontier[rel]
-			if rows == nil {
-				continue
-			}
-			for _, r := range rel.spec.rules {
-				for i := range r.deltaPlans {
-					plan := &r.deltaPlans[i]
-					if w.rels[plan.steps[0].rel] != rel {
-						continue
-					}
-					err := w.runDelta(plan, rows, &w.frame, func(f *frame) error {
-						return w.collectHeadDeletions(r, f, deleted, next)
-					})
-					if err != nil {
-						return err
-					}
-				}
-			}
-		}
-		frontier = next
-	}
-
-	// Phase 2: apply deletions.
-	for _, rel := range w.rels {
-		m := deleted[rel]
-		if m == nil {
-			continue
-		}
-		m.each(0, func(row []cell) bool {
-			if id := rel.rowOf(row); id >= 0 {
+		if rel := w.relation(f.Pred); rel != nil {
+			if id := rel.rowOfTuple(f.Tuple); id >= 0 {
 				w.deleteRow(t, rel, uint32(id))
 			}
-			return true
-		})
+		}
 	}
-
-	// Phase 3: rederive survivors. Base facts that were explicitly
-	// retracted stay out; everything else that is still derivable returns.
-	changed := true
-	for changed {
-		changed = false
-		// Re-run every rule whose head predicate saw deletions; reinsert
-		// derivations that were deleted (and are not retracted seeds).
-		for _, del := range w.rels {
-			if deleted[del] == nil {
-				continue
-			}
-			for _, r := range del.spec.into {
-				if err := w.evalRuleInto(t, r); err != nil {
-					w.rollback(t)
-					return err
-				}
-				w.nextRound() // cur: what this one evaluation inserted
-				for _, rel := range w.cur {
-					for _, id := range rel.ins[rel.lo:rel.hi] {
-						if seeds.has(rel, rel.row(id)) {
-							// a retracted base fact must not return
-							w.deleteRow(t, rel, id)
-							continue
-						}
-						changed = true
-					}
-				}
+	for _, rel := range w.rels {
+		for id, f := range rel.flags {
+			if f&(rowLive|rowBase) == rowLive {
+				w.deleteRow(t, rel, uint32(id))
 			}
 		}
 	}
-
-	// Phase 4: recompute aggregates (groups may shrink or disappear).
-	for _, r := range w.prog.aggs {
-		if err := w.retractAggGroups(t, r); err != nil {
-			w.rollback(t)
-			return err
-		}
-	}
-
-	// Phase 5: full constraint verification.
-	if err := w.checkAllConstraints(); err != nil {
-		w.rollback(t)
-		return err
-	}
-	return nil
-}
-
-// collectHeadDeletions computes the head tuples a binding would have derived
-// and marks existing, non-base ones for deletion.
-func (w *Workspace) collectHeadDeletions(r *CompiledRule, f *frame, deleted factSet, next map[*Relation][]uint32) error {
-	mark := f.mark()
-	defer f.undo(mark)
-	for _, ex := range r.exVars {
-		ent, ok := w.skolems[string(w.skolemKey(r, f, ex.name))]
-		if !ok {
-			return nil // derivation never happened
-		}
-		f.bind(ex.slot, ent)
-	}
-	for hi := range r.heads {
-		var buf [8]cell
-		vals := buf[:0]
-		cargs := r.cheads[hi]
-		for i := range cargs {
-			v, err := w.eval(&cargs[i], f)
-			if err != nil {
-				return err
-			}
-			vals = append(vals, v)
-		}
-		rel := w.rels[r.headRels[hi]]
-		if row := rel.derived(vals); row >= 0 && deleted.add(rel, vals) {
-			next[rel] = append(next[rel], uint32(row))
-		}
-	}
-	return nil
-}
-
-// retractAggGroups recomputes an aggregate from scratch, replacing changed
-// values and deleting the groups the body no longer contributes to — the ones
-// recomputeAgg never sees.
-func (w *Workspace) retractAggGroups(t *txn, r *CompiledRule) error {
-	if err := w.recomputeAgg(t, r); err != nil {
-		return err
-	}
-	ka, rel, groups := r.heads[0].KeyArity, w.rels[r.headRels[0]], w.aggKeys[r.aggNo]
-	for id, f := range rel.flags {
-		if f&rowLive != 0 && groups.rowOf(rel.row(uint32(id))[:ka]) < 0 {
-			w.deleteRow(t, rel, uint32(id))
-		}
-	}
-	return nil
+	return w.evaluate(t, w.prog.rules)
 }
 
 // Tuples returns a snapshot of a predicate's extent.

@@ -356,7 +356,10 @@ func TestUDFAsConstraintFilter(t *testing.T) {
 	}
 }
 
-func TestRetractDRed(t *testing.T) {
+// TestRetractRederivesSurvivors: a retraction keeps every fact the rules
+// still derive from the base facts left — one the retracted fact also derived,
+// and one that was itself asserted and is retracted.
+func TestRetractRederivesSurvivors(t *testing.T) {
 	w := installed(t, nil, `
 		reachable(X,Y) <- link(X,Y).
 		reachable(X,Y) <- link(X,Z), reachable(Z,Y).
@@ -366,7 +369,7 @@ func TestRetractDRed(t *testing.T) {
 		t.Fatalf("setup: want 3 reachable, got %d: %v", n, w.Tuples("reachable"))
 	}
 	// retract link(2,3): reachable(2,3) goes; reachable(1,3) survives via
-	// direct link (DRed rederivation)
+	// the direct link
 	err := w.Retract([]Fact{{Pred: "link", Tuple: datalog.Tuple{datalog.Int64(2), datalog.Int64(3)}}})
 	if err != nil {
 		t.Fatal(err)
@@ -379,6 +382,31 @@ func TestRetractDRed(t *testing.T) {
 	}
 	if w.Contains("link", datalog.Tuple{datalog.Int64(2), datalog.Int64(3)}) {
 		t.Error("base fact should be gone")
+	}
+
+	// p(1) is asserted and derived from q(1): retracting the assertion
+	// leaves it, and r(1) with it, as a fresh build without p(1) holds them.
+	w = installed(t, nil, `
+		p(X) <- q(X).
+		r(X) <- p(X).
+	`)
+	assertFacts(t, w, `q(1). p(1).`)
+	if err := w.Retract([]Fact{{Pred: "p", Tuple: datalog.Tuple{datalog.Int64(1)}}}); err != nil {
+		t.Fatal(err)
+	}
+	for _, pred := range []string{"p", "r"} {
+		if !w.Contains(pred, datalog.Tuple{datalog.Int64(1)}) {
+			t.Errorf("%s(1) should survive: q(1) still derives it", pred)
+		}
+	}
+	// It survives as a derived row: once q(1) goes, nothing holds it.
+	if err := w.Retract([]Fact{{Pred: "q", Tuple: datalog.Tuple{datalog.Int64(1)}}}); err != nil {
+		t.Fatal(err)
+	}
+	for _, pred := range []string{"p", "r"} {
+		if w.Contains(pred, datalog.Tuple{datalog.Int64(1)}) {
+			t.Errorf("%s(1) should go with q(1): its assertion was retracted", pred)
+		}
 	}
 }
 
