@@ -5,8 +5,8 @@
 // co-partitioning from the join columns of the plans — the
 // BloxBatch-style compile-time checks the paper's toolchain performs before
 // a program ever runs. `sbx vet` and `sbxnode -vet` print its findings;
-// engine.Workspace.InstallCheck can reject error-class findings at install
-// time.
+// Check rejects a program with error-class findings before it is compiled
+// (core.CompileEngine).
 package analysis
 
 import (
@@ -178,24 +178,20 @@ func (a *Analyzer) AnalyzeSource(src string) (*Report, error) {
 	return a.Analyze(prog)
 }
 
-// InstallCheck returns a hook for engine.Workspace.InstallCheck that
-// rejects programs with error-class findings before Install mutates
-// anything.
-func (a *Analyzer) InstallCheck() func(*datalog.Program) error {
-	return func(prog *datalog.Program) error {
-		rep, err := a.Analyze(prog)
-		if err != nil {
-			return fmt.Errorf("analysis: %w", err)
-		}
-		if errs := rep.Errors(); len(errs) > 0 {
-			lines := make([]string, len(errs))
-			for i, f := range errs {
-				lines[i] = f.String()
-			}
-			return fmt.Errorf("analysis: program rejected:\n  %s", strings.Join(lines, "\n  "))
-		}
-		return nil
+// Check analyzes prog and rejects it if any finding is error-class.
+func (a *Analyzer) Check(prog *datalog.Program) error {
+	rep, err := a.Analyze(prog)
+	if err != nil {
+		return fmt.Errorf("analysis: %w", err)
 	}
+	if errs := rep.Errors(); len(errs) > 0 {
+		lines := make([]string, len(errs))
+		for i, f := range errs {
+			lines[i] = f.String()
+		}
+		return fmt.Errorf("analysis: program rejected:\n  %s", strings.Join(lines, "\n  "))
+	}
+	return nil
 }
 
 // checkRule runs the per-rule diagnostics: safety and range restriction

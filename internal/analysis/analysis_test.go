@@ -236,15 +236,14 @@ never(X) <- dead(X).`
 	}
 }
 
-func TestInstallCheckRejectsErrors(t *testing.T) {
+func TestCheckRejectsErrors(t *testing.T) {
 	a := &Analyzer{}
-	check := a.InstallCheck()
 	bad, err := datalog.Parse(`p(X, Y) <- q(X).`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := check(bad); err == nil {
-		t.Error("unsafe program passed InstallCheck")
+	if err := a.Check(bad); err == nil {
+		t.Error("unsafe program passed Check")
 	} else if !strings.Contains(err.Error(), CodeUnsafeHeadVar) {
 		t.Errorf("error does not name the finding: %v", err)
 	}
@@ -252,7 +251,7 @@ func TestInstallCheckRejectsErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := check(good); err != nil {
+	if err := a.Check(good); err != nil {
 		t.Errorf("clean program rejected: %v", err)
 	}
 }

@@ -75,7 +75,7 @@ func CompileEngine(res *generics.Result, vet bool) (*engine.Program, error) {
 		return nil, err
 	}
 	if vet {
-		if err := (&analysis.Analyzer{UDFs: reg}).InstallCheck()(res.Program); err != nil {
+		if err := (&analysis.Analyzer{UDFs: reg}).Check(res.Program); err != nil {
 			return nil, err
 		}
 	}

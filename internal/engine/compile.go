@@ -93,7 +93,7 @@ type CompiledRule struct {
 	// deltaPlans holds one plan per positive body atom with that atom
 	// leading: a semi-naïve evaluation runs the plan of its delta atom, so
 	// it loops over the delta and probes stored relations from there on. A
-	// full evaluation (the first pass of Install and of Retract's recompute,
+	// full evaluation (the first pass of Bind and of Retract's recompute,
 	// aggregate recomputes) runs deltaPlans[0] over the whole relation. All
 	// plans share the rule's slot numbering.
 	deltaPlans []deltaPlan
@@ -124,7 +124,7 @@ type CompiledConstraint struct {
 	lhsDeltaPlans []deltaPlan
 	// storeChecked marks a constraint that only restates the declared
 	// argument kinds checkTuple enforces on every insert: a transaction's
-	// check skips it, the full verification that ends Install and Retract's
+	// check skips it, the full verification that ends Bind and Retract's
 	// recompute still runs it.
 	storeChecked bool
 
@@ -149,18 +149,14 @@ type Program struct {
 	rels  []relSpec
 	// syms interns the constants: a workspace bound to the program starts
 	// its own intern table as a copy, so a compiled constant is one cell in
-	// every workspace. A program Install compiled interns into the
-	// workspace's table directly.
+	// every workspace.
 	syms *symtab
 	udfs []string // UDF names, by the number a step calls them by
 
-	rules       []*CompiledRule // by id: the base program's, then this one's
+	rules       []*CompiledRule // by id
 	aggs        []*CompiledRule // the rules with an aggregate, by id
 	constraints []*CompiledConstraint
-	// first is where this program's own rules start in rules: the ones its
-	// installation evaluates once. facts are its own source facts.
-	first int
-	facts []progFact
+	facts       []progFact // its source facts
 	// planned lists this program's rules in source order, those that could
 	// not be planned included (PlanProgram's view).
 	planned []*CompiledRule
@@ -210,7 +206,7 @@ var builtin = func() *Program {
 // and binding shapes does — and each workspace binds its own registry's UDFs
 // by name (Workspace.Bind).
 func Compile(prog *datalog.Program, udfs *UDFRegistry) (*Program, error) {
-	return compile(builtin, &symtab{}, prog, udfs, true)
+	return compile(prog, udfs, true)
 }
 
 // PlanProgram compiles a program as far as it goes for the static analyzer:
@@ -219,7 +215,7 @@ func Compile(prog *datalog.Program, udfs *UDFRegistry) (*Program, error) {
 // a declaration that cannot be registered. The Program is a view (Plans,
 // Catalog): one that Compile would reject cannot be bound.
 func PlanProgram(prog *datalog.Program, udfs *UDFRegistry) (*Program, error) {
-	return compile(builtin, &symtab{}, prog, udfs, false)
+	return compile(prog, udfs, false)
 }
 
 // extend returns a copy of p to compile more onto: the catalog, the relation
@@ -235,19 +231,19 @@ func (p *Program) extend() *Program {
 		rules:       slices.Clip(p.rules),
 		aggs:        slices.Clip(p.aggs),
 		constraints: slices.Clip(p.constraints),
-		first:       len(p.rules),
 		slots:       p.slots,
 		udfArity:    p.udfArity,
 	}
 }
 
-// compile compiles prog onto base, interning its constants into syms. With
-// strict it fails at the first error; otherwise (PlanProgram) it fails only on
-// a declaration, carries on past everything else, records a rule it cannot
-// plan in the rule's err and the first error of any kind in the program's.
-func compile(base *Program, syms *symtab, prog *datalog.Program, udfs *UDFRegistry, strict bool) (*Program, error) {
-	p := base.extend()
-	p.syms = syms
+// compile compiles prog onto builtin, interning its constants into a table of
+// its own. With strict it fails at the first error; otherwise (PlanProgram) it
+// fails only on a declaration, carries on past everything else, records a rule
+// it cannot plan in the rule's err and the first error of any kind in the
+// program's.
+func compile(prog *datalog.Program, udfs *UDFRegistry, strict bool) (*Program, error) {
+	p := builtin.extend()
+	p.syms = &symtab{}
 	c := &compiler{p: p, reg: udfs}
 	fail := func(err error) bool {
 		if p.err == nil {

@@ -3,6 +3,7 @@ package engine
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -191,30 +192,43 @@ func TestStoreCheckedNeverMarks(t *testing.T) {
 	}
 }
 
-// TestStoreCheckedConstraintStillFailsInstall: a row stored before its
-// column's type was declared an entity was never checked by the store, so
-// the Install that declares it runs every constraint, store-checked ones
-// included, over the whole database and rejects it.
+// TestStoreCheckedConstraintStillFailsInstall: the store checks a declared
+// column's kind on every insert, so a transaction's check skips the
+// declarations that only restate it (storeChecked); the full verification
+// that ends Bind (and so Install) runs them all the same. An untyped row is
+// rejected by the store, and — with the store's check stripped from the
+// compiled program — by that verification alone; either way the rejected Bind
+// leaves a new workspace behind.
 func TestStoreCheckedConstraintStillFailsInstall(t *testing.T) {
-	w := NewWorkspace(nil)
-	assertFacts(t, w, `path(1, 2).`)
 	prog, err := datalog.Parse(`
 		pathvar(P) -> .
 		path(P, C) -> pathvar(P), int(C).
+		path(1, 2).
 	`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p, err := Compile(prog, NewUDFRegistry()); err != nil || !p.constraints[1].storeChecked {
+	p, err := Compile(prog, NewUDFRegistry())
+	if err != nil || !p.constraints[1].storeChecked {
 		t.Fatalf("the path declaration is not store-checked (%v)", err)
 	}
-	err = w.Install(prog)
-	var v *ConstraintViolation
-	if !errors.As(err, &v) || !strings.Contains(v.Constraint, "pathvar(P)") {
-		t.Fatalf("Install over an untyped row: %v, want the path declaration violated", err)
-	}
-	if w.relation("pathvar") != nil || w.Count("path") != 1 {
-		t.Errorf("rejected Install left pathvar declared or path changed")
+	unchecked := *p
+	unchecked.rels = slices.Clone(p.rels)
+	unchecked.rels[p.relNo["path"]].kinds = nil
+	for _, c := range []struct {
+		name string
+		p    *Program
+		want string
+	}{{"the store", p, "pathvar"}, {"the full verification", &unchecked, "pathvar(P)"}} {
+		w := NewWorkspace(nil)
+		err := w.Bind(c.p)
+		var v *ConstraintViolation
+		if !errors.As(err, &v) || !strings.Contains(v.Constraint, c.want) {
+			t.Fatalf("%s: Bind over an untyped row: %v, want the path declaration violated", c.name, err)
+		}
+		if w.relation("pathvar") != nil || w.relation("path") != nil || len(w.syms.spans) > 0 {
+			t.Errorf("%s: rejected Bind left pathvar or path declared, or text interned", c.name)
+		}
 	}
 }
 

@@ -370,11 +370,13 @@ func TestBodyWithNoPositiveAtom(t *testing.T) {
 	if err := NewWorkspace(nil).Install(prog); err != nil {
 		t.Fatalf("Install over a database without bad(1): %v", err)
 	}
-	w = NewWorkspace(nil)
-	assertFacts(t, w, `bad(1).`)
+	withBad, err := datalog.Parse(`1 < 2 -> !bad(1). bad(1).`)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var v *ConstraintViolation
-	if err := w.Install(prog); !errors.As(err, &v) {
-		t.Fatalf("Install over bad(1): %v, want the constraint violated", err)
+	if err := NewWorkspace(nil).Install(withBad); !errors.As(err, &v) {
+		t.Fatalf("Install with bad(1): %v, want the constraint violated", err)
 	}
 	w = installed(t, nil, `1 < 2 -> !bad(1).`)
 	assertFacts(t, w, `bad(1). other(2).`)

@@ -171,7 +171,7 @@ func page(id uint32) (p int, start uint32) {
 type Relation struct {
 	schema *Schema
 	syms   *symtab  // the owning workspace's intern table
-	arity  int      // cells per row; -1 until the first row fixes it
+	arity  int      // cells per row
 	pages  [][]cell // row id → its arity cells, see row
 	flags  []uint8  // row id → rowLive | rowBase | rowNew | rowBorn | rowDelta; its length is the ids handed out
 	free   []uint32 // deleted row ids awaiting reuse
@@ -369,7 +369,7 @@ func (r *Relation) Insert(t datalog.Tuple, isBase bool) InsertResult {
 
 // insert is Insert over cells; the relation copies vals.
 func (r *Relation) insert(vals []cell, isBase bool) InsertResult {
-	if r.arity >= 0 && len(vals) != r.arity {
+	if len(vals) != r.arity {
 		panic(fmt.Sprintf("engine: %d-cell row inserted into %s of arity %d", len(vals), r.schema.Name, r.arity))
 	}
 	h := hashCells(vals)
@@ -400,9 +400,6 @@ func (r *Relation) add(vals []cell, h uint64, flags uint8) (uint32, bool) {
 		if r.find(r.fn, kh, vals[:ka]) != 0 {
 			return 0, false
 		}
-	}
-	if r.arity < 0 {
-		r.arity = len(vals)
 	}
 	var id uint32
 	if k := len(r.free); k > 0 {
@@ -515,7 +512,7 @@ func (r *Relation) Tuples() []datalog.Tuple {
 // newTuples returns n tuples of the given arity over one backing array.
 func newTuples(n, arity int) []datalog.Tuple {
 	out := make([]datalog.Tuple, n)
-	vals := make([]datalog.Value, n*max(arity, 0))
+	vals := make([]datalog.Value, n*arity)
 	for i := range out {
 		out[i] = vals[i*arity : (i+1)*arity : (i+1)*arity]
 	}

@@ -9,20 +9,21 @@ import (
 )
 
 // The engine judges no stratification itself: negation and aggregation read
-// the current state. The analyzer is the one verdict, and a workspace
-// enforces it through InstallCheck.
+// the current state. The analyzer is the one verdict, which a vetted
+// program passes before it is compiled.
 
-// installVetted installs src into a fresh workspace behind the analyzer's
-// InstallCheck, the way a vetted node installs its program.
+// installVetted checks src with the analyzer, then installs it into a fresh
+// workspace, the way a vetted node's program is checked and then compiled.
 func installVetted(t *testing.T, src string) error {
 	t.Helper()
 	prog, err := datalog.Parse(src)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ws := engine.NewWorkspace(nil)
-	ws.InstallCheck = (&analysis.Analyzer{}).InstallCheck()
-	return ws.Install(prog)
+	if err := (&analysis.Analyzer{}).Check(prog); err != nil {
+		return err
+	}
+	return engine.NewWorkspace(nil).Install(prog)
 }
 
 // TestUnstratifiedDetection: negation through another predicate of the

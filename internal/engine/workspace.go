@@ -164,11 +164,6 @@ type Workspace struct {
 	// different nodes never collide when shipped over the network (set it
 	// to a distinct large value per node).
 	EntityBase int64
-	// InstallCheck, when non-nil, runs over each program before Install
-	// mutates anything; a returned error rejects the batch. The static
-	// analyzer (internal/analysis) hooks in here so error-class findings
-	// block installation without the engine importing the analyzer.
-	InstallCheck func(*datalog.Program) error
 
 	stats     Stats // cumulative evaluator counters
 	published Stats // portion already pushed to the process-wide totals
@@ -213,13 +208,14 @@ func (w *Workspace) relation(name string) *Relation {
 	return nil
 }
 
-// ensureRelation returns the relation named name, creating it if the program
-// does not name it (see adopt): its arity is fixed by its first row.
-func (w *Workspace) ensureRelation(name string) *Relation {
-	if r := w.relation(name); r != nil {
+// relationFor returns the relation f asserts into, adopting one of f's arity
+// if the program does not name it (see adopt).
+func (w *Workspace) relationFor(f Fact) *Relation {
+	if r := w.relation(f.Pred); r != nil {
 		return r
 	}
-	return w.adopt(&Schema{Name: name, Arity: -1, KeyArity: -1, AutoDecl: true})
+	n := len(f.Tuple)
+	return w.adopt(&Schema{Name: f.Pred, Arity: n, KeyArity: -1, ArgTypes: make([]string, n), AutoDecl: true})
 }
 
 // adopt gives the workspace a relation its program does not name — a fact
@@ -264,27 +260,14 @@ func (w *Workspace) bind(p *Program, udfs []UDF) {
 	}
 }
 
-// bindUDFs resolves p's UDFs in the workspace's registry.
-func (w *Workspace) bindUDFs(p *Program) ([]UDF, error) {
-	udfs := make([]UDF, len(p.udfs))
-	for i, name := range p.udfs {
-		u, ok := w.reg.Lookup(name)
-		if !ok {
-			return nil, fmt.Errorf("engine: the program calls UDF %s, which this workspace's registry lacks", name)
-		}
-		udfs[i] = u
-	}
-	return udfs, nil
-}
-
 // Bind makes a compiled program the one this new workspace runs — its
 // relations, the registry's UDFs by the names the program calls, its intern
-// table started from the program's constants — then inserts the program's
-// facts, evaluates its rules and checks its constraints, as Install does. The
-// program stays shared: bind any number of workspaces to it, concurrently.
-// The workspace must be new (nothing installed, asserted or bound), and
-// InstallCheck is not consulted: vet the program once, where it is compiled.
-// On error the workspace is new again.
+// table started from the program's constants — then runs one transaction: the
+// program's facts, a full evaluation of its rules, the fixpoint, whose first
+// delta is what those inserted, and a check of every constraint. The program
+// stays shared: bind any number of workspaces to it, concurrently. The
+// workspace must be new (nothing installed, asserted or bound); vet the
+// program once, where it is compiled. On error the workspace is new again.
 func (w *Workspace) Bind(p *Program) (err error) {
 	if p.err != nil {
 		return p.err
@@ -292,60 +275,22 @@ func (w *Workspace) Bind(p *Program) (err error) {
 	if w.prog != builtin || len(w.syms.spans) > 0 {
 		return fmt.Errorf("engine: Bind needs a new workspace")
 	}
-	udfs, err := w.bindUDFs(p)
-	if err != nil {
-		return err
-	}
-	w.syms = p.syms.clone()
-	defer func() {
-		if err != nil {
-			w.syms = symtab{}
+	udfs := make([]UDF, len(p.udfs))
+	for i, name := range p.udfs {
+		u, ok := w.reg.Lookup(name)
+		if !ok {
+			return fmt.Errorf("engine: the program calls UDF %s, which this workspace's registry lacks", name)
 		}
-	}()
-	return w.run(p, udfs)
-}
-
-// Install compiles a program onto the one the workspace runs — declarations,
-// rules, constraints and facts; the rules already installed keep their plans
-// and the new ones see their relations — binds the result, inserts the facts,
-// evaluates the new rules and checks all constraints. On any error the
-// workspace is restored to its prior state; a program that does not compile
-// touches nothing. The compiled program is the workspace's alone (see Bind for
-// sharing one).
-func (w *Workspace) Install(prog *datalog.Program) error {
-	if w.InstallCheck != nil {
-		if err := w.InstallCheck(prog); err != nil {
-			return err
-		}
+		udfs[i] = u
 	}
-	m := w.syms.mark()
-	p, err := compile(w.prog, &w.syms, prog, w.reg, true)
-	var udfs []UDF
-	if err == nil {
-		udfs, err = w.bindUDFs(p)
-	}
-	if err == nil {
-		err = w.run(p, udfs)
-	}
-	if err != nil {
-		w.syms.restore(m) // the constants the compiler interned
-	}
-	return err
-}
-
-// run binds p, which extends the workspace's program, and runs one
-// transaction of what p adds: its facts, then a full evaluation of its own
-// rules, then the fixpoint, whose first delta is what those inserted, and a
-// check of every constraint. On error the transaction is rolled back and the
-// old program bound again.
-func (w *Workspace) run(p *Program, udfs []UDF) (err error) {
 	defer w.publishStats()
-	old, oldUDFs := w.prog, w.udfs
+	w.syms = p.syms.clone()
 	t := w.begin()
 	defer func() {
 		if err != nil {
 			w.rollback(t)
-			w.bind(old, oldUDFs)
+			w.bind(builtin, nil)
+			w.syms = symtab{}
 		}
 	}()
 	w.bind(p, udfs)
@@ -354,15 +299,24 @@ func (w *Workspace) run(p *Program, udfs []UDF) (err error) {
 			return err
 		}
 	}
-	return w.evaluate(t, p.rules[p.first:])
+	return w.evaluate(t)
 }
 
-// evaluate evaluates rules in full — an aggregate rule by recomputing it, any
-// other by its first plan over the whole database — then runs the fixpoint,
-// whose first delta is everything the transaction has inserted, and checks
-// every constraint.
-func (w *Workspace) evaluate(t *txn, rules []*CompiledRule) error {
-	for _, cr := range rules {
+// Install compiles prog (Compile) and binds it (Bind) to this new workspace.
+func (w *Workspace) Install(prog *datalog.Program) error {
+	p, err := Compile(prog, w.reg)
+	if err != nil {
+		return err
+	}
+	return w.Bind(p)
+}
+
+// evaluate evaluates every rule in full — an aggregate rule by recomputing it,
+// any other by its first plan over the whole database — then runs the
+// fixpoint, whose first delta is everything the transaction has inserted, and
+// checks every constraint.
+func (w *Workspace) evaluate(t *txn) error {
+	for _, cr := range w.prog.rules {
 		var err error
 		if cr.agg != nil {
 			err = w.recomputeAgg(t, cr)
@@ -406,13 +360,8 @@ func (w *Workspace) groundFact(a *datalog.Atom) (Fact, error) {
 // about to be stored.
 func checkTuple(rel *Relation, vals []cell) error {
 	s := rel.schema
-	if s.Arity >= 0 && len(vals) != s.Arity {
+	if len(vals) != s.Arity {
 		return fmt.Errorf("predicate %s: arity mismatch: got %d, want %d", s.Name, len(vals), s.Arity)
-	}
-	if s.Arity < 0 {
-		// An adopted relation's schema, the workspace's own (see adopt).
-		s.Arity = len(vals)
-		s.ArgTypes = make([]string, len(vals))
 	}
 	for i, k := range rel.spec.kinds {
 		if v := rel.syms.value(vals[i]); !k.admits(v) {
@@ -815,8 +764,8 @@ func (w *Workspace) checkAllConstraints() error {
 }
 
 // TxnResult reports what a committed transaction inserted. It reads the
-// workspace's own row lists, so it is good until the workspace's next Install,
-// Assert or Retract begins.
+// workspace's own row lists, so it is good until the workspace's next Assert
+// or Retract begins.
 type TxnResult struct {
 	w   *Workspace
 	row datalog.Tuple // InsertedRows' one view
@@ -868,7 +817,7 @@ func (w *Workspace) Assert(facts []Fact) (*TxnResult, error) {
 	defer w.publishStats()
 	t := w.begin()
 	for _, f := range facts {
-		if err := w.insertBase(t, w.ensureRelation(f.Pred), f.Tuple); err != nil {
+		if err := w.insertBase(t, w.relationFor(f), f.Tuple); err != nil {
 			w.rollback(t)
 			return nil, err
 		}
@@ -906,7 +855,7 @@ func (w *Workspace) AssertProgramFacts(src string) (*TxnResult, error) {
 
 // Retract removes base facts in one transaction that recomputes the derived
 // data from the base facts left: it deletes the named rows and every row no
-// fact asserted, then evaluates every rule as Install does and checks every
+// fact asserted, then evaluates every rule as Bind does and checks every
 // constraint. A named fact the rules still derive stays, as a derived row, and
 // one the store lacks is ignored. Any error rolls the retraction back.
 func (w *Workspace) Retract(facts []Fact) (err error) {
@@ -931,7 +880,7 @@ func (w *Workspace) Retract(facts []Fact) (err error) {
 			}
 		}
 	}
-	return w.evaluate(t, w.prog.rules)
+	return w.evaluate(t)
 }
 
 // Tuples returns a snapshot of a predicate's extent.

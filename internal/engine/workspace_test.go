@@ -169,23 +169,19 @@ func TestSelfLoopRuleFixpoint(t *testing.T) {
 	}
 }
 
-// An Install with no rules must leave a workspace that still installs and
-// evaluates a follow-up program.
+// An empty program installs: the workspace holds the builtin relations alone,
+// and takes facts like any other, adopting the relations they name.
 func TestEmptyInstall(t *testing.T) {
 	w := NewWorkspace(nil)
 	if err := w.Install(&datalog.Program{}); err != nil {
 		t.Fatalf("empty install: %v", err)
 	}
-	prog, err := datalog.Parse(`p(X) <- q(X).`)
-	if err != nil {
-		t.Fatal(err)
+	if got, want := fmt.Sprint(w.Predicates()), fmt.Sprint(NewWorkspace(nil).Predicates()); got != want {
+		t.Errorf("the empty program's workspace holds %s, want %s", got, want)
 	}
-	if err := w.Install(prog); err != nil {
-		t.Fatalf("install after empty: %v", err)
-	}
-	assertFacts(t, w, `q(1).`)
-	if w.Count("p") != 1 {
-		t.Errorf("rule installed after an empty program derived %d tuples, want 1", w.Count("p"))
+	assertFacts(t, w, `q(1). q(2).`)
+	if w.Count("q") != 2 {
+		t.Errorf("the empty program's workspace took %v", w.Tuples("q"))
 	}
 }
 
@@ -429,46 +425,79 @@ func TestRetractUpdatesAggregates(t *testing.T) {
 	}
 }
 
-// A rejected Install leaves nothing behind: no rule, and no relation its
-// head declared — r with arity 2 must not outlive it, or the corrected r(X)
-// no longer fits.
+// A rejected Install leaves a new workspace behind: no rule, no relation a
+// head declared — r with arity 2 must not outlive it, or the corrected r(X) no
+// longer fits — and no row or text of the program's. It is rejected when it
+// does not compile, and when it compiles but its own facts violate a
+// constraint once its rules have derived from them.
 func TestInstallRollbackOnBadProgram(t *testing.T) {
 	w := NewWorkspace(nil)
-	prog, _ := datalog.Parse(`p(X) <- q(X).`)
-	if err := w.Install(prog); err != nil {
-		t.Fatal(err)
+	preds := fmt.Sprint(w.Predicates())
+	for _, src := range []string{
+		`p(X) <- q(X). r(Y, Z) <- q(Y).`, // unbound Z, no entity
+		`p(X) <- q(X). r(Y, Z) <- q(Y), q(Z). q("a"). q("b"). r(Y, Z) -> Y = Z.`,
+	} {
+		bad, err := datalog.Parse(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Install(bad); err == nil {
+			t.Fatalf("%s installed", src)
+		}
+		if w.prog != builtin || len(w.syms.spans) > 0 {
+			t.Errorf("%s: the failed install left its program or its text behind", src)
+		}
+		if got := fmt.Sprint(w.Predicates()); got != preds {
+			t.Errorf("%s: the failed install changed the predicates: %s, was %s", src, got, preds)
+		}
 	}
-	n, preds := len(w.prog.rules), fmt.Sprint(w.Predicates())
-	bad, _ := datalog.Parse(`r(Y, Z) <- q(Y).`) // unbound Z, no entity
-	if err := w.Install(bad); err == nil {
-		t.Fatal("install should fail")
-	}
-	if len(w.prog.rules) != n {
-		t.Error("failed install must not leave rules behind")
-	}
-	if got := fmt.Sprint(w.Predicates()); got != preds {
-		t.Errorf("failed install changed the predicates: %s, was %s", got, preds)
-	}
-	// workspace still usable
-	assertFacts(t, w, `q(1).`)
-	if w.Count("p") != 1 {
-		t.Error("workspace broken after failed install")
-	}
-	fixed, _ := datalog.Parse(`r(X) <- q(X).`)
+	fixed, _ := datalog.Parse(`p(X) <- q(X). r(X) <- q(X). q(1).`)
 	if err := w.Install(fixed); err != nil {
 		t.Fatalf("the corrected program: %v", err)
 	}
-	if w.Count("r") != 1 {
-		t.Errorf("the corrected program derived %v", w.Tuples("r"))
+	if w.Count("p") != 1 || w.Count("r") != 1 {
+		t.Errorf("the corrected program derived p %v, r %v", w.Tuples("p"), w.Tuples("r"))
 	}
 }
 
+// Install checks every constraint over the data its program brings.
 func TestInstallChecksExistingData(t *testing.T) {
-	w := installed(t, nil, ``)
-	assertFacts(t, w, `resource(5).`)
-	prog, _ := datalog.Parse(`resource(X) -> registered(X).`)
-	if err := w.Install(prog); err == nil {
-		t.Fatal("installing a constraint violated by existing data must fail")
+	prog, _ := datalog.Parse(`resource(5). resource(X) -> registered(X).`)
+	var v *ConstraintViolation
+	if err := NewWorkspace(nil).Install(prog); !errors.As(err, &v) {
+		t.Fatalf("installing a constraint its own facts violate: %v, want a constraint violation", err)
+	}
+}
+
+// A workspace runs the one program it was bound: a second Install or Bind —
+// or a first one after a fact was asserted — is refused, and the predicates,
+// rows and rules stay as they were.
+func TestInstallNeedsANewWorkspace(t *testing.T) {
+	more, _ := datalog.Parse(`r(X) <- q(X). s(1).`)
+	compiled, err := Compile(more, NewUDFRegistry())
+	if err != nil {
+		t.Fatal(err)
+	}
+	asserted := NewWorkspace(nil)
+	assertFacts(t, asserted, `q(1).`)
+	for name, w := range map[string]*Workspace{
+		"installed": installed(t, nil, `p(X) <- q(X). q(1).`),
+		"asserted":  asserted,
+	} {
+		rules, want := len(w.prog.rules), storeSnapshot(t, w)
+		if err := w.Install(more); err == nil {
+			t.Errorf("%s: a second Install succeeded", name)
+		}
+		if err := w.Bind(compiled); err == nil {
+			t.Errorf("%s: a second Bind succeeded", name)
+		}
+		if got := storeSnapshot(t, w); got != want || len(w.prog.rules) != rules {
+			t.Errorf("%s: the refused program changed the workspace:\n--- before ---\n%s\n--- after ---\n%s", name, want, got)
+		}
+		assertFacts(t, w, `q(2).`)
+		if w.Count("q") != 2 || w.Count("r") != 0 {
+			t.Errorf("%s: after the refusal q = %v, r = %v", name, w.Tuples("q"), w.Tuples("r"))
+		}
 	}
 }
 
