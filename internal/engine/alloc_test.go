@@ -83,6 +83,54 @@ func TestInsertAllocationIsAmortised(t *testing.T) {
 	}
 }
 
+// TestGrowingRelationAllocatesWhatItKeeps: a relation with one secondary
+// index, grown to 10 000 rows by four transactions, allocates what it keeps
+// and no copy of it: its cell pages; one link per id per built index, plus one
+// link page per index; its bucket tables, each size they passed through (a
+// doubled table leaves the old one behind, and the series sums under twice
+// the last); its flags and the transaction's row list, append-grown (Go grows
+// a slice this large by a quarter, so what one passed through sums under five
+// times what it keeps); and a fixed slack for the transactions' scratch.
+func TestGrowingRelationAllocatesWhatItKeeps(t *testing.T) {
+	w := installed(t, nil, `
+		p(X, Y) -> int(X), int(Y).
+		hit(X) <- p(X, Y), s(Y).
+	`)
+	const n, txns, slack = 10000, 4, 16 << 10
+	batches := make([][]Fact, txns) // built outside the measurement
+	for i := range n {
+		b := i * txns / n
+		batches[b] = append(batches[b], Fact{Pred: "p", Tuple: tup(int64(i), int64(i%1000))})
+	}
+	// s's delta probes p on its second column: the first transaction builds
+	// that index, and every later insert links into it.
+	batches[0] = append(batches[0], Fact{Pred: "s", Tuple: tup(-1)})
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	for _, b := range batches {
+		if _, err := w.Assert(b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&m1)
+	p := w.relation("p")
+	if p.Len() != n || w.Count("hit") != 0 || len(p.idx) != 2 || p.idx[1].unbuilt {
+		t.Fatalf("fixture: %d rows, %d hits, %d indexes (want %d, 0, and a built secondary index)", p.Len(), w.Count("hit"), len(p.idx), n)
+	}
+	const cellSize, linkSize = 16, 8
+	const linkPage = linkSize << linkShift
+	keeps := 5 * (cap(p.flags) + 4*cap(p.ins))
+	for _, pg := range p.pages {
+		keeps += cellSize * cap(pg)
+	}
+	for _, x := range p.idx {
+		keeps += n*linkSize + linkPage + 2*4*len(x.heads)
+	}
+	if got := m1.TotalAlloc - m0.TotalAlloc; got > uint64(keeps+slack) {
+		t.Errorf("growing a relation with %d indexes to %d rows allocated %d bytes, want at most the %d it keeps and %d slack", len(p.idx), n, got, keeps, slack)
+	}
+}
+
 // TestRolledBackAssertsGiveTheirSpaceBack: a stream of rejected transactions
 // — the paper's network adversary can send as many as it likes, each with
 // text the workspace has never seen — must not grow the heap: rollback returns
@@ -195,12 +243,13 @@ func TestReassertingKnownFactsAllocatesNothing(t *testing.T) {
 
 // TestNewFactsAllocateTheirTuples: k new facts through the three-rule chain
 // make 4k tuples, and what is allocated for them is their storage — pages of
-// cells, a page at a time, and index tables and row lists grown geometrically
-// — not something per tuple. A page is never reallocated, so the count per
-// tuple is the same at k = 100 and k = 1 000: measured 0.010 and 0.009, under
-// a ceiling of 0.015 (the ceiling was 0.02 when tuples were value slices in
-// growing blocks; with deltas as a map of tuple slices and a UDF result slice
-// per call the same program paid 0.9 and 0.8).
+// cells and of index links, a page at a time, and index tables and row lists
+// grown geometrically — not something per tuple. A page is never reallocated,
+// so the count per tuple is the same at k = 100 and k = 1 000: measured 0.010
+// and 0.0095, under a ceiling of 0.015; link pages of 128 ids, the row page
+// size, measured 0.0225 at k = 100. (The ceiling was 0.02 when tuples were
+// value slices in growing blocks; with deltas as a map of tuple slices and a
+// UDF result slice per call the same program paid 0.9 and 0.8.)
 func TestNewFactsAllocateTheirTuples(t *testing.T) {
 	const perTuple = 0.015
 	for _, k := range []int64{100, 1000} {

@@ -119,10 +119,12 @@ func (s *symtab) text(sym uint32) string {
 
 // find returns the symbol + 1 of text, which hashes to h, or 0.
 func (s *symtab) find(text string, h uint64) uint32 {
-	for id := s.idx.first(h); id != 0; id = s.idx.ents[id-1].next {
-		if s.idx.ents[id-1].hash == uint32(h) && s.text(id-1) == text {
+	for id := s.idx.first(h); id != 0; {
+		e := s.idx.at(id - 1)
+		if e.hash == uint32(h) && s.text(id-1) == text {
 			return id
 		}
+		id = e.next
 	}
 	return 0
 }
@@ -173,8 +175,12 @@ func (s *symtab) clone() symtab {
 	for i, p := range s.pages {
 		pages[i] = p[:len(p):len(p)]
 	}
+	links := make([][]idxEntry, len(s.idx.links))
+	for i, p := range s.idx.links {
+		links[i] = slices.Clone(p)
+	}
 	return symtab{
-		idx:   hashIndex{heads: slices.Clone(s.idx.heads), ents: slices.Clone(s.idx.ents)},
+		idx:   hashIndex{heads: slices.Clone(s.idx.heads), links: links},
 		spans: slices.Clone(s.spans),
 		pages: pages,
 	}
@@ -189,12 +195,13 @@ func (s *symtab) mark() symMark {
 }
 
 // restore drops every symbol interned since m, newest first — each is then
-// the head of its chain — and gives their arena bytes back.
+// the head of its chain — and gives their arena bytes back. Their links stay
+// allocated, for the next symbols of those numbers.
 func (s *symtab) restore(m symMark) {
 	for sym := len(s.spans) - 1; sym >= m.syms; sym-- {
 		s.idx.unlink(uint32(sym))
 	}
-	s.spans, s.idx.ents = s.spans[:m.syms], s.idx.ents[:m.syms]
+	s.spans = s.spans[:m.syms]
 	clear(s.pages[m.pages:])
 	s.pages = s.pages[:m.pages]
 	if m.pages > 0 {

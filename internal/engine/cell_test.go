@@ -98,7 +98,7 @@ func TestStoreHoldsNoPointers(t *testing.T) {
 	for what, typ := range map[string]reflect.Type{
 		"cell":                reflect.TypeOf(cell{}),
 		"relation page":       reflect.TypeOf(r.pages).Elem(),
-		"index entry":         reflect.TypeOf(x.ents).Elem(),
+		"index link page":     reflect.TypeOf(x.links).Elem(),
 		"symbol span":         reflect.TypeOf(s.spans).Elem(),
 		"arena page":          reflect.TypeOf(s.pages).Elem(),
 		"frame slot":          reflect.TypeOf(f.slots).Elem(),

@@ -335,7 +335,7 @@ func TestIndexOnlyASetupLedPlanProbesIsNeverBuilt(t *testing.T) {
 	if d.FullScanFallbacks != 0 || d.IndexProbes == 0 {
 		t.Errorf("50 edge transactions: %d full-scan fallbacks, %d probes (want 0 and some)", d.FullScanFallbacks, d.IndexProbes)
 	}
-	if !x.unbuilt || x.heads != nil || x.ents != nil {
+	if !x.unbuilt || x.heads != nil || x.links != nil {
 		t.Errorf("an index only the gate-led plan probes was built by transactions that never changed gate")
 	}
 	if got := w.Count("hop"); got != 20 {

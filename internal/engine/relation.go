@@ -13,17 +13,25 @@ import (
 // relation's primary index (the whole row), its functional-dependency index
 // (the key prefix) and the secondary indexes join plans register (their bound
 // columns) alike, and the intern table's index of symbol text. Chains are
-// threaded through ents, one link per id, so linking an id allocates nothing
-// but the amortised growth of heads and ents.
+// threaded through links, one per id, in pages addressed by id as row cells
+// are (see page), so linking an id allocates nothing but a page when the id
+// passes the last one and the amortised growth of heads; no link is ever
+// copied.
 type hashIndex struct {
-	cols  []int      // projected columns, ascending; nil projects every column
-	heads []uint32   // bucket → first id + 1 (0: empty); power-of-two length, nil until the first id
-	ents  []idxEntry // id → chain link
+	cols  []int        // projected columns, ascending; nil projects every column
+	heads []uint32     // bucket → first id + 1 (0: empty); power-of-two length, nil until the first id
+	links [][]idxEntry // id → chain link, in pages of 1<<linkShift ids (the first few smaller)
 	// unbuilt marks a secondary index no probe of a non-empty relation has
 	// reached yet: it links nothing, and the first such probe builds it from
 	// the live rows (Relation.ready). From then on it links every live row.
 	unbuilt bool
 }
+
+// Link pages hold 1<<linkShift ids (1 024, 8 KB), after the same doubling
+// small pages as rows. Smaller full pages cost an allocation per few rows of a
+// growing relation: 128-id pages put TestNewFactsAllocateTheirTuples' chain
+// over its ceiling.
+const linkShift = 10
 
 // idxEntry links one id into its bucket's chain. hash keeps the low half of
 // the projection hash: it picks the bucket at any table size, and lets a probe
@@ -59,19 +67,24 @@ func (x *hashIndex) first(h uint64) uint32 {
 	return *x.bucket(uint32(h))
 }
 
+// at returns id's link, which stays where it is for the life of the index.
+func (x *hashIndex) at(id uint32) *idxEntry {
+	p, start := page(id, linkShift)
+	return &x.links[p][id-start]
+}
+
 // link adds id (hashing to h) at the head of its chain; n is the id count
 // including it, which the table is grown to hold at load factor one.
 func (x *hashIndex) link(id uint32, h uint64, n int) {
 	if n > len(x.heads) {
 		x.grow()
 	}
-	b := x.bucket(uint32(h))
-	e := idxEntry{hash: uint32(h), next: *b}
-	if int(id) == len(x.ents) {
-		x.ents = append(x.ents, e)
-	} else {
-		x.ents[id] = e
+	p, start := page(id, linkShift)
+	if p >= len(x.links) {
+		x.links = addPages(x.links, p, linkShift, 1)
 	}
+	b := x.bucket(uint32(h))
+	x.links[p][id-start] = idxEntry{hash: uint32(h), next: *b}
 	*b = id + 1
 }
 
@@ -89,7 +102,7 @@ func (x *hashIndex) grow() {
 	for b := 0; b < old; b++ {
 		lo, hi := &x.heads[b], &x.heads[b+old]
 		for id := *lo; id != 0; {
-			e := &x.ents[id-1]
+			e := x.at(id - 1)
 			next := e.next
 			if e.hash&uint32(old) == 0 {
 				*lo, lo = id, &e.next
@@ -104,10 +117,10 @@ func (x *hashIndex) grow() {
 
 // unlink removes id from its chain.
 func (x *hashIndex) unlink(id uint32) {
-	e := x.ents[id]
+	e := x.at(id)
 	p := x.bucket(e.hash)
 	for *p != id+1 {
-		p = &x.ents[*p-1].next
+		p = &x.at(*p - 1).next
 	}
 	*p = e.next
 }
@@ -129,22 +142,33 @@ const (
 	rowDelta
 )
 
-// Pages hold 1<<pageShift rows (128), except a relation's first few, which
-// double from 1<<firstShift (8, 8, 16, 32, 64): a relation of a few rows
-// costs a few rows.
+// Row pages hold 1<<pageShift rows (128), except a relation's first few,
+// which double from 1<<firstShift (8, 8, 16, 32, 64): a relation of a few rows
+// costs a few rows. Link pages (linkShift) start the same way.
 const pageShift, firstShift = 7, 3
 
-// smallPages is the number of pages before the first full one.
-const smallPages = pageShift - firstShift + 1
-
-// page returns the page holding row id and the id of the page's first row.
-// Below 1<<pageShift, page p > 0 starts at 4<<p, id's highest bit.
-func page(id uint32) (p int, start uint32) {
-	if id < 1<<pageShift {
+// page returns the page holding id, in pages of 1<<shift ids after the small
+// ones, and the id of the page's first id. Below 1<<shift, page p > 0 starts
+// at 4<<p, id's highest bit.
+func page(id uint32, shift int) (p int, start uint32) {
+	if id < 1<<shift {
 		p = bits.Len32(id >> firstShift)
 		return p, 1 << (firstShift - 1) << p &^ (1<<firstShift - 1)
 	}
-	return int(id>>pageShift) + smallPages - 1, id &^ (1<<pageShift - 1)
+	return int(id>>shift) + shift - firstShift, id &^ (1<<shift - 1)
+}
+
+// addPages returns pages with every page up to p allocated, width elements
+// per id, in the sizes page lays out. A page, once allocated, never moves.
+func addPages[E any](pages [][]E, p, shift, width int) [][]E {
+	for q := len(pages); q <= p; q++ {
+		ids := 1 << shift
+		if q <= shift-firstShift {
+			ids = max(1<<(firstShift-1)<<q, 1<<firstShift)
+		}
+		pages = append(pages, make([]E, ids*width))
+	}
+	return pages
 }
 
 // Relation stores the extent of one predicate as a row store: each row is
@@ -221,7 +245,7 @@ func (r *Relation) Len() int { return r.n }
 
 // row returns the cells of row id.
 func (r *Relation) row(id uint32) []cell {
-	p, start := page(id)
+	p, start := page(id, pageShift)
 	off := int(id-start) * r.arity
 	return r.pages[p][off : off+r.arity : off+r.arity]
 }
@@ -229,10 +253,12 @@ func (r *Relation) row(id uint32) []cell {
 // find returns the id + 1 of the first row in h's chain of x whose projection
 // equals vals, or 0.
 func (r *Relation) find(x *hashIndex, h uint64, vals []cell) uint32 {
-	for id := x.first(h); id != 0; id = x.ents[id-1].next {
-		if x.ents[id-1].hash == uint32(h) && x.matches(r.row(id-1), vals) {
+	for id := x.first(h); id != 0; {
+		e := x.at(id - 1)
+		if e.hash == uint32(h) && x.matches(r.row(id-1), vals) {
 			return id
 		}
+		id = e.next
 	}
 	return 0
 }
@@ -308,7 +334,7 @@ func (r *Relation) ready(x *hashIndex) bool {
 	for buckets < r.n {
 		buckets *= 2
 	}
-	x.heads, x.ents, x.unbuilt = make([]uint32, buckets), make([]idxEntry, len(r.flags)), false
+	x.heads, x.unbuilt = make([]uint32, buckets), false
 	n := 0
 	for id, f := range r.flags {
 		if f&rowLive != 0 {
@@ -327,16 +353,17 @@ func (r *Relation) probe(x *hashIndex, vals []cell, hide uint8, fn func([]cell) 
 		return
 	}
 	h := hashCells(vals)
-	// The link is read after fn returns: fn may insert, which can split the
-	// chain, and only a row with the probed hash — in the probed bucket at
-	// every table size — is a safe place to carry on from.
-	for id := x.first(h); id != 0; id = x.ents[id-1].next {
-		if x.ents[id-1].hash != uint32(h) || r.flags[id-1]&hide != 0 {
-			continue
+	// The next id is read after fn returns: fn may insert, which can split
+	// the chain, and only a row with the probed hash — in the probed bucket at
+	// every table size — is a safe place to carry on from. Its link stays put.
+	for id := x.first(h); id != 0; {
+		e := x.at(id - 1)
+		if e.hash == uint32(h) && r.flags[id-1]&hide == 0 {
+			if row := r.row(id - 1); x.matches(row, vals) && !fn(row) {
+				return
+			}
 		}
-		if row := r.row(id - 1); x.matches(row, vals) && !fn(row) {
-			return
-		}
+		id = e.next
 	}
 }
 
@@ -407,12 +434,8 @@ func (r *Relation) add(vals []cell, h uint64, flags uint8) (uint32, bool) {
 		r.flags[id] = flags
 	} else {
 		id = uint32(len(r.flags))
-		if p, start := page(id); p == len(r.pages) {
-			rows := 1 << pageShift
-			if p < smallPages {
-				rows = max(int(start), 1<<firstShift)
-			}
-			r.pages = append(r.pages, make([]cell, rows*r.arity))
+		if p, _ := page(id, pageShift); p >= len(r.pages) {
+			r.pages = addPages(r.pages, p, pageShift, r.arity)
 		}
 		r.flags = append(r.flags, flags)
 	}
@@ -482,7 +505,6 @@ func (r *Relation) reset() {
 	r.flags, r.free, r.n = r.flags[:0], r.free[:0], 0
 	for _, x := range r.idx {
 		clear(x.heads)
-		x.ents = x.ents[:0]
 	}
 }
 

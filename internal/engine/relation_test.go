@@ -85,7 +85,7 @@ func TestSecondaryIndexBackfillAndMaintenance(t *testing.T) {
 
 	// Registering after inserts builds nothing; the first probe backfills.
 	idx := r.ensureIndex([]int{1})
-	if !idx.unbuilt || idx.ents != nil {
+	if !idx.unbuilt || idx.links != nil {
 		t.Fatal("registering an index must not build it")
 	}
 	if got := probeAll(r, idx, datalog.Int64(7)); len(got) != 2 {
@@ -183,7 +183,7 @@ func checkStore(r *Relation) error {
 	for xi, x := range r.idx {
 		seen, linked := make([]bool, len(r.flags)), 0
 		for b, id := range x.heads {
-			for ; id != 0; id = x.ents[id-1].next {
+			for ; id != 0; id = x.at(id - 1).next {
 				row := id - 1
 				if r.flags[row]&rowLive == 0 {
 					return fmt.Errorf("index %d (cols %v) reaches freed row %d", xi, x.cols, row)
@@ -197,7 +197,7 @@ func checkStore(r *Relation) error {
 				if x.cols != nil {
 					h = hashCols(r.row(row), x.cols)
 				}
-				if x.ents[row].hash != uint32(h) || int(uint32(h)&uint32(len(x.heads)-1)) != b {
+				if x.at(row).hash != uint32(h) || int(uint32(h)&uint32(len(x.heads)-1)) != b {
 					return fmt.Errorf("index %d (cols %v): row %d %v sits in the wrong chain", xi, x.cols, row, r.syms.tuple(r.row(row)))
 				}
 			}

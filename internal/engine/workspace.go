@@ -157,7 +157,8 @@ type Workspace struct {
 	udfMask        []bool
 	aggKeys        []*Relation
 	aggCells       []aggGroup
-	factBuf        []cell // scratch: facts' cells, string +, Skolem keys
+	factBuf        []cell   // scratch: facts' cells, string +, Skolem keys
+	live           []uint32 // scratch: liveRows' copy of a list without its dead rows
 	concat, skolem []byte
 
 	// EntityBase offsets generated entity ids so entities created on
@@ -569,8 +570,8 @@ func (w *Workspace) derive(t *txn, r *CompiledRule, f *frame) error {
 
 // recomputeAgg fully re-evaluates an aggregation rule — its first plan over
 // the whole database — and replaces changed
-// group values (replacement semantics: the old tuple is removed without
-// retraction of its prior consequences — see DESIGN.md). It leaves the keys of
+// group values (replacement semantics: the old tuple is deleted, and what rules
+// derived from it stays, since nothing is retracted). It leaves the keys of
 // every group the body still supports in the rule's group table.
 func (w *Workspace) recomputeAgg(t *txn, r *CompiledRule) error {
 	keyN := r.heads[0].KeyArity
@@ -686,9 +687,11 @@ func byID(rules []*CompiledRule) []*CompiledRule {
 }
 
 // checkTxnConstraints verifies every installed constraint against the
-// tuples inserted by the transaction (incremental LHS restriction), but for
-// those the store already enforced on insert. A left-hand side with no atom
-// has no plan a transaction's rows lead, and is checked only in full.
+// tuples the transaction inserted and left in place (incremental LHS
+// restriction), but for those the store already enforced on insert: a listed
+// row deleted again — an aggregate value replaced later in the transaction —
+// is not part of the state it commits. A left-hand side with no atom has no
+// plan a transaction's rows lead, and is checked only in full.
 func (w *Workspace) checkTxnConstraints() error {
 	for _, c := range w.prog.constraints {
 		if c.storeChecked {
@@ -699,16 +702,35 @@ func (w *Workspace) checkTxnConstraints() error {
 			if !plan.led() {
 				continue
 			}
-			rel := w.rels[plan.steps[0].rel]
-			if len(rel.ins) == 0 {
+			rows := w.liveRows(w.rels[plan.steps[0].rel])
+			if len(rows) == 0 {
 				continue
 			}
-			if err := w.runDelta(plan, rel.ins, &w.frame, func(f *frame) error { return w.checkBinding(c, f) }); err != nil {
+			if err := w.runDelta(plan, rows, &w.frame, func(f *frame) error { return w.checkBinding(c, f) }); err != nil {
 				return err
 			}
 		}
 	}
 	return nil
+}
+
+// liveRows returns the rows on rel's list that are still live: the list
+// itself, unless the transaction deleted one of them again, and then a copy
+// without the dead ones in w.live.
+func (w *Workspace) liveRows(rel *Relation) []uint32 {
+	for i, id := range rel.ins {
+		if rel.flags[id]&rowLive != 0 {
+			continue
+		}
+		w.live = append(w.live[:0], rel.ins[:i]...)
+		for _, id := range rel.ins[i+1:] {
+			if rel.flags[id]&rowLive != 0 {
+				w.live = append(w.live, id)
+			}
+		}
+		return w.live
+	}
+	return rel.ins
 }
 
 var errSatisfied = fmt.Errorf("satisfied")

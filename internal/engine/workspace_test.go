@@ -105,6 +105,48 @@ func TestConstraintViolationRollsBackWholeTxn(t *testing.T) {
 	}
 }
 
+// TestTxnConstraintsReadTheStateTheTransactionLeaves: a transaction's
+// constraint check reads the rows it commits, not aggregate values it
+// replaced again on the way. Twenty-four links among nodes 0–11 asserted in
+// one transaction move hops[0] through 4 before it settles at 12, which the
+// constraint accepts; a transaction that ends with hops[0] at 11 is rejected
+// whole.
+func TestTxnConstraintsReadTheStateTheTransactionLeaves(t *testing.T) {
+	const src = `
+		link(X, Y) -> int(X), int(Y).
+		reach(X, Y) <- link(X, Y).
+		reach(X, Z) <- link(X, Y), reach(Y, Z).
+		hops[X] = C <- agg<<C = count(Y)>> reach(X, Y).
+		hops[X] = C, X < 12 -> C > 11.
+	`
+	var chain, cycles []Fact
+	for i := int64(0); i < 12; i++ {
+		if i < 11 {
+			chain = append(chain, Fact{Pred: "link", Tuple: tup(i, i+1)})
+		}
+		cycles = append(cycles, Fact{Pred: "link", Tuple: tup(i, (i+1)%12)}, Fact{Pred: "link", Tuple: tup(i, (i*5)%12)})
+	}
+
+	w := installed(t, nil, src)
+	var cv *ConstraintViolation
+	if _, err := w.Assert(chain); !errors.As(err, &cv) {
+		t.Fatalf("a chain 0→…→11 leaves hops[0] = 11: want a violation, got %v", err)
+	}
+	if w.Count("link") != 0 || w.Count("reach") != 0 || w.Count("hops") != 0 {
+		t.Errorf("the rejected chain left link=%d reach=%d hops=%d", w.Count("link"), w.Count("reach"), w.Count("hops"))
+	}
+
+	w = installed(t, nil, src)
+	if _, err := w.Assert(cycles); err != nil {
+		t.Fatalf("every hops[X] the transaction leaves is 12: %v", err)
+	}
+	for x := int64(0); x < 12; x++ {
+		if v, ok := w.LookupFn("hops", datalog.Int64(x)); !ok || v.Int != 12 {
+			t.Errorf("hops[%d] = %v, want 12", x, v)
+		}
+	}
+}
+
 func TestTypeDeclarationKindCheck(t *testing.T) {
 	w := installed(t, nil, `
 		age(P, A) -> string(P), int(A).

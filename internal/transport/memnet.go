@@ -8,8 +8,9 @@ import (
 
 // MemNetwork is an in-process simulated network: endpoints exchange
 // datagrams through unbounded queues. It stands in for the paper's Gigabit
-// cluster; see DESIGN.md for why the substitution preserves the evaluation's
-// shape.
+// cluster and keeps the evaluation's shape: nodes hand it the same encoded
+// messages they hand UDP, so the bytes per node dist.Node counts are the same
+// over both, and only absolute times change.
 // Quiescence of a computation running over it is observed the same way as
 // over real sockets — by the wire-level termination-detection protocol in
 // internal/dist — so swapping MemNetwork for UDPNetwork changes nothing
