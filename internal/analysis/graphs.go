@@ -2,7 +2,6 @@ package analysis
 
 import (
 	"fmt"
-	"slices"
 	"sort"
 	"strings"
 
@@ -55,10 +54,9 @@ func buildDepGraph(plans []engine.RulePlan, isUDF func(string) bool) *DepGraph {
 			}
 			continue
 		}
-		steps := firstPlan(p)
 		for _, h := range p.Heads {
 			hn := h.ConcreteName()
-			for _, s := range steps {
+			for _, s := range p.Steps {
 				if s.Kind != engine.StepMatch && s.Kind != engine.StepNeg {
 					continue
 				}
@@ -69,18 +67,6 @@ func buildDepGraph(plans []engine.RulePlan, isUDF func(string) bool) *DepGraph {
 		}
 	}
 	return g
-}
-
-// firstPlan returns a planned rule's first plan — the order a full evaluation
-// runs — with its location lookups read as the matches they are.
-func firstPlan(p engine.RulePlan) []engine.PlanStep {
-	steps := slices.Clone(p.DeltaPlans[0])
-	for i := range steps {
-		if steps[i].Kind == engine.StepPrebound {
-			steps[i].Kind = engine.StepMatch
-		}
-	}
-	return steps
 }
 
 // before reports whether source position a comes before b; an unknown
@@ -318,7 +304,7 @@ func checkDeadRules(r *Report, plans []engine.RulePlan, prog *datalog.Program, i
 			}
 			return preds
 		}
-		for _, s := range firstPlan(p) {
+		for _, s := range p.Steps {
 			if s.Kind == engine.StepMatch {
 				preds = append(preds, s.Pred)
 			}
@@ -493,7 +479,7 @@ func buildJoinGraph(plans []engine.RulePlan) []JoinEdge {
 		}
 		byVar := map[string][]occ{}
 		var varOrder []string
-		for _, s := range firstPlan(p) {
+		for _, s := range p.Steps {
 			if s.Kind != engine.StepMatch {
 				continue
 			}

@@ -132,10 +132,9 @@ func matchRoutingRule(p engine.RulePlan) *routingMatch {
 	if p.Err != nil || p.Agg != nil {
 		return nil
 	}
-	steps := firstPlan(p)
 	// The hash step: a 2-argument UDF from key variable K to hash variable H.
 	var hashUDF, keyVar, hashVar string
-	for _, s := range steps {
+	for _, s := range p.Steps {
 		if s.Kind != engine.StepUDF || len(s.Atom.Args) != 2 {
 			continue
 		}
@@ -151,7 +150,7 @@ func matchRoutingRule(p engine.RulePlan) *routingMatch {
 	}
 	// Range comparisons: H >= Lo and H < Hi (in either operand order).
 	loVar, hiVar := "", ""
-	for _, s := range steps {
+	for _, s := range p.Steps {
 		if s.Kind != engine.StepCmp {
 			continue
 		}
@@ -177,7 +176,7 @@ func matchRoutingRule(p engine.RulePlan) *routingMatch {
 	// Bound lookups: single-key functional matches U -> Lo and U -> Hi over
 	// the same principal variable U.
 	loPred, hiPred, loU, hiU := "", "", "", ""
-	for _, s := range steps {
+	for _, s := range p.Steps {
 		if s.Kind != engine.StepMatch || !s.Atom.Functional() || s.Atom.KeyArity != 1 {
 			continue
 		}
@@ -199,7 +198,7 @@ func matchRoutingRule(p engine.RulePlan) *routingMatch {
 	// The routed relation: the first relational match binding the key
 	// variable names the partitioned column.
 	var rel *RelColumn
-	for _, s := range steps {
+	for _, s := range p.Steps {
 		if s.Kind != engine.StepMatch || s.Atom.Functional() {
 			continue
 		}

@@ -1,15 +1,10 @@
 package apps
 
 import (
-	"fmt"
 	"testing"
 
 	"secureblox/internal/core"
-	"secureblox/internal/datalog"
-	"secureblox/internal/engine"
 	"secureblox/internal/graph"
-	"secureblox/internal/seccrypto"
-	"secureblox/internal/udf"
 )
 
 func TestGraphGenerator(t *testing.T) {
@@ -89,7 +84,8 @@ func TestNoFullScanFallbacksInProtocolRuleSets(t *testing.T) {
 	// Every join step in the path-vector and hash-join rule sets must be
 	// answered by an index registered at compile time: after a full run, no
 	// node's evaluator may have fallen back to scanning a relation whose
-	// step had bound columns.
+	// step had bound columns. The plans themselves, under every policy, are
+	// in the engine's testdata/shipped_plans.golden.
 	pv, err := RunPathVector(PathVectorConfig{N: 6, AvgDegree: 3, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
@@ -115,112 +111,6 @@ func TestNoFullScanFallbacksInProtocolRuleSets(t *testing.T) {
 			t.Errorf("hashjoin node %d: %d full-scan fallbacks (%s)", i, s.FullScanFallbacks, s)
 		}
 	}
-
-	// And statically, for every shipped rule set under every policy: each
-	// semi-naïve evaluation leads with its delta atom, and no later join
-	// step starts from zero bound columns unless it shares no variable with
-	// the steps before it (a genuine cross product).
-	reg, err := udf.NewRegistry(seccrypto.NewKeyStore("plans"), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, rs := range []struct {
-		name  string
-		query string
-		extra []string
-	}{
-		{"pathvector", PathVectorQuery, nil},
-		{"hashjoin", HashJoinQuery, nil},
-		{"anonjoin", AnonJoinQuery, []string{AnonPolicy}},
-	} {
-		for _, auth := range []core.AuthScheme{core.AuthNone, core.AuthHMAC, core.AuthRSA} {
-			for _, variant := range []core.PolicyConfig{{}, {Encrypt: true}, {BatchSign: true}, {Authorization: true, Delegation: core.DelegateTrustworthy}} {
-				pol := variant
-				pol.Auth = auth
-				if pol.BatchSign && auth != core.AuthRSA {
-					continue
-				}
-				res, err := core.CompileProgram(pol, rs.query, rs.extra)
-				if err != nil {
-					t.Fatalf("%s/%s: %v", rs.name, pol.Name(), err)
-				}
-				compiled, err := engine.Compile(res.Program, reg)
-				if err != nil {
-					t.Fatalf("%s/%s: %v", rs.name, pol.Name(), err)
-				}
-				for _, p := range compiled.Plans() {
-					if p.Err != nil {
-						t.Fatalf("%s/%s: %s: %v", rs.name, pol.Name(), p.Src, p.Err)
-					}
-					if err := checkDeltaPlans(p); err != nil {
-						t.Errorf("%s/%s: %s: %v", rs.name, pol.Name(), p.Src, err)
-					}
-					// However often a generated rule writes self[], it reads it once.
-					selfSteps := 0
-					for _, s := range p.DeltaPlans[0] {
-						if s.Kind != engine.StepCmp && s.Pred == "self" {
-							selfSteps++
-						}
-					}
-					if selfSteps > 1 {
-						t.Errorf("%s/%s: %s: %d self steps, want at most 1", rs.name, pol.Name(), p.Src, selfSteps)
-					}
-				}
-			}
-		}
-	}
-}
-
-// checkDeltaPlans verifies the shape of one rule's delta-first plans from
-// the planner's exported view: a plan lists every literal of the first plan —
-// what a full evaluation runs — its location lookups (self[],
-// principal_node[self[]]) first, then the delta atom, and every later match
-// that shares a variable with what ran before it probes on it.
-func checkDeltaPlans(p engine.RulePlan) error {
-	first, atoms := p.DeltaPlans[0], 0
-	for _, s := range first {
-		if s.Kind == engine.StepMatch || s.Kind == engine.StepPrebound {
-			atoms++
-		}
-	}
-	if len(p.DeltaPlans) != atoms {
-		return fmt.Errorf("%d delta plans for %d positive atoms", len(p.DeltaPlans), atoms)
-	}
-	for k, plan := range p.DeltaPlans {
-		seen := map[string]bool{}
-		pre := 0
-		for ; pre < len(plan) && plan[pre].Kind == engine.StepPrebound; pre++ {
-			if s := plan[pre]; s.Pred != "self" && s.Pred != "principal_node" {
-				return fmt.Errorf("delta plan %d: location lookup over %s", k, s.Pred)
-			}
-			datalog.AtomVars(plan[pre].Atom, seen)
-		}
-		if len(plan) != len(first) || pre == len(plan) || plan[pre].Kind != engine.StepMatch {
-			return fmt.Errorf("delta plan %d: %d steps (the first plan %d), %d lookups, then no delta atom", k, len(plan), len(first), pre)
-		}
-		datalog.AtomVars(plan[pre].Atom, seen)
-		for i, s := range plan[pre+1:] {
-			switch s.Kind {
-			case engine.StepMatch:
-				vars := map[string]bool{}
-				datalog.AtomVars(s.Atom, vars)
-				for v := range vars {
-					if seen[v] && len(s.BoundCols) == 0 {
-						return fmt.Errorf("delta plan %d step %d: %s shares %s with earlier steps but probes nothing", k, pre+i+1, s.Atom, v)
-					}
-				}
-				datalog.AtomVars(s.Atom, seen)
-			case engine.StepUDF:
-				datalog.AtomVars(s.Atom, seen)
-			case engine.StepCmp:
-				if s.Op == "=" {
-					datalog.VarsOf(s.L, seen)
-					datalog.VarsOf(s.R, seen)
-				}
-			}
-		}
-	}
-	return nil
 }
 
 func TestPathVectorUnderRSA(t *testing.T) {

@@ -867,8 +867,11 @@ func (c *compiler) finalizeDeltaPlans(plans []deltaPlan, sa *slotAlloc) {
 	}
 }
 
+// describeStep renders a step as the literal it runs.
 func describeStep(s step) string {
 	switch s.kind {
+	case stepNeg:
+		return "!" + s.atom.String()
 	case stepCmp:
 		return fmt.Sprintf("%s %s %s", s.l, s.op, s.r)
 	case stepKindCheck:

@@ -566,7 +566,7 @@ func TestIndexedMatchesForcedScanQuick(t *testing.T) {
 		d := newDiffRun(t, src, indexed, scans)
 		stripIndexes(scans)
 		stripped := scans.Stats()
-		if err := checkInstalledDeltaPlans(indexed); err != nil {
+		if err := checkInstalledDeltaPlans(indexed.prog); err != nil {
 			t.Fatalf("program:\n%s\n%v", src, err)
 		}
 		ok := d.run(rng, 12+rng.Intn(15), func(phase string) bool {

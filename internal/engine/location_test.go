@@ -167,31 +167,6 @@ func argIndex(a *datalog.Atom, t datalog.Term) int {
 	return -1
 }
 
-// TestStoreCheckedNeverMarks: a constraint is not store-checked when its
-// right-hand side checks membership (principal is a relation as well as a
-// kind), when its left-hand side joins two atoms or repeats a variable, or
-// when a kind check names another type than the schema declares.
-func TestStoreCheckedNeverMarks(t *testing.T) {
-	marked, _ := installStoreChecked(t, hashJoinDecls+`
-		pair(X, Y), pair(Y, X) -> int(X).
-		twin(X, X) -> int(X).
-		e(X, Y) -> int(X), int(Y).
-		e(X, Y) -> string(X).
-		q(X) -> int(X), X > 0.
-	`)
-	want := map[string]bool{
-		"a": true, "b": true, "a2": true, "b2": true, "joinresult": true, "export": true,
-		"e(X, Y) -> int(X), int(Y).": true,
-	}
-	for _, c := range marked.prog.constraints {
-		src := c.String()
-		name := src[:strings.IndexAny(src, "([")]
-		if c.storeChecked != (want[name] || want[src]) {
-			t.Errorf("%s: store-checked %v", src, c.storeChecked)
-		}
-	}
-}
-
 // TestStoreCheckedConstraintStillFailsInstall: the store checks a declared
 // column's kind on every insert, so a transaction's check skips the
 // declarations that only restate it (storeChecked); the full verification

@@ -3,7 +3,10 @@ package engine
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"slices"
 	"strings"
 	"testing"
@@ -11,226 +14,290 @@ import (
 	"secureblox/internal/datalog"
 )
 
-// checkDeltaPlan verifies the shape every delta-first plan must have: its
-// location lookups are each one functional probe of self or principal_node,
-// the delta atom leads with no access path of its own, every later step that
-// needs one has it, no later match starts from zero bound columns unless it
-// shares no variable with what ran before it, and the lookups and the steps
-// together run exactly the literals of the body's first plan — what a full
-// evaluation runs — against the same slot numbering.
-func checkDeltaPlan(first []step, plan deltaPlan, slotNames []string) error {
-	if len(plan.pre)+len(plan.steps) != len(first) {
-		return fmt.Errorf("plan has %d lookups and %d steps, the first plan %d", len(plan.pre), len(plan.steps), len(first))
-	}
-	lead := &plan.steps[0]
-	if lead.kind != stepMatch {
-		return fmt.Errorf("step 0 is not a match (%s)", describeStep(*lead))
-	}
-	if lead.probe != noProbe || len(lead.boundCols) != 0 {
-		return fmt.Errorf("delta atom %s carries a stored-relation access path", lead.atom)
-	}
-	want := map[string]int{}
-	for i := range first {
-		want[describeStep(first[i])]++
-	}
-	seenVars := map[string]bool{}
-	for i := range plan.pre {
-		s := &plan.pre[i]
-		if s.kind != stepMatch || !isLocation(s.pred) || s.probe != 1 {
-			return fmt.Errorf("lookup %d: %s is not a functional probe of a location relation", i, describeStep(*s))
-		}
-		want[describeStep(*s)]--
-		datalog.AtomVars(s.atom, seenVars)
-	}
-	for i := range plan.steps {
-		s := &plan.steps[i]
-		want[describeStep(*s)]--
-		for j := range s.args {
-			if a := &s.args[j]; a.kind == ctVar && slotNames[a.slot] != a.name {
-				return fmt.Errorf("step %d: variable %s compiled to slot %d (%s)", i, a.name, a.slot, slotNames[a.slot])
-			}
-		}
-		if i > 0 && (s.kind == stepMatch || s.kind == stepNeg) {
-			vars := map[string]bool{}
-			datalog.AtomVars(s.atom, vars)
-			shares := false
-			for v := range vars {
-				shares = shares || seenVars[v]
-			}
-			if s.kind == stepMatch && len(s.boundCols) == 0 && shares {
-				return fmt.Errorf("step %d: %s shares variables with earlier steps but probes nothing", i, s.atom)
-			}
-			partial := len(s.boundCols) > 0 && len(s.boundCols) < len(s.args)
-			if partial && s.probe == noProbe {
-				return fmt.Errorf("step %d: %s has bound columns %v and no index", i, s.atom, s.boundCols)
-			}
-		}
-		if s.kind == stepMatch || s.kind == stepUDF {
-			datalog.AtomVars(s.atom, seenVars)
-		}
-		if s.kind == stepCmp && s.op == "=" {
-			datalog.VarsOf(s.l, seenVars)
-			datalog.VarsOf(s.r, seenVars)
-		}
-	}
-	for lit, n := range want {
-		if n != 0 {
-			return fmt.Errorf("literal %s: the first plan and this one disagree by %d", lit, n)
-		}
-	}
-	return nil
-}
-
-// firstSteps is a body's first plan, location lookups included.
-func firstSteps(plans []deltaPlan) []step {
-	return append(slices.Clone(plans[0].pre), plans[0].steps...)
-}
-
-// checkInstalledDeltaPlans applies checkDeltaPlan to every rule and
-// constraint of a workspace and requires one plan per positive atom.
-func checkInstalledDeltaPlans(w *Workspace) error {
-	check := func(what string, plans []deltaPlan, slotNames []string) error {
-		first, matches := firstSteps(plans), 0
+// checkInstalledDeltaPlans checks the invariants every planned rule and
+// constraint of p keeps, whatever order the planner picks: one delta plan per
+// positive atom (one plan if there is none), each running the literals of the
+// first plan — what a full evaluation runs — against the same slot numbering;
+// its location lookups each one functional probe of self or principal_node;
+// the delta atom leading with no access path of its own; every later step
+// that needs an access path has one, and no later match probes nothing while
+// it shares a variable with what ran before it; and however often the source
+// writes self[], a plan reads it at most once.
+func checkInstalledDeltaPlans(p *Program) error {
+	check := func(plans []deltaPlan, slotNames []string) error {
+		first, want, matches := slices.Concat(plans[0].pre, plans[0].steps), map[string]int{}, 0
 		for i := range first {
+			want[describeStep(first[i])]++
 			if first[i].kind == stepMatch {
 				matches++
 			}
 		}
-		if len(plans) != matches {
-			return fmt.Errorf("%s: %d delta plans for %d positive atoms", what, len(plans), matches)
+		if len(plans) != max(matches, 1) {
+			return fmt.Errorf("%d delta plans for %d positive atoms", len(plans), matches)
 		}
 		for k, plan := range plans {
-			if err := checkDeltaPlan(first, plan, slotNames); err != nil {
-				return fmt.Errorf("%s: delta plan %d: %w", what, k, err)
+			left, seen, self := maps.Clone(want), map[string]bool{}, 0
+			for i, s := range slices.Concat(plan.pre, plan.steps) {
+				left[describeStep(s)]--
+				if s.kind == stepMatch && s.pred == "self" {
+					self++
+				}
+				for j := range s.args {
+					if a := &s.args[j]; a.kind == ctVar && slotNames[a.slot] != a.name {
+						return fmt.Errorf("delta plan %d: variable %s compiled to slot %d (%s)", k, a.name, a.slot, slotNames[a.slot])
+					}
+				}
+				switch lead := i - len(plan.pre); {
+				case lead < 0:
+					if s.kind != stepMatch || !isLocation(s.pred) || s.probe != 1 {
+						return fmt.Errorf("delta plan %d: lookup %s is not a functional probe of a location relation", k, describeStep(s))
+					}
+				case lead == 0 && matches > 0:
+					if s.kind != stepMatch || s.probe != noProbe || len(s.boundCols) != 0 {
+						return fmt.Errorf("delta plan %d: %s leads it with an access path, or is no atom", k, describeStep(s))
+					}
+				case s.kind == stepMatch || s.kind == stepNeg:
+					shares := slices.ContainsFunc(s.atom.Args, func(t datalog.Term) bool {
+						v, ok := t.(datalog.Var)
+						return ok && seen[v.Name]
+					})
+					if s.kind == stepMatch && len(s.boundCols) == 0 && shares {
+						return fmt.Errorf("delta plan %d: %s shares variables with earlier steps but probes nothing", k, s.atom)
+					}
+					if len(s.boundCols) > 0 && len(s.boundCols) < len(s.args) && s.probe == noProbe {
+						return fmt.Errorf("delta plan %d: %s has bound columns %v and no index", k, s.atom, s.boundCols)
+					}
+				}
+				if s.kind == stepMatch || s.kind == stepUDF {
+					datalog.AtomVars(s.atom, seen)
+				}
+				if s.kind == stepCmp && s.op == "=" {
+					datalog.VarsOf(s.l, seen)
+					datalog.VarsOf(s.r, seen)
+				}
+			}
+			if self > 1 {
+				return fmt.Errorf("delta plan %d: %d self steps, want at most 1", k, self)
+			}
+			for lit, n := range left {
+				if n != 0 {
+					return fmt.Errorf("delta plan %d: literal %s: the first plan and this one disagree by %d", k, lit, n)
+				}
 			}
 		}
 		return nil
 	}
-	for _, r := range w.prog.rules {
-		if err := check("rule "+r.String(), r.deltaPlans, r.slotNames); err != nil {
-			return err
+	for _, r := range p.rules {
+		if err := check(r.deltaPlans, r.slotNames); err != nil {
+			return fmt.Errorf("rule %s: %w", r, err)
 		}
 	}
-	for _, c := range w.prog.constraints {
-		if err := check("constraint "+c.String(), c.lhsDeltaPlans, c.slotNames); err != nil {
-			return err
+	for _, c := range p.constraints {
+		if err := check(c.lhsDeltaPlans, c.slotNames); err != nil {
+			return fmt.Errorf("constraint %s: %w", c, err)
 		}
 	}
 	return nil
 }
 
-// TestDeltaPlanShape: every rule and constraint LHS compiles one delta-first
-// plan per positive atom, and the recursive closure rule probes link from the
-// reachable delta instead of scanning it.
-func TestDeltaPlanShape(t *testing.T) {
-	w := NewWorkspace(nil)
-	prog, err := datalog.Parse(BenchClosureSrc + BenchMultijoinSrc + `
+// planBlocks prints each rule and constraint of p as one block: a header with
+// its source — a constraint's also says whether it is store-checked — then one
+// line per delta plan, its steps in the order they run. A constraint's block
+// ends with its right-hand side. Each step is its source literal, then in
+// parentheses its marks — pre for a location lookup, delta for the atom the
+// plan ranges over, earlier for a match that does not see the round's delta —
+// and its access path: scan, row (the whole row), key[cols] (the functional
+// key) or index[cols] (a secondary index); udf and kind name the steps that
+// probe nothing, and a comparison has no parentheses. Relations and indexes
+// are named, never numbered, so a block reads the same in every program.
+func planBlocks(p *Program) []string {
+	access := func(s *step) string {
+		switch s.kind {
+		case stepCmp:
+			return ""
+		case stepUDF:
+			return "udf"
+		case stepKindCheck:
+			return "kind"
+		}
+		spec := &p.rels[s.rel]
+		first := 1
+		if spec.schema.Functional() {
+			first = 2
+		}
+		switch {
+		case s.probe == noProbe:
+			return "scan"
+		case s.probe == 0:
+			return "row"
+		case s.probe < first:
+			return fmt.Sprint("key", s.probeCols)
+		}
+		return fmt.Sprint("index", spec.indexes[s.probe-first])
+	}
+	var b strings.Builder
+	// line prints one step list; steps[0] is its delta atom if led.
+	line := func(prefix string, pre, steps []step, led bool) {
+		b.WriteString(prefix)
+		for i, s := range slices.Concat(pre, steps) {
+			if i > 0 {
+				b.WriteString(" ; ")
+			}
+			b.WriteString(describeStep(s))
+			var notes []string
+			if i < len(pre) {
+				notes = append(notes, "pre")
+			}
+			if led && i == len(pre) {
+				notes = append(notes, "delta")
+			}
+			if s.earlier {
+				notes = append(notes, "earlier")
+			}
+			if a := access(&s); a != "" {
+				notes = append(notes, a)
+			}
+			if len(notes) > 0 {
+				fmt.Fprintf(&b, " (%s)", strings.Join(notes, " "))
+			}
+		}
+		b.WriteString("\n")
+	}
+	var blocks []string
+	block := func(header string, plans []deltaPlan, rhs []step) {
+		b.Reset()
+		b.WriteString(strings.ReplaceAll(header, "\n  ", " ") + "\n") // a rule's heads, one per line
+		for _, plan := range plans {
+			line("  ", plan.pre, plan.steps, plan.led())
+		}
+		if rhs != nil {
+			line("  -> ", nil, rhs, false)
+		}
+		blocks = append(blocks, b.String())
+	}
+	for _, r := range p.rules {
+		block("rule: "+r.String(), r.deltaPlans, nil)
+	}
+	for _, c := range p.constraints {
+		header := "constraint: "
+		if c.storeChecked {
+			header = "constraint, store-checked: "
+		}
+		block(header+c.String(), c.lhsDeltaPlans, c.rhsSteps)
+	}
+	return blocks
+}
+
+// checkGolden compares got with the golden file testdata/name. When they
+// differ it names the first line that does and writes got to a file under
+// os.TempDir(), whose path it prints: copying that file over the golden
+// accepts the printout.
+func checkGolden(t *testing.T, name, got string) {
+	t.Helper()
+	path := filepath.Join("testdata", name)
+	want, err := os.ReadFile(path)
+	if err == nil && string(want) == got {
+		return
+	}
+	if err != nil {
+		t.Error(err)
+	}
+	wl, gl := strings.Split(string(want), "\n"), strings.Split(got, "\n")
+	n := 0
+	for n < len(wl) && n < len(gl) && wl[n] == gl[n] {
+		n++
+	}
+	at := func(lines []string) string {
+		if n < len(lines) {
+			return lines[n]
+		}
+		return "(end of file)"
+	}
+	f, err := os.CreateTemp("", strings.TrimSuffix(name, ".golden")+"-*.golden")
+	if err == nil {
+		_, err = f.WriteString(got)
+		f.Close()
+	}
+	if err != nil {
+		t.Fatalf("%s differs from the printout at line %d; writing the printout: %v", path, n+1, err)
+	}
+	abs, _ := filepath.Abs(path)
+	t.Errorf("%s differs from the printout at line %d:\n  golden:   %s\n  printout: %s\nto accept the printout: cp %s %s",
+		path, n+1, at(wl), at(gl), f.Name(), abs)
+}
+
+// enginePlanPrograms are the fixed programs whose plans
+// testdata/engine_plans.golden pins.
+var enginePlanPrograms = []struct{ name, src string }{
+	{"closure, multijoin, filters, negation, an aggregate, a constraint", BenchClosureSrc + BenchMultijoinSrc + `
 		two(X,Y) <- link(X,Z), link(Z,Y), X != Y, !blocked(X,_).
 		same(X) <- link(X,X), tag(X, 3).
 		lonely(X,Y) <- tag(X,_), blocked(Y,_).
 		best[X]=C <- agg<< C=min(V) >> tag(X,V), link(X,_).
 		link(X,Y), tag(Y,V) -> V >= 0, tag(X,_).
-	`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Install(prog); err != nil {
-		t.Fatal(err)
-	}
-	if err := checkInstalledDeltaPlans(w); err != nil {
-		t.Fatal(err)
-	}
-	rec := w.prog.rules[1]
-	var fromReachable []step
-	for _, plan := range rec.deltaPlans {
-		if plan.steps[0].pred == "reachable" {
-			fromReachable = plan.steps
-		}
-	}
-	if fromReachable == nil {
-		t.Fatal("recursive rule has no plan led by reachable")
-	}
-	if s := fromReachable[1]; s.pred != "link" || fmt.Sprint(s.boundCols) != "[1]" || s.probe == noProbe {
-		t.Fatalf("Δreachable plan continues with %s bound %v (index %v), want link probed on column 1",
-			s.pred, s.boundCols, s.probe != noProbe)
-	}
+	`},
+	{"location lookups", `
+		reach(X, Y) <- link(X, Z), reach(Z, Y), X != Y.
+		out(Y) <- reach(X, Y), at(principal_node[self[]], X).
+	`},
+	{"shared functional applications", sharedAppsSrc},
+	// Not store-checked: a right-hand side that checks membership (principal
+	// is a relation as well as a kind), a left-hand side that joins two atoms
+	// or repeats a variable, a kind check of another type than the schema's.
+	{"store-checked marks", hashJoinDecls + `
+		pair(X, Y), pair(Y, X) -> int(X).
+		twin(X, X) -> int(X).
+		e(X, Y) -> int(X), int(Y).
+		e(X, Y) -> string(X).
+		q(X) -> int(X), X > 0.
+	`},
+	{"a setup-led index", `hop(X, Y) <- gate(X), edge(X, Y).`},
+	{"no positive atom", `q(1) <- 1 < 2. 1 < 2 -> !bad(1).`},
 }
 
-// TestDeltaPlanShapeSharesFunctionalApplications: a rule or constraint that
-// writes the same functional application several times — the generated export
-// policy says self[] three times — gets one atom for it, so one step per plan
-// and one delta plan, not three of each. The rules below are that policy's
-// export, import and authentication shapes.
-func TestDeltaPlanShapeSharesFunctionalApplications(t *testing.T) {
-	w := NewWorkspace(nil)
-	prog, err := datalog.Parse(`
-		export(N, L, P) <- says(self[], U, P), sig(self[], U, P, S),
-			principal_node[U]=N, principal_node[self[]]=L.
-		says(U, self[], P), sig(U, self[], P, S) <- export(N, L, P), inbox(P, S),
-			principal_node[self[]]=N, principal_node[U]=L.
-		says(U, self[], P) -> trusted(self[], U), principal_node[self[]]=N, !banned(self[], N).
-		other(X, Y) <- pair[_]=X, pair[_]=Y.
-	`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Install(prog); err != nil {
-		t.Fatal(err)
-	}
-	if err := checkInstalledDeltaPlans(w); err != nil {
-		t.Fatal(err)
-	}
-	count := func(steps []step, pred string) (n int) {
-		for i := range steps {
-			if steps[i].kind == stepMatch && steps[i].pred == pred {
-				n++
-			}
+// TestEnginePlansGolden: the plans of the fixed programs, printed by
+// planBlocks, match testdata/engine_plans.golden, and keep the planner's
+// invariants.
+func TestEnginePlansGolden(t *testing.T) {
+	var b strings.Builder
+	for _, prog := range enginePlanPrograms {
+		parsed, err := datalog.Parse(prog.src)
+		if err != nil {
+			t.Fatal(err)
 		}
-		return n
-	}
-	// says, sig, self, principal_node ×2 / export, inbox, self, principal_node ×2.
-	// Every plan runs each of them once, a delta plan's location lookups
-	// included. Those are self[] and principal_node[self[]] wherever another
-	// atom leads; principal_node[U] stays a step, its key unknown before the
-	// delta binds U.
-	for i, r := range w.prog.rules[:2] {
-		if len(r.deltaPlans) != 5 {
-			t.Errorf("rule %d: %d delta plans, want 5:\n%s", i, len(r.deltaPlans), r)
+		p, err := Compile(parsed, NewUDFRegistry())
+		if err != nil {
+			t.Fatalf("%s: %v", prog.name, err)
 		}
-		for k, plan := range r.deltaPlans {
-			all := append(slices.Clone(plan.pre), plan.steps...)
-			if n, m := count(all, "self"), count(all, "principal_node"); n != 1 || m != 2 {
-				t.Errorf("rule %d, plan %d: %d self steps and %d principal_node steps, want 1 and 2", i, k, n, m)
-			}
-			pre := make([]string, len(plan.pre))
-			for j := range plan.pre {
-				pre[j] = plan.pre[j].atom.String()
-			}
-			here := fmt.Sprintf("principal_node[$t1]=%s", []string{"L", "N"}[i])
-			want := "[self[]=$t1 " + here + "]"
-			switch lead := plan.steps[0].atom.String(); {
-			case lead == "self[]=$t1":
-				want = "[]"
-			case lead == here:
-				want = "[self[]=$t1]"
-			}
-			if got := fmt.Sprint(pre); got != want {
-				t.Errorf("rule %d, plan led by %s: location lookups %s, want %s", i, plan.steps[0].atom, got, want)
-			}
+		if err := checkInstalledDeltaPlans(p); err != nil {
+			t.Errorf("%s: %v", prog.name, err)
+		}
+		fmt.Fprintf(&b, "== %s ==\n", prog.name)
+		for _, block := range planBlocks(p) {
+			b.WriteString(block)
 		}
 	}
-	// The constraint's right-hand side reads the variable its left-hand side
-	// bound: no second self atom there either.
-	c := w.prog.constraints[0]
-	if n, m := count(firstSteps(c.lhsDeltaPlans), "self"), count(c.rhsSteps, "self"); n != 1 || m != 0 || len(c.lhsDeltaPlans) != 2 {
-		t.Errorf("constraint: %d self steps left, %d right, %d delta plans, want 1, 0 and 2", n, m, len(c.lhsDeltaPlans))
-	}
-	// A wildcard key names no one value: two pair[_] stay two atoms.
-	if r := w.prog.rules[2]; count(firstSteps(r.deltaPlans), "pair") != 2 {
-		t.Errorf("pair[_] written twice compiled to %d atoms, want 2", count(firstSteps(r.deltaPlans), "pair"))
-	}
+	checkGolden(t, "engine_plans.golden", b.String())
+}
 
-	// Shared or not, the answers are the same.
+// sharedAppsSrc writes self[] three times in a rule, the way the generated
+// export policy does; its rules are that policy's export, import and
+// authentication shapes. A functional application written twice is one atom
+// (compiler.apps) unless its key is a wildcard.
+const sharedAppsSrc = `
+	export(N, L, P) <- says(self[], U, P), sig(self[], U, P, S),
+		principal_node[U]=N, principal_node[self[]]=L.
+	says(U, self[], P), sig(U, self[], P, S) <- export(N, L, P), inbox(P, S),
+		principal_node[self[]]=N, principal_node[U]=L.
+	says(U, self[], P) -> trusted(self[], U), principal_node[self[]]=N, !banned(self[], N).
+	other(X, Y) <- pair[_]=X, pair[_]=Y.
+`
+
+// TestDeltaPlanShapeSharesFunctionalApplications: sharing a functional
+// application written several times leaves the answers as they were; the
+// sharing itself is in the engine golden's "shared functional applications".
+func TestDeltaPlanShapeSharesFunctionalApplications(t *testing.T) {
+	w := installed(t, nil, sharedAppsSrc)
 	assertFacts(t, w, `self[]=#me. principal_node[#me]=@"a:1". principal_node[#you]=@"b:2".
 		trusted(#me, #you). says(#me, #you, 7). sig(#me, #you, 7, 1).`)
 	if got := fmt.Sprint(w.Tuples("export")); got != `[(@"b:2", @"a:1", 7)]` {
@@ -382,54 +449,5 @@ func TestBodyWithNoPositiveAtom(t *testing.T) {
 	assertFacts(t, w, `bad(1). other(2).`)
 	if err := w.Retract([]Fact{{Pred: "other", Tuple: tup(2)}}); !errors.As(err, &v) {
 		t.Fatalf("Retract's full verification over bad(1): %v, want the constraint violated", err)
-	}
-}
-
-// TestPlansListDeltaOrders: Program.Plans shows the orders that actually
-// run, per positive atom the delta-first order that leads with it and defers
-// the filter until its operands are bound; a full evaluation runs the first.
-//
-// A delta plan led by anything but the node's location opens with its
-// location lookups, self[] and principal_node[self[]], resolved once before
-// the leading scan; the list still holds every body literal.
-func TestPlansListDeltaOrders(t *testing.T) {
-	prog, err := datalog.Parse(`reach(X, Y) <- link(X, Z), reach(Z, Y), X != Y.
-out(Y) <- reach(X, Y), at(principal_node[self[]], X).`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, err := Compile(prog, NewUDFRegistry())
-	if err != nil {
-		t.Fatal(err)
-	}
-	describe := func(plan []PlanStep) string {
-		out := make([]string, len(plan))
-		for i, s := range plan {
-			out[i] = fmt.Sprint(s.Atom)
-			if s.Kind == StepCmp {
-				out[i] = fmt.Sprintf("%s %s %s", s.L, s.Op, s.R)
-			}
-		}
-		return strings.Join(out, " ; ")
-	}
-	plans := p.Plans()
-	for i, want := range [][]string{{
-		"link(X, Z) ; reach(Z, Y) ; X != Y",
-		"reach(Z, Y) ; link(X, Z) ; X != Y",
-	}, {
-		"self[]=$t1 ; principal_node[$t1]=$t2 ; reach(X, Y) ; at($t2, X)",
-		"self[]=$t1 ; principal_node[$t1]=$t2 ; at($t2, X) ; reach(X, Y)",
-		"self[]=$t1 ; principal_node[$t1]=$t2 ; at($t2, X) ; reach(X, Y)",
-		"self[]=$t1 ; principal_node[$t1]=$t2 ; at($t2, X) ; reach(X, Y)",
-	}} {
-		got := plans[i].DeltaPlans
-		if len(got) != len(want) {
-			t.Fatalf("rule %d: %d delta orders, want %d", i, len(got), len(want))
-		}
-		for k, w := range want {
-			if d := describe(got[k]); d != w {
-				t.Errorf("rule %d: delta order %d = %s, want %s", i, k, d, w)
-			}
-		}
 	}
 }

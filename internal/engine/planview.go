@@ -1,6 +1,8 @@
 package engine
 
 import (
+	"slices"
+
 	"secureblox/internal/datalog"
 )
 
@@ -10,14 +12,10 @@ type StepKind string
 
 // Plan step kinds.
 const (
-	StepMatch     StepKind = "match"
-	StepNeg       StepKind = "neg"
-	StepCmp       StepKind = "cmp"
-	StepUDF       StepKind = "udf"
-	StepKindCheck StepKind = "kindcheck"
-	// StepPrebound is a delta plan's location lookup (self[],
-	// principal_node[self[]]): one functional probe before the leading scan.
-	StepPrebound StepKind = "prebound"
+	StepMatch StepKind = "match"
+	StepNeg   StepKind = "neg"
+	StepCmp   StepKind = "cmp"
+	StepUDF   StepKind = "udf"
 )
 
 // PlanStep is the analyzer-facing view of one planned body step, in the
@@ -44,65 +42,32 @@ type PlanStep struct {
 type RulePlan struct {
 	Src   *datalog.Rule
 	Heads []*datalog.Atom
-	// DeltaPlans holds one order per positive body atom: what a semi-naïve
-	// evaluation runs when the atom's predicate has a delta. It opens with
-	// the plan's location lookups (StepPrebound), resolved once; then the
-	// delta atom, whose step loops over the delta and has no BoundCols; then
-	// the rest. Every body literal is in every plan. A full evaluation
-	// (install, aggregate recompute, the recompute after a retraction) runs
-	// the first plan over the whole relation. A body with no positive atom
-	// has one plan, ordered from nothing.
-	DeltaPlans [][]PlanStep
-	Agg        *datalog.AggSpec
-	Err        error
+	// Steps is the rule's first plan, the order a full evaluation runs:
+	// its location lookups (self[], principal_node[self[]]) as the match
+	// steps they are, then the rest of the body. Every body literal is in it.
+	Steps []PlanStep
+	Agg   *datalog.AggSpec
+	Err   error
 }
 
 // Plans returns the analyzer's view of the program's rules, in source order:
-// each one's plans as the compiler ordered them, or, for a rule it could not
-// plan (PlanProgram), the reason in Err.
+// each one's first plan as the compiler ordered it, or, for a rule it could
+// not plan (PlanProgram), the reason in Err. Only a constraint's right-hand
+// side holds a kind check, so a rule's steps are of the four kinds above.
 func (p *Program) Plans() []RulePlan {
+	kinds := [...]StepKind{stepMatch: StepMatch, stepNeg: StepNeg, stepCmp: StepCmp, stepUDF: StepUDF}
 	plans := make([]RulePlan, 0, len(p.planned))
 	for _, cr := range p.planned {
 		if cr.err != nil {
 			plans = append(plans, RulePlan{Src: cr.src, Err: cr.err})
 			continue
 		}
-		plans = append(plans, planView(cr))
+		plan := RulePlan{Src: cr.src, Heads: cr.heads, Agg: cr.agg}
+		for _, s := range slices.Concat(cr.deltaPlans[0].pre, cr.deltaPlans[0].steps) {
+			plan.Steps = append(plan.Steps, PlanStep{Kind: kinds[s.kind], Pred: s.pred, Atom: s.atom,
+				Op: s.op, L: s.l, R: s.r, BoundCols: s.boundCols})
+		}
+		plans = append(plans, plan)
 	}
 	return plans
-}
-
-// stepsView appends the exported view of one planned step list to out.
-func stepsView(out []PlanStep, steps []step) []PlanStep {
-	for _, s := range steps {
-		ps := PlanStep{Pred: s.pred, Atom: s.atom, Op: s.op, L: s.l, R: s.r, BoundCols: s.boundCols}
-		switch s.kind {
-		case stepMatch:
-			ps.Kind = StepMatch
-		case stepNeg:
-			ps.Kind = StepNeg
-		case stepCmp:
-			ps.Kind = StepCmp
-		case stepUDF:
-			ps.Kind = StepUDF
-		case stepKindCheck:
-			ps.Kind = StepKindCheck
-			ps.Pred = s.typeName
-		}
-		out = append(out, ps)
-	}
-	return out
-}
-
-// planView converts an internal planned rule to its exported view.
-func planView(cr *CompiledRule) RulePlan {
-	p := RulePlan{Src: cr.src, Heads: cr.heads, Agg: cr.agg}
-	for _, plan := range cr.deltaPlans {
-		view := stepsView(make([]PlanStep, 0, len(plan.pre)+len(plan.steps)), plan.pre)
-		for i := range view {
-			view[i].Kind = StepPrebound
-		}
-		p.DeltaPlans = append(p.DeltaPlans, stepsView(view, plan.steps))
-	}
-	return p
 }

@@ -3,6 +3,7 @@ package engine
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 
 	"secureblox/internal/datalog"
@@ -471,20 +472,23 @@ func TestRetractUpdatesAggregates(t *testing.T) {
 // head declared — r with arity 2 must not outlive it, or the corrected r(X) no
 // longer fits — and no row or text of the program's. It is rejected when it
 // does not compile, and when it compiles but its own facts violate a
-// constraint once its rules have derived from them.
+// constraint once its rules have derived from them. The error names the
+// literal at fault as the source writes it.
 func TestInstallRollbackOnBadProgram(t *testing.T) {
 	w := NewWorkspace(nil)
 	preds := fmt.Sprint(w.Predicates())
-	for _, src := range []string{
-		`p(X) <- q(X). r(Y, Z) <- q(Y).`, // unbound Z, no entity
-		`p(X) <- q(X). r(Y, Z) <- q(Y), q(Z). q("a"). q("b"). r(Y, Z) -> Y = Z.`,
+	for _, c := range []struct{ src, want string }{
+		{`p(X) <- q(X). r(Y, Z) <- q(Y).`, "head variable Z is unbound"},
+		{`p(X) <- q(X). r(Y, Z) <- q(Y), q(Z). q("a"). q("b"). r(Y, Z) -> Y = Z.`, "r(Y, Z) -> Y = Z."},
+		{`p(X) <- !q(X), r(Y).`, "(first: !q(X))"},
 	} {
+		src := c.src
 		bad, err := datalog.Parse(src)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := w.Install(bad); err == nil {
-			t.Fatalf("%s installed", src)
+		if err := w.Install(bad); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Fatalf("%s: Install: %v, want an error naming %s", src, err, c.want)
 		}
 		if w.prog != builtin || len(w.syms.spans) > 0 {
 			t.Errorf("%s: the failed install left its program or its text behind", src)
