@@ -2,11 +2,13 @@ package core
 
 import (
 	"fmt"
+	"runtime"
 	"sort"
 	"strings"
 	"sync"
 	"testing"
 	"time"
+	"weak"
 
 	"secureblox/internal/datalog"
 	"secureblox/internal/engine"
@@ -136,6 +138,21 @@ func TestDistributedReachableAllSchemes(t *testing.T) {
 			}
 			checkFullReachability(t, c, n)
 		})
+	}
+}
+
+// TestStoppedClusterIsUnreachable: once a cluster is stopped and dropped,
+// nothing the process keeps — the metrics registry's gauges in particular,
+// which outlive every node — reaches a node's workspace, so the next
+// cluster's set-up does not run beside a collection of this one.
+func TestStoppedClusterIsUnreachable(t *testing.T) {
+	c := buildChain(t, 3, PolicyConfig{})
+	waitFixpoint(t, c)
+	ws := weak.Make(c.Nodes[0].WS)
+	c.Stop()
+	runtime.GC()
+	if ws.Value() != nil {
+		t.Fatal("a stopped cluster's workspace is still reachable after a collection")
 	}
 }
 

@@ -107,8 +107,8 @@ const (
 )
 
 // Signature policies (§3.2): generation rule at the sender, verification
-// constraint at the receiver. NoAuth "signs" with an empty tag so the
-// export dataflow is uniform across schemes.
+// constraint at the receiver, for the two schemes that sign each said fact.
+// NoAuth and RSA-batch keep no sig relation (see exportPolicy).
 //
 // A fact a node says to itself is decided here, once, for every scheme: it is
 // neither signed nor exported, and needs no signature to stand. Every import
@@ -117,11 +117,6 @@ const (
 // sign/export/verify path, and the secret or export_batch row it would need
 // for P = self, is for facts that cross the network.
 const (
-	sigNoAuth = "`" + `{
-		sig[T](self[], P, V*, S) <- says[T](self[], P, V*), P != self[],
-			noauth_sign[T](V*, S).
-	} <-- predicate(T), exportable(T).
-`
 	sigRSA = "`" + `{
 		sig[T](self[], P, V*, S) <- says[T](self[], P, V*), P != self[],
 			private_key[]=K, rsa_sign[T](K, V*, S).
@@ -139,10 +134,9 @@ const (
 )
 
 // sigRSABatch is footnote 2's batch-signed RSA: the sender attaches no
-// per-tuple signature (the empty noauth tag keeps the export dataflow
-// uniform) — instead the node runtime signs once per shipping transaction,
-// over the group root of the payload digests of every envelope the
-// transaction ships, and the receiver's runtime records, for each payload
+// per-tuple signature — instead the node runtime signs once per shipping
+// transaction, over the group root of the payload digests of every envelope
+// the transaction ships, and the receiver's runtime records, for each payload
 // of an envelope, an export_batch row carrying D — the root recomputed from
 // the payloads it received and the sibling digests the envelope claims
 // (wire.Message.BatchRoot) — and the envelope's signature S. The signature
@@ -168,11 +162,7 @@ const (
 // envelope's rows). Only this policy declares export_batch: a node under any
 // other scheme refuses batch envelopes instead of storing rows no constraint
 // reads.
-const sigRSABatch = "`" + `{
-	sig[T](self[], P, V*, S) <- says[T](self[], P, V*), P != self[],
-		noauth_sign[T](V*, S).
-} <-- predicate(T), exportable(T).
-` + `
+const sigRSABatch = `
 	export_batch(L, Pkt, D, S) -> node(L), bytes(Pkt), bytes(D), bytes(S).
 	export(N, L, Pkt), principal_node[self[]]=N ->
 		export_batch(L, Pkt, D, S).
@@ -180,73 +170,71 @@ const sigRSABatch = "`" + `{
 		principal_node[U]=L, public_key(U, K), rsa_verify_batch(K, D, S).
 `
 
-// Export/import dataflow (§5.1): serialize a said fact with its signature,
-// look up the destination principal's node, and ship it; the receiving side
-// deserializes and rederives the says and sig facts, which triggers the
-// verification constraints. An export whose origin resolves to this node's own
-// principal imports nothing: the node never exports to itself, so such a
-// datagram is a forgery, and a says[T](self[], self[], V*) may only come from
-// the node's own rules. The AES variants add encryption with the pairwise
-// shared secret, exactly the paper's "only difference is the last line"
-// customization.
-const (
-	exportPlain = "`" + `{
-		export(N, L, Pkt) <- says[T](self[], U, V*), sig[T](self[], U, V*, S),
-			serialize[T](S, Pkt, V*),
-			principal_node[U]=N, principal_node[self[]]=L.
-		says[T](U, self[], V*), sig[T](U, self[], V*, S) <-
-			export(N, L, Pkt), deserialize[T](S, Pkt, V*),
-			principal_node[self[]]=N, principal_node[U]=L, U != self[].
-	} <-- predicate(T), exportable(T).
-`
-	exportAES = "`" + `{
-		export(N, L, CT) <- says[T](self[], U, V*), sig[T](self[], U, V*, S),
-			serialize[T](S, Pkt, V*),
-			principal_node[U]=N, principal_node[self[]]=L,
-			secret(U, K2), aesencrypt(Pkt, K2, CT).
-		says[T](U, self[], V*), sig[T](U, self[], V*, S) <-
-			export(N, L, CT), principal_node[self[]]=N, principal_node[U]=L, U != self[],
-			secret(U, K2), aesdecrypt(CT, K2, Pkt), deserialize[T](S, Pkt, V*).
-	} <-- predicate(T), exportable(T).
-`
-)
+// sigAtom is ", sig[T](ps, V*, S)" under HMAC and RSA, which sign and verify
+// each said fact, and nothing under NoAuth and RSA-batch, which keep no sig.
+func (p PolicyConfig) sigAtom(ps string) string {
+	if p.Auth == AuthHMAC || p.Auth == AuthRSA && !p.BatchSign {
+		return ", sig[T](" + ps + ", V*, S)"
+	}
+	return ""
+}
 
-// SpeaksForPolicy implements the restricted-delegation construct the paper
-// lists among its primitives (§6.1 "other notions of delegation, such as
-// allowing another principal to act with your authority"): if
+// exportPolicy is the export/import dataflow (§5.1): serialize a said fact
+// with its signature S (the sig row's, else the empty noauth tag), look up the
+// destination principal's node, and ship it; the receiver deserializes and
+// rederives the says fact and its sig fact, if any, which the verification
+// constraint checks. An export from this node's own principal imports
+// nothing: the node never exports to itself, so such a datagram is a forgery.
+// AES seals the packet with the pairwise shared secret — the paper's "only
+// difference is the last line" customization.
+func (p PolicyConfig) exportPolicy() string {
+	tag, pkt, seal, open := p.sigAtom("self[], U"), "Pkt", "", ""
+	if tag == "" {
+		tag = ", U != self[], noauth_sign[T](V*, S)"
+	}
+	if p.Encrypt {
+		pkt, seal, open = "CT", ", secret(U, K2), aesencrypt(Pkt, K2, CT)", ", secret(U, K2), aesdecrypt(CT, K2, Pkt)"
+	}
+	return "`" + `{
+		export(N, L, ` + pkt + `) <- says[T](self[], U, V*)` + tag + `,
+			serialize[T](S, Pkt, V*),
+			principal_node[U]=N, principal_node[self[]]=L` + seal + `.
+		says[T](U, self[], V*)` + p.sigAtom("U, self[]") + ` <-
+			export(N, L, ` + pkt + `), principal_node[self[]]=N, principal_node[U]=L, U != self[]` + open + `,
+			deserialize[T](S, Pkt, V*).
+	} <-- predicate(T), exportable(T).
+`
+}
+
+// SpeaksFor returns the restricted-delegation construct of §6.1 ("allowing
+// another principal to act with your authority") for the scheme: if
 // speaksfor(P3, P1) holds locally, facts said by P3 are also attributed to
-// P1. Under signature-verifying schemes the attributed fact must still
-// carry a valid signature chain, so this policy composes with NoAuth/HMAC
-// trust domains or with explicitly re-signed delegations.
-const SpeaksForPolicy = `
+// P1. Under HMAC and RSA the attributed fact carries P3's sig row, which must
+// still verify for P1 (an HMAC trust domain, or an explicitly re-signed
+// delegation); under NoAuth and RSA-batch it reads says alone.
+func (p PolicyConfig) SpeaksFor() string {
+	return `
 	speaksfor(P1, P2) -> principal(P1), principal(P2).
 	` + "`" + `{
-		says[T](P1, P2, V*), sig[T](P1, P2, V*, S) <-
-			says[T](P3, P2, V*), sig[T](P3, P2, V*, S), speaksfor(P3, P1).
+		says[T](P1, P2, V*)` + p.sigAtom("P1, P2") + ` <-
+			says[T](P3, P2, V*)` + p.sigAtom("P3, P2") + `, speaksfor(P3, P1).
 	} <-- predicate(T), exportable(T).
 `
+}
 
 // Sources returns the BloxGenerics policy sources implementing this
 // configuration, ready for the generics compiler.
 func (p PolicyConfig) Sources() []string {
 	out := []string{basePolicy}
-	switch p.Auth {
-	case AuthRSA:
-		if p.BatchSign {
-			out = append(out, sigRSABatch)
-		} else {
-			out = append(out, sigRSA)
-		}
-	case AuthHMAC:
+	switch {
+	case p.Auth == AuthHMAC:
 		out = append(out, sigHMAC)
-	default:
-		out = append(out, sigNoAuth)
+	case p.Auth == AuthRSA && p.BatchSign:
+		out = append(out, sigRSABatch)
+	case p.Auth == AuthRSA:
+		out = append(out, sigRSA)
 	}
-	if p.Encrypt {
-		out = append(out, exportAES)
-	} else {
-		out = append(out, exportPlain)
-	}
+	out = append(out, p.exportPolicy())
 	if p.Authorization {
 		out = append(out, authorizationPolicy)
 	}

@@ -1,11 +1,16 @@
 package core
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
+	"secureblox/internal/datalog"
 	"secureblox/internal/engine"
 	"secureblox/internal/generics"
+	"secureblox/internal/seccrypto"
+	"secureblox/internal/udf"
+	"secureblox/internal/wire"
 )
 
 const tinyQuery = `
@@ -77,50 +82,79 @@ func TestPolicySourcesAreScheme(t *testing.T) {
 }
 
 // TestSpeaksFor exercises the restricted-delegation construct: a fact said
-// by a deputy principal is attributed to the principal it speaks for.
+// by a deputy principal is attributed to the principal it speaks for. Under
+// NoAuth no sig fact exists, and the attribution reads says alone; under HMAC
+// the attributed fact carries the deputy's sig fact, and must verify for the
+// principal it is attributed to (here the two share the node's secret).
 func TestSpeaksFor(t *testing.T) {
-	cfg := PolicyConfig{Auth: AuthNone, Delegation: DelegateNone}
-	gc := generics.NewCompiler()
-	for _, src := range append(cfg.Sources(), SpeaksForPolicy) {
-		if err := gc.AddPolicy(src); err != nil {
+	install := func(t *testing.T, cfg PolicyConfig) *engine.Workspace {
+		t.Helper()
+		gc := generics.NewCompiler()
+		for _, src := range append(cfg.Sources(), cfg.SpeaksFor()) {
+			if err := gc.AddPolicy(src); err != nil {
+				t.Fatal(err)
+			}
+		}
+		res, err := gc.Compile(tinyQuery + `
+			accepted(X, Y) <- says['item](#boss, self[], X, Y).
+		`)
+		if err != nil {
 			t.Fatal(err)
 		}
+		reg, err := udf.NewRegistry(seccrypto.NewKeyStore("me"), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ws := engine.NewWorkspace(reg)
+		if err := ws.Install(res.Program); err != nil {
+			t.Fatalf("install: %v\n%s", err, res.GeneratedSrc)
+		}
+		if _, err := ws.AssertProgramFacts(`
+			self[]=#me. principal(#me). principal(#boss). principal(#deputy).
+			principal(#stranger). speaksfor(#deputy, #boss).
+			secret(#deputy, 0x000102030405060708090a0b0c0d0e0f).
+			secret(#boss, 0x000102030405060708090a0b0c0d0e0f).
+		`); err != nil {
+			t.Fatal(err)
+		}
+		return ws
 	}
-	res, err := gc.Compile(tinyQuery + `
-		accepted(X, Y) <- says['item](#boss, self[], X, Y).
-	`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ws := engine.NewWorkspace(nil)
-	if err := ws.Install(res.Program); err != nil {
-		t.Fatalf("install: %v\n%s", err, res.GeneratedSrc)
-	}
-	if _, err := ws.AssertProgramFacts(`
-		self[]=#me. principal(#me). principal(#boss). principal(#deputy).
-		speaksfor(#deputy, #boss).
-	`); err != nil {
-		t.Fatal(err)
-	}
-	// the deputy says an item; sig must exist for the rewrite to fire
-	if _, err := ws.AssertProgramFacts(`
-		says['item](#deputy, #me, 1, 2).
-		sig['item](#deputy, #me, 1, 2, 0x00).
-	`); err != nil {
-		t.Fatal(err)
-	}
-	if ws.Count("accepted") != 1 {
-		t.Errorf("speaks-for attribution failed: says tuples %v", ws.Tuples("says$item"))
-	}
-	// a principal nobody speaks for is not attributed
-	if _, err := ws.AssertProgramFacts(`
-		principal(#stranger).
-		says['item](#stranger, #me, 3, 4).
-		sig['item](#stranger, #me, 3, 4, 0x00).
-	`); err != nil {
-		t.Fatal(err)
-	}
-	if ws.Count("accepted") != 1 {
-		t.Error("non-delegated principal was attributed")
-	}
+
+	t.Run("NoAuth", func(t *testing.T) {
+		ws := install(t, PolicyConfig{Auth: AuthNone, Delegation: DelegateNone})
+		if _, err := ws.AssertProgramFacts(`says['item](#deputy, #me, 1, 2).`); err != nil {
+			t.Fatal(err)
+		}
+		if ws.Count("accepted") != 1 {
+			t.Errorf("speaks-for attribution failed: says tuples %v", ws.Tuples("says$item"))
+		}
+		// a principal nobody speaks for is not attributed
+		if _, err := ws.AssertProgramFacts(`says['item](#stranger, #me, 3, 4).`); err != nil {
+			t.Fatal(err)
+		}
+		if ws.Count("accepted") != 1 {
+			t.Error("non-delegated principal was attributed")
+		}
+		if ws.Count("sig$item") != 0 {
+			t.Errorf("NoAuth stored %d sig rows", ws.Count("sig$item"))
+		}
+	})
+
+	t.Run("HMAC", func(t *testing.T) {
+		ws := install(t, PolicyConfig{Auth: AuthHMAC, Delegation: DelegateNone})
+		if _, err := ws.AssertProgramFacts(`says['item](#deputy, #me, 1, 2).`); err == nil {
+			t.Fatal("HMAC accepted a said fact without its sig fact")
+		}
+		key := []byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15}
+		tag := seccrypto.HMACSign(key, wire.SigData("item", datalog.Tuple{datalog.Int64(1), datalog.Int64(2)}))
+		if _, err := ws.AssertProgramFacts(fmt.Sprintf(`
+			says['item](#deputy, #me, 1, 2).
+			sig['item](#deputy, #me, 1, 2, 0x%x).
+		`, tag)); err != nil {
+			t.Fatal(err)
+		}
+		if ws.Count("accepted") != 1 {
+			t.Errorf("speaks-for attribution failed: says tuples %v", ws.Tuples("says$item"))
+		}
+	})
 }

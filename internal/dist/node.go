@@ -103,9 +103,10 @@ type Node struct {
 	// chunks from the loop to the sender stage; outPending counts chunks
 	// queued but not yet on the wire, and is folded into the node's
 	// activity report so termination detection cannot conclude while a
-	// send is still in flight.
+	// send is still in flight. It and intakeDepth live apart from the node,
+	// so the registry's gauges, which outlive it, keep no stopped node alive.
 	outCh      chan outChunk
-	outPending atomic.Int64
+	outPending *atomic.Int64
 
 	// Wave-trace context of the unit of work the loop is currently
 	// applying (loop-goroutine only): the trace ID and hop distance any
@@ -117,7 +118,7 @@ type Node struct {
 
 	// intakeDepth counts envelopes the intake stage has decoded and the loop
 	// has not yet applied — the pre-verify backlog gauge.
-	intakeDepth atomic.Int64
+	intakeDepth *atomic.Int64
 
 	// The inbound run being applied (loop-goroutine only, reused across
 	// runs): the export/export_batch facts of every admitted datagram in
@@ -162,14 +163,16 @@ type Node struct {
 // The node takes ownership of the endpoint: Stop closes it.
 func NewNode(principal string, ws *engine.Workspace, ep transport.Transport) *Node {
 	n := &Node{
-		Principal: principal,
-		WS:        ws,
-		ep:        ep,
-		wake:      make(chan struct{}, 1),
-		stopCh:    make(chan struct{}),
-		perPeer:   make(map[string]*peerCtr),
-		evicted:   make(map[string]bool),
-		batchRows: slices.Contains(ws.Predicates(), "export_batch"),
+		Principal:   principal,
+		WS:          ws,
+		ep:          ep,
+		wake:        make(chan struct{}, 1),
+		stopCh:      make(chan struct{}),
+		perPeer:     make(map[string]*peerCtr),
+		evicted:     make(map[string]bool),
+		batchRows:   slices.Contains(ws.Predicates(), "export_batch"),
+		outPending:  new(atomic.Int64),
+		intakeDepth: new(atomic.Int64),
 	}
 	// Internal pipeline state, scraped as gauges. Re-registering the same
 	// principal replaces the function, so rebuilding clusters in one
@@ -198,8 +201,9 @@ func NewNode(principal string, ws *engine.Workspace, ep transport.Transport) *No
 	n.runSizes = r.Histogram("sbx_inbound_run_messages", l, runSizeBuckets)
 	n.runFallbacks = r.Counter("sbx_inbound_run_fallbacks_total", l)
 	n.groupSizes = r.Histogram("sbx_batch_group_envelopes", l, groupSizeBuckets)
-	r.GaugeFunc("sbx_outbound_pending_chunks", l, func() float64 { return float64(n.outPending.Load()) })
-	r.GaugeFunc("sbx_preverify_backlog", l, func() float64 { return float64(n.intakeDepth.Load()) })
+	outPending, intakeDepth := n.outPending, n.intakeDepth
+	r.GaugeFunc("sbx_outbound_pending_chunks", l, func() float64 { return float64(outPending.Load()) })
+	r.GaugeFunc("sbx_preverify_backlog", l, func() float64 { return float64(intakeDepth.Load()) })
 	return n
 }
 

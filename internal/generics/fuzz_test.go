@@ -12,8 +12,8 @@ import (
 )
 
 // shippedPolicies is every BloxGenerics source the repository compiles: each
-// scheme's sources, the delegation, authorization and speaks-for policies,
-// the anonymity policy and the export declaration.
+// scheme's sources and speaks-for policy, the delegation and authorization
+// policies, the anonymity policy and the export declaration.
 func shippedPolicies() []string {
 	seen := map[string]bool{}
 	var out []string
@@ -29,7 +29,7 @@ func shippedPolicies() []string {
 				for _, authz := range []bool{false, true} {
 					for _, del := range []core.Delegation{core.DelegateAll, core.DelegateTrustworthy, core.DelegatePerPred, core.DelegateNone} {
 						p := core.PolicyConfig{Auth: auth, BatchSign: batch, Encrypt: enc, Authorization: authz, Delegation: del}
-						for _, src := range p.Sources() {
+						for _, src := range append(p.Sources(), p.SpeaksFor()) {
 							add(src)
 						}
 					}
@@ -37,7 +37,7 @@ func shippedPolicies() []string {
 			}
 		}
 	}
-	for _, src := range []string{core.SpeaksForPolicy, apps.AnonPolicy, dist.ExportDecl} {
+	for _, src := range []string{apps.AnonPolicy, dist.ExportDecl} {
 		add(src)
 	}
 	return out

@@ -38,9 +38,20 @@ var ErrBadCiphertext = errors.New("seccrypto: ciphertext shorter than IV")
 // shared secrets and IVs in tests and benchmarks (RSA key generation is not
 // reproducible over any reader, see NewTrustSetup). The reader is not safe
 // for concurrent use; GenerateRSAKeys serialises its own reads of it. It must
-// not be used in production.
-func NewDeterministicRand(seed int64) io.Reader {
-	return mrand.New(mrand.NewSource(seed))
+// not be used in production. The source is seeded on the first Read: it is
+// some 5 KB, and most holders (a node's UDF library, say) never read it.
+func NewDeterministicRand(seed int64) io.Reader { return &lazyRand{seed: seed} }
+
+type lazyRand struct {
+	seed int64
+	r    *mrand.Rand
+}
+
+func (l *lazyRand) Read(p []byte) (int, error) {
+	if l.r == nil {
+		l.r = mrand.New(mrand.NewSource(l.seed))
+	}
+	return l.r.Read(p)
 }
 
 // GenerateRSAKey generates a 1024-bit RSA keypair from the given randomness

@@ -1,8 +1,8 @@
 // Package udf provides the user-defined functions SecureBlox hooks into
 // rule and constraint execution (paper §3.2): serialization, SHA-1 hashing,
-// RSA / HMAC / no-op signing and verification, AES encryption, and
-// onion-circuit encryption for the anonymity policies. Each node registers
-// the library bound to its own KeyStore.
+// RSA / HMAC signing and verification, the empty NoAuth tag, AES
+// encryption, and onion-circuit encryption for the anonymity policies. Each
+// node registers the library bound to its own KeyStore.
 package udf
 
 import (
@@ -115,10 +115,6 @@ func RegisterWithPools(reg *engine.UDFRegistry, ks *seccrypto.KeyStore, rng io.R
 		&engine.FuncUDF{FName: "noauth_sign", InArity: -1, OutArity: 1,
 			Fn: func(string, []datalog.Value) (datalog.Value, bool, error) {
 				return datalog.BytesV(nil), true, nil
-			}},
-		&engine.FuncUDF{FName: "noauth_verify", InArity: -1, OutArity: 0,
-			Fn: func(string, []datalog.Value) (datalog.Value, bool, error) {
-				return none, true, nil
 			}},
 		&engine.FuncUDF{FName: "aesencrypt", InArity: 2, OutArity: 1,
 			Fn: func(_ string, in []datalog.Value) (datalog.Value, bool, error) {

@@ -267,13 +267,12 @@ func TestAESEncryptDecryptUDFs(t *testing.T) {
 func TestNoAuthUDFs(t *testing.T) {
 	w, _ := newWS(t, "alice", `
 		s(X, S) <- m(X), noauth_sign['p](X, S).
-		ok(X) <- s(X, S), noauth_verify['p](X, S).
 	`)
 	if _, err := w.AssertProgramFacts(`m(1).`); err != nil {
 		t.Fatal(err)
 	}
-	if w.Count("ok") != 1 {
-		t.Error("noauth should always verify")
+	if w.Count("s") != 1 {
+		t.Fatal("noauth_sign should always sign")
 	}
 	if len(w.Tuples("s")[0][1].Bytes()) != 0 {
 		t.Error("noauth signature should be empty (zero bandwidth overhead)")
