@@ -70,17 +70,17 @@ func runWorkload(args []string, stdout, stderr io.Writer) int {
 	for _, node := range c.Nodes {
 		txns += node.Txns()
 	}
-	violations := c.Violations()
+	rejections := c.Rejections()
 	fmt.Fprintf(stdout, "%s under %s: %d nodes, seed %d, %s\n", w.Name, pol.Name(), len(c.Nodes), *seed, *transport)
 	fmt.Fprintf(stdout, "fixpoint latency  %v\n", out.Latency)
 	fmt.Fprintf(stdout, "per-node traffic  %.1f KB\n", c.MeanNodeTrafficKB())
 	fmt.Fprintf(stdout, "mean transaction  %v\n", c.MeanTxnDuration())
 	fmt.Fprintf(stdout, "transactions      %d\n", txns)
 	fmt.Fprintf(stdout, "rsa sign ops      %d\n", seccrypto.SignOps()-signs)
-	fmt.Fprintf(stdout, "violations        %d\n", len(violations))
+	fmt.Fprintf(stdout, "violations        %d\n", rejections)
 	fmt.Fprintf(stdout, "oracle            %s\n", out.Answer)
-	if len(violations) > 0 {
-		return fail(stderr, fmt.Errorf("run %s under %s: %d violations, first: %v", w.Name, pol.Name(), len(violations), violations[0]))
+	if rejections > 0 {
+		return fail(stderr, fmt.Errorf("run %s under %s: %d violations, first: %v", w.Name, pol.Name(), rejections, c.Violations()[0]))
 	}
 	if out.Wrong != nil {
 		return fail(stderr, fmt.Errorf("run %s under %s: oracle: %v", w.Name, pol.Name(), out.Wrong))

@@ -1,8 +1,9 @@
-// Delegation demonstrates authoring a custom trust policy (paper §6.1):
-// per-predicate delegation where creditscore facts are accepted only from
-// the credit agency "CA", enforced both by the import rule and by a
-// constraint restricting who may ever be delegated that predicate.
-package main
+// Package delegation demonstrates authoring a custom trust policy (paper
+// §6.1): per-predicate delegation where creditscore facts are accepted only
+// from the credit agency "CA", enforced both by the import rule and by a
+// constraint restricting who may ever be delegated that predicate. Run it
+// with go test -v ./examples/delegation.
+package delegation_test
 
 import (
 	"errors"
@@ -40,7 +41,7 @@ const policy = `
 	} <-- predicate(T), exportable(T).
 `
 
-func main() {
+func Example() {
 	gc := generics.NewCompiler()
 	if err := gc.AddPolicy(policy); err != nil {
 		log.Fatal(err)
@@ -88,4 +89,13 @@ func main() {
 	}
 	fmt.Println("\ndelegating creditscore to anyone else is rejected:")
 	fmt.Println(" ", err)
+	// Output:
+	// creditscore (only CA's facts imported):
+	//   ("alice", 720)
+	//   ("bob", 480)
+	// approved purchases:
+	//   ("alice")
+	//
+	// delegating creditscore to anyone else is rejected:
+	//   constraint violation: trustworthyPerPred['creditscore](U) -> U = #CA. (U=#rando)
 }

@@ -1,8 +1,8 @@
-// Quickstart: compile a query together with a customizable says policy via
-// BloxGenerics, install it into a workspace, and watch the generated
-// integrity constraint authenticate principals — the paper's §3 example in
-// thirty lines of API.
-package main
+// Package quickstart compiles a query together with a customizable says
+// policy via BloxGenerics, installs it into a workspace, and watches the
+// generated integrity constraint authenticate principals — the paper's §3
+// example in thirty lines of API. Run it with go test -v ./examples/quickstart.
+package quickstart_test
 
 import (
 	"fmt"
@@ -33,7 +33,7 @@ const policy = `
 	` + "`" + `{ T(V*) <- says[T](P, self[], V*). } <-- predicate(T), exportable(T).
 `
 
-func main() {
+func Example() {
 	gc := generics.NewCompiler()
 	if err := gc.AddPolicy(policy); err != nil {
 		log.Fatal(err)
@@ -73,4 +73,17 @@ func main() {
 	fmt.Println("\n--- mallory's advertisement ---")
 	fmt.Println("rejected:", err)
 	fmt.Printf("reachable count unchanged: %d\n", ws.Count("reachable"))
+	// Output:
+	// --- code generated by BloxGenerics ---
+	// says$reachable(P1, P2, V0, V1) -> principal(P1), principal(P2), node(V0), node(V1).
+	// reachable(V0, V1) <- says['reachable](P, self[], V0, V1).
+	//
+	// --- reachable after alice's advertisement ---
+	//   (@"10.0.0.1:7000", @"10.0.0.2:7000")
+	//   (@"10.0.0.2:7000", @"10.0.0.3:7000")
+	//   (@"10.0.0.1:7000", @"10.0.0.3:7000")
+	//
+	// --- mallory's advertisement ---
+	// rejected: constraint violation: says$reachable(P1, P2, V0, V1) -> principal(P1), principal(P2), node(V0), node(V1). (P1=#mallory, P2=#me, V0=@"10.0.0.9:7000", V1=@"10.0.0.9:7000")
+	// reachable count unchanged: 3
 }

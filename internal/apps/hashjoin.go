@@ -195,7 +195,7 @@ func RunHashJoin(cfg HashJoinConfig) (*HashJoinResult, error) {
 		PerNodeKB:     c.MeanNodeTrafficKB(),
 		ResultCount:   len(c.Query(0, "joinresult")),
 		ExpectedCount: expected,
-		Violations:    len(c.Violations()),
+		Violations:    int(c.Rejections()),
 		Cluster:       c,
 	}, nil
 }

@@ -126,7 +126,7 @@ func RunPathVector(cfg PathVectorConfig) (*PathVectorResult, error) {
 		PerNodeKB:       c.MeanNodeTrafficKB(),
 		MeanTxn:         c.MeanTxnDuration(),
 		Convergence:     c.ConvergenceTimes(),
-		Violations:      len(c.Violations()),
+		Violations:      int(c.Rejections()),
 		Graph:           g,
 		Cluster:         c,
 	}, nil

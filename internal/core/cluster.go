@@ -374,7 +374,17 @@ func (c *Cluster) ConvergenceTimes() []time.Duration {
 	return out
 }
 
-// Violations collects all rejected batches across nodes.
+// Rejections counts the rejected batches and dropped messages across nodes.
+func (c *Cluster) Rejections() int64 {
+	var n int64
+	for _, node := range c.Nodes {
+		n += node.Rejections()
+	}
+	return n
+}
+
+// Violations collects the errors each node keeps of its rejected batches and
+// dropped messages (the first few of each node's, see dist.Node.Violations).
 func (c *Cluster) Violations() []error {
 	var out []error
 	for _, n := range c.Nodes {

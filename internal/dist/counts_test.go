@@ -61,7 +61,7 @@ func TestNodeCountsInstanceAndFamilyViews(t *testing.T) {
 
 	type counts struct{ msgsSent, msgsRecv, txns, violations int64 }
 	read := func(n *dist.Node) counts {
-		return counts{n.MsgsSent(), n.MsgsRecv(), n.Txns(), int64(len(n.Violations()))}
+		return counts{n.MsgsSent(), n.MsgsRecv(), n.Txns(), n.Rejections()}
 	}
 	// a: its own commit and the echo's import; b: the import that echoed.
 	if got, want := read(a), (counts{1, 1, 2, 0}); got != want {

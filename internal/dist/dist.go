@@ -10,8 +10,8 @@
 // decryption and trust decisions happen inside the workspace, performed by
 // the compiled policy rules and constraints (says/sig/serialize of §3 and
 // §6) — a rejected batch is a constraint violation that rolls the whole
-// message transaction back, which the node records and exposes via
-// Violations.
+// message transaction back, which the node counts (Rejections) and whose
+// first few errors it keeps (Violations).
 //
 // Termination: there is no shared work counter. Each node keeps monotone
 // counters of the application messages it has shipped to and fully

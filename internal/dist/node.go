@@ -60,8 +60,10 @@ type Node struct {
 
 	ep transport.Transport
 
-	mu         sync.Mutex
-	pending    [][]engine.Fact // queued local batches, each one transaction's base facts
+	mu      sync.Mutex
+	pending [][]engine.Fact // queued local batches, each one transaction's base facts
+	// violations keeps the errors of the first maxViolations rejections;
+	// rejected counts them all.
 	violations []error
 	stopped    bool
 
@@ -142,10 +144,9 @@ type Node struct {
 	// numbers are the paper's per-node overhead whatever the transport.
 	msgsSent, bytesSent *obs.Counter
 	msgsRecv, bytesRecv *obs.Counter
-	txns                *obs.Counter
-	// rejected and txnSeconds are the principal's series themselves: the
-	// node's own readings are len(Violations()) and txnTime.
-	rejected     *obs.Counter
+	txns, rejected      *obs.Counter
+	// txnSeconds is the principal's series itself: the node's own reading is
+	// txnTime.
 	txnSeconds   *obs.Histogram
 	txnTime      atomic.Int64 // summed duration of the node's committed transactions, ns
 	lastActivity atomic.Int64 // last commit or violation as an offset from epoch, 0 before the first
@@ -196,7 +197,7 @@ func NewNode(principal string, ws *engine.Workspace, ep transport.Transport) *No
 	n.msgsRecv = r.Counter("sbx_msgs_recv_total", l).Child()
 	n.bytesRecv = r.Counter("sbx_bytes_recv_total", l).Child()
 	n.txns = r.Counter("sbx_txns_total", l).Child()
-	n.rejected = r.Counter("sbx_violations_total", l)
+	n.rejected = r.Counter("sbx_violations_total", l).Child()
 	n.txnSeconds = r.Histogram("sbx_txn_duration_seconds", l, nil)
 	n.runSizes = r.Histogram("sbx_inbound_run_messages", l, runSizeBuckets)
 	n.runFallbacks = r.Counter("sbx_inbound_run_fallbacks_total", l)
@@ -424,8 +425,13 @@ func (n *Node) Assert(facts []engine.Fact) {
 	}
 }
 
-// Violations returns the errors of all rejected (rolled-back) batches so
-// far, local and inbound.
+// maxViolations bounds the errors a node keeps: a peer that sends garbage
+// costs it a count, not memory.
+const maxViolations = 64
+
+// Violations returns the errors of the node's first maxViolations rejected
+// (rolled-back) batches and dropped messages, local and inbound, in order;
+// Rejections counts them all.
 func (n *Node) Violations() []error {
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -568,14 +574,22 @@ func (n *Node) committed(start time.Time, parts int) {
 	obs.RecordSpan(sp)
 }
 
-// recordViolation registers one rejected batch or dropped message.
+// Rejections returns the number of batches the node has rejected (rolled
+// back) and messages it has dropped, local and inbound.
+func (n *Node) Rejections() int64 { return n.rejected.Value() }
+
+// recordViolation registers one rejected batch or dropped message: its error
+// is kept if it is among the first maxViolations, then it is counted, so a
+// reader that sees a rejection counted finds the first error kept.
 func (n *Node) recordViolation(err error) {
-	n.rejected.Inc()
 	n.lastActivity.Store(int64(time.Since(epoch)))
 	obs.L().With(n.Principal).Warn("constraint violation", "err", err.Error())
 	n.mu.Lock()
-	n.violations = append(n.violations, err)
+	if len(n.violations) < maxViolations {
+		n.violations = append(n.violations, err)
+	}
 	n.mu.Unlock()
+	n.rejected.Inc()
 }
 
 // localAddr resolves (and caches) this node's own network address from the

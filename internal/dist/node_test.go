@@ -2,6 +2,7 @@ package dist_test
 
 import (
 	"errors"
+	"fmt"
 	"runtime"
 	"strings"
 	"sync/atomic"
@@ -337,6 +338,41 @@ func TestBatchSignedPipelineDeliversEnvelopes(t *testing.T) {
 	}
 	if v := append(a.Violations(), b.Violations()...); len(v) != 0 {
 		t.Errorf("unexpected violations: %v", v)
+	}
+}
+
+// TestViolationFloodIsCountedNotKept: a peer that sends nothing but traffic
+// the node rejects — here 10 000 datagrams whose payloads every import
+// violates, in merged runs of 100 — costs the node a count, not memory: it
+// counts each rejection and keeps the errors of the first few, in order.
+func TestViolationFloodIsCountedNotKept(t *testing.T) {
+	const n, run, kept = 10000, 100, 64
+	ep := transporttest.NewScripted(addrB)
+	b := nodeOverEndpoint(t, "b", addrB, map[string]string{"a": addrA}, `got(Pkt) -> pay(Pkt).`, ep)
+	b.Start()
+	defer b.Stop()
+	for i := 0; i < n; i += run {
+		msgs := make([]transport.InMsg, run)
+		for j := range msgs {
+			msgs[j] = datagramOf(i+j, 1, 8)
+		}
+		ep.Deliver(msgs...)
+	}
+	settled(t, b, n)
+	if got := b.Rejections(); got != n {
+		t.Errorf("%d rejections counted, want %d", got, n)
+	}
+	v := b.Violations()
+	if len(v) == 0 || len(v) > kept {
+		t.Fatalf("the node keeps %d errors of %d rejections, want 1 to %d", len(v), n, kept)
+	}
+	for i, err := range v {
+		if want := fmt.Sprintf("Pkt=0x%016x", i); !strings.Contains(err.Error(), want) {
+			t.Fatalf("kept error %d is %v, want the rejection of datagram %d (%s)", i, err, i, want)
+		}
+	}
+	if b.WS.Count("got") != 0 {
+		t.Errorf("rejected payloads left %d got rows", b.WS.Count("got"))
 	}
 }
 

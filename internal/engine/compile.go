@@ -73,13 +73,15 @@ type deltaPlan struct {
 // led reports whether a positive atom leads the plan.
 func (p *deltaPlan) led() bool { return len(p.steps) > 0 && p.steps[0].kind == stepMatch }
 
-// headEx is a head-existential variable with its entity type.
+// headEx is a head-existential variable with its entity type. Its Skolem
+// table maps the rule's body binding (bodySlots, in order) to the entity it
+// minted.
 type headEx struct {
-	name    string
-	entType string
-	entSym  uint32 // entType's symbol
-	rel     int    // entType's relation
-	slot    int
+	name   string
+	entSym uint32 // the entity type's symbol
+	rel    int    // the entity type's relation
+	slot   int
+	skolem int
 }
 
 // CompiledRule is a planned derivation rule.
@@ -141,8 +143,8 @@ func (c *CompiledConstraint) String() string { return c.src.String() }
 // a process compiles a program once and every workspace it binds to
 // (Workspace.Bind) runs it: a Program is immutable once returned and safe for
 // concurrent use. What differs per node — relations, the keystore-bound UDFs,
-// the frame, UDF argument scratch, aggregate group tables — each workspace
-// keeps for itself.
+// the frame, UDF argument scratch, aggregate group and Skolem tables — each
+// workspace keeps for itself.
 type Program struct {
 	cat   *Catalog
 	relNo map[string]int
@@ -155,6 +157,7 @@ type Program struct {
 
 	rules       []*CompiledRule // by id
 	aggs        []*CompiledRule // the rules with an aggregate, by id
+	skolems     []relSpec       // the head existentials' Skolem tables, by number
 	constraints []*CompiledConstraint
 	facts       []progFact // its source facts
 	// planned lists this program's rules in source order, those that could
@@ -170,13 +173,15 @@ type Program struct {
 
 // relSpec is what a program knows of one relation: its schema, the checks an
 // insert runs, the secondary indexes its plans probe (in registration order,
-// after the primary and the functional index) and the rules with a delta plan
-// led by it (rules, aggs), by id.
+// after the primary and the functional index), the rules with a delta plan
+// led by it (rules, aggs), by id, and for an entity type the Skolem tables
+// that mint it.
 type relSpec struct {
 	schema      *Schema
 	kinds       []argKind
 	indexes     [][]int
 	rules, aggs []*CompiledRule
+	skolems     []int
 }
 
 // progFact is a source fact of a program, ground at compile time.
@@ -230,6 +235,7 @@ func (p *Program) extend() *Program {
 		udfs:        slices.Clip(p.udfs),
 		rules:       slices.Clip(p.rules),
 		aggs:        slices.Clip(p.aggs),
+		skolems:     slices.Clip(p.skolems),
 		constraints: slices.Clip(p.constraints),
 		slots:       p.slots,
 		udfArity:    p.udfArity,
@@ -285,6 +291,12 @@ func compile(prog *datalog.Program, udfs *UDFRegistry, strict bool) (*Program, e
 		if cr.agg != nil {
 			cr.aggNo = len(p.aggs)
 			p.aggs = append(p.aggs, cr)
+		}
+		for i := range cr.exVars {
+			ex := &cr.exVars[i]
+			ex.skolem = len(p.skolems)
+			p.skolems = append(p.skolems, relSpec{schema: &Schema{Arity: len(cr.bodySlots) + 1, KeyArity: len(cr.bodySlots)}})
+			p.rels[ex.rel].skolems = append(p.rels[ex.rel].skolems, ex.skolem)
 		}
 	}
 	for _, con := range prog.Constraints {
@@ -977,8 +989,7 @@ func (c *compiler) finalizeRule(cr *CompiledRule) error {
 		if entType == "" {
 			return fmt.Errorf("rule %s: head variable %s is unbound and has no entity type", r, v)
 		}
-		cr.exVars = append(cr.exVars, headEx{name: v, entType: entType, entSym: c.p.syms.intern(entType),
-			rel: c.relation(entType), slot: sa.slot(v)})
+		cr.exVars = append(cr.exVars, headEx{name: v, entSym: c.p.syms.intern(entType), rel: c.relation(entType), slot: sa.slot(v)})
 	}
 	sort.Slice(cr.exVars, func(i, j int) bool { return cr.exVars[i].name < cr.exVars[j].name })
 

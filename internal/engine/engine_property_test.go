@@ -622,7 +622,7 @@ func naiveSaturate(t *testing.T, src string, base map[string]Fact, k int) *Works
 	for grew := true; grew; {
 		for _, r := range w.prog.rules {
 			plan := &r.deltaPlans[min(k, len(r.deltaPlans)-1)]
-			if err := w.runDelta(plan, nil, &w.frame, func(f *frame) error { return w.derive(tx, r, f) }); err != nil {
+			if err := w.runDelta(plan, nil, &w.frame, func(f *frame) error { return w.derive(r, f) }); err != nil {
 				t.Fatal(err)
 			}
 		}

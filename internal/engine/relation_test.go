@@ -533,8 +533,8 @@ func TestRowIDReuse(t *testing.T) {
 }
 
 // storeSnapshot captures what a rolled-back transaction must restore: every
-// relation's extent with base flags, the entity counters, the Skolem table
-// size and the intern table's mark.
+// relation's extent with base flags, every Skolem table's rows — which number
+// the entities the next transaction mints — and the intern table's mark.
 func storeSnapshot(t *testing.T, w *Workspace) string {
 	t.Helper()
 	var out []string
@@ -547,8 +547,16 @@ func storeSnapshot(t *testing.T, w *Workspace) string {
 			out = append(out, fmt.Sprintf("%s%v base=%v", pred, tp, rel.flags[rel.rowOfTuple(tp)]&rowBase != 0))
 		}
 	}
+	for i, sk := range w.skolems {
+		if err := checkStore(sk); err != nil {
+			t.Fatalf("Skolem table %d: %v", i, err)
+		}
+		for _, tp := range sk.Tuples() {
+			out = append(out, fmt.Sprintf("skolem %d %v", i, tp))
+		}
+	}
 	sort.Strings(out)
-	return fmt.Sprintf("%v\ncounters %v skolems %d symbols %+v", out, w.entCounters, len(w.skolems), w.syms.mark())
+	return fmt.Sprintf("%v\nsymbols %+v", out, w.syms.mark())
 }
 
 // TestRollbackRestoresStore: a rejected transaction — one that inserted,

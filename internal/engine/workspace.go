@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"encoding/binary"
 	"fmt"
 	"iter"
 	"slices"
@@ -54,20 +53,17 @@ type txn struct {
 	undo []undoRec
 	// cells holds the undo log's rows: a deleted row's id is free at once, and
 	// the transaction's next insert may overwrite it.
-	cells       []cell
-	skolemKeys  []string
-	counterSnap map[string]int64
-	mark        symMark // where the intern table stood when the transaction began
+	cells []cell
+	mark  symMark // where the intern table stood when the transaction began
 }
 
-// begin starts a transaction. A workspace runs one at a time, so the undo log,
-// the snapshot tables and the relations' row lists are the previous
-// transaction's, emptied — which is where a committed TxnResult stops being
-// readable.
+// begin starts a transaction. A workspace runs one at a time, so the undo log
+// and the relations' row lists — the Skolem tables' among them — are the
+// previous transaction's, emptied, which is where a committed TxnResult stops
+// being readable.
 func (w *Workspace) begin() *txn {
 	t := &w.txn
-	t.undo, t.cells, t.skolemKeys = t.undo[:0], t.cells[:0], t.skolemKeys[:0]
-	clear(t.counterSnap)
+	t.undo, t.cells = t.undo[:0], t.cells[:0]
 	w.dropLists()
 	t.mark = w.syms.mark()
 	return t
@@ -126,10 +122,8 @@ type Workspace struct {
 	prog *Program
 	rels []*Relation
 	// reg resolves UDFs by name; udfs are the program's, by number.
-	reg         *UDFRegistry
-	udfs        []UDF
-	entCounters map[string]int64
-	skolems     map[string]cell
+	reg  *UDFRegistry
+	udfs []UDF
 
 	// roundRules/roundAggs are fixpoint's per-round rule lists, kept across
 	// rounds and transactions so a round allocates neither.
@@ -149,17 +143,21 @@ type Workspace struct {
 	// derived into (nxt); the rows themselves are on each relation's ins.
 	dirty, cur, nxt []*Relation
 	// What running the program takes besides relations: the one frame, the
-	// UDF argument vectors, and per aggregate rule (by aggNo) the group table
+	// UDF argument vectors, per aggregate rule (by aggNo) the group table
 	// of its recompute, its keys by row id the index of their accumulators in
-	// aggCells.
-	frame          frame
-	udfArgs        []datalog.Value
-	udfMask        []bool
-	aggKeys        []*Relation
-	aggCells       []aggGroup
-	factBuf        []cell   // scratch: facts' cells, string +, Skolem keys
-	live           []uint32 // scratch: liveRows' copy of a list without its dead rows
-	concat, skolem []byte
+	// aggCells, and per head existential (by headEx.skolem) its Skolem table,
+	// whose rows a transaction lists and a rollback removes as it does any
+	// other relation's. No fixpoint round reads a Skolem table, and Retract
+	// keeps it, so a rederived binding finds its entity.
+	frame    frame
+	udfArgs  []datalog.Value
+	udfMask  []bool
+	aggKeys  []*Relation
+	aggCells []aggGroup
+	skolems  []*Relation
+	factBuf  []cell   // scratch: facts' cells, Skolem rows
+	live     []uint32 // scratch: liveRows' copy of a list without its dead rows
+	concat   []byte
 
 	// EntityBase offsets generated entity ids so entities created on
 	// different nodes never collide when shipped over the network (set it
@@ -190,13 +188,8 @@ func NewWorkspace(udfs *UDFRegistry) *Workspace {
 	if udfs == nil {
 		udfs = NewUDFRegistry()
 	}
-	w := &Workspace{
-		reg:         udfs,
-		entCounters: make(map[string]int64),
-		skolems:     make(map[string]cell),
-	}
+	w := &Workspace{reg: udfs}
 	w.result.w = w
-	w.txn.counterSnap = make(map[string]int64)
 	w.bind(builtin, nil)
 	return w
 }
@@ -237,17 +230,7 @@ func (w *Workspace) adopt(s *Schema) *Relation {
 // each takes the schema, checks, rule lists and indexes p gives it, and
 // what running p takes besides is sized. udfs are p's UDFs, by number.
 func (w *Workspace) bind(p *Program, udfs []UDF) {
-	if n := len(p.rels); n < len(w.rels) {
-		clear(w.rels[n:])
-		w.rels = w.rels[:n]
-	}
-	for i := range p.rels {
-		spec := &p.rels[i]
-		if i == len(w.rels) {
-			w.rels = append(w.rels, newRelation(spec.schema, &w.syms))
-		}
-		w.rels[i].bind(spec)
-	}
+	w.rels, w.skolems = w.bindRels(w.rels, p.rels), w.bindRels(w.skolems, p.skolems)
 	w.prog, w.udfs = p, udfs
 	if len(w.frame.slots) < p.slots {
 		w.frame.slots = make([]cell, p.slots)
@@ -259,6 +242,22 @@ func (w *Workspace) bind(p *Program, udfs []UDF) {
 	for _, r := range p.aggs[len(w.aggKeys):] {
 		w.aggKeys = append(w.aggKeys, w.NewTupleSet(r.heads[0].KeyArity))
 	}
+}
+
+// bindRels returns rels cut or grown to one relation per spec, each bound to
+// its spec: a relation both name keeps its rows.
+func (w *Workspace) bindRels(rels []*Relation, specs []relSpec) []*Relation {
+	if n := len(specs); n < len(rels) {
+		clear(rels[n:])
+		rels = rels[:n]
+	}
+	for i := range specs {
+		if i == len(rels) {
+			rels = append(rels, newRelation(specs[i].schema, &w.syms))
+		}
+		rels[i].bind(&specs[i])
+	}
+	return rels
 }
 
 // Bind makes a compiled program the one this new workspace runs — its
@@ -322,7 +321,7 @@ func (w *Workspace) evaluate(t *txn) error {
 		if cr.agg != nil {
 			err = w.recomputeAgg(t, cr)
 		} else {
-			err = w.evalRuleInto(t, cr)
+			err = w.evalRuleInto(cr)
 		}
 		if err != nil {
 			return err
@@ -468,28 +467,22 @@ func (w *Workspace) rollback(t *txn) {
 			u.rel.insert(row, u.wasBase)
 		}
 	}
-	for _, k := range t.skolemKeys {
-		delete(w.skolems, k)
-	}
-	for typ, n := range t.counterSnap {
-		w.entCounters[typ] = n
-	}
 	w.syms.restore(t.mark) // no cell names what the transaction interned any more
 }
 
 // evalRuleInto fully evaluates one non-aggregate rule — its first plan over
 // the whole database — and inserts derivations.
-func (w *Workspace) evalRuleInto(t *txn, r *CompiledRule) error {
+func (w *Workspace) evalRuleInto(r *CompiledRule) error {
 	return w.runDelta(&r.deltaPlans[0], nil, &w.frame, func(f *frame) error {
-		return w.derive(t, r, f)
+		return w.derive(r, f)
 	})
 }
 
 // evalRuleDeltas runs the delta-first plan of every body atom of r whose
 // relation has a delta this round, inserting derivations. Its match steps hide
 // the rows this round has stored (w.hide), so each binding is found once.
-func (w *Workspace) evalRuleDeltas(t *txn, r *CompiledRule) (err error) {
-	emit := func(f *frame) error { return w.derive(t, r, f) }
+func (w *Workspace) evalRuleDeltas(r *CompiledRule) (err error) {
+	emit := func(f *frame) error { return w.derive(r, f) }
 	w.hide = rowBorn
 	for i := range r.deltaPlans {
 		plan := &r.deltaPlans[i]
@@ -505,45 +498,35 @@ func (w *Workspace) evalRuleDeltas(t *txn, r *CompiledRule) (err error) {
 	return err
 }
 
-// skolemKey returns, in the workspace's scratch, the Skolem key of head
-// existential name under f's binding: the rule id, the cells of the
-// (name-sorted) body variables, the name.
-func (w *Workspace) skolemKey(r *CompiledRule, f *frame, name string) []byte {
-	k := binary.AppendUvarint(w.skolem[:0], uint64(r.id))
-	for _, slot := range r.bodySlots {
-		if c, ok := f.get(slot); ok {
-			k = binary.LittleEndian.AppendUint32(append(k, byte(c.kind)), c.sym)
-			k = binary.LittleEndian.AppendUint64(k, c.bits)
-		}
-	}
-	w.skolem = append(k, name...)
-	return w.skolem
-}
-
 // derive materializes all head atoms of a rule for one body binding,
-// creating Skolemized entities for head-existential variables. Head tuples
-// are built in a stack buffer and handed to insertDerived.
-func (w *Workspace) derive(t *txn, r *CompiledRule, f *frame) error {
+// creating Skolemized entities for head-existential variables: the binding's
+// row of each one's Skolem table holds its entity, and a binding without one
+// mints the type's next, numbered from EntityBase + 1 by the Skolem rows of
+// its type. Head tuples are built in a stack buffer and handed to
+// insertDerived.
+func (w *Workspace) derive(r *CompiledRule, f *frame) error {
 	w.stats.Derivations++
 	mark := f.mark()
 	defer f.undo(mark)
 
 	for _, ex := range r.exVars {
-		key := w.skolemKey(r, f, ex.name)
-		ent, ok := w.skolems[string(key)]
-		if !ok {
-			if _, snap := t.counterSnap[ex.entType]; !snap {
-				t.counterSnap[ex.entType] = w.entCounters[ex.entType]
-			}
-			if w.entCounters[ex.entType] == 0 {
-				w.entCounters[ex.entType] = w.EntityBase
-			}
-			w.entCounters[ex.entType]++
-			ent = cell{kind: datalog.KindEntity, sym: ex.entSym, bits: uint64(w.entCounters[ex.entType])}
-			k := string(key)
-			w.skolems[k] = ent
-			t.skolemKeys = append(t.skolemKeys, k)
+		sk, row := w.skolems[ex.skolem], w.factBuf[:0]
+		for _, slot := range r.bodySlots {
+			row = append(row, f.slots[slot])
 		}
+		ent := cell{kind: datalog.KindEntity, sym: ex.entSym, bits: uint64(w.EntityBase) + 1}
+		if id := sk.lookupFn(row); id >= 0 {
+			ent = sk.row(uint32(id))[len(row)]
+		} else {
+			for _, k := range w.rels[ex.rel].spec.skolems {
+				ent.bits += uint64(w.skolems[k].n)
+			}
+			row = append(row, ent)
+			if err := w.store(sk, row, hashCells(row), 0); err != nil {
+				return err
+			}
+		}
+		w.factBuf = row
 		f.bind(ex.slot, ent)
 		if err := w.insertDerived(w.rels[ex.rel], []cell{ent}); err != nil {
 			return err
@@ -667,7 +650,7 @@ func (w *Workspace) fixpoint(t *txn) error {
 			w.roundRules, w.roundAggs = byID(w.roundRules), byID(w.roundAggs)
 		}
 		for _, r := range w.roundRules {
-			if err := w.evalRuleDeltas(t, r); err != nil {
+			if err := w.evalRuleDeltas(r); err != nil {
 				return err
 			}
 		}

@@ -3,6 +3,7 @@ package engine
 import (
 	"errors"
 	"fmt"
+	"sort"
 	"strings"
 	"testing"
 
@@ -304,6 +305,80 @@ func TestHeadExistentialWithoutEntityTypeFails(t *testing.T) {
 	if err := w.Install(prog); err == nil {
 		t.Fatal("unbound head variable without entity type must fail compilation")
 	}
+}
+
+// TestEntityNumberingIsPinned: entity ids travel on the wire, so their
+// numbering is part of the protocol. Each entity type counts from EntityBase
+// + 1 across every rule that mints it — here two rules mint pathvar, a third
+// tok — in the order the evaluator derives; a rejected transaction's entities
+// are not counted, and a retraction's recompute hands a rederived binding the
+// id it had.
+func TestEntityNumberingIsPinned(t *testing.T) {
+	w := NewWorkspace(nil)
+	w.EntityBase = 1000
+	prog, err := datalog.Parse(`
+		pathvar(P) -> .
+		tok(T) -> .
+		link(X, Y) -> int(X), int(Y).
+		link(X, Y) -> Y < 100.
+		pathvar(P), from[P] = X, to[P] = Y <- link(X, Y).
+		pathvar(Q), far[Q] = Y <- link(X, Y), Y > 5.
+		tok(T), loop[T] = X <- link(X, X).
+		link(1, 2).
+	`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Install(prog); err != nil {
+		t.Fatal(err)
+	}
+	ids := func() string {
+		var out []string
+		for _, pred := range []string{"from", "to", "far", "loop"} {
+			for _, tp := range w.Tuples(pred) {
+				out = append(out, pred+tp.String())
+			}
+		}
+		sort.Strings(out)
+		return strings.Join(out, " ")
+	}
+	check := func(when, want string) {
+		t.Helper()
+		if got := ids(); got != want {
+			t.Fatalf("%s:\n got %s\nwant %s", when, got, want)
+		}
+	}
+	check("after Bind", "from(pathvar:1001, 1) to(pathvar:1001, 2)")
+
+	assertFacts(t, w, `link(3, 7). link(4, 4). link(6, 8).`)
+	committed := "far(pathvar:1005, 7) far(pathvar:1006, 8) " +
+		"from(pathvar:1001, 1) from(pathvar:1002, 3) from(pathvar:1003, 4) from(pathvar:1004, 6) " +
+		"loop(tok:1001, 4) " +
+		"to(pathvar:1001, 2) to(pathvar:1002, 7) to(pathvar:1003, 4) to(pathvar:1004, 8)"
+	check("after a commit", committed)
+
+	if _, err := w.AssertProgramFacts(`link(9, 9). link(10, 200).`); err == nil {
+		t.Fatal("link(10, 200) must be rejected")
+	}
+	check("after a rejected transaction", committed)
+	assertFacts(t, w, `link(11, 12). link(13, 13).`)
+	committed = "far(pathvar:1005, 7) far(pathvar:1006, 8) far(pathvar:1009, 12) far(pathvar:1010, 13) " +
+		"from(pathvar:1001, 1) from(pathvar:1002, 3) from(pathvar:1003, 4) from(pathvar:1004, 6) from(pathvar:1007, 11) from(pathvar:1008, 13) " +
+		"loop(tok:1001, 4) loop(tok:1002, 13) " +
+		"to(pathvar:1001, 2) to(pathvar:1002, 7) to(pathvar:1003, 4) to(pathvar:1004, 8) to(pathvar:1007, 12) to(pathvar:1008, 13)"
+	check("after the rejected transaction's successor", committed)
+
+	// Retracting link(3, 7) and asserting it again: every entity keeps its id,
+	// the retracted binding's included.
+	if err := w.Retract([]Fact{{Pred: "link", Tuple: tup(3, 7)}}); err != nil {
+		t.Fatal(err)
+	}
+	check("after Retract", "far(pathvar:1006, 8) far(pathvar:1009, 12) far(pathvar:1010, 13) "+
+		"from(pathvar:1001, 1) from(pathvar:1003, 4) from(pathvar:1004, 6) from(pathvar:1007, 11) from(pathvar:1008, 13) "+
+		"loop(tok:1001, 4) loop(tok:1002, 13) "+
+		"to(pathvar:1001, 2) to(pathvar:1003, 4) to(pathvar:1004, 8) to(pathvar:1007, 12) to(pathvar:1008, 13)")
+	assertFacts(t, w, `link(3, 7).`)
+	check("after Retract and reassertion", committed)
 }
 
 func TestArithmeticAndComparisons(t *testing.T) {
