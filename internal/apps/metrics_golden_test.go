@@ -22,6 +22,8 @@ const metricsTypes = `# TYPE sbx_batch_group_envelopes histogram
 # TYPE sbx_bytes_recv_total counter
 # TYPE sbx_bytes_sent_total counter
 # TYPE sbx_cluster_evictions_total counter
+# TYPE sbx_detection_lag_seconds histogram
+# TYPE sbx_detector_waves_total counter
 # TYPE sbx_engine_derivations_total counter
 # TYPE sbx_engine_fixpoint_rounds_total counter
 # TYPE sbx_engine_fullscan_fallbacks_total counter

@@ -289,6 +289,18 @@ func (c *Cluster) AssertAt(i int, facts []engine.Fact) {
 	c.Nodes[i].Assert(facts)
 }
 
+// cDetectionLag is, per proven fixpoint, the time from the last commit or
+// violation of any node to the detector's proof: what termination detection
+// adds to a run's fixpoint latency. Registered at init so it renders (empty)
+// on /metrics before the first proof.
+var cDetectionLag *obs.Histogram
+
+func init() {
+	r := obs.Default()
+	r.Help("sbx_detection_lag_seconds", "Time from the last node commit or violation to the detector's proof of the fixpoint.")
+	cDetectionLag = r.Histogram("sbx_detection_lag_seconds", nil, nil)
+}
+
 // WaitFixpoint blocks until the wire-level termination detector proves
 // that no node has outstanding work and no message is in flight, returning
 // the elapsed time since Start — the paper's fixpoint latency metric. It
@@ -309,7 +321,17 @@ func (c *Cluster) WaitFixpointCtx(ctx context.Context) (time.Duration, error) {
 	if err := c.det.WaitQuiescent(ctx); err != nil {
 		return 0, err
 	}
-	d := time.Since(c.startAt)
+	proof := time.Now()
+	d := proof.Sub(c.startAt)
+	var last time.Time
+	for _, n := range c.Nodes {
+		if la := n.LastActivity(); la.After(last) {
+			last = la
+		}
+	}
+	if !last.IsZero() {
+		cDetectionLag.Observe(proof.Sub(last).Seconds())
+	}
 	// Over real sockets the reports that proved quiescence order nothing in
 	// the Go memory model; each node's idle state, read through Drain, does.
 	for _, n := range c.Nodes {

@@ -12,6 +12,7 @@ import (
 
 	"secureblox/internal/datalog"
 	"secureblox/internal/engine"
+	"secureblox/internal/obs"
 	"secureblox/internal/seccrypto"
 	"secureblox/internal/transport"
 	"secureblox/internal/transport/transporttest"
@@ -153,6 +154,25 @@ func TestStoppedClusterIsUnreachable(t *testing.T) {
 	runtime.GC()
 	if ws.Value() != nil {
 		t.Fatal("a stopped cluster's workspace is still reachable after a collection")
+	}
+}
+
+// TestDetectorCountsWavesAndLag: one in-process run to its fixpoint runs at
+// least the two probe waves a proof takes, each counted in
+// sbx_detector_waves_total, and observes sbx_detection_lag_seconds once, with
+// a lag no longer than the fixpoint latency itself.
+func TestDetectorCountsWavesAndLag(t *testing.T) {
+	r := obs.Default()
+	waves0, lags0 := r.CounterValue("sbx_detector_waves_total"), r.HistogramSnapshot("sbx_detection_lag_seconds")
+	c := buildChain(t, 3, PolicyConfig{})
+	defer c.Stop()
+	d := waitFixpoint(t, c)
+	waves, lags := r.CounterValue("sbx_detector_waves_total")-waves0, r.HistogramSnapshot("sbx_detection_lag_seconds")
+	if waves < 2 {
+		t.Errorf("a proven fixpoint counted %d detector waves, want at least 2", waves)
+	}
+	if n, lag := lags.Count-lags0.Count, lags.Sum-lags0.Sum; n != 1 || lag < 0 || lag > d.Seconds() {
+		t.Errorf("a proven fixpoint observed %d detection lags summing %.6fs, want one within the %v fixpoint", n, lag, d)
 	}
 }
 

@@ -96,10 +96,10 @@ type Node struct {
 	batchRows bool   // the program declares export_batch, so batch envelopes are admitted
 
 	// What ship reuses from one transaction to the next: the routes, the
-	// payloads taken before grouping, and the chunks before dispatch.
-	routes []route
-	queued []queuedPayload
-	chunks []outChunk
+	// payload list of inline sends, and the chunks before dispatch.
+	routes   []route
+	payloads [][]byte
+	chunks   []outChunk
 
 	// Outbound pipeline state (batch-signing mode only). outCh carries
 	// chunks from the loop to the sender stage; outPending counts chunks

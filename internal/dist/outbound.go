@@ -2,11 +2,11 @@ package dist
 
 import (
 	"fmt"
-	"iter"
 	"slices"
 	"time"
 
 	"secureblox/internal/datalog"
+	"secureblox/internal/engine"
 	"secureblox/internal/obs"
 	"secureblox/internal/transport"
 	"secureblox/internal/wire"
@@ -58,57 +58,77 @@ var groupSizeBuckets = []float64{1, 2, 3, 4, 8, 16}
 // loopbacks) and to evicted peers are skipped. A send that fails is one
 // recorded violation and is not offered again.
 //
-// exports may yield one reused view (engine.TxnResult.InsertedRows): what
-// ship keeps of a tuple is its text, which the workspace's intern table holds
-// for good. The payloads are grouped by route, in order of first appearance,
-// into one list the transaction's chunks are windows of.
-func (n *Node) ship(exports iter.Seq[datalog.Tuple]) {
+// exports is read twice, each row as one reused view
+// (engine.TxnResult.InsertedRows): what ship keeps of a tuple is its text,
+// which the workspace's intern table holds for good. The first pass counts
+// each route's payloads, routes in order of first appearance; the second
+// places the payloads, grouped by route, into one list the transaction's
+// chunks are windows of. Sent inline, every chunk is encoded before ship
+// returns, so the list is the node's and reused; chunks queued for the sender
+// stage outlive ship and get a list of their own.
+func (n *Node) ship(exports engine.Rows) {
 	self := n.localAddr()
-	routes, queued := n.routes[:0], n.queued[:0]
-	for t := range exports {
-		if len(t) != 3 || t[0].Kind != datalog.KindNode || t[1].Kind != datalog.KindNode || t[2].Kind != datalog.KindBytes {
-			continue // not a well-formed export(N, L, Pkt) tuple
+	routes := n.routes[:0]
+	for i := range exports.Len() {
+		if to, from, ok := n.shipsTo(exports.At(i), self); ok {
+			r := routeIndex(routes, to, from)
+			if r < 0 {
+				r, routes = len(routes), append(routes, route{to: to, from: from})
+			}
+			routes[r].n++
 		}
-		to := t[0].Str
-		if to == self || to == n.ep.Addr() || n.evicted[to] {
-			continue
-		}
-		from := t[1].Str
-		i := slices.IndexFunc(routes, func(o route) bool { return o.to == to && o.from == from })
-		if i < 0 {
-			i, routes = len(routes), append(routes, route{to: to, from: from})
-		}
-		routes[i].n++
-		queued = append(queued, queuedPayload{route: i, payload: t[2].Bytes()})
 	}
-	if len(queued) > 0 {
-		// Counting sort by route into the one list: routes[i].n becomes where
-		// route i's payloads start.
-		at := 0
-		for i := range routes {
-			routes[i].n, at = at, at+routes[i].n
-		}
-		payloads := make([][]byte, len(queued))
-		for _, q := range queued {
-			payloads[routes[q.route].n] = q.payload
-			routes[q.route].n++
-		}
-		chunks, lo := n.chunks[:0], 0
-		for _, r := range routes {
-			chunks = chunkRoute(chunks, r.to, r.from, payloads[lo:r.n], n.SignBatch != nil)
-			lo = r.n
-		}
-		if n.SignBatch != nil {
-			n.sealGroups(chunks)
-		}
-		for _, c := range chunks {
-			n.dispatch(c)
-		}
-		clear(chunks)
-		n.chunks = chunks
+	n.routes = routes
+	// routes[i].n becomes where route i's payloads start, and then, as they
+	// are placed, where they end.
+	total := 0
+	for i := range routes {
+		routes[i].n, total = total, total+routes[i].n
 	}
-	clear(queued)
-	n.routes, n.queued = routes, queued
+	if total == 0 {
+		return
+	}
+	var payloads [][]byte
+	if n.outCh == nil {
+		n.payloads = slices.Grow(n.payloads[:0], total)
+		payloads = n.payloads[:total]
+	} else {
+		payloads = make([][]byte, total)
+	}
+	for i := range exports.Len() {
+		t := exports.At(i)
+		if to, from, ok := n.shipsTo(t, self); ok {
+			r := &routes[routeIndex(routes, to, from)]
+			payloads[r.n] = t[2].Bytes()
+			r.n++
+		}
+	}
+	chunks, lo := n.chunks[:0], 0
+	for _, r := range routes {
+		chunks = chunkRoute(chunks, r.to, r.from, payloads[lo:r.n], n.SignBatch != nil)
+		lo = r.n
+	}
+	if n.SignBatch != nil {
+		n.sealGroups(chunks)
+	}
+	for _, c := range chunks {
+		n.dispatch(c)
+	}
+	clear(chunks)
+	n.chunks = chunks
+}
+
+// shipsTo reports whether ship sends t — a well-formed export(N, L, Pkt)
+// tuple for another live node — and the route it takes.
+func (n *Node) shipsTo(t datalog.Tuple, self string) (to, from string, ok bool) {
+	if len(t) != 3 || t[0].Kind != datalog.KindNode || t[1].Kind != datalog.KindNode || t[2].Kind != datalog.KindBytes {
+		return "", "", false
+	}
+	to = t[0].Str
+	if to == self || to == n.ep.Addr() || n.evicted[to] {
+		return "", "", false
+	}
+	return to, t[1].Str, true
 }
 
 // route is one destination of a shipping transaction and the address its
@@ -119,10 +139,9 @@ type route struct {
 	n        int
 }
 
-// queuedPayload is one payload ship has taken, before grouping by route.
-type queuedPayload struct {
-	route   int
-	payload []byte
+// routeIndex returns the index of the route to, from in routes, or -1.
+func routeIndex(routes []route, to, from string) int {
+	return slices.IndexFunc(routes, func(o route) bool { return o.to == to && o.from == from })
 }
 
 // sealGroups makes the transaction's whole export set the signed unit: its

@@ -9,9 +9,21 @@ import (
 	"sync"
 	"time"
 
+	"secureblox/internal/obs"
 	"secureblox/internal/transport"
 	"secureblox/internal/wire"
 )
+
+// cWaves counts the probe waves of every detector in the process, one per
+// collect: a proof takes at least two. Registered at init so it renders (at
+// zero) on /metrics before the first wave.
+var cWaves *obs.Counter
+
+func init() {
+	r := obs.Default()
+	r.Help("sbx_detector_waves_total", "Termination-detection probe waves run.")
+	cWaves = r.Counter("sbx_detector_waves_total", nil)
+}
 
 // ErrDetectorClosed is returned by WaitQuiescent when the detector's
 // endpoint closed before quiescence was proven.
@@ -221,6 +233,7 @@ func (d *Detector) unresponsiveAfter() time.Duration {
 func (d *Detector) collect(ctx context.Context) (sum waveSum, err error) {
 	d.wave++
 	wave := d.wave
+	cWaves.Inc()
 	probe := wire.EncodeMessage(wire.Message{
 		Kind:     wire.MsgControl,
 		From:     d.ep.Addr(),

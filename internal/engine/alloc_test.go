@@ -117,7 +117,7 @@ func TestGrowingRelationAllocatesWhatItKeeps(t *testing.T) {
 	if p.Len() != n || w.Count("hit") != 0 || len(p.idx) != 2 || p.idx[1].unbuilt {
 		t.Fatalf("fixture: %d rows, %d hits, %d indexes (want %d, 0, and a built secondary index)", p.Len(), w.Count("hit"), len(p.idx), n)
 	}
-	const cellSize, linkSize = 16, 8
+	const cellSize, linkSize = 12, 8
 	const linkPage = linkSize << linkShift
 	keeps := 5 * (cap(p.flags) + 4*cap(p.ins))
 	for _, pg := range p.pages {

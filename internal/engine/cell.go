@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"fmt"
 	"hash/maphash"
 	"slices"
 	"unsafe"
@@ -8,25 +9,43 @@ import (
 	"secureblox/internal/datalog"
 )
 
-// cell is the engine's storage encoding of one datalog.Value: 16 bytes and no
+// cell is the engine's storage encoding of one datalog.Value: 12 bytes and no
 // pointer, so relation pages, frames and probe keys are memory the collector
-// never scans. Ints, bools and entity ids live in bits. The text of a string,
-// name, node, principal, byte string or entity type is sym, a symbol of the
-// workspace's intern table, so equality and hashing are integer operations;
-// only ordered comparison and string + read the text. The zero cell, like the
-// zero Value, is invalid: no stored datum, an unbound frame slot.
+// never scans. The kind sits in the top four bits of ks, above the symbol;
+// ints, bools and entity ids live in lo and hi, the low and high halves of
+// bits. The text of a string, name, node, principal, byte string or entity
+// type is sym, a symbol of the workspace's intern table, so equality and
+// hashing are integer operations; only ordered comparison and string + read
+// the text. The zero cell, like the zero Value, is invalid: no stored datum,
+// an unbound frame slot. The struct has no padding, so == compares cells.
 type cell struct {
-	kind datalog.Kind
-	sym  uint32
-	bits uint64
+	ks     uint32 // kind<<symBits | sym
+	lo, hi uint32 // bits
 }
 
-// unsafe.Sizeof(cell{}) == 16, asserted at compile time (one of the two array
+// unsafe.Sizeof(cell{}) == 12, asserted at compile time (one of the two array
 // lengths underflows otherwise): pages, frames and probe keys are sized by it.
 var (
-	_ [unsafe.Sizeof(cell{}) - 16]struct{}
-	_ [16 - unsafe.Sizeof(cell{})]struct{}
+	_ [unsafe.Sizeof(cell{}) - 12]struct{}
+	_ [12 - unsafe.Sizeof(cell{})]struct{}
 )
+
+// symBits is the width of a cell's symbol: a workspace interns at most
+// 1<<symBits texts. The kind takes the four bits above it.
+const symBits = 28
+
+// KindEntity, the last of the nine kinds, fits in the four bits above the
+// symbol (the array length underflows otherwise).
+var _ [1<<(32-symBits) - 1 - datalog.KindEntity]struct{}
+
+// mkCell is the cell of kind k with symbol sym and bits.
+func mkCell(k datalog.Kind, sym uint32, bits uint64) cell {
+	return cell{ks: uint32(k)<<symBits | sym, lo: uint32(bits), hi: uint32(bits >> 32)}
+}
+
+func (c cell) kind() datalog.Kind { return datalog.Kind(c.ks >> symBits) }
+func (c cell) sym() uint32        { return c.ks & (1<<symBits - 1) }
+func (c cell) bits() uint64       { return uint64(c.hi)<<32 | uint64(c.lo) }
 
 // hasText reports whether values of kind k carry text, and so a symbol.
 func hasText(k datalog.Kind) bool {
@@ -45,10 +64,10 @@ const (
 	hashPrime  = 1099511628211        // FNV-1a 64-bit prime, used to fold fields
 )
 
-// fold folds c into the running hash h: kind and symbol as one word, then bits.
+// fold folds c into the running hash h: the kind-and-symbol word, then bits.
 func (c cell) fold(h uint64) uint64 {
-	h = (h ^ (uint64(c.sym)<<8 | uint64(c.kind))) * hashPrime
-	return (h ^ c.bits) * hashPrime
+	h = (h ^ uint64(c.ks)) * hashPrime
+	return (h ^ c.bits()) * hashPrime
 }
 
 // finish mixes every bit of a folded hash into the low half, which is the part
@@ -135,16 +154,37 @@ func (s *symtab) lookup(text string) (uint32, bool) {
 	return id - 1, id != 0
 }
 
-// intern returns text's symbol, copying text into the arena if it is new.
-func (s *symtab) intern(text string) uint32 {
+// intern returns text's symbol, copying text into the arena if it is new. A
+// text that would be symbol symLimit is refused with errSymbolLimit.
+func (s *symtab) intern(text string) (uint32, error) {
 	h := maphash.String(symSeed, text)
 	if id := s.find(text, h); id != 0 {
-		return id - 1
+		return id - 1, nil
 	}
-	sym := uint32(len(s.spans))
+	sym, err := newSym(len(s.spans))
+	if err != nil {
+		return 0, err
+	}
 	s.spans = append(s.spans, s.store(text))
 	s.idx.link(sym, h, len(s.spans))
-	return sym
+	return sym, nil
+}
+
+// symLimit is how many texts a workspace interns: every symbol a cell's
+// symBits can number. A variable only so a test can reach it.
+var symLimit = 1 << symBits
+
+// errSymbolLimit refuses a text past symLimit, so that no symbol spills into
+// the kind above it. Inside a transaction it is a violation: the transaction
+// rolls back, and with it every text it interned.
+var errSymbolLimit = fmt.Errorf("engine: a workspace interns at most %d texts (2^%d symbols)", 1<<symBits, symBits)
+
+// newSym numbers the n-th symbol, or refuses it past symLimit.
+func newSym(n int) (uint32, error) {
+	if n >= symLimit {
+		return 0, errSymbolLimit
+	}
+	return uint32(n), nil
 }
 
 // store appends text to the arena.
@@ -211,24 +251,27 @@ func (s *symtab) restore(m symMark) {
 
 // cell encodes v, interning its text: the write paths — facts, compiled
 // constants, UDF results.
-func (s *symtab) cell(v datalog.Value) cell {
+func (s *symtab) cell(v datalog.Value) (cell, error) {
 	var sym uint32
 	if hasText(v.Kind) {
-		sym = s.intern(v.Str)
+		var err error
+		if sym, err = s.intern(v.Str); err != nil {
+			return cell{}, err
+		}
 	}
-	return encode(v, sym)
+	return encode(v, sym), nil
 }
 
 // encode is v's cell, given the symbol of its text.
 func encode(v datalog.Value, sym uint32) cell {
-	c := cell{kind: v.Kind}
-	if hasText(v.Kind) {
-		c.sym = sym
+	var bits uint64
+	if !hasText(v.Kind) {
+		sym = 0
 	}
 	if hasBits(v.Kind) {
-		c.bits = uint64(v.Int)
+		bits = uint64(v.Int)
 	}
-	return c
+	return mkCell(v.Kind, sym, bits)
 }
 
 // lookupCell encodes v without interning — the read paths. A text the table
@@ -242,11 +285,15 @@ func (s *symtab) lookupCell(v datalog.Value) (cell, bool) {
 }
 
 // cells appends the encoding of t to buf, interning.
-func (s *symtab) cells(buf []cell, t datalog.Tuple) []cell {
+func (s *symtab) cells(buf []cell, t datalog.Tuple) ([]cell, error) {
 	for _, v := range t {
-		buf = append(buf, s.cell(v))
+		c, err := s.cell(v)
+		if err != nil {
+			return buf, err
+		}
+		buf = append(buf, c)
 	}
-	return buf
+	return buf, nil
 }
 
 // lookupCells appends the encoding of t to buf without interning; false if
@@ -264,12 +311,12 @@ func (s *symtab) lookupCells(buf []cell, t datalog.Tuple) ([]cell, bool) {
 
 // value returns c as a Value whose text is a view of the arena: no copy.
 func (s *symtab) value(c cell) datalog.Value {
-	v := datalog.Value{Kind: c.kind}
-	if hasText(c.kind) {
-		v.Str = s.text(c.sym)
+	v := datalog.Value{Kind: c.kind()}
+	if hasText(v.Kind) {
+		v.Str = s.text(c.sym())
 	}
-	if hasBits(c.kind) {
-		v.Int = int64(c.bits)
+	if hasBits(v.Kind) {
+		v.Int = int64(c.bits())
 	}
 	return v
 }

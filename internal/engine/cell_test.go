@@ -1,7 +1,9 @@
 package engine
 
 import (
+	"errors"
 	"reflect"
+	"strings"
 	"testing"
 
 	"secureblox/internal/datalog"
@@ -19,6 +21,15 @@ func hashSamples() []datalog.Value {
 	}
 }
 
+// mustCells encodes t in syms, interning.
+func mustCells(syms *symtab, t datalog.Tuple) []cell {
+	row, err := syms.cells(nil, t)
+	if err != nil {
+		panic(err)
+	}
+	return row
+}
+
 // TestCellHashEqualConsistent: cells are equal exactly when their values are,
 // equal cells hash equally, and the samples — the same text under different
 // kinds, entity type/id and string boundaries among them — do not collide: a
@@ -28,7 +39,7 @@ func TestCellHashEqualConsistent(t *testing.T) {
 	vals := hashSamples()
 	for _, a := range vals {
 		for _, b := range vals {
-			ca, cb := syms.cell(a), syms.cell(b)
+			ca, cb := mustCells(&syms, datalog.Tuple{a})[0], mustCells(&syms, datalog.Tuple{b})[0]
 			if a.Equal(b) != (ca == cb) {
 				t.Errorf("%s and %s: values equal %v, cells equal %v", a, b, a.Equal(b), ca == cb)
 			}
@@ -41,10 +52,74 @@ func TestCellHashEqualConsistent(t *testing.T) {
 			}
 		}
 	}
-	ab := syms.cells(nil, datalog.Tuple{datalog.String_("ab"), datalog.String_("c")})
-	bc := syms.cells(nil, datalog.Tuple{datalog.String_("a"), datalog.String_("bc")})
+	ab := mustCells(&syms, datalog.Tuple{datalog.String_("ab"), datalog.String_("c")})
+	bc := mustCells(&syms, datalog.Tuple{datalog.String_("a"), datalog.String_("bc")})
 	if hashCells(ab) == hashCells(bc) {
 		t.Error("string-boundary tuples collide")
+	}
+}
+
+// TestSymbolLimitRefusesTheNextSymbol: a cell holds its kind in the four bits
+// above a 28-bit symbol, so every kind keeps the workspace's last symbol and
+// any bits apart, and numbering one symbol more is refused with an error that
+// names the limit, never spilled into the kind. (Through newSym, which intern
+// numbers every symbol with: interning 2^28 texts would take gigabytes.)
+func TestSymbolLimitRefusesTheNextSymbol(t *testing.T) {
+	const bits = 1<<63 | 1<<32 | 1
+	last, err := newSym(1<<symBits - 1)
+	if err != nil {
+		t.Fatalf("numbering symbol 2^28 - 1: %v", err)
+	}
+	for k := datalog.KindInvalid; k <= datalog.KindEntity; k++ {
+		if c := mkCell(k, last, bits); c.kind() != k || c.sym() != last || c.bits() != bits {
+			t.Errorf("mkCell(%s, %d, %#x) reads back as %s, %d, %#x", k, last, uint64(bits), c.kind(), c.sym(), c.bits())
+		}
+	}
+	if _, err := newSym(1 << symBits); err == nil || !strings.Contains(err.Error(), "268435456") {
+		t.Errorf("numbering symbol 2^28: error %v, want one naming the limit of 268435456", err)
+	}
+}
+
+// TestSymbolLimitRollsBackTheTransaction: a transaction that would intern a
+// text past the limit — a fact's, or one a rule derives — is a violation: it
+// rolls back whole, and the workspace goes on committing transactions that
+// intern no more. (symLimit is lowered to the workspace's symbols plus one, so
+// the test interns a few texts, not 2^28.)
+func TestSymbolLimitRollsBackTheTransaction(t *testing.T) {
+	w := NewWorkspace(nil)
+	prog, err := datalog.Parse(`
+		tag(X, T) -> int(X), string(T).
+		label(X, S) <- tag(X, T), S = T + "!".
+	`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Install(prog); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := w.Assert([]Fact{{Pred: "tag", Tuple: datalog.Tuple{datalog.Int64(1), datalog.String_("a")}}}); err != nil {
+		t.Fatal(err)
+	}
+	defer func(limit int) { symLimit = limit }(symLimit)
+	symLimit = len(w.syms.spans) + 1
+	want := storeSnapshot(t, w)
+	for name, facts := range map[string][]Fact{
+		"two new fact texts": {{Pred: "tag", Tuple: datalog.Tuple{datalog.Int64(2), datalog.String_("b")}},
+			{Pred: "tag", Tuple: datalog.Tuple{datalog.Int64(3), datalog.String_("c")}}},
+		"a new fact text and the text it derives": {{Pred: "tag", Tuple: datalog.Tuple{datalog.Int64(2), datalog.String_("b")}}},
+	} {
+		if _, err := w.Assert(facts); !errors.Is(err, errSymbolLimit) {
+			t.Errorf("%s: Assert returned %v, want %v", name, err, errSymbolLimit)
+		}
+		if got := storeSnapshot(t, w); got != want {
+			t.Errorf("%s: the refused transaction left\n%s\nwant\n%s", name, got, want)
+		}
+	}
+	if _, err := w.Assert([]Fact{{Pred: "tag", Tuple: datalog.Tuple{datalog.Int64(2), datalog.String_("a")}}}); err != nil {
+		t.Errorf("a transaction interning nothing new after a refused one: %v", err)
+	}
+	if got := w.Count("label"); got != 2 {
+		t.Errorf("label holds %d rows, want 2", got)
 	}
 }
 
@@ -52,7 +127,7 @@ func TestCellHashEqualConsistent(t *testing.T) {
 // projection's column order, and the empty projection as the empty key.
 func TestCellHashVariants(t *testing.T) {
 	var syms symtab
-	row := syms.cells(nil, datalog.Tuple{datalog.Int64(1), datalog.String_("x"), datalog.Prin("p")})
+	row := mustCells(&syms, datalog.Tuple{datalog.Int64(1), datalog.String_("x"), datalog.Prin("p")})
 	if hashCols(row, []int{0, 1, 2}) != hashCells(row) {
 		t.Error("the whole-row projection must hash as the row")
 	}

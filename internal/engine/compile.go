@@ -989,7 +989,11 @@ func (c *compiler) finalizeRule(cr *CompiledRule) error {
 		if entType == "" {
 			return fmt.Errorf("rule %s: head variable %s is unbound and has no entity type", r, v)
 		}
-		cr.exVars = append(cr.exVars, headEx{name: v, entSym: c.p.syms.intern(entType), rel: c.relation(entType), slot: sa.slot(v)})
+		entSym, err := c.p.syms.intern(entType)
+		if err != nil {
+			return err
+		}
+		cr.exVars = append(cr.exVars, headEx{name: v, entSym: entSym, rel: c.relation(entType), slot: sa.slot(v)})
 	}
 	sort.Slice(cr.exVars, func(i, j int) bool { return cr.exVars[i].name < cr.exVars[j].name })
 

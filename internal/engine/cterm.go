@@ -57,7 +57,11 @@ func (sa *slotAlloc) slot(name string) int {
 func (sa *slotAlloc) compileTerm(t datalog.Term) cterm {
 	switch tt := t.(type) {
 	case datalog.Const:
-		return cterm{kind: ctConst, val: sa.syms.cell(tt.Val)}
+		c, err := sa.syms.cell(tt.Val)
+		if err != nil {
+			panic(err) // a program's table holds its source's constants: 2^28 would take gigabytes of source
+		}
+		return cterm{kind: ctConst, val: c}
 	case datalog.Var:
 		return cterm{kind: ctVar, slot: sa.slot(tt.Name), name: tt.Name}
 	case datalog.Wildcard:
@@ -106,7 +110,7 @@ func (f *frame) bind(slot int, v cell) {
 
 func (f *frame) get(slot int) (cell, bool) {
 	v := f.slots[slot]
-	return v, v.kind != datalog.KindInvalid
+	return v, v.kind() != datalog.KindInvalid
 }
 
 // eval computes the value of a compiled term under a frame. A string + interns
@@ -118,7 +122,7 @@ func (w *Workspace) eval(t *cterm, f *frame) (cell, error) {
 	case ctVar:
 		v, ok := f.get(t.slot)
 		if !ok {
-			return cell{}, fmt.Errorf("variable %s unbound", t.name)
+			return cell{}, unboundVar(t.name)
 		}
 		return v, nil
 	case ctExpr:
@@ -130,14 +134,15 @@ func (w *Workspace) eval(t *cterm, f *frame) (cell, error) {
 		if err != nil {
 			return cell{}, err
 		}
-		if l.kind == datalog.KindString && r.kind == datalog.KindString && t.op == "+" {
-			w.concat = append(append(w.concat[:0], w.syms.text(l.sym)...), w.syms.text(r.sym)...)
-			return cell{kind: datalog.KindString, sym: w.syms.intern(unsafe.String(unsafe.SliceData(w.concat), len(w.concat)))}, nil
+		if l.kind() == datalog.KindString && r.kind() == datalog.KindString && t.op == "+" {
+			w.concat = append(append(w.concat[:0], w.syms.text(l.sym())...), w.syms.text(r.sym())...)
+			sym, err := w.syms.intern(unsafe.String(unsafe.SliceData(w.concat), len(w.concat)))
+			return mkCell(datalog.KindString, sym, 0), err
 		}
-		if l.kind != datalog.KindInt || r.kind != datalog.KindInt {
+		if l.kind() != datalog.KindInt || r.kind() != datalog.KindInt {
 			return cell{}, fmt.Errorf("arithmetic %s on non-integers %s, %s", t.op, w.syms.value(l), w.syms.value(r))
 		}
-		a, b := int64(l.bits), int64(r.bits)
+		a, b := int64(l.bits()), int64(r.bits())
 		var v int64
 		switch t.op {
 		case "+":
@@ -154,7 +159,7 @@ func (w *Workspace) eval(t *cterm, f *frame) (cell, error) {
 		default:
 			return cell{}, fmt.Errorf("unknown operator %s", t.op)
 		}
-		return cell{kind: datalog.KindInt, bits: uint64(v)}, nil
+		return mkCell(datalog.KindInt, 0, uint64(v)), nil
 	default:
 		return cell{}, fmt.Errorf("wildcard has no value")
 	}
@@ -174,20 +179,26 @@ func ctermValue(t *cterm, f *frame) (cell, bool) {
 }
 
 // valueOrEval resolves plain terms directly and arithmetic expressions by
-// evaluation; returns ok=false when the term has unbound variables.
-func (w *Workspace) valueOrEval(t *cterm, f *frame) (cell, bool) {
+// evaluation; returns ok=false when the term has unbound variables, and any
+// other error of the evaluation.
+func (w *Workspace) valueOrEval(t *cterm, f *frame) (cell, bool, error) {
 	if v, ok := ctermValue(t, f); ok {
-		return v, true
+		return v, true, nil
 	}
 	if t.kind == ctExpr {
 		v, err := w.eval(t, f)
-		if err != nil {
-			return cell{}, false
+		if _, unbound := err.(unboundVar); unbound {
+			return cell{}, false, nil
 		}
-		return v, true
+		return v, err == nil, err
 	}
-	return cell{}, false
+	return cell{}, false, nil
 }
+
+// unboundVar is eval's error for a variable the frame has not bound.
+type unboundVar string
+
+func (v unboundVar) Error() string { return "variable " + string(v) + " unbound" }
 
 // unifyArgs matches a row against compiled argument terms, extending the
 // frame. It returns false (leaving any partial bindings for the caller's

@@ -14,11 +14,11 @@ func (w *Workspace) compare(op string, l, r cell) (bool, error) {
 	case "!=":
 		return l != r, nil
 	}
-	if l.kind != r.kind {
-		return false, fmt.Errorf("ordered comparison %s between %s and %s", op, l.kind, r.kind)
+	if l.kind() != r.kind() {
+		return false, fmt.Errorf("ordered comparison %s between %s and %s", op, l.kind(), r.kind())
 	}
-	c := cmp.Compare(int64(l.bits), int64(r.bits))
-	if hasText(l.kind) {
+	c := cmp.Compare(int64(l.bits()), int64(r.bits()))
+	if hasText(l.kind()) {
 		c = w.syms.value(l).Compare(w.syms.value(r))
 	}
 	switch op {
@@ -190,8 +190,14 @@ func (w *Workspace) runSteps(steps []step, i int, f *frame, emit func(*frame) er
 		return w.runSteps(steps, i+1, f, emit)
 
 	case stepCmp:
-		lv, lok := w.valueOrEval(s.cl, f)
-		rv, rok := w.valueOrEval(s.cr, f)
+		lv, lok, err := w.valueOrEval(s.cl, f)
+		if err != nil {
+			return err
+		}
+		rv, rok, err := w.valueOrEval(s.cr, f)
+		if err != nil {
+			return err
+		}
 		if s.op == "=" {
 			if lok && !rok && s.cr.kind == ctVar {
 				m := f.mark()
@@ -245,7 +251,12 @@ func (w *Workspace) runSteps(steps []step, i int, f *frame, emit func(*frame) er
 		for j := range s.args {
 			if a := &s.args[j]; !mask[j] && a.kind == ctVar {
 				if v, bound := f.get(a.slot); !bound {
-					f.bind(a.slot, w.syms.cell(args[j]))
+					c, err := w.syms.cell(args[j])
+					if err != nil {
+						f.undo(m)
+						return err
+					}
+					f.bind(a.slot, c)
 				} else if c, ok := w.syms.lookupCell(args[j]); !ok || v != c {
 					f.undo(m)
 					return nil

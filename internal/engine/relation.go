@@ -388,10 +388,15 @@ const (
 // InsertedFDConflict and leaves the relation unchanged (the caller decides
 // whether that aborts the transaction or, for aggregate-owned predicates,
 // triggers replacement). A tuple whose length is not the relation's arity is
-// a caller's bug, and panics.
+// a caller's bug, and panics, as does a text past the symbol limit, which
+// only a transaction can roll back.
 func (r *Relation) Insert(t datalog.Tuple, isBase bool) InsertResult {
 	var buf [8]cell
-	return r.insert(r.syms.cells(buf[:0], t), isBase)
+	vals, err := r.syms.cells(buf[:0], t)
+	if err != nil {
+		panic(err)
+	}
+	return r.insert(vals, isBase)
 }
 
 // insert is Insert over cells; the relation copies vals.

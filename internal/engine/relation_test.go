@@ -18,7 +18,7 @@ func relOf(t *testing.T, arity int) *Relation {
 }
 
 // cellsOf encodes t in r's intern table.
-func cellsOf(r *Relation, t datalog.Tuple) []cell { return r.syms.cells(nil, t) }
+func cellsOf(r *Relation, t datalog.Tuple) []cell { return mustCells(r.syms, t) }
 
 func tup(vals ...int64) datalog.Tuple {
 	out := make(datalog.Tuple, len(vals))
@@ -167,8 +167,8 @@ func checkStore(r *Relation) error {
 		case f&rowLive != 0:
 			live++
 			for _, c := range r.row(uint32(id)) {
-				if hasText(c.kind) && int(c.sym) >= len(r.syms.spans) {
-					return fmt.Errorf("row %d names symbol %d of %d", id, c.sym, len(r.syms.spans))
+				if hasText(c.kind()) && int(c.sym()) >= len(r.syms.spans) {
+					return fmt.Errorf("row %d names symbol %d of %d", id, c.sym(), len(r.syms.spans))
 				}
 			}
 		case f&^(rowBorn|rowDelta) == rowNew && slices.Contains(r.ins, uint32(id)):
@@ -727,9 +727,9 @@ func TestInsertedListsWhatTheTransactionInserted(t *testing.T) {
 		if got := fmt.Sprint(res.Inserted(pred)); got != want {
 			t.Errorf("Inserted(%s) = %s, want %s", pred, got, want)
 		}
-		var rows []string // InsertedRows yields the same list, one reused view at a time
-		for tp := range res.InsertedRows(pred) {
-			rows = append(rows, tp.String())
+		var rows []string // InsertedRows reads the same list, one reused view at a time
+		for i, rs := 0, res.InsertedRows(pred); i < rs.Len(); i++ {
+			rows = append(rows, rs.At(i).String())
 		}
 		if got := "[" + strings.Join(rows, " ") + "]"; got != want {
 			t.Errorf("InsertedRows(%s) = %s, want %s", pred, got, want)
@@ -763,7 +763,7 @@ func TestHashCollisionsAreVerified(t *testing.T) {
 	var a, b datalog.Tuple
 	for i := int64(0); a == nil; i++ {
 		tp := tup(i)
-		h := uint32(hashCells([]cell{{kind: datalog.KindInt, bits: uint64(i)}}))
+		h := uint32(hashCells([]cell{mkCell(datalog.KindInt, 0, uint64(i))}))
 		if prev, dup := byHash[h]; dup {
 			a, b = prev, tp
 		}

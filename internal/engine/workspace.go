@@ -2,7 +2,6 @@ package engine
 
 import (
 	"fmt"
-	"iter"
 	"slices"
 	"sort"
 	"strings"
@@ -401,8 +400,11 @@ func (w *Workspace) store(rel *Relation, vals []cell, h uint64, flags uint8) err
 // already holds as a derived tuple is promoted in place, and the promotion
 // logged unless the row is the transaction's own.
 func (w *Workspace) insertBase(t *txn, rel *Relation, tuple datalog.Tuple) error {
-	vals := w.syms.cells(w.factBuf[:0], tuple)
+	vals, err := w.syms.cells(w.factBuf[:0], tuple)
 	w.factBuf = vals
+	if err != nil {
+		return err
+	}
 	h := hashCells(vals)
 	if id := rel.find(&rel.primary, h, vals); id != 0 {
 		if f := &rel.flags[id-1]; *f&rowBase == 0 {
@@ -514,13 +516,15 @@ func (w *Workspace) derive(r *CompiledRule, f *frame) error {
 		for _, slot := range r.bodySlots {
 			row = append(row, f.slots[slot])
 		}
-		ent := cell{kind: datalog.KindEntity, sym: ex.entSym, bits: uint64(w.EntityBase) + 1}
+		var ent cell
 		if id := sk.lookupFn(row); id >= 0 {
 			ent = sk.row(uint32(id))[len(row)]
 		} else {
+			n := uint64(w.EntityBase) + 1
 			for _, k := range w.rels[ex.rel].spec.skolems {
-				ent.bits += uint64(w.skolems[k].n)
+				n += uint64(w.skolems[k].n)
 			}
+			ent = mkCell(datalog.KindEntity, ex.entSym, n)
 			row = append(row, ent)
 			if err := w.store(sk, row, hashCells(row), 0); err != nil {
 				return err
@@ -578,10 +582,10 @@ func (w *Workspace) recomputeAgg(t *txn, r *CompiledRule) error {
 			if !ok {
 				return fmt.Errorf("aggregate variable %s unbound", r.agg.Over)
 			}
-			if r.agg.Func != "count" && v.kind != datalog.KindInt {
+			if r.agg.Func != "count" && v.kind() != datalog.KindInt {
 				return fmt.Errorf("aggregate %s over non-integer %s", r.agg.Func, w.syms.value(v))
 			}
-			over = int64(v.bits)
+			over = int64(v.bits())
 		}
 		id := groups.rowOf(keys)
 		if id < 0 {
@@ -610,10 +614,11 @@ func (w *Workspace) recomputeAgg(t *txn, r *CompiledRule) error {
 	rel := w.rels[r.headRels[0]]
 	for id, g := range w.aggCells {
 		keys := groups.row(uint32(id))
-		result := cell{kind: datalog.KindInt, bits: uint64(g.acc)}
+		n := g.acc
 		if r.agg.Func == "count" {
-			result.bits = uint64(g.n)
+			n = g.n
 		}
+		result := mkCell(datalog.KindInt, 0, uint64(n))
 		if old := rel.lookupFn(keys); old >= 0 {
 			if rel.row(uint32(old))[keyN] == result {
 				continue
@@ -791,27 +796,39 @@ func (r *TxnResult) Inserted(pred string) []datalog.Tuple {
 	return out
 }
 
-// InsertedRows yields the tuples Inserted lists, in its order, without
-// building the list: each is one reused view, overwritten by the next, whose
-// values' text stays valid for the life of the workspace. A caller that keeps
-// a tuple copies it.
-func (r *TxnResult) InsertedRows(pred string) iter.Seq[datalog.Tuple] {
-	return func(yield func(datalog.Tuple) bool) {
-		rel := r.w.relation(pred)
-		if rel == nil {
-			return
-		}
-		if cap(r.row) < rel.arity {
-			r.row = make(datalog.Tuple, rel.arity)
-		}
-		row := r.row[:rel.arity]
-		for _, id := range rel.ins {
-			rel.view(row, id)
-			if !yield(row) {
-				return
-			}
-		}
+// InsertedRows returns the tuples Inserted lists, in its order, without
+// building the list: Rows.At reads each into one reused view, overwritten by
+// the next, whose values' text stays valid for the life of the workspace. A
+// caller that keeps a tuple copies it.
+func (r *TxnResult) InsertedRows(pred string) Rows {
+	rel := r.w.relation(pred)
+	if rel == nil {
+		return Rows{}
 	}
+	if cap(r.row) < rel.arity {
+		r.row = make(datalog.Tuple, rel.arity)
+	}
+	return Rows{rel: rel, row: r.row[:rel.arity]}
+}
+
+// Rows is one relation's inserted rows of a transaction, read by position.
+type Rows struct {
+	rel *Relation
+	row datalog.Tuple
+}
+
+// Len is the number of rows.
+func (rs Rows) Len() int {
+	if rs.rel == nil {
+		return 0
+	}
+	return len(rs.rel.ins)
+}
+
+// At returns row i as the one reused view.
+func (rs Rows) At(i int) datalog.Tuple {
+	rs.rel.view(rs.row, rs.rel.ins[i])
+	return rs.row
 }
 
 // Assert runs one ACID transaction: insert the given base facts, evaluate
