@@ -11,6 +11,7 @@
 package secureblox
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"os"
@@ -20,6 +21,7 @@ import (
 	"time"
 
 	"secureblox/internal/apps"
+	"secureblox/internal/cluster"
 	"secureblox/internal/core"
 	"secureblox/internal/datalog"
 	"secureblox/internal/engine"
@@ -44,22 +46,35 @@ var (
 		[]int{6, 12, 18})
 )
 
-func runPV(b *testing.B, n int, p core.PolicyConfig) *apps.PathVectorResult {
+// runRow takes the named row of apps.Workloads to its fixpoint through the
+// row's one runner, over a fresh memnet, and fails on any violation. The
+// caller Stops the outcome's cluster; its counts stay readable after.
+func runRow(b *testing.B, name string, wc cluster.WorkloadConfig, n int, p core.PolicyConfig) *apps.Outcome {
 	b.Helper()
-	res, err := apps.RunPathVector(apps.PathVectorConfig{
-		N: n, AvgDegree: 3, Policy: p, Seed: int64(n) * 31,
-	})
+	w, err := apps.Lookup(name)
 	if err != nil {
 		b.Fatal(err)
 	}
-	if res.Violations != 0 {
-		b.Fatalf("violations: %d", res.Violations)
+	o, err := w.Run(context.Background(), wc, n, p, nil)
+	if err != nil {
+		b.Fatal(err)
 	}
-	res.Cluster.Stop()
-	return res
+	if r := o.Cluster.Rejections(); r != 0 {
+		o.Cluster.Stop()
+		b.Fatalf("violations: %d", r)
+	}
+	return o
 }
 
-func benchPathVector(b *testing.B, policies []core.PolicyConfig, report func(*testing.B, *apps.PathVectorResult)) {
+// runPV is one path-vector run at degree 3. Its answer is not checked: the
+// query is wrong above n ≈ 8 (ROADMAP item 1), and these sweeps report cost.
+func runPV(b *testing.B, n int, p core.PolicyConfig) *apps.Outcome {
+	o := runRow(b, "pathvector", cluster.WorkloadConfig{Seed: int64(n) * 31}, n, p)
+	o.Cluster.Stop()
+	return o
+}
+
+func benchPathVector(b *testing.B, policies []core.PolicyConfig, report func(*testing.B, *apps.Outcome)) {
 	for _, p := range policies {
 		for _, n := range pvSizes {
 			b.Run(fmt.Sprintf("%s/n=%d", p.Name(), n), func(b *testing.B) {
@@ -88,8 +103,8 @@ func BenchmarkFig4FixpointLatencyNoEnc(b *testing.B) {
 	benchPathVector(b, []core.PolicyConfig{
 		{Auth: core.AuthNone}, {Auth: core.AuthHMAC}, {Auth: core.AuthRSA},
 		{Auth: core.AuthRSA, BatchSign: true},
-	}, func(b *testing.B, r *apps.PathVectorResult) {
-		b.ReportMetric(r.FixpointLatency.Seconds(), "fixpoint-s")
+	}, func(b *testing.B, r *apps.Outcome) {
+		b.ReportMetric(r.Latency.Seconds(), "fixpoint-s")
 	})
 }
 
@@ -110,7 +125,7 @@ func BenchmarkSignOpsPerFixpoint(b *testing.B) {
 				before := seccrypto.SignOps()
 				r := runPV(b, n, p)
 				b.ReportMetric(float64(seccrypto.SignOps()-before), "rsa-signs")
-				b.ReportMetric(r.FixpointLatency.Seconds(), "fixpoint-s")
+				b.ReportMetric(r.Latency.Seconds(), "fixpoint-s")
 			}
 		})
 	}
@@ -124,8 +139,8 @@ func BenchmarkFig5FixpointLatencyEnc(b *testing.B) {
 		{Auth: core.AuthNone, Encrypt: true},
 		{Auth: core.AuthHMAC, Encrypt: true},
 		{Auth: core.AuthRSA, Encrypt: true},
-	}, func(b *testing.B, r *apps.PathVectorResult) {
-		b.ReportMetric(r.FixpointLatency.Seconds(), "fixpoint-s")
+	}, func(b *testing.B, r *apps.Outcome) {
+		b.ReportMetric(r.Latency.Seconds(), "fixpoint-s")
 	})
 }
 
@@ -134,8 +149,8 @@ func BenchmarkFig5FixpointLatencyEnc(b *testing.B) {
 func BenchmarkFig6CommOverhead(b *testing.B) {
 	benchPathVector(b, []core.PolicyConfig{
 		{Auth: core.AuthNone}, {Auth: core.AuthHMAC}, {Auth: core.AuthRSA},
-	}, func(b *testing.B, r *apps.PathVectorResult) {
-		b.ReportMetric(r.PerNodeKB, "KB/node")
+	}, func(b *testing.B, r *apps.Outcome) {
+		b.ReportMetric(r.Cluster.MeanNodeTrafficKB(), "KB/node")
 	})
 }
 
@@ -144,8 +159,8 @@ func BenchmarkFig6CommOverhead(b *testing.B) {
 func BenchmarkFig7TxnDuration(b *testing.B) {
 	benchPathVector(b, []core.PolicyConfig{
 		{Auth: core.AuthNone}, {Auth: core.AuthHMAC}, {Auth: core.AuthRSA, Encrypt: true},
-	}, func(b *testing.B, r *apps.PathVectorResult) {
-		b.ReportMetric(float64(r.MeanTxn.Microseconds())/1000, "txn-ms")
+	}, func(b *testing.B, r *apps.Outcome) {
+		b.ReportMetric(float64(r.Cluster.MeanTxnDuration().Microseconds())/1000, "txn-ms")
 	})
 }
 
@@ -156,7 +171,7 @@ func benchConvergenceCDF(b *testing.B, n int) {
 		b.Run(fmt.Sprintf("%s/n=%d", p.Name(), n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				r := runPV(b, n, p)
-				reportQuantiles(b, r.Convergence)
+				reportQuantiles(b, r.Cluster.ConvergenceTimes())
 			}
 		})
 	}
@@ -200,22 +215,19 @@ func BenchmarkFig9ConvergenceCDF72(b *testing.B) {
 	benchConvergenceCDF(b, n)
 }
 
-func runHJ(b *testing.B, n int, p core.PolicyConfig) *apps.HashJoinResult {
-	b.Helper()
-	cfg := apps.DefaultHashJoinConfig(n, p, int64(n)*17)
+// runHJ is one hash-join run at the paper's sizes (smaller unless
+// SBX_BENCH_FULL is set), held to the row's count oracle.
+func runHJ(b *testing.B, n int, p core.PolicyConfig) *apps.Outcome {
+	wc := cluster.WorkloadConfig{Seed: int64(n) * 17}
 	if os.Getenv("SBX_BENCH_FULL") == "" {
-		cfg.SizeA, cfg.SizeB, cfg.JoinValues = 300, 260, 24
+		wc.SizeA, wc.SizeB, wc.JoinValues = 300, 260, 24
 	}
-	res, err := apps.RunHashJoin(cfg)
-	if err != nil {
-		b.Fatal(err)
+	o := runRow(b, "hashjoin", wc, n, p)
+	o.Cluster.Stop()
+	if o.Wrong != nil {
+		b.Fatalf("bad run: %s: %v", o.Answer, o.Wrong)
 	}
-	if res.Violations != 0 || res.ResultCount != res.ExpectedCount {
-		b.Fatalf("bad run: %d violations, %d/%d results",
-			res.Violations, res.ResultCount, res.ExpectedCount)
-	}
-	res.Cluster.Stop()
-	return res
+	return o
 }
 
 func benchHashJoinCDF(b *testing.B, n int) {
@@ -263,7 +275,7 @@ func BenchmarkFig12HashJoinOverhead(b *testing.B) {
 			b.Run(fmt.Sprintf("%s/n=%d", p.Name(), n), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
 					r := runHJ(b, n, p)
-					b.ReportMetric(r.PerNodeKB, "KB/node")
+					b.ReportMetric(r.Cluster.MeanNodeTrafficKB(), "KB/node")
 				}
 			})
 		}
@@ -378,17 +390,12 @@ func BenchmarkEngineFixpoint(b *testing.B) {
 // BenchmarkAnonCircuit measures the full anonymous join (§7.3) end to end.
 func BenchmarkAnonCircuit(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, err := apps.RunAnonJoin(apps.AnonJoinConfig{
-			Relays: 2, Interests: 10, PublicRows: 100, Overlap: 6, Seed: int64(i),
-		})
-		if err != nil {
-			b.Fatal(err)
+		o := runRow(b, "anonjoin", cluster.WorkloadConfig{Seed: int64(i)}, 4, core.PolicyConfig{})
+		o.Cluster.Stop()
+		if o.Wrong != nil {
+			b.Fatalf("wrong result: %s", o.Answer)
 		}
-		if res.Results != res.Expected {
-			b.Fatal("wrong result")
-		}
-		b.ReportMetric(res.Duration.Seconds(), "fixpoint-s")
-		res.Cluster.Stop()
+		b.ReportMetric(o.Latency.Seconds(), "fixpoint-s")
 	}
 }
 

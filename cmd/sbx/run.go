@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"strings"
@@ -12,7 +13,8 @@ import (
 )
 
 // runWorkload implements `sbx run`: one in-process run of one row of
-// apps.Workloads under one scheme, at the row's smoke size. It prints the
+// apps.Workloads under one scheme, at smoke size, through the row's one
+// runner (Keys, Facts, fixpoint, Lines, Check). It prints the
 // run's measurements, then the oracle's verdict, and exits nonzero on any
 // violation or wrong answer — a run that computed nothing is never a
 // success. Anything that is a measurement (trials, sizes, CDFs) is bench/
@@ -57,10 +59,12 @@ func runWorkload(args []string, stdout, stderr io.Writer) int {
 	if err != nil {
 		return misuse(err)
 	}
-	net.Close() // the run opens its own
 
 	signs := seccrypto.SignOps()
-	out, err := w.Run(*n, pol, *seed, *transport)
+	// A tenth of the paper's hash-join tables (§8.2): 602 result rows at
+	// -n 3 -seed 7. Every other row reads only the seed.
+	wc := cluster.WorkloadConfig{Name: w.Name, Seed: *seed, SizeA: 90, SizeB: 80, JoinValues: 12}
+	out, err := w.Run(context.Background(), wc, *n, pol, net)
 	if err != nil {
 		return fail(stderr, err)
 	}

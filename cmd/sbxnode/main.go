@@ -351,8 +351,14 @@ func runNode(ctx context.Context, rt *cluster.Runtime, nw transport.Network, cha
 		chaos.Resolve(mem.Names())
 	}
 
-	// The same core.NodeAssembly path core.NewCluster runs N times, run once
-	// over the Membership the join handshake established.
+	// The workload's out-of-band key material, derived by every process
+	// alone, then the same core.NodeAssembly path core.NewCluster runs N
+	// times, run once over the Membership the join handshake established.
+	if w.Keys != nil {
+		if err := w.Keys(cfg.Workload, mem, rt.Index(), rt.KeyStore()); err != nil {
+			return nil, err
+		}
+	}
 	pol := cp.pol
 	assembly := core.NodeAssembly{
 		Policy:    pol,

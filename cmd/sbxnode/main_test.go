@@ -14,7 +14,7 @@ import (
 	"time"
 
 	"secureblox/internal/cluster"
-	"secureblox/internal/core"
+	"secureblox/internal/engine"
 	"secureblox/internal/obs"
 	"secureblox/internal/seccrypto"
 )
@@ -113,34 +113,32 @@ func sortedLines(chunks ...string) string {
 }
 
 // reference is the result set a deployment of cfg must print, computed by
-// core.NewCluster: the static-directory constructor, which runs none of the
-// handshake, barrier and eviction code every sbxnode mode runs. Its
-// principals are p0, p1, …; the lines name the config's principals in
-// their place, in config order. The muted principals are the ones an
-// evict-policy run loses right after the ready barrier: they stay in the
-// directory but assert no input and report no line.
+// the row's in-process runner over core.NewCluster: the static-directory
+// constructor, which runs none of the handshake, barrier and eviction code
+// every sbxnode mode runs. Its principals are p0, p1, …; the lines name the
+// config's principals in their place, in config order. The muted principals
+// are the ones an evict-policy run loses right after the ready barrier: they
+// stay in the directory but assert no input and report no line.
 func reference(t *testing.T, cfg *cluster.Config, muted ...string) string {
 	t.Helper()
 	w, pol, err := configWorkload(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := core.NewCluster(w.ClusterConfig(len(cfg.Nodes), pol, cfg.Workload.Seed, nil))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Stop()
-	c.Start()
-	for i, n := range cfg.Nodes {
-		if facts := w.Facts(cfg.Workload, c.Directory, i); len(facts) > 0 && !slices.Contains(muted, n.Principal) {
-			c.AssertAt(i, facts)
+	row := *w
+	row.Facts = func(wc cluster.WorkloadConfig, mem *cluster.Membership, idx int) []engine.Fact {
+		if slices.Contains(muted, cfg.Nodes[idx].Principal) {
+			return nil
 		}
+		return w.Facts(wc, mem, idx)
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 	defer cancel()
-	if _, err := c.WaitFixpointCtx(ctx); err != nil {
+	o, err := row.Run(ctx, cfg.Workload, len(cfg.Nodes), pol, nil)
+	if err != nil {
 		t.Fatal(err)
 	}
+	c := o.Cluster
 	c.Stop()
 	named := &cluster.Membership{Members: slices.Clone(c.Directory.Members)}
 	var lines []string
@@ -334,12 +332,18 @@ func (d deployment) run(t *testing.T) {
 
 // TestAllInOneFromConfig: -allinone takes the principals, their order and
 // their key material from the config — RSA keys inline, pair secrets
-// derived from the cluster secret, or none — and its result lines name the
+// derived from the cluster secret, or none, and the anonymous join's
+// circuit keys from the workload seed — and its result lines name the
 // config's principals, as the renamed reference does.
 func TestAllInOneFromConfig(t *testing.T) {
-	for _, policy := range []string{"RSA", "HMAC-AES", "NoAuth"} {
-		t.Run(policy, func(t *testing.T) {
-			cfg := testConfig(t, policy, "pathvector", 3, 7421)
+	for _, tc := range []struct{ name, policy, workload, first string }{
+		{"RSA", "RSA", "pathvector", "bestcost\talice\t"},
+		{"HMAC-AES", "HMAC-AES", "pathvector", "bestcost\talice\t"},
+		{"NoAuth", "NoAuth", "pathvector", "bestcost\talice\t"},
+		{"anonjoin", "HMAC-AES", "anonjoin", "result\t"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := testConfig(t, tc.policy, tc.workload, 3, 7421)
 			for i, name := range []string{"carol", "alice", "bob"} {
 				cfg.Nodes[i].Principal = name
 			}
@@ -353,7 +357,7 @@ func TestAllInOneFromConfig(t *testing.T) {
 				t.Fatalf("allinone exit %d: %s", code, errOut)
 			}
 			got, want := sortedLines(out), reference(t, cfg)
-			if got != want || !strings.HasPrefix(got, "bestcost\talice\t") {
+			if got != want || !strings.HasPrefix(got, tc.first) {
 				t.Fatalf("result set differs from the reference:\n--- got:\n%s\n--- want:\n%s", got, want)
 			}
 		})
@@ -364,11 +368,12 @@ func TestAllInOneFromConfig(t *testing.T) {
 func TestCLIErrors(t *testing.T) {
 	dir := t.TempDir()
 	cfgPath := writeTestConfig(t, dir, "NoAuth", "pathvector", 7431)
-	// Which workloads exist is apps.Workloads' to say, not the config
-	// parser's: a typo, and a row without a multi-process driver, are turned
-	// away here, in every mode, before a socket is bound.
+	// Which workloads exist, and on how few nodes each runs, is
+	// apps.Workloads' to say, not the config parser's: a typo, and an
+	// anonymous join with no relay, are turned away here, in every mode,
+	// before a socket is bound.
 	typoPath := writeTestConfig(t, t.TempDir(), "NoAuth", "pathvektor", 7431)
-	anonPath := writeTestConfig(t, t.TempDir(), "NoAuth", "anonjoin", 7431)
+	anonPath := writeFile(t, t.TempDir(), "cluster.json", testConfig(t, "NoAuth", "anonjoin", 2, 7431))
 	cases := []struct {
 		name string
 		args []string
@@ -382,7 +387,7 @@ func TestCLIErrors(t *testing.T) {
 		{"workload typo", []string{"-config", typoPath, "-node", "p0"}, `unknown workload "pathvektor" (want pathvector, hashjoin, anonjoin)`},
 		{"workload typo allinone", []string{"-config", typoPath, "-allinone"}, `unknown workload "pathvektor"`},
 		{"workload typo vet", []string{"-config", typoPath, "-vet"}, `unknown workload "pathvektor"`},
-		{"workload without driver", []string{"-config", anonPath, "-node", "p0"}, "anonjoin has no multi-process driver"},
+		{"anonjoin without relay", []string{"-config", anonPath, "-node", "p0"}, "at least one relay"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -15,7 +15,7 @@ import (
 )
 
 // configWorkload resolves what every mode compiles and runs: the row of
-// apps.Workloads the config names, which must have a multi-process driver,
+// apps.Workloads the config names, which must run on the config's nodes,
 // and the scheme it names.
 func configWorkload(cfg *cluster.Config) (*apps.Workload, core.PolicyConfig, error) {
 	pol, err := core.PolicyFromSpec(cfg.Spec())
@@ -23,8 +23,8 @@ func configWorkload(cfg *cluster.Config) (*apps.Workload, core.PolicyConfig, err
 		return nil, pol, err
 	}
 	w, err := apps.Lookup(cfg.Workload.Name)
-	if err == nil && w.Facts == nil {
-		err = fmt.Errorf("workload %s has no multi-process driver (try `sbx run %s`)", w.Name, w.Name)
+	if err == nil {
+		err = w.Sized(len(cfg.Nodes))
 	}
 	return w, pol, err
 }

@@ -2,13 +2,11 @@ package apps
 
 import (
 	"fmt"
-	"time"
 
-	"secureblox/internal/core"
+	"secureblox/internal/cluster"
 	"secureblox/internal/datalog"
 	"secureblox/internal/engine"
 	"secureblox/internal/seccrypto"
-	"secureblox/internal/transport"
 )
 
 // AnonPolicy is the anonymity construct of §6.2: anon_says sends a fact
@@ -126,154 +124,83 @@ const AnonJoinQuery = `
 	result(Hx, Y) <- anon_reply_in['publicdata_reply](C, Hx, Y).
 `
 
-// AnonJoinConfig parameterizes the anonymous join: node 0 is the
-// initiator, nodes 1..Relays are circuit relays, node Relays+1 owns
-// publicdata.
-type AnonJoinConfig struct {
-	Relays     int
-	Interests  int // local table size
-	PublicRows int // remote table size
-	Overlap    int // how many interests have matches
-	Seed       int64
-	// Transport selects the cluster substrate ("", "mem" or "udp"); see
-	// core.NewNetwork.
-	Transport string
-}
+// The anonymous join's input: node 0 is the initiator, with anonInterests
+// interests, of which the first anonOverlap match one of the
+// anonPublicRows rows of publicdata at the last node, the table owner; the
+// nodes between are the circuit's relays.
+const (
+	anonInterests  = 10
+	anonPublicRows = 100
+	anonOverlap    = 6
+	circuitHandle  = "c1"
+)
 
-// AnonJoinResult carries one run's outcome.
-type AnonJoinResult struct {
-	Results  int
-	Expected int
-	Duration time.Duration
-	Cluster  *core.Cluster
-}
-
-const circuitHandle = "c1"
-
-// newAnonJoin builds the cluster over net and instantiates the circuit,
-// returning it unstarted with the two inputs: the publicdata table its last
-// node (the owner) is to assert and the interests its first (the initiator).
-func newAnonJoin(cfg AnonJoinConfig, p core.PolicyConfig, net transport.Network) (c *core.Cluster, pub, ints []engine.Fact, err error) {
-	switch {
-	case cfg.Relays < 1:
-		err = fmt.Errorf("anonjoin: need at least one relay")
-	case cfg.Overlap > cfg.Interests || cfg.Overlap > cfg.PublicRows:
-		// Each overlapping interest is one row of each table.
-		err = fmt.Errorf("anonjoin: overlap %d exceeds the tables (%d interests, %d public rows)", cfg.Overlap, cfg.Interests, cfg.PublicRows)
-	}
-	if err != nil {
-		net.Close()
-		return nil, nil, nil, err
-	}
-	n := cfg.Relays + 2
-	endpoint := n - 1
-	c, err = core.NewCluster(anonJoinProgram.ClusterConfig(n, p, cfg.Seed, net))
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	// On a setup failure below, release the cluster (sockets, goroutines)
-	// — the caller only gets the error.
-	ok := false
-	defer func() {
-		if !ok {
-			c.Stop()
-		}
-	}()
-
-	// Circuit instantiation (out of band, as in the paper): one layer key
-	// per hop 1..endpoint, link-local ids per link.
-	rng := seccrypto.NewDeterministicRand(cfg.Seed + 100)
-	keys := make([][]byte, 0, n-1)
-	for i := 1; i < n; i++ {
+// anonJoinKeys instantiates node idx's end of the circuit out of band, as in
+// the paper: one layer key per hop 1..n-1, drawn from the seed, so that every
+// process derives the same keys. The initiator holds them all.
+func anonJoinKeys(w cluster.WorkloadConfig, mem *cluster.Membership, idx int, ks *seccrypto.KeyStore) error {
+	rng := seccrypto.NewDeterministicRand(w.Seed + 100)
+	keys := make([][]byte, len(mem.Members)-1)
+	for i := range keys {
 		k, err := seccrypto.GenerateSecret(rng)
 		if err != nil {
-			return nil, nil, nil, err
+			return fmt.Errorf("anonjoin: layer key of hop %d: %w", i+1, err)
 		}
-		keys = append(keys, k)
-		c.KeyStores[i].SetCircuitKey(circuitHandle, k)
+		keys[i] = k
 	}
-	c.KeyStores[0].SetOnionKeys(circuitHandle, keys)
+	if idx == 0 {
+		ks.SetOnionKeys(circuitHandle, keys)
+	} else {
+		ks.SetCircuitKey(circuitHandle, keys[idx-1])
+	}
+	return nil
+}
 
-	linkID := func(i int) int64 { return int64(1000 + i) } // link i→i+1
+// anonJoinFacts is node idx's circuit state, with link-local ids per link,
+// and its table: the initiator's interests or the owner's publicdata.
+func anonJoinFacts(_ cluster.WorkloadConfig, mem *cluster.Membership, idx int) []engine.Fact {
+	addrs, endpoint := mem.Addrs(), len(mem.Members)-1
+	linkID := func(i int) datalog.Value { return datalog.Int64(int64(1000 + i)) } // link i→i+1
 	cv := datalog.String_(circuitHandle)
 	fact := func(pred string, vals ...datalog.Value) engine.Fact {
 		return engine.Fact{Pred: pred, Tuple: datalog.Tuple(vals)}
 	}
-	// Initiator state.
-	initFacts := []engine.Fact{
-		fact("anon_path", datalog.Prin(core.PrincipalName(endpoint)), cv),
-		fact("anon_path_forward_id", cv, datalog.Int64(linkID(0))),
-		fact("anon_path_nexthop", cv, datalog.NodeV(c.Addrs[1])),
-		fact("anon_path_origin", cv, datalog.Bool(true)),
-		fact("table_owner", datalog.Prin(core.PrincipalName(endpoint))),
-	}
-	if _, err := c.Nodes[0].WS.Assert(initFacts); err != nil {
-		return nil, nil, nil, fmt.Errorf("anonjoin: initiator setup: %w", err)
-	}
-	// Relay state.
-	for i := 1; i <= cfg.Relays; i++ {
-		facts := []engine.Fact{
-			fact("anon_path_backward_id", cv, datalog.Int64(linkID(i-1))),
-			fact("anon_path_forward_id", cv, datalog.Int64(linkID(i))),
-			fact("anon_path_nexthop", cv, datalog.NodeV(c.Addrs[i+1])),
-			fact("anon_path_prevhop", cv, datalog.NodeV(c.Addrs[i-1])),
+	var facts []engine.Fact
+	switch idx {
+	case 0:
+		owner := datalog.Prin(mem.Members[endpoint].Principal)
+		facts = []engine.Fact{
+			fact("anon_path", owner, cv),
+			fact("anon_path_forward_id", cv, linkID(0)),
+			fact("anon_path_nexthop", cv, datalog.NodeV(addrs[1])),
+			fact("anon_path_origin", cv, datalog.Bool(true)),
+			fact("table_owner", owner),
 		}
-		if _, err := c.Nodes[i].WS.Assert(facts); err != nil {
-			return nil, nil, nil, fmt.Errorf("anonjoin: relay %d setup: %w", i, err)
+		// Interests: anonOverlap values inside the owner's table, the rest
+		// outside.
+		for i := range anonInterests {
+			x := int64(i)
+			if i >= anonOverlap {
+				x = int64(anonPublicRows + i)
+			}
+			facts = append(facts, fact("interests", datalog.Int64(x)))
+		}
+	case endpoint:
+		facts = []engine.Fact{
+			fact("anon_path_backward_id", cv, linkID(endpoint-1)),
+			fact("anon_path_endpoint", cv, datalog.Bool(true)),
+			fact("anon_path_prevhop", cv, datalog.NodeV(addrs[endpoint-1])),
+		}
+		for x := range int64(anonPublicRows) {
+			facts = append(facts, fact("publicdata", datalog.Int64(x), datalog.Int64(10000+x)))
+		}
+	default:
+		facts = []engine.Fact{
+			fact("anon_path_backward_id", cv, linkID(idx-1)),
+			fact("anon_path_forward_id", cv, linkID(idx)),
+			fact("anon_path_nexthop", cv, datalog.NodeV(addrs[idx+1])),
+			fact("anon_path_prevhop", cv, datalog.NodeV(addrs[idx-1])),
 		}
 	}
-	// Endpoint state.
-	endFacts := []engine.Fact{
-		fact("anon_path_backward_id", cv, datalog.Int64(linkID(endpoint-1))),
-		fact("anon_path_endpoint", cv, datalog.Bool(true)),
-		fact("anon_path_prevhop", cv, datalog.NodeV(c.Addrs[endpoint-1])),
-	}
-	if _, err := c.Nodes[endpoint].WS.Assert(endFacts); err != nil {
-		return nil, nil, nil, fmt.Errorf("anonjoin: endpoint setup: %w", err)
-	}
-
-	// publicdata: X values 0..PublicRows-1, unique.
-	for x := 0; x < cfg.PublicRows; x++ {
-		pub = append(pub, fact("publicdata", datalog.Int64(int64(x)), datalog.Int64(int64(10000+x))))
-	}
-	// Interests: Overlap values inside the table, the rest outside.
-	for i := 0; i < cfg.Interests; i++ {
-		x := int64(i)
-		if i >= cfg.Overlap {
-			x = int64(cfg.PublicRows + i) // no match
-		}
-		ints = append(ints, fact("interests", datalog.Int64(x)))
-	}
-	ok = true
-	return c, pub, ints, nil
-}
-
-// RunAnonJoin builds the circuit, runs the anonymous join to fixpoint, and
-// reports results. The caller must Stop() the result's Cluster.
-func RunAnonJoin(cfg AnonJoinConfig) (*AnonJoinResult, error) {
-	return runAnonJoin(cfg, core.PolicyConfig{})
-}
-
-// runAnonJoin is RunAnonJoin with the scheme the rest of the program is
-// compiled under; the circuit's own traffic is unsigned under all of them.
-func runAnonJoin(cfg AnonJoinConfig, p core.PolicyConfig) (*AnonJoinResult, error) {
-	net, err := core.NewNetwork(cfg.Transport)
-	if err != nil {
-		return nil, err
-	}
-	c, pub, ints, err := newAnonJoin(cfg, p, net)
-	if err != nil {
-		return nil, err
-	}
-	c.Start()
-	c.AssertAt(len(c.Nodes)-1, pub)
-	c.AssertAt(0, ints)
-
-	dur := c.WaitFixpoint()
-	return &AnonJoinResult{
-		Results:  len(c.Query(0, "result")),
-		Expected: cfg.Overlap,
-		Duration: dur,
-		Cluster:  c,
-	}, nil
+	return facts
 }

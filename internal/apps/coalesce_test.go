@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"secureblox/internal/cluster"
 	"secureblox/internal/core"
 	"secureblox/internal/dist"
 	"secureblox/internal/engine"
@@ -28,32 +29,38 @@ import (
 // random cuts — and must end with identical extents for every predicate and
 // an identical set of shipped payloads.
 //
-// Path-vector is not in the oracle: its answer depends on arrival order at the
-// parent commit already (ROADMAP item 1), so it stays gated by its own
-// validator and by the benchmark's apps.oracle_share, which coalescing must
-// not lower.
+// Path-vector is not in the oracle: its answer depends on arrival order
+// (ROADMAP item 1), so it stays gated by its row's BFS Check and by the
+// benchmark's apps.oracle_share, which coalescing must not lower.
 
-// coalesceApp is an application the oracle can rebuild at will: build returns
-// an unstarted cluster over the given network and what each node asserts.
+// coalesceApp is a row of Workloads at one input: build returns its
+// cluster over the given network, keys installed and unstarted, with what
+// each node asserts — the row's Facts, as every run feeds them.
 type coalesceApp struct {
-	name  string
-	build func(net transport.Network) (*core.Cluster, [][]engine.Fact, error)
+	name string
+	wc   cluster.WorkloadConfig
+	n    int
 }
 
 var coalesceApps = []coalesceApp{
-	{"hashjoin", func(net transport.Network) (*core.Cluster, [][]engine.Fact, error) {
-		c, parts, _, err := newHashJoin(smallJoin(3, core.PolicyConfig{}, 11), net)
-		return c, parts, err
-	}},
-	{"anonjoin", func(net transport.Network) (*core.Cluster, [][]engine.Fact, error) {
-		c, pub, ints, err := newAnonJoin(AnonJoinConfig{Relays: 1, Interests: 24, PublicRows: 40, Overlap: 16, Seed: 3}, core.PolicyConfig{}, net)
-		if err != nil {
-			return nil, nil, err
-		}
-		inputs := make([][]engine.Fact, len(c.Nodes))
-		inputs[0], inputs[len(inputs)-1] = ints, pub
-		return c, inputs, nil
-	}},
+	{"hashjoin", smoke(11), 3},
+	{"anonjoin", cluster.WorkloadConfig{Seed: 3}, 3},
+}
+
+func (app coalesceApp) build(net transport.Network) (*core.Cluster, [][]engine.Fact, error) {
+	w, err := Lookup(app.name)
+	if err != nil {
+		return nil, nil, err
+	}
+	c, err := w.newCluster(app.wc, app.n, core.PolicyConfig{}, net)
+	if err != nil {
+		return nil, nil, err
+	}
+	inputs := make([][]engine.Fact, len(c.Nodes))
+	for i := range inputs {
+		inputs[i] = w.Facts(app.wc, c.Directory, i)
+	}
+	return c, inputs, nil
 }
 
 // replayNet is a memnet that hands out one scripted endpoint at one address.
@@ -81,8 +88,11 @@ func drain(t *testing.T, n *dist.Node) {
 
 // recordInbound runs the application live and returns, per node, the data
 // datagrams delivered to it, in delivery order. Inputs are asserted a few
-// facts at a time, each as its own transaction, so that every node sees a
-// long sequence of small datagrams — the traffic shape coalescing acts on.
+// facts at a time, each as its own transaction, every node in turn, so that
+// every node sees a long sequence of small datagrams — the traffic shape
+// coalescing acts on — and no node's input waits for another's to finish:
+// a relay's circuit state arrives with the first requests, not after all of
+// them.
 func recordInbound(t *testing.T, app coalesceApp) [][]transport.InMsg {
 	t.Helper()
 	net := transport.NewMemNetwork()
@@ -102,12 +112,14 @@ func recordInbound(t *testing.T, app coalesceApp) [][]transport.InMsg {
 	}
 	defer c.Stop()
 	c.Start()
-	for i, facts := range inputs {
-		for len(facts) > 0 {
-			k := min(4, len(facts))
-			c.AssertAt(i, facts[:k])
-			drain(t, c.Nodes[i])
-			facts = facts[k:]
+	for left := true; left; {
+		left = false
+		for i, facts := range inputs {
+			if k := min(4, len(facts)); k > 0 {
+				c.AssertAt(i, facts[:k])
+				drain(t, c.Nodes[i])
+				inputs[i], left = facts[k:], true
+			}
 		}
 	}
 	done := make(chan struct{})

@@ -3,13 +3,11 @@ package apps
 import (
 	"fmt"
 	"math/rand"
-	"time"
 
 	"secureblox/internal/analysis"
-	"secureblox/internal/core"
+	"secureblox/internal/cluster"
 	"secureblox/internal/datalog"
 	"secureblox/internal/engine"
-	"secureblox/internal/transport"
 )
 
 // HashJoinQuery is the paper's §7.2 secure parallel hash join: tables a and
@@ -72,26 +70,23 @@ type HashJoinConfig struct {
 	SizeA      int
 	SizeB      int
 	JoinValues int
-	Policy     core.PolicyConfig
 	Seed       int64
-	// Transport selects the cluster substrate ("", "mem" or "udp"); see
-	// core.NewNetwork.
-	Transport string
 }
 
-// DefaultHashJoinConfig returns the paper's workload parameters.
-func DefaultHashJoinConfig(n int, policy core.PolicyConfig, seed int64) HashJoinConfig {
-	return HashJoinConfig{N: n, SizeA: 900, SizeB: 800, JoinValues: 72, Policy: policy, Seed: seed}
-}
-
-// HashJoinResult carries one run's measurements (paper §8.2).
-type HashJoinResult struct {
-	Duration      time.Duration
-	PerNodeKB     float64
-	ResultCount   int
-	ExpectedCount int
-	Violations    int
-	Cluster       *core.Cluster
+// hashJoinConfig is the experiment a deployment config names on n nodes:
+// the paper's sizes unless the config overrides them.
+func hashJoinConfig(w cluster.WorkloadConfig, n int) HashJoinConfig {
+	cfg := HashJoinConfig{N: n, SizeA: 900, SizeB: 800, JoinValues: 72, Seed: w.Seed}
+	if w.SizeA > 0 {
+		cfg.SizeA = w.SizeA
+	}
+	if w.SizeB > 0 {
+		cfg.SizeB = w.SizeB
+	}
+	if w.JoinValues > 0 {
+		cfg.JoinValues = w.JoinValues
+	}
+	return cfg
 }
 
 // HashJoinInput generates the deterministic workload input of §8.2 from
@@ -99,10 +94,10 @@ type HashJoinResult struct {
 // ranges over [0, 2^63) and the initiator singleton, bound to the given
 // principal names in order), the initial table partitions (tuples assigned
 // to nodes by their first attribute, the pre-rehash placement), and the
-// expected |A ⋈ B| for validation. It is shared by the in-process driver
-// and the table row sbxnode reads, whose separate OS processes must agree
-// on the global input without exchanging it — any change to the scenario
-// changes every deployment mode at once.
+// expected |A ⋈ B| for validation. The table's row feeds and checks every
+// run with it, and separate OS processes must agree on the global input
+// without exchanging it — any change to the scenario changes every
+// deployment mode at once.
 func HashJoinInput(cfg HashJoinConfig, principals []string) (common []engine.Fact, parts [][]engine.Fact, expected int) {
 	// Tables: join attribute drawn uniformly from JoinValues distinct
 	// values (randomized per trial, §8.2).
@@ -145,57 +140,4 @@ func HashJoinInput(cfg HashJoinConfig, principals []string) (common []engine.Fac
 		parts[i] = append(parts[i], engine.Fact{Pred: "b", Tuple: datalog.Tuple{datalog.Int64(r.k), datalog.Int64(r.v)}})
 	}
 	return common, parts, expected
-}
-
-// newHashJoin builds the join's cluster over net, asserts the metadata at
-// every node and returns it unstarted, with the table partition each node is
-// to assert once it runs and the expected result size.
-func newHashJoin(cfg HashJoinConfig, net transport.Network) (c *core.Cluster, parts [][]engine.Fact, expected int, err error) {
-	if cfg.N < 1 || cfg.SizeA < 0 || cfg.SizeB < 0 || cfg.JoinValues < 1 {
-		net.Close()
-		return nil, nil, 0, fmt.Errorf("hashjoin: need at least one node and one join value and non-negative table sizes, got N=%d %d×%d over %d values",
-			cfg.N, cfg.SizeA, cfg.SizeB, cfg.JoinValues)
-	}
-	c, err = core.NewCluster(hashJoinProgram.ClusterConfig(cfg.N, cfg.Policy, cfg.Seed, net))
-	if err != nil {
-		return nil, nil, 0, err
-	}
-	common, parts, expected := HashJoinInput(cfg, c.Principals)
-	for i := range c.Nodes {
-		if _, err := c.Nodes[i].WS.Assert(common); err != nil {
-			c.Stop() // the caller only gets the error: release sockets and goroutines
-			return nil, nil, 0, fmt.Errorf("hashjoin: metadata on node %d: %w", i, err)
-		}
-	}
-	return c, parts, expected, nil
-}
-
-// RunHashJoin executes the join to the distributed fixpoint. The caller
-// must Stop() the result's Cluster.
-func RunHashJoin(cfg HashJoinConfig) (*HashJoinResult, error) {
-	net, err := core.NewNetwork(cfg.Transport)
-	if err != nil {
-		return nil, err
-	}
-	c, parts, expected, err := newHashJoin(cfg, net)
-	if err != nil {
-		return nil, err
-	}
-
-	c.Start()
-	for i, facts := range parts {
-		if len(facts) > 0 {
-			c.AssertAt(i, facts)
-		}
-	}
-	dur := c.WaitFixpoint()
-
-	return &HashJoinResult{
-		Duration:      dur,
-		PerNodeKB:     c.MeanNodeTrafficKB(),
-		ResultCount:   len(c.Query(0, "joinresult")),
-		ExpectedCount: expected,
-		Violations:    int(c.Rejections()),
-		Cluster:       c,
-	}, nil
 }

@@ -1,88 +1,75 @@
 package apps
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
 	"secureblox/internal/analysis"
+	"secureblox/internal/cluster"
 	"secureblox/internal/core"
 	"secureblox/internal/datalog"
 	"secureblox/internal/engine"
 )
 
-func smallJoin(n int, policy core.PolicyConfig, seed int64) HashJoinConfig {
-	return HashJoinConfig{N: n, SizeA: 90, SizeB: 80, JoinValues: 12, Policy: policy, Seed: seed}
-}
-
 func TestHashJoinCorrectness(t *testing.T) {
-	res, err := RunHashJoin(smallJoin(3, core.PolicyConfig{}, 11))
-	if err != nil {
-		t.Fatal(err)
+	o := runRow(t, "hashjoin", smoke(11), 3, core.PolicyConfig{}, nil)
+	if o.Wrong != nil {
+		t.Fatalf("%s: %v", o.Answer, o.Wrong)
 	}
-	defer res.Cluster.Stop()
-	if res.Violations != 0 {
-		t.Fatalf("violations: %v", res.Cluster.Violations()[:1])
-	}
-	if res.ResultCount != res.ExpectedCount {
-		t.Fatalf("join result %d tuples, expected %d", res.ResultCount, res.ExpectedCount)
-	}
-	if res.ResultCount == 0 {
+	if len(o.Cluster.Query(0, "joinresult")) == 0 {
 		t.Fatal("degenerate workload: no matches")
 	}
 }
 
 func TestHashJoinUnderRSAAES(t *testing.T) {
-	res, err := RunHashJoin(smallJoin(3, core.PolicyConfig{Auth: core.AuthRSA, Encrypt: true}, 12))
-	if err != nil {
-		t.Fatal(err)
+	o := runRow(t, "hashjoin", smoke(12), 3, core.PolicyConfig{Auth: core.AuthRSA, Encrypt: true}, nil)
+	if o.Wrong != nil {
+		t.Fatalf("secure join changed the result: %s", o.Answer)
 	}
-	defer res.Cluster.Stop()
-	if res.Violations != 0 {
-		t.Fatalf("violations: %v", res.Cluster.Violations()[:1])
-	}
-	if res.ResultCount != res.ExpectedCount {
-		t.Fatalf("secure join changed the result: %d vs %d", res.ResultCount, res.ExpectedCount)
-	}
-	if res.Cluster.Nodes[0].Txns() == 0 {
+	if o.Cluster.Nodes[0].Txns() == 0 {
 		t.Error("the initiator committed no transaction")
 	}
 }
 
 func TestHashJoinSingleNodeDegenerate(t *testing.T) {
 	// All ranges on one node: the join happens entirely locally.
-	res, err := RunHashJoin(smallJoin(1, core.PolicyConfig{}, 13))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer res.Cluster.Stop()
-	if res.ResultCount != res.ExpectedCount {
-		t.Fatalf("local join wrong: %d vs %d", res.ResultCount, res.ExpectedCount)
+	if o := runRow(t, "hashjoin", smoke(13), 1, core.PolicyConfig{}, nil); o.Wrong != nil {
+		t.Fatalf("local join wrong: %s", o.Answer)
 	}
 }
 
-// Zero join values used to divide by zero in HashJoinInput after the
-// cluster was built, and negative sizes to panic in make: both are errors
-// now, returned before a cluster exists.
+// A cluster of no nodes is refused before one is built. A config's sizes
+// that are zero or negative read as the paper's, so zero join values
+// cannot divide by zero in HashJoinInput, nor a negative size panic in
+// make.
 func TestHashJoinRejectsImpossibleConfigs(t *testing.T) {
-	for _, cfg := range []HashJoinConfig{
-		{N: 3, SizeA: 10, SizeB: 10},
-		{N: 3, SizeA: -1, SizeB: 10, JoinValues: 4},
-		{N: 3, SizeA: 10, SizeB: -1, JoinValues: 4},
-		{N: 0, SizeA: 10, SizeB: 10, JoinValues: 4},
-	} {
-		if res, err := RunHashJoin(cfg); err == nil {
-			res.Cluster.Stop()
-			t.Errorf("%+v: accepted", cfg)
-		}
-	}
-	// Empty tables are a legal, empty join.
-	res, err := RunHashJoin(HashJoinConfig{N: 2, JoinValues: 4})
+	w, err := Lookup("hashjoin")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer res.Cluster.Stop()
-	if res.ResultCount != 0 || res.ExpectedCount != 0 {
-		t.Errorf("empty join: %d of %d", res.ResultCount, res.ExpectedCount)
+	if o, err := w.Run(context.Background(), smoke(1), 0, core.PolicyConfig{}, nil); err == nil {
+		o.Cluster.Stop()
+		t.Error("a cluster of no nodes: accepted")
+	}
+	mem := &cluster.Membership{Members: []cluster.Member{{Principal: "p0"}, {Principal: "p1"}}}
+	for _, wc := range []cluster.WorkloadConfig{
+		{SizeA: 10, SizeB: 10},
+		{SizeA: -1, SizeB: -10, JoinValues: -4},
+	} {
+		tables := map[string]int{}
+		for i := range mem.Members {
+			for _, f := range w.Facts(wc, mem, i) {
+				tables[f.Pred]++
+			}
+		}
+		want := map[string]int{"a": 900, "b": 800}
+		if wc.SizeA > 0 {
+			want = map[string]int{"a": 10, "b": 10}
+		}
+		if tables["a"] != want["a"] || tables["b"] != want["b"] {
+			t.Errorf("%+v: fed %d a and %d b rows, want %v", wc, tables["a"], tables["b"], want)
+		}
 	}
 }
 
@@ -90,12 +77,7 @@ func TestHashJoinParallelismReducesPerNodeTraffic(t *testing.T) {
 	// Figure 12's shape: more nodes → less per-node traffic.
 	kb := map[int]float64{}
 	for _, n := range []int{2, 6} {
-		res, err := RunHashJoin(smallJoin(n, core.PolicyConfig{}, 14))
-		if err != nil {
-			t.Fatal(err)
-		}
-		kb[n] = res.PerNodeKB
-		res.Cluster.Stop()
+		kb[n] = runRow(t, "hashjoin", smoke(14), n, core.PolicyConfig{}, nil).Cluster.MeanNodeTrafficKB()
 	}
 	if kb[6] >= kb[2] {
 		t.Errorf("per-node traffic should fall with parallelism: 2 nodes %.1fKB, 6 nodes %.1fKB", kb[2], kb[6])
@@ -103,18 +85,10 @@ func TestHashJoinParallelismReducesPerNodeTraffic(t *testing.T) {
 }
 
 func TestHashJoinRSACostsMoreBandwidthThanNoAuth(t *testing.T) {
-	plain, err := RunHashJoin(smallJoin(3, core.PolicyConfig{}, 15))
-	if err != nil {
-		t.Fatal(err)
-	}
-	plain.Cluster.Stop()
-	secure, err := RunHashJoin(smallJoin(3, core.PolicyConfig{Auth: core.AuthRSA, Encrypt: true}, 15))
-	if err != nil {
-		t.Fatal(err)
-	}
-	secure.Cluster.Stop()
-	if secure.PerNodeKB <= plain.PerNodeKB {
-		t.Errorf("RSA-AES should cost more bandwidth: %.1fKB vs %.1fKB", secure.PerNodeKB, plain.PerNodeKB)
+	plain := runRow(t, "hashjoin", smoke(15), 3, core.PolicyConfig{}, nil).Cluster.MeanNodeTrafficKB()
+	secure := runRow(t, "hashjoin", smoke(15), 3, core.PolicyConfig{Auth: core.AuthRSA, Encrypt: true}, nil).Cluster.MeanNodeTrafficKB()
+	if secure <= plain {
+		t.Errorf("RSA-AES should cost more bandwidth: %.1fKB vs %.1fKB", secure, plain)
 	}
 }
 
@@ -127,8 +101,7 @@ func TestInferredPartitionFactsMatchHandWritten(t *testing.T) {
 		for i := range principals {
 			principals[i] = fmt.Sprintf("prin%d", i)
 		}
-		cfg := smallJoin(n, core.PolicyConfig{}, 42)
-		common, _, _ := HashJoinInput(cfg, principals)
+		common, _, _ := HashJoinInput(hashJoinConfig(smoke(42), n), principals)
 
 		// The hand-written generator this inference replaced.
 		var want []engine.Fact

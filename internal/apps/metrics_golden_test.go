@@ -63,14 +63,7 @@ const metricsTypes = `# TYPE sbx_batch_group_envelopes histogram
 `
 
 func TestMetricsEndpointShape(t *testing.T) {
-	res, err := RunPathVector(PathVectorConfig{
-		N: 3, AvgDegree: 2, Seed: 3,
-		Policy: core.PolicyConfig{Auth: core.AuthRSA, BatchSign: true},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res.Cluster.Stop()
+	runRow(t, "pathvector", pv(3, 2), 3, core.PolicyConfig{Auth: core.AuthRSA, BatchSign: true}, nil).Cluster.Stop()
 	var types []string
 	for _, line := range strings.Split(obs.Default().Render(), "\n") {
 		if strings.HasPrefix(line, "# TYPE ") {

@@ -1,15 +1,16 @@
 // Package apps contains the paper's three use cases (§7) expressed as
-// SecureBlox programs with harnesses that run them on a cluster and collect
-// the evaluation's metrics: the authenticated path-vector routing protocol,
-// the secure parallel hash join, and the anonymous join over an onion
-// circuit.
+// SecureBlox programs — the authenticated path-vector routing protocol, the
+// secure parallel hash join, and the anonymous join over an onion circuit —
+// as the rows of one table, Workloads, each with its input, its readout and
+// its oracle, and the one runner that takes a row to the fixpoint in-process.
 package apps
 
 import (
 	"fmt"
-	"time"
+	"strconv"
+	"strings"
 
-	"secureblox/internal/core"
+	"secureblox/internal/cluster"
 	"secureblox/internal/datalog"
 	"secureblox/internal/engine"
 	"secureblox/internal/graph"
@@ -60,34 +61,11 @@ const PathVectorQuery = `
 		<- says['pathlink](U, self[], P, H1, H2), !pathlink(P, H1, _).
 `
 
-// PathVectorConfig parameterizes one path-vector experiment.
-type PathVectorConfig struct {
-	N         int
-	AvgDegree float64
-	Policy    core.PolicyConfig
-	Seed      int64
-	// Transport selects the cluster substrate: "" or "mem" for the
-	// in-process network, "udp" for real loopback sockets (see
-	// core.NewNetwork). The scenario and its results are identical.
-	Transport string
-}
-
-// PathVectorResult carries the metrics of one run (paper §8.1).
-type PathVectorResult struct {
-	FixpointLatency time.Duration
-	PerNodeKB       float64
-	MeanTxn         time.Duration
-	Convergence     []time.Duration
-	Violations      int
-	Graph           *graph.Graph
-	Cluster         *core.Cluster
-}
-
 // PathVectorLinkFacts builds node i's slice of the initial link
 // distribution: its adjacency in g, expressed over the nodes' real
-// transport addresses so the scenario is transport-agnostic. Shared by
-// the in-process driver and the table row sbxnode reads, whose separate OS
-// processes derive the same graph from the workload seed.
+// transport addresses so the scenario is transport-agnostic. The table's
+// row feeds it to every node, whose separate OS processes derive the same
+// graph from the workload seed.
 func PathVectorLinkFacts(g *graph.Graph, addrs []string, i int) []engine.Fact {
 	var facts []engine.Fact
 	me := datalog.NodeV(addrs[i])
@@ -100,56 +78,41 @@ func PathVectorLinkFacts(g *graph.Graph, addrs []string, i int) []engine.Fact {
 	return facts
 }
 
-// RunPathVector executes the protocol on a random connected graph to the
-// distributed fixpoint. The caller must Stop() the returned result's
-// Cluster (kept open so tests can inspect node state).
-func RunPathVector(cfg PathVectorConfig) (*PathVectorResult, error) {
-	g := graph.RandomConnected(cfg.N, cfg.AvgDegree, cfg.Seed)
-	net, err := core.NewNetwork(cfg.Transport)
-	if err != nil {
-		return nil, err
+// pathVectorGraph is the random connected graph a config's links come
+// from: n nodes of average degree w.Degree (default 3), drawn from w.Seed.
+func pathVectorGraph(w cluster.WorkloadConfig, n int) *graph.Graph {
+	degree := w.Degree
+	if degree <= 0 {
+		degree = 3
 	}
-	c, err := core.NewCluster(pathVectorProgram.ClusterConfig(cfg.N, cfg.Policy, cfg.Seed, net))
-	if err != nil {
-		return nil, err
-	}
-	c.Start()
-	// Distribute initial links to all nodes simultaneously (§8.1).
-	for i := 0; i < cfg.N; i++ {
-		if facts := PathVectorLinkFacts(g, c.Addrs, i); len(facts) > 0 {
-			c.AssertAt(i, facts)
-		}
-	}
-	latency := c.WaitFixpoint()
-	return &PathVectorResult{
-		FixpointLatency: latency,
-		PerNodeKB:       c.MeanNodeTrafficKB(),
-		MeanTxn:         c.MeanTxnDuration(),
-		Convergence:     c.ConvergenceTimes(),
-		Violations:      int(c.Rejections()),
-		Graph:           g,
-		Cluster:         c,
-	}, nil
+	return graph.RandomConnected(n, degree, w.Seed)
 }
 
-// ValidateShortestPaths checks each node's bestcost table against BFS
-// ground truth, returning the first discrepancy.
-func (r *PathVectorResult) ValidateShortestPaths() error {
-	for i := 0; i < r.Graph.N; i++ {
-		truth := r.Graph.ShortestPaths(i)
-		me := datalog.NodeV(r.Cluster.Addrs[i])
-		for j, want := range truth {
+// pathVectorCheck is the strict oracle: every node's bestcost to every node
+// it can reach is the BFS distance in the graph its links came from. It
+// names the first discrepancy.
+func pathVectorCheck(w cluster.WorkloadConfig, mem *cluster.Membership, lines []string) (string, error) {
+	n := len(mem.Members)
+	answer := fmt.Sprintf("every bestcost of %d nodes against BFS", n)
+	cost := map[string]string{} // "bestcost\tsrc\tdst\t" → cost
+	for _, l := range lines {
+		i := strings.LastIndexByte(l, '\t')
+		cost[l[:i+1]] = l[i+1:]
+	}
+	g, prin := pathVectorGraph(w, n), mem.Principals()
+	for i := range n {
+		for j, want := range g.ShortestPaths(i) {
 			if j == i || want < 0 {
 				continue
 			}
-			got, ok := r.Cluster.Nodes[i].WS.LookupFn("bestcost", me, datalog.NodeV(r.Cluster.Addrs[j]))
+			got, ok := cost[fmt.Sprintf("bestcost\t%s\t%s\t", prin[i], prin[j])]
 			if !ok {
-				return fmt.Errorf("node %d: no bestcost to node %d (want %d)", i, j, want)
+				return answer, fmt.Errorf("node %d: no bestcost to node %d (want %d)", i, j, want)
 			}
-			if got.Int != int64(want) {
-				return fmt.Errorf("node %d: bestcost to node %d = %d, want %d", i, j, got.Int, want)
+			if got != strconv.Itoa(want) {
+				return answer, fmt.Errorf("node %d: bestcost to node %d = %s, want %d", i, j, got, want)
 			}
 		}
 	}
-	return nil
+	return answer, nil
 }

@@ -1,11 +1,48 @@
 package apps
 
 import (
+	"context"
 	"testing"
+	"time"
 
+	"secureblox/internal/cluster"
 	"secureblox/internal/core"
 	"secureblox/internal/graph"
+	"secureblox/internal/transport"
 )
+
+// runRow takes the named row of Workloads to its fixpoint on n nodes over
+// net (nil: a fresh memnet) through the one runner, fails the test on an
+// error or a violation, and stops the cluster when the test ends.
+func runRow(t *testing.T, name string, wc cluster.WorkloadConfig, n int, p core.PolicyConfig, net transport.Network) *Outcome {
+	t.Helper()
+	w, err := Lookup(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	o, err := w.Run(ctx, wc, n, p, net)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(o.Cluster.Stop)
+	if v := o.Cluster.Violations(); len(v) != 0 {
+		t.Fatalf("%d violations, first: %v", o.Cluster.Rejections(), v[0])
+	}
+	return o
+}
+
+// smoke is the input `sbx run` feeds every row from seed: a tenth of the
+// paper's hash-join tables (§8.2), a path-vector graph of degree 3.
+func smoke(seed int64) cluster.WorkloadConfig {
+	return cluster.WorkloadConfig{SizeA: 90, SizeB: 80, JoinValues: 12, Seed: seed}
+}
+
+// pv is a path-vector input: the graph of seed at average degree d.
+func pv(seed int64, d float64) cluster.WorkloadConfig {
+	return cluster.WorkloadConfig{Seed: seed, Degree: d}
+}
 
 func TestGraphGenerator(t *testing.T) {
 	for _, n := range []int{6, 12, 36} {
@@ -31,16 +68,8 @@ func TestGraphGenerator(t *testing.T) {
 }
 
 func TestPathVectorComputesShortestPaths(t *testing.T) {
-	res, err := RunPathVector(PathVectorConfig{N: 6, AvgDegree: 3, Seed: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer res.Cluster.Stop()
-	if res.Violations != 0 {
-		t.Fatalf("violations: %v", res.Cluster.Violations())
-	}
-	if err := res.ValidateShortestPaths(); err != nil {
-		t.Fatal(err)
+	if o := runRow(t, "pathvector", pv(3, 3), 6, core.PolicyConfig{}, nil); o.Wrong != nil {
+		t.Fatal(o.Wrong)
 	}
 }
 
@@ -48,35 +77,19 @@ func TestPathVectorOverUDP(t *testing.T) {
 	// The Figure 4 scenario over real loopback sockets: same protocol,
 	// same ground-truth shortest paths, termination detected purely via
 	// wire-level control messages across the reliable UDP layer.
-	res, err := RunPathVector(PathVectorConfig{N: 5, AvgDegree: 3, Seed: 3, Transport: "udp"})
-	if err != nil {
-		t.Fatal(err)
+	o := runRow(t, "pathvector", pv(3, 3), 5, core.PolicyConfig{}, transport.NewUDPNetwork())
+	if o.Wrong != nil {
+		t.Fatal(o.Wrong)
 	}
-	defer res.Cluster.Stop()
-	if res.Violations != 0 {
-		t.Fatalf("violations: %v", res.Cluster.Violations()[:1])
-	}
-	if err := res.ValidateShortestPaths(); err != nil {
-		t.Fatal(err)
-	}
-	if res.PerNodeKB <= 0 {
+	if o.Cluster.MeanNodeTrafficKB() <= 0 {
 		t.Error("no traffic measured over UDP")
 	}
 }
 
 func TestHashJoinOverUDP(t *testing.T) {
-	res, err := RunHashJoin(HashJoinConfig{
-		N: 3, SizeA: 60, SizeB: 50, JoinValues: 12, Seed: 9, Transport: "udp",
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer res.Cluster.Stop()
-	if res.Violations != 0 {
-		t.Fatalf("violations: %v", res.Cluster.Violations()[:1])
-	}
-	if res.ResultCount != res.ExpectedCount {
-		t.Fatalf("join over UDP returned %d rows, want %d", res.ResultCount, res.ExpectedCount)
+	wc := cluster.WorkloadConfig{SizeA: 60, SizeB: 50, JoinValues: 12, Seed: 9}
+	if o := runRow(t, "hashjoin", wc, 3, core.PolicyConfig{}, transport.NewUDPNetwork()); o.Wrong != nil {
+		t.Fatalf("join over UDP: %s: %v", o.Answer, o.Wrong)
 	}
 }
 
@@ -86,12 +99,8 @@ func TestNoFullScanFallbacksInProtocolRuleSets(t *testing.T) {
 	// node's evaluator may have fallen back to scanning a relation whose
 	// step had bound columns. The plans themselves, under every policy, are
 	// in the engine's testdata/shipped_plans.golden.
-	pv, err := RunPathVector(PathVectorConfig{N: 6, AvgDegree: 3, Seed: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer pv.Cluster.Stop()
-	for i, n := range pv.Cluster.Nodes {
+	pvc := runRow(t, "pathvector", pv(3, 3), 6, core.PolicyConfig{}, nil).Cluster
+	for i, n := range pvc.Nodes {
 		s := n.WS.Stats()
 		if s.FullScanFallbacks != 0 {
 			t.Errorf("pathvector node %d: %d full-scan fallbacks (%s)", i, s.FullScanFallbacks, s)
@@ -100,12 +109,8 @@ func TestNoFullScanFallbacksInProtocolRuleSets(t *testing.T) {
 			t.Errorf("pathvector node %d: evaluator never probed an index", i)
 		}
 	}
-	hj, err := RunHashJoin(HashJoinConfig{N: 3, SizeA: 60, SizeB: 50, JoinValues: 12, Seed: 9})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer hj.Cluster.Stop()
-	for i, n := range hj.Cluster.Nodes {
+	hj := runRow(t, "hashjoin", cluster.WorkloadConfig{SizeA: 60, SizeB: 50, JoinValues: 12, Seed: 9}, 3, core.PolicyConfig{}, nil).Cluster
+	for i, n := range hj.Nodes {
 		s := n.WS.Stats()
 		if s.FullScanFallbacks != 0 {
 			t.Errorf("hashjoin node %d: %d full-scan fallbacks (%s)", i, s.FullScanFallbacks, s)
@@ -114,21 +119,11 @@ func TestNoFullScanFallbacksInProtocolRuleSets(t *testing.T) {
 }
 
 func TestPathVectorUnderRSA(t *testing.T) {
-	res, err := RunPathVector(PathVectorConfig{
-		N: 6, AvgDegree: 3, Seed: 4,
-		Policy: core.PolicyConfig{Auth: core.AuthRSA},
-	})
-	if err != nil {
-		t.Fatal(err)
+	o := runRow(t, "pathvector", pv(4, 3), 6, core.PolicyConfig{Auth: core.AuthRSA}, nil)
+	if o.Wrong != nil {
+		t.Fatal(o.Wrong)
 	}
-	defer res.Cluster.Stop()
-	if res.Violations != 0 {
-		t.Fatalf("violations: %v", res.Cluster.Violations()[:1])
-	}
-	if err := res.ValidateShortestPaths(); err != nil {
-		t.Fatal(err)
-	}
-	if res.PerNodeKB <= 0 {
+	if o.Cluster.MeanNodeTrafficKB() <= 0 {
 		t.Error("no traffic measured")
 	}
 }
@@ -137,17 +132,10 @@ func TestPathVectorRSAAESMatchesNoAuthRoutes(t *testing.T) {
 	// Security customization must not change protocol results (the
 	// paper's central claim: policy is decoupled from specification).
 	get := func(p core.PolicyConfig) map[string]int64 {
-		res, err := RunPathVector(PathVectorConfig{N: 6, AvgDegree: 3, Seed: 5, Policy: p})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer res.Cluster.Stop()
-		if res.Violations != 0 {
-			t.Fatalf("%s violations: %v", p.Name(), res.Cluster.Violations()[:1])
-		}
+		c := runRow(t, "pathvector", pv(5, 3), 6, p, nil).Cluster
 		out := map[string]int64{}
-		for i := range res.Cluster.Nodes {
-			for _, tp := range res.Cluster.Query(i, "bestcost") {
+		for i := range c.Nodes {
+			for _, tp := range c.Query(i, "bestcost") {
 				out[tp[0].Str+">"+tp[1].Str] = tp[2].Int
 			}
 		}
@@ -168,15 +156,11 @@ func TestPathVectorRSAAESMatchesNoAuthRoutes(t *testing.T) {
 func TestPathVectorPathCompositionPropagates(t *testing.T) {
 	// The protocol ships full path composition so nodes can policy-check
 	// paths; verify some multi-hop pathlink chain exists.
-	res, err := RunPathVector(PathVectorConfig{N: 6, AvgDegree: 2.5, Seed: 6})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer res.Cluster.Stop()
+	c := runRow(t, "pathvector", pv(6, 2.5), 6, core.PolicyConfig{}, nil).Cluster
 	multi := false
-	for i := range res.Cluster.Nodes {
+	for i := range c.Nodes {
 		byPath := map[string]int{}
-		for _, tp := range res.Cluster.Query(i, "pathlink") {
+		for _, tp := range c.Query(i, "pathlink") {
 			byPath[tp[0].String()]++
 		}
 		for _, cnt := range byPath {

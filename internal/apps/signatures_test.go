@@ -35,15 +35,8 @@ func TestSignaturesStoredOnlyWhereChecked(t *testing.T) {
 		}
 		for _, p := range schemes {
 			t.Run(w.Name+"/"+p.Name(), func(t *testing.T) {
-				out, err := w.Run(4, p, 3, "")
-				if err != nil {
-					t.Fatal(err)
-				}
+				out := runRow(t, w.Name, smoke(3), 4, p, nil)
 				c := out.Cluster
-				defer c.Stop()
-				if v := c.Violations(); len(v) != 0 {
-					t.Fatalf("violations: %v", v[0])
-				}
 				if out.Wrong != nil {
 					t.Fatal(out.Wrong)
 				}

@@ -1,6 +1,7 @@
 package apps
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"strings"
@@ -11,7 +12,7 @@ import (
 	"secureblox/internal/datalog"
 	"secureblox/internal/engine"
 	"secureblox/internal/generics"
-	"secureblox/internal/graph"
+	"secureblox/internal/seccrypto"
 	"secureblox/internal/transport"
 )
 
@@ -42,25 +43,31 @@ func (pr Program) Compile(p core.PolicyConfig) (*generics.Result, error) {
 	return core.CompileProgram(cc.Policy, cc.Query, cc.ExtraPolicies)
 }
 
-// Workload is one row of the table of shipped use cases: what a front end
-// needs to compile it, to run it once in-process against its oracle, and —
-// where a multi-process driver exists — to feed and read out one node of a
-// deployment.
+// Workload is one row of the table of shipped use cases: its program, and
+// what every way of running it — `sbx run`, a deployment, a test — feeds
+// each node, reads out of each node and checks the answer against. Facts,
+// Lines, Check and Keys are pure functions of the config, so that separate
+// processes agree without exchanging a byte.
 type Workload struct {
 	Name string
 	Program
-	// Run takes the workload to the distributed fixpoint once, at a fixed
-	// smoke size, and checks the answer.
-	Run func(n int, p core.PolicyConfig, seed int64, transport string) (*Outcome, error)
+	// MinNodes is the fewest nodes the row runs on beyond core's one, and
+	// Roles what they are; Sized refuses fewer.
+	MinNodes int
+	Roles    string
+	// Keys, where set, installs node idx's out-of-band key material before
+	// the node runs.
+	Keys func(w cluster.WorkloadConfig, mem *cluster.Membership, idx int, ks *seccrypto.KeyStore) error
 	// Facts and Lines are node idx's share of the input and of the result
-	// set in a deployment of mem's members, both pure functions of the
-	// config so that separate processes agree without exchanging a byte.
-	// Lines are principal-keyed and tab-separated and never carry an
-	// address: bound addresses are the one thing a multi-process UDP run and
-	// its in-process reference do not share. Nil where no multi-process
-	// driver exists.
+	// set in a cluster of mem's members. Lines are principal-keyed and
+	// tab-separated and never carry an address: bound addresses are the one
+	// thing a multi-process UDP run and its in-process reference do not
+	// share.
 	Facts func(w cluster.WorkloadConfig, mem *cluster.Membership, idx int) []engine.Fact
 	Lines func(mem *cluster.Membership, idx int, ws *engine.Workspace) []string
+	// Check is the row's oracle over the union of every node's Lines: what
+	// it looked at, and why that is not the right answer (nil when it is).
+	Check func(w cluster.WorkloadConfig, mem *cluster.Membership, lines []string) (answer string, wrong error)
 }
 
 // Outcome is one finished in-process run. The cluster is left open so its
@@ -68,33 +75,19 @@ type Workload struct {
 type Outcome struct {
 	Cluster *core.Cluster
 	Latency time.Duration
-	// Answer is what the workload's oracle looked at, Wrong why it is not
-	// the right answer (nil when it is).
+	// Answer and Wrong are the row's Check verdict.
 	Answer string
 	Wrong  error
 }
 
 // Workloads is the one list of what ships. `sbx run`, `sbx vet -builtin`,
-// sbxnode and the vet tests read it; adding a row adds the workload to all
-// of them.
+// sbxnode and the tests read it; adding a row adds the workload to all of
+// them.
 var Workloads = []Workload{
 	{
 		Name: "pathvector", Program: pathVectorProgram,
-		Run: func(n int, p core.PolicyConfig, seed int64, transport string) (*Outcome, error) {
-			res, err := RunPathVector(PathVectorConfig{N: n, AvgDegree: 3, Policy: p, Seed: seed, Transport: transport})
-			if err != nil {
-				return nil, err
-			}
-			return &Outcome{Cluster: res.Cluster, Latency: res.FixpointLatency,
-				Answer: fmt.Sprintf("every bestcost of %d nodes against BFS", n), Wrong: res.ValidateShortestPaths()}, nil
-		},
 		Facts: func(w cluster.WorkloadConfig, mem *cluster.Membership, idx int) []engine.Fact {
-			degree := w.Degree
-			if degree <= 0 {
-				degree = 3
-			}
-			g := graph.RandomConnected(len(mem.Members), degree, w.Seed)
-			return PathVectorLinkFacts(g, mem.Addrs(), idx)
+			return PathVectorLinkFacts(pathVectorGraph(w, len(mem.Members)), mem.Addrs(), idx)
 		},
 		// Every node owns its bestcost rows: shortest path costs from
 		// itself to every reachable peer.
@@ -114,66 +107,117 @@ var Workloads = []Workload{
 			}
 			return lines
 		},
+		Check: pathVectorCheck,
 	},
 	{
 		Name: "hashjoin", Program: hashJoinProgram,
-		// A tenth of the paper's tables (§8.2): 602 result rows.
-		Run: func(n int, p core.PolicyConfig, seed int64, transport string) (*Outcome, error) {
-			res, err := RunHashJoin(HashJoinConfig{N: n, SizeA: 90, SizeB: 80, JoinValues: 12, Policy: p, Seed: seed, Transport: transport})
-			if err != nil {
-				return nil, err
-			}
-			return counted(res.Cluster, res.Duration, res.ResultCount, res.ExpectedCount, "join rows at the initiator"), nil
-		},
-		// The paper's sizes unless the config overrides them.
 		Facts: func(w cluster.WorkloadConfig, mem *cluster.Membership, idx int) []engine.Fact {
-			hc := DefaultHashJoinConfig(len(mem.Members), core.PolicyConfig{}, w.Seed)
-			if w.SizeA > 0 {
-				hc.SizeA = w.SizeA
-			}
-			if w.SizeB > 0 {
-				hc.SizeB = w.SizeB
-			}
-			if w.JoinValues > 0 {
-				hc.JoinValues = w.JoinValues
-			}
-			common, parts, _ := HashJoinInput(hc, mem.Principals())
+			common, parts, _ := HashJoinInput(hashJoinConfig(w, len(mem.Members)), mem.Principals())
 			return append(common, parts[idx]...)
 		},
-		// The full join result streams to the initiator (node 0); other
-		// nodes own no result rows.
-		Lines: func(_ *cluster.Membership, idx int, ws *engine.Workspace) []string {
-			var lines []string
-			if idx == 0 {
-				for _, t := range ws.Tuples("joinresult") {
-					if len(t) == 3 {
-						lines = append(lines, fmt.Sprintf("joinresult\t%d\t%d\t%d", t[0].Int, t[1].Int, t[2].Int))
-					}
-				}
-			}
-			return lines
+		// The full join result streams to the initiator.
+		Lines: initiatorLines("joinresult"),
+		Check: func(w cluster.WorkloadConfig, mem *cluster.Membership, lines []string) (string, error) {
+			_, _, want := HashJoinInput(hashJoinConfig(w, len(mem.Members)), mem.Principals())
+			return tally(len(lines), want, "join rows at the initiator")
 		},
 	},
 	{
-		// Initiator, n-2 relays, table owner.
 		Name: "anonjoin", Program: anonJoinProgram,
-		Run: func(n int, p core.PolicyConfig, seed int64, transport string) (*Outcome, error) {
-			res, err := runAnonJoin(AnonJoinConfig{Relays: n - 2, Interests: 10, PublicRows: 100, Overlap: 6, Seed: seed, Transport: transport}, p)
-			if err != nil {
-				return nil, err
-			}
-			return counted(res.Cluster, res.Duration, res.Results, res.Expected, "matches at the initiator"), nil
+		MinNodes: 3, Roles: "an initiator, at least one relay and a table owner",
+		Keys: anonJoinKeys, Facts: anonJoinFacts,
+		Lines: initiatorLines("result"),
+		Check: func(_ cluster.WorkloadConfig, _ *cluster.Membership, lines []string) (string, error) {
+			return tally(len(lines), anonOverlap, "matches at the initiator")
 		},
 	},
 }
 
-// counted is the outcome of a workload whose oracle is a result count.
-func counted(c *core.Cluster, latency time.Duration, got, want int, what string) *Outcome {
-	o := &Outcome{Cluster: c, Latency: latency, Answer: fmt.Sprintf("%d of %d %s", got, want, what)}
-	if got != want {
-		o.Wrong = errors.New("wrong result count")
+// initiatorLines reads out a result relation of integers that only the
+// initiator, node 0, holds.
+func initiatorLines(pred string) func(*cluster.Membership, int, *engine.Workspace) []string {
+	return func(_ *cluster.Membership, idx int, ws *engine.Workspace) []string {
+		var lines []string
+		if idx == 0 {
+			for _, t := range ws.Tuples(pred) {
+				line := pred
+				for _, v := range t {
+					line += fmt.Sprintf("\t%d", v.Int)
+				}
+				lines = append(lines, line)
+			}
+		}
+		return lines
 	}
-	return o
+}
+
+// tally is a count oracle's verdict: got of want rows.
+func tally(got, want int, what string) (string, error) {
+	answer := fmt.Sprintf("%d of %d %s", got, want, what)
+	if got != want {
+		return answer, errors.New("wrong result count")
+	}
+	return answer, nil
+}
+
+// Sized refuses a cluster of n nodes too small for the row.
+func (w *Workload) Sized(n int) error {
+	if n < w.MinNodes {
+		return fmt.Errorf("%s: %d nodes, need %s", w.Name, n, w.Roles)
+	}
+	return nil
+}
+
+// newCluster builds the row's cluster of n nodes over net (nil: a fresh
+// memnet) under scheme p, every node's Keys installed, unstarted.
+func (w *Workload) newCluster(wc cluster.WorkloadConfig, n int, p core.PolicyConfig, net transport.Network) (*core.Cluster, error) {
+	if err := w.Sized(n); err != nil {
+		if net != nil {
+			net.Close()
+		}
+		return nil, err
+	}
+	c, err := core.NewCluster(w.ClusterConfig(n, p, wc.Seed, net))
+	if err != nil || w.Keys == nil {
+		return c, err
+	}
+	for i, ks := range c.KeyStores {
+		if err := w.Keys(wc, c.Directory, i, ks); err != nil {
+			c.Stop()
+			return nil, err
+		}
+	}
+	return c, nil
+}
+
+// Run is the one in-process way to run a row on n nodes over net (nil: a
+// fresh memnet) under scheme p: the cluster with every node's Keys, every
+// node's Facts asserted once the cluster runs, the distributed fixpoint,
+// then Check over every node's Lines. The caller Stops the outcome's
+// cluster; on an error net is closed.
+func (w *Workload) Run(ctx context.Context, wc cluster.WorkloadConfig, n int, p core.PolicyConfig, net transport.Network) (*Outcome, error) {
+	c, err := w.newCluster(wc, n, p, net)
+	if err != nil {
+		return nil, err
+	}
+	c.Start()
+	for i := range c.Nodes {
+		if facts := w.Facts(wc, c.Directory, i); len(facts) > 0 {
+			c.AssertAt(i, facts)
+		}
+	}
+	latency, err := c.WaitFixpointCtx(ctx)
+	if err != nil {
+		c.Stop()
+		return nil, err
+	}
+	var lines []string
+	for i, node := range c.Nodes {
+		lines = append(lines, w.Lines(c.Directory, i, node.WS)...)
+	}
+	o := &Outcome{Cluster: c, Latency: latency}
+	o.Answer, o.Wrong = w.Check(wc, c.Directory, lines)
+	return o, nil
 }
 
 // Names lists the table's rows, for usage lines and error messages.

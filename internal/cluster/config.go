@@ -118,8 +118,7 @@ type NodeConfig struct {
 // WorkloadConfig selects the rule set a deployment runs and its
 // parameters.
 type WorkloadConfig struct {
-	// Name is the rule set: a row of apps.Workloads that has a
-	// multi-process driver.
+	// Name is the rule set: a row of apps.Workloads.
 	Name string `json:"name"`
 	// Seed drives the workload's deterministic input generation; every
 	// process must agree on it.

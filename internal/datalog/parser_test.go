@@ -154,7 +154,7 @@ func TestParseFactsAndLiterals(t *testing.T) {
 	if prog.Facts[3].Args[0].(Const).Val.Kind != KindNode {
 		t.Errorf("node literal kind wrong")
 	}
-	if !prog.Facts[4].Args[0].(Const).Val.AsBool() {
+	if v := prog.Facts[4].Args[0].(Const).Val; v.Kind != KindBool || v.Int == 0 {
 		t.Errorf("true literal wrong")
 	}
 }

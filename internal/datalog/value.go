@@ -124,9 +124,6 @@ func Entity(typ string, id int64) Value {
 // IsZero reports whether v is the zero (invalid) value.
 func (v Value) IsZero() bool { return v.Kind == KindInvalid }
 
-// AsBool reports the truth of a KindBool value.
-func (v Value) AsBool() bool { return v.Kind == KindBool && v.Int != 0 }
-
 // Equal reports deep equality of two values.
 func (v Value) Equal(o Value) bool {
 	if v.Kind != o.Kind {

@@ -87,19 +87,6 @@ func (g *Graph) ShortestPaths(src int) []int {
 	return dist
 }
 
-// Diameter returns the longest shortest path in the graph.
-func (g *Graph) Diameter() int {
-	max := 0
-	for v := 0; v < g.N; v++ {
-		for _, d := range g.ShortestPaths(v) {
-			if d > max {
-				max = d
-			}
-		}
-	}
-	return max
-}
-
 // Connected reports whether the graph is connected.
 func (g *Graph) Connected() bool {
 	for _, d := range g.ShortestPaths(0) {
