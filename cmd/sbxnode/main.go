@@ -371,10 +371,7 @@ func runNode(ctx context.Context, rt *cluster.Runtime, nw transport.Network, cha
 		Seed:      cfg.Workload.Seed,
 	}
 	if pol.Auth == core.AuthRSA {
-		assembly.VerifyPool = seccrypto.NewVerifyPool(0)
-		defer assembly.VerifyPool.Close()
-		assembly.SignPool = seccrypto.NewSignPool(0)
-		defer assembly.SignPool.Close()
+		assembly.VerifyPool, assembly.SignPool = seccrypto.NewVerifyPool(), seccrypto.NewSignPool()
 	}
 	node, err := assembly.Build()
 	if err != nil {
@@ -458,10 +455,10 @@ func runNode(ctx context.Context, rt *cluster.Runtime, nw transport.Network, cha
 		obs.L().With(rt.Principal()).Warn("departure barrier failed", "err", err.Error())
 	}
 
-	// Graceful leave: drain the outbound sign-and-send stage (a no-op
-	// after a proven fixpoint, load-bearing on cancellation paths), then
-	// stop. Stopping also joins the transaction loop, which makes the
-	// workspace safe to read for the result report below.
+	// Graceful leave: drain the node's queued work (a no-op after a proven
+	// fixpoint, load-bearing on cancellation paths), then stop. Stopping
+	// also joins the transaction loop, which makes the workspace safe to
+	// read for the result report below.
 	lctx, lcancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer lcancel()
 	if err := rt.Leave(lctx, node); err != nil {

@@ -42,7 +42,7 @@ func compileWorkload(w *apps.Workload, pol core.PolicyConfig) (compiled, error) 
 	if err != nil {
 		return compiled{}, err
 	}
-	prog, err := core.CompileEngine(res, false)
+	prog, err := core.CompileEngine(res)
 	return compiled{pol: pol, res: res, prog: prog}, err
 }
 

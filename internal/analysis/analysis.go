@@ -5,8 +5,7 @@
 // co-partitioning from the join columns of the plans — the
 // BloxBatch-style compile-time checks the paper's toolchain performs before
 // a program ever runs. `sbx vet` and `sbxnode -vet` print its findings;
-// Check rejects a program with error-class findings before it is compiled
-// (core.CompileEngine).
+// Check rejects a program with error-class findings.
 package analysis
 
 import (

@@ -41,8 +41,6 @@ const metricsTypes = `# TYPE sbx_batch_group_envelopes histogram
 # TYPE sbx_log_events_total counter
 # TYPE sbx_msgs_recv_total counter
 # TYPE sbx_msgs_sent_total counter
-# TYPE sbx_outbound_pending_chunks gauge
-# TYPE sbx_preverify_backlog gauge
 # TYPE sbx_rsa_sign_ops_total counter
 # TYPE sbx_rsa_verify_ops_total counter
 # TYPE sbx_signpool_hits_total counter

@@ -1,7 +1,6 @@
 package apps
 
 import (
-	"strings"
 	"testing"
 
 	"secureblox/internal/analysis"
@@ -73,35 +72,5 @@ func TestCompiledProgramsPassVet(t *testing.T) {
 			}
 			assertNoErrors(t, a, name, rep)
 		}
-	}
-}
-
-// ClusterConfig.Vet wires the analyzer into install: shipped programs still
-// build, while an unsafe program is rejected before any node runs it.
-func TestClusterVetGate(t *testing.T) {
-	c, err := core.NewCluster(core.ClusterConfig{
-		N:      1,
-		Policy: core.PolicyConfig{Delegation: core.DelegateNone},
-		Query:  HashJoinQuery,
-		Seed:   1,
-		Vet:    true,
-	})
-	if err != nil {
-		t.Fatalf("vetted hashjoin cluster failed to build: %v", err)
-	}
-	c.Stop()
-
-	_, err = core.NewCluster(core.ClusterConfig{
-		N:      1,
-		Policy: core.PolicyConfig{Delegation: core.DelegateNone},
-		Query:  `p(X, Y) <- q(X).`,
-		Seed:   1,
-		Vet:    true,
-	})
-	if err == nil {
-		t.Fatal("unsafe program installed despite Vet")
-	}
-	if !strings.Contains(err.Error(), analysis.CodeUnsafeHeadVar) {
-		t.Fatalf("rejection does not name the finding: %v", err)
 	}
 }

@@ -253,7 +253,7 @@ func (rt *Runtime) Join(ctx context.Context) (*Membership, error) {
 	}
 	rt.seedAddr = rt.mem.Members[0].Addr
 	// Distribute the directory's public keys into the local keystore: the
-	// pre-verify pool and the policy constraints both look peers up there.
+	// policy constraints look peers up there.
 	if rt.spec.UsesRSA() {
 		for _, m := range rt.mem.Members {
 			pub, perr := rt.ks.ParsePub(m.PubKeyDER)

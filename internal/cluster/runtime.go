@@ -285,9 +285,9 @@ func (rt *Runtime) applyEviction(members []wire.MemberInfo, gossip bool) []strin
 	return principals
 }
 
-// Leave departs gracefully: the node's queued work is drained — including
-// the asynchronous outbound sign-and-send stage, so the last commits reach
-// the wire — and, on transports with a retransmit layer, the endpoint's
+// Leave departs gracefully: the node's queued work is drained — committed,
+// and what it ships sent, so the last commits reach the wire — and, on
+// transports with a retransmit layer, the endpoint's
 // unacknowledged frames are flushed (closing right after a single send of
 // e.g. the departure release would cut its retransmit window and strand a
 // peer behind one lost datagram). Then the node stops and closes its

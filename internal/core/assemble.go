@@ -1,10 +1,8 @@
 package core
 
 import (
-	"crypto/rsa"
 	"fmt"
 
-	"secureblox/internal/analysis"
 	"secureblox/internal/cluster"
 	"secureblox/internal/dist"
 	"secureblox/internal/engine"
@@ -12,7 +10,6 @@ import (
 	"secureblox/internal/seccrypto"
 	"secureblox/internal/transport"
 	"secureblox/internal/udf"
-	"secureblox/internal/wire"
 )
 
 // PolicyFromSpec maps a deployment config's syntactic policy spec to the
@@ -66,18 +63,12 @@ func CompileProgram(p PolicyConfig, query string, extra []string) (*generics.Res
 // CompileEngine plans a compiled program once for every node of the process:
 // each node's workspace binds the result (NodeAssembly.Program) with its own
 // keystore-bound UDFs. The plans need only the library's UDF names and binding
-// shapes, so an empty keystore stands in for the nodes'. With vet, the static
-// analyzer runs over the program first and rejects it on any error-class
-// finding — the same pre-flight `sbx vet` and `sbxnode -vet` run explicitly.
-func CompileEngine(res *generics.Result, vet bool) (*engine.Program, error) {
+// shapes, so an empty keystore stands in for the nodes'. The static analyzer is
+// a separate pre-flight: `sbx vet` and `sbxnode -vet` run it.
+func CompileEngine(res *generics.Result) (*engine.Program, error) {
 	reg, err := udf.NewRegistry(seccrypto.NewKeyStore(""), nil)
 	if err != nil {
 		return nil, err
-	}
-	if vet {
-		if err := (&analysis.Analyzer{UDFs: reg}).Check(res.Program); err != nil {
-			return nil, err
-		}
 	}
 	return engine.Compile(res.Program, reg)
 }
@@ -93,7 +84,7 @@ func Exportables(res *generics.Result) []string {
 
 // NodeAssembly holds everything needed to stand up one SecureBlox node
 // over an open endpoint: the compiled program, the cluster directory, the
-// node's keystore and the shared crypto pools. It is the one code path
+// node's keystore and the shared crypto memos. It is the one code path
 // both cluster paths share — core.NewCluster assembles N of these over a
 // statically built Membership, cmd/sbxnode's runNode assembles one per
 // principal over the Membership the join handshake established.
@@ -115,8 +106,8 @@ type NodeAssembly struct {
 	// Endpoint is the node's bound transport endpoint; the node takes
 	// ownership.
 	Endpoint transport.Transport
-	// VerifyPool/SignPool are the shared RSA worker pools (nil under
-	// non-RSA policies).
+	// VerifyPool/SignPool are the shared RSA memos (nil under non-RSA
+	// policies).
 	VerifyPool *seccrypto.VerifyPool
 	SignPool   *seccrypto.SignPool
 	// Seed drives deterministic UDF randomness.
@@ -127,8 +118,7 @@ type NodeAssembly struct {
 
 // Build constructs the node: a workspace with per-node keystore-bound
 // UDFs bound to the shared program, the asserted principal directory and key
-// material, and a dist.Node wired with the policy's pre-verify and
-// batch-signing hooks.
+// material, and a dist.Node wired with the policy's batch-signing hook.
 func (a NodeAssembly) Build() (*dist.Node, error) {
 	me := a.Directory.Members[a.Index]
 	reg, err := udf.NewRegistryWithPools(a.KeyStore, seccrypto.NewDeterministicRand(a.Seed+2), a.VerifyPool, a.SignPool)
@@ -152,75 +142,13 @@ func (a NodeAssembly) Build() (*dist.Node, error) {
 	}
 	n := dist.NewNode(me.Principal, ws, a.Endpoint)
 	n.SetPeers(a.Directory.Addrs())
-	if a.Policy.Auth == AuthRSA {
-		n.PreVerify = a.preVerifier()
-	}
 	if a.Policy.BatchSign {
-		a.bindBatchSigner(n)
+		priv, privDER, spool := a.KeyStore.PrivateKey(), a.KeyStore.PrivateKeyDER(), a.SignPool
+		// Footnote 2's "sign batch aggregates": one signature per group of a
+		// shipping transaction's envelopes, with the node's private key.
+		n.SignBatch = func(root []byte) ([]byte, error) {
+			return spool.Sign(priv, privDER, root)
+		}
 	}
 	return n, nil
-}
-
-// bindBatchSigner installs the outbound batch-signing hooks on one node:
-// the group root of each shipping transaction's envelopes is signed with the
-// node's private key through the shared signing pool, whose memo turns the
-// warm-up issued at enqueue time into a cache hit by the time the sender
-// stage needs the signature (footnote 2's "sign batch aggregates").
-func (a NodeAssembly) bindBatchSigner(n *dist.Node) {
-	priv := a.KeyStore.PrivateKey()
-	privDER := a.KeyStore.PrivateKeyDER()
-	spool := a.SignPool
-	n.SignBatch = func(root []byte) ([]byte, error) {
-		return spool.Sign(priv, privDER, root)
-	}
-	n.WarmSignBatch = func(root []byte) {
-		spool.Warm(priv, privDER, root)
-	}
-}
-
-// preVerifier builds a node's inbound pre-verification hook: payloads from
-// a known peer address are decoded speculatively and their signatures
-// submitted to the shared worker pool against the claimed sender's public
-// key — the same key the sigRSA policy's verification constraint will look
-// up, so the cached result is exactly what the transaction consumes. A
-// batch envelope instead warms one check of its group signature over
-// msg.BatchRoot() — the value admission records as export_batch's D, hence
-// the exact triple the sigRSABatch constraint will ask the pool for, once
-// per envelope.
-// Encrypted or undecodable payloads are skipped; they verify inline inside
-// the transaction as before. This is an accelerator only: acceptance is
-// still decided by the compiled policy constraints.
-func (a NodeAssembly) preVerifier() func(wire.Message) {
-	type pubEntry struct {
-		pub *rsa.PublicKey
-		der []byte
-	}
-	byAddr := make(map[string]pubEntry, len(a.Directory.Members))
-	for _, m := range a.Directory.Members {
-		pub, err := a.KeyStore.ParsePub(m.PubKeyDER)
-		if err != nil {
-			continue
-		}
-		byAddr[m.Addr] = pubEntry{pub: pub, der: m.PubKeyDER}
-	}
-	pool := a.VerifyPool
-	return func(msg wire.Message) {
-		pe, ok := byAddr[msg.From]
-		if !ok {
-			return
-		}
-		if msg.Kind == wire.MsgBatch {
-			if len(msg.Sig) > 0 && len(msg.Payloads) > 0 {
-				pool.Warm(pe.pub, pe.der, msg.BatchRoot(), msg.Sig)
-			}
-			return
-		}
-		for _, pl := range msg.Payloads {
-			p, err := wire.DecodePayload(pl)
-			if err != nil || len(p.Sig) == 0 {
-				continue
-			}
-			pool.Warm(pe.pub, pe.der, wire.SigData(p.Pred, p.Vals), p.Sig)
-		}
-	}
 }

@@ -46,9 +46,6 @@ type ClusterConfig struct {
 	// Net is the transport the cluster runs over. Nil means a fresh
 	// in-process MemNetwork. The cluster takes ownership: Stop closes it.
 	Net transport.Network
-	// Vet rejects the compiled program, before any node binds it, when the
-	// static analyzer reports error-class findings (CompileEngine).
-	Vet bool
 }
 
 // Cluster is a set of SecureBlox nodes over one network, plus the compiled
@@ -83,9 +80,7 @@ type Cluster struct {
 	// before Start.
 	KeyStores []*seccrypto.KeyStore
 
-	det   *dist.Detector
-	pool  *seccrypto.VerifyPool
-	spool *seccrypto.SignPool
+	det *dist.Detector
 
 	started  bool
 	startAt  time.Time
@@ -135,19 +130,12 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	}
 	c := &Cluster{Cfg: cfg, Net: net}
 	// On any construction error, release what was already acquired: the
-	// network owns every endpoint handed out (including the detector's),
-	// and the crypto pools own worker goroutines. Callers only get the
-	// error, so nothing else could clean these up.
+	// network owns every endpoint handed out (including the detector's).
+	// Callers only get the error, so nothing else could clean it up.
 	built := false
 	defer func() {
 		if !built {
 			net.Close()
-			if c.pool != nil {
-				c.pool.Close()
-			}
-			if c.spool != nil {
-				c.spool.Close()
-			}
 		}
 	}()
 	if cfg.N <= 0 {
@@ -198,17 +186,19 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	if err != nil {
 		return nil, fmt.Errorf("cluster: %w", err)
 	}
-	c.Program, err = CompileEngine(c.Compiled, cfg.Vet)
+	c.Program, err = CompileEngine(c.Compiled)
 	if err != nil {
 		return nil, fmt.Errorf("cluster: %w", err)
 	}
 	compile := time.Since(t)
 
+	// The RSA memos every node of the cluster shares: rsa_verify and
+	// rsa_verify_batch remember what they checked, rsa_sign and batch mode's
+	// group signatures what they signed.
+	var vpool *seccrypto.VerifyPool
+	var spool *seccrypto.SignPool
 	if cfg.Policy.Auth == AuthRSA {
-		c.pool = seccrypto.NewVerifyPool(0)
-		// Outbound mirror of the verify pool: rsa_sign memoizes across
-		// re-derivations, and batch mode signs envelope digests here too.
-		c.spool = seccrypto.NewSignPool(0)
+		vpool, spool = seccrypto.NewVerifyPool(), seccrypto.NewSignPool()
 	}
 
 	// Every node binds the program and runs its set-up at the same time, as
@@ -224,8 +214,8 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 			Index:            i,
 			KeyStore:         c.KeyStores[i],
 			Endpoint:         eps[i],
-			VerifyPool:       c.pool,
-			SignPool:         c.spool,
+			VerifyPool:       vpool,
+			SignPool:         spool,
 			Seed:             cfg.Seed,
 			GrantWriteAccess: cfg.GrantWriteAccess,
 		}.Build()
@@ -276,12 +266,6 @@ func (c *Cluster) Stop() {
 	}
 	c.det.Close()
 	c.Net.Close()
-	if c.pool != nil {
-		c.pool.Close()
-	}
-	if c.spool != nil {
-		c.spool.Close()
-	}
 }
 
 // AssertAt enqueues base facts at node i.

@@ -17,11 +17,10 @@ import (
 // The N Build calls run on several workers and each writes its own slot:
 // every per-node slice of a 24-node cluster is aligned by index, the node at
 // i is principal i with keystore i, directory entry i and the i-th slice of
-// the entity-id space, and the set-up line reports its three shares. Vet is
-// on, and runs once, over the program every node then binds.
+// the entity-id space, and the set-up line reports its three shares.
 func TestParallelAssemblyAlignsEverythingByIndex(t *testing.T) {
 	const n = 24
-	c, err := NewCluster(ClusterConfig{N: n, Policy: PolicyConfig{Auth: AuthRSA}, Query: reachableQuery, Seed: 9, Vet: true})
+	c, err := NewCluster(ClusterConfig{N: n, Policy: PolicyConfig{Auth: AuthRSA}, Query: reachableQuery, Seed: 9})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,8 +80,8 @@ func TestParallelAssemblyAlignsEverythingByIndex(t *testing.T) {
 // Every node of a 24-node assembly fails its install at once, on several
 // workers: the program compiles, but its own fact violates its constraint in
 // every workspace that binds it. The constructor reports the lowest node's
-// error, and by the time it returns the network, both crypto pools and every
-// worker are gone: the caller holds nothing it could release them with.
+// error, and by the time it returns the network and every worker are gone:
+// the caller holds nothing it could release them with.
 func TestParallelAssemblyFailureReportsLowestNodeAndReleasesEverything(t *testing.T) {
 	before := runtime.NumGoroutine()
 	net := transport.NewMemNetwork()

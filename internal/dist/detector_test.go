@@ -88,9 +88,9 @@ func TestWaitQuiescentClosedEndpoint(t *testing.T) {
 	}
 }
 
-// TestDrainWaitsForOutboundStage: Drain returns once queued work has been
-// committed, and respects its context when the node never drains.
-func TestDrainWaitsForOutboundStage(t *testing.T) {
+// TestDrainWaitsForQueuedWork: Drain returns once queued work has been
+// committed and what it ships sent.
+func TestDrainWaitsForQueuedWork(t *testing.T) {
 	net := transport.NewMemNetwork()
 	defer net.Close()
 	peers := map[string]string{"a": addrA, "b": addrB}

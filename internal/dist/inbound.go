@@ -11,9 +11,8 @@ import (
 	"secureblox/internal/wire"
 )
 
-// envelope is one inbound datagram plus its (single) wire decode and the
-// stage timings taken where the work actually happened, so the loop can
-// record decode/verify spans without re-measuring.
+// envelope is one inbound datagram plus its (single) wire decode and when
+// the decode began and how long it took, for the datagram's decode span.
 type envelope struct {
 	in  transport.InMsg
 	msg wire.Message
@@ -21,7 +20,6 @@ type envelope struct {
 
 	at        time.Time     // when decoding began
 	decodeDur time.Duration // wire decode time
-	verifyDur time.Duration // PreVerify hand-off time
 }
 
 // The run budget: an inbound transaction absorbs at most maxRunMsgs
@@ -47,78 +45,32 @@ type runMsg struct {
 	trace uint64 // its wave: the envelope's trace, or a fresh one for a pre-trace sender
 }
 
-// intake is the inbound stage between the endpoint and the loop. It takes
-// whatever the endpoint has queued, decodes each datagram once, hands data
-// messages to PreVerify (if set) so signature checks overlap with
-// transactions still committing, and offers the loop everything decoded so
-// far as one batch in arrival order — a loop that was busy for one
-// transaction finds its whole backlog waiting, not one message. The node's
-// Backlog is the head of the first batch.
-func (n *Node) intake() <-chan []envelope {
-	in := n.ep.ReceiveBatch()
-	out := make(chan []envelope)
-	n.wg.Add(1)
-	go func() {
-		defer n.wg.Done()
-		defer close(out)
-		pending := n.decode(nil, n.Backlog)
-		for in != nil || len(pending) > 0 {
-			offer := out
-			if len(pending) == 0 {
-				offer = nil
-			}
-			select {
-			case msgs, ok := <-in:
-				if !ok {
-					in = nil // endpoint closed: hand over what is decoded, then end
-					continue
-				}
-				pending = n.decode(pending, msgs)
-			case offer <- pending:
-				pending = nil
-			case <-n.stopCh:
-				n.intakeDepth.Add(-int64(len(pending)))
-				return
-			}
-		}
-	}()
-	return out
-}
-
-// decode appends the envelopes of msgs to dst.
-func (n *Node) decode(dst []envelope, msgs []transport.InMsg) []envelope {
+// handleBatch decodes one inbound batch, each datagram once, and applies it
+// in arrival order as one unit of work. A control record is handled in line
+// (see handleProbe) and closes the run before it, so it is handled after that
+// run's commit and ship: a probe reply is still a between-transactions
+// snapshot that includes every completed send. Each stretch of data datagrams
+// between control records, cut at the run budget, is one run (applyRun).
+func (n *Node) handleBatch(msgs []transport.InMsg) {
+	n.busy.Store(true)
+	defer n.busy.Store(false)
+	envs := n.envs[:0]
 	for _, m := range msgs {
 		at := time.Now()
 		msg, err := wire.DecodeMessage(m.Data)
-		e := envelope{in: m, msg: msg, err: err, at: at, decodeDur: time.Since(at)}
-		if n.PreVerify != nil && err == nil && msg.Kind != wire.MsgControl {
-			vstart := time.Now()
-			n.PreVerify(msg)
-			e.verifyDur = time.Since(vstart)
-		}
-		dst = append(dst, e)
+		envs = append(envs, envelope{in: m, msg: msg, err: err, at: at, decodeDur: time.Since(at)})
 	}
-	n.intakeDepth.Add(int64(len(msgs)))
-	return dst
-}
-
-// handleBatch applies one inbound batch in arrival order. A control record
-// is handled in line (see handleProbe) and closes the run before it, so it is
-// handled after that run's commit and ship: a probe reply is still a
-// between-transactions snapshot that includes every completed send. Each
-// stretch of data datagrams between control records, cut at the run budget,
-// is one run (applyRun).
-func (n *Node) handleBatch(envs []envelope) {
-	for len(envs) > 0 {
+	for rest := envs; len(rest) > 0; {
 		k := 1
-		if e := &envs[0]; e.isControl() {
+		if e := &rest[0]; e.isControl() {
 			n.handleProbe(e.in.From, e.msg)
 		} else {
-			k = n.applyRun(envs)
+			k = n.applyRun(rest)
 		}
-		n.intakeDepth.Add(-int64(k))
-		envs = envs[k:]
+		rest = rest[k:]
 	}
+	clear(envs) // the reused buffer must not keep the datagrams alive
+	n.envs = envs[:0]
 }
 
 func (e *envelope) isControl() bool { return e.err == nil && e.msg.Kind == wire.MsgControl }
@@ -164,7 +116,7 @@ func (e *envelope) runShare() (facts, vals int) {
 // actually received — never from the sender — and takes its claimed position
 // among the sibling digests the envelope carries, so a batch-signing policy's
 // constraints verify the signature against what this node really saw, once
-// per envelope thanks to the memoizing verify pool, and each envelope of a
+// per envelope thanks to the verify memo, and each envelope of a
 // group verifies whether or not its siblings ever arrive. A node whose program
 // declares no export_batch has no constraint that would check those rows, so
 // it refuses a batch envelope whole: one recorded violation, nothing stored.
@@ -222,14 +174,14 @@ func (n *Node) applyRun(envs []envelope) int {
 				n.runSizes.Observe(1)
 			}
 		}
-		// Every message keeps its own decode/verify spans under its own
-		// trace; an absorbed one names the wave that carried it on.
+		// Every message keeps its own decode span under its own trace; an
+		// absorbed one names the wave that carried it on.
 		for i, m := range msgs {
 			var into uint64
 			if merged && i > 0 {
 				into = msgs[0].trace
 			}
-			n.inboundSpans(m, addr, into)
+			n.decodeSpan(m, addr, into)
 		}
 	}
 	clear(n.runFacts)
@@ -297,31 +249,24 @@ func (n *Node) enterWave(i int) {
 	n.curTrace, n.curHop, n.curPeer = m.trace, m.e.msg.Hop, m.e.msg.From
 }
 
-// inboundSpans records one admitted message's decode and pre-verify spans.
-func (n *Node) inboundSpans(m runMsg, addr string, into uint64) {
+// decodeSpan records one admitted message's decode span.
+func (n *Node) decodeSpan(m runMsg, addr string, into uint64) {
 	e := m.e
 	obs.RecordSpan(obs.Span{
 		Trace: m.trace, Hop: int(e.msg.Hop), Node: addr, Principal: n.Principal,
 		Stage: obs.StageDecode, Peer: e.msg.From, Start: e.at, Dur: e.decodeDur, Into: into,
 	})
-	if e.verifyDur > 0 {
-		obs.RecordSpan(obs.Span{
-			Trace: m.trace, Hop: int(e.msg.Hop), Node: addr, Principal: n.Principal,
-			Stage: obs.StageVerify, Peer: e.msg.From, Start: e.at.Add(e.decodeDur), Dur: e.verifyDur,
-		})
-	}
 }
 
 // handleProbe routes one control datagram: termination-detection probes
 // are answered with a local snapshot, and any other control payload (the
 // cluster runtime's bootstrap/departure records) is handed to the
 // OnControl hook. A probe's report holds the monotone per-peer message
-// counters plus whether local work is queued or an outbound chunk is still
-// in the sender stage. Because probes are served by the transaction loop
-// itself, a report is always taken between transactions, never mid-commit
-// — and because outPending is read before the counters (and decremented
-// after the send is counted), a report that claims passivity always
-// includes every completed send in its counters.
+// counters plus whether local work is queued. Because probes are served by
+// the transaction loop itself, which makes a commit's sends before it takes
+// the next unit of work, a report is always taken between transactions,
+// never mid-commit, and its counters include every send of every commit
+// before it.
 func (n *Node) handleProbe(replyTo string, msg wire.Message) {
 	if len(msg.Payloads) != 1 {
 		return
@@ -336,7 +281,6 @@ func (n *Node) handleProbe(replyTo string, msg wire.Message) {
 	n.mu.Lock()
 	active := len(n.pending) > 0
 	n.mu.Unlock()
-	active = active || n.outPending.Load() > 0
 	report := wire.Control{
 		Type:   wire.CtrlReport,
 		Wave:   c.Wave,

@@ -75,8 +75,7 @@ func newInboundRig(t *testing.T, policy core.PolicyConfig, n int) *inboundRig {
 	t.Cleanup(c.Stop)
 	r := &inboundRig{c: c}
 	if policy.Auth == core.AuthRSA {
-		r.vpool, r.spool = seccrypto.NewVerifyPool(0), seccrypto.NewSignPool(0)
-		t.Cleanup(func() { r.vpool.Close(); r.spool.Close() })
+		r.vpool, r.spool = seccrypto.NewVerifyPool(), seccrypto.NewSignPool()
 	}
 	sender := c.Nodes[advSender]
 	aside := engine.Fact{Pred: "aside", Tuple: datalog.Tuple{datalog.Prin(c.Principals[advBystander])}}
@@ -271,11 +270,6 @@ func settle(t *testing.T, n *dist.Node, ep *transporttest.Scripted, finalWave ui
 	defer cancel()
 	if err := n.Drain(ctx); err != nil {
 		t.Fatalf("drain: %v", err)
-	}
-	if report.Active {
-		// The sender stage was still signing: ask again now that it is idle.
-		ep.Deliver(probeMsg(finalWave + 1))
-		report, _ = awaitReport(t, ep, finalWave+1)
 	}
 	out := inboundOutcome{violations: len(n.Violations()), report: report}
 	out.runs = n.Txns()

@@ -17,35 +17,25 @@ import (
 
 // Node is one SecureBlox instance: a principal identity, the workspace
 // holding its database and compiled program, and a transport endpoint. Its
-// transaction loop (Start) applies queued local assertions and inbound wire
-// messages as workspace transactions and ships newly derived export tuples.
+// transaction loop (Start), the node's one goroutine, applies queued local
+// assertions and inbound wire messages as workspace transactions and ships
+// newly derived export tuples: it decodes, verifies (inside the policy's
+// constraints), signs and sends in line.
 type Node struct {
 	// Principal is the identity this node runs as (the value of self[]).
 	Principal string
 	// WS is the node's workspace. It must already have the compiled
 	// program installed; the loop is its only writer once Start is called.
 	WS *engine.Workspace
-	// PreVerify, if set, is called for every inbound data message before
-	// the transaction loop processes it, with the decoded wire message
-	// (claimed source address, batch signature if any, opaque payloads).
-	// The cluster driver uses it to warm a signature-verification worker
-	// pool while earlier transactions are still committing; it must be
-	// cheap and must not block.
-	PreVerify func(msg wire.Message)
 	// SignBatch, if set before Start, switches outbound shipping to batch
 	// envelopes (paper footnote 2): instead of relying on per-tuple
 	// signatures inside the payloads, every datagram a transaction ships is
 	// covered by the one signature this hook returns over the group root of
 	// their payload digests (wire.GroupRoot; one call per group of at most
-	// wire.MaxGroup datagrams), and sends run in an asynchronous pipeline
-	// stage that overlaps signing with the next transaction. The cluster
-	// driver binds it to a signing worker pool over the node's private key.
+	// wire.MaxGroup datagrams, on the loop, before the group's first send).
+	// The cluster driver binds it to the signing memo over the node's
+	// private key.
 	SignBatch func(root []byte) ([]byte, error)
-	// WarmSignBatch, if set alongside SignBatch, is called with each
-	// group's root as the group is queued, so the signature is usually
-	// computed by the time the sender stage needs it. It must be cheap and
-	// must not block.
-	WarmSignBatch func(root []byte)
 	// OnControl, if set before Start, receives the payload of every
 	// MsgControl datagram that is not a termination-detection record,
 	// with the transport-level sender address. The cluster runtime uses it
@@ -77,10 +67,9 @@ type Node struct {
 	// Termination-detection state: monotone counts of application messages
 	// exchanged with cluster peers, one cell per peer so a detector can
 	// restrict its wave sums to the surviving membership after an eviction.
-	// Cells are created lazily under ctrMu; recv is written only by the
-	// loop goroutine, sent also by the outbound sender stage in
-	// batch-signing mode, and both are read by external inspectors — hence
-	// atomics. peers is fixed before Start.
+	// Cells are created lazily under ctrMu; both are written only by the loop
+	// goroutine and read by external inspectors — hence atomics. peers is
+	// fixed before Start.
 	peers   map[string]bool
 	ctrMu   sync.Mutex
 	perPeer map[string]*peerCtr
@@ -96,36 +85,25 @@ type Node struct {
 	batchRows bool   // the program declares export_batch, so batch envelopes are admitted
 
 	// What ship reuses from one transaction to the next: the routes, the
-	// payload list of inline sends, and the chunks before dispatch.
+	// payload list the chunks are windows of, and the chunks.
 	routes   []route
 	payloads [][]byte
 	chunks   []outChunk
 
-	// Outbound pipeline state (batch-signing mode only). outCh carries
-	// chunks from the loop to the sender stage; outPending counts chunks
-	// queued but not yet on the wire, and is folded into the node's
-	// activity report so termination detection cannot conclude while a
-	// send is still in flight. It and intakeDepth live apart from the node,
-	// so the registry's gauges, which outlive it, keep no stopped node alive.
-	outCh      chan outChunk
-	outPending *atomic.Int64
-
 	// Wave-trace context of the unit of work the loop is currently
 	// applying (loop-goroutine only): the trace ID and hop distance any
-	// chunk the unit ships is stamped with, and the peer whose message
-	// triggered it (empty for locally asserted work).
+	// chunk the unit ships is stamped with (hop plus one), and the peer whose
+	// message triggered it (empty for locally asserted work).
 	curTrace uint64
 	curHop   uint32
 	curPeer  string
 
-	// intakeDepth counts envelopes the intake stage has decoded and the loop
-	// has not yet applied — the pre-verify backlog gauge.
-	intakeDepth *atomic.Int64
-
-	// The inbound run being applied (loop-goroutine only, reused across
-	// runs): the export/export_batch facts of every admitted datagram in
-	// arrival order, the values their tuples are windows of, and per datagram
-	// where its facts end.
+	// The inbound batch being applied (loop-goroutine only, reused across
+	// batches): its datagrams decoded, and of the run being built the
+	// export/export_batch facts of every admitted datagram in arrival order,
+	// the values their tuples are windows of, and per datagram where its
+	// facts end.
+	envs     []envelope
 	runFacts []engine.Fact
 	runVals  []datalog.Value
 	runMsgs  []runMsg
@@ -152,11 +130,10 @@ type Node struct {
 	lastActivity atomic.Int64 // last commit or violation as an offset from epoch, 0 before the first
 
 	// busy is set by the loop goroutine around each unit of work
-	// (drainLocal or an inbound batch). Drain needs it: a batch that
-	// was popped from pending but is still mid-commit is otherwise
-	// invisible (pending empty, its dispatches not yet counted in
-	// outPending), and Drain returning during that window would let Stop
-	// discard the commit's exports.
+	// (drainLocal or an inbound batch). Drain needs it: a batch that was
+	// popped from pending but is still mid-commit is otherwise invisible
+	// (pending empty, its sends not yet made), and Drain returning during
+	// that window would let Stop discard the commit's exports.
 	busy atomic.Bool
 }
 
@@ -164,24 +141,17 @@ type Node struct {
 // The node takes ownership of the endpoint: Stop closes it.
 func NewNode(principal string, ws *engine.Workspace, ep transport.Transport) *Node {
 	n := &Node{
-		Principal:   principal,
-		WS:          ws,
-		ep:          ep,
-		wake:        make(chan struct{}, 1),
-		stopCh:      make(chan struct{}),
-		perPeer:     make(map[string]*peerCtr),
-		evicted:     make(map[string]bool),
-		batchRows:   slices.Contains(ws.Predicates(), "export_batch"),
-		outPending:  new(atomic.Int64),
-		intakeDepth: new(atomic.Int64),
+		Principal: principal,
+		WS:        ws,
+		ep:        ep,
+		wake:      make(chan struct{}, 1),
+		stopCh:    make(chan struct{}),
+		perPeer:   make(map[string]*peerCtr),
+		evicted:   make(map[string]bool),
+		batchRows: slices.Contains(ws.Predicates(), "export_batch"),
 	}
-	// Internal pipeline state, scraped as gauges. Re-registering the same
-	// principal replaces the function, so rebuilding clusters in one
-	// process always scrapes the newest node.
 	l := obs.Labels{"principal": principal}
 	r := obs.Default()
-	r.Help("sbx_outbound_pending_chunks", "Chunks queued in the sign-and-send stage, not yet on the wire.")
-	r.Help("sbx_preverify_backlog", "Datagrams decoded by the intake stage, not yet applied.")
 	r.Help("sbx_inbound_run_messages", "Datagrams committed per inbound transaction.")
 	r.Help("sbx_inbound_run_fallbacks_total", "Merged inbound transactions rejected and replayed one datagram at a time.")
 	r.Help("sbx_batch_group_envelopes", "Batch envelopes covered per signature.")
@@ -202,9 +172,6 @@ func NewNode(principal string, ws *engine.Workspace, ep transport.Transport) *No
 	n.runSizes = r.Histogram("sbx_inbound_run_messages", l, runSizeBuckets)
 	n.runFallbacks = r.Counter("sbx_inbound_run_fallbacks_total", l)
 	n.groupSizes = r.Histogram("sbx_batch_group_envelopes", l, groupSizeBuckets)
-	outPending, intakeDepth := n.outPending, n.intakeDepth
-	r.GaugeFunc("sbx_outbound_pending_chunks", l, func() float64 { return float64(outPending.Load()) })
-	r.GaugeFunc("sbx_preverify_backlog", l, func() float64 { return float64(intakeDepth.Load()) })
 	return n
 }
 
@@ -349,26 +316,22 @@ func (n *Node) LastActivity() time.Time {
 	return time.Time{}
 }
 
-// Start launches the transaction loop — and, in batch-signing mode, the
-// outbound sender stage. It is idempotent.
+// Start launches the transaction loop, the node's one goroutine. It is
+// idempotent.
 func (n *Node) Start() {
 	n.startOnce.Do(func() {
-		if n.SignBatch != nil {
-			n.outCh = make(chan outChunk, 64)
-			n.wg.Add(1)
-			go n.sender()
-		}
 		n.wg.Add(1)
 		go n.run()
 	})
 }
 
-// Drain blocks until the node holds no queued local work and no outbound
-// chunk is still in the sign-and-send stage, or ctx is cancelled. It is
-// the graceful half of leaving a cluster: Stop discards whatever is still
-// queued, so a departing node that wants its last commits on the wire
-// drains first, then stops. Drain does not prevent new work from arriving;
-// callers stop asserting before draining.
+// Drain blocks until the node holds no queued local work and the loop is
+// between units of work, or ctx is cancelled. It is the graceful half of
+// leaving a cluster: Stop discards whatever is still queued, so a departing
+// node that wants its last commits on the wire drains first, then stops;
+// the loop sends what a commit ships before it takes the next unit. Drain
+// does not prevent new work from arriving; callers stop asserting before
+// draining.
 func (n *Node) Drain(ctx context.Context) error {
 	for {
 		n.mu.Lock()
@@ -380,9 +343,9 @@ func (n *Node) Drain(ctx context.Context) error {
 		}
 		// Order matters: pending was read under the mutex, so a batch the
 		// loop already popped implies the loop set busy first (it takes
-		// the same mutex to pop); and once busy clears, every dispatch of
-		// that work is visible in outPending.
-		if idle && !n.busy.Load() && n.outPending.Load() == 0 {
+		// the same mutex to pop); and once busy clears, every send of that
+		// work has been made.
+		if idle && !n.busy.Load() {
 			return nil
 		}
 		select {
@@ -440,43 +403,43 @@ func (n *Node) Violations() []error {
 
 // run is the per-node transaction loop of §5.2: drain local batches and
 // inbound batches, apply each run of them as an ACID workspace transaction,
-// and ship the export delta of successful commits. Termination probes arrive
-// in the same stream as data and are answered in line between runs, which
-// guarantees a probe reply is always a between-transactions snapshot.
+// and ship the export delta of successful commits. Inbound traffic comes off
+// the endpoint as whole backlogs (transport.Transport.ReceiveBatch): a loop
+// that was busy for one transaction takes everything that arrived meanwhile
+// as one batch, the node's Backlog at the head of the first. Termination
+// probes arrive in the same stream as data and are answered in line between
+// runs, which guarantees a probe reply is always a between-transactions
+// snapshot.
 func (n *Node) run() {
 	defer n.wg.Done()
-	// The loop is the only writer of the outbound pipeline, so its exit
-	// closes the channel and winds the sender stage down.
-	if n.outCh != nil {
-		defer close(n.outCh)
+	inbound := n.ep.ReceiveBatch()
+	if backlog := n.Backlog; len(backlog) > 0 {
+		n.Backlog = nil
+		select {
+		case msgs, ok := <-inbound:
+			if ok {
+				backlog = append(backlog, msgs...)
+			}
+		default:
+		}
+		n.handleBatch(backlog)
 	}
-	inbound := n.intake()
 	for {
 		select {
 		case <-n.stopCh:
-			// Closing the endpoint ends the intake stage; take what it was
-			// still offering so it can exit too.
-			n.ep.Close()
-			if inbound != nil {
-				for envs := range inbound {
-					n.intakeDepth.Add(-int64(len(envs)))
-				}
-			}
 			return
 		case <-n.wake:
 			n.busy.Store(true)
 			n.drainLocal()
 			n.busy.Store(false)
-		case envs, ok := <-inbound:
+		case msgs, ok := <-inbound:
 			if !ok {
 				// Endpoint closed underneath us; serve local work until
 				// Stop.
 				inbound = nil
 				continue
 			}
-			n.busy.Store(true)
-			n.handleBatch(envs)
-			n.busy.Store(false)
+			n.handleBatch(msgs)
 		}
 	}
 }

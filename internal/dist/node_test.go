@@ -282,15 +282,15 @@ func TestOversizedPayloadIsolatedFromBatch(t *testing.T) {
 }
 
 func TestBatchSignedPipelineDeliversEnvelopes(t *testing.T) {
-	// With a SignBatch hook the outbound path runs through the
-	// asynchronous sign-and-send stage: payloads arrive in MsgBatch
-	// envelopes, the receiver records export_batch provenance rows, and
-	// termination detection stays sound while chunks wait in the stage.
+	// With a SignBatch hook the loop signs each group of a shipping
+	// transaction's chunks and sends them as MsgBatch envelopes: the
+	// receiver records export_batch provenance rows, and termination
+	// detection stays sound while a slow signature holds the loop.
 	net := transport.NewMemNetwork()
 	a := newTestNode(t, net, "a", addrA, map[string]string{"b": addrB}, deriveRule)
 	var signed atomic.Int64
 	a.SignBatch = func(digest []byte) ([]byte, error) {
-		time.Sleep(10 * time.Millisecond) // let probes race the sender stage
+		time.Sleep(10 * time.Millisecond) // let probes race the signature
 		signed.Add(1)
 		return []byte("stub batch signature"), nil
 	}

@@ -23,27 +23,16 @@ type outChunk struct {
 	// position in it.
 	group *batchGroup
 	pos   int
-
-	// Wave-trace context, captured on the loop goroutine at dispatch so
-	// the sender stage can stamp the envelope and record spans without
-	// touching loop-owned state.
-	trace uint64 // wave the shipping transaction belongs to
-	hop   uint32 // receiver's hop: the local hop plus one
-	node  string // local address, for span attribution
 }
 
 // batchGroup is the signed unit of batch-signing mode: the chunks one
 // transaction ships, at most wire.MaxGroup of them, covered by one signature
-// over root (paper footnote 2: "sign batch aggregates"). Whichever stage
-// sends the group's first chunk signs; the chunks after it reuse the result,
-// so only that one goroutine touches the signing fields.
+// over the group root of their digests (paper footnote 2: "sign batch
+// aggregates"), made once before the group's first send.
 type batchGroup struct {
 	digests []byte // the chunks' wire.BatchDigests, concatenated in group order
-	root    []byte // wire.GroupRoot(digests): what the signature covers
-
-	signed bool
-	sig    []byte
-	err    error
+	sig     []byte
+	err     error
 }
 
 // groupSizeBuckets resolves group sizes up to wire.MaxGroup.
@@ -63,9 +52,8 @@ var groupSizeBuckets = []float64{1, 2, 3, 4, 8, 16}
 // which the workspace's intern table holds for good. The first pass counts
 // each route's payloads, routes in order of first appearance; the second
 // places the payloads, grouped by route, into one list the transaction's
-// chunks are windows of. Sent inline, every chunk is encoded before ship
-// returns, so the list is the node's and reused; chunks queued for the sender
-// stage outlive ship and get a list of their own.
+// chunks are windows of. Every chunk is encoded and sent before ship returns,
+// so the list is the node's and reused.
 func (n *Node) ship(exports engine.Rows) {
 	self := n.localAddr()
 	routes := n.routes[:0]
@@ -88,13 +76,8 @@ func (n *Node) ship(exports engine.Rows) {
 	if total == 0 {
 		return
 	}
-	var payloads [][]byte
-	if n.outCh == nil {
-		n.payloads = slices.Grow(n.payloads[:0], total)
-		payloads = n.payloads[:total]
-	} else {
-		payloads = make([][]byte, total)
-	}
+	n.payloads = slices.Grow(n.payloads[:0], total)
+	payloads := n.payloads[:total]
 	for i := range exports.Len() {
 		t := exports.At(i)
 		if to, from, ok := n.shipsTo(t, self); ok {
@@ -112,7 +95,7 @@ func (n *Node) ship(exports engine.Rows) {
 		n.sealGroups(chunks)
 	}
 	for _, c := range chunks {
-		n.dispatch(c)
+		n.sendChunk(c)
 	}
 	clear(chunks)
 	n.chunks = chunks
@@ -146,10 +129,9 @@ func routeIndex(routes []route, to, from string) int {
 
 // sealGroups makes the transaction's whole export set the signed unit: its
 // chunks, across every route, are cut into groups of at most wire.MaxGroup,
-// and each group's root is pre-warmed on the signing pool so the signature is
-// usually computed by the time the sender stage reaches the group's first
-// chunk. A transaction advertising to three neighbours pays one private-key
-// operation, not three.
+// and each group's root is signed once, here, timed as a sign span. A
+// transaction advertising to three neighbours pays one private-key operation,
+// not three.
 func (n *Node) sealGroups(chunks []outChunk) {
 	for lo := 0; lo < len(chunks); lo += wire.MaxGroup {
 		group := chunks[lo:min(lo+wire.MaxGroup, len(chunks))]
@@ -158,11 +140,13 @@ func (n *Node) sealGroups(chunks []outChunk) {
 			g.digests = append(g.digests, wire.BatchDigest(group[i].payloads)...)
 			group[i].group, group[i].pos = g, i
 		}
-		g.root = wire.GroupRoot(g.digests)
 		n.groupSizes.Observe(float64(len(group)))
-		if n.WarmSignBatch != nil {
-			n.WarmSignBatch(g.root)
-		}
+		start := time.Now()
+		g.sig, g.err = n.SignBatch(wire.GroupRoot(g.digests))
+		obs.RecordSpan(obs.Span{
+			Trace: n.curTrace, Hop: int(n.curHop), Node: n.localAddr(), Principal: n.Principal,
+			Stage: obs.StageSign, Peer: group[0].to, Start: start, Dur: time.Since(start),
+		})
 	}
 }
 
@@ -201,59 +185,17 @@ func chunkRoute(chunks []outChunk, to, from string, payloads [][]byte, batchSign
 	return chunks
 }
 
-// dispatch hands one chunk to the wire. Without a batch signer the send
-// happens inline, exactly as the paper's serial transaction loop does.
-// With one, the chunk enters the asynchronous outbound pipeline: it is
-// queued for the sender stage, and the loop goes back to committing the
-// next transaction while workers compute its group's signature — the
-// outbound mirror of the inbound intake stage (footnote 2).
-func (n *Node) dispatch(c outChunk) {
-	c.trace, c.hop, c.node = n.curTrace, n.curHop+1, n.localAddr()
-	if n.outCh == nil {
-		n.sendChunk(c)
-		return
-	}
-	n.outPending.Add(1)
-	n.outCh <- c
-}
-
-// sender is the outbound pipeline stage: it drains queued chunks, waits
-// for their groups' (usually pre-warmed) signatures, and puts them on the
-// wire in order. outPending keeps termination detection sound — a node
-// with chunks still in this stage reports itself active, so a probe can
-// never observe balanced counters while a send is pending.
-func (n *Node) sender() {
-	defer n.wg.Done()
-	for c := range n.outCh {
-		select {
-		case <-n.stopCh:
-			// Stopping: discard rather than racing sends against Close.
-		default:
-			n.sendChunk(c)
-		}
-		n.outPending.Add(-1)
-	}
-}
-
-// sendChunk signs (in batch mode, once per group) and sends one chunk,
-// updating the termination counter (when the destination is a counted peer)
-// and the traffic metrics. On any failure — signing error, unknown address,
-// closed destination, oversized datagram — a violation is recorded so the
-// loss is observable; the chunk is not sent again. Over UDP the reliable
-// layer below retransmits accepted datagrams until delivery, over memnet
-// delivery is immediate.
+// sendChunk sends one chunk — in batch mode as an envelope carrying its
+// group's signature — stamped with the loop's wave context, updating the
+// termination counter (when the destination is a counted peer) and the
+// traffic metrics. On any failure — signing error, unknown address, closed
+// destination, oversized datagram — a violation is recorded so the loss is
+// observable; the chunk is not sent again. Over UDP the reliable layer below
+// retransmits accepted datagrams until delivery, over memnet delivery is
+// immediate.
 func (n *Node) sendChunk(c outChunk) {
-	msg := wire.Message{From: c.from, Payloads: c.payloads, Trace: c.trace, Hop: c.hop}
+	msg := wire.Message{From: c.from, Payloads: c.payloads, Trace: n.curTrace, Hop: n.curHop + 1}
 	if g := c.group; g != nil {
-		if !g.signed {
-			signStart := time.Now()
-			g.sig, g.err = n.SignBatch(g.root)
-			g.signed = true
-			obs.RecordSpan(obs.Span{
-				Trace: c.trace, Hop: int(c.hop) - 1, Node: c.node, Principal: n.Principal,
-				Stage: obs.StageSign, Peer: c.to, Start: signStart, Dur: time.Since(signStart),
-			})
-		}
 		if g.err != nil {
 			n.recordViolation(fmt.Errorf("dist: batch signing of %d payloads to %s failed: %w", len(c.payloads), c.to, g.err))
 			return
@@ -277,7 +219,7 @@ func (n *Node) sendChunk(c outChunk) {
 	n.msgsSent.Inc()
 	n.bytesSent.Add(int64(len(data)))
 	obs.RecordSpan(obs.Span{
-		Trace: c.trace, Hop: int(c.hop) - 1, Node: c.node, Principal: n.Principal,
+		Trace: n.curTrace, Hop: int(n.curHop), Node: n.localAddr(), Principal: n.Principal,
 		Stage: obs.StageShip, Peer: c.to, Start: shipStart, Dur: time.Since(shipStart),
 	})
 }

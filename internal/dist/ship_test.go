@@ -99,23 +99,35 @@ func TestShippingAllocatesPerRouteAndChunk(t *testing.T) {
 	}
 }
 
-// TestReshippingAllocatesOnlyDatagrams: an inline send encodes every chunk
+// TestReshippingAllocatesOnlyDatagrams: every chunk is encoded and sent
 // before ship returns, so the payload list is the node's and reused: shipping
 // the same k exports a second time allocates the encoded datagrams — each up
 // to an eighth over its length, the allocator's size classes — and a per-chunk
-// constant, and no list of k payloads (24·k bytes) beside them.
+// constant, and no list of k payloads (24·k bytes) beside them. A batch-signing
+// node ships the same way, its group, digests and sibling lists within the
+// constant.
 func TestReshippingAllocatesOnlyDatagrams(t *testing.T) {
 	const routes, payload, k, perChunk = 3, 16, 3000, 256
-	n, commit := exportNode(t, routes, payload)
-	res := commit(k)
-	shipMeasured(n, res, 1) // the first ship grows the node's list to k payloads
-	_, bytes, datagrams, wireBytes := shipMeasured(n, res, 3)
-	if datagrams != routes {
-		t.Fatalf("reshipped %d datagrams, want one per route (%d)", datagrams, routes)
-	}
-	t.Logf("reshipping %d exports: %d bytes allocated for %d bytes of %d datagrams", k, bytes, wireBytes, datagrams)
-	if limit := uint64(wireBytes*9/8 + perChunk*datagrams); bytes > limit {
-		t.Errorf("reshipping %d exports allocated %d bytes, want at most the %d-byte datagrams, an eighth over, and %d per chunk (%d)",
-			k, bytes, wireBytes, perChunk, limit)
+	sig := make([]byte, 128)
+	for _, batch := range []bool{false, true} {
+		n, commit := exportNode(t, routes, payload)
+		if batch {
+			n.SignBatch = func([]byte) ([]byte, error) { return sig, nil }
+		}
+		// A started node: its loop, idle on an endpoint that delivers
+		// nothing, is how ship runs in a cluster.
+		n.Start()
+		t.Cleanup(n.Stop)
+		res := commit(k)
+		shipMeasured(n, res, 1) // the first ship grows the node's list to k payloads
+		_, bytes, datagrams, wireBytes := shipMeasured(n, res, 3)
+		if datagrams != routes {
+			t.Fatalf("batch %v: reshipped %d datagrams, want one per route (%d)", batch, datagrams, routes)
+		}
+		t.Logf("batch %v: reshipping %d exports: %d bytes allocated for %d bytes of %d datagrams", batch, k, bytes, wireBytes, datagrams)
+		if limit := uint64(wireBytes*9/8 + perChunk*datagrams); bytes > limit {
+			t.Errorf("batch %v: reshipping %d exports allocated %d bytes, want at most the %d-byte datagrams, an eighth over, and %d per chunk (%d)",
+				batch, k, bytes, wireBytes, perChunk, limit)
+		}
 	}
 }

@@ -23,7 +23,7 @@ func TestBoundWorkspaceRetainedHeap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	prog, err := core.CompileEngine(res, false)
+	prog, err := core.CompileEngine(res)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -232,7 +232,7 @@ func (w *WaveNode) SpanCount() int {
 }
 
 // stageOrder renders per-node stage latencies in causal pipeline order.
-var stageOrder = []string{StageDecode, StageVerify, StageFixpoint, StageSign, StageShip}
+var stageOrder = []string{StageDecode, StageFixpoint, StageSign, StageShip}
 
 // stageLine aggregates one node's span durations per stage.
 func stageLine(spans []Span) string {

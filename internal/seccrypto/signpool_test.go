@@ -12,8 +12,7 @@ func TestSignPoolMatchesDirectSigning(t *testing.T) {
 		t.Fatal(err)
 	}
 	der := MarshalPrivateKey(priv)
-	p := NewSignPool(4)
-	defer p.Close()
+	p := NewSignPool()
 
 	data := []byte("the bytes to sign")
 	want, err := RSASign(priv, data)
@@ -40,8 +39,7 @@ func TestSignPoolCacheHitsAndMisses(t *testing.T) {
 		t.Fatal(err)
 	}
 	der := MarshalPrivateKey(priv)
-	p := NewSignPool(2)
-	defer p.Close()
+	p := NewSignPool()
 	counts := p.since()
 
 	a, b := []byte("batch digest A"), []byte("batch digest B")
@@ -85,73 +83,13 @@ func TestSignPoolCacheHitsAndMisses(t *testing.T) {
 	}
 }
 
-func TestSignPoolWarmThenSign(t *testing.T) {
-	priv, err := GenerateRSAKey(NewDeterministicRand(13))
-	if err != nil {
-		t.Fatal(err)
-	}
-	der := MarshalPrivateKey(priv)
-	p := NewSignPool(2)
-	defer p.Close()
-	counts := p.since()
-
-	const n = 16
-	for i := 0; i < n; i++ {
-		data := []byte(fmt.Sprintf("digest-%d", i))
-		p.Warm(priv, der, data)
-		p.Warm(priv, der, data) // duplicate warms coalesce
-	}
-	if h, m := counts(); m != n || h != n {
-		t.Errorf("after double warm: hits=%d misses=%d, want %d/%d", h, m, n, n)
-	}
-	for i := 0; i < n; i++ {
-		data := []byte(fmt.Sprintf("digest-%d", i))
-		sig, err := p.Sign(priv, der, data)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !RSAVerify(&priv.PublicKey, data, sig) {
-			t.Errorf("warmed signature %d does not verify", i)
-		}
-	}
-	// Every Sign found its warmed entry: no new misses.
-	if _, m := counts(); m != n {
-		t.Errorf("signs after warm recomputed: misses=%d, want %d", m, n)
-	}
-}
-
-func TestSignPoolCloseCompletesQueuedWork(t *testing.T) {
-	priv, err := GenerateRSAKey(NewDeterministicRand(14))
-	if err != nil {
-		t.Fatal(err)
-	}
-	der := MarshalPrivateKey(priv)
-	p := NewSignPool(1)
-	data := []byte("late digest")
-	p.Warm(priv, der, data)
-	p.Close()
-	// After Close the cached entry must still resolve — and fresh calls
-	// compute inline rather than hanging on dead workers.
-	sig, err := p.Sign(priv, der, data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !RSAVerify(&priv.PublicKey, data, sig) {
-		t.Error("queued signature lost on Close")
-	}
-	if _, err := p.Sign(priv, der, []byte("post-close")); err != nil {
-		t.Errorf("inline post-Close signing failed: %v", err)
-	}
-}
-
 func TestSignPoolPruneBoundsCache(t *testing.T) {
 	priv, err := GenerateRSAKey(NewDeterministicRand(15))
 	if err != nil {
 		t.Fatal(err)
 	}
 	der := MarshalPrivateKey(priv)
-	p := NewSignPool(2)
-	defer p.Close()
+	p := NewSignPool()
 	p.mu.Lock()
 	p.maxSize = 8
 	p.mu.Unlock()

@@ -2,19 +2,18 @@ package seccrypto
 
 import "crypto/rsa"
 
-// VerifyPool parallelizes RSA signature verification with a memoizing
-// cache. The paper's footnote 2 observes that signature costs dominate
-// per-transaction time under RSA; on the inbound path one slow verify would
-// otherwise serialize the whole transaction loop. The runtime warms the
-// pool as datagrams arrive (see dist.Node.PreVerify), so by the time the
-// policy's rsa_verify constraint runs inside the transaction, the result is
-// usually already computed — and identical (key, data, sig) triples, which
-// re-derivations produce constantly, are never verified twice.
+// VerifyPool is a memoizing cache of RSA signature verifications. The paper's
+// footnote 2 observes that signature costs dominate per-transaction time
+// under RSA; identical (key, data, sig) triples, which re-derivations produce
+// constantly and which RSA-batch's rsa_verify_batch checks once per payload
+// row of an envelope, are verified once. It starts no goroutines: a miss
+// verifies on the caller's goroutine, inside the transaction whose policy
+// constraint asked.
 //
-// The pool is purely an accelerator: it computes exactly RSAVerify, and
-// the policy constraints still make every accept/reject decision.
+// The pool only remembers: it computes exactly RSAVerify, and the policy
+// constraints still make every accept/reject decision.
 type VerifyPool struct {
-	*memoPool[verifyArgs, bool]
+	*memo[verifyArgs, bool]
 }
 
 type verifyArgs struct {
@@ -22,24 +21,15 @@ type verifyArgs struct {
 	data, sig []byte
 }
 
-// NewVerifyPool starts workers goroutines (GOMAXPROCS if workers <= 0).
-func NewVerifyPool(workers int) *VerifyPool {
-	return &VerifyPool{newMemoPool(workers, func(a verifyArgs) bool {
+// NewVerifyPool builds an empty verification memo.
+func NewVerifyPool() *VerifyPool {
+	return &VerifyPool{newMemo(func(a verifyArgs) bool {
 		return RSAVerify(a.pub, a.data, a.sig)
 	}, cVerifyHits, cVerifyMisses)}
 }
 
-// Warm schedules an asynchronous verification of the triple if it is not
-// already cached or in flight. It never blocks: when the worker queue is
-// full the triple is simply left for Verify to compute inline.
-func (p *VerifyPool) Warm(pub *rsa.PublicKey, pubDER, data, sig []byte) {
-	if pub != nil {
-		p.warm(cacheKey(pubDER, data, sig), verifyArgs{pub, data, sig})
-	}
-}
-
-// Verify returns RSAVerify(pub, data, sig), waiting for an in-flight
-// warm-up when one exists, computing inline (and caching) otherwise.
+// Verify returns RSAVerify(pub, data, sig), from the cache when the triple
+// was verified before.
 func (p *VerifyPool) Verify(pub *rsa.PublicKey, pubDER, data, sig []byte) bool {
 	return p.get(cacheKey(pubDER, data, sig), verifyArgs{pub, data, sig})
 }

@@ -13,8 +13,7 @@ func TestVerifyPoolMatchesDirectVerification(t *testing.T) {
 	}
 	pub := &priv.PublicKey
 	der := MarshalPublicKey(pub)
-	p := NewVerifyPool(4)
-	defer p.Close()
+	p := NewVerifyPool()
 
 	data := []byte("the signed bytes")
 	sig, err := RSASign(priv, data)
@@ -32,15 +31,16 @@ func TestVerifyPoolMatchesDirectVerification(t *testing.T) {
 	}
 }
 
-func TestVerifyPoolWarmThenVerifyConcurrent(t *testing.T) {
+// TestVerifyPoolConcurrentVerifyComputesOnce: concurrent Verify calls of one
+// triple compute it once and all get the answer RSAVerify gives.
+func TestVerifyPoolConcurrentVerifyComputesOnce(t *testing.T) {
 	priv, err := GenerateRSAKey(NewDeterministicRand(2))
 	if err != nil {
 		t.Fatal(err)
 	}
 	pub := &priv.PublicKey
 	der := MarshalPublicKey(pub)
-	p := NewVerifyPool(4)
-	defer p.Close()
+	p := NewVerifyPool()
 
 	const n = 64
 	type item struct {
@@ -59,27 +59,33 @@ func TestVerifyPoolWarmThenVerifyConcurrent(t *testing.T) {
 		}
 		items[i] = item{data: data, sig: sig, valid: i%3 != 0}
 	}
-	// Warm everything (twice — duplicates must be coalesced), then verify
-	// from many goroutines, mimicking the inbound path.
-	for _, it := range items {
-		p.Warm(pub, der, it.data, it.sig)
-		p.Warm(pub, der, it.data, it.sig)
-	}
+	// Every triple is verified from four goroutines at once, as nodes sharing
+	// the pool do: each gets the right answer, and each triple costs one RSA
+	// verification.
+	counts, before := p.since(), cVerifyOps.Value()
 	var wg sync.WaitGroup
-	errs := make(chan string, n)
-	for _, it := range items {
-		wg.Add(1)
-		go func(it item) {
-			defer wg.Done()
-			if got := p.Verify(pub, der, it.data, it.sig); got != it.valid {
-				errs <- fmt.Sprintf("%q: verify=%v want %v", it.data, got, it.valid)
-			}
-		}(it)
+	errs := make(chan string, 4*n)
+	for range 4 {
+		for _, it := range items {
+			wg.Add(1)
+			go func(it item) {
+				defer wg.Done()
+				if got := p.Verify(pub, der, it.data, it.sig); got != it.valid {
+					errs <- fmt.Sprintf("%q: verify=%v want %v", it.data, got, it.valid)
+				}
+			}(it)
+		}
 	}
 	wg.Wait()
 	close(errs)
 	for e := range errs {
 		t.Error(e)
+	}
+	if ops := cVerifyOps.Value() - before; ops != n {
+		t.Errorf("%d RSA verifications for %d distinct triples, want %d", ops, n, n)
+	}
+	if hits, misses := counts(); hits != 3*n || misses != n {
+		t.Errorf("hits=%d misses=%d, want %d and %d", hits, misses, 3*n, n)
 	}
 }
 
@@ -90,8 +96,7 @@ func TestVerifyPoolPruneEvictsOnlyCompletedEntries(t *testing.T) {
 	}
 	pub := &priv.PublicKey
 	der := MarshalPublicKey(pub)
-	p := NewVerifyPool(2)
-	defer p.Close()
+	p := NewVerifyPool()
 	p.mu.Lock()
 	p.maxSize = 8
 	// Plant an in-flight entry by hand: its done channel never closes, so
@@ -128,26 +133,4 @@ func TestVerifyPoolPruneEvictsOnlyCompletedEntries(t *testing.T) {
 		}
 	}
 	close(inflight.done)
-}
-
-func TestVerifyPoolCloseCompletesQueuedWork(t *testing.T) {
-	priv, err := GenerateRSAKey(NewDeterministicRand(3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	pub := &priv.PublicKey
-	der := MarshalPublicKey(pub)
-	p := NewVerifyPool(1)
-	data := []byte("late")
-	sig, _ := RSASign(priv, data)
-	p.Warm(pub, der, data, sig)
-	p.Close()
-	// After Close the cached entry must still resolve — and fresh calls
-	// compute inline rather than hanging on dead workers.
-	if !p.Verify(pub, der, data, sig) {
-		t.Error("queued verification lost on Close")
-	}
-	if p.Verify(pub, der, []byte("new"), sig) {
-		t.Error("inline post-Close verification returned wrong result")
-	}
 }

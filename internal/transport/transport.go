@@ -44,11 +44,11 @@ type Transport interface {
 	Receive() <-chan InMsg
 	// ReceiveBatch returns a channel that hands over, in arrival order, the
 	// whole backlog a busy consumer left behind as one slice the consumer
-	// owns (everything queued when the offer was made; what arrives while
-	// it stands is in the next one). It draws from the same queue as
-	// Receive: a datagram is delivered by one or the other, never both, and
-	// a single consumer alternating between the two sees one FIFO stream.
-	// Closed when the transport closes.
+	// owns: everything queued when it takes the batch, since an offer is
+	// re-cut on every arrival. It draws from the same queue as Receive: a
+	// datagram is delivered by one or the other, never both, and a single
+	// consumer alternating between the two sees one FIFO stream. Closed when
+	// the transport closes.
 	ReceiveBatch() <-chan []InMsg
 	// Close shuts the endpoint down.
 	Close() error
@@ -71,19 +71,20 @@ type Network interface {
 // queue is an unbounded FIFO feeding two channels, so senders never block on
 // a slow receiver (which would deadlock symmetric protocols). The pump offers
 // the head on out and, once a consumer has asked for batches, at the same
-// time everything it held when it made the offer on batch; whichever the
-// consumer takes is removed, so the two channels carry one FIFO stream
-// between them. (The batch offer waits for its first taker because a third
-// select case costs an endpoint that is only ever read through out about 15 %
-// of its memnet delivery rate.) Closing the queue discards whatever is still
-// undelivered: a closed endpoint has no reader, and the delivery goroutine
-// must not block forever waiting for one.
+// time everything it holds on batch; a push while that offer stands wakes the
+// pump to re-cut it, so a consumer that was busy takes its whole backlog.
+// Whichever the consumer takes is removed, so the two channels carry one FIFO
+// stream between them. (The batch offer and its re-cut wait for the first
+// batches call because a third select case costs an endpoint that is only ever
+// read through out about 15 % of its memnet delivery rate.) Closing the queue
+// discards whatever is still undelivered: a closed endpoint has no reader,
+// and the delivery goroutine must not block forever waiting for one.
 type queue struct {
 	mu       sync.Mutex
 	items    []InMsg
 	out      chan InMsg
 	batch    chan []InMsg
-	wake     chan struct{} // a push or close, for a pump waiting on an empty queue
+	wake     chan struct{} // a push or close, for a pump waiting on an empty queue or re-cutting a batch offer
 	ctl      chan struct{} // interrupts an offer: closed by close, one token from the first batches call
 	batching bool
 	closed   bool
@@ -157,6 +158,7 @@ func (q *queue) pump() {
 				taken = 1
 			case q.batch <- all:
 				taken = len(all)
+			case <-q.wake:
 			case <-q.ctl:
 			}
 		}

@@ -144,6 +144,38 @@ func TestQueueHandOffIsOneFIFOStream(t *testing.T) {
 	}
 }
 
+// TestQueueBatchOfferTakesWhatArrivedWhileItStood: a datagram pushed while a
+// batch offer stands is in the batch the consumer takes. The pump re-cuts its
+// offer on every push, so a consumer that was busy while traffic arrived takes
+// its whole backlog at once, not the part queued before the offer was made.
+func TestQueueBatchOfferTakesWhatArrivedWhileItStood(t *testing.T) {
+	q := newQueue()
+	defer q.close()
+	batch := q.batches()
+	// standing waits until the pump has taken a push's wake-up (up to a
+	// second) and then a little longer, so its offer stands.
+	standing := func() {
+		for deadline := time.Now().Add(time.Second); len(q.wake) > 0 && time.Now().Before(deadline); {
+			time.Sleep(time.Millisecond)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	for round := range 3 {
+		q.push(InMsg{From: "p", Data: []byte{byte(2 * round)}})
+		standing()
+		q.push(InMsg{From: "p", Data: []byte{byte(2*round + 1)}})
+		standing()
+		select {
+		case ms := <-batch:
+			if len(ms) != 2 || ms[0].Data[0] != byte(2*round) || ms[1].Data[0] != byte(2*round+1) {
+				t.Fatalf("round %d: took a batch of %d datagrams, want both pushes, in order", round, len(ms))
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("round %d: no batch offered", round)
+		}
+	}
+}
+
 // TestQueueCloseReleasesPumpWithItemsQueued: closing a queue nobody is
 // draining — with a backlog, whether or not batches were ever asked for —
 // closes both channels (the pump's last act), discards the backlog and turns

@@ -41,14 +41,14 @@ func Register(reg *engine.UDFRegistry, ks *seccrypto.KeyStore, rng io.Reader) er
 	return RegisterWithPools(reg, ks, rng, nil, nil)
 }
 
-// RegisterWithPools is Register with optional shared RSA worker pools.
-// When vpool is non-nil, rsa_verify and rsa_verify_batch consult its
-// memoizing worker pool (warmed by the node runtime's inbound pre-verify
-// hook) instead of verifying inline, so signature checks overlap with
-// transaction execution. When spool is non-nil, rsa_sign routes through the
-// signing pool, so re-derivations of already-signed facts hit the memo
-// instead of redoing the private-key operation (footnote 2: signing dominates RSA runs). Semantics are
-// identical either way.
+// RegisterWithPools is Register with optional shared RSA memos. When vpool
+// is non-nil, rsa_verify and rsa_verify_batch consult it, so a triple already
+// verified — re-derivations, and every payload row of one RSA-batch envelope —
+// costs no second RSA check. When spool is non-nil, rsa_sign routes through
+// it, so re-derivations of already-signed facts and fan-out to several peers
+// hit the memo instead of redoing the private-key operation (footnote 2:
+// signing dominates RSA runs). Either way the check runs on the calling
+// transaction's goroutine, and the semantics are identical.
 func RegisterWithPools(reg *engine.UDFRegistry, ks *seccrypto.KeyStore, rng io.Reader, vpool *seccrypto.VerifyPool, spool *seccrypto.SignPool) error {
 	sign := func(privDER, data []byte) ([]byte, error) {
 		priv, err := ks.ParsePriv(privDER)
@@ -205,7 +205,7 @@ func NewRegistry(ks *seccrypto.KeyStore, rng io.Reader) (*engine.UDFRegistry, er
 }
 
 // NewRegistryWithPools builds a registry whose RSA UDFs run through shared
-// verification and signing pools (see RegisterWithPools).
+// verification and signing memos (see RegisterWithPools).
 func NewRegistryWithPools(ks *seccrypto.KeyStore, rng io.Reader, vpool *seccrypto.VerifyPool, spool *seccrypto.SignPool) (*engine.UDFRegistry, error) {
 	reg := engine.NewUDFRegistry()
 	if err := RegisterWithPools(reg, ks, rng, vpool, spool); err != nil {

@@ -177,8 +177,7 @@ func TestPooledSigningMemoizesRederivations(t *testing.T) {
 		t.Fatal(err)
 	}
 	ks := ts.Stores["alice"]
-	spool := seccrypto.NewSignPool(2)
-	defer spool.Close()
+	spool := seccrypto.NewSignPool()
 	family := obs.Default().CounterValue
 	hits0, misses0 := family("sbx_signpool_hits_total"), family("sbx_signpool_misses_total")
 	reg, err := NewRegistryWithPools(ks, seccrypto.NewDeterministicRand(22), nil, spool)
@@ -368,9 +367,7 @@ func TestUDFsNeverWriteIntoTheirInputs(t *testing.T) {
 	ks.SetOnionKeys("c1", [][]byte{k1, k2})
 	ks.SetCircuitKey("c1", k1)
 
-	vpool, spool := seccrypto.NewVerifyPool(2), seccrypto.NewSignPool(2)
-	defer vpool.Close()
-	defer spool.Close()
+	vpool, spool := seccrypto.NewVerifyPool(), seccrypto.NewSignPool()
 	plain, err := NewRegistry(ks, seccrypto.NewDeterministicRand(33))
 	if err != nil {
 		t.Fatal(err)

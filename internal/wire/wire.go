@@ -376,9 +376,8 @@ func Siblings(digests []byte, pos int) []byte {
 // BatchRoot returns the group root a batch envelope's signature must cover,
 // as this envelope vouches for it: the digest of the payloads it carries,
 // placed at its position among the sibling digests it claims. It is the D of
-// export_batch(L, Pkt, D, S) — the receiver's admission and its pre-verify
-// warm-up both take it from here, so they agree by construction. Pos must not
-// exceed the sibling count, which DecodeMessage guarantees.
+// export_batch(L, Pkt, D, S), which the receiver's admission takes from here.
+// Pos must not exceed the sibling count, which DecodeMessage guarantees.
 func (m Message) BatchRoot() []byte {
 	at := int(m.Pos) * DigestSize
 	return GroupRoot(m.Siblings[:at], BatchDigest(m.Payloads), m.Siblings[at:])
