@@ -50,7 +50,6 @@ const metricsTypes = `# TYPE sbx_batch_group_envelopes histogram
 # TYPE sbx_transport_crc_rejects_total counter
 # TYPE sbx_transport_dup_drops_total counter
 # TYPE sbx_transport_forgotten_frames_total counter
-# TYPE sbx_transport_frame_losses_total counter
 # TYPE sbx_transport_retransmits_total counter
 # TYPE sbx_transport_send_deferrals_total counter
 # TYPE sbx_txn_duration_seconds histogram

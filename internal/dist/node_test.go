@@ -65,7 +65,6 @@ func newTestNode(t *testing.T, net *transport.MemNetwork, name, addr string, pee
 func newDetector(t *testing.T, net *transport.MemNetwork, nodes ...string) *dist.Detector {
 	t.Helper()
 	det := dist.NewDetector(net.Endpoint(addrDet), nodes)
-	det.ReplyTimeout = 100 * time.Millisecond
 	t.Cleanup(func() { det.Close() })
 	return det
 }
@@ -245,14 +244,10 @@ func TestOversizedPayloadIsolatedFromBatch(t *testing.T) {
 	// One payload beyond the datagram budget must not sink the flush it
 	// would have shared: it ships alone, fails alone with an attributable
 	// violation, and the rest of the batch flows.
-	rawNet := transport.NewMemNetwork()
-	wrap := func(addr string) transport.Transport {
-		return transport.NewReliable(rawNet.Endpoint(addr), transport.ReliableConfig{})
-	}
-	a := nodeOverEndpoint(t, "a", addrA, map[string]string{"b": addrB}, deriveRule, wrap(addrA))
-	b := nodeOverEndpoint(t, "b", addrB, map[string]string{"a": addrA}, "", wrap(addrB))
-	det := dist.NewDetector(wrap(addrDet), []string{addrA, addrB})
-	det.ReplyTimeout = 100 * time.Millisecond
+	epA, epB, epD := udpEndpoints(t, transport.NewUDPNetwork())
+	a := nodeOverEndpoint(t, "a", epA.Addr(), map[string]string{"b": epB.Addr()}, deriveRule, epA)
+	b := nodeOverEndpoint(t, "b", epB.Addr(), map[string]string{"a": epA.Addr()}, "", epB)
+	det := dist.NewDetector(epD, []string{epA.Addr(), epB.Addr()})
 	a.Start()
 	b.Start()
 	defer a.Stop()
@@ -264,10 +259,15 @@ func TestOversizedPayloadIsolatedFromBatch(t *testing.T) {
 		{Pred: "pay", Tuple: datalog.Tuple{datalog.BytesV([]byte("small one"))}},
 		{Pred: "pay", Tuple: datalog.Tuple{datalog.BytesV(big)}},
 		{Pred: "pay", Tuple: datalog.Tuple{datalog.BytesV([]byte("small two"))}},
-		{Pred: "dest", Tuple: datalog.Tuple{datalog.NodeV(addrB)}},
+		{Pred: "dest", Tuple: datalog.Tuple{datalog.NodeV(epB.Addr())}},
 		{Pred: "trigger", Tuple: datalog.Tuple{datalog.Int64(1)}},
 	})
 	waitFixpoint(t, det)
+	// A node's loop reaches the detector through the kernel's sockets, which
+	// the race detector does not see: stopping the nodes orders their last
+	// commit before the reads below.
+	a.Stop()
+	b.Stop()
 
 	if got := b.WS.Count("got"); got != 2 {
 		t.Errorf("node b: got %d payloads, want the 2 small ones", got)
@@ -638,16 +638,15 @@ func TestTerminationOverReliableLossyTransport(t *testing.T) {
 	// The same protocol must stay sound when datagrams are dropped and
 	// duplicated: the reliable layer retransmits until delivery, so the
 	// counters eventually balance and never balance early.
-	rawNet := transport.NewMemNetwork()
-	cfg := transport.ReliableConfig{RetransmitInterval: 2 * time.Millisecond}
-	wrap := func(addr string, seed int64) transport.Transport {
-		return transport.NewReliable(transporttest.Lossy(rawNet.Endpoint(addr), seed, 0.25, 0.25, 0), cfg)
-	}
-	epA, epB, epD := wrap(addrA, 1), wrap(addrB, 2), wrap(addrDet, 3)
-	a := nodeOverEndpoint(t, "a", addrA, map[string]string{"b": addrB}, deriveRule, epA)
-	b := nodeOverEndpoint(t, "b", addrB, map[string]string{"a": addrA}, echoRule, epB)
-	det := dist.NewDetector(epD, []string{addrA, addrB})
-	det.ReplyTimeout = 100 * time.Millisecond
+	chaos := transport.NewChaosEngine(&transport.ChaosPlan{
+		Seed:  1,
+		Links: []transport.ChaosLink{{From: "*", To: "*", Drop: 0.25, Dup: 0.25}},
+	})
+	chaos.Start()
+	epA, epB, epD := udpEndpoints(t, &transport.UDPNetwork{Chaos: chaos})
+	a := nodeOverEndpoint(t, "a", epA.Addr(), map[string]string{"b": epB.Addr()}, deriveRule, epA)
+	b := nodeOverEndpoint(t, "b", epB.Addr(), map[string]string{"a": epA.Addr()}, echoRule, epB)
+	det := dist.NewDetector(epD, []string{epA.Addr(), epB.Addr()})
 	a.Start()
 	b.Start()
 	defer a.Stop()
@@ -656,10 +655,15 @@ func TestTerminationOverReliableLossyTransport(t *testing.T) {
 
 	a.Assert([]engine.Fact{
 		{Pred: "pay", Tuple: datalog.Tuple{datalog.BytesV([]byte("lossy hello"))}},
-		{Pred: "dest", Tuple: datalog.Tuple{datalog.NodeV(addrB)}},
+		{Pred: "dest", Tuple: datalog.Tuple{datalog.NodeV(epB.Addr())}},
 		{Pred: "trigger", Tuple: datalog.Tuple{datalog.Int64(1)}},
 	})
 	waitFixpoint(t, det)
+	// A node's loop reaches the detector through the kernel's sockets, which
+	// the race detector does not see: stopping the nodes orders their last
+	// commit before the reads below.
+	a.Stop()
+	b.Stop()
 	if got := b.WS.Count("got"); got != 1 {
 		t.Errorf("node b: got %d payloads over lossy transport, want 1", got)
 	}
@@ -676,6 +680,22 @@ func TestTerminationOverReliableLossyTransport(t *testing.T) {
 				to.Principal, to.MsgsRecv(), to.BytesRecv(), from.Principal, from.MsgsSent(), from.BytesSent())
 		}
 	}
+}
+
+// udpEndpoints opens two node endpoints and a detector endpoint on nw, closed
+// with the test.
+func udpEndpoints(t *testing.T, nw *transport.UDPNetwork) (a, b, det transport.Transport) {
+	t.Helper()
+	t.Cleanup(func() { nw.Close() })
+	var eps [3]transport.Transport
+	for i := range eps {
+		ep, err := nw.Listen("")
+		if err != nil {
+			t.Fatal(err)
+		}
+		eps[i] = ep
+	}
+	return eps[0], eps[1], eps[2]
 }
 
 // nodeOverEndpoint is newTestNode for a caller-supplied endpoint.

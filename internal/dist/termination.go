@@ -25,6 +25,11 @@ func init() {
 	cWaves = r.Counter("sbx_detector_waves_total", nil)
 }
 
+// reprobeAfter is how long one wave waits for stragglers before re-probing
+// the nodes that have not answered. Over a reliable transport a probe is
+// never lost, so it bounds only how often a silent node is asked again.
+const reprobeAfter = time.Second
+
 // ErrDetectorClosed is returned by WaitQuiescent when the detector's
 // endpoint closed before quiescence was proven.
 var ErrDetectorClosed = errors.New("dist: detector endpoint closed")
@@ -70,9 +75,6 @@ func (e *UnresponsiveError) Error() string {
 // must only cover reliable peer channels: the UDP path retransmits until
 // delivery, so a counted message always arrives eventually.)
 type Detector struct {
-	// ReplyTimeout is how long one wave waits for stragglers before
-	// re-probing nodes that have not answered. Zero means 1s.
-	ReplyTimeout time.Duration
 	// UnresponsiveAfter bounds how long one wave keeps re-probing a silent
 	// node before WaitQuiescent gives up with an UnresponsiveError — the
 	// difference between a crashed remote process surfacing as a typed
@@ -239,10 +241,6 @@ func (d *Detector) collect(ctx context.Context) (sum waveSum, err error) {
 		From:     d.ep.Addr(),
 		Payloads: [][]byte{wire.EncodeControl(wire.Control{Type: wire.CtrlProbe, Wave: wave})},
 	})
-	timeout := d.ReplyTimeout
-	if timeout <= 0 {
-		timeout = time.Second
-	}
 	start := time.Now()
 	budget := d.unresponsiveAfter()
 	reports := make(map[string]wire.Control)
@@ -271,7 +269,7 @@ func (d *Detector) collect(ctx context.Context) (sum waveSum, err error) {
 		for _, addr := range missing {
 			_ = d.ep.Send(addr, probe)
 		}
-		deadline := time.NewTimer(timeout)
+		deadline := time.NewTimer(reprobeAfter)
 	recv:
 		for len(reports) < len(member) {
 			select {

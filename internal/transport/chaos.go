@@ -124,8 +124,8 @@ func (p *ChaosPlan) Validate() error {
 	return nil
 }
 
-// ChaosEngine executes a plan for one process: Wrap interposes it under a
-// reliable endpoint (so injected loss turns into retransmission latency,
+// ChaosEngine executes a plan for one process: UDPNetwork.Chaos interposes it
+// on every endpoint's sends (so injected loss turns into retransmission latency,
 // exactly like real packet loss), Resolve teaches it which transport
 // addresses belong to which principals once the directory is known, and
 // Start begins the plan clock. One engine is shared by every endpoint of
@@ -217,7 +217,12 @@ func (e *ChaosEngine) CrashAt(principal string) (at, hang time.Duration, ok bool
 // through: every fault is injected at the sending side, which keeps one
 // shared plan coherent across processes without double-applying rules.
 func (e *ChaosEngine) Wrap(inner Transport) Transport {
-	return &chaosTransport{e: e, Transport: inner}
+	return &chaosTransport{Transport: inner, out: e.wrap(inner.Addr(), inner)}
+}
+
+// wrap interposes the engine on the sends of the endpoint at from.
+func (e *ChaosEngine) wrap(from string, out lower) *chaosLower {
+	return &chaosLower{e: e, from: from, lower: out}
 }
 
 func (e *ChaosEngine) rngForLocked(from, to string) *rand.Rand {
@@ -325,14 +330,24 @@ func (e *ChaosEngine) judge(fromAddr, toAddr string) chaosAction {
 	return chaosAction{}
 }
 
-// chaosTransport applies the engine's verdicts on the send path.
-type chaosTransport struct {
-	e *ChaosEngine
-	Transport
+// chaosLower applies the engine's verdicts to one endpoint's sends.
+type chaosLower struct {
+	e    *ChaosEngine
+	from string
+	lower
 }
 
-func (c *chaosTransport) Send(to string, data []byte) error {
-	act := c.e.judge(c.Transport.Addr(), to)
+// chaosTransport is a Transport whose sends go through a chaosLower.
+type chaosTransport struct {
+	Transport
+	out *chaosLower
+}
+
+func (c *chaosTransport) Send(to string, data []byte) error { return c.out.Send(to, data) }
+func (c *chaosTransport) Close() error                      { return c.out.Close() }
+
+func (c *chaosLower) Send(to string, data []byte) error {
+	act := c.e.judge(c.from, to)
 	if act.drop {
 		chaosCount(act.kind)
 		return nil // silently lost, like the packet it models
@@ -367,31 +382,31 @@ func (c *chaosTransport) Send(to string, data []byte) error {
 			c.e.mu.Lock()
 			delete(c.e.timer, t)
 			c.e.mu.Unlock()
-			_ = c.Transport.Send(to, held) // endpoint may be closed; loss is in-model
+			_ = c.lower.Send(to, held) // endpoint may be closed; loss is in-model
 			if dup {
-				_ = c.Transport.Send(to, held)
+				_ = c.lower.Send(to, held)
 			}
 		})
 		c.e.timer[t] = struct{}{}
 		c.e.mu.Unlock()
 		return nil
 	}
-	err := c.Transport.Send(to, data)
+	err := c.lower.Send(to, data)
 	if act.dup {
-		_ = c.Transport.Send(to, data)
+		_ = c.lower.Send(to, data)
 	}
 	return err
 }
 
 // Close cancels outstanding delayed deliveries before closing the inner
-// endpoint, so a held datagram cannot fire into a freed socket long after
+// endpoint, so a held datagram cannot fire into a closed socket long after
 // shutdown.
-func (c *chaosTransport) Close() error {
+func (c *chaosLower) Close() error {
 	c.e.mu.Lock()
 	for t := range c.e.timer {
 		t.Stop()
 	}
 	c.e.timer = make(map[*time.Timer]struct{})
 	c.e.mu.Unlock()
-	return c.Transport.Close()
+	return c.lower.Close()
 }

@@ -215,9 +215,8 @@ func TestReliableDeliversOverChaos(t *testing.T) {
 	eng := NewChaosEngine(plan)
 	eng.Start()
 	net := NewMemNetwork()
-	cfg := ReliableConfig{RetransmitInterval: 2 * time.Millisecond}
-	a := NewReliable(eng.Wrap(net.Endpoint("a:1")), cfg)
-	b := NewReliable(eng.Wrap(net.Endpoint("b:1")), cfg)
+	a := reliableOver(eng.Wrap(net.Endpoint("a:1")))
+	b := reliableOver(eng.Wrap(net.Endpoint("b:1")))
 	defer a.Close()
 	defer b.Close()
 	const n = 100

@@ -19,7 +19,6 @@ var (
 	cRetransmits *obs.Counter
 	cDupDrops    *obs.Counter
 	cCRCRejects  *obs.Counter
-	cLosses      *obs.Counter
 	cBackoffs    *obs.Counter
 	cDeferrals   *obs.Counter
 	cForgotten   *obs.Counter
@@ -30,14 +29,12 @@ func init() {
 	r.Help("sbx_transport_retransmits_total", "Data frames re-sent while awaiting acknowledgement.")
 	r.Help("sbx_transport_dup_drops_total", "Redelivered frames suppressed by the receive dedup window.")
 	r.Help("sbx_transport_crc_rejects_total", "Inbound datagrams dropped as garbage or CRC failures.")
-	r.Help("sbx_transport_frame_losses_total", "Frames abandoned after MaxAttempts retransmissions.")
 	r.Help("sbx_transport_backoffs_total", "Retransmissions fired at a backed-off (beyond base) interval.")
 	r.Help("sbx_transport_send_deferrals_total", "Sends queued unsent because the destination hit its in-flight cap.")
 	r.Help("sbx_transport_forgotten_frames_total", "Pending frames purged by Forget after a peer was evicted.")
 	cRetransmits = r.Counter("sbx_transport_retransmits_total", nil)
 	cDupDrops = r.Counter("sbx_transport_dup_drops_total", nil)
 	cCRCRejects = r.Counter("sbx_transport_crc_rejects_total", nil)
-	cLosses = r.Counter("sbx_transport_frame_losses_total", nil)
 	cBackoffs = r.Counter("sbx_transport_backoffs_total", nil)
 	cDeferrals = r.Counter("sbx_transport_send_deferrals_total", nil)
 	cForgotten = r.Counter("sbx_transport_forgotten_frames_total", nil)
@@ -54,75 +51,39 @@ const (
 // type byte + CRC32 + sequence varint.
 const reliableOverhead = 1 + 4 + binary.MaxVarintLen64
 
-// ReliableConfig tunes the acknowledge/retransmit layer.
-type ReliableConfig struct {
-	// RetransmitInterval is the base delay before the first retransmission
-	// of an unacknowledged frame; later retransmissions back off
-	// exponentially from it. Zero means the 50ms default.
-	RetransmitInterval time.Duration
-	// MaxAttempts bounds retransmissions per frame; once exceeded the
-	// frame is dropped and counted as a loss. Zero means retry forever —
-	// the right default for termination detection, which relies on every
-	// counted message eventually arriving.
-	MaxAttempts int
-	// MaxBackoff caps the per-frame exponential backoff so an evicted-peer
-	// purge or a healed partition is noticed within a bounded delay. Zero
-	// means 16x the base interval.
-	MaxBackoff time.Duration
-	// MaxInflight caps how many unacknowledged frames may be on the wire
-	// per destination; further sends are queued unsent until slots free
-	// up, so a dead or partitioned peer stops consuming bandwidth
-	// proportional to the backlog. Zero means 512.
-	MaxInflight int
+// The reliable layer's timing. A frame is first re-sent retransmitInterval
+// after it went out; every re-send doubles its delay, up to maxBackoff, so an
+// evicted-peer purge or a healed partition is noticed within a bounded delay.
+// At most maxInflight unacknowledged frames per destination are on the wire;
+// further sends wait unsent until slots free up, so a dead or partitioned
+// peer stops consuming bandwidth in proportion to the backlog. The retransmit
+// loop wakes every pollInterval to find due frames and free slots.
+const (
+	retransmitInterval = 50 * time.Millisecond
+	maxBackoff         = 16 * retransmitInterval
+	maxInflight        = 512
+	pollInterval       = retransmitInterval / 4
+)
+
+// lower is the reliable layer's lower half, where its frames go out: the
+// endpoint's socket, or the socket under a chaos engine. Closing it closes
+// the socket.
+type lower interface {
+	Send(to string, frame []byte) error
+	Close() error
 }
 
-func (c ReliableConfig) interval() time.Duration {
-	if c.RetransmitInterval <= 0 {
-		return 50 * time.Millisecond
-	}
-	return c.RetransmitInterval
-}
-
-func (c ReliableConfig) maxBackoff() time.Duration {
-	if c.MaxBackoff <= 0 {
-		return 16 * c.interval()
-	}
-	return c.MaxBackoff
-}
-
-func (c ReliableConfig) maxInflight() int {
-	if c.MaxInflight <= 0 {
-		return 512
-	}
-	return c.MaxInflight
-}
-
-// pollInterval is how often the retransmit loop wakes to scan for due
-// frames and free in-flight slots: a quarter of the base interval, clamped
-// so tests with millisecond intervals stay fast and production configs
-// don't spin.
-func (c ReliableConfig) pollInterval() time.Duration {
-	p := c.interval() / 4
-	if p < time.Millisecond {
-		p = time.Millisecond
-	}
-	if p > 25*time.Millisecond {
-		p = 25 * time.Millisecond
-	}
-	return p
-}
-
-// ReliableEndpoint layers message-level reliability over a lossy datagram
-// Transport (udpnet in practice): every frame carries a per-destination
-// sequence number and a CRC; receivers acknowledge each data frame and
-// deduplicate redeliveries, senders retransmit until acknowledged. Corrupted
-// frames fail the CRC and are dropped, which turns garbling into loss and
-// loss into latency — exactly what the termination-detection counters need
-// to stay balanced over real UDP.
+// ReliableEndpoint is one UDP endpoint: its socket with message-level
+// reliability on top. Every frame carries a per-destination sequence number
+// and a CRC; the read loop acknowledges each data frame and deduplicates
+// redeliveries, and the retransmit loop re-sends until acknowledged.
+// Corrupted frames fail the CRC and are dropped, which turns garbling into
+// loss and loss into latency — exactly what the termination-detection
+// counters need to stay balanced over real UDP.
 type ReliableEndpoint struct {
-	inner Transport
-	cfg   ReliableConfig
-	q     *queue
+	addr string
+	out  lower
+	q    *queue
 
 	mu       sync.Mutex
 	nextSeq  map[string]uint64              // per-destination last used seq
@@ -133,12 +94,11 @@ type ReliableEndpoint struct {
 	closed   bool
 
 	stop chan struct{}
-	wg   sync.WaitGroup
+	wg   sync.WaitGroup // the read loop and the retransmit loop
 }
 
 type unacked struct {
-	frame    []byte
-	attempts int
+	frame []byte
 	// sentOnce marks the frame as having reached the wire at least once
 	// (it holds an in-flight slot); frames deferred by the in-flight cap
 	// wait unsent for the retransmit loop to find a free slot.
@@ -146,14 +106,14 @@ type unacked struct {
 	// nextAt is when the frame is next due for (re)transmission.
 	nextAt time.Time
 	// backoff is the current retransmission delay, doubled on every
-	// re-send up to the config cap.
+	// re-send up to maxBackoff.
 	backoff time.Duration
 }
 
-// dedupWindow bounds the out-of-order set per source. A sender that gave
-// up on a frame (bounded MaxAttempts, or a permanent Send failure) leaves
-// a hole no retransmission will ever fill; without a bound that hole would
-// pin the floor and grow the set by one entry per later message forever.
+// dedupWindow bounds the out-of-order set per source. A send that failed
+// after taking its sequence number leaves a hole no retransmission will ever
+// fill; without a bound that hole would pin the floor and grow the set by one
+// entry per later message forever.
 const dedupWindow = 4096
 
 // dedupState tracks which sequence numbers from one source were delivered:
@@ -193,14 +153,16 @@ func (st *dedupState) advance() {
 	}
 }
 
-// NewReliable wraps an open endpoint. The wrapper takes ownership: closing
-// it closes the inner endpoint.
-func NewReliable(inner Transport, cfg ReliableConfig) *ReliableEndpoint {
+// newReliable builds the reliable layer of the endpoint at addr over out,
+// which it owns. It starts no goroutine: the caller runs retransmitLoop and a
+// read loop that hands every inbound datagram to handleFrame, both counted
+// in wg.
+func newReliable(addr string, out lower) *ReliableEndpoint {
 	h := fnv.New64a()
-	h.Write([]byte(inner.Addr()))
-	r := &ReliableEndpoint{
-		inner:    inner,
-		cfg:      cfg,
+	h.Write([]byte(addr))
+	return &ReliableEndpoint{
+		addr:     addr,
+		out:      out,
 		q:        newQueue(),
 		nextSeq:  make(map[string]uint64),
 		pending:  make(map[string]map[uint64]*unacked),
@@ -209,10 +171,6 @@ func NewReliable(inner Transport, cfg ReliableConfig) *ReliableEndpoint {
 		rng:      rand.New(rand.NewSource(int64(h.Sum64()))),
 		stop:     make(chan struct{}),
 	}
-	r.wg.Add(2)
-	go r.recvLoop()
-	go r.retransmitLoop()
-	return r
 }
 
 // encodeFrame builds [type][crc32 of the rest][seq][payload] in one
@@ -247,7 +205,7 @@ func decodeFrame(data []byte) (typ byte, seq uint64, payload []byte, ok bool) {
 }
 
 // Addr implements Transport.
-func (r *ReliableEndpoint) Addr() string { return r.inner.Addr() }
+func (r *ReliableEndpoint) Addr() string { return r.addr }
 
 // jitteredLocked spreads a delay ±20% so retransmissions to one
 // destination decorrelate instead of arriving as synchronized bursts.
@@ -257,8 +215,8 @@ func (r *ReliableEndpoint) jitteredLocked(d time.Duration) time.Duration {
 }
 
 // Send implements Transport. The frame is tracked for retransmission until
-// the destination acknowledges it; an inner-send error is reported to the
-// caller with nothing tracked. When the destination already has MaxInflight
+// the destination acknowledges it; a socket error is reported to the caller
+// with nothing tracked. When the destination already has maxInflight
 // unacknowledged frames on the wire the frame is queued unsent instead (the
 // retransmit loop transmits it once a slot frees), so a dead peer cannot
 // make every later Send burn bandwidth on an unbounded backlog.
@@ -280,7 +238,7 @@ func (r *ReliableEndpoint) Send(to string, data []byte) error {
 	}
 	r.nextSeq[to]++
 	seq := r.nextSeq[to]
-	if r.inflight[to] >= r.cfg.maxInflight() {
+	if r.inflight[to] >= maxInflight {
 		if r.pending[to] == nil {
 			r.pending[to] = make(map[uint64]*unacked)
 		}
@@ -292,19 +250,18 @@ func (r *ReliableEndpoint) Send(to string, data []byte) error {
 	r.mu.Unlock()
 
 	frame := encodeFrame(frameData, seq, data)
-	if err := r.inner.Send(to, frame); err != nil {
+	if err := r.out.Send(to, frame); err != nil {
 		return err
 	}
 	r.mu.Lock()
 	if r.pending[to] == nil {
 		r.pending[to] = make(map[uint64]*unacked)
 	}
-	base := r.cfg.interval()
 	r.pending[to][seq] = &unacked{
 		frame:    frame,
 		sentOnce: true,
-		backoff:  base,
-		nextAt:   time.Now().Add(r.jitteredLocked(base)),
+		backoff:  retransmitInterval,
+		nextAt:   time.Now().Add(r.jitteredLocked(retransmitInterval)),
 	}
 	r.inflight[to]++
 	r.mu.Unlock()
@@ -349,8 +306,8 @@ func (r *ReliableEndpoint) PendingFrames() int {
 	return n
 }
 
-// Close implements Transport. Idempotent; returns once both background
-// goroutines are gone.
+// Close implements Transport. Idempotent; returns once the read loop and the
+// retransmit loop are gone.
 func (r *ReliableEndpoint) Close() error {
 	r.mu.Lock()
 	if r.closed {
@@ -360,24 +317,15 @@ func (r *ReliableEndpoint) Close() error {
 	r.closed = true
 	r.mu.Unlock()
 	close(r.stop)
-	err := r.inner.Close()
+	err := r.out.Close()
 	r.wg.Wait()
+	r.q.close()
 	return err
 }
 
-func (r *ReliableEndpoint) recvLoop() {
-	defer r.wg.Done()
-	for batch := range r.inner.ReceiveBatch() {
-		for _, in := range batch {
-			r.handleFrame(in)
-		}
-	}
-	r.q.close()
-}
-
-// handleFrame consumes one raw datagram: an ack releases its pending frame, a
-// data frame is acknowledged and, unless it is a redelivery, queued for the
-// consumer.
+// handleFrame consumes one inbound datagram, which it owns: an ack releases
+// its pending frame, a data frame is acknowledged and, unless it is a
+// redelivery, queued for the consumer. Only the read loop calls it.
 func (r *ReliableEndpoint) handleFrame(in InMsg) {
 	typ, seq, payload, ok := decodeFrame(in.Data)
 	if !ok {
@@ -399,7 +347,7 @@ func (r *ReliableEndpoint) handleFrame(in InMsg) {
 	case frameData:
 		// Acknowledge even redeliveries: the first ack may have been
 		// the datagram that got lost.
-		_ = r.inner.Send(in.From, encodeFrame(frameAck, seq, nil))
+		_ = r.out.Send(in.From, encodeFrame(frameAck, seq, nil))
 		r.mu.Lock()
 		st := r.seen[in.From]
 		if st == nil {
@@ -418,16 +366,16 @@ func (r *ReliableEndpoint) handleFrame(in InMsg) {
 	}
 }
 
-// retransmitLoop wakes a few times per base interval and walks the pending
-// frames: deferred frames are transmitted when their destination has a free
+// retransmitLoop wakes every pollInterval and walks the pending frames:
+// deferred frames are transmitted when their destination has a free
 // in-flight slot, and sent frames past their deadline are re-sent with
-// their per-frame delay doubled (plus jitter) up to MaxBackoff — so a
+// their per-frame delay doubled (plus jitter) up to maxBackoff — so a
 // responsive peer sees a prompt first retransmission while a dead one
-// converges to one frame per MaxBackoff instead of the whole backlog every
-// tick.
+// converges to one frame per maxBackoff instead of the whole backlog every
+// tick. A frame is re-sent until it is acknowledged or Forget drops it.
 func (r *ReliableEndpoint) retransmitLoop() {
 	defer r.wg.Done()
-	ticker := time.NewTicker(r.cfg.pollInterval())
+	ticker := time.NewTicker(pollInterval)
 	defer ticker.Stop()
 	for {
 		select {
@@ -440,23 +388,20 @@ func (r *ReliableEndpoint) retransmitLoop() {
 			frame []byte
 		}
 		var due []resend
-		var lost, retrans, backed int64
-		var lostBy map[string]int64
-		base := r.cfg.interval()
-		maxBackoff := r.cfg.maxBackoff()
+		var retrans, backed int64
 		now := time.Now()
 		r.mu.Lock()
 		for to, m := range r.pending {
-			for seq, u := range m {
+			for _, u := range m {
 				if !u.sentOnce {
 					// Deferred by the in-flight cap: transmit once a
 					// slot frees up.
-					if r.inflight[to] >= r.cfg.maxInflight() {
+					if r.inflight[to] >= maxInflight {
 						continue
 					}
 					u.sentOnce = true
-					u.backoff = base
-					u.nextAt = now.Add(r.jitteredLocked(base))
+					u.backoff = retransmitInterval
+					u.nextAt = now.Add(r.jitteredLocked(retransmitInterval))
 					r.inflight[to]++
 					due = append(due, resend{to: to, frame: u.frame})
 					continue
@@ -464,37 +409,16 @@ func (r *ReliableEndpoint) retransmitLoop() {
 				if now.Before(u.nextAt) {
 					continue
 				}
-				u.attempts++
-				if r.cfg.MaxAttempts > 0 && u.attempts > r.cfg.MaxAttempts {
-					delete(m, seq)
-					r.inflight[to]--
-					lost++
-					if lostBy == nil {
-						lostBy = make(map[string]int64)
-					}
-					lostBy[to]++
-					continue
-				}
-				if u.backoff > base {
+				if u.backoff > retransmitInterval {
 					backed++
 				}
-				u.backoff *= 2
-				if u.backoff > maxBackoff {
-					u.backoff = maxBackoff
-				}
+				u.backoff = min(2*u.backoff, maxBackoff)
 				u.nextAt = now.Add(r.jitteredLocked(u.backoff))
 				due = append(due, resend{to: to, frame: u.frame})
 				retrans++
 			}
 		}
 		r.mu.Unlock()
-		if lost > 0 {
-			cLosses.Add(lost)
-			for peer, n := range lostBy {
-				obs.L().Warn("frames abandoned after max retransmissions",
-					"peer", peer, "frames", n, "max_attempts", r.cfg.MaxAttempts)
-			}
-		}
 		if retrans > 0 {
 			cRetransmits.Add(retrans)
 		}
@@ -502,7 +426,7 @@ func (r *ReliableEndpoint) retransmitLoop() {
 			cBackoffs.Add(backed)
 		}
 		for _, d := range due {
-			_ = r.inner.Send(d.to, d.frame)
+			_ = r.out.Send(d.to, d.frame)
 		}
 	}
 }

@@ -3,7 +3,10 @@ package transport
 import (
 	"encoding/binary"
 	"fmt"
+	"maps"
 	"math/rand"
+	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -277,16 +280,16 @@ func TestMemNetworkConcurrentSends(t *testing.T) {
 }
 
 func TestUDPEndpointRoundTrip(t *testing.T) {
-	a, err := ListenUDP("127.0.0.1:0")
+	udpNet := NewUDPNetwork()
+	defer udpNet.Close()
+	a, err := udpNet.Listen("")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer a.Close()
-	b, err := ListenUDP("127.0.0.1:0")
+	b, err := udpNet.Listen("")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer b.Close()
 
 	if err := a.Send(b.Addr(), []byte("over udp")); err != nil {
 		t.Fatal(err)
@@ -305,19 +308,73 @@ func TestUDPEndpointRoundTrip(t *testing.T) {
 }
 
 func TestUDPOversizeRejected(t *testing.T) {
-	a, err := ListenUDP("127.0.0.1:0")
+	// The endpoint enforces the application-payload bound, so that its
+	// framing never pushes a frame over what one UDP datagram carries.
+	udpNet := NewUDPNetwork()
+	defer udpNet.Close()
+	a, err := udpNet.Listen("")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer a.Close()
-	if err := a.Send(a.Addr(), make([]byte, maxRawDatagram+1)); err == nil {
-		t.Error("oversize datagram should be rejected")
+	if err := a.Send(a.Addr(), make([]byte, MaxDatagram+1)); err == nil {
+		t.Error("an endpoint should reject payloads that cannot be framed")
 	}
-	// The reliable layer enforces the application-payload bound so that its
-	// framing never pushes a frame over the raw limit.
-	r := NewReliable(a, ReliableConfig{})
-	defer r.Close()
-	if err := r.Send(r.Addr(), make([]byte, MaxDatagram+reliableOverhead)); err == nil {
-		t.Error("reliable layer should reject payloads that cannot be framed")
+	if err := a.Send(a.Addr(), make([]byte, MaxDatagram)); err != nil {
+		t.Errorf("a payload of MaxDatagram bytes: %v", err)
+	}
+}
+
+// TestUDPEndpointRunsThreeGoroutines: a UDP endpoint is its socket's read
+// loop, the pump of the one queue the consumer reads and the retransmit loop —
+// the read loop acknowledges, deduplicates and queues in line.
+func TestUDPEndpointRunsThreeGoroutines(t *testing.T) {
+	udpNet := NewUDPNetwork()
+	defer udpNet.Close()
+	before := goroutinesByID()
+	if _, err := udpNet.Listen(""); err != nil {
+		t.Fatal(err)
+	}
+	got := map[string]int{}
+	for id, fn := range goroutinesByID() {
+		if _, old := before[id]; !old && strings.HasPrefix(fn, "secureblox/") {
+			got[fn]++
+		}
+	}
+	want := map[string]int{
+		"secureblox/internal/transport.(*ReliableEndpoint).readLoop":       1,
+		"secureblox/internal/transport.(*queue).pump":                      1,
+		"secureblox/internal/transport.(*ReliableEndpoint).retransmitLoop": 1,
+	}
+	if !maps.Equal(got, want) {
+		t.Errorf("Listen started %v, want %v", got, want)
+	}
+}
+
+// goroutinesByID maps the id of each of the process's goroutines to the
+// function it was started with: the outermost frame of its stack. A goroutine
+// created but not yet scheduled shows only a wrapper, so it waits (up to a
+// second) for every goroutine to have run.
+func goroutinesByID() map[string]string {
+	for deadline := time.Now().Add(time.Second); ; time.Sleep(time.Millisecond) {
+		buf := make([]byte, 1<<20)
+		buf = buf[:runtime.Stack(buf, true)]
+		fns, unscheduled := make(map[string]string), false
+		for _, g := range strings.Split(string(buf), "\n\n") {
+			lines := strings.Split(g, "\n")
+			id, fn := strings.Fields(lines[0])[1], ""
+			for _, line := range lines[1:] {
+				if strings.HasPrefix(line, "created by ") {
+					break
+				}
+				if line != "" && !strings.HasPrefix(line, "\t") {
+					fn = line[:strings.LastIndexByte(line, '(')]
+				}
+			}
+			fns[id] = fn
+			unscheduled = unscheduled || fn == "runtime.goexit"
+		}
+		if !unscheduled || time.Now().After(deadline) {
+			return fns
+		}
 	}
 }

@@ -1,107 +1,58 @@
 package transport
 
 import (
+	"errors"
 	"fmt"
 	"net"
 	"net/netip"
 	"sync"
-	"sync/atomic"
 )
 
 // MaxDatagram is the largest application payload the transports carry;
 // callers batching tuples must stay under it (dist.Node splits batches).
 const MaxDatagram = 60000
 
-// maxRawDatagram leaves headroom above MaxDatagram for the reliable
-// layer's framing, while staying under the UDP payload ceiling (~65507).
-const maxRawDatagram = MaxDatagram + 64
+// udpSocket is an endpoint's socket, the lower half of its reliable layer.
+type udpSocket struct{ conn *net.UDPConn }
 
-// UDPEndpoint is a real UDP transport, used when SecureBlox instances run
-// as separate processes (the deployment mode of the paper's cluster).
-type UDPEndpoint struct {
-	conn   *net.UDPConn
-	addr   string
-	q      *queue
-	closed atomic.Bool
-	wg     sync.WaitGroup
-}
-
-// ListenUDP opens a UDP endpoint on addr ("127.0.0.1:0" picks a free port).
-func ListenUDP(addr string) (*UDPEndpoint, error) {
-	ua, err := net.ResolveUDPAddr("udp", addr)
-	if err != nil {
-		return nil, err
-	}
-	conn, err := net.ListenUDP("udp", ua)
-	if err != nil {
-		return nil, err
-	}
-	ep := &UDPEndpoint{conn: conn, addr: conn.LocalAddr().String(), q: newQueue()}
-	ep.wg.Add(1)
-	go ep.readLoop()
-	return ep, nil
-}
-
-func (ep *UDPEndpoint) readLoop() {
-	defer ep.wg.Done()
-	buf := make([]byte, MaxDatagram+1024)
-	for {
-		n, from, err := ep.conn.ReadFromUDP(buf)
-		if err != nil {
-			if ep.closed.Load() {
-				ep.q.close()
-				return
-			}
-			continue
-		}
-		data := make([]byte, n)
-		copy(data, buf[:n])
-		ep.q.push(InMsg{From: from.String(), Data: data})
-	}
-}
-
-// Addr implements Transport.
-func (ep *UDPEndpoint) Addr() string { return ep.addr }
-
-// Send implements Transport. A numeric address is parsed in place and sent
-// to without allocating; a host name is resolved on every send.
-func (ep *UDPEndpoint) Send(to string, data []byte) error {
-	if ep.closed.Load() {
-		return ErrClosed
-	}
-	if len(data) > maxRawDatagram {
-		return fmt.Errorf("transport: datagram of %d bytes exceeds limit %d", len(data), maxRawDatagram)
-	}
+// Send writes one datagram. A numeric address is parsed in place and sent to
+// without allocating; a host name is resolved on every send.
+func (s udpSocket) Send(to string, data []byte) error {
 	if ap, err := netip.ParseAddrPort(to); err == nil {
-		_, err = ep.conn.WriteToUDPAddrPort(data, ap)
+		_, err = s.conn.WriteToUDPAddrPort(data, ap)
 		return err
 	}
 	ua, err := net.ResolveUDPAddr("udp", to)
 	if err != nil {
 		return err
 	}
-	_, err = ep.conn.WriteToUDP(data, ua)
+	_, err = s.conn.WriteToUDP(data, ua)
 	return err
 }
 
-// Receive implements Transport.
-func (ep *UDPEndpoint) Receive() <-chan InMsg { return ep.q.out }
+func (s udpSocket) Close() error { return s.conn.Close() }
 
-// ReceiveBatch implements Transport.
-func (ep *UDPEndpoint) ReceiveBatch() <-chan []InMsg { return ep.q.batches() }
-
-// Close implements Transport.
-func (ep *UDPEndpoint) Close() error {
-	if ep.closed.Swap(true) {
-		return nil
+// readLoop hands every datagram the socket receives to handleFrame, until
+// the socket closes.
+func (r *ReliableEndpoint) readLoop(conn *net.UDPConn) {
+	defer r.wg.Done()
+	buf := make([]byte, MaxDatagram+1024)
+	for {
+		n, from, err := conn.ReadFromUDP(buf)
+		if errors.Is(err, net.ErrClosed) {
+			return
+		}
+		if err != nil {
+			continue
+		}
+		data := make([]byte, n)
+		copy(data, buf[:n])
+		r.handleFrame(InMsg{From: from.String(), Data: data})
 	}
-	err := ep.conn.Close()
-	ep.wg.Wait()
-	return err
 }
 
 // UDPNetwork implements Network over real UDP sockets: each Listen binds a
-// socket and wraps it in the reliable ack/retransmit layer, so the cluster
+// socket and runs the reliable ack/retransmit layer on it, so the cluster
 // driver's message-counting termination detection is correct even though
 // raw UDP drops, duplicates and reorders datagrams.
 type UDPNetwork struct {
@@ -113,8 +64,8 @@ type UDPNetwork struct {
 	// deployments set Strict: a node that silently bound somewhere other
 	// than its configured address could never be found by its peers.
 	Strict bool
-	// Chaos, when set, interposes a scriptable fault engine between each
-	// raw socket and its reliable layer: injected drops/garbling become
+	// Chaos, when set, interposes a scriptable fault engine on every
+	// endpoint's sends, acks included: injected drops/garbling become
 	// retransmission latency and injected partitions become silence,
 	// exactly as real packet faults would.
 	Chaos *ChaosEngine
@@ -142,15 +93,23 @@ func (n *UDPNetwork) Listen(hint string) (Transport, error) {
 	} else {
 		bind = "127.0.0.1:0"
 	}
-	raw, err := ListenUDP(bind)
+	ua, err := net.ResolveUDPAddr("udp", bind)
+	var conn *net.UDPConn
+	if err == nil {
+		conn, err = net.ListenUDP("udp", ua)
+	}
 	if err != nil {
 		return nil, fmt.Errorf("transport: bind %s: %w", bind, err)
 	}
-	var lower Transport = raw
+	addr := conn.LocalAddr().String()
+	var out lower = udpSocket{conn}
 	if n.Chaos != nil {
-		lower = n.Chaos.Wrap(raw)
+		out = n.Chaos.wrap(addr, out)
 	}
-	ep := NewReliable(lower, ReliableConfig{})
+	ep := newReliable(addr, out)
+	ep.wg.Add(2)
+	go ep.readLoop(conn)
+	go ep.retransmitLoop()
 	n.mu.Lock()
 	n.eps = append(n.eps, ep)
 	n.mu.Unlock()
