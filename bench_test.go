@@ -425,8 +425,8 @@ func BenchmarkAblationSigningBatchSize(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
-				reg := engine.NewUDFRegistry()
-				if err := udf.Register(reg, ks, seccrypto.NewDeterministicRand(2)); err != nil {
+				reg, err := udf.NewRegistry(ks, seccrypto.NewDeterministicRand(2))
+				if err != nil {
 					b.Fatal(err)
 				}
 				w := engine.NewWorkspace(reg)

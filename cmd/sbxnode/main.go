@@ -370,9 +370,7 @@ func runNode(ctx context.Context, rt *cluster.Runtime, nw transport.Network, cha
 		Endpoint:  rt.Endpoint(),
 		Seed:      cfg.Workload.Seed,
 	}
-	if pol.Auth == core.AuthRSA {
-		assembly.VerifyPool, assembly.SignPool = seccrypto.NewVerifyPool(), seccrypto.NewSignPool()
-	}
+	assembly.VerifyPool, assembly.SignPool = pol.Memos()
 	node, err := assembly.Build()
 	if err != nil {
 		return nil, err

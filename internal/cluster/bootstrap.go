@@ -41,27 +41,20 @@ func (e *BootstrapError) Unwrap() error { return e.Err }
 
 // controlMsg stamps a bootstrap record with this cluster's name and wraps
 // it in the MsgControl envelope every node runtime already routes.
-func (rt *Runtime) controlMsg(rec wire.Join) []byte {
+func (rt *Runtime) controlMsg(rec wire.Control) []byte {
 	rec.Cluster = rt.cfg.Cluster
-	return wire.EncodeMessage(wire.Message{
-		Kind:     wire.MsgControl,
-		From:     rt.ep.Addr(),
-		Payloads: [][]byte{wire.EncodeJoin(rec)},
-	})
+	return wire.ControlMessage(rt.ep.Addr(), rec)
 }
 
 // decodeBootstrap extracts a bootstrap record addressed to this cluster
 // from a raw datagram, or ok=false for anything else (garbage, data
-// traffic, records of other clusters) — bootstrap shares the wire with
-// everything else and must skip what it does not own.
-func (rt *Runtime) decodeBootstrap(data []byte) (wire.Join, bool) {
-	msg, err := wire.DecodeMessage(data)
-	if err != nil || msg.Kind != wire.MsgControl || len(msg.Payloads) != 1 {
-		return wire.Join{}, false
-	}
-	rec, err := wire.DecodeJoin(msg.Payloads[0])
+// traffic, probes and reports, which name no cluster, records of other
+// clusters) — bootstrap shares the wire with everything else and must skip
+// what it does not own.
+func (rt *Runtime) decodeBootstrap(data []byte) (wire.Control, bool) {
+	rec, err := wire.ReadControl(data)
 	if err != nil || rec.Cluster != rt.cfg.Cluster {
-		return wire.Join{}, false
+		return wire.Control{}, false
 	}
 	return rec, true
 }
@@ -88,19 +81,19 @@ type barrier struct {
 	phase string
 	// announce is the record a member sends; release is the record type
 	// that ends its wait.
-	announce wire.Join
+	announce wire.Control
 	release  wire.CtrlType
 	// count, on the seed, returns the principal an announcement counts
 	// for, or "" when it counts for nobody.
 	count func(wire.MemberInfo) string
 	// other, on the seed, sees every record that is not an announcement;
 	// nil ignores them.
-	other func(wire.Join)
+	other func(wire.Control)
 	// seal, on the seed, builds the release once everyone is counted; nil
 	// sends a bare release record.
 	seal func() []byte
 	// accept, on a member, takes the release record; nil takes it as is.
-	accept func(wire.Join) error
+	accept func(wire.Control) error
 	// stray, on a member, takes datagrams that are not bootstrap records;
 	// nil drops them.
 	stray func(transport.InMsg)
@@ -142,7 +135,7 @@ func (rt *Runtime) collect(ctx context.Context, b barrier) error {
 			b.other(rec)
 		}
 	}
-	msg := rt.controlMsg(wire.Join{Type: b.release})
+	msg := rt.controlMsg(wire.Control{Type: b.release})
 	if b.seal != nil {
 		msg = b.seal()
 	}
@@ -186,14 +179,14 @@ func (rt *Runtime) await(ctx context.Context, b barrier) error {
 // while the runtime owns it, from the node once BindNode handed the
 // endpoint over. A tick goes to onTick and a datagram that is no bootstrap
 // record to stray (either may be nil); both return the zero record.
-func (rt *Runtime) nextRecord(ctx context.Context, tick <-chan time.Time, onTick func(), stray func(transport.InMsg)) (wire.Join, error) {
+func (rt *Runtime) nextRecord(ctx context.Context, tick <-chan time.Time, onTick func(), stray func(transport.InMsg)) (wire.Control, error) {
 	var raw <-chan transport.InMsg
 	if rt.ctrlCh == nil {
 		raw = rt.ep.Receive()
 	}
 	select {
 	case <-ctx.Done():
-		return wire.Join{}, ctx.Err()
+		return wire.Control{}, ctx.Err()
 	case <-tick:
 		if onTick != nil {
 			onTick()
@@ -202,7 +195,7 @@ func (rt *Runtime) nextRecord(ctx context.Context, tick <-chan time.Time, onTick
 		return rec, nil
 	case in, open := <-raw:
 		if !open {
-			return wire.Join{}, errors.New("endpoint closed")
+			return wire.Control{}, errors.New("endpoint closed")
 		}
 		if rec, ok := rt.decodeBootstrap(in.Data); ok {
 			return rec, nil
@@ -211,7 +204,7 @@ func (rt *Runtime) nextRecord(ctx context.Context, tick <-chan time.Time, onTick
 			stray(in)
 		}
 	}
-	return wire.Join{}, nil
+	return wire.Control{}, nil
 }
 
 // member is the count of a ready or leave announcement: the directory
@@ -241,7 +234,7 @@ func (rt *Runtime) Join(ctx context.Context) (*Membership, error) {
 	joined := map[string]wire.MemberInfo{rt.principal: rt.selfInfo()}
 	err := rt.cross(ctx, barrier{
 		phase:    "join",
-		announce: wire.Join{Type: wire.CtrlJoin, Members: []wire.MemberInfo{rt.selfInfo()}},
+		announce: wire.Control{Type: wire.CtrlJoin, Members: []wire.MemberInfo{rt.selfInfo()}},
 		release:  wire.CtrlDirectory,
 		count:    func(m wire.MemberInfo) string { return rt.admit(joined, m) },
 		seal:     func() []byte { return rt.seal(joined) },
@@ -290,7 +283,7 @@ func (rt *Runtime) admit(joined map[string]wire.MemberInfo, m wire.MemberInfo) s
 // order, and keeps its encoding to answer late joins with.
 func (rt *Runtime) seal(joined map[string]wire.MemberInfo) []byte {
 	rt.mem = &Membership{Members: make([]Member, len(rt.cfg.Nodes))}
-	rec := wire.Join{Type: wire.CtrlDirectory}
+	rec := wire.Control{Type: wire.CtrlDirectory}
 	for i, n := range rt.cfg.Nodes {
 		mi := joined[n.Principal]
 		rt.mem.Members[i] = Member{Principal: mi.Principal, Addr: mi.Addr, PubKeyDER: mi.PubKey}
@@ -304,7 +297,7 @@ func (rt *Runtime) seal(joined map[string]wire.MemberInfo) []byte {
 // acceptDirectory validates a received directory against the config:
 // every expected principal exactly once, this node's own entry carrying
 // its real bound address. Under RSA policies Join then checks the keys.
-func (rt *Runtime) acceptDirectory(rec wire.Join) error {
+func (rt *Runtime) acceptDirectory(rec wire.Control) error {
 	if len(rec.Members) != len(rt.cfg.Nodes) {
 		return fmt.Errorf("cluster %s: directory has %d members, config expects %d", rt.cfg.Cluster, len(rec.Members), len(rt.cfg.Nodes))
 	}
@@ -333,10 +326,10 @@ func (rt *Runtime) Ready(ctx context.Context) error {
 	}
 	err := rt.cross(ctx, barrier{
 		phase:    "ready",
-		announce: wire.Join{Type: wire.CtrlReady, Members: rt.self()},
+		announce: wire.Control{Type: wire.CtrlReady, Members: rt.self()},
 		release:  wire.CtrlGo,
 		count:    rt.member,
-		other: func(rec wire.Join) {
+		other: func(rec wire.Control) {
 			// A joiner's announcement crossed the directory broadcast:
 			// answer it directly so its resend loop can stop.
 			if rec.Type == wire.CtrlJoin && len(rec.Members) == 1 {
@@ -375,7 +368,7 @@ func (rt *Runtime) DepartureBarrier(ctx context.Context) error {
 	rt.log().Info("departure barrier entered")
 	return rt.cross(ctx, barrier{
 		phase:    "leave",
-		announce: wire.Join{Type: wire.CtrlLeave, Members: rt.self()},
+		announce: wire.Control{Type: wire.CtrlLeave, Members: rt.self()},
 		release:  wire.CtrlBye,
 		count:    rt.member,
 	})

@@ -222,9 +222,9 @@ func TestDepartureBarrierWaitsForEveryLeave(t *testing.T) {
 		rts := joinAll(t, cfg, net)
 		seed, mem := rts[0], rts[0].Membership()
 		// The records a bound node would hand back to its runtime.
-		seed.ctrlCh = make(chan wire.Join, 16)
+		seed.ctrlCh = make(chan wire.Control, 16)
 		leave := func(addr string) {
-			seed.ctrlCh <- wire.Join{Type: wire.CtrlLeave, Cluster: cfg.Cluster, Members: []wire.MemberInfo{{Addr: addr}}}
+			seed.ctrlCh <- wire.Control{Type: wire.CtrlLeave, Cluster: cfg.Cluster, Members: []wire.MemberInfo{{Addr: addr}}}
 		}
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 		done := make(chan error, 1)
@@ -269,7 +269,7 @@ func TestDepartureBarrierWaitsForEveryLeave(t *testing.T) {
 
 // nextBootstrap reads rt's endpoint for the next bootstrap record, waiting
 // at most wait.
-func nextBootstrap(rt *Runtime, wait time.Duration) (wire.Join, bool) {
+func nextBootstrap(rt *Runtime, wait time.Duration) (wire.Control, bool) {
 	timeout := time.After(wait)
 	for {
 		select {
@@ -278,7 +278,7 @@ func nextBootstrap(rt *Runtime, wait time.Duration) (wire.Join, bool) {
 				return rec, true
 			}
 		case <-timeout:
-			return wire.Join{}, false
+			return wire.Control{}, false
 		}
 	}
 }

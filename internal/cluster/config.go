@@ -138,8 +138,8 @@ type WorkloadConfig struct {
 // Every process of the deployment loads the same config and is told which
 // principal it runs as; the first node is the bootstrap seed.
 type Config struct {
-	// Cluster names the deployment; join records carry it so two clusters
-	// sharing a network cannot cross-wire.
+	// Cluster names the deployment; barrier and eviction records carry it
+	// so two clusters sharing a network cannot cross-wire.
 	Cluster string `json:"cluster"`
 	// Policy is the security configuration by its figure label, e.g.
 	// "NoAuth", "HMAC-AES", "RSA-batch".

@@ -51,8 +51,8 @@ type Runtime struct {
 	ks        *seccrypto.KeyStore
 	seedAddr  string
 	mem       *Membership
-	directory []byte         // encoded CtrlDirectory message (seed only)
-	ctrlCh    chan wire.Join // bootstrap records the node hands back once it owns the endpoint
+	directory []byte            // encoded CtrlDirectory message (seed only)
+	ctrlCh    chan wire.Control // bootstrap records the node hands back once it owns the endpoint
 	// early holds datagrams that reached this node inside the ready barrier
 	// and are not bootstrap records: traffic of peers the seed released
 	// first. The endpoint has acknowledged them, so they must reach the node.
@@ -166,10 +166,9 @@ func (rt *Runtime) EarlyTraffic() []transport.InMsg { return rt.early }
 // arrives. Call it after Ready and before n.Start.
 func (rt *Runtime) BindNode(n *dist.Node) {
 	rt.node = n
-	rt.ctrlCh = make(chan wire.Join, 8*len(rt.cfg.Nodes)+8)
-	n.OnControl = func(from string, payload []byte) {
-		rec, err := wire.DecodeJoin(payload)
-		if err != nil || rec.Cluster != rt.cfg.Cluster {
+	rt.ctrlCh = make(chan wire.Control, 8*len(rt.cfg.Nodes)+8)
+	n.OnControl = func(from string, rec wire.Control) {
+		if rec.Cluster != rt.cfg.Cluster {
 			return
 		}
 		if rec.Type == wire.CtrlEvict {
@@ -275,7 +274,7 @@ func (rt *Runtime) applyEviction(members []wire.MemberInfo, gossip bool) []strin
 	}
 	cEvictions.Add(int64(len(fresh)))
 	if gossip && rt.mem != nil {
-		delta := rt.controlMsg(wire.Join{Type: wire.CtrlEvict, Cluster: rt.cfg.Cluster, Members: fresh})
+		delta := rt.controlMsg(wire.Control{Type: wire.CtrlEvict, Members: fresh})
 		for _, m := range rt.mem.Members {
 			if m.Principal != rt.principal && !rt.Evicted(m.Principal) {
 				_ = rt.ep.Send(m.Addr, delta)

@@ -106,14 +106,30 @@ type NodeAssembly struct {
 	// Endpoint is the node's bound transport endpoint; the node takes
 	// ownership.
 	Endpoint transport.Transport
-	// VerifyPool/SignPool are the shared RSA memos (nil under non-RSA
-	// policies).
+	// VerifyPool is the shared RSA verification memo (nil under non-RSA
+	// policies); SignPool the shared rsa_sign memo (nil unless the policy
+	// signs per tuple with RSA).
 	VerifyPool *seccrypto.VerifyPool
 	SignPool   *seccrypto.SignPool
 	// Seed drives deterministic UDF randomness.
 	Seed int64
 	// GrantWriteAccess mirrors ClusterConfig's.
 	GrantWriteAccess bool
+}
+
+// Memos returns the RSA memos the nodes of one process share under p: under
+// RSA a verification memo, which rsa_verify and rsa_verify_batch consult, and
+// under per-tuple RSA also a signing memo for rsa_sign. RSA-batch runs no
+// rsa_sign and signs each group root once, so it gets none. Both are nil
+// under the other schemes.
+func (p PolicyConfig) Memos() (*seccrypto.VerifyPool, *seccrypto.SignPool) {
+	if p.Auth != AuthRSA {
+		return nil, nil
+	}
+	if p.BatchSign {
+		return seccrypto.NewVerifyPool(), nil
+	}
+	return seccrypto.NewVerifyPool(), seccrypto.NewSignPool()
 }
 
 // Build constructs the node: a workspace with per-node keystore-bound
@@ -143,11 +159,12 @@ func (a NodeAssembly) Build() (*dist.Node, error) {
 	n := dist.NewNode(me.Principal, ws, a.Endpoint)
 	n.SetPeers(a.Directory.Addrs())
 	if a.Policy.BatchSign {
-		priv, privDER, spool := a.KeyStore.PrivateKey(), a.KeyStore.PrivateKeyDER(), a.SignPool
+		priv := a.KeyStore.PrivateKey()
 		// Footnote 2's "sign batch aggregates": one signature per group of a
-		// shipping transaction's envelopes, with the node's private key.
+		// shipping transaction's envelopes, with the node's private key. Each
+		// group root is signed once, so there is nothing to memoize.
 		n.SignBatch = func(root []byte) ([]byte, error) {
-			return spool.Sign(priv, privDER, root)
+			return seccrypto.RSASign(priv, root)
 		}
 	}
 	return n, nil

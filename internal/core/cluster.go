@@ -192,14 +192,8 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	}
 	compile := time.Since(t)
 
-	// The RSA memos every node of the cluster shares: rsa_verify and
-	// rsa_verify_batch remember what they checked, rsa_sign and batch mode's
-	// group signatures what they signed.
-	var vpool *seccrypto.VerifyPool
-	var spool *seccrypto.SignPool
-	if cfg.Policy.Auth == AuthRSA {
-		vpool, spool = seccrypto.NewVerifyPool(), seccrypto.NewSignPool()
-	}
+	// The RSA memos every node of the cluster shares.
+	vpool, spool := cfg.Policy.Memos()
 
 	// Every node binds the program and runs its set-up at the same time, as
 	// the deployment's machines do; each writes only its own slot.

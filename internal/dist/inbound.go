@@ -258,39 +258,38 @@ func (n *Node) decodeSpan(m runMsg, addr string, into uint64) {
 	})
 }
 
-// handleProbe routes one control datagram: termination-detection probes
-// are answered with a local snapshot, and any other control payload (the
-// cluster runtime's bootstrap/departure records) is handed to the
-// OnControl hook. A probe's report holds the monotone per-peer message
-// counters plus whether local work is queued. Because probes are served by
-// the transaction loop itself, which makes a commit's sends before it takes
-// the next unit of work, a report is always taken between transactions,
-// never mid-commit, and its counters include every send of every commit
-// before it.
+// handleProbe routes one control datagram, decoded once: a
+// termination-detection probe is answered with a local snapshot, and any
+// other record but a report (the cluster runtime's barrier records and
+// eviction gossip) is handed to the OnControl hook. A stray report and a
+// payload that does not decode are dropped here. A probe's report holds the
+// monotone per-peer message counters plus whether local work is queued.
+// Because probes are served by the transaction loop itself, which makes a
+// commit's sends before it takes the next unit of work, a report is always
+// taken between transactions, never mid-commit, and its counters include
+// every send of every commit before it.
 func (n *Node) handleProbe(replyTo string, msg wire.Message) {
 	if len(msg.Payloads) != 1 {
 		return
 	}
 	c, err := wire.DecodeControl(msg.Payloads[0])
-	if err != nil || c.Type != wire.CtrlProbe {
-		if err != nil && n.OnControl != nil {
-			n.OnControl(replyTo, msg.Payloads[0])
+	switch {
+	case err != nil || c.Type == wire.CtrlReport:
+		return
+	case c.Type != wire.CtrlProbe:
+		if n.OnControl != nil {
+			n.OnControl(replyTo, c)
 		}
 		return
 	}
 	n.mu.Lock()
 	active := len(n.pending) > 0
 	n.mu.Unlock()
-	report := wire.Control{
+	data := wire.ControlMessage(n.localAddr(), wire.Control{
 		Type:   wire.CtrlReport,
 		Wave:   c.Wave,
 		Active: active,
 		Peers:  n.peerCounts(),
-	}
-	data := wire.EncodeMessage(wire.Message{
-		Kind:     wire.MsgControl,
-		From:     n.localAddr(),
-		Payloads: [][]byte{wire.EncodeControl(report)},
 	})
 	_ = n.ep.Send(replyTo, data) // best effort: the detector re-probes
 }

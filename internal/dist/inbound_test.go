@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"reflect"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -74,9 +76,7 @@ func newInboundRig(t *testing.T, policy core.PolicyConfig, n int) *inboundRig {
 	}
 	t.Cleanup(c.Stop)
 	r := &inboundRig{c: c}
-	if policy.Auth == core.AuthRSA {
-		r.vpool, r.spool = seccrypto.NewVerifyPool(), seccrypto.NewSignPool()
-	}
+	r.vpool, r.spool = policy.Memos()
 	sender := c.Nodes[advSender]
 	aside := engine.Fact{Pred: "aside", Tuple: datalog.Tuple{datalog.Prin(c.Principals[advBystander])}}
 	if _, err := sender.WS.Assert(append(peerFacts(c, advReceiver, advBystander), aside)); err != nil {
@@ -223,10 +223,12 @@ func (r *inboundRig) forge(t *testing.T, m transport.InMsg, how forgery) transpo
 
 // probeMsg is a termination probe for the given wave.
 func probeMsg(wave uint64) transport.InMsg {
-	return transport.InMsg{From: advProbeFrom, Data: wire.EncodeMessage(wire.Message{
-		Kind: wire.MsgControl, From: advProbeFrom,
-		Payloads: [][]byte{wire.EncodeControl(wire.Control{Type: wire.CtrlProbe, Wave: wave})},
-	})}
+	return controlMsg(wire.Control{Type: wire.CtrlProbe, Wave: wave})
+}
+
+// controlMsg is a control record from where the tests' probes come from.
+func controlMsg(c wire.Control) transport.InMsg {
+	return transport.InMsg{From: advProbeFrom, Data: wire.ControlMessage(advProbeFrom, c)}
 }
 
 // awaitReport waits for the node's answer to the probe of the given wave and
@@ -236,11 +238,7 @@ func awaitReport(t *testing.T, ep *transporttest.Scripted, wave uint64) (wire.Co
 	deadline := time.Now().Add(10 * time.Second)
 	for {
 		for i, s := range ep.Sent() {
-			msg, err := wire.DecodeMessage(s.Data)
-			if err != nil || msg.Kind != wire.MsgControl {
-				continue
-			}
-			if c, err := wire.DecodeControl(msg.Payloads[0]); err == nil && c.Type == wire.CtrlReport && c.Wave == wave {
+			if c, err := wire.ReadControl(s.Data); err == nil && c.Type == wire.CtrlReport && c.Wave == wave {
 				return c, i
 			}
 		}
@@ -487,22 +485,25 @@ func TestMergedInboundRunTwoForgeries(t *testing.T) {
 }
 
 // TestEvictionInsideABacklogDropsTheRest: an eviction that takes effect while
-// a backlog is being applied — here through an evict record queued between
-// the peer's datagrams, the way the cluster runtime delivers one — cuts the
-// peer off from that point: the datagrams before it are counted and
+// a backlog is being applied — here through a CtrlEvict record queued between
+// the peer's datagrams, applied by the hook the way the cluster runtime does —
+// cuts the peer off from that point: the datagrams before it are counted and
 // committed, the ones after it are dropped uncounted, in the same hand-off.
 func TestEvictionInsideABacklogDropsTheRest(t *testing.T) {
 	const n, before = 8, 3
 	rig := newInboundRig(t, core.PolicyConfig{}, n)
 	peer := rig.honest[0].From
 	node, ep := rig.assemble(t)
-	node.OnControl = func(string, []byte) { node.Evict(peer) }
+	node.OnControl = func(_ string, c wire.Control) {
+		for _, m := range c.Members {
+			node.Evict(m.Addr)
+		}
+	}
 	node.Start()
 
 	seq := append([]transport.InMsg(nil), rig.honest[:before]...)
-	seq = append(seq, transport.InMsg{From: advProbeFrom, Data: wire.EncodeMessage(wire.Message{
-		Kind: wire.MsgControl, From: advProbeFrom, Payloads: [][]byte{[]byte("an evict record, as far as the node can tell")},
-	})})
+	seq = append(seq, controlMsg(wire.Control{Type: wire.CtrlEvict, Cluster: "inbound",
+		Members: []wire.MemberInfo{{Principal: rig.c.Principals[advSender], Addr: peer}}}))
 	seq = append(seq, rig.honest[before:]...)
 	ep.Deliver(seq...)
 	out := settle(t, node, ep, 1)
@@ -514,6 +515,38 @@ func TestEvictionInsideABacklogDropsTheRest(t *testing.T) {
 	}
 	if got := node.MsgsRecv(); got != before {
 		t.Errorf("%d datagrams in the traffic metrics, want %d: an evicted peer's stragglers are uncounted", got, before)
+	}
+}
+
+// TestOnlyDecodedControlRecordsReachOnControl: the node decodes a control
+// payload once and answers probes itself. A payload that does not decode and
+// a stray report stop there; every other record reaches the hook decoded.
+func TestOnlyDecodedControlRecordsReachOnControl(t *testing.T) {
+	rig := newInboundRig(t, core.PolicyConfig{}, 0)
+	node, ep := rig.assemble(t)
+	var mu sync.Mutex
+	var got []wire.Control
+	node.OnControl = func(_ string, c wire.Control) {
+		mu.Lock()
+		got = append(got, c)
+		mu.Unlock()
+	}
+	node.Start()
+
+	evict := wire.Control{Type: wire.CtrlEvict, Cluster: "inbound",
+		Members: []wire.MemberInfo{{Principal: rig.c.Principals[advBystander], Addr: rig.c.Addrs[advBystander]}}}
+	ep.Deliver(
+		transport.InMsg{From: advProbeFrom, Data: wire.EncodeMessage(wire.Message{
+			Kind: wire.MsgControl, From: advProbeFrom, Payloads: [][]byte{[]byte("garbage, not a control record")},
+		})},
+		controlMsg(wire.Control{Type: wire.CtrlReport, Wave: 3, Peers: []wire.PeerCount{{Addr: "10.0.0.1:7000", Sent: 1}}}),
+		controlMsg(evict),
+	)
+	settle(t, node, ep, 1)
+	mu.Lock()
+	defer mu.Unlock()
+	if len(got) != 1 || !reflect.DeepEqual(got[0], evict) {
+		t.Fatalf("the hook saw %+v, want only the eviction record %+v", got, evict)
 	}
 }
 

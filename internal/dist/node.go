@@ -36,13 +36,13 @@ type Node struct {
 	// The cluster driver binds it to the signing memo over the node's
 	// private key.
 	SignBatch func(root []byte) ([]byte, error)
-	// OnControl, if set before Start, receives the payload of every
-	// MsgControl datagram that is not a termination-detection record,
-	// with the transport-level sender address. The cluster runtime uses it
-	// to run its departure barrier over the node's own endpoint while the
-	// transaction loop owns the receive channel. It runs on the loop
-	// goroutine and must not block.
-	OnControl func(from string, payload []byte)
+	// OnControl, if set before Start, receives every control record that is
+	// neither a probe nor a report, decoded, with the transport-level sender
+	// address; a payload that does not decode never reaches it. The cluster
+	// runtime uses it to run its departure barrier and apply eviction gossip
+	// over the node's own endpoint while the transaction loop owns the
+	// receive channel. It runs on the loop goroutine and must not block.
+	OnControl func(from string, c wire.Control)
 	// Backlog, if set before Start, holds datagrams taken off the endpoint
 	// before the loop owned it (cluster.Runtime.EarlyTraffic); they are the
 	// head of the loop's first inbound batch, as if they had just arrived.

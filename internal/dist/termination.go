@@ -236,11 +236,7 @@ func (d *Detector) collect(ctx context.Context) (sum waveSum, err error) {
 	d.wave++
 	wave := d.wave
 	cWaves.Inc()
-	probe := wire.EncodeMessage(wire.Message{
-		Kind:     wire.MsgControl,
-		From:     d.ep.Addr(),
-		Payloads: [][]byte{wire.EncodeControl(wire.Control{Type: wire.CtrlProbe, Wave: wave})},
-	})
+	probe := wire.ControlMessage(d.ep.Addr(), wire.Control{Type: wire.CtrlProbe, Wave: wave})
 	start := time.Now()
 	budget := d.unresponsiveAfter()
 	reports := make(map[string]wire.Control)
@@ -278,11 +274,7 @@ func (d *Detector) collect(ctx context.Context) (sum waveSum, err error) {
 					deadline.Stop()
 					return sum, ErrDetectorClosed
 				}
-				msg, err := wire.DecodeMessage(in.Data)
-				if err != nil || msg.Kind != wire.MsgControl || len(msg.Payloads) != 1 {
-					continue
-				}
-				c, err := wire.DecodeControl(msg.Payloads[0])
+				c, err := wire.ReadControl(in.Data)
 				if err != nil || c.Type != wire.CtrlReport || c.Wave != wave {
 					continue // stale wave or not a report
 				}

@@ -53,44 +53,18 @@ func (c *Counter) Value() int64 { return c.v.Load() }
 // added. The child itself is never rendered.
 func (c *Counter) Child() *Counter { return &Counter{parent: c} }
 
-// Gauge is a series that can go up and down. A gauge registered with
-// GaugeFunc instead reports whatever its function returns at scrape time.
-type Gauge struct {
-	v  atomic.Int64 // math.Float64bits
+// gauge is a series that reports whatever its function returns at scrape
+// time (GaugeFunc).
+type gauge struct {
 	mu sync.Mutex
 	fn func() float64
 }
 
-// Set stores v.
-func (g *Gauge) Set(v float64) { g.v.Store(int64(math.Float64bits(v))) }
-
-// Add adjusts the gauge by delta.
-func (g *Gauge) Add(delta float64) {
-	for {
-		old := g.v.Load()
-		next := int64(math.Float64bits(math.Float64frombits(uint64(old)) + delta))
-		if g.v.CompareAndSwap(old, next) {
-			return
-		}
-	}
-}
-
-// Value returns the gauge's current value (the function's result for
-// func-backed gauges).
-func (g *Gauge) Value() float64 {
+func (g *gauge) value() float64 {
 	g.mu.Lock()
 	fn := g.fn
 	g.mu.Unlock()
-	if fn != nil {
-		return fn()
-	}
-	return math.Float64frombits(uint64(g.v.Load()))
-}
-
-func (g *Gauge) setFunc(fn func() float64) {
-	g.mu.Lock()
-	g.fn = fn
-	g.mu.Unlock()
+	return fn()
 }
 
 // DefBuckets are the default latency histogram bounds in seconds, spanning
@@ -230,7 +204,7 @@ func (k metricKind) String() string {
 type series struct {
 	labels string // rendered {k="v",...} suffix, "" for unlabeled
 	c      *Counter
-	g      *Gauge
+	g      *gauge
 	h      *Histogram
 }
 
@@ -332,26 +306,22 @@ func (r *Registry) Counter(name string, l Labels) *Counter {
 	return s.c
 }
 
-// Gauge returns the settable gauge registered under name with the given
-// labels, creating it if needed.
-func (r *Registry) Gauge(name string, l Labels) *Gauge {
+// GaugeFunc registers (or replaces) a function-backed gauge: fn is called
+// at scrape time. Replacement matters because nodes are rebuilt across
+// runs in one process and the newest instance must win.
+func (r *Registry) GaugeFunc(name string, l Labels, fn func() float64) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	f := r.family(name, kindGauge)
 	key := renderLabels(l)
 	s := f.series[key]
 	if s == nil {
-		s = &series{labels: key, g: &Gauge{}}
+		s = &series{labels: key, g: &gauge{}}
 		f.series[key] = s
 	}
-	return s.g
-}
-
-// GaugeFunc registers (or replaces) a function-backed gauge: fn is called
-// at scrape time. Replacement matters because nodes are rebuilt across
-// runs in one process and the newest instance must win.
-func (r *Registry) GaugeFunc(name string, l Labels, fn func() float64) {
-	r.Gauge(name, l).setFunc(fn)
+	s.g.mu.Lock()
+	s.g.fn = fn
+	s.g.mu.Unlock()
 }
 
 // Histogram returns the histogram registered under name with the given
@@ -463,7 +433,7 @@ func (r *Registry) WritePrometheus(w *strings.Builder) {
 			case kindCounter:
 				fmt.Fprintf(w, "%s%s %d\n", f.name, s.labels, s.c.Value())
 			case kindGauge:
-				fmt.Fprintf(w, "%s%s %s\n", f.name, s.labels, formatFloat(s.g.Value()))
+				fmt.Fprintf(w, "%s%s %s\n", f.name, s.labels, formatFloat(s.g.value()))
 			case kindHistogram:
 				snap := s.h.Snapshot()
 				var cum int64

@@ -19,7 +19,7 @@ func TestPrometheusGolden(t *testing.T) {
 	r.Counter("app_requests_total", Labels{"node": "a"}).Add(3)
 	r.Counter("app_requests_total", Labels{"node": "b", "zone": "z1"}).Add(5)
 	r.Help("app_queue_depth", "Queued work.")
-	r.Gauge("app_queue_depth", nil).Set(2.5)
+	r.GaugeFunc("app_queue_depth", nil, func() float64 { return 2.5 })
 	r.GaugeFunc("app_live", nil, func() float64 { return 7 })
 	h := r.Histogram("app_latency_seconds", Labels{"node": "a"}, []float64{0.1, 1})
 	h.Observe(0.05)
@@ -72,7 +72,7 @@ func TestKindMismatchPanics(t *testing.T) {
 			t.Error("registering one name as two kinds must panic")
 		}
 	}()
-	r.Gauge("twice", nil)
+	r.GaugeFunc("twice", nil, func() float64 { return 0 })
 }
 
 func TestCounterValueSumsSeries(t *testing.T) {
@@ -207,8 +207,8 @@ func TestRegistryConcurrentScrape(t *testing.T) {
 			l := Labels{"w": fmt.Sprintf("%d", w%3)}
 			for i := 0; i < iters; i++ {
 				r.Counter("hammer_total", l).Inc()
-				r.Gauge("hammer_depth", l).Set(float64(i))
-				r.Gauge("hammer_depth", l).Add(0.5)
+				v := float64(i) + 0.5
+				r.GaugeFunc("hammer_depth", l, func() float64 { return v })
 				r.Histogram("hammer_seconds", l, nil).Observe(float64(i) / iters)
 				RecordSpan(Span{Trace: uint64(w + 1), Node: "n", Stage: StageFixpoint})
 			}

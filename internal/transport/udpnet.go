@@ -12,6 +12,13 @@ import (
 // callers batching tuples must stay under it (dist.Node splits batches).
 const MaxDatagram = 60000
 
+// recvBuffer is the receive buffer every endpoint's socket asks for. The
+// kernel default (Linux rmem_default, typically 212 992 bytes) holds about
+// three near-MaxDatagram datagrams, so a burst of bulk exports overflows it
+// and costs a retransmit interval per lost first copy; the kernel caps the
+// request at rmem_max.
+const recvBuffer = 4 << 20
+
 // udpSocket is an endpoint's socket, the lower half of its reliable layer.
 type udpSocket struct{ conn *net.UDPConn }
 
@@ -100,6 +107,10 @@ func (n *UDPNetwork) Listen(hint string) (Transport, error) {
 	}
 	if err != nil {
 		return nil, fmt.Errorf("transport: bind %s: %w", bind, err)
+	}
+	if err := conn.SetReadBuffer(recvBuffer); err != nil {
+		conn.Close()
+		return nil, fmt.Errorf("transport: receive buffer on %s: %w", bind, err)
 	}
 	addr := conn.LocalAddr().String()
 	var out lower = udpSocket{conn}

@@ -34,22 +34,22 @@ func sigData(param string, vals []datalog.Value) []byte {
 	return wire.SigData(param, datalog.Tuple(vals))
 }
 
-// Register installs the full UDF library into a registry, bound to a
-// keystore (for key lookups) and a randomness source (for IVs; pass a
-// deterministic reader in tests).
-func Register(reg *engine.UDFRegistry, ks *seccrypto.KeyStore, rng io.Reader) error {
-	return RegisterWithPools(reg, ks, rng, nil, nil)
+// NewRegistry builds a fresh registry with the full UDF library installed,
+// bound to a keystore (for key lookups) and a randomness source (for IVs;
+// pass a deterministic reader in tests).
+func NewRegistry(ks *seccrypto.KeyStore, rng io.Reader) (*engine.UDFRegistry, error) {
+	return NewRegistryWithPools(ks, rng, nil, nil)
 }
 
-// RegisterWithPools is Register with optional shared RSA memos. When vpool
-// is non-nil, rsa_verify and rsa_verify_batch consult it, so a triple already
-// verified — re-derivations, and every payload row of one RSA-batch envelope —
-// costs no second RSA check. When spool is non-nil, rsa_sign routes through
-// it, so re-derivations of already-signed facts and fan-out to several peers
-// hit the memo instead of redoing the private-key operation (footnote 2:
-// signing dominates RSA runs). Either way the check runs on the calling
-// transaction's goroutine, and the semantics are identical.
-func RegisterWithPools(reg *engine.UDFRegistry, ks *seccrypto.KeyStore, rng io.Reader, vpool *seccrypto.VerifyPool, spool *seccrypto.SignPool) error {
+// NewRegistryWithPools is NewRegistry with optional shared RSA memos. When
+// vpool is non-nil, rsa_verify and rsa_verify_batch consult it, so a triple
+// already verified — re-derivations, and every payload row of one RSA-batch
+// envelope — costs no second RSA check. When spool is non-nil, rsa_sign
+// routes through it, so re-derivations of already-signed facts and fan-out to
+// several peers hit the memo instead of redoing the private-key operation
+// (footnote 2: signing dominates RSA runs). Either way the check runs on the
+// calling transaction's goroutine, and the semantics are identical.
+func NewRegistryWithPools(ks *seccrypto.KeyStore, rng io.Reader, vpool *seccrypto.VerifyPool, spool *seccrypto.SignPool) (*engine.UDFRegistry, error) {
 	sign := func(privDER, data []byte) ([]byte, error) {
 		priv, err := ks.ParsePriv(privDER)
 		if err != nil {
@@ -191,25 +191,11 @@ func RegisterWithPools(reg *engine.UDFRegistry, ks *seccrypto.KeyStore, rng io.R
 				return datalog.OwnedBytes(pt), true, nil
 			}},
 	}
+	reg := engine.NewUDFRegistry()
 	for _, u := range udfs {
 		if err := reg.Register(u); err != nil {
-			return err
+			return nil, err
 		}
-	}
-	return nil
-}
-
-// NewRegistry builds a fresh registry with the full library installed.
-func NewRegistry(ks *seccrypto.KeyStore, rng io.Reader) (*engine.UDFRegistry, error) {
-	return NewRegistryWithPools(ks, rng, nil, nil)
-}
-
-// NewRegistryWithPools builds a registry whose RSA UDFs run through shared
-// verification and signing memos (see RegisterWithPools).
-func NewRegistryWithPools(ks *seccrypto.KeyStore, rng io.Reader, vpool *seccrypto.VerifyPool, spool *seccrypto.SignPool) (*engine.UDFRegistry, error) {
-	reg := engine.NewUDFRegistry()
-	if err := RegisterWithPools(reg, ks, rng, vpool, spool); err != nil {
-		return nil, err
 	}
 	return reg, nil
 }

@@ -68,29 +68,39 @@ func aliases(buf, part []byte) bool {
 }
 
 // FuzzDecodeControl feeds DecodeControl the single payload of a MsgControl
-// datagram, which anyone who can reach the socket can write. Whatever the
-// bytes: it returns instead of panicking; the peer count it claims is checked
-// against the entries the remaining buffer can hold before anything is
-// allocated for it; and a record it accepts survives Encode∘Decode unchanged.
+// datagram, which anyone who can reach the socket can write: a joining node
+// decodes every datagram before it knows any key. Whatever the bytes: it
+// returns instead of panicking; the peer and member counts it claims are
+// checked against the entries the remaining buffer can hold before anything
+// is allocated for them; it never accepts type 4, which names nothing; and a
+// record it accepts survives Encode∘Decode unchanged. The seeds are a probe
+// and reports below and, under testdata/fuzz/FuzzDecodeControl, one record of
+// every barrier and eviction type and near misses (truncated, lying member
+// counts, a lying public key length, type 4); in lying-count-60k the count is
+// one per remaining byte.
 func FuzzDecodeControl(f *testing.F) {
 	f.Add(EncodeControl(Control{Type: CtrlProbe, Wave: 7}))
 	f.Add(EncodeControl(Control{Type: CtrlReport, Wave: 7, Active: true}))
 	f.Add(EncodeControl(Control{Type: CtrlReport, Wave: 22, Peers: []PeerCount{
 		{Addr: "10.0.0.1:7000", Sent: 6, Recv: 5}, {Addr: "10.0.0.3:7000", Sent: 1 << 40},
 	}}))
-	f.Add([]byte{byte(CtrlReport), 1, 0, 0xff, 0xff, 0xff, 0xff, 0x0f}) // 2^32 peers claimed, none present
+	f.Add([]byte{byte(CtrlReport), 0, 1, 0, 0xff, 0xff, 0xff, 0xff, 0x0f}) // 2^32 peers claimed, none present
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		c, err := DecodeControl(data)
 		runtime.ReadMemStats(&after)
-		// A PeerCount is 32 bytes and its entry at least three input bytes,
-		// plus the address copies, with slack for the fuzzing worker.
+		// A PeerCount is 32 bytes and its entry at least three input bytes, a
+		// MemberInfo 56 and at least four, plus the copies of what they hold,
+		// with slack for the fuzzing worker.
 		if got, bound := after.TotalAlloc-before.TotalAlloc, uint64(16*len(data)+1<<16); got > bound {
 			t.Fatalf("decoding %d bytes allocated %d, bound %d", len(data), got, bound)
 		}
 		if err != nil {
 			return
+		}
+		if c.Type == 4 {
+			t.Fatal("accepted type 4")
 		}
 		again, err := DecodeControl(EncodeControl(c))
 		if err != nil {
@@ -98,6 +108,50 @@ func FuzzDecodeControl(f *testing.F) {
 		}
 		if !reflect.DeepEqual(again, c) {
 			t.Fatalf("Encode∘Decode changed the record: %+v -> %+v", c, again)
+		}
+	})
+}
+
+// FuzzDecodeJoin feeds ReadControl whole datagrams, the path by which the
+// cluster's join handshake and its barriers read the socket: a joining node
+// decodes every datagram before it knows any key, so anyone who can reach it
+// writes them. Whatever the bytes: it returns instead of panicking; the
+// envelope and the record together allocate in proportion to the input, never
+// to a count it claims; it never accepts type 4; and a record it accepts
+// survives ControlMessage∘ReadControl unchanged. The seeds are a join, a
+// directory, an eviction and a go release in their envelopes, and near misses:
+// a join record outside the control envelope, and type 4 in one.
+func FuzzDecodeJoin(f *testing.F) {
+	member := MemberInfo{Principal: "n1", Addr: "10.0.0.1:7000", PubKey: []byte{0x30, 0x81, 0x89}}
+	f.Add(ControlMessage("10.0.0.1:7000", Control{Type: CtrlJoin, Cluster: "c", Members: []MemberInfo{member}}))
+	f.Add(ControlMessage("10.0.0.9:7000", Control{Type: CtrlDirectory, Cluster: "c", Members: []MemberInfo{
+		member, {Principal: "n2", Addr: "10.0.0.2:7000"},
+	}}))
+	f.Add(ControlMessage("10.0.0.2:7000", Control{Type: CtrlEvict, Cluster: "c", Members: []MemberInfo{{Principal: "n1"}}}))
+	f.Add(ControlMessage("10.0.0.9:7000", Control{Type: CtrlGo, Cluster: "c"}))
+	f.Add(EncodeControl(Control{Type: CtrlJoin, Cluster: "c", Members: []MemberInfo{member}}))
+	f.Add(EncodeMessage(Message{Kind: MsgControl, From: "10.0.0.1:7000", Payloads: [][]byte{{4, 1, 'c', 0, 0, 0, 0}}}))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		c, err := ReadControl(data)
+		runtime.ReadMemStats(&after)
+		// The bounds of DecodeMessage and DecodeControl added.
+		if got, bound := after.TotalAlloc-before.TotalAlloc, uint64(48*len(data)+1<<16); got > bound {
+			t.Fatalf("decoding %d bytes allocated %d, bound %d", len(data), got, bound)
+		}
+		if err != nil {
+			return
+		}
+		if c.Type == 4 {
+			t.Fatal("accepted type 4")
+		}
+		again, err := ReadControl(ControlMessage("10.0.0.1:7000", c))
+		if err != nil {
+			t.Fatalf("re-encoding of an accepted record does not decode: %v", err)
+		}
+		if !reflect.DeepEqual(again, c) {
+			t.Fatalf("ControlMessage∘ReadControl changed the record: %+v -> %+v", c, again)
 		}
 	})
 }
@@ -147,42 +201,6 @@ func FuzzDecodePayload(f *testing.F) {
 		}
 		if sd := SigData(p.Pred, p.Vals); len(sd) != cap(sd) {
 			t.Fatalf("SigData sized its buffer at %d for %d bytes", cap(sd), len(sd))
-		}
-	})
-}
-
-// FuzzDecodeJoin feeds DecodeJoin what the bootstrap handshake reads off a
-// socket before any key is known: every datagram is decoded speculatively, so
-// anyone who can reach a joining node writes it. Whatever the bytes: it
-// returns instead of panicking; it allocates in proportion to the input,
-// never to a member count the input claims; it never accepts the retired
-// type 4; and a record it accepts survives Encode∘Decode unchanged. The seed
-// corpus under testdata/fuzz/FuzzDecodeJoin holds one record of every type
-// and near misses (truncated, lying member counts, retired type 4); in
-// lying-count-60k the count is one per remaining byte.
-func FuzzDecodeJoin(f *testing.F) {
-	f.Fuzz(func(t *testing.T, data []byte) {
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		j, err := DecodeJoin(data)
-		runtime.ReadMemStats(&after)
-		// A MemberInfo is 56 bytes and takes at least three input bytes, plus
-		// the copies of what it holds, with slack for the fuzzing worker.
-		if got, bound := after.TotalAlloc-before.TotalAlloc, uint64(32*len(data)+1<<16); got > bound {
-			t.Fatalf("decoding %d bytes allocated %d, bound %d", len(data), got, bound)
-		}
-		if err != nil {
-			return
-		}
-		if j.Type == 4 {
-			t.Fatal("accepted the retired type 4")
-		}
-		again, err := DecodeJoin(EncodeJoin(j))
-		if err != nil {
-			t.Fatalf("re-encoding of an accepted record does not decode: %v", err)
-		}
-		if !reflect.DeepEqual(again, j) {
-			t.Fatalf("Encode∘Decode changed the record: %+v -> %+v", j, again)
 		}
 	})
 }

@@ -248,16 +248,19 @@ func SigData(pred string, vals datalog.Tuple) []byte {
 }
 
 // MsgKind distinguishes application traffic from runtime control traffic
-// on the wire. Control messages carry the distributed termination-detection
-// protocol (probes and reports); they are consumed by the node runtime and
-// never enter a workspace.
+// on the wire. Control messages carry one Control record each: a
+// termination-detection probe or report, a join, directory, ready, go, leave
+// or bye record of the cluster runtime's barriers, or an eviction delta. The
+// node runtime and the cluster runtime consume them; they never enter a
+// workspace.
 type MsgKind byte
 
 // Message kinds.
 const (
 	// MsgData carries export payloads between workspaces.
 	MsgData MsgKind = 0
-	// MsgControl carries one encoded Control record.
+	// MsgControl carries one encoded Control record (EncodeControl), of any
+	// CtrlType.
 	MsgControl MsgKind = 1
 	// MsgBatch carries export payloads covered by a batch signature instead
 	// of one signature per tuple (paper footnote 2). The signed unit is the
@@ -270,8 +273,8 @@ const (
 
 // Message is one transport datagram: a batch of export tuples committed by
 // a single transaction (MsgData, or MsgBatch when the batch is covered by
-// an aggregate signature), or one termination-detection control record
-// (MsgControl), addressed from one node to another.
+// an aggregate signature), or one control record (MsgControl), addressed
+// from one node to another.
 type Message struct {
 	Kind     MsgKind
 	From     string   // sender node address

@@ -1,7 +1,6 @@
 package wire
 
 import (
-	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -248,54 +247,6 @@ func TestBatchDigestIsSequenceSensitive(t *testing.T) {
 	}
 	if string(BatchDigest([][]byte{a, b})) != base {
 		t.Error("digest is not deterministic")
-	}
-}
-
-func TestControlRoundTrip(t *testing.T) {
-	cases := []Control{
-		{Type: CtrlProbe, Wave: 7},
-		{Type: CtrlReport, Wave: 0},
-		{Type: CtrlReport, Wave: 1 << 40, Active: true},
-		{Type: CtrlReport, Wave: 5, Peers: []PeerCount{
-			{Addr: "10.0.0.1:7000", Sent: 6, Recv: 5},
-			{Addr: "10.0.0.2:7000", Sent: 4, Recv: 3},
-		}},
-	}
-	for _, c := range cases {
-		enc := EncodeControl(c)
-		got, err := DecodeControl(enc)
-		if err != nil {
-			t.Fatalf("%+v: %v", c, err)
-		}
-		if !reflect.DeepEqual(got, c) {
-			t.Errorf("control round trip: %+v -> %+v", c, got)
-		}
-		// One layout: every proper prefix is short, any suffix is trailing.
-		for cut := 0; cut < len(enc); cut++ {
-			if _, err := DecodeControl(enc[:cut]); err == nil {
-				t.Errorf("%+v cut to %d of %d bytes should be rejected", c, cut, len(enc))
-			}
-		}
-		if _, err := DecodeControl(append(enc, 0)); err == nil {
-			t.Errorf("%+v with a trailing byte should be rejected", c)
-		}
-	}
-	if _, err := DecodeControl([]byte{99, 0, 0, 0}); err == nil {
-		t.Error("bad control type should be rejected")
-	}
-	if _, err := DecodeControl([]byte{byte(CtrlReport), 0, 2, 0}); err == nil {
-		t.Error("an active byte other than 0 or 1 should be rejected")
-	}
-	idle := EncodeControl(Control{Type: CtrlReport, Wave: 2})
-	lying := append(idle[:len(idle)-1], 0xff, 0xff, 0xff, 0xff, 0x0f)
-	if _, err := DecodeControl(lying); err == nil {
-		t.Error("lying peer count should be rejected")
-	}
-	// A control record rides inside a MsgControl message.
-	m := Message{Kind: MsgControl, From: "a:1", Payloads: [][]byte{EncodeControl(Control{Type: CtrlProbe, Wave: 3})}}
-	got, err := DecodeMessage(EncodeMessage(m))
-	if err != nil || got.Kind != MsgControl {
-		t.Fatalf("control message round trip: %+v, %v", got, err)
 	}
 }
 
