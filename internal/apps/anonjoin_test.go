@@ -3,12 +3,14 @@ package apps
 import (
 	"context"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"secureblox/internal/cluster"
 	"secureblox/internal/core"
 	"secureblox/internal/datalog"
+	"secureblox/internal/transport"
 	"secureblox/internal/wire"
 )
 
@@ -61,20 +63,39 @@ func TestAnonJoinEndpointDoesNotLearnInitiator(t *testing.T) {
 	// no message from the initiator's address may arrive there, and its
 	// workspace must hold no fact naming the initiator's node beyond the
 	// static directory.
-	c := anon(t, 4, 33).Cluster
+	type delivery struct{ from, claimed, to string }
+	var mu sync.Mutex
+	var seen []delivery
+	net := transport.NewMemNetwork()
+	net.OnDeliver = func(from, to string, data []byte) {
+		if m, err := wire.DecodeMessage(data); err == nil && m.Kind != wire.MsgControl {
+			mu.Lock()
+			seen = append(seen, delivery{from, m.From, to})
+			mu.Unlock()
+		}
+	}
+	c := runRow(t, "anonjoin", cluster.WorkloadConfig{Seed: 33}, 4, core.PolicyConfig{}, net).Cluster
 	endpoint := len(c.Nodes) - 1
 	endAddr := c.Addrs[endpoint]
 	initAddr := c.Addrs[0]
 
-	// Every export fact at the endpoint must name the predecessor relay as
-	// its source, never the initiator.
-	for _, tp := range c.Query(endpoint, "export") {
-		if tp[0].Str != endAddr {
-			continue // its own outgoing exports
+	// Every data datagram that reached the endpoint came from, and claimed
+	// to come from, its predecessor relay, never the initiator.
+	mu.Lock()
+	reached := 0
+	for _, d := range seen {
+		if d.to != endAddr {
+			continue
 		}
-		if tp[1].Str == initAddr {
-			t.Errorf("endpoint received a message directly from the initiator: %s", tp)
+		reached++
+		if d.from != c.Addrs[endpoint-1] || d.claimed != c.Addrs[endpoint-1] {
+			t.Errorf("endpoint received a datagram from %s claiming %s, want its predecessor %s (initiator %s)",
+				d.from, d.claimed, c.Addrs[endpoint-1], initAddr)
 		}
+	}
+	mu.Unlock()
+	if reached == 0 {
+		t.Fatal("no data datagram reached the endpoint")
 	}
 	// The circuit identifier, not a principal, names the requester.
 	in := c.Query(endpoint, "anon_says_id_in$req_publicdata")

@@ -311,7 +311,7 @@ func TestForgedTrafficRejectedUnderBatchSigning(t *testing.T) {
 	defer c.Stop()
 	waitFixpoint(t, c)
 	before := len(c.Query(0, "reachable"))
-	beforeBatch := len(c.Query(0, "export_batch")) // honest envelopes' rows
+	beforeBatch := len(c.Query(0, "export_batch")) // none: the rows live for their transaction
 	processed := c.Nodes[0].MsgsRecv()
 
 	forged := wire.EncodePayload(wire.Payload{
@@ -493,6 +493,34 @@ func TestEqualSeedsReproduceSharedSecretsAndShippedBytes(t *testing.T) {
 	// The secrets do not depend on whether RSA keypairs are generated too.
 	if s3, _ := exports(PolicyConfig{Auth: AuthRSA, Encrypt: true}); string(s3) != string(s1) {
 		t.Error("pairwise secrets under an RSA policy differ from the same seed's under HMAC")
+	}
+}
+
+// TestReceiversKeepNoInboundExports: after a distributed fixpoint, under a
+// per-tuple and the batch-signing scheme, every export row a node holds is one
+// it derived to ship — none is a payload it received — and no node holds an
+// export_batch row: the inbound facts lived for the transactions that
+// imported them.
+func TestReceiversKeepNoInboundExports(t *testing.T) {
+	for _, p := range []PolicyConfig{{}, {Auth: AuthRSA, BatchSign: true}} {
+		c := buildChain(t, 3, p)
+		waitFixpoint(t, c)
+		shipped := 0
+		for i, addr := range c.Addrs {
+			for _, tp := range c.Query(i, "export") {
+				if tp[1].Str != addr {
+					t.Errorf("%s: node %d holds inbound export %s", p.Name(), i, tp)
+				}
+				shipped++
+			}
+			if rows := c.Query(i, "export_batch"); len(rows) != 0 {
+				t.Errorf("%s: node %d holds %d export_batch rows", p.Name(), i, len(rows))
+			}
+		}
+		if shipped == 0 {
+			t.Errorf("%s: no node derived an export", p.Name())
+		}
+		c.Stop()
 	}
 }
 

@@ -2,6 +2,7 @@ package dist
 
 import (
 	"fmt"
+	"strings"
 	"time"
 
 	"secureblox/internal/datalog"
@@ -43,6 +44,10 @@ var runSizeBuckets = []float64{1, 2, 4, 8, 16, 32, 64}
 type runMsg struct {
 	e     *envelope
 	trace uint64 // its wave: the envelope's trace, or a fresh one for a pre-trace sender
+	// peer is the address the message claims to come from, for its spans,
+	// which outlive the datagram: the transport's sender address when they
+	// agree, else a copy — never a view that would keep the datagram alive.
+	peer string
 }
 
 // handleBatch decodes one inbound batch, each datagram once, and applies it
@@ -105,8 +110,16 @@ func (e *envelope) runShare() (facts, vals int) {
 // lands mid-run cuts off the rest of that peer's datagrams in the run.
 //
 // Every payload of an admitted message becomes an export(self, from, Pkt)
-// base fact, and the compiled policy rules take it from there (decrypt,
-// deserialize, verify, import). The claimed source address in the message —
+// fact, and the compiled policy rules take it from there (decrypt,
+// deserialize, verify, import). Every fact the run asserts is transient
+// (engine.Fact.Transient): export is a channel, not a table. The import
+// rules, the constraints and a fallback replay read the facts as they always
+// did, and at the end of the transaction the facts are gone, and so is their
+// text, which the workspace viewed in the datagram instead of copying. So a
+// payload that imports nothing in its own transaction is dropped, not kept
+// for a later fact to complete: the directory a payload's import needs is in
+// place before any data arrives (core.NewCluster, the cluster runtime's Ready
+// barrier). The claimed source address in the message —
 // not the transport-level sender — binds L, because authentication is the
 // policy's job: under NoAuth a forged claim is accepted by design, under
 // HMAC/RSA the signature constraints reject it. A batch envelope (MsgBatch)
@@ -212,9 +225,10 @@ func (n *Node) admit(e *envelope, self datalog.Value) {
 		return
 	}
 	// Every payload and the signature are views of the datagram, which
-	// nothing writes to (transport.InMsg), so the facts adopt them uncopied:
-	// the workspace's intern table takes the one copy of each. The tuples are
-	// windows of the run's value buffer, which applyRun sized for the run.
+	// nothing writes to (transport.InMsg), so the transient facts adopt them
+	// uncopied, and the workspace views them for the transaction: only a row
+	// that keeps a payload's text copies it. The tuples are windows of the
+	// run's value buffer, which applyRun sized for the run.
 	from := datalog.NodeV(msg.From)
 	for _, p := range msg.Payloads {
 		n.runFact("export", self, from, datalog.OwnedBytes(p))
@@ -226,7 +240,10 @@ func (n *Node) admit(e *envelope, self datalog.Value) {
 			n.runFact("export_batch", from, datalog.OwnedBytes(p), root, sig)
 		}
 	}
-	m := runMsg{e: e, trace: msg.Trace}
+	m := runMsg{e: e, trace: msg.Trace, peer: in.From}
+	if msg.From != in.From {
+		m.peer = strings.Clone(msg.From)
+	}
 	if m.trace == 0 {
 		m.trace = obs.NewTraceID() // a pre-trace sender starts a fresh wave here
 	}
@@ -234,19 +251,19 @@ func (n *Node) admit(e *envelope, self datalog.Value) {
 	n.runEnds = append(n.runEnds, len(n.runFacts))
 }
 
-// runFact appends a fact of pred over vals to the run, its tuple a window of
-// the run's value buffer.
+// runFact appends a transient fact of pred over vals to the run, its tuple a
+// window of the run's value buffer.
 func (n *Node) runFact(pred string, vals ...datalog.Value) {
 	lo := len(n.runVals)
 	n.runVals = append(n.runVals, vals...)
-	n.runFacts = append(n.runFacts, engine.Fact{Pred: pred, Tuple: n.runVals[lo:len(n.runVals):len(n.runVals)]})
+	n.runFacts = append(n.runFacts, engine.Fact{Pred: pred, Tuple: n.runVals[lo:len(n.runVals):len(n.runVals)], Transient: true})
 }
 
 // enterWave adopts the wave of the run's i-th message: the transaction
 // committed next and anything it ships continue that trace at its stamped hop.
 func (n *Node) enterWave(i int) {
 	m := n.runMsgs[i]
-	n.curTrace, n.curHop, n.curPeer = m.trace, m.e.msg.Hop, m.e.msg.From
+	n.curTrace, n.curHop, n.curPeer = m.trace, m.e.msg.Hop, m.peer
 }
 
 // decodeSpan records one admitted message's decode span.
@@ -254,7 +271,7 @@ func (n *Node) decodeSpan(m runMsg, addr string, into uint64) {
 	e := m.e
 	obs.RecordSpan(obs.Span{
 		Trace: m.trace, Hop: int(e.msg.Hop), Node: addr, Principal: n.Principal,
-		Stage: obs.StageDecode, Peer: e.msg.From, Start: e.at, Dur: e.decodeDur, Into: into,
+		Stage: obs.StageDecode, Peer: m.peer, Start: e.at, Dur: e.decodeDur, Into: into,
 	})
 }
 

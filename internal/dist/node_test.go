@@ -41,6 +41,15 @@ const batchDecl = `
 	export_batch(L, Pkt, D, S) -> node(L), bytes(Pkt), bytes(D), bytes(S).
 `
 
+// batchChecked reads the batch records inside the transaction that asserts
+// them, as a batch-signing policy's constraints do: every inbound export must
+// be covered by one, and each payload keeps the signature its record carried.
+const batchChecked = batchDecl + `
+	export(N, L, Pkt), principal_node[self[]]=N -> export_batch(L, Pkt, D, S).
+	enveloped(Pkt, S) -> bytes(Pkt), bytes(S).
+	enveloped(Pkt, S) <- export_batch(L, Pkt, D, S).
+`
+
 // echoRule bounces every received payload back to its origin.
 const echoRule = `
 	export(L, N, Pkt) <- export(N, L, Pkt), principal_node[self[]]=N.
@@ -284,8 +293,8 @@ func TestOversizedPayloadIsolatedFromBatch(t *testing.T) {
 func TestBatchSignedPipelineDeliversEnvelopes(t *testing.T) {
 	// With a SignBatch hook the loop signs each group of a shipping
 	// transaction's chunks and sends them as MsgBatch envelopes: the
-	// receiver records export_batch provenance rows, and termination
-	// detection stays sound while a slow signature holds the loop.
+	// receiver's transaction reads an export_batch record per payload, and
+	// termination detection stays sound while a slow signature holds the loop.
 	net := transport.NewMemNetwork()
 	a := newTestNode(t, net, "a", addrA, map[string]string{"b": addrB}, deriveRule)
 	var signed atomic.Int64
@@ -294,7 +303,7 @@ func TestBatchSignedPipelineDeliversEnvelopes(t *testing.T) {
 		signed.Add(1)
 		return []byte("stub batch signature"), nil
 	}
-	b := newTestNode(t, net, "b", addrB, map[string]string{"a": addrA}, batchDecl)
+	b := newTestNode(t, net, "b", addrB, map[string]string{"a": addrA}, batchChecked)
 	det := newDetector(t, net, addrA, addrB)
 	a.Start()
 	b.Start()
@@ -312,8 +321,15 @@ func TestBatchSignedPipelineDeliversEnvelopes(t *testing.T) {
 	if got := b.WS.Count("got"); got != 2 {
 		t.Errorf("node b: got %d payloads over the batch pipeline, want 2", got)
 	}
-	if got := b.WS.Count("export_batch"); got != 2 {
-		t.Errorf("node b: %d export_batch provenance rows, want 2", got)
+	// The records were there for the transaction — the coverage constraint
+	// held and the rule read each one — and went with it.
+	for _, p := range []string{"first", "second"} {
+		if !b.WS.Contains("enveloped", datalog.Tuple{datalog.BytesV([]byte(p)), datalog.BytesV([]byte("stub batch signature"))}) {
+			t.Errorf("node b: payload %q was not read with its envelope's signature", p)
+		}
+	}
+	if got := b.WS.Count("export_batch") + b.WS.Count("export"); got != 0 {
+		t.Errorf("node b: the envelope left %d export and export_batch rows, want none", got)
 	}
 	if signed.Load() == 0 {
 		t.Error("SignBatch was never invoked")
@@ -378,7 +394,8 @@ func TestViolationFloodIsCountedNotKept(t *testing.T) {
 
 // TestBatchEnvelopeRefusedWithoutBatchPolicy: a batch envelope reaching a node
 // whose program declares no export_batch — no constraint there would check its
-// signature — is one recorded violation and leaves nothing in the store.
+// signature — is one recorded violation and leaves nothing in the store; the
+// honest datagram after it is imported, and leaves no export row either.
 func TestBatchEnvelopeRefusedWithoutBatchPolicy(t *testing.T) {
 	ep := transporttest.NewScripted(addrB)
 	b := nodeOverEndpoint(t, "b", addrB, map[string]string{"a": addrA}, "", ep)
@@ -389,13 +406,19 @@ func TestBatchEnvelopeRefusedWithoutBatchPolicy(t *testing.T) {
 	ep.Deliver(transport.InMsg{From: addrA, Data: wire.EncodeMessage(wire.Message{
 		Kind: wire.MsgBatch, From: addrA, Payloads: payloads, Sig: []byte("any signature"),
 	})})
-	waitProcessed(t, b, 1)
-	b.Stop() // joins the loop: the envelope has been handled
+	ep.Deliver(transport.InMsg{From: addrA, Data: wire.EncodeMessage(wire.Message{
+		From: addrA, Payloads: [][]byte{[]byte("honest")},
+	})})
+	waitProcessed(t, b, 2)
+	b.Stop() // joins the loop: both datagrams have been handled
 	if v := b.Violations(); len(v) != 1 || !strings.Contains(v[0].Error(), "batch envelope") {
 		t.Errorf("want one violation naming the batch envelope, got %v", v)
 	}
-	if got := b.WS.Count("export") + b.WS.Count("got"); got != 0 {
-		t.Errorf("the refused envelope left %d rows", got)
+	if !b.WS.Contains("got", datalog.Tuple{datalog.BytesV([]byte("honest"))}) || b.WS.Count("got") != 1 {
+		t.Errorf("got holds %v, want the honest payload alone", b.WS.Tuples("got"))
+	}
+	if got := b.WS.Count("export"); got != 0 {
+		t.Errorf("the two datagrams left %d export rows", got)
 	}
 	if after := b.WS.Predicates(); len(after) != len(before) {
 		t.Errorf("the refused envelope added relations: %v -> %v", before, after)
@@ -606,6 +629,7 @@ func TestRejectedBatchRollsBackAndIsRecorded(t *testing.T) {
 	b := newTestNode(t, net, "b", addrB, map[string]string{"a": addrA}, `
 		approved(P) -> bytes(P).
 		got(Pkt) -> approved(Pkt).
+		approved(P) <- P = 0x617070726f766564.
 	`)
 	det := newDetector(t, net, addrA, addrB)
 	a.Start()
@@ -631,6 +655,22 @@ func TestRejectedBatchRollsBackAndIsRecorded(t *testing.T) {
 	}
 	if v := a.Violations(); len(v) != 0 {
 		t.Errorf("sender should be unaffected, got violations: %v", v)
+	}
+
+	// An approved payload commits, and leaves no export row behind it either.
+	a.Assert([]engine.Fact{
+		{Pred: "pay", Tuple: datalog.Tuple{datalog.BytesV([]byte("approved"))}},
+		{Pred: "trigger", Tuple: datalog.Tuple{datalog.Int64(2)}},
+	})
+	waitFixpoint(t, det)
+	if got := b.WS.Count("got"); got != 1 {
+		t.Errorf("node b: got %d payloads after the approved one, want 1", got)
+	}
+	if got := b.WS.Count("export"); got != 0 {
+		t.Errorf("the committed message left export residue: %d tuples", got)
+	}
+	if v := b.Violations(); len(v) != 1 {
+		t.Errorf("node b: the approved payload was rejected: %v", v)
 	}
 }
 
@@ -701,8 +741,14 @@ func udpEndpoints(t *testing.T, nw *transport.UDPNetwork) (a, b, det transport.T
 // nodeOverEndpoint is newTestNode for a caller-supplied endpoint.
 func nodeOverEndpoint(t *testing.T, name, addr string, peers map[string]string, extra string, ep transport.Transport) *dist.Node {
 	t.Helper()
+	return nodeRunning(t, name, addr, peers, testDecls+extra, ep)
+}
+
+// nodeRunning is nodeOverEndpoint with program in place of testDecls.
+func nodeRunning(t *testing.T, name, addr string, peers map[string]string, program string, ep transport.Transport) *dist.Node {
+	t.Helper()
 	ws := engine.NewWorkspace(nil)
-	prog, err := datalog.Parse(dist.ExportDecl + testDecls + extra)
+	prog, err := datalog.Parse(dist.ExportDecl + program)
 	if err != nil {
 		t.Fatalf("parse: %v", err)
 	}

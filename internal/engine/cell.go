@@ -102,22 +102,39 @@ func hashCols(row []cell, cols []int) uint64 {
 var symSeed = maphash.MakeSeed()
 
 // symtab is a workspace's intern table: every distinct text its cells name is
-// stored once, as a symbol numbered in interning order, in arena pages that
-// hold nothing but bytes. A page is only appended to and never moves, so a
-// string viewing a symbol's text stays valid while anything references it.
+// held once, as a symbol, in arena pages that hold nothing but bytes. A page
+// is only appended to and never moves, so a string viewing a symbol's text
+// stays valid while anything references it.
 //
-// Symbols are only ever dropped by restore, back to a mark taken before a
-// transaction: what a rolled-back transaction interned goes with it. A
-// committed symbol lives as long as the workspace, whether or not a row still
-// names it, so the table is bounded by the text ever committed.
+// A transaction's transient facts (Fact.Transient) name their new text by
+// view symbols instead: the symbol's text is the fact's own string, uncopied,
+// until the transaction ends. Then a view symbol that a row the transaction
+// keeps names has been copied into the arena (keep), and the others go
+// (dropViews): their numbers are free, and the next symbols take them.
+// Otherwise symbols are only ever dropped by restore, back to a mark taken
+// before a transaction: what a rolled-back transaction interned goes with it.
+// A committed symbol lives as long as the workspace, whether or not a row
+// still names it, so the table is bounded by the text ever committed.
 type symtab struct {
 	idx   hashIndex // text hash → symbols, verified by text
 	spans []span    // symbol → where its text lives
 	pages [][]byte  // the arena; the last page is the one being filled
+	free  []uint32  // numbers of dropped view symbols, for the next symbols
+	views []viewSym // the transaction's view symbols, in the order they came
 }
 
-// span locates one symbol's text in the arena.
+// span locates one symbol's text: in the arena, or for a view symbol
+// (page viewPage) at views[off].
 type span struct{ page, off, n uint32 }
+
+// viewPage marks a view symbol's span.
+const viewPage = ^uint32(0)
+
+// viewSym is one view symbol and the text it views.
+type viewSym struct {
+	sym  uint32
+	text string
+}
 
 // Arena page sizes in bytes: small first, for the many workspaces with a
 // small vocabulary; capped, so a page's unused tail stays small. A text longer
@@ -125,13 +142,17 @@ type span struct{ page, off, n uint32 }
 const minArenaPage, maxArenaPage = 1 << 10, 1 << 16
 
 // symMark is where the table stood: restoring it drops every later symbol.
-type symMark struct{ syms, pages, fill int }
+type symMark struct{ syms, free, pages, fill int }
 
-// text returns sym's text as a view of the arena.
+// text returns sym's text as a view of the arena, or of what a view symbol
+// views.
 func (s *symtab) text(sym uint32) string {
 	sp := s.spans[sym]
-	if sp.n == 0 {
+	switch {
+	case sp.n == 0:
 		return ""
+	case sp.page == viewPage:
+		return s.views[sp.off].text
 	}
 	return unsafe.String(&s.pages[sp.page][sp.off], sp.n)
 }
@@ -154,20 +175,59 @@ func (s *symtab) lookup(text string) (uint32, bool) {
 	return id - 1, id != 0
 }
 
-// intern returns text's symbol, copying text into the arena if it is new. A
-// text that would be symbol symLimit is refused with errSymbolLimit.
-func (s *symtab) intern(text string) (uint32, error) {
+// intern returns text's symbol, copying text into the arena if it is new, or
+// with view set making it a view symbol of text. A text that would be symbol
+// symLimit is refused with errSymbolLimit.
+func (s *symtab) intern(text string, view bool) (uint32, error) {
 	h := maphash.String(symSeed, text)
 	if id := s.find(text, h); id != 0 {
 		return id - 1, nil
 	}
-	sym, err := newSym(len(s.spans))
-	if err != nil {
-		return 0, err
+	var sym uint32
+	if k := len(s.free); k > 0 {
+		sym, s.free = s.free[k-1], s.free[:k-1]
+	} else {
+		var err error
+		if sym, err = newSym(len(s.spans)); err != nil {
+			return 0, err
+		}
+		s.spans = append(s.spans, span{})
 	}
-	s.spans = append(s.spans, s.store(text))
+	if view && text != "" {
+		s.spans[sym] = span{page: viewPage, off: uint32(len(s.views)), n: uint32(len(text))}
+		s.views = append(s.views, viewSym{sym, text})
+	} else {
+		s.spans[sym] = s.store(text)
+	}
 	s.idx.link(sym, h, len(s.spans))
 	return sym, nil
+}
+
+// keep copies the text of every view symbol cs names into the arena: a row
+// that holds them is to outlive the transaction.
+func (s *symtab) keep(cs []cell) {
+	for _, c := range cs {
+		if !hasText(c.kind()) {
+			continue
+		}
+		if sp := &s.spans[c.sym()]; sp.page == viewPage {
+			*sp = s.store(s.views[sp.off].text)
+		}
+	}
+}
+
+// dropViews ends the transaction's view symbols: one keep has not copied goes,
+// its number free for the next symbol, and no symbol views anything any more.
+func (s *symtab) dropViews() {
+	for _, v := range s.views {
+		if s.spans[v.sym].page == viewPage {
+			s.idx.unlink(v.sym)
+			s.spans[v.sym] = span{}
+			s.free = append(s.free, v.sym)
+		}
+	}
+	clear(s.views) // what they viewed need not stay alive
+	s.views = s.views[:0]
 }
 
 // symLimit is how many texts a workspace interns: every symbol a cell's
@@ -207,9 +267,10 @@ func (s *symtab) store(text string) span {
 }
 
 // clone returns a table holding s's symbols, numbered as in s, that interns on
-// its own: the spans and the index are copied, and the arena pages are shared,
-// each capped at its length, so the copy appends to pages of its own and
-// neither table ever writes what the other reads.
+// its own: the spans, the free numbers and the index are copied, and the arena
+// pages are shared, each capped at its length, so the copy appends to pages of
+// its own and neither table ever writes what the other reads. s holds no view
+// symbol.
 func (s *symtab) clone() symtab {
 	pages := make([][]byte, len(s.pages))
 	for i, p := range s.pages {
@@ -223,25 +284,35 @@ func (s *symtab) clone() symtab {
 		idx:   hashIndex{heads: slices.Clone(s.idx.heads), links: links},
 		spans: slices.Clone(s.spans),
 		pages: pages,
+		free:  slices.Clone(s.free),
 	}
 }
 
 func (s *symtab) mark() symMark {
-	m := symMark{syms: len(s.spans), pages: len(s.pages)}
+	m := symMark{syms: len(s.spans), free: len(s.free), pages: len(s.pages)}
 	if m.pages > 0 {
 		m.fill = len(s.pages[m.pages-1])
 	}
 	return m
 }
 
-// restore drops every symbol interned since m, newest first — each is then
-// the head of its chain — and gives their arena bytes back. Their links stay
-// allocated, for the next symbols of those numbers.
+// restore drops every symbol interned since m — the ones that took a free
+// number, which are again free, and the ones numbered past m's — and gives
+// their arena bytes back. Their links stay allocated, for the next symbols of
+// those numbers. No symbol is freed between a mark and its restore: a
+// transaction frees its view symbols only once it stands.
 func (s *symtab) restore(m symMark) {
+	for _, sym := range s.free[len(s.free):m.free] {
+		s.idx.unlink(sym)
+		s.spans[sym] = span{}
+	}
+	s.free = s.free[:m.free]
 	for sym := len(s.spans) - 1; sym >= m.syms; sym-- {
 		s.idx.unlink(uint32(sym))
 	}
 	s.spans = s.spans[:m.syms]
+	clear(s.views)
+	s.views = s.views[:0]
 	clear(s.pages[m.pages:])
 	s.pages = s.pages[:m.pages]
 	if m.pages > 0 {
@@ -249,13 +320,13 @@ func (s *symtab) restore(m symMark) {
 	}
 }
 
-// cell encodes v, interning its text: the write paths — facts, compiled
-// constants, UDF results.
-func (s *symtab) cell(v datalog.Value) (cell, error) {
+// cell encodes v, interning its text — as a view symbol if view is set: the
+// write paths — facts, compiled constants, UDF results.
+func (s *symtab) cell(v datalog.Value, view bool) (cell, error) {
 	var sym uint32
 	if hasText(v.Kind) {
 		var err error
-		if sym, err = s.intern(v.Str); err != nil {
+		if sym, err = s.intern(v.Str, view); err != nil {
 			return cell{}, err
 		}
 	}
@@ -284,10 +355,11 @@ func (s *symtab) lookupCell(v datalog.Value) (cell, bool) {
 	return encode(v, sym), ok
 }
 
-// cells appends the encoding of t to buf, interning.
-func (s *symtab) cells(buf []cell, t datalog.Tuple) ([]cell, error) {
+// cells appends the encoding of t to buf, interning — new text as view
+// symbols if view is set.
+func (s *symtab) cells(buf []cell, t datalog.Tuple, view bool) ([]cell, error) {
 	for _, v := range t {
-		c, err := s.cell(v)
+		c, err := s.cell(v, view)
 		if err != nil {
 			return buf, err
 		}

@@ -57,7 +57,7 @@ func (sa *slotAlloc) slot(name string) int {
 func (sa *slotAlloc) compileTerm(t datalog.Term) cterm {
 	switch tt := t.(type) {
 	case datalog.Const:
-		c, err := sa.syms.cell(tt.Val)
+		c, err := sa.syms.cell(tt.Val, false)
 		if err != nil {
 			panic(err) // a program's table holds its source's constants: 2^28 would take gigabytes of source
 		}
@@ -136,7 +136,7 @@ func (w *Workspace) eval(t *cterm, f *frame) (cell, error) {
 		}
 		if l.kind() == datalog.KindString && r.kind() == datalog.KindString && t.op == "+" {
 			w.concat = append(append(w.concat[:0], w.syms.text(l.sym())...), w.syms.text(r.sym())...)
-			sym, err := w.syms.intern(unsafe.String(unsafe.SliceData(w.concat), len(w.concat)))
+			sym, err := w.syms.intern(unsafe.String(unsafe.SliceData(w.concat), len(w.concat)), false)
 			return mkCell(datalog.KindString, sym, 0), err
 		}
 		if l.kind() != datalog.KindInt || r.kind() != datalog.KindInt {

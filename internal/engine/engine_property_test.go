@@ -615,7 +615,7 @@ func naiveSaturate(t *testing.T, src string, base map[string]Fact, k int) *Works
 	}
 	tx := w.begin()
 	for _, f := range base {
-		if err := w.insertBase(tx, w.relationFor(f), f.Tuple); err != nil {
+		if err := w.insertBase(tx, w.relationFor(f), f.Tuple, false); err != nil {
 			t.Fatal(err)
 		}
 	}

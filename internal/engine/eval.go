@@ -251,7 +251,7 @@ func (w *Workspace) runSteps(steps []step, i int, f *frame, emit func(*frame) er
 		for j := range s.args {
 			if a := &s.args[j]; !mask[j] && a.kind == ctVar {
 				if v, bound := f.get(a.slot); !bound {
-					c, err := w.syms.cell(args[j])
+					c, err := w.syms.cell(args[j], false)
 					if err != nil {
 						f.undo(m)
 						return err

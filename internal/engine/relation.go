@@ -140,6 +140,9 @@ const (
 	// other). Both ride on rowNew and go with it.
 	rowBorn
 	rowDelta
+	// rowTransient: the row holds a transient fact (Fact.Transient), which
+	// leaves the store when the transaction ends. It rides on rowNew.
+	rowTransient
 )
 
 // Row pages hold 1<<pageShift rows (128), except a relation's first few,
@@ -214,6 +217,8 @@ type Relation struct {
 	ins    []uint32
 	lo, hi int
 	spec   *relSpec
+	// transient counts the rows on ins that are transient (rowTransient).
+	transient int
 }
 
 // newRelation returns an empty relation for the given schema over syms. Pages
@@ -392,7 +397,7 @@ const (
 // only a transaction can roll back.
 func (r *Relation) Insert(t datalog.Tuple, isBase bool) InsertResult {
 	var buf [8]cell
-	vals, err := r.syms.cells(buf[:0], t)
+	vals, err := r.syms.cells(buf[:0], t, false)
 	if err != nil {
 		panic(err)
 	}

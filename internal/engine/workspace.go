@@ -11,9 +11,19 @@ import (
 
 // Fact is one tuple of a named predicate, the unit of assertion and
 // retraction.
+//
+// A Transient fact lives for the transaction that asserts it — the reading of
+// an asynchronous head in Dedalus, which holds at the receiver for one step:
+// rules and constraints read it as any fact, and when the transaction ends it
+// is gone, and so is its text, which the workspace views instead of copying
+// while the transaction runs (its strings must not change until then). It
+// stays only if the transaction also derives it, or asserts it without the
+// mark; a stored row that holds its text keeps a copy of the text. A
+// transient fact the store already holds is no news, like any known fact.
 type Fact struct {
-	Pred  string
-	Tuple datalog.Tuple
+	Pred      string
+	Tuple     datalog.Tuple
+	Transient bool
 }
 
 // String renders the fact as source text.
@@ -80,9 +90,9 @@ func (t *txn) logRow(rel *Relation, id uint32, promoted, wasBase bool) {
 func (w *Workspace) dropLists() {
 	for _, rel := range w.dirty {
 		for i := len(rel.ins) - 1; i >= 0; i-- { // newest first, so ids come back in the order they went
-			rel.clear(rel.ins[i], rowNew|rowBorn|rowDelta)
+			rel.clear(rel.ins[i], rowNew|rowBorn|rowDelta|rowTransient)
 		}
-		rel.ins, rel.lo, rel.hi = rel.ins[:0], 0, 0
+		rel.ins, rel.lo, rel.hi, rel.transient = rel.ins[:0], 0, 0, 0
 	}
 	w.dirty, w.cur, w.nxt = w.dirty[:0], w.cur[:0], w.nxt[:0]
 }
@@ -294,7 +304,7 @@ func (w *Workspace) Bind(p *Program) (err error) {
 	}()
 	w.bind(p, udfs)
 	for _, f := range p.facts {
-		if err := w.insertBase(t, w.rels[f.rel], f.tuple); err != nil {
+		if err := w.insertBase(t, w.rels[f.rel], f.tuple, false); err != nil {
 			return err
 		}
 	}
@@ -376,8 +386,12 @@ func checkTuple(rel *Relation, vals []cell) error {
 // store copies vals — absent from rel, hashing to h, checked — into a row and
 // lists it as the transaction's, for the next fixpoint round, the constraint
 // check, the result and rollback alike. Until that round the row is born, and
-// the delta plans of this one do not see it.
+// the delta plans of this one do not see it. A row that is not transient
+// keeps the text of any view symbol it names.
 func (w *Workspace) store(rel *Relation, vals []cell, h uint64, flags uint8) error {
+	if flags&rowTransient == 0 && len(w.syms.views) > 0 {
+		w.syms.keep(vals)
+	}
 	id, ok := rel.add(vals, h, flags|rowLive|rowNew|rowBorn)
 	if !ok {
 		old := rel.row(uint32(rel.lookupFn(vals[:rel.schema.KeyArity])))
@@ -385,6 +399,9 @@ func (w *Workspace) store(rel *Relation, vals []cell, h uint64, flags uint8) err
 			Constraint: fmt.Sprintf("functional dependency on %s", rel.schema.Name),
 			Detail:     fmt.Sprintf("key maps to both %s and %s", w.syms.tuple(old), w.syms.tuple(vals)),
 		}
+	}
+	if flags&rowTransient != 0 {
+		rel.transient++
 	}
 	if len(rel.ins) == 0 {
 		w.dirty = append(w.dirty, rel)
@@ -396,18 +413,25 @@ func (w *Workspace) store(rel *Relation, vals []cell, h uint64, flags uint8) err
 	return nil
 }
 
-// insertBase inserts one EDB fact, interning its text. A fact the relation
-// already holds as a derived tuple is promoted in place, and the promotion
-// logged unless the row is the transaction's own.
-func (w *Workspace) insertBase(t *txn, rel *Relation, tuple datalog.Tuple) error {
-	vals, err := w.syms.cells(w.factBuf[:0], tuple)
+// insertBase inserts one EDB fact, interning its text — a transient one's new
+// text as view symbols, and into a transient row. A fact the relation already
+// holds as a derived tuple is promoted in place, and the promotion logged
+// unless the row is the transaction's own; a transient row is kept, as an EDB
+// fact. A transient fact the relation already holds changes nothing.
+func (w *Workspace) insertBase(t *txn, rel *Relation, tuple datalog.Tuple, transient bool) error {
+	vals, err := w.syms.cells(w.factBuf[:0], tuple, transient)
 	w.factBuf = vals
 	if err != nil {
 		return err
 	}
 	h := hashCells(vals)
 	if id := rel.find(&rel.primary, h, vals); id != 0 {
-		if f := &rel.flags[id-1]; *f&rowBase == 0 {
+		switch f := &rel.flags[id-1]; {
+		case transient: // the store holds it already, or this transaction does
+		case *f&rowTransient != 0:
+			w.keep(rel, id-1)
+			*f |= rowBase
+		case *f&rowBase == 0:
 			*f |= rowBase
 			if *f&rowNew == 0 {
 				t.logRow(rel, id-1, true, false)
@@ -418,7 +442,19 @@ func (w *Workspace) insertBase(t *txn, rel *Relation, tuple datalog.Tuple) error
 	if err := checkTuple(rel, vals); err != nil {
 		return err
 	}
-	return w.store(rel, vals, h, rowBase)
+	flags := rowBase
+	if transient {
+		flags = rowTransient
+	}
+	return w.store(rel, vals, h, flags)
+}
+
+// keep makes transient row id of rel one the transaction leaves in the store,
+// with a copy of its text.
+func (w *Workspace) keep(rel *Relation, id uint32) {
+	rel.flags[id] &^= rowTransient
+	rel.transient--
+	w.syms.keep(rel.row(id))
 }
 
 // insertDerived adds one derived row of rel unless rel already holds it.
@@ -426,10 +462,14 @@ func (w *Workspace) insertBase(t *txn, rel *Relation, tuple datalog.Tuple) error
 // existence check and the insert, so rederiving an existing row — the
 // overwhelmingly common case inside a fixpoint — has nothing to insert, log,
 // propagate or allocate, and a new one costs its cells in the relation's page
-// and a four-byte entry on the relation's list.
+// and a four-byte entry on the relation's list. Deriving a transient row keeps
+// it.
 func (w *Workspace) insertDerived(rel *Relation, vals []cell) error {
 	h := hashCells(vals)
-	if rel.find(&rel.primary, h, vals) != 0 {
+	if id := rel.find(&rel.primary, h, vals); id != 0 {
+		if rel.transient > 0 && rel.flags[id-1]&rowTransient != 0 {
+			w.keep(rel, id-1)
+		}
 		return nil
 	}
 	if err := checkTuple(rel, vals); err != nil {
@@ -783,7 +823,7 @@ type TxnResult struct {
 
 // Inserted returns the tuples the transaction inserted into pred, in insertion
 // order — one it replaced again itself (an aggregate value that moved twice)
-// included.
+// included, a transient one, gone with the transaction, not.
 func (r *TxnResult) Inserted(pred string) []datalog.Tuple {
 	rel := r.w.relation(pred)
 	if rel == nil || len(rel.ins) == 0 {
@@ -835,11 +875,12 @@ func (rs Rows) At(i int) datalog.Tuple {
 // installed rules to a local fixpoint, and check integrity constraints. On
 // any violation the entire transaction (input facts included) is rolled
 // back and the violation returned, matching the paper's §5.2 semantics.
+// Otherwise it commits, and its transient facts leave the store.
 func (w *Workspace) Assert(facts []Fact) (*TxnResult, error) {
 	defer w.publishStats()
 	t := w.begin()
 	for _, f := range facts {
-		if err := w.insertBase(t, w.relationFor(f), f.Tuple); err != nil {
+		if err := w.insertBase(t, w.relationFor(f), f.Tuple, f.Transient); err != nil {
 			w.rollback(t)
 			return nil, err
 		}
@@ -852,7 +893,32 @@ func (w *Workspace) Assert(facts []Fact) (*TxnResult, error) {
 		w.rollback(t)
 		return nil, err
 	}
+	w.dropTransient()
 	return &w.result, nil
+}
+
+// dropTransient ends a transaction that stands: its transient rows leave the
+// store and its lists, their ids free for the next rows, and its view symbols
+// the intern table.
+func (w *Workspace) dropTransient() {
+	for _, rel := range w.dirty {
+		if rel.transient == 0 {
+			continue
+		}
+		ins := rel.ins[:0]
+		for _, id := range rel.ins {
+			if rel.flags[id]&rowTransient == 0 {
+				ins = append(ins, id)
+				continue
+			}
+			if rel.flags[id]&rowLive != 0 {
+				rel.remove(id)
+			}
+			rel.clear(id, rowNew|rowBorn|rowDelta|rowTransient)
+		}
+		rel.ins, rel.lo, rel.hi, rel.transient = ins, len(ins), len(ins), 0
+	}
+	w.syms.dropViews()
 }
 
 // AssertProgramFacts parses source-text facts and asserts them.
@@ -880,6 +946,9 @@ func (w *Workspace) AssertProgramFacts(src string) (*TxnResult, error) {
 // fact asserted, then evaluates every rule as Bind does and checks every
 // constraint. A named fact the rules still derive stays, as a derived row, and
 // one the store lacks is ignored. Any error rolls the retraction back.
+// Transient facts are not base facts, and were gone when their transaction
+// committed: what a node imported from inbound payloads (transient export
+// facts) is derived from nothing Retract keeps, and goes. No node calls it.
 func (w *Workspace) Retract(facts []Fact) (err error) {
 	defer w.publishStats()
 	t := w.begin()
@@ -922,6 +991,9 @@ func (w *Workspace) Count(pred string) int {
 	}
 	return rel.Len()
 }
+
+// Symbols returns how many texts the workspace's intern table holds.
+func (w *Workspace) Symbols() int { return len(w.syms.spans) - len(w.syms.free) }
 
 // Contains reports whether a predicate holds the given tuple. Like every read,
 // it interns nothing: a tuple with text the workspace has never seen is absent.

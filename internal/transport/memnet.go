@@ -18,7 +18,8 @@ import (
 type MemNetwork struct {
 	mu        sync.Mutex
 	endpoints map[string]*MemEndpoint
-	nextPort  int // ephemeral-port counter for port-0 hints
+	nextPort  int  // ephemeral-port counter for port-0 hints
+	closed    bool // Close ran: every endpoint is closed, and so is any made later
 
 	// OnDeliver, if set, is invoked (outside locks) for every delivered
 	// datagram — used by tests for fault injection.
@@ -30,15 +31,25 @@ func NewMemNetwork() *MemNetwork {
 	return &MemNetwork{endpoints: make(map[string]*MemEndpoint)}
 }
 
-// Endpoint registers (or returns) the endpoint with the given address.
+// Endpoint registers (or returns) the endpoint with the given address. On a
+// closed network it is closed.
 func (n *MemNetwork) Endpoint(addr string) *MemEndpoint {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	if ep, ok := n.endpoints[addr]; ok {
 		return ep
 	}
+	return n.register(addr)
+}
+
+// register makes the endpoint at addr, closed if the network is.
+func (n *MemNetwork) register(addr string) *MemEndpoint {
 	ep := &MemEndpoint{net: n, addr: addr, q: newQueue()}
 	n.endpoints[addr] = ep
+	if n.closed {
+		ep.closed = true
+		ep.q.close()
+	}
 	return ep
 }
 
@@ -69,14 +80,15 @@ func (n *MemNetwork) Listen(hint string) (Transport, error) {
 	} else if _, taken := n.endpoints[addr]; taken {
 		return nil, fmt.Errorf("%w: %s", ErrAddrInUse, addr)
 	}
-	ep := &MemEndpoint{net: n, addr: addr, q: newQueue()}
-	n.endpoints[addr] = ep
-	return ep, nil
+	return n.register(addr), nil
 }
 
-// Close implements Network, closing every registered endpoint.
+// Close implements Network, closing every registered endpoint. The endpoints
+// stay registered, closed: whatever holds or looks up one is refused with
+// ErrClosed.
 func (n *MemNetwork) Close() error {
 	n.mu.Lock()
+	n.closed = true
 	eps := make([]*MemEndpoint, 0, len(n.endpoints))
 	for _, ep := range n.endpoints {
 		eps = append(eps, ep)
@@ -133,13 +145,21 @@ func (ep *MemEndpoint) Receive() <-chan InMsg { return ep.q.out }
 // ReceiveBatch implements Transport.
 func (ep *MemEndpoint) ReceiveBatch() <-chan []InMsg { return ep.q.batches() }
 
-// Close implements Transport.
+// Close implements Transport. On an open network the endpoint's address is
+// released, as closing a socket releases its port: Listen may bind it again,
+// and a send to it is to an unknown address until then.
 func (ep *MemEndpoint) Close() error {
 	ep.mu.Lock()
-	defer ep.mu.Unlock()
 	if !ep.closed {
 		ep.closed = true
 		ep.q.close()
 	}
+	ep.mu.Unlock()
+	n := ep.net
+	n.mu.Lock()
+	if !n.closed && n.endpoints[ep.addr] == ep {
+		delete(n.endpoints, ep.addr)
+	}
+	n.mu.Unlock()
 	return nil
 }
