@@ -16,7 +16,7 @@ func sbx(args ...string) (code int, stdout, stderr string) {
 	return code, out.String(), errb.String()
 }
 
-// schemes are the eight names cluster.ParsePolicyName accepts.
+// schemes are the eight names core.ParsePolicyName accepts.
 var schemes = []string{"NoAuth", "HMAC", "RSA", "RSA-batch", "NoAuth-AES", "HMAC-AES", "RSA-AES", "RSA-batch-AES"}
 
 // TestRunSchemeByWorkloadMatrix: every scheme × every shipped workload

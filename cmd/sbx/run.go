@@ -41,11 +41,7 @@ func runWorkload(args []string, stdout, stderr io.Writer) int {
 	if fs.Parse(args[1:]) != nil {
 		return 2
 	}
-	spec, err := cluster.ParsePolicyName(*scheme)
-	if err != nil {
-		return misuse(err)
-	}
-	pol, err := core.PolicyFromSpec(spec)
+	pol, err := core.ParsePolicyName(*scheme)
 	if err != nil {
 		return misuse(err)
 	}

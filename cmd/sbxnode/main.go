@@ -113,15 +113,16 @@ func run(args []string, stdout, stderr *os.File) int {
 		fmt.Fprintf(stderr, "sbxnode: %v\n", err)
 		return 1
 	}
-	// The workload is resolved before any mode runs: an unknown name is
-	// rejected before a key is written or a socket bound.
+	// The policy and the workload are resolved before any mode runs: an
+	// unknown name, or key material the policy does not match, is rejected
+	// before a key is written or a socket bound.
 	w, pol, err := configWorkload(cfg)
 	switch {
 	case err != nil:
 	case o.vet:
 		err = vetWorkload(w, pol, stdout)
 	case o.genKeys:
-		err = generateKeys(cfg, stdout)
+		err = generateKeys(cfg, pol, stdout)
 	case o.allInOne:
 		err = runAllInOne(cfg, w, pol, o, stdout)
 	case o.node != "":
@@ -173,8 +174,8 @@ func writeDumps(dir, principal string) error {
 
 // generateKeys writes one PEM key file per node that names one, so a
 // config can be provisioned with `sbxnode -genkeys` before first start.
-func generateKeys(cfg *cluster.Config, stdout *os.File) error {
-	if !cfg.Spec().UsesRSA() {
+func generateKeys(cfg *cluster.Config, pol core.PolicyConfig, stdout *os.File) error {
+	if pol.Auth != core.AuthRSA {
 		return fmt.Errorf("policy %s uses no RSA keys", cfg.Policy)
 	}
 	var nodes []cluster.NodeConfig
@@ -362,7 +363,6 @@ func runNode(ctx context.Context, rt *cluster.Runtime, nw transport.Network, cha
 	pol := cp.pol
 	assembly := core.NodeAssembly{
 		Policy:    pol,
-		Compiled:  cp.res,
 		Program:   cp.prog,
 		Directory: mem,
 		Index:     rt.Index(),

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"net"
 	"os"
 	"path/filepath"
 	"slices"
@@ -14,6 +15,7 @@ import (
 	"time"
 
 	"secureblox/internal/cluster"
+	"secureblox/internal/core"
 	"secureblox/internal/engine"
 	"secureblox/internal/obs"
 	"secureblox/internal/seccrypto"
@@ -29,7 +31,7 @@ func testConfig(t *testing.T, policy, workload string, n, seedPort int) *cluster
 		Policy:   policy,
 		Workload: cluster.WorkloadConfig{Name: workload, Seed: 42, Degree: 3, SizeA: 60, SizeB: 50, JoinValues: 12},
 	}
-	spec, err := cluster.ParsePolicyName(policy)
+	pol, err := core.ParsePolicyName(policy)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,7 +40,7 @@ func testConfig(t *testing.T, policy, workload string, n, seedPort int) *cluster
 		if i == 0 {
 			node.Addr = fmt.Sprintf("127.0.0.1:%d", seedPort)
 		}
-		if spec.UsesRSA() {
+		if pol.Auth == core.AuthRSA {
 			k, err := seccrypto.GenerateRSAKey(seccrypto.NewDeterministicRand(int64(100 + i)))
 			if err != nil {
 				t.Fatal(err)
@@ -47,7 +49,7 @@ func testConfig(t *testing.T, policy, workload string, n, seedPort int) *cluster
 		}
 		cfg.Nodes = append(cfg.Nodes, node)
 	}
-	if spec.UsesSharedSecrets() {
+	if pol.Auth == core.AuthHMAC || pol.Encrypt {
 		cfg.ClusterSecret = strings.Repeat("5a", seccrypto.SecretLen)
 	}
 	return cfg
@@ -389,6 +391,58 @@ func TestCLIErrors(t *testing.T) {
 		{"workload typo vet", []string{"-config", typoPath, "-vet"}, `unknown workload "pathvektor"`},
 		{"anonjoin without relay", []string{"-config", anonPath, "-node", "p0"}, "at least one relay"},
 	}
+	// What key material a scheme needs is core's to say
+	// (core.DeploymentPolicy): a policy typo, and a key or a secret the
+	// policy does not match, are turned away in every mode before a socket
+	// is bound or a key file written. The key files named below must never
+	// appear, and -debugaddr names a port this test holds, so a mode that
+	// bound its debug server first would fail on that instead.
+	held, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer held.Close()
+	keyDir := t.TempDir()
+	withKeyFiles := func(c *cluster.Config) *cluster.Config {
+		for i := range c.Nodes {
+			c.Nodes[i].KeyPEM = ""
+			c.Nodes[i].KeyFile = filepath.Join(keyDir, c.Nodes[i].Principal+".pem")
+		}
+		return c
+	}
+	policyTypo := withKeyFiles(testConfig(t, "RSA", "pathvector", 3, 7431))
+	policyTypo.Policy = "RSAA"
+	batchWithoutRSA := testConfig(t, "HMAC", "pathvector", 3, 7431)
+	batchWithoutRSA.Policy = "HMAC-batch"
+	missingKey := withKeyFiles(testConfig(t, "RSA", "pathvector", 3, 7431))
+	missingKey.Nodes[2].KeyFile = ""
+	strayKey := testConfig(t, "NoAuth", "pathvector", 3, 7431)
+	strayKey.Nodes[0].KeyFile = filepath.Join(keyDir, "p0.pem")
+	shortSecret := testConfig(t, "HMAC-AES", "pathvector", 3, 7431)
+	shortSecret.ClusterSecret = "abcd"
+	straySecret := testConfig(t, "RSA", "pathvector", 3, 7431)
+	straySecret.ClusterSecret = strings.Repeat("5a", seccrypto.SecretLen)
+	for _, bad := range []struct {
+		name string
+		cfg  *cluster.Config
+		want string
+	}{
+		{"policy typo", policyTypo, `unknown policy "RSAA"`},
+		{"batch without rsa", batchWithoutRSA, "-batch requires the RSA scheme"},
+		{"missing key", missingKey, `node "p2": policy RSA needs an RSA key`},
+		{"key under keyless policy", strayKey, `node "p0" declares a key but policy NoAuth uses none`},
+		{"short secret", shortSecret, "needs a cluster_secret of at least"},
+		{"stray secret", straySecret, "policy RSA uses no shared secrets"},
+	} {
+		path := writeFile(t, t.TempDir(), "cluster.json", bad.cfg)
+		for _, mode := range [][]string{{"-node", "p0"}, {"-allinone"}, {"-vet"}, {"-genkeys"}} {
+			cases = append(cases, struct {
+				name string
+				args []string
+				want string
+			}{bad.name + " " + mode[0][1:], append([]string{"-config", path, "-debugaddr", held.Addr().String()}, mode...), bad.want})
+		}
+	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			code, _, errOut := capture(t, tc.args)
@@ -396,6 +450,9 @@ func TestCLIErrors(t *testing.T) {
 				t.Fatalf("exit %d, stderr %q; want exit 1 containing %q", code, errOut, tc.want)
 			}
 		})
+	}
+	if written, _ := os.ReadDir(keyDir); len(written) != 0 {
+		t.Fatalf("a refused config had key files written: %v", written)
 	}
 }
 

@@ -9,16 +9,15 @@ import (
 	"secureblox/internal/cluster"
 	"secureblox/internal/core"
 	"secureblox/internal/engine"
-	"secureblox/internal/generics"
 	"secureblox/internal/seccrypto"
 	"secureblox/internal/udf"
 )
 
-// configWorkload resolves what every mode compiles and runs: the row of
-// apps.Workloads the config names, which must run on the config's nodes,
-// and the scheme it names.
+// configWorkload resolves what every mode compiles and runs: the scheme the
+// config names, which its keys and cluster secret must match, and the row of
+// apps.Workloads it names, which must run on the config's nodes.
 func configWorkload(cfg *cluster.Config) (*apps.Workload, core.PolicyConfig, error) {
-	pol, err := core.PolicyFromSpec(cfg.Spec())
+	pol, err := core.DeploymentPolicy(cfg)
 	if err != nil {
 		return nil, pol, err
 	}
@@ -29,11 +28,10 @@ func configWorkload(cfg *cluster.Config) (*apps.Workload, core.PolicyConfig, err
 	return w, pol, err
 }
 
-// compiled is what every principal of a process runs: the workload's program
-// under the config's scheme and its engine plans, compiled once.
+// compiled is what every principal of a process runs: the config's scheme
+// and the engine plans of the workload's program under it, compiled once.
 type compiled struct {
 	pol  core.PolicyConfig
-	res  *generics.Result
 	prog *engine.Program
 }
 
@@ -43,7 +41,7 @@ func compileWorkload(w *apps.Workload, pol core.PolicyConfig) (compiled, error) 
 		return compiled{}, err
 	}
 	prog, err := core.CompileEngine(res)
-	return compiled{pol: pol, res: res, prog: prog}, err
+	return compiled{pol: pol, prog: prog}, err
 }
 
 // vetWorkload is the -vet pre-flight: compile the config's workload under

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"secureblox/internal/analysis"
-	"secureblox/internal/cluster"
 	"secureblox/internal/core"
 	"secureblox/internal/seccrypto"
 	"secureblox/internal/udf"
@@ -30,7 +29,7 @@ func assertNoErrors(t *testing.T, a *analysis.Analyzer, name string, rep *analys
 	}
 }
 
-// schemes are the eight names cluster.ParsePolicyName accepts.
+// schemes are the eight names core.ParsePolicyName accepts.
 var schemes = []string{"NoAuth", "HMAC", "RSA", "RSA-batch", "NoAuth-AES", "HMAC-AES", "RSA-AES", "RSA-batch-AES"}
 
 // Every shipped rule set must pass the analyzer as raw source: the lints
@@ -54,11 +53,7 @@ func TestCompiledProgramsPassVet(t *testing.T) {
 	for _, w := range Workloads {
 		for _, scheme := range schemes {
 			name := w.Name + "/" + scheme
-			spec, err := cluster.ParsePolicyName(scheme)
-			if err != nil {
-				t.Fatal(err)
-			}
-			pol, err := core.PolicyFromSpec(spec)
+			pol, err := core.ParsePolicyName(scheme)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -245,9 +245,10 @@ func (rt *Runtime) Join(ctx context.Context) (*Membership, error) {
 		return nil, err
 	}
 	rt.seedAddr = rt.mem.Members[0].Addr
-	// Distribute the directory's public keys into the local keystore: the
-	// policy constraints look peers up there.
-	if rt.spec.UsesRSA() {
+	// A node holding a key runs the RSA scheme: distribute the directory's
+	// public keys into the local keystore, where the policy constraints look
+	// peers up.
+	if rt.priv != nil {
 		for _, m := range rt.mem.Members {
 			pub, perr := rt.ks.ParsePub(m.PubKeyDER)
 			if perr != nil {
@@ -266,7 +267,7 @@ func (rt *Runtime) admit(joined map[string]wire.MemberInfo, m wire.MemberInfo) s
 	if m.Principal == rt.principal || rt.cfg.NodeIndex(m.Principal) < 0 {
 		return "" // not a member this seed waits for: ignore
 	}
-	if rt.spec.UsesRSA() {
+	if rt.priv != nil {
 		if _, err := rt.ks.ParsePub(m.PubKey); err != nil {
 			return "" // unusable announcement; the joiner will resend
 		}

@@ -220,7 +220,7 @@ func TestDepartureBarrierWaitsForEveryLeave(t *testing.T) {
 		cfg.Cluster = fmt.Sprintf("depart-%v", evictLast)
 		net := transport.NewMemNetwork()
 		rts := joinAll(t, cfg, net)
-		seed, mem := rts[0], rts[0].Membership()
+		seed, mem := rts[0], rts[0].mem
 		// The records a bound node would hand back to its runtime.
 		seed.ctrlCh = make(chan wire.Control, 16)
 		leave := func(addr string) {

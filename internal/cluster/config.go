@@ -14,62 +14,6 @@ import (
 	"secureblox/internal/seccrypto"
 )
 
-// PolicySpec is the syntactic shape of a policy name ("RSA-batch-AES"):
-// the authentication scheme plus the batch-signing and encryption
-// modifiers. It deliberately mirrors — without importing — the semantic
-// core.PolicyConfig, so config validation stays in the deployment layer
-// while policy compilation stays in core.
-type PolicySpec struct {
-	Auth      string // "NoAuth" | "HMAC" | "RSA"
-	BatchSign bool
-	Encrypt   bool
-}
-
-// Name renders the spec back into the canonical policy label.
-func (s PolicySpec) Name() string {
-	n := s.Auth
-	if s.BatchSign {
-		n += "-batch"
-	}
-	if s.Encrypt {
-		n += "-AES"
-	}
-	return n
-}
-
-// UsesRSA reports whether the policy needs RSA key material.
-func (s PolicySpec) UsesRSA() bool { return s.Auth == "RSA" }
-
-// UsesSharedSecrets reports whether the policy needs pairwise secrets.
-func (s PolicySpec) UsesSharedSecrets() bool { return s.Auth == "HMAC" || s.Encrypt }
-
-// ParsePolicyName parses a policy label of the paper's figures — NoAuth,
-// HMAC or RSA, optionally with the -batch (footnote 2) and -AES modifiers,
-// e.g. "RSA-batch-AES". Typos yield errors naming the bad token and the
-// accepted forms.
-func ParsePolicyName(name string) (PolicySpec, error) {
-	var s PolicySpec
-	rest := name
-	if strings.HasSuffix(rest, "-AES") {
-		s.Encrypt = true
-		rest = strings.TrimSuffix(rest, "-AES")
-	}
-	if strings.HasSuffix(rest, "-batch") {
-		s.BatchSign = true
-		rest = strings.TrimSuffix(rest, "-batch")
-	}
-	switch rest {
-	case "NoAuth", "HMAC", "RSA":
-		s.Auth = rest
-	default:
-		return PolicySpec{}, fmt.Errorf("cluster: unknown policy %q: want NoAuth, HMAC or RSA, optionally with -batch and/or -AES suffixes (e.g. RSA-batch-AES)", name)
-	}
-	if s.BatchSign && s.Auth != "RSA" {
-		return PolicySpec{}, fmt.Errorf("cluster: policy %q: -batch requires the RSA scheme", name)
-	}
-	return s, nil
-}
-
 // Duration is a time.Duration that unmarshals from JSON strings like
 // "30s".
 type Duration time.Duration
@@ -94,9 +38,9 @@ func (d Duration) MarshalJSON() ([]byte, error) {
 	return json.Marshal(time.Duration(d).String())
 }
 
-// NodeConfig declares one cluster member. Exactly one of KeyFile and
-// KeyPEM holds the node's RSA private key under RSA policies; both must be
-// absent otherwise.
+// NodeConfig declares one cluster member. At most one of KeyFile and KeyPEM
+// holds the node's RSA private key; which policies need one is core's to say
+// (core.DeploymentPolicy).
 type NodeConfig struct {
 	// Principal is the node's identity (the value of self[]).
 	Principal string `json:"principal"`
@@ -142,12 +86,13 @@ type Config struct {
 	// so two clusters sharing a network cannot cross-wire.
 	Cluster string `json:"cluster"`
 	// Policy is the security configuration by its figure label, e.g.
-	// "NoAuth", "HMAC-AES", "RSA-batch".
+	// "NoAuth", "HMAC-AES", "RSA-batch"; core.ParsePolicyName reads it.
 	Policy string `json:"policy"`
 	// Workload is the rule set to run.
 	Workload WorkloadConfig `json:"workload"`
-	// ClusterSecret (hex) seeds pairwise shared-secret derivation; required
-	// by policies using HMAC or AES, forbidden otherwise.
+	// ClusterSecret (hex) seeds pairwise shared-secret derivation; policies
+	// using HMAC or AES need it, and the others refuse it
+	// (core.DeploymentPolicy).
 	ClusterSecret string `json:"cluster_secret,omitempty"`
 	// BootstrapTimeout bounds the join handshake and ready barrier
 	// (default 60s).
@@ -189,12 +134,6 @@ func LoadConfig(path string) (*Config, error) {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
 	return c, nil
-}
-
-// Spec returns the parsed policy spec; Validate has already vouched for it.
-func (c *Config) Spec() PolicySpec {
-	s, _ := ParsePolicyName(c.Policy)
-	return s
 }
 
 // Timeout returns the bootstrap timeout with its default applied.
@@ -252,19 +191,16 @@ func validAddr(addr string, allowZero bool) error {
 
 // Validate checks the config's structure, returning a precise error for
 // the first problem found: missing fields, duplicate principals,
-// unparseable addresses, policy-name typos, or key material declared
-// inconsistently with the policy. Key files themselves are checked by
-// LoadNodeKey — each process only holds its own key.
+// unparseable addresses, a node declaring two keys, or a secret that is not
+// hex. Key files themselves are checked by LoadNodeKey — each process only
+// holds its own key.
 func (c *Config) Validate() error {
 	if c.Cluster == "" {
 		return fmt.Errorf("cluster: config: missing cluster name")
 	}
-	spec, err := ParsePolicyName(c.Policy)
-	if err != nil {
-		return err
-	}
-	// Which names exist is the workload table's to say (internal/apps, which
-	// this package cannot import); sbxnode looks the name up before it binds.
+	// Which names exist, and what key material a policy needs, are the
+	// workload table's and core's to say (internal/apps and internal/core,
+	// which this package cannot import); sbxnode checks both before it binds.
 	if c.Workload.Name == "" {
 		return fmt.Errorf("cluster: config: missing workload name")
 	}
@@ -320,26 +256,12 @@ func (c *Config) Validate() error {
 				addrs[n.DebugAddr] = n.Principal
 			}
 		}
-		hasKey := n.KeyFile != "" || n.KeyPEM != ""
-		switch {
-		case n.KeyFile != "" && n.KeyPEM != "":
+		if n.KeyFile != "" && n.KeyPEM != "" {
 			return fmt.Errorf("cluster: config: node %q declares both key_file and key_pem", n.Principal)
-		case spec.UsesRSA() && !hasKey:
-			return fmt.Errorf("cluster: config: node %q: policy %s needs an RSA key (key_file or key_pem)", n.Principal, c.Policy)
-		case !spec.UsesRSA() && hasKey:
-			return fmt.Errorf("cluster: config: node %q declares a key but policy %s uses none", n.Principal, c.Policy)
 		}
 	}
-	if spec.UsesSharedSecrets() {
-		b, err := hex.DecodeString(c.ClusterSecret)
-		if err != nil {
-			return fmt.Errorf("cluster: config: cluster_secret is not hex: %v", err)
-		}
-		if len(b) < seccrypto.SecretLen {
-			return fmt.Errorf("cluster: config: policy %s needs a cluster_secret of at least %d hex-encoded bytes, got %d", c.Policy, seccrypto.SecretLen, len(b))
-		}
-	} else if c.ClusterSecret != "" {
-		return fmt.Errorf("cluster: config: cluster_secret set but policy %s uses no shared secrets", c.Policy)
+	if _, err := hex.DecodeString(c.ClusterSecret); err != nil {
+		return fmt.Errorf("cluster: config: cluster_secret is not hex: %v", err)
 	}
 	return nil
 }
@@ -359,14 +281,11 @@ func (c *Config) DebugAddrs() []string {
 
 // LoadNodeKey loads one node's RSA private key from its config entry
 // (file or inline PEM), with errors precise enough to diagnose a missing
-// or corrupt key file. It returns nil for policies without RSA keys.
+// or corrupt key file. It returns nil for a node that declares no key.
 func (c *Config) LoadNodeKey(principal string) (*rsa.PrivateKey, error) {
 	i := c.NodeIndex(principal)
 	if i < 0 {
 		return nil, fmt.Errorf("cluster: config: no node named %q (have %s)", principal, strings.Join(c.Principals(), ", "))
-	}
-	if !c.Spec().UsesRSA() {
-		return nil, nil
 	}
 	n := c.Nodes[i]
 	if n.KeyPEM != "" {
@@ -375,6 +294,9 @@ func (c *Config) LoadNodeKey(principal string) (*rsa.PrivateKey, error) {
 			return nil, fmt.Errorf("cluster: config: node %q inline key: %w", principal, err)
 		}
 		return k, nil
+	}
+	if n.KeyFile == "" {
+		return nil, nil
 	}
 	k, err := seccrypto.LoadPrivateKeyFile(n.KeyFile)
 	if err != nil {
@@ -393,17 +315,16 @@ func (c *Config) Principals() []string {
 }
 
 // buildKeyStore assembles one node's keystore from config-derived material:
-// its own private key and, under shared-secret policies, the pairwise
-// secrets derived from the cluster secret. Peer public keys are installed
-// later, from the directory the join handshake delivers.
+// its own private key, if it declares one, and, if the config sets a cluster
+// secret, the pairwise secrets derived from it. Peer public keys are
+// installed later, from the directory the join handshake delivers.
 func (c *Config) buildKeyStore(principal string, priv *rsa.PrivateKey) *seccrypto.KeyStore {
 	ks := seccrypto.NewKeyStore(principal)
 	if priv != nil {
 		ks.SetPrivateKey(priv)
 		ks.AddPublicKey(principal, &priv.PublicKey)
 	}
-	if c.Spec().UsesSharedSecrets() {
-		secret := c.Secret()
+	if secret := c.Secret(); secret != nil {
 		for _, n := range c.Nodes {
 			if n.Principal == principal {
 				continue

@@ -10,7 +10,9 @@ import (
 	"secureblox/internal/seccrypto"
 )
 
-// testConfig returns a valid 3-node config the failure cases then mutate.
+// testConfig returns a valid 3-node config the failure cases then mutate:
+// inline RSA keys under the RSA schemes and a cluster secret under HMAC and
+// the -AES schemes, the material core.DeploymentPolicy asks of each label.
 func testConfig(t testing.TB, policy string) *Config {
 	t.Helper()
 	c := &Config{
@@ -23,11 +25,7 @@ func testConfig(t testing.TB, policy string) *Config {
 			{Principal: "p2", Addr: "127.0.0.1:0"},
 		},
 	}
-	spec, err := ParsePolicyName(policy)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if spec.UsesRSA() {
+	if strings.HasPrefix(policy, "RSA") {
 		k, err := seccrypto.GenerateRSAKey(seccrypto.NewDeterministicRand(7))
 		if err != nil {
 			t.Fatal(err)
@@ -37,7 +35,7 @@ func testConfig(t testing.TB, policy string) *Config {
 			c.Nodes[i].KeyPEM = pem
 		}
 	}
-	if spec.UsesSharedSecrets() {
+	if strings.HasPrefix(policy, "HMAC") || strings.HasSuffix(policy, "-AES") {
 		c.ClusterSecret = strings.Repeat("ab", seccrypto.SecretLen)
 	}
 	return c
@@ -49,6 +47,13 @@ func TestValidConfigsPass(t *testing.T) {
 			t.Fatalf("%s: %v", policy, err)
 		}
 	}
+	// The policy name and the key material it needs are core's to check
+	// (core.DeploymentPolicy), not the structural validation's.
+	c := testConfig(t, "RSA")
+	c.Policy = "RSAA"
+	if err := c.Validate(); err != nil {
+		t.Fatalf("structural validation read the policy: %v", err)
+	}
 }
 
 func TestConfigValidationErrors(t *testing.T) {
@@ -58,9 +63,6 @@ func TestConfigValidationErrors(t *testing.T) {
 		want   string
 	}{
 		{"missing cluster name", func(c *Config) { c.Cluster = "" }, "missing cluster name"},
-		{"policy typo", func(c *Config) { c.Policy = "RSAA" }, `unknown policy "RSAA"`},
-		{"policy case typo", func(c *Config) { c.Policy = "rsa" }, `unknown policy "rsa"`},
-		{"batch without rsa", func(c *Config) { c.Policy = "HMAC-batch" }, "-batch requires the RSA scheme"},
 		{"missing workload", func(c *Config) { c.Workload.Name = "" }, "missing workload name"},
 		{"no nodes", func(c *Config) { c.Nodes = nil }, "no nodes declared"},
 		{"duplicate principals", func(c *Config) { c.Nodes[2].Principal = "p0" }, `duplicate principal "p0"`},
@@ -112,45 +114,25 @@ func TestConfigDebugAddrs(t *testing.T) {
 	}
 }
 
+// TestConfigKeyDeclarationErrors: a node declares at most one key. Whether
+// its policy needs one is core.DeploymentPolicy's check
+// (core.TestDeploymentPolicyErrors).
 func TestConfigKeyDeclarationErrors(t *testing.T) {
-	// RSA policy without keys.
 	c := testConfig(t, "RSA")
-	c.Nodes[1].KeyPEM = ""
-	if err := c.Validate(); err == nil || !strings.Contains(err.Error(), "needs an RSA key") {
-		t.Fatalf("missing key: %v", err)
-	}
-	// Both key forms at once.
-	c = testConfig(t, "RSA")
 	c.Nodes[1].KeyFile = "also.pem"
 	if err := c.Validate(); err == nil || !strings.Contains(err.Error(), "both key_file and key_pem") {
 		t.Fatalf("double key: %v", err)
 	}
-	// Keys under a keyless policy.
-	c = testConfig(t, "NoAuth")
-	c.Nodes[0].KeyFile = "p0.pem"
-	if err := c.Validate(); err == nil || !strings.Contains(err.Error(), "policy NoAuth uses none") {
-		t.Fatalf("stray key: %v", err)
-	}
 }
 
+// TestConfigClusterSecretErrors: a cluster secret is hex. Whether its policy
+// needs one, and how long, is core.DeploymentPolicy's check
+// (core.TestDeploymentPolicyErrors).
 func TestConfigClusterSecretErrors(t *testing.T) {
 	c := testConfig(t, "HMAC")
 	c.ClusterSecret = "zz-not-hex"
 	if err := c.Validate(); err == nil || !strings.Contains(err.Error(), "not hex") {
 		t.Fatalf("non-hex secret: %v", err)
-	}
-	c.ClusterSecret = "abcd" // too short
-	if err := c.Validate(); err == nil || !strings.Contains(err.Error(), "at least") {
-		t.Fatalf("short secret: %v", err)
-	}
-	c.ClusterSecret = ""
-	if err := c.Validate(); err == nil || !strings.Contains(err.Error(), "not hex") && !strings.Contains(err.Error(), "at least") {
-		t.Fatalf("absent secret under HMAC: %v", err)
-	}
-	c = testConfig(t, "NoAuth")
-	c.ClusterSecret = strings.Repeat("ab", 16)
-	if err := c.Validate(); err == nil || !strings.Contains(err.Error(), "uses no shared secrets") {
-		t.Fatalf("stray secret: %v", err)
 	}
 }
 
@@ -215,8 +197,8 @@ func TestLoadConfigFile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.Spec().Auth != "HMAC" || !c.Spec().UsesSharedSecrets() {
-		t.Fatalf("spec = %+v", c.Spec())
+	if c.Policy != "HMAC" || len(c.Secret()) != seccrypto.SecretLen {
+		t.Fatalf("loaded policy %q with a %d-byte secret", c.Policy, len(c.Secret()))
 	}
 	if c.Timeout() <= 0 {
 		t.Fatal("default timeout not applied")

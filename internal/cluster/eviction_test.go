@@ -69,7 +69,7 @@ func TestEvictDeadGossipsDelta(t *testing.T) {
 	net := transport.NewMemNetwork()
 	defer net.Close()
 	rts := joinAll(t, cfg, net)
-	mem := rts[0].Membership()
+	mem := rts[0].mem
 	deadAddr := mem.Members[2].Addr
 
 	det := dist.NewDetector(net.Endpoint("127.0.0.1:0"), mem.Addrs())

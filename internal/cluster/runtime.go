@@ -41,7 +41,6 @@ type Runtime struct {
 	Health *obs.Health
 
 	cfg       *Config
-	spec      PolicySpec
 	principal string
 	idx       int
 	net       transport.Network
@@ -72,7 +71,8 @@ type Runtime struct {
 // NewRuntime binds the node's endpoint on net at its configured listen
 // address, loads its private key, and derives its shared secrets — every
 // per-process precondition of the join handshake. The config must already
-// be validated (LoadConfig/ParseConfig validate). The runtime does not
+// be validated (LoadConfig/ParseConfig validate) and its key material
+// checked against its policy (core.DeploymentPolicy). The runtime does not
 // take ownership of net; callers close it after Close.
 func NewRuntime(cfg *Config, principal string, net transport.Network) (*Runtime, error) {
 	idx := cfg.NodeIndex(principal)
@@ -89,7 +89,6 @@ func NewRuntime(cfg *Config, principal string, net transport.Network) (*Runtime,
 	}
 	rt := &Runtime{
 		cfg:       cfg,
-		spec:      cfg.Spec(),
 		principal: principal,
 		idx:       idx,
 		net:       net,
@@ -151,9 +150,6 @@ func (rt *Runtime) Endpoint() transport.Transport { return rt.ep }
 // KeyStore returns this node's keystore: private key and derived secrets
 // from config, peer public keys from the join directory.
 func (rt *Runtime) KeyStore() *seccrypto.KeyStore { return rt.ks }
-
-// Membership returns the directory Join established, or nil before Join.
-func (rt *Runtime) Membership() *Membership { return rt.mem }
 
 // EarlyTraffic returns the datagrams Ready set aside for the node: hand them
 // to dist.Node.Backlog before Start.

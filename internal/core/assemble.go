@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"secureblox/internal/cluster"
+	"secureblox/internal/datalog"
 	"secureblox/internal/dist"
 	"secureblox/internal/engine"
 	"secureblox/internal/generics"
@@ -12,20 +13,29 @@ import (
 	"secureblox/internal/udf"
 )
 
-// PolicyFromSpec maps a deployment config's syntactic policy spec to the
-// semantic policy configuration core compiles. ParsePolicyName has already
-// vouched for the spec's consistency.
-func PolicyFromSpec(s cluster.PolicySpec) (PolicyConfig, error) {
-	p := PolicyConfig{BatchSign: s.BatchSign, Encrypt: s.Encrypt}
-	switch s.Auth {
-	case "NoAuth":
-		p.Auth = AuthNone
-	case "HMAC":
-		p.Auth = AuthHMAC
-	case "RSA":
-		p.Auth = AuthRSA
-	default:
-		return p, fmt.Errorf("core: unknown auth scheme %q", s.Auth)
+// DeploymentPolicy is the policy a deployment config names, checked against
+// the key material the config declares: every node holds an RSA key exactly
+// when the scheme signs with RSA, and the cluster secret is set, long enough,
+// exactly when the policy uses pairwise secrets. The config's structure is
+// cluster.Config.Validate's to check; sbxnode calls this before any mode runs.
+func DeploymentPolicy(c *cluster.Config) (PolicyConfig, error) {
+	p, err := ParsePolicyName(c.Policy)
+	if err != nil {
+		return p, err
+	}
+	for _, n := range c.Nodes {
+		switch hasKey := n.KeyFile != "" || n.KeyPEM != ""; {
+		case p.Auth == AuthRSA && !hasKey:
+			return p, fmt.Errorf("core: config: node %q: policy %s needs an RSA key (key_file or key_pem)", n.Principal, c.Policy)
+		case p.Auth != AuthRSA && hasKey:
+			return p, fmt.Errorf("core: config: node %q declares a key but policy %s uses none", n.Principal, c.Policy)
+		}
+	}
+	switch secret := c.Secret(); {
+	case p.usesSecrets() && len(secret) < seccrypto.SecretLen:
+		return p, fmt.Errorf("core: config: policy %s needs a cluster_secret of at least %d hex-encoded bytes, got %d", c.Policy, seccrypto.SecretLen, len(secret))
+	case !p.usesSecrets() && secret != nil:
+		return p, fmt.Errorf("core: config: cluster_secret set but policy %s uses no shared secrets", c.Policy)
 	}
 	return p, nil
 }
@@ -36,8 +46,8 @@ func PolicyFromSpec(s cluster.PolicySpec) (PolicyConfig, error) {
 // every node, so multi-process deployments compile it once per process and
 // the in-process driver once per cluster.
 func CompileProgram(p PolicyConfig, query string, extra []string) (*generics.Result, error) {
-	if p.BatchSign && p.Auth != AuthRSA {
-		return nil, fmt.Errorf("core: BatchSign requires the RSA scheme, got %s", p.Auth)
+	if err := p.check(); err != nil {
+		return nil, fmt.Errorf("core: %w", err)
 	}
 	gc := generics.NewCompiler()
 	for _, src := range p.Sources() {
@@ -73,15 +83,6 @@ func CompileEngine(res *generics.Result) (*engine.Program, error) {
 	return engine.Compile(res.Program, reg)
 }
 
-// Exportables lists the predicates a compiled program declares exportable.
-func Exportables(res *generics.Result) []string {
-	var out []string
-	for _, t := range res.MetaFacts["exportable"] {
-		out = append(out, t[0])
-	}
-	return out
-}
-
 // NodeAssembly holds everything needed to stand up one SecureBlox node
 // over an open endpoint: the compiled program, the cluster directory, the
 // node's keystore and the shared crypto memos. It is the one code path
@@ -89,12 +90,12 @@ func Exportables(res *generics.Result) []string {
 // statically built Membership, cmd/sbxnode's runNode assembles one per
 // principal over the Membership the join handshake established.
 type NodeAssembly struct {
-	// Policy is the security configuration the program was compiled with.
+	// Policy is the security configuration the program was compiled with;
+	// it also selects the key material the node's set-up facts carry.
 	Policy PolicyConfig
-	// Compiled is the program from CompileProgram, and Program its engine
-	// plans from CompileEngine, shared by every node of the process.
-	Compiled *generics.Result
-	Program  *engine.Program
+	// Program is the engine plans of CompileProgram's result, from
+	// CompileEngine, shared by every node of the process.
+	Program *engine.Program
 	// Directory is the cluster membership with authoritative addresses.
 	Directory *cluster.Membership
 	// Index is this node's position in deployment order; it also
@@ -113,8 +114,6 @@ type NodeAssembly struct {
 	SignPool   *seccrypto.SignPool
 	// Seed drives deterministic UDF randomness.
 	Seed int64
-	// GrantWriteAccess mirrors ClusterConfig's.
-	GrantWriteAccess bool
 }
 
 // Memos returns the RSA memos the nodes of one process share under p: under
@@ -146,14 +145,7 @@ func (a NodeAssembly) Build() (*dist.Node, error) {
 	if err := ws.Bind(a.Program); err != nil {
 		return nil, fmt.Errorf("core: install on %s: %w", me.Principal, err)
 	}
-	sc := cluster.SetupConfig{
-		RSA:           a.Policy.Auth == AuthRSA,
-		SharedSecrets: a.Policy.Auth == AuthHMAC || a.Policy.Encrypt,
-	}
-	if a.Policy.Authorization && a.GrantWriteAccess {
-		sc.WriteAccessPreds = Exportables(a.Compiled)
-	}
-	if _, err := ws.Assert(cluster.SetupFacts(a.Directory, a.Index, a.KeyStore, sc)); err != nil {
+	if _, err := ws.Assert(a.setupFacts()); err != nil {
 		return nil, fmt.Errorf("core: setup on %s: %w", me.Principal, err)
 	}
 	n := dist.NewNode(me.Principal, ws, a.Endpoint)
@@ -168,4 +160,43 @@ func (a NodeAssembly) Build() (*dist.Node, error) {
 		}
 	}
 	return n, nil
+}
+
+// setupFacts builds the base facts the node asserts before its first
+// transaction: the principal directory (self, principals, their transport
+// addresses) and the key material its policy reads — the out-of-band
+// dissemination of §3, whether the directory came from core.NewCluster or
+// from the join handshake.
+func (a NodeAssembly) setupFacts() []engine.Fact {
+	m := a.Directory
+	self := m.Members[a.Index].Principal
+	facts := []engine.Fact{{Pred: "self", Tuple: datalog.Tuple{datalog.Prin(self)}}}
+	for _, mb := range m.Members {
+		pv := datalog.Prin(mb.Principal)
+		facts = append(facts,
+			engine.Fact{Pred: "principal", Tuple: datalog.Tuple{pv}},
+			engine.Fact{Pred: "principal_node", Tuple: datalog.Tuple{pv, datalog.NodeV(mb.Addr)}},
+		)
+	}
+	if a.Policy.Auth == AuthRSA {
+		facts = append(facts, engine.Fact{Pred: "private_key", Tuple: datalog.Tuple{datalog.BytesV(a.KeyStore.PrivateKeyDER())}})
+		for _, mb := range m.Members {
+			facts = append(facts, engine.Fact{
+				Pred:  "public_key",
+				Tuple: datalog.Tuple{datalog.Prin(mb.Principal), datalog.BytesV(mb.PubKeyDER)},
+			})
+		}
+	}
+	if a.Policy.usesSecrets() {
+		for _, mb := range m.Members {
+			if mb.Principal == self {
+				continue
+			}
+			facts = append(facts, engine.Fact{
+				Pred:  "secret",
+				Tuple: datalog.Tuple{datalog.Prin(mb.Principal), datalog.BytesV(a.KeyStore.Secret(mb.Principal))},
+			})
+		}
+	}
+	return facts
 }

@@ -9,7 +9,6 @@ import (
 	"secureblox/internal/datalog"
 	"secureblox/internal/dist"
 	"secureblox/internal/engine"
-	"secureblox/internal/generics"
 	"secureblox/internal/obs"
 	"secureblox/internal/par"
 	"secureblox/internal/seccrypto"
@@ -40,9 +39,6 @@ type ClusterConfig struct {
 	// first) — so under AuthRSA every run signs with fresh keys and ships
 	// different signature bytes.
 	Seed int64
-	// GrantWriteAccess, with Policy.Authorization, grants
-	// writeAccess[T](P) for every exportable T and cluster principal P.
-	GrantWriteAccess bool
 	// Net is the transport the cluster runs over. Nil means a fresh
 	// in-process MemNetwork. The cluster takes ownership: Stop closes it.
 	Net transport.Network
@@ -66,10 +62,9 @@ type Cluster struct {
 	// are whatever the endpoints bound, so always prefer Addrs over
 	// NodeAddr when building address-valued facts.
 	Addrs []string
-	// Compiled is the program every node runs, Program its engine plans,
-	// compiled once and bound by every node's workspace.
-	Compiled *generics.Result
-	Program  *engine.Program
+	// Program is the engine plans of the program every node runs, compiled
+	// once and bound by every node's workspace.
+	Program *engine.Program
 	// Directory is the cluster's principal directory — the same
 	// abstraction a multi-process deployment receives from the bootstrap
 	// handshake, built statically here because every endpoint lives in
@@ -182,11 +177,11 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 
 	// Compile and plan once: the program is identical on every node.
 	t = time.Now()
-	c.Compiled, err = CompileProgram(cfg.Policy, cfg.Query, cfg.ExtraPolicies)
+	res, err := CompileProgram(cfg.Policy, cfg.Query, cfg.ExtraPolicies)
 	if err != nil {
 		return nil, fmt.Errorf("cluster: %w", err)
 	}
-	c.Program, err = CompileEngine(c.Compiled)
+	c.Program, err = CompileEngine(res)
 	if err != nil {
 		return nil, fmt.Errorf("cluster: %w", err)
 	}
@@ -201,17 +196,15 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	t = time.Now()
 	err = par.Do(cfg.N, func(i int) error {
 		n, err := NodeAssembly{
-			Policy:           cfg.Policy,
-			Compiled:         c.Compiled,
-			Program:          c.Program,
-			Directory:        c.Directory,
-			Index:            i,
-			KeyStore:         c.KeyStores[i],
-			Endpoint:         eps[i],
-			VerifyPool:       vpool,
-			SignPool:         spool,
-			Seed:             cfg.Seed,
-			GrantWriteAccess: cfg.GrantWriteAccess,
+			Policy:     cfg.Policy,
+			Program:    c.Program,
+			Directory:  c.Directory,
+			Index:      i,
+			KeyStore:   c.KeyStores[i],
+			Endpoint:   eps[i],
+			VerifyPool: vpool,
+			SignPool:   spool,
+			Seed:       cfg.Seed,
 		}.Build()
 		if err != nil {
 			return fmt.Errorf("cluster: node %s: %w", c.Principals[i], err)

@@ -692,11 +692,20 @@ func TestAuthorizationWriteAccess(t *testing.T) {
 		t.Error("says without writeAccess should violate the authorization constraint")
 	}
 
-	// And with the grant, everything flows.
-	cfg.GrantWriteAccess = true
+	// And with the grant, everything flows: every node holds
+	// writeAccess[reachable](P) for every principal before it starts.
 	c2, err := NewCluster(cfg)
 	if err != nil {
 		t.Fatal(err)
+	}
+	var grants []engine.Fact
+	for _, p := range c2.Principals {
+		grants = append(grants, engine.Fact{Pred: "writeAccess$reachable", Tuple: datalog.Tuple{datalog.Prin(p)}})
+	}
+	for _, n := range c2.Nodes {
+		if _, err := n.WS.Assert(grants); err != nil {
+			t.Fatal(err)
+		}
 	}
 	c2.Start()
 	defer c2.Stop()
@@ -712,16 +721,30 @@ func TestAuthorizationWriteAccess(t *testing.T) {
 	}
 }
 
+// TestPolicyNames: ParsePolicyName and PolicyConfig.Name are inverse on all
+// eight schemes, and every other label is refused.
 func TestPolicyNames(t *testing.T) {
 	cases := map[string]PolicyConfig{
-		"NoAuth":     {},
-		"NoAuth-AES": {Encrypt: true},
-		"HMAC":       {Auth: AuthHMAC},
-		"RSA-AES":    {Auth: AuthRSA, Encrypt: true},
+		"NoAuth":        {},
+		"NoAuth-AES":    {Encrypt: true},
+		"HMAC":          {Auth: AuthHMAC},
+		"HMAC-AES":      {Auth: AuthHMAC, Encrypt: true},
+		"RSA":           {Auth: AuthRSA},
+		"RSA-AES":       {Auth: AuthRSA, Encrypt: true},
+		"RSA-batch":     {Auth: AuthRSA, BatchSign: true},
+		"RSA-batch-AES": {Auth: AuthRSA, BatchSign: true, Encrypt: true},
 	}
 	for want, cfg := range cases {
 		if got := cfg.Name(); got != want {
 			t.Errorf("Name() = %q, want %q", got, want)
+		}
+		if got, err := ParsePolicyName(want); err != nil || got != cfg {
+			t.Errorf("ParsePolicyName(%q) = %+v, %v; want %+v", want, got, err, cfg)
+		}
+	}
+	for _, bad := range []string{"", "rsa", "RSAA", "-AES", "RSA-AES-batch", "HMAC-batch", "NoAuth-batch-AES", "RSA-batch-batch"} {
+		if p, err := ParsePolicyName(bad); err == nil {
+			t.Errorf("ParsePolicyName(%q) accepted as %s", bad, p.Name())
 		}
 	}
 }

@@ -3,9 +3,19 @@
 // paper §3 and §6) expressed as BloxGenerics policies, plus the distributed
 // cluster driver that compiles a user query together with a policy
 // configuration and runs it across nodes.
+//
+// PolicyConfig is the one policy value, from the figure label a user names
+// (ParsePolicyName, whose inverse is Name) to each node: it selects the
+// policy sources CompileProgram compiles, the key material a deployment
+// config must declare (DeploymentPolicy) and the key material
+// NodeAssembly.Build asserts as the node's set-up facts. No other package
+// parses a label or checks key material against one.
 package core
 
-import "fmt"
+import (
+	"fmt"
+	"strings"
+)
 
 // AuthScheme selects the authentication mechanism for says, matching the
 // paper's evaluation axes (§8).
@@ -58,7 +68,7 @@ type PolicyConfig struct {
 }
 
 // Name returns the label used in the paper's figures, e.g. "RSA-AES" —
-// batch-signed RSA is labelled "RSA-batch".
+// batch-signed RSA is labelled "RSA-batch". ParsePolicyName is its inverse.
 func (p PolicyConfig) Name() string {
 	n := p.Auth.String()
 	if p.BatchSign && p.Auth == AuthRSA {
@@ -69,6 +79,42 @@ func (p PolicyConfig) Name() string {
 	}
 	return n
 }
+
+// ParsePolicyName parses a policy label of the paper's figures — NoAuth,
+// HMAC or RSA, optionally with the -batch (footnote 2) and -AES modifiers,
+// e.g. "RSA-batch-AES" — into the configuration Name renders it from. Typos
+// yield errors naming the bad label and the accepted forms.
+func ParsePolicyName(name string) (PolicyConfig, error) {
+	rest, encrypt := strings.CutSuffix(name, "-AES")
+	rest, batch := strings.CutSuffix(rest, "-batch")
+	p := PolicyConfig{BatchSign: batch, Encrypt: encrypt}
+	switch rest {
+	case "NoAuth":
+	case "HMAC":
+		p.Auth = AuthHMAC
+	case "RSA":
+		p.Auth = AuthRSA
+	default:
+		return PolicyConfig{}, fmt.Errorf("core: unknown policy %q: want NoAuth, HMAC or RSA, optionally with -batch and/or -AES suffixes (e.g. RSA-batch-AES)", name)
+	}
+	if err := p.check(); err != nil {
+		return PolicyConfig{}, fmt.Errorf("core: policy %q: %w", name, err)
+	}
+	return p, nil
+}
+
+// check refuses a configuration no label names: batch signing is footnote 2's
+// aggregate of RSA signatures, so it needs the RSA scheme.
+func (p PolicyConfig) check() error {
+	if p.BatchSign && p.Auth != AuthRSA {
+		return fmt.Errorf("-batch requires the RSA scheme (BatchSign under %s)", p.Auth)
+	}
+	return nil
+}
+
+// usesSecrets reports whether the policy reads pairwise shared secrets: HMAC
+// authenticates with them and AES encrypts with them.
+func (p PolicyConfig) usesSecrets() bool { return p.Auth == AuthHMAC || p.Encrypt }
 
 // basePolicy declares the says mapping and the authentication constraint of
 // §3.2: both principals of a said fact must be known principals, and the

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"secureblox/internal/cluster"
 	"secureblox/internal/datalog"
 	"secureblox/internal/engine"
 	"secureblox/internal/generics"
@@ -157,4 +158,79 @@ func TestSpeaksFor(t *testing.T) {
 			t.Errorf("speaks-for attribution failed: says tuples %v", ws.Tuples("says$item"))
 		}
 	})
+}
+
+// deploymentConfig is a 3-node deployment config carrying the key material
+// its policy needs: an inline RSA key per node under the RSA schemes, a
+// cluster secret under HMAC and the -AES schemes.
+func deploymentConfig(t *testing.T, policy string) *cluster.Config {
+	t.Helper()
+	p, err := ParsePolicyName(policy)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := &cluster.Config{
+		Cluster:  "t",
+		Policy:   policy,
+		Workload: cluster.WorkloadConfig{Name: "pathvector", Seed: 1, Degree: 3},
+		Nodes: []cluster.NodeConfig{
+			{Principal: "p0", Addr: "127.0.0.1:7101"},
+			{Principal: "p1", Addr: "127.0.0.1:7102"},
+			{Principal: "p2", Addr: "127.0.0.1:0"},
+		},
+	}
+	if p.Auth == AuthRSA {
+		k, err := seccrypto.GenerateRSAKey(seccrypto.NewDeterministicRand(7))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range c.Nodes {
+			c.Nodes[i].KeyPEM = string(seccrypto.EncodePrivateKeyPEM(k))
+		}
+	}
+	if p.usesSecrets() {
+		c.ClusterSecret = strings.Repeat("ab", seccrypto.SecretLen)
+	}
+	if err := c.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
+// TestDeploymentPolicyErrors: a deployment config is refused for a policy
+// label no scheme has, and for key material its policy does not match — a
+// node without the RSA key its scheme signs with or with a key its scheme
+// never reads, a missing or short cluster secret under a scheme that uses
+// pairwise secrets, a secret under one that does not. Every one of the eight
+// labels passes with its own material.
+func TestDeploymentPolicyErrors(t *testing.T) {
+	for _, name := range []string{"NoAuth", "NoAuth-AES", "HMAC", "HMAC-AES", "RSA", "RSA-AES", "RSA-batch", "RSA-batch-AES"} {
+		if p, err := DeploymentPolicy(deploymentConfig(t, name)); err != nil || p.Name() != name {
+			t.Fatalf("%s: DeploymentPolicy = %s, %v", name, p.Name(), err)
+		}
+	}
+	cases := []struct {
+		name   string
+		policy string
+		mutate func(*cluster.Config)
+		want   string
+	}{
+		{"policy typo", "NoAuth", func(c *cluster.Config) { c.Policy = "RSAA" }, `unknown policy "RSAA"`},
+		{"policy case typo", "NoAuth", func(c *cluster.Config) { c.Policy = "rsa" }, `unknown policy "rsa"`},
+		{"batch without rsa", "NoAuth", func(c *cluster.Config) { c.Policy = "HMAC-batch" }, "-batch requires the RSA scheme"},
+		{"missing key", "RSA", func(c *cluster.Config) { c.Nodes[1].KeyPEM = "" }, "needs an RSA key"},
+		{"stray key", "NoAuth", func(c *cluster.Config) { c.Nodes[0].KeyFile = "p0.pem" }, "policy NoAuth uses none"},
+		{"short secret", "HMAC", func(c *cluster.Config) { c.ClusterSecret = "abcd" }, "at least"},
+		{"absent secret", "HMAC", func(c *cluster.Config) { c.ClusterSecret = "" }, "at least"},
+		{"stray secret", "NoAuth", func(c *cluster.Config) { c.ClusterSecret = strings.Repeat("ab", 16) }, "uses no shared secrets"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			c := deploymentConfig(t, tc.policy)
+			tc.mutate(c)
+			if _, err := DeploymentPolicy(c); err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("err = %v, want substring %q", err, tc.want)
+			}
+		})
+	}
 }

@@ -111,7 +111,6 @@ func (r *inboundRig) assemble(t *testing.T) (*dist.Node, *transporttest.Scripted
 	ep := transporttest.NewScripted(r.c.Addrs[advReceiver])
 	n, err := core.NodeAssembly{
 		Policy:     r.c.Cfg.Policy,
-		Compiled:   r.c.Compiled,
 		Program:    r.c.Program,
 		Directory:  r.c.Directory,
 		Index:      advReceiver,

@@ -1,6 +1,7 @@
 package dist_test
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"runtime"
@@ -78,16 +79,16 @@ func newDetector(t *testing.T, net *transport.MemNetwork, nodes ...string) *dist
 	return det
 }
 
-// waitFixpoint bounds Detector.Wait so a protocol bug fails the test
-// instead of hanging it.
+// waitFixpoint bounds Detector.WaitQuiescent so a protocol bug fails the
+// test instead of hanging it.
 func waitFixpoint(t *testing.T, det *dist.Detector) {
 	t.Helper()
-	done := make(chan bool, 1)
-	go func() { done <- det.Wait() }()
+	done := make(chan error, 1)
+	go func() { done <- det.WaitQuiescent(context.Background()) }()
 	select {
-	case ok := <-done:
-		if !ok {
-			t.Fatal("detector closed before termination")
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("no fixpoint proven: %v", err)
 		}
 	case <-time.After(10 * time.Second):
 		t.Fatal("distributed termination not detected within 10s")
@@ -566,6 +567,8 @@ func TestDetectorNotFooledByInFlightWork(t *testing.T) {
 	}
 }
 
+// TestDetectorWaitAfterCloseReturnsFalse: a wait on a closed detector proves
+// nothing and says why.
 func TestDetectorWaitAfterCloseReturnsFalse(t *testing.T) {
 	net := transport.NewMemNetwork()
 	a := newTestNode(t, net, "a", addrA, nil, "")
@@ -573,15 +576,15 @@ func TestDetectorWaitAfterCloseReturnsFalse(t *testing.T) {
 	defer a.Stop()
 	det := dist.NewDetector(net.Endpoint(addrDet), []string{addrA})
 	det.Close()
-	done := make(chan bool, 1)
-	go func() { done <- det.Wait() }()
+	done := make(chan error, 1)
+	go func() { done <- det.WaitQuiescent(context.Background()) }()
 	select {
-	case ok := <-done:
-		if ok {
-			t.Error("Wait on a closed detector should return false")
+	case err := <-done:
+		if !errors.Is(err, dist.ErrDetectorClosed) {
+			t.Errorf("WaitQuiescent on a closed detector = %v, want ErrDetectorClosed", err)
 		}
 	case <-time.After(5 * time.Second):
-		t.Fatal("Wait did not return after Close")
+		t.Fatal("WaitQuiescent did not return after Close")
 	}
 }
 

@@ -169,15 +169,6 @@ type waveSum struct {
 	active     bool
 }
 
-// Wait blocks until two consecutive probe waves prove global quiescence,
-// returning true; false means no fixpoint was proven (the detector closed,
-// or — with UnresponsiveAfter set — a node stopped answering probes for
-// the whole budget). Callers that need to distinguish those outcomes, and
-// to cancel the wait, use WaitQuiescent.
-func (d *Detector) Wait() bool {
-	return d.WaitQuiescent(context.Background()) == nil
-}
-
 // WaitQuiescent blocks until two consecutive probe waves prove global
 // quiescence, returning nil. It fails with ErrDetectorClosed when the
 // detector's endpoint closes, with the context's error when ctx is
