@@ -3,6 +3,7 @@ package apps
 import (
 	"fmt"
 	"math/rand"
+	"sync"
 
 	"secureblox/internal/analysis"
 	"secureblox/internal/cluster"
@@ -51,7 +52,11 @@ const HashJoinQuery = `
 // function and which functional predicates carry the per-principal ranges.
 // The partition facts are no longer hand-written — they fall out of the
 // rules, so editing the query's routing automatically reshapes the setup.
-func HashJoinPartitioning() *analysis.Partitioning {
+// The inference runs once per process; every call returns the same value,
+// which callers must not modify, and panics if the query lost its pattern.
+func HashJoinPartitioning() *analysis.Partitioning { return hashJoinPartitioning() }
+
+var hashJoinPartitioning = sync.OnceValue(func() *analysis.Partitioning {
 	prog, err := datalog.Parse(HashJoinQuery)
 	if err != nil {
 		panic(fmt.Sprintf("apps: HashJoinQuery does not parse: %v", err))
@@ -61,7 +66,7 @@ func HashJoinPartitioning() *analysis.Partitioning {
 		panic(fmt.Sprintf("apps: HashJoinQuery lost its routing pattern: %v", err))
 	}
 	return p
-}
+})
 
 // HashJoinConfig parameterizes one experiment: paper §8.2 uses |A|=900,
 // |B|=800, 72 distinct join values, initiator at node 0.

@@ -4,10 +4,14 @@ import (
 	"bytes"
 	"context"
 	"encoding/binary"
+	"fmt"
 	"runtime"
+	"sort"
+	"strings"
 	"testing"
 	"time"
 
+	"secureblox/internal/core"
 	"secureblox/internal/datalog"
 	"secureblox/internal/dist"
 	"secureblox/internal/engine"
@@ -206,5 +210,133 @@ func TestDuplicatedDatagramCommitsOnceAndStaysIntact(t *testing.T) {
 		if !bytes.Equal(m.Data, sent) {
 			t.Errorf("merged %v: the delivered datagram changed under the node", merged)
 		}
+	}
+}
+
+// noteQuery ships text: p0 says every note to its peers, and a receiver keeps
+// what it imports — the says row and noted — so the text it stores came off
+// the wire.
+const noteQuery = `
+	note(S, L) -> string(S), node(L).
+	noted(S, L) -> string(S), node(L).
+	peer(U) -> principal(U).
+	exportable('note).
+	says['note](self[], U, S, L) <- note(S, L), peer(U).
+	noted(S, L) <- says['note](U, self[], S, L).
+`
+
+// noteRig records d datagrams from p0 to p1 under policy, each carrying m
+// notes whose texts appear nowhere else.
+func noteRig(t *testing.T, policy core.PolicyConfig, d, m int) *inboundRig {
+	t.Helper()
+	peer := func(c *core.Cluster) []engine.Fact { return peerFacts(c, advReceiver) }
+	r := recordRig(t, policy, noteQuery, peer, d, func(i int) []engine.Fact {
+		facts := make([]engine.Fact, m)
+		for j := range facts {
+			k := i*m + j
+			facts[j] = engine.Fact{Pred: "note", Tuple: datalog.Tuple{
+				datalog.String_(fmt.Sprintf("note %05d", k)), datalog.NodeV(fmt.Sprintf("10.9.%d.%d:7000", k/250, k%250))}}
+		}
+		return facts
+	})
+	for i, h := range r.honest {
+		if msg, err := wire.DecodeMessage(h.Data); err != nil || len(msg.Payloads) != m {
+			t.Fatalf("datagram %d carries %d payloads, want %d (%v)", i, len(msg.Payloads), m, err)
+		}
+	}
+	return r
+}
+
+// database renders every extent of the node's workspace, sorted.
+func database(n *dist.Node) string {
+	var db []string
+	for _, pred := range n.WS.Predicates() {
+		for _, tp := range n.WS.Tuples(pred) {
+			db = append(db, pred+tp.String())
+		}
+	}
+	sort.Strings(db)
+	return strings.Join(db, "\n")
+}
+
+// TestImportedTextOutlivesItsDatagram: the decoder hands out text as views of
+// the payload (wire.ReadValue), and under NoAuth the payload is a view of the
+// datagram, under NoAuth-AES the plaintext a decryption UDF returned. Either
+// way what a rule keeps — here a string and a node address per note — is the
+// workspace's own copy: overwriting every delivered datagram after its
+// transaction leaves every stored row as it was.
+func TestImportedTextOutlivesItsDatagram(t *testing.T) {
+	const d, m = 4, 5
+	for _, policy := range []core.PolicyConfig{{Auth: core.AuthNone}, {Auth: core.AuthNone, Encrypt: true}} {
+		t.Run(policy.Name(), func(t *testing.T) {
+			rig := noteRig(t, policy, d, m)
+			node, ep := rig.receiver(t)
+			delivered := make([]transport.InMsg, d)
+			for i, h := range rig.honest {
+				delivered[i] = transport.InMsg{From: h.From, Data: bytes.Clone(h.Data)}
+			}
+			ep.Deliver(delivered[:d/2]...) // one merged run
+			settled(t, node, d/2)
+			for i, msg := range delivered[d/2:] { // one transaction each
+				ep.Deliver(msg)
+				settled(t, node, int64(d/2+i+1))
+			}
+			if got := node.WS.Count("noted"); got != d*m || len(node.Violations()) != 0 {
+				t.Fatalf("%d notes imported, want %d (violations: %v)", got, d*m, node.Violations())
+			}
+			if !node.WS.Contains("noted", datalog.Tuple{datalog.String_("note 00007"), datalog.NodeV("10.9.0.7:7000")}) {
+				t.Fatalf("note 7 imported wrong: %v", node.WS.Tuples("noted"))
+			}
+			before := database(node)
+			for _, msg := range delivered {
+				for i := range msg.Data {
+					msg.Data[i] = 0xA5
+				}
+			}
+			if after := database(node); after != before {
+				t.Errorf("overwriting the delivered datagrams changed the stored rows:\n--- before ---\n%s\n--- after ---\n%s", before, after)
+			}
+		})
+	}
+}
+
+// TestAdmissionCostDoesNotGrowWithPayloads: a merged run of d datagrams of m
+// payloads each, delivered a second time, so that it keeps no row and finds
+// the workspace's transient relation already grown to its size: what the
+// repeat allocates may grow with m by the decoded messages' payload lists (one
+// 24-byte slice header per payload) and nothing else — no Go fact or value
+// per payload on the way into the transaction, no copy of the text the import
+// decodes. Measured per datagram at m = 1 and m = 500, under NoAuth and
+// RSA-batch (two facts per payload).
+func TestAdmissionCostDoesNotGrowWithPayloads(t *testing.T) {
+	const d, perPayload = 2, 32
+	for _, policy := range []core.PolicyConfig{{Auth: core.AuthNone}, {Auth: core.AuthRSA, BatchSign: true}} {
+		t.Run(policy.Name(), func(t *testing.T) {
+			var cost [2]float64 // bytes per datagram at m = 1 and m = 500
+			for i, m := range []int{1, 500} {
+				rig := noteRig(t, policy, d, m)
+				node, ep := rig.receiver(t)
+				ep.Deliver(rig.honest...)
+				settled(t, node, d)
+				if got := node.WS.Count("noted"); got != d*m || len(node.Violations()) != 0 {
+					t.Fatalf("m=%d: %d notes imported, want %d (violations: %v)", m, got, d*m, node.Violations())
+				}
+				txns := node.Txns()
+				var m0, m1 runtime.MemStats
+				runtime.ReadMemStats(&m0)
+				ep.Deliver(rig.honest...)
+				settled(t, node, 2*d)
+				runtime.ReadMemStats(&m1)
+				if got := node.Txns() - txns; got != 1 || len(node.Violations()) != 0 {
+					t.Fatalf("m=%d: the run committed as %d transactions, want 1 (violations: %v)", m, got, node.Violations())
+				}
+				cost[i] = float64(m1.TotalAlloc-m0.TotalAlloc) / d
+				t.Logf("m=%d: %.0f bytes per datagram", m, cost[i])
+			}
+			if grew := (cost[1] - cost[0]) / 499; grew > perPayload {
+				t.Errorf("each payload adds %.0f bytes to its datagram's admission, want at most %d (m=1: %.0f, m=500: %.0f bytes per datagram)",
+					grew, perPayload, cost[0], cost[1])
+			}
+		})
 	}
 }

@@ -48,6 +48,9 @@ type runMsg struct {
 	// which outlive the datagram: the transport's sender address when they
 	// agree, else a copy — never a view that would keep the datagram alive.
 	peer string
+	// root is a batch envelope's group root as this node recomputes it
+	// (wire.Message.BatchRoot), once for the merged transaction and a replay.
+	root []byte
 }
 
 // handleBatch decodes one inbound batch, each datagram once, and applies it
@@ -80,20 +83,6 @@ func (n *Node) handleBatch(msgs []transport.InMsg) {
 
 func (e *envelope) isControl() bool { return e.err == nil && e.msg.Kind == wire.MsgControl }
 
-// runShare bounds what admit appends to the run for a data datagram: an
-// export(self, from, Pkt) fact per payload, and an export_batch(from, Pkt, D,
-// S) fact per payload of a batch envelope.
-func (e *envelope) runShare() (facts, vals int) {
-	if e.err != nil {
-		return 0, 0
-	}
-	p := len(e.msg.Payloads)
-	if e.msg.Kind == wire.MsgBatch {
-		return 2 * p, (3 + 4) * p
-	}
-	return p, 3 * p
-}
-
 // applyRun admits the run of data datagrams at the head of envs — up to the
 // first control record or the run budget — and commits their facts as one
 // workspace transaction, returning how many datagrams it consumed (≥ 1).
@@ -111,13 +100,16 @@ func (e *envelope) runShare() (facts, vals int) {
 //
 // Every payload of an admitted message becomes an export(self, from, Pkt)
 // fact, and the compiled policy rules take it from there (decrypt,
-// deserialize, verify, import). Every fact the run asserts is transient
-// (engine.Fact.Transient): export is a channel, not a table. The import
-// rules, the constraints and a fallback replay read the facts as they always
-// did, and at the end of the transaction the facts are gone, and so is their
-// text, which the workspace viewed in the datagram instead of copying. So a
-// payload that imports nothing in its own transaction is dropped, not kept
-// for a later fact to complete: the directory a payload's import needs is in
+// deserialize, verify, import). The facts go into the workspace's transaction
+// one at a time (engine.Workspace.Add) straight from the decoded envelopes,
+// through one reused tuple whose values view the datagram: admitting a
+// payload builds no Go fact and no value. Every fact the run asserts is
+// transient (engine.Fact.Transient): export is a channel, not a table. The
+// import rules, the constraints and a fallback replay read the facts as they
+// always did, and at the end of the transaction the facts are gone, and so is
+// their text, which the workspace viewed in the datagram instead of copying.
+// So a payload that imports nothing in its own transaction is dropped, not
+// kept for a later fact to complete: the directory a payload's import needs is in
 // place before any data arrives (core.NewCluster, the cluster runtime's Ready
 // barrier). The claimed source address in the message —
 // not the transport-level sender — binds L, because authentication is the
@@ -144,7 +136,7 @@ func (e *envelope) runShare() (facts, vals int) {
 func (n *Node) applyRun(envs []envelope) int {
 	addr := n.localAddr()
 	self := datalog.NodeV(addr)
-	k, size, facts, vals := 0, 0, 0, 0
+	k, size := 0, 0
 	for ; k < len(envs); k++ {
 		e := &envs[k]
 		if e.isControl() {
@@ -154,19 +146,9 @@ func (n *Node) applyRun(envs []envelope) int {
 			break
 		}
 		size += len(e.in.Data)
-		f, v := e.runShare()
-		facts, vals = facts+f, vals+v
-	}
-	// The run's facts and their values, sized for every datagram the run may
-	// admit: a buffer grown by doubling would cost more than it saves.
-	if cap(n.runFacts) < facts {
-		n.runFacts = make([]engine.Fact, 0, facts)
-	}
-	if cap(n.runVals) < vals {
-		n.runVals = make([]datalog.Value, 0, vals)
 	}
 	for i := range envs[:k] {
-		n.admit(&envs[i], self)
+		n.admit(&envs[i])
 	}
 	msgs := n.runMsgs
 	if len(msgs) > 0 {
@@ -176,7 +158,7 @@ func (n *Node) applyRun(envs []envelope) int {
 		for _, m := range msgs[1:] {
 			n.curHop = max(n.curHop, m.e.msg.Hop)
 		}
-		merged := n.commitMerged(n.runFacts, n.runEnds, n.enterWave)
+		merged := n.commitMerged(len(msgs), func(i int) { n.addRunMsg(i, self) }, n.enterWave)
 		if merged {
 			n.runSizes.Observe(float64(len(msgs)))
 		} else {
@@ -197,16 +179,14 @@ func (n *Node) applyRun(envs []envelope) int {
 			n.decodeSpan(m, addr, into)
 		}
 	}
-	clear(n.runFacts)
-	clear(n.runVals)
-	clear(n.runMsgs)
-	n.runFacts, n.runVals, n.runMsgs, n.runEnds = n.runFacts[:0], n.runVals[:0], n.runMsgs[:0], n.runEnds[:0]
+	clear(msgs)
+	n.runMsgs = msgs[:0]
 	return k
 }
 
 // admit counts one data datagram and, if it is well-formed and its sender is
-// not evicted, appends its facts to the run.
-func (n *Node) admit(e *envelope, self datalog.Value) {
+// not evicted, appends it to the run.
+func (n *Node) admit(e *envelope) {
 	in, msg := e.in, e.msg
 	n.applyEvictions()
 	if n.evicted[in.From] {
@@ -224,22 +204,6 @@ func (n *Node) admit(e *envelope, self datalog.Value) {
 		n.recordViolation(fmt.Errorf("dist: batch envelope from %s refused: the program checks no batch signature", msg.From))
 		return
 	}
-	// Every payload and the signature are views of the datagram, which
-	// nothing writes to (transport.InMsg), so the transient facts adopt them
-	// uncopied, and the workspace views them for the transaction: only a row
-	// that keeps a payload's text copies it. The tuples are windows of the
-	// run's value buffer, which applyRun sized for the run.
-	from := datalog.NodeV(msg.From)
-	for _, p := range msg.Payloads {
-		n.runFact("export", self, from, datalog.OwnedBytes(p))
-	}
-	if msg.Kind == wire.MsgBatch {
-		root := datalog.OwnedBytes(msg.BatchRoot())
-		sig := datalog.OwnedBytes(msg.Sig)
-		for _, p := range msg.Payloads {
-			n.runFact("export_batch", from, datalog.OwnedBytes(p), root, sig)
-		}
-	}
 	m := runMsg{e: e, trace: msg.Trace, peer: in.From}
 	if msg.From != in.From {
 		m.peer = strings.Clone(msg.From)
@@ -247,16 +211,37 @@ func (n *Node) admit(e *envelope, self datalog.Value) {
 	if m.trace == 0 {
 		m.trace = obs.NewTraceID() // a pre-trace sender starts a fresh wave here
 	}
+	if msg.Kind == wire.MsgBatch {
+		m.root = msg.BatchRoot()
+	}
 	n.runMsgs = append(n.runMsgs, m)
-	n.runEnds = append(n.runEnds, len(n.runFacts))
 }
 
-// runFact appends a transient fact of pred over vals to the run, its tuple a
-// window of the run's value buffer.
-func (n *Node) runFact(pred string, vals ...datalog.Value) {
-	lo := len(n.runVals)
-	n.runVals = append(n.runVals, vals...)
-	n.runFacts = append(n.runFacts, engine.Fact{Pred: pred, Tuple: n.runVals[lo:len(n.runVals):len(n.runVals)], Transient: true})
+// addRunMsg adds the facts of the run's i-th message to the open transaction:
+// an export(self, from, Pkt) fact per payload, then, for a batch envelope, an
+// export_batch(from, Pkt, D, S) fact per payload. Every payload and the
+// signature are views of the datagram, which nothing writes to
+// (transport.InMsg), so the facts adopt them uncopied, and the workspace
+// views them for the transaction: only a row that keeps a payload's text
+// copies it. Each fact is the node's one tuple, refilled.
+func (n *Node) addRunMsg(i int, self datalog.Value) {
+	m := &n.runMsgs[i]
+	msg := &m.e.msg
+	from := datalog.NodeV(msg.From)
+	t := n.tuple[:3]
+	t[0], t[1] = self, from
+	for _, p := range msg.Payloads {
+		t[2] = datalog.OwnedBytes(p)
+		n.WS.Add(engine.Fact{Pred: "export", Tuple: t, Transient: true})
+	}
+	if msg.Kind == wire.MsgBatch {
+		t = n.tuple[:4]
+		t[0], t[2], t[3] = from, datalog.OwnedBytes(m.root), datalog.OwnedBytes(msg.Sig)
+		for _, p := range msg.Payloads {
+			t[1] = datalog.OwnedBytes(p)
+			n.WS.Add(engine.Fact{Pred: "export_batch", Tuple: t, Transient: true})
+		}
+	}
 }
 
 // enterWave adopts the wave of the run's i-th message: the transaction

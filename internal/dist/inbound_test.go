@@ -69,8 +69,22 @@ type inboundRig struct {
 // each peer that queues, untouched, on its never-started memnet endpoint.
 func newInboundRig(t *testing.T, policy core.PolicyConfig, n int) *inboundRig {
 	t.Helper()
+	aside := func(c *core.Cluster) []engine.Fact {
+		return append(peerFacts(c, advReceiver, advBystander),
+			engine.Fact{Pred: "aside", Tuple: datalog.Tuple{datalog.Prin(c.Principals[advBystander])}})
+	}
+	return recordRig(t, policy, adversaryQuery, aside, n, func(i int) []engine.Fact {
+		return []engine.Fact{{Pred: "msg", Tuple: datalog.Tuple{datalog.Int64(int64(100 + i))}}}
+	})
+}
+
+// recordRig builds the deployment over query and records n datagrams from p0
+// to p1: p0 commits the setup facts, then the n transactions txn(0) to
+// txn(n-1), each of which must ship exactly one datagram to p1.
+func recordRig(t *testing.T, policy core.PolicyConfig, query string, setup func(*core.Cluster) []engine.Fact, n int, txn func(i int) []engine.Fact) *inboundRig {
+	t.Helper()
 	policy.Delegation = core.DelegateNone // the query imports its says itself
-	c, err := core.NewCluster(core.ClusterConfig{N: 3, Policy: policy, Query: adversaryQuery, Seed: 5})
+	c, err := core.NewCluster(core.ClusterConfig{N: 3, Policy: policy, Query: query, Seed: 5})
 	if err != nil {
 		t.Fatalf("NewCluster: %v", err)
 	}
@@ -78,14 +92,13 @@ func newInboundRig(t *testing.T, policy core.PolicyConfig, n int) *inboundRig {
 	r := &inboundRig{c: c}
 	r.vpool, r.spool = policy.Memos()
 	sender := c.Nodes[advSender]
-	aside := engine.Fact{Pred: "aside", Tuple: datalog.Tuple{datalog.Prin(c.Principals[advBystander])}}
-	if _, err := sender.WS.Assert(append(peerFacts(c, advReceiver, advBystander), aside)); err != nil {
+	if _, err := sender.WS.Assert(setup(c)); err != nil {
 		t.Fatalf("sender setup: %v", err)
 	}
 	sender.Start()
 	inbox := c.MemNet().Endpoint(c.Addrs[advReceiver]).Receive()
 	for i := 0; i < n; i++ {
-		sender.Assert([]engine.Fact{{Pred: "msg", Tuple: datalog.Tuple{datalog.Int64(int64(100 + i))}}})
+		sender.Assert(txn(i))
 		select {
 		case m := <-inbox:
 			r.honest = append(r.honest, m)

@@ -99,15 +99,12 @@ type Node struct {
 	curPeer  string
 
 	// The inbound batch being applied (loop-goroutine only, reused across
-	// batches): its datagrams decoded, and of the run being built the
-	// export/export_batch facts of every admitted datagram in arrival order,
-	// the values their tuples are windows of, and per datagram where its
-	// facts end.
-	envs     []envelope
-	runFacts []engine.Fact
-	runVals  []datalog.Value
-	runMsgs  []runMsg
-	runEnds  []int
+	// batches): its datagrams decoded, the admitted datagrams of the run
+	// being built, in arrival order, and the one tuple every fact of a run is
+	// refilled into on its way into the transaction (addRunMsg).
+	envs    []envelope
+	runMsgs []runMsg
+	tuple   [4]datalog.Value
 
 	runSizes     *obs.Histogram // datagrams per inbound transaction
 	runFallbacks *obs.Counter   // merged inbound transactions rejected and replayed per datagram
@@ -460,52 +457,50 @@ func (n *Node) drainLocal() {
 		return
 	}
 	n.curTrace, n.curHop, n.curPeer = obs.NewTraceID(), 0, ""
-	ends := make([]int, len(batches))
-	var facts []engine.Fact
-	for i, b := range batches {
-		facts = append(facts, b...)
-		ends[i] = len(facts)
-	}
-	n.commitMerged(facts, ends, nil)
+	n.commitMerged(len(batches), func(i int) {
+		for _, f := range batches[i] {
+			n.WS.Add(f)
+		}
+	}, nil)
 }
 
-// commitMerged commits the parts of facts (part i ends at ends[i]) as one
-// transaction and ships once. If the merged transaction is rejected, each
-// part is committed on its own in order — enter(i), if set, runs before part
-// i — so a bad part rolls back alone, is one recorded violation, and cannot
-// veto the others. It reports whether the parts went in as one transaction.
-func (n *Node) commitMerged(facts []engine.Fact, ends []int, enter func(part int)) bool {
-	if len(ends) > 1 {
-		start := time.Now()
-		if res, err := n.WS.Assert(facts); err == nil {
-			n.committed(start, len(ends))
-			n.ship(res.InsertedRows("export"))
-			return true
-		}
+// commitMerged commits parts 0 to parts-1 as one transaction — add(i) adds
+// part i's facts to it (engine.Workspace.Add) — and ships once. If the merged
+// transaction is rejected, each part is committed on its own in order —
+// enter(i), if set, runs before part i — so a bad part rolls back alone, is
+// one recorded violation, and cannot veto the others. It reports whether the
+// parts went in as one transaction.
+func (n *Node) commitMerged(parts int, add, enter func(part int)) bool {
+	if parts > 1 && n.commit(0, parts, add) == nil {
+		return true
 	}
-	lo := 0
-	for i, hi := range ends {
+	for i := range parts {
 		if enter != nil {
 			enter(i)
 		}
-		n.commit(facts[lo:hi])
-		lo = hi
+		if err := n.commit(i, i+1, add); err != nil {
+			n.recordViolation(err)
+		}
 	}
 	return false
 }
 
-// commit runs one transaction over the workspace. On success the export
-// delta is shipped; on rejection the violation is recorded (the workspace
-// has already rolled the whole batch back).
-func (n *Node) commit(facts []engine.Fact) {
+// commit runs parts lo to hi-1 as one workspace transaction and, if it
+// commits, ships its export delta; on rejection the workspace has already
+// rolled the whole transaction back.
+func (n *Node) commit(lo, hi int, add func(part int)) error {
 	start := time.Now()
-	res, err := n.WS.Assert(facts)
-	if err != nil {
-		n.recordViolation(err)
-		return
+	n.WS.Begin()
+	for i := lo; i < hi; i++ {
+		add(i)
 	}
-	n.committed(start, 1)
+	res, err := n.WS.Commit()
+	if err != nil {
+		return err
+	}
+	n.committed(start, hi-lo)
 	n.ship(res.InsertedRows("export"))
+	return nil
 }
 
 // committed records one committed transaction that began at start: the

@@ -64,6 +64,9 @@ type txn struct {
 	// the transaction's next insert may overwrite it.
 	cells []cell
 	mark  symMark // where the intern table stood when the transaction began
+	// err is the error of the fact Add could not insert, after which the
+	// transaction is rolled back.
+	err error
 }
 
 // begin starts a transaction. A workspace runs one at a time, so the undo log
@@ -875,15 +878,48 @@ func (rs Rows) At(i int) datalog.Tuple {
 // installed rules to a local fixpoint, and check integrity constraints. On
 // any violation the entire transaction (input facts included) is rolled
 // back and the violation returned, matching the paper's §5.2 semantics.
-// Otherwise it commits, and its transient facts leave the store.
+// Otherwise it commits, and its transient facts leave the store. It is
+// Begin, one Add per fact and Commit.
 func (w *Workspace) Assert(facts []Fact) (*TxnResult, error) {
-	defer w.publishStats()
-	t := w.begin()
+	w.Begin()
 	for _, f := range facts {
-		if err := w.insertBase(t, w.relationFor(f), f.Tuple, f.Transient); err != nil {
-			w.rollback(t)
-			return nil, err
-		}
+		w.Add(f)
+	}
+	return w.Commit()
+}
+
+// Begin starts a transaction whose base facts Add inserts one at a time and
+// Commit ends. Nothing is allocated per transaction or per fact, so a caller
+// that holds its facts in another shape — a node's decoded datagrams — feeds
+// them through one reused tuple instead of building a list.
+func (w *Workspace) Begin() {
+	w.begin().err = nil
+}
+
+// Add inserts one base fact into the transaction Begin started. Its values
+// are read at once, so the caller may reuse f.Tuple for the next fact; the
+// text of a transient fact is viewed, not copied, and must not change until
+// Commit returns. A fact that cannot be inserted rolls the transaction back:
+// Commit returns its error, and every Add until then does nothing.
+func (w *Workspace) Add(f Fact) {
+	t := &w.txn
+	if t.err != nil {
+		return
+	}
+	if err := w.insertBase(t, w.relationFor(f), f.Tuple, f.Transient); err != nil {
+		w.rollback(t)
+		t.err = err
+	}
+}
+
+// Commit ends the transaction Begin started, as Assert describes: the
+// fixpoint, the constraint check, and a rollback on any error, an Add's
+// included.
+func (w *Workspace) Commit() (*TxnResult, error) {
+	defer w.publishStats()
+	t := &w.txn
+	if t.err != nil {
+		return nil, t.err
 	}
 	if err := w.fixpoint(t); err != nil {
 		w.rollback(t)

@@ -5,7 +5,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"hash/fnv"
-	"math/rand"
+	"math/rand/v2"
 	"sync"
 	"time"
 
@@ -160,6 +160,7 @@ func (st *dedupState) advance() {
 func newReliable(addr string, out lower) *ReliableEndpoint {
 	h := fnv.New64a()
 	h.Write([]byte(addr))
+	seed := h.Sum64()
 	return &ReliableEndpoint{
 		addr:     addr,
 		out:      out,
@@ -168,7 +169,7 @@ func newReliable(addr string, out lower) *ReliableEndpoint {
 		pending:  make(map[string]map[uint64]*unacked),
 		inflight: make(map[string]int),
 		seen:     make(map[string]*dedupState),
-		rng:      rand.New(rand.NewSource(int64(h.Sum64()))),
+		rng:      rand.New(rand.NewPCG(seed, seed)),
 		stop:     make(chan struct{}),
 	}
 }

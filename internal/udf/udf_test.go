@@ -451,10 +451,11 @@ func TestUDFsNeverWriteIntoTheirInputs(t *testing.T) {
 // TestPayloadUDFsAllocateOnlyWhatTheyReturn: serialize allocates nothing — it
 // encodes into a buffer it reuses, the workspace interning each payload before
 // the next call; deserialize turns a payload of another
-// predicate away without allocating at all, and for its own allocates the
-// string values it hands back (one here; integers ride in the Value, and the
-// signature is a view of the payload) — no copy of the argument vector, no
-// decoded tuple, no result slice.
+// predicate away without allocating at all, and for its own allocates nothing
+// either: integers ride in the Value, and the text it hands back (the node
+// address here) and the signature are views of the payload, which the
+// workspace interns before the payload could change — no copy of a value, of
+// the argument vector, no decoded tuple, no result slice.
 func TestPayloadUDFsAllocateOnlyWhatTheyReturn(t *testing.T) {
 	reg, err := NewRegistry(seccrypto.NewKeyStore("alice"), nil)
 	if err != nil {
@@ -480,8 +481,8 @@ func TestPayloadUDFsAllocateOnlyWhatTheyReturn(t *testing.T) {
 		if ok, err := de.Eval("path", out, free); !ok || err != nil {
 			t.Fatalf("deserialize: %v, %v", ok, err)
 		}
-	}); allocs != 1 {
-		t.Errorf("deserialize of its own predicate: %.1f allocations, want 1 (the node address; the signature views the payload)", allocs)
+	}); allocs != 0 {
+		t.Errorf("deserialize of its own predicate: %.1f allocations, want 0 (the node address and the signature view the payload)", allocs)
 	}
 	if !out[0].Equal(sig) || !out[2].Equal(hop) || !out[3].Equal(cost) {
 		t.Errorf("round trip: %v", out)

@@ -11,6 +11,7 @@ import (
 	"errors"
 	"fmt"
 	"math/bits"
+	"unsafe"
 
 	"secureblox/internal/datalog"
 )
@@ -50,6 +51,10 @@ func readField(buf []byte) (field, rest []byte, err error) {
 	return buf[:n:n], buf[n:], nil
 }
 
+// view returns b as a string without copying it: b must not change while
+// the string is in use.
+func view(b []byte) string { return unsafe.String(unsafe.SliceData(b), len(b)) }
+
 // AppendValue encodes one value.
 func AppendValue(buf []byte, v datalog.Value) []byte {
 	buf = append(buf, byte(v.Kind))
@@ -80,7 +85,12 @@ func valueLen(v datalog.Value) int {
 	return 1
 }
 
-// ReadValue decodes one value, returning it and the remaining bytes.
+// ReadValue decodes one value, returning it and the remaining bytes. The
+// text of a string, name, node, principal, bytes or entity value is a view of
+// buf, not a copy: buf must not change while the value is in use, and a
+// caller that keeps the value past that copies its text (strings.Clone). The
+// inbound path decodes payloads the workspace holds, and the engine copies
+// what a rule binds into its own storage before the payload could change.
 func ReadValue(buf []byte) (datalog.Value, []byte, error) {
 	if len(buf) == 0 {
 		return datalog.Value{}, nil, ErrTruncated
@@ -102,14 +112,14 @@ func ReadValue(buf []byte) (datalog.Value, []byte, error) {
 		if err != nil {
 			return v, nil, err
 		}
-		v.Str = string(str)
+		v.Str = view(str)
 		return v, rest, nil
 	case datalog.KindEntity:
 		str, rest, err := readField(buf)
 		if err != nil {
 			return v, nil, err
 		}
-		v.Str = string(str)
+		v.Str = view(str)
 		id, rest, err := readUvarint(rest)
 		if err != nil {
 			return v, nil, err
@@ -157,7 +167,7 @@ func ReadCount(buf []byte) (int, []byte, error) {
 	return int(n), buf, nil
 }
 
-// ReadTuple decodes a tuple.
+// ReadTuple decodes a tuple, its text viewing buf as ReadValue's does.
 func ReadTuple(buf []byte) (datalog.Tuple, []byte, error) {
 	n, buf, err := ReadCount(buf)
 	if err != nil {
@@ -221,14 +231,16 @@ func OpenPayload(buf []byte) (pred, sig, tuple []byte, err error) {
 	return pred, sig, buf, nil
 }
 
-// DecodePayload parses a payload.
+// DecodePayload parses a payload. Its predicate, its signature and the text of
+// its values are views of buf, as ReadValue's are: buf must not change while
+// the payload is in use.
 func DecodePayload(buf []byte) (Payload, error) {
 	var p Payload
 	pred, sig, buf, err := OpenPayload(buf)
 	if err != nil {
 		return p, err
 	}
-	p.Pred, p.Sig = string(pred), append([]byte(nil), sig...)
+	p.Pred, p.Sig = view(pred), sig
 	p.Vals, buf, err = ReadTuple(buf)
 	if err != nil {
 		return p, err
