@@ -195,8 +195,8 @@ func replay(t *testing.T, app coalesceApp, r int, seq []transport.InMsg, cuts []
 		if err != nil {
 			t.Fatalf("node %d sent an undecodable datagram: %v", r, err)
 		}
-		for _, p := range m.Payloads {
-			if k := fmt.Sprintf("%s|%x", s.To, p); !seen[k] {
+		for run := m.Run; run.N > 0; {
+			if k := fmt.Sprintf("%s|%x", s.To, run.Next()); !seen[k] {
 				seen[k] = true
 				sent = append(sent, k)
 			}

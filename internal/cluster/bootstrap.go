@@ -40,7 +40,9 @@ func (e *BootstrapError) Error() string {
 func (e *BootstrapError) Unwrap() error { return e.Err }
 
 // controlMsg stamps a bootstrap record with this cluster's name and wraps
-// it in the MsgControl envelope every node runtime already routes.
+// it in the MsgControl envelope every node runtime already routes. The
+// datagram has no spare capacity (wire.ControlMessage), so one record may go
+// to every member.
 func (rt *Runtime) controlMsg(rec wire.Control) []byte {
 	rec.Cluster = rt.cfg.Cluster
 	return wire.ControlMessage(rt.ep.Addr(), rec)

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/binary"
 	"fmt"
+	"math"
 	"runtime"
 	"sort"
 	"strings"
@@ -240,8 +241,8 @@ func noteRig(t *testing.T, policy core.PolicyConfig, d, m int) *inboundRig {
 		return facts
 	})
 	for i, h := range r.honest {
-		if msg, err := wire.DecodeMessage(h.Data); err != nil || len(msg.Payloads) != m {
-			t.Fatalf("datagram %d carries %d payloads, want %d (%v)", i, len(msg.Payloads), m, err)
+		if msg, err := wire.DecodeMessage(h.Data); err != nil || msg.Run.N != m {
+			t.Fatalf("datagram %d carries %d payloads, want %d (%v)", i, msg.Run.N, m, err)
 		}
 	}
 	return r
@@ -303,13 +304,15 @@ func TestImportedTextOutlivesItsDatagram(t *testing.T) {
 // TestAdmissionCostDoesNotGrowWithPayloads: a merged run of d datagrams of m
 // payloads each, delivered a second time, so that it keeps no row and finds
 // the workspace's transient relation already grown to its size: what the
-// repeat allocates may grow with m by the decoded messages' payload lists (one
-// 24-byte slice header per payload) and nothing else — no Go fact or value
-// per payload on the way into the transaction, no copy of the text the import
-// decodes. Measured per datagram at m = 1 and m = 500, under NoAuth and
-// RSA-batch (two facts per payload).
+// repeat allocates does not grow with m — the decoded message's run is a view
+// of the datagram, walked in place, no Go fact or value is made per payload
+// on the way into the transaction, and the text the import decodes is not
+// copied. Measured per datagram at m = 1 and m = 500, under NoAuth and
+// RSA-batch (two facts per payload); 4 bytes per payload is the ceiling, a
+// sixth of a slice header per payload. Each cost is the least of three
+// repeats, which keeps out what other goroutines allocate meanwhile.
 func TestAdmissionCostDoesNotGrowWithPayloads(t *testing.T) {
-	const d, perPayload = 2, 32
+	const d, perPayload, reps = 2, 4, 3
 	for _, policy := range []core.PolicyConfig{{Auth: core.AuthNone}, {Auth: core.AuthRSA, BatchSign: true}} {
 		t.Run(policy.Name(), func(t *testing.T) {
 			var cost [2]float64 // bytes per datagram at m = 1 and m = 500
@@ -321,16 +324,19 @@ func TestAdmissionCostDoesNotGrowWithPayloads(t *testing.T) {
 				if got := node.WS.Count("noted"); got != d*m || len(node.Violations()) != 0 {
 					t.Fatalf("m=%d: %d notes imported, want %d (violations: %v)", m, got, d*m, node.Violations())
 				}
-				txns := node.Txns()
-				var m0, m1 runtime.MemStats
-				runtime.ReadMemStats(&m0)
-				ep.Deliver(rig.honest...)
-				settled(t, node, 2*d)
-				runtime.ReadMemStats(&m1)
-				if got := node.Txns() - txns; got != 1 || len(node.Violations()) != 0 {
-					t.Fatalf("m=%d: the run committed as %d transactions, want 1 (violations: %v)", m, got, node.Violations())
+				cost[i] = math.Inf(1)
+				for rep := range reps {
+					txns := node.Txns()
+					var m0, m1 runtime.MemStats
+					runtime.ReadMemStats(&m0)
+					ep.Deliver(rig.honest...)
+					settled(t, node, int64(rep+2)*d)
+					runtime.ReadMemStats(&m1)
+					if got := node.Txns() - txns; got != 1 || len(node.Violations()) != 0 {
+						t.Fatalf("m=%d: the run committed as %d transactions, want 1 (violations: %v)", m, got, node.Violations())
+					}
+					cost[i] = min(cost[i], float64(m1.TotalAlloc-m0.TotalAlloc)/d)
 				}
-				cost[i] = float64(m1.TotalAlloc-m0.TotalAlloc) / d
 				t.Logf("m=%d: %.0f bytes per datagram", m, cost[i])
 			}
 			if grew := (cost[1] - cost[0]) / 499; grew > perPayload {

@@ -197,7 +197,7 @@ func (n *Node) admit(e *envelope) {
 	}
 	n.msgsRecv.Inc()
 	n.bytesRecv.Add(int64(len(in.Data)))
-	if e.err != nil || len(msg.Payloads) == 0 {
+	if e.err != nil || msg.Run.N == 0 {
 		return // malformed or empty datagram: drop it
 	}
 	if msg.Kind == wire.MsgBatch && !n.batchRows {
@@ -219,26 +219,27 @@ func (n *Node) admit(e *envelope) {
 
 // addRunMsg adds the facts of the run's i-th message to the open transaction:
 // an export(self, from, Pkt) fact per payload, then, for a batch envelope, an
-// export_batch(from, Pkt, D, S) fact per payload. Every payload and the
-// signature are views of the datagram, which nothing writes to
-// (transport.InMsg), so the facts adopt them uncopied, and the workspace
-// views them for the transaction: only a row that keeps a payload's text
-// copies it. Each fact is the node's one tuple, refilled.
+// export_batch(from, Pkt, D, S) fact per payload, walking the datagram's run
+// in place (wire.Run.Next). Every payload and the signature are views of the
+// datagram, which nothing writes to (transport.InMsg), so the facts adopt
+// them uncopied, and the workspace views them for the transaction: only a row
+// that keeps a payload's text copies it. Each fact is the node's one tuple,
+// refilled.
 func (n *Node) addRunMsg(i int, self datalog.Value) {
 	m := &n.runMsgs[i]
 	msg := &m.e.msg
 	from := datalog.NodeV(msg.From)
 	t := n.tuple[:3]
 	t[0], t[1] = self, from
-	for _, p := range msg.Payloads {
-		t[2] = datalog.OwnedBytes(p)
+	for run := msg.Run; run.N > 0; {
+		t[2] = datalog.OwnedBytes(run.Next())
 		n.WS.Add(engine.Fact{Pred: "export", Tuple: t, Transient: true})
 	}
 	if msg.Kind == wire.MsgBatch {
 		t = n.tuple[:4]
 		t[0], t[2], t[3] = from, datalog.OwnedBytes(m.root), datalog.OwnedBytes(msg.Sig)
-		for _, p := range msg.Payloads {
-			t[1] = datalog.OwnedBytes(p)
+		for run := msg.Run; run.N > 0; {
+			t[1] = datalog.OwnedBytes(run.Next())
 			n.WS.Add(engine.Fact{Pred: "export_batch", Tuple: t, Transient: true})
 		}
 	}
@@ -271,10 +272,10 @@ func (n *Node) decodeSpan(m runMsg, addr string, into uint64) {
 // taken between transactions, never mid-commit, and its counters include
 // every send of every commit before it.
 func (n *Node) handleProbe(replyTo string, msg wire.Message) {
-	if len(msg.Payloads) != 1 {
+	if msg.Run.N != 1 {
 		return
 	}
-	c, err := wire.DecodeControl(msg.Payloads[0])
+	c, err := wire.DecodeControl(msg.Run.Next())
 	switch {
 	case err != nil || c.Type == wire.CtrlReport:
 		return

@@ -219,7 +219,8 @@ func (r *inboundRig) forge(t *testing.T, m transport.InMsg, how forgery) transpo
 	case policy.BatchSign:
 		msg.Sig[len(msg.Sig)/2] ^= 0xFF
 	default:
-		p, err := wire.DecodePayload(msg.Payloads[0])
+		run := msg.Run
+		p, err := wire.DecodePayload(run.Next())
 		if err != nil {
 			t.Fatalf("honest payload does not decode: %v", err)
 		}
@@ -228,7 +229,10 @@ func (r *inboundRig) forge(t *testing.T, m transport.InMsg, how forgery) transpo
 		} else {
 			p.Sig[len(p.Sig)/2] ^= 0xFF
 		}
-		msg.Payloads[0] = wire.EncodePayload(p)
+		msg.Run = wire.Run{}.Append(wire.EncodePayload(p))
+		for run.N > 0 {
+			msg.Run = msg.Run.Append(run.Next())
+		}
 	}
 	return transport.InMsg{From: m.From, Data: wire.EncodeMessage(msg)}
 }
@@ -300,8 +304,8 @@ func settle(t *testing.T, n *dist.Node, ep *transporttest.Scripted, finalWave ui
 		if msg.Kind == wire.MsgControl {
 			continue
 		}
-		for _, p := range msg.Payloads {
-			if k := s.To + "|" + string(p); !seen[k] {
+		for run := msg.Run; run.N > 0; {
+			if k := s.To + "|" + string(run.Next()); !seen[k] {
 				seen[k] = true
 				out.shipped = append(out.shipped, k)
 			}

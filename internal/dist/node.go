@@ -85,10 +85,10 @@ type Node struct {
 	batchRows bool   // the program declares export_batch, so batch envelopes are admitted
 
 	// What ship reuses from one transaction to the next: the routes, the
-	// payload list the chunks are windows of, and the chunks.
+	// chunks, and under batch signing the digester of their runs.
 	routes   []route
-	payloads [][]byte
 	chunks   []outChunk
+	digester *wire.Digester
 
 	// Wave-trace context of the unit of work the loop is currently
 	// applying (loop-goroutine only): the trace ID and hop distance any

@@ -12,12 +12,16 @@ import (
 	"secureblox/internal/wire"
 )
 
-// outChunk is one wire message in the making: a route's payloads that fit
-// a single datagram.
+// outChunk is one datagram in the making: a route's payloads that fit a
+// single datagram. They are the rows in [lo, hi) of the shipping
+// transaction's export rows that take its route, in row order.
 type outChunk struct {
 	to, from  string
-	payloads  [][]byte // a window of the shipping transaction's one payload list
-	oversized bool     // single payload beyond the datagram budget, shipped alone
+	route     int  // its route's index: the chunks go out route by route
+	lo, hi    int  // the export rows it covers
+	n, size   int  // its payloads, and the bytes their run takes
+	budget    int  // what chunking charges it: header and payloads at their bounds
+	oversized bool // single payload beyond the datagram budget, shipped alone
 
 	// Batch-signing mode: the signing group the chunk belongs to and its
 	// position in it.
@@ -30,7 +34,7 @@ type outChunk struct {
 // over the group root of their digests (paper footnote 2: "sign batch
 // aggregates"), made once before the group's first send.
 type batchGroup struct {
-	digests []byte // the chunks' wire.BatchDigests, concatenated in group order
+	digests []byte // the chunks' run digests, concatenated in group order
 	sig     []byte
 	err     error
 }
@@ -47,58 +51,65 @@ var groupSizeBuckets = []float64{1, 2, 3, 4, 8, 16}
 // loopbacks) and to evicted peers are skipped. A send that fails is one
 // recorded violation and is not offered again.
 //
-// exports is read twice, each row as one reused view
-// (engine.TxnResult.InsertedRows): what ship keeps of a tuple is its text,
-// which the workspace's intern table holds for good. The first pass counts
-// each route's payloads, routes in order of first appearance; the second
-// places the payloads, grouped by route, into one list the transaction's
-// chunks are windows of. Every chunk is encoded and sent before ship returns,
-// so the list is the node's and reused.
+// exports is read by position, each row as one reused view
+// (engine.TxnResult.InsertedRows): what ship takes of a tuple is its payload,
+// which the workspace's intern table holds for good. One pass cuts every
+// route's payloads, in row order, into datagram-sized chunks, each a span of
+// rows and the count and size of the payloads it covers; routes are ordered
+// by first appearance. Then each chunk is encoded once, straight from its
+// rows into the buffer the transport sends (sendChunk), and under batch
+// signing its run is digested from the same rows before that (sealGroups).
+// Nothing ship keeps grows with the number of exports: the routes and chunks
+// are the node's, reused.
 func (n *Node) ship(exports engine.Rows) {
 	self := n.localAddr()
-	routes := n.routes[:0]
-	for i := range exports.Len() {
-		if to, from, ok := n.shipsTo(exports.At(i), self); ok {
-			r := routeIndex(routes, to, from)
-			if r < 0 {
-				r, routes = len(routes), append(routes, route{to: to, from: from})
-			}
-			routes[r].n++
-		}
-	}
-	n.routes = routes
-	// routes[i].n becomes where route i's payloads start, and then, as they
-	// are placed, where they end.
-	total := 0
-	for i := range routes {
-		routes[i].n, total = total, total+routes[i].n
-	}
-	if total == 0 {
-		return
-	}
-	n.payloads = slices.Grow(n.payloads[:0], total)
-	payloads := n.payloads[:total]
+	routes, chunks := n.routes[:0], n.chunks[:0]
 	for i := range exports.Len() {
 		t := exports.At(i)
-		if to, from, ok := n.shipsTo(t, self); ok {
-			r := &routes[routeIndex(routes, to, from)]
-			payloads[r.n] = t[2].Bytes()
-			r.n++
+		to, from, ok := n.shipsTo(t, self)
+		if !ok {
+			continue
 		}
+		r := routeIndex(routes, to, from)
+		if r < 0 {
+			header := wire.MessageOverhead(from)
+			if n.SignBatch != nil {
+				header = wire.MessageOverheadBatch(from)
+			}
+			r, routes = len(routes), append(routes, route{to: to, from: from, header: header, open: -1})
+		}
+		rt := &routes[r]
+		p := len(t[2].Str)
+		sz := wire.PayloadOverhead + p
+		if rt.header+sz > transport.MaxDatagram {
+			// A payload that cannot fit any datagram even alone is isolated
+			// into its own flagged chunk, so its inevitable transport
+			// rejection costs exactly one payload and one clearly-attributed
+			// violation instead of sinking the chunk it would have shared.
+			chunks = append(chunks, outChunk{to: to, from: from, route: r, lo: i, hi: i + 1, n: 1, size: wire.RunLen(p), oversized: true})
+			rt.open = -1
+			continue
+		}
+		if rt.open >= 0 && chunks[rt.open].budget+sz > transport.MaxDatagram {
+			rt.open = -1
+		}
+		if rt.open < 0 {
+			rt.open, chunks = len(chunks), append(chunks, outChunk{to: to, from: from, route: r, lo: i, budget: rt.header})
+		}
+		c := &chunks[rt.open]
+		c.hi, c.n, c.size, c.budget = i+1, c.n+1, c.size+wire.RunLen(p), c.budget+sz
 	}
-	chunks, lo := n.chunks[:0], 0
-	for _, r := range routes {
-		chunks = chunkRoute(chunks, r.to, r.from, payloads[lo:r.n], n.SignBatch != nil)
-		lo = r.n
+	n.routes = routes
+	// Each route's chunks were cut in row order; they go out route by route.
+	slices.SortStableFunc(chunks, func(a, b outChunk) int { return a.route - b.route })
+	if n.SignBatch != nil && len(chunks) > 0 {
+		n.sealGroups(exports, chunks)
 	}
-	if n.SignBatch != nil {
-		n.sealGroups(chunks)
-	}
-	for _, c := range chunks {
-		n.sendChunk(c)
+	for i := range chunks {
+		n.sendChunk(exports, &chunks[i])
 	}
 	clear(chunks)
-	n.chunks = chunks
+	n.chunks = chunks[:0]
 }
 
 // shipsTo reports whether ship sends t — a well-formed export(N, L, Pkt)
@@ -114,12 +125,24 @@ func (n *Node) shipsTo(t datalog.Tuple, self string) (to, from string, ok bool) 
 	return to, t[1].Str, true
 }
 
+// payloadOf returns t's payload if chunk c carries it: if t, one of the rows
+// in c's span, is an export tuple on c's route. shipsTo admitted the route
+// when ship cut the chunk.
+func payloadOf(t datalog.Tuple, c *outChunk) ([]byte, bool) {
+	if len(t) != 3 || t[0].Str != c.to || t[1].Str != c.from ||
+		t[0].Kind != datalog.KindNode || t[1].Kind != datalog.KindNode || t[2].Kind != datalog.KindBytes {
+		return nil, false
+	}
+	return t[2].Bytes(), true
+}
+
 // route is one destination of a shipping transaction and the address its
-// payloads claim to come from; n counts its payloads, then marks where they
-// end in the transaction's list.
+// payloads claim to come from, with the header chunking charges each of its
+// datagrams and the chunk it is filling (-1: none).
 type route struct {
 	to, from string
-	n        int
+	header   int
+	open     int
 }
 
 // routeIndex returns the index of the route to, from in routes, or -1.
@@ -131,14 +154,25 @@ func routeIndex(routes []route, to, from string) int {
 // chunks, across every route, are cut into groups of at most wire.MaxGroup,
 // and each group's root is signed once, here, timed as a sign span. A
 // transaction advertising to three neighbours pays one private-key operation,
-// not three.
-func (n *Node) sealGroups(chunks []outChunk) {
+// not three. A chunk's digest is its run's (wire.Run.Digest), taken from the
+// rows sendChunk encodes the run from, before the signature that precedes the
+// run in the datagram exists.
+func (n *Node) sealGroups(exports engine.Rows, chunks []outChunk) {
+	if n.digester == nil {
+		n.digester = wire.NewDigester()
+	}
 	for lo := 0; lo < len(chunks); lo += wire.MaxGroup {
 		group := chunks[lo:min(lo+wire.MaxGroup, len(chunks))]
 		g := &batchGroup{digests: make([]byte, 0, len(group)*wire.DigestSize)}
 		for i := range group {
-			g.digests = append(g.digests, wire.BatchDigest(group[i].payloads)...)
-			group[i].group, group[i].pos = g, i
+			c := &group[i]
+			for r := c.lo; r < c.hi; r++ {
+				if p, ok := payloadOf(exports.At(r), c); ok {
+					n.digester.Add(p)
+				}
+			}
+			g.digests = n.digester.AppendSum(g.digests)
+			c.group, c.pos = g, i
 		}
 		n.groupSizes.Observe(float64(len(group)))
 		start := time.Now()
@@ -150,66 +184,38 @@ func (n *Node) sealGroups(chunks []outChunk) {
 	}
 }
 
-// chunkRoute appends one route's payloads to chunks, cut into datagram-sized
-// windows of payloads. A single payload that cannot fit any datagram even
-// alone is isolated into its own flagged chunk up front, so its inevitable
-// transport rejection costs exactly one payload and one clearly-attributed
-// violation instead of silently sinking the batch it happened to share a
-// flush with.
-func chunkRoute(chunks []outChunk, to, from string, payloads [][]byte, batchSigned bool) []outChunk {
-	header := wire.MessageOverhead(from)
-	if batchSigned {
-		header = wire.MessageOverheadBatch(from)
-	}
-	lo, size := 0, header
-	flush := func(hi int) {
-		if hi > lo {
-			chunks = append(chunks, outChunk{to: to, from: from, payloads: payloads[lo:hi:hi]})
-		}
-		lo, size = hi, header
-	}
-	for i, p := range payloads {
-		sz := wire.PayloadOverhead + len(p)
-		if header+sz > transport.MaxDatagram {
-			flush(i)
-			chunks = append(chunks, outChunk{to: to, from: from, payloads: payloads[i : i+1 : i+1], oversized: true})
-			lo = i + 1
-			continue
-		}
-		if i > lo && size+sz > transport.MaxDatagram {
-			flush(i)
-		}
-		size += sz
-	}
-	flush(len(payloads))
-	return chunks
-}
-
-// sendChunk sends one chunk — in batch mode as an envelope carrying its
-// group's signature — stamped with the loop's wave context, updating the
-// termination counter (when the destination is a counted peer) and the
-// traffic metrics. On any failure — signing error, unknown address, closed
-// destination, oversized datagram — a violation is recorded so the loss is
-// observable; the chunk is not sent again. Over UDP the reliable layer below
-// retransmits accepted datagrams until delivery, over memnet delivery is
+// sendChunk encodes one chunk — in batch mode as an envelope carrying its
+// group's signature — stamped with the loop's wave context, and sends it,
+// updating the termination counter (when the destination is a counted peer)
+// and the traffic metrics. The message is encoded once, from the chunk's rows,
+// into a buffer of its exact size plus transport.FrameRoom, which the
+// transport sends as it is. On any failure — signing error, unknown address,
+// closed destination, oversized datagram — a violation is recorded so the
+// loss is observable; the chunk is not sent again. Over UDP the reliable layer
+// below retransmits accepted datagrams until delivery, over memnet delivery is
 // immediate.
-func (n *Node) sendChunk(c outChunk) {
-	msg := wire.Message{From: c.from, Payloads: c.payloads, Trace: n.curTrace, Hop: n.curHop + 1}
+func (n *Node) sendChunk(exports engine.Rows, c *outChunk) {
+	m := wire.Message{From: c.from, Run: wire.Run{N: c.n}, Trace: n.curTrace, Hop: n.curHop + 1}
 	if g := c.group; g != nil {
 		if g.err != nil {
-			n.recordViolation(fmt.Errorf("dist: batch signing of %d payloads to %s failed: %w", len(c.payloads), c.to, g.err))
+			n.recordViolation(fmt.Errorf("dist: batch signing of %d payloads to %s failed: %w", c.n, c.to, g.err))
 			return
 		}
-		msg.Kind, msg.Sig = wire.MsgBatch, g.sig
-		msg.Pos, msg.Siblings = uint32(c.pos), wire.Siblings(g.digests, c.pos)
+		m.Kind, m.Sig = wire.MsgBatch, g.sig
+		m.Pos, m.Siblings = uint32(c.pos), wire.Siblings(g.digests, c.pos)
 	}
-	data := wire.EncodeMessage(msg)
+	data := wire.AppendHeader(make([]byte, 0, wire.HeaderLen(m)+c.size+transport.FrameRoom), m)
+	for i := c.lo; i < c.hi; i++ {
+		if p, ok := payloadOf(exports.At(i), c); ok {
+			data = wire.AppendRun(data, p)
+		}
+	}
 	shipStart := time.Now()
 	if err := n.ep.Send(c.to, data); err != nil {
 		if c.oversized {
-			n.recordViolation(fmt.Errorf("dist: oversized payload (%d bytes) to %s dropped: %w", len(c.payloads[0]), c.to, err))
+			n.recordViolation(fmt.Errorf("dist: oversized payload (%d-byte datagram) to %s dropped: %w", len(data), c.to, err))
 		} else {
-			n.recordViolation(fmt.Errorf("dist: dropped %d-payload message to %s: %w", len(c.payloads), c.to, err))
+			n.recordViolation(fmt.Errorf("dist: dropped %d-payload message to %s: %w", c.n, c.to, err))
 		}
 		return
 	}

@@ -1,6 +1,9 @@
 package dist
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
 	"math"
 	"runtime"
 	"testing"
@@ -74,11 +77,18 @@ func shipMeasured(n *Node, res *engine.TxnResult, reps int) (allocs, bytes uint6
 // 1 000 costs what k = 100 costs when both fit one chunk per route. In bytes,
 // an export costs its share of a datagram and nothing the store would keep:
 // the store already holds the row, so shipping keeps no second copy of it, and
-// the payload list the chunks are windows of is the node's, reused.
+// each chunk is encoded from its rows, with no list of payloads. A fresh
+// node's first ship adds only what the node then makes once and keeps — ship's
+// route and chunk lists, each destination's termination counters — a few
+// allocations per chunk.
 func TestShippingAllocatesPerRouteAndChunk(t *testing.T) {
 	const routes, payload, reps = 3, 16, 3
 	n, commit := exportNode(t, routes, payload)
-	shipMeasured(n, commit(1000), 1) // warm-up: ship's own buffers reach their working size
+	first, _, firstChunks, _ := shipMeasured(n, commit(1000), 1) // a fresh node, no warm-up
+	t.Logf("a fresh node's first ship of 1000 exports: %d allocations for %d chunks", first, firstChunks)
+	if limit := uint64(5 * firstChunks); firstChunks != routes || first > limit {
+		t.Errorf("a fresh node's first ship of 1000 exports made %d allocations for %d chunks, want at most %d", first, firstChunks, limit)
+	}
 	small, _, chunks, _ := shipMeasured(n, commit(100), reps)
 	large, bytes, largeChunks, _ := shipMeasured(n, commit(1000), reps)
 	perExport := float64(bytes) / 1000
@@ -92,22 +102,23 @@ func TestShippingAllocatesPerRouteAndChunk(t *testing.T) {
 	}
 	// A datagram share is all an export may cost: the payload and its one-byte
 	// length prefix, an eighth over for the allocator's size classes, and a
-	// byte for its share of the header. A slot of a fresh payload list (24
-	// bytes) would not fit under this ceiling.
+	// byte for its share of the header. A slot of a payload list (24 bytes)
+	// would not fit under this ceiling.
 	if ceiling := float64(payload+1)*9/8 + 1; perExport > ceiling {
 		t.Errorf("shipping costs %.1f bytes per %d-byte export, want at most %.1f", perExport, payload, ceiling)
 	}
 }
 
-// TestReshippingAllocatesOnlyDatagrams: every chunk is encoded and sent
-// before ship returns, so the payload list is the node's and reused: shipping
-// the same k exports a second time allocates the encoded datagrams — each up
-// to an eighth over its length, the allocator's size classes — and a per-chunk
-// constant, and no list of k payloads (24·k bytes) beside them. A batch-signing
-// node ships the same way, its group, digests and sibling lists within the
-// constant.
+// TestReshippingAllocatesOnlyDatagrams: every chunk is encoded from its rows
+// into the datagram it is sent as, so shipping k exports allocates the
+// datagrams — each up to an eighth over its length, the allocator's size
+// classes — and a per-chunk constant, and no list of k payloads (24·k bytes)
+// beside them: on a fresh node's first ship, where the constant also covers
+// what the node then makes once and keeps (ship's route and chunk lists, each
+// destination's termination counters), and again on the second. A batch-signing node ships the same way, its group, digests,
+// sibling lists and digester within the constant.
 func TestReshippingAllocatesOnlyDatagrams(t *testing.T) {
-	const routes, payload, k, perChunk = 3, 16, 3000, 256
+	const routes, payload, k, perChunk, firstPerChunk = 3, 16, 3000, 256, 768
 	sig := make([]byte, 128)
 	for _, batch := range []bool{false, true} {
 		n, commit := exportNode(t, routes, payload)
@@ -119,8 +130,13 @@ func TestReshippingAllocatesOnlyDatagrams(t *testing.T) {
 		n.Start()
 		t.Cleanup(n.Stop)
 		res := commit(k)
-		shipMeasured(n, res, 1) // the first ship grows the node's list to k payloads
-		_, bytes, datagrams, wireBytes := shipMeasured(n, res, 3)
+		_, bytes, datagrams, wireBytes := shipMeasured(n, res, 1)
+		t.Logf("batch %v: a fresh node's first ship of %d exports: %d bytes allocated for %d bytes of %d datagrams", batch, k, bytes, wireBytes, datagrams)
+		if limit := uint64(wireBytes*9/8 + firstPerChunk*datagrams); datagrams != routes || bytes > limit {
+			t.Errorf("batch %v: a fresh node's first ship of %d exports allocated %d bytes for %d datagrams of %d bytes, want at most the datagrams, an eighth over, and %d per chunk (%d)",
+				batch, k, bytes, datagrams, wireBytes, firstPerChunk, limit)
+		}
+		_, bytes, datagrams, wireBytes = shipMeasured(n, res, 3)
 		if datagrams != routes {
 			t.Fatalf("batch %v: reshipped %d datagrams, want one per route (%d)", batch, datagrams, routes)
 		}
@@ -128,6 +144,78 @@ func TestReshippingAllocatesOnlyDatagrams(t *testing.T) {
 		if limit := uint64(wireBytes*9/8 + perChunk*datagrams); bytes > limit {
 			t.Errorf("batch %v: reshipping %d exports allocated %d bytes, want at most the %d-byte datagrams, an eighth over, and %d per chunk (%d)",
 				batch, k, bytes, wireBytes, perChunk, limit)
+		}
+	}
+}
+
+// recording is an endpoint that records every datagram sent, in order.
+type recording struct {
+	discard
+	sent [][2]string // destination, datagram
+}
+
+func (r *recording) Send(to string, data []byte) error {
+	r.sent = append(r.sent, [2]string{to, string(data)})
+	return nil
+}
+
+// TestShippedDatagramsArePinned: one transaction's 3 000 exports over five
+// destinations and two claimed sources, payloads of 16 to 915 bytes and one
+// beyond any datagram, ship as the same datagrams, in the same order, byte
+// for byte, as they did when ship built a payload list and the encoder copied
+// it (the digests were recorded then): 31 datagrams, and under batch signing
+// two signing groups.
+func TestShippedDatagramsArePinned(t *testing.T) {
+	for _, c := range []struct {
+		batch  bool
+		digest string
+	}{
+		{false, "d94f7628d9dc22fb054c7f255e8b2128fdcd4eb4fca522ee4e3097d0d6cb2ad4"},
+		{true, "e0579492c2fc797ba41ccf945db2237e4d9f424379c1c80afa43ac7d72d1a2b5"},
+	} {
+		ws := engine.NewWorkspace(nil)
+		prog, err := datalog.Parse(ExportDecl)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := ws.Install(prog); err != nil {
+			t.Fatal(err)
+		}
+		ep := &recording{discard: discard{addr: "10.0.0.1:7000"}}
+		n := NewNode("p", ws, ep)
+		if c.batch {
+			n.SignBatch = func(root []byte) ([]byte, error) { return append([]byte("sig"), root...), nil }
+		}
+		n.curTrace, n.curHop = 77, 3
+		facts := make([]engine.Fact, 3000)
+		for i := range facts {
+			size := 16 + (i*37)%900
+			if i == 1234 {
+				size = transport.MaxDatagram + 10000
+			}
+			p := make([]byte, size)
+			for j := range p {
+				p[j] = byte(i*7 + j)
+			}
+			from := datalog.NodeV("10.0.0.1:7000")
+			if i%11 == 0 {
+				from = datalog.NodeV("10.0.0.9:7000")
+			}
+			facts[i] = engine.Fact{Pred: "export", Tuple: datalog.Tuple{
+				datalog.NodeV(fmt.Sprintf("10.0.0.%d:7000", 2+(i*13)%5)), from, datalog.BytesV(p)}}
+		}
+		res, err := ws.Assert(facts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n.ship(res.InsertedRows("export"))
+		h := sha256.New()
+		for _, s := range ep.sent {
+			h.Write([]byte(s[0]))
+			h.Write([]byte(s[1]))
+		}
+		if got := hex.EncodeToString(h.Sum(nil)); len(ep.sent) != 31 || got != c.digest {
+			t.Errorf("batch %v: %d datagrams, digest %s; want 31, %s", c.batch, len(ep.sent), got, c.digest)
 		}
 	}
 }

@@ -227,6 +227,8 @@ func (d *Detector) collect(ctx context.Context) (sum waveSum, err error) {
 	d.wave++
 	wave := d.wave
 	cWaves.Inc()
+	// One buffer goes to every node: ControlMessage leaves it no spare
+	// capacity for a transport to frame it in (transport.Transport.Send).
 	probe := wire.ControlMessage(d.ep.Addr(), wire.Control{Type: wire.CtrlProbe, Wave: wave})
 	start := time.Now()
 	budget := d.unresponsiveAfter()

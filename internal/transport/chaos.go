@@ -346,6 +346,9 @@ type chaosTransport struct {
 func (c *chaosTransport) Send(to string, data []byte) error { return c.out.Send(to, data) }
 func (c *chaosTransport) Close() error                      { return c.out.Close() }
 
+// Send applies one verdict. What it holds past its return — a delayed
+// datagram, a duplicate sent with it — is a copy, and a garbled one a
+// corrupted copy: a lower half keeps nothing of the frame it was given.
 func (c *chaosLower) Send(to string, data []byte) error {
 	act := c.e.judge(c.from, to)
 	if act.drop {

@@ -7,17 +7,18 @@ import (
 )
 
 // FuzzDecodeFrame: decodeFrame never panics on any datagram, and what it
-// accepts survives encodeFrame∘decodeFrame — the re-encoded frame decodes to
-// the same type, sequence number and payload.
+// accepts survives encodeFrame∘decodeFrame — the re-encoded frame, framed in
+// place in a buffer with room and in a copy of one without, decodes to the
+// same type, sequence number and payload.
 func FuzzDecodeFrame(f *testing.F) {
 	for _, fr := range [][]byte{
-		encodeFrame(frameData, 0, nil),
-		encodeFrame(frameData, 1, []byte("payload")),
-		encodeFrame(frameData, 1<<40, bytes.Repeat([]byte{0xa5}, 300)),
-		encodeFrame(frameAck, 7, nil),
-		encodeFrame(frameAck, ^uint64(0), nil),
-		{frameData, 0, 0, 0, 0, 0x80},
-		{'X', 1, 2, 3, 4, 5, 6},
+		encodeFrame(nil, frameData, 0),
+		encodeFrame([]byte("payload"), frameData, 1),
+		encodeFrame(bytes.Repeat([]byte{0xa5}, 300), frameData, 1<<40),
+		encodeFrame(nil, frameAck, 7),
+		encodeFrame(nil, frameAck, ^uint64(0)),
+		{0x80, 0, 0, 0, 0, frameData},
+		{1, 2, 3, 4, 5, 6, 'X'},
 		{frameAck},
 	} {
 		f.Add(fr)
@@ -27,10 +28,16 @@ func FuzzDecodeFrame(f *testing.F) {
 		if !ok {
 			return
 		}
-		typ2, seq2, payload2, ok := decodeFrame(encodeFrame(typ, seq, payload))
-		if !ok || typ2 != typ || seq2 != seq || !bytes.Equal(payload2, payload) {
-			t.Fatalf("frame %x decoded to (%c, %d, %x); its re-encoding to (%c, %d, %x, ok=%v)",
-				data, typ, seq, payload, typ2, seq2, payload2, ok)
+		roomy := append(make([]byte, 0, len(payload)+FrameRoom), payload...)
+		for _, frame := range [][]byte{encodeFrame(payload[:len(payload):len(payload)], typ, seq), encodeFrame(roomy, typ, seq)} {
+			typ2, seq2, payload2, ok := decodeFrame(frame)
+			if !ok || typ2 != typ || seq2 != seq || !bytes.Equal(payload2, payload) {
+				t.Fatalf("frame %x decoded to (%c, %d, %x); its re-encoding to (%c, %d, %x, ok=%v)",
+					data, typ, seq, payload, typ2, seq2, payload2, ok)
+			}
+		}
+		if !bytes.Equal(data[:len(payload)], payload) {
+			t.Fatalf("frame %x: the payload is not the frame's head", data)
 		}
 	})
 }

@@ -133,7 +133,7 @@ func (ep *MemEndpoint) Send(to string, data []byte) error {
 	if cb != nil {
 		cb(ep.addr, to, data)
 	}
-	if !dst.q.push(InMsg{From: ep.addr, Data: data}) {
+	if !dst.q.push(InMsg{From: ep.addr, Data: data[:len(data):len(data)]}) {
 		return ErrClosed
 	}
 	return nil

@@ -6,6 +6,7 @@ import (
 	"hash/crc32"
 	"hash/fnv"
 	"math/rand/v2"
+	"slices"
 	"sync"
 	"time"
 
@@ -47,9 +48,11 @@ const (
 	frameAck  = 0x41 // 'A'
 )
 
-// reliableOverhead is the framing the reliable layer adds to a payload:
-// type byte + CRC32 + sequence varint.
-const reliableOverhead = 1 + 4 + binary.MaxVarintLen64
+// FrameRoom is the framing the reliable layer adds to a datagram, as a
+// trailer: the sequence number (a uvarint, its bytes reversed), a CRC32 of the
+// datagram and the sequence number, and the type byte. A datagram sent with
+// FrameRoom bytes of spare capacity is framed in place (Transport.Send).
+const FrameRoom = binary.MaxVarintLen64 + 4 + 1
 
 // The reliable layer's timing. A frame is first re-sent retransmitInterval
 // after it went out; every re-send doubles its delay, up to maxBackoff, so an
@@ -66,8 +69,9 @@ const (
 )
 
 // lower is the reliable layer's lower half, where its frames go out: the
-// endpoint's socket, or the socket under a chaos engine. Closing it closes
-// the socket.
+// endpoint's socket, or the socket under a chaos engine. Send keeps nothing of
+// frame once it returns — the layer builds every ack in one buffer — and
+// closing it closes the socket.
 type lower interface {
 	Send(to string, frame []byte) error
 	Close() error
@@ -92,6 +96,8 @@ type ReliableEndpoint struct {
 	seen     map[string]*dedupState         // per-source delivery dedup
 	rng      *rand.Rand                     // retransmit jitter (mu-guarded)
 	closed   bool
+
+	ack []byte // the read loop's: every ack is built here
 
 	stop chan struct{}
 	wg   sync.WaitGroup // the read loop and the retransmit loop
@@ -171,38 +177,51 @@ func newReliable(addr string, out lower) *ReliableEndpoint {
 		seen:     make(map[string]*dedupState),
 		rng:      rand.New(rand.NewPCG(seed, seed)),
 		stop:     make(chan struct{}),
+		ack:      make([]byte, 0, FrameRoom),
 	}
 }
 
-// encodeFrame builds [type][crc32 of the rest][seq][payload] in one
-// allocation, the payload's one copy.
-func encodeFrame(typ byte, seq uint64, payload []byte) []byte {
-	frame := make([]byte, 5, reliableOverhead+len(payload))
-	frame[0] = typ
+// encodeFrame frames payload as [payload][seq][crc32][type]: the sequence
+// number a uvarint with its bytes reversed, so that it reads back from the
+// end, and the CRC over the payload and the sequence number. It frames in
+// place, in payload's spare capacity, when that holds FrameRoom bytes, and
+// otherwise in a copy.
+func encodeFrame(payload []byte, typ byte, seq uint64) []byte {
+	frame := payload
+	if cap(frame)-len(frame) < FrameRoom {
+		frame = make([]byte, len(payload), len(payload)+FrameRoom)
+		copy(frame, payload)
+	}
 	frame = binary.AppendUvarint(frame, seq)
-	frame = append(frame, payload...)
-	binary.LittleEndian.PutUint32(frame[1:5], crc32.ChecksumIEEE(frame[5:]))
-	return frame
+	slices.Reverse(frame[len(payload):])
+	frame = binary.LittleEndian.AppendUint32(frame, crc32.ChecksumIEEE(frame))
+	return append(frame, typ)
 }
 
-// decodeFrame validates the CRC and splits a frame into its parts.
+// decodeFrame validates the CRC and splits a frame into its parts; payload
+// is a view of data.
 func decodeFrame(data []byte) (typ byte, seq uint64, payload []byte, ok bool) {
 	if len(data) < 6 {
 		return 0, 0, nil, false
 	}
-	typ = data[0]
+	typ = data[len(data)-1]
 	if typ != frameData && typ != frameAck {
 		return 0, 0, nil, false
 	}
-	body := data[5:]
-	if binary.LittleEndian.Uint32(data[1:5]) != crc32.ChecksumIEEE(body) {
+	body := data[:len(data)-5]
+	if binary.LittleEndian.Uint32(data[len(data)-5:]) != crc32.ChecksumIEEE(body) {
 		return 0, 0, nil, false
 	}
-	seq, n := binary.Uvarint(body)
+	var rev [binary.MaxVarintLen64]byte
+	k := min(len(body), len(rev))
+	for i := range k {
+		rev[i] = body[len(body)-1-i]
+	}
+	seq, n := binary.Uvarint(rev[:k])
 	if n <= 0 {
 		return 0, 0, nil, false
 	}
-	return typ, seq, body[n:], true
+	return typ, seq, body[:len(body)-n], true
 }
 
 // Addr implements Transport.
@@ -220,7 +239,9 @@ func (r *ReliableEndpoint) jitteredLocked(d time.Duration) time.Duration {
 // with nothing tracked. When the destination already has maxInflight
 // unacknowledged frames on the wire the frame is queued unsent instead (the
 // retransmit loop transmits it once a slot frees), so a dead peer cannot
-// make every later Send burn bandwidth on an unbounded backlog.
+// make every later Send burn bandwidth on an unbounded backlog. The frame is
+// data itself, its trailer written into FrameRoom bytes of spare capacity,
+// when data has them (encodeFrame): the layer keeps it until acknowledged.
 //
 // On the fast path, registration happens only after the first transmit
 // succeeds — registering first would let a concurrent retransmit tick put a
@@ -243,14 +264,14 @@ func (r *ReliableEndpoint) Send(to string, data []byte) error {
 		if r.pending[to] == nil {
 			r.pending[to] = make(map[uint64]*unacked)
 		}
-		r.pending[to][seq] = &unacked{frame: encodeFrame(frameData, seq, data)}
+		r.pending[to][seq] = &unacked{frame: encodeFrame(data, frameData, seq)}
 		r.mu.Unlock()
 		cDeferrals.Inc()
 		return nil
 	}
 	r.mu.Unlock()
 
-	frame := encodeFrame(frameData, seq, data)
+	frame := encodeFrame(data, frameData, seq)
 	if err := r.out.Send(to, frame); err != nil {
 		return err
 	}
@@ -324,11 +345,12 @@ func (r *ReliableEndpoint) Close() error {
 	return err
 }
 
-// handleFrame consumes one inbound datagram, which it owns: an ack releases
-// its pending frame, a data frame is acknowledged and, unless it is a
-// redelivery, queued for the consumer. Only the read loop calls it.
-func (r *ReliableEndpoint) handleFrame(in InMsg) {
-	typ, seq, payload, ok := decodeFrame(in.Data)
+// handleFrame consumes one inbound datagram from the given address, which it
+// owns: an ack releases its pending frame, a data frame is acknowledged and,
+// unless it is a redelivery, its payload — a view of the datagram, capped at
+// its length — is queued for the consumer. Only the read loop calls it.
+func (r *ReliableEndpoint) handleFrame(from string, datagram []byte) {
+	typ, seq, payload, ok := decodeFrame(datagram)
 	if !ok {
 		cCRCRejects.Inc()
 		return // garbage or corrupted: drop, sender will retransmit
@@ -336,11 +358,11 @@ func (r *ReliableEndpoint) handleFrame(in InMsg) {
 	switch typ {
 	case frameAck:
 		r.mu.Lock()
-		if m := r.pending[in.From]; m != nil {
+		if m := r.pending[from]; m != nil {
 			if u, ok := m[seq]; ok {
 				delete(m, seq)
 				if u.sentOnce {
-					r.inflight[in.From]--
+					r.inflight[from]--
 				}
 			}
 		}
@@ -348,12 +370,13 @@ func (r *ReliableEndpoint) handleFrame(in InMsg) {
 	case frameData:
 		// Acknowledge even redeliveries: the first ack may have been
 		// the datagram that got lost.
-		_ = r.out.Send(in.From, encodeFrame(frameAck, seq, nil))
+		r.ack = encodeFrame(r.ack[:0], frameAck, seq)
+		_ = r.out.Send(from, r.ack)
 		r.mu.Lock()
-		st := r.seen[in.From]
+		st := r.seen[from]
 		if st == nil {
 			st = &dedupState{above: make(map[uint64]bool)}
-			r.seen[in.From] = st
+			r.seen[from] = st
 		}
 		if seq <= st.floor || st.above[seq] {
 			r.mu.Unlock()
@@ -363,7 +386,7 @@ func (r *ReliableEndpoint) handleFrame(in InMsg) {
 		st.above[seq] = true
 		st.advance()
 		r.mu.Unlock()
-		r.q.push(InMsg{From: in.From, Data: payload})
+		r.q.push(InMsg{From: from, Data: payload[:len(payload):len(payload)]})
 	}
 }
 

@@ -1,11 +1,14 @@
 package transport
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"sync"
 	"testing"
 	"time"
+
+	"secureblox/internal/wire"
 )
 
 // lossy wraps inner with a started one-rule chaos engine: every datagram sent
@@ -18,21 +21,30 @@ func lossy(inner Transport, seed int64, drop, dup, garble float64) Transport {
 }
 
 // reliableOver runs the reliable layer over an in-process endpoint: inner's
-// Send is its lower half, and a goroutine in the read loop's place hands
-// every datagram inner receives to handleFrame.
+// Send, through a copy, is its lower half, and a goroutine in the read loop's
+// place hands every datagram inner receives to handleFrame.
 func reliableOver(inner Transport) *ReliableEndpoint {
-	r := newReliable(inner.Addr(), inner)
+	r := newReliable(inner.Addr(), copying{inner})
 	r.wg.Add(2)
 	go func() {
 		defer r.wg.Done()
 		for batch := range inner.ReceiveBatch() {
 			for _, in := range batch {
-				r.handleFrame(in)
+				r.handleFrame(in.From, in.Data)
 			}
 		}
 	}()
 	go r.retransmitLoop()
 	return r
+}
+
+// copying is an in-process endpoint as a lower half: it sends a copy of each
+// frame, since the endpoint delivers the buffer it is given and a lower half
+// keeps nothing (the reliable layer reuses its ack buffer).
+type copying struct{ Transport }
+
+func (c copying) Send(to string, frame []byte) error {
+	return c.Transport.Send(to, bytes.Clone(frame))
 }
 
 // reliablePair builds two reliable endpoints over one lossy memnet.
@@ -320,7 +332,7 @@ func TestReliableDedupWindowSlidesPastAbandonedFrame(t *testing.T) {
 	defer b.Close()
 	const n = dedupWindow + 60
 	for seq := uint64(2); seq <= n+1; seq++ {
-		b.handleFrame(InMsg{From: "a:1", Data: encodeFrame(frameData, seq, []byte("m"))})
+		b.handleFrame("a:1", encodeFrame([]byte("m"), frameData, seq))
 	}
 	// Everything fed arrives exactly once.
 	for i := 0; i < n; i++ {
@@ -346,7 +358,7 @@ func TestReliableDedupWindowSlidesPastAbandonedFrame(t *testing.T) {
 	// A late arrival of the missing frame below the slid floor is
 	// suppressed as a duplicate, not delivered.
 	before := cDupDrops.Value()
-	b.handleFrame(InMsg{From: "a:1", Data: encodeFrame(frameData, 1, []byte("late"))})
+	b.handleFrame("a:1", encodeFrame([]byte("late"), frameData, 1))
 	if cDupDrops.Value() == before {
 		t.Error("late frame below the slid floor was not suppressed")
 	}
@@ -389,5 +401,116 @@ func testReliableOverRealUDP(t *testing.T, batch bool) {
 		if m.From != a.Addr() {
 			t.Fatalf("from %s, want %s", m.From, a.Addr())
 		}
+	}
+}
+
+// dropFirst is a lower half that drops the first transmission of every data
+// frame and records the sequence number of each one it lets through, per
+// destination and payload.
+type dropFirst struct {
+	lower
+	mu     sync.Mutex
+	seen   map[string]bool              // destination and sequence number of each frame sent
+	passed map[string]map[string]uint64 // destination -> payload -> its sequence number
+	bad    []string                     // a payload let through under two numbers
+}
+
+func (d *dropFirst) Send(to string, frame []byte) error {
+	typ, seq, payload, ok := decodeFrame(frame)
+	if !ok || typ != frameData {
+		return d.lower.Send(to, frame)
+	}
+	d.mu.Lock()
+	key := fmt.Sprint(to, "#", seq)
+	first := !d.seen[key]
+	d.seen[key] = true
+	if !first {
+		if prev, ok := d.passed[to][string(payload)]; ok && prev != seq {
+			d.bad = append(d.bad, fmt.Sprintf("%s got %q as %d and as %d", to, payload, prev, seq))
+		}
+		if d.passed[to] == nil {
+			d.passed[to] = make(map[string]uint64)
+		}
+		d.passed[to][string(payload)] = seq
+	}
+	d.mu.Unlock()
+	if first {
+		return nil
+	}
+	return d.lower.Send(to, frame)
+}
+
+// TestBroadcastControlBufferKeepsEachDestinationsFrame: one control buffer,
+// built as the termination detector and the cluster runtime build the
+// records they send to every peer, goes to three destinations through one
+// reliable endpoint whose every first transmission is lost. Each destination
+// stands at a different sequence number, and each gets the record exactly
+// once, retransmitted under its own number: the frame the endpoint keeps for
+// one destination is not rewritten by the send to the next.
+func TestBroadcastControlBufferKeepsEachDestinationsFrame(t *testing.T) {
+	net := NewMemNetwork()
+	src := net.Endpoint("s:1")
+	lo := &dropFirst{lower: copying{src}, seen: map[string]bool{}, passed: map[string]map[string]uint64{}}
+	s := newReliable(src.Addr(), lo)
+	s.wg.Add(2)
+	go func() {
+		defer s.wg.Done()
+		for batch := range src.ReceiveBatch() {
+			for _, in := range batch {
+				s.handleFrame(in.From, in.Data)
+			}
+		}
+	}()
+	go s.retransmitLoop()
+	defer s.Close()
+	dests := []string{"r:1", "r:2", "r:3"}
+	var rs []*ReliableEndpoint
+	for i, d := range dests {
+		r := reliableOver(net.Endpoint(d))
+		defer r.Close()
+		rs = append(rs, r)
+		for j := range i { // destination i stands at sequence number i+1
+			if err := s.Send(d, []byte(fmt.Sprint("warm-up ", j))); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	probe := wire.ControlMessage(src.Addr(), wire.Control{Type: wire.CtrlProbe, Wave: 9})
+	for _, d := range dests {
+		if err := s.Send(d, probe); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i, r := range rs {
+		// Retransmissions keep no order: the record may overtake a warm-up.
+		records := 0
+		for got := 0; got < i+1; got++ {
+			select {
+			case m := <-r.Receive():
+				if bytes.Equal(m.Data, probe) {
+					records++
+				}
+			case <-time.After(10 * time.Second):
+				t.Fatalf("%s: %d of %d datagrams delivered", dests[i], got, i+1)
+			}
+		}
+		if records != 1 {
+			t.Errorf("%s: the record arrived %d times among %d datagrams, want once", dests[i], records, i+1)
+		}
+		select {
+		case m := <-r.Receive():
+			t.Errorf("%s: a datagram delivered twice: %x", dests[i], m.Data)
+		case <-time.After(3 * retransmitInterval):
+		}
+	}
+	lo.mu.Lock()
+	defer lo.mu.Unlock()
+	for i, d := range dests {
+		if seq, ok := lo.passed[d][string(probe)]; !ok || seq != uint64(i+1) {
+			t.Errorf("%s: the record went out as sequence number %d (sent: %v), want %d", d, seq, ok, i+1)
+		}
+	}
+	for _, b := range lo.bad {
+		t.Error(b)
 	}
 }

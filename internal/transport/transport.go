@@ -25,7 +25,8 @@ var ErrAddrInUse = errors.New("transport: address already in use")
 // writes to it or reuses it once delivered, so the consumer may keep views of
 // it (wire.DecodeMessage returns them). The consumer must not write to it
 // either — one buffer may arrive twice (a duplicated datagram) or at several
-// endpoints (one probe sent to many).
+// endpoints (one probe sent to many) — and Data has no spare capacity, so an
+// append to it copies instead of writing into storage another holder shares.
 type InMsg struct {
 	From string
 	Data []byte
@@ -37,7 +38,14 @@ type Transport interface {
 	Addr() string
 	// Send transmits data to another endpoint. It hands data over: the
 	// caller must not write to it afterwards, since an in-process transport
-	// delivers that very buffer.
+	// delivers that very buffer. Its spare capacity, beyond len(data), is the
+	// transport's too: a reliable endpoint writes its frame trailer there
+	// when FrameRoom bytes are free, and keeps the frame until it is
+	// acknowledged, so a sender that leaves FrameRoom spare has its datagram
+	// sent without a copy. A buffer sent to several destinations must have no
+	// spare capacity (capped at its length, data[:len(data):len(data)]), or
+	// each send would overwrite the sequence number and CRC of the frame the
+	// previous one keeps; the endpoint then frames a copy.
 	Send(to string, data []byte) error
 	// Receive returns the channel of incoming datagrams. It is closed when
 	// the transport closes.

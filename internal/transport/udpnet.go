@@ -39,22 +39,39 @@ func (s udpSocket) Send(to string, data []byte) error {
 
 func (s udpSocket) Close() error { return s.conn.Close() }
 
-// readLoop hands every datagram the socket receives to handleFrame, until
-// the socket closes.
+// maxPeerNames bounds the read loop's cache of sender address strings; past
+// it the cache starts over, so spoofed sources cannot grow it.
+const maxPeerNames = 256
+
+// readLoop hands a copy of every datagram the socket receives to
+// handleFrame, until the socket closes. It reads into one buffer, which
+// nothing but the copy reads, so it stays on the loop's stack, and names each
+// sender from a cache of address strings: the copy is the one allocation a
+// datagram costs.
 func (r *ReliableEndpoint) readLoop(conn *net.UDPConn) {
 	defer r.wg.Done()
 	buf := make([]byte, MaxDatagram+1024)
+	names := make(map[netip.AddrPort]string)
 	for {
-		n, from, err := conn.ReadFromUDP(buf)
+		n, from, err := conn.ReadFromUDPAddrPort(buf)
 		if errors.Is(err, net.ErrClosed) {
 			return
 		}
 		if err != nil {
 			continue
 		}
+		from = netip.AddrPortFrom(from.Addr().Unmap(), from.Port())
+		name, ok := names[from]
+		if !ok {
+			if len(names) >= maxPeerNames {
+				clear(names)
+			}
+			name = from.String()
+			names[from] = name
+		}
 		data := make([]byte, n)
 		copy(data, buf[:n])
-		r.handleFrame(InMsg{From: from.String(), Data: data})
+		r.handleFrame(name, data)
 	}
 }
 

@@ -133,7 +133,7 @@ func TestBatchSignVerifyUDFs(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	root := wire.Message{Payloads: [][]byte{[]byte("payload one"), []byte("payload two")}}.BatchRoot()
+	root := wire.Message{Run: wire.Run{}.Append([]byte("payload one")).Append([]byte("payload two"))}.BatchRoot()
 	sig, err := seccrypto.RSASign(ks.PrivateKey(), root)
 	if err != nil {
 		t.Fatal(err)

@@ -142,9 +142,15 @@ func appendField[T string | []byte](buf []byte, f T) []byte {
 }
 
 // ControlMessage wraps a control record in the MsgControl envelope sent
-// from the given address.
+// from the given address. The datagram is capped at its length: a probe or a
+// barrier record goes to several peers as one buffer, and a transport that
+// frames a datagram in its spare capacity must find none there
+// (transport.Transport.Send).
 func ControlMessage(from string, c Control) []byte {
-	return EncodeMessage(Message{Kind: MsgControl, From: from, Payloads: [][]byte{EncodeControl(c)}})
+	rec := EncodeControl(c)
+	m := Message{Kind: MsgControl, From: from, Run: Run{N: 1}}
+	buf := AppendRun(AppendHeader(make([]byte, 0, HeaderLen(m)+fieldLen(len(rec))), m), rec)
+	return buf[:len(buf):len(buf)]
 }
 
 var errNotControl = errors.New("wire: not a control message")
@@ -156,10 +162,10 @@ func ReadControl(datagram []byte) (Control, error) {
 	if err != nil {
 		return Control{}, err
 	}
-	if m.Kind != MsgControl || len(m.Payloads) != 1 {
+	if m.Kind != MsgControl || m.Run.N != 1 {
 		return Control{}, errNotControl
 	}
-	return DecodeControl(m.Payloads[0])
+	return DecodeControl(m.Run.Next())
 }
 
 // readBounded reads one length-prefixed field of at most bound bytes.

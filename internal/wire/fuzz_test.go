@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"fmt"
 	"reflect"
 	"runtime"
 	"testing"
@@ -10,44 +11,68 @@ import (
 
 // FuzzDecodeMessage feeds DecodeMessage what the paper's adversary can put on
 // a socket. Whatever the bytes: it returns instead of panicking; it allocates
-// in proportion to the input, never to a count the input merely claims (a
-// payload costs at least one input byte and a slice header); a message it
-// accepts copies nothing out of the input but the sender address — every
-// payload, the signature and the siblings alias it, capped at their length, and
-// decoding takes at most two allocations however many payload bytes there are;
-// and it survives Encode∘Decode unchanged, with a group root that can be
-// computed. The seed corpus under testdata/fuzz/FuzzDecodeMessage covers data,
-// batch (k=1, k>1), control and a few near-miss envelopes.
+// in proportion to the input, never to a count the input merely claims; a
+// message it accepts copies nothing out of the input but the sender address —
+// the run, every payload walked off it, the signature and the siblings alias
+// it, capped at their length — so decoding takes at most one allocation
+// however many payloads there are; it accepts exactly what the list decoder
+// below accepts, yielding the same payloads in the same order and a group root
+// equal to GroupRoot over the list form of BatchDigest; and it survives
+// Encode∘Decode unchanged. The seed corpus under
+// testdata/fuzz/FuzzDecodeMessage covers data, batch (k=1, k>1), control and a
+// few near-miss envelopes.
 func FuzzDecodeMessage(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		m, err := DecodeMessage(data)
 		runtime.ReadMemStats(&after)
-		// 24 bytes of slice header per claimed payload plus the copies, with
-		// slack for the fuzzing worker's own goroutines.
-		if got, bound := after.TotalAlloc-before.TotalAlloc, uint64(32*len(data)+1<<16); got > bound {
+		// The sender address, with slack for the fuzzing worker's own
+		// goroutines.
+		if got, bound := after.TotalAlloc-before.TotalAlloc, uint64(len(data)+1<<16); got > bound {
 			t.Fatalf("decoding %d bytes allocated %d, bound %d", len(data), got, bound)
+		}
+		list, listErr := decodeListMessage(data)
+		if (err == nil) != (listErr == nil) {
+			t.Fatalf("DecodeMessage says %v, the list decoder %v", err, listErr)
 		}
 		if err != nil {
 			return
 		}
-		for i, p := range append([][]byte{m.Sig, m.Siblings}, m.Payloads...) {
+		parts := [][]byte{m.Sig, m.Siblings, m.Run.Bytes}
+		var payloads [][]byte
+		for run := m.Run; run.N > 0; {
+			payloads = append(payloads, run.Next())
+		}
+		for i, p := range append(parts, payloads...) {
 			if len(p) > 0 && (!aliases(data, p) || cap(p) != len(p)) {
 				t.Fatalf("part %d of the message (%d bytes, cap %d) is not a capped view of the input", i, len(p), cap(p))
 			}
 		}
-		// The sender address and the payload list; a copy per payload, or of
-		// the signature or siblings, would be a third.
-		if n := testing.AllocsPerRun(1, func() { _, _ = DecodeMessage(data) }); n > 2 {
-			t.Fatalf("decoding a %d-payload message allocated %.0f times, want at most 2", len(m.Payloads), n)
+		if len(payloads) != len(list.Payloads) {
+			t.Fatalf("the run holds %d payloads, the list decoder found %d", len(payloads), len(list.Payloads))
+		}
+		for i := range payloads {
+			if !bytes.Equal(payloads[i], list.Payloads[i]) {
+				t.Fatalf("payload %d is %x, the list decoder's %x", i, payloads[i], list.Payloads[i])
+			}
+		}
+		if m.Kind != list.Kind || m.From != list.From || !bytes.Equal(m.Sig, list.Sig) || m.Pos != list.Pos ||
+			!bytes.Equal(m.Siblings, list.Siblings) || m.Trace != list.Trace || m.Hop != list.Hop {
+			t.Fatalf("the envelope decodes as %+v, by the list decoder as %+v", m, list)
+		}
+		// The sender address; a payload list, or a copy of a payload, the
+		// signature or the siblings, would be a second.
+		if n := testing.AllocsPerRun(1, func() { _, _ = DecodeMessage(data) }); n > 1 {
+			t.Fatalf("decoding a %d-payload message allocated %.0f times, want at most 1", m.Run.N, n)
 		}
 		if m.Kind == MsgBatch {
 			if len(m.Siblings)%DigestSize != 0 || len(m.Siblings) >= MaxGroup*DigestSize || int(m.Pos) > len(m.Siblings)/DigestSize {
 				t.Fatalf("accepted group fields out of range: pos %d, %d sibling bytes", m.Pos, len(m.Siblings))
 			}
-			if len(m.BatchRoot()) != DigestSize {
-				t.Fatal("accepted batch envelope has no group root")
+			at := int(m.Pos) * DigestSize
+			if want := GroupRoot(m.Siblings[:at], BatchDigest(list.Payloads), m.Siblings[at:]); !bytes.Equal(m.BatchRoot(), want) {
+				t.Fatalf("the group root over the run is %x, over the payload list %x", m.BatchRoot(), want)
 			}
 		}
 		enc := EncodeMessage(m)
@@ -55,10 +80,89 @@ func FuzzDecodeMessage(f *testing.F) {
 		if err != nil {
 			t.Fatalf("re-encoding of an accepted message does not decode: %v", err)
 		}
-		if !bytes.Equal(EncodeMessage(again), enc) {
+		if !bytes.Equal(EncodeMessage(again), enc) || !bytes.Equal(EncodeMessage(list), enc) {
 			t.Fatal("Encode∘Decode is not the identity on an encoded message")
 		}
 	})
+}
+
+// decodeListMessage is the message decoder that returned the payloads as a
+// list, kept as FuzzDecodeMessage's reference: the run DecodeMessage returns
+// must hold what this finds.
+func decodeListMessage(buf []byte) (Message, error) {
+	var m Message
+	if len(buf) == 0 {
+		return m, ErrTruncated
+	}
+	if buf[0] > byte(MsgBatch) {
+		return m, fmt.Errorf("wire: bad message kind %d", buf[0])
+	}
+	m.Kind = MsgKind(buf[0])
+	buf = buf[1:]
+	from, buf, err := readField(buf)
+	if err != nil {
+		return m, err
+	}
+	m.From = string(from)
+	if m.Kind == MsgBatch {
+		var sig []byte
+		if sig, buf, err = readField(buf); err != nil {
+			return m, err
+		}
+		if len(sig) > MaxBatchSig {
+			return m, ErrTruncated
+		}
+		m.Sig = sig
+		var pos, sibs uint64
+		if pos, buf, err = readUvarint(buf); err != nil {
+			return m, err
+		}
+		if sibs, buf, err = readUvarint(buf); err != nil {
+			return m, err
+		}
+		if sibs >= MaxGroup || sibs > uint64(len(buf))/DigestSize {
+			return m, ErrTruncated
+		}
+		if pos > sibs {
+			return m, fmt.Errorf("wire: position %d outside a group of %d", pos, sibs+1)
+		}
+		m.Pos = uint32(pos)
+		if sibs > 0 {
+			m.Siblings, buf = buf[:sibs*DigestSize:sibs*DigestSize], buf[sibs*DigestSize:]
+		}
+	}
+	if m.Kind != MsgControl {
+		if m.Trace, buf, err = readUvarint(buf); err != nil {
+			return m, err
+		}
+		var hop uint64
+		if hop, buf, err = readUvarint(buf); err != nil {
+			return m, err
+		}
+		if hop > 1<<32-1 {
+			return m, fmt.Errorf("wire: hop count %d out of range", hop)
+		}
+		m.Hop = uint32(hop)
+	}
+	cnt, buf, err := readUvarint(buf)
+	if err != nil {
+		return m, err
+	}
+	if cnt > uint64(len(buf)) {
+		return m, ErrTruncated
+	}
+	m.Payloads = make([][]byte, 0, cnt)
+	for i := uint64(0); i < cnt; i++ {
+		var p []byte
+		if p, buf, err = readField(buf); err != nil {
+			return m, err
+		}
+		m.Payloads = append(m.Payloads, p)
+	}
+	if len(buf) != 0 {
+		return m, fmt.Errorf("wire: %d trailing bytes after message", len(buf))
+	}
+	return m, nil
 }
 
 // aliases reports whether part lies inside buf's storage.
@@ -130,7 +234,7 @@ func FuzzDecodeJoin(f *testing.F) {
 	f.Add(ControlMessage("10.0.0.2:7000", Control{Type: CtrlEvict, Cluster: "c", Members: []MemberInfo{{Principal: "n1"}}}))
 	f.Add(ControlMessage("10.0.0.9:7000", Control{Type: CtrlGo, Cluster: "c"}))
 	f.Add(EncodeControl(Control{Type: CtrlJoin, Cluster: "c", Members: []MemberInfo{member}}))
-	f.Add(EncodeMessage(Message{Kind: MsgControl, From: "10.0.0.1:7000", Payloads: [][]byte{{4, 1, 'c', 0, 0, 0, 0}}}))
+	f.Add(EncodeMessage(Message{Kind: MsgControl, From: "10.0.0.1:7000", Run: Run{}.Append([]byte{4, 1, 'c', 0, 0, 0, 0})}))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)

@@ -10,6 +10,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash"
 	"math/bits"
 	"unsafe"
 
@@ -288,10 +289,20 @@ const (
 // an aggregate signature), or one control record (MsgControl), addressed
 // from one node to another.
 type Message struct {
-	Kind     MsgKind
-	From     string   // sender node address
-	Sig      []byte   // MsgBatch only: signature over BatchRoot()
-	Payloads [][]byte // opaque export payloads (possibly encrypted)
+	Kind MsgKind
+	From string // sender node address
+	Sig  []byte // MsgBatch only: signature over BatchRoot()
+
+	// Run holds the payloads — opaque export payloads (possibly encrypted), or
+	// a control record — as the datagram carries them. DecodeMessage returns
+	// it as a view of the datagram; a sender encodes it in place
+	// (AppendHeader, AppendRun) or builds it with Run.Append.
+	Run Run
+	// Payloads, when not nil, is the run given as a list, which EncodeMessage
+	// encodes in Run's place: how a test or a tool spells a message from
+	// payloads it holds. Only EncodeMessage reads it (HeaderLen, AppendHeader
+	// and BatchRoot read Run), and DecodeMessage never sets it.
+	Payloads [][]byte
 
 	// MsgBatch only: where this envelope stands in its signing group, and
 	// the BatchDigests of the group's other envelopes in group order,
@@ -310,8 +321,39 @@ type Message struct {
 	Hop   uint32
 }
 
-// PayloadOverhead upper-bounds the framing bytes EncodeMessage adds per
-// payload (one uvarint length prefix).
+// Run is a message's payload section as it travels: N payloads, each a
+// uvarint length followed by its bytes, concatenated in Bytes.
+type Run struct {
+	N     int
+	Bytes []byte
+}
+
+// AppendRun appends one payload to the run that ends buf, in place when buf
+// has room: its length, then its bytes.
+func AppendRun(buf, p []byte) []byte { return appendField(buf, p) }
+
+// RunLen is the number of bytes a payload of n bytes takes in a run.
+func RunLen(n int) int { return fieldLen(n) }
+
+// Append returns the run with p appended.
+func (r Run) Append(p []byte) Run { return Run{N: r.N + 1, Bytes: AppendRun(r.Bytes, p)} }
+
+// Next cuts the first payload off the run and returns it, a view of the run's
+// bytes capped at its length. The run must hold one (N > 0) and be
+// well-formed: one DecodeMessage returned or Append built.
+func (r *Run) Next() []byte {
+	p, rest, _ := readField(r.Bytes)
+	r.N, r.Bytes = r.N-1, rest
+	return p
+}
+
+// Digest returns the run's BatchDigest: the SHA-1 of its bytes, each payload
+// length-prefixed, so that distinct payload sequences cannot collide by
+// concatenation.
+func (r Run) Digest() [DigestSize]byte { return sha1.Sum(r.Bytes) }
+
+// PayloadOverhead upper-bounds the framing bytes a run adds per payload (one
+// uvarint length prefix).
 const PayloadOverhead = binary.MaxVarintLen64
 
 // traceOverhead upper-bounds the trace-ID and hop-count framing on data
@@ -349,20 +391,40 @@ func MessageOverheadBatch(from string) int {
 	return MessageOverhead(from) + binary.MaxVarintLen64 + MaxBatchSig + 2 + (MaxGroup-1)*DigestSize
 }
 
-// BatchDigest returns the SHA-1 digest identifying a batch envelope's
-// payload sequence: each payload is length-prefixed so distinct sequences
-// cannot collide by concatenation. The receiver recomputes it from the
-// payloads it actually received, so any tampering with any payload changes
-// the group root and invalidates the signature.
+// Digester computes a run's Digest from its payloads in run order, without
+// the run: a sender digests what it will encode before the signature that
+// precedes the run in the datagram is known. One Digester serves one run at a
+// time and is reused.
+type Digester struct {
+	h      hash.Hash
+	prefix [binary.MaxVarintLen64]byte
+}
+
+// NewDigester returns a Digester at the start of a run.
+func NewDigester() *Digester { return &Digester{h: sha1.New()} }
+
+// Add digests the next payload of the run: its length prefix, then its bytes.
+func (d *Digester) Add(p []byte) {
+	n := binary.PutUvarint(d.prefix[:], uint64(len(p)))
+	d.h.Write(d.prefix[:n])
+	d.h.Write(p)
+}
+
+// AppendSum appends the run's Digest to dst and starts the next run.
+func (d *Digester) AppendSum(dst []byte) []byte {
+	dst = d.h.Sum(dst)
+	d.h.Reset()
+	return dst
+}
+
+// BatchDigest returns the Digest of the run the payloads make, for a caller
+// that holds them as a list (tests, the benchmark's wire probes).
 func BatchDigest(payloads [][]byte) []byte {
-	h := sha1.New()
-	var lenBuf [binary.MaxVarintLen64]byte
+	d := NewDigester()
 	for _, p := range payloads {
-		n := binary.PutUvarint(lenBuf[:], uint64(len(p)))
-		h.Write(lenBuf[:n])
-		h.Write(p)
+		d.Add(p)
 	}
-	return h.Sum(nil)
+	return d.AppendSum(nil)
 }
 
 // groupDomain separates a group root from every other SHA-1 the system
@@ -389,33 +451,38 @@ func Siblings(digests []byte, pos int) []byte {
 }
 
 // BatchRoot returns the group root a batch envelope's signature must cover,
-// as this envelope vouches for it: the digest of the payloads it carries,
-// placed at its position among the sibling digests it claims. It is the D of
-// export_batch(L, Pkt, D, S), which the receiver's admission takes from here.
-// Pos must not exceed the sibling count, which DecodeMessage guarantees.
+// as this envelope vouches for it: the Digest of the run it carries, hashed
+// in place, at its position among the sibling digests it claims. It is the D
+// of export_batch(L, Pkt, D, S), which the receiver's admission takes from
+// here. Pos must not exceed the sibling count, which DecodeMessage guarantees.
 func (m Message) BatchRoot() []byte {
 	at := int(m.Pos) * DigestSize
-	return GroupRoot(m.Siblings[:at], BatchDigest(m.Payloads), m.Siblings[at:])
+	d := m.Run.Digest()
+	return GroupRoot(m.Siblings[:at], d[:], m.Siblings[at:])
 }
 
-// EncodeMessage serializes a message into a buffer of exactly its size.
-func EncodeMessage(m Message) []byte {
-	size := 1 + fieldLen(len(m.From)) + uvarintLen(uint64(len(m.Payloads)))
+// HeaderLen is the number of bytes AppendHeader writes for m.
+func HeaderLen(m Message) int {
+	size := 1 + fieldLen(len(m.From)) + uvarintLen(uint64(m.Run.N))
 	if m.Kind == MsgBatch {
 		size += fieldLen(len(m.Sig)) + uvarintLen(uint64(m.Pos)) + uvarintLen(uint64(len(m.Siblings)/DigestSize)) + len(m.Siblings)
 	}
 	if m.Kind != MsgControl {
 		size += uvarintLen(m.Trace) + uvarintLen(uint64(m.Hop))
 	}
-	for _, p := range m.Payloads {
-		size += fieldLen(len(p))
-	}
-	buf := append(make([]byte, 0, size), byte(m.Kind))
-	buf = appendUvarint(buf, uint64(len(m.From)))
-	buf = append(buf, m.From...)
+	return size
+}
+
+// AppendHeader appends everything of m that precedes its run's bytes, the
+// payload count m.Run.N last. A sender that knows the count and size of the
+// run it will ship appends the header to a buffer sized for the whole
+// datagram, then each payload (AppendRun): the message is encoded once, in
+// the buffer the transport sends.
+func AppendHeader(buf []byte, m Message) []byte {
+	buf = append(buf, byte(m.Kind))
+	buf = appendField(buf, m.From)
 	if m.Kind == MsgBatch {
-		buf = appendUvarint(buf, uint64(len(m.Sig)))
-		buf = append(buf, m.Sig...)
+		buf = appendField(buf, m.Sig)
 		buf = appendUvarint(buf, uint64(m.Pos))
 		buf = appendUvarint(buf, uint64(len(m.Siblings)/DigestSize))
 		buf = append(buf, m.Siblings...)
@@ -424,18 +491,36 @@ func EncodeMessage(m Message) []byte {
 		buf = appendUvarint(buf, m.Trace)
 		buf = appendUvarint(buf, uint64(m.Hop))
 	}
-	buf = appendUvarint(buf, uint64(len(m.Payloads)))
+	return appendUvarint(buf, uint64(m.Run.N))
+}
+
+// EncodeMessage serializes a message — its run, or its Payloads when set —
+// into a buffer of exactly its size.
+func EncodeMessage(m Message) []byte {
+	size := len(m.Run.Bytes)
+	if m.Payloads != nil {
+		m.Run = Run{N: len(m.Payloads)}
+		size = 0
+		for _, p := range m.Payloads {
+			size += fieldLen(len(p))
+		}
+	}
+	buf := AppendHeader(make([]byte, 0, HeaderLen(m)+size), m)
+	if m.Payloads == nil {
+		return append(buf, m.Run.Bytes...)
+	}
 	for _, p := range m.Payloads {
-		buf = appendUvarint(buf, uint64(len(p)))
-		buf = append(buf, p...)
+		buf = AppendRun(buf, p)
 	}
 	return buf
 }
 
-// DecodeMessage parses a message. The signature, the siblings and every
-// payload are views of buf, capped at their length, so buf must not change
-// while the message is in use: the transports hand a datagram over owned, and
-// nothing on the inbound path writes into one.
+// DecodeMessage parses a message. The signature, the siblings and the run are
+// views of buf, capped at their length, so buf must not change while the
+// message is in use: the transports hand a datagram over owned, and nothing
+// on the inbound path writes into one. Each payload is checked here, so a
+// consumer walks the run (Run.Next) without errors; nothing is allocated for
+// the payloads, however many there are.
 func DecodeMessage(buf []byte) (Message, error) {
 	var m Message
 	if len(buf) == 0 {
@@ -470,7 +555,7 @@ func DecodeMessage(buf []byte) (Message, error) {
 			return m, err
 		}
 		// Bound the sibling count by the group limit and by what the buffer
-		// holds before it sizes anything, like the payload count below.
+		// holds before trusting it, like the payload count below.
 		if sibs >= MaxGroup || sibs > uint64(len(buf))/DigestSize {
 			return m, ErrTruncated
 		}
@@ -502,23 +587,20 @@ func DecodeMessage(buf []byte) (Message, error) {
 		return m, err
 	}
 	// Every payload costs at least one framing byte, so a count beyond the
-	// remaining buffer is a lie — reject it before trusting it with an
-	// allocation (garbage is decoded speculatively on the inbound path).
+	// remaining buffer is a lie (garbage is decoded speculatively on the
+	// inbound path).
 	if cnt > uint64(len(buf)) {
 		return m, ErrTruncated
 	}
-	if cnt > 0 {
-		m.Payloads = make([][]byte, 0, cnt)
-	}
+	rest := buf
 	for i := uint64(0); i < cnt; i++ {
-		var p []byte
-		if p, buf, err = readField(buf); err != nil {
+		if _, rest, err = readField(rest); err != nil {
 			return m, err
 		}
-		m.Payloads = append(m.Payloads, p)
 	}
-	if len(buf) != 0 {
-		return m, fmt.Errorf("wire: %d trailing bytes after message", len(buf))
+	if len(rest) != 0 {
+		return m, fmt.Errorf("wire: %d trailing bytes after message", len(rest))
 	}
+	m.Run = Run{N: int(cnt), Bytes: buf[:len(buf):len(buf)]}
 	return m, nil
 }

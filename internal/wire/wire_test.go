@@ -89,7 +89,7 @@ func TestMessageRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Kind != MsgData || got.From != m.From || len(got.Payloads) != 3 || string(got.Payloads[0]) != "\x01\x02" {
+	if run := got.Run; got.Kind != MsgData || got.From != m.From || run.N != 3 || string(run.Next()) != "\x01\x02" {
 		t.Errorf("message round trip: %+v", got)
 	}
 	if _, err := DecodeMessage([]byte{0xFF, 0, 0}); err == nil {
@@ -107,9 +107,10 @@ func batchGroup(k int) (msgs []Message, root []byte) {
 	for i := 0; i < k; i++ {
 		msgs = append(msgs, Message{
 			Kind: MsgBatch, From: "127.0.0.1:9000", Sig: []byte("batch signature bytes"),
-			Payloads: [][]byte{{1, 2, byte(i)}, {}, {3}}, Trace: 7, Hop: 2,
+			Run: Run{}.Append([]byte{1, 2, byte(i)}).Append(nil).Append([]byte{3}), Trace: 7, Hop: 2,
 		})
-		digests = append(digests, BatchDigest(msgs[i].Payloads)...)
+		d := msgs[i].Run.Digest()
+		digests = append(digests, d[:]...)
 	}
 	for i := range msgs {
 		msgs[i].Pos, msgs[i].Siblings = uint32(i), Siblings(digests, i)
@@ -127,7 +128,7 @@ func TestBatchMessageRoundTrip(t *testing.T) {
 				t.Fatalf("k=%d envelope %d: %v", k, i, err)
 			}
 			if got.Pos != m.Pos || string(got.Siblings) != string(m.Siblings) || string(got.Sig) != string(m.Sig) ||
-				got.Trace != m.Trace || got.Hop != m.Hop || len(got.Payloads) != 3 ||
+				got.Trace != m.Trace || got.Hop != m.Hop || got.Run.N != 3 ||
 				string(EncodeMessage(got)) != string(enc) {
 				t.Errorf("k=%d envelope %d does not round-trip", k, i)
 			}
@@ -138,7 +139,7 @@ func TestBatchMessageRoundTrip(t *testing.T) {
 			if want := len(m.Siblings) / DigestSize; want != k-1 {
 				t.Errorf("k=%d envelope %d carries %d siblings", k, i, want)
 			}
-			if over := MessageOverheadBatch(m.From) + len(m.Payloads)*PayloadOverhead + 5; len(enc) > over {
+			if over := MessageOverheadBatch(m.From) + m.Run.N*PayloadOverhead + 5; len(enc) > over {
 				t.Errorf("k=%d envelope of %d bytes exceeds its budget of %d", k, len(enc), over)
 			}
 		}
@@ -164,19 +165,25 @@ func TestBatchRootBindsPayloadsSiblingsAndPosition(t *testing.T) {
 	// A lone envelope's root is not its bare payload digest: the group domain
 	// separates the two.
 	lone, loneRoot := batchGroup(1)
-	if string(loneRoot) == string(BatchDigest(lone[0].Payloads)) || string(lone[0].BatchRoot()) != string(loneRoot) {
+	if d := lone[0].Run.Digest(); string(loneRoot) == string(d[:]) || string(lone[0].BatchRoot()) != string(loneRoot) {
 		t.Error("a group of one must sign the domain-separated root of its one digest")
 	}
 	tamper := func(name string, f func(*Message)) {
 		c := m
-		c.Payloads = append([][]byte(nil), m.Payloads...)
 		c.Siblings = append([]byte(nil), m.Siblings...)
 		f(&c)
 		if string(c.BatchRoot()) == string(root) {
 			t.Errorf("%s: root unchanged", name)
 		}
 	}
-	tamper("payload", func(c *Message) { c.Payloads[0] = []byte{9} })
+	tamper("payload", func(c *Message) {
+		rest := c.Run
+		rest.Next()
+		c.Run = Run{}.Append([]byte{9})
+		for rest.N > 0 {
+			c.Run = c.Run.Append(rest.Next())
+		}
+	})
 	tamper("sibling digest", func(c *Message) { c.Siblings[DigestSize+3] ^= 1 })
 	tamper("position", func(c *Message) { c.Pos = 0 })
 	tamper("sibling dropped", func(c *Message) { c.Siblings = c.Siblings[:DigestSize] })
@@ -247,6 +254,19 @@ func TestBatchDigestIsSequenceSensitive(t *testing.T) {
 	}
 	if string(BatchDigest([][]byte{a, b})) != base {
 		t.Error("digest is not deterministic")
+	}
+	// The list form, the run's own and the Digester's are one digest: of the
+	// length-prefixed payload section the run encodes.
+	run := Run{}.Append(a).Append(b)
+	d := NewDigester()
+	d.Add(a)
+	d.Add(b)
+	if sum := run.Digest(); string(sum[:]) != base || string(d.AppendSum(nil)) != base {
+		t.Error("the run's digest differs from the list form's")
+	}
+	d.Add(b)
+	if sum := (Run{}.Append(b).Digest()); string(d.AppendSum(nil)) != string(sum[:]) {
+		t.Error("a reused Digester carries its last run into the next")
 	}
 }
 
