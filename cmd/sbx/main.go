@@ -9,8 +9,8 @@
 // error-class finding is reported.
 //
 // The top and trace subcommands are the cluster collector: top scrapes
-// /metrics and /healthz from every node of a running deployment and renders
-// a live per-node table; trace fetches /debug/spans from every node (or
+// /metrics from every node of a running deployment and renders a live
+// per-node table, lifecycle state included; trace fetches /debug/spans from every node (or
 // reads the span files sbxnode -dump writes) and prints a derivation wave's
 // causal tree.
 //

@@ -13,9 +13,9 @@ import (
 	"secureblox/internal/obs"
 )
 
-// runTop implements `sbx top`: scrape /metrics and /healthz from every
-// node of a running deployment and render one table row per node — txn
-// counts and rate, traffic, retransmit/backoff activity, eviction count,
+// runTop implements `sbx top`: scrape /metrics from every node of a running
+// deployment, one request each, and render one table row per node —
+// principal and lifecycle state (sbx_lifecycle_state), txn counts and rate, traffic, retransmit/backoff activity, eviction count,
 // fixpoint-round progress and inbound group commit (mean datagrams per inbound
 // transaction, merged transactions that had to be replayed per datagram).
 // Addresses come

@@ -15,7 +15,7 @@ import (
 // families are registered at package init across the subsystems, so they
 // must render (at zero) even on a node that has processed nothing.
 func TestDebugEndpointServesMetricsAndSpans(t *testing.T) {
-	addr, stop, err := obs.ServeDebug("127.0.0.1:0")
+	addr, stop, err := obs.ServeDebug("127.0.0.1:0", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,6 +63,19 @@ func TestDebugEndpointServesMetricsAndSpans(t *testing.T) {
 	}
 	if !found {
 		t.Errorf("/debug/spans?trace=42 did not return the recorded span")
+	}
+
+	// A trace id is a decimal uint64, all of it: a malformed one is refused,
+	// not read as its numeric prefix (42) or as 0 (every untraced span).
+	for _, bad := range []string{"42abc", "0x10"} {
+		resp, err := http.Get("http://" + addr + "/debug/spans?trace=" + bad)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("/debug/spans?trace=%s status = %d, want 400", bad, resp.StatusCode)
+		}
 	}
 
 	// /metrics is the only counter surface: nothing is mounted at /debug/vars.

@@ -32,12 +32,14 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"crypto/rand"
 	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
+	"log/slog"
 	"net"
 	"os"
 	"os/signal"
@@ -76,6 +78,9 @@ type options struct {
 	chaosPath    string
 }
 
+// logLevels are -loglevel's thresholds; "off" mirrors nothing.
+var logLevels = map[string]slog.Level{"debug": slog.LevelDebug, "info": slog.LevelInfo, "warn": slog.LevelWarn, "error": slog.LevelError}
+
 // errCrashed ends a run whose own principal the chaos plan crashed.
 var errCrashed = errors.New("crashed by the chaos plan")
 
@@ -89,9 +94,9 @@ func run(args []string, stdout, stderr *os.File) int {
 	fs.BoolVar(&o.allInOne, "allinone", false, "run every principal of the config in this process, each as -node runs it, over the simulated network")
 	fs.BoolVar(&o.genKeys, "genkeys", false, "generate the RSA key files the config's key_file entries name, then exit")
 	fs.BoolVar(&o.vet, "vet", false, "statically analyze the config's workload program and exit (nonzero on error findings)")
-	fs.StringVar(&o.debugAddr, "debugaddr", "", "serve /metrics, /debug/spans|logs|pprof, /healthz and /readyz over HTTP on this address (e.g. 127.0.0.1:8300)")
-	fs.StringVar(&o.dump, "dump", "", "on exit write the metrics registry (Prometheus text), the wave-trace span ring and the structured log ring (JSON arrays) to `DIR`/<principal>.{metrics,spans.json,logs.json} (-allinone: allinone.*); `sbx trace -dump` reads the spans file")
-	fs.StringVar(&o.logLevel, "loglevel", "warn", "mirror structured log events at or above this level to stderr (debug|info|warn|error|off); the in-memory ring records every level regardless")
+	fs.StringVar(&o.debugAddr, "debugaddr", "", "serve /metrics (lifecycle state included), /debug/spans|logs|pprof, /readyz and /healthz over HTTP on this address (e.g. 127.0.0.1:8300)")
+	fs.StringVar(&o.dump, "dump", "", "on exit write the metrics registry (Prometheus text), the wave-trace span ring (a JSON array) and the log ring (JSON lines) to `DIR`/<principal>.{metrics,spans.json,logs.json} (-allinone: allinone.*); `sbx trace -dump` reads the spans file")
+	fs.StringVar(&o.logLevel, "loglevel", "warn", "mirror log records at or above this level to stderr (debug|info|warn|error|off); the in-memory ring records every level regardless")
 	fs.DurationVar(&o.timeout, "timeout", 0, "abort the run after this long (0: no limit)")
 	fs.DurationVar(&o.unresponsive, "unresponsive", 15*time.Second, "declare a peer dead after it answers no probe for this long (0: wait forever)")
 	fs.StringVar(&o.chaosPath, "chaos", "", "chaos fault-plan file (JSON): scripted drop/dup/garble/delay/reorder, partitions and crash windows injected below the reliable transport; a permanent crash of this node's principal ends its run with exit 7 (-node mode only)")
@@ -102,12 +107,14 @@ func run(args []string, stdout, stderr *os.File) int {
 		fmt.Fprintln(stderr, "sbxnode: -config is required")
 		return 1
 	}
-	lvl, err := obs.ParseLevel(o.logLevel)
-	if err != nil {
-		fmt.Fprintf(stderr, "sbxnode: -loglevel: %v\n", err)
+	if lvl, ok := logLevels[o.logLevel]; ok {
+		obs.SetMirror(stderr, lvl)
+	} else if o.logLevel == "off" {
+		obs.SetMirror(nil, 0)
+	} else {
+		fmt.Fprintf(stderr, "sbxnode: -loglevel: unknown level %q (debug|info|warn|error|off)\n", o.logLevel)
 		return 1
 	}
-	obs.L().SetMirror(stderr, lvl)
 	cfg, err := cluster.LoadConfig(o.configPath)
 	if err != nil {
 		fmt.Fprintf(stderr, "sbxnode: %v\n", err)
@@ -161,15 +168,15 @@ func writeDumps(dir, principal string) error {
 	if err != nil {
 		return err
 	}
-	logs, err := json.MarshalIndent(obs.L().Events(), "", "  ")
-	if err != nil {
+	var logs bytes.Buffer
+	if err := obs.WriteLogs(&logs, obs.LogRecords()); err != nil {
 		return err
 	}
 	base := filepath.Join(dir, principal)
 	return errors.Join(
 		os.WriteFile(base+".metrics", []byte(obs.Default().Render()), 0o644),
 		os.WriteFile(base+".spans.json", append(spans, '\n'), 0o644),
-		os.WriteFile(base+".logs.json", append(logs, '\n'), 0o644))
+		os.WriteFile(base+".logs.json", logs.Bytes(), 0o644))
 }
 
 // generateKeys writes one PEM key file per node that names one, so a
@@ -208,21 +215,19 @@ func signalContext(timeout time.Duration) (context.Context, context.CancelFunc) 
 	return ctx, cancel
 }
 
-// runProcess is the -node path: one deployment process, with the health
-// machine and debug server of its one principal, over strict UDP under the
-// optional chaos plan.
+// runProcess is the -node path: one deployment process, with the lifecycle
+// and debug server of its one principal, over strict UDP under the optional
+// chaos plan.
 func runProcess(cfg *cluster.Config, w *apps.Workload, pol core.PolicyConfig, o options, stdout *os.File) (retErr error) {
 	ctx, cancel := signalContext(o.timeout)
 	defer cancel()
 
-	// The process-wide health state machine backs /healthz and /readyz;
-	// the cluster runtime advances it through the lifecycle runNode drives.
-	health := obs.DefaultHealth()
-	health.Reset()
-	health.SetIdentity(cfg.Cluster, o.node)
+	// The principal's lifecycle backs sbx_lifecycle_state, /readyz and
+	// /healthz; the cluster runtime advances it through the run runNode drives.
+	lc := obs.StartLifecycle(o.node)
 	defer func() {
 		if retErr != nil {
-			health.Fail(retErr)
+			lc.Fail()
 		}
 	}()
 
@@ -233,7 +238,7 @@ func runProcess(cfg *cluster.Config, w *apps.Workload, pol core.PolicyConfig, o 
 		}
 	}
 	if debugAddr != "" {
-		_, stop, err := obs.ServeDebug(debugAddr)
+		_, stop, err := obs.ServeDebug(debugAddr, nil)
 		if err != nil {
 			return err
 		}
@@ -263,7 +268,7 @@ func runProcess(cfg *cluster.Config, w *apps.Workload, pol core.PolicyConfig, o 
 	if err != nil {
 		return err
 	}
-	rt.Health = health
+	rt.Lifecycle = lc
 	lines, err := runNode(ctx, rt, udp, chaos, w, cp, o)
 	if err != nil {
 		return err
@@ -276,7 +281,7 @@ func runProcess(cfg *cluster.Config, w *apps.Workload, pol core.PolicyConfig, o 
 // through the same runNode a deployment process runs, concurrently over one
 // simulated network and bound to the one program compiled for them all. It
 // prints the sorted union of their result lines. The seed's lifecycle is the
-// one /healthz and /readyz report.
+// one /metrics, /readyz and /healthz report.
 func runAllInOne(cfg *cluster.Config, w *apps.Workload, pol core.PolicyConfig, o options, stdout *os.File) error {
 	ctx, cancel := signalContext(o.timeout)
 	defer cancel()
@@ -285,7 +290,7 @@ func runAllInOne(cfg *cluster.Config, w *apps.Workload, pol core.PolicyConfig, o
 	defer fail(nil)
 
 	if o.debugAddr != "" {
-		_, stop, err := obs.ServeDebug(o.debugAddr)
+		_, stop, err := obs.ServeDebug(o.debugAddr, nil)
 		if err != nil {
 			return err
 		}
@@ -308,9 +313,8 @@ func runAllInOne(cfg *cluster.Config, w *apps.Workload, pol core.PolicyConfig, o
 		}
 		rts[i] = rt
 	}
-	health := obs.DefaultHealth()
-	health.Reset()
-	rts[0].Health = health
+	lc := obs.StartLifecycle(rts[0].Principal())
+	rts[0].Lifecycle = lc
 
 	lines := make([][]string, len(rts))
 	var wg sync.WaitGroup
@@ -326,7 +330,7 @@ func runAllInOne(cfg *cluster.Config, w *apps.Workload, pol core.PolicyConfig, o
 	}
 	wg.Wait()
 	if err := context.Cause(ctx); err != nil {
-		health.Fail(err)
+		lc.Fail()
 		return err
 	}
 	writeLines(stdout, slices.Concat(lines...))
@@ -450,7 +454,7 @@ func runNode(ctx context.Context, rt *cluster.Runtime, nw transport.Network, cha
 	dctx, dcancel := context.WithTimeout(ctx, cfg.Timeout())
 	defer dcancel()
 	if err := rt.DepartureBarrier(dctx); err != nil {
-		obs.L().With(rt.Principal()).Warn("departure barrier failed", "err", err.Error())
+		obs.L().With("principal", rt.Principal()).Warn("departure barrier failed", "err", err.Error())
 	}
 
 	// Graceful leave: drain the node's queued work (a no-op after a proven

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"log/slog"
 	"net"
 	"os"
 	"path/filepath"
@@ -97,6 +98,11 @@ func capture(t *testing.T, args []string) (code int, stdout, stderr string) {
 	outF.Close()
 	errF.Close()
 	return code, string(outB), string(errB)
+}
+
+// runLogs returns the log records written since start.
+func runLogs(start time.Time) []slog.Record {
+	return slices.DeleteFunc(obs.LogRecords(), func(r slog.Record) bool { return r.Time.Before(start) })
 }
 
 // sortedLines splits, sorts and rejoins result output so per-process
@@ -263,7 +269,7 @@ func (d deployment) run(t *testing.T) {
 	if d.allInOne {
 		runs = []string{"allinone"}
 	}
-	obs.L().ResetEvents()
+	start := time.Now()
 	before := obs.SumPromFamilies(obs.Default().Render())
 	codes, outs, errs := make([]int, len(runs)), make([]string, len(runs)), make([]string, len(runs))
 	var wg sync.WaitGroup
@@ -284,9 +290,9 @@ func (d deployment) run(t *testing.T) {
 		if !t.Failed() {
 			return
 		}
-		for _, e := range obs.L().Events() {
-			t.Logf("log %s %s %s %s %v", e.Time.Format("15:04:05.000"), e.Level, e.Principal, e.Msg, e.Fields)
-		}
+		var logs strings.Builder
+		obs.WriteLogs(&logs, runLogs(start))
+		t.Logf("log ring:\n%s", &logs)
 		for i, e := range errs {
 			t.Logf("%s exit %d, stderr:\n%s", runs[i], codes[i], e)
 		}
@@ -315,8 +321,15 @@ func (d deployment) run(t *testing.T) {
 	if got := sortedLines(survivors...); got != want {
 		t.Fatalf("result set differs from the reference:\n--- got:\n%s\n--- want:\n%s", got, want)
 	}
-	if d.evict && !slices.ContainsFunc(obs.L().Events(), func(e obs.Event) bool {
-		return e.Msg == "evicting unresponsive" && fmt.Sprint(e.Fields["evicted"]) == "["+d.crashed+"]"
+	if d.evict && !slices.ContainsFunc(runLogs(start), func(r slog.Record) bool {
+		evicted := ""
+		r.Attrs(func(a slog.Attr) bool {
+			if a.Key == "evicted" {
+				evicted = a.Value.String()
+			}
+			return true
+		})
+		return r.Message == "evicting unresponsive" && evicted == "["+d.crashed+"]"
 	}) {
 		t.Errorf("no survivor logged evicting %s", d.crashed)
 	}
@@ -390,6 +403,7 @@ func TestCLIErrors(t *testing.T) {
 		{"workload typo allinone", []string{"-config", typoPath, "-allinone"}, `unknown workload "pathvektor"`},
 		{"workload typo vet", []string{"-config", typoPath, "-vet"}, `unknown workload "pathvektor"`},
 		{"anonjoin without relay", []string{"-config", anonPath, "-node", "p0"}, "at least one relay"},
+		{"bad loglevel", []string{"-config", cfgPath, "-node", "p0", "-loglevel", "loud"}, `-loglevel: unknown level "loud"`},
 	}
 	// What key material a scheme needs is core's to say
 	// (core.DeploymentPolicy): a policy typo, and a key or a secret the

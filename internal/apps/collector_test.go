@@ -46,12 +46,12 @@ func TestTraceCollectorHTTPRoundTrip(t *testing.T) {
 	for i, nodeAddr := range c.Addrs {
 		mux := http.NewServeMux()
 		mux.Handle("/debug/spans", nodeScopedSpans(nodeAddr))
-		ds, err := obs.StartDebugServer("127.0.0.1:0", mux)
+		addr, stop, err := obs.ServeDebug("127.0.0.1:0", mux)
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer func() { _ = ds.Close(t.Context()) }()
-		servers[i] = ds.Addr()
+		defer stop()
+		servers[i] = addr
 	}
 
 	client := &http.Client{}

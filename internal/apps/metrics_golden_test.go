@@ -74,8 +74,10 @@ func TestMetricsEndpointShape(t *testing.T) {
 }
 
 // unrendered are the families README documents that a three-node memnet run
-// cannot render: chaos faults exist only under a -chaos plan.
-var unrendered = []string{"sbx_chaos_faults_total"}
+// cannot render: chaos faults exist only under a -chaos plan, and a
+// lifecycle only in a deployment run (sbxnode's obs.StartLifecycle), not
+// in a core.NewCluster.
+var unrendered = []string{"sbx_chaos_faults_total", "sbx_lifecycle_state"}
 
 // TestReadmeMetricTable: the family table under README's Observability
 // heading names exactly the golden list's families plus the unrendered ones.

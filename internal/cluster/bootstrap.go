@@ -227,9 +227,6 @@ func (rt *Runtime) Join(ctx context.Context) (*Membership, error) {
 	if rt.mem != nil {
 		return rt.mem, nil
 	}
-	if rt.Health != nil {
-		rt.Health.SetIdentity(rt.cfg.Cluster, rt.principal)
-	}
 	rt.hstep(obs.StateJoining)
 	rt.log().Info("joining cluster", "cluster", rt.cfg.Cluster,
 		"addr", rt.ep.Addr(), "seed", rt.seedAddr, "is_seed", rt.IsSeed())
@@ -243,7 +240,7 @@ func (rt *Runtime) Join(ctx context.Context) (*Membership, error) {
 		accept:   rt.acceptDirectory,
 	})
 	if err != nil {
-		rt.MarkFailed(err)
+		rt.MarkFailed()
 		return nil, err
 	}
 	rt.seedAddr = rt.mem.Members[0].Addr
@@ -347,7 +344,7 @@ func (rt *Runtime) Ready(ctx context.Context) error {
 		stray: func(in transport.InMsg) { rt.early = append(rt.early, in) },
 	})
 	if err != nil {
-		rt.MarkFailed(err)
+		rt.MarkFailed()
 		return err
 	}
 	rt.hstep(obs.StateReady)

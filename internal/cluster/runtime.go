@@ -4,6 +4,7 @@ import (
 	"context"
 	"crypto/rsa"
 	"fmt"
+	"log/slog"
 	"sync"
 	"time"
 
@@ -32,13 +33,12 @@ func init() {
 // → caller assembles its workspace and node → Ready (barrier) → BindNode →
 // node runs → DepartureBarrier → Leave (drain + stop) → Close.
 type Runtime struct {
-	// Health, when set, is the lifecycle state machine the runtime
-	// advances through joining → ready → running → draining/evicting →
-	// done as the handshake, barriers and run proceed; /healthz and
-	// /readyz serve it. Set it before Join (sbxnode points it at
-	// obs.DefaultHealth(), the instance obs.Mount serves). Nil disables
-	// health tracking (in-process tests run many runtimes per process).
-	Health *obs.Health
+	// Lifecycle, when set, is the run's lifecycle the runtime advances
+	// through joining → ready → running → evicting/draining → done as the
+	// handshake, barriers and run proceed. Set it before Join (sbxnode sets
+	// the obs.StartLifecycle of its principal). Nil tracks nothing
+	// (in-process tests run many runtimes per process).
+	Lifecycle *obs.Lifecycle
 
 	cfg       *Config
 	principal string
@@ -104,30 +104,23 @@ func NewRuntime(cfg *Config, principal string, net transport.Network) (*Runtime,
 }
 
 // log returns the structured logger bound to this runtime's principal.
-func (rt *Runtime) log() *obs.Logger { return obs.L().With(rt.principal) }
+func (rt *Runtime) log() *slog.Logger { return obs.L().With("principal", rt.principal) }
 
-// hstep advances the health machine when one is attached. An illegal edge
-// is a wiring bug: it is logged rather than silently ignored, but never
-// fails the run — health is an observer, not a participant.
-func (rt *Runtime) hstep(to obs.HealthState) {
-	if rt.Health == nil {
-		return
-	}
-	if err := rt.Health.Advance(to); err != nil {
-		rt.log().Warn("health transition rejected", "err", err.Error())
+// hstep advances the lifecycle. An illegal edge is a wiring bug: it is
+// logged rather than silently ignored, but never fails the run — the
+// lifecycle is an observer, not a participant.
+func (rt *Runtime) hstep(to obs.State) {
+	if err := rt.Lifecycle.Advance(to); err != nil {
+		rt.log().Warn("lifecycle transition rejected", "err", err.Error())
 	}
 }
 
-// MarkRunning advances health to running — called once the node's
+// MarkRunning advances the lifecycle to running — called once the node's
 // transaction loop is started and workload facts are asserted.
 func (rt *Runtime) MarkRunning() { rt.hstep(obs.StateRunning) }
 
-// MarkFailed records a terminal failure on the health machine.
-func (rt *Runtime) MarkFailed(err error) {
-	if rt.Health != nil {
-		rt.Health.Fail(err)
-	}
-}
+// MarkFailed ends the lifecycle as failed.
+func (rt *Runtime) MarkFailed() { rt.Lifecycle.Fail() }
 
 // Principal returns the identity this runtime runs as.
 func (rt *Runtime) Principal() string { return rt.principal }
@@ -289,9 +282,7 @@ func (rt *Runtime) applyEviction(members []wire.MemberInfo, gossip bool) []strin
 // endpoint. The context bounds the flush; on expiry the node is stopped
 // anyway and the error returned.
 func (rt *Runtime) Leave(ctx context.Context, n *dist.Node) error {
-	if rt.Health != nil && rt.Health.State() != obs.StateDraining {
-		rt.hstep(obs.StateDraining)
-	}
+	rt.hstep(obs.StateDraining)
 	err := n.Drain(ctx)
 	rt.flushEndpoint(ctx)
 	n.Stop()

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"errors"
+	"log/slog"
 	"runtime"
 	"strings"
 	"testing"
@@ -58,21 +59,22 @@ func TestParallelAssemblyAlignsEverythingByIndex(t *testing.T) {
 			t.Errorf("index %d: private_key[] is not keystore %d's key", i, i)
 		}
 	}
-	evs := obs.L().Events()
-	i := len(evs) - 1
-	for i >= 0 && evs[i].Msg != "cluster set up" {
+	recs := obs.LogRecords()
+	i := len(recs) - 1
+	for i >= 0 && recs[i].Message != "cluster set up" {
 		i--
 	}
 	if i < 0 {
 		t.Fatal("NewCluster logged no set-up line")
 	}
-	last := evs[i]
+	fields := map[string]slog.Value{}
+	recs[i].Attrs(func(a slog.Attr) bool { fields[a.Key] = a.Value; return true })
 	for _, k := range []string{"keys_ms", "compile_ms", "assemble_ms"} {
-		if v, ok := last.Fields[k].(float64); !ok || v <= 0 {
-			t.Errorf("set-up line: %s = %v, want a positive duration", k, last.Fields[k])
+		if v := fields[k]; v.Kind() != slog.KindFloat64 || v.Float64() <= 0 {
+			t.Errorf("set-up line: %s = %v, want a positive duration", k, v)
 		}
 	}
-	if w := last.Fields["workers"]; w != min(runtime.GOMAXPROCS(0), n) {
+	if w := fields["workers"]; w.Kind() != slog.KindInt64 || w.Int64() != int64(min(runtime.GOMAXPROCS(0), n)) {
 		t.Errorf("set-up line: workers = %v at GOMAXPROCS %d", w, runtime.GOMAXPROCS(0))
 	}
 }

@@ -256,7 +256,7 @@ func (n *Node) applyEvictions() {
 			continue
 		}
 		n.evicted[addr] = true
-		obs.L().With(n.Principal).Info("peer cut off", "peer", addr)
+		obs.L().With("principal", n.Principal).Info("peer cut off", "peer", addr)
 		if f, ok := n.ep.(interface{ Forget(string) int }); ok {
 			f.Forget(addr)
 		}
@@ -541,7 +541,7 @@ func (n *Node) Rejections() int64 { return n.rejected.Value() }
 // reader that sees a rejection counted finds the first error kept.
 func (n *Node) recordViolation(err error) {
 	n.lastActivity.Store(int64(time.Since(epoch)))
-	obs.L().With(n.Principal).Warn("constraint violation", "err", err.Error())
+	obs.L().With("principal", n.Principal).Warn("constraint violation", "err", err.Error())
 	n.mu.Lock()
 	if len(n.violations) < maxViolations {
 		n.violations = append(n.violations, err)

@@ -17,13 +17,13 @@ import (
 // from. They live here (not in cmd/sbx) so the HTTP round-trip tests can
 // drive exactly the collector's fetch path against in-process nodes.
 
-// NodeScrape is one node's observability snapshot as seen from outside:
-// its /healthz lifecycle document plus its /metrics families summed per
-// family name (label sets collapsed — one OS process serves one node).
+// NodeScrape is one node's observability snapshot as seen from outside: its
+// /metrics families summed per family name (label sets collapsed — one OS
+// process serves one node), and its principal and lifecycle state read off
+// its sbx_lifecycle_state series.
 type NodeScrape struct {
 	Addr      string
 	Principal string
-	Cluster   string
 	State     string
 	Families  map[string]float64
 	At        time.Time
@@ -33,9 +33,7 @@ type NodeScrape struct {
 // Counter returns the summed value of a metric family (0 when absent).
 func (s NodeScrape) Counter(name string) float64 { return s.Families[name] }
 
-// ScrapeNode fetches one node's /metrics and /healthz. A missing /healthz
-// (older build, plain obs.ServeDebug) degrades to an empty state rather
-// than failing the scrape; a failed /metrics fetch sets Err.
+// ScrapeNode fetches one node's /metrics; a failed fetch sets Err.
 func ScrapeNode(client *http.Client, addr string) NodeScrape {
 	out := NodeScrape{Addr: addr, At: time.Now()}
 	body, err := httpGet(client, "http://"+addr+"/metrics")
@@ -44,24 +42,35 @@ func ScrapeNode(client *http.Client, addr string) NodeScrape {
 		return out
 	}
 	out.Families = SumPromFamilies(string(body))
-	if hz, err := httpGet(client, "http://"+addr+"/healthz"); err == nil {
-		var doc struct {
-			State     string `json:"state"`
-			Cluster   string `json:"cluster"`
-			Principal string `json:"principal"`
-		}
-		if json.Unmarshal(hz, &doc) == nil {
-			out.State, out.Cluster, out.Principal = doc.State, doc.Cluster, doc.Principal
-		}
-	}
-	if out.Principal == "" {
-		out.Principal = principalFromMetrics(string(body))
-	}
+	out.Principal, out.State = lifecycleOf(string(body))
 	return out
 }
 
-// httpGet fetches a URL, tolerating non-200 statuses that still carry a
-// body (the /healthz of a failed node answers 503 with the document).
+// lifecycleOf reads a node's principal and state from its one
+// sbx_lifecycle_state series. None, or several (a process that ran several
+// principals), leaves both empty.
+func lifecycleOf(text string) (principal, state string) {
+	n := 0
+	for _, line := range strings.Split(text, "\n") {
+		rest, ok := strings.CutPrefix(line, `sbx_lifecycle_state{principal="`)
+		if !ok {
+			continue
+		}
+		p, v, ok := strings.Cut(rest, `"} `)
+		s, err := strconv.Atoi(v)
+		if !ok || err != nil {
+			continue
+		}
+		principal, state = p, State(s).String()
+		n++
+	}
+	if n != 1 {
+		return "", ""
+	}
+	return principal, state
+}
+
+// httpGet fetches a URL; a status other than 200 is an error.
 func httpGet(client *http.Client, url string) ([]byte, error) {
 	resp, err := client.Get(url)
 	if err != nil {
@@ -72,7 +81,7 @@ func httpGet(client *http.Client, url string) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	if resp.StatusCode >= 400 && resp.StatusCode != http.StatusServiceUnavailable {
+	if resp.StatusCode != http.StatusOK {
 		return nil, fmt.Errorf("%s: HTTP %d", url, resp.StatusCode)
 	}
 	return body, nil
@@ -104,32 +113,6 @@ func SumPromFamilies(text string) map[string]float64 {
 		out[name] += v
 	}
 	return out
-}
-
-// principalFromMetrics recovers the node's principal from its per-node
-// label sets when /healthz did not provide one. Ambiguous expositions
-// (in-process clusters label many principals) yield "".
-func principalFromMetrics(text string) string {
-	seen := map[string]bool{}
-	for _, line := range strings.Split(text, "\n") {
-		i := strings.Index(line, `principal="`)
-		if i < 0 || strings.HasPrefix(line, "#") {
-			continue
-		}
-		rest := line[i+len(`principal="`):]
-		j := strings.IndexByte(rest, '"')
-		if j < 0 {
-			continue
-		}
-		seen[rest[:j]] = true
-	}
-	if len(seen) != 1 {
-		return ""
-	}
-	for p := range seen {
-		return p
-	}
-	return ""
 }
 
 // FetchSpans fetches one node's span dump over HTTP, optionally filtered

@@ -44,17 +44,16 @@ func TestSumPromFamilies(t *testing.T) {
 }
 
 // TestScrapeNode drives the collector's fetch path against a debug mux:
-// families summed, identity and state recovered from /healthz.
+// families summed, identity and state read off sbx_lifecycle_state.
 func TestScrapeNode(t *testing.T) {
-	h := NewHealth()
-	h.SetIdentity("fig5", "p1")
-	for _, s := range []HealthState{StateJoining, StateReady, StateRunning} {
-		if err := h.Advance(s); err != nil {
+	l := StartLifecycle(testPrincipal)
+	for _, s := range []State{StateJoining, StateReady, StateRunning} {
+		if err := l.Advance(s); err != nil {
 			t.Fatal(err)
 		}
 	}
 	mux := http.NewServeMux()
-	MountWith(mux, h)
+	Mount(mux)
 	srv := httptest.NewServer(mux)
 	defer srv.Close()
 
@@ -63,7 +62,7 @@ func TestScrapeNode(t *testing.T) {
 	if got.Err != nil {
 		t.Fatal(got.Err)
 	}
-	if got.Principal != "p1" || got.Cluster != "fig5" || got.State != "running" {
+	if got.Principal != "p1" || got.State != "running" {
 		t.Fatalf("identity wrong: %+v", got)
 	}
 	if got.Counter("sbx_go_goroutines") <= 0 {

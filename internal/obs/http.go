@@ -7,6 +7,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/pprof"
+	"strconv"
 	"sync"
 	"time"
 )
@@ -28,8 +29,8 @@ func SpansHandler() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
 		all := Spans()
 		if t := req.URL.Query().Get("trace"); t != "" {
-			var id uint64
-			if _, err := fmt.Sscanf(t, "%d", &id); err != nil {
+			id, err := strconv.ParseUint(t, 10, 64)
+			if err != nil {
 				http.Error(w, "bad trace id", http.StatusBadRequest)
 				return
 			}
@@ -59,20 +60,14 @@ func SpansHandler() http.Handler {
 
 // Mount registers the observability endpoints on a mux: /metrics
 // (Prometheus text over the default registry), /debug/spans (span dump),
-// /debug/logs (structured event ring), /healthz and /readyz (the default
-// health state machine), and /debug/pprof/* (Go profiling).
+// /debug/logs (the log ring), /readyz and /healthz (the current run's
+// lifecycle), and /debug/pprof/* (Go profiling).
 func Mount(mux *http.ServeMux) {
-	MountWith(mux, DefaultHealth())
-}
-
-// MountWith is Mount with an explicit health instance — in-process tests
-// run several lifecycles per process and cannot share the default.
-func MountWith(mux *http.ServeMux, h *Health) {
 	mux.Handle("/metrics", MetricsHandler(Default()))
 	mux.Handle("/debug/spans", SpansHandler())
-	mux.Handle("/debug/logs", LogsHandler(L()))
-	mux.Handle("/healthz", HealthzHandler(h))
-	mux.Handle("/readyz", ReadyzHandler(h))
+	mux.Handle("/debug/logs", LogsHandler())
+	mux.Handle("/readyz", lifecycleHandler(State.ready))
+	mux.Handle("/healthz", lifecycleHandler(func(s State) bool { return s != StateFailed }))
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
@@ -80,68 +75,31 @@ func MountWith(mux *http.ServeMux, h *Health) {
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 }
 
-// DebugServer is a running observability HTTP server with a graceful
-// shutdown path: Close drains in-flight scrapes before the listener goes
-// away, so a -dump run exits without a lingering socket and a
-// mid-scrape collector is not cut off.
-type DebugServer struct {
-	addr      string
-	srv       *http.Server
-	done      chan error
-	closeOnce sync.Once
-	closeErr  error
-}
-
-// Addr returns the server's bound address (useful with ":0" hints).
-func (s *DebugServer) Addr() string { return s.addr }
-
-// Close shuts the server down gracefully within ctx, then forcibly.
-// Idempotent: later calls return the first shutdown's result.
-func (s *DebugServer) Close(ctx context.Context) error {
-	s.closeOnce.Do(func() {
-		s.closeErr = s.srv.Shutdown(ctx)
-		if s.closeErr != nil {
-			// Shutdown timed out with handlers in flight: cut them off so
-			// the process can exit.
-			s.srv.Close()
-		}
-		<-s.done
-	})
-	return s.closeErr
-}
-
-// StartDebugServer serves mux on addr. A nil mux serves the standard
-// endpoints (Mount on a fresh mux). The caller owns the returned server
-// and must Close it on teardown.
-func StartDebugServer(addr string, mux *http.ServeMux) (*DebugServer, error) {
+// ServeDebug serves mux over HTTP on addr; a nil mux serves the standard
+// endpoints (Mount). It returns the bound address and a stop function that
+// drains in-flight scrapes for up to two seconds, then cuts them off, so a
+// -dump run exits without a lingering socket.
+func ServeDebug(addr string, mux *http.ServeMux) (string, func(), error) {
 	if mux == nil {
 		mux = http.NewServeMux()
 		Mount(mux)
 	}
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
-		return nil, fmt.Errorf("obs: debug server: %w", err)
+		return "", nil, fmt.Errorf("obs: debug server: %w", err)
 	}
 	srv := &http.Server{Handler: mux}
-	ds := &DebugServer{addr: ln.Addr().String(), srv: srv, done: make(chan error, 1)}
-	go func() { ds.done <- srv.Serve(ln) }()
-	return ds, nil
-}
-
-// ServeDebug starts an HTTP server with the standard observability
-// endpoints on addr, returning the bound address and a stop function that
-// shuts it down gracefully (bounded at two seconds). sbxnode and the
-// benchmark drivers expose this behind -debugaddr, so a sweep in flight is
-// scraped like a deployment; callers that need the full lifecycle use
-// StartDebugServer.
-func ServeDebug(addr string) (string, func(), error) {
-	ds, err := StartDebugServer(addr, nil)
-	if err != nil {
-		return "", nil, err
-	}
-	return ds.Addr(), func() {
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		_ = srv.Serve(ln)
+	}()
+	return ln.Addr().String(), sync.OnceFunc(func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 		defer cancel()
-		_ = ds.Close(ctx)
-	}, nil
+		if srv.Shutdown(ctx) != nil {
+			srv.Close()
+		}
+		<-done
+	}), nil
 }

@@ -1,54 +1,69 @@
 package obs
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"log/slog"
 	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
 )
 
-// TestLoggerRingRecordsAndBounds: events land in the ring oldest-first,
-// and once the ring wraps, overwrites are counted as drops.
+// attr returns a record's top-level attribute named key.
+func attr(r slog.Record, key string) (v slog.Value, ok bool) {
+	r.Attrs(func(a slog.Attr) bool {
+		if a.Key == key {
+			v, ok = a.Value, true
+		}
+		return !ok
+	})
+	return v, ok
+}
+
+// TestLoggerRingRecordsAndBounds: records land in the ring oldest-first
+// with their bound principal, and once the ring wraps, overwrites are
+// counted as drops.
 func TestLoggerRingRecordsAndBounds(t *testing.T) {
-	l := L()
-	l.ResetEvents()
-	defer l.ResetEvents()
+	logs.reset(0)
+	defer logs.reset(0)
 
-	l.With("p0").Info("hello", "k", 1)
-	l.With("p1").Warn("trouble", "peer", "p2")
-	ev := l.Events()
-	if len(ev) != 2 {
-		t.Fatalf("got %d events, want 2", len(ev))
+	L().With("principal", "p0").Info("hello", "k", 1)
+	L().With("principal", "p1").Warn("trouble", "peer", "p2")
+	recs := LogRecords()
+	if len(recs) != 2 {
+		t.Fatalf("got %d records, want 2", len(recs))
 	}
-	if ev[0].Msg != "hello" || ev[0].Principal != "p0" || ev[0].Level != "info" {
-		t.Fatalf("first event wrong: %+v", ev[0])
+	if recs[0].Message != "hello" || principalOf(recs[0]) != "p0" || recs[0].Level != slog.LevelInfo {
+		t.Fatalf("first record wrong: %+v", recs[0])
 	}
-	if v, ok := ev[1].Fields["peer"]; !ok || v != "p2" {
-		t.Fatalf("fields not folded: %+v", ev[1].Fields)
+	if v, ok := attr(recs[1], "peer"); !ok || v.String() != "p2" {
+		t.Fatalf("attributes not kept: %+v", recs[1])
 	}
 
-	l.ResetEvents()
-	cap := logRingCap
-	for i := 0; i < cap+5; i++ {
-		l.Info("fill", "i", i)
+	logs.reset(0)
+	dropped := Default().CounterValue("sbx_log_dropped_total")
+	for i := 0; i < logRingCap+5; i++ {
+		L().Info("fill", "i", i)
 	}
-	if got := len(l.Events()); got != cap {
-		t.Fatalf("ring holds %d events, want cap %d", got, cap)
+	if got := len(LogRecords()); got != logRingCap {
+		t.Fatalf("ring holds %d records, want cap %d", got, logRingCap)
 	}
-	if d := l.EventDrops(); d != 5 {
+	if d := logs.dropCount(); d != 5 {
 		t.Fatalf("got %d drops, want 5", d)
+	}
+	if d := Default().CounterValue("sbx_log_dropped_total") - dropped; d != 5 {
+		t.Fatalf("sbx_log_dropped_total moved by %d, want 5", d)
 	}
 }
 
-// TestLoggerConcurrent hammers the ring from many goroutines; run under
-// -race this is the logger's data-race proof.
+// TestLoggerConcurrent hammers the ring handler from many goroutines while
+// the mirror is on; run under -race this is the handler's data-race proof.
 func TestLoggerConcurrent(t *testing.T) {
-	l := L()
-	l.ResetEvents()
-	defer l.ResetEvents()
+	logs.reset(0)
+	defer logs.reset(0)
 
 	var buf bytes.Buffer
 	var mu sync.Mutex
@@ -57,8 +72,9 @@ func TestLoggerConcurrent(t *testing.T) {
 		defer mu.Unlock()
 		return buf.Write(p)
 	})
-	l.SetMirror(safe, LevelWarn)
-	defer l.SetMirror(nil, LevelOff)
+	SetMirror(safe, slog.LevelWarn)
+	defer SetMirror(nil, 0)
+	recorded := Default().CounterValue("sbx_log_events_total")
 
 	const workers, each = 8, 200
 	var wg sync.WaitGroup
@@ -66,7 +82,7 @@ func TestLoggerConcurrent(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			lg := l.With(fmt.Sprintf("p%d", w))
+			lg := L().With("principal", fmt.Sprintf("p%d", w))
 			for i := 0; i < each; i++ {
 				switch i % 3 {
 				case 0:
@@ -74,21 +90,30 @@ func TestLoggerConcurrent(t *testing.T) {
 				case 1:
 					lg.Warn("tock", "i", i)
 				default:
-					_ = lg.Events()
+					_ = LogRecords()
 				}
 			}
 		}(w)
 	}
 	wg.Wait()
-	if len(l.Events()) == 0 {
-		t.Fatal("no events recorded")
+	if len(LogRecords()) == 0 {
+		t.Fatal("no records recorded")
+	}
+	want := int64(0) // every worker logs on two of each three steps
+	for i := range each {
+		if i%3 != 2 {
+			want += workers
+		}
+	}
+	if got := Default().CounterValue("sbx_log_events_total") - recorded; got != want {
+		t.Errorf("sbx_log_events_total moved by %d, want %d", got, want)
 	}
 	mu.Lock()
 	defer mu.Unlock()
-	if !strings.Contains(buf.String(), `msg="tock"`) {
+	if !strings.Contains(buf.String(), `level=WARN msg=tock principal=p`) {
 		t.Fatalf("mirror missing warn lines:\n%s", buf.String())
 	}
-	if strings.Contains(buf.String(), `msg="tick"`) {
+	if strings.Contains(buf.String(), `msg=tick`) {
 		t.Fatal("mirror leaked info lines below its level")
 	}
 }
@@ -97,56 +122,41 @@ type writerFunc func(p []byte) (int, error)
 
 func (f writerFunc) Write(p []byte) (int, error) { return f(p) }
 
-// TestMirrorLineFormat pins the logfmt mirror format the smoke scripts
-// grep: level, principal, quoted msg, sorted fields.
-func TestMirrorLineFormat(t *testing.T) {
-	l := L()
-	l.ResetEvents()
-	defer l.ResetEvents()
-	var buf bytes.Buffer
-	l.SetMirror(&buf, LevelInfo)
-	defer l.SetMirror(nil, LevelOff)
-
-	l.With("p3").Warn("evicting unresponsive", "evicted", []string{"p4"}, "source", "gossip")
-	line := strings.TrimSpace(buf.String())
-	for _, want := range []string{"level=warn", "principal=p3", `msg="evicting unresponsive"`, "evicted=[p4]", "source=gossip"} {
-		if !strings.Contains(line, want) {
-			t.Errorf("mirror line missing %q:\n%s", want, line)
-		}
-	}
-	// Fields render sorted, so the line is deterministic.
-	if strings.Index(line, "evicted=") > strings.Index(line, "source=") {
-		t.Errorf("fields not sorted: %s", line)
-	}
-}
-
 // TestLogsHandlerFilters: the /debug/logs endpoint serves the ring as JSON
-// and applies level/principal/n filters.
+// lines and applies level/principal/n filters.
 func TestLogsHandlerFilters(t *testing.T) {
-	l := L()
-	l.ResetEvents()
-	defer l.ResetEvents()
-	l.With("p0").Info("a")
-	l.With("p1").Warn("b")
-	l.With("p0").Error("c")
+	logs.reset(0)
+	defer logs.reset(0)
+	L().With("principal", "p0").Info("a")
+	L().With("principal", "p1").Warn("b")
+	L().With("principal", "p0").Error("c")
 
-	get := func(query string) []Event {
+	type line struct {
+		Level     string `json:"level"`
+		Msg       string `json:"msg"`
+		Principal string `json:"principal"`
+	}
+	get := func(query string) []line {
 		t.Helper()
 		req := httptest.NewRequest("GET", "/debug/logs"+query, nil)
 		rec := httptest.NewRecorder()
-		LogsHandler(l).ServeHTTP(rec, req)
+		LogsHandler().ServeHTTP(rec, req)
 		if rec.Code != 200 {
 			t.Fatalf("GET %s: HTTP %d", query, rec.Code)
 		}
-		var ev []Event
-		if err := json.Unmarshal(rec.Body.Bytes(), &ev); err != nil {
-			t.Fatalf("GET %s: %v", query, err)
+		var out []line
+		for sc := bufio.NewScanner(rec.Body); sc.Scan(); {
+			var l line
+			if err := json.Unmarshal(sc.Bytes(), &l); err != nil {
+				t.Fatalf("GET %s: %v", query, err)
+			}
+			out = append(out, l)
 		}
-		return ev
+		return out
 	}
 
-	if ev := get(""); len(ev) != 3 {
-		t.Fatalf("unfiltered: got %d events, want 3", len(ev))
+	if ev := get(""); len(ev) != 3 || ev[0] != (line{"INFO", "a", "p0"}) {
+		t.Fatalf("unfiltered: %+v", ev)
 	}
 	if ev := get("?level=warn"); len(ev) != 2 || ev[0].Msg != "b" {
 		t.Fatalf("level filter: %+v", ev)
@@ -157,23 +167,11 @@ func TestLogsHandlerFilters(t *testing.T) {
 	if ev := get("?n=1"); len(ev) != 1 || ev[0].Msg != "c" {
 		t.Fatalf("n filter: %+v", ev)
 	}
-	req := httptest.NewRequest("GET", "/debug/logs?level=bogus", nil)
-	rec := httptest.NewRecorder()
-	LogsHandler(l).ServeHTTP(rec, req)
-	if rec.Code != 400 {
-		t.Fatalf("bad level: HTTP %d, want 400", rec.Code)
-	}
-}
-
-// TestParseLevelRoundTrip: every level name parses back to itself.
-func TestParseLevelRoundTrip(t *testing.T) {
-	for _, lv := range []Level{LevelDebug, LevelInfo, LevelWarn, LevelError, LevelOff} {
-		got, err := ParseLevel(lv.String())
-		if err != nil || got != lv {
-			t.Errorf("ParseLevel(%q) = %v, %v", lv.String(), got, err)
+	for _, bad := range []string{"?level=bogus", "?n=-1"} {
+		rec := httptest.NewRecorder()
+		LogsHandler().ServeHTTP(rec, httptest.NewRequest("GET", "/debug/logs"+bad, nil))
+		if rec.Code != 400 {
+			t.Fatalf("%s: HTTP %d, want 400", bad, rec.Code)
 		}
-	}
-	if _, err := ParseLevel("noise"); err == nil {
-		t.Error("ParseLevel accepted garbage")
 	}
 }

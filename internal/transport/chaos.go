@@ -2,9 +2,11 @@ package transport
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"hash/fnv"
+	"log/slog"
 	"math/rand"
 	"sync"
 	"time"
@@ -176,17 +178,17 @@ func (e *ChaosEngine) Start() {
 		return
 	}
 	e.start = time.Now()
-	announce := func(afterMs int, level obs.Level, msg string, kv ...any) {
+	announce := func(afterMs int, level slog.Level, msg string, kv ...any) {
 		t := time.AfterFunc(time.Duration(afterMs)*time.Millisecond, func() {
-			obs.L().Log(level, msg, kv...)
+			obs.L().Log(context.Background(), level, msg, kv...)
 		})
 		e.timer[t] = struct{}{}
 	}
 	for _, pt := range e.plan.Partitions {
-		announce(pt.AtMs, obs.LevelWarn, "chaos partition cut",
+		announce(pt.AtMs, slog.LevelWarn, "chaos partition cut",
 			"side_a", fmt.Sprint(pt.A), "side_b", fmt.Sprint(pt.B))
 		if pt.HealMs > 0 {
-			announce(pt.HealMs, obs.LevelInfo, "chaos partition healed",
+			announce(pt.HealMs, slog.LevelInfo, "chaos partition healed",
 				"side_a", fmt.Sprint(pt.A), "side_b", fmt.Sprint(pt.B))
 		}
 	}
@@ -195,7 +197,7 @@ func (e *ChaosEngine) Start() {
 		if cr.HangMs > 0 {
 			kind = "hang"
 		}
-		announce(cr.AtMs, obs.LevelWarn, "chaos node silenced",
+		announce(cr.AtMs, slog.LevelWarn, "chaos node silenced",
 			"node", cr.Node, "kind", kind)
 	}
 }
