@@ -39,7 +39,6 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"log/slog"
 	"net"
 	"os"
 	"os/signal"
@@ -78,9 +77,6 @@ type options struct {
 	chaosPath    string
 }
 
-// logLevels are -loglevel's thresholds; "off" mirrors nothing.
-var logLevels = map[string]slog.Level{"debug": slog.LevelDebug, "info": slog.LevelInfo, "warn": slog.LevelWarn, "error": slog.LevelError}
-
 // errCrashed ends a run whose own principal the chaos plan crashed.
 var errCrashed = errors.New("crashed by the chaos plan")
 
@@ -107,14 +103,12 @@ func run(args []string, stdout, stderr *os.File) int {
 		fmt.Fprintln(stderr, "sbxnode: -config is required")
 		return 1
 	}
-	if lvl, ok := logLevels[o.logLevel]; ok {
-		obs.SetMirror(stderr, lvl)
-	} else if o.logLevel == "off" {
-		obs.SetMirror(nil, 0)
-	} else {
-		fmt.Fprintf(stderr, "sbxnode: -loglevel: unknown level %q (debug|info|warn|error|off)\n", o.logLevel)
+	lvl, err := obs.LogLevel(o.logLevel)
+	if err != nil {
+		fmt.Fprintf(stderr, "sbxnode: -loglevel: %v\n", err)
 		return 1
 	}
+	obs.SetMirror(stderr, lvl)
 	cfg, err := cluster.LoadConfig(o.configPath)
 	if err != nil {
 		fmt.Fprintf(stderr, "sbxnode: %v\n", err)

@@ -2,22 +2,42 @@ package obs
 
 import (
 	"context"
+	"fmt"
 	"io"
 	"log/slog"
+	"math"
 	"net/http"
 	"slices"
 	"strconv"
+	"strings"
+	"time"
 )
 
 // logRingCap bounds the in-memory record ring.
 const logRingCap = 4096
+
+// logEntry is one ring slot: a record's fields with its attributes folded
+// into one slice, 72 bytes where a slog.Record is 288.
+type logEntry struct {
+	time  time.Time
+	level slog.Level
+	msg   string
+	attrs []slog.Attr
+}
+
+// record rebuilds the slog record the entry was taken from.
+func (e *logEntry) record() slog.Record {
+	r := slog.NewRecord(e.time, e.level, e.msg, 0)
+	r.AddAttrs(e.attrs...)
+	return r
+}
 
 // logs is the process's one log store: every record any logger of the
 // process writes, oldest overwritten first, plus the optional stderr mirror.
 // The ring's mutex guards the mirror settings too; the mirror is written
 // outside it.
 var logs struct {
-	ring[slog.Record]
+	ring[logEntry]
 	mirror    slog.Handler // a text handler, nil when off
 	mirrorMin slog.Level
 }
@@ -42,12 +62,32 @@ func init() {
 // L().With("principal", p): /debug/logs filters on that attribute.
 func L() *slog.Logger { return logger }
 
+// levelOff is above every record's level: as a threshold it admits none.
+const levelOff = slog.Level(math.MaxInt)
+
+// logLevels are the level names LogLevel accepts.
+var logLevels = map[string]slog.Level{
+	"debug": slog.LevelDebug, "info": slog.LevelInfo,
+	"warn": slog.LevelWarn, "warning": slog.LevelWarn,
+	"error": slog.LevelError, "off": levelOff, "none": levelOff,
+}
+
+// LogLevel parses a threshold name, in any case and with surrounding
+// space: debug, info, warn (warning), error, or off (none). sbxnode's
+// -loglevel and /debug/logs?level= both read it.
+func LogLevel(name string) (slog.Level, error) {
+	if l, ok := logLevels[strings.ToLower(strings.TrimSpace(name))]; ok {
+		return l, nil
+	}
+	return 0, fmt.Errorf("unknown level %q (debug|info|warn|error|off)", name)
+}
+
 // SetMirror mirrors records at or above min to w through slog's text
-// handler; the ring records every level regardless. A nil w turns the
-// mirror off.
+// handler; the ring records every level regardless. A nil w, or min
+// levelOff, mirrors nothing.
 func SetMirror(w io.Writer, min slog.Level) {
 	var h slog.Handler
-	if w != nil {
+	if w != nil && min != levelOff {
 		h = slog.NewTextHandler(w, &slog.HandlerOptions{Level: slog.LevelDebug})
 	}
 	logs.mu.Lock()
@@ -57,7 +97,14 @@ func SetMirror(w io.Writer, min slog.Level) {
 
 // LogRecords returns the ring's records, oldest first. Each carries the
 // attributes its logger was bound with ahead of its own.
-func LogRecords() []slog.Record { return logs.items() }
+func LogRecords() []slog.Record {
+	entries := logs.items()
+	recs := make([]slog.Record, len(entries))
+	for i := range entries {
+		recs[i] = entries[i].record()
+	}
+	return recs
+}
 
 // ringHandler is the slog handler behind L(). ops are the WithAttrs and
 // WithGroup calls that derived it, in order; Handle folds them into each
@@ -86,26 +133,25 @@ func (h *ringHandler) WithGroup(name string) slog.Handler {
 }
 
 func (h *ringHandler) Handle(ctx context.Context, r slog.Record) error {
-	if len(h.ops) > 0 {
-		attrs := make([]slog.Attr, 0, r.NumAttrs())
-		r.Attrs(func(a slog.Attr) bool { attrs = append(attrs, a); return true })
+	e := logEntry{time: r.Time, level: r.Level, msg: r.Message}
+	if n := r.NumAttrs(); n > 0 || len(h.ops) > 0 {
+		e.attrs = make([]slog.Attr, 0, n)
+		r.Attrs(func(a slog.Attr) bool { e.attrs = append(e.attrs, a); return true })
 		for i := len(h.ops) - 1; i >= 0; i-- {
 			if g := h.ops[i].group; g != "" {
-				attrs = []slog.Attr{{Key: g, Value: slog.GroupValue(attrs...)}}
+				e.attrs = []slog.Attr{{Key: g, Value: slog.GroupValue(e.attrs...)}}
 			} else {
-				attrs = append(slices.Clip(h.ops[i].attrs), attrs...)
+				e.attrs = append(slices.Clip(h.ops[i].attrs), e.attrs...)
 			}
 		}
-		r = slog.NewRecord(r.Time, r.Level, r.Message, r.PC)
-		r.AddAttrs(attrs...)
 	}
 	logEvents[levelIndex(r.Level)].Inc()
 	logs.mu.Lock()
-	logs.pushLocked(r)
+	logs.pushLocked(e)
 	mirror, min := logs.mirror, logs.mirrorMin
 	logs.mu.Unlock()
 	if mirror != nil && r.Level >= min {
-		return mirror.Handle(ctx, r)
+		return mirror.Handle(ctx, e.record())
 	}
 	return nil
 }
@@ -142,8 +188,8 @@ func LogsHandler() http.Handler {
 		recs := LogRecords()
 		q := req.URL.Query()
 		if v := q.Get("level"); v != "" {
-			var min slog.Level
-			if err := min.UnmarshalText([]byte(v)); err != nil {
+			min, err := LogLevel(v)
+			if err != nil {
 				http.Error(w, err.Error(), http.StatusBadRequest)
 				return
 			}

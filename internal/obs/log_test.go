@@ -10,6 +10,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"unsafe"
 )
 
 // attr returns a record's top-level attribute named key.
@@ -118,6 +119,32 @@ func TestLoggerConcurrent(t *testing.T) {
 	}
 }
 
+// TestLogLevelNames: one parser reads -loglevel and ?level=, in any case
+// and with surrounding space, aliases included; anything else is refused.
+func TestLogLevelNames(t *testing.T) {
+	for name, want := range map[string]slog.Level{
+		"debug": slog.LevelDebug, "INFO": slog.LevelInfo, " warn ": slog.LevelWarn,
+		"Warning": slog.LevelWarn, "error": slog.LevelError, "off": levelOff, "NONE": levelOff,
+	} {
+		if got, err := LogLevel(name); err != nil || got != want {
+			t.Errorf("LogLevel(%q) = %v, %v; want %v", name, got, err, want)
+		}
+	}
+	for _, bad := range []string{"", "loud", "WARN+1", "4"} {
+		if _, err := LogLevel(bad); err == nil {
+			t.Errorf("LogLevel(%q) accepted", bad)
+		}
+	}
+}
+
+// TestLogRingSlotIsSmall: the ring holds logRingCap slots from its first
+// record on, so a slot stays a quarter of a slog.Record.
+func TestLogRingSlotIsSmall(t *testing.T) {
+	if got := unsafe.Sizeof(logEntry{}); got > 80 {
+		t.Fatalf("a ring slot is %d B, want at most 80 (a slog.Record is %d)", got, unsafe.Sizeof(slog.Record{}))
+	}
+}
+
 type writerFunc func(p []byte) (int, error)
 
 func (f writerFunc) Write(p []byte) (int, error) { return f(p) }
@@ -158,8 +185,15 @@ func TestLogsHandlerFilters(t *testing.T) {
 	if ev := get(""); len(ev) != 3 || ev[0] != (line{"INFO", "a", "p0"}) {
 		t.Fatalf("unfiltered: %+v", ev)
 	}
-	if ev := get("?level=warn"); len(ev) != 2 || ev[0].Msg != "b" {
-		t.Fatalf("level filter: %+v", ev)
+	for _, q := range []string{"?level=warn", "?level=WARN", "?level=%20warning%20"} {
+		if ev := get(q); len(ev) != 2 || ev[0].Msg != "b" {
+			t.Fatalf("level filter %s: %+v", q, ev)
+		}
+	}
+	for _, q := range []string{"?level=off", "?level=none"} {
+		if ev := get(q); len(ev) != 0 {
+			t.Fatalf("level filter %s: %+v", q, ev)
+		}
 	}
 	if ev := get("?principal=p0"); len(ev) != 2 || ev[1].Msg != "c" {
 		t.Fatalf("principal filter: %+v", ev)
@@ -167,7 +201,7 @@ func TestLogsHandlerFilters(t *testing.T) {
 	if ev := get("?n=1"); len(ev) != 1 || ev[0].Msg != "c" {
 		t.Fatalf("n filter: %+v", ev)
 	}
-	for _, bad := range []string{"?level=bogus", "?n=-1"} {
+	for _, bad := range []string{"?level=bogus", "?level=WARN+1", "?n=-1"} {
 		rec := httptest.NewRecorder()
 		LogsHandler().ServeHTTP(rec, httptest.NewRequest("GET", "/debug/logs"+bad, nil))
 		if rec.Code != 400 {
