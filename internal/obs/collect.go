@@ -1,12 +1,13 @@
 package obs
 
 import (
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
 	"os"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -189,14 +190,8 @@ func SummarizeTraces(all []Span) []TraceSummary {
 		}
 		out = append(out, sum)
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Nodes != out[j].Nodes {
-			return out[i].Nodes > out[j].Nodes
-		}
-		if out[i].Spans != out[j].Spans {
-			return out[i].Spans > out[j].Spans
-		}
-		return out[i].Trace < out[j].Trace
+	slices.SortFunc(out, func(a, b TraceSummary) int {
+		return cmp.Or(cmp.Compare(b.Nodes, a.Nodes), cmp.Compare(b.Spans, a.Spans), cmp.Compare(a.Trace, b.Trace))
 	})
 	return out
 }
@@ -230,14 +225,7 @@ func stageLine(spans []Span) string {
 		}
 	}
 	for st, d := range totals {
-		known := false
-		for _, k := range stageOrder {
-			if st == k {
-				known = true
-				break
-			}
-		}
-		if !known {
+		if !slices.Contains(stageOrder, st) {
 			parts = append(parts, fmt.Sprintf("%s %s", st, fmtDur(d)))
 		}
 	}

@@ -7,6 +7,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/pprof"
+	"slices"
 	"strconv"
 	"sync"
 	"time"
@@ -27,29 +28,17 @@ func MetricsHandler(r *Registry) http.Handler {
 // clusters share the ring) with ?node=<addr>.
 func SpansHandler() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
-		all := Spans()
-		if t := req.URL.Query().Get("trace"); t != "" {
+		all, q := Spans(), req.URL.Query()
+		if t := q.Get("trace"); t != "" {
 			id, err := strconv.ParseUint(t, 10, 64)
 			if err != nil {
 				http.Error(w, "bad trace id", http.StatusBadRequest)
 				return
 			}
-			filtered := all[:0]
-			for _, s := range all {
-				if s.Trace == id {
-					filtered = append(filtered, s)
-				}
-			}
-			all = filtered
+			all = slices.DeleteFunc(all, func(s Span) bool { return s.Trace != id })
 		}
-		if node := req.URL.Query().Get("node"); node != "" {
-			filtered := all[:0:0]
-			for _, s := range all {
-				if s.Node == node {
-					filtered = append(filtered, s)
-				}
-			}
-			all = filtered
+		if node := q.Get("node"); node != "" {
+			all = slices.DeleteFunc(all, func(s Span) bool { return s.Node != node })
 		}
 		w.Header().Set("Content-Type", "application/json")
 		enc := json.NewEncoder(w)

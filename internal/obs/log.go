@@ -145,7 +145,7 @@ func (h *ringHandler) Handle(ctx context.Context, r slog.Record) error {
 			}
 		}
 	}
-	logEvents[levelIndex(r.Level)].Inc()
+	logEvents[min(max((int(r.Level)+4)/4, 0), 3)].Inc() // slog's levels are 4 apart, debug at -4
 	logs.mu.Lock()
 	logs.pushLocked(e)
 	mirror, min := logs.mirror, logs.mirrorMin
@@ -154,19 +154,6 @@ func (h *ringHandler) Handle(ctx context.Context, r slog.Record) error {
 		return mirror.Handle(ctx, e.record())
 	}
 	return nil
-}
-
-// levelIndex maps a level to its sbx_log_events_total series.
-func levelIndex(l slog.Level) int {
-	switch {
-	case l < slog.LevelInfo:
-		return 0
-	case l < slog.LevelWarn:
-		return 1
-	case l < slog.LevelError:
-		return 2
-	}
-	return 3
 }
 
 // WriteLogs writes records as JSON lines through slog's JSON handler — the
