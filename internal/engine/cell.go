@@ -102,25 +102,22 @@ func hashCols(row []cell, cols []int) uint64 {
 var symSeed = maphash.MakeSeed()
 
 // symtab is a workspace's intern table: every distinct text its cells name is
-// held once, as a symbol, in arena pages that hold nothing but bytes. A page
-// is only appended to and never moves, so a string viewing a symbol's text
-// stays valid while anything references it.
-//
-// A transaction's transient facts (Fact.Transient) name their new text by
-// view symbols instead: the symbol's text is the fact's own string, uncopied,
-// until the transaction ends. Then a view symbol that a row the transaction
-// keeps names has been copied into the arena (keep), and the others go
-// (dropViews): their numbers are free, and the next symbols take them.
-// Otherwise symbols are only ever dropped by restore, back to a mark taken
-// before a transaction: what a rolled-back transaction interned goes with it.
-// A committed symbol lives as long as the workspace, whether or not a row
-// still names it, so the table is bounded by the text ever committed.
+// held once, as a symbol. Text new while a transaction is open is a view
+// symbol — of the caller's string, or of a copy on the stack (push) for text
+// the engine computes — until a row stored to outlive the transaction copies
+// it into the arena (keep), or the transaction ends and it goes (end), its
+// number free for the next symbol. Other text, the program's constants, goes
+// to the arena at once: pages of nothing but bytes, only appended to, so a
+// string viewing one stays valid while anything references it.
 type symtab struct {
 	idx   hashIndex // text hash → symbols, verified by text
 	spans []span    // symbol → where its text lives
 	pages [][]byte  // the arena; the last page is the one being filled
 	free  []uint32  // numbers of dropped view symbols, for the next symbols
 	views []viewSym // the transaction's view symbols, in the order they came
+	open  bool      // a transaction is open
+	stack [][]byte  // computed views' bytes in stack[:top+1], and empty pages
+	top   int
 }
 
 // span locates one symbol's text: in the arena, or for a view symbol
@@ -175,12 +172,13 @@ func (s *symtab) lookup(text string) (uint32, bool) {
 	return id - 1, id != 0
 }
 
-// intern returns text's symbol, copying text into the arena if it is new, or
-// with view set making it a view symbol of text. A text that would be symbol
+// intern returns text's symbol, making it one if text is new. Known text that
+// push just copied goes back to the stack. A text that would be symbol
 // symLimit is refused with errSymbolLimit.
-func (s *symtab) intern(text string, view bool) (uint32, error) {
+func (s *symtab) intern(text string) (uint32, error) {
 	h := maphash.String(symSeed, text)
 	if id := s.find(text, h); id != 0 {
+		s.pop(text)
 		return id - 1, nil
 	}
 	var sym uint32
@@ -193,7 +191,7 @@ func (s *symtab) intern(text string, view bool) (uint32, error) {
 		}
 		s.spans = append(s.spans, span{})
 	}
-	if view && text != "" {
+	if s.open && text != "" {
 		s.spans[sym] = span{page: viewPage, off: uint32(len(s.views)), n: uint32(len(text))}
 		s.views = append(s.views, viewSym{sym, text})
 	} else {
@@ -203,8 +201,40 @@ func (s *symtab) intern(text string, view bool) (uint32, error) {
 	return sym, nil
 }
 
+// push copies a and b, end to end, onto the stack, for intern: text the engine
+// computes, which it does only inside a transaction. The pages never move and
+// serve every transaction; they double from minArenaPage up to maxArenaPage.
+func (s *symtab) push(a, b string) string {
+	n := len(a) + len(b)
+	if len(s.stack) > 0 && cap(s.stack[s.top])-len(s.stack[s.top]) < n {
+		s.top++
+	}
+	if s.top == len(s.stack) || cap(s.stack[s.top])-len(s.stack[s.top]) < n {
+		s.stack = append(s.stack[:s.top], make([]byte, 0, max(n, min(minArenaPage<<s.top, maxArenaPage))))
+	}
+	p := s.stack[s.top]
+	s.stack[s.top] = append(append(p, a...), b...)
+	return unsafe.String(unsafe.SliceData(s.stack[s.top][len(p):]), n)
+}
+
+// pop gives text's bytes back to the stack if they are its newest.
+func (s *symtab) pop(text string) {
+	if len(s.stack) == 0 || text == "" {
+		return
+	}
+	p := s.stack[s.top]
+	if len(text) > len(p) || unsafe.StringData(text) != &p[len(p)-len(text)] {
+		return
+	}
+	s.stack[s.top] = p[:len(p)-len(text)]
+	for s.top > 0 && len(s.stack[s.top]) == 0 {
+		s.top--
+	}
+}
+
 // keep copies the text of every view symbol cs names into the arena: a row
-// that holds them is to outlive the transaction.
+// that holds them is to outlive the transaction. The newest views, once kept,
+// give their stack bytes back.
 func (s *symtab) keep(cs []cell) {
 	for _, c := range cs {
 		if !hasText(c.kind()) {
@@ -214,11 +244,16 @@ func (s *symtab) keep(cs []cell) {
 			*sp = s.store(s.views[sp.off].text)
 		}
 	}
+	for n := len(s.views) - 1; n >= 0 && s.spans[s.views[n].sym].page != viewPage; n-- {
+		s.pop(s.views[n].text)
+		s.views = s.views[:n]
+	}
 }
 
-// dropViews ends the transaction's view symbols: one keep has not copied goes,
-// its number free for the next symbol, and no symbol views anything any more.
-func (s *symtab) dropViews() {
+// end ends the transaction: a view symbol keep has not copied goes, its number
+// free for the next symbol, no symbol views anything any more, and the stack
+// is empty.
+func (s *symtab) end() {
 	for _, v := range s.views {
 		if s.spans[v.sym].page == viewPage {
 			s.idx.unlink(v.sym)
@@ -227,7 +262,10 @@ func (s *symtab) dropViews() {
 		}
 	}
 	clear(s.views) // what they viewed need not stay alive
-	s.views = s.views[:0]
+	s.views, s.top, s.open = s.views[:0], 0, false
+	for i := range s.stack {
+		s.stack[i] = s.stack[i][:0]
+	}
 }
 
 // symLimit is how many texts a workspace interns: every symbol a cell's
@@ -300,7 +338,8 @@ func (s *symtab) mark() symMark {
 // number, which are again free, and the ones numbered past m's — and gives
 // their arena bytes back. Their links stay allocated, for the next symbols of
 // those numbers. No symbol is freed between a mark and its restore: a
-// transaction frees its view symbols only once it stands.
+// transaction frees its view symbols only once it stands, and one restored
+// is over.
 func (s *symtab) restore(m symMark) {
 	for _, sym := range s.free[len(s.free):m.free] {
 		s.idx.unlink(sym)
@@ -311,8 +350,9 @@ func (s *symtab) restore(m symMark) {
 		s.idx.unlink(uint32(sym))
 	}
 	s.spans = s.spans[:m.syms]
-	clear(s.views)
+	clear(s.views) // gone with the rest, so end has none to drop
 	s.views = s.views[:0]
+	s.end()
 	clear(s.pages[m.pages:])
 	s.pages = s.pages[:m.pages]
 	if m.pages > 0 {
@@ -320,17 +360,14 @@ func (s *symtab) restore(m symMark) {
 	}
 }
 
-// cell encodes v, interning its text — as a view symbol if view is set: the
-// write paths — facts, compiled constants, UDF results.
-func (s *symtab) cell(v datalog.Value, view bool) (cell, error) {
-	var sym uint32
-	if hasText(v.Kind) {
-		var err error
-		if sym, err = s.intern(v.Str, view); err != nil {
-			return cell{}, err
-		}
+// cell encodes v, interning its text: the write paths — facts, compiled
+// constants.
+func (s *symtab) cell(v datalog.Value) (cell, error) {
+	if !hasText(v.Kind) {
+		return encode(v, 0), nil
 	}
-	return encode(v, sym), nil
+	sym, err := s.intern(v.Str)
+	return encode(v, sym), err
 }
 
 // encode is v's cell, given the symbol of its text.
@@ -355,11 +392,10 @@ func (s *symtab) lookupCell(v datalog.Value) (cell, bool) {
 	return encode(v, sym), ok
 }
 
-// cells appends the encoding of t to buf, interning — new text as view
-// symbols if view is set.
-func (s *symtab) cells(buf []cell, t datalog.Tuple, view bool) ([]cell, error) {
+// cells appends the encoding of t to buf, interning.
+func (s *symtab) cells(buf []cell, t datalog.Tuple) ([]cell, error) {
 	for _, v := range t {
-		c, err := s.cell(v, view)
+		c, err := s.cell(v)
 		if err != nil {
 			return buf, err
 		}

@@ -23,7 +23,7 @@ func hashSamples() []datalog.Value {
 
 // mustCells encodes t in syms, interning.
 func mustCells(syms *symtab, t datalog.Tuple) []cell {
-	row, err := syms.cells(nil, t, false)
+	row, err := syms.cells(nil, t)
 	if err != nil {
 		panic(err)
 	}

@@ -989,7 +989,7 @@ func (c *compiler) finalizeRule(cr *CompiledRule) error {
 		if entType == "" {
 			return fmt.Errorf("rule %s: head variable %s is unbound and has no entity type", r, v)
 		}
-		entSym, err := c.p.syms.intern(entType, false)
+		entSym, err := c.p.syms.intern(entType)
 		if err != nil {
 			return err
 		}

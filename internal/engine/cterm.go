@@ -2,7 +2,6 @@ package engine
 
 import (
 	"fmt"
-	"unsafe"
 
 	"secureblox/internal/datalog"
 )
@@ -57,7 +56,7 @@ func (sa *slotAlloc) slot(name string) int {
 func (sa *slotAlloc) compileTerm(t datalog.Term) cterm {
 	switch tt := t.(type) {
 	case datalog.Const:
-		c, err := sa.syms.cell(tt.Val, false)
+		c, err := sa.syms.cell(tt.Val)
 		if err != nil {
 			panic(err) // a program's table holds its source's constants: 2^28 would take gigabytes of source
 		}
@@ -113,8 +112,8 @@ func (f *frame) get(slot int) (cell, bool) {
 	return v, v.kind() != datalog.KindInvalid
 }
 
-// eval computes the value of a compiled term under a frame. A string + interns
-// its result: inside a transaction, so a rollback drops it again.
+// eval computes the value of a compiled term under a frame. A string + builds
+// its result on the intern table's stack.
 func (w *Workspace) eval(t *cterm, f *frame) (cell, error) {
 	switch t.kind {
 	case ctConst:
@@ -135,8 +134,7 @@ func (w *Workspace) eval(t *cterm, f *frame) (cell, error) {
 			return cell{}, err
 		}
 		if l.kind() == datalog.KindString && r.kind() == datalog.KindString && t.op == "+" {
-			w.concat = append(append(w.concat[:0], w.syms.text(l.sym())...), w.syms.text(r.sym())...)
-			sym, err := w.syms.intern(unsafe.String(unsafe.SliceData(w.concat), len(w.concat)), false)
+			sym, err := w.syms.intern(w.syms.push(w.syms.text(l.sym()), w.syms.text(r.sym())))
 			return mkCell(datalog.KindString, sym, 0), err
 		}
 		if l.kind() != datalog.KindInt || r.kind() != datalog.KindInt {

@@ -228,7 +228,8 @@ func (w *Workspace) runSteps(steps []step, i int, f *frame, emit func(*frame) er
 
 	case stepUDF:
 		// The arguments go out as views of the intern table, and what Eval
-		// computes comes back interned. The vectors are the workspace's: a
+		// computes comes back interned from a copy on the table's stack, since
+		// Eval may reuse what a result views. The vectors are the workspace's: a
 		// later UDF step of the plan reuses them only once this one has
 		// interned everything Eval left there.
 		args, mask := w.udfArgs[:len(s.args)], w.udfMask[:len(s.args)]
@@ -251,7 +252,8 @@ func (w *Workspace) runSteps(steps []step, i int, f *frame, emit func(*frame) er
 		for j := range s.args {
 			if a := &s.args[j]; !mask[j] && a.kind == ctVar {
 				if v, bound := f.get(a.slot); !bound {
-					c, err := w.syms.cell(args[j], false)
+					args[j].Str = w.syms.push(args[j].Str, "")
+					c, err := w.syms.cell(args[j])
 					if err != nil {
 						f.undo(m)
 						return err

@@ -397,7 +397,7 @@ const (
 // only a transaction can roll back.
 func (r *Relation) Insert(t datalog.Tuple, isBase bool) InsertResult {
 	var buf [8]cell
-	vals, err := r.syms.cells(buf[:0], t, false)
+	vals, err := r.syms.cells(buf[:0], t)
 	if err != nil {
 		panic(err)
 	}

@@ -20,17 +20,15 @@ type UDF interface {
 	// Eval completes args in place and reports whether there is a completion.
 	// param is the atom's parameterization (the T in rsa_sign[T](...)), used
 	// for domain separation. args holds the current values, zero Values at the
-	// unbound positions; their text is a view of the workspace's intern table,
-	// valid as long as the workspace. Eval stores its results there and nowhere
-	// else, and where a position it computes arrived bound, the two must be
-	// equal for the completion to stand (Yield does both). The workspace
-	// interns each result before it runs anything else — the next Eval of the
-	// same UDF included — so a result may view an argument, or storage that
-	// Eval reuses on its next call (serialize encodes into one buffer). A UDF
-	// that keeps such storage serves one workspace: each workspace has its own
-	// registry. args is the caller's scratch: Eval must not keep the slice, and
-	// allocates nothing for the caller's sake — only the bytes of the values
-	// it returns.
+	// unbound positions; their text views the workspace's storage, for the call.
+	// Eval stores its results there and nowhere else, and where a position it
+	// computes arrived bound, the two must be equal for the completion to
+	// stand (Yield does both). The workspace copies each result before the
+	// next Eval, so a result may view an argument or storage Eval reuses
+	// (serialize encodes into one buffer); a UDF that keeps such storage
+	// serves one workspace. args is the caller's scratch: Eval must not keep
+	// the slice, and allocates nothing for the caller's sake — only the bytes
+	// of the values it returns.
 	Eval(param string, args []datalog.Value, bound []bool) (bool, error)
 }
 

@@ -15,11 +15,9 @@ import (
 // A Transient fact lives for the transaction that asserts it — the reading of
 // an asynchronous head in Dedalus, which holds at the receiver for one step:
 // rules and constraints read it as any fact, and when the transaction ends it
-// is gone, and so is its text, which the workspace views instead of copying
-// while the transaction runs (its strings must not change until then). It
-// stays only if the transaction also derives it, or asserts it without the
-// mark; a stored row that holds its text keeps a copy of the text. A
-// transient fact the store already holds is no news, like any known fact.
+// is gone. It stays only if the transaction also derives it, or asserts it
+// without the mark. A transient fact the store already holds is no news, like
+// any known fact.
 type Fact struct {
 	Pred      string
 	Tuple     datalog.Tuple
@@ -77,7 +75,7 @@ func (w *Workspace) begin() *txn {
 	t := &w.txn
 	t.undo, t.cells = t.undo[:0], t.cells[:0]
 	w.dropLists()
-	t.mark = w.syms.mark()
+	t.mark, w.syms.open = w.syms.mark(), true
 	return t
 }
 
@@ -169,7 +167,6 @@ type Workspace struct {
 	skolems  []*Relation
 	factBuf  []cell   // scratch: facts' cells, Skolem rows
 	live     []uint32 // scratch: liveRows' copy of a list without its dead rows
-	concat   []byte
 
 	// EntityBase offsets generated entity ids so entities created on
 	// different nodes never collide when shipped over the network (set it
@@ -300,7 +297,6 @@ func (w *Workspace) Bind(p *Program) (err error) {
 	t := w.begin()
 	defer func() {
 		if err != nil {
-			w.rollback(t)
 			w.bind(builtin, nil)
 			w.syms = symtab{}
 		}
@@ -308,10 +304,10 @@ func (w *Workspace) Bind(p *Program) (err error) {
 	w.bind(p, udfs)
 	for _, f := range p.facts {
 		if err := w.insertBase(t, w.rels[f.rel], f.tuple, false); err != nil {
-			return err
+			return w.end(t, err)
 		}
 	}
-	return w.evaluate(t)
+	return w.end(t, w.evaluate(t))
 }
 
 // Install compiles prog (Compile) and binds it (Bind) to this new workspace.
@@ -416,13 +412,13 @@ func (w *Workspace) store(rel *Relation, vals []cell, h uint64, flags uint8) err
 	return nil
 }
 
-// insertBase inserts one EDB fact, interning its text — a transient one's new
-// text as view symbols, and into a transient row. A fact the relation already
-// holds as a derived tuple is promoted in place, and the promotion logged
-// unless the row is the transaction's own; a transient row is kept, as an EDB
-// fact. A transient fact the relation already holds changes nothing.
+// insertBase inserts one EDB fact, interning its text — a transient one into a
+// transient row. A fact the relation already holds as a derived tuple is
+// promoted in place, and the promotion logged unless the row is the
+// transaction's own; a transient row is kept, as an EDB fact. A transient fact
+// the relation already holds changes nothing.
 func (w *Workspace) insertBase(t *txn, rel *Relation, tuple datalog.Tuple, transient bool) error {
-	vals, err := w.syms.cells(w.factBuf[:0], tuple, transient)
+	vals, err := w.syms.cells(w.factBuf[:0], tuple)
 	w.factBuf = vals
 	if err != nil {
 		return err
@@ -897,10 +893,10 @@ func (w *Workspace) Begin() {
 }
 
 // Add inserts one base fact into the transaction Begin started. Its values
-// are read at once, so the caller may reuse f.Tuple for the next fact; the
-// text of a transient fact is viewed, not copied, and must not change until
-// Commit returns. A fact that cannot be inserted rolls the transaction back:
-// Commit returns its error, and every Add until then does nothing.
+// are read at once, so the caller may reuse f.Tuple for the next fact; new
+// text is viewed, not copied, and must not change until Commit returns. A
+// fact that cannot be inserted rolls the transaction back: Commit returns its
+// error, and every Add until then does nothing.
 func (w *Workspace) Add(f Fact) {
 	t := &w.txn
 	if t.err != nil {
@@ -921,22 +917,25 @@ func (w *Workspace) Commit() (*TxnResult, error) {
 	if t.err != nil {
 		return nil, t.err
 	}
-	if err := w.fixpoint(t); err != nil {
-		w.rollback(t)
+	err := w.fixpoint(t)
+	if err == nil {
+		err = w.checkTxnConstraints()
+	}
+	if err := w.end(t, err); err != nil {
 		return nil, err
 	}
-	if err := w.checkTxnConstraints(); err != nil {
-		w.rollback(t)
-		return nil, err
-	}
-	w.dropTransient()
 	return &w.result, nil
 }
 
-// dropTransient ends a transaction that stands: its transient rows leave the
-// store and its lists, their ids free for the next rows, and its view symbols
-// the intern table.
-func (w *Workspace) dropTransient() {
+// end ends transaction t, which err, if not nil, rolls back and end returns.
+// One that stands leaves its transient rows out of the store and its lists,
+// their ids free for the next rows, and the view symbols no stored row kept
+// out of the intern table.
+func (w *Workspace) end(t *txn, err error) error {
+	if err != nil {
+		w.rollback(t)
+		return err
+	}
 	for _, rel := range w.dirty {
 		if rel.transient == 0 {
 			continue
@@ -954,7 +953,8 @@ func (w *Workspace) dropTransient() {
 		}
 		rel.ins, rel.lo, rel.hi, rel.transient = ins, len(ins), len(ins), 0
 	}
-	w.syms.dropViews()
+	w.syms.end()
+	return nil
 }
 
 // AssertProgramFacts parses source-text facts and asserts them.
@@ -985,14 +985,9 @@ func (w *Workspace) AssertProgramFacts(src string) (*TxnResult, error) {
 // Transient facts are not base facts, and were gone when their transaction
 // committed: what a node imported from inbound payloads (transient export
 // facts) is derived from nothing Retract keeps, and goes. No node calls it.
-func (w *Workspace) Retract(facts []Fact) (err error) {
+func (w *Workspace) Retract(facts []Fact) error {
 	defer w.publishStats()
 	t := w.begin()
-	defer func() {
-		if err != nil {
-			w.rollback(t)
-		}
-	}()
 	for _, f := range facts {
 		if rel := w.relation(f.Pred); rel != nil {
 			if id := rel.rowOfTuple(f.Tuple); id >= 0 {
@@ -1007,7 +1002,7 @@ func (w *Workspace) Retract(facts []Fact) (err error) {
 			}
 		}
 	}
-	return w.evaluate(t)
+	return w.end(t, w.evaluate(t))
 }
 
 // Tuples returns a snapshot of a predicate's extent.

@@ -48,8 +48,8 @@ func ScrapeNode(client *http.Client, addr string) NodeScrape {
 }
 
 // lifecycleOf reads a node's principal and state from its one
-// sbx_lifecycle_state series. None, or several (a process that ran several
-// principals), leaves both empty.
+// sbx_lifecycle_state series, its latest run's. None, or several, leaves both
+// empty.
 func lifecycleOf(text string) (principal, state string) {
 	n := 0
 	for _, line := range strings.Split(text, "\n") {

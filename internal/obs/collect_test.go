@@ -75,6 +75,31 @@ func TestScrapeNode(t *testing.T) {
 	}
 }
 
+// TestScrapeNodeReadsTheLatestRun: a process that runs two principals in
+// turn renders only the second run's series, so a scrape names the second
+// principal and its state.
+func TestScrapeNodeReadsTheLatestRun(t *testing.T) {
+	first := StartLifecycle("p0")
+	if err := first.Advance(StateJoining); err != nil {
+		t.Fatal(err)
+	}
+	first.Fail()
+	second := StartLifecycle(testPrincipal)
+	for _, s := range []State{StateJoining, StateReady} {
+		if err := second.Advance(s); err != nil {
+			t.Fatal(err)
+		}
+	}
+	mux := http.NewServeMux()
+	Mount(mux)
+	srv := httptest.NewServer(mux)
+	defer srv.Close()
+	got := ScrapeNode(srv.Client(), strings.TrimPrefix(srv.URL, "http://"))
+	if got.Err != nil || got.Principal != testPrincipal || got.State != "ready" {
+		t.Fatalf("scrape after runs as p0 and %s: principal %q, state %q, err %v", testPrincipal, got.Principal, got.State, got.Err)
+	}
+}
+
 // TestSpanDumpRoundTrip: ReadSpanDump reads what sbxnode -dump writes
 // (a JSON span array), and SummarizeTraces ranks the merged result.
 func TestSpanDumpRoundTrip(t *testing.T) {

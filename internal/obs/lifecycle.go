@@ -77,7 +77,8 @@ func legal(from, to State) bool {
 // surfaces as an error instead of a wrong readiness signal. A nil
 // Lifecycle stays in StateInit and ignores every step.
 type Lifecycle struct {
-	state atomic.Int32
+	state     atomic.Int32
+	principal string
 }
 
 // current is the lifecycle /readyz and /healthz serve.
@@ -89,12 +90,13 @@ func init() {
 
 // StartLifecycle begins a run as principal: a new lifecycle in StateInit,
 // rendered as sbx_lifecycle_state{principal} and served by /readyz and
-// /healthz from now on. A series of an earlier run under another principal
-// keeps that run's last state.
+// /healthz from now on, in place of the previous run's, whose series goes.
 func StartLifecycle(principal string) *Lifecycle {
-	l := new(Lifecycle)
+	l := &Lifecycle{principal: principal}
 	Default().GaugeFunc("sbx_lifecycle_state", Labels{"principal": principal}, func() float64 { return float64(l.State()) })
-	current.Store(l)
+	if prev := current.Swap(l); prev != nil && prev.principal != principal {
+		Default().Drop("sbx_lifecycle_state", Labels{"principal": prev.principal})
+	}
 	return l
 }
 

@@ -324,6 +324,16 @@ func (r *Registry) GaugeFunc(name string, l Labels, fn func() float64) {
 	s.g.mu.Unlock()
 }
 
+// Drop removes the series registered under name with the given labels, if
+// there is one.
+func (r *Registry) Drop(name string, l Labels) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if f := r.families[name]; f != nil {
+		delete(f.series, renderLabels(l))
+	}
+}
+
 // Histogram returns the histogram registered under name with the given
 // labels, creating it with the given bucket bounds (DefBuckets when nil)
 // if needed. Bounds of an existing histogram are not changed.
